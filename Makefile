@@ -34,7 +34,8 @@ fastexp-bench:
 	$(PYTHON) -m pytest benchmarks/bench_fastexp.py --benchmark-only --benchmark-json=BENCH_fastexp.json
 
 # Batch-size -> throughput curve for RLC batch verification plus the
-# shared-table worker spawn comparison; merges into BENCH_fastexp.json.
+# shared-table worker spawn comparison; writes BENCH_batchverify.json
+# (untracked; BENCH_fastexp.json is not touched).
 batchverify-bench:
 	$(PYTHON) -m pytest benchmarks/bench_batchverify.py --benchmark-only --benchmark-json=BENCH_batchverify.json
 

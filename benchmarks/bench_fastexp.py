@@ -194,7 +194,7 @@ def _replay(workload, *, warm_tables: bool) -> float:
         bank.account_home(aid).withdrawals.append(aid)
     batcher = VerificationBatcher(
         params, keypair, max_batch=N_DEPOSITS, processes=1,
-        pairing_batch=True, seed=5, warm_tables=warm_tables,
+        seed=5, warm_tables=warm_tables,
     )
     service = MarketService(bank, batcher=batcher,
                             admission=AdmissionController())

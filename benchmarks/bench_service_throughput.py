@@ -77,7 +77,7 @@ def service_workload(bench_rng):
     return params, keypair, mint_bank.merged(), requests, arrivals
 
 
-def _make_service(workload, *, n_shards, max_batch, pairing_batch,
+def _make_service(workload, *, n_shards, max_batch,
                   admission=None, telemetry=None, backend=None) -> MarketService:
     params, keypair, book, _, _ = workload
     bank = ShardedBank(params, keypair, random.Random(3), n_shards=n_shards)
@@ -87,7 +87,7 @@ def _make_service(workload, *, n_shards, max_batch, pairing_batch,
         bank.account_home(aid).withdrawals.append(aid)
     batcher = VerificationBatcher(
         params, keypair, max_batch=max_batch, processes=1,
-        pairing_batch=pairing_batch, seed=5, warm_tables=False,
+        seed=5, warm_tables=False,
         backend=backend,
     )
     return MarketService(
@@ -116,8 +116,8 @@ def _replay(workload, *, telemetry=None, **config) -> float:
     return report.wall_elapsed
 
 
-BASELINE = dict(n_shards=1, max_batch=1, pairing_batch=False)
-BATCHED = dict(n_shards=4, max_batch=N_DEPOSITS, pairing_batch=True)
+BASELINE = dict(n_shards=1, max_batch=1)  # batches of one verify per token
+BATCHED = dict(n_shards=4, max_batch=N_DEPOSITS)
 
 
 def test_single_shard_batch1_deposits(benchmark, service_workload):

@@ -43,7 +43,6 @@ from repro.cluster.replicate import (
     journal_from_records,
 )
 from repro.cluster.ring import ClusterMap, DEFAULT_VNODES
-from repro.service.aio import AsyncServiceFrontend
 from repro.service.frontend import ServiceFrontend
 from repro.service.journal import DEFAULT_SEGMENT_RECORDS, Checkpoint, Journal
 from repro.service.server import MarketService
@@ -61,17 +60,12 @@ class ClusterNode:
                  checkpoint_every: int = 64,
                  segment_records: int = DEFAULT_SEGMENT_RECORDS,
                  journal_retention: int | None = None,
-                 async_frontend: bool = False,
                  telemetry: "obs.Telemetry | None" = None) -> None:
         self.id = node_id
         self.params = params
         self.keypair = keypair
         self.n_shards = n_shards
         self.host = host
-        #: serve this node's slices from the asyncio front door instead
-        #: of thread-per-connection; everything behind the listener
-        #: (dispatcher, service, replication hooks) is identical
-        self.async_frontend = async_frontend
         self.checkpoint_every = checkpoint_every
         self.segment_records = segment_records
         #: segments to retain past the replica-durable cut; ``None``
@@ -92,8 +86,7 @@ class ClusterNode:
 
         # the slice: in-memory journal — durability here is the *peer's*
         # copy (shipped before any reply), which is exactly what a
-        # SIGKILL leaves behind; FileJournal can be slotted in for
-        # belt-and-braces local durability without changing anything else
+        # SIGKILL leaves behind
         self.journal = Journal(segment_records=segment_records,
                                telemetry=self.telemetry)
         bank = ShardedBank(params, keypair, random.Random(seed),
@@ -102,9 +95,8 @@ class ClusterNode:
         self.service = MarketService(bank, name=f"MA-{node_id}",
                                      journal=self.journal,
                                      telemetry=self.telemetry)
-        frontend_cls = AsyncServiceFrontend if async_frontend else ServiceFrontend
-        self.frontend = frontend_cls(self.service, host=host, port=port,
-                                     telemetry=self.telemetry).start()
+        self.frontend = ServiceFrontend(self.service, host=host, port=port,
+                                        telemetry=self.telemetry).start()
         self.receiver = ReplicaReceiver(host=host, port=replica_port,
                                         control=self.control)
         self.shipper: JournalShipper | None = None
@@ -215,10 +207,8 @@ class ClusterNode:
             n_shards=self.n_shards, name=f"MA-{dead}",
             telemetry=self.telemetry,
         )
-        frontend_cls = (AsyncServiceFrontend if self.async_frontend
-                        else ServiceFrontend)
-        frontend = frontend_cls(service, host=self.host, port=0,
-                                telemetry=self.telemetry).start()
+        frontend = ServiceFrontend(service, host=self.host, port=0,
+                                   telemetry=self.telemetry).start()
         with self._lock:
             self.adopted[dead] = (service, frontend)
         self._m_adoptions.inc()
@@ -283,7 +273,6 @@ class LocalCluster:
                  checkpoint_every: int = 64,
                  segment_records: int = DEFAULT_SEGMENT_RECORDS,
                  journal_retention: int | None = None,
-                 async_frontend: bool = False,
                  telemetry_factory=None) -> None:
         if n_nodes < 2:
             raise ValueError("a cluster needs at least two nodes")
@@ -298,7 +287,7 @@ class LocalCluster:
                 checkpoint_every=checkpoint_every,
                 segment_records=segment_records,
                 journal_retention=journal_retention,
-                async_frontend=async_frontend, telemetry=telemetry,
+                telemetry=telemetry,
             )
         self.map = ClusterMap(
             version=0, nodes=names,

@@ -63,6 +63,7 @@ from repro.service.journal import (
 )
 
 __all__ = [
+    "FrameListener",
     "ReplicaSlot",
     "ReplicaReceiver",
     "JournalShipper",
@@ -109,6 +110,81 @@ def control_call(address: tuple[str, int], frame: dict, *,
     return reply
 
 
+class FrameListener:
+    """A TCP listener, one thread per connection, that ``close()`` stops.
+
+    The accept/teardown half of :class:`ReplicaReceiver` and
+    :class:`~repro.cluster.router.ClusterProxy`; subclasses supply
+    ``_serve(sock)``, which runs on the connection's own thread and
+    returns when ``recv`` does (EOF, error, or :meth:`close` shutting
+    the socket down under it).  After :meth:`close` returns the port is
+    unbound and no accept or connection thread is left running.
+    """
+
+    def __init__(self, host: str, port: int, *, name: str) -> None:
+        self._listener = socket.create_server((host, port))
+        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        self._name = name
+        self._running = True
+        self._conn_lock = threading.Lock()
+        self._conns: list[tuple[threading.Thread, socket.socket]] = []
+        self._accept = threading.Thread(target=self._accept_loop,
+                                        name=f"{name}-accept", daemon=True)
+        self._accept.start()
+
+    def _serve(self, sock: socket.socket) -> None:
+        raise NotImplementedError
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, _peer = self._listener.accept()
+            except OSError:
+                return
+            with self._conn_lock:
+                if not self._running:
+                    sock.close()  # close()'s wake-up connection
+                    return
+                thread = threading.Thread(target=self._serve, args=(sock,),
+                                          name=f"{self._name}-conn", daemon=True)
+                # finished connections leave the join list here, so it
+                # does not grow without bound on a long-lived listener
+                self._conns = [c for c in self._conns if c[0].is_alive()]
+                self._conns.append((thread, sock))
+                thread.start()
+
+    def close(self) -> None:
+        with self._conn_lock:
+            if not self._running:
+                return
+            self._running = False
+        # a thread parked in accept() keeps the listening socket alive
+        # (and the port answering) after the fd is closed under it; dial
+        # one throwaway connection to kick it out first
+        try:
+            socket.create_connection(self.address, timeout=1.0).close()
+        except OSError:
+            pass
+        self._accept.join(timeout=5.0)
+        self._listener.close()
+        with self._conn_lock:
+            conns, self._conns = self._conns, []
+        for _thread, sock in conns:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # wakes a parked recv()
+            except OSError:
+                pass
+        for thread, _sock in conns:
+            if thread is not threading.current_thread():
+                thread.join(timeout=5.0)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 @dataclass
 class ReplicaSlot:
     """Everything one source node has shipped here.
@@ -128,7 +204,7 @@ class ReplicaSlot:
     last_segment: int = -1
 
 
-class ReplicaReceiver:
+class ReplicaReceiver(FrameListener):
     """TCP listener accepting replica streams and control frames.
 
     Stream frames (fire-and-forget from the shipper, except the sync
@@ -162,18 +238,10 @@ class ReplicaReceiver:
                  control: Callable[[dict], dict] | None = None,
                  trim_on_checkpoint: bool = False) -> None:
         self.trim_on_checkpoint = trim_on_checkpoint
-        self._listener = socket.create_server((host, port))
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self.control = control
         self._slots: dict[str, ReplicaSlot] = {}
         self._lock = threading.Lock()
-        self._closed = threading.Event()
-        self._running = True
-        self._threads: list[threading.Thread] = []
-        accept = threading.Thread(target=self._accept_loop,
-                                  name="replica-accept", daemon=True)
-        accept.start()
-        self._threads.append(accept)
+        super().__init__(host, port, name="replica")
 
     # -- store -------------------------------------------------------------
     def slot(self, node: str) -> ReplicaSlot:
@@ -203,34 +271,7 @@ class ReplicaReceiver:
             time.sleep(0.01)
         return slot  # adopt from what arrived; recovery is idempotent
 
-    # -- lifecycle ---------------------------------------------------------
-    def close(self) -> None:
-        if not self._running:
-            return
-        self._running = False
-        self._closed.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "ReplicaReceiver":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- wire side ---------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                sock, _peer = self._listener.accept()
-            except OSError:
-                return
-            thread = threading.Thread(target=self._serve, args=(sock,),
-                                      name="replica-conn", daemon=True)
-            thread.start()
-
     def _serve(self, sock: socket.socket) -> None:
         decoder = FrameDecoder()
         stream_node: str | None = None

@@ -89,12 +89,11 @@ class HashRing:
             index = 0  # wrap past the top of the circle
         return self._owners[index]
 
-    def slice_share(self, samples: int = 4096) -> dict[str, float]:
-        """Approximate share of the key space owned per node.
+    def slice_share(self) -> dict[str, float]:
+        """Share of the key space owned per node.
 
         Measured arc length, not sampled keys: exact for the ring's
-        point set, cheap, and deterministic.  *samples* is accepted for
-        API compatibility but unused.
+        point set, cheap, and deterministic.
         """
         arcs: dict[str, int] = {node: 0 for node in self.nodes}
         for i, point in enumerate(self._points):

@@ -40,6 +40,7 @@ import threading
 import time
 from typing import Any
 
+from repro.cluster.replicate import FrameListener
 from repro.cluster.ring import ClusterMap
 from repro.net.wire import FrameDecoder, WireError, encode_frame
 from repro.service.frontend import ServiceClient
@@ -232,7 +233,7 @@ class ClusterRouter:
         self.close()
 
 
-class ClusterProxy:
+class ClusterProxy(FrameListener):
     """A single-address TCP front door whose backend is the router.
 
     Speaks the exact single-node wire protocol — request frames with
@@ -247,41 +248,13 @@ class ClusterProxy:
     def __init__(self, router: ClusterRouter, *, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.router = router
-        self._listener = socket.create_server((host, port))
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._running = True
         #: requests *handled*, not necessarily *delivered*: incremented
         #: once _answer returns, before the reply is written to the
         #: socket (so a client holding a reply always observes the
         #: count).  A send that then fails still counts — the OSError
         #: tears the connection down, not the tally.
         self.served = 0
-        accept = threading.Thread(target=self._accept_loop,
-                                  name="proxy-accept", daemon=True)
-        accept.start()
-
-    def close(self) -> None:
-        self._running = False
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "ClusterProxy":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                sock, _peer = self._listener.accept()
-            except OSError:
-                return
-            thread = threading.Thread(target=self._serve, args=(sock,),
-                                      name="proxy-conn", daemon=True)
-            thread.start()
+        super().__init__(host, port, name="proxy")
 
     def _serve(self, sock: socket.socket) -> None:
         decoder = FrameDecoder()

@@ -130,7 +130,7 @@ def verify_equality_deferred(
     :func:`verify_equality` absorbs).  The group-B equation
     ``B^z == R_B * V^e`` is *not* checked — the caller must either
     check it directly or hand it to a batch verifier (see
-    :func:`repro.ecash.batch.batched_equality_check`).  Returns ``None``
+    :func:`repro.ecash.batch.batch_verify_spends`).  Returns ``None``
     when any of the performed checks fails.
 
     This module has no group-B operations, so it cannot validate

@@ -19,7 +19,7 @@ from repro.ecash.dec import (
     finish_withdrawal,
     setup,
 )
-from repro.ecash.batch import batch_verify_spends, batched_pairing_check
+from repro.ecash.batch import batch_verify_spends
 from repro.ecash.params_io import ParamsError, export_params, import_params
 from repro.ecash.wallet_io import WalletSnapshotError, restore_coins, snapshot_coins
 from repro.ecash.spend import DECParams, SpendToken, create_spend, verify_spend
@@ -45,7 +45,6 @@ __all__ = [
     "create_spend",
     "verify_spend",
     "batch_verify_spends",
-    "batched_pairing_check",
     "CoinTree",
     "NodeId",
     "derive_key_chain",

@@ -4,29 +4,9 @@ The MA verifies every deposited coin; with unitary cash breaks a single
 payment produces up to ``2^L`` deposits, so deposit-side verification is
 the bank's hot loop.  Two standard techniques cut its cost:
 
-* **Shared-pairing batching** — the two CL pairing equations of each
-  token use the fixed points ``g``, ``X`` and ``Y``.  The small-exponent
-  random-linear-combination test merges the *first* equation
-  (``e(a_i, Y) = e(g, b_i)``) of *n* tokens into two multi-scalar
-  pairings: with random ``r_i``,
-
-      e(Π a_i^{r_i}, Y)  ==  e(g, Π b_i^{r_i})
-
-  catches any cheating token except with probability ``~2^-λ`` per
-  small-exponent bit length.  (The second CL equation depends on the
-  secret message and stays inside the per-token equality proof.)
-* **Batched equality equations** — the equality proof's target-group
-  equation ``e(X, b~)^z == R_B * V^e`` is linear in G_T, so *n* of them
-  also merge under random small exponents into **one** pairing (of a
-  multi-exponentiated point) plus per-token G_1/G_T exponentiations —
-  far cheaper than a Miller loop each
-  (:func:`batched_equality_check`).  The two *statement* pairings per
-  token remain: the Fiat–Shamir transcript absorbs the encoded
-  statement ``V``, so every verifier must materialize it.
-* **Sigma-equation RLC** (the default path) — every remaining
-  Fiat–Shamir equation is *linear*: a product of known bases to known
-  exponents equals the identity.  The collectors in
-  :mod:`repro.crypto.zkp` defer them as
+* **Sigma-equation RLC** — every Fiat–Shamir equation of a token is
+  *linear*: a product of known bases to known exponents equals the
+  identity.  The collectors in :mod:`repro.crypto.zkp` defer them as
   :class:`~repro.crypto.batchverify.LinearCheck` objects and
   :class:`~repro.crypto.batchverify.BatchVerifier` folds the whole
   batch into one Straus multi-exp per group, with 128-bit hashed
@@ -34,15 +14,24 @@ the bank's hot loop.  Two standard techniques cut its cost:
   failure.  The bases (``g``, ``h``, per-storey generators, per-token
   commitments repeated across rounds) merge heavily, which is where
   the bulk of the speedup lives.
+* **Shared pairing product** — the two target-group equations each
+  token owes (CL well-formedness ``e(a~, Y) = e(g, b~)`` and the
+  equality proof's ``e(X, b~)^z == R_B * V^e``) use the fixed points
+  ``g``, ``X`` and ``Y`` and are linear in G_T, so under random
+  coefficients all of them collapse into one pairing product: Miller
+  loops grouped per fixed point, one final exponentiation.  The two
+  *statement* pairings per token remain: the Fiat–Shamir transcript
+  absorbs the encoded statement ``V``, so every verifier must
+  materialize it.
 
 :func:`batch_verify_spends` composes these: eager structural checks
 per token, one RLC pass over all sigma equations, then both pairing
 equations of every surviving token settled in a single shared pairing
-product (Miller loops grouped per fixed point, one final
-exponentiation).  Failures bisect with fresh coefficients until
-singletons, which are evaluated exactly — so the verdict list is
-always *identical* to verifying each token alone, just faster in the
-common all-honest case.
+product.  Failures bisect with fresh coefficients until singletons,
+which are evaluated exactly — so the verdict list is always
+*identical* to verifying each token alone
+(:func:`~repro.ecash.spend.verify_spend`, the sequential oracle), just
+faster in the common all-honest case.
 """
 
 from __future__ import annotations
@@ -50,159 +39,19 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from repro.crypto import fastexp
 from repro.crypto.batchverify import BatchVerifier, CoefficientSource
 from repro.crypto.cl_sig import CLPublicKey
 from repro.ecash.spend import (
     CollectedSpend,
     DECParams,
-    DeferredGTCheck,
     SpendToken,
-    verify_spend,
     verify_spend_collect,
-    verify_spend_deferred,
 )
 
-__all__ = ["batch_verify_spends", "batched_pairing_check", "batched_equality_check"]
-
-_SMALL_EXP_BITS = 32
+__all__ = ["batch_verify_spends"]
 
 _SIGMA_DOMAIN = b"repro.ecash.batch.sigma"
 _PAIRING_DOMAIN = b"repro.ecash.batch.pairing"
-
-
-def _multi_exp(backend, bases, scalars):
-    """Source-group ``Π bases[i]^{scalars[i]}``, via the backend's shared
-    Straus chain when it has one (both bundled backends do)."""
-    fused = getattr(backend, "multi_exp", None)
-    if fused is not None:
-        return fused(bases, scalars)
-    order = backend.order
-    return fastexp.multi_exp_generic(
-        backend.identity(), backend.mul, bases, [s % order for s in scalars]
-    )
-
-
-def _gt_multi_exp(backend, bases, scalars):
-    """Target-group ``Π bases[i]^{scalars[i]}`` with the same dispatch."""
-    fused = getattr(backend, "gt_multi_exp", None)
-    if fused is not None:
-        return fused(bases, scalars)
-    order = backend.order
-    return fastexp.multi_exp_generic(
-        backend.gt_one(), backend.gt_mul, bases, [s % order for s in scalars]
-    )
-
-
-def batched_pairing_check(
-    params: DECParams,
-    bank_pk: CLPublicKey,
-    tokens: Sequence[SpendToken],
-    rng: random.Random,
-) -> bool:
-    """Random-linear-combination test of the first CL equation over all
-    *tokens*: ``e(Π a_i^{r_i}, Y) == e(g, Π b_i^{r_i})``.
-
-    A ``True`` result means every token's (a, b) pair is consistent
-    except with probability ``<= n * 2^-32``; ``False`` means at least
-    one token is bad (but not which — callers then bisect or fall back).
-    """
-    backend = params.backend
-    if not tokens:
-        return True
-    coeffs = [1 + rng.getrandbits(_SMALL_EXP_BITS) for _ in tokens]
-    acc_a = _multi_exp(backend, [t.sig_a for t in tokens], coeffs)
-    acc_b = _multi_exp(backend, [t.sig_b for t in tokens], coeffs)
-    return backend.gt_eq(
-        backend.pair(acc_a, bank_pk.Y), backend.pair(backend.g, acc_b)
-    )
-
-
-def batched_equality_check(
-    params: DECParams,
-    bank_pk: CLPublicKey,
-    checks: Sequence[DeferredGTCheck],
-    rng: random.Random,
-) -> bool:
-    """Random-linear-combination test of *n* deferred G_T equations.
-
-    Each check demands ``e(X, b~_i)^{z_i} == R_{B,i} * V_i^{e_i}``;
-    with random small ``r_i`` all *n* collapse (by bilinearity) into
-
-        e(X, Π b~_i^{z_i r_i})  ==  Π (R_{B,i} * V_i^{e_i})^{r_i}
-
-    — one pairing total.  ``True`` certifies every equation except with
-    probability ``<= n * 2^-32``; ``False`` means at least one is bad
-    (callers fall back to :meth:`DeferredGTCheck.check` per token).
-
-    Soundness of the combination relies on every ``commitment_b``
-    lying in the prime-order G_T subgroup — guaranteed because
-    :class:`DeferredGTCheck` construction membership-checks it (a
-    cofactor-order offset, e.g. ``-R_B`` in F_{p²}^*, would otherwise
-    escape the random combination with probability up to 1/2 while
-    sequential verification rejects it).
-    """
-    backend = params.backend
-    if not checks:
-        return True
-    order = backend.order
-    coeffs = [1 + rng.getrandbits(_SMALL_EXP_BITS) for _ in checks]
-    acc_point = _multi_exp(
-        backend,
-        [c.sig_b for c in checks],
-        [(c.response * r) % order for c, r in zip(checks, coeffs)],
-    )
-    gt_bases: list = []
-    gt_scalars: list = []
-    for check, r in zip(checks, coeffs):
-        gt_bases.append(check.commitment_b)
-        gt_scalars.append(r)
-        gt_bases.append(check.statement_gt)
-        gt_scalars.append((check.challenge * r) % order)
-    acc_gt = _gt_multi_exp(backend, gt_bases, gt_scalars)
-    return backend.gt_eq(backend.pair(bank_pk.X, acc_point), acc_gt)
-
-
-class _GenericPairingBatch:
-    """Pairing-product accumulator for backends without a native batch.
-
-    Evaluates each pairing as it is added (no Miller-loop sharing) but
-    still lets the caller express the combined equation uniformly; the
-    bundled backends override this with
-    :meth:`~repro.crypto.pairing.tate.TatePairing.pairing_batch`, which
-    shares the final exponentiation and folds scalars into the source
-    group.
-    """
-
-    def __init__(self, backend) -> None:
-        self._backend = backend
-        self._acc = backend.gt_one()
-
-    def add_pair(self, fixed, moving, exponent: int = 1) -> None:
-        backend = self._backend
-        k = exponent % backend.order
-        if k == 0:
-            return
-        term = backend.gt_exp(backend.pair(fixed, moving), k)
-        self._acc = backend.gt_mul(self._acc, term)
-
-    def add_gt(self, element, exponent: int = 1) -> None:
-        backend = self._backend
-        k = exponent % backend.order
-        if k == 0:
-            return
-        self._acc = backend.gt_mul(self._acc, backend.gt_exp(element, k))
-
-    def check(self) -> bool:
-        backend = self._backend
-        return backend.gt_eq(self._acc, backend.gt_one())
-
-
-def _make_pairing_batch(backend):
-    native = getattr(backend, "pairing_batch", None)
-    if native is not None:
-        return native()
-    return _GenericPairingBatch(backend)
 
 
 def _batched_cl_verdicts(
@@ -250,7 +99,7 @@ def _batched_cl_verdicts(
             ) and item.deferred.check(params, bank_pk)
             verdicts[indices[0]] = ok
             continue
-        batch = _make_pairing_batch(backend)
+        batch = backend.pairing_batch()
         for i in indices:
             item = collected[i]
             token = item.token
@@ -282,45 +131,21 @@ def batch_verify_spends(
     rng: random.Random,
     *,
     context: bytes = b"",
-    sigma_batch: bool = True,
 ) -> list[bool]:
     """Verify many spend tokens; semantically equal to per-token
     :func:`~repro.ecash.spend.verify_spend`, faster when all are honest.
 
-    Returns one verdict per token, in order.  The default path collects
-    every sigma equation of every token
+    Returns one verdict per token, in order.  Collects every sigma
+    equation of every token
     (:func:`~repro.ecash.spend.verify_spend_collect`) and discharges
     them through one random-linear-combination pass per group — with
     bisection down to exact singleton evaluation on failure — then
     settles both pairing equations per token in a single shared pairing
     product the same way.  *rng* seeds the combining coefficients
     (hashed, auditable; see :mod:`repro.crypto.batchverify`).
-
-    ``sigma_batch=False`` keeps the older two-stage screen (batched CL
-    pairing test + batched equality test, everything else per token);
-    both paths return identical verdict lists.
     """
     if not tokens:
         return []
-    if not sigma_batch:
-        if not batched_pairing_check(params, bank_pk, tokens, rng):
-            # a cheater is present: fall back to exact per-token verification
-            return [verify_spend(params, bank_pk, token, context=context)
-                    for token in tokens]
-        # first pairing equation certified for everyone in 2 pairings
-        # instead of 2n; run everything else per token, deferring each
-        # token's G_T equality equation for one more batched test.
-        deferred = [
-            verify_spend_deferred(params, bank_pk, token, context=context,
-                                  skip_cl_pairing_check=True)
-            for token in tokens
-        ]
-        live = [d for d in deferred if d is not None]
-        if batched_equality_check(params, bank_pk, live, rng):
-            return [d is not None for d in deferred]
-        # some equality equation is bad: discharge each one individually
-        return [d is not None and d.check(params, bank_pk) for d in deferred]
-
     seed = rng.getrandbits(256)
     collected = [
         verify_spend_collect(params, bank_pk, token, context=context)

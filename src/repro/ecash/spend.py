@@ -298,9 +298,9 @@ class DeferredGTCheck:
     :func:`verify_spend_deferred` validates everything about a token
     *except* the equality proof's group-B equation
     ``e(X, b~)^z == R_B * V^e`` — the only per-token check whose cost is
-    a pairing but whose structure is linear, so *n* of them batch into
-    one pairing plus multi-exponentiations
-    (:func:`repro.ecash.batch.batched_equality_check`).  ``check``
+    a pairing but whose structure is linear, so *n* of them join one
+    shared pairing product
+    (:func:`repro.ecash.batch.batch_verify_spends`).  ``check``
     closes the deferral individually, making ``verify_spend_deferred``
     + ``check`` exactly equivalent to :func:`verify_spend`.
     """
@@ -327,18 +327,9 @@ def verify_spend(
     token: SpendToken,
     *,
     context: bytes = b"",
-    skip_cl_pairing_check: bool = False,
 ) -> bool:
-    """Verify every component of a spend token.
-
-    ``skip_cl_pairing_check`` omits the ``e(a~, Y) == e(g, b~)``
-    equation; **only** pass it when that equation was already certified
-    for this token by :func:`repro.ecash.batch.batched_pairing_check`.
-    """
-    deferred = verify_spend_deferred(
-        params, bank_pk, token, context=context,
-        skip_cl_pairing_check=skip_cl_pairing_check,
-    )
+    """Verify every component of a spend token."""
+    deferred = verify_spend_deferred(params, bank_pk, token, context=context)
     return deferred is not None and deferred.check(params, bank_pk)
 
 
@@ -348,7 +339,6 @@ def verify_spend_deferred(
     token: SpendToken,
     *,
     context: bytes = b"",
-    skip_cl_pairing_check: bool = False,
 ) -> DeferredGTCheck | None:
     """Verify a token except its one batchable target-group equation.
 
@@ -370,7 +360,7 @@ def verify_spend_deferred(
     # e(a~, Y) == e(g, b~); a~ must not be the identity
     if backend.element_encode(token.sig_a) == backend.element_encode(backend.identity()):
         return None
-    if not skip_cl_pairing_check and not backend.gt_eq(
+    if not backend.gt_eq(
         backend.pair(token.sig_a, bank_pk.Y), backend.pair(backend.g, token.sig_b)
     ):
         return None

@@ -27,10 +27,10 @@ checksum-verified, codec-decoded values.  A frame is therefore applied
 completely or not at all — there is no partial-apply window.
 
 Two read paths share the format.  The blocking helpers
-(:func:`read_frame` / :func:`write_frame`) serve thread-per-connection
-peers; :func:`read_frame_async` / :func:`write_frame_async` are the
-same contract over :mod:`asyncio` streams for the event-loop front
-door (:mod:`repro.service.aio`).  :meth:`FrameDecoder.raw_frames`
+(:func:`read_frame` / :func:`write_frame`) serve blocking clients and
+the replication links; :func:`read_frame_async` /
+:func:`write_frame_async` are the same contract over :mod:`asyncio`
+streams for event-loop clients.  :meth:`FrameDecoder.raw_frames`
 exposes complete frames *undecoded* — header plus payload bytes — so
 an overloaded server can answer ``BUSY`` from the header alone without
 spending decode (or even CRC) work on a payload it is about to shed.
@@ -98,9 +98,6 @@ def parse_header(header: bytes) -> tuple[int, int]:
     return length, crc
 
 
-_parse_header = parse_header  # legacy private name
-
-
 def decode_payload(payload: bytes, crc: int) -> Any:
     if zlib.crc32(payload) != crc:
         raise WireError("frame checksum mismatch")
@@ -110,9 +107,6 @@ def decode_payload(payload: bytes, crc: int) -> Any:
         raise
     except ValueError as exc:
         raise WireError(f"frame payload does not decode: {exc}") from exc
-
-
-_decode_payload = decode_payload  # legacy private name
 
 
 def decode_frame(data: bytes) -> tuple[Any, int]:
@@ -125,14 +119,14 @@ def decode_frame(data: bytes) -> tuple[Any, int]:
     """
     if len(data) < HEADER_SIZE:
         raise WireError("truncated frame header")
-    length, crc = _parse_header(data[:HEADER_SIZE])
+    length, crc = parse_header(data[:HEADER_SIZE])
     end = HEADER_SIZE + length
     if len(data) < end:
         raise WireError(
             f"truncated frame: header promises {length} payload bytes, "
             f"{len(data) - HEADER_SIZE} present"
         )
-    return _decode_payload(data[HEADER_SIZE:end], crc), end
+    return decode_payload(data[HEADER_SIZE:end], crc), end
 
 
 class FrameDecoder:

@@ -22,7 +22,6 @@ from repro.service.admission import AdmissionController, AdmissionDecision, Toke
 from repro.service.journal import (
     DEFAULT_SEGMENT_RECORDS,
     Checkpoint,
-    FileJournal,
     Journal,
     JournalError,
     JournalMaintenance,
@@ -36,7 +35,6 @@ from repro.service.batcher import (
     WithdrawJob,
     WithdrawOutcome,
 )
-from repro.service.aio import AsyncServiceFrontend
 from repro.service.frontend import DispatchCore, ServiceClient, ServiceFrontend
 from repro.service.loadgen import (
     LoadReport,
@@ -60,7 +58,6 @@ __all__ = [
     "AdmissionDecision",
     "TokenBucket",
     "Journal",
-    "FileJournal",
     "SegmentedFileJournal",
     "JournalMaintenance",
     "DEFAULT_SEGMENT_RECORDS",
@@ -86,7 +83,6 @@ __all__ = [
     "run_socket_trace",
     "run_async_socket_trace",
     "ServiceFrontend",
-    "AsyncServiceFrontend",
     "DispatchCore",
     "ServiceClient",
     "VerificationBackend",

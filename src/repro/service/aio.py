@@ -1,405 +1,11 @@
-"""Asyncio front door: every connection on one event loop.
+"""Import path kept for ``benchmarks/e2e``, which this tree may not edit.
 
-The thread-per-connection :class:`~repro.service.frontend
-.ServiceFrontend` is the simplest correct shape, but a reader thread
-per socket caps it at tens of connections — and the paper's market
-administrator faces the opposite population: thousands of mobile
-sensing participants holding long-lived, mostly-idle connections.
-:class:`AsyncServiceFrontend` serves that shape by multiplexing every
-socket on a single event loop thread, while changing *nothing* about
-what the service computes:
-
-* **Same frames.**  Each connection owns an incremental
-  :class:`~repro.net.wire.FrameDecoder`; the loop feeds it raw bytes
-  and pulls complete frames, exactly as the threaded readers do.
-* **Same dispatcher.**  Parsed requests go into the *same*
-  :class:`~repro.service.frontend.DispatchCore` queue the threaded
-  frontend uses.  One dispatcher thread still owns the service, so
-  submission order, batching, reply correlation — and therefore the
-  reply bytes — are identical for the same arrival sequence.  The
-  conformance suite (``tests/service/test_frontend_conformance.py``)
-  holds the two frontends to byte-identical replies, journals and
-  counters.
-* **Backpressure, per connection.**  Each connection gets a bounded
-  in-flight *window*.  Requests past the window queue in a
-  per-connection backlog and the transport's reads are **paused**, so
-  a flooding client throttles itself instead of growing the
-  dispatcher queue.  Completed requests release slots through a
-  round-robin pump over the paused connections — one backlogged
-  request per connection per turn — so a chatty client cannot starve
-  a polite one.
-* **Pre-parse admission.**  When the service reports overload
-  (:meth:`~repro.service.server.MarketService.overloaded`, fed the
-  front door's own backlog), complete frames are shed with an
-  immediate ``BUSY`` reply built from the *frame header alone* —
-  :meth:`~repro.net.wire.FrameDecoder.raw_frames` keeps the stream
-  synchronized without CRC-checking or decoding the payload, so an
-  overload costs 12 bytes of header parse per shed request.  A
-  pre-parse ``BUSY`` carries no ``cid`` (the cid lives in the payload
-  that was never decoded); clients must treat a cid-less BUSY as
-  "one outstanding request was shed".
-
-Threading: the event loop thread owns every socket and all
-per-connection state; the dispatcher thread owns the service.  The
-two meet only at the work queue (loop → dispatcher) and at
-``call_soon_threadsafe`` (dispatcher → loop, for reply writes and
-window releases).  Reply ``send`` is best-effort exactly like the
-threaded frontend's.
+There is one front door, :class:`repro.service.frontend.ServiceFrontend`;
+``AsyncServiceFrontend`` is the same class object under its old name.
+The benchmark PR that retires the ``rpc_threaded`` workload deletes
+this module (ROADMAP, open item 3(a)).
 """
 
-from __future__ import annotations
-
-import asyncio
-import socket
-import threading
-from collections import deque
-from typing import Any, Callable
-
-import repro.obs as obs
-from repro.net.wire import FrameDecoder, WireError, decode_payload, encode_frame
-from repro.service.frontend import DispatchCore
-from repro.service.server import MarketService
+from repro.service.frontend import DEFAULT_WINDOW, ServiceFrontend as AsyncServiceFrontend
 
 __all__ = ["AsyncServiceFrontend", "DEFAULT_WINDOW"]
-
-#: Default per-connection in-flight window.  Deep enough to keep the
-#: verification batcher fed from a handful of pipelining clients, small
-#: enough that one flooding connection holds at most this many slots.
-DEFAULT_WINDOW = 32
-
-
-class _AioConn(asyncio.Protocol):
-    """One multiplexed client connection (event-loop side).
-
-    Implements the same connection contract :class:`DispatchCore`
-    expects of the threaded ``_Conn`` — ``name``, thread-safe
-    ``send(value) -> bool``, ``drop(cid)`` — plus the window accounting
-    the loop uses for backpressure.  All mutable state is loop-thread
-    only; the dispatcher reaches it via ``call_soon_threadsafe``.
-    """
-
-    def __init__(self, frontend: "AsyncServiceFrontend") -> None:
-        self.frontend = frontend
-        self.name = f"conn{frontend._next_conn}"
-        frontend._next_conn += 1
-        self.decoder = FrameDecoder()
-        self.transport: asyncio.Transport | None = None
-        self.open = False
-        self.inflight = 0
-        self.backlog: deque[Any] = deque()
-        self.paused = False
-        self._errored = False
-
-    # -- protocol callbacks (event loop thread) ---------------------------
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        self.open = True
-        self.frontend._register(self)
-
-    def data_received(self, data: bytes) -> None:
-        fe = self.frontend
-        try:
-            self.decoder.feed(data)
-            for _length, crc, payload in self.decoder.raw_frames():
-                if fe._overloaded():
-                    # shed from the header alone: the payload is never
-                    # CRC-checked or decoded, so overload costs ~nothing
-                    fe.preparse_busy += 1
-                    fe._m_busy.inc()
-                    self._send_local({"status": "BUSY", "reason": "overload"})
-                    continue
-                self._admit(decode_payload(payload, crc))
-        except WireError as exc:
-            # a torn/corrupt frame poisons only this connection
-            self._errored = True
-            fe.conn_errors += 1
-            fe._m_conn_errors.inc()
-            self._send_local({"status": "ERROR", "error": f"wire: {exc}"})
-            self._close_transport()
-
-    def connection_lost(self, exc) -> None:
-        if not self._errored and self.decoder.pending_bytes:
-            # mid-frame disconnect: the torn frame was never enqueued,
-            # so nothing downstream is half-applied
-            self.frontend.conn_errors += 1
-            self.frontend._m_conn_errors.inc()
-        self.open = False
-        self.backlog.clear()
-        self.frontend._unregister(self)
-
-    # -- window / backpressure (event loop thread) ------------------------
-    def _admit(self, request: Any) -> None:
-        fe = self.frontend
-        if self.inflight < fe.window:
-            self.inflight += 1
-            fe.core.enqueue(self, request)
-        else:
-            self.backlog.append(request)
-            self._pause()
-
-    def _pause(self) -> None:
-        if self.paused or not self.open:
-            return
-        self.paused = True
-        fe = self.frontend
-        fe.pauses += 1
-        fe._paused.append(self)
-        fe._m_paused.set(len(fe._paused))
-        try:
-            self.transport.pause_reading()
-        except (OSError, RuntimeError):
-            pass
-
-    def _resume(self) -> None:
-        if not self.paused:
-            return
-        self.paused = False
-        self.frontend.resumes += 1
-        if self.open:
-            try:
-                self.transport.resume_reading()
-            except (OSError, RuntimeError):
-                pass
-
-    # -- DispatchCore contract (called from the dispatcher thread) --------
-    def send(self, value: Any) -> bool:
-        """Best-effort framed reply for one admitted request.
-
-        Marshals the write to the loop thread; the request's window
-        slot is released there.  ``False`` once the peer is gone —
-        same contract as the threaded connection.
-        """
-        # sample liveness *before* scheduling: once the loop has the
-        # callback it may write the reply, let the peer read it and
-        # close, and process connection_lost — all before this thread
-        # runs again.  A reply handed to a live connection counts.
-        was_open = self.open
-        try:
-            self.frontend._loop.call_soon_threadsafe(self._complete, value)
-        except RuntimeError:  # loop already closed (shutdown race)
-            return False
-        return was_open
-
-    def drop(self, cid: Any) -> None:
-        """An admitted request was deliberately never answered.
-
-        Still releases its window slot — otherwise every deliberately
-        dropped duplicate would leak in-flight budget until the window
-        wedged shut.
-        """
-        try:
-            self.frontend._loop.call_soon_threadsafe(self._complete, None)
-        except RuntimeError:
-            pass
-
-    # -- loop-thread internals --------------------------------------------
-    def _complete(self, value: Any | None) -> None:
-        """One admitted request finished: write its reply, free its slot."""
-        if value is not None and self.open:
-            try:
-                self.transport.write(encode_frame(value))
-            except (OSError, WireError):
-                self._close_transport()
-        self.inflight -= 1
-        self.frontend._pump()
-
-    def _send_local(self, value: Any) -> None:
-        """Loop-originated frame (BUSY, wire error) — no window slot."""
-        if self.open:
-            try:
-                self.transport.write(encode_frame(value))
-            except (OSError, WireError):
-                pass
-
-    def _close_transport(self) -> None:
-        self.open = False
-        if self.transport is not None:
-            self.transport.close()
-
-
-class AsyncServiceFrontend:
-    """Serve a :class:`MarketService` over TCP from one event loop.
-
-    Drop-in lifecycle twin of :class:`~repro.service.frontend
-    .ServiceFrontend`: ``port=0`` binds an OS-assigned port readable at
-    :attr:`address` immediately after construction; use as a context
-    manager or call :meth:`close`.  *window* bounds each connection's
-    in-flight requests (see the module docstring for the backpressure
-    and pre-parse admission story).  The service and its worker pool
-    belong to the caller, exactly as with the threaded frontend.
-    """
-
-    def __init__(
-        self,
-        service: MarketService,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        window: int = DEFAULT_WINDOW,
-        telemetry: "obs.Telemetry | None" = None,
-    ) -> None:
-        if window < 1:
-            raise ValueError("window must allow at least one in-flight request")
-        self.service = service
-        self.obs = telemetry if telemetry is not None else service.obs
-        self.window = window
-        self.core = DispatchCore(service, self.obs)
-        self._listener = socket.create_server((host, port))
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._conns: list[_AioConn] = []
-        self._paused: deque[_AioConn] = deque()
-        self._next_conn = 0
-        self._running = False
-        self.conn_errors = 0
-        self.preparse_busy = 0
-        self.pauses = 0
-        self.resumes = 0
-        registry = self.obs.registry
-        self._m_conns = registry.gauge(
-            "repro_frontend_connections", "live client connections"
-        )
-        self._m_conn_errors = registry.counter(
-            "repro_frontend_conn_errors_total",
-            "connections dropped for wire violations",
-        )
-        self._m_paused = registry.gauge(
-            "repro_frontend_paused_connections",
-            "connections with reads paused for backpressure",
-        )
-        self._m_busy = registry.counter(
-            "repro_frontend_preparse_busy_total",
-            "frames shed BUSY from the header alone under overload",
-        )
-
-    # the dispatcher's scorecard and maintenance hook live on the core;
-    # these mirrors keep the public surface of the two frontends equal
-    @property
-    def served(self) -> int:
-        return self.core.served
-
-    @property
-    def after_batch(self) -> Callable[[], None] | None:
-        return self.core.after_batch
-
-    @after_batch.setter
-    def after_batch(self, fn: Callable[[], None] | None) -> None:
-        self.core.after_batch = fn
-
-    def add_after_batch(self, fn: Callable[[], None]) -> None:
-        """Chain *fn* onto the after-batch maintenance hook."""
-        self.core.add_after_batch(fn)
-
-    @property
-    def paused_connections(self) -> int:
-        """Connections currently read-paused for backpressure."""
-        return len(self._paused)
-
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> "AsyncServiceFrontend":
-        if self._running:
-            return self
-        self._running = True
-        self.core.start()
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, args=(started,), name="frontend-aio", daemon=True
-        )
-        self._thread.start()
-        if not started.wait(timeout=5.0):
-            raise RuntimeError("async frontend event loop failed to start")
-        return self
-
-    def _run(self, started: threading.Event) -> None:
-        loop = self._loop
-        asyncio.set_event_loop(loop)
-
-        async def serve() -> None:
-            self._server = await loop.create_server(
-                lambda: _AioConn(self), sock=self._listener
-            )
-            started.set()
-
-        try:
-            loop.run_until_complete(serve())
-        except OSError:
-            started.set()  # unblock start(); close() will clean up
-            return
-        try:
-            loop.run_forever()
-        finally:
-            loop.close()
-
-    def close(self) -> None:
-        if not self._running:
-            return
-        self._running = False
-        loop = self._loop
-
-        def shutdown() -> None:
-            if self._server is not None:
-                self._server.close()
-            for conn in list(self._conns):
-                conn._close_transport()
-            loop.stop()
-
-        try:
-            loop.call_soon_threadsafe(shutdown)
-        except RuntimeError:
-            pass  # loop already gone
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.core.stop()
-        self._conns = []
-        self._paused.clear()
-        self._m_conns.set(0)
-        self._m_paused.set(0)
-
-    def __enter__(self) -> "AsyncServiceFrontend":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- event-loop internals ----------------------------------------------
-    def _overloaded(self) -> bool:
-        # the service cannot see frames the front door has parsed but
-        # not yet submitted, so its own backlog rides along
-        return self.service.overloaded(self.core.backlog)
-
-    def _register(self, conn: _AioConn) -> None:
-        self._conns.append(conn)
-        self._m_conns.set(len(self._conns))
-
-    def _unregister(self, conn: _AioConn) -> None:
-        if conn in self._conns:
-            self._conns.remove(conn)
-        self._m_conns.set(len(self._conns))
-
-    def _pump(self) -> None:
-        """Round-robin one backlogged request per paused connection.
-
-        Runs on the loop thread after every released window slot: each
-        paused connection gets at most one admission per turn, so
-        freed capacity spreads across flooders instead of draining one
-        connection's backlog to exhaustion first.  A connection leaves
-        the paused set (and resumes reads) only once its backlog is
-        empty *and* its window has room.
-        """
-        paused = self._paused
-        for _ in range(len(paused)):
-            conn = paused.popleft()
-            if not conn.open:
-                continue
-            if conn.backlog and conn.inflight < self.window:
-                conn.inflight += 1
-                self.core.enqueue(conn, conn.backlog.popleft())
-            if conn.backlog or conn.inflight >= self.window:
-                paused.append(conn)  # still throttled
-            else:
-                conn._resume()
-        self._m_paused.set(len(paused))

@@ -7,9 +7,9 @@ exploits both properties:
 
 * **Coalescing** — pending jobs accumulate until a batch is full (or
   the server forces a flush), then every deposit in the batch goes
-  through :func:`repro.ecash.batch.batch_verify_spends`, which merges
-  the first CL pairing equation of *n* tokens into two multi-scalar
-  pairings instead of ``2n``.
+  through :func:`repro.ecash.batch.batch_verify_spends`, which folds
+  the sigma equations of *n* tokens into one multi-exp per group and
+  their pairing equations into one shared pairing product.
 * **Process-pool dispatch** — batches are split into per-worker chunks
   and handed to a :class:`~repro.service.workers.VerificationBackend`:
   inline for one worker (the test-suite/profiling path), the
@@ -111,10 +111,10 @@ def _batch_worker(point: SweepPoint) -> list:
     rng = random.Random(point.seed)
     tag = point.params[0]
     if tag == "deposit":
-        _, params, bank_pk, tokens, context, pairing_batch, sigma_batch = point.params
-        if (pairing_batch or sigma_batch) and len(tokens) > 1:
+        _, params, bank_pk, tokens, context = point.params
+        if len(tokens) > 1:
             verdicts = batch_verify_spends(params, bank_pk, tokens, rng,
-                                           context=context, sigma_batch=sigma_batch)
+                                           context=context)
         else:
             verdicts = [
                 verify_spend(params, bank_pk, token, context=context)
@@ -152,8 +152,6 @@ class VerificationBatcher:
         *,
         max_batch: int = 32,
         processes: int = 1,
-        pairing_batch: bool = True,
-        sigma_batch: bool = True,
         seed: int = 0,
         warm_tables: bool = True,
         tables: bytes | None = None,
@@ -195,8 +193,6 @@ class VerificationBatcher:
             )
         self.backend = backend
         self.processes = backend.workers
-        self.pairing_batch = pairing_batch
-        self.sigma_batch = sigma_batch
         self._pending: deque[DepositJob | WithdrawJob] = deque()
         self._flush_seed = seed
         self.flushes = 0
@@ -277,8 +273,6 @@ class VerificationBatcher:
                         self.public_key,
                         tuple(job.token for job in chunk),
                         context,
-                        self.pairing_batch,
-                        self.sigma_batch,
                     )
                 )
                 chunk_jobs.append(list(chunk))

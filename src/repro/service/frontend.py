@@ -1,16 +1,21 @@
-"""TCP front-end: the market service as an actual network peer.
+"""TCP front door: the market service as an actual network peer.
 
 Everything below :class:`~repro.service.server.MarketService` already
 speaks the canonical codec; this module puts that codec on real
 sockets using the length-prefixed frames of :mod:`repro.net.wire`, so
 ``loadgen`` (or any client) can drive the service across a wire
-instead of by method call.
+instead of by method call.  The paper's market administrator faces
+thousands of mobile sensing participants holding long-lived,
+mostly-idle connections, so :class:`ServiceFrontend` multiplexes every
+socket on a single event loop thread — it is the only thing in
+:mod:`repro.service` that accepts a connection.
 
 Wire protocol — one request frame, one reply frame, pipelined::
 
     request  {cid, kind, payload, sender?, rid?, now?}
     reply    {cid, req, status, ...body}          (service verdicts)
     reply    {cid?, status: "ERROR", error}       (front-end rejections)
+    reply    {status: "BUSY", reason}             (pre-parse shed, no cid)
 
 ``cid`` is the client's correlation id, echoed verbatim on the reply;
 it exists because replies are *not* FIFO on the wire (a ``BUSY`` shed
@@ -21,10 +26,12 @@ in-process.  ``now`` carries the simulated arrival clock for admission
 
 Threading model — **one dispatcher owns the service**:
 
-* per-connection reader threads only parse frames
-  (:class:`~repro.net.wire.FrameDecoder`) and enqueue work; a torn or
-  corrupt frame poisons *only that connection* (best-effort ``ERROR``
-  frame, then close) — the mid-frame-disconnect tests hold this;
+* the event loop thread owns every socket and all per-connection
+  state.  Each connection feeds an incremental
+  :class:`~repro.net.wire.FrameDecoder` and enqueues parsed requests;
+  a torn or corrupt frame poisons *only that connection* (best-effort
+  ``ERROR`` frame, then close) — the mid-frame-disconnect tests hold
+  this;
 * a single dispatcher thread (:class:`DispatchCore`) drains the queue
   in arrival order, submits a batch of requests to the
   (single-threaded) ``MarketService``, steps it, and routes reply
@@ -33,37 +40,70 @@ Threading model — **one dispatcher owns the service**:
   from *different connections* share one verification batch — the
   cross-core win of the worker pool survives the wire.
 
-:class:`DispatchCore` is deliberately frontend-agnostic: the threaded
-frontend here and the asyncio frontend in :mod:`repro.service.aio`
-feed the *same* queue, run the *same* dispatch loop and reply routing,
-and therefore produce bit-identical reply streams for the same arrival
-sequence — the conformance suite holds the two to that.
+The two threads meet only at the work queue (loop → dispatcher) and at
+``call_soon_threadsafe`` (dispatcher → loop, for reply writes and
+window releases).
 
-The front-end holds no bank state and makes no crypto decisions; it is
-a framing shim, so every correctness property (FIFO per sender,
+* **Backpressure, per connection.**  Each connection gets a bounded
+  in-flight *window*.  Requests past the window queue in a
+  per-connection backlog and the transport's reads are **paused**, so
+  a flooding client throttles itself instead of growing the
+  dispatcher queue.  Completed requests release slots through a
+  round-robin pump over the paused connections — one backlogged
+  request per connection per turn — so a chatty client cannot starve
+  a polite one.
+* **Pre-parse admission.**  When the service reports overload
+  (:meth:`~repro.service.server.MarketService.overloaded`, fed the
+  front door's own backlog), complete frames are shed with an
+  immediate ``BUSY`` reply built from the *frame header alone* —
+  :meth:`~repro.net.wire.FrameDecoder.raw_frames` keeps the stream
+  synchronized without CRC-checking or decoding the payload, so an
+  overload costs 12 bytes of header parse per shed request.  A
+  pre-parse ``BUSY`` carries no ``cid`` (the cid lives in the payload
+  that was never decoded); clients must treat a cid-less BUSY as
+  "one outstanding request was shed".
+
+The front door holds no bank state and makes no crypto decisions; it
+is a framing shim, so every correctness property (FIFO per sender,
 exactly-once by rid, parallel-verify/serial-apply) is inherited from
-the service unchanged.
+the service unchanged — ``tests/service/test_frontend_conformance.py``
+holds socket-driven and in-process runs to byte-identical replies,
+journals and counters.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from collections import deque
 from typing import Any, Callable
 
 import repro.obs as obs
-from repro.net.wire import FrameDecoder, WireError, encode_frame, read_frame, write_frame
+from repro.net.wire import (
+    FrameDecoder,
+    WireError,
+    decode_payload,
+    encode_frame,
+    read_frame,
+    write_frame,
+)
 from repro.service.server import MarketService
 
-__all__ = ["DispatchCore", "ServiceFrontend", "ServiceClient", "ClientRetryError"]
+__all__ = ["DispatchCore", "ServiceFrontend", "ServiceClient",
+           "ClientRetryError", "DEFAULT_WINDOW"]
+
+#: Default per-connection in-flight window.  Deep enough to keep the
+#: verification batcher fed from a handful of pipelining clients, small
+#: enough that one flooding connection holds at most this many slots.
+DEFAULT_WINDOW = 32
 
 
 class DispatchCore:
-    """The one-dispatcher-owns-the-service loop both frontends share.
+    """The one-dispatcher-owns-the-service loop behind the front door.
 
     Connection objects handed to :meth:`enqueue` need three things: a
     ``name`` (the default sender), a thread-safe ``send(value) -> bool``
@@ -71,12 +111,13 @@ class DispatchCore:
     ``drop(cid)`` callback for admitted requests that will never be
     answered (a duplicate of an in-flight rid is deliberately dropped —
     the original's reply answers for both).  ``drop`` is what lets the
-    asyncio frontend keep an exact per-connection in-flight count.
+    front door keep an exact per-connection in-flight count.
 
     Everything that decides *what the service does* — submission order
     into the service, batching greed, reply correlation by sequence
     number — lives here and only here, which is the structural argument
-    for the threaded and async frontends answering byte-identically.
+    for a socket-driven run answering byte-identically to an in-process
+    one.
     """
 
     def __init__(self, service: MarketService,
@@ -105,8 +146,8 @@ class DispatchCore:
         """Frames enqueued or submitted but not yet answered.
 
         The ingestion tier's own contribution to the not-yet-applied
-        backlog; the async frontend adds it to the service's queue
-        depth when asking admission for the pre-parse overload signal.
+        backlog; the front door adds it to the service's queue depth
+        when asking admission for the pre-parse overload signal.
         """
         return self._work.qsize() + len(self._route)
 
@@ -225,56 +266,164 @@ class DispatchCore:
                 conn.drop(cid)
 
 
-@dataclass
-class _Conn:
-    """One accepted client connection (reader thread + write lock)."""
+class _Conn(asyncio.Protocol):
+    """One multiplexed client connection (event-loop side).
 
-    sock: socket.socket
-    name: str
-    open: bool = True
+    Implements the connection contract :class:`DispatchCore` expects —
+    ``name``, thread-safe ``send(value) -> bool``, ``drop(cid)`` — plus
+    the window accounting the loop uses for backpressure.  All mutable
+    state is loop-thread only; the dispatcher reaches it via
+    ``call_soon_threadsafe``.
+    """
 
-    def __post_init__(self) -> None:
-        self._wlock = threading.Lock()
+    def __init__(self, frontend: "ServiceFrontend") -> None:
+        self.frontend = frontend
+        self.name = f"conn{frontend._next_conn}"
+        frontend._next_conn += 1
+        self.decoder = FrameDecoder()
+        self.transport: asyncio.Transport | None = None
+        self.open = False
+        self.inflight = 0
+        self.backlog: deque[Any] = deque()
+        self.paused = False
+        self._errored = False
 
-    def send(self, value: Any) -> bool:
-        """Best-effort framed send; ``False`` once the peer is gone."""
-        if not self.open:
-            return False
+    # -- protocol callbacks (event loop thread) ---------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.open = True
+        self.frontend._register(self)
+
+    def data_received(self, data: bytes) -> None:
+        fe = self.frontend
         try:
-            with self._wlock:
-                self.sock.sendall(encode_frame(value))
-            return True
-        except (OSError, WireError):
-            self.close()
+            self.decoder.feed(data)
+            for _length, crc, payload in self.decoder.raw_frames():
+                if fe._overloaded():
+                    # shed from the header alone: the payload is never
+                    # CRC-checked or decoded, so overload costs ~nothing
+                    fe.preparse_busy += 1
+                    fe._m_busy.inc()
+                    self._send_local({"status": "BUSY", "reason": "overload"})
+                    continue
+                self._admit(decode_payload(payload, crc))
+        except WireError as exc:
+            # a torn/corrupt frame poisons only this connection
+            self._errored = True
+            fe.conn_errors += 1
+            fe._m_conn_errors.inc()
+            self._send_local({"status": "ERROR", "error": f"wire: {exc}"})
+            self._close_transport()
+
+    def connection_lost(self, exc) -> None:
+        if not self._errored and self.decoder.pending_bytes:
+            # mid-frame disconnect: the torn frame was never enqueued,
+            # so nothing downstream is half-applied
+            self.frontend.conn_errors += 1
+            self.frontend._m_conn_errors.inc()
+        self.open = False
+        self.backlog.clear()
+        self.frontend._unregister(self)
+
+    # -- window / backpressure (event loop thread) ------------------------
+    def _admit(self, request: Any) -> None:
+        fe = self.frontend
+        if self.inflight < fe.window:
+            self.inflight += 1
+            fe.core.enqueue(self, request)
+        else:
+            self.backlog.append(request)
+            self._pause()
+
+    def _pause(self) -> None:
+        if self.paused or not self.open:
+            return
+        self.paused = True
+        fe = self.frontend
+        fe.pauses += 1
+        fe._paused.append(self)
+        fe._m_paused.set(len(fe._paused))
+        try:
+            self.transport.pause_reading()
+        except (OSError, RuntimeError):
+            pass
+
+    def _resume(self) -> None:
+        if not self.paused:
+            return
+        self.paused = False
+        self.frontend.resumes += 1
+        if self.open:
+            try:
+                self.transport.resume_reading()
+            except (OSError, RuntimeError):
+                pass
+
+    # -- DispatchCore contract (called from the dispatcher thread) --------
+    def send(self, value: Any) -> bool:
+        """Best-effort framed reply for one admitted request.
+
+        Marshals the write to the loop thread; the request's window
+        slot is released there.  ``False`` once the peer is gone.
+        """
+        # sample liveness *before* scheduling: once the loop has the
+        # callback it may write the reply, let the peer read it and
+        # close, and process connection_lost — all before this thread
+        # runs again.  A reply handed to a live connection counts.
+        was_open = self.open
+        try:
+            self.frontend._loop.call_soon_threadsafe(self._complete, value)
+        except RuntimeError:  # loop already closed (shutdown race)
             return False
+        return was_open
 
     def drop(self, cid: Any) -> None:
-        """A routed request was deliberately never answered.
+        """An admitted request was deliberately never answered.
 
-        The threaded frontend has no in-flight window to release, so
-        this is a no-op; the async frontend's connection uses the same
-        hook to return the slot to its backpressure window.
+        Still releases its window slot — otherwise every deliberately
+        dropped duplicate would leak in-flight budget until the window
+        wedged shut.
         """
-
-    def close(self) -> None:
-        if not self.open:
-            return
-        self.open = False
         try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
+            self.frontend._loop.call_soon_threadsafe(self._complete, None)
+        except RuntimeError:
             pass
-        self.sock.close()
+
+    # -- loop-thread internals --------------------------------------------
+    def _complete(self, value: Any | None) -> None:
+        """One admitted request finished: write its reply, free its slot."""
+        if value is not None and self.open:
+            try:
+                self.transport.write(encode_frame(value))
+            except (OSError, WireError):
+                self._close_transport()
+        self.inflight -= 1
+        self.frontend._pump()
+
+    def _send_local(self, value: Any) -> None:
+        """Loop-originated frame (BUSY, wire error) — no window slot."""
+        if self.open:
+            try:
+                self.transport.write(encode_frame(value))
+            except (OSError, WireError):
+                pass
+
+    def _close_transport(self) -> None:
+        self.open = False
+        if self.transport is not None:
+            self.transport.close()
 
 
 class ServiceFrontend:
-    """Serve a :class:`MarketService` over TCP.
+    """Serve a :class:`MarketService` over TCP from one event loop.
 
-    ``port=0`` (the default) binds an OS-assigned port; read
-    :attr:`address` after :meth:`start`.  Use as a context manager or
-    call :meth:`close` — the listener, dispatcher and every live
-    connection are torn down; the service itself (and its worker pool)
-    belong to the caller.
+    ``port=0`` (the default) binds an OS-assigned port readable at
+    :attr:`address` immediately after construction.  Use as a context
+    manager or call :meth:`close` — the listener, dispatcher and every
+    live connection are torn down; the service itself (and its worker
+    pool) belong to the caller.  *window* bounds each connection's
+    in-flight requests (see the module docstring for the backpressure
+    and pre-parse admission story).
     """
 
     def __init__(
@@ -283,20 +432,28 @@ class ServiceFrontend:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
+        window: int = DEFAULT_WINDOW,
         telemetry: "obs.Telemetry | None" = None,
     ) -> None:
+        if window < 1:
+            raise ValueError("window must allow at least one in-flight request")
         self.service = service
         self.obs = telemetry if telemetry is not None else service.obs
+        self.window = window
         self.core = DispatchCore(service, self.obs)
         self._listener = socket.create_server((host, port))
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop: asyncio.Future | None = None
+        self._thread: threading.Thread | None = None
         self._conns: list[_Conn] = []
-        self._conns_lock = threading.Lock()
-        self._readers: list[threading.Thread] = []
+        self._paused: deque[_Conn] = deque()
         self._next_conn = 0
         self._running = False
-        self._accept_thread: threading.Thread | None = None
         self.conn_errors = 0
+        self.preparse_busy = 0
+        self.pauses = 0
+        self.resumes = 0
         registry = self.obs.registry
         self._m_conns = registry.gauge(
             "repro_frontend_connections", "live client connections"
@@ -305,9 +462,16 @@ class ServiceFrontend:
             "repro_frontend_conn_errors_total",
             "connections dropped for wire violations",
         )
+        self._m_paused = registry.gauge(
+            "repro_frontend_paused_connections",
+            "connections with reads paused for backpressure",
+        )
+        self._m_busy = registry.counter(
+            "repro_frontend_preparse_busy_total",
+            "frames shed BUSY from the header alone under overload",
+        )
 
-    # the dispatcher's scorecard and maintenance hook live on the core;
-    # these mirrors keep the public surface of the two frontends equal
+    # the dispatcher's scorecard and maintenance hook live on the core
     @property
     def served(self) -> int:
         return self.core.served
@@ -324,50 +488,71 @@ class ServiceFrontend:
         """Chain *fn* onto the after-batch maintenance hook."""
         self.core.add_after_batch(fn)
 
+    @property
+    def paused_connections(self) -> int:
+        """Connections currently read-paused for backpressure."""
+        return len(self._paused)
+
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ServiceFrontend":
         if self._running:
             return self
         self._running = True
         self.core.start()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="frontend-accept", daemon=True
+        self._loop = asyncio.new_event_loop()
+        self._stop = self._loop.create_future()
+        started = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, args=(started,), name="frontend-loop", daemon=True
         )
-        self._accept_thread.start()
+        self._thread.start()
+        if not started.wait(timeout=5.0):
+            raise RuntimeError("front door event loop failed to start")
         return self
+
+    def _run(self, started: threading.Event) -> None:
+        loop = self._loop
+        asyncio.set_event_loop(loop)
+        # one loop run from listen to teardown: a close() that lands the
+        # instant start() returns finds the loop already waiting on
+        # ``_stop`` (or about to), never between two runs
+        try:
+            loop.run_until_complete(self._serve(started))
+        except OSError:
+            pass  # could not listen; close() cleans up
+        finally:
+            started.set()
+            loop.close()
+
+    async def _serve(self, started: threading.Event) -> None:
+        server = await self._loop.create_server(
+            lambda: _Conn(self), sock=self._listener
+        )
+        started.set()
+        await self._stop
+        server.close()
+        for conn in list(self._conns):
+            conn._close_transport()
+        # transports finish closing (and call connection_lost) on the
+        # next loop turn; take it before the loop goes away
+        await asyncio.sleep(0)
 
     def close(self) -> None:
         if not self._running:
             return
         self._running = False
-        # a thread parked in accept() does not wake when the listener fd
-        # closes under it; dial one throwaway connection to kick it out
         try:
-            socket.create_connection(self.address, timeout=1.0).close()
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        # closing the sockets first is what unblocks reader threads
-        # parked in recv() — an abrupt client disconnect during shutdown
-        # must not leave a thread behind, so join every reader after
-        with self._conns_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            conn.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
-        with self._conns_lock:
-            readers, self._readers = self._readers, []
-        for thread in readers:
-            thread.join(timeout=5.0)
+            self._loop.call_soon_threadsafe(self._stop.set_result, None)
+        except RuntimeError:
+            pass  # loop already gone
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None
         self.core.stop()
-        with self._conns_lock:
-            self._conns = []
+        self._conns = []
+        self._paused.clear()
         self._m_conns.set(0)
+        self._m_paused.set(0)
 
     def __enter__(self) -> "ServiceFrontend":
         return self.start()
@@ -375,61 +560,44 @@ class ServiceFrontend:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- reader side -------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                sock, _peer = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            if not self._running:
-                sock.close()  # close()'s wake-up connection
-                return
-            conn = _Conn(sock=sock, name=f"conn{self._next_conn}")
-            self._next_conn += 1
-            thread = threading.Thread(
-                target=self._reader_loop, args=(conn,),
-                name=f"frontend-{conn.name}", daemon=True,
-            )
-            with self._conns_lock:
-                self._conns.append(conn)
-                self._m_conns.set(len(self._conns))
-                # keep the join list from growing without bound on
-                # long-lived frontends: finished readers leave here
-                self._readers = [t for t in self._readers if t.is_alive()]
-                self._readers.append(thread)
-            thread.start()
+    # -- event-loop internals ----------------------------------------------
+    def _overloaded(self) -> bool:
+        # the service cannot see frames the front door has parsed but
+        # not yet submitted, so its own backlog rides along
+        return self.service.overloaded(self.core.backlog)
 
-    def _reader_loop(self, conn: _Conn) -> None:
-        decoder = FrameDecoder()
-        try:
-            while self._running and conn.open:
-                data = conn.sock.recv(65536)
-                if not data:
-                    if decoder.pending_bytes:
-                        # mid-frame disconnect: nothing of the torn
-                        # frame was enqueued, so nothing is half-applied
-                        raise WireError(
-                            f"connection closed mid-frame "
-                            f"({decoder.pending_bytes} bytes buffered)"
-                        )
-                    break
-                decoder.feed(data)
-                for request in decoder.frames():
-                    self.core.enqueue(conn, request)
-        except WireError as exc:
-            self.conn_errors += 1
-            self._m_conn_errors.inc()
-            conn.send({"status": "ERROR", "error": f"wire: {exc}"})
-        except OSError:
-            self.conn_errors += 1
-            self._m_conn_errors.inc()
-        finally:
-            conn.close()
-            with self._conns_lock:
-                if conn in self._conns:
-                    self._conns.remove(conn)
-                self._m_conns.set(len(self._conns))
+    def _register(self, conn: _Conn) -> None:
+        self._conns.append(conn)
+        self._m_conns.set(len(self._conns))
+
+    def _unregister(self, conn: _Conn) -> None:
+        if conn in self._conns:
+            self._conns.remove(conn)
+        self._m_conns.set(len(self._conns))
+
+    def _pump(self) -> None:
+        """Round-robin one backlogged request per paused connection.
+
+        Runs on the loop thread after every released window slot: each
+        paused connection gets at most one admission per turn, so
+        freed capacity spreads across flooders instead of draining one
+        connection's backlog to exhaustion first.  A connection leaves
+        the paused set (and resumes reads) only once its backlog is
+        empty *and* its window has room.
+        """
+        paused = self._paused
+        for _ in range(len(paused)):
+            conn = paused.popleft()
+            if not conn.open:
+                continue
+            if conn.backlog and conn.inflight < self.window:
+                conn.inflight += 1
+                self.core.enqueue(conn, conn.backlog.popleft())
+            if conn.backlog or conn.inflight >= self.window:
+                paused.append(conn)  # still throttled
+            else:
+                conn._resume()
+        self._m_paused.set(len(paused))
 
 
 class ClientRetryError(WireError):
@@ -518,11 +686,16 @@ class ServiceClient:
 
     def request(self, kind: str, payload: Any, *, rid: str | None = None,
                 now: float = 0.0, sender: str | None = None) -> dict:
-        """Send one request and wait for *its* reply."""
+        """Send one request and wait for *its* reply.
+
+        A reply without a ``cid`` (the front door's pre-parse ``BUSY``,
+        its wire-``ERROR`` frame) was built before the request's payload
+        was decoded; it answers the single request outstanding here.
+        """
         cid = self.send(kind, payload, rid=rid, now=now, sender=sender)
         while True:
             reply = self.recv()
-            if reply.get("cid") == cid:
+            if reply.get("cid") in (cid, None):
                 return reply
 
     def call(self, kind: str, payload: Any, *, rid: str | None = None,

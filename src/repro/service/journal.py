@@ -24,16 +24,12 @@ journal closes that hole with the classic discipline:
   retention policy).  LSNs never restart; compaction only advances the
   oldest *retained* position (:attr:`Journal.first_lsn`).
 
-Three storage modes:
+Two storage modes:
 
 * :class:`Journal` keeps records in a list, which under the fault
   harness plays the role of the disk that survives the simulated crash
   (the service and bank objects are discarded; the journal object is
   handed to recovery).
-* :class:`FileJournal` is the single-file durable variant:
-  length-prefixed, digest-framed records appended to one file, with
-  torn-tail detection on load.  It predates segments and never
-  compacts; kept for small tools and backward compatibility.
 * :class:`SegmentedFileJournal` is the production store: one file per
   segment, incremental copy-on-write checkpoints (content-addressed
   blob files + a small manifest), retention-policy compaction that
@@ -70,16 +66,13 @@ __all__ = [
     "JournalError",
     "JournalRecord",
     "Journal",
-    "FileJournal",
     "SegmentedFileJournal",
     "JournalMaintenance",
     "Checkpoint",
     "DEFAULT_SEGMENT_RECORDS",
 ]
 
-_CKPT_MAGIC_V1 = b"repro-service-checkpoint-v1"
 _CKPT_MAGIC = b"repro-service-checkpoint-v2"
-_FILE_MAGIC = b"repro-journal-v1\n"
 _SEGMENT_MAGIC = b"repro-journal-seg-v1\n"
 _MANIFEST_MAGIC = b"repro-ckpt-manifest-v1"
 _FRAME_DIGEST_BYTES = 8
@@ -168,8 +161,8 @@ class Journal:
         returns — and therefore before any reply that depends on the
         record is sent — which is what lets a peer's copy of the
         journal be a superset of every acknowledged request.  Records
-        loaded from disk (:class:`FileJournal` recovery) do not fire;
-        only new appends do.
+        loaded from disk (a :class:`SegmentedFileJournal` reopening its
+        directory) do not fire; only new appends do.
         """
         self._observers.append(fn)
 
@@ -320,63 +313,6 @@ class Journal:
         """Hook for durable subclasses: delete the dropped segments' files."""
 
 
-class FileJournal(Journal):
-    """Journal persisted to one append-only file (the pre-segment format).
-
-    Frame format after a one-line magic header: 4-byte big-endian body
-    length, the first 8 bytes of ``sha256(body)``, then the
-    codec-encoded record.  :meth:`load` (run by the constructor when
-    the file exists) stops at the first torn frame — a crash mid-append
-    costs at most the record being written, never the records before
-    it — and raises :class:`JournalError` on corruption *before* the
-    tail, which no crash can produce.
-
-    A single file cannot drop its prefix, so this class refuses to
-    compact; use :class:`SegmentedFileJournal` for bounded disk.
-    """
-
-    def __init__(self, path: str | os.PathLike[str], *,
-                 telemetry: "obs.Telemetry | None" = None) -> None:
-        super().__init__(telemetry=telemetry)
-        self.path = os.fspath(path)
-        self.torn_tail = False
-        if os.path.exists(self.path):
-            self._load()
-            self._fh = open(self.path, "ab")
-        else:
-            self._fh = open(self.path, "wb")
-            self._fh.write(_FILE_MAGIC)
-            self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def compact(self, durable_lsn: int, *, retain_segments: int = 1) -> list[int]:
-        raise JournalError(
-            "FileJournal cannot compact (single append-only file); "
-            "use SegmentedFileJournal"
-        )
-
-    def _persist(self, record: JournalRecord) -> None:
-        self._fh.write(_frame(record.to_state()))
-        self._fh.flush()
-
-    def _load(self) -> None:
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        if not data.startswith(_FILE_MAGIC):
-            raise JournalError(f"{self.path}: not a journal file (bad magic)")
-        records, tail_offset, torn = _scan_frames(
-            data, len(_FILE_MAGIC), self.path, expected_lsn=0
-        )
-        self._records.extend(records)
-        self.torn_tail = torn
-        if self.torn_tail:
-            # drop the torn bytes so new appends start on a clean frame
-            with open(self.path, "rb+") as fh:
-                fh.truncate(tail_offset)
-
-
 def _frame(state: dict) -> bytes:
     """One wire frame: u32 body length, 8-byte digest prefix, codec body."""
     body = encode(state)
@@ -447,10 +383,11 @@ class SegmentedFileJournal(Journal):
         blob-6f1d2c3b4a596871.bin content-addressed shard snapshot blob
 
     Each segment file is the one-line segment magic, a framed header
-    (``{segment, base_lsn, segment_records}``), then record frames in
-    the same ``u32 length + 8-byte digest + codec body`` framing as
-    :class:`FileJournal`.  Only the newest segment may end in a torn
-    frame (truncated on load); any earlier damage is corruption.
+    (``{segment, base_lsn, segment_records}``), then record frames:
+    ``u32 length + 8-byte digest + codec body``.  Only the newest
+    segment may end in a torn frame (truncated on load — a crash
+    mid-append costs at most the record being written); any earlier
+    damage is corruption, which no crash can produce.
 
     Checkpoints are incremental and copy-on-write: each shard blob is
     written to a file named by its content digest **only if absent**
@@ -882,10 +819,6 @@ class Checkpoint:
       explicit error, never re-executed;
     * ``next_seq`` — the sequence-number watermark (auto-generated rids
       embed it; it must never rewind).
-
-    The v1 wire format (``lsn`` + ``blobs`` only) is still decoded; the
-    lifecycle fields default to empty, which recovery treats as "scan
-    the whole retained journal" — exactly the old behavior.
     """
 
     lsn: int
@@ -908,15 +841,11 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Checkpoint":
-        if blob.startswith(_CKPT_MAGIC):
-            magic = _CKPT_MAGIC
-        elif blob.startswith(_CKPT_MAGIC_V1):
-            magic = _CKPT_MAGIC_V1
-        else:
+        if not blob.startswith(_CKPT_MAGIC):
             raise JournalError("not a service checkpoint (bad magic)")
-        digest = blob[len(magic) : len(magic) + 32]
-        body = blob[len(magic) + 32 :]
-        if sha256(magic, body) != digest:
+        digest = blob[len(_CKPT_MAGIC) : len(_CKPT_MAGIC) + 32]
+        body = blob[len(_CKPT_MAGIC) + 32 :]
+        if sha256(_CKPT_MAGIC, body) != digest:
             raise JournalError("checkpoint integrity digest mismatch")
         try:
             state = decode(body)
@@ -927,9 +856,9 @@ class Checkpoint:
             blobs=tuple(state["blobs"]),
             replies=tuple(
                 (rid, status, body_)
-                for rid, status, body_ in state.get("replies", ())
+                for rid, status, body_ in state["replies"]
             ),
-            pending=tuple(state.get("pending", ())),
-            evicted=tuple(state.get("evicted", ())),
-            next_seq=state.get("next_seq", 0),
+            pending=tuple(state["pending"]),
+            evicted=tuple(state["evicted"]),
+            next_seq=state["next_seq"],
         )

@@ -441,17 +441,16 @@ def run_async_socket_trace(
 ) -> LoadReport:
     """Replay *requests* from many concurrent sockets; drain; report.
 
-    The many-connection twin of :func:`run_socket_trace`, built for the
-    asyncio front door: instead of one deep pipeline, the trace fans
-    across *connections* sockets multiplexed on one client-side event
-    loop — the same shape as a mobile-sensing population, many peers
-    each a few requests deep.  Each sender is pinned to one connection
+    The many-connection twin of :func:`run_socket_trace`: instead of
+    one deep pipeline, the trace fans across *connections* sockets
+    multiplexed on one client-side event loop — the same shape as a
+    mobile-sensing population, many peers each a few requests deep.  Each sender is pinned to one connection
     (first appearance, round-robin), so per-sender request order is
     preserved on the wire and the service's per-sender FIFO still
     means what it means in the in-process harness.
 
     Replies correlate by ``cid`` per connection.  A reply *without* a
-    cid is the async frontend's pre-parse ``BUSY`` (the payload holding
+    cid is the front door's pre-parse ``BUSY`` (the payload holding
     the cid was never decoded); it is counted against the oldest
     outstanding request on that connection — the books stay balanced,
     the latency recorder skips it like any other shed.

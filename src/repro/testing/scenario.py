@@ -628,10 +628,6 @@ class PbsDepositService:
         return status
 
 
-#: legacy private name, kept for older harness code
-_PbsDepositService = PbsDepositService
-
-
 def _pbs_findings(service: PbsDepositService, kit: PbsKit,
                   journal: Journal) -> list[str]:
     """PBS analogue of the recovery invariants: audit + journal agreement."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+import threading
 import time
 
 import pytest
@@ -84,6 +86,21 @@ def test_checkpoint_ships_when_segment_budget_is_spent():
               and Checkpoint.from_bytes(slot.checkpoint).lsn == 4)
         assert shipper.shipped_checkpoints == 2
         shipper.close()
+
+
+def test_close_unbinds_the_port_and_joins_every_thread():
+    """``close()`` returns with the listener gone: a dial is refused and
+    neither the accept thread nor a live stream's thread is left behind
+    (a thread parked in ``accept()`` used to keep the port answering)."""
+    receiver = ReplicaReceiver()
+    shipper = JournalShipper("src", receiver.address)
+    _wait(lambda: receiver.slot("src").streams == 1)
+    receiver.close()
+    with pytest.raises(OSError):
+        socket.create_connection(receiver.address, timeout=1.0)
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("replica-") and t.is_alive()]
+    shipper.close()
 
 
 def test_spool_drains_after_peer_comes_back():

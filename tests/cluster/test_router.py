@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import socket
+import threading
 
 import pytest
 
 from repro.cluster import ClusterProxy, ClusterRouter, RouteError, StaleClusterMapError
-from repro.cluster import LocalCluster
 from repro.cluster.ring import ClusterMap
-from repro.service.aio import AsyncServiceFrontend
 from repro.service.frontend import ServiceClient
 
 
@@ -51,25 +50,6 @@ def test_missing_partition_key_is_a_route_error(local_cluster):
     with local_cluster.router() as router:
         with pytest.raises(RouteError):
             router.request("balance", {"account": "sp0"})
-
-
-def test_cluster_serves_over_async_frontends(dec_params_toy, cluster_keypair):
-    """``async_frontend=True`` swaps every node's front door for the
-    event-loop tier; routing, ownership and fan-out are unchanged."""
-    with LocalCluster(dec_params_toy, cluster_keypair, n_nodes=2,
-                      async_frontend=True) as cluster:
-        assert all(isinstance(node.frontend, AsyncServiceFrontend)
-                   for node in cluster.nodes.values())
-        with cluster.router() as router:
-            for i in range(4):
-                aid = f"sp{i}"
-                opened = router.request("open-account",
-                                        {"aid": aid, "balance": 8}, sender=aid)
-                assert opened["status"] == "OK"
-                balance = router.request("balance", {"aid": aid}, sender=aid)
-                assert balance["balance"] == 8
-            assert router.audit() == {"status": "OK", "clean": True,
-                                      "findings": []}
 
 
 def test_audit_fans_out_to_every_node(local_cluster):
@@ -127,3 +107,11 @@ def test_proxy_serves_single_node_wire_protocol(local_cluster):
                 reply = client.request("audit", {})
                 assert reply["clean"] is True
             assert proxy.served == 3
+            idle = socket.create_connection(proxy.address, timeout=5.0)
+        # closed means closed: the port refuses a dial and the accept
+        # and connection threads are gone, idle client or not
+        with pytest.raises(OSError):
+            socket.create_connection(proxy.address, timeout=1.0)
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("proxy-") and t.is_alive()]
+        idle.close()

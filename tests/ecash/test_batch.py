@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.crypto.cl_sig import cl_blind_issue, cl_keygen
-from repro.ecash.batch import batch_verify_spends, batched_pairing_check
+from repro.ecash.batch import batch_verify_spends
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal
 from repro.ecash.spend import create_spend, verify_spend
 from repro.ecash.tree import NodeId
@@ -27,33 +27,6 @@ def stack(dec_params, rng):
         for n in nodes
     ]
     return bank_kp, tokens
-
-
-class TestBatchedPairingCheck:
-    def test_honest_batch_passes(self, dec_params, stack, rng):
-        bank_kp, tokens = stack
-        assert batched_pairing_check(dec_params, bank_kp.public, tokens, rng)
-
-    def test_empty_batch(self, dec_params, stack, rng):
-        bank_kp, _ = stack
-        assert batched_pairing_check(dec_params, bank_kp.public, [], rng)
-
-    def test_single_bad_token_caught(self, dec_params, stack, rng):
-        bank_kp, tokens = stack
-        backend = dec_params.backend
-        bad = dataclasses.replace(tokens[2], sig_b=backend.exp(tokens[2].sig_b, 2))
-        assert not batched_pairing_check(
-            dec_params, bank_kp.public, tokens[:2] + [bad] + tokens[3:], rng
-        )
-
-    def test_cancellation_attack_unlikely(self, dec_params, stack, rng):
-        """Two complementary tamperings must not cancel (random r_i)."""
-        bank_kp, tokens = stack
-        backend = dec_params.backend
-        bad1 = dataclasses.replace(tokens[0], sig_b=backend.exp(tokens[0].sig_b, 2))
-        inv = pow(2, -1, backend.order)
-        bad2 = dataclasses.replace(tokens[1], sig_b=backend.exp(tokens[1].sig_b, inv))
-        assert not batched_pairing_check(dec_params, bank_kp.public, [bad1, bad2], rng)
 
 
 class TestBatchVerify:
@@ -77,17 +50,9 @@ class TestBatchVerify:
         bank_kp, _ = stack
         assert batch_verify_spends(dec_params, bank_kp.public, [], rng) == []
 
-    def test_skip_flag_only_skips_certified_equation(self, dec_params, stack):
-        """The skip flag must not disable the remaining checks."""
-        bank_kp, tokens = stack
-        grp = dec_params.tower.group(tokens[0].node.level)
-        bad = dataclasses.replace(tokens[0], node_key=grp.exp(tokens[0].node_key, 2))
-        assert not verify_spend(
-            dec_params, bank_kp.public, bad, skip_cl_pairing_check=True
-        )
-
     def test_batch_is_faster_on_honest_batches(self, dec_params, stack, rng):
-        """The screening saves 2 pairings per token on the honest path."""
+        """One multi-exp per group and one shared pairing product beat
+        per-token verification on the honest path."""
         bank_kp, tokens = stack
         t0 = time.perf_counter()
         for _ in range(2):

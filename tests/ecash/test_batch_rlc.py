@@ -1,8 +1,7 @@
 """Decision parity for the sigma-equation RLC deposit path.
 
-`batch_verify_spends(sigma_batch=True)` must return exactly the
-verdict list of per-token `verify_spend`, at every batch size the
-batcher grid produces, on both pairing backends, with the fast-exp
+`batch_verify_spends` must return exactly the verdict list of
+per-token `verify_spend`, at every batch size the batcher grid produces, on both pairing backends, with the fast-exp
 tables on and off — including which planted forgery the bisection
 fingers.
 """
@@ -217,9 +216,6 @@ def test_cofactor_offset_commitment_rejected(backend_name, fastexp_mode,
     for seed in range(8):  # pre-gate, each seed escaped with prob ~1/2
         assert batch_verify_spends(params, bank_pk, batch,
                                    random.Random(seed)) == expected
-        assert batch_verify_spends(params, bank_pk, batch,
-                                   random.Random(seed),
-                                   sigma_batch=False) == expected
 
 
 @pytest.mark.parametrize("backend_name", ["tate", "toy"])
@@ -230,17 +226,3 @@ def test_seed_determinism(backend_name, fastexp_mode, request):
     first = batch_verify_spends(params, bank_kp.public, batch, random.Random(11))
     second = batch_verify_spends(params, bank_kp.public, batch, random.Random(11))
     assert first == second
-
-
-def test_legacy_path_still_agrees(dec_params, fastexp_mode, request, rng):
-    """sigma_batch=False keeps the PR 2 two-stage screen available and
-    decision-identical."""
-    bank_kp, tokens = request.getfixturevalue("tate_stack")
-    batch = _cycle(tokens, 7)
-    batch[4] = _mutate(dec_params, batch[4], "sig_b")
-    legacy = batch_verify_spends(
-        dec_params, bank_kp.public, batch, rng, sigma_batch=False
-    )
-    rlc = batch_verify_spends(dec_params, bank_kp.public, batch, rng)
-    assert legacy == rlc == [verify_spend(dec_params, bank_kp.public, t)
-                            for t in batch]

@@ -1,12 +1,12 @@
-"""The asyncio front door: one event loop, many sockets, same service.
+"""The front door's event loop: many sockets, bounded windows, same service.
 
-Behavioral guarantees of :class:`~repro.service.aio
-.AsyncServiceFrontend` beyond what the conformance suite proves
-byte-for-byte: the wire protocol round-trips, a flooding client is
-paused and bounded while a polite one keeps its share, a paused
-connection resumes once its window drains, forced overload answers
-``BUSY`` before the payload is ever parsed, and a mid-frame
-disconnect at every offset leaves the dispatcher clean.
+Behavioral guarantees of :class:`~repro.service.frontend
+.ServiceFrontend` beyond what the conformance suite proves
+byte-for-byte: the wire protocol round-trips through a window of one,
+a flooding client is paused and bounded while a polite one keeps its
+share, a paused connection resumes once its window drains, forced
+overload answers ``BUSY`` before the payload is ever parsed, and a
+mid-frame disconnect at every offset leaves the dispatcher clean.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import pytest
 from repro.net.wire import encode_frame, read_frame, write_frame
 from repro.service import (
     AdmissionController,
-    AsyncServiceFrontend,
     MarketService,
     ServiceClient,
+    ServiceFrontend,
     ShardedBank,
     VerificationBatcher,
     run_async_socket_trace,
@@ -42,8 +42,10 @@ def _settle(predicate, timeout: float = 10.0) -> bool:
 
 
 @pytest.fixture()
-def async_frontend(service):
-    front = AsyncServiceFrontend(service).start()
+def frontend(service):
+    """The tightest window: every pipelined request past the first
+    parks in the connection's backlog and pauses its reads."""
+    front = ServiceFrontend(service, window=1).start()
     yield front
     front.close()
     # close() joins with bounded timeouts; a thread may be observably
@@ -51,7 +53,7 @@ def async_frontend(service):
     assert _settle(lambda: not [
         t for t in threading.enumerate()
         if t.name.startswith("frontend-") and t.is_alive()
-    ], timeout=5.0), "async frontend close() left threads running"
+    ], timeout=5.0), "frontend close() left threads running"
 
 
 def _funded_deposits(service, n=4):
@@ -61,19 +63,18 @@ def _funded_deposits(service, n=4):
 
 
 class TestRequestKinds:
-    """The blocking ServiceClient speaks to the async frontend
-    unchanged — same frames, same replies."""
+    """Same frames, same replies when the in-flight window is one."""
 
-    def test_open_account_and_balance(self, async_frontend):
-        with ServiceClient(async_frontend.address, sender="alice") as c:
+    def test_open_account_and_balance(self, frontend):
+        with ServiceClient(frontend.address, sender="alice") as c:
             assert c.request("open-account",
                              {"aid": "alice", "balance": 40})["status"] == "OK"
             reply = c.request("balance", {"aid": "alice"})
             assert (reply["status"], reply["balance"]) == ("OK", 40)
 
-    def test_deposit_and_double_spend(self, async_frontend):
-        deposit = _funded_deposits(async_frontend.service, 1)[0]
-        with ServiceClient(async_frontend.address) as c:
+    def test_deposit_and_double_spend(self, frontend):
+        deposit = _funded_deposits(frontend.service, 1)[0]
+        with ServiceClient(frontend.address) as c:
             first = c.request(deposit.kind, deposit.payload,
                               sender=deposit.sender)
             replay = c.request(deposit.kind, dict(deposit.payload),
@@ -81,9 +82,9 @@ class TestRequestKinds:
         assert first["status"] == "OK"
         assert replay["status"] == "REJECTED"
 
-    def test_rid_dedup(self, async_frontend):
-        deposit = _funded_deposits(async_frontend.service, 1)[0]
-        with ServiceClient(async_frontend.address) as c:
+    def test_rid_dedup(self, frontend):
+        deposit = _funded_deposits(frontend.service, 1)[0]
+        with ServiceClient(frontend.address) as c:
             first = c.request(deposit.kind, deposit.payload,
                               sender=deposit.sender, rid="aio:dedup:1")
             again = c.request(deposit.kind, deposit.payload,
@@ -91,10 +92,10 @@ class TestRequestKinds:
         strip = lambda reply: {k: v for k, v in reply.items()
                                if k not in ("cid", "req")}
         assert strip(again) == strip(first)
-        assert async_frontend.service.dedup_hits == 1
+        assert frontend.service.dedup_hits == 1
 
-    def test_malformed_request_gets_error_frame(self, async_frontend):
-        with socket.create_connection(async_frontend.address,
+    def test_malformed_request_gets_error_frame(self, frontend):
+        with socket.create_connection(frontend.address,
                                       timeout=10) as sock:
             write_frame(sock, ["not", "a", "dict"])
             reply = read_frame(sock)
@@ -104,9 +105,9 @@ class TestRequestKinds:
             reply = read_frame(sock)
             assert reply["cid"] == 7 and reply["status"] == "OK"
 
-    def test_async_loadgen_round_trip(self, async_frontend):
-        requests = _funded_deposits(async_frontend.service, 6)
-        report = run_async_socket_trace(async_frontend.address, requests,
+    def test_async_loadgen_round_trip(self, frontend):
+        requests = _funded_deposits(frontend.service, 6)
+        report = run_async_socket_trace(frontend.address, requests,
                                         connections=3, pipeline_depth=2)
         assert report.ok == len(requests)
         assert report.errors == 0 and report.shed == 0
@@ -119,8 +120,8 @@ class TestBackpressure:
 
     @pytest.fixture()
     def stalled(self, service):
-        """Async frontend whose dispatcher is parked in after_batch."""
-        front = AsyncServiceFrontend(service, window=self.WINDOW).start()
+        """Frontend whose dispatcher is parked in after_batch."""
+        front = ServiceFrontend(service, window=self.WINDOW).start()
         gate = threading.Event()
         stalled = threading.Event()
 
@@ -189,7 +190,7 @@ class TestBackpressure:
             bank, batcher=batcher, rng=random.Random(5),
             admission=AdmissionController(max_queue_depth=2),
         )
-        front = AsyncServiceFrontend(service, window=64).start()
+        front = ServiceFrontend(service, window=64).start()
         gate = threading.Event()
         stalled_ev = threading.Event()
         front.after_batch = lambda: (stalled_ev.set(), gate.wait(timeout=60))
@@ -228,11 +229,11 @@ class TestBackpressure:
 
 
 class TestDisconnects:
-    def test_mid_frame_disconnect_at_every_offset(self, async_frontend):
+    def test_mid_frame_disconnect_at_every_offset(self, frontend):
         """A client dying at *any* byte offset inside a frame leaves
         nothing half-applied and the dispatcher serving the next
         client."""
-        front = async_frontend
+        front = frontend
         before = front.service.completions
         torn = encode_frame({"cid": 0, "kind": "balance",
                              "payload": {"aid": "sp0"}})
@@ -252,8 +253,8 @@ class TestDisconnects:
         assert reply["status"] == "OK" and reply["clean"] is True
         assert front.service.completions == before + 1
 
-    def test_corrupt_frame_gets_error_and_close(self, async_frontend):
-        front = async_frontend
+    def test_corrupt_frame_gets_error_and_close(self, frontend):
+        front = frontend
         frame = bytearray(encode_frame({"cid": 9, "kind": "audit",
                                         "payload": {}}))
         frame[-1] ^= 0xFF
@@ -267,12 +268,12 @@ class TestDisconnects:
 
 class TestLifecycle:
     def test_close_is_idempotent(self, service):
-        front = AsyncServiceFrontend(service).start()
+        front = ServiceFrontend(service).start()
         front.close()
         front.close()
 
     def test_context_manager(self, service):
-        with AsyncServiceFrontend(service) as front:
+        with ServiceFrontend(service) as front:
             with ServiceClient(front.address) as c:
                 assert c.request("audit", {})["status"] == "OK"
 
@@ -281,7 +282,7 @@ class TestLifecycle:
 
         from repro.net.wire import WireError
 
-        front = AsyncServiceFrontend(service).start()
+        front = ServiceFrontend(service).start()
         c = ServiceClient(front.address, timeout=10.0)
         assert c.request("audit", {})["status"] == "OK"
         front.close()
@@ -295,7 +296,7 @@ class TestLifecycle:
         import repro.obs as obs
 
         telemetry = obs.Telemetry.enabled()
-        with AsyncServiceFrontend(service, telemetry=telemetry) as front:
+        with ServiceFrontend(service, telemetry=telemetry) as front:
             with ServiceClient(front.address) as c:
                 c.request("audit", {})
         snapshot = telemetry.registry.snapshot()
@@ -311,4 +312,4 @@ class TestLifecycle:
 
     def test_window_must_be_positive(self, service):
         with pytest.raises(ValueError, match="window"):
-            AsyncServiceFrontend(service, window=0)
+            ServiceFrontend(service, window=0)

@@ -1,17 +1,17 @@
 """Opt-in C10k soak: 10,000 concurrent sockets on one event loop.
 
-Run with ``REPRO_SOAK=1`` (CI runs it on the nightly cron).  The async
-frontend's whole reason to exist is connection *count*: the threaded
-frontend pays a stack per socket, the event loop pays a protocol
-object.  This soak holds ten thousand sockets open **simultaneously**
-against one :class:`~repro.service.aio.AsyncServiceFrontend`, probes
-every one of them, and holds the SLOs:
+Run with ``REPRO_SOAK=1`` (CI runs it on the nightly cron).  The front
+door serves every socket from one event loop so that connection
+*count* costs a protocol object, not a thread stack.  This soak holds
+ten thousand sockets open **simultaneously** against one
+:class:`~repro.service.frontend.ServiceFrontend`, probes every one of
+them, and holds the SLOs:
 
 * every socket connects (ramped under the listen backlog) and every
   probe is answered — zero errors, zero sheds;
 * accept latency and request RTT stay bounded (generous absolute
-  ceilings — CI machines vary — plus a sanity ratio against a
-  threaded-frontend baseline at a scale threads can survive).
+  ceilings — CI machines vary — plus a sanity ratio against the same
+  door's RTT floor at 512 sockets).
 
 The client flood runs in a **subprocess** (``tools/async_soak_client
 .py``): the container's fd ceiling is per-process, so server and
@@ -32,7 +32,6 @@ import time
 import pytest
 
 from repro.service import (
-    AsyncServiceFrontend,
     MarketService,
     ServiceFrontend,
     ShardedBank,
@@ -44,11 +43,10 @@ pytestmark = pytest.mark.skipif(
     reason="soak test: set REPRO_SOAK=1 to run (CI nightly cron does)",
 )
 
-#: concurrent sockets the async frontend must sustain — the issue floor
+#: concurrent sockets the front door must sustain — the issue floor
 N_SOCKETS = 10_000
 ROUNDS = 2
-#: threaded baseline scale: one OS thread per socket caps what the
-#: comparison leg can be asked to carry
+#: scale of the RTT-floor leg the C10k leg is compared against
 BASELINE_SOCKETS = 512
 
 CLIENT = pathlib.Path(__file__).resolve().parents[2] / "tools" / "async_soak_client.py"
@@ -82,17 +80,17 @@ def _flood(port: int, connections: int) -> dict:
     return json.loads(proc.stdout)
 
 
-def test_async_frontend_sustains_10k_sockets(dec_params_toy):
+def test_front_door_sustains_10k_sockets(dec_params_toy):
     _raise_fd_limit(N_SOCKETS + 256)
 
-    # -- threaded baseline, at a scale a thread-per-socket model can hold
+    # -- the RTT floor: the same door, lightly loaded
     with ServiceFrontend(_make_service(dec_params_toy)) as baseline_front:
         baseline = _flood(baseline_front.address[1], BASELINE_SOCKETS)
     assert baseline["opened"] == BASELINE_SOCKETS
     assert baseline["errors"] == 0
 
     # -- the C10k leg --------------------------------------------------
-    with AsyncServiceFrontend(_make_service(dec_params_toy)) as front:
+    with ServiceFrontend(_make_service(dec_params_toy)) as front:
         report = _flood(front.address[1], N_SOCKETS)
         # `served` is bumped just after the send that unblocks the
         # client, so give the counter a moment to land
@@ -100,8 +98,8 @@ def test_async_frontend_sustains_10k_sockets(dec_params_toy):
         while front.served < report["ok"] and time.monotonic() < deadline:
             time.sleep(0.05)
         served = front.served
-    print(f"\nasync soak report: {json.dumps(report)}")
-    print(f"threaded baseline ({BASELINE_SOCKETS} sockets): "
+    print(f"\nsoak report: {json.dumps(report)}")
+    print(f"RTT floor ({BASELINE_SOCKETS} sockets): "
           f"{json.dumps(baseline)}")
 
     # every socket opened, was concurrently held, and was answered

@@ -17,6 +17,7 @@ import pytest
 
 from repro.ecash.dec import begin_withdrawal
 from repro.service import (
+    AdmissionController,
     MarketService,
     ServiceClient,
     ServiceFrontend,
@@ -27,9 +28,9 @@ from repro.service import (
 from repro.service.loadgen import Request
 
 
-def _stray_reader_threads() -> list[threading.Thread]:
-    """Frontend reader/accept threads still alive (should be none
-    after close — the reader-leak regression guard)."""
+def _stray_frontend_threads() -> list[threading.Thread]:
+    """Front-door loop/dispatcher threads still alive (should be none
+    after close — the thread-leak regression guard)."""
     return [t for t in threading.enumerate()
             if t.name.startswith("frontend-") and t.is_alive()]
 
@@ -39,10 +40,10 @@ def _assert_no_stray_threads(timeout: float = 5.0) -> None:
     timeout, so a thread can be observably alive for an instant after
     close returns without being leaked."""
     deadline = time.monotonic() + timeout
-    while _stray_reader_threads() and time.monotonic() < deadline:
+    while _stray_frontend_threads() and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert not _stray_reader_threads(), \
-        "frontend.close() left reader threads running"
+    assert not _stray_frontend_threads(), \
+        "frontend.close() left threads running"
 
 
 @pytest.fixture()
@@ -162,6 +163,47 @@ class TestFrontendRejections:
         assert reply["cid"] == cid
         assert reply["status"] == "ERROR"
 
+    def test_blocking_request_returns_a_cidless_busy(self, dec_params_toy,
+                                                     service_backend):
+        """The pre-parse ``BUSY`` carries no cid; ``request()`` must hand
+        it to its one outstanding caller, not wait out the socket
+        timeout for a cid that will never come."""
+        bank = ShardedBank.create(dec_params_toy, random.Random(3), n_shards=2)
+        batcher = VerificationBatcher(bank.params, bank.keypair, max_batch=4,
+                                      seed=1, backend=service_backend,
+                                      warm_tables=False)
+        service = MarketService(
+            bank, batcher=batcher, rng=random.Random(5),
+            admission=AdmissionController(max_queue_depth=1),
+        )
+        front = ServiceFrontend(service).start()
+        gate = threading.Event()
+        parked = threading.Event()
+        front.after_batch = lambda: (parked.set(), gate.wait(timeout=60))
+        try:
+            with ServiceClient(front.address, timeout=30.0) as starter, \
+                    ServiceClient(front.address, timeout=30.0) as filler, \
+                    ServiceClient(front.address, timeout=30.0) as caller:
+                assert starter.request("audit", {})["status"] == "OK"
+                assert parked.wait(timeout=10)
+                # dispatcher parked: one queued frame reaches the bound
+                filler.send("audit", {})
+                deadline = time.monotonic() + 10.0
+                while front.core.backlog < 1 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                began = time.monotonic()
+                reply = caller.request("audit", {})
+                assert time.monotonic() - began < 1.0
+                assert reply["status"] == "BUSY" and "cid" not in reply
+                # the retrying form sees the shed too: it backs off,
+                # retries, and returns the last BUSY instead of hanging
+                retried = caller.call("audit", {}, retry_busy=True,
+                                      attempts=2, backoff=0.01)
+                assert retried["status"] == "BUSY"
+        finally:
+            gate.set()
+            front.close()
+
 
 class TestConcurrentClients:
     def test_interleaved_clients_all_served(self, frontend):
@@ -221,17 +263,30 @@ class TestLifecycle:
         front.close()
         front.close()
 
+    def test_prompt_close_after_start_stops_the_loop(self, service):
+        """``close()`` landing the instant ``start()`` returns must still
+        stop the event loop: the historical leak ran the loop twice
+        (listen, then serve), so a stop that hit the first run was lost,
+        ``close()`` sat out its 5 s join and the loop thread lived on."""
+        slowest = 0.0
+        for _ in range(40):
+            front = ServiceFrontend(service).start()
+            began = time.monotonic()
+            front.close()
+            slowest = max(slowest, time.monotonic() - began)
+        assert slowest < 1.0
+        assert not _stray_frontend_threads()
+
     def test_abrupt_disconnect_during_shutdown_leaks_no_threads(self, service):
-        """Reader threads are joined on close even when clients vanish
-        abruptly — the historical leak: readers were spawned untracked,
-        so a client that dropped mid-shutdown left its thread behind."""
+        """No thread outlives close even when clients vanish abruptly
+        while others stay connected."""
         front = ServiceFrontend(service).start()
         clients = [ServiceClient(front.address, timeout=10.0)
                    for _ in range(4)]
         for i, c in enumerate(clients):
             assert c.request("audit", {}, rid=f"shutdown:{i}")["status"] == "OK"
-        # abrupt: half the clients drop without a goodbye while their
-        # reader threads are parked in recv(); the rest stay connected
+        # abrupt: half the clients drop without a goodbye; the rest
+        # stay connected
         for c in clients[:2]:
             c.sock.close()
         front.close()

@@ -1,19 +1,20 @@
-"""Threaded-vs-async frontend conformance: same bytes, same books.
+"""Socket-vs-in-process conformance: the front door adds nothing to a verdict.
 
-The asyncio front door (:class:`~repro.service.aio.AsyncServiceFrontend`)
-claims to be a drop-in ingestion tier: both frontends feed the *same*
-:class:`~repro.service.frontend.DispatchCore` loop, so a given request
-stream must produce byte-identical replies, identical journal records,
-identical counters, and identical invariant-sweep verdicts regardless
-of which frontend carried the frames.
+:class:`~repro.service.frontend.ServiceFrontend` claims to be a framing
+shim: a request stream carried over its sockets must produce
+byte-identical replies (minus the wire's ``cid``), identical journal
+records, identical service counters and identical invariant-sweep
+verdicts to the same stream handed to
+:meth:`MarketService.submit <repro.service.server.MarketService.submit>`
+/ ``drain`` by method call.
 
 This suite proves it the hard way: twin stacks (same seeds, same
-funding, same batcher) are driven in lockstep over real loopback
-sockets with the *same* fault-perturbed delivery schedule (drops,
-duplicates, reorders from :class:`~repro.testing.faults.FaultPlan` —
-crash machinery excluded: the process stays up, the sockets are the
-subject), and every observable artifact of the two runs is compared
-with canonical encoding.
+funding, same batcher) are driven in lockstep — one over a real
+loopback socket, one in-process — with the *same* fault-perturbed
+delivery schedule (drops, duplicates, reorders from
+:class:`~repro.testing.faults.FaultPlan` — crash machinery excluded:
+the process stays up, the door is the subject), and every observable
+artifact of the two runs is compared with canonical encoding.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import dataclass, field
 
 import pytest
 
+import repro.obs as obs
 from repro.crypto.cl_sig import cl_keygen
 from repro.net.codec import encode
 from repro.service import (
-    AsyncServiceFrontend,
     MarketService,
     ServiceClient,
     ServiceFrontend,
@@ -59,25 +60,70 @@ def _kit(dec_params_toy):
 
 @dataclass
 class RunArtifacts:
-    """Everything one frontend run left behind, ready to diff."""
+    """Everything one run left behind, ready to diff."""
 
     replies: list = field(default_factory=list)
     journal_states: list = field(default_factory=list)
     counters: dict = field(default_factory=dict)
-    telemetry: dict = field(default_factory=dict)
+    door: dict = field(default_factory=dict)
     findings: tuple = ()
 
 
-def _run_stack(frontend_cls, kit, service_backend, schedule, dropped) -> RunArtifacts:
-    """Build one fresh stack, replay *schedule* through *frontend_cls*
-    over a real socket, tear down, and return the observables.
+class _Socket:
+    """Drive a service through a live front door, one request at a time."""
+
+    def __init__(self, service: MarketService) -> None:
+        self.telemetry = obs.Telemetry.enabled()
+        self.front = ServiceFrontend(service, telemetry=self.telemetry).start()
+        self.client = ServiceClient(self.front.address, timeout=60.0)
+
+    def request(self, kind, payload, *, sender, rid=None) -> dict:
+        reply = self.client.request(kind, payload, sender=sender, rid=rid)
+        del reply["cid"]  # the wire's correlation id: the door's only addition
+        return reply
+
+    def close(self) -> dict:
+        self.client.close()
+        self.front.close()  # joins the dispatcher: counters are final below
+        counters = {
+            m["name"]: m["value"]
+            for m in self.telemetry.registry.snapshot()["counters"]
+            if not m["labels"] and m["name"].startswith("repro_frontend_")
+        }
+        return {"served": self.front.served,
+                "conn_errors": self.front.conn_errors, **counters}
+
+
+class _InProcess:
+    """The same calls the dispatcher makes, with no door in between."""
+
+    def __init__(self, service: MarketService) -> None:
+        self.service = service
+        self._replies: list[dict] = []
+        service.transport.add_observer(self._capture)
+
+    def _capture(self, envelope) -> None:
+        if envelope.kind == "reply" and envelope.sender == self.service.name:
+            self._replies.append(envelope.payload)
+
+    def request(self, kind, payload, *, sender, rid=None) -> dict:
+        self.service.submit(sender, kind, payload, now=0.0, rid=rid)
+        self.service.drain()
+        (reply,) = self._replies
+        self._replies.clear()
+        return reply
+
+    def close(self) -> dict:
+        return {}
+
+
+def _run_stack(gateway_cls, kit, service_backend, schedule, dropped) -> RunArtifacts:
+    """Build one fresh stack, replay *schedule* through *gateway_cls*,
+    tear down, and return the observables.
 
     Seeds mirror :func:`repro.testing.scenario.run_deposit_scenario`
-    exactly, so the two stacks differ in nothing but the frontend.
+    exactly, so the two stacks differ in nothing but the door.
     """
-    import repro.obs as obs
-
-    telemetry = obs.Telemetry.enabled()
     journal = Journal()
     bank = ShardedBank(kit.params, kit.keypair, random.Random(1),
                        n_shards=3, journal=journal)
@@ -90,42 +136,32 @@ def _run_stack(frontend_cls, kit, service_backend, schedule, dropped) -> RunArti
                                   backend=service_backend)
     service = MarketService(bank, batcher=batcher, rng=random.Random(2))
     artifacts = RunArtifacts()
-    front = frontend_cls(service, telemetry=telemetry).start()
+    gateway = gateway_cls(service)
     try:
-        with ServiceClient(front.address, timeout=60.0) as client:
-            # lockstep: one outstanding request at a time, so the
-            # dispatcher sees the identical arrival order in both runs
-            for delivery in schedule:
-                request = kit.requests[delivery.original]
-                reply = client.request(
-                    "deposit",
-                    {"aid": request.aid,
-                     "token": kit.tokens[request.token_index]},
-                    sender=request.aid, rid=request.rid,
-                )
-                artifacts.replies.append(reply)
-            # a deterministic tail: the audit and every balance are part
-            # of the conformance surface too
-            artifacts.replies.append(client.request("audit", {}))
-            for aid, _balance, _coins in kit.funding:
-                artifacts.replies.append(
-                    client.request("balance", {"aid": aid}))
+        # lockstep: one outstanding request at a time, so the service
+        # sees the identical arrival order in both runs
+        for delivery in schedule:
+            request = kit.requests[delivery.original]
+            artifacts.replies.append(gateway.request(
+                "deposit",
+                {"aid": request.aid, "token": kit.tokens[request.token_index]},
+                sender=request.aid, rid=request.rid,
+            ))
+        # a deterministic tail: the audit and every balance are part
+        # of the conformance surface too
+        artifacts.replies.append(gateway.request("audit", {}, sender="auditor"))
+        for aid, _balance, _coins in kit.funding:
+            artifacts.replies.append(
+                gateway.request("balance", {"aid": aid}, sender=aid))
     finally:
-        front.close()  # joins the dispatcher: counters are final below
+        artifacts.door = gateway.close()
     artifacts.journal_states = [r.to_state() for r in journal.records()]
     artifacts.counters = {
-        "served": front.served,
-        "conn_errors": front.conn_errors,
         "completions": service.completions,
         "dedup_hits": service.dedup_hits,
         "shed": service.shed,
         "queue_depth": service.queue_depth,
         "dropped": len(dropped),
-    }
-    snapshot = telemetry.registry.snapshot()
-    artifacts.telemetry = {
-        m["name"]: m["value"] for m in snapshot["counters"]
-        if not m["labels"] and m["name"].startswith("repro_frontend_")
     }
     artifacts.findings = check_recovery_invariants(bank, journal).findings
     return artifacts
@@ -149,7 +185,7 @@ def _stray_frontend_threads() -> list[threading.Thread]:
 
 @pytest.mark.parametrize("seed", FAULT_SEEDS)
 class TestConformance:
-    """One fault seed, two frontends, byte-identical everything."""
+    """One fault seed, door vs no door, byte-identical everything."""
 
     # twin runs are expensive (real sockets, real verification); each
     # seed's pair is built once and diffed by all three tests
@@ -160,45 +196,49 @@ class TestConformance:
             kit = _kit(dec_params_toy)
             schedule, dropped = FaultPlan.from_seed(seed).perturb(
                 len(kit.requests))
-            threaded = _run_stack(ServiceFrontend, kit, service_backend,
-                                  schedule, dropped)
-            aio = _run_stack(AsyncServiceFrontend, kit, service_backend,
-                             schedule, dropped)
+            wire = _run_stack(_Socket, kit, service_backend,
+                              schedule, dropped)
+            direct = _run_stack(_InProcess, kit, service_backend,
+                                schedule, dropped)
             assert not _stray_frontend_threads()
-            self._RUNS[seed] = (schedule, threaded, aio)
+            self._RUNS[seed] = (schedule, wire, direct)
         return self._RUNS[seed]
 
     def test_reply_streams_byte_identical(self, seed, dec_params_toy,
                                           service_backend):
-        schedule, threaded, aio = self._artifacts(
+        schedule, wire, direct = self._artifacts(
             seed, dec_params_toy, service_backend)
-        assert len(threaded.replies) == len(aio.replies)
-        for i, (a, b) in enumerate(zip(threaded.replies, aio.replies)):
+        assert len(wire.replies) == len(direct.replies)
+        for i, (a, b) in enumerate(zip(wire.replies, direct.replies)):
             assert encode(a) == encode(b), (
-                f"seed {seed}: reply {i} diverges:\n  threaded={a}\n  async={b}"
+                f"seed {seed}: reply {i} diverges:\n  socket={a}\n  in-process={b}"
             )
         # the schedule itself was exercised: duplicates answered via the
         # rid cache, the rest by real verification
         duplicates = sum(1 for d in schedule if d.duplicate)
-        assert threaded.counters["dedup_hits"] >= duplicates
+        assert wire.counters["dedup_hits"] >= duplicates
 
     def test_journals_and_invariants_identical(self, seed, dec_params_toy,
                                                service_backend):
-        _schedule, threaded, aio = self._artifacts(
+        _schedule, wire, direct = self._artifacts(
             seed, dec_params_toy, service_backend)
-        assert encode(threaded.journal_states) == encode(aio.journal_states), (
+        assert encode(wire.journal_states) == encode(direct.journal_states), (
             f"seed {seed}: journals diverge "
-            f"({len(threaded.journal_states)} vs {len(aio.journal_states)} records)"
+            f"({len(wire.journal_states)} vs {len(direct.journal_states)} records)"
         )
-        assert threaded.findings == aio.findings == ()
+        assert wire.findings == direct.findings == ()
 
     def test_counters_identical(self, seed, dec_params_toy, service_backend):
-        _schedule, threaded, aio = self._artifacts(
+        _schedule, wire, direct = self._artifacts(
             seed, dec_params_toy, service_backend)
-        assert threaded.counters == aio.counters
-        # frontend telemetry: same frames in, same conns-now-closed, no
-        # errors, nothing shed pre-parse on either side
-        for name in ("repro_frontend_frames_total",
-                     "repro_frontend_conn_errors_total"):
-            assert threaded.telemetry.get(name, 0) == aio.telemetry.get(name, 0), name
-        assert aio.telemetry.get("repro_frontend_preparse_busy_total", 0) == 0
+        assert wire.counters == direct.counters
+        # the door's own books: every frame in was answered, no
+        # connection errors, nothing shed pre-parse
+        n = len(wire.replies)
+        assert wire.door == {
+            "served": n,
+            "conn_errors": 0,
+            "repro_frontend_frames_total": n,
+            "repro_frontend_conn_errors_total": 0,
+            "repro_frontend_preparse_busy_total": 0,
+        }

@@ -191,8 +191,7 @@ class TestConstruction:
         """Regression: an idle batcher is falsy (has __len__); the
         constructor must not swap it for a default."""
         batcher = VerificationBatcher(
-            sharded_bank.params, sharded_bank.keypair, max_batch=1,
-            pairing_batch=False, seed=2,
+            sharded_bank.params, sharded_bank.keypair, max_batch=1, seed=2,
         )
         service = MarketService(sharded_bank, batcher=batcher)
         assert service.batcher is batcher

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import Checkpoint, FileJournal, Journal, JournalError
+from repro.service import Checkpoint, Journal, JournalError, SegmentedFileJournal
 
 
 class TestJournal:
@@ -45,16 +45,20 @@ class TestJournal:
 
 
 class TestFileJournal:
+    """The on-disk journal at its default geometry: one segment file."""
+
+    SEGMENT = "seg-00000000.wal"
+
     def _fill(self, journal: Journal, n: int = 4) -> None:
         for i in range(n):
             journal.append("apply", f"r{i}", "deposit", {"aid": "a", "i": i})
 
     def test_reload_round_trip(self, tmp_path):
-        path = tmp_path / "wal"
-        journal = FileJournal(path)
+        store = tmp_path / "wal"
+        journal = SegmentedFileJournal(store)
         self._fill(journal)
         journal.close()
-        reloaded = FileJournal(path)
+        reloaded = SegmentedFileJournal(store)
         assert [r.to_state() for r in reloaded.records()] == [
             {"lsn": i, "kind": "apply", "rid": f"r{i}", "op": "deposit",
              "payload": {"aid": "a", "i": i}}
@@ -63,51 +67,53 @@ class TestFileJournal:
         assert not reloaded.torn_tail
 
     def test_appends_survive_reopen(self, tmp_path):
-        path = tmp_path / "wal"
-        journal = FileJournal(path)
+        store = tmp_path / "wal"
+        journal = SegmentedFileJournal(store)
         self._fill(journal, 2)
         journal.close()
-        reloaded = FileJournal(path)
+        reloaded = SegmentedFileJournal(store)
         reloaded.append("apply", "r2", "deposit", {"aid": "a", "i": 2})
         reloaded.close()
-        final = FileJournal(path)
+        final = SegmentedFileJournal(store)
         assert [r.lsn for r in final.records()] == [0, 1, 2]
 
     def test_torn_tail_is_dropped_not_fatal(self, tmp_path):
         """A crash mid-append loses at most the record being written."""
-        path = tmp_path / "wal"
-        journal = FileJournal(path)
+        store = tmp_path / "wal"
+        journal = SegmentedFileJournal(store)
         self._fill(journal)
         journal.close()
-        size = path.stat().st_size
+        path = store / self.SEGMENT
         with open(path, "rb+") as fh:
-            fh.truncate(size - 3)  # tear the last frame's body
-        reloaded = FileJournal(path)
+            fh.truncate(path.stat().st_size - 3)  # tear the last frame's body
+        reloaded = SegmentedFileJournal(store)
         assert reloaded.torn_tail
         assert [r.lsn for r in reloaded.records()] == [0, 1, 2]
         # the torn bytes were truncated: appends land on a clean frame
         reloaded.append("apply", "r3b", "deposit", {"aid": "a"})
         reloaded.close()
-        final = FileJournal(path)
+        final = SegmentedFileJournal(store)
         assert [r.rid for r in final.records()] == ["r0", "r1", "r2", "r3b"]
         assert not final.torn_tail
 
     def test_mid_file_corruption_is_fatal(self, tmp_path):
-        path = tmp_path / "wal"
-        journal = FileJournal(path)
+        store = tmp_path / "wal"
+        journal = SegmentedFileJournal(store)
         self._fill(journal)
         journal.close()
+        path = store / self.SEGMENT
         data = bytearray(path.read_bytes())
-        data[40] ^= 0xFF  # inside the first frame, far from the tail
+        data[data.index(b"r0")] ^= 0xFF  # inside the first record, far from the tail
         path.write_bytes(bytes(data))
-        with pytest.raises(JournalError):
-            FileJournal(path)
+        with pytest.raises(JournalError, match="digest"):
+            SegmentedFileJournal(store)
 
     def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "wal"
-        path.write_bytes(b"not a journal at all")
+        store = tmp_path / "wal"
+        store.mkdir()
+        (store / self.SEGMENT).write_bytes(b"not a journal at all")
         with pytest.raises(JournalError, match="magic"):
-            FileJournal(path)
+            SegmentedFileJournal(store)
 
 
 class TestCheckpoint:

@@ -103,8 +103,8 @@ def test_replies_identical_with_and_without_crash(dec_params_toy, rng):
         tokens[bad], sig_b=params.backend.exp(tokens[bad].sig_b, 2)
     )
     grid = [
-        ("deposit", params, bank_kp.public, tuple(tokens[:2]), b"", True, True),
-        ("deposit", params, bank_kp.public, tuple(tokens[2:]), b"", True, True),
+        ("deposit", params, bank_kp.public, tuple(tokens[:2]), b""),
+        ("deposit", params, bank_kp.public, tuple(tokens[2:]), b""),
     ]
 
     from repro.service.workers import InlineBackend

@@ -38,7 +38,7 @@ DOCS = ROOT / "docs"
 FLAGSHIPS = (
     "repro.crypto.batchverify",
     "repro.service.journal",
-    "repro.service.aio",
+    "repro.service.frontend",
 )
 
 #: directories a backticked path may live under to be checked; paths
