@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install dev test bench bench-json service-bench fastexp-bench batchverify-bench report examples lint-imports check-docs test-faults coverage obs-demo cluster-demo cluster-smoke campaign campaign-smoke clean
+.PHONY: install dev test bench bench-json service-bench fastexp-bench batchverify-bench report examples lint-imports loc check-docs test-faults coverage obs-demo cluster-demo cluster-smoke campaign campaign-smoke clean
 
 # Coverage floor enforced by `make coverage` and the CI coverage job.
 # Measured line coverage of src/repro under the full suite is ~96%;
@@ -41,6 +41,10 @@ batchverify-bench:
 
 lint-imports:
 	$(PYTHON) tools/lint_imports.py
+
+# The deletion round's number (ROADMAP aim 2): lines of src/repro.
+loc:
+	@find src/repro -name '*.py' | xargs cat | wc -l
 
 # Dead links, stale module/file refs, and api.md coverage over docs/
 # and README.md.  See tools/check_docs.py.

@@ -46,7 +46,7 @@ from repro.service import (
     VerificationBatcher,
     make_backend,
 )
-from repro.service.loadgen import mint_deposit_traffic, run_trace
+from repro.service.loadgen import BankIssuer, mint_deposit_traffic, run_trace
 
 #: deposits per replay; also the batched configuration's batch size
 N_DEPOSITS = 64
@@ -67,7 +67,7 @@ def service_workload(bench_rng):
     keypair = cl_keygen(params.backend, bench_rng)
     mint_bank = ShardedBank(params, keypair, random.Random(1), n_shards=1)
     requests = mint_deposit_traffic(
-        MarketService(mint_bank),
+        BankIssuer(mint_bank),
         random.Random(2),
         n_accounts=8,
         n_deposits=N_DEPOSITS,

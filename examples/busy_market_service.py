@@ -38,7 +38,7 @@ from repro.service import (
     ShardedBank,
     VerificationBatcher,
 )
-from repro.service.loadgen import mint_deposit_traffic, run_trace
+from repro.service.loadgen import BankIssuer, mint_deposit_traffic, run_trace
 from repro.workloads.arrivals import bursty_arrivals
 
 N_SHARDS = 4
@@ -63,8 +63,8 @@ def main() -> None:
         rng=random.Random(1),
     )
     requests = mint_deposit_traffic(
-        service, rng, n_accounts=N_ACCOUNTS, n_deposits=N_DEPOSITS,
-        node_level=1, replay_fraction=REPLAY_FRACTION,
+        BankIssuer(service.bank), rng, n_accounts=N_ACCOUNTS,
+        n_deposits=N_DEPOSITS, node_level=1, replay_fraction=REPLAY_FRACTION,
     )
     arrivals = bursty_arrivals(
         random.Random(7), rate_on=120.0, rate_off=4.0,
@@ -94,7 +94,8 @@ def main() -> None:
         rng=random.Random(2),
     )
     spike_requests = mint_deposit_traffic(
-        spike, rng, n_accounts=N_ACCOUNTS, n_deposits=N_DEPOSITS, node_level=1,
+        BankIssuer(spike.bank), rng, n_accounts=N_ACCOUNTS,
+        n_deposits=N_DEPOSITS, node_level=1,
     )
     # everyone shows up in the same 100 ms — far past rate * horizon
     spike_arrivals = [0.002 * i for i in range(len(spike_requests))]

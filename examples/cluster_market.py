@@ -22,7 +22,7 @@ import random
 from repro.cluster import LocalCluster
 from repro.crypto.cl_sig import cl_keygen
 from repro.ecash import setup
-from repro.service.loadgen import mint_cluster_deposit_traffic, run_cluster_trace
+from repro.service.loadgen import WireIssuer, mint_deposit_traffic, run_trace
 from repro.testing import check_cluster_invariants
 
 
@@ -42,13 +42,13 @@ def main() -> None:
                             refresh_backoff=0.01) as router:
             # fund accounts and withdraw coins over the wire, so the
             # books conserve and the sweep can hold it against them
-            deposits = mint_cluster_deposit_traffic(
-                router, params, keypair.public, rng,
+            deposits = mint_deposit_traffic(
+                WireIssuer(router, params, keypair.public), rng,
                 n_accounts=4, n_deposits=12, replay_fraction=0.25,
             )
             phase1, phase2 = deposits[:6], deposits[6:]
 
-            report1 = run_cluster_trace(router, phase1)
+            report1 = run_trace(router, phase1)
             print(f"\nphase 1 (all nodes up): {report1.ok} ok, "
                   f"{report1.rejected} double-spends rejected")
 
@@ -60,7 +60,7 @@ def main() -> None:
                   f"version {cluster.map.version} "
                   f"(ring unchanged, address rebound)")
 
-            report2 = run_cluster_trace(router, phase2)
+            report2 = run_trace(router, phase2)
             print(f"phase 2 (degraded): {report2.ok} ok, "
                   f"{report2.rejected} rejected, "
                   f"{router.reroutes} re-route(s)")

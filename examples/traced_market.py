@@ -22,7 +22,7 @@ import sys
 import repro.obs as obs
 from repro.ecash.dec import setup
 from repro.service import Journal, MarketService, ShardedBank, VerificationBatcher
-from repro.service.loadgen import mint_deposit_traffic
+from repro.service.loadgen import BankIssuer, mint_deposit_traffic
 
 
 def main() -> int:
@@ -39,7 +39,7 @@ def main() -> int:
     )
 
     requests = mint_deposit_traffic(
-        service, random.Random(2), n_accounts=2, n_deposits=4
+        BankIssuer(service.bank), random.Random(2), n_accounts=2, n_deposits=4
     )
     rids = []
     for i, request in enumerate(requests):

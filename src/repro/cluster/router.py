@@ -29,8 +29,9 @@ Failure handling is two nested loops:
 
 :class:`ClusterProxy` is the thin server-side form of the same logic:
 a TCP front-end speaking the ordinary single-node wire protocol whose
-handler is a router call, so unmodified clients (``run_socket_trace``,
-the examples) can drive the whole cluster through one address.
+handler is a router call, so unmodified clients (``run_trace`` over a
+``SocketGateway``, the examples) can drive the whole cluster through
+one address.
 """
 
 from __future__ import annotations
@@ -44,11 +45,9 @@ from repro.cluster.replicate import FrameListener
 from repro.cluster.ring import ClusterMap
 from repro.net.wire import FrameDecoder, WireError, encode_frame
 from repro.service.frontend import ServiceClient
+from repro.service.gateway import strip_envelope
 
 __all__ = ["ClusterRouter", "ClusterProxy", "StaleClusterMapError", "RouteError"]
-
-#: Reply keys that exist only on the wire, never in the service verdict.
-_ENVELOPE_KEYS = ("cid", "req")
 
 
 class RouteError(ValueError):
@@ -61,10 +60,6 @@ class StaleClusterMapError(RuntimeError):
     def __init__(self, message: str, *, version: int) -> None:
         super().__init__(message)
         self.version = version
-
-
-def _strip_envelope(reply: dict) -> dict:
-    return {k: v for k, v in reply.items() if k not in _ENVELOPE_KEYS}
 
 
 class ClusterRouter:
@@ -183,7 +178,7 @@ class ClusterRouter:
                         kind, payload, rid=rid, now=now, sender=sender,
                         attempts=self.attempts, backoff=self.backoff,
                     )
-                    return _strip_envelope(reply)
+                    return strip_envelope(reply)
                 except (OSError, WireError) as exc:
                     self._drop_client(node)
                     stale_version = self.map.version

@@ -40,7 +40,6 @@ from repro.crypto.partial_blind import (
     PartialBlindRequester,
     PartialBlindSignature,
     PartialBlindSigner,
-    verify_partial_blind,
 )
 from repro.net.codec import decode, encode
 
@@ -120,19 +119,17 @@ class MAMachine(Party):
             jo = self.jo_for_job[report["job"]]
             return [Outbound(jo, "data-delivery", report)]
         if kind == "deposit":
-            jo_pub = rsa.RSAPublicKey(*payload["jo_key"])
-            sp_pub = rsa.RSAPublicKey(*payload["sp_key"])
             signature = PartialBlindSignature(
                 value=payload["sig"], counter=payload["ctr"],
                 common_info=payload["serial"],
             )
-            if not verify_partial_blind(jo_pub, sp_pub.fingerprint(), signature):
-                raise ProtocolError("invalid coin at deposit")
-            freshness = (jo_pub.fingerprint(), signature.common_info)
-            if freshness in self.bank.spent_serials:
-                raise ProtocolError("double deposit (serial replay)")
-            self.bank.spent_serials.add(freshness)
-            self.bank.transfer_unit(jo_pub.fingerprint(), sp_pub.fingerprint())
+            try:
+                payer, payee = self.bank.check_deposit(
+                    signature, payload["sp_key"], payload["jo_key"]
+                )
+            except ValueError as exc:
+                raise ProtocolError(str(exc)) from exc
+            self.bank.apply_deposit(payer, payee, signature.common_info)
             return []
         raise ProtocolError(f"MA cannot handle message kind {kind!r}")
 

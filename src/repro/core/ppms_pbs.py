@@ -47,6 +47,7 @@ from repro.net.codec import decode, encode
 from repro.net.transport import Transport
 
 __all__ = [
+    "DoubleDepositError",
     "VirtualBankPbs",
     "MarketAdministratorPbs",
     "JobOwnerPbs",
@@ -65,6 +66,10 @@ class CoinReceipt:
     signature: PartialBlindSignature
     jo_account_key: tuple[int, int]  # (n, e) of the JO's real key
     serial: bytes
+
+
+class DoubleDepositError(ValueError):
+    """The coin's serial was already deposited."""
 
 
 @dataclass
@@ -92,14 +97,46 @@ class VirtualBankPbs:
     def balance(self, aid: bytes) -> int:
         return self.accounts[aid]
 
-    def transfer_unit(self, payer: bytes, payee: bytes) -> None:
+    def _check_transfer(self, payer: bytes, payee: bytes) -> None:
         if self.accounts.get(payer, 0) < 1:
             raise ValueError("payer cannot cover a unitary payment")
         if payee not in self.accounts:
             raise ValueError("unknown payee account")
+
+    def transfer_unit(self, payer: bytes, payee: bytes) -> None:
+        self._check_transfer(payer, payee)
         self.accounts[payer] -= 1
         self.accounts[payee] += 1
         self.transaction_log.append((payer, payee))
+
+    def check_deposit(
+        self,
+        signature: PartialBlindSignature,
+        sp_key: tuple[int, int],
+        jo_key: tuple[int, int],
+    ) -> tuple[bytes, bytes]:
+        """The pure half of a deposit: verify the coin, check its serial
+        is fresh and that the unit can move.
+
+        Returns the ``(payer, payee)`` account ids for
+        :meth:`apply_deposit`.  Raises :class:`ValueError` on a bad
+        signature or books that cannot move the unit, and
+        :class:`DoubleDepositError` on a replayed serial.  Nothing is
+        mutated, so a journaled endpoint can check → journal → apply.
+        """
+        jo_pub = rsa.RSAPublicKey(*jo_key)
+        payer, payee = jo_pub.fingerprint(), rsa.RSAPublicKey(*sp_key).fingerprint()
+        if not verify_partial_blind(jo_pub, payee, signature):
+            raise ValueError("invalid partially blind signature at deposit")
+        if (payer, signature.common_info) in self.spent_serials:
+            raise DoubleDepositError("serial already deposited (double deposit)")
+        self._check_transfer(payer, payee)
+        return payer, payee
+
+    def apply_deposit(self, payer: bytes, payee: bytes, serial: bytes) -> None:
+        """Move the unit and burn the serial of a checked deposit."""
+        self.transfer_unit(payer, payee)
+        self.spent_serials.add((payer, serial))
 
 
 class MarketAdministratorPbs:
@@ -150,18 +187,11 @@ class MarketAdministratorPbs:
         Raises :class:`ValueError` on a bad signature or a replayed
         serial (double deposit).
         """
-        jo_pub = rsa.RSAPublicKey(*jo_key)
-        sp_pub = rsa.RSAPublicKey(*sp_key)
         self.counter.record(MA, "H")  # recompute the signed representative
-        if not verify_partial_blind(jo_pub, sp_pub.fingerprint(), signature):
-            raise ValueError("invalid partially blind signature at deposit")
+        payer, payee = self.bank.check_deposit(signature, sp_key, jo_key)
         self.counter.record(MA, "Dec")  # the verification itself
-        freshness_key = (jo_pub.fingerprint(), signature.common_info)
         self.counter.record(MA, "H")  # serial freshness lookup
-        if freshness_key in self.bank.spent_serials:
-            raise ValueError("serial already deposited (double deposit)")
-        self.bank.spent_serials.add(freshness_key)
-        self.bank.transfer_unit(jo_pub.fingerprint(), sp_pub.fingerprint())
+        self.bank.apply_deposit(payer, payee, signature.common_info)
 
 
 class JobOwnerPbs:

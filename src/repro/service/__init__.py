@@ -10,8 +10,9 @@ runs the accept→admit→batch→apply loop with
 overload, :mod:`~repro.service.workers` fans verification across a
 persistent process pool, :mod:`~repro.service.frontend` serves the
 whole thing over TCP (length-prefixed :mod:`repro.net.wire` frames),
-and :mod:`~repro.service.loadgen` drives the stack — in-process or
-over real sockets — from the workload layer and reports latency SLOs.
+and :mod:`~repro.service.loadgen` drives the stack — in-process, over
+real sockets or through any :mod:`~repro.service.gateway` — from the
+workload layer and reports latency SLOs.
 
 See ``docs/service.md`` for the architecture and the knobs, and
 ``docs/storage.md`` for the on-disk journal/checkpoint format behind
@@ -36,12 +37,14 @@ from repro.service.batcher import (
     WithdrawOutcome,
 )
 from repro.service.frontend import DispatchCore, ServiceClient, ServiceFrontend
+from repro.service.gateway import InProcessGateway, SocketGateway
 from repro.service.loadgen import (
+    BankIssuer,
     LoadReport,
+    OfflineIssuer,
     Request,
+    WireIssuer,
     mint_deposit_traffic,
-    run_async_socket_trace,
-    run_socket_trace,
     run_trace,
 )
 from repro.service.server import Completion, MarketService, RequestFailure, SERVICE
@@ -78,10 +81,13 @@ __all__ = [
     "SERVICE",
     "LoadReport",
     "Request",
+    "BankIssuer",
+    "OfflineIssuer",
+    "WireIssuer",
     "mint_deposit_traffic",
     "run_trace",
-    "run_socket_trace",
-    "run_async_socket_trace",
+    "InProcessGateway",
+    "SocketGateway",
     "ServiceFrontend",
     "DispatchCore",
     "ServiceClient",

@@ -263,6 +263,9 @@ class MarketService:
     def add_completion_observer(self, fn: Callable[[Completion], None]) -> None:
         self._observers.append(fn)
 
+    def remove_completion_observer(self, fn: Callable[[Completion], None]) -> None:
+        self._observers.remove(fn)
+
     def _notify(self, completion: Completion) -> None:
         for fn in self._observers:
             fn(completion)

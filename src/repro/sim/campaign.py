@@ -5,9 +5,10 @@ job owners, sensing participants, double-spend rings, a (possibly
 malicious) market administrator — running full PPMSdec and PPMSpbs
 lifecycles over the :class:`~repro.sim.events.EventQueue`, with every
 protocol effect executed against the **real**
-:class:`~repro.service.server.MarketService` (in process by default,
-or through :class:`~repro.service.frontend.ServiceFrontend` sockets,
-or against a :class:`~repro.cluster.node.LocalCluster`).
+:class:`~repro.service.server.MarketService` through one of the shared
+gateways (:mod:`repro.service.gateway`: in process by default, or over
+:class:`~repro.service.frontend.ServiceFrontend` sockets, or routed
+into a :class:`~repro.cluster.node.LocalCluster`).
 
 Everything is derived from one seed: party RNGs, arrival times,
 network latency, deposit waits, fault schedules, RSA keys, ZK
@@ -54,7 +55,8 @@ from repro.core.pbs_ledger import audit_pbs_bank
 from repro.core.ppms_dec import JobOwnerDec, SensingParticipantDec
 from repro.core.ppms_pbs import JobOwnerPbs, SensingParticipantPbs, VirtualBankPbs
 from repro.service.batcher import VerificationBatcher
-from repro.service.frontend import ServiceClient, ServiceFrontend
+from repro.service.frontend import ServiceFrontend
+from repro.service.gateway import InProcessGateway, SocketGateway
 from repro.service.journal import Journal
 from repro.service.server import MarketService
 from repro.service.shard import ShardedBank
@@ -187,58 +189,78 @@ class SimOpCounter:
 
 
 # ---------------------------------------------------------------------------
-# service gateways: one market, three transports
+# the market link: campaign-side bookkeeping over one shared gateway
 # ---------------------------------------------------------------------------
 
-class _Gateway:
-    """Uniform face over the three ways a campaign reaches the market.
+class _MarketLink:
+    """Deposit order, verdict tally and sweep over one gateway.
 
-    ``call`` is synchronous (open-account, withdraw, change deposits,
-    balance queries); ``deposit`` is the fire-and-forget path whose
-    verdicts are resolved after the queue drains.  Duplicate request
-    ids (fault-injected re-sends) resolve to one verdict — the
-    exactly-once layer is part of what the campaign exercises.
+    The gateway (:mod:`repro.service.gateway`, or the cluster router) is
+    how requests reach the market; this class keeps what only a campaign
+    needs.  ``call`` is synchronous (open-account, withdraw, balance
+    queries); ``deposit`` joins the deposit stream whose verdicts are
+    resolved after the queue drains.  Duplicate request ids
+    (fault-injected re-sends) resolve to one verdict — the exactly-once
+    layer is part of what the campaign exercises.
     """
 
-    backend = "?"
-
-    def __init__(self) -> None:
+    def __init__(self, gateway, sweep, closers, *,
+                 service: MarketService | None = None) -> None:
+        self.gateway = gateway
+        self._sweep = sweep
+        self._closers = closers
+        #: the in-process backend's service: its deposits are submitted
+        #: without waiting, so batches flush as they fill, not one by one
+        self._service = service
         self.verdicts: dict[str, int] = {}
         self._deposit_order: list[tuple[str, str]] = []  # (party, rid)
+        self._answered: dict[str, tuple[str, dict]] = {}  # deposit rid -> verdict
 
-    # -- per-backend primitives -------------------------------------------
-    def call(self, sender: str, kind: str, payload: Any, *, rid: str,
-             tally: bool = True) -> tuple[str, dict]:
-        raise NotImplementedError
+    def _request(self, sender: str, kind: str, payload: Any,
+                 rid: str) -> tuple[str, dict]:
+        body = self.gateway.request(kind, payload, sender=sender, rid=rid)
+        return body.pop("status"), body
 
-    def deposit(self, sender: str, rid: str, payload: Any) -> None:
-        raise NotImplementedError
-
-    def _verdict_of(self, rid: str) -> tuple[str, dict]:
-        raise NotImplementedError
-
-    def drain(self) -> None:
-        pass
-
-    def sweep(self) -> list[str]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-    # -- shared bookkeeping ------------------------------------------------
     def _tally(self, status: str) -> None:
         self.verdicts[status] = self.verdicts.get(status, 0) + 1
 
+    def call(self, sender: str, kind: str, payload: Any, *,
+             rid: str) -> tuple[str, dict]:
+        status, body = self._request(sender, kind, payload, rid)
+        self._tally(status)
+        return status, body
+
+    def deposit(self, sender: str, rid: str, payload: Any, *,
+                wait: bool = False) -> tuple[str, dict] | None:
+        """Join the deposit stream the MA observes; tallied at resolution.
+
+        With *wait* (change deposits) the verdict is returned; otherwise
+        it may stay pending until :meth:`resolve_deposits`.
+        """
+        self._deposit_order.append((sender, rid))
+        if self._service is not None and not wait:
+            self._service.submit(sender, "deposit", payload, now=0.0, rid=rid)
+            self._service.step()
+            return None
+        self._answered[rid] = self._request(sender, "deposit", payload, rid)
+        return self._answered[rid]
+
     def resolve_deposits(self) -> list[dict[str, Any]]:
         """Deposit verdicts in submission order, deduped by rid."""
+        if self._service is not None:
+            self._service.drain()
         resolved: list[dict[str, Any]] = []
         seen: set[str] = set()
         for party, rid in self._deposit_order:
             if rid in seen:
                 continue
             seen.add(rid)
-            status, body = self._verdict_of(rid)
+            reply = self._answered.get(rid)
+            if reply is None:  # submitted in-process, answered by the drain
+                reply = self._service.reply_for(rid)
+            if reply is None:  # pragma: no cover - the drain precedes this
+                raise RuntimeError(f"deposit {rid!r} still unresolved after drain")
+            status, body = reply
             self._tally(status)
             resolved.append(
                 {"party": party, "rid": rid, "status": status, "body": body}
@@ -246,195 +268,65 @@ class _Gateway:
         return resolved
 
     def balance_of(self, aid: str) -> int:
-        status, body = self.call(
-            aid, "balance", {"aid": aid}, rid=f"{aid}:bal", tally=False
-        )
+        status, body = self._request(aid, "balance", {"aid": aid}, f"{aid}:bal")
         if status != "OK":
             raise RuntimeError(f"balance query for {aid!r} failed: {body}")
         return body["balance"]
 
+    def sweep(self) -> list[str]:
+        return list(self._sweep().findings)
 
-class InProcessGateway(_Gateway):
-    """The service object in the same interpreter, stepped by hand."""
-
-    backend = "inprocess"
-
-    def __init__(self, params, keypair, *, n_shards: int, max_batch: int) -> None:
-        super().__init__()
-        self.journal = Journal()
-        bank = ShardedBank(params, keypair, random.Random(11), n_shards=n_shards)
-        batcher = VerificationBatcher(params, keypair, max_batch=max_batch, seed=7)
-        self.service = MarketService(
-            bank,
-            batcher=batcher,
-            rng=random.Random(3),
-            clock=lambda: 0.0,  # wall-clock-free: latency stats stay constant
-            journal=self.journal,
-        )
-        self._captured: dict[int, tuple[str, dict]] = {}
-        self.service.transport.add_observer(self._observe)
-
-    def _observe(self, envelope) -> None:
-        if envelope.kind != "reply" or envelope.sender != self.service.name:
-            return
-        body = dict(envelope.payload)
-        seq = body.pop("req", None)
-        status = body.pop("status", None)
-        if seq is not None:
-            self._captured[seq] = (status, body)
-
-    def call(self, sender, kind, payload, *, rid, tally=True):
-        seq = self.service.submit(sender, kind, payload, now=0.0, rid=rid)
-        guard = 0
-        while seq not in self._captured:
-            self.service.step(force=True)
-            guard += 1
-            if guard > 10_000:  # pragma: no cover - service wedged
-                raise RuntimeError(f"request {rid!r} never answered")
-        status, body = self._captured[seq]
-        if tally:
-            self._tally(status)
-        return status, body
-
-    def deposit(self, sender, rid, payload):
-        self._deposit_order.append((sender, rid))
-        self.service.submit(sender, "deposit", payload, now=0.0, rid=rid)
-        self.service.step()  # flush batches as they fill, not all at the end
-
-    def _verdict_of(self, rid):
-        reply = self.service.reply_for(rid)
-        if reply is None:  # pragma: no cover - drain() precedes resolution
-            raise RuntimeError(f"deposit {rid!r} still unresolved after drain")
-        return reply
-
-    def drain(self):
-        self.service.drain()
-
-    def sweep(self):
-        return list(check_recovery_invariants(self.service.bank, self.journal).findings)
+    def close(self) -> None:
+        for close in self._closers:
+            close()
 
 
-class SocketGateway(_Gateway):
-    """The same service behind a real TCP frontend; every request is a
-    wire round-trip through :class:`~repro.service.frontend.ServiceClient`."""
-
-    backend = "socket"
-
-    def __init__(self, params, keypair, *, n_shards: int, max_batch: int) -> None:
-        super().__init__()
-        self.journal = Journal()
-        bank = ShardedBank(params, keypair, random.Random(11), n_shards=n_shards)
-        batcher = VerificationBatcher(params, keypair, max_batch=max_batch, seed=7)
-        self.service = MarketService(
-            bank,
-            batcher=batcher,
-            rng=random.Random(3),
-            clock=lambda: 0.0,
-            journal=self.journal,
-        )
-        self.frontend = ServiceFrontend(self.service).start()
-        self.client = ServiceClient(self.frontend.address, sender="campaign")
-        self._cache: dict[str, tuple[str, dict]] = {}
-        self._open = True
-
-    def _strip(self, reply: dict) -> tuple[str, dict]:
-        body = {k: v for k, v in reply.items() if k not in ("cid", "req", "status")}
-        return reply["status"], body
-
-    def call(self, sender, kind, payload, *, rid, tally=True):
-        reply = self.client.call(kind, payload, rid=rid, sender=sender)
-        status, body = self._strip(reply)
-        self._cache[rid] = (status, body)
-        if tally:
-            self._tally(status)
-        return status, body
-
-    def deposit(self, sender, rid, payload):
-        # the socket path is synchronous per request; the verdict is
-        # still resolved later so the report shape matches in-process
-        self._deposit_order.append((sender, rid))
-        reply = self.client.call("deposit", payload, rid=rid, sender=sender)
-        self._cache[rid] = self._strip(reply)
-
-    def _verdict_of(self, rid):
-        return self._cache[rid]
-
-    def sweep(self):
-        self.close()  # the dispatcher thread owns the service; stop it first
-        return list(check_recovery_invariants(self.service.bank, self.journal).findings)
-
-    def close(self):
-        if self._open:
-            self._open = False
-            self.client.close()
-            self.frontend.close()
-
-
-class ClusterGateway(_Gateway):
-    """A multi-node :class:`LocalCluster`, reached through the router."""
-
-    backend = "cluster"
-
-    def __init__(self, params, keypair, *, n_shards: int, n_nodes: int) -> None:
-        super().__init__()
+def _open_market(config: CampaignConfig, params, keypair) -> _MarketLink:
+    """One market, three transports: build the backend and link to it."""
+    if config.backend == "cluster":
         # lazy: sim's layering pin stops at service/testing; the cluster
         # backend is opt-in and pulls the multi-node stack only on use
         from repro.cluster.node import LocalCluster
-
-        self.params = params
-        self.keypair = keypair
-        self.n_shards = n_shards
-        self.cluster = LocalCluster(
-            params, keypair, n_nodes=max(2, n_nodes), n_shards=n_shards
-        )
-        self.router = self.cluster.router()
-        self._cache: dict[str, tuple[str, dict]] = {}
-        self._open = True
-
-    def call(self, sender, kind, payload, *, rid, tally=True):
-        verdict = self.router.request(kind, payload, sender=sender, rid=rid)
-        status = verdict["status"]
-        body = {k: v for k, v in verdict.items() if k != "status"}
-        self._cache[rid] = (status, body)
-        if tally:
-            self._tally(status)
-        return status, body
-
-    def deposit(self, sender, rid, payload):
-        self._deposit_order.append((sender, rid))
-        self.call(sender, "deposit", payload, rid=rid, tally=False)
-
-    def _verdict_of(self, rid):
-        return self._cache[rid]
-
-    def sweep(self):
         from repro.testing.cluster_invariants import check_cluster_invariants
 
-        dumps = self.cluster.dump_journals()
-        report = check_cluster_invariants(
-            self.params, self.keypair, self.cluster.map, dumps,
-            n_shards=self.n_shards, cross_slice_value=True,
+        cluster = LocalCluster(
+            params, keypair, n_nodes=max(2, config.n_nodes), n_shards=config.n_shards
         )
-        return list(report.findings)
-
-    def close(self):
-        if self._open:
-            self._open = False
-            self.cluster.close()
-
-
-def _make_gateway(config: CampaignConfig, params, keypair) -> _Gateway:
-    if config.backend == "inprocess":
-        return InProcessGateway(
-            params, keypair, n_shards=config.n_shards, max_batch=config.max_batch
+        router = cluster.router()
+        return _MarketLink(
+            router,
+            lambda: check_cluster_invariants(
+                params, keypair, cluster.map, cluster.dump_journals(),
+                n_shards=config.n_shards, cross_slice_value=True,
+            ),
+            (router.close, cluster.close),
         )
-    if config.backend == "socket":
-        return SocketGateway(
-            params, keypair, n_shards=config.n_shards, max_batch=config.max_batch
-        )
-    return ClusterGateway(
-        params, keypair, n_shards=config.n_shards, n_nodes=config.n_nodes
+    journal = Journal()
+    service = MarketService(
+        ShardedBank(params, keypair, random.Random(11), n_shards=config.n_shards),
+        batcher=VerificationBatcher(
+            params, keypair, max_batch=config.max_batch, seed=7
+        ),
+        rng=random.Random(3),
+        clock=lambda: 0.0,  # wall-clock-free: latency stats stay constant
+        journal=journal,
     )
+
+    def sweep():
+        return check_recovery_invariants(service.bank, journal)
+
+    if config.backend == "inprocess":
+        return _MarketLink(InProcessGateway(service), sweep, (), service=service)
+    frontend = ServiceFrontend(service).start()
+    gateway = SocketGateway(frontend.address, connections=1, pipeline_depth=1)
+    closers = (gateway.close, frontend.close)  # both safe to call twice
+
+    def sweep_stopped():
+        for close in closers:  # the dispatcher thread owns the service
+            close()
+        return sweep()
+
+    return _MarketLink(gateway, sweep_stopped, closers)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +344,7 @@ class _ServiceMAAdapter:
     :class:`~repro.core.ppms_dec.JobOwnerDec` calls
     ``ma.handle_withdrawal`` / ``ma.handle_deposit`` and reads
     ``ma.bank.public_key`` and ``ma.clock``; this adapter forwards
-    those to the campaign's gateway, so the actor-layer protocol code
+    those to the campaign's market link, so the actor-layer protocol code
     runs unmodified against the real service.
     """
 
@@ -466,7 +358,7 @@ class _ServiceMAAdapter:
 
     def handle_withdrawal(self, aid: str, request) -> object:
         n = self._wd[aid] = self._wd.get(aid, 0) + 1
-        status, body = self._campaign.gateway.call(
+        status, body = self._campaign.market.call(
             aid, "withdraw", {"aid": aid, "request": request}, rid=f"{aid}:wd:{n}"
         )
         if status != "OK":
@@ -476,15 +368,10 @@ class _ServiceMAAdapter:
 
     def handle_deposit(self, aid: str, token, at_time: float) -> int:
         n = self._chg[aid] = self._chg.get(aid, 0) + 1
-        rid = f"{aid}:chg:{n}"
-        gateway = self._campaign.gateway
-        status, body = gateway.call(
-            aid, "deposit", {"aid": aid, "token": token}, rid=rid, tally=False
-        )
         # change deposits join the deposit stream the MA observes
-        gateway._deposit_order.append((aid, rid))
-        if hasattr(gateway, "_cache"):
-            gateway._cache[rid] = (status, body)
+        status, body = self._campaign.market.deposit(
+            aid, f"{aid}:chg:{n}", {"aid": aid, "token": token}, wait=True
+        )
         return body.get("amount", 0) if status == "OK" else 0
 
 
@@ -540,7 +427,7 @@ class Campaign(PartyContext):
 
     Implements :class:`~repro.sim.party.PartyContext`: the parties call
     back into the campaign for every protocol effect, and the campaign
-    routes those through the gateway, meters them, and keeps the
+    routes those through the market link, meters them, and keeps the
     economy-wide ledgers the report is built from.
     """
 
@@ -551,7 +438,7 @@ class Campaign(PartyContext):
         self.tree_level = params.tree_level
         self.counter = SimOpCounter()
         self.queue = EventQueue()
-        self.gateway = _make_gateway(config, params, keypair)
+        self.market = _open_market(config, params, keypair)
         self.pbs = _PbsEndpoint()
         self.ma_adapter = _ServiceMAAdapter(self)
         self.wire = Transport()  # actor-side envelope metering + codec
@@ -582,7 +469,7 @@ class Campaign(PartyContext):
         self.queue.schedule_in(delay + latency, lambda: self._deliver(to, event))
 
     def open_account(self, party: Party, balance: int) -> None:
-        status, body = self.gateway.call(
+        status, body = self.market.call(
             party.name, "open-account",
             {"aid": party.name, "balance": balance}, rid=f"{party.name}:open",
         )
@@ -619,12 +506,12 @@ class Campaign(PartyContext):
         return actor.deposit_change(self.ma_adapter, self.wire, self.counter)
 
     def deposit_async(self, party: Party, rid: str, token) -> None:
-        self.gateway.deposit(party.name, rid, {"aid": party.name, "token": token})
+        self.market.deposit(party.name, rid, {"aid": party.name, "token": token})
 
     def ring_withdraw_tokens(self, party: Party, *, denomination: int,
                              count: int) -> list:
         secret, request = begin_ring_withdrawal(self.params, party.rng)
-        status, body = self.gateway.call(
+        status, body = self.market.call(
             party.name, "withdraw",
             {"aid": party.name, "request": request}, rid=f"{party.name}:wd",
         )
@@ -863,7 +750,7 @@ class Campaign(PartyContext):
             name for name, p in self.parties.items()
             if not isinstance(p, (MAParty, PbsJobOwnerParty, PbsSensingParty))
         )
-        final = sum(self.gateway.balance_of(aid) for aid in accounts)
+        final = sum(self.market.balance_of(aid) for aid in accounts)
         outstanding = self.issued - deposited
         pbs_final = sum(self.pbs.bank.accounts.values())
         dec_ok = final == self.funded - self.issued + deposited
@@ -894,17 +781,16 @@ class Campaign(PartyContext):
                 if cfg.arrival_gap > 0:
                     t += arrivals.expovariate(1.0 / cfg.arrival_gap)
             self.queue.run(max_events=cfg.max_events)
-            self.gateway.drain()
 
-            deposits = self.gateway.resolve_deposits()
+            deposits = self.market.resolve_deposits()
             self._feed_ma(deposits, ma)
 
-            verdicts = dict(sorted(self.gateway.verdicts.items()))
+            verdicts = dict(sorted(self.market.verdicts.items()))
             for _, _, status in self.pbs.log:
                 verdicts[status] = verdicts.get(status, 0) + 1
 
             conservation = self._conservation(deposits)
-            findings = self.gateway.sweep()
+            findings = self.market.sweep()
             # Cross-node double deposits the ring attack fully explains
             # are the *detection* working, not an invariant failure —
             # reclassify them; unexplained ones stay findings.
@@ -945,7 +831,7 @@ class Campaign(PartyContext):
                 opcounts=self.counter.as_dict(),
             )
         finally:
-            self.gateway.close()
+            self.market.close()
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ per-node check can see:
 * **cross-node conservation** — each node only sees its own slice of
   the flow, so value conservation (opened − withdrawn + deposited =
   final balances; deposited never exceeds issued) must be summed
-  globally.  It holds for wire-driven traffic
-  (:func:`repro.service.loadgen.mint_cluster_deposit_traffic`);
-  offline-minted parity traffic deliberately violates it, so the
+  globally.  It holds for wire-driven traffic (minted through a
+  :class:`repro.service.loadgen.WireIssuer`); offline-minted parity
+  traffic (an ``OfflineIssuer``) deliberately violates it, so the
   conservation family is gated behind ``conservation=True``.
 
 Input is ``{slice node id: [journal record states]}`` — exactly what a

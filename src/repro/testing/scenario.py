@@ -37,15 +37,20 @@ from dataclasses import dataclass, field
 
 import repro.obs as obs
 from repro.core.pbs_ledger import audit_pbs_bank, restore_pbs_bank, snapshot_pbs_bank
-from repro.core.ppms_pbs import CoinReceipt, PPMSpbsSession, VirtualBankPbs
+from repro.core.ppms_pbs import (
+    CoinReceipt,
+    DoubleDepositError,
+    PPMSpbsSession,
+    VirtualBankPbs,
+)
 from repro.crypto import rsa
-from repro.crypto.cl_sig import CLKeyPair, cl_blind_issue, cl_keygen
-from repro.crypto.partial_blind import verify_partial_blind
-from repro.ecash.dec import begin_withdrawal, finish_withdrawal, setup
-from repro.ecash.spend import DECParams, SpendToken, create_spend
+from repro.crypto.cl_sig import CLKeyPair, cl_keygen
+from repro.ecash.dec import setup
+from repro.ecash.spend import DECParams, SpendToken
 from repro.net.transport import Transport
 from repro.service.batcher import VerificationBatcher
 from repro.service.journal import Checkpoint, Journal
+from repro.service.loadgen import OfflineIssuer, mint_deposit_traffic
 from repro.service.server import MarketService
 from repro.service.shard import ShardedBank
 from repro.testing.faults import CrashPoint, FaultClock, FaultPlan, FaultyTransport
@@ -182,13 +187,13 @@ def build_deposit_kit(
 ) -> DepositKit:
     """Fund, withdraw and mint *n_deposits* spend tokens client-side.
 
-    Mirrors :func:`repro.service.loadgen.mint_deposit_traffic` but
-    without a bank: the withdrawals are accounted for in ``funding``
-    (balance minus coins), so the scenario's bank opens each account,
-    debits the coins, and conservation still closes.  *double_spends*
-    extra requests re-deposit earlier tokens under fresh request ids —
-    the intentional frauds the service must keep rejecting across
-    crashes.
+    Minting is :func:`repro.service.loadgen.mint_deposit_traffic` with
+    an :class:`~repro.service.loadgen.OfflineIssuer` — no bank: the
+    withdrawals are accounted for in ``funding`` (balance minus coins),
+    so the scenario's bank opens each account, debits the coins, and
+    conservation still closes.  *double_spends* extra requests
+    re-deposit earlier tokens under fresh request ids — the intentional
+    frauds the service must keep rejecting across crashes.
     """
     if n_accounts < 1 or n_deposits < 1:
         raise ValueError("need at least one account and one deposit")
@@ -199,52 +204,23 @@ def build_deposit_kit(
     if keypair is None:
         keypair = cl_keygen(params.backend, rng)
     level = params.tree_level
-    depth = level if node_level is None else node_level
-    if not 0 <= depth <= level:
-        raise ValueError(f"node_level must be in [0, {level}]")
-    denomination = 1 << (level - depth)
-    tokens_per_coin = 1 << depth
-    coin_value = 1 << level
-
+    # whole rounds: every account mints the same count, so ``tokens``
+    # can be kept in per-account mint order and the round-robin request
+    # order trimmed to exactly n_deposits
     per_account = -(-n_deposits // n_accounts)
-    coins_per_account = -(-per_account // tokens_per_coin)
-
-    funding: list[tuple[str, int, int]] = []
-    tokens: list[SpendToken] = []
-    owners: list[str] = []
-    by_account: list[list[int]] = []  # token indices, in per-account mint order
-    for i in range(n_accounts):
-        aid = f"sp{i}"
-        funding.append((aid, coins_per_account * coin_value, coins_per_account))
-        mine: list[int] = []
-        for _ in range(coins_per_account):
-            secret, request = begin_withdrawal(params, rng)
-            signature = cl_blind_issue(params.backend, keypair, request, rng)
-            coin = finish_withdrawal(params, keypair.public, secret, signature)
-            wallet = coin.wallet()
-            while len(mine) < per_account and wallet.balance >= denomination:
-                node = wallet.allocate(denomination)
-                tokens.append(
-                    create_spend(
-                        params, keypair.public, coin.secret, coin.signature, node, rng
-                    )
-                )
-                owners.append(aid)
-                mine.append(len(tokens) - 1)
-        by_account.append(mine)
-    # interleave senders round-robin (worst case for per-sender FIFO),
-    # trimmed to exactly n_deposits fresh tokens
-    order = [
-        by_account[i][j]
-        for j in range(per_account)
-        for i in range(n_accounts)
-        if j < len(by_account[i])
-    ][:n_deposits]
-
-    requests = [
-        _KitRequest(rid=f"dep:{j}", aid=owners[k], token_index=k, double_spend=False)
-        for j, k in enumerate(order)
-    ]
+    issuer = OfflineIssuer(params, keypair)
+    minted = mint_deposit_traffic(
+        issuer, rng, n_accounts=n_accounts,
+        n_deposits=per_account * n_accounts, node_level=node_level,
+    )
+    tokens: list[SpendToken | None] = [None] * len(minted)
+    requests: list[_KitRequest] = []
+    for j, request in enumerate(minted):
+        k = (j % n_accounts) * per_account + j // n_accounts
+        tokens[k] = request.payload["token"]
+        if j < n_deposits:
+            requests.append(_KitRequest(rid=f"dep:{j}", aid=request.sender,
+                                        token_index=k, double_spend=False))
     for extra in range(double_spends):
         # the fraud is scripted strictly after its victim, so in a
         # fault-free run the fresh deposit wins and the re-deposit is
@@ -264,7 +240,10 @@ def build_deposit_kit(
     return DepositKit(
         params=params,
         keypair=keypair,
-        funding=tuple(funding),
+        funding=tuple(
+            (r.sender, r.payload["balance"], r.payload["balance"] >> level)
+            for r in issuer.opens
+        ),
         tokens=tuple(tokens),
         amounts=tuple(t.denomination(level) for t in tokens),
         requests=tuple(requests),
@@ -565,11 +544,9 @@ class PbsDepositService:
                 continue
             applied.add(record.rid)
             payload = record.payload
-            key = (payload["payer"], payload["serial"])
-            if key in bank.spent_serials:
+            if (payload["payer"], payload["serial"]) in bank.spent_serials:
                 continue  # folded into the checkpoint already
-            bank.spent_serials.add(key)
-            bank.transfer_unit(payload["payer"], payload["payee"])
+            bank.apply_deposit(payload["payer"], payload["payee"], payload["serial"])
 
     def checkpoint(self) -> Checkpoint:
         return Checkpoint(
@@ -598,24 +575,20 @@ class PbsDepositService:
             status, body = self._replies[rid]
             self.transport.send("MA-pbs", "SP", "reply", {"status": status, **body})
             return status
-        jo_pub = rsa.RSAPublicKey(*delivered["jo_key"])
-        sp_pub = rsa.RSAPublicKey(*delivered["sp_key"])
         sig = delivered["sig"]
-        if not verify_partial_blind(jo_pub, sp_pub.fingerprint(), sig):
-            return self._finish(rid, "ERROR", {"error": "invalid signature"})
-        payer, payee = jo_pub.fingerprint(), sp_pub.fingerprint()
-        if (payer, sig.common_info) in self.bank.spent_serials:
+        try:
+            payer, payee = self.bank.check_deposit(
+                sig, delivered["sp_key"], delivered["jo_key"]
+            )
+        except DoubleDepositError:
             return self._finish(rid, "REJECTED", {"error": "double deposit"})
-        if payee not in self.bank.accounts:
-            return self._finish(rid, "ERROR", {"error": "unknown payee"})
-        if self.bank.accounts.get(payer, 0) < 1:
-            return self._finish(rid, "ERROR", {"error": "payer underfunded"})
+        except ValueError as exc:
+            return self._finish(rid, "ERROR", {"error": str(exc)})
         self.journal.append(
             "apply", rid, "pbs-deposit",
             {"payer": payer, "payee": payee, "serial": sig.common_info},
         )
-        self.bank.spent_serials.add((payer, sig.common_info))
-        self.bank.transfer_unit(payer, payee)
+        self.bank.apply_deposit(payer, payee, sig.common_info)
         return self._finish(rid, "OK", {})
 
     def _finish(self, rid: str, status: str, body: dict) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from repro.cluster import StaleClusterMapError
-from repro.service.loadgen import mint_cluster_deposit_traffic, run_cluster_trace
+from repro.service.loadgen import WireIssuer, mint_deposit_traffic, run_trace
 from repro.testing import check_cluster_invariants
 
 
@@ -23,15 +23,15 @@ def test_cluster_survives_sigkill_mid_trace(local_cluster, dec_params_toy,
     with local_cluster.router(attempts=2, backoff=0.01,
                               refresh_backoff=0.01) as router:
         # fund + withdraw over the wire so the books conserve end to end
-        deposits = mint_cluster_deposit_traffic(
-            router, dec_params_toy, cluster_keypair.public, rng,
+        deposits = mint_deposit_traffic(
+            WireIssuer(router, dec_params_toy, cluster_keypair.public), rng,
             n_accounts=4, n_deposits=12, replay_fraction=0.2,
         )
         assert len(deposits) == 12  # 10 fresh + 2 deliberate replays
 
         # phase 1: first half lands while all three nodes are alive
         phase1, phase2 = deposits[:6], deposits[6:]
-        report1 = run_cluster_trace(router, phase1)
+        report1 = run_trace(router, phase1)
         assert report1.errors == 0 and report1.shed == 0
 
         # pin a request on the soon-to-die node under a known rid
@@ -57,7 +57,7 @@ def test_cluster_survives_sigkill_mid_trace(local_cluster, dec_params_toy,
         assert fresh["status"] != "OK"
 
         # phase 2 re-routes to the adopter transparently
-        report2 = run_cluster_trace(router, phase2)
+        report2 = run_trace(router, phase2)
         assert report2.errors == 0 and report2.shed == 0
         assert router.reroutes >= 1
 
@@ -115,11 +115,11 @@ def test_retention_bounds_node_journals_and_failover_still_works(
                       journal_retention=0) as cluster:
         with cluster.router(attempts=2, backoff=0.01,
                             refresh_backoff=0.01) as router:
-            deposits = mint_cluster_deposit_traffic(
-                router, dec_params_toy, cluster_keypair.public, rng,
+            deposits = mint_deposit_traffic(
+                WireIssuer(router, dec_params_toy, cluster_keypair.public), rng,
                 n_accounts=4, n_deposits=8, replay_fraction=0.0,
             )
-            report = run_cluster_trace(router, deposits)
+            report = run_trace(router, deposits)
             assert report.errors == 0
 
             # retention actually dropped journal prefixes somewhere:

@@ -17,7 +17,7 @@ import random
 from repro.net.codec import encode
 from repro.service.frontend import ServiceClient, ServiceFrontend
 from repro.service.journal import Journal
-from repro.service.loadgen import Request, mint_offline_deposit_traffic
+from repro.service.loadgen import OfflineIssuer, Request, mint_deposit_traffic
 from repro.service.server import MarketService
 from repro.service.shard import ShardedBank
 
@@ -30,9 +30,9 @@ def _stripped(reply: dict) -> dict:
 
 def _trace(params, keypair) -> tuple[list[Request], list[Request]]:
     rng = random.Random(41)
-    opens, deposits = mint_offline_deposit_traffic(
-        params, keypair, rng, n_accounts=3, n_deposits=8,
-    )
+    issuer = OfflineIssuer(params, keypair)
+    deposits = mint_deposit_traffic(issuer, rng, n_accounts=3, n_deposits=8)
+    opens = issuer.opens
     balances = [Request(sender=f"sp{i}", kind="balance",
                         payload={"aid": f"sp{i}"}) for i in range(3)]
     return opens, deposits + balances

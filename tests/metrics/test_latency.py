@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.metrics.latency import (
@@ -49,6 +52,22 @@ class TestNearestRank:
             _nearest_rank([], 0.5)
         with pytest.raises(ValueError):
             _nearest_rank([1.0], -0.1)
+
+    def test_soak_client_percentile_is_nearest_rank_too(self):
+        # the regression this guards: tools/async_soak_client.py indexed
+        # int(q*n), so p99 of 100 samples was the maximum, not the 99th
+        path = Path(__file__).resolve().parents[2] / "tools" / "async_soak_client.py"
+        spec = importlib.util.spec_from_file_location("async_soak_client", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        data = [float(i) for i in range(1, 101)]
+        assert tool._percentile(data, 0.99) == 99.0
+        assert tool._percentile(data, 0.50) == 50.0
+        for sample in (data, data[:10], [4.0, 1.0, 3.0, 2.0], [7.0]):
+            for q in (0.0, 0.25, 0.5, 0.95, 0.99, 1.0):
+                assert tool._percentile(sample, q) == \
+                    _nearest_rank(sorted(sample), q)
+        assert tool._percentile([], 0.99) == 0.0
 
     def test_small_sample_tail_is_the_observed_worst_case(self):
         # the regression this guards: interpolation on 10 samples

@@ -52,8 +52,9 @@ def service(sharded_bank, service_backend) -> MarketService:
 
 def mint_tokens(service: MarketService, rng, n: int, *, node_level: int | None = None):
     """Deposit-request list against *service* (accounts funded en route)."""
-    from repro.service.loadgen import mint_deposit_traffic
+    from repro.service.loadgen import BankIssuer, mint_deposit_traffic
 
     return mint_deposit_traffic(
-        service, rng, n_accounts=min(3, n), n_deposits=n, node_level=node_level
+        BankIssuer(service.bank), rng,
+        n_accounts=min(3, n), n_deposits=n, node_level=node_level,
     )

@@ -25,8 +25,9 @@ from repro.service import (
     ServiceClient,
     ServiceFrontend,
     ShardedBank,
+    SocketGateway,
     VerificationBatcher,
-    run_async_socket_trace,
+    run_trace,
 )
 
 
@@ -107,8 +108,9 @@ class TestRequestKinds:
 
     def test_async_loadgen_round_trip(self, frontend):
         requests = _funded_deposits(frontend.service, 6)
-        report = run_async_socket_trace(frontend.address, requests,
-                                        connections=3, pipeline_depth=2)
+        gateway = SocketGateway(frontend.address, connections=3,
+                                pipeline_depth=2)
+        report = run_trace(gateway, requests)
         assert report.ok == len(requests)
         assert report.errors == 0 and report.shed == 0
 

@@ -22,8 +22,9 @@ from repro.service import (
     ServiceClient,
     ServiceFrontend,
     ShardedBank,
+    SocketGateway,
     VerificationBatcher,
-    run_socket_trace,
+    run_trace,
 )
 from repro.service.loadgen import Request
 
@@ -244,13 +245,15 @@ class TestConcurrentClients:
         assert frontend.served == len(deposits)
 
     def test_socket_loadgen_round_trip(self, frontend):
-        """`run_socket_trace` — the loadgen driving the service as a
-        network peer — completes a mixed trace with zero losses."""
+        """`run_trace` over a `SocketGateway` — the loadgen driving the
+        service as a network peer — completes a mixed trace with zero
+        losses."""
         service = frontend.service
         requests = _funded_deposits(service, 4)
         requests.append(Request(sender="probe", kind="audit", payload={}))
-        report = run_socket_trace(frontend.address, requests,
-                                  pipeline_depth=4)
+        gateway = SocketGateway(frontend.address, connections=1,
+                                pipeline_depth=4)
+        report = run_trace(gateway, requests)
         assert report.completed == len(requests)
         assert report.ok == len(requests)
         assert report.errors == 0 and report.shed == 0

@@ -22,7 +22,7 @@ from repro.service import (
     MarketService,
     VerificationBatcher,
 )
-from repro.service.loadgen import mint_deposit_traffic
+from repro.service.loadgen import BankIssuer, mint_deposit_traffic
 
 from .conftest import mint_tokens
 
@@ -116,7 +116,8 @@ def test_busy_and_status_counters_land_in_the_registry(sharded_bank):
         telemetry=telemetry,
     )
     rng = random.Random(11)
-    requests = mint_deposit_traffic(service, rng, n_accounts=2, n_deposits=4)
+    requests = mint_deposit_traffic(BankIssuer(service.bank), rng,
+                                    n_accounts=2, n_deposits=4)
     for i, request in enumerate(requests):
         service.submit(request.sender, "deposit", request.payload,
                        rid=f"busy:{i}")

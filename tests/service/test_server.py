@@ -199,11 +199,11 @@ class TestConstruction:
 
 class TestRunTrace:
     def test_trace_with_replays_and_slo(self, service, rng):
-        from repro.service.loadgen import mint_deposit_traffic
+        from repro.service.loadgen import BankIssuer, mint_deposit_traffic
 
         requests = mint_deposit_traffic(
-            service, rng, n_accounts=3, n_deposits=8, node_level=1,
-            replay_fraction=0.25,
+            BankIssuer(service.bank), rng, n_accounts=3, n_deposits=8,
+            node_level=1, replay_fraction=0.25,
         )
         arrivals = [0.01 * i for i in range(len(requests))]
         report = run_trace(

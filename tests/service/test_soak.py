@@ -27,13 +27,15 @@ import random
 import pytest
 
 from repro.service import (
+    BankIssuer,
     MarketService,
     ServiceFrontend,
     ShardedBank,
+    SocketGateway,
     VerificationBatcher,
     make_backend,
     mint_deposit_traffic,
-    run_socket_trace,
+    run_trace,
 )
 from repro.service.loadgen import Request
 
@@ -68,7 +70,7 @@ def _soak_trace(service: MarketService) -> tuple[list[Request], int, int]:
     """≥10k requests: a crypto core plus a cheap-query flood."""
     rng = random.Random(0x10AD)
     deposits = mint_deposit_traffic(
-        service, rng,
+        BankIssuer(service.bank), rng,
         n_accounts=N_ACCOUNTS, n_deposits=N_DEPOSITS,
         node_level=1, replay_fraction=REPLAY_FRACTION,
     )
@@ -99,8 +101,9 @@ def test_socket_soak_holds_every_invariant(soak_stack):
         for shard in service.bank.shards for aid in shard.accounts
     }
 
-    report = run_socket_trace(frontend.address, requests,
-                              pipeline_depth=64, timeout=3600.0)
+    gateway = SocketGateway(frontend.address, connections=1,
+                            pipeline_depth=64, timeout=3600.0)
+    report = run_trace(gateway, requests)
 
     # -- delivery: every request answered, nothing lost or shed --------
     assert report.submitted == len(requests)

@@ -28,6 +28,7 @@ from repro.crypto.cl_sig import cl_keygen
 from repro.ecash.dec import begin_withdrawal
 from repro.net.codec import encode
 from repro.service import (
+    BankIssuer,
     InlineBackend,
     Journal,
     MarketService,
@@ -51,7 +52,7 @@ def parity_workload(dec_params_toy):
     keypair = cl_keygen(params.backend, random.Random(0xA11CE))
     mint_bank = ShardedBank(params, keypair, random.Random(1), n_shards=1)
     deposits = mint_deposit_traffic(
-        MarketService(mint_bank),
+        BankIssuer(mint_bank),
         random.Random(2),
         n_accounts=3,
         n_deposits=N_DEPOSITS,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import pathlib
 import resource
 import sys
@@ -44,11 +45,12 @@ def _raise_fd_limit(need: int) -> None:
 
 
 def _percentile(samples: list[float], q: float) -> float:
+    """Nearest-rank quantile (the ceil(q*n)-th order statistic), the
+    rule ``repro.metrics.latency`` reports small samples by."""
     if not samples:
         return 0.0
     ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[index]
+    return ordered[max(math.ceil(q * len(ordered)), 1) - 1]
 
 
 async def _soak(args: argparse.Namespace) -> dict:

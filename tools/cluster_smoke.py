@@ -33,8 +33,9 @@ from repro.cluster.launcher import ProcessCluster  # noqa: E402
 from repro.crypto.cl_sig import cl_keygen  # noqa: E402
 from repro.ecash.dec import setup  # noqa: E402
 from repro.service.loadgen import (  # noqa: E402
-    mint_cluster_deposit_traffic,
-    run_cluster_trace,
+    WireIssuer,
+    mint_deposit_traffic,
+    run_trace,
 )
 from repro.testing import check_cluster_invariants  # noqa: E402
 
@@ -52,12 +53,12 @@ def run(rundir: str, seed: int) -> int:
                           for n in cluster.map.nodes))
         with cluster.router(attempts=2, backoff=0.01,
                             refresh_backoff=0.01) as router:
-            deposits = mint_cluster_deposit_traffic(
-                router, params, keypair.public, rng,
+            deposits = mint_deposit_traffic(
+                WireIssuer(router, params, keypair.public), rng,
                 n_accounts=4, n_deposits=12, replay_fraction=0.25,
             )
             phase1, phase2 = deposits[:6], deposits[6:]
-            report1 = run_cluster_trace(router, phase1)
+            report1 = run_trace(router, phase1)
             print(f"phase 1: {report1.ok} ok, {report1.rejected} rejected")
 
             victim = cluster.map.owner_of(phase2[0].payload["aid"])
@@ -67,7 +68,7 @@ def run(rundir: str, seed: int) -> int:
             print(f"{adopter} adopted {victim}'s slice; "
                   f"map version {cluster.map.version}")
 
-            report2 = run_cluster_trace(router, phase2)
+            report2 = run_trace(router, phase2)
             print(f"phase 2: {report2.ok} ok, {report2.rejected} rejected, "
                   f"{router.reroutes} re-route(s)")
 

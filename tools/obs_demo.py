@@ -34,7 +34,11 @@ from repro.service import (  # noqa: E402
     VerificationBatcher,
     ShardedBank,
 )
-from repro.service.loadgen import mint_deposit_traffic, run_trace  # noqa: E402
+from repro.service.loadgen import (  # noqa: E402
+    BankIssuer,
+    mint_deposit_traffic,
+    run_trace,
+)
 from repro.workloads.arrivals import poisson_arrivals  # noqa: E402
 
 
@@ -64,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"minting {args.deposits} deposits (plus 1-in-5 double-spend replays) ...")
     requests = mint_deposit_traffic(
-        service, random.Random(2),
+        BankIssuer(service.bank), random.Random(2),
         n_accounts=4, n_deposits=args.deposits, replay_fraction=0.2,
     )
     arrivals = poisson_arrivals(
