@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install dev test bench bench-json service-bench fastexp-bench batchverify-bench report examples lint-imports loc check-docs test-faults coverage obs-demo cluster-demo cluster-smoke campaign campaign-smoke clean
+.PHONY: install dev test bench bench-json service-bench fastexp-bench batchverify-bench bench-e2e report examples lint-imports loc check-docs test-faults coverage obs-demo cluster-demo cluster-smoke campaign campaign-smoke clean
 
 # Coverage floor enforced by `make coverage` and the CI coverage job.
 # Measured line coverage of src/repro under the full suite is ~96%;
@@ -38,6 +38,14 @@ fastexp-bench:
 # (untracked; BENCH_fastexp.json is not touched).
 batchverify-bench:
 	$(PYTHON) -m pytest benchmarks/bench_batchverify.py --benchmark-only --benchmark-json=BENCH_batchverify.json
+
+# The repo's benchmark (BENCHMARK.json): every workload of the default
+# stack over real sockets, every end-to-end metric by name and unit,
+# written to e2e.json (untracked).  The committed trajectory,
+# BENCH_e2e.json, is appended to by tools/bench_pairs.py (alternating
+# parent/change pairs).  See benchmarks/e2e/README.md.
+bench-e2e:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e run --seed 7 --out e2e.json
 
 lint-imports:
 	$(PYTHON) tools/lint_imports.py

@@ -45,17 +45,24 @@ Record kinds (see :mod:`repro.service.server` for who writes what)::
 
 A :class:`Checkpoint` pairs per-shard snapshot blobs with the journal
 position they reflect; recovery restores the blobs and replays only
-records after that position.  Since checkpoints gate compaction, a v2
+records after that position.  Since checkpoints gate compaction, a
 checkpoint also carries the request-lifecycle state (reply cache,
 in-flight accepts, eviction tombstones, sequence watermark) that
 recovery used to rebuild by scanning the — now partially deleted —
-log from lsn 0.
+log from lsn 0.  The reply cache and the tombstone set are FIFO, so
+they travel as :class:`Runs`: immutable sealed runs of
+:data:`RUN_ENTRIES` entries (stored once each, by content digest) plus
+a short unsealed tail — a checkpoint costs what changed since the last
+one, not what the cache holds.
 """
 
 from __future__ import annotations
 
 import os
+import time
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterator
 
 import repro.obs as obs
@@ -69,17 +76,24 @@ __all__ = [
     "SegmentedFileJournal",
     "JournalMaintenance",
     "Checkpoint",
+    "Run",
+    "Runs",
+    "RunLog",
     "DEFAULT_SEGMENT_RECORDS",
+    "RUN_ENTRIES",
 ]
 
-_CKPT_MAGIC = b"repro-service-checkpoint-v2"
+_CKPT_MAGIC = b"repro-service-checkpoint-v3"
 _SEGMENT_MAGIC = b"repro-journal-seg-v1\n"
-_MANIFEST_MAGIC = b"repro-ckpt-manifest-v1"
+_MANIFEST_MAGIC = b"repro-ckpt-manifest-v2"
 _FRAME_DIGEST_BYTES = 8
 _BLOB_NAME_HEX = 16
 
 #: Records per segment: segment ``k`` holds LSNs ``[k*N, (k+1)*N)``.
 DEFAULT_SEGMENT_RECORDS = 1024
+
+#: Entries per sealed run of the reply cache / tombstone set.
+RUN_ENTRIES = 256
 
 #: Record kinds the service/bank layers write.
 RECORD_KINDS = ("accept", "apply", "reply")
@@ -313,6 +327,11 @@ class Journal:
         """Hook for durable subclasses: delete the dropped segments' files."""
 
 
+def _blob_name(data: bytes) -> str:
+    """Content digest a blob file is named by (``blob-<this>.bin``)."""
+    return sha256(data).hex()[:_BLOB_NAME_HEX]
+
+
 def _frame(state: dict) -> bytes:
     """One wire frame: u32 body length, 8-byte digest prefix, codec body."""
     body = encode(state)
@@ -415,6 +434,7 @@ class SegmentedFileJournal(Journal):
         self.crash_hook = crash_hook
         self.torn_tail = False
         self.checkpoint_fallbacks = 0  # corrupt manifests skipped on load
+        self.checkpoint_bytes = 0  # blob + manifest bytes actually written
         self._fh = None
         self._fh_segment = -1
         os.makedirs(self.directory, exist_ok=True)
@@ -544,36 +564,51 @@ class SegmentedFileJournal(Journal):
         self._fh_segment = segment_id
 
     # -- checkpoints (incremental, copy-on-write) --------------------------
+    def _put_blob(self, data: bytes, step: str, digest: str | None = None) -> str:
+        """Store *data* under its content digest unless already there."""
+        digest = digest or _blob_name(data)
+        path = self._blob_path(digest)
+        if not os.path.exists(path):
+            self._step(step)
+            tmp = path + ".tmp"
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+            self.checkpoint_bytes += len(data)
+        return digest
+
     def write_checkpoint(self, checkpoint: "Checkpoint") -> str:
         """Durably persist *checkpoint*; returns the manifest path.
 
         Blob files are content-addressed and written only when absent,
-        so an unchanged shard between two checkpoints is free.  The
-        manifest is written to a ``.tmp`` sibling and published by
-        ``os.replace`` *after* every blob it references exists — the
-        newest manifest on disk therefore always validates, and a crash
-        at any step leaves the previous checkpoint untouched.
+        so an unchanged shard — and every sealed reply/tombstone run
+        already stored by an earlier checkpoint — is free.  What is not
+        sealed yet (the two tails and ``pending``) goes into one tail
+        blob, written only when non-empty, so the manifest itself names
+        digests and nothing else.  The manifest is written to a ``.tmp``
+        sibling and published by ``os.replace`` *after* every blob it
+        references exists — the newest manifest on disk therefore always
+        validates, and a crash at any step leaves the previous
+        checkpoint untouched.
         """
-        shards = []
-        for index, blob in enumerate(checkpoint.blobs):
-            digest = sha256(blob).hex()[:_BLOB_NAME_HEX]
-            path = self._blob_path(digest)
-            if not os.path.exists(path):
-                self._step(f"checkpoint:blob:{index}")
-                tmp = path + ".tmp"
-                with open(tmp, "wb") as fh:
-                    fh.write(blob)
-                os.replace(tmp, path)
-            shards.append(digest)
+        state: dict = {"lsn": checkpoint.lsn, "next_seq": checkpoint.next_seq}
+        state["shards"] = [
+            self._put_blob(blob, f"checkpoint:blob:{index}")
+            for index, blob in enumerate(checkpoint.blobs)
+        ]
+        tail = {"pending": list(checkpoint.pending)}
+        for name in ("replies", "evicted"):
+            runs: Runs = getattr(checkpoint, name)
+            state[name] = {"skip": runs.skip, "runs": [
+                self._put_blob(run.data, f"checkpoint:run:{run.digest}",
+                               run.digest)
+                for run in runs.sealed
+            ]}
+            tail[name] = list(runs.tail)
+        state["tail"] = (self._put_blob(encode(tail), "checkpoint:tail")
+                         if any(tail.values()) else "")
         self._step("checkpoint:manifest")
-        body = encode({
-            "lsn": checkpoint.lsn,
-            "next_seq": checkpoint.next_seq,
-            "shards": shards,
-            "replies": [list(entry) for entry in checkpoint.replies],
-            "pending": list(checkpoint.pending),
-            "evicted": list(checkpoint.evicted),
-        })
+        body = encode(state)
         manifest = _MANIFEST_MAGIC + sha256(_MANIFEST_MAGIC, body) + body
         path = self._manifest_path(checkpoint.lsn)
         tmp = path + ".tmp"
@@ -581,6 +616,7 @@ class SegmentedFileJournal(Journal):
             fh.write(manifest)
         self._step("checkpoint:publish")
         os.replace(tmp, path)
+        self.checkpoint_bytes += len(manifest)
         return path
 
     def _read_manifest(self, lsn: int) -> dict | None:
@@ -602,45 +638,56 @@ class SegmentedFileJournal(Journal):
             return None
         return state
 
+    @staticmethod
+    def _referenced(state: dict) -> list[str]:
+        """Every blob digest a manifest body names: shards, runs, tail."""
+        digests = (state["shards"] + state["replies"]["runs"]
+                   + state["evicted"]["runs"])
+        return digests + ([state["tail"]] if state["tail"] else [])
+
+    def _read_checkpoint(self, lsn: int) -> "Checkpoint | None":
+        """Manifest *lsn* and every blob it names, or ``None`` on any miss."""
+        state = self._read_manifest(lsn)
+        if state is None:
+            return None
+        blobs: dict[str, bytes] = {}
+        for digest in self._referenced(state):
+            try:
+                with open(self._blob_path(digest), "rb") as fh:
+                    blobs[digest] = fh.read()
+            except OSError:
+                return None
+            if _blob_name(blobs[digest]) != digest:
+                return None
+        tail = decode(blobs[state["tail"]]) if state["tail"] else {}
+        lifecycle = {
+            name: Runs(tuple(Run(blobs[d]) for d in state[name]["runs"]),
+                       state[name]["skip"], tuple(tail.get(name, ())))
+            for name in ("replies", "evicted")
+        }
+        return Checkpoint(
+            lsn=state["lsn"],
+            blobs=tuple(blobs[d] for d in state["shards"]),
+            pending=tuple(tail.get("pending", ())),
+            next_seq=state["next_seq"],
+            **lifecycle,
+        )
+
     def load_checkpoint(self) -> "Checkpoint | None":
         """The newest durable checkpoint that fully validates.
 
         A manifest is only usable when its own digest checks out *and*
-        every referenced blob file exists with matching content digest;
-        otherwise the next-older manifest is tried (counted in
-        :attr:`checkpoint_fallbacks`).  ``None`` when no checkpoint
-        survives — recovery then replays the whole retained log.
+        every blob it names — shard, sealed run or tail — exists with
+        matching content digest; otherwise the next-older manifest is
+        tried (counted in :attr:`checkpoint_fallbacks`).  ``None`` when
+        no checkpoint survives — recovery then replays the whole
+        retained log.
         """
         for lsn in reversed(self._manifest_lsns_on_disk()):
-            state = self._read_manifest(lsn)
-            if state is None:
-                self.checkpoint_fallbacks += 1
-                continue
-            blobs = []
-            for digest in state["shards"]:
-                try:
-                    with open(self._blob_path(digest), "rb") as fh:
-                        blob = fh.read()
-                except OSError:
-                    blobs = None
-                    break
-                if sha256(blob).hex()[:_BLOB_NAME_HEX] != digest:
-                    blobs = None
-                    break
-                blobs.append(blob)
-            if blobs is None:
-                self.checkpoint_fallbacks += 1
-                continue
-            return Checkpoint(
-                lsn=state["lsn"],
-                blobs=tuple(blobs),
-                replies=tuple(
-                    (rid, status, body) for rid, status, body in state["replies"]
-                ),
-                pending=tuple(state["pending"]),
-                evicted=tuple(state["evicted"]),
-                next_seq=state["next_seq"],
-            )
+            checkpoint = self._read_checkpoint(lsn)
+            if checkpoint is not None:
+                return checkpoint
+            self.checkpoint_fallbacks += 1
         return None
 
     # -- compaction --------------------------------------------------------
@@ -656,62 +703,57 @@ class SegmentedFileJournal(Journal):
         interruption leaves only *extra* files, which the next pass
         removes.  *retain_checkpoints* keeps that many of the newest
         valid manifests (at least 1 — compaction without a durable
-        checkpoint would strand the log).
+        checkpoint would strand the log).  A pass reads manifests
+        newest-first, each at most once, stopping at the last one it
+        keeps; it never opens a blob.
         """
         if retain_checkpoints < 1:
             raise JournalError("retain_checkpoints must be >= 1")
+        lsns = self._manifest_lsns_on_disk()
+        keep: dict[int, dict] = {}
+        for lsn in reversed(lsns):
+            if len(keep) == retain_checkpoints:
+                break
+            state = self._read_manifest(lsn)
+            if state is not None:
+                keep[lsn] = state
         if durable_lsn is None:
-            manifests = [
-                lsn for lsn in self._manifest_lsns_on_disk()
-                if self._read_manifest(lsn) is not None
-            ]
-            if not manifests:
+            if not keep:
                 return []
-            durable_lsn = manifests[-1]
+            durable_lsn = max(keep)
         dropped = super().compact(durable_lsn, retain_segments=retain_segments)
-        self._gc_checkpoints(retain_checkpoints)
+        self._gc_checkpoints(lsns, keep)
         return dropped
 
     def _drop_segments(self, segment_ids: list[int]) -> None:
         for segment_id in segment_ids:
             self._step(f"compact:segment:{segment_id}")
-            try:
-                os.unlink(self._segment_path(segment_id))
-            except OSError:
-                pass  # already gone (a previous interrupted pass)
+            self._unlink(self._segment_path(segment_id))
 
-    def _gc_checkpoints(self, retain_checkpoints: int) -> None:
-        lsns = self._manifest_lsns_on_disk()
-        valid = [lsn for lsn in lsns if self._read_manifest(lsn) is not None]
-        keep = set(valid[-retain_checkpoints:])
+    @staticmethod
+    def _unlink(path: str) -> None:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass  # already gone (a previous interrupted pass)
+
+    def _gc_checkpoints(self, lsns: list[int], keep: dict[int, dict]) -> None:
         referenced: set[str] = set()
-        for lsn in keep:
-            state = self._read_manifest(lsn)
-            if state is not None:
-                referenced.update(state["shards"])
+        for state in keep.values():
+            referenced.update(self._referenced(state))
         for lsn in lsns:
-            if lsn in keep:
-                continue
-            self._step(f"compact:manifest:{lsn}")
-            try:
-                os.unlink(self._manifest_path(lsn))
-            except OSError:
-                pass
+            if lsn not in keep:
+                self._step(f"compact:manifest:{lsn}")
+                self._unlink(self._manifest_path(lsn))
         for name in sorted(os.listdir(self.directory)):
             path = os.path.join(self.directory, name)
             if name.endswith(".tmp"):
                 self._step(f"compact:tmp:{name}")
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+                self._unlink(path)
             elif name.startswith("blob-") and name.endswith(".bin"):
                 if name[5:-4] not in referenced:
                     self._step(f"compact:blob:{name}")
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
+                    self._unlink(path)
 
 
 def _scan_header(data: bytes, path: str) -> tuple[dict, int, bool]:
@@ -742,9 +784,15 @@ class JournalMaintenance:
     a fresh :class:`Checkpoint` from *checkpoint_source* (the service's
     :meth:`~repro.service.server.MarketService.checkpoint`), persists
     it, and compacts the journal against it under the retention policy.
-    Snapshots are incremental (dirty shards only — see
-    :meth:`~repro.service.shard.ShardedBank.snapshot`), so the cut
-    never scales with total state, only with what changed.
+    The request-lifecycle half of the cut costs what changed: sealed
+    reply/tombstone runs are stored once, the manifest names digests
+    only, and compaction reads one small manifest.  The shard half does
+    not yet: :meth:`~repro.service.shard.ShardedBank.snapshot` skips
+    clean shards but re-encodes every account of a dirty one, so a cut
+    after traffic that touched every shard still scales with the books
+    (ROADMAP 1(a), sub-shard dirty tracking).  The dispatcher is stalled
+    for the whole of :meth:`run`; ``repro_journal_maintenance_seconds``
+    is that stall.
     """
 
     def __init__(self, journal: SegmentedFileJournal,
@@ -765,6 +813,14 @@ class JournalMaintenance:
             "repro_journal_checkpoints_total",
             "durable checkpoints cut by journal maintenance",
         )
+        self._m_checkpoint_bytes = registry.counter(
+            "repro_journal_checkpoint_bytes_total",
+            "blob and manifest bytes actually written by checkpoints",
+        )
+        self._m_seconds = registry.histogram(
+            "repro_journal_maintenance_seconds",
+            "wall time of one checkpoint + compaction pass (dispatcher stalled)",
+        )
         self._m_disk = registry.gauge(
             "repro_journal_disk_bytes",
             "bytes on disk under the journal directory",
@@ -784,11 +840,14 @@ class JournalMaintenance:
             return False
         if self.journal.last_lsn < 0:
             return False
+        started = time.perf_counter()
+        written = self.journal.checkpoint_bytes
         checkpoint = self.checkpoint_source()
         self.journal.write_checkpoint(checkpoint)
         self.last_checkpoint_lsn = checkpoint.lsn
         self.checkpoints_cut += 1
         self._m_checkpoints.inc()
+        self._m_checkpoint_bytes.inc(self.journal.checkpoint_bytes - written)
         dropped = self.journal.compact(
             checkpoint.lsn,
             retain_segments=self.retain_segments,
@@ -796,7 +855,84 @@ class JournalMaintenance:
         )
         self.segments_deleted += len(dropped)
         self._m_disk.set(self.journal.disk_usage())
+        self._m_seconds.observe(time.perf_counter() - started)
         return True
+
+
+@dataclass(frozen=True)
+class Run:
+    """A sealed run: the codec encoding of a list of FIFO entries."""
+
+    data: bytes
+
+    @cached_property
+    def digest(self) -> str:
+        """Blob name of the run; hashed once, on the first checkpoint."""
+        return _blob_name(self.data)
+
+
+@dataclass(frozen=True)
+class Runs:
+    """A FIFO as a checkpoint carries it, oldest entry first.
+
+    ``sealed`` are the runs still (partly) live, ``skip`` counts the
+    entries of ``sealed[0]`` already evicted from the front, ``tail``
+    holds the entries appended since the last seal.  Iterating yields
+    the live entries in order.
+    """
+
+    sealed: tuple[Run, ...] = ()
+    skip: int = 0
+    tail: tuple = ()
+
+    def __iter__(self) -> Iterator:
+        skip = self.skip
+        for run in self.sealed:
+            yield from decode(run.data)[skip:]
+            skip = 0
+        yield from self.tail
+
+    def to_state(self) -> dict:
+        return {"runs": [run.data for run in self.sealed], "skip": self.skip,
+                "tail": list(self.tail)}
+
+    @classmethod
+    def from_state(cls, state: dict) -> "Runs":
+        return cls(tuple(Run(data) for data in state["runs"]), state["skip"],
+                   tuple(state["tail"]))
+
+
+class RunLog:
+    """Sealing bookkeeping beside a FIFO the owner keeps for lookup.
+
+    :meth:`push` on every append at the back, :meth:`pop` on every
+    eviction from the front; each full run of :data:`RUN_ENTRIES`
+    entries is encoded once and never touched again, so :meth:`cut` is
+    O(runs + tail) however many entries are live.
+    """
+
+    def __init__(self) -> None:
+        self.sealed: deque[Run] = deque()
+        self.skip = 0
+        self.tail: deque = deque()
+
+    def push(self, entry: Any) -> None:
+        self.tail.append(entry)
+        if len(self.tail) >= RUN_ENTRIES:
+            self.sealed.append(Run(encode(list(self.tail))))
+            self.tail.clear()
+
+    def pop(self) -> None:
+        if not self.sealed:
+            self.tail.popleft()
+            return
+        self.skip += 1
+        if self.skip == RUN_ENTRIES:
+            self.sealed.popleft()
+            self.skip = 0
+
+    def cut(self) -> Runs:
+        return Runs(tuple(self.sealed), self.skip, tuple(self.tail))
 
 
 @dataclass(frozen=True)
@@ -809,32 +945,34 @@ class Checkpoint:
     a checkpoint also carries the request-lifecycle state those records
     used to prove:
 
-    * ``replies`` — the reply cache, ``(rid, status, body)`` triples in
-      completion order (oldest first, so eviction order survives);
+    * ``replies`` — the reply cache as :class:`Runs` of ``(rid, status,
+      body)`` triples in completion order (oldest first, so eviction
+      order survives);
     * ``pending`` — accepted-but-unanswered requests (each the journaled
       accept payload plus its ``rid``), re-enqueued on recovery;
-    * ``evicted`` — tombstone digests of rids whose cached replies were
-      evicted (see :meth:`MarketService.submit <repro.service.server
-      .MarketService.submit>`): a retry of one is answered with an
-      explicit error, never re-executed;
+    * ``evicted`` — :class:`Runs` of tombstone digests of rids whose
+      cached replies were evicted (see :meth:`MarketService.submit
+      <repro.service.server.MarketService.submit>`): a retry of one is
+      answered with an explicit error, never re-executed;
     * ``next_seq`` — the sequence-number watermark (auto-generated rids
       embed it; it must never rewind).
     """
 
     lsn: int
     blobs: tuple[bytes, ...]
-    replies: tuple = ()
+    replies: Runs = Runs()
     pending: tuple = ()
-    evicted: tuple = ()
+    evicted: Runs = Runs()
     next_seq: int = 0
 
     def to_bytes(self) -> bytes:
+        """The self-contained form the cluster ships (runs inline)."""
         body = encode({
             "lsn": self.lsn,
             "blobs": list(self.blobs),
-            "replies": [list(entry) for entry in self.replies],
+            "replies": self.replies.to_state(),
             "pending": list(self.pending),
-            "evicted": list(self.evicted),
+            "evicted": self.evicted.to_state(),
             "next_seq": self.next_seq,
         })
         return _CKPT_MAGIC + sha256(_CKPT_MAGIC, body) + body
@@ -854,11 +992,8 @@ class Checkpoint:
         return cls(
             lsn=state["lsn"],
             blobs=tuple(state["blobs"]),
-            replies=tuple(
-                (rid, status, body_)
-                for rid, status, body_ in state["replies"]
-            ),
+            replies=Runs.from_state(state["replies"]),
             pending=tuple(state["pending"]),
-            evicted=tuple(state["evicted"]),
+            evicted=Runs.from_state(state["evicted"]),
             next_seq=state["next_seq"],
         )

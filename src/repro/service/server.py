@@ -60,7 +60,7 @@ from repro.service.batcher import (
     WithdrawJob,
     WithdrawOutcome,
 )
-from repro.service.journal import Checkpoint, Journal, JournalRecord
+from repro.service.journal import Checkpoint, Journal, JournalRecord, RunLog
 from repro.service.shard import ShardedBank
 
 __all__ = ["MarketService", "Completion", "RequestFailure", "SERVICE"]
@@ -170,6 +170,10 @@ class MarketService:
         # tombstone digests of evicted rids (bounded FIFO set): a retry
         # of one is answered with an explicit ERROR, never re-executed
         self._evicted: OrderedDict[str, None] = OrderedDict()
+        # both are FIFO, so checkpoints carry them as sealed runs: the
+        # logs mirror every append and eviction of the two dicts above
+        self._reply_log = RunLog()
+        self._evicted_log = RunLog()
         #: rid -> accept state ({sender, kind, seq, payload}) for
         #: requests accepted but not yet replied; checkpoints carry
         #: these so in-flight work survives compaction of its records
@@ -315,17 +319,26 @@ class MarketService:
         after *both* bounds have rotated past its rid is treated as new.
         """
         self._replies[rid] = (status, body)
+        self._reply_log.push((rid, status, body))
         if self.reply_cache is None:
             return
         while len(self._replies) > self.reply_cache:
             evicted_rid, _verdict = self._replies.popitem(last=False)
-            self._evicted[self._tombstone(evicted_rid)] = None
+            self._reply_log.pop()
+            self._bury(self._tombstone(evicted_rid))
             self.reply_evictions += 1
             self._m_evictions.inc()
         bound = self.reply_cache * _TOMBSTONES_PER_REPLY
         while len(self._evicted) > bound:
             self._evicted.popitem(last=False)
+            self._evicted_log.pop()
         self._m_reply_cache.set(len(self._replies))
+
+    def _bury(self, digest: str) -> None:
+        """Add a tombstone (a digest already buried keeps its place)."""
+        if digest not in self._evicted:
+            self._evicted[digest] = None
+            self._evicted_log.push(digest)
 
     # -- accept ------------------------------------------------------------
     def submit(self, sender: str, kind: str, payload: Any, *, now: float = 0.0,
@@ -609,11 +622,12 @@ class MarketService:
         """Snapshot the books *and* the request-lifecycle state.
 
         The bank contributes the per-shard blobs (incremental — clean
-        shards reuse cached bytes); the service adds the reply cache,
-        the in-flight accepts, the eviction tombstones and the sequence
-        watermark.  A checkpoint carrying these is self-sufficient:
-        recovery no longer needs any journal record at or before
-        ``lsn``, which is exactly what licenses
+        shards reuse cached bytes); the service adds the reply cache
+        and the eviction tombstones (as sealed runs plus a short tail,
+        so the cut does not grow with either), the in-flight accepts
+        and the sequence watermark.  A checkpoint carrying these is
+        self-sufficient: recovery no longer needs any journal record at
+        or before ``lsn``, which is exactly what licenses
         :meth:`Journal.compact <repro.service.journal.Journal.compact>`
         to delete those records.
         """
@@ -621,14 +635,11 @@ class MarketService:
         return Checkpoint(
             lsn=base.lsn,
             blobs=base.blobs,
-            replies=tuple(
-                (rid, status, body)
-                for rid, (status, body) in self._replies.items()
-            ),
+            replies=self._reply_log.cut(),
             pending=tuple(
                 {"rid": rid, **state} for rid, state in self._accepted.items()
             ),
-            evicted=tuple(self._evicted),
+            evicted=self._evicted_log.cut(),
             next_seq=self._next_seq,
         )
 
@@ -714,7 +725,7 @@ class MarketService:
             # keeping eviction order right), then layer the retained tail
             if checkpoint is not None:
                 for digest in checkpoint.evicted:
-                    service._evicted[digest] = None
+                    service._bury(digest)
                 for rid, status, body in checkpoint.replies:
                     service._remember_reply(rid, status, body)
             for rid, record in replies.items():

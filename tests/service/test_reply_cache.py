@@ -18,7 +18,8 @@ import random
 
 import pytest
 
-from repro.service import Journal, MarketService, ShardedBank
+import repro.service.journal as journal_mod
+from repro.service import Checkpoint, Journal, MarketService, ShardedBank
 
 
 def _service(dec_params_toy, *, reply_cache, journal=None):
@@ -193,3 +194,53 @@ class TestRecovery:
         recovered.drain()
         assert "flood:0" not in recovered._replies
         assert "flood:1" in recovered._replies
+
+    def test_sealed_runs_round_trip_the_shipped_form(self, dec_params_toy,
+                                                     monkeypatch):
+        """Runs + skip + tail survive ``to_bytes`` and rebuild the same cache."""
+        monkeypatch.setattr(journal_mod, "RUN_ENTRIES", 4)
+        journal = Journal()
+        service = _service(dec_params_toy, reply_cache=6, journal=journal)
+        _flood(service, 17)
+        checkpoint = service.checkpoint()
+        # 11 evicted: two whole reply runs gone, three entries into the
+        # third; tombstones sealed two runs and hold a tail of three
+        assert len(checkpoint.replies.sealed) == 2
+        assert checkpoint.replies.skip == 3 and len(checkpoint.replies.tail) == 1
+        assert len(checkpoint.evicted.sealed) == 2
+        assert [rid for rid, _s, _b in checkpoint.replies] \
+            == list(service._replies)
+        assert list(checkpoint.evicted) == list(service._evicted)
+        shipped = Checkpoint.from_bytes(checkpoint.to_bytes())
+        assert shipped == checkpoint
+        recovered = MarketService.recover(
+            service.bank.params, service.bank.keypair, journal,
+            checkpoint=shipped, n_shards=3, reply_cache=6,
+        )
+        assert dict(recovered._replies) == dict(service._replies)
+        assert list(recovered._replies) == list(service._replies)
+        # the checkpoint's tombstones come first, in order (replaying the
+        # uncompacted log's old reply records buries a few rids more, as
+        # it always did)
+        buried = list(recovered._evicted)
+        assert buried[:len(service._evicted)] == list(service._evicted)
+        # the rebuilt logs describe the rebuilt cache, entry for entry
+        again = recovered.checkpoint()
+        assert list(again.replies) == list(checkpoint.replies)
+        assert list(again.evicted) == buried
+        recovered.submit("ops", "open-account", {"aid": "flood0", "balance": 0},
+                         rid="flood:0")
+        reply = _last_reply(recovered, "ops")
+        assert reply["status"] == "ERROR" and "reply evicted" in reply["error"]
+        assert recovered.tombstone_hits == 1
+        assert _apply_count(journal, "flood:0") == 1
+
+    def test_tombstone_bound_rotates_sealed_runs_out(self, dec_params_toy,
+                                                     monkeypatch):
+        monkeypatch.setattr(journal_mod, "RUN_ENTRIES", 2)
+        service = _service(dec_params_toy, reply_cache=1)
+        _flood(service, 12)  # 11 evictions through a tombstone bound of 4
+        checkpoint = service.checkpoint()
+        assert list(checkpoint.evicted) == list(service._evicted)
+        assert len(service._evicted) == 4
+        assert [rid for rid, _s, _b in checkpoint.replies] == ["flood:11"]

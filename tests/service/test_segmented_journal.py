@@ -19,19 +19,26 @@ specifies byte-for-byte:
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 
 import pytest
 
+import repro.obs as obs
+import repro.service.journal as journal_mod
+from repro.crypto.hashing import sha256
+from repro.net.codec import encode
 from repro.service import (
     Checkpoint,
     Journal,
     JournalError,
     JournalMaintenance,
+    MarketService,
     SegmentedFileJournal,
     ShardedBank,
 )
+from repro.service.journal import Run, Runs
 
 
 def _fill(journal: Journal, n: int, *, start: int = 0) -> None:
@@ -196,10 +203,10 @@ class TestCheckpoints:
         _fill(journal, 5)
         checkpoint = Checkpoint(
             lsn=4, blobs=(b"shard0", b"shard1"),
-            replies=(("r1", "OK", {"balance": 3}),),
+            replies=Runs(tail=(("r1", "OK", {"balance": 3}),)),
             pending=({"rid": "r2", "sender": "s", "kind": "deposit",
                       "seq": 9, "payload": {"aid": "a"}},),
-            evicted=("aa" * 8,),
+            evicted=Runs(tail=("aa" * 8,)),
             next_seq=10,
         )
         journal.write_checkpoint(checkpoint)
@@ -262,6 +269,81 @@ class TestCheckpoints:
         assert names == [f"blob-{sha256(b'v2').hex()[:16]}.bin",
                          "ckpt-0000000000000011.mf"]
         assert journal.disk_usage() < before
+        journal.close()
+
+    def _sealed_checkpoint(self, lsn, blob, rids):
+        """A checkpoint whose reply cache holds one sealed run + a tail."""
+        run = Run(encode([(rid, "OK", {"balance": 1}) for rid in rids]))
+        return run, Checkpoint(
+            lsn=lsn, blobs=(blob,),
+            replies=Runs(sealed=(run,), skip=1, tail=(("late", "OK", {}),)),
+            evicted=Runs(tail=("bb" * 8,)), next_seq=lsn + 1,
+        )
+
+    def test_sealed_runs_are_stored_once_by_digest(self, tmp_path):
+        store = tmp_path / "wal"
+        journal = SegmentedFileJournal(store, segment_records=4)
+        _fill(journal, 8)
+        run, first = self._sealed_checkpoint(3, b"s", ["a", "b", "c"])
+        journal.write_checkpoint(first)
+        assert (store / f"blob-{run.digest}.bin").read_bytes() == run.data
+        loaded = journal.load_checkpoint()
+        assert loaded == first
+        assert [rid for rid, _s, _b in loaded.replies] == ["b", "c", "late"]
+        # the same run under a later checkpoint costs no new run blob:
+        # only the manifest is new (shard and tail blobs are unchanged)
+        written = journal.checkpoint_bytes
+        before = set(os.listdir(store))
+        _run, second = self._sealed_checkpoint(7, b"s", ["a", "b", "c"])
+        journal.write_checkpoint(second)
+        assert set(os.listdir(store)) - before == {"ckpt-0000000000000007.mf"}
+        assert journal.checkpoint_bytes - written == os.path.getsize(
+            store / "ckpt-0000000000000007.mf")
+        journal.close()
+
+    @pytest.mark.parametrize("damage", ["missing", "bit-flip"])
+    def test_damaged_run_or_tail_blob_falls_back(self, tmp_path, damage):
+        for which in ("run", "tail"):
+            store = tmp_path / f"wal-{which}"
+            journal = SegmentedFileJournal(store, segment_records=4)
+            _fill(journal, 8)
+            journal.write_checkpoint(Checkpoint(lsn=3, blobs=(b"old",)))
+            before = set(os.listdir(store))
+            run, newest = self._sealed_checkpoint(7, b"old", ["a", "b"])
+            journal.write_checkpoint(newest)
+            if which == "run":
+                victim = store / f"blob-{run.digest}.bin"
+            else:
+                (victim,) = [store / n for n in set(os.listdir(store)) - before
+                             if n.startswith("blob-")
+                             and n != f"blob-{run.digest}.bin"]
+            if damage == "missing":
+                os.unlink(victim)
+            else:
+                data = bytearray(victim.read_bytes())
+                data[len(data) // 2] ^= 0x01
+                victim.write_bytes(bytes(data))
+            loaded = journal.load_checkpoint()
+            assert loaded is not None and loaded.lsn == 3, which
+            assert journal.checkpoint_fallbacks == 1, which
+            journal.close()
+
+    def test_gc_keeps_every_blob_the_retained_manifest_names(self, tmp_path):
+        store = tmp_path / "wal"
+        journal = SegmentedFileJournal(store, segment_records=4)
+        _fill(journal, 12)
+        _old_run, old = self._sealed_checkpoint(3, b"v1", ["x", "y"])
+        journal.write_checkpoint(old)
+        run, newest = self._sealed_checkpoint(11, b"v2", ["a", "b", "c"])
+        journal.write_checkpoint(newest)
+        journal.compact(retain_segments=0, retain_checkpoints=1)
+        names = set(os.listdir(store))
+        # shard blob + run blob + tail blob + manifest, nothing older
+        assert len(names) == 4
+        assert {f"blob-{sha256(b'v2').hex()[:16]}.bin",
+                f"blob-{run.digest}.bin",
+                "ckpt-0000000000000011.mf"} < names
+        assert journal.load_checkpoint() == newest
         journal.close()
 
 
@@ -348,3 +430,117 @@ class TestMaintenanceAndRecovery:
         assert [dict(s.accounts) for s in clone.shards] == [
             dict(s.accounts) for s in bank.shards
         ]
+
+
+# -- what a checkpoint costs ----------------------------------------------
+
+class TestCheckpointCost:
+    """Counts, not timings: a cut costs what changed since the last one."""
+
+    def _service(self, dec_params_toy, directory, telemetry=None):
+        journal = SegmentedFileJournal(directory, telemetry=telemetry)
+        bank = ShardedBank.create(dec_params_toy, random.Random(7),
+                                  n_shards=4, journal=journal)
+        bank.open_account("taken", 1)
+        service = MarketService(bank, journal=journal, rng=random.Random(8),
+                                telemetry=telemetry)
+        return journal, service, JournalMaintenance(journal,
+                                                    service.checkpoint)
+
+    @staticmethod
+    def _complete(service, start, n):
+        """*n* journaled completions that leave the books untouched."""
+        for i in range(start, start + n):
+            service.submit("ops", "open-account",
+                           {"aid": "taken", "balance": 1}, rid=f"dup:{i:05d}")
+        service.drain()
+
+    def _bytes_written_by_next_checkpoint(self, dec_params_toy, directory,
+                                          cached):
+        journal, service, maintenance = self._service(dec_params_toy,
+                                                      directory)
+        self._complete(service, 0, cached)
+        assert maintenance.run(force=True)
+        before = set(os.listdir(directory))
+        counted = journal.checkpoint_bytes
+        self._complete(service, cached, 100)
+        assert maintenance.run(force=True)
+        assert len(service._replies) == cached + 100
+        new = {n for n in set(os.listdir(directory)) - before
+               if n.startswith(("blob-", "ckpt-"))}
+        written = sum(os.path.getsize(os.path.join(directory, n))
+                      for n in new)
+        assert journal.checkpoint_bytes - counted == written
+        manifest = max(n for n in new if n.endswith(".mf"))
+        manifest_bytes = os.path.getsize(os.path.join(directory, manifest))
+        journal.close()
+        return written, manifest_bytes
+
+    def test_checkpoint_bytes_do_not_grow_with_the_reply_cache(
+            self, tmp_path, dec_params_toy):
+        small, small_mf = self._bytes_written_by_next_checkpoint(
+            dec_params_toy, tmp_path / "1k", 1000)
+        large, large_mf = self._bytes_written_by_next_checkpoint(
+            dec_params_toy, tmp_path / "8k", 8000)
+        entry = len(encode(("dup:00000", "ERROR",
+                            {"error": "account 'taken' already exists"})))
+        one_run = journal_mod.RUN_ENTRIES * entry
+        # the same 100 completions cost the same bytes whatever is cached
+        # (at the parent the 8k manifest alone was ~8x the 1k one)
+        assert abs(large - small) <= one_run
+        assert max(small, large) <= 3 * one_run
+        # a manifest names digests only: O(shards + runs), 17 bytes a run
+        assert large_mf - small_mf <= 20 * (7000 // journal_mod.RUN_ENTRIES + 1)
+        assert large_mf < 2048
+
+    def test_each_manifest_is_read_at_most_once_per_pass(self, tmp_path,
+                                                         dec_params_toy,
+                                                         monkeypatch):
+        journal, service, maintenance = self._service(dec_params_toy,
+                                                      tmp_path / "wal")
+        maintenance.retain_checkpoints = 2
+        reads: list[int] = []
+        real = journal._read_manifest
+        monkeypatch.setattr(journal, "_read_manifest",
+                            lambda lsn: (reads.append(lsn), real(lsn))[1])
+        for cycle in range(4):
+            self._complete(service, cycle * 300, 300)
+            reads.clear()
+            assert maintenance.run(force=True)
+            assert len(reads) == len(set(reads)), reads
+            assert len(reads) <= 2
+        # the standalone entry point (no durable_lsn given) too
+        reads.clear()
+        journal.compact(retain_checkpoints=2)
+        assert len(reads) == len(set(reads)) and len(reads) <= 2
+        journal.close()
+
+    def test_maintenance_publishes_its_stall_and_its_bytes(self, tmp_path,
+                                                           dec_params_toy):
+        journal, service, maintenance = self._service(
+            dec_params_toy, tmp_path / "wal", obs.Telemetry.enabled())
+        registry = journal.obs.registry
+        seconds = registry.histogram("repro_journal_maintenance_seconds")
+        written = registry.counter("repro_journal_checkpoint_bytes_total")
+        runs_before, bytes_before = seconds.count, written.value
+        self._complete(service, 0, 10)
+        assert maintenance.run() is False  # not due: nothing observed
+        assert seconds.count == runs_before
+        assert maintenance.run(force=True)
+        assert seconds.count == runs_before + 1
+        assert written.value - bytes_before == journal.checkpoint_bytes > 0
+        journal.close()
+        # both names are registered in tools/telemetry_schema.json: the
+        # export passes the CI checker, and the wrong kind would not
+        spec = importlib.util.spec_from_file_location(
+            "check_telemetry", os.path.join(os.path.dirname(__file__), "..",
+                                            "..", "tools", "check_telemetry.py"))
+        checker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checker)
+        snapshot = registry.snapshot()
+        assert checker.check_metrics(snapshot) == []
+        snapshot["gauges"].append(
+            {"name": "repro_journal_checkpoint_bytes_total", "labels": {},
+             "value": 1})
+        assert any("registered under counters" in finding
+                   for finding in checker.check_metrics(snapshot))

@@ -19,6 +19,11 @@ checkpoint-GC.  The method:
    stream — nothing a maintenance-path crash can do is allowed to
    change state, and a second maintenance pass after recovery must
    converge (no strays, store still loads).
+
+The run length is patched down to 2 and the reply cache to 3, so the
+five deposits seal reply and tombstone runs, evict past a run boundary
+and leave a tail: the sweep crashes at every ``checkpoint:run:*`` and
+``checkpoint:tail`` step as well.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import random
 
 import pytest
 
+import repro.service.journal as journal_mod
 from repro.service import (
     Journal,
     JournalMaintenance,
@@ -41,6 +47,14 @@ from repro.testing import check_recovery_invariants
 from repro.testing.faults import CrashPoint, StorageCrasher
 
 SEGMENT_RECORDS = 4
+REPLY_CACHE = 3
+
+
+@pytest.fixture(scope="module", autouse=True)
+def short_runs():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(journal_mod, "RUN_ENTRIES", 2)
+        yield
 
 
 def _run_workload(kit, directory, crasher, holder) -> tuple:
@@ -67,7 +81,7 @@ def _run_workload(kit, directory, crasher, holder) -> tuple:
         bank, journal=journal,
         batcher=VerificationBatcher(kit.params, kit.keypair, max_batch=4,
                                     seed=7, warm_tables=False),
-        rng=random.Random(2),
+        rng=random.Random(2), reply_cache=REPLY_CACHE,
     )
     for i, request in enumerate(kit.requests[:3]):
         service.submit(request.aid, "deposit",
@@ -108,8 +122,23 @@ def _recover_from_disk(kit, directory) -> tuple:
         kit.params, kit.keypair, journal, checkpoint=checkpoint, n_shards=3,
         batcher=VerificationBatcher(kit.params, kit.keypair, max_batch=4,
                                     seed=7, warm_tables=False),
+        reply_cache=REPLY_CACHE,
     )
     return journal, checkpoint, service
+
+
+def _assert_verdicts_survive(service, full_records, context):
+    """Every journaled verdict is still cached, or tombstoned — never lost."""
+    for state in full_records:
+        if state["kind"] != "reply":
+            continue
+        cached = service.reply_for(state["rid"])
+        if cached is None:
+            assert service._tombstone(state["rid"]) in service._evicted, \
+                f"{context}: verdict of {state['rid']} lost"
+        else:
+            assert cached == (state["payload"]["status"],
+                              state["payload"]["body"]), context
 
 
 def _shadow_books(kit, full_records):
@@ -124,13 +153,18 @@ def _shadow_books(kit, full_records):
 
 
 @pytest.fixture(scope="module")
-def reference(deposit_kit, tmp_path_factory):
+def reference(deposit_kit, tmp_path_factory, short_runs):
     """The crash-free run: step labels, books, full record stream."""
     recorder = StorageCrasher()
     directory = tmp_path_factory.mktemp("storage-ref")
     holder: dict = {}
     journal, service = _run_workload(deposit_kit, directory, recorder, holder)
     books = _books(service.bank)
+    # the workload really exercises sealing and eviction across a run
+    # boundary: one whole reply run is gone, the next is partly live
+    final = service.checkpoint()
+    assert service.reply_evictions == 2 and len(final.replies.sealed) == 1
+    assert final.replies.tail and final.evicted.sealed
     journal.close()
     assert recorder.steps, "maintenance must expose crash steps"
     return recorder.steps, books, holder["records"]
@@ -142,6 +176,9 @@ def test_the_sweep_covers_checkpoint_and_compaction_steps(reference):
     assert families == {"checkpoint", "compact"}
     # both maintenance halves expose interior steps, not just one point
     assert any(label.startswith("checkpoint:blob:") for label in steps)
+    # reply runs from both cycles, a tombstone run, and a tail each cycle
+    assert sum(label.startswith("checkpoint:run:") for label in steps) >= 3
+    assert steps.count("checkpoint:tail") == 2
     assert "checkpoint:manifest" in steps
     assert "checkpoint:publish" in steps
     assert any(label.startswith("compact:segment:") for label in steps)
@@ -171,6 +208,7 @@ def test_crash_at_every_storage_step_recovers_equivalently(
         report = check_recovery_invariants(recovered.bank, journal,
                                            checkpoint=checkpoint)
         assert report.clean, f"{context}: {report.findings}"
+        _assert_verdicts_survive(recovered, holder["records"], context)
         # maintenance converges after the interrupted cycle: strays are
         # collected, the store still loads, and state is unchanged
         maintenance = JournalMaintenance(journal, recovered.checkpoint,
@@ -187,8 +225,10 @@ def test_crash_at_every_storage_step_recovers_equivalently(
             batcher=VerificationBatcher(deposit_kit.params,
                                         deposit_kit.keypair, max_batch=4,
                                         seed=7, warm_tables=False),
+            reply_cache=REPLY_CACHE,
         )
         assert _books(service2.bank) == expected, context
+        _assert_verdicts_survive(service2, holder["records"], context)
         reopened.close()
 
 

@@ -12,7 +12,8 @@ snapshot) without any third-party dependency.
 Beyond the schema, a handful of semantic invariants are enforced:
 traces are non-empty, complete events have non-negative ``ts``/
 ``dur``, histogram ``counts`` sum to ``count`` and carry one overflow
-slot more than ``buckets``.
+slot more than ``buckets``, and a metric the schema's ``instruments``
+table registers by name is exported as the registered kind.
 
 Exit status is non-zero on any finding; findings are printed one per
 line as ``<file> <json-path>: <problem>``.
@@ -80,6 +81,13 @@ def check_trace(events) -> list[str]:
 def check_metrics(snapshot) -> list[str]:
     findings = validate(snapshot, _SCHEMA["metrics"], "$")
     if isinstance(snapshot, dict):
+        for kind in ("counters", "gauges", "histograms"):
+            for i, entry in enumerate(snapshot.get(kind, [])):
+                name = entry.get("name") if isinstance(entry, dict) else None
+                registered = _SCHEMA["instruments"].get(name, kind)
+                if registered != kind:
+                    findings.append(f"$.{kind}[{i}]: {name} is registered "
+                                    f"under {registered}")
         for i, entry in enumerate(snapshot.get("histograms", [])):
             if not isinstance(entry, dict):
                 continue
