@@ -81,7 +81,7 @@ def main() -> None:
           f"{report.ok} / {report.rejected} / {report.errors}")
     print(f"  SLO (p95 <= 500 ms, >= 20 req/s): "
           f"{'MET' if report.slo_met else '; '.join(report.slo_findings)}")
-    for failure in service.failures[:2]:
+    for failure in list(service.failures)[:2]:
         print(f"  e.g. {failure.sender}#{failure.seq}: {failure.error}")
 
     # ---- phase 2: overload spike -----------------------------------------

@@ -92,8 +92,7 @@ class ClusterNode:
         bank = ShardedBank(params, keypair, random.Random(seed),
                            n_shards=n_shards, journal=self.journal,
                            telemetry=self.telemetry)
-        self.service = MarketService(bank, name=f"MA-{node_id}",
-                                     journal=self.journal,
+        self.service = MarketService(bank, journal=self.journal,
                                      telemetry=self.telemetry)
         self.frontend = ServiceFrontend(self.service, host=host, port=port,
                                         telemetry=self.telemetry).start()
@@ -136,7 +135,7 @@ class ClusterNode:
                                       segment_records=self.segment_records)
         self.shipper.bind_checkpoints(self.service.checkpoint)
         self.journal.add_observer(self.shipper.on_record)
-        self.frontend.after_batch = self._after_batch
+        self.frontend.add_after_batch(self._after_batch)
 
     def _after_batch(self) -> None:
         if self.shipper is None:
@@ -204,8 +203,7 @@ class ClusterNode:
         journal = journal_from_records(slot.records)
         service = MarketService.recover(
             self.params, self.keypair, journal, checkpoint=ckpt,
-            n_shards=self.n_shards, name=f"MA-{dead}",
-            telemetry=self.telemetry,
+            n_shards=self.n_shards, telemetry=self.telemetry,
         )
         frontend = ServiceFrontend(service, host=self.host, port=0,
                                    telemetry=self.telemetry).start()

@@ -47,7 +47,7 @@ from repro.service.loadgen import (
     mint_deposit_traffic,
     run_trace,
 )
-from repro.service.server import Completion, MarketService, RequestFailure, SERVICE
+from repro.service.server import Completion, MarketService, RequestFailure
 from repro.service.shard import ShardedBank, account_shard, serial_shard
 from repro.service.workers import (
     InlineBackend,
@@ -78,7 +78,6 @@ __all__ = [
     "MarketService",
     "Completion",
     "RequestFailure",
-    "SERVICE",
     "LoadReport",
     "Request",
     "BankIssuer",

@@ -34,8 +34,9 @@ Threading model — **one dispatcher owns the service**:
   this;
 * a single dispatcher thread (:class:`DispatchCore`) drains the queue
   in arrival order, submits a batch of requests to the
-  (single-threaded) ``MarketService``, steps it, and routes reply
-  envelopes back to the owning connection by service sequence number.
+  (single-threaded) ``MarketService``, steps it, and routes the
+  replies it delivers back to the owning connection by service
+  sequence number.
   Submitting the whole backlog before stepping is what lets requests
   from *different connections* share one verification batch — the
   cross-core win of the worker pool survives the wire.
@@ -129,17 +130,16 @@ class DispatchCore:
         self._reply_box: list[dict] = []
         self._thread: threading.Thread | None = None
         self.served = 0
-        #: called on the dispatcher thread after each dispatched batch,
-        #: while the service is quiescent — the one safe place for
-        #: periodic maintenance that must own the service (checkpoint
-        #: shipping in :mod:`repro.cluster.replicate` hangs off this)
-        self.after_batch: Callable[[], None] | None = None
+        # run on the dispatcher thread after each dispatched batch,
+        # while the service is quiescent — the one safe place for
+        # periodic maintenance that must own the service
+        self._after_batch: list[Callable[[], None]] = []
         self._m_frames = telemetry.registry.counter(
             "repro_frontend_frames_total", "request frames accepted"
         )
         # the dispatcher is the only thread that touches the service;
         # this observer therefore only fires on the dispatcher thread
-        service.transport.add_observer(self._capture_reply)
+        service.add_reply_observer(self._capture_reply)
 
     @property
     def backlog(self) -> int:
@@ -168,32 +168,24 @@ class DispatchCore:
         self._thread = None
 
     def add_after_batch(self, fn: Callable[[], None]) -> None:
-        """Chain *fn* onto the after-batch maintenance hook.
+        """Run *fn* after every dispatched batch, service quiescent.
 
         Multiple maintenance tasks (checkpoint shipping, journal
         checkpoint + compaction via :class:`~repro.service.journal
-        .JournalMaintenance`) can share the quiescent point; they run
-        on the dispatcher thread in registration order.
+        .JournalMaintenance`) share the quiescent point; they run on
+        the dispatcher thread in registration order.
         """
-        current = self.after_batch
-        if current is None:
-            self.after_batch = fn
-            return
-
-        def chained() -> None:
-            current()
-            fn()
-
-        self.after_batch = chained
+        self._after_batch.append(fn)
 
     # -- the dispatcher ----------------------------------------------------
     def enqueue(self, conn: Any, request: Any) -> None:
         """Hand one parsed request frame to the dispatcher (any thread)."""
         self._work.put(("request", conn, request))
 
-    def _capture_reply(self, envelope) -> None:
-        if envelope.kind == "reply" and envelope.sender == self.service.name:
-            self._reply_box.append(envelope.payload)
+    def _capture_reply(self, sender: str, reply: dict) -> None:
+        # boxed, not routed: BUSY and cached verdicts are delivered from
+        # inside submit(), before the request's seq has a route
+        self._reply_box.append(reply)
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -220,11 +212,11 @@ class DispatchCore:
         for _tag, conn, request in batch:
             self._submit_one(conn, request)
         # flush + apply until every accepted request has answered;
-        # replies route back by seq as the observer captures them
+        # the observer boxes the replies, routed back by seq below
         self.service.drain()
         self._flush_replies()
-        if self.after_batch is not None:
-            self.after_batch()
+        for hook in self._after_batch:
+            hook()
 
     def _submit_one(self, conn: Any, request: Any) -> None:
         if not isinstance(request, dict) or not isinstance(request.get("kind"), str):
@@ -475,14 +467,6 @@ class ServiceFrontend:
     @property
     def served(self) -> int:
         return self.core.served
-
-    @property
-    def after_batch(self) -> Callable[[], None] | None:
-        return self.core.after_batch
-
-    @after_batch.setter
-    def after_batch(self, fn: Callable[[], None] | None) -> None:
-        self.core.after_batch = fn
 
     def add_after_batch(self, fn: Callable[[], None]) -> None:
         """Chain *fn* onto the after-batch maintenance hook."""

@@ -32,11 +32,10 @@ class InProcessGateway:
     def __init__(self, service: MarketService) -> None:
         self.service = service
         self._captured: dict[int, dict] = {}  # seq -> verdict
-        service.transport.add_observer(self._observe)
+        service.add_reply_observer(self._observe)
 
-    def _observe(self, envelope) -> None:
-        if envelope.kind == "reply" and envelope.sender == self.service.name:
-            self._captured[envelope.payload.get("req")] = strip_envelope(envelope.payload)
+    def _observe(self, sender: str, reply: dict) -> None:
+        self._captured[reply["req"]] = strip_envelope(reply)
 
     def request(self, kind: str, payload: Any, *, sender: str,
                 rid: str | None = None, now: float = 0.0) -> dict:

@@ -1,16 +1,14 @@
 """The market-administrator bank service: accept → admit → batch → apply.
 
 :class:`MarketService` is the serving layer in front of the sharded
-bank.  It speaks the same envelope discipline as
-:class:`repro.core.engine.Router` — every request crosses the
-accounted :class:`~repro.net.transport.Transport` codec, and a bad
-request poisons only itself (recorded as a failure, explicit ``ERROR``
-reply, the loop keeps running) — but replaces the router's
-deliver-one-message-at-a-time inner loop with a pipelined one:
+bank.  A bad request poisons only itself (recorded as a failure,
+explicit ``ERROR`` reply, the loop keeps running), as under
+:class:`repro.core.engine.Router`, but the router's
+deliver-one-message-at-a-time inner loop is replaced by a pipelined one:
 
-1. **accept** — :meth:`submit` decodes the envelope and runs admission
-   control; shed requests get an immediate ``BUSY`` reply and never
-   consume crypto budget;
+1. **accept** — :meth:`submit` answers retries from the reply cache and
+   runs admission control; shed requests get an immediate ``BUSY``
+   reply and never consume crypto budget;
 2. **admit** — accepted requests join a per-sender FIFO; cheap
    operations (account opening, balance queries, audits) execute at
    apply time, crypto operations (deposit verification, blind
@@ -35,6 +33,10 @@ Request kinds and payloads (all dicts over the codec)::
 Reply statuses: ``OK``, ``BUSY`` (shed by admission), ``ERROR``
 (malformed, unknown account, underfunded, invalid token), ``REJECTED``
 (double spend — carries the evidence triple).
+
+Replies are *delivered*, exactly once each, to the observers of
+:meth:`MarketService.add_reply_observer` (the front door, the
+in-process gateway, the fault harness); the service holds no network.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from repro.crypto.cl_sig import BlindIssuanceRequest
 from repro.ecash.dec import DoubleSpendError
 from repro.ecash.spend import SpendToken
 from repro.crypto.hashing import sha256
-from repro.net.transport import Transport
 from repro.service.admission import AdmissionController
 from repro.service.batcher import (
     DepositJob,
@@ -63,12 +64,9 @@ from repro.service.batcher import (
 from repro.service.journal import Checkpoint, Journal, JournalRecord, RunLog
 from repro.service.shard import ShardedBank
 
-__all__ = ["MarketService", "Completion", "RequestFailure", "SERVICE"]
-
-SERVICE = "MA-service"
+__all__ = ["MarketService", "Completion", "RequestFailure"]
 
 _CRYPTO_KINDS = ("deposit", "withdraw")
-_CHEAP_KINDS = ("open-account", "balance", "audit")
 #: kinds that mutate bank state — exactly these are journaled
 _MUTATING_KINDS = ("open-account", "deposit", "withdraw")
 
@@ -78,6 +76,10 @@ DEFAULT_REPLY_CACHE = 65536
 #: evicted-rid tombstones kept per cached reply (the tombstone set is
 #: bounded at ``reply_cache * _TOMBSTONES_PER_REPLY``)
 _TOMBSTONES_PER_REPLY = 4
+
+#: bound of :attr:`MarketService.failures` (most recent kept): a client
+#: replaying bad tokens must not own the server's memory
+_FAILURES_KEPT = 1024
 
 
 @dataclass(frozen=True)
@@ -124,19 +126,15 @@ class MarketService:
         self,
         bank: ShardedBank,
         *,
-        transport: Transport | None = None,
         batcher: VerificationBatcher | None = None,
         admission: AdmissionController | None = None,
         rng: random.Random | None = None,
-        name: str = SERVICE,
         clock: Callable[[], float] = time.perf_counter,
         journal: Journal | None = None,
         reply_cache: int | None = DEFAULT_REPLY_CACHE,
         telemetry: "obs.Telemetry | None" = None,
     ) -> None:
         self.bank = bank
-        self.name = name
-        self.transport = transport if transport is not None else Transport()
         # explicit None checks: an idle VerificationBatcher is falsy
         # (it has __len__), so ``batcher or default`` would silently
         # discard a caller-configured batcher
@@ -155,12 +153,13 @@ class MarketService:
         self.journal = bank.journal
         self._bind_obs(telemetry)
         self._next_seq = 0
+        # live senders only, in first-seen order: a sender's key is
+        # dropped when its queue empties
         self._queues: dict[str, deque[_Pending]] = {}
         # maintained alongside the queues so :attr:`queue_depth` is an
         # O(1) read that other threads (the async front door's event
         # loop) can sample without iterating a dict being mutated
         self._depth = 0
-        self._sender_order: list[str] = []
         self._in_flight: dict[int, _Pending] = {}
         # rid -> cached reply, completion-ordered so eviction is FIFO
         if reply_cache is not None and reply_cache < 1:
@@ -178,13 +177,14 @@ class MarketService:
         #: requests accepted but not yet replied; checkpoints carry
         #: these so in-flight work survives compaction of its records
         self._accepted: dict[str, dict] = {}
-        self.failures: list[RequestFailure] = []
+        self.failures: deque[RequestFailure] = deque(maxlen=_FAILURES_KEPT)
         self.completions = 0
         self.shed = 0
         self.dedup_hits = 0
         self.reply_evictions = 0
         self.tombstone_hits = 0
         self._observers: list[Callable[[Completion], None]] = []
+        self._reply_observers: list[Callable[[str, dict], None]] = []
 
     # -- instrumentation ---------------------------------------------------
     def _bind_obs(self, telemetry: "obs.Telemetry | None") -> None:
@@ -274,6 +274,22 @@ class MarketService:
         for fn in self._observers:
             fn(completion)
 
+    def add_reply_observer(self, fn: Callable[[str, dict], None]) -> None:
+        """Register ``fn(sender, reply)`` to receive every answer.
+
+        *reply* is ``{"req": seq, "status": ..., **body}``, a fresh dict
+        per delivery (its values are the cached verdict's: read-only).
+        Called synchronously, once per answer — verdict, ``BUSY``,
+        cached re-send, tombstone ``ERROR`` — after the ``reply`` record
+        is journaled and cached, so an observer that raises loses the
+        delivery, never the verdict.
+        """
+        self._reply_observers.append(fn)
+
+    def _deliver(self, sender: str, reply: dict) -> None:
+        for fn in self._reply_observers:
+            fn(sender, reply)
+
     @property
     def queue_depth(self) -> int:
         """Accepted-but-unapplied requests (the backpressure signal).
@@ -343,12 +359,13 @@ class MarketService:
     # -- accept ------------------------------------------------------------
     def submit(self, sender: str, kind: str, payload: Any, *, now: float = 0.0,
                rid: str | None = None) -> int:
-        """Accept one request envelope; returns its sequence number.
+        """Accept one request; returns its sequence number.
 
-        The payload crosses the transport codec exactly as under the
-        router, so byte accounting covers requests, and smuggled state
-        fails loudly.  Admission runs only for crypto kinds — cheap
-        queries never starve behind a full bucket.
+        *payload* is taken as given — from the front door it is the
+        decoded wire copy; the journal encodes its own durable copy, so
+        a recovered request never aliases a caller's object.  Admission
+        runs only for crypto kinds — cheap queries never starve behind
+        a full bucket.
 
         *rid* is the client's stable request id, the key of the
         exactly-once layer over at-least-once delivery: a duplicate of
@@ -358,6 +375,9 @@ class MarketService:
         unique id is derived — plain submissions keep one-shot
         semantics.
         """
+        if not isinstance(sender, str):
+            # queues are keyed by sender: refuse before any state exists
+            raise TypeError("sender must be a string")
         seq = self._next_seq
         self._next_seq += 1
         if rid is None:
@@ -370,14 +390,12 @@ class MarketService:
         self._m_requests.inc()
         with tracer.span("submit", trace=tid, kind=kind, seq=seq,
                          sender=sender) as span:
-            delivered = self.transport.send(sender, self.name, kind, payload)
             if rid in self._replies:
                 self.dedup_hits += 1
                 self._m_dedup.inc()
                 span.set(dedup=True)
                 status, body = self._replies[rid]
-                self.transport.send(self.name, sender, "reply",
-                                    {"req": seq, "status": status, **body})
+                self._deliver(sender, {"req": seq, "status": status, **body})
                 return seq
             if self._evicted and self._tombstone(rid) in self._evicted:
                 # the request completed long ago and its cached verdict
@@ -388,12 +406,10 @@ class MarketService:
                 self._m_dedup.inc()
                 self._m_tombstone_hits.inc()
                 span.set(dedup=True, evicted=True)
-                self.transport.send(
-                    self.name, sender, "reply",
-                    {"req": seq, "status": "ERROR",
-                     "error": "reply evicted: request already completed; "
-                              "original verdict no longer cached"},
-                )
+                self._deliver(sender, {
+                    "req": seq, "status": "ERROR",
+                    "error": "reply evicted: request already completed; "
+                             "original verdict no longer cached"})
                 return seq
             if rid in self._accepted:
                 self.dedup_hits += 1
@@ -413,31 +429,33 @@ class MarketService:
             if kind in _MUTATING_KINDS:
                 # write-ahead: the accepted request survives a crash, so an
                 # in-flight deposit is re-verified after recovery, not lost
+                state = {"sender": sender, "kind": kind, "seq": seq,
+                         "payload": payload}
                 if self.journal is not None:
-                    self.journal.append(
-                        "accept", rid, kind,
-                        {"sender": sender, "kind": kind, "seq": seq,
-                         "payload": delivered},
-                    )
-                self._accepted[rid] = {"sender": sender, "kind": kind,
-                                       "seq": seq, "payload": delivered}
-            pending = _Pending(seq=seq, sender=sender, kind=kind,
-                               payload=delivered, submitted_at=self._clock(),
-                               rid=rid, trace=tid or "")
-            if sender not in self._queues:
-                self._queues[sender] = deque()
-                self._sender_order.append(sender)
-            self._queues[sender].append(pending)
-            self._depth += 1
-            if kind in _CRYPTO_KINDS:
-                try:
-                    self._enqueue_crypto(pending)
-                except ProtocolError as exc:
-                    # malformed before it ever reaches the pool: fail it now
-                    self._queues[sender].remove(pending)
-                    self._depth -= 1
-                    self._fail(pending, "ERROR", str(exc))
+                    self.journal.append("accept", rid, kind, state)
+                self._accepted[rid] = state
+            self._enqueue(_Pending(seq=seq, sender=sender, kind=kind,
+                                   payload=payload, submitted_at=self._clock(),
+                                   rid=rid, trace=tid or ""))
             return seq
+
+    def _enqueue(self, pending: _Pending) -> None:
+        """Queue *pending* behind its sender; crypto kinds join the batcher."""
+        queue = self._queues.get(pending.sender)
+        if queue is None:
+            queue = self._queues[pending.sender] = deque()
+        queue.append(pending)
+        self._depth += 1
+        if pending.kind in _CRYPTO_KINDS:
+            try:
+                self._enqueue_crypto(pending)
+            except ProtocolError as exc:
+                # malformed before it ever reaches the pool: fail it now
+                queue.pop()
+                if not queue:
+                    del self._queues[pending.sender]
+                self._depth -= 1
+                self._fail(pending, "ERROR", str(exc))
 
     def _enqueue_crypto(self, pending: _Pending) -> None:
         payload = pending.payload
@@ -501,13 +519,15 @@ class MarketService:
     def _apply_ready(self) -> int:
         """Apply every queue head whose result is ready (FIFO per sender)."""
         completed = 0
-        for sender in self._sender_order:
-            queue = self._queues.get(sender)
+        for sender in list(self._queues):
+            queue = self._queues[sender]
             while queue and queue[0].ready:
                 pending = queue.popleft()
                 self._depth -= 1
                 self._apply_one(pending)
                 completed += 1
+            if not queue:
+                del self._queues[sender]
         return completed
 
     def _apply_one(self, pending: _Pending) -> None:
@@ -598,7 +618,7 @@ class MarketService:
         latency = 0.0 if submitted_at is None else self._clock() - submitted_at
         with self.obs.tracer.span("reply", status=status, kind=kind, seq=seq):
             if rid and kind in _MUTATING_KINDS and status != "BUSY":
-                # journal before sending: a crash during the send leaves
+                # journal before delivering: a crash during delivery leaves
                 # the verdict recoverable, so the client's retry gets the
                 # same answer instead of a re-execution
                 if self.journal is not None:
@@ -606,8 +626,7 @@ class MarketService:
                                         {"status": status, "body": body})
                 self._remember_reply(rid, status, body)
                 self._accepted.pop(rid, None)
-            self.transport.send(self.name, sender, "reply",
-                                {"req": seq, "status": status, **body})
+            self._deliver(sender, {"req": seq, "status": status, **body})
         counter = self._m_replies.get(status)
         if counter is not None:
             counter.inc()
@@ -653,10 +672,8 @@ class MarketService:
         checkpoint: Checkpoint | None = None,
         n_shards: int = 4,
         rng: random.Random | None = None,
-        transport: Transport | None = None,
         batcher: VerificationBatcher | None = None,
         admission: AdmissionController | None = None,
-        name: str = SERVICE,
         clock: Callable[[], float] = time.perf_counter,
         reply_cache: int | None = DEFAULT_REPLY_CACHE,
         telemetry: "obs.Telemetry | None" = None,
@@ -703,9 +720,8 @@ class MarketService:
                 batcher = VerificationBatcher(
                     params, keypair, tables=tables, telemetry=telemetry
                 )
-            service = cls(bank, transport=transport, batcher=batcher,
-                          admission=admission, rng=rng, name=name,
-                          clock=clock, reply_cache=reply_cache,
+            service = cls(bank, batcher=batcher, admission=admission,
+                          rng=rng, clock=clock, reply_cache=reply_cache,
                           telemetry=telemetry)
             accepts: dict[str, JournalRecord] = {}
             applies: dict[str, JournalRecord] = {}
@@ -779,23 +795,10 @@ class MarketService:
         sender, kind = state["sender"], state["kind"]
         seq = self._next_seq
         self._next_seq += 1
-        tracer = self.obs.tracer
-        pending = _Pending(seq=seq, sender=sender, kind=kind,
-                           payload=state["payload"],
-                           submitted_at=self._clock(), rid=rid,
-                           trace=obs.trace_id(rid)
-                           if tracer.enabled else "")
         self._accepted[rid] = {"sender": sender, "kind": kind,
                                "seq": seq, "payload": state["payload"]}
-        if sender not in self._queues:
-            self._queues[sender] = deque()
-            self._sender_order.append(sender)
-        self._queues[sender].append(pending)
-        self._depth += 1
-        if kind in _CRYPTO_KINDS:
-            try:
-                self._enqueue_crypto(pending)
-            except ProtocolError as exc:
-                self._queues[sender].remove(pending)
-                self._depth -= 1
-                self._fail(pending, "ERROR", str(exc))
+        self._enqueue(_Pending(seq=seq, sender=sender, kind=kind,
+                               payload=state["payload"],
+                               submitted_at=self._clock(), rid=rid,
+                               trace=obs.trace_id(rid)
+                               if self.obs.tracer.enabled else ""))

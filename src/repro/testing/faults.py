@@ -16,12 +16,13 @@ Two layers of injection:
   loop is synchronous, so "arrives three requests later" is the
   faithful simulation of "arrives 300 ms later".
 * **Crash points** (:class:`FaultyTransport` + :class:`FaultClock`)
-  kill the service at scripted *envelope* indices.  Every request and
-  every reply crosses the transport, so a crash point can land between
-  accepting a request and applying it, or mid-way through applying a
-  flushed batch — exactly the windows the write-ahead journal must
-  cover.  The clock is shared across service incarnations, so crash
-  points keep firing after recoveries.
+  kill the service at scripted *envelope* indices.  The scenario sends
+  every request through the transport on its way into ``submit`` and
+  every delivered reply through it on the way out, so a crash point
+  can land between accepting a request and applying it, or mid-way
+  through applying a flushed batch — exactly the windows the
+  write-ahead journal must cover.  The clock is shared across service
+  incarnations, so crash points keep firing after recoveries.
 * **Storage crash steps** (:class:`StorageCrasher`) kill the process
   *inside* the segmented journal's checkpoint and compaction sequences
   (:class:`~repro.service.journal.SegmentedFileJournal` calls its

@@ -278,8 +278,16 @@ def run_deposit_scenario(
     result = ScenarioResult(name="ppms-dec", plan=plan)
     journal = Journal(telemetry=telemetry)
     clock = FaultClock(plan.crash_points)
+    # the network under fault wraps the service boundary: each request
+    # crosses it on the way in, each delivered reply on the way out
+    net = FaultyTransport(clock)
     checkpoint: Checkpoint | None = None
     findings: list[str] = []
+
+    def on_network(incarnation: MarketService) -> MarketService:
+        incarnation.add_reply_observer(
+            lambda sender, reply: net.send("MA", sender, "reply", reply))
+        return incarnation
 
     def fresh_batcher() -> VerificationBatcher:
         return VerificationBatcher(
@@ -299,26 +307,24 @@ def run_deposit_scenario(
         bank.open_account(aid, balance)
         for _ in range(coins):
             bank.apply_withdrawal(aid)
-    service = MarketService(
+    service = on_network(MarketService(
         bank,
-        transport=FaultyTransport(clock),
         batcher=fresh_batcher(),
         rng=random.Random(2),
         telemetry=telemetry,
-    )
+    ))
 
     def recover() -> MarketService:
         result.recoveries += 1
-        recovered = MarketService.recover(
+        recovered = on_network(MarketService.recover(
             kit.params,
             kit.keypair,
             journal,
             checkpoint=checkpoint,
             n_shards=n_shards,
-            transport=FaultyTransport(clock),
             batcher=fresh_batcher(),
             telemetry=telemetry,
-        )
+        ))
         sweep = check_recovery_invariants(recovered.bank, journal)
         findings.extend(
             f"after recovery {result.recoveries}: {f}" for f in sweep.findings
@@ -333,12 +339,11 @@ def run_deposit_scenario(
             result.duplicates += 1
         while True:  # the client retries through crashes, same rid
             try:
-                service.submit(
-                    request.aid,
-                    "deposit",
+                payload = net.send(
+                    request.aid, "MA", "deposit",
                     {"aid": request.aid, "token": kit.tokens[request.token_index]},
-                    rid=request.rid,
                 )
+                service.submit(request.aid, "deposit", payload, rid=request.rid)
                 service.step()
                 break
             except CrashPoint:

@@ -46,7 +46,7 @@ def test_cluster_replies_byte_identical_to_single_node(
     journal = Journal()
     bank = ShardedBank(dec_params_toy, cluster_keypair, random.Random(0),
                        n_shards=4, journal=journal)
-    service = MarketService(bank, name="MA-single", journal=journal)
+    service = MarketService(bank, journal=journal)
     with ServiceFrontend(service) as frontend:
         with ServiceClient(frontend.address) as client:
             single = [_stripped(client.request(r.kind, r.payload,

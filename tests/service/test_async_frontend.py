@@ -131,7 +131,7 @@ class TestBackpressure:
             stalled.set()
             gate.wait(timeout=60)
 
-        front.after_batch = stall
+        front.add_after_batch(stall)
         yield front, gate, stalled
         gate.set()
         front.close()
@@ -195,7 +195,8 @@ class TestBackpressure:
         front = ServiceFrontend(service, window=64).start()
         gate = threading.Event()
         stalled_ev = threading.Event()
-        front.after_batch = lambda: (stalled_ev.set(), gate.wait(timeout=60))
+        front.add_after_batch(
+            lambda: (stalled_ev.set(), gate.wait(timeout=60)))
         try:
             starter = ServiceClient(front.address, timeout=30.0)
             assert starter.request("audit", {})["status"] == "OK"

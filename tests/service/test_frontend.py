@@ -180,7 +180,7 @@ class TestFrontendRejections:
         front = ServiceFrontend(service).start()
         gate = threading.Event()
         parked = threading.Event()
-        front.after_batch = lambda: (parked.set(), gate.wait(timeout=60))
+        front.add_after_batch(lambda: (parked.set(), gate.wait(timeout=60)))
         try:
             with ServiceClient(front.address, timeout=30.0) as starter, \
                     ServiceClient(front.address, timeout=30.0) as filler, \

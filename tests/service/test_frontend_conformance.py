@@ -100,11 +100,8 @@ class _InProcess:
     def __init__(self, service: MarketService) -> None:
         self.service = service
         self._replies: list[dict] = []
-        service.transport.add_observer(self._capture)
-
-    def _capture(self, envelope) -> None:
-        if envelope.kind == "reply" and envelope.sender == self.service.name:
-            self._replies.append(envelope.payload)
+        service.add_reply_observer(
+            lambda sender, reply: self._replies.append(reply))
 
     def request(self, kind, payload, *, sender, rid=None) -> dict:
         self.service.submit(sender, kind, payload, now=0.0, rid=rid)

@@ -26,14 +26,21 @@ def _service(dec_params_toy, *, reply_cache, journal=None):
     journal = journal if journal is not None else Journal()
     bank = ShardedBank.create(dec_params_toy, random.Random(3), n_shards=3,
                               journal=journal)
-    return MarketService(bank, journal=journal, reply_cache=reply_cache,
-                         rng=random.Random(4))
+    return _watched(MarketService(bank, journal=journal,
+                                  reply_cache=reply_cache,
+                                  rng=random.Random(4)))
+
+
+def _watched(service):
+    """Keep every delivered reply where :func:`_last_reply` finds it."""
+    service.delivered = []
+    service.add_reply_observer(
+        lambda sender, reply: service.delivered.append((sender, reply)))
+    return service
 
 
 def _last_reply(service, sender):
-    envelope = [e for e in service.transport.log
-                if e.receiver == sender and e.kind == "reply"][-1]
-    return envelope.payload
+    return [reply for to, reply in service.delivered if to == sender][-1]
 
 
 def _apply_count(journal, rid):
@@ -141,10 +148,10 @@ class TestRecovery:
         service.drain()
         _flood(service, 5)
         checkpoint = service.checkpoint()
-        recovered = MarketService.recover(
+        recovered = _watched(MarketService.recover(
             service.bank.params, service.bank.keypair, journal,
             checkpoint=checkpoint, n_shards=3, reply_cache=2,
-        )
+        ))
         recovered.submit("alice", "open-account", {"aid": "a", "balance": 9},
                          rid="victim")
         recovered.drain()
@@ -166,10 +173,10 @@ class TestRecovery:
         checkpoint = service.checkpoint()
         journal.compact(checkpoint.lsn, retain_segments=0)
         assert journal.first_lsn > 0  # victim's records really deleted
-        recovered = MarketService.recover(
+        recovered = _watched(MarketService.recover(
             service.bank.params, service.bank.keypair, journal,
             checkpoint=checkpoint, n_shards=3, reply_cache=2,
-        )
+        ))
         recovered.submit("alice", "open-account", {"aid": "a", "balance": 9},
                          rid="victim")
         recovered.drain()
@@ -213,10 +220,10 @@ class TestRecovery:
         assert list(checkpoint.evicted) == list(service._evicted)
         shipped = Checkpoint.from_bytes(checkpoint.to_bytes())
         assert shipped == checkpoint
-        recovered = MarketService.recover(
+        recovered = _watched(MarketService.recover(
             service.bank.params, service.bank.keypair, journal,
             checkpoint=shipped, n_shards=3, reply_cache=6,
-        )
+        ))
         assert dict(recovered._replies) == dict(service._replies)
         assert list(recovered._replies) == list(service._replies)
         # the checkpoint's tombstones come first, in order (replaying the

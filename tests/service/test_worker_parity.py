@@ -95,16 +95,17 @@ def _run(workload, backend_factory, *, fastexp_on: bool) -> dict:
         service = MarketService(bank, batcher=batcher, rng=random.Random(13),
                                 journal=journal, telemetry=telemetry)
         reply_bytes: list[bytes] = []
-        service.transport.add_observer(
-            lambda e: reply_bytes.append(encode(e.payload))
-            if e.kind == "reply" else None
-        )
+        service.add_reply_observer(
+            lambda sender, reply: reply_bytes.append(encode(reply)))
         for i, request in enumerate(requests):
             service.submit(request.sender, request.kind, request.payload,
                            rid=f"{request.sender}:parity:{i}")
             service.step()
         service.drain()
         backend.close()
+        # ``failures`` keeps the most recent ones only; the comparison
+        # below reads it whole, so the trace must stay under the bound
+        assert len(service.failures) < service.failures.maxlen
 
         counters = {
             (m["name"], tuple(sorted(m["labels"].items()))): m["value"]

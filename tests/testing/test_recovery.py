@@ -19,7 +19,6 @@ import os
 import random
 
 from repro.ecash.dec import begin_withdrawal
-from repro.net.transport import Transport
 from repro.service import (
     Journal,
     MarketService,
@@ -56,9 +55,7 @@ def _fresh_service(kit, journal=None) -> MarketService:
     batcher = VerificationBatcher(
         kit.params, kit.keypair, max_batch=4, seed=7, warm_tables=False
     )
-    return MarketService(
-        bank, transport=Transport(), batcher=batcher, rng=random.Random(2)
-    )
+    return MarketService(bank, batcher=batcher, rng=random.Random(2))
 
 
 def _recovered(kit, journal, *, checkpoint=None) -> MarketService:
@@ -68,7 +65,6 @@ def _recovered(kit, journal, *, checkpoint=None) -> MarketService:
         journal,
         checkpoint=checkpoint,
         n_shards=3,
-        transport=Transport(),
         batcher=VerificationBatcher(
             kit.params, kit.keypair, max_batch=4, seed=7, warm_tables=False
         ),

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Import hygiene linter for ``src/repro`` (the ``make lint-imports`` rule).
 
-Two checks, both over *top-level* imports only (imports inside function
+Three checks, all over *top-level* imports only (imports inside function
 bodies are deliberately lazy and exempt — that is the sanctioned way to
 break a genuine layering knot, e.g. the codec registry):
 
@@ -12,6 +12,10 @@ break a genuine layering knot, e.g. the codec registry):
    packages listed for it in :data:`ALLOWED` — the codified
    architecture of ``docs/architecture.md``.  Adding a new dependency
    edge is a deliberate act: extend the table in the same change.
+3. **Forbidden edges.**  Single modules a package may not import even
+   though the package table allows the edge (:data:`FORBIDDEN`); a
+   name re-exported by a package ``__init__`` counts as an import of
+   the module that defines it.
 
 Exit status is non-zero when any finding is produced, so CI can gate
 on it.  No third-party dependencies; stdlib ``ast`` only.
@@ -71,6 +75,16 @@ MODULE_ALLOWED: dict[str, set[str]] = {
 }
 
 
+#: package -> modules it may not import, the package table notwithstanding
+FORBIDDEN: dict[str, set[str]] = {
+    # the simulated fabric (codec pass + byte meter + envelope log)
+    # stays on the simulation side — core, sim, testing, attacks; the
+    # real server and the cluster deliver replies, they keep no network
+    "service": {"repro.net.transport"},
+    "cluster": {"repro.net.transport"},
+}
+
+
 def _module_name(path: pathlib.Path) -> str:
     parts = list(path.relative_to(SRC).with_suffix("").parts)
     if parts[-1] == "__init__":
@@ -96,18 +110,36 @@ def _package_of(module: str) -> str:
 
 def build_graph() -> tuple[dict[str, pathlib.Path], dict[str, set[str]]]:
     modules = {_module_name(p): p for p in (SRC / "repro").rglob("*.py")}
-    graph: dict[str, set[str]] = {m: set() for m in modules}
+    imports = {
+        module: list(_top_level_imports(
+            ast.parse(path.read_text(), filename=str(path))))
+        for module, path in modules.items()
+    }
+    # package -> {re-exported name: the module its __init__ took it from}
+    reexports: dict[str, dict[str, str]] = {}
     for module, path in modules.items():
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in _top_level_imports(tree):
+        if path.name != "__init__.py":
+            continue
+        for node in imports[module]:
+            if isinstance(node, ast.ImportFrom) and node.module in modules:
+                for alias in node.names:
+                    reexports.setdefault(module, {})[
+                        alias.asname or alias.name] = node.module
+    graph: dict[str, set[str]] = {m: set() for m in modules}
+    for module in modules:
+        for node in imports[module]:
             targets: list[str] = []
             if isinstance(node, ast.Import):
                 targets = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-                # `from repro.x import y` may target module repro.x.y
-                targets = [node.module] + [
-                    f"{node.module}.{alias.name}" for alias in node.names
-                ]
+                # `from repro.x import y` may target module repro.x.y,
+                # or the module repro.x re-exports y from
+                targets = [node.module]
+                for alias in node.names:
+                    targets.append(f"{node.module}.{alias.name}")
+                    origin = reexports.get(node.module, {}).get(alias.name)
+                    if origin is not None:
+                        targets.append(origin)
             for target in targets:
                 if target in modules and target != module:
                     graph[module].add(target)
@@ -181,12 +213,24 @@ def find_layering_violations(graph: dict[str, set[str]]) -> list[str]:
     return findings
 
 
+def find_forbidden_edges(graph: dict[str, set[str]]) -> list[str]:
+    findings = []
+    for module, targets in sorted(graph.items()):
+        package = _package_of(module)
+        for target in sorted(targets & FORBIDDEN.get(package, set())):
+            findings.append(
+                f"{module}: imports {target} (forbidden for package {package})"
+            )
+    return findings
+
+
 def main() -> int:
     modules, graph = build_graph()
     findings: list[str] = []
     for cycle in find_cycles(graph):
         findings.append("import cycle: " + " -> ".join(cycle))
     findings.extend(find_layering_violations(graph))
+    findings.extend(find_forbidden_edges(graph))
     if findings:
         print(f"lint-imports: {len(findings)} finding(s)")
         for finding in findings:
