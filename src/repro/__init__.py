@@ -29,19 +29,6 @@ See ``examples/`` for complete scenarios and ``DESIGN.md`` for the
 system inventory and the paper-experiment index.
 """
 
-from repro import (
-    attacks,
-    core,
-    crypto,
-    ecash,
-    metrics,
-    net,
-    obs,
-    service,
-    sim,
-    workloads,
-)
-
 __version__ = "1.0.0"
 
 __all__ = [

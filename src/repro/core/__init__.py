@@ -7,7 +7,7 @@
 * :mod:`~repro.core.cashbreak` — unitary / PCBA / EPCBA break
   algorithms (Algorithms 2–3).
 * :mod:`~repro.core.market` — shared substrate (bulletin board, job
-  profiles, data reports).
+  profiles, data reports, the MA's payment-for-data escrow).
 """
 
 from repro.core.cashbreak import (
@@ -33,7 +33,7 @@ from repro.core.pbs_ledger import (
     restore_pbs_bank,
     snapshot_pbs_bank,
 )
-from repro.core.market import BulletinBoard, DataReport, JobProfile
+from repro.core.market import BulletinBoard, DataReport, JobProfile, MarketDesk
 from repro.core.optimal_break import improvement_over_epcba, optimal_break
 from repro.core.pbs_machine import JOMachine, MAMachine, SPMachine, run_machine_market
 from repro.core.trading import RedemptionDesk, RedemptionVoucher, trade_sensing_service
@@ -68,6 +68,7 @@ __all__ = [
     "BulletinBoard",
     "JobProfile",
     "DataReport",
+    "MarketDesk",
     "Router",
     "Party",
     "Outbound",

@@ -15,10 +15,12 @@ to envelopes, with the full step order of Algorithm 1 —
        MA -> JO   data-delivery {job, data}
     7. SP -> MA   deposit {aid, coin}                (per coin)
 
-State machines enforce the order: an SP rejects a payment before it
-registered, the MA refuses deposits of malformed coins, the JO refuses
-labor registrations for jobs it never published.  All coins are
-cash-broken and fake-padded exactly as in the session implementation.
+Every party is its :mod:`~repro.core.ppms_dec` actor plus
+:class:`~repro.core.engine.Party`: the actor owns each protocol step
+(and tallies it for Table I), the machine adds addressing, message
+order and :class:`~repro.core.engine.ProtocolError` on anything forged
+or out of order — an SP rejects a payment before it registered, the MA
+refuses deposits of malformed coins or into someone else's account.
 """
 
 from __future__ import annotations
@@ -27,21 +29,14 @@ import random
 from enum import Enum, auto
 from typing import Any
 
-from repro.core.cashbreak import BREAK_FN_BY_NAME
 from repro.core.engine import Outbound, Party, ProtocolError, Router
-from repro.core.market import BulletinBoard, JobProfile, new_job_id
-from repro.crypto import rsa
-from repro.ecash.dec import (
-    Coin,
-    DECBank,
-    DoubleSpendError,
-    begin_withdrawal,
-    finish_withdrawal,
-)
-from repro.ecash.fake import pad_payment
-from repro.ecash.spend import DECParams, SpendToken, create_spend, verify_spend
-from repro.ecash.wallet import InsufficientFunds, Wallet
-from repro.net.codec import decode, encode
+from repro.core.market import DataReport
+from repro.core.ppms_dec import JobOwnerDec, MarketAdministratorDec, SensingParticipantDec
+from repro.crypto.rsa import RSAPublicKey
+from repro.ecash.dec import DoubleSpendError
+from repro.ecash.spend import DECParams, SpendToken
+from repro.ecash.wallet import InsufficientFunds
+from repro.metrics.opcount import OpCounter
 
 __all__ = ["MADecMachine", "JODecMachine", "SPDecMachine", "run_dec_machine_market"]
 
@@ -55,25 +50,18 @@ def sp_party_name(pseudonym: bytes) -> str:
 
 class SPDecState(Enum):
     INIT = auto()
-    REGISTERED = auto()
     DATA_SENT = auto()
     PAID = auto()
 
 
-class MADecMachine(Party):
+class MADecMachine(MarketAdministratorDec, Party):
     """MA for the message-driven PPMSdec market."""
 
     def __init__(self, params: DECParams, rng: random.Random) -> None:
-        super().__init__(MA)
-        self.params = params
-        self.rng = rng
-        self.bank = DECBank.create(params, rng)
-        self.board = BulletinBoard()
+        MarketAdministratorDec.__init__(self, params, rng, OpCounter())
+        Party.__init__(self, MA)
         self.jo_for_job: dict[str, str] = {}
         self.account_of: dict[str, str] = {}  # party name -> bank account id
-        self._pending_payments: dict[bytes, bytes] = {}
-        self._held_reports: dict[bytes, dict] = {}
-        self.clock = 0.0
 
     def register_resident(self, party_name: str, aid: str, funds: int) -> None:
         """Authenticated account opening (driver-level, like enrolment)."""
@@ -82,13 +70,9 @@ class MADecMachine(Party):
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
         if kind == "job-registration":
-            profile = JobProfile(
-                job_id=new_job_id(),
-                description=payload["jd"],
-                payment=payload["w"],
-                owner_pseudonym=bytes(payload["rpk_fingerprint"]),
+            profile = self.publish_job(
+                payload["jd"], payload["w"], bytes(payload["rpk_fingerprint"])
             )
-            self.board.publish(profile)
             self.jo_for_job[profile.job_id] = sender
             return [Outbound(sender, "job-published", {"job": profile.job_id})]
         if kind == "withdraw-request":
@@ -96,7 +80,7 @@ class MADecMachine(Party):
             if aid is None:
                 raise ProtocolError("withdrawal from unenrolled resident")
             try:
-                signature = self.bank.issue(aid, payload["request"])
+                signature = self.handle_withdrawal(aid, payload["request"])
             except ValueError as exc:
                 raise ProtocolError(str(exc)) from exc
             return [Outbound(sender, "withdraw-response", {"signature": signature})]
@@ -107,21 +91,24 @@ class MADecMachine(Party):
             return [Outbound(jo, "labor-forward",
                              {"job": payload["job"], "rpk": payload["rpk"]})]
         if kind == "payment-submission":
-            self._pending_payments[bytes(payload["pseudonym"])] = payload["ciphertext"]
-            return self._maybe_deliver(bytes(payload["pseudonym"]))
+            pseud = bytes(payload["pseudonym"])
+            self.accept_payment(pseud, payload["ciphertext"])
+            return self._maybe_deliver(pseud)
         if kind == "data-submission":
             pseud = bytes(payload["pseudonym"])
-            self._held_reports[pseud] = {"job": payload["job"], "data": payload["data"]}
+            self.accept_data(DataReport(job_id=payload["job"], submitter_pseudonym=pseud,
+                                        payload=payload["data"]))
             return self._maybe_deliver(pseud)
         if kind == "payment-confirm":
-            pseud = bytes(payload["pseudonym"])
-            report = self._held_reports.pop(pseud, None)
-            if report is None:
-                raise ProtocolError("confirmation without a held report")
-            jo = self.jo_for_job.get(report["job"])
+            try:
+                report = self.release_data(bytes(payload["pseudonym"]))
+            except KeyError:
+                raise ProtocolError("confirmation without a held report") from None
+            jo = self.jo_for_job.get(report.job_id)
             if jo is None:  # pragma: no cover - board and report kept in sync
                 raise ProtocolError("report for unknown job")
-            return [Outbound(jo, "data-delivery", report)]
+            return [Outbound(jo, "data-delivery",
+                             {"job": report.job_id, "data": report.payload})]
         if kind == "deposit":
             aid = self.account_of.get(sender)
             if aid is None or aid != payload["aid"]:
@@ -129,9 +116,8 @@ class MADecMachine(Party):
             token = payload["coin"]
             if not isinstance(token, SpendToken):
                 raise ProtocolError("malformed coin in deposit")
-            self.clock += 1.0
             try:
-                self.bank.deposit(aid, token)
+                self.handle_deposit(aid, token, self.clock + 1.0)
             except DoubleSpendError as exc:
                 raise ProtocolError(f"double spend: {exc}") from exc
             except ValueError as exc:
@@ -140,14 +126,13 @@ class MADecMachine(Party):
         raise ProtocolError(f"MA cannot handle message kind {kind!r}")
 
     def _maybe_deliver(self, pseud: bytes) -> list[Outbound]:
-        if pseud in self._pending_payments and pseud in self._held_reports:
-            ciphertext = self._pending_payments.pop(pseud)
-            return [Outbound(sp_party_name(pseud), "payment-delivery",
-                             {"ciphertext": ciphertext})]
-        return []
+        ciphertext = self.payment_for(pseud)
+        if ciphertext is None:
+            return []
+        return [Outbound(sp_party_name(pseud), "payment-delivery", {"ciphertext": ciphertext})]
 
 
-class JODecMachine(Party):
+class JODecMachine(JobOwnerDec, Party):
     """A job owner for the message-driven market."""
 
     def __init__(
@@ -161,19 +146,16 @@ class JODecMachine(Party):
         rsa_bits: int = 512,
         break_algorithm: str = "pcba",
     ) -> None:
-        super().__init__(name)
-        self.params = params
-        self.rng = rng
+        JobOwnerDec.__init__(self, name, params, rng, rsa_bits=rsa_bits,
+                             break_algorithm=break_algorithm)
+        Party.__init__(self, name)
+        self.counter = OpCounter()
         self.payment = payment
         self.description = description
-        self.break_algorithm = break_algorithm
-        self.job_key = rsa.generate_keypair(rsa_bits, rng)
+        self.make_job_identity(self.counter)
         self.job_id: str | None = None
-        self.coins: list[tuple[Coin, Wallet]] = []
-        self._pending_secrets: list[int] = []
-        self._bank_pk = None
         self.received_reports: list[dict] = []
-        self._deferred_labor: list[tuple[int, int]] = []
+        self._deferred_labor: list[RSAPublicKey] = []
 
     def attach_bank_key(self, bank_pk) -> None:
         self._bank_pk = bank_pk
@@ -188,9 +170,7 @@ class JODecMachine(Party):
         ]
 
     def _new_withdrawal(self) -> Outbound:
-        secret, request = begin_withdrawal(self.params, self.rng)
-        self._pending_secrets.append(secret)
-        return Outbound(MA, "withdraw-request", {"request": request})
+        return Outbound(MA, "withdraw-request", {"request": self.begin_withdraw(self.counter)})
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
         if kind == "job-published":
@@ -199,65 +179,32 @@ class JODecMachine(Party):
         if kind == "withdraw-response":
             if not self._pending_secrets:
                 raise ProtocolError("unexpected withdrawal response")
-            secret = self._pending_secrets.pop(0)  # MA answers FIFO
-            coin = finish_withdrawal(self.params, self._bank_pk, secret,
-                                     payload["signature"])
-            self.coins.append((coin, coin.wallet()))
+            self.finish_withdraw(payload["signature"], self._bank_pk, self.counter)
             # serve any labor registrations that waited for funds
             out = []
             deferred, self._deferred_labor = self._deferred_labor, []
-            for rpk in deferred:
-                out.extend(self._serve_labor(rpk))
+            for sp_pub in deferred:
+                out.extend(self._serve_labor(sp_pub))
             return out
         if kind == "labor-forward":
-            return self._serve_labor(tuple(payload["rpk"]))
+            return self._serve_labor(RSAPublicKey(*payload["rpk"]))
         if kind == "data-delivery":
             self.received_reports.append(payload)
             return []
         raise ProtocolError(f"JO cannot handle message kind {kind!r}")
 
-    def _serve_labor(self, rpk: tuple[int, int]) -> list[Outbound]:
+    def _serve_labor(self, sp_pub: RSAPublicKey) -> list[Outbound]:
         """Pay the registered worker, withdrawing another coin if needed."""
         try:
-            return [self._build_payment(rpk)]
+            ciphertext = self.build_payment(sp_pub, self.payment, self.counter)
         except InsufficientFunds:
-            self._deferred_labor.append(rpk)
+            self._deferred_labor.append(sp_pub)
             return [self._new_withdrawal()]
-
-    def _build_payment(self, rpk: tuple[int, int]) -> Outbound:
-        sp_pub = rsa.RSAPublicKey(*rpk)
-        denominations = BREAK_FN_BY_NAME[self.break_algorithm](
-            self.payment, self.params.tree_level
-        )
-        blobs = []
-        reserved_nodes = []
-        for denom in denominations:
-            if denom == 0:
-                continue
-            for coin, wallet in self.coins:
-                try:
-                    node = wallet.allocate(denom)
-                except InsufficientFunds:
-                    continue
-                reserved_nodes.append(node)
-                token = create_spend(
-                    self.params, self._bank_pk, coin.secret, coin.signature, node, self.rng
-                )
-                blobs.append(encode(token))
-                break
-            else:
-                for _, wallet in self.coins:
-                    for node in reserved_nodes:
-                        wallet.release(node)
-                raise InsufficientFunds(f"JO cannot fund denomination {denom}")
-        padded = pad_payment(blobs, slots=len(denominations), rng=self.rng)
-        sig = rsa.sign(self.job_key, sp_pub.fingerprint())
-        ciphertext = rsa.encrypt(sp_pub, encode({"coins": padded, "sig": sig}), self.rng)
-        return Outbound(MA, "payment-submission",
-                        {"pseudonym": sp_pub.fingerprint(), "ciphertext": ciphertext})
+        return [Outbound(MA, "payment-submission",
+                         {"pseudonym": sp_pub.fingerprint(), "ciphertext": ciphertext})]
 
 
-class SPDecMachine(Party):
+class SPDecMachine(SensingParticipantDec, Party):
     """A sensing participant for the message-driven market."""
 
     def __init__(
@@ -267,22 +214,21 @@ class SPDecMachine(Party):
         *,
         aid: str,
         job_id: str,
-        jo_pseudonym_key: rsa.RSAPublicKey,
+        jo_pseudonym_key: RSAPublicKey,
         expected_payment: int,
         bank_pk,
         data_payload: bytes = b"sensed",
         rsa_bits: int = 512,
     ) -> None:
-        self.params = params
-        self.rng = rng
-        self.aid = aid
+        SensingParticipantDec.__init__(self, aid, params, rng, rsa_bits=rsa_bits)
+        self.counter = OpCounter()
         self.job_id = job_id
         self.jo_pseudonym_key = jo_pseudonym_key
         self.expected_payment = expected_payment
         self.bank_pk = bank_pk
         self.data_payload = data_payload
-        self.labor_key = rsa.generate_keypair(rsa_bits, rng)
-        super().__init__(sp_party_name(self.pseudonym))
+        self.make_labor_identity(self.counter)
+        Party.__init__(self, sp_party_name(self.pseudonym))
         self.state = SPDecState.INIT
         self.received_value = 0
 
@@ -291,38 +237,29 @@ class SPDecMachine(Party):
         return self.labor_key.public.fingerprint()
 
     def start(self) -> list[Outbound]:
-        self.state = SPDecState.REGISTERED
-        out = [Outbound(MA, "labor-registration", {
-            "job": self.job_id,
-            "rpk": (self.labor_key.public.n, self.labor_key.public.e),
-        })]
-        out.append(Outbound(MA, "data-submission", {
-            "pseudonym": self.pseudonym, "job": self.job_id, "data": self.data_payload,
-        }))
         self.state = SPDecState.DATA_SENT
-        return out
+        return [
+            Outbound(MA, "labor-registration", {
+                "job": self.job_id,
+                "rpk": (self.labor_key.public.n, self.labor_key.public.e),
+            }),
+            Outbound(MA, "data-submission", {
+                "pseudonym": self.pseudonym, "job": self.job_id, "data": self.data_payload,
+            }),
+        ]
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
         if kind == "payment-delivery":
             if self.state is not SPDecState.DATA_SENT:
                 raise ProtocolError("payment delivered out of order")
             try:
-                body = decode(rsa.decrypt(self.labor_key, payload["ciphertext"]))
+                bundle = self.open_payment(payload["ciphertext"], self.jo_pseudonym_key,
+                                           self.bank_pk, self.counter)
             except ValueError as exc:
                 raise ProtocolError(f"payment undecryptable: {exc}") from exc
-            if not rsa.verify(self.jo_pseudonym_key, self.pseudonym, body["sig"]):
+            if not bundle.signature_valid:
                 raise ProtocolError("JO signature on payment invalid")
-            tokens = []
-            for blob in body["coins"]:
-                try:
-                    candidate = decode(blob)
-                except ValueError:
-                    continue
-                if isinstance(candidate, SpendToken) and verify_spend(
-                    self.params, self.bank_pk, candidate
-                ):
-                    tokens.append(candidate)
-            value = sum(t.denomination(self.params.tree_level) for t in tokens)
+            value = bundle.total_value(self.params.tree_level)
             if value != self.expected_payment:
                 raise ProtocolError(
                     f"payment value {value} != advertised {self.expected_payment}"
@@ -332,7 +269,7 @@ class SPDecMachine(Party):
             out = [Outbound(MA, "payment-confirm", {"pseudonym": self.pseudonym})]
             out += [
                 Outbound(MA, "deposit", {"aid": self.aid, "coin": token})
-                for token in tokens
+                for token in bundle.tokens
             ]
             return out
         raise ProtocolError(f"SP cannot handle message kind {kind!r}")

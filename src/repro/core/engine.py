@@ -14,9 +14,16 @@ Rules the router enforces:
 * delivery order is FIFO per router (deterministic);
 * a handler raising :class:`ProtocolError` poisons only that delivery;
   the error is recorded and the rest of the system keeps running —
-  exactly how a real MA must treat a malformed client message.
+  exactly how a real MA must treat a malformed client message;
+* a message of the wrong shape (a missing field, a payload that is not
+  a mapping, a value of the wrong type) is such a message: a
+  ``KeyError`` / ``TypeError`` / ``ValueError`` escaping a handler is
+  recorded the same way, its error starting ``"malformed"``.
 
-:mod:`repro.core.pbs_machine` implements PPMSpbs on this engine.
+:mod:`repro.core.dec_machine` and :mod:`repro.core.pbs_machine` put
+PPMSdec and PPMSpbs on this engine: each party there is its actor class
+(the protocol steps, written once) plus :class:`Party` (addressing,
+message order, rejection).
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ class Outbound:
 
 @dataclass(frozen=True)
 class DeliveryFailure:
-    """Record of a delivery whose handler raised :class:`ProtocolError`."""
+    """Record of a delivery its handler rejected (see the module rules)."""
 
     sender: str
     receiver: str
@@ -117,14 +124,18 @@ class Router:
             if receiver is None:
                 raise KeyError(f"message for unknown party {out.receiver!r}")
             payload = self.transport.send(sender, out.receiver, out.kind, out.payload)
+            replies, error = [], None
             try:
                 replies = receiver.handle(sender, out.kind, payload)
             except ProtocolError as exc:
+                error = str(exc)
+            except (KeyError, TypeError, ValueError) as exc:
+                error = f"malformed {out.kind} message: {exc!r}"
+            if error is not None:
                 self.failures.append(
                     DeliveryFailure(sender=sender, receiver=out.receiver,
-                                    kind=out.kind, error=str(exc))
+                                    kind=out.kind, error=error)
                 )
-                replies = []
             for reply in replies:
                 self._queue.append((out.receiver, reply))
             delivered += 1

@@ -3,16 +3,19 @@
 A mobile-sensing market (paper Section III-A) consolidates many sensing
 jobs in one place.  The MA publishes registered jobs on a bulletin
 board all residents can read; SPs pick jobs, submit sensing data, and
-get paid.  This module holds the mechanism-independent pieces; the two
-mechanisms (:mod:`~repro.core.ppms_dec`, :mod:`~repro.core.ppms_pbs`)
-build their message flows on top.
+get paid.  This module holds the mechanism-independent pieces —
+including :class:`MarketDesk`, the MA's board and payment-for-data
+escrow, written once; the two mechanisms
+(:mod:`~repro.core.ppms_dec`, :mod:`~repro.core.ppms_pbs`) build their
+message flows on top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
-__all__ = ["JobProfile", "BulletinBoard", "DataReport", "new_job_id"]
+__all__ = ["JobProfile", "BulletinBoard", "DataReport", "MarketDesk", "new_job_id"]
 
 _job_counter = 0
 
@@ -83,3 +86,46 @@ class DataReport:
     def __post_init__(self) -> None:
         if not self.payload:
             raise ValueError("empty data report")
+
+
+class MarketDesk:
+    """The MA's desk: the bulletin board plus the two-sided escrow of
+    paper Section III-A — a payment is held until the SP's data is
+    held, and the data until the SP confirms the payment.
+
+    A payment is whatever the mechanism relays (PPMSdec: a ciphertext,
+    PPMSpbs: a ``(pbs, ctr)`` pair); the desk never looks inside.
+    """
+
+    def __init__(self) -> None:
+        self.board = BulletinBoard()
+        # SP pseudonym fingerprint -> payment waiting for that SP's data
+        self._pending_payments: dict[bytes, Any] = {}
+        # SP pseudonym fingerprint -> report held until the SP confirms
+        self._held_reports: dict[bytes, DataReport] = {}
+
+    def publish_job(self, description: str, payment: int, owner_pseudonym: bytes) -> JobProfile:
+        profile = JobProfile(
+            job_id=new_job_id(),
+            description=description,
+            payment=payment,
+            owner_pseudonym=owner_pseudonym,
+        )
+        self.board.publish(profile)
+        return profile
+
+    def accept_payment(self, sp_pseudonym: bytes, payment: Any) -> None:
+        self._pending_payments[sp_pseudonym] = payment
+
+    def accept_data(self, report: DataReport) -> None:
+        self._held_reports[report.submitter_pseudonym] = report
+
+    def payment_for(self, sp_pseudonym: bytes) -> Any | None:
+        """Hand the held payment over — once, and only once the data is held."""
+        if sp_pseudonym in self._held_reports:
+            return self._pending_payments.pop(sp_pseudonym, None)
+        return None
+
+    def release_data(self, sp_pseudonym: bytes) -> DataReport:
+        """The held report, for the JO, once the SP confirms its payment."""
+        return self._held_reports.pop(sp_pseudonym)

@@ -1,11 +1,13 @@
 """PPMSpbs as message-driven state machines (Algorithm 4 on the engine).
 
-Each party from Section V becomes a :class:`~repro.core.engine.Party`
-whose behaviour is *entirely* reactions to envelopes — the shape a
-deployed client/daemon has.  Per-SP conversations are keyed by the SP's
-ephemeral pseudonym fingerprint, and every handler validates the
-session state before acting, rejecting out-of-order or replayed
-messages with :class:`~repro.core.engine.ProtocolError`.
+Each party from Section V is its :mod:`~repro.core.ppms_pbs` actor plus
+:class:`~repro.core.engine.Party`: the actor owns every protocol step
+(and tallies it for Table I), the machine's behaviour is *entirely*
+reactions to envelopes — the shape a deployed client/daemon has.
+Per-SP conversations are keyed by the SP's ephemeral pseudonym
+fingerprint, and every handler validates the session state before
+acting, rejecting out-of-order or replayed messages with
+:class:`~repro.core.engine.ProtocolError`.
 
 Message kinds (all via the MA, as the system model requires):
 
@@ -33,15 +35,11 @@ from enum import Enum, auto
 from typing import Any
 
 from repro.core.engine import Outbound, Party, ProtocolError, Router
-from repro.core.market import BulletinBoard, JobProfile, new_job_id
-from repro.core.ppms_pbs import VirtualBankPbs
-from repro.crypto import rsa
-from repro.crypto.partial_blind import (
-    PartialBlindRequester,
-    PartialBlindSignature,
-    PartialBlindSigner,
-)
-from repro.net.codec import decode, encode
+from repro.core.market import DataReport, JobProfile
+from repro.core.ppms_pbs import JobOwnerPbs, MarketAdministratorPbs, SensingParticipantPbs
+from repro.crypto.partial_blind import PartialBlindSignature
+from repro.crypto.rsa import RSAPublicKey
+from repro.metrics.opcount import OpCounter
 
 __all__ = ["MAMachine", "JOMachine", "SPMachine", "run_machine_market"]
 
@@ -51,34 +49,26 @@ MA = "MA"
 class SPState(Enum):
     INIT = auto()
     REGISTERED = auto()
-    KEY_KNOWN = auto()
-    BLINDED = auto()
     DATA_SENT = auto()
     PAID = auto()
-    DEPOSITED = auto()
 
 
-class MAMachine(Party):
+class MAMachine(MarketAdministratorPbs, Party):
     """The market administrator: relay + bulletin board + bank."""
 
     def __init__(self, rng: random.Random) -> None:
-        super().__init__(MA)
+        MarketAdministratorPbs.__init__(self, OpCounter())
+        Party.__init__(self, MA)
         self.rng = rng
-        self.bank = VirtualBankPbs()
-        self.board = BulletinBoard()
         self.jo_for_job: dict[str, str] = {}
-        self._pending_payments: dict[bytes, tuple[int, int]] = {}
-        self._have_data: dict[bytes, dict] = {}
         self._confirmed: set[bytes] = set()
 
     # -- registration hooks (driver-level, authenticated operations) -------
-    def open_account(self, pubkey: rsa.RSAPublicKey, funds: int) -> bytes:
+    def open_account(self, pubkey: RSAPublicKey, funds: int) -> bytes:
         return self.bank.open_account(pubkey, funds)
 
     def publish_job(self, description: str, owner_party: str, pseudonym: bytes) -> JobProfile:
-        profile = JobProfile(job_id=new_job_id(), description=description,
-                             payment=1, owner_pseudonym=pseudonym)
-        self.board.publish(profile)
+        profile = super().publish_job(description, pseudonym)
         self.jo_for_job[profile.job_id] = owner_party
         return profile
 
@@ -101,89 +91,72 @@ class MAMachine(Party):
                              {"pseudonym": payload["pseudonym"],
                               "blinded": payload["blinded"]})]
         if kind == "payment-submission":
-            pseud = payload["pseudonym"]
-            self._pending_payments[pseud] = (payload["pbs"], payload["ctr"])
-            return self._maybe_deliver(pseud)
+            self.accept_payment(payload["pseudonym"], payload["pbs"], payload["ctr"])
+            return self._maybe_deliver(payload["pseudonym"])
         if kind == "data-submission":
-            pseud = payload["pseudonym"]
-            self._have_data[pseud] = {"job": payload["job"], "data": payload["data"]}
-            return self._maybe_deliver(pseud)
+            self.accept_data(DataReport(job_id=payload["job"],
+                                        submitter_pseudonym=payload["pseudonym"],
+                                        payload=payload["data"]))
+            return self._maybe_deliver(payload["pseudonym"])
         if kind == "payment-confirm":
             pseud = payload["pseudonym"]
             if pseud in self._confirmed:
                 raise ProtocolError("duplicate payment confirmation")
-            report = self._have_data.get(pseud)
-            if report is None:
-                raise ProtocolError("confirmation before data submission")
+            try:
+                report = self.release_data(pseud)
+            except KeyError:
+                raise ProtocolError("confirmation before data submission") from None
             self._confirmed.add(pseud)
-            jo = self.jo_for_job[report["job"]]
-            return [Outbound(jo, "data-delivery", report)]
+            return [Outbound(self.jo_for_job[report.job_id], "data-delivery",
+                             {"job": report.job_id, "data": report.payload})]
         if kind == "deposit":
             signature = PartialBlindSignature(
                 value=payload["sig"], counter=payload["ctr"],
                 common_info=payload["serial"],
             )
             try:
-                payer, payee = self.bank.check_deposit(
-                    signature, payload["sp_key"], payload["jo_key"]
-                )
+                self.handle_deposit(signature, payload["sp_key"], payload["jo_key"])
             except ValueError as exc:
                 raise ProtocolError(str(exc)) from exc
-            self.bank.apply_deposit(payer, payee, signature.common_info)
             return []
         raise ProtocolError(f"MA cannot handle message kind {kind!r}")
 
     def _maybe_deliver(self, pseud: bytes) -> list[Outbound]:
-        if pseud in self._pending_payments and pseud in self._have_data:
-            pbs, ctr = self._pending_payments.pop(pseud)
-            return [Outbound(sender_sp(pseud), "payment-delivery",
-                             {"pbs": pbs, "ctr": ctr})]
-        return []
+        payment = self.payment_for(pseud)
+        if payment is None:
+            return []
+        pbs, ctr = payment
+        return [Outbound(sender_sp(pseud), "payment-delivery", {"pbs": pbs, "ctr": ctr})]
 
 
-class JOMachine(Party):
+class JOMachine(JobOwnerPbs, Party):
     """A job owner: answers labor registrations and blind-signs coins."""
 
     def __init__(self, name: str, rng: random.Random, *, rsa_bits: int = 512) -> None:
-        super().__init__(name)
-        self.rng = rng
-        self.account_key = rsa.generate_keypair(rsa_bits, rng)
-        self.job_key = rsa.generate_keypair(rsa_bits, rng)
-        self._signer = PartialBlindSigner(self.account_key)
-        self._serial_for: dict[bytes, bytes] = {}
+        JobOwnerPbs.__init__(self, rng, rsa_bits=rsa_bits)
+        Party.__init__(self, name)
+        self.counter = OpCounter()
+        self.make_job_identity(self.counter)
         self.received_reports: list[dict] = []
 
     @property
-    def account_pub(self) -> rsa.RSAPublicKey:
-        return self.account_key.public
-
-    @property
-    def job_pub(self) -> rsa.RSAPublicKey:
+    def job_pub(self) -> RSAPublicKey:
         return self.job_key.public
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
         if kind == "labor-forward":
             try:
-                request = decode(rsa.decrypt(self.job_key, payload["blob"]))
+                answer = self.answer_labor_registration(payload["blob"], self.counter)
             except ValueError as exc:
                 raise ProtocolError(f"undecryptable labor registration: {exc}") from exc
-            pseud_key = rsa.RSAPublicKey(*request["rpk"])
-            self._serial_for[payload["pseudonym"]] = request["serial"]
-            sig = rsa.sign(self.job_key, encode({"rpk": request["rpk"],
-                                                 "serial": request["serial"]}))
-            answer = rsa.encrypt(
-                pseud_key,
-                encode({"jo_account": (self.account_pub.n, self.account_pub.e),
-                        "sig": sig}),
-                self.rng,
-            )
             return [Outbound(MA, "labor-answer",
                              {"pseudonym": payload["pseudonym"], "blob": answer})]
         if kind == "blinded-forward":
+            # the serial this JO itself decrypted for that pseudonym's key
             serial = self._serial_for.get(payload["pseudonym"])
             if serial is None:
                 raise ProtocolError("blinded payment before labor registration")
-            pbs, ctr = self._signer.sign_blinded(payload["blinded"], serial)
+            pbs, ctr = self.sign_payment(payload["blinded"], serial, self.counter)
             return [Outbound(MA, "payment-submission",
                              {"pseudonym": payload["pseudonym"], "pbs": pbs, "ctr": ctr})]
         if kind == "data-delivery":
@@ -192,7 +165,7 @@ class JOMachine(Party):
         raise ProtocolError(f"JO cannot handle message kind {kind!r}")
 
 
-class SPMachine(Party):
+class SPMachine(SensingParticipantPbs, Party):
     """A sensing participant: drives its own state machine."""
 
     def __init__(
@@ -201,75 +174,56 @@ class SPMachine(Party):
         rng: random.Random,
         *,
         job: JobProfile,
-        jo_pseudonym_key: rsa.RSAPublicKey,
+        jo_pseudonym_key: RSAPublicKey,
         data_payload: bytes = b"sensed",
         rsa_bits: int = 512,
     ) -> None:
-        super().__init__(name)
-        self.rng = rng
+        SensingParticipantPbs.__init__(self, rng, rsa_bits=rsa_bits)
+        Party.__init__(self, name)
+        self.counter = OpCounter()
         self.job = job
         self.jo_pseudonym_key = jo_pseudonym_key
         self.data_payload = data_payload
-        self.account_key = rsa.generate_keypair(rsa_bits, rng)
-        self.labor_key = rsa.generate_keypair(rsa_bits, rng)
-        self.serial = bytes(rng.getrandbits(8) for _ in range(16))
+        # the pseudonym addresses this party, so the request is made up front
+        self._labor_request = self.make_labor_request(jo_pseudonym_key, self.counter)
         self.state = SPState.INIT
-        self._jo_account: tuple[int, int] | None = None
-        self._requester: PartialBlindRequester | None = None
         self.coin: PartialBlindSignature | None = None
-
-    @property
-    def account_pub(self) -> rsa.RSAPublicKey:
-        return self.account_key.public
 
     @property
     def pseudonym(self) -> bytes:
         return self.labor_key.public.fingerprint()
 
     def start(self) -> list[Outbound]:
-        blob = rsa.encrypt(
-            self.jo_pseudonym_key,
-            encode({"rpk": (self.labor_key.public.n, self.labor_key.public.e),
-                    "serial": self.serial}),
-            self.rng,
-        )
         self.state = SPState.REGISTERED
         return [Outbound(MA, "labor-registration",
                          {"job": self.job.job_id, "pseudonym": self.pseudonym,
-                          "blob": blob})]
+                          "blob": self._labor_request})]
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
         if kind == "labor-answer-fwd":
             if self.state is not SPState.REGISTERED:
                 raise ProtocolError("labor answer out of order")
-            answer = decode(rsa.decrypt(self.labor_key, payload["blob"]))
-            expected = encode({"rpk": (self.labor_key.public.n, self.labor_key.public.e),
-                               "serial": self.serial})
-            if not rsa.verify(self.jo_pseudonym_key, expected, answer["sig"]):
+            if not self.open_labor_answer(payload["blob"], self.jo_pseudonym_key, self.counter):
                 raise ProtocolError("JO signature on labor answer failed — aborting")
-            self._jo_account = tuple(answer["jo_account"])
-            self.state = SPState.KEY_KNOWN
-            jo_pub = rsa.RSAPublicKey(*self._jo_account)
-            self._requester = PartialBlindRequester(jo_pub, self.rng)
-            blinded = self._requester.blind(self.account_pub.fingerprint(), self.serial)
-            self.state = SPState.BLINDED
-            out = [Outbound(MA, "blinded-payment",
-                            {"job": self.job.job_id, "pseudonym": self.pseudonym,
-                             "blinded": blinded})]
-            # submit the data alongside; the MA holds the payment until both exist
-            out.append(Outbound(MA, "data-submission",
-                                {"pseudonym": self.pseudonym, "job": self.job.job_id,
-                                 "data": self.data_payload}))
+            blinded = self.make_blinded_payment_request(self.counter)
             self.state = SPState.DATA_SENT
-            return out
+            # submit the data alongside; the MA holds the payment until both exist
+            return [
+                Outbound(MA, "blinded-payment",
+                         {"job": self.job.job_id, "pseudonym": self.pseudonym,
+                          "blinded": blinded}),
+                Outbound(MA, "data-submission",
+                         {"pseudonym": self.pseudonym, "job": self.job.job_id,
+                          "data": self.data_payload}),
+            ]
         if kind == "payment-delivery":
             if self.state is not SPState.DATA_SENT:
                 raise ProtocolError("payment delivered out of order")
-            assert self._requester is not None and self._jo_account is not None
             try:
-                self.coin = self._requester.unblind(payload["pbs"], payload["ctr"])
+                receipt = self.finalize_coin(payload["pbs"], payload["ctr"], self.counter)
             except ValueError as exc:
                 raise ProtocolError(f"coin failed verification: {exc}") from exc
+            self.coin = receipt.signature
             self.state = SPState.PAID
             return [
                 Outbound(MA, "payment-confirm", {"pseudonym": self.pseudonym}),
@@ -278,7 +232,7 @@ class SPMachine(Party):
                     "ctr": self.coin.counter,
                     "serial": self.coin.common_info,
                     "sp_key": (self.account_pub.n, self.account_pub.e),
-                    "jo_key": list(self._jo_account),
+                    "jo_key": list(receipt.jo_account_key),
                 }),
             ]
         raise ProtocolError(f"SP cannot handle message kind {kind!r}")

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from repro.core.cashbreak import BREAK_FN_BY_NAME
-from repro.core.market import BulletinBoard, DataReport, JobProfile, new_job_id
+from repro.core.market import DataReport, MarketDesk
 from repro.crypto import rsa
 from repro.ecash.dec import Coin, DECBank, begin_withdrawal, finish_withdrawal
 from repro.ecash.fake import pad_payment
@@ -75,39 +75,16 @@ class PaymentBundle:
         return sum(t.denomination(tree_level) for t in self.tokens)
 
 
-class MarketAdministratorDec:
-    """The MA: bulletin board + relay + virtual bank."""
+class MarketAdministratorDec(MarketDesk):
+    """The MA: bulletin board + relay (the desk) + virtual bank."""
 
-    def __init__(
-        self,
-        params: DECParams,
-        rng: random.Random,
-        transport: Transport,
-        counter: OpCounter,
-    ) -> None:
+    def __init__(self, params: DECParams, rng: random.Random, counter: OpCounter) -> None:
+        super().__init__()
         self.params = params
-        self.rng = rng
-        self.transport = transport
         self.counter = counter
         self.bank = DECBank.create(params, rng)
-        self.board = BulletinBoard()
-        # pseudonym fingerprint -> pending encrypted payment
-        self._pending_payments: dict[bytes, bytes] = {}
-        # pseudonym fingerprint -> data report (held until SP confirms)
-        self._held_reports: dict[bytes, DataReport] = {}
         self.deposit_events: list[DepositEvent] = []
         self.clock = 0.0
-
-    # -- registration ------------------------------------------------------
-    def publish_job(self, description: str, payment: int, owner_pseudonym: bytes) -> JobProfile:
-        profile = JobProfile(
-            job_id=new_job_id(),
-            description=description,
-            payment=payment,
-            owner_pseudonym=owner_pseudonym,
-        )
-        self.board.publish(profile)
-        return profile
 
     # -- bank relay -----------------------------------------------------------
     def handle_withdrawal(self, aid: str, request) -> object:
@@ -116,24 +93,6 @@ class MarketAdministratorDec:
         signature = self.bank.issue(aid, request)
         self.counter.record(MA, "Enc")  # the blind CL signature itself
         return signature
-
-    # -- payment relay ----------------------------------------------------------
-    def accept_payment(self, sp_pseudonym: bytes, ciphertext: bytes) -> None:
-        self._pending_payments[sp_pseudonym] = ciphertext
-
-    def accept_data(self, report: DataReport) -> bytes | None:
-        """Store a report; release the payment if one is waiting."""
-        self._held_reports[report.submitter_pseudonym] = report
-        return self._pending_payments.get(report.submitter_pseudonym)
-
-    def payment_for(self, sp_pseudonym: bytes) -> bytes | None:
-        if sp_pseudonym in self._held_reports:
-            return self._pending_payments.get(sp_pseudonym)
-        return None
-
-    def release_data(self, sp_pseudonym: bytes) -> DataReport:
-        """Forward the held report to the JO once the SP confirms payment."""
-        return self._held_reports.pop(sp_pseudonym)
 
     # -- deposits ------------------------------------------------------------
     def handle_deposit(self, aid: str, token: SpendToken, at_time: float) -> int:
@@ -169,6 +128,7 @@ class JobOwnerDec:
         self.break_algorithm = break_algorithm
         self.job_key: rsa.RSAPrivateKey | None = None
         self.coins: list[tuple[Coin, Wallet]] = []
+        self._pending_secrets: list[int] = []  # begun withdrawals, answered FIFO
         self._bank_pk = None
 
     # -- step 2: job registration -------------------------------------------
@@ -179,16 +139,25 @@ class JobOwnerDec:
         return self.job_key.public
 
     # -- step 3: money withdrawal ---------------------------------------------
-    def withdraw(self, ma: MarketAdministratorDec, transport: Transport, counter: OpCounter) -> None:
+    def begin_withdraw(self, counter: OpCounter) -> object:
+        """The blind withdrawal request; its secret waits for the answer."""
         secret, request = begin_withdrawal(self.params, self.rng)
         counter.record(JO, "ZKP")  # PoK inside the blind request
-        request = transport.send(JO, MA, "withdraw-request", request)
+        self._pending_secrets.append(secret)
+        return request
+
+    def finish_withdraw(self, signature: object, bank_pk: object, counter: OpCounter) -> None:
+        """Turn the answer to the oldest pending request into a coin."""
+        counter.record(JO, "Dec")  # verify the blindly issued signature
+        self._bank_pk = bank_pk
+        coin = finish_withdrawal(self.params, bank_pk, self._pending_secrets.pop(0), signature)
+        self.coins.append((coin, coin.wallet()))
+
+    def withdraw(self, ma: MarketAdministratorDec, transport: Transport, counter: OpCounter) -> None:
+        request = transport.send(JO, MA, "withdraw-request", self.begin_withdraw(counter))
         signature = ma.handle_withdrawal(self.aid, request)
         signature = transport.send(MA, JO, "withdraw-response", signature)
-        counter.record(JO, "Dec")  # verify the blindly issued signature
-        self._bank_pk = ma.bank.public_key
-        coin = finish_withdrawal(self.params, self._bank_pk, secret, signature)
-        self.coins.append((coin, coin.wallet()))
+        self.finish_withdraw(signature, ma.bank.public_key, counter)
 
     def spendable_balance(self) -> int:
         """Total value still allocatable across all withdrawn coins."""
@@ -378,7 +347,7 @@ class PPMSdecSession:
         self.break_algorithm = break_algorithm
         self.transport = Transport()
         self.counter = OpCounter()
-        self.ma = MarketAdministratorDec(params, rng, self.transport, self.counter)
+        self.ma = MarketAdministratorDec(params, rng, self.counter)
 
     def new_job_owner(self, aid: str, funds: int) -> JobOwnerDec:
         self.ma.bank.open_account(aid, funds)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.core.market import BulletinBoard, DataReport, JobProfile, new_job_id
+from repro.core.market import DataReport, JobProfile, MarketDesk
 from repro.crypto import rsa
 from repro.crypto.partial_blind import (
     PartialBlindRequester,
@@ -139,42 +139,19 @@ class VirtualBankPbs:
         self.spent_serials.add((payer, serial))
 
 
-class MarketAdministratorPbs:
-    """MA for the unitary-payment market."""
+class MarketAdministratorPbs(MarketDesk):
+    """MA for the unitary-payment market: the desk plus the bank."""
 
-    def __init__(self, rng: random.Random, transport: Transport, counter: OpCounter) -> None:
-        self.rng = rng
-        self.transport = transport
+    def __init__(self, counter: OpCounter) -> None:
+        super().__init__()
         self.counter = counter
         self.bank = VirtualBankPbs()
-        self.board = BulletinBoard()
-        # pseudonym fingerprint -> pending blinded signature (payment)
-        self._pending_payments: dict[bytes, tuple[int, int]] = {}
-        self._held_reports: dict[bytes, DataReport] = {}
 
     def publish_job(self, description: str, owner_pseudonym: bytes) -> JobProfile:
-        profile = JobProfile(
-            job_id=new_job_id(),
-            description=description,
-            payment=1,  # unitary market
-            owner_pseudonym=owner_pseudonym,
-        )
-        self.board.publish(profile)
-        return profile
+        return super().publish_job(description, 1, owner_pseudonym)  # unitary market
 
     def accept_payment(self, sp_pseudonym: bytes, blinded_sig: int, counter_value: int) -> None:
-        self._pending_payments[sp_pseudonym] = (blinded_sig, counter_value)
-
-    def accept_data(self, report: DataReport) -> None:
-        self._held_reports[report.submitter_pseudonym] = report
-
-    def payment_for(self, sp_pseudonym: bytes) -> tuple[int, int] | None:
-        if sp_pseudonym in self._held_reports:
-            return self._pending_payments.get(sp_pseudonym)
-        return None
-
-    def release_data(self, sp_pseudonym: bytes) -> DataReport:
-        return self._held_reports.pop(sp_pseudonym)
+        super().accept_payment(sp_pseudonym, (blinded_sig, counter_value))
 
     def handle_deposit(
         self,
@@ -207,6 +184,8 @@ class JobOwnerPbs:
         self.account_key = rsa.generate_keypair(rsa_bits, rng)
         self.job_key: rsa.RSAPrivateKey | None = None
         self._signer = PartialBlindSigner(self.account_key)
+        # SP pseudonym fingerprint -> the serial decrypted from its registration
+        self._serial_for: dict[bytes, bytes] = {}
 
     @property
     def account_pub(self) -> rsa.RSAPublicKey:
@@ -225,6 +204,7 @@ class JobOwnerPbs:
         payload = decode(plaintext)
         sp_pse = rsa.RSAPublicKey(*payload["rpk"])
         serial = payload["serial"]
+        self._serial_for[sp_pse.fingerprint()] = serial
         sig = rsa.sign(self.job_key, encode({"rpk": payload["rpk"], "serial": serial}))
         counter.record(JO, "Enc")  # the RSA signature
         counter.record(JO, "H")
@@ -325,7 +305,7 @@ class PPMSpbsSession:
         self.rsa_bits = rsa_bits
         self.transport = Transport()
         self.counter = OpCounter()
-        self.ma = MarketAdministratorPbs(rng, self.transport, self.counter)
+        self.ma = MarketAdministratorPbs(self.counter)
 
     def new_job_owner(self, funds: int) -> JobOwnerPbs:
         jo = JobOwnerPbs(self.rng, rsa_bits=self.rsa_bits)

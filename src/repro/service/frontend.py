@@ -438,7 +438,7 @@ class ServiceFrontend:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Future | None = None
         self._thread: threading.Thread | None = None
-        self._conns: list[_Conn] = []
+        self._conns: set[_Conn] = set()
         self._paused: deque[_Conn] = deque()
         self._next_conn = 0
         self._running = False
@@ -533,7 +533,7 @@ class ServiceFrontend:
             self._thread.join(timeout=5.0)
             self._thread = None
         self.core.stop()
-        self._conns = []
+        self._conns.clear()
         self._paused.clear()
         self._m_conns.set(0)
         self._m_paused.set(0)
@@ -551,12 +551,11 @@ class ServiceFrontend:
         return self.service.overloaded(self.core.backlog)
 
     def _register(self, conn: _Conn) -> None:
-        self._conns.append(conn)
+        self._conns.add(conn)
         self._m_conns.set(len(self._conns))
 
     def _unregister(self, conn: _Conn) -> None:
-        if conn in self._conns:
-            self._conns.remove(conn)
+        self._conns.discard(conn)
         self._m_conns.set(len(self._conns))
 
     def _pump(self) -> None:

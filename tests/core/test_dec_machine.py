@@ -132,3 +132,80 @@ class TestAdversarialMessages:
                                    {"ciphertext": b"\x00" * 100}))
         router.run()
         assert any("out of order" in f.error for f in router.failures)
+
+
+class TestHonestJoNeverDoubleSpends:
+    """The machines pay through the actor's allocator, so several
+    payments out of several coins never hand one node out twice."""
+
+    @pytest.mark.parametrize("n_workers, algo", [(4, "pcba"), (6, "epcba")])
+    def test_every_worker_is_credited_in_full(self, dec_params, n_workers, algo):
+        router, ma, jo, sps = run_dec_machine_market(
+            dec_params, random.Random(2), n_workers=n_workers, payment=7,
+            jo_funds=128, break_algorithm=algo,
+        )
+        assert router.failures == []
+        assert [ma.bank.balance(sp.aid) for sp in sps] == [7] * n_workers
+
+
+class TestMalformedMessages:
+    """A message of the wrong shape poisons only its own delivery."""
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("labor-registration", {}),
+        ("labor-registration", None),
+        ("labor-registration", b"x"),
+        ("deposit", {"aid": "sp-acct-0"}),
+    ])
+    def test_recorded_as_one_failure_and_the_engine_keeps_running(
+            self, market, kind, payload):
+        router, ma, jo, sps = market
+        before = len(router.failures)
+        router.post(sps[0].name, Outbound("MA", kind, payload))
+        # an honest message queued behind it is still delivered
+        router.post("JO", Outbound("MA", "job-registration",
+                                   {"jd": "next job", "w": 1, "rpk_fingerprint": b"p"}))
+        router.run()
+        (failure,) = router.failures[before:]
+        assert failure.error.startswith("malformed") and failure.kind == kind
+        assert [job.description for job in ma.board.jobs()][1:] == ["next job"]
+        assert jo.job_id == ma.board.jobs()[1].job_id
+        assert ma.bank.balance(sps[0].aid) == 3
+
+
+class TestWithdrawalOrder:
+    def test_unexpected_withdrawal_response_rejected(self, market):
+        router, ma, jo, sps = market
+        coins = len(jo.coins)
+        router.post("MA", Outbound("JO", "withdraw-response",
+                                   {"signature": jo.coins[0][0].signature}))
+        router.run()
+        assert router.failures[-1].error == "unexpected withdrawal response"
+        assert len(jo.coins) == coins
+
+
+class TestTableOneParity:
+    """The machines tally through the actors' own ``counter.record``
+    sites, so a machine-driven market reproduces the session's Table I
+    row for row — not merely the same final balance."""
+
+    @pytest.mark.parametrize("n_workers, payment", [(1, 5), (2, 5), (3, 3)])
+    def test_rows_equal_the_sessions(self, dec_params, rng, n_workers, payment):
+        from functools import reduce
+
+        from repro.core.ppms_dec import PPMSdecSession
+        from repro.metrics.opcount import OpCounter
+
+        router, ma, jo, sps = run_dec_machine_market(
+            dec_params, rng, n_workers=n_workers, payment=payment)
+        assert not router.failures, router.failures
+        machines = reduce(OpCounter.merged, (p.counter for p in (ma, jo, *sps)))
+
+        session = PPMSdecSession(dec_params, random.Random(99), rsa_bits=512,
+                                 break_algorithm="pcba")
+        jo_s = session.new_job_owner("jo", funds=64)
+        session.run_job(jo_s, [session.new_participant(f"sp{i}") for i in range(n_workers)],
+                        payment=payment)
+        for party in ("JO", "SP", "MA"):
+            assert machines.party_row(party) == session.counter.party_row(party), party
+            assert any(machines.party_row(party).values())

@@ -193,3 +193,89 @@ class TestAsyncDeliveryOrder:
             assert not router.failures, (seed, router.failures)
             for sp in sps:
                 assert ma.bank.balance(sp.account_pub.fingerprint()) == 1
+
+
+def _late_worker(router, ma, jo, rng):
+    """One more honest SP joining a market that already ran."""
+    from repro.core.pbs_machine import SPMachine
+
+    sp = SPMachine("pending", rng, job=ma.board.jobs()[0], jo_pseudonym_key=jo.job_pub,
+                   rsa_bits=512)
+    sp.name = sender_sp(sp.pseudonym)
+    router.add(sp)
+    ma.open_account(sp.account_pub, 0)
+    return sp
+
+
+class TestMalformedMessages:
+    """A message of the wrong shape poisons only its own delivery."""
+
+    @pytest.mark.parametrize("kind, make_payload", [
+        ("labor-registration", lambda sp: {}),
+        ("labor-registration", lambda sp: None),
+        ("labor-registration", lambda sp: b"x"),
+        ("deposit", lambda sp: {
+            "sig": sp.coin.value, "ctr": sp.coin.counter, "serial": sp.coin.common_info,
+            "sp_key": (sp.account_pub.n, sp.account_pub.e), "jo_key": None}),
+    ], ids=["empty", "none", "bytes", "deposit-jo-key-none"])
+    def test_recorded_as_one_failure_and_the_engine_keeps_running(
+            self, rng, kind, make_payload):
+        router, ma, jo, sps = run_machine_market(rng, n_workers=1, jo_funds=3)
+        sp = sps[0]
+        payload = make_payload(sp)
+        before = len(router.failures)
+        router.post("mallory", Outbound("MA", kind, payload))
+        # an honest worker arriving behind it is still served in full
+        late = _late_worker(router, ma, jo, rng)
+        router.activate(late.name)
+        router.run()
+        (failure,) = router.failures[before:]
+        assert failure.error.startswith("malformed") and failure.kind == kind
+        assert ma.bank.balance(sp.account_pub.fingerprint()) == 1
+        assert ma.bank.balance(late.account_pub.fingerprint()) == 1
+
+
+class TestJoSignsUnderItsOwnSerial:
+    def test_routing_pseudonym_must_be_a_key_the_jo_decrypted(self, rng):
+        """The JO signs a coin only under the serial it decrypted itself,
+        looked up by the fingerprint of the key *inside* the encrypted
+        registration — never by the pseudonym an envelope claims."""
+        from repro.core.pbs_machine import JOMachine
+        from repro.crypto import rsa
+        from repro.net.codec import encode
+
+        jo = JOMachine("JO", rng, rsa_bits=512)
+        worker = rsa.generate_keypair(512, rng).public
+        blob = rsa.encrypt(jo.job_pub, encode({"rpk": (worker.n, worker.e),
+                                               "serial": b"s" * 16}), rng)
+        claimed = b"x" * 16  # the envelope's pseudonym; not the key's fingerprint
+        jo.handle("MA", "labor-forward", {"pseudonym": claimed, "blob": blob})
+        with pytest.raises(ProtocolError, match="blinded payment before labor registration"):
+            jo.handle("MA", "blinded-forward", {"pseudonym": claimed, "blinded": 5})
+        (out,) = jo.handle("MA", "blinded-forward",
+                           {"pseudonym": worker.fingerprint(), "blinded": 5})
+        assert out.kind == "payment-submission"
+
+
+class TestTableOneParity:
+    """The machines tally through the actors' own ``counter.record``
+    sites, so a machine-driven market reproduces the session's Table I
+    row for row — not merely the same final balances."""
+
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_rows_equal_the_sessions(self, rng, n_workers):
+        from functools import reduce
+
+        from repro.core.ppms_pbs import PPMSpbsSession
+        from repro.metrics.opcount import OpCounter
+
+        router, ma, jo, sps = run_machine_market(rng, n_workers=n_workers, jo_funds=4)
+        assert not router.failures, router.failures
+        machines = reduce(OpCounter.merged, (p.counter for p in (ma, jo, *sps)))
+
+        session = PPMSpbsSession(random.Random(7), rsa_bits=512)
+        jo_s = session.new_job_owner(funds=4)
+        session.run_job(jo_s, [session.new_participant() for _ in range(n_workers)])
+        for party in ("JO", "SP", "MA"):
+            assert machines.party_row(party) == session.counter.party_row(party), party
+            assert any(machines.party_row(party).values())

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.ppms_dec import PPMSdecSession
+from repro.core.ppms_dec import BREAK_ALGORITHMS, JobOwnerDec, PPMSdecSession
+from repro.ecash.tree import CoinTree
+from repro.ecash.wallet import InsufficientFunds, Wallet
 
 RSA_BITS = 512  # test-sized
 
@@ -204,3 +206,58 @@ class TestDoubleSpendAcrossSessions:
         )
         with pytest.raises(DoubleSpendError):
             session.ma.bank.deposit("sp-1", rogue_token)
+
+
+class TestAllocateAcrossCoins:
+    """``JobOwnerDec._allocate`` is the one allocator behind every
+    payment, on the session and on the engine alike: whatever it hands
+    out of one coin must never conflict, or an honest JO double-spends
+    (and a double spend is what reveals the spender)."""
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    @pytest.mark.parametrize("algo", sorted(BREAK_ALGORITHMS))
+    def test_no_coin_ever_hands_out_conflicting_nodes(self, level, algo):
+        for payment in range(1, (1 << level) + 1):
+            jo = JobOwnerDec("jo", None, None, break_algorithm=algo)
+            handed: dict[int, list] = {}  # coin number -> nodes handed out
+            for _ in range(12):
+                denominations = BREAK_ALGORITHMS[algo](payment, level)
+                while True:
+                    try:
+                        picked = jo._allocate(denominations)
+                        break
+                    except InsufficientFunds:
+                        jo.coins.append((len(jo.coins), Wallet(CoinTree(level), secret=0)))
+                assert sum(n.value(level) for _, n in picked) == payment
+                for coin, node in picked:
+                    handed.setdefault(coin, []).append(node)
+            for coin, nodes in handed.items():
+                for i, a in enumerate(nodes):
+                    assert a in jo.coins[coin][1].spent, (payment, coin, a)
+                    for b in nodes[i + 1:]:
+                        assert not a.conflicts_with(b), (payment, coin, a, b)
+
+
+class TestSplitWithdrawal:
+    def test_two_begun_withdrawals_finish_in_fifo_order(self, dec_params, dec_bank, rng):
+        """``begin_withdraw`` twice, ``finish_withdraw`` twice: each answer
+        meets the secret of the request it answers (a mismatched pair
+        fails the blind-signature check), and both coins spend."""
+        from repro.ecash.spend import create_spend
+        from repro.metrics.opcount import OpCounter
+
+        counter = OpCounter()
+        dec_bank.open_account("jo", 2 << dec_params.tree_level)
+        dec_bank.open_account("sp", 0)
+        jo = JobOwnerDec("jo", dec_params, rng)
+        requests = [jo.begin_withdraw(counter), jo.begin_withdraw(counter)]
+        secrets = list(jo._pending_secrets)
+        for request in requests:
+            jo.finish_withdraw(dec_bank.issue("jo", request), dec_bank.public_key, counter)
+        assert [coin.secret for coin, _ in jo.coins] == secrets
+        assert jo._pending_secrets == []
+        assert counter.party_row("JO") == {"ZKP": 2, "Enc": 0, "Dec": 2, "H": 0}
+        for coin, wallet in jo.coins:
+            token = create_spend(dec_params, dec_bank.public_key, coin.secret,
+                                 coin.signature, wallet.allocate(1), rng)
+            assert dec_bank.deposit("sp", token) == 1
