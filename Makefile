@@ -60,9 +60,12 @@ check-docs:
 	$(PYTHON) tools/check_docs.py
 
 # Wide fault-schedule sweep (100 DEC + 40 PBS seeded schedules); the
-# plain test run exercises a fast slice of the same matrix.
+# plain test run exercises a fast slice of the same matrix.  Also here,
+# on both storage backends: the crash-before-every-storage-op sweep
+# (tests/testing/test_storage_faults.py) and the storage conformance
+# suite.
 test-faults:
-	REPRO_FAULT_SMOKE=1 $(PYTHON) -m pytest tests/testing/ -q
+	REPRO_FAULT_SMOKE=1 $(PYTHON) -m pytest tests/testing/ tests/service/test_storage.py -q
 
 # Requires pytest-cov (in the dev extras; not vendored).
 coverage:

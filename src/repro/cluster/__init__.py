@@ -28,7 +28,6 @@ from repro.cluster.replicate import (
     JournalShipper,
     ReplicaReceiver,
     control_call,
-    journal_from_records,
 )
 from repro.cluster.ring import DEFAULT_VNODES, ClusterMap, HashRing
 from repro.cluster.router import (
@@ -48,7 +47,6 @@ __all__ = [
     "StaleClusterMapError",
     "ReplicaReceiver",
     "JournalShipper",
-    "journal_from_records",
     "control_call",
     "ClusterNode",
     "LocalCluster",

@@ -37,11 +37,7 @@ import threading
 from typing import Any
 
 import repro.obs as obs
-from repro.cluster.replicate import (
-    JournalShipper,
-    ReplicaReceiver,
-    journal_from_records,
-)
+from repro.cluster.replicate import JournalShipper, ReplicaReceiver
 from repro.cluster.ring import ClusterMap, DEFAULT_VNODES
 from repro.service.frontend import ServiceFrontend
 from repro.service.journal import DEFAULT_SEGMENT_RECORDS, Checkpoint, Journal
@@ -200,7 +196,7 @@ class ClusterNode:
             return {"ok": False,
                     "error": f"nothing shipped from {dead!r}; cannot adopt"}
         ckpt = Checkpoint.from_bytes(slot.checkpoint) if slot.checkpoint else None
-        journal = journal_from_records(slot.records)
+        journal = Journal.from_records(slot.records)
         service = MarketService.recover(
             self.params, self.keypair, journal, checkpoint=ckpt,
             n_shards=self.n_shards, telemetry=self.telemetry,

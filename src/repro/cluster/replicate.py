@@ -57,7 +57,6 @@ from repro.net.wire import FrameDecoder, encode_frame, read_frame, write_frame, 
 from repro.service.journal import (
     DEFAULT_SEGMENT_RECORDS,
     Checkpoint,
-    Journal,
     JournalError,
     JournalRecord,
 )
@@ -67,35 +66,8 @@ __all__ = [
     "ReplicaSlot",
     "ReplicaReceiver",
     "JournalShipper",
-    "journal_from_records",
     "control_call",
 ]
-
-
-def journal_from_records(states: list[dict]) -> Journal:
-    """An in-memory journal holding shipped record *states* verbatim.
-
-    The shipped stream is already LSN-ordered and codec-normalized (it
-    was appended once on the source node); rebuilding through
-    :meth:`Journal.append` would re-assign LSNs and re-fire hooks, so
-    the records are installed directly.  A stream whose first record
-    carries a non-zero LSN (the receiver trimmed on a checkpoint, or
-    the source compacted before the link came up) becomes a journal
-    with the matching ``first_lsn``, so recovery's compaction guard
-    sees the truth.
-    """
-    journal = Journal()
-    records = [JournalRecord.from_state(s) for s in states]
-    for prev, cur in zip(records, records[1:]):
-        if cur.lsn != prev.lsn + 1:
-            raise JournalError(
-                f"shipped record stream has a gap: lsn {prev.lsn} is "
-                f"followed by lsn {cur.lsn}"
-            )
-    if records:
-        journal._base_lsn = records[0].lsn
-    journal._records.extend(records)
-    return journal
 
 
 def control_call(address: tuple[str, int], frame: dict, *,
@@ -361,8 +333,7 @@ class JournalShipper:
     *segment_records* is the shipping-side segment geometry: each
     record frame carries ``lsn // segment_records`` as its segment id
     so receiver cursors speak ``(segment, lsn)``.  It should match the
-    source journal's geometry when the source is a
-    :class:`~repro.service.journal.SegmentedFileJournal`.
+    source journal's geometry.
     ``last_checkpoint_lsn`` is the cut of the newest checkpoint that
     reached the peer (-1 before the first) — the LSN local compaction
     may safely treat as replica-durable.

@@ -15,8 +15,9 @@ real sockets or through any :mod:`~repro.service.gateway` — from the
 workload layer and reports latency SLOs.
 
 See ``docs/service.md`` for the architecture and the knobs, and
-``docs/storage.md`` for the on-disk journal/checkpoint format behind
-:class:`~repro.service.journal.SegmentedFileJournal`.
+``docs/storage.md`` for the journal/checkpoint format — one
+:class:`~repro.service.journal.Journal` over a
+:class:`~repro.service.storage.Storage` (memory or a directory).
 """
 
 from repro.service.admission import AdmissionController, AdmissionDecision, TokenBucket
@@ -27,8 +28,8 @@ from repro.service.journal import (
     JournalError,
     JournalMaintenance,
     JournalRecord,
-    SegmentedFileJournal,
 )
+from repro.service.storage import DirectoryStorage, MemoryStorage, Storage
 from repro.service.batcher import (
     DepositJob,
     DepositOutcome,
@@ -61,7 +62,9 @@ __all__ = [
     "AdmissionDecision",
     "TokenBucket",
     "Journal",
-    "SegmentedFileJournal",
+    "Storage",
+    "MemoryStorage",
+    "DirectoryStorage",
     "JournalMaintenance",
     "DEFAULT_SEGMENT_RECORDS",
     "JournalRecord",

@@ -24,18 +24,12 @@ journal closes that hole with the classic discipline:
   retention policy).  LSNs never restart; compaction only advances the
   oldest *retained* position (:attr:`Journal.first_lsn`).
 
-Two storage modes:
-
-* :class:`Journal` keeps records in a list, which under the fault
-  harness plays the role of the disk that survives the simulated crash
-  (the service and bank objects are discarded; the journal object is
-  handed to recovery).
-* :class:`SegmentedFileJournal` is the production store: one file per
-  segment, incremental copy-on-write checkpoints (content-addressed
-  blob files + a small manifest), retention-policy compaction that
-  actually deletes files, and named crash-injection steps so the fault
-  harness can kill the process *inside* checkpointing and compaction.
-  The byte-exact on-disk format is specified in ``docs/storage.md``.
+One class, :class:`Journal`, does all of it — one file per segment,
+incremental copy-on-write checkpoints (content-addressed blobs + a
+small manifest), retention-policy compaction that actually deletes —
+over a :class:`~repro.service.storage.Storage`, the one seam every byte
+crosses and therefore where the fault harness injects crashes.  The
+byte-exact format is specified in ``docs/storage.md``.
 
 Record kinds (see :mod:`repro.service.server` for who writes what)::
 
@@ -44,36 +38,28 @@ Record kinds (see :mod:`repro.service.server` for who writes what)::
     reply   {status, body}                 terminal answer for a rid
 
 A :class:`Checkpoint` pairs per-shard snapshot blobs with the journal
-position they reflect; recovery restores the blobs and replays only
-records after that position.  Since checkpoints gate compaction, a
-checkpoint also carries the request-lifecycle state (reply cache,
-in-flight accepts, eviction tombstones, sequence watermark) that
-recovery used to rebuild by scanning the — now partially deleted —
-log from lsn 0.  The reply cache and the tombstone set are FIFO, so
-they travel as :class:`Runs`: immutable sealed runs of
-:data:`RUN_ENTRIES` entries (stored once each, by content digest) plus
-a short unsealed tail — a checkpoint costs what changed since the last
-one, not what the cache holds.
+position they reflect, plus the request-lifecycle state recovery can no
+longer scan out of a compacted log; recovery restores it and replays
+only the records after that position.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import repro.obs as obs
 from repro.crypto.hashing import sha256
 from repro.net.codec import decode, encode
+from repro.service.storage import DirectoryStorage, MemoryStorage, Storage
 
 __all__ = [
     "JournalError",
     "JournalRecord",
     "Journal",
-    "SegmentedFileJournal",
     "JournalMaintenance",
     "Checkpoint",
     "Run",
@@ -140,32 +126,210 @@ class JournalRecord:
         )
 
 
+_segment_name = "seg-{:08d}.wal".format
+_manifest_name = "ckpt-{:016d}.mf".format
+_blob_file = "blob-{}.bin".format  # by content digest, see _blob_name
+
+
+def _numbered(names: Iterable[str], prefix: str, suffix: str) -> list[int]:
+    """The sorted numbers of every ``<prefix><number><suffix>`` in *names*."""
+    return sorted(int(name[len(prefix):-len(suffix)]) for name in names
+                  if name.startswith(prefix) and name.endswith(suffix))
+
+
+def _blob_name(data: bytes) -> str:
+    """Content digest a blob file is named by (``blob-<this>.bin``)."""
+    return sha256(data).hex()[:_BLOB_NAME_HEX]
+
+
+def _seal(magic: bytes, body: bytes) -> bytes:
+    """``magic || sha256(magic, body) || body`` — manifests and checkpoints."""
+    return magic + sha256(magic, body) + body
+
+
+def _unseal(magic: bytes, blob: bytes, what: str) -> Any:
+    """The decoded body of a :func:`_seal`-ed *blob*, or ``JournalError``."""
+    body = blob[len(magic) + 32 :]
+    if not blob.startswith(magic):
+        raise JournalError(f"not a {what} (bad magic)")
+    if sha256(magic, body) != blob[len(magic) : len(magic) + 32]:
+        raise JournalError(f"{what} integrity digest mismatch")
+    try:
+        return decode(body)
+    except ValueError as exc:
+        raise JournalError(f"{what} body undecodable: {exc}") from exc
+
+
+def _frame(state: dict) -> bytes:
+    """One wire frame: u32 body length, 8-byte digest prefix, codec body."""
+    body = encode(state)
+    return (
+        len(body).to_bytes(4, "big")
+        + sha256(body)[:_FRAME_DIGEST_BYTES]
+        + body
+    )
+
+
+def _read_frame(data: bytes, pos: int, name: str) -> tuple[bytes | None, int]:
+    """The body of the frame at *pos* and the offset after it.
+
+    ``(None, pos)`` for a torn frame: the buffer stops inside it, or its
+    digest fails and nothing follows (a crash mid-write).  A bad digest
+    with bytes after it is corruption, which no crash produces: raises.
+    """
+    body_start = pos + 4 + _FRAME_DIGEST_BYTES
+    end = body_start + int.from_bytes(data[pos : pos + 4], "big")
+    if body_start > len(data) or end > len(data):
+        return None, pos
+    body = data[body_start:end]
+    if sha256(body)[:_FRAME_DIGEST_BYTES] != data[pos + 4 : body_start]:
+        if end == len(data):
+            return None, pos
+        raise JournalError(
+            f"{name}: corrupt frame at byte {pos} (digest mismatch)"
+        )
+    return body, end
+
+
+def _scan_header(data: bytes, name: str) -> tuple[dict | None, int]:
+    """A segment's magic and framed header; returns (header, end offset).
+
+    ``(None, 0)`` when the file stops before its header is complete —
+    empty, magic cut short, magic only, or a torn header frame: what a
+    crash during segment roll leaves.  Anything else that is not magic
+    plus a well-formed header raises.
+    """
+    if not data.startswith(_SEGMENT_MAGIC):
+        if _SEGMENT_MAGIC.startswith(data):
+            return None, 0
+        raise JournalError(f"{name}: not a journal segment (bad magic)")
+    body, end = _read_frame(data, len(_SEGMENT_MAGIC), name)
+    if body is None:
+        return None, 0
+    try:
+        header = decode(body)
+    except ValueError as exc:
+        raise JournalError(f"{name}: undecodable segment header: {exc}") from exc
+    if (not isinstance(header, dict)
+            or set(header) != {"segment", "base_lsn", "segment_records"}):
+        raise JournalError(f"{name}: malformed segment header")
+    return header, end
+
+
+def _scan_frames(
+    data: bytes, start: int, name: str, *, expected_lsn: int
+) -> tuple[list[JournalRecord], int, bool]:
+    """Decode record frames from *data*; returns (records, clean end, torn).
+
+    Torn bytes at the very end of the buffer are tolerated (crash
+    mid-append); a bad digest or undecodable body *before* the tail is
+    corruption and raises.  LSNs must be dense from *expected_lsn*.
+    """
+    records: list[JournalRecord] = []
+    pos = start
+    while pos < len(data):
+        body, end = _read_frame(data, pos, name)
+        if body is None:
+            return records, pos, True
+        try:
+            record = JournalRecord.from_state(decode(body))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise JournalError(
+                f"{name}: undecodable frame at byte {pos}: {exc}"
+            ) from exc
+        if record.lsn != expected_lsn:
+            raise JournalError(
+                f"{name}: LSN gap at byte {pos} "
+                f"(got {record.lsn}, expected {expected_lsn})"
+            )
+        records.append(record)
+        expected_lsn += 1
+        pos = end
+    return records, pos, False
+
+
 class Journal:
-    """In-memory, fsync-free write-ahead journal (the test/fault mode).
+    """Segmented write-ahead journal over a :class:`Storage`.
+
+    ``Journal()`` journals into a fresh
+    :class:`~repro.service.storage.MemoryStorage`, :meth:`open` into a
+    directory.  Either way the constructor *loads* what the storage
+    already holds, so reopening the storage a dead journal wrote to is
+    the whole of crash recovery's storage half.
 
     Payloads are normalized through the canonical codec on append —
     appending is exactly as strict as sending the value over the wire,
     and the journal can never share mutable state with the live books
     (a record read back at recovery is a fresh decoded copy).
 
-    The log is segmented: record ``lsn`` belongs to segment
-    ``lsn // segment_records``, and :meth:`compact` drops whole sealed
-    segments that a durable checkpoint covers.  ``len(journal)`` is the
-    *retained* record count; :attr:`first_lsn`/:attr:`last_lsn` are the
-    retained LSN range (LSNs are global and never reused).
+    Record ``lsn`` lives in segment ``lsn // segment_records``
+    (``seg-<id>.wal``: magic, framed header, record frames).  Only the
+    newest segment may end in a torn frame (truncated on load — a crash
+    mid-append costs at most the record being written) or stop before
+    its header is complete (dropped on load — a crash during segment
+    roll); both set :attr:`torn_tail`.  Any earlier damage is
+    corruption, which no crash can produce, and raises.
+
+    Every retained record is also held decoded in memory:
+    ``len(journal)`` is the *retained* record count and
+    :attr:`first_lsn`/:attr:`last_lsn` the retained LSN range (LSNs are
+    global and never reused).
     """
 
-    def __init__(self, *, segment_records: int = DEFAULT_SEGMENT_RECORDS,
+    def __init__(self, storage: Storage | None = None, *,
+                 segment_records: int = DEFAULT_SEGMENT_RECORDS,
                  telemetry: "obs.Telemetry | None" = None) -> None:
         if segment_records < 1:
             raise JournalError("segment_records must be positive")
+        self.storage = storage if storage is not None else MemoryStorage()
         self.segment_records = segment_records
         self._base_lsn = 0  # lsn of _records[0] (next lsn when empty)
         self._records: list[JournalRecord] = []
+        self._tail_segment = -1  # the headed segment appends continue in
         self._observers: list = []
         self.compactions = 0
         self.segments_dropped = 0
+        self.torn_tail = False
+        self.checkpoint_fallbacks = 0  # corrupt manifests skipped on load
+        self.checkpoint_bytes = 0  # blob + manifest bytes actually written
         self._bind_obs(telemetry)
+        self._load()
+
+    @classmethod
+    def open(cls, directory, **options) -> "Journal":
+        """The production store: a journal over the files in *directory*."""
+        journal = cls(DirectoryStorage(directory), **options)
+        journal.directory = journal.storage.directory  # serve.py reads it
+        return journal
+
+    @classmethod
+    def from_records(cls, states: Iterable[dict]) -> "Journal":
+        """A memory-backed journal holding shipped record *states* verbatim.
+
+        The stream is already LSN-ordered and codec-normalized (it was
+        appended once, on the node that shipped it), so the records are
+        installed under the LSNs they carry: no observer fires and no
+        append is counted.  LSNs must be dense.  A stream that starts
+        past lsn 0 (the receiver trimmed on a checkpoint, or the source
+        compacted) gives a journal with the matching :attr:`first_lsn`,
+        so recovery's compaction guard sees the truth.
+        """
+        journal = cls()
+        for state in states:
+            record = JournalRecord.from_state(state)
+            if not journal._records:
+                journal._base_lsn = record.lsn
+            elif record.lsn != journal.last_lsn + 1:
+                raise JournalError(
+                    f"shipped record stream has a gap: lsn {journal.last_lsn} "
+                    f"is followed by lsn {record.lsn}"
+                )
+            journal._write(record)
+        return journal
+
+    def close(self) -> None:
+        """Release the storage's OS handles (the journal stays loadable)."""
+        self.storage.close()
 
     def add_observer(self, fn) -> None:
         """Call *fn(record)* synchronously for every appended record.
@@ -175,8 +339,8 @@ class Journal:
         returns — and therefore before any reply that depends on the
         record is sent — which is what lets a peer's copy of the
         journal be a superset of every acknowledged request.  Records
-        loaded from disk (a :class:`SegmentedFileJournal` reopening its
-        directory) do not fire; only new appends do.
+        loaded from storage or installed by :meth:`from_records` do not
+        fire; only new appends do.
         """
         self._observers.append(fn)
 
@@ -239,6 +403,83 @@ class Journal:
             return 0
         return self.segment_of(self.last_lsn) - self.segment_of(self.first_lsn) + 1
 
+    def disk_usage(self) -> int:
+        """Total bytes the storage currently holds."""
+        total = 0
+        for name in self.storage.names():
+            try:
+                total += self.storage.size(name)
+            except OSError:
+                pass
+        return total
+
+    # -- load --------------------------------------------------------------
+    def _load(self) -> None:
+        segment_ids = _numbered(self.storage.names(), "seg-", ".wal")
+        if not segment_ids:
+            return
+        for prev, cur in zip(segment_ids, segment_ids[1:]):
+            if cur != prev + 1:
+                raise JournalError(
+                    f"segment gap between seg {prev} and {cur} "
+                    "(compaction only ever drops a prefix)"
+                )
+        newest = segment_ids[-1]
+        expected_lsn: int | None = None
+        for segment_id in segment_ids:
+            name = _segment_name(segment_id)
+            data = self.storage.read(name)
+            header, header_end = _scan_header(data, name)
+            if header is None:
+                if segment_id != newest:
+                    raise JournalError(f"{name}: torn segment header")
+                # crash during segment roll: the next append re-creates it
+                self.torn_tail = True
+                self.storage.unlink(name)
+                if expected_lsn is None:
+                    self._base_lsn = segment_id * self.segment_records
+                break
+            if header["segment"] != segment_id:
+                raise JournalError(
+                    f"{name}: header names segment {header['segment']}, "
+                    f"file name says {segment_id}"
+                )
+            if header["segment_records"] != self.segment_records:
+                raise JournalError(
+                    f"{name}: segment capacity {header['segment_records']} "
+                    f"!= store capacity {self.segment_records}"
+                )
+            base = header["base_lsn"]
+            if expected_lsn is None:
+                # the oldest segment says where the retained log starts:
+                # at its first slot, or later in it (see from_records)
+                expected_lsn = self._base_lsn = base
+            if base != expected_lsn or self.segment_of(base) != segment_id:
+                raise JournalError(
+                    f"{name}: header starts the segment at lsn {base}, which "
+                    f"is not where the log reaches segment {segment_id}"
+                )
+            records, tail_offset, torn = _scan_frames(
+                data, header_end, name, expected_lsn=expected_lsn
+            )
+            expected_lsn += len(records)
+            if segment_id != newest:
+                if torn or self.segment_of(expected_lsn) == segment_id:
+                    raise JournalError(
+                        f"{name}: sealed segment holds {len(records)} of "
+                        f"{(segment_id + 1) * self.segment_records - base} "
+                        "records" + (" (torn frame)" if torn else "")
+                    )
+            elif torn:
+                self.torn_tail = True
+                self.storage.truncate(name, tail_offset)
+            self._records.extend(records)
+            self._tail_segment = segment_id
+        self._m_lsn.set(self.last_lsn)
+        self._m_first_lsn.set(self.first_lsn)
+        self._m_segments.set(self.segments_retained)
+
+    # -- append ------------------------------------------------------------
     def append(self, kind: str, rid: str, op: str, payload: Any) -> JournalRecord:
         """Durably record one event; returns the record (with its LSN)."""
         if kind not in RECORD_KINDS:
@@ -257,8 +498,7 @@ class Journal:
         # inside the request's timeline, not as a detached blip
         with self.obs.tracer.span("journal_append", kind=kind, op=op,
                                   lsn=record.lsn, bytes=len(encoded)):
-            self._records.append(record)
-            self._persist(record)
+            self._write(record)
             for observer in self._observers:
                 observer(record)
         self._m_appends[kind].inc()
@@ -266,8 +506,22 @@ class Journal:
         self._m_lsn.set(record.lsn)
         return record
 
-    def _persist(self, record: JournalRecord) -> None:
-        """Hook for durable subclasses; in-memory mode does nothing."""
+    def _write(self, record: JournalRecord) -> None:
+        """Frame *record* into the segment that owns its LSN, then keep it."""
+        segment_id = record.lsn // self.segment_records
+        name = _segment_name(segment_id)
+        if segment_id != self._tail_segment:
+            # create, then head: two operations, as on a disk — a crash
+            # between them is the torn roll _load answers for
+            self.storage.write(name, _SEGMENT_MAGIC)
+            self.storage.append(name, _frame({
+                "segment": segment_id,
+                "base_lsn": record.lsn,
+                "segment_records": self.segment_records,
+            }))
+            self._tail_segment = segment_id
+        self.storage.append(name, _frame(record.to_state()))
+        self._records.append(record)
 
     def records(self, *, after: int = -1) -> Iterator[JournalRecord]:
         """Retained records with ``lsn > after``, in LSN order.
@@ -277,366 +531,62 @@ class Journal:
         the *full* history must pair the tail with the checkpoint that
         compaction was cut against (see :meth:`compact`).
         """
-        start = after + 1 - self._base_lsn
-        if start < 0:
-            start = 0
-        return iter(self._records[start:])
-
-    def compact(self, durable_lsn: int, *, retain_segments: int = 1) -> list[int]:
-        """Drop sealed segments fully covered by a durable checkpoint.
-
-        *durable_lsn* is the LSN of a checkpoint that is already safely
-        persisted (or shipped): every record with ``lsn <= durable_lsn``
-        is folded into that checkpoint's state.  A segment is dropped
-        only when **all** of its records are covered; *retain_segments*
-        keeps that many of the newest coverable segments anyway (debug
-        tail / shipping slack).  Returns the dropped segment ids.
-
-        Compaction never touches the active (unsealed) segment and
-        never renumbers anything: ``first_lsn`` advances, ``last_lsn``
-        and future LSNs are unchanged.
-        """
-        if retain_segments < 0:
-            raise JournalError("retain_segments must be >= 0")
-        if durable_lsn > self.last_lsn:
-            durable_lsn = self.last_lsn
-        # segments 0 .. covered-1 are entirely <= durable_lsn
-        covered = (durable_lsn + 1) // self.segment_records
-        target_first = covered - retain_segments
-        current_first = self._base_lsn // self.segment_records
-        if target_first <= current_first:
-            self._m_first_lsn.set(self.first_lsn)
-            self._m_segments.set(self.segments_retained)
-            return []
-        dropped = list(range(current_first, target_first))
-        new_base = target_first * self.segment_records
-        with self.obs.tracer.span("journal_compact", first=current_first,
-                                  dropped=len(dropped)):
-            self._records = self._records[new_base - self._base_lsn:]
-            self._base_lsn = new_base
-            self._drop_segments(dropped)
-        self.compactions += 1
-        self.segments_dropped += len(dropped)
-        self._m_compactions.inc()
-        self._m_dropped.inc(len(dropped))
-        self._m_first_lsn.set(self.first_lsn)
-        self._m_segments.set(self.segments_retained)
-        return dropped
-
-    def _drop_segments(self, segment_ids: list[int]) -> None:
-        """Hook for durable subclasses: delete the dropped segments' files."""
-
-
-def _blob_name(data: bytes) -> str:
-    """Content digest a blob file is named by (``blob-<this>.bin``)."""
-    return sha256(data).hex()[:_BLOB_NAME_HEX]
-
-
-def _frame(state: dict) -> bytes:
-    """One wire frame: u32 body length, 8-byte digest prefix, codec body."""
-    body = encode(state)
-    return (
-        len(body).to_bytes(4, "big")
-        + sha256(body)[:_FRAME_DIGEST_BYTES]
-        + body
-    )
-
-
-def _scan_frames(
-    data: bytes, start: int, name: str, *, expected_lsn: int
-) -> tuple[list[JournalRecord], int, bool]:
-    """Decode record frames from *data*; returns (records, clean end, torn).
-
-    Torn bytes at the very end of the buffer are tolerated (crash
-    mid-append); a bad digest or undecodable body *before* the tail is
-    corruption and raises.  LSNs must be dense from *expected_lsn*.
-    """
-    records: list[JournalRecord] = []
-    pos = start
-    end = len(data)
-    torn = False
-    while pos < end:
-        if pos + 4 + _FRAME_DIGEST_BYTES > end:
-            torn = True
-            break
-        size = int.from_bytes(data[pos : pos + 4], "big")
-        digest = data[pos + 4 : pos + 4 + _FRAME_DIGEST_BYTES]
-        body_start = pos + 4 + _FRAME_DIGEST_BYTES
-        body = data[body_start : body_start + size]
-        if len(body) < size:
-            torn = True
-            break
-        if sha256(body)[:_FRAME_DIGEST_BYTES] != digest:
-            if body_start + size == end:
-                # torn write inside the final frame's body
-                torn = True
-                break
-            raise JournalError(
-                f"{name}: corrupt frame at byte {pos} (digest mismatch)"
-            )
-        try:
-            record = JournalRecord.from_state(decode(body))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise JournalError(
-                f"{name}: undecodable frame at byte {pos}: {exc}"
-            ) from exc
-        if record.lsn != expected_lsn:
-            raise JournalError(
-                f"{name}: LSN gap at byte {pos} "
-                f"(got {record.lsn}, expected {expected_lsn})"
-            )
-        records.append(record)
-        expected_lsn += 1
-        pos = body_start + size
-    return records, pos, torn
-
-
-class SegmentedFileJournal(Journal):
-    """The production journal: numbered segment files under one directory.
-
-    Directory layout (byte-exact spec in ``docs/storage.md``)::
-
-        seg-00000000.wal        segment 0: LSNs [0, N)
-        seg-00000001.wal        segment 1: LSNs [N, 2N)
-        ckpt-0000000000000511.mf  checkpoint manifest cut at LSN 511
-        blob-6f1d2c3b4a596871.bin content-addressed shard snapshot blob
-
-    Each segment file is the one-line segment magic, a framed header
-    (``{segment, base_lsn, segment_records}``), then record frames:
-    ``u32 length + 8-byte digest + codec body``.  Only the newest
-    segment may end in a torn frame (truncated on load — a crash
-    mid-append costs at most the record being written); any earlier
-    damage is corruption, which no crash can produce.
-
-    Checkpoints are incremental and copy-on-write: each shard blob is
-    written to a file named by its content digest **only if absent**
-    (an unchanged shard costs zero bytes), and the manifest referencing
-    the blobs is published last via atomic rename — a crash anywhere in
-    the sequence leaves the previous checkpoint fully intact.
-    :meth:`compact` deletes segment files fully covered by the newest
-    durable manifest (honoring the retention policy), then superseded
-    manifests, then unreferenced blobs — strictly in that order, so an
-    interrupted compaction can only leave *extra* files, never a
-    recovery gap.
-
-    *crash_hook*, when set, is called with a step label at every
-    named point inside checkpointing and compaction; the fault harness
-    raises :class:`~repro.testing.faults.CrashPoint` from it to prove
-    recovery equivalence for crashes inside the maintenance path.
-    """
-
-    def __init__(self, directory: str | os.PathLike[str], *,
-                 segment_records: int = DEFAULT_SEGMENT_RECORDS,
-                 telemetry: "obs.Telemetry | None" = None,
-                 crash_hook: Callable[[str], None] | None = None) -> None:
-        super().__init__(segment_records=segment_records, telemetry=telemetry)
-        self.directory = os.fspath(directory)
-        self.crash_hook = crash_hook
-        self.torn_tail = False
-        self.checkpoint_fallbacks = 0  # corrupt manifests skipped on load
-        self.checkpoint_bytes = 0  # blob + manifest bytes actually written
-        self._fh = None
-        self._fh_segment = -1
-        os.makedirs(self.directory, exist_ok=True)
-        self._load()
-
-    # -- plumbing ----------------------------------------------------------
-    def _step(self, label: str) -> None:
-        if self.crash_hook is not None:
-            self.crash_hook(label)
-
-    def _segment_path(self, segment_id: int) -> str:
-        return os.path.join(self.directory, f"seg-{segment_id:08d}.wal")
-
-    def _manifest_path(self, lsn: int) -> str:
-        return os.path.join(self.directory, f"ckpt-{lsn:016d}.mf")
-
-    def _blob_path(self, digest_hex: str) -> str:
-        return os.path.join(self.directory, f"blob-{digest_hex}.bin")
-
-    def _segment_ids_on_disk(self) -> list[int]:
-        ids = []
-        for name in os.listdir(self.directory):
-            if name.startswith("seg-") and name.endswith(".wal"):
-                ids.append(int(name[4:-4]))
-        return sorted(ids)
-
-    def _manifest_lsns_on_disk(self) -> list[int]:
-        lsns = []
-        for name in os.listdir(self.directory):
-            if name.startswith("ckpt-") and name.endswith(".mf"):
-                lsns.append(int(name[5:-3]))
-        return sorted(lsns)
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-            self._fh_segment = -1
-
-    def disk_usage(self) -> int:
-        """Total bytes currently on disk under the journal directory."""
-        total = 0
-        for name in os.listdir(self.directory):
-            try:
-                total += os.path.getsize(os.path.join(self.directory, name))
-            except OSError:
-                pass
-        return total
-
-    # -- load --------------------------------------------------------------
-    def _load(self) -> None:
-        segment_ids = self._segment_ids_on_disk()
-        if not segment_ids:
-            return
-        for prev, cur in zip(segment_ids, segment_ids[1:]):
-            if cur != prev + 1:
-                raise JournalError(
-                    f"{self.directory}: segment gap between seg {prev} and "
-                    f"{cur} (compaction only ever drops a prefix)"
-                )
-        self._base_lsn = segment_ids[0] * self.segment_records
-        expected_lsn = self._base_lsn
-        last = segment_ids[-1]
-        for segment_id in segment_ids:
-            path = self._segment_path(segment_id)
-            with open(path, "rb") as fh:
-                data = fh.read()
-            if not data.startswith(_SEGMENT_MAGIC):
-                raise JournalError(f"{path}: not a journal segment (bad magic)")
-            headers, header_end, header_torn = _scan_header(data, path)
-            if headers["segment"] != segment_id:
-                raise JournalError(
-                    f"{path}: header names segment {headers['segment']}, "
-                    f"file name says {segment_id}"
-                )
-            if headers["segment_records"] != self.segment_records:
-                raise JournalError(
-                    f"{path}: segment capacity {headers['segment_records']} "
-                    f"!= store capacity {self.segment_records}"
-                )
-            if header_torn:
-                raise JournalError(f"{path}: torn segment header")
-            records, tail_offset, torn = _scan_frames(
-                data, header_end, path, expected_lsn=expected_lsn
-            )
-            if segment_id != last:
-                if torn or len(records) != self.segment_records:
-                    raise JournalError(
-                        f"{path}: sealed segment holds {len(records)} of "
-                        f"{self.segment_records} records"
-                        + (" (torn frame)" if torn else "")
-                    )
-            elif torn:
-                self.torn_tail = True
-                with open(path, "rb+") as fh:
-                    fh.truncate(tail_offset)
-            self._records.extend(records)
-            expected_lsn += len(records)
-        self._m_lsn.set(self.last_lsn)
-        self._m_first_lsn.set(self.first_lsn)
-        self._m_segments.set(self.segments_retained)
-
-    # -- append ------------------------------------------------------------
-    def _persist(self, record: JournalRecord) -> None:
-        segment_id = self.segment_of(record.lsn)
-        if self._fh is None or segment_id != self._fh_segment:
-            self._roll_to(segment_id)
-        self._fh.write(_frame(record.to_state()))
-        self._fh.flush()
-
-    def _roll_to(self, segment_id: int) -> None:
-        if self._fh is not None:
-            self._fh.close()
-        path = self._segment_path(segment_id)
-        if os.path.exists(path):
-            # the partially-filled tail segment found on load
-            self._fh = open(path, "ab")
-        else:
-            self._fh = open(path, "wb")
-            self._fh.write(_SEGMENT_MAGIC)
-            self._fh.write(_frame({
-                "segment": segment_id,
-                "base_lsn": segment_id * self.segment_records,
-                "segment_records": self.segment_records,
-            }))
-            self._fh.flush()
-        self._fh_segment = segment_id
+        return iter(self._records[max(0, after + 1 - self._base_lsn):])
 
     # -- checkpoints (incremental, copy-on-write) --------------------------
-    def _put_blob(self, data: bytes, step: str, digest: str | None = None) -> str:
-        """Store *data* under its content digest unless already there."""
+    def _put_blob(self, data: bytes, present: set[str],
+                  digest: str | None = None) -> str:
+        """Store *data* under its content digest unless already *present*."""
         digest = digest or _blob_name(data)
-        path = self._blob_path(digest)
-        if not os.path.exists(path):
-            self._step(step)
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
+        name = _blob_file(digest)
+        if name not in present:
+            self.storage.write(name + ".tmp", data)
+            self.storage.replace(name + ".tmp", name)
+            present.add(name)
             self.checkpoint_bytes += len(data)
         return digest
 
     def write_checkpoint(self, checkpoint: "Checkpoint") -> str:
-        """Durably persist *checkpoint*; returns the manifest path.
+        """Durably persist *checkpoint*; returns the manifest's name.
 
-        Blob files are content-addressed and written only when absent,
-        so an unchanged shard — and every sealed reply/tombstone run
-        already stored by an earlier checkpoint — is free.  What is not
-        sealed yet (the two tails and ``pending``) goes into one tail
-        blob, written only when non-empty, so the manifest itself names
-        digests and nothing else.  The manifest is written to a ``.tmp``
-        sibling and published by ``os.replace`` *after* every blob it
-        references exists — the newest manifest on disk therefore always
-        validates, and a crash at any step leaves the previous
-        checkpoint untouched.
+        Incremental and copy-on-write: blobs are content-addressed and
+        written only when absent, so an unchanged shard — and every
+        sealed reply/tombstone run an earlier checkpoint stored — is
+        free.  What is not sealed yet (the two tails and ``pending``)
+        goes into one tail blob, so the manifest names digests and
+        nothing else.  Each file is written to a ``.tmp`` sibling and
+        moved into place, the manifest *after* every blob it names —
+        the newest manifest therefore always validates, and a crash at
+        any operation leaves the previous checkpoint untouched.
         """
+        present = set(self.storage.names())
         state: dict = {"lsn": checkpoint.lsn, "next_seq": checkpoint.next_seq}
-        state["shards"] = [
-            self._put_blob(blob, f"checkpoint:blob:{index}")
-            for index, blob in enumerate(checkpoint.blobs)
-        ]
+        state["shards"] = [self._put_blob(blob, present)
+                           for blob in checkpoint.blobs]
         tail = {"pending": list(checkpoint.pending)}
         for name in ("replies", "evicted"):
             runs: Runs = getattr(checkpoint, name)
             state[name] = {"skip": runs.skip, "runs": [
-                self._put_blob(run.data, f"checkpoint:run:{run.digest}",
-                               run.digest)
+                self._put_blob(run.data, present, run.digest)
                 for run in runs.sealed
             ]}
             tail[name] = list(runs.tail)
-        state["tail"] = (self._put_blob(encode(tail), "checkpoint:tail")
+        state["tail"] = (self._put_blob(encode(tail), present)
                          if any(tail.values()) else "")
-        self._step("checkpoint:manifest")
-        body = encode(state)
-        manifest = _MANIFEST_MAGIC + sha256(_MANIFEST_MAGIC, body) + body
-        path = self._manifest_path(checkpoint.lsn)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(manifest)
-        self._step("checkpoint:publish")
-        os.replace(tmp, path)
+        manifest = _seal(_MANIFEST_MAGIC, encode(state))
+        name = _manifest_name(checkpoint.lsn)
+        self.storage.write(name + ".tmp", manifest)
+        self.storage.replace(name + ".tmp", name)
         self.checkpoint_bytes += len(manifest)
-        return path
+        return name
 
     def _read_manifest(self, lsn: int) -> dict | None:
         """Decode one manifest, or ``None`` when it fails validation."""
         try:
-            with open(self._manifest_path(lsn), "rb") as fh:
-                blob = fh.read()
-        except OSError:
+            return _unseal(_MANIFEST_MAGIC, self.storage.read(_manifest_name(lsn)),
+                           "checkpoint manifest")
+        except (OSError, JournalError):
             return None
-        if not blob.startswith(_MANIFEST_MAGIC):
-            return None
-        digest = blob[len(_MANIFEST_MAGIC) : len(_MANIFEST_MAGIC) + 32]
-        body = blob[len(_MANIFEST_MAGIC) + 32 :]
-        if sha256(_MANIFEST_MAGIC, body) != digest:
-            return None
-        try:
-            state = decode(body)
-        except ValueError:
-            return None
-        return state
 
     @staticmethod
     def _referenced(state: dict) -> list[str]:
@@ -653,8 +603,7 @@ class SegmentedFileJournal(Journal):
         blobs: dict[str, bytes] = {}
         for digest in self._referenced(state):
             try:
-                with open(self._blob_path(digest), "rb") as fh:
-                    blobs[digest] = fh.read()
+                blobs[digest] = self.storage.read(_blob_file(digest))
             except OSError:
                 return None
             if _blob_name(blobs[digest]) != digest:
@@ -683,7 +632,7 @@ class SegmentedFileJournal(Journal):
         no checkpoint survives — recovery then replays the whole
         retained log.
         """
-        for lsn in reversed(self._manifest_lsns_on_disk()):
+        for lsn in reversed(_numbered(self.storage.names(), "ckpt-", ".mf")):
             checkpoint = self._read_checkpoint(lsn)
             if checkpoint is not None:
                 return checkpoint
@@ -694,24 +643,34 @@ class SegmentedFileJournal(Journal):
     def compact(self, durable_lsn: int | None = None, *,
                 retain_segments: int = 1,
                 retain_checkpoints: int = 1) -> list[int]:
-        """Delete files covered by a durable checkpoint; returns dropped ids.
+        """Drop sealed segments a durable checkpoint covers; returns their ids.
 
-        With ``durable_lsn=None`` the newest valid manifest's LSN is
-        used (no valid manifest means nothing is dropped).  Deletion
-        order is segments → superseded manifests → unreferenced blobs
-        (and stray ``.tmp`` files), each behind a named crash step; any
-        interruption leaves only *extra* files, which the next pass
-        removes.  *retain_checkpoints* keeps that many of the newest
-        valid manifests (at least 1 — compaction without a durable
-        checkpoint would strand the log).  A pass reads manifests
-        newest-first, each at most once, stopping at the last one it
-        keeps; it never opens a blob.
+        *durable_lsn* is the LSN of a checkpoint that is already safely
+        persisted (or shipped): every record with ``lsn <= durable_lsn``
+        is folded into that checkpoint's state.  With ``None`` the
+        newest valid manifest's LSN is used (no valid manifest means
+        nothing is dropped).  A segment is dropped only when **all** of
+        its records are covered; *retain_segments* keeps that many of
+        the newest coverable segments anyway (debug tail / shipping
+        slack).  The active (unsealed) segment is never touched and
+        nothing is renumbered: only ``first_lsn`` advances.
+
+        Deletion order is segments → superseded manifests →
+        unreferenced blobs and stray ``.tmp`` files, so an interruption
+        leaves only *extra* files, which the next pass removes.
+        *retain_checkpoints* keeps that many of the newest valid
+        manifests (at least 1 — compaction without a durable checkpoint
+        would strand the log).  A pass reads manifests newest-first,
+        each at most once, and never opens a blob.
         """
+        if retain_segments < 0:
+            raise JournalError("retain_segments must be >= 0")
         if retain_checkpoints < 1:
             raise JournalError("retain_checkpoints must be >= 1")
-        lsns = self._manifest_lsns_on_disk()
+        names = self.storage.names()
+        manifests = _numbered(names, "ckpt-", ".mf")
         keep: dict[int, dict] = {}
-        for lsn in reversed(lsns):
+        for lsn in reversed(manifests):
             if len(keep) == retain_checkpoints:
                 break
             state = self._read_manifest(lsn)
@@ -721,62 +680,52 @@ class SegmentedFileJournal(Journal):
             if not keep:
                 return []
             durable_lsn = max(keep)
-        dropped = super().compact(durable_lsn, retain_segments=retain_segments)
-        self._gc_checkpoints(lsns, keep)
+        dropped = self._drop_covered(durable_lsn, retain_segments)
+        for lsn in manifests:
+            if lsn not in keep:
+                self.storage.unlink(_manifest_name(lsn))
+        referenced = {_blob_file(digest) for state in keep.values()
+                      for digest in self._referenced(state)}
+        for name in sorted(names):
+            if name.endswith(".tmp") or (
+                    name.startswith("blob-") and name.endswith(".bin")
+                    and name not in referenced):
+                self.storage.unlink(name)
         return dropped
 
-    def _drop_segments(self, segment_ids: list[int]) -> None:
-        for segment_id in segment_ids:
-            self._step(f"compact:segment:{segment_id}")
-            self._unlink(self._segment_path(segment_id))
-
-    @staticmethod
-    def _unlink(path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass  # already gone (a previous interrupted pass)
-
-    def _gc_checkpoints(self, lsns: list[int], keep: dict[int, dict]) -> None:
-        referenced: set[str] = set()
-        for state in keep.values():
-            referenced.update(self._referenced(state))
-        for lsn in lsns:
-            if lsn not in keep:
-                self._step(f"compact:manifest:{lsn}")
-                self._unlink(self._manifest_path(lsn))
-        for name in sorted(os.listdir(self.directory)):
-            path = os.path.join(self.directory, name)
-            if name.endswith(".tmp"):
-                self._step(f"compact:tmp:{name}")
-                self._unlink(path)
-            elif name.startswith("blob-") and name.endswith(".bin"):
-                if name[5:-4] not in referenced:
-                    self._step(f"compact:blob:{name}")
-                    self._unlink(path)
+    def _drop_covered(self, durable_lsn: int, retain_segments: int) -> list[int]:
+        """The segment half of :meth:`compact`."""
+        if durable_lsn > self.last_lsn:
+            durable_lsn = self.last_lsn
+        # segments 0 .. covered-1 are entirely <= durable_lsn
+        covered = (durable_lsn + 1) // self.segment_records
+        target_first = covered - retain_segments
+        current_first = self._base_lsn // self.segment_records
+        dropped = list(range(current_first, target_first))
+        if dropped:
+            new_base = target_first * self.segment_records
+            with self.obs.tracer.span("journal_compact", first=current_first,
+                                      dropped=len(dropped)):
+                self._records = self._records[new_base - self._base_lsn:]
+                self._base_lsn = new_base
+                for segment_id in dropped:
+                    self.storage.unlink(_segment_name(segment_id))
+            self.compactions += 1
+            self.segments_dropped += len(dropped)
+            self._m_compactions.inc()
+            self._m_dropped.inc(len(dropped))
+        self._m_first_lsn.set(self.first_lsn)
+        self._m_segments.set(self.segments_retained)
+        return dropped
 
 
-def _scan_header(data: bytes, path: str) -> tuple[dict, int, bool]:
-    """Decode the framed segment header; returns (header, end offset, torn)."""
-    pos = len(_SEGMENT_MAGIC)
-    end = len(data)
-    if pos + 4 + _FRAME_DIGEST_BYTES > end:
-        return {}, pos, True
-    size = int.from_bytes(data[pos : pos + 4], "big")
-    digest = data[pos + 4 : pos + 4 + _FRAME_DIGEST_BYTES]
-    body_start = pos + 4 + _FRAME_DIGEST_BYTES
-    body = data[body_start : body_start + size]
-    if len(body) < size or sha256(body)[:_FRAME_DIGEST_BYTES] != digest:
-        return {}, pos, True
-    try:
-        header = decode(body)
-    except ValueError as exc:
-        raise JournalError(f"{path}: undecodable segment header: {exc}") from exc
-    return header, body_start + size, False
+#: ``benchmarks/e2e/serve.py`` (not editable from this tree) imports this name
+#: and reads ``.directory``; both go with it (ROADMAP 7(a)).
+SegmentedFileJournal = Journal.open
 
 
 class JournalMaintenance:
-    """Checkpoint + compaction cadence for a :class:`SegmentedFileJournal`.
+    """Checkpoint + compaction cadence for a :class:`Journal`.
 
     Call :meth:`run` from a point where the service is quiescent — the
     frontend's ``after_batch`` hook (use :meth:`attach`) or between
@@ -790,12 +739,12 @@ class JournalMaintenance:
     not yet: :meth:`~repro.service.shard.ShardedBank.snapshot` skips
     clean shards but re-encodes every account of a dirty one, so a cut
     after traffic that touched every shard still scales with the books
-    (ROADMAP 1(a), sub-shard dirty tracking).  The dispatcher is stalled
+    (ROADMAP 1(d), sub-shard dirty tracking).  The dispatcher is stalled
     for the whole of :meth:`run`; ``repro_journal_maintenance_seconds``
     is that stall.
     """
 
-    def __init__(self, journal: SegmentedFileJournal,
+    def __init__(self, journal: Journal,
                  checkpoint_source: Callable[[], "Checkpoint"], *,
                  checkpoint_every: int = 256,
                  retain_segments: int = 1,
@@ -823,7 +772,7 @@ class JournalMaintenance:
         )
         self._m_disk = registry.gauge(
             "repro_journal_disk_bytes",
-            "bytes on disk under the journal directory",
+            "bytes the journal's storage holds",
         )
         existing = journal.load_checkpoint()
         if existing is not None:
@@ -967,28 +916,18 @@ class Checkpoint:
 
     def to_bytes(self) -> bytes:
         """The self-contained form the cluster ships (runs inline)."""
-        body = encode({
+        return _seal(_CKPT_MAGIC, encode({
             "lsn": self.lsn,
             "blobs": list(self.blobs),
             "replies": self.replies.to_state(),
             "pending": list(self.pending),
             "evicted": self.evicted.to_state(),
             "next_seq": self.next_seq,
-        })
-        return _CKPT_MAGIC + sha256(_CKPT_MAGIC, body) + body
+        }))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Checkpoint":
-        if not blob.startswith(_CKPT_MAGIC):
-            raise JournalError("not a service checkpoint (bad magic)")
-        digest = blob[len(_CKPT_MAGIC) : len(_CKPT_MAGIC) + 32]
-        body = blob[len(_CKPT_MAGIC) + 32 :]
-        if sha256(_CKPT_MAGIC, body) != digest:
-            raise JournalError("checkpoint integrity digest mismatch")
-        try:
-            state = decode(body)
-        except ValueError as exc:
-            raise JournalError(f"checkpoint body undecodable: {exc}") from exc
+        state = _unseal(_CKPT_MAGIC, blob, "service checkpoint")
         return cls(
             lsn=state["lsn"],
             blobs=tuple(state["blobs"]),

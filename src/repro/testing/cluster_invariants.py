@@ -32,6 +32,8 @@ returns — so the sweep runs against live clusters, post-mortem
 rundirs, and in-process harnesses alike.  Each slice is first rebuilt
 through :meth:`ShardedBank.recover` and checked by the single-node
 machinery; the cluster-level checks then run over the shadow books.
+A dump must be the slice's *full* stream from lsn 0: one cut short by
+compaction (``journal_retention=``) is reported, not half-replayed.
 """
 
 from __future__ import annotations
@@ -39,18 +41,11 @@ from __future__ import annotations
 import random
 
 from repro.cluster.ring import ClusterMap
-from repro.service.journal import Journal, JournalRecord
+from repro.service.journal import Journal
 from repro.service.shard import ShardedBank
 from repro.testing.invariants import InvariantReport, _check_lifecycle
 
 __all__ = ["check_cluster_invariants"]
-
-
-def _slice_journal(states: list[dict]) -> Journal:
-    """Rebuild a shipped slice dump as an in-memory journal, verbatim."""
-    journal = Journal()
-    journal._records.extend(JournalRecord.from_state(s) for s in states)
-    return journal
 
 
 def _slice_serials(bank: ShardedBank) -> set[int]:
@@ -113,9 +108,14 @@ def check_cluster_invariants(
     shadows: dict[str, ShardedBank] = {}
     journals: dict[str, Journal] = {}
     for node, states in sorted(dumps.items()):
-        journal = _slice_journal(states)
-        journals[node] = journal
         try:
+            journal = journals[node] = Journal.from_records(states)
+            if journal.first_lsn > 0:
+                findings.append(
+                    f"{node}: dump starts at lsn {journal.first_lsn} "
+                    "(compacted) — the sweep needs the full stream"
+                )
+                continue
             shadow = ShardedBank.recover(
                 params, keypair, random.Random(0), journal,
                 n_shards=n_shards,

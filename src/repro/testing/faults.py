@@ -6,7 +6,7 @@ which the service is killed.  Re-running a scenario with the same seed
 replays the identical fault schedule — a failing run is a repro
 recipe, not an anecdote.
 
-Two layers of injection:
+Three layers of injection:
 
 * **Request-stream faults** (:meth:`FaultPlan.perturb`) model an
   at-least-once network between residents and the MA: a request may be
@@ -23,13 +23,11 @@ Two layers of injection:
   through applying a flushed batch — exactly the windows the
   write-ahead journal must cover.  The clock is shared across service
   incarnations, so crash points keep firing after recoveries.
-* **Storage crash steps** (:class:`StorageCrasher`) kill the process
-  *inside* the segmented journal's checkpoint and compaction sequences
-  (:class:`~repro.service.journal.SegmentedFileJournal` calls its
-  ``crash_hook`` with a step label at every named point).  A recording
-  pass enumerates the steps a maintenance cycle performs; a sweep then
-  re-runs the cycle crashing at each step index in turn and asserts
-  recovery equivalence from whatever the crash left on disk.
+* **Storage crash points** (:class:`StorageCrasher`) kill the process
+  *between two storage operations* of the journal — inside an append's
+  segment roll, a checkpoint or a compaction — by wrapping its
+  :class:`~repro.service.storage.Storage`: production code carries no
+  hook, and every mutating call is a point.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ import random
 from dataclasses import dataclass
 
 from repro.net.transport import Transport
+from repro.service.storage import Storage
 
 __all__ = [
     "CrashPoint",
@@ -54,9 +53,9 @@ class CrashPoint(RuntimeError):
 
     The harness treats this as the process being killed: the service
     and bank objects are abandoned, and recovery starts from the
-    journal plus the last checkpoint.  *label* names the storage step
-    for crashes injected inside checkpointing/compaction (see
-    :class:`StorageCrasher`); envelope-clock crashes leave it empty.
+    journal plus the last checkpoint.  *label* names the storage
+    operation a :class:`StorageCrasher` died before; envelope-clock
+    crashes leave it empty.
     """
 
     def __init__(self, envelope_seq: int, label: str = "") -> None:
@@ -67,27 +66,39 @@ class CrashPoint(RuntimeError):
 
 
 class StorageCrasher:
-    """A ``crash_hook`` for :class:`~repro.service.journal.SegmentedFileJournal`.
+    """A :class:`~repro.service.storage.Storage` that dies on schedule.
 
-    Records every step label it is called with (:attr:`steps`); when
+    Wraps *inner* and records ``"<op>:<name>"`` for every mutating call
+    (:attr:`steps`; a ``replace`` is named by its destination).  When
     *crash_at* is set, the call at that index raises
-    :class:`CrashPoint` — the harness's simulated SIGKILL in the middle
-    of a checkpoint or compaction.  Typical use: one recording pass
-    with ``crash_at=None`` to learn how many steps a maintenance cycle
-    has, then one sweep run per index.
+    :class:`CrashPoint` *before* it reaches *inner* — the harness's
+    SIGKILL between two storage operations; what *inner* holds then is
+    what the process left behind.  Typical use: one recording pass with
+    ``crash_at=None`` to learn the operations a workload performs, then
+    one sweep run per index.
     """
 
-    def __init__(self, crash_at: int | None = None) -> None:
+    MUTATING = ("append", "write", "replace", "truncate", "unlink")
+
+    def __init__(self, inner: Storage, crash_at: int | None = None) -> None:
+        self.inner = inner
         self.crash_at = crash_at
         self.steps: list[str] = []
         self.fired: str | None = None
 
-    def __call__(self, label: str) -> None:
-        index = len(self.steps)
-        self.steps.append(label)
-        if self.crash_at is not None and index == self.crash_at:
-            self.fired = label
-            raise CrashPoint(index, label=label)
+    def __getattr__(self, op: str):
+        call = getattr(self.inner, op)
+        if op not in self.MUTATING:
+            return call  # reads and lifecycle are not crash points
+
+        def guarded(*args):
+            index = len(self.steps)
+            self.steps.append(f"{op}:{args[1] if op == 'replace' else args[0]}")
+            if index == self.crash_at:
+                self.fired = self.steps[index]
+                raise CrashPoint(index, label=self.fired)
+            call(*args)
+        return guarded
 
 
 class FaultClock:

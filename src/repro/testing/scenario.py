@@ -53,6 +53,7 @@ from repro.service.journal import Checkpoint, Journal
 from repro.service.loadgen import OfflineIssuer, mint_deposit_traffic
 from repro.service.server import MarketService
 from repro.service.shard import ShardedBank
+from repro.service.storage import MemoryStorage
 from repro.testing.faults import CrashPoint, FaultClock, FaultPlan, FaultyTransport
 from repro.testing.invariants import check_recovery_invariants
 
@@ -261,11 +262,14 @@ def run_deposit_scenario(
 ) -> ScenarioResult:
     """Replay the kit's deposit traffic under *plan*; verify everything.
 
-    The journal object stands in for durable storage: it survives every
-    :class:`CrashPoint` while the service, bank and batcher objects are
-    abandoned, exactly the process-death model.  Checkpoints are taken
-    every *checkpoint_every* successful deliveries, so recoveries
-    exercise snapshot-plus-tail replay, not just full replay.
+    What survives a :class:`CrashPoint` is the journal's *storage* and
+    nothing else: the service, bank, batcher and journal objects are
+    abandoned, exactly the process-death model, and recovery reopens
+    the storage the way a restarted server does — ``Journal(storage)``
+    (frame scan, torn-tail handling) + ``load_checkpoint()`` (manifest
+    validation).  Checkpoints are written every *checkpoint_every*
+    successful deliveries, so recoveries exercise snapshot-plus-tail
+    replay, not just full replay.
 
     *telemetry* (an :class:`repro.obs.Telemetry`) is handed to every
     incarnation, so one trace shows a request crossing a crash: its
@@ -276,12 +280,11 @@ def run_deposit_scenario(
     if kit is None:
         kit = build_deposit_kit(random.Random(f"deposit-kit:{plan.seed}"))
     result = ScenarioResult(name="ppms-dec", plan=plan)
-    journal = Journal(telemetry=telemetry)
+    storage = MemoryStorage()  # all that survives a crash
     clock = FaultClock(plan.crash_points)
     # the network under fault wraps the service boundary: each request
     # crosses it on the way in, each delivered reply on the way out
     net = FaultyTransport(clock)
-    checkpoint: Checkpoint | None = None
     findings: list[str] = []
 
     def on_network(incarnation: MarketService) -> MarketService:
@@ -301,7 +304,7 @@ def run_deposit_scenario(
     # requests with a client lifecycle; each record replays exactly once
     bank = ShardedBank(
         kit.params, kit.keypair, random.Random(1), n_shards=n_shards,
-        journal=journal, telemetry=telemetry,
+        journal=Journal(storage, telemetry=telemetry), telemetry=telemetry,
     )
     for aid, balance, coins in kit.funding:
         bank.open_account(aid, balance)
@@ -316,11 +319,12 @@ def run_deposit_scenario(
 
     def recover() -> MarketService:
         result.recoveries += 1
+        journal = Journal(storage, telemetry=telemetry)
         recovered = on_network(MarketService.recover(
             kit.params,
             kit.keypair,
             journal,
-            checkpoint=checkpoint,
+            checkpoint=journal.load_checkpoint(),
             n_shards=n_shards,
             batcher=fresh_batcher(),
             telemetry=telemetry,
@@ -350,7 +354,7 @@ def run_deposit_scenario(
                 service = recover()
         result.delivered += 1
         if checkpoint_every and result.delivered % checkpoint_every == 0:
-            checkpoint = service.checkpoint()
+            service.journal.write_checkpoint(service.checkpoint())
             result.checkpoints += 1
     while True:
         try:
@@ -361,7 +365,7 @@ def run_deposit_scenario(
     result.crashes = len(clock.fired)
 
     # final invariant sweep over the surviving incarnation
-    sweep = check_recovery_invariants(service.bank, journal)
+    sweep = check_recovery_invariants(service.bank, service.journal)
     findings.extend(f"final: {f}" for f in sweep.findings)
 
     # scenario-level checks -------------------------------------------------
@@ -503,21 +507,11 @@ class PbsDepositService:
         return bank
 
     @classmethod
-    def boot(cls, kit: PbsKit, journal: Journal,
-             transport: Transport) -> "PbsDepositService":
-        return cls(cls._fresh_bank(kit), journal, transport)
-
-    @classmethod
-    def recover(
-        cls,
-        kit: PbsKit,
-        journal: Journal,
-        transport: Transport,
-        *,
-        checkpoint: Checkpoint | None = None,
-    ) -> "PbsDepositService":
-        """Rebuild from the checkpoint plus the journal tail."""
+    def recover(cls, kit: PbsKit, journal: Journal,
+                transport: Transport) -> "PbsDepositService":
+        """Rebuild from the journal's newest checkpoint plus its tail."""
         bank = cls._fresh_bank(kit)
+        checkpoint = journal.load_checkpoint()
         start = -1
         if checkpoint is not None:
             restore_pbs_bank(bank, checkpoint.blobs[0])
@@ -606,10 +600,10 @@ class PbsDepositService:
         return status
 
 
-def _pbs_findings(service: PbsDepositService, kit: PbsKit,
-                  journal: Journal) -> list[str]:
+def _pbs_findings(service: PbsDepositService, kit: PbsKit) -> list[str]:
     """PBS analogue of the recovery invariants: audit + journal agreement."""
     findings = list(audit_pbs_bank(service.bank).findings)
+    journal = service.journal
     shadow = PbsDepositService._fresh_bank(kit)
     PbsDepositService._replay_into(shadow, journal, -1)
     live = service.bank
@@ -648,20 +642,21 @@ def run_pbs_scenario(
     if kit is None:
         kit = build_pbs_kit(random.Random(f"pbs-kit:{plan.seed}"))
     result = ScenarioResult(name="ppms-pbs", plan=plan)
-    journal = Journal(telemetry=telemetry)
+    storage = MemoryStorage()  # all that survives a crash
     clock = FaultClock(plan.crash_points)
-    checkpoint: Checkpoint | None = None
     findings: list[str] = []
-    service = PbsDepositService.boot(kit, journal, FaultyTransport(clock))
+    # the first incarnation starts as every later one: from the store
+    service = PbsDepositService.recover(
+        kit, Journal(storage, telemetry=telemetry), FaultyTransport(clock))
 
     def recover() -> PbsDepositService:
         result.recoveries += 1
         recovered = PbsDepositService.recover(
-            kit, journal, FaultyTransport(clock), checkpoint=checkpoint
+            kit, Journal(storage, telemetry=telemetry), FaultyTransport(clock)
         )
         findings.extend(
             f"after recovery {result.recoveries}: {f}"
-            for f in _pbs_findings(recovered, kit, journal)
+            for f in _pbs_findings(recovered, kit)
         )
         return recovered
 
@@ -685,10 +680,10 @@ def run_pbs_scenario(
                 service = recover()
         result.delivered += 1
         if checkpoint_every and result.delivered % checkpoint_every == 0:
-            checkpoint = service.checkpoint()
+            service.journal.write_checkpoint(service.checkpoint())
             result.checkpoints += 1
     result.crashes = len(clock.fired)
-    findings.extend(f"final: {f}" for f in _pbs_findings(service, kit, journal))
+    findings.extend(f"final: {f}" for f in _pbs_findings(service, kit))
 
     delivered_rids = {kit.requests[d.original].rid for d in schedule}
     for request in kit.requests:

@@ -146,3 +146,40 @@ def test_retention_bounds_node_journals_and_failover_still_works(
                                    sender="probe", rid="ret-rid")
             assert again == before
             assert victim in cluster.nodes[adopter].serving()
+
+
+def test_sweep_names_a_compacted_dump_instead_of_half_replaying_it(
+        dec_params_toy, cluster_keypair):
+    """A node built with ``journal_retention`` dumps only what it still
+    holds.  The sweep must say so — replaying the suffix as if it were
+    the whole slice reports books that "disagree" with nothing."""
+    from repro.cluster import LocalCluster
+
+    rng = random.Random(78)
+    with LocalCluster(dec_params_toy, cluster_keypair, n_nodes=3,
+                      checkpoint_every=4, segment_records=4,
+                      journal_retention=0) as cluster:
+        with cluster.router(attempts=2, backoff=0.01,
+                            refresh_backoff=0.01) as router:
+            deposits = mint_deposit_traffic(
+                WireIssuer(router, dec_params_toy, cluster_keypair.public), rng,
+                n_accounts=4, n_deposits=10, replay_fraction=0.0,
+            )
+            assert run_trace(router, deposits).errors == 0
+        # one snapshot for both sides of the comparison: a node's last
+        # after-batch compaction may still be running behind its reply.
+        # Ten deposits leave two slices with a record count that is not a
+        # multiple of the segment size, so whenever the dump is taken
+        # they hold a compacted, non-empty journal (a dump compaction
+        # emptied altogether carries no lsn to go by)
+        dumps = cluster.dump_journals()
+        compacted = {node: states[0]["lsn"] for node, states in dumps.items()
+                     if states and states[0]["lsn"] > 0}
+        assert len(compacted) >= 2
+        sweep = check_cluster_invariants(
+            dec_params_toy, cluster_keypair, cluster.map, dumps, n_shards=4)
+    for node, first in compacted.items():
+        assert (f"{node}: dump starts at lsn {first} (compacted) — "
+                "the sweep needs the full stream") in sweep.findings
+    assert not [f for f in sweep.findings
+                if f.split(": ")[0] in compacted and "dump starts" not in f]

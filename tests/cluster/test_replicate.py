@@ -12,7 +12,6 @@ from repro.cluster.replicate import (
     JournalShipper,
     ReplicaReceiver,
     control_call,
-    journal_from_records,
 )
 from repro.service.journal import Checkpoint, Journal, JournalError
 
@@ -149,7 +148,7 @@ def test_journal_from_records_preserves_the_stream_verbatim():
     source = Journal()
     _records(source, 3)
     states = [r.to_state() for r in source.records()]
-    rebuilt = journal_from_records(states)
+    rebuilt = Journal.from_records(states)
     assert [r.to_state() for r in rebuilt.records()] == states
     assert rebuilt.last_lsn == 2
 
@@ -256,7 +255,7 @@ def test_trim_on_checkpoint_bounds_the_slot_and_keeps_the_cursor():
         _wait(lambda: [r["lsn"] for r in slot.records] == [4, 5])
         # checkpoint + tail is exactly what adoption needs
         restored = Checkpoint.from_bytes(slot.checkpoint)
-        tail = journal_from_records(slot.records)
+        tail = Journal.from_records(slot.records)
         assert tail.first_lsn == restored.lsn + 1
         shipper.close()
 
@@ -265,9 +264,27 @@ def test_journal_from_records_keeps_a_nonzero_base_lsn():
     source = Journal()
     _records(source, 6)
     states = [r.to_state() for r in source.records(after=3)]
-    rebuilt = journal_from_records(states)
+    rebuilt = Journal.from_records(states)
     assert rebuilt.first_lsn == 4 and rebuilt.last_lsn == 5
     assert [r.lsn for r in rebuilt.records()] == [4, 5]
+
+
+def test_a_journal_from_records_is_a_store_that_reopens():
+    """Installed records are framed like appended ones — also when the
+    stream starts mid-segment, and also for what is appended on top."""
+    source = Journal()
+    _records(source, 11)
+    states = [r.to_state() for r in source.records(after=5)]
+    rebuilt = Journal.from_records(states)
+    fired = []
+    rebuilt.add_observer(fired.append)
+    _records(rebuilt, 2, start=11)  # the adopter keeps serving the slice
+    assert [r.lsn for r in fired] == [11, 12]
+    reopened = Journal(rebuilt.storage)
+    assert (reopened.first_lsn, reopened.last_lsn) == (6, 12)
+    assert [r.to_state() for r in reopened.records()] == [
+        r.to_state() for r in rebuilt.records()]
+    assert not reopened.torn_tail
 
 
 def test_journal_from_records_rejects_gapped_streams():
@@ -276,4 +293,4 @@ def test_journal_from_records_rejects_gapped_streams():
     states = [r.to_state() for r in source.records()]
     del states[1]
     with pytest.raises(JournalError, match="gap"):
-        journal_from_records(states)
+        Journal.from_records(states)

@@ -134,3 +134,32 @@ def campaign_substrate(session_rng):
     from repro.testing.scenario import toy_market_params
 
     return toy_market_params(random.Random(f"campaign:{SESSION_SEED!r}"))
+
+
+@pytest.fixture()
+def reopen(tmp_path):
+    """The journal store under test, opened afresh on every call.
+
+    The default leg is a directory: each call is a new
+    ``DirectoryStorage`` over the same files, as a restarted process
+    would see them.  :class:`InMemory` swaps in one ``MemoryStorage``.
+    """
+    from repro.service.storage import DirectoryStorage
+
+    return lambda: DirectoryStorage(tmp_path / "wal")
+
+
+class InMemory:
+    """Mixin: run a store-level test class over one ``MemoryStorage``.
+
+    ``class TestXInMemory(InMemory, TestX)`` re-collects every test of
+    ``TestX`` with ``reopen`` handing back the same in-memory store —
+    the directory leg keeps its test ids, the memory leg gets new ones.
+    """
+
+    @pytest.fixture()
+    def reopen(self):
+        from repro.service.storage import MemoryStorage
+
+        storage = MemoryStorage()
+        return lambda: storage

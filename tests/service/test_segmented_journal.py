@@ -15,6 +15,11 @@ specifies byte-for-byte:
   unreferenced blobs, in that order, and a reload after any prefix of
   that deletion sequence still recovers (the crash sweeps live in
   ``tests/testing/test_storage_faults.py``).
+
+One :class:`Journal` does all of this over either storage, so the
+store-level classes run twice: on a directory (the ``reopen`` fixture
+hands out a fresh ``DirectoryStorage`` per call — a restarted process)
+and, through the ``...InMemory`` subclasses, on one ``MemoryStorage``.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ from repro.service import (
     JournalError,
     JournalMaintenance,
     MarketService,
-    SegmentedFileJournal,
     ShardedBank,
 )
 from repro.service.journal import Run, Runs
+from tests.conftest import InMemory
 
 
 def _fill(journal: Journal, n: int, *, start: int = 0) -> None:
@@ -113,18 +118,36 @@ class TestSegmentMath:
             journal.compact(0, retain_segments=-1)
 
 
-# -- segment files on disk -------------------------------------------------
+# -- segments in a store: every test on a directory and in memory -----------
+
+MAGIC = b"repro-journal-seg-v1\n"
+
+
+def _tamper(storage, name, edit) -> None:
+    """Rewrite *name* as *edit(old bytes)* — damage done behind the journal."""
+    storage.write(name, edit(storage.read(name)))
+
+
+def _torn_roll_shapes(storage) -> dict[str, bytes]:
+    """What a crash during segment roll can leave, cut from a real segment."""
+    data = storage.read("seg-00000000.wal")
+    header_end = len(MAGIC) + 12 + int.from_bytes(
+        data[len(MAGIC):len(MAGIC) + 4], "big")
+    return {"empty": b"", "magic-cut-short": MAGIC[:7], "magic-only": MAGIC,
+            "torn-header": data[:header_end - 3]}
+
+
+SHAPES = ["empty", "magic-cut-short", "magic-only", "torn-header"]
+
 
 class TestSegmentedFileJournal:
-    def test_roundtrip_reload(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+    def test_roundtrip_reload(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 10)
         journal.close()
-        names = sorted(os.listdir(store))
-        assert names == ["seg-00000000.wal", "seg-00000001.wal",
-                         "seg-00000002.wal"]
-        reloaded = SegmentedFileJournal(store, segment_records=4)
+        assert sorted(reopen().names()) == [
+            "seg-00000000.wal", "seg-00000001.wal", "seg-00000002.wal"]
+        reloaded = Journal(reopen(), segment_records=4)
         assert not reloaded.torn_tail
         assert [r.to_state() for r in reloaded.records()] == [
             r.to_state() for r in journal.records()
@@ -134,72 +157,136 @@ class TestSegmentedFileJournal:
         assert reloaded.last_lsn == 10
         reloaded.close()
 
-    def test_torn_tail_in_newest_segment_is_truncated(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+    def test_torn_tail_in_newest_segment_is_truncated(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 6)
         journal.close()
-        tail = store / "seg-00000001.wal"
-        with open(tail, "ab") as fh:
-            fh.write(b"\x00\x00\x00\x40partial-frame")
-        reloaded = SegmentedFileJournal(store, segment_records=4)
+        _tamper(reopen(), "seg-00000001.wal",
+                lambda data: data + b"\x00\x00\x00\x40partial-frame")
+        reloaded = Journal(reopen(), segment_records=4)
         assert reloaded.torn_tail
         assert reloaded.last_lsn == 5  # the torn frame cost nothing durable
         _fill(reloaded, 1, start=6)   # and appends continue on a clean frame
         reloaded.close()
-        again = SegmentedFileJournal(store, segment_records=4)
+        again = Journal(reopen(), segment_records=4)
         assert not again.torn_tail and again.last_lsn == 6
         again.close()
 
-    def test_damage_before_the_tail_is_corruption(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_crash_during_segment_roll_is_a_torn_tail(self, reopen, shape):
+        """A newest segment that stops before its header is complete is
+        what a kill inside the roll leaves: dropped, never fatal."""
+        journal = Journal(reopen(), segment_records=4)
+        _fill(journal, 8)  # segments 0 and 1, both full: the next append rolls
+        journal.close()
+        storage = reopen()
+        storage.write("seg-00000002.wal", _torn_roll_shapes(storage)[shape])
+        reloaded = Journal(reopen(), segment_records=4)
+        assert reloaded.torn_tail
+        assert (reloaded.first_lsn, reloaded.last_lsn) == (0, 7)
+        assert "seg-00000002.wal" not in reopen().names()
+        _fill(reloaded, 1, start=8)  # re-creates the segment, header and all
+        reloaded.close()
+        again = Journal(reopen(), segment_records=4)
+        assert not again.torn_tail and again.last_lsn == 8
+        again.close()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_torn_roll_of_the_only_segment_keeps_the_lsn_position(
+            self, reopen, shape):
+        journal = Journal(reopen(), segment_records=4)
+        _fill(journal, 1)
+        journal.close()
+        storage = reopen()
+        torn = _torn_roll_shapes(storage)[shape]
+        storage.unlink("seg-00000000.wal")
+        storage.write("seg-00000003.wal", torn)  # all before it compacted
+        reloaded = Journal(reopen(), segment_records=4)
+        assert reloaded.torn_tail and len(reloaded) == 0
+        assert (reloaded.first_lsn, reloaded.last_lsn) == (12, 11)
+        _fill(reloaded, 1)
+        assert reloaded.last_lsn == 12  # LSNs never restart
+        reloaded.close()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_headerless_segment_before_the_newest_is_corruption(
+            self, reopen, shape):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 10)
         journal.close()
-        sealed = store / "seg-00000001.wal"
-        data = sealed.read_bytes()
-        sealed.write_bytes(data[:-3])  # torn frame in a *sealed* segment
-        with pytest.raises(JournalError, match="sealed segment"):
-            SegmentedFileJournal(store, segment_records=4)
+        storage = reopen()
+        storage.write("seg-00000001.wal", _torn_roll_shapes(storage)[shape])
+        with pytest.raises(JournalError, match="torn segment header"):
+            Journal(reopen(), segment_records=4)
 
-    def test_segment_gap_refuses_to_load(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+    def test_damaged_header_followed_by_more_bytes_is_corruption(self, reopen):
+        """The torn-roll tolerance ends where the file goes on: never a
+        ``KeyError``, never a silent drop of the records behind it."""
+        journal = Journal(reopen(), segment_records=4)
+        _fill(journal, 6)
+        journal.close()
+        storage = reopen()
+        intact = storage.read("seg-00000001.wal")
+        header_end = len(_torn_roll_shapes(storage)["torn-header"]) + 3
+        # header frame cut out: magic, then record frames
+        storage.write("seg-00000001.wal", MAGIC + intact[header_end:])
+        with pytest.raises(JournalError, match="malformed segment header"):
+            Journal(reopen(), segment_records=4)
+        # header frame present but failing its digest, records behind it
+        flipped = bytearray(intact)
+        flipped[header_end - 1] ^= 0x01
+        storage.write("seg-00000001.wal", bytes(flipped))
+        with pytest.raises(JournalError, match="digest"):
+            Journal(reopen(), segment_records=4)
+
+    def test_damage_before_the_tail_is_corruption(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
+        _fill(journal, 10)
+        journal.close()
+        # torn frame in a *sealed* segment
+        _tamper(reopen(), "seg-00000001.wal", lambda data: data[:-3])
+        with pytest.raises(JournalError, match="sealed segment"):
+            Journal(reopen(), segment_records=4)
+
+    def test_segment_gap_refuses_to_load(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 12)
         journal.close()
-        os.unlink(store / "seg-00000001.wal")
+        reopen().unlink("seg-00000001.wal")
         with pytest.raises(JournalError, match="segment gap"):
-            SegmentedFileJournal(store, segment_records=4)
+            Journal(reopen(), segment_records=4)
 
-    def test_geometry_mismatch_refuses_to_load(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+    def test_geometry_mismatch_refuses_to_load(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 2)
         journal.close()
         with pytest.raises(JournalError, match="capacity"):
-            SegmentedFileJournal(store, segment_records=8)
+            Journal(reopen(), segment_records=8)
 
-    def test_compacted_store_reloads_with_advanced_first_lsn(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+    def test_compacted_store_reloads_with_advanced_first_lsn(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 12)
         journal.write_checkpoint(Checkpoint(lsn=11, blobs=(b"snap",)))
         dropped = journal.compact(retain_segments=1)
         assert dropped == [0, 1]
         journal.close()
-        names = os.listdir(store)
+        names = reopen().names()
         assert "seg-00000000.wal" not in names
         assert "seg-00000001.wal" not in names
-        reloaded = SegmentedFileJournal(store, segment_records=4)
+        reloaded = Journal(reopen(), segment_records=4)
         assert reloaded.first_lsn == 8 and reloaded.last_lsn == 11
         reloaded.close()
+
+
+class TestSegmentedFileJournalInMemory(InMemory, TestSegmentedFileJournal):
+    pass
 
 
 # -- copy-on-write checkpoints --------------------------------------------
 
 class TestCheckpoints:
-    def test_roundtrip_including_lifecycle_state(self, tmp_path):
-        journal = SegmentedFileJournal(tmp_path / "wal", segment_records=4)
+    def test_roundtrip_including_lifecycle_state(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 5)
         checkpoint = Checkpoint(
             lsn=4, blobs=(b"shard0", b"shard1"),
@@ -212,62 +299,56 @@ class TestCheckpoints:
         journal.write_checkpoint(checkpoint)
         assert journal.load_checkpoint() == checkpoint
         journal.close()
+        # and a restarted process finds it
+        assert Journal(reopen(), segment_records=4).load_checkpoint() == checkpoint
 
-    def test_unchanged_blobs_are_shared_between_checkpoints(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+    def test_unchanged_blobs_are_shared_between_checkpoints(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 8)
         journal.write_checkpoint(Checkpoint(lsn=3, blobs=(b"cold", b"hot-v1")))
-        blobs_after_first = {n for n in os.listdir(store)
+        blobs_after_first = {n for n in reopen().names()
                              if n.startswith("blob-")}
         assert len(blobs_after_first) == 2
         # one shard unchanged, one rewritten: exactly one new blob file
         journal.write_checkpoint(Checkpoint(lsn=7, blobs=(b"cold", b"hot-v2")))
-        blobs_after_second = {n for n in os.listdir(store)
+        blobs_after_second = {n for n in reopen().names()
                               if n.startswith("blob-")}
         assert len(blobs_after_second) == 3
         assert blobs_after_first < blobs_after_second
         journal.close()
 
-    def test_corrupt_newest_manifest_falls_back_to_older(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+    def test_corrupt_newest_manifest_falls_back_to_older(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 8)
         journal.write_checkpoint(Checkpoint(lsn=3, blobs=(b"old",)))
         journal.write_checkpoint(Checkpoint(lsn=7, blobs=(b"new",)))
-        newest = store / "ckpt-0000000000000007.mf"
-        data = bytearray(newest.read_bytes())
-        data[-1] ^= 0xFF
-        newest.write_bytes(bytes(data))
+        _tamper(reopen(), "ckpt-0000000000000007.mf",
+                lambda data: data[:-1] + bytes([data[-1] ^ 0xFF]))
         loaded = journal.load_checkpoint()
         assert loaded is not None and loaded.lsn == 3
         assert journal.checkpoint_fallbacks == 1
         journal.close()
 
-    def test_missing_blob_invalidates_its_manifest(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+    def test_missing_blob_invalidates_its_manifest(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 8)
         journal.write_checkpoint(Checkpoint(lsn=3, blobs=(b"kept",)))
         journal.write_checkpoint(Checkpoint(lsn=7, blobs=(b"doomed",)))
-        from repro.crypto.hashing import sha256
-        os.unlink(store / f"blob-{sha256(b'doomed').hex()[:16]}.bin")
+        reopen().unlink(f"blob-{sha256(b'doomed').hex()[:16]}.bin")
         loaded = journal.load_checkpoint()
         assert loaded is not None and loaded.lsn == 3
         journal.close()
 
-    def test_compact_gcs_superseded_manifests_and_blobs(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+    def test_compact_gcs_superseded_manifests_and_blobs(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 12)
         journal.write_checkpoint(Checkpoint(lsn=3, blobs=(b"v1",)))
         journal.write_checkpoint(Checkpoint(lsn=11, blobs=(b"v2",)))
         before = journal.disk_usage()
         journal.compact(retain_segments=0, retain_checkpoints=1)
-        from repro.crypto.hashing import sha256
-        names = sorted(os.listdir(store))
-        assert names == [f"blob-{sha256(b'v2').hex()[:16]}.bin",
-                         "ckpt-0000000000000011.mf"]
+        assert sorted(reopen().names()) == [
+            f"blob-{sha256(b'v2').hex()[:16]}.bin",
+            "ckpt-0000000000000011.mf"]
         assert journal.disk_usage() < before
         journal.close()
 
@@ -280,64 +361,64 @@ class TestCheckpoints:
             evicted=Runs(tail=("bb" * 8,)), next_seq=lsn + 1,
         )
 
-    def test_sealed_runs_are_stored_once_by_digest(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+    def test_sealed_runs_are_stored_once_by_digest(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 8)
         run, first = self._sealed_checkpoint(3, b"s", ["a", "b", "c"])
         journal.write_checkpoint(first)
-        assert (store / f"blob-{run.digest}.bin").read_bytes() == run.data
+        assert reopen().read(f"blob-{run.digest}.bin") == run.data
         loaded = journal.load_checkpoint()
         assert loaded == first
         assert [rid for rid, _s, _b in loaded.replies] == ["b", "c", "late"]
         # the same run under a later checkpoint costs no new run blob:
         # only the manifest is new (shard and tail blobs are unchanged)
         written = journal.checkpoint_bytes
-        before = set(os.listdir(store))
+        before = set(reopen().names())
         _run, second = self._sealed_checkpoint(7, b"s", ["a", "b", "c"])
         journal.write_checkpoint(second)
-        assert set(os.listdir(store)) - before == {"ckpt-0000000000000007.mf"}
-        assert journal.checkpoint_bytes - written == os.path.getsize(
-            store / "ckpt-0000000000000007.mf")
+        assert set(reopen().names()) - before == {"ckpt-0000000000000007.mf"}
+        assert journal.checkpoint_bytes - written == reopen().size(
+            "ckpt-0000000000000007.mf")
         journal.close()
 
     @pytest.mark.parametrize("damage", ["missing", "bit-flip"])
-    def test_damaged_run_or_tail_blob_falls_back(self, tmp_path, damage):
+    def test_damaged_run_or_tail_blob_falls_back(self, reopen, damage):
         for which in ("run", "tail"):
-            store = tmp_path / f"wal-{which}"
-            journal = SegmentedFileJournal(store, segment_records=4)
+            storage = reopen()
+            for name in storage.names():  # a fresh store per round
+                storage.unlink(name)
+            journal = Journal(reopen(), segment_records=4)
             _fill(journal, 8)
             journal.write_checkpoint(Checkpoint(lsn=3, blobs=(b"old",)))
-            before = set(os.listdir(store))
+            before = set(storage.names())
             run, newest = self._sealed_checkpoint(7, b"old", ["a", "b"])
             journal.write_checkpoint(newest)
             if which == "run":
-                victim = store / f"blob-{run.digest}.bin"
+                victim = f"blob-{run.digest}.bin"
             else:
-                (victim,) = [store / n for n in set(os.listdir(store)) - before
+                (victim,) = [n for n in set(storage.names()) - before
                              if n.startswith("blob-")
                              and n != f"blob-{run.digest}.bin"]
             if damage == "missing":
-                os.unlink(victim)
+                storage.unlink(victim)
             else:
-                data = bytearray(victim.read_bytes())
+                data = bytearray(storage.read(victim))
                 data[len(data) // 2] ^= 0x01
-                victim.write_bytes(bytes(data))
+                storage.write(victim, bytes(data))
             loaded = journal.load_checkpoint()
             assert loaded is not None and loaded.lsn == 3, which
             assert journal.checkpoint_fallbacks == 1, which
             journal.close()
 
-    def test_gc_keeps_every_blob_the_retained_manifest_names(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+    def test_gc_keeps_every_blob_the_retained_manifest_names(self, reopen):
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 12)
         _old_run, old = self._sealed_checkpoint(3, b"v1", ["x", "y"])
         journal.write_checkpoint(old)
         run, newest = self._sealed_checkpoint(11, b"v2", ["a", "b", "c"])
         journal.write_checkpoint(newest)
         journal.compact(retain_segments=0, retain_checkpoints=1)
-        names = set(os.listdir(store))
+        names = set(reopen().names())
         # shard blob + run blob + tail blob + manifest, nothing older
         assert len(names) == 4
         assert {f"blob-{sha256(b'v2').hex()[:16]}.bin",
@@ -347,6 +428,10 @@ class TestCheckpoints:
         journal.close()
 
 
+class TestCheckpointsInMemory(InMemory, TestCheckpoints):
+    pass
+
+
 # -- maintenance cadence + recovery guard ---------------------------------
 
 class TestMaintenanceAndRecovery:
@@ -354,9 +439,9 @@ class TestMaintenanceAndRecovery:
         return ShardedBank.create(dec_params_toy, random.Random(7),
                                   n_shards=3, journal=journal)
 
-    def test_maintenance_cuts_and_compacts_on_cadence(self, tmp_path,
+    def test_maintenance_cuts_and_compacts_on_cadence(self, reopen,
                                                       dec_params_toy):
-        journal = SegmentedFileJournal(tmp_path / "wal", segment_records=4)
+        journal = Journal(reopen(), segment_records=4)
         bank = self._bank(dec_params_toy, journal)
         maintenance = JournalMaintenance(
             journal,
@@ -374,16 +459,17 @@ class TestMaintenanceAndRecovery:
         assert maintenance.last_checkpoint_lsn == 11
         assert journal.first_lsn == 8  # segs 0-1 deleted, seg 2 retained
         assert maintenance.segments_deleted == 2
+        assert len(journal) == 4  # what is retained is what is held
+        assert sum(n.startswith("seg-") for n in reopen().names()) == 1
         journal.close()
 
-    def test_maintenance_resumes_from_an_existing_checkpoint(self, tmp_path,
+    def test_maintenance_resumes_from_an_existing_checkpoint(self, reopen,
                                                              dec_params_toy):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store, segment_records=4)
+        journal = Journal(reopen(), segment_records=4)
         _fill(journal, 9)
         journal.write_checkpoint(Checkpoint(lsn=8, blobs=(b"s",)))
         journal.close()
-        reopened = SegmentedFileJournal(store, segment_records=4)
+        reopened = Journal(reopen(), segment_records=4)
         maintenance = JournalMaintenance(reopened, lambda: None,
                                          checkpoint_every=8)
         assert maintenance.last_checkpoint_lsn == 8
@@ -391,8 +477,8 @@ class TestMaintenanceAndRecovery:
         reopened.close()
 
     def test_recover_needs_the_checkpoint_a_compaction_was_cut_against(
-            self, tmp_path, dec_params_toy):
-        journal = SegmentedFileJournal(tmp_path / "wal", segment_records=4)
+            self, reopen, dec_params_toy):
+        journal = Journal(reopen(), segment_records=4)
         bank = self._bank(dec_params_toy, journal)
         for i in range(10):
             bank.open_account(f"acct{i}", 100 + i)
@@ -432,13 +518,17 @@ class TestMaintenanceAndRecovery:
         ]
 
 
+class TestMaintenanceAndRecoveryInMemory(InMemory, TestMaintenanceAndRecovery):
+    """`JournalMaintenance(Journal())`: cuts, compacts, bounds ``len``."""
+
+
 # -- what a checkpoint costs ----------------------------------------------
 
 class TestCheckpointCost:
     """Counts, not timings: a cut costs what changed since the last one."""
 
     def _service(self, dec_params_toy, directory, telemetry=None):
-        journal = SegmentedFileJournal(directory, telemetry=telemetry)
+        journal = Journal.open(directory, telemetry=telemetry)
         bank = ShardedBank.create(dec_params_toy, random.Random(7),
                                   n_shards=4, journal=journal)
         bank.open_account("taken", 1)

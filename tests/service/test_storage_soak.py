@@ -1,7 +1,7 @@
 """Opt-in storage soak: journal disk stays bounded under retention.
 
 Run with ``REPRO_SOAK=1`` (CI runs it on the nightly cron).  Thousands
-of journaled mutations flow through a :class:`SegmentedFileJournal`
+of journaled mutations flow through a directory-backed :class:`Journal`
 with a deliberately small segment size while
 :class:`JournalMaintenance` cuts incremental checkpoints and compacts
 on cadence.  The claims under load:
@@ -27,9 +27,9 @@ import random
 import pytest
 
 from repro.service import (
+    Journal,
     JournalMaintenance,
     MarketService,
-    SegmentedFileJournal,
     ShardedBank,
 )
 
@@ -47,7 +47,7 @@ MAINTENANCE_EVERY = 50  # requests between maintenance opportunities
 
 def test_journal_disk_is_bounded_by_retention(tmp_path, dec_params_toy):
     store = tmp_path / "wal"
-    journal = SegmentedFileJournal(store, segment_records=SEGMENT_RECORDS)
+    journal = Journal.open(store, segment_records=SEGMENT_RECORDS)
     bank = ShardedBank.create(dec_params_toy, random.Random(0xD15C),
                               n_shards=4, journal=journal)
     service = MarketService(bank, journal=journal, rng=random.Random(1))

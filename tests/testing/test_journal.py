@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import Checkpoint, Journal, JournalError, SegmentedFileJournal
+from repro.service import Checkpoint, Journal, JournalError
+from tests.conftest import InMemory
 
 
 class TestJournal:
@@ -45,7 +46,7 @@ class TestJournal:
 
 
 class TestFileJournal:
-    """The on-disk journal at its default geometry: one segment file."""
+    """The journal in a store at its default geometry: one segment."""
 
     SEGMENT = "seg-00000000.wal"
 
@@ -53,12 +54,11 @@ class TestFileJournal:
         for i in range(n):
             journal.append("apply", f"r{i}", "deposit", {"aid": "a", "i": i})
 
-    def test_reload_round_trip(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store)
+    def test_reload_round_trip(self, reopen):
+        journal = Journal(reopen())
         self._fill(journal)
         journal.close()
-        reloaded = SegmentedFileJournal(store)
+        reloaded = Journal(reopen())
         assert [r.to_state() for r in reloaded.records()] == [
             {"lsn": i, "kind": "apply", "rid": f"r{i}", "op": "deposit",
              "payload": {"aid": "a", "i": i}}
@@ -66,54 +66,53 @@ class TestFileJournal:
         ]
         assert not reloaded.torn_tail
 
-    def test_appends_survive_reopen(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store)
+    def test_appends_survive_reopen(self, reopen):
+        journal = Journal(reopen())
         self._fill(journal, 2)
         journal.close()
-        reloaded = SegmentedFileJournal(store)
+        reloaded = Journal(reopen())
         reloaded.append("apply", "r2", "deposit", {"aid": "a", "i": 2})
         reloaded.close()
-        final = SegmentedFileJournal(store)
+        final = Journal(reopen())
         assert [r.lsn for r in final.records()] == [0, 1, 2]
 
-    def test_torn_tail_is_dropped_not_fatal(self, tmp_path):
+    def test_torn_tail_is_dropped_not_fatal(self, reopen):
         """A crash mid-append loses at most the record being written."""
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store)
+        journal = Journal(reopen())
         self._fill(journal)
         journal.close()
-        path = store / self.SEGMENT
-        with open(path, "rb+") as fh:
-            fh.truncate(path.stat().st_size - 3)  # tear the last frame's body
-        reloaded = SegmentedFileJournal(store)
+        storage = reopen()
+        # tear the last frame's body
+        storage.truncate(self.SEGMENT, storage.size(self.SEGMENT) - 3)
+        reloaded = Journal(reopen())
         assert reloaded.torn_tail
         assert [r.lsn for r in reloaded.records()] == [0, 1, 2]
         # the torn bytes were truncated: appends land on a clean frame
         reloaded.append("apply", "r3b", "deposit", {"aid": "a"})
         reloaded.close()
-        final = SegmentedFileJournal(store)
+        final = Journal(reopen())
         assert [r.rid for r in final.records()] == ["r0", "r1", "r2", "r3b"]
         assert not final.torn_tail
 
-    def test_mid_file_corruption_is_fatal(self, tmp_path):
-        store = tmp_path / "wal"
-        journal = SegmentedFileJournal(store)
+    def test_mid_file_corruption_is_fatal(self, reopen):
+        journal = Journal(reopen())
         self._fill(journal)
         journal.close()
-        path = store / self.SEGMENT
-        data = bytearray(path.read_bytes())
+        storage = reopen()
+        data = bytearray(storage.read(self.SEGMENT))
         data[data.index(b"r0")] ^= 0xFF  # inside the first record, far from the tail
-        path.write_bytes(bytes(data))
+        storage.write(self.SEGMENT, bytes(data))
         with pytest.raises(JournalError, match="digest"):
-            SegmentedFileJournal(store)
+            Journal(reopen())
 
-    def test_bad_magic_rejected(self, tmp_path):
-        store = tmp_path / "wal"
-        store.mkdir()
-        (store / self.SEGMENT).write_bytes(b"not a journal at all")
+    def test_bad_magic_rejected(self, reopen):
+        reopen().write(self.SEGMENT, b"not a journal at all")
         with pytest.raises(JournalError, match="magic"):
-            SegmentedFileJournal(store)
+            Journal(reopen())
+
+
+class TestFileJournalInMemory(InMemory, TestFileJournal):
+    pass
 
 
 class TestCheckpoint:

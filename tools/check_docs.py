@@ -38,6 +38,7 @@ DOCS = ROOT / "docs"
 FLAGSHIPS = (
     "repro.crypto.batchverify",
     "repro.service.journal",
+    "repro.service.storage",
     "repro.service.frontend",
 )
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Import hygiene linter for ``src/repro`` (the ``make lint-imports`` rule).
 
-Three checks, all over *top-level* imports only (imports inside function
+Three checks over *top-level* imports only (imports inside function
 bodies are deliberately lazy and exempt — that is the sanctioned way to
-break a genuine layering knot, e.g. the codec registry):
+break a genuine layering knot, e.g. the codec registry), and a fourth
+over whole module bodies:
 
 1. **No module-level import cycles.**  Tarjan SCC over the module
    graph; any strongly connected component larger than one module is a
@@ -16,6 +17,11 @@ break a genuine layering knot, e.g. the codec registry):
    though the package table allows the edge (:data:`FORBIDDEN`); a
    name re-exported by a package ``__init__`` counts as an import of
    the module that defines it.
+
+4. **No filesystem outside the seam.**  The modules in
+   :data:`NO_FILESYSTEM` may not import ``os`` (or anything under it)
+   nor call the builtin ``open`` anywhere, function bodies included:
+   the journal reaches bytes only through ``repro.service.storage``.
 
 Exit status is non-zero when any finding is produced, so CI can gate
 on it.  No third-party dependencies; stdlib ``ast`` only.
@@ -83,7 +89,18 @@ MODULE_ALLOWED: dict[str, set[str]] = {
         "repro.core.engine", "repro.core.market", "repro.core.ppms_pbs",
         "repro.crypto.partial_blind", "repro.crypto.rsa", "repro.metrics.opcount",
     },
+    # the journal frames, segments, checkpoints and compacts; bytes
+    # reach a disk only through the storage seam, which knows nothing
+    # of journals (or of anything else in repro)
+    "repro.service.journal": {
+        "repro.obs", "repro.crypto.hashing", "repro.net.codec",
+        "repro.service.storage",
+    },
+    "repro.service.storage": set(),
 }
+
+#: modules that may not touch the filesystem themselves (check 4)
+NO_FILESYSTEM = {"repro.service.journal"}
 
 
 #: package -> modules it may not import, the package table notwithstanding
@@ -235,6 +252,28 @@ def find_forbidden_edges(graph: dict[str, set[str]]) -> list[str]:
     return findings
 
 
+def find_filesystem_access(modules: dict[str, pathlib.Path]) -> list[str]:
+    findings = []
+    for module in sorted(NO_FILESYSTEM):
+        path = modules[module]
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "open"):
+                findings.append(f"{module}:{node.lineno}: calls open() "
+                                "(the filesystem is behind repro.service.storage)")
+                continue
+            else:
+                continue
+            if any(name.split(".")[0] == "os" for name in names):
+                findings.append(f"{module}:{node.lineno}: imports os "
+                                "(the filesystem is behind repro.service.storage)")
+    return findings
+
+
 def main() -> int:
     modules, graph = build_graph()
     findings: list[str] = []
@@ -242,6 +281,7 @@ def main() -> int:
         findings.append("import cycle: " + " -> ".join(cycle))
     findings.extend(find_layering_violations(graph))
     findings.extend(find_forbidden_edges(graph))
+    findings.extend(find_filesystem_access(modules))
     if findings:
         print(f"lint-imports: {len(findings)} finding(s)")
         for finding in findings:
