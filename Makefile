@@ -63,7 +63,9 @@ check-docs:
 # plain test run exercises a fast slice of the same matrix.  Also here,
 # on both storage backends: the crash-before-every-storage-op sweep
 # (tests/testing/test_storage_faults.py) and the storage conformance
-# suite.
+# suite; and, in the same file, the replica prefix sweep (the replica
+# after k shipped storage operations equals the store a crash before
+# operation k leaves, and adoption from it recovers the same state).
 test-faults:
 	REPRO_FAULT_SMOKE=1 $(PYTHON) -m pytest tests/testing/ tests/service/test_storage.py -q
 

@@ -13,15 +13,19 @@ A :class:`ClusterNode` wires together, for one ring member:
   the node's **control plane** — ping / map exchange / adopt / dump /
   telemetry / shutdown frames ride the replication port — and stores
   whatever the ring predecessor ships here;
-* a :class:`~repro.cluster.replicate.JournalShipper` streaming this
-  node's journal (synchronously, before replies) and checkpoints
-  (from the frontend's ``after_batch`` hook) to the ring successor.
+* a :class:`~repro.cluster.replicate.JournalShipper` under the
+  journal, copying every storage operation (synchronously, before
+  replies) to the ring successor — record appends, and the checkpoints
+  and compactions :class:`~repro.service.journal.JournalMaintenance`
+  cuts on the frontend's ``after_batch`` hook.
 
 **Adoption** is the failover move: when a node dies, its designated
-peer replays the shipped checkpoint + journal tail through
-:meth:`MarketService.recover` — the same rid-idempotent machinery the
-single-node crash tests prove — and starts a second frontend serving
-the dead node's slice at a new address.  The cluster map then rebinds
+peer takes the dead node's replica — a byte copy of its journal
+storage — and reopens it exactly as a restarted server reopens its own
+(``Journal(storage)``, ``load_checkpoint()``,
+:meth:`MarketService.recover`, the machinery the single-node crash
+tests prove), then starts a second frontend serving the dead node's
+slice at a new address.  The cluster map then rebinds
 the dead node id to that address (version + 1); the ring, and with it
 every key's owner, never changes.
 
@@ -33,16 +37,17 @@ subprocess form lives in :mod:`repro.cluster.launcher`.
 from __future__ import annotations
 
 import random
+import sys
 import threading
-from typing import Any
 
 import repro.obs as obs
 from repro.cluster.replicate import JournalShipper, ReplicaReceiver
 from repro.cluster.ring import ClusterMap, DEFAULT_VNODES
 from repro.service.frontend import ServiceFrontend
-from repro.service.journal import DEFAULT_SEGMENT_RECORDS, Checkpoint, Journal
+from repro.service.journal import DEFAULT_SEGMENT_RECORDS, Journal, JournalMaintenance
 from repro.service.server import MarketService
 from repro.service.shard import ShardedBank
+from repro.service.storage import MemoryStorage
 
 __all__ = ["ClusterNode", "LocalCluster"]
 
@@ -62,15 +67,7 @@ class ClusterNode:
         self.keypair = keypair
         self.n_shards = n_shards
         self.host = host
-        self.checkpoint_every = checkpoint_every
         self.segment_records = segment_records
-        #: segments to retain past the replica-durable cut; ``None``
-        #: (the default) disables local compaction entirely, keeping
-        #: ``dump_journals`` complete for the cluster sweep's shadow
-        #: replay.  Setting it bounds this node's journal memory to
-        #: roughly ``(retention + 1) * segment_records`` records once a
-        #: checkpoint has reached the peer (see docs/storage.md).
-        self.journal_retention = journal_retention
         self.telemetry = telemetry if telemetry is not None else obs.Telemetry.disabled()
         self.telemetry.registry.gauge(
             "repro_cluster_node_info", "cluster node identity", node=node_id,
@@ -80,21 +77,34 @@ class ClusterNode:
             node=node_id,
         )
 
-        # the slice: in-memory journal — durability here is the *peer's*
-        # copy (shipped before any reply), which is exactly what a
-        # SIGKILL leaves behind
-        self.journal = Journal(segment_records=segment_records,
+        # the slice: an in-memory journal — durability here is the
+        # *peer's* copy of its storage (every operation shipped before
+        # any reply), which is exactly what a SIGKILL leaves behind
+        self.shipper = JournalShipper(node_id, MemoryStorage())
+        self.journal = Journal(self.shipper, segment_records=segment_records,
                                telemetry=self.telemetry)
         bank = ShardedBank(params, keypair, random.Random(seed),
                            n_shards=n_shards, journal=self.journal,
                            telemetry=self.telemetry)
         self.service = MarketService(bank, journal=self.journal,
                                      telemetry=self.telemetry)
+        # checkpoint cadence as on a single server; with the default
+        # journal_retention=None it collects superseded checkpoints but
+        # keeps every segment, so dump_journals stays the full stream
+        # the cluster sweep replays.  journal_retention=k keeps k
+        # covered segments and bounds both copies of the journal.
+        self.maintenance = JournalMaintenance(
+            self.journal, self.service.checkpoint,
+            checkpoint_every=checkpoint_every,
+            retain_segments=(sys.maxsize if journal_retention is None
+                             else journal_retention),
+        )
         self.frontend = ServiceFrontend(self.service, host=host, port=port,
-                                        telemetry=self.telemetry).start()
+                                        telemetry=self.telemetry)
+        self.maintenance.attach(self.frontend)
+        self.frontend.start()
         self.receiver = ReplicaReceiver(host=host, port=replica_port,
                                         control=self.control)
-        self.shipper: JournalShipper | None = None
         self.map: ClusterMap | None = None
         #: dead peer id -> (recovered service, its frontend)
         self.adopted: dict[str, tuple[MarketService, ServiceFrontend]] = {}
@@ -118,33 +128,12 @@ class ClusterNode:
 
     # -- replication out ---------------------------------------------------
     def connect_shipper(self, peer: tuple[str, int]) -> None:
-        """Start streaming journal + checkpoints to *peer* (ring successor).
+        """Start copying this node's journal storage to *peer* (ring successor).
 
-        Called once the peer's receiver is listening; the shipper hangs
-        off the journal's append hook (records, synchronous) and the
-        frontend's ``after_batch`` hook (checkpoints, quiescent).
+        Called once the peer's receiver is listening; every storage
+        operation since the node was built is spooled and goes first.
         """
-        if self.shipper is not None:
-            raise RuntimeError(f"{self.id}: shipper already connected")
-        self.shipper = JournalShipper(self.id, peer,
-                                      checkpoint_every=self.checkpoint_every,
-                                      segment_records=self.segment_records)
-        self.shipper.bind_checkpoints(self.service.checkpoint)
-        self.journal.add_observer(self.shipper.on_record)
-        self.frontend.add_after_batch(self._after_batch)
-
-    def _after_batch(self) -> None:
-        if self.shipper is None:
-            return
-        self.shipper.maybe_checkpoint()
-        if (self.journal_retention is not None
-                and self.shipper.last_checkpoint_lsn >= 0):
-            # a checkpoint at that LSN reached the peer, so records at
-            # or below it are replica-durable: adoption restores the
-            # checkpoint and needs only the tail.  Local compaction to
-            # the same cut keeps this node's memory bounded.
-            self.journal.compact(self.shipper.last_checkpoint_lsn,
-                                 retain_segments=self.journal_retention)
+        self.shipper.connect(peer)
 
     # -- control plane -----------------------------------------------------
     def control(self, frame: dict) -> dict:
@@ -176,13 +165,16 @@ class ClusterNode:
         return {"ok": False, "error": f"unknown control frame type {kind!r}"}
 
     def adopt(self, dead: str) -> dict:
-        """Recover *dead*'s slice from shipped state; serve it here.
+        """Recover *dead*'s slice from its replica; serve it here.
 
         Waits for the dead peer's final in-flight bytes to drain (the
-        kernel delivers ``sendall``-ed data after a SIGKILL), then runs
-        checkpoint restore + rid-idempotent journal replay and opens a
-        fresh frontend for the slice.  Idempotent: a second adopt call
-        answers with the already-serving address.
+        kernel delivers ``sendall``-ed data after a SIGKILL), takes the
+        replica out of the receiver — later frames from *dead* are
+        refused — and reopens it the way a restarted server reopens its
+        store: checkpoint restore + rid-idempotent journal replay.  Then
+        opens a fresh frontend for the slice.  Idempotent: a second
+        adopt call answers with the already-serving address.  A failed
+        adoption puts the replica back, so it can be retried.
         """
         with self._lock:
             if dead in self.adopted:
@@ -191,25 +183,29 @@ class ClusterNode:
                         "address": list(front.address), "already": True}
         if dead == self.id:
             return {"ok": False, "error": "a node cannot adopt itself"}
-        slot = self.receiver.wait_drained(dead)
-        if slot.checkpoint is None and not slot.records:
-            return {"ok": False,
-                    "error": f"nothing shipped from {dead!r}; cannot adopt"}
-        ckpt = Checkpoint.from_bytes(slot.checkpoint) if slot.checkpoint else None
-        journal = Journal.from_records(slot.records)
-        service = MarketService.recover(
-            self.params, self.keypair, journal, checkpoint=ckpt,
-            n_shards=self.n_shards, telemetry=self.telemetry,
-        )
-        frontend = ServiceFrontend(service, host=self.host, port=0,
-                                   telemetry=self.telemetry).start()
+        try:
+            storage = self.receiver.take(dead)
+        except LookupError as exc:
+            return {"ok": False, "error": f"cannot adopt: {exc}"}
+        try:
+            journal = Journal(storage, segment_records=self.segment_records)
+            checkpoint = journal.load_checkpoint()
+            service = MarketService.recover(
+                self.params, self.keypair, journal, checkpoint=checkpoint,
+                n_shards=self.n_shards, telemetry=self.telemetry,
+            )
+            frontend = ServiceFrontend(service, host=self.host, port=0,
+                                       telemetry=self.telemetry).start()
+        except BaseException:
+            self.receiver.slot(dead).storage = storage
+            raise
         with self._lock:
             self.adopted[dead] = (service, frontend)
         self._m_adoptions.inc()
         return {"ok": True, "node": dead, "adopter": self.id,
                 "address": list(frontend.address),
-                "checkpoint_lsn": ckpt.lsn if ckpt else -1,
-                "records": len(slot.records)}
+                "checkpoint_lsn": checkpoint.lsn if checkpoint else -1,
+                "last_lsn": journal.last_lsn}
 
     def dump_journals(self) -> dict[str, list[dict]]:
         """Every served slice's journal, as record states (for the sweep)."""
@@ -223,8 +219,7 @@ class ClusterNode:
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
         """Graceful teardown (tests, clean shutdown — not the SIGKILL path)."""
-        if self.shipper is not None:
-            self.shipper.close()
+        self.shipper.close()
         self.frontend.close()
         with self._lock:
             adopted, self.adopted = dict(self.adopted), {}
@@ -240,8 +235,7 @@ class ClusterNode:
         buffer, everything else (books, journal, reply cache) is simply
         abandoned with the object.
         """
-        if self.shipper is not None:
-            self.shipper.close()
+        self.shipper.close()
         self.frontend.close()
         self.receiver.close()
 

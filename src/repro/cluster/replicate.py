@@ -1,48 +1,53 @@
-"""Checkpoint and journal-segment shipping between cluster nodes.
+"""Journal-storage replication between cluster nodes.
 
-Every node streams its durability state to one designated peer (its
-ring successor) so that peer can **adopt the node's slice** after a
-crash, using the exact recovery machinery the single-node service
-already proves out (:meth:`repro.service.server.MarketService.recover`
-= snapshot restore + rid-idempotent tail replay).  Two kinds of
-payload cross the replication link, both as RPW1 frames over a
-dedicated TCP listener:
+Every node keeps a byte copy of its journal storage on one designated
+peer (its ring successor), so that peer can **adopt the node's slice**
+after a crash by reopening the copy the way a restarted single server
+reopens its own store: ``Journal(storage)`` + ``load_checkpoint()`` +
+:meth:`repro.service.server.MarketService.recover`.
 
-* **journal records** — shipped *synchronously* from the journal's
-  append hook (:meth:`repro.service.journal.Journal.add_observer`):
-  the ``sendall`` happens on the appending thread before the append
-  returns, and the service only answers a request after its journal
-  records are appended.  Every acknowledged request is therefore on
-  the peer's wire (or the send raised and the shipper degraded) before
-  the client could have seen the verdict — a SIGKILL after that point
-  loses nothing, because the kernel still delivers sent bytes.
-* **checkpoints** — periodic full snapshots (taken on the frontend's
-  ``after_batch`` hook, the one place the service is quiescent) that
-  bound how much journal tail an adoption must replay.  The newest
-  checkpoint supersedes older ones.
+What crosses the link is the storage's own history: every mutating
+operation (:data:`repro.service.storage.MUTATING` — ``append``,
+``write``, ``replace``, ``truncate``, ``unlink``) with its name and
+bytes, numbered from 1, one RPW1 *op frame* each, over a dedicated TCP
+listener.  :class:`JournalShipper` is a storage wrapper under the
+node's journal: it applies op *n* locally, then sends it on the calling
+thread before the call returns.  The service answers a request only
+after its journal records are appended, so every acknowledged request
+is on the peer's wire (or the send raised and the shipper degraded)
+before the client could have seen the verdict — a SIGKILL after that
+point loses nothing, because the kernel still delivers sent bytes.
+A checkpoint needs no frame of its own: the node's journal maintenance
+writes blobs and a manifest and compacts, and those are operations
+like any other.
 
-When the link is down, records spool in order and a background thread
-reconnects with bounded backoff, re-shipping a fresh checkpoint first
-(the spool may have overflowed the peer's view otherwise — a full
-snapshot plus the spooled tail is always sufficient).  During a
-degraded window the no-loss guarantee narrows to "whatever reached the
-peer"; the runbook's failover entry spells this out.
+:class:`ReplicaReceiver` applies op *n* to a per-source
+:class:`~repro.service.storage.MemoryStorage` only after op *n - 1*, so
+a replica always holds a prefix of its source's operation history —
+exactly what a crash before op *n* would have left in the source's own
+store, every one of which the crash-at-every-storage-operation sweep
+recovers.  Replication is crash consistency.
 
-Shipping is **segment-aware** (see ``docs/storage.md``): every record
-frame carries the segment id its LSN maps to, and a reconnect opens
-with a *sync* hello — the receiver answers with its cursor
-``(segment, lsn)``, the high-water mark it already holds, and the
-shipper prunes its spool to strictly-newer records before replaying.
-Resume cost is therefore the gap, not the spool; and a receiver
-running with ``trim_on_checkpoint=True`` keeps only the journal tail
-after each shipped checkpoint, bounding replica memory the same way
-compaction bounds source disk.
+When the link is down, frames spool in order (a shipper spools from
+birth, before it knows its peer) and a background thread reconnects
+with bounded backoff.  Every connection opens with a *sync* hello; the
+receiver answers with its cursor ``{"ops": applied}``, and the shipper
+drops what the cursor covers and replays the rest before going live.
+A cursor the spool cannot resume — the peer lost frames that had
+already been sent — triggers a *resync*: the shipper respools its
+store as it is now, one ``write`` per name renumbered from op 1, and
+its next hello carries ``reset`` (that count), which restarts the
+peer's slot from an empty storage.  Until the snapshot has fully
+arrived the slot refuses adoption.  During a degraded window the
+no-loss guarantee narrows to "whatever reached the peer"; the
+runbook's failover entry spells this out.
 
-:class:`ReplicaReceiver` is the listening side: it stores per-source
-checkpoint + record streams, answers control frames (ping/adopt/dump —
-the handler is injected by :class:`repro.cluster.node.ClusterNode`),
-and tracks stream liveness so adoption can wait for the kernel to
-drain a dead peer's final bytes before recovering.
+The receiver also answers control frames (ping/adopt/dump — the
+handler is injected by :class:`repro.cluster.node.ClusterNode`) and
+tracks stream liveness, so adoption can wait for the kernel to drain a
+dead peer's final bytes.  Adoption then *takes* the replica: frames
+from that source are refused from then on, so no stream can write
+under the journal it opens.
 """
 
 from __future__ import annotations
@@ -54,12 +59,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.net.wire import FrameDecoder, encode_frame, read_frame, write_frame, WireError
-from repro.service.journal import (
-    DEFAULT_SEGMENT_RECORDS,
-    Checkpoint,
-    JournalError,
-    JournalRecord,
-)
+from repro.service.storage import MUTATING, MemoryStorage, Storage, StorageWrapper
 
 __all__ = [
     "FrameListener",
@@ -159,57 +159,68 @@ class FrameListener:
 
 @dataclass
 class ReplicaSlot:
-    """Everything one source node has shipped here.
+    """One source node's replica: a byte copy of its journal storage.
 
-    ``last_lsn``/``last_segment`` are real fields (not derived from
-    ``records``) so they survive checkpoint trimming: the cursor a sync
-    hello answers with must be the true high-water mark even after the
-    records below a checkpoint were dropped.
+    ``applied`` counts the source's storage operations applied to
+    ``storage``, in order — the cursor a sync hello answers with.
+    ``storage`` is ``None`` once adoption has taken it.  After a reset
+    the storage is a copy only once ``applied`` reaches ``resync_ops``,
+    the length of the source's snapshot.
     """
 
     node: str
-    checkpoint: bytes | None = None
-    checkpoint_lsn: int = -1
-    records: list[dict] = field(default_factory=list)
+    storage: MemoryStorage | None = field(default_factory=MemoryStorage)
+    applied: int = 0
+    resync_ops: int = 0
     streams: int = 0  # live shipping connections for this source
-    last_lsn: int = -1
-    last_segment: int = -1
+
+    def apply(self, frame: dict) -> None:
+        """Apply op frame *n*: once, in order, and never after adoption.
+
+        A frame at or below ``applied`` is reconnect overlap and is
+        skipped.  A gap, an unknown operation or a taken storage raises
+        :class:`WireError` — the stream is closed, the storage untouched.
+        """
+        n, op = frame["n"], frame["op"]
+        if self.storage is None:
+            raise WireError(f"{self.node} was adopted: its stream is refused")
+        if n <= self.applied:
+            return
+        if n != self.applied + 1 or op not in MUTATING:
+            raise WireError(f"{self.node}: op {n} ({op}) cannot follow "
+                            f"op {self.applied}")
+        getattr(self.storage, op)(*frame["args"])
+        self.applied = n
 
 
 class ReplicaReceiver(FrameListener):
     """TCP listener accepting replica streams and control frames.
 
     Stream frames (fire-and-forget from the shipper, except the sync
-    hello which is answered with a cursor)::
+    hello, which is answered with a cursor)::
 
-        {type: "hello",      node}                   opens a stream
-        {type: "hello",      node, sync: true}       opens + cursor reply
-        {type: "record",     node, segment, record}  one journal record
-        {type: "checkpoint", node, blob}             newest full snapshot
+        {type: "hello", node, sync: true}    opens a stream + cursor reply
+        {type: "hello", node, sync: true, reset: k}
+                                             ... after emptying the slot
+        {type: "op",    node, n, op, args}   the source's storage op n
 
-    The cursor reply is ``{ok, type: "cursor", node, segment, lsn}`` —
-    the highest LSN (and its segment) this receiver already holds for
-    the source, so a reconnecting shipper can prune its spool instead
-    of replaying everything since the last checkpoint.
+    The cursor reply is ``{ok, type: "cursor", node, ops}`` — how many
+    of the source's operations this receiver has applied — so a
+    reconnecting shipper resends only what is missing.  A hello with
+    ``reset`` starts the slot over (``applied`` 0, an empty storage)
+    for a shipper resyncing with a *k*-op snapshot.  A gap, an
+    unknown operation, or any stream frame for a source whose replica
+    adoption took, closes the connection (see :meth:`ReplicaSlot.apply`).
 
     Any other frame is treated as a *control* request: handed to the
     injected ``control`` callable, whose dict result is written back as
     the reply (exceptions become ``{ok: false, error}``).  The control
     plane — ping, map exchange, adoption, dumps — therefore rides the
     same listener, one port per node.
-
-    With ``trim_on_checkpoint=True``, every checkpoint frame drops the
-    stored records it covers (LSN ≤ the checkpoint's cut): adoption
-    then restores the checkpoint and replays only the tail, and the
-    slot's memory is bounded the way compaction bounds source disk.
-    The default (``False``) keeps the full stream, which the cluster
-    sweep's uncompacted shadow replay requires.
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
-                 control: Callable[[dict], dict] | None = None,
-                 trim_on_checkpoint: bool = False) -> None:
-        self.trim_on_checkpoint = trim_on_checkpoint
+                 control: Callable[[dict], dict] | None = None) -> None:
         self.control = control
         self._slots: dict[str, ReplicaSlot] = {}
         self._lock = threading.Lock()
@@ -242,6 +253,27 @@ class ReplicaReceiver(FrameListener):
                     return slot
             time.sleep(0.01)
         return slot  # adopt from what arrived; recovery is idempotent
+
+    def take(self, node: str) -> MemoryStorage:
+        """Detach *node*'s replica once its stream drained: adoption's move.
+
+        Every later frame from *node* is refused, so nothing can write
+        under the journal adoption opens on the returned storage.
+        Raises :class:`LookupError`, leaving the slot as it was, when
+        there is no whole copy to take: another adoption took it,
+        nothing was shipped, or a resync's snapshot is still arriving.
+        """
+        slot = self.wait_drained(node)
+        with self._lock:
+            if slot.storage is None:
+                raise LookupError(f"an adoption of {node!r} is already in progress")
+            if slot.applied < slot.resync_ops:
+                raise LookupError(f"{node!r} is resyncing: {slot.applied} of "
+                                  f"{slot.resync_ops} snapshot ops arrived")
+            if not slot.storage.names():
+                raise LookupError(f"nothing shipped from {node!r}")
+            storage, slot.storage = slot.storage, None
+        return storage
 
     # -- wire side ---------------------------------------------------------
     def _serve(self, sock: socket.socket) -> None:
@@ -278,41 +310,20 @@ class ReplicaReceiver(FrameListener):
         if kind == "hello":
             slot = self.slot(frame["node"])
             with self._lock:
+                if slot.storage is None:
+                    raise WireError(f"{slot.node} was adopted: its stream is refused")
+                if frame.get("reset") is not None:
+                    slot.storage, slot.applied = MemoryStorage(), 0
+                    slot.resync_ops = frame["reset"]
                 slot.streams += 1
                 if frame.get("sync"):
                     return {"ok": True, "type": "cursor", "node": slot.node,
-                            "segment": slot.last_segment,
-                            "lsn": slot.last_lsn}
+                            "ops": slot.applied}
             return None
-        if kind == "record":
+        if kind == "op":
             slot = self.slot(frame["node"])
-            record = frame["record"]
             with self._lock:
-                # idempotent by LSN: a reconnecting shipper replays its
-                # (cursor-pruned) spool, and overlap with records that
-                # already arrived must not duplicate
-                if record["lsn"] > slot.last_lsn:
-                    slot.records.append(record)
-                    slot.last_lsn = record["lsn"]
-                    segment = frame.get("segment")
-                    if segment is None:
-                        segment = record["lsn"] // DEFAULT_SEGMENT_RECORDS
-                    slot.last_segment = segment
-            return None
-        if kind == "checkpoint":
-            slot = self.slot(frame["node"])
-            blob = frame["blob"]
-            cut = -1
-            if self.trim_on_checkpoint:
-                try:
-                    cut = Checkpoint.from_bytes(blob).lsn
-                except JournalError:
-                    cut = -1  # keep everything rather than trust a bad blob
-            with self._lock:
-                slot.checkpoint = blob
-                if cut >= 0:
-                    slot.checkpoint_lsn = cut
-                    slot.records = [r for r in slot.records if r["lsn"] > cut]
+                slot.apply(frame)
             return None
         if self.control is not None:
             try:
@@ -322,112 +333,135 @@ class ReplicaReceiver(FrameListener):
         return {"ok": False, "error": f"unknown frame type {kind!r}"}
 
 
-class JournalShipper:
-    """Streams one node's journal records and checkpoints to its peer.
+class JournalShipper(StorageWrapper):
+    """A node's journal storage that copies every operation to its peer.
 
-    Register :meth:`on_record` as a journal observer and call
-    :meth:`maybe_checkpoint` from the frontend's ``after_batch`` hook.
-    ``healthy`` is the degradation flag: ``False`` means the link is
-    down and records are spooling for the reconnect thread.
-
-    *segment_records* is the shipping-side segment geometry: each
-    record frame carries ``lsn // segment_records`` as its segment id
-    so receiver cursors speak ``(segment, lsn)``.  It should match the
-    source journal's geometry.
-    ``last_checkpoint_lsn`` is the cut of the newest checkpoint that
-    reached the peer (-1 before the first) — the LSN local compaction
-    may safely treat as replica-durable.
+    Wraps *inner*, the storage the node's journal writes to.  Under one
+    lock, a mutating call is applied to *inner*, becomes op frame *n*
+    and is ``sendall``-ed on the calling thread before the call
+    returns, so the peer sees the operations in the order they
+    happened.  Until :meth:`connect` names the peer, and whenever the
+    link is down, frames spool in order (``healthy`` is ``False``); a
+    background thread reconnects, drops what the peer's cursor covers
+    and replays the rest before going live.  A peer whose cursor the
+    spool cannot resume — it lost frames that had already been sent —
+    is resynced from *inner* itself (:meth:`_resync_locked`).
     """
 
-    def __init__(self, node: str, peer: tuple[str, int], *,
-                 checkpoint_every: int = 256,
-                 segment_records: int = DEFAULT_SEGMENT_RECORDS,
+    def __init__(self, node: str, inner: Storage, *,
                  timeout: float = 10.0,
                  reconnect_backoff: float = 0.1,
                  max_backoff: float = 5.0) -> None:
+        super().__init__(inner)
         self.node = node
-        self.peer = (peer[0], int(peer[1]))
-        self.checkpoint_every = checkpoint_every
-        self.segment_records = segment_records
-        self.last_checkpoint_lsn = -1
+        self.peer: tuple[str, int] | None = None
         self.timeout = timeout
-        self._sock: socket.socket | None = None
-        self._lock = threading.Lock()
-        self._spool: list[dict] = []
-        self._since_checkpoint = 0
-        self._running = True
         self._backoff = reconnect_backoff
         self._max_backoff = max_backoff
-        self.shipped_records = 0
-        self.shipped_checkpoints = 0
-        self._reconnector: threading.Thread | None = None
-        self._checkpoint_source: Callable[[], Checkpoint] | None = None
-        try:
-            self._open()
-        except OSError:
-            self._degrade()
+        self._lock = threading.Lock()
+        self._sock: socket.socket | None = None
+        self._spool: list[dict] = []
+        self._ops = 0  # operations applied to inner: n of the newest frame
+        self._reset: int | None = None  # snapshot length the next hello resets to
+        self._attaching = False  # True while an attach owns the spool replay
+        self._running = True
+        self.shipped_ops = 0
 
     @property
     def healthy(self) -> bool:
         return self._sock is not None
 
-    def bind_checkpoints(self, source: Callable[[], Checkpoint]) -> None:
-        """Set the checkpoint factory (the service's, on its thread)."""
-        self._checkpoint_source = source
-
-    # -- hot path (journal observer, appending thread) ---------------------
-    def on_record(self, record: JournalRecord) -> None:
-        frame = {"type": "record", "node": self.node,
-                 "segment": record.lsn // self.segment_records,
-                 "record": record.to_state()}
+    def connect(self, peer: tuple[str, int]) -> None:
+        """Ship to *peer* from now on, everything spooled since birth first."""
         with self._lock:
+            if self.peer is not None:
+                raise RuntimeError(f"{self.node}: shipper already connected")
+            self.peer = (peer[0], int(peer[1]))
+            self._attaching = True
+        if not self._attach():
+            threading.Thread(target=self._reconnect_loop, name=f"ship-{self.node}",
+                             daemon=True).start()
+
+    # -- hot path (the journal's thread) -----------------------------------
+    def mutate(self, op: str, args: tuple) -> None:
+        with self._lock:
+            super().mutate(op, args)
+            self._ops += 1
+            frame = {"type": "op", "node": self.node, "n": self._ops,
+                     "op": op, "args": list(args)}
             if self._sock is not None:
                 try:
                     self._sock.sendall(encode_frame(frame))
-                    self.shipped_records += 1
-                    self._since_checkpoint += 1
+                    self.shipped_ops += 1
                     return
                 except OSError:
                     self._drop_locked()
             self._spool.append(frame)
         self._degrade()
 
-    def maybe_checkpoint(self, *, force: bool = False) -> bool:
-        """Ship a fresh checkpoint when the segment budget is spent.
-
-        Must run where the service is quiescent (the dispatcher's
-        ``after_batch`` hook): taking the snapshot reads every shard.
-        """
-        if self._checkpoint_source is None:
-            return False
-        with self._lock:
-            due = force or self._since_checkpoint >= self.checkpoint_every
-            if not due or self._sock is None:
-                return False
-        checkpoint = self._checkpoint_source()
-        frame = {"type": "checkpoint", "node": self.node,
-                 "blob": checkpoint.to_bytes()}
-        with self._lock:
-            if self._sock is None:
-                return False
-            try:
-                self._sock.sendall(encode_frame(frame))
-            except OSError:
-                self._drop_locked()
-                self._degrade()
-                return False
-            self.shipped_checkpoints += 1
-            self.last_checkpoint_lsn = checkpoint.lsn
-            self._since_checkpoint = 0
-        return True
-
     # -- link management ---------------------------------------------------
-    def _open(self) -> None:
-        sock = socket.create_connection(self.peer, timeout=self.timeout)
-        sock.settimeout(self.timeout)
-        sock.sendall(encode_frame({"type": "hello", "node": self.node}))
-        with self._lock:
-            self._sock = sock
+    def _attach(self) -> bool:
+        """One attempt to open the link; ``True`` once it is live.
+
+        Sends the sync hello, drops the spooled frames the peer's cursor
+        covers and replays the rest on the new socket *before*
+        publishing it: while ``_sock`` is ``None`` the hot path keeps
+        spooling, so live frames never overtake the backlog.
+        """
+        try:
+            sock = socket.create_connection(self.peer, timeout=self.timeout)
+        except OSError:
+            return False
+        try:
+            sock.settimeout(self.timeout)
+            hello = {"type": "hello", "node": self.node, "sync": True}
+            if self._reset is not None:  # only this thread sets it
+                hello["reset"] = self._reset
+            sock.sendall(encode_frame(hello))
+            applied = read_frame(sock)["ops"]
+            with self._lock:
+                self._reset = None  # the cursor answers the reset, if any
+                self._spool = [f for f in self._spool if f["n"] > applied]
+                resumes = self._spool[0]["n"] if self._spool else self._ops + 1
+                if resumes != applied + 1:
+                    self._resync_locked()
+            if resumes != applied + 1:
+                raise WireError(f"peer holds {applied} ops, the spool "
+                                f"resumes at op {resumes}: resyncing")
+            while True:
+                with self._lock:
+                    if not self._spool:
+                        if self._running:
+                            self._sock = sock
+                        else:
+                            sock.close()
+                        self._attaching = False
+                        return True
+                    batch, self._spool = self._spool, []
+                for index, frame in enumerate(batch):
+                    try:
+                        sock.sendall(encode_frame(frame))
+                    except OSError:
+                        with self._lock:
+                            self._spool = batch[index:] + self._spool
+                        raise
+                    self.shipped_ops += 1
+        except (OSError, WireError, KeyError, TypeError):
+            sock.close()
+            return False
+
+    def _resync_locked(self) -> None:
+        """Respool the store as it is now, as ops renumbered from 1.
+
+        One ``write`` per name of *inner*; the next hello carries their
+        count as ``reset``, so the peer empties its slot first and
+        refuses adoption until the last of them has arrived.  Ops after
+        the snapshot spool behind it as usual.
+        """
+        self._spool = [{"type": "op", "node": self.node, "n": n, "op": "write",
+                        "args": [name, self.inner.read(name)]}
+                       for n, name in enumerate(self.inner.names(), 1)]
+        self._ops = self._reset = len(self._spool)
 
     def _drop_locked(self) -> None:
         if self._sock is not None:
@@ -439,73 +473,23 @@ class JournalShipper:
 
     def _degrade(self) -> None:
         with self._lock:
-            if not self._running or self._reconnector is not None:
+            if not self._running or self.peer is None or self._attaching:
                 return
-            self._reconnector = threading.Thread(
-                target=self._reconnect_loop, name=f"ship-{self.node}",
-                daemon=True,
-            )
-            self._reconnector.start()
+            self._attaching = True
+        threading.Thread(target=self._reconnect_loop, name=f"ship-{self.node}",
+                         daemon=True).start()
 
     def _reconnect_loop(self) -> None:
         delay = self._backoff
         while self._running:
             time.sleep(delay)
             delay = min(delay * 2, self._max_backoff)
-            try:
-                sock = socket.create_connection(self.peer, timeout=self.timeout)
-                sock.settimeout(self.timeout)
-                sock.sendall(encode_frame(
-                    {"type": "hello", "node": self.node, "sync": True}))
-                cursor = read_frame(sock)
-            except (OSError, WireError):
-                continue
-            if not isinstance(cursor, dict) or cursor.get("type") != "cursor":
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-                continue
-            # the cursor is the peer's (segment, lsn) high-water mark:
-            # everything at or below it already arrived (the receiver
-            # dedups by LSN anyway, but pruning here avoids re-sending
-            # a potentially large spool over a slow link)
-            acked = cursor.get("lsn", -1)
-            with self._lock:
-                self._spool = [f for f in self._spool
-                               if f["record"]["lsn"] > acked]
-            # replay the spool on the *private* socket before publishing
-            # it: while ``_sock`` is None the hot path keeps spooling, so
-            # live records can never interleave with (or overtake) the
-            # backlog.  The spool is complete — every record since the
-            # drop either shipped or spooled — so no checkpoint is
-            # needed for correctness; one is marked due anyway (shipped
-            # later from the dispatcher thread, the only thread allowed
-            # to snapshot the bank) to bound the peer's replay tail.
-            failed = False
-            while not failed:
-                with self._lock:
-                    if not self._spool:
-                        self._sock = sock
-                        self._since_checkpoint = self.checkpoint_every
-                        self._reconnector = None
-                        return
-                    batch, self._spool = self._spool, []
-                for index, frame in enumerate(batch):
-                    try:
-                        sock.sendall(encode_frame(frame))
-                        self.shipped_records += 1
-                    except OSError:
-                        with self._lock:
-                            self._spool = batch[index:] + self._spool
-                        try:
-                            sock.close()
-                        except OSError:
-                            pass
-                        failed = True
-                        break
+            if self._attach():
+                return
 
     def close(self) -> None:
+        """Stop shipping (the socket is this storage's OS handle)."""
         self._running = False
         with self._lock:
             self._drop_locked()
+        self.inner.close()

@@ -170,10 +170,10 @@ class DispatchCore:
     def add_after_batch(self, fn: Callable[[], None]) -> None:
         """Run *fn* after every dispatched batch, service quiescent.
 
-        Multiple maintenance tasks (checkpoint shipping, journal
-        checkpoint + compaction via :class:`~repro.service.journal
-        .JournalMaintenance`) share the quiescent point; they run on
-        the dispatcher thread in registration order.
+        Maintenance tasks (journal checkpoint + compaction via
+        :class:`~repro.service.journal.JournalMaintenance`, on a single
+        server and on every cluster node) share the quiescent point;
+        they run on the dispatcher thread in registration order.
         """
         self._after_batch.append(fn)
 

@@ -28,8 +28,9 @@ One class, :class:`Journal`, does all of it — one file per segment,
 incremental copy-on-write checkpoints (content-addressed blobs + a
 small manifest), retention-policy compaction that actually deletes —
 over a :class:`~repro.service.storage.Storage`, the one seam every byte
-crosses and therefore where the fault harness injects crashes.  The
-byte-exact format is specified in ``docs/storage.md``.
+crosses: where the fault harness injects crashes, and where a cluster
+node's shipper copies every operation to its peer.  The byte-exact
+format is specified in ``docs/storage.md``.
 
 Record kinds (see :mod:`repro.service.server` for who writes what)::
 
@@ -69,7 +70,6 @@ __all__ = [
     "RUN_ENTRIES",
 ]
 
-_CKPT_MAGIC = b"repro-service-checkpoint-v3"
 _SEGMENT_MAGIC = b"repro-journal-seg-v1\n"
 _MANIFEST_MAGIC = b"repro-ckpt-manifest-v2"
 _FRAME_DIGEST_BYTES = 8
@@ -143,7 +143,7 @@ def _blob_name(data: bytes) -> str:
 
 
 def _seal(magic: bytes, body: bytes) -> bytes:
-    """``magic || sha256(magic, body) || body`` — manifests and checkpoints."""
+    """``magic || sha256(magic, body) || body`` — how a manifest is stored."""
     return magic + sha256(magic, body) + body
 
 
@@ -286,7 +286,6 @@ class Journal:
         self._base_lsn = 0  # lsn of _records[0] (next lsn when empty)
         self._records: list[JournalRecord] = []
         self._tail_segment = -1  # the headed segment appends continue in
-        self._observers: list = []
         self.compactions = 0
         self.segments_dropped = 0
         self.torn_tail = False
@@ -304,13 +303,12 @@ class Journal:
 
     @classmethod
     def from_records(cls, states: Iterable[dict]) -> "Journal":
-        """A memory-backed journal holding shipped record *states* verbatim.
+        """A memory-backed journal holding dumped record *states* verbatim.
 
         The stream is already LSN-ordered and codec-normalized (it was
-        appended once, on the node that shipped it), so the records are
-        installed under the LSNs they carry: no observer fires and no
-        append is counted.  LSNs must be dense.  A stream that starts
-        past lsn 0 (the receiver trimmed on a checkpoint, or the source
+        appended once, on the node that dumped it), so the records are
+        installed under the LSNs they carry: no append is counted.  LSNs
+        must be dense.  A stream that starts past lsn 0 (the source
         compacted) gives a journal with the matching :attr:`first_lsn`,
         so recovery's compaction guard sees the truth.
         """
@@ -321,7 +319,7 @@ class Journal:
                 journal._base_lsn = record.lsn
             elif record.lsn != journal.last_lsn + 1:
                 raise JournalError(
-                    f"shipped record stream has a gap: lsn {journal.last_lsn} "
+                    f"record stream has a gap: lsn {journal.last_lsn} "
                     f"is followed by lsn {record.lsn}"
                 )
             journal._write(record)
@@ -330,19 +328,6 @@ class Journal:
     def close(self) -> None:
         """Release the storage's OS handles (the journal stays loadable)."""
         self.storage.close()
-
-    def add_observer(self, fn) -> None:
-        """Call *fn(record)* synchronously for every appended record.
-
-        The segment-export hook: a replication shipper registered here
-        sees each record on the appending thread *before* the append
-        returns — and therefore before any reply that depends on the
-        record is sent — which is what lets a peer's copy of the
-        journal be a superset of every acknowledged request.  Records
-        loaded from storage or installed by :meth:`from_records` do not
-        fire; only new appends do.
-        """
-        self._observers.append(fn)
 
     def _bind_obs(self, telemetry: "obs.Telemetry | None") -> None:
         """Attach a telemetry stack (the service shares its own down)."""
@@ -415,16 +400,22 @@ class Journal:
 
     # -- load --------------------------------------------------------------
     def _load(self) -> None:
-        segment_ids = _numbered(self.storage.names(), "seg-", ".wal")
+        names = self.storage.names()
+        segment_ids = _numbered(names, "seg-", ".wal")
         if not segment_ids:
-            return
+            # compaction may have dropped every segment: the log then
+            # resumes right after the checkpoint that covered them all
+            for lsn in reversed(_numbered(names, "ckpt-", ".mf")):
+                if self._read_manifest(lsn) is not None:
+                    self._base_lsn = lsn + 1
+                    break
         for prev, cur in zip(segment_ids, segment_ids[1:]):
             if cur != prev + 1:
                 raise JournalError(
                     f"segment gap between seg {prev} and {cur} "
                     "(compaction only ever drops a prefix)"
                 )
-        newest = segment_ids[-1]
+        newest = max(segment_ids, default=None)
         expected_lsn: int | None = None
         for segment_id in segment_ids:
             name = _segment_name(segment_id)
@@ -499,8 +490,6 @@ class Journal:
         with self.obs.tracer.span("journal_append", kind=kind, op=op,
                                   lsn=record.lsn, bytes=len(encoded)):
             self._write(record)
-            for observer in self._observers:
-                observer(record)
         self._m_appends[kind].inc()
         self._m_bytes.inc(len(encoded))
         self._m_lsn.set(record.lsn)
@@ -646,7 +635,7 @@ class Journal:
         """Drop sealed segments a durable checkpoint covers; returns their ids.
 
         *durable_lsn* is the LSN of a checkpoint that is already safely
-        persisted (or shipped): every record with ``lsn <= durable_lsn``
+        persisted: every record with ``lsn <= durable_lsn``
         is folded into that checkpoint's state.  With ``None`` the
         newest valid manifest's LSN is used (no valid manifest means
         nothing is dropped).  A segment is dropped only when **all** of
@@ -841,15 +830,6 @@ class Runs:
             skip = 0
         yield from self.tail
 
-    def to_state(self) -> dict:
-        return {"runs": [run.data for run in self.sealed], "skip": self.skip,
-                "tail": list(self.tail)}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Runs":
-        return cls(tuple(Run(data) for data in state["runs"]), state["skip"],
-                   tuple(state["tail"]))
-
 
 class RunLog:
     """Sealing bookkeeping beside a FIFO the owner keeps for lookup.
@@ -913,26 +893,3 @@ class Checkpoint:
     pending: tuple = ()
     evicted: Runs = Runs()
     next_seq: int = 0
-
-    def to_bytes(self) -> bytes:
-        """The self-contained form the cluster ships (runs inline)."""
-        return _seal(_CKPT_MAGIC, encode({
-            "lsn": self.lsn,
-            "blobs": list(self.blobs),
-            "replies": self.replies.to_state(),
-            "pending": list(self.pending),
-            "evicted": self.evicted.to_state(),
-            "next_seq": self.next_seq,
-        }))
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Checkpoint":
-        state = _unseal(_CKPT_MAGIC, blob, "service checkpoint")
-        return cls(
-            lsn=state["lsn"],
-            blobs=tuple(state["blobs"]),
-            replies=Runs.from_state(state["replies"]),
-            pending=tuple(state["pending"]),
-            evicted=Runs.from_state(state["evicted"]),
-            next_seq=state["next_seq"],
-        )

@@ -12,8 +12,10 @@ therefore the only places a crash can interrupt it.  There is no
 run (the bytes outlive the journal object, which is how the fault
 harness models a process crash); :class:`DirectoryStorage` is
 ``Journal.open(directory)``, the production store (file layout in
-``docs/storage.md``).  :class:`repro.testing.faults.StorageCrasher`
-wraps either.
+``docs/storage.md``).  :class:`StorageWrapper` sits between a journal
+and either: :class:`repro.testing.faults.StorageCrasher` (dies before
+operation *k*) and :class:`repro.cluster.replicate.JournalShipper`
+(copies each operation to a peer) are the two.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from __future__ import annotations
 import os
 from typing import Protocol
 
-__all__ = ["Storage", "MemoryStorage", "DirectoryStorage"]
+__all__ = ["Storage", "MemoryStorage", "DirectoryStorage", "StorageWrapper",
+           "MUTATING"]
+
+#: The operations that change what a storage holds — the only places a
+#: crash can interrupt a journal, and all a replica needs to copy one.
+MUTATING = ("append", "write", "replace", "truncate", "unlink")
 
 
 class Storage(Protocol):
@@ -146,3 +153,24 @@ class DirectoryStorage:
             os.unlink(self._path(name))
         except OSError:
             pass  # gone already, or it stays: an extra file for the next pass
+
+
+class StorageWrapper:
+    """A :class:`Storage` that forwards every call to *inner*.
+
+    Reads and ``close`` go straight through; each :data:`MUTATING` call
+    becomes ``mutate(op, args)``, which a subclass overrides to act
+    before or after passing the call on with ``super().mutate``.
+    """
+
+    def __init__(self, inner: Storage) -> None:
+        self.inner = inner
+
+    def __getattr__(self, op: str):
+        call = getattr(self.inner, op)
+        if op not in MUTATING:
+            return call
+        return lambda *args: self.mutate(op, args)
+
+    def mutate(self, op: str, args: tuple) -> None:
+        getattr(self.inner, op)(*args)

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 
 from repro.net.transport import Transport
-from repro.service.storage import Storage
+from repro.service.storage import Storage, StorageWrapper
 
 __all__ = [
     "CrashPoint",
@@ -65,7 +65,7 @@ class CrashPoint(RuntimeError):
         self.label = label
 
 
-class StorageCrasher:
+class StorageCrasher(StorageWrapper):
     """A :class:`~repro.service.storage.Storage` that dies on schedule.
 
     Wraps *inner* and records ``"<op>:<name>"`` for every mutating call
@@ -78,27 +78,19 @@ class StorageCrasher:
     one sweep run per index.
     """
 
-    MUTATING = ("append", "write", "replace", "truncate", "unlink")
-
     def __init__(self, inner: Storage, crash_at: int | None = None) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.crash_at = crash_at
         self.steps: list[str] = []
         self.fired: str | None = None
 
-    def __getattr__(self, op: str):
-        call = getattr(self.inner, op)
-        if op not in self.MUTATING:
-            return call  # reads and lifecycle are not crash points
-
-        def guarded(*args):
-            index = len(self.steps)
-            self.steps.append(f"{op}:{args[1] if op == 'replace' else args[0]}")
-            if index == self.crash_at:
-                self.fired = self.steps[index]
-                raise CrashPoint(index, label=self.fired)
-            call(*args)
-        return guarded
+    def mutate(self, op: str, args: tuple) -> None:
+        index = len(self.steps)
+        self.steps.append(f"{op}:{args[1] if op == 'replace' else args[0]}")
+        if index == self.crash_at:
+            self.fired = self.steps[index]
+            raise CrashPoint(index, label=self.fired)
+        super().mutate(op, args)
 
 
 class FaultClock:

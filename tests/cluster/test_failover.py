@@ -88,6 +88,43 @@ def test_double_failure_of_a_replica_pair_is_reported(local_cluster):
         raise AssertionError("double failure should not silently fail over")
 
 
+def test_a_failed_adoption_leaves_the_replica_for_a_retry(local_cluster,
+                                                         monkeypatch):
+    import pytest
+
+    from repro.service.server import MarketService
+
+    victim = "n0"
+    adopter = local_cluster.nodes[local_cluster.map.replica_peer(victim)]
+    with local_cluster.router(attempts=2, backoff=0.01,
+                              refresh_backoff=0.01) as router:
+        aid = _aid_owned_by(local_cluster.map, victim)
+        before = router.request("open-account", {"aid": aid, "balance": 4},
+                                sender="probe", rid="retry-rid")
+    local_cluster.kill(victim)
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("recovery interrupted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MarketService, "recover", boom)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            adopter.adopt(victim)
+    # the replica went back into its slot: a retry adopts it
+    assert adopter.receiver.slot(victim).storage is not None
+    # while one adoption holds the replica, another says so
+    storage = adopter.receiver.take(victim)
+    reply = adopter.adopt(victim)
+    assert not reply["ok"] and "already in progress" in reply["error"]
+    adopter.receiver.slot(victim).storage = storage
+    local_cluster.failover(victim)
+    with local_cluster.router(attempts=2, backoff=0.01,
+                              refresh_backoff=0.01) as router:
+        again = router.request("open-account", {"aid": aid, "balance": 4},
+                               sender="probe", rid="retry-rid")
+    assert before == again == {"status": "OK", "balance": 4}
+
+
 def test_router_with_no_feed_reports_staleness_after_kill(local_cluster):
     import pytest
 
@@ -104,9 +141,9 @@ def test_router_with_no_feed_reports_staleness_after_kill(local_cluster):
 
 def test_retention_bounds_node_journals_and_failover_still_works(
         dec_params_toy, cluster_keypair):
-    """``journal_retention`` compacts each node's in-memory journal to
-    the replica-durable cut, and adoption still recovers exactly —
-    the shipped checkpoint + tail replaces the deleted prefix."""
+    """``journal_retention`` compacts each node's in-memory journal
+    against its newest checkpoint, and adoption still recovers exactly:
+    the replica is a copy of the compacted store, checkpoint included."""
     from repro.cluster import LocalCluster
 
     rng = random.Random(77)
@@ -124,13 +161,13 @@ def test_retention_bounds_node_journals_and_failover_still_works(
 
             # retention actually dropped journal prefixes somewhere:
             # every node saw >= checkpoint_every records, so at least
-            # one compaction fired after a shipped checkpoint
+            # one compaction fired after a checkpoint
             assert any(node.journal.first_lsn > 0
                        for node in cluster.nodes.values())
             for node in cluster.nodes.values():
-                shipped = node.shipper.last_checkpoint_lsn
                 if node.journal.first_lsn > 0:
-                    assert node.journal.first_lsn <= shipped + 1
+                    cut = node.journal.load_checkpoint().lsn
+                    assert node.journal.first_lsn <= cut + 1
 
             victim = cluster.map.owner_of(deposits[0].payload["aid"])
             probe = _aid_owned_by(cluster.map, victim, prefix="ret")
@@ -183,3 +220,59 @@ def test_sweep_names_a_compacted_dump_instead_of_half_replaying_it(
                 "the sweep needs the full stream") in sweep.findings
     assert not [f for f in sweep.findings
                 if f.split(": ")[0] in compacted and "dump starts" not in f]
+
+
+def _segments(storage) -> list[str]:
+    return [name for name in storage.names() if name.startswith("seg-")]
+
+
+def test_failover_of_a_node_compaction_emptied_reuses_no_lsn(
+        dec_params_toy, cluster_keypair):
+    """A node whose last compaction dropped every segment leaves a replica
+    holding a checkpoint and no record: the adopter must reopen it after
+    the checkpoint's cut, not at lsn 0, or new records would re-use LSNs
+    the checkpoint already covers."""
+    from repro.cluster import LocalCluster
+
+    with LocalCluster(dec_params_toy, cluster_keypair, n_nodes=3,
+                      checkpoint_every=4, segment_records=4,
+                      journal_retention=0) as cluster:
+        victim = "n0"
+        node = cluster.nodes[victim]
+        with cluster.router(attempts=2, backoff=0.01,
+                            refresh_backoff=0.01) as router:
+            # open accounts on the victim until a compaction has emptied
+            # its store of segments (three records a request, four a
+            # segment: the fourth request ends on a segment boundary)
+            opened = []
+            while not (opened and not _segments(node.shipper)):
+                assert len(opened) < 8, node.shipper.names()
+                aid = _aid_owned_by(cluster.map, victim,
+                                    prefix=f"e{len(opened)}-")
+                reply = router.request("open-account",
+                                       {"aid": aid, "balance": 2},
+                                       sender="probe", rid=f"empty:{aid}")
+                assert reply == {"status": "OK", "balance": 2}
+                opened.append(aid)
+                # the cut runs after the batch, behind the reply; a read
+                # (never journaled) comes back only after it finished
+                router.request("balance", {"aid": aid}, sender="probe")
+            cut = node.journal.last_lsn
+            assert node.journal.load_checkpoint().lsn == cut
+
+            cluster.kill(victim)
+            adopter = cluster.failover(victim)
+            service, _front = cluster.nodes[adopter].adopted[victim]
+            assert (service.journal.first_lsn, service.journal.last_lsn) \
+                == (cut + 1, cut)
+            # pre-kill verdicts answer from the adopted reply cache
+            again = router.request("open-account",
+                                   {"aid": opened[0], "balance": 2},
+                                   sender="probe", rid=f"empty:{opened[0]}")
+            assert again == {"status": "OK", "balance": 2}
+            # and the slice keeps serving, numbering on from the cut
+            aid = _aid_owned_by(cluster.map, victim, prefix="after")
+            assert router.request("open-account", {"aid": aid, "balance": 1},
+                                  sender="probe")["status"] == "OK"
+            assert [r.lsn for r in service.journal.records()][0] == cut + 1
+            assert router.audit()["clean"]

@@ -19,7 +19,7 @@ import random
 import pytest
 
 import repro.service.journal as journal_mod
-from repro.service import Checkpoint, Journal, MarketService, ShardedBank
+from repro.service import Journal, MarketService, ShardedBank
 
 
 def _service(dec_params_toy, *, reply_cache, journal=None):
@@ -204,7 +204,8 @@ class TestRecovery:
 
     def test_sealed_runs_round_trip_the_shipped_form(self, dec_params_toy,
                                                      monkeypatch):
-        """Runs + skip + tail survive ``to_bytes`` and rebuild the same cache."""
+        """Runs + skip + tail survive a stored checkpoint and rebuild the
+        same cache."""
         monkeypatch.setattr(journal_mod, "RUN_ENTRIES", 4)
         journal = Journal()
         service = _service(dec_params_toy, reply_cache=6, journal=journal)
@@ -218,7 +219,8 @@ class TestRecovery:
         assert [rid for rid, _s, _b in checkpoint.replies] \
             == list(service._replies)
         assert list(checkpoint.evicted) == list(service._evicted)
-        shipped = Checkpoint.from_bytes(checkpoint.to_bytes())
+        journal.write_checkpoint(checkpoint)
+        shipped = journal.load_checkpoint()
         assert shipped == checkpoint
         recovered = _watched(MarketService.recover(
             service.bank.params, service.bank.keypair, journal,

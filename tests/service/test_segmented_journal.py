@@ -277,6 +277,25 @@ class TestSegmentedFileJournal:
         assert reloaded.first_lsn == 8 and reloaded.last_lsn == 11
         reloaded.close()
 
+    def test_store_compaction_emptied_of_segments_reopens_after_its_cut(
+            self, reopen):
+        """No segment left, a checkpoint at lsn N: the log resumes at
+        N + 1 — reopening at 0 would re-use LSNs the checkpoint covers."""
+        journal = Journal(reopen(), segment_records=4)
+        _fill(journal, 8)
+        journal.write_checkpoint(Checkpoint(lsn=7, blobs=(b"snap",)))
+        assert journal.compact(retain_segments=0) == [0, 1]
+        journal.close()
+        assert not [n for n in reopen().names() if n.startswith("seg-")]
+        reloaded = Journal(reopen(), segment_records=4)
+        assert (reloaded.first_lsn, reloaded.last_lsn) == (8, 7)
+        assert reloaded.append("apply", "r8", "op", 8).lsn == 8
+        reloaded.close()
+        again = Journal(reopen(), segment_records=4)
+        assert (again.first_lsn, again.last_lsn) == (8, 8)
+        assert again.load_checkpoint().lsn == 7
+        again.close()
+
 
 class TestSegmentedFileJournalInMemory(InMemory, TestSegmentedFileJournal):
     pass

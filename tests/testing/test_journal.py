@@ -116,16 +116,27 @@ class TestFileJournalInMemory(InMemory, TestFileJournal):
 
 
 class TestCheckpoint:
+    """The one checkpoint format: ``write_checkpoint`` → ``load_checkpoint``."""
+
+    MANIFEST = "ckpt-0000000000000003.mf"
+
     def test_round_trip(self):
+        journal = Journal()
         ckpt = Checkpoint(lsn=17, blobs=(b"shard-0", b"shard-1"))
-        assert Checkpoint.from_bytes(ckpt.to_bytes()) == ckpt
+        journal.write_checkpoint(ckpt)
+        assert journal.load_checkpoint() == ckpt
 
     def test_corruption_detected(self):
-        blob = bytearray(Checkpoint(lsn=3, blobs=(b"x",)).to_bytes())
-        blob[-1] ^= 0x01
-        with pytest.raises(JournalError, match="digest"):
-            Checkpoint.from_bytes(bytes(blob))
+        journal = Journal()
+        journal.write_checkpoint(Checkpoint(lsn=3, blobs=(b"x",)))
+        manifest = bytearray(journal.storage.read(self.MANIFEST))
+        manifest[-1] ^= 0x01
+        journal.storage.write(self.MANIFEST, bytes(manifest))
+        assert journal.load_checkpoint() is None
+        assert journal.checkpoint_fallbacks == 1
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(JournalError, match="magic"):
-            Checkpoint.from_bytes(b"junk")
+        journal = Journal()
+        journal.storage.write(self.MANIFEST, b"junk")
+        assert journal.load_checkpoint() is None
+        assert journal.checkpoint_fallbacks == 1

@@ -23,6 +23,13 @@ every mutating call the journal issues is a crash point.  The method:
 Every step runs on both storages: one ``MemoryStorage``, and a
 directory reopened through a fresh ``DirectoryStorage``.
 
+The same sweep is what makes a cluster replica safe to adopt
+(:mod:`repro.cluster.replicate` ships every storage operation, in
+order, to the peer): the **prefix sweep** checks that the replica after
+*k* shipped operations is byte for byte what a crash before operation
+*k* leaves, and that adopting it answers every request acknowledged
+before that point.
+
 The run length is patched down to 2 and the reply cache to 3, so the
 five deposits seal reply and tombstone runs, evict past a run boundary
 and leave a tail: the sweep crashes around every run and tail blob as
@@ -38,6 +45,7 @@ import random
 import pytest
 
 import repro.service.journal as journal_mod
+from repro.cluster.replicate import JournalShipper, ReplicaSlot
 from repro.service import (
     DirectoryStorage,
     Journal,
@@ -48,6 +56,7 @@ from repro.service import (
     VerificationBatcher,
 )
 from repro.service.journal import Run
+from repro.service.storage import StorageWrapper
 from repro.testing import check_recovery_invariants
 from repro.testing.faults import CrashPoint, StorageCrasher
 
@@ -80,21 +89,47 @@ def _after_crash(inner):
     return DirectoryStorage(inner.directory)
 
 
+class _Uncompacted(StorageWrapper):
+    """Passes every operation on, and all but ``unlink`` into ``twin``.
+
+    ``twin`` is the store of a crash-free twin that never compacts: it
+    holds every record appended through this wrapper, however many
+    segments the real store dropped.
+    """
+
+    def __init__(self, inner, twin) -> None:
+        super().__init__(inner)
+        self.twin = twin
+
+    def mutate(self, op: str, args: tuple) -> None:
+        super().mutate(op, args)
+        if op != "unlink":
+            getattr(self.twin, op)(*args)
+
+
+def _full_records(holder) -> list[dict]:
+    """Every record the workload appended, as states (see the twin)."""
+    twin = Journal(holder["twin"], segment_records=SEGMENT_RECORDS)
+    return [r.to_state() for r in twin.records()]
+
+
 def _run_workload(kit, storage, holder) -> tuple:
     """The fixed workload: fund accounts, deposit, then maintenance.
 
     Returns ``(journal, service)``.  *holder* is a dict the caller
-    keeps: ``holder["records"]`` accumulates the complete uncompacted
-    record stream as states — when *storage* (a crasher) raises
-    :class:`CrashPoint`, the holder is what survives (it plays the role
-    of the crash-free twin's log), while the wrapped store holds
-    whatever the "process" left behind.  ``holder["cuts"]`` keeps each
-    checkpoint cut and ``holder["maintenance"]`` the range of operation
-    indices each maintenance pass issued.
+    keeps: ``holder["twin"]`` is an uncompacted copy of the store
+    (:func:`_full_records` reads the complete record stream from it) —
+    when *storage* (a crasher) raises :class:`CrashPoint`, the holder is
+    what survives (it plays the role of the crash-free twin's log),
+    while the wrapped store holds whatever the "process" left behind.
+    ``holder["cuts"]`` keeps each checkpoint cut,
+    ``holder["maintenance"]`` the range of operation indices each
+    maintenance pass issued and ``holder["acked"]`` each reply delivered
+    as ``(operations issued by then, rid, reply)``.
     """
-    journal = Journal(storage, segment_records=SEGMENT_RECORDS)
-    full_records = holder.setdefault("records", [])
-    journal.add_observer(lambda r: full_records.append(r.to_state()))
+    twin = holder.setdefault("twin", MemoryStorage())
+    journal = Journal(_Uncompacted(storage, twin),
+                      segment_records=SEGMENT_RECORDS)
     bank = ShardedBank(kit.params, kit.keypair, random.Random(1), n_shards=3,
                        journal=journal)
     for aid, balance, coins in kit.funding:
@@ -107,6 +142,9 @@ def _run_workload(kit, storage, holder) -> tuple:
                                     seed=7, warm_tables=False),
         rng=random.Random(2), reply_cache=REPLY_CACHE,
     )
+    rids: dict[int, str] = {}
+    service.add_reply_observer(lambda _sender, reply: holder.setdefault(
+        "acked", []).append((len(storage.steps), rids[reply["req"]], reply)))
 
     def cut():
         holder.setdefault("cuts", []).append(service.checkpoint())
@@ -121,19 +159,19 @@ def _run_workload(kit, storage, holder) -> tuple:
             range(first, len(storage.steps)))
 
     for i, request in enumerate(kit.requests[:3]):
-        service.submit(request.aid, "deposit",
-                       {"aid": request.aid,
-                        "token": kit.tokens[request.token_index]},
-                       rid=f"s:{i}")
+        rids[service.submit(request.aid, "deposit",
+                            {"aid": request.aid,
+                             "token": kit.tokens[request.token_index]},
+                            rid=f"s:{i}")] = f"s:{i}"
     service.drain()
     maintain()
     # a second cycle after more traffic: the sweep also covers crashing
     # while *older* checkpoints and their blobs are being GC'd
     for i, request in enumerate(kit.requests[3:5]):
-        service.submit(request.aid, "deposit",
-                       {"aid": request.aid,
-                        "token": kit.tokens[request.token_index]},
-                       rid=f"t:{i}")
+        rids[service.submit(request.aid, "deposit",
+                            {"aid": request.aid,
+                             "token": kit.tokens[request.token_index]},
+                            rid=f"t:{i}")] = f"t:{i}"
     service.drain()
     maintain()
     return journal, service
@@ -239,7 +277,7 @@ def test_the_sweep_covers_checkpoint_and_compaction_steps(reference):
 def test_crash_at_every_storage_step_recovers_equivalently(
         deposit_kit, reference, tmp_path):
     steps, reference_books, holder = reference
-    assert _shadow_books(deposit_kit, holder["records"]) == reference_books
+    assert _shadow_books(deposit_kit, _full_records(holder)) == reference_books
     for backend in ("memory", "directory"):
         for index, label in enumerate(steps):
             inner = _fresh_store(tmp_path / f"{backend}-{index:03d}", backend)
@@ -260,13 +298,13 @@ def test_crash_at_every_storage_step_recovers_equivalently(
             # record the crashed run ever appended (the holder survives
             # the crash, like the crash-free twin's log) must land on
             # exactly the recovered books — the crash changed nothing
-            expected = _shadow_books(deposit_kit, holder.get("records", []))
+            full = _full_records(holder)
+            expected = _shadow_books(deposit_kit, full)
             assert _books(recovered.bank) == expected, context
             report = check_recovery_invariants(recovered.bank, journal,
                                                checkpoint=checkpoint)
             assert report.clean, f"{context}: {report.findings}"
-            _assert_verdicts_survive(recovered, holder.get("records", []),
-                                     context)
+            _assert_verdicts_survive(recovered, full, context)
             # maintenance converges after the interrupted run: strays are
             # collected, the store still loads, and state is unchanged
             JournalMaintenance(journal, recovered.checkpoint,
@@ -277,8 +315,7 @@ def test_crash_at_every_storage_step_recovers_equivalently(
                 assert not any(n.endswith(".tmp")
                                for n in reopened.storage.names()), context
             assert _books(service2.bank) == expected, context
-            _assert_verdicts_survive(service2, holder.get("records", []),
-                                     context)
+            _assert_verdicts_survive(service2, full, context)
             reopened.close()
 
 
@@ -303,3 +340,88 @@ def test_torn_segment_tail_plus_interrupted_compaction(deposit_kit, reference,
                                            checkpoint=checkpoint)
         assert report.clean, report.findings
         journal.close()
+
+
+# -- replication is crash consistency: the prefix sweep ----------------------
+
+def _label(frame: dict) -> str:
+    """A shipped op frame named the way :class:`StorageCrasher` names it."""
+    args = frame["args"]
+    return f"{frame['op']}:{args[1] if frame['op'] == 'replace' else args[0]}"
+
+
+def _contents(storage) -> dict[str, bytes]:
+    return {name: storage.read(name) for name in storage.names()}
+
+
+def _copy(storage) -> MemoryStorage:
+    copy = MemoryStorage()
+    for name, data in _contents(storage).items():
+        copy.write(name, data)
+    return copy
+
+
+@pytest.fixture(scope="module")
+def shipped(deposit_kit, short_runs):
+    """The crash-free workload on a fresh store under a journal shipper.
+
+    The shipper never gets a peer, so every op frame it would send
+    stays in its spool — exactly what ``connect`` replays to a replica.
+    """
+    shipper = JournalShipper("src", MemoryStorage())
+    recorder = StorageCrasher(shipper)
+    holder: dict = {}
+    _run_workload(deposit_kit, recorder, holder)
+    frames = list(shipper._spool)
+    # the stream is the store's operation history, one frame per op
+    assert [frame["n"] for frame in frames] == list(range(1, len(frames) + 1))
+    assert [_label(frame) for frame in frames] == recorder.steps
+    return frames, holder
+
+
+def test_every_shipped_prefix_is_a_crash_point_and_adopts(deposit_kit,
+                                                          shipped):
+    """The replica after *k* shipped ops is the store a crash before op
+    *k* leaves, byte for byte; adopting it recovers the crashed run's
+    books, and every request acknowledged before op *k* is answered from
+    the adopted reply cache (or, past the cache bound, by its tombstone —
+    never run again)."""
+    frames, holder = shipped
+    labels = [_label(frame) for frame in frames]
+    # two checkpoints, a compaction and its collection ride the stream
+    assert sum(s.startswith("replace:ckpt-") for s in labels) == 2
+    assert any(s.startswith("unlink:seg-") for s in labels)
+    assert any(s.startswith("unlink:ckpt-") for s in labels)
+    replica = ReplicaSlot("src")
+    cached = 0
+    for k in range(len(frames) + 1):
+        if k:
+            replica.apply(frames[k - 1])
+        context = f"replica after {k} of {len(frames)} ops"
+        crashed = MemoryStorage()
+        crasher = StorageCrasher(crashed, crash_at=k)
+        if k < len(frames):
+            with pytest.raises(CrashPoint):
+                _run_workload(deposit_kit, crasher, {})
+            assert crasher.fired == labels[k], context
+        else:
+            _run_workload(deposit_kit, crasher, {})
+        assert _contents(replica.storage) == _contents(crashed), context
+        # adoption reopens a copy: loading may truncate a torn tail, and
+        # the replica must keep applying the stream afterwards
+        _journal, _ckpt, adopted = _recover(deposit_kit,
+                                            _copy(replica.storage))
+        _journal, _ckpt, restarted = _recover(deposit_kit, crashed)
+        assert _books(adopted.bank) == _books(restarted.bank), context
+        for issued, rid, reply in holder["acked"]:
+            if issued > k:
+                continue
+            verdict = adopted.reply_for(rid)
+            if verdict is None:
+                assert adopted._tombstone(rid) in adopted._evicted, context
+                continue
+            cached += 1
+            assert {"status": verdict[0], **verdict[1]} == {
+                key: value for key, value in reply.items() if key != "req"
+            }, context
+    assert cached > len(frames)  # the check is not vacuous

@@ -97,6 +97,9 @@ MODULE_ALLOWED: dict[str, set[str]] = {
         "repro.service.storage",
     },
     "repro.service.storage": set(),
+    # replication ships storage operations, not journal records: it
+    # knows frames and the storage seam, never a journal format
+    "repro.cluster.replicate": {"repro.net.wire", "repro.service.storage"},
 }
 
 #: modules that may not touch the filesystem themselves (check 4)
