@@ -43,13 +43,14 @@ import threading
 import repro.obs as obs
 from repro.cluster.replicate import JournalShipper, ReplicaReceiver
 from repro.cluster.ring import ClusterMap, DEFAULT_VNODES
+from repro.net.schema import MAX_ID, Field, Message, Table
 from repro.service.frontend import ServiceFrontend
 from repro.service.journal import DEFAULT_SEGMENT_RECORDS, Journal, JournalMaintenance
 from repro.service.server import MarketService
 from repro.service.shard import ShardedBank
 from repro.service.storage import MemoryStorage
 
-__all__ = ["ClusterNode", "LocalCluster"]
+__all__ = ["ClusterNode", "LocalCluster", "CONTROL"]
 
 
 class ClusterNode:
@@ -138,31 +139,23 @@ class ClusterNode:
     # -- control plane -----------------------------------------------------
     def control(self, frame: dict) -> dict:
         """Answer one control frame (from the receiver or called directly)."""
-        kind = frame.get("type")
-        if kind == "ping":
-            return {"ok": True, "node": self.id, "serving": self.serving()}
-        if kind == "map":
-            state = self.map.to_state() if self.map is not None else None
-            return {"ok": True, "node": self.id, "map": state}
-        if kind == "set-map":
-            cmap = ClusterMap.from_state(frame["map"])
-            with self._lock:
-                # versions are monotonic; a racing stale push is ignored
-                if self.map is None or cmap.version > self.map.version:
-                    self.map = cmap
-                version = self.map.version
-            return {"ok": True, "node": self.id, "version": version}
-        if kind == "adopt":
-            return self.adopt(frame["node"])
-        if kind == "dump":
-            return {"ok": True, "node": self.id, "journals": self.dump_journals()}
-        if kind == "telemetry":
-            return {"ok": True, "node": self.id,
-                    "metrics": self.telemetry.registry.snapshot()}
-        if kind == "shutdown":
-            self.shutdown_requested.set()
-            return {"ok": True, "node": self.id}
-        return {"ok": False, "error": f"unknown control frame type {kind!r}"}
+        entry, error = CONTROL.check(frame.get("type"), frame)
+        if error is not None:
+            return {"ok": False, "error": error}
+        # a handler answers its own fields; adopt answers in full
+        return {"ok": True, "node": self.id, **entry.handler(self, frame)}
+
+    def _set_map(self, frame: dict) -> dict:
+        cmap = ClusterMap.from_state(frame["map"])
+        with self._lock:
+            # versions are monotonic; a racing stale push is ignored
+            if self.map is None or cmap.version > self.map.version:
+                self.map = cmap
+            return {"version": self.map.version}
+
+    def _shutdown(self, frame: dict) -> dict:
+        self.shutdown_requested.set()
+        return {}
 
     def adopt(self, dead: str) -> dict:
         """Recover *dead*'s slice from its replica; serve it here.
@@ -244,6 +237,31 @@ class ClusterNode:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+#: The control half of the replication port (the stream half is
+#: :data:`repro.cluster.replicate.STREAM`): a frame that breaks its row
+#: is answered ``{ok: false, error}``.  Every answer carries ``ok`` and
+#: ``node``; ``docs/cluster.md`` renders the table.
+CONTROL = Table("control frame", key="type", messages={
+    "ping": Message({}, lambda node, _: {"serving": node.serving()},
+                    answers="`serving`: slices served here"),
+    "map": Message({}, lambda node, _: {
+        "map": node.map.to_state() if node.map is not None else None},
+        answers="`map`: this node's cluster map"),
+    "set-map": Message({"map": Field(dict)}, ClusterNode._set_map,
+                       answers="`version` held after a newer map is installed"),
+    "adopt": Message({"node": Field(str, high=MAX_ID)},
+                     lambda node, frame: node.adopt(frame["node"]),
+                     answers="`node`, `adopter`, `address` of the adopted slice"),
+    "dump": Message({}, lambda node, _: {"journals": node.dump_journals()},
+                    answers="`journals`: record states per slice"),
+    "telemetry": Message({}, lambda node, _: {
+        "metrics": node.telemetry.registry.snapshot()},
+        answers="`metrics`: the registry snapshot"),
+    "shutdown": Message({}, ClusterNode._shutdown,
+                        answers="nothing more; the node process exits"),
+})
 
 
 class LocalCluster:

@@ -42,10 +42,11 @@ arrived the slot refuses adoption.  During a degraded window the
 no-loss guarantee narrows to "whatever reached the peer"; the
 runbook's failover entry spells this out.
 
-The receiver also answers control frames (ping/adopt/dump — the
-handler is injected by :class:`repro.cluster.node.ClusterNode`) and
-tracks stream liveness, so adoption can wait for the kernel to drain a
-dead peer's final bytes.  Adoption then *takes* the replica: frames
+Stream frames are the rows of :data:`STREAM`; the receiver hands every
+other frame to an injected control handler (the rows of
+:data:`repro.cluster.node.CONTROL`) and tracks stream liveness, so
+adoption can wait for the kernel to drain a dead peer's final bytes.
+Adoption then *takes* the replica: frames
 from that source are refused from then on, so no stream can write
 under the journal it opens.
 """
@@ -58,6 +59,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.net.schema import MAX_ID, Field, Message, Table
 from repro.net.wire import FrameDecoder, encode_frame, read_frame, write_frame, WireError
 from repro.service.storage import MUTATING, MemoryStorage, Storage, StorageWrapper
 
@@ -66,6 +68,7 @@ __all__ = [
     "ReplicaSlot",
     "ReplicaReceiver",
     "JournalShipper",
+    "STREAM",
     "control_call",
 ]
 
@@ -178,44 +181,41 @@ class ReplicaSlot:
         """Apply op frame *n*: once, in order, and never after adoption.
 
         A frame at or below ``applied`` is reconnect overlap and is
-        skipped.  A gap, an unknown operation or a taken storage raises
-        :class:`WireError` — the stream is closed, the storage untouched.
+        skipped.  A gap, an unknown operation, arguments of the wrong
+        types or a taken storage raise :class:`WireError` — the stream
+        is closed, the storage untouched.
         """
-        n, op = frame["n"], frame["op"]
+        n, op, args = frame["n"], frame["op"], frame["args"]
         if self.storage is None:
             raise WireError(f"{self.node} was adopted: its stream is refused")
         if n <= self.applied:
             return
-        if n != self.applied + 1 or op not in MUTATING:
-            raise WireError(f"{self.node}: op {n} ({op}) cannot follow "
-                            f"op {self.applied}")
-        getattr(self.storage, op)(*frame["args"])
+        if n != self.applied + 1:
+            raise WireError(f"{self.node}: op {n} cannot follow op {self.applied}")
+        if tuple(map(type, args)) != MUTATING.get(op):
+            raise WireError(f"{self.node}: op {n} is no storage operation "
+                            "over these argument types")
+        getattr(self.storage, op)(*args)
         self.applied = n
 
 
 class ReplicaReceiver(FrameListener):
     """TCP listener accepting replica streams and control frames.
 
-    Stream frames (fire-and-forget from the shipper, except the sync
-    hello, which is answered with a cursor)::
-
-        {type: "hello", node, sync: true}    opens a stream + cursor reply
-        {type: "hello", node, sync: true, reset: k}
-                                             ... after emptying the slot
-        {type: "op",    node, n, op, args}   the source's storage op n
-
-    The cursor reply is ``{ok, type: "cursor", node, ops}`` — how many
-    of the source's operations this receiver has applied — so a
+    Stream frames are the rows of :data:`STREAM`: fire-and-forget from
+    the shipper, except a sync hello, answered with the cursor — how
+    many of the source's operations this receiver has applied — so a
     reconnecting shipper resends only what is missing.  A hello with
     ``reset`` starts the slot over (``applied`` 0, an empty storage)
-    for a shipper resyncing with a *k*-op snapshot.  A gap, an
-    unknown operation, or any stream frame for a source whose replica
-    adoption took, closes the connection (see :meth:`ReplicaSlot.apply`).
+    for a shipper resyncing with a *k*-op snapshot.  A stream frame
+    that breaks its schema, a gap, an unknown operation, or any stream
+    frame for a source whose replica adoption took, closes the
+    connection (see :meth:`ReplicaSlot.apply`).
 
     Any other frame is treated as a *control* request: handed to the
     injected ``control`` callable, whose dict result is written back as
     the reply (exceptions become ``{ok: false, error}``).  The control
-    plane — ping, map exchange, adoption, dumps — therefore rides the
+    plane — :data:`repro.cluster.node.CONTROL` — therefore rides the
     same listener, one port per node.
     """
 
@@ -278,7 +278,7 @@ class ReplicaReceiver(FrameListener):
     # -- wire side ---------------------------------------------------------
     def _serve(self, sock: socket.socket) -> None:
         decoder = FrameDecoder()
-        stream_node: str | None = None
+        streams: list[ReplicaSlot] = []  # one entry per hello on this socket
         try:
             while self._running:
                 data = sock.recv(65536)
@@ -286,51 +286,76 @@ class ReplicaReceiver(FrameListener):
                     return
                 decoder.feed(data)
                 for frame in decoder.frames():
-                    reply = self._handle(frame, sock)
-                    if stream_node is None and isinstance(frame, dict) \
-                            and frame.get("type") == "hello":
-                        stream_node = frame["node"]
+                    reply = self._handle(frame, streams)
                     if reply is not None:
                         sock.sendall(encode_frame(reply))
         except (OSError, WireError):
             return
         finally:
-            if stream_node is not None:
-                with self._lock:
-                    self._slots[stream_node].streams -= 1
+            with self._lock:
+                for slot in streams:
+                    slot.streams -= 1
             try:
                 sock.close()
             except OSError:
                 pass
 
-    def _handle(self, frame: Any, sock: socket.socket) -> dict | None:
+    def _handle(self, frame: Any, streams: list[ReplicaSlot]) -> dict | None:
         if not isinstance(frame, dict):
             return {"ok": False, "error": "frame must be a dict"}
-        kind = frame.get("type")
-        if kind == "hello":
-            slot = self.slot(frame["node"])
-            with self._lock:
-                if slot.storage is None:
-                    raise WireError(f"{slot.node} was adopted: its stream is refused")
-                if frame.get("reset") is not None:
-                    slot.storage, slot.applied = MemoryStorage(), 0
-                    slot.resync_ops = frame["reset"]
-                slot.streams += 1
-                if frame.get("sync"):
-                    return {"ok": True, "type": "cursor", "node": slot.node,
-                            "ops": slot.applied}
-            return None
-        if kind == "op":
-            slot = self.slot(frame["node"])
-            with self._lock:
-                slot.apply(frame)
-            return None
-        if self.control is not None:
+        entry, error = STREAM.check(frame.get("type"), frame)
+        if entry is None:  # not a stream frame: the control plane's
+            if self.control is None:
+                return {"ok": False, "error": error}
             try:
                 return self.control(frame)
             except Exception as exc:  # control errors answer, not kill
                 return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        return {"ok": False, "error": f"unknown frame type {kind!r}"}
+        if error is not None:
+            raise WireError(error)
+        return entry.handler(self, frame, streams)
+
+    # -- stream frames: the rows of STREAM -----------------------------------
+    def _hello(self, frame: dict, streams: list[ReplicaSlot]) -> dict | None:
+        slot = self.slot(frame["node"])
+        with self._lock:
+            if slot.storage is None:
+                raise WireError(f"{slot.node} was adopted: its stream is refused")
+            if frame.get("reset") is not None:
+                slot.storage, slot.applied = MemoryStorage(), 0
+                slot.resync_ops = frame["reset"]
+            slot.streams += 1
+            streams.append(slot)
+            if frame.get("sync"):
+                return {"ok": True, "type": "cursor", "node": slot.node,
+                        "ops": slot.applied}
+        return None
+
+    def _op(self, frame: dict, streams: list[ReplicaSlot]) -> None:
+        slot = self.slot(frame["node"])
+        with self._lock:
+            slot.apply(frame)
+
+
+_NODE = Field(str, high=MAX_ID)
+
+#: The stream half of the replication port (the control half is
+#: :data:`repro.cluster.node.CONTROL`): a frame that breaks its row
+#: closes its own connection.  ``docs/cluster.md`` renders it.
+STREAM = Table("stream frame", key="type", messages={
+    "hello": Message(
+        {"node": _NODE, "sync": Field(bool, optional=True),
+         "reset": Field(int, optional=True, low=0)},
+        ReplicaReceiver._hello,
+        answers="with `sync`: `{ok, type: cursor, node, ops}`; "
+                "`reset: k` first empties the slot"),
+    "op": Message(
+        {"node": _NODE, "n": Field(int, low=1), "op": Field(str, high=MAX_ID),
+         "args": Field(list, high=2)},
+        ReplicaReceiver._op,
+        answers="nothing: the source's storage operation *n*, applied "
+                "after *n − 1*"),
+})
 
 
 class JournalShipper(StorageWrapper):

@@ -285,7 +285,7 @@ class ClusterProxy(FrameListener):
                 verdict = self.router.request(
                     request["kind"], request.get("payload"),
                     sender=request.get("sender"), rid=request.get("rid"),
-                    now=float(request.get("now", 0.0)),
+                    now=request.get("now", 0.0),  # the node checks it
                 )
         except (RouteError, StaleClusterMapError, WireError, OSError) as exc:
             return {"cid": cid, "status": "ERROR", "error": str(exc)}

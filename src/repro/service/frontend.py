@@ -17,6 +17,9 @@ Wire protocol — one request frame, one reply frame, pipelined::
     reply    {cid?, status: "ERROR", error}       (front-end rejections)
     reply    {status: "BUSY", reason}             (pre-parse shed, no cid)
 
+``kind``, ``payload`` and the envelope (``sender``, ``rid``, ``now``)
+are the rows of :data:`repro.service.server.REQUESTS`; the service
+checks them and answers a malformed request ``ERROR`` itself.
 ``cid`` is the client's correlation id, echoed verbatim on the reply;
 it exists because replies are *not* FIFO on the wire (a ``BUSY`` shed
 answers immediately while an earlier accepted deposit is still waiting
@@ -219,24 +222,19 @@ class DispatchCore:
             hook()
 
     def _submit_one(self, conn: Any, request: Any) -> None:
-        if not isinstance(request, dict) or not isinstance(request.get("kind"), str):
-            conn.send({"cid": request.get("cid") if isinstance(request, dict) else None,
-                       "status": "ERROR", "error": "request must be a dict with a 'kind'"})
+        if not isinstance(request, dict):
+            conn.send({"cid": None, "status": "ERROR",
+                       "error": "request must be a dict with a 'kind'"})
             return
-        cid = request.get("cid")
-        sender = request.get("sender") or conn.name
-        rid = request.get("rid")
-        now = request.get("now", 0.0)
         self._m_frames.inc()
-        try:
-            seq = self.service.submit(
-                sender, request["kind"], request.get("payload"),
-                now=float(now), rid=rid,
-            )
-        except Exception as exc:  # a malformed envelope poisons only itself
-            conn.send({"cid": cid, "status": "ERROR", "error": str(exc)})
-            return
-        self._route[seq] = (conn, cid)
+        # the service checks every field against its request table and
+        # answers a malformed request itself, like a BUSY
+        seq = self.service.submit(
+            request.get("sender") or conn.name, request.get("kind"),
+            request.get("payload"), now=request.get("now", 0.0),
+            rid=request.get("rid"),
+        )
+        self._route[seq] = (conn, request.get("cid"))
 
     def _flush_replies(self) -> None:
         replies, self._reply_box = self._reply_box, []

@@ -22,17 +22,13 @@ deliver-one-message-at-a-time inner loop is replaced by a pipelined one:
    parallel" into "admitted exactly once" — the double-spend check
    happens under no concurrency at all.
 
-Request kinds and payloads (all dicts over the codec)::
-
-    open-account {aid, balance}      -> OK {balance}
-    balance      {aid}               -> OK {balance}
-    withdraw     {aid, request}      -> OK {signature}
-    deposit      {aid, token, context?} -> OK {amount}
-    audit        {}                  -> OK {clean, findings}
-
-Reply statuses: ``OK``, ``BUSY`` (shed by admission), ``ERROR``
-(malformed, unknown account, underfunded, invalid token), ``REJECTED``
-(double spend — carries the evidence triple).
+The request kinds, their payload fields with types and bounds, their
+handlers and flags are declared once, in :data:`REQUESTS` (rendered in
+``docs/service.md``).  Reply statuses: ``OK``, ``BUSY`` (shed by
+admission), ``ERROR`` (malformed — refused by :meth:`~MarketService
+.submit` before anything is journaled — unknown account, underfunded,
+invalid token), ``REJECTED`` (double spend — carries the evidence
+triple).
 
 Replies are *delivered*, exactly once each, to the observers of
 :meth:`MarketService.add_reply_observer` (the front door, the
@@ -53,6 +49,7 @@ from repro.crypto.cl_sig import BlindIssuanceRequest
 from repro.ecash.dec import DoubleSpendError
 from repro.ecash.spend import SpendToken
 from repro.crypto.hashing import sha256
+from repro.net.schema import MAX_ID, Field, Message, Table
 from repro.service.admission import AdmissionController
 from repro.service.batcher import (
     DepositJob,
@@ -64,11 +61,14 @@ from repro.service.batcher import (
 from repro.service.journal import Checkpoint, Journal, JournalRecord, RunLog
 from repro.service.shard import ShardedBank
 
-__all__ = ["MarketService", "Completion", "RequestFailure"]
+__all__ = ["MarketService", "Completion", "RequestFailure", "REQUESTS"]
 
-_CRYPTO_KINDS = ("deposit", "withdraw")
-#: kinds that mutate bank state — exactly these are journaled
-_MUTATING_KINDS = ("open-account", "deposit", "withdraw")
+#: request bounds beside ``MAX_ID`` (constants, not options): every
+#: balance, context and arrival time the suites, campaigns, fault
+#: scenarios and benchmark send sits far inside them
+MAX_BALANCE = (1 << 63) - 1
+MAX_CONTEXT = 1024  # bytes of a deposit's spend context
+MAX_NOW = 1e12  # |now|, seconds on the caller's arrival clock
 
 #: default reply-cache bound; ``None`` disables eviction entirely
 DEFAULT_REPLY_CACHE = 65536
@@ -110,13 +110,14 @@ class _Pending:
     kind: str
     payload: Any
     submitted_at: float
+    entry: Message  # the kind's row of REQUESTS
     rid: str = ""
     trace: str = ""  # telemetry trace id (digest of rid; "" = untraced)
     outcome: DepositOutcome | WithdrawOutcome | None = field(default=None)
 
     @property
     def ready(self) -> bool:
-        return self.kind not in _CRYPTO_KINDS or self.outcome is not None
+        return self.entry.crypto is None or self.outcome is not None
 
 
 class MarketService:
@@ -322,8 +323,12 @@ class MarketService:
 
     @staticmethod
     def _tombstone(rid: str) -> str:
-        """Eviction tombstone digest of *rid* (never the rid itself)."""
-        return sha256(b"reply-tombstone", rid.encode()).hex()[:16]
+        """Eviction tombstone digest of *rid* (never the rid itself).
+
+        ``str``: a store written before rids were checked at the door
+        may hold any hashable codec value as a rid.
+        """
+        return sha256(b"reply-tombstone", str(rid).encode()).hex()[:16]
 
     def _remember_reply(self, rid: str, status: str, body: dict) -> None:
         """Cache a verdict, evicting oldest entries past the bound.
@@ -361,11 +366,17 @@ class MarketService:
                rid: str | None = None) -> int:
         """Accept one request; returns its sequence number.
 
-        *payload* is taken as given — from the front door it is the
-        decoded wire copy; the journal encodes its own durable copy, so
-        a recovered request never aliases a caller's object.  Admission
-        runs only for crypto kinds — cheap queries never starve behind
-        a full bucket.
+        The envelope (*sender*, *rid*, *now*) and *payload* are checked
+        against :data:`REQUESTS` before anything else.  A malformed
+        request is answered ``ERROR`` from here, as a ``BUSY`` is, and
+        recorded in :attr:`failures`; it leaves no ``accept`` or
+        ``reply`` record and no reply-cache entry.
+
+        *payload* is taken as given — never copied or normalised; from
+        the front door it is the decoded wire copy, and the journal
+        encodes its own durable copy, so a recovered request never
+        aliases a caller's object.  Admission runs only for crypto kinds
+        — cheap queries never starve behind a full bucket.
 
         *rid* is the client's stable request id, the key of the
         exactly-once layer over at-least-once delivery: a duplicate of
@@ -375,11 +386,14 @@ class MarketService:
         unique id is derived — plain submissions keep one-shot
         semantics.
         """
-        if not isinstance(sender, str):
-            # queues are keyed by sender: refuse before any state exists
-            raise TypeError("sender must be a string")
         seq = self._next_seq
         self._next_seq += 1
+        self._m_requests.inc()
+        entry, error = REQUESTS.check(kind, payload, sender=sender, rid=rid,
+                                      now=now)
+        if error is not None:
+            self._refuse(sender, seq, kind, error)
+            return seq
         if rid is None:
             rid = f"{sender}:auto:{seq}"
         tracer = self.obs.tracer
@@ -387,7 +401,6 @@ class MarketService:
         # may embed an account id); deriving it per layer is what
         # propagates the trace without extra envelope state
         tid = obs.trace_id(rid) if tracer.enabled else None
-        self._m_requests.inc()
         with tracer.span("submit", trace=tid, kind=kind, seq=seq,
                          sender=sender) as span:
             if rid in self._replies:
@@ -416,7 +429,7 @@ class MarketService:
                 self._m_dedup.inc()
                 span.set(dedup=True)
                 return seq
-            if kind in _CRYPTO_KINDS:
+            if entry.crypto is not None:
                 depth = self.queue_depth
                 self._m_queue_depth.set(depth)
                 with tracer.span("admission", depth=depth):
@@ -426,7 +439,7 @@ class MarketService:
                     self._reply(sender, seq, kind, "BUSY",
                                 {"reason": decision.reason}, submitted_at=None)
                     return seq
-            if kind in _MUTATING_KINDS:
+            if entry.mutating:
                 # write-ahead: the accepted request survives a crash, so an
                 # in-flight deposit is re-verified after recovery, not lost
                 state = {"sender": sender, "kind": kind, "seq": seq,
@@ -436,7 +449,7 @@ class MarketService:
                 self._accepted[rid] = state
             self._enqueue(_Pending(seq=seq, sender=sender, kind=kind,
                                    payload=payload, submitted_at=self._clock(),
-                                   rid=rid, trace=tid or ""))
+                                   entry=entry, rid=rid, trace=tid or ""))
             return seq
 
     def _enqueue(self, pending: _Pending) -> None:
@@ -446,11 +459,11 @@ class MarketService:
             queue = self._queues[pending.sender] = deque()
         queue.append(pending)
         self._depth += 1
-        if pending.kind in _CRYPTO_KINDS:
+        if pending.entry.crypto is not None:
             try:
                 self._enqueue_crypto(pending)
             except ProtocolError as exc:
-                # malformed before it ever reaches the pool: fail it now
+                # refused before it ever reaches the pool: fail it now
                 queue.pop()
                 if not queue:
                     del self._queues[pending.sender]
@@ -458,36 +471,10 @@ class MarketService:
                 self._fail(pending, "ERROR", str(exc))
 
     def _enqueue_crypto(self, pending: _Pending) -> None:
-        payload = pending.payload
-        if not isinstance(payload, dict) or "aid" not in payload:
-            raise ProtocolError(f"{pending.kind} payload must carry an account id")
-        aid = payload["aid"]
+        aid = pending.payload["aid"]
         if not self.bank.has_account(aid):
             raise ProtocolError(f"unknown account {aid!r}")
-        if pending.kind == "deposit":
-            if not isinstance(payload.get("token"), SpendToken):
-                raise ProtocolError("deposit payload missing a spend token")
-            self.batcher.submit(
-                DepositJob(
-                    seq=pending.seq,
-                    aid=aid,
-                    token=payload["token"],
-                    context=payload.get("context", b""),
-                    trace=pending.trace,
-                )
-            )
-        else:
-            if not isinstance(payload.get("request"), BlindIssuanceRequest):
-                raise ProtocolError("withdraw payload missing an issuance request")
-            value = 1 << self.bank.params.tree_level
-            if self.bank.balance(aid) < value:
-                raise ProtocolError(
-                    f"account {aid!r} cannot cover a coin of value {value}"
-                )
-            self.batcher.submit(
-                WithdrawJob(seq=pending.seq, aid=aid,
-                            request=payload["request"], trace=pending.trace)
-            )
+        self.batcher.submit(pending.entry.crypto(self, pending))
         self._in_flight[pending.seq] = pending
 
     # -- batch + apply -----------------------------------------------------
@@ -537,7 +524,7 @@ class MarketService:
         with self.obs.tracer.span("apply", trace=pending.trace or None,
                                   kind=pending.kind, seq=pending.seq):
             try:
-                status, body = self._execute(pending)
+                status, body = pending.entry.handler(self, pending)
             except ProtocolError as exc:
                 self._fail(pending, "ERROR", str(exc))
                 return
@@ -552,55 +539,7 @@ class MarketService:
                     }
                 self._fail(pending, "REJECTED", str(exc), body=body)
                 return
-            self._reply(pending.sender, pending.seq, pending.kind, status, body,
-                        submitted_at=pending.submitted_at, rid=pending.rid)
-
-    def _execute(self, pending: _Pending) -> tuple[str, dict]:
-        kind, payload = pending.kind, pending.payload
-        if kind == "open-account":
-            self._require(payload, "aid", "balance")
-            if self.bank.has_account(payload["aid"]):
-                raise ProtocolError(f"account {payload['aid']!r} already exists")
-            self.bank.open_account(payload["aid"], payload["balance"],
-                                   rid=pending.rid)
-            return "OK", {"balance": payload["balance"]}
-        if kind == "balance":
-            self._require(payload, "aid")
-            if not self.bank.has_account(payload["aid"]):
-                raise ProtocolError(f"unknown account {payload['aid']!r}")
-            return "OK", {"balance": self.bank.balance(payload["aid"])}
-        if kind == "audit":
-            report = self.bank.audit()
-            return "OK", {"clean": report.clean, "findings": list(report.findings)}
-        if kind == "withdraw":
-            outcome = pending.outcome
-            assert isinstance(outcome, WithdrawOutcome)
-            # balance re-checked at apply time: an earlier withdrawal in
-            # the same batch may have drained the account since accept
-            self.bank.apply_withdrawal(
-                payload["aid"], rid=pending.rid,
-                extra={"signature": outcome.signature},
-            )
-            return "OK", {"signature": outcome.signature}
-        if kind == "deposit":
-            outcome = pending.outcome
-            assert isinstance(outcome, DepositOutcome)
-            if not outcome.valid:
-                raise ProtocolError("invalid spend token")
-            amount = self.bank.apply_deposit(
-                payload["aid"], payload["token"], outcome.serials,
-                rid=pending.rid,
-            )
-            return "OK", {"amount": amount}
-        raise ProtocolError(f"unknown request kind {kind!r}")
-
-    @staticmethod
-    def _require(payload: Any, *keys: str) -> None:
-        if not isinstance(payload, dict):
-            raise ProtocolError("payload must be a mapping")
-        for key in keys:
-            if key not in payload:
-                raise ProtocolError(f"payload missing {key!r}")
+            self._answer(pending, status, body)
 
     # -- replies -----------------------------------------------------------
     def _fail(self, pending: _Pending, status: str, error: str,
@@ -609,15 +548,28 @@ class MarketService:
             RequestFailure(sender=pending.sender, seq=pending.seq,
                            kind=pending.kind, error=error)
         )
-        self._reply(pending.sender, pending.seq, pending.kind, status,
-                    body if body is not None else {"error": error},
-                    submitted_at=pending.submitted_at, rid=pending.rid)
+        self._answer(pending, status,
+                     body if body is not None else {"error": error})
+
+    def _refuse(self, sender: Any, seq: int, kind: Any, error: str, *,
+                rid: str = "") -> None:
+        """``ERROR`` for a request that never entered the pipeline."""
+        self.failures.append(RequestFailure(sender=sender, seq=seq, kind=kind,
+                                            error=error))
+        self._reply(sender, seq, kind, "ERROR", {"error": error},
+                    submitted_at=None, rid=rid)
+
+    def _answer(self, pending: _Pending, status: str, body: dict) -> None:
+        self._reply(pending.sender, pending.seq, pending.kind, status, body,
+                    submitted_at=pending.submitted_at,
+                    rid=pending.rid if pending.entry.mutating else "")
 
     def _reply(self, sender: str, seq: int, kind: str, status: str, body: dict,
                *, submitted_at: float | None, rid: str = "") -> None:
+        """Deliver one answer; with *rid*, journal and cache it first."""
         latency = 0.0 if submitted_at is None else self._clock() - submitted_at
         with self.obs.tracer.span("reply", status=status, kind=kind, seq=seq):
-            if rid and kind in _MUTATING_KINDS and status != "BUSY":
+            if rid:
                 # journal before delivering: a crash during delivery leaves
                 # the verdict recoverable, so the client's retry gets the
                 # same answer instead of a re-execution
@@ -751,8 +703,10 @@ class MarketService:
             for rid, record in applies.items():
                 if rid not in service._replies \
                         and service._tombstone(rid) not in service._evicted:
-                    status, body = cls._synthesize_reply(record)
-                    service._remember_reply(rid, status, body)
+                    # the OK an applied-but-unanswered request deserves
+                    field = REQUESTS.messages[record.op].rebuilds
+                    service._remember_reply(
+                        rid, "OK", {field: record.payload[field]})
             in_flight: dict[str, dict] = {}
             if checkpoint is not None:
                 for state in checkpoint.pending:
@@ -766,39 +720,121 @@ class MarketService:
                 if rid in service._replies or rid in applies \
                         or service._tombstone(rid) in service._evicted:
                     continue
-                service._resubmit(state)
-                service.redone += 1
+                service.redone += service._resubmit(state)
             span.set(redone=service.redone)
         service._m_recoveries.inc()
         service._m_redone.inc(service.redone)
         return service
 
-    @staticmethod
-    def _synthesize_reply(record: JournalRecord) -> tuple[str, dict]:
-        """The ``OK`` answer an applied-but-unanswered request deserves."""
-        payload = record.payload
-        if record.op == "deposit":
-            return "OK", {"amount": payload["amount"]}
-        if record.op == "withdraw":
-            return "OK", {"signature": payload["signature"]}
-        if record.op == "open-account":
-            return "OK", {"balance": payload["balance"]}
-        raise ValueError(f"cannot synthesize a reply for op {record.op!r}")
-
-    def _resubmit(self, state: dict) -> None:
+    def _resubmit(self, state: dict) -> bool:
         """Re-enqueue an accepted-but-unanswered request after recovery.
 
         *state* is an accept record's payload plus its ``rid`` — the
-        same shape a checkpoint's ``pending`` entries carry.
+        same shape a checkpoint's ``pending`` entries carry.  It passes
+        the check :meth:`submit` runs; an accept journaled before that
+        check existed may fail it, and is closed with a journaled
+        ``ERROR`` instead (``False``: nothing was re-enqueued).
         """
         rid = state["rid"]
-        sender, kind = state["sender"], state["kind"]
+        sender, kind, payload = state["sender"], state["kind"], state["payload"]
         seq = self._next_seq
         self._next_seq += 1
+        entry, error = REQUESTS.check(kind, payload, sender=sender, rid=rid)
+        if error is not None:
+            self._refuse(sender, seq, kind, error, rid=rid)
+            return False
         self._accepted[rid] = {"sender": sender, "kind": kind,
-                               "seq": seq, "payload": state["payload"]}
+                               "seq": seq, "payload": payload}
         self._enqueue(_Pending(seq=seq, sender=sender, kind=kind,
-                               payload=state["payload"],
-                               submitted_at=self._clock(), rid=rid,
+                               payload=payload, submitted_at=self._clock(),
+                               entry=entry, rid=rid,
                                trace=obs.trace_id(rid)
                                if self.obs.tracer.enabled else ""))
+        return True
+
+    # -- request handlers: the rows of REQUESTS -----------------------------
+    def _open_account(self, pending: _Pending) -> tuple[str, dict]:
+        aid, balance = pending.payload["aid"], pending.payload["balance"]
+        if self.bank.has_account(aid):
+            raise ProtocolError(f"account {aid!r} already exists")
+        self.bank.open_account(aid, balance, rid=pending.rid)
+        return "OK", {"balance": balance}
+
+    def _balance(self, pending: _Pending) -> tuple[str, dict]:
+        aid = pending.payload["aid"]
+        if not self.bank.has_account(aid):
+            raise ProtocolError(f"unknown account {aid!r}")
+        return "OK", {"balance": self.bank.balance(aid)}
+
+    def _audit(self, pending: _Pending) -> tuple[str, dict]:
+        report = self.bank.audit()
+        return "OK", {"clean": report.clean, "findings": list(report.findings)}
+
+    def _withdraw_job(self, pending: _Pending) -> WithdrawJob:
+        aid, value = pending.payload["aid"], 1 << self.bank.params.tree_level
+        if self.bank.balance(aid) < value:
+            raise ProtocolError(
+                f"account {aid!r} cannot cover a coin of value {value}")
+        return WithdrawJob(seq=pending.seq, aid=aid,
+                           request=pending.payload["request"],
+                           trace=pending.trace)
+
+    def _withdraw(self, pending: _Pending) -> tuple[str, dict]:
+        signature = pending.outcome.signature
+        # balance re-checked at apply time: an earlier withdrawal in
+        # the same batch may have drained the account since accept
+        self.bank.apply_withdrawal(pending.payload["aid"], rid=pending.rid,
+                                   extra={"signature": signature})
+        return "OK", {"signature": signature}
+
+    def _deposit_job(self, pending: _Pending) -> DepositJob:
+        payload = pending.payload
+        return DepositJob(seq=pending.seq, aid=payload["aid"],
+                          token=payload["token"],
+                          context=payload.get("context", b""),
+                          trace=pending.trace)
+
+    def _deposit(self, pending: _Pending) -> tuple[str, dict]:
+        outcome = pending.outcome
+        if not outcome.valid:
+            raise ProtocolError("invalid spend token")
+        amount = self.bank.apply_deposit(
+            pending.payload["aid"], pending.payload["token"], outcome.serials,
+            rid=pending.rid,
+        )
+        return "OK", {"amount": amount}
+
+
+_AID = Field(str, high=MAX_ID)
+
+#: Every request the service accepts: kind → payload schema, handler,
+#: flags and the reply field recovery rebuilds.  :meth:`MarketService
+#: .submit` checks the envelope and payload against it before anything
+#: is journaled; ``docs/service.md`` renders it.
+REQUESTS = Table(
+    "service request",
+    envelope={"sender": Field(str, high=MAX_ID),
+              "rid": Field(str, optional=True, low=1, high=MAX_ID),
+              "now": Field(int, float, low=-MAX_NOW, high=MAX_NOW)},
+    messages={
+        "open-account": Message(
+            {"aid": _AID, "balance": Field(int, low=0, high=MAX_BALANCE)},
+            MarketService._open_account, mutating=True, rebuilds="balance",
+            answers="`OK {balance}`"),
+        "balance": Message({"aid": _AID}, MarketService._balance,
+                           answers="`OK {balance}`"),
+        "withdraw": Message(
+            {"aid": _AID, "request": Field(BlindIssuanceRequest)},
+            MarketService._withdraw, mutating=True,
+            crypto=MarketService._withdraw_job, rebuilds="signature",
+            answers="`OK {signature}`"),
+        "deposit": Message(
+            {"aid": _AID, "token": Field(SpendToken),
+             "context": Field(bytes, optional=True, high=MAX_CONTEXT)},
+            MarketService._deposit, mutating=True,
+            crypto=MarketService._deposit_job, rebuilds="amount",
+            answers="`OK {amount}`"),
+        "audit": Message({}, MarketService._audit,
+                         answers="`OK {clean, findings}`"),
+    },
+)

@@ -27,8 +27,10 @@ __all__ = ["Storage", "MemoryStorage", "DirectoryStorage", "StorageWrapper",
            "MUTATING"]
 
 #: The operations that change what a storage holds — the only places a
-#: crash can interrupt a journal, and all a replica needs to copy one.
-MUTATING = ("append", "write", "replace", "truncate", "unlink")
+#: crash can interrupt a journal, and all a replica needs to copy one —
+#: with the exact types of their arguments.
+MUTATING = {"append": (str, bytes), "write": (str, bytes),
+            "replace": (str, str), "truncate": (str, int), "unlink": (str,)}
 
 
 class Storage(Protocol):

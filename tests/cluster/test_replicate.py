@@ -322,6 +322,57 @@ def test_a_gap_or_an_adopted_source_closes_the_stream():
         slot.apply({**op, "n": 2})
 
 
+#: frames that break their row of STREAM or CONTROL; ``"n": None`` is
+#: replaced by the op the replica expects next, so only the schema
+#: stands between the frame and the replica's storage
+_HOSTILE = {
+    "hello-without-node": {"type": "hello", "sync": True},
+    "hello-node-is-a-list": {"type": "hello", "node": ["n0"], "sync": True},
+    "op-args-not-a-list": {"type": "op", "node": "n0", "n": None,
+                           "op": "write", "args": "seg"},
+    "op-unknown-operation": {"type": "op", "node": "n0", "n": None,
+                             "op": "rmtree", "args": ["seg-00000000.wal"]},
+    "set-map-not-a-dict": {"type": "set-map", "map": "everything"},
+    "adopt-without-node": {"type": "adopt"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE))
+def test_a_hostile_frame_costs_only_its_own_connection(
+        name, dec_params_toy, cluster_keypair, monkeypatch):
+    """Each frame is answered ``{ok: false}`` or closes its own socket;
+    no thread dies, the node still answers, and the replica keeps
+    applying its real peer's stream."""
+    from repro.cluster import LocalCluster
+    from repro.net.wire import read_frame
+    from repro.service.frontend import ServiceClient
+
+    died = []
+    monkeypatch.setattr(threading, "excepthook", died.append)
+    with LocalCluster(dec_params_toy, cluster_keypair, n_nodes=2) as cluster:
+        source = cluster.nodes["n0"]
+        node = cluster.nodes[cluster.map.replica_peer("n0")]
+        slot = node.receiver.slot("n0")
+        _wait(lambda: _caught_up(slot, source.shipper))
+        frame = dict(_HOSTILE[name])
+        if "n" in frame:
+            frame["n"] = slot.applied + 1
+        with socket.create_connection(node.replica_address, timeout=5.0) as sock:
+            sock.sendall(encode_frame(frame))
+            try:
+                reply = read_frame(sock)  # None: the receiver hung up
+            except ConnectionError:  # ... with our bytes still unread
+                reply = None
+        assert reply is None or reply["ok"] is False, reply
+        assert control_call(node.replica_address, {"type": "ping"})["ok"]
+        with ServiceClient(source.address, timeout=30.0) as client:
+            opened = client.request("open-account", {"aid": "late", "balance": 1})
+        assert opened["status"] == "OK"
+        _wait(lambda: _caught_up(slot, source.shipper))
+        assert _contents(slot.storage) == _contents(source.shipper.inner)
+    assert died == []
+
+
 class _LosesOneFrame:
     """A socket whose next frame is "sent" but never arrives; then it resets.
 

@@ -153,10 +153,16 @@ class TestSenderStateIsReleased:
         """Queues are keyed by sender; the accept record must not outlive
         a request that can never be queued."""
         service, journal = _stack(dec_params_toy, service_backend)
-        with pytest.raises(TypeError):
-            service.submit(["mallory"], "open-account",
-                           {"aid": "m", "balance": 1}, rid="bad-sender")
+        delivered: list[dict] = []
+        service.add_reply_observer(
+            lambda sender, reply: delivered.append(reply))
+        seq = service.submit(["mallory"], "open-account",
+                             {"aid": "m", "balance": 1}, rid="bad-sender")
+        (reply,) = delivered
+        assert reply["req"] == seq and reply["status"] == "ERROR"
+        assert "sender" in reply["error"]
         assert journal.last_lsn == -1 and not service._accepted
+        assert service.reply_for("bad-sender") is None
         with ServiceFrontend(service) as front, \
                 ServiceClient(front.address, timeout=30.0) as client:
             reply = client.request("open-account", {"aid": "m", "balance": 1},

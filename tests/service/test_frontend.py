@@ -164,6 +164,17 @@ class TestFrontendRejections:
         assert reply["cid"] == cid
         assert reply["status"] == "ERROR"
 
+    def test_an_ill_typed_field_is_refused_and_the_door_stays_up(
+            self, frontend, client):
+        """An integer account id used to reach the bank and kill the
+        dispatcher thread: every later request on every connection then
+        timed out."""
+        reply = client.request("balance", {"aid": 5})
+        assert reply["status"] == "ERROR" and "'aid'" in reply["error"]
+        assert client.request("audit", {})["status"] == "OK"
+        with ServiceClient(frontend.address, timeout=30.0) as second:
+            assert second.request("audit", {})["status"] == "OK"
+
     def test_blocking_request_returns_a_cidless_busy(self, dec_params_toy,
                                                      service_backend):
         """The pre-parse ``BUSY`` carries no cid; ``request()`` must hand

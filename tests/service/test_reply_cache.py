@@ -129,6 +129,22 @@ class TestEvictedRetry:
         assert _apply_count(journal, "slow-retry") == before
         assert service.queue_depth == 0  # rejected at submit, never queued
 
+    def test_a_non_string_rid_is_refused_before_it_can_be_evicted(
+            self, dec_params_toy):
+        """An integer rid used to be journaled and cached; evicting it
+        (a tombstone digests ``rid.encode()``) then crashed the service,
+        and every recovery of that store crashed the same way."""
+        journal = Journal()
+        service = _service(dec_params_toy, reply_cache=1, journal=journal)
+        seq = service.submit("eve", "open-account", {"aid": "e", "balance": 1},
+                             rid=7)
+        reply = _last_reply(service, "eve")
+        assert reply["req"] == seq and reply["status"] == "ERROR"
+        assert journal.last_lsn == -1 and service.reply_for(7) is None
+        _flood(service, 2)  # two well-formed opens evict from the cache
+        assert service.reply_evictions == 1
+        assert not service.bank.has_account("e")
+
     def test_tombstones_are_not_journaled(self, dec_params_toy):
         journal = Journal()
         service = _service(dec_params_toy, reply_cache=1, journal=journal)

@@ -10,6 +10,7 @@ from repro.ecash.dec import begin_withdrawal, finish_withdrawal
 from repro.metrics.latency import SLOTarget
 from repro.service import (
     AdmissionController,
+    Journal,
     MarketService,
     VerificationBatcher,
     run_trace,
@@ -41,6 +42,20 @@ class TestCheapRequests:
         service.step(force=True)
         assert [c.status for c in seen] == ["OK", "ERROR", "OK"]
         assert len(service.failures) == 1
+
+    def test_an_ill_typed_or_negative_balance_opens_nothing(self, service):
+        """A string balance used to be stored (and make every later audit
+        raise); a negative one opened an account in debt."""
+        replies: list[dict] = []
+        service.add_reply_observer(lambda sender, reply: replies.append(reply))
+        service.submit("alice", "open-account", {"aid": "a", "balance": "lots"})
+        service.submit("alice", "open-account", {"aid": "b", "balance": -7})
+        service.submit("alice", "open-account", {"aid": "c", "balance": True})
+        assert [r["status"] for r in replies] == ["ERROR"] * 3
+        service.submit("auditor", "audit", {})
+        service.drain()
+        assert replies[-1]["status"] == "OK" and replies[-1]["clean"] is True
+        assert not any(service.bank.has_account(aid) for aid in "abc")
 
     def test_audit_request(self, service):
         seen = _completions(service)
@@ -99,6 +114,27 @@ class TestDepositPath:
         service.drain()
         assert [c.status for c in seen] == ["ERROR", "ERROR", "OK"]
         assert service.bank.audit().clean
+
+    def test_an_ill_typed_context_does_not_hold_its_batch_hostage(
+            self, sharded_bank, service_backend, rng):
+        """A non-bytes context used to crash verification of its whole
+        batch — the well-formed deposit beside it with it, at every
+        restart — because it was journaled before anything looked."""
+        journal = Journal()
+        sharded_bank.journal = journal
+        service = MarketService(sharded_bank, batcher=VerificationBatcher(
+            sharded_bank.params, sharded_bank.keypair, max_batch=8, seed=1,
+            backend=service_backend), rng=random.Random(5))
+        good, bad = mint_tokens(service, rng, 2, node_level=1)
+        seen = _completions(service)
+        service.submit(bad.sender, "deposit", dict(bad.payload, context=12345),
+                       rid="bad")
+        service.submit(good.sender, "deposit", good.payload, rid="good")
+        service.drain()
+        assert [(c.seq, c.status) for c in seen] == [(0, "ERROR"), (1, "OK")]
+        assert [r for r in journal.records() if r.rid == "bad"] == []
+        assert [r.kind for r in journal.records() if r.rid == "good"] \
+            == ["accept", "apply", "reply"]
 
     def test_fifo_per_sender(self, service, rng):
         requests = mint_tokens(service, rng, 6, node_level=1)

@@ -25,6 +25,7 @@ from repro.service import (
     ShardedBank,
     VerificationBatcher,
 )
+from repro.service.storage import MemoryStorage
 from repro.testing import FaultPlan, check_recovery_invariants, env_seed
 from repro.testing.properties import DEFAULT_SEED
 from repro.testing.scenario import run_deposit_scenario, run_pbs_scenario
@@ -130,6 +131,36 @@ class TestUnitRecovery:
         status, body = recovered.reply_for("inflight")
         assert status == "OK"
         assert check_recovery_invariants(recovered.bank, journal).clean
+
+    def test_an_ill_typed_accept_from_an_older_store_is_closed(self,
+                                                                deposit_kit):
+        """Stores written before requests were checked at the door may
+        hold a malformed accept; recovering one used to crash, at every
+        restart and every adoption."""
+        kit = deposit_kit
+        storage = MemoryStorage()
+        old = Journal(storage)
+        old.append("accept", "ill", "open-account", {
+            "sender": "eve", "kind": "open-account", "seq": 0,
+            "payload": {"aid": 5, "balance": 1}})
+        old.append("accept", 7, "open-account", {  # an integer rid
+            "sender": "eve", "kind": "open-account", "seq": 1,
+            "payload": {"aid": "e", "balance": 1}})
+        recovered = _recovered(kit, Journal(storage))
+        assert recovered.redone == 0
+        status, body = recovered.reply_for("ill")
+        assert status == "ERROR" and "'aid'" in body["error"]
+        assert recovered.reply_for(7)[0] == "ERROR"
+        assert [r.kind for r in Journal(storage).records()] \
+            == ["accept", "accept", "reply", "reply"]
+        # the service serves the next request, and the closed accept
+        # stays closed through another restart
+        recovered.submit("ops", "open-account", {"aid": "ok", "balance": 3},
+                         rid="next")
+        recovered.drain()
+        assert recovered.reply_for("next") == ("OK", {"balance": 3})
+        again = _recovered(kit, Journal(storage))
+        assert again.redone == 0 and again.reply_for("ill")[0] == "ERROR"
 
     def test_applied_but_unanswered_withdrawal_synthesizes_its_reply(self, deposit_kit):
         kit = deposit_kit

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation freshness checker (the ``make check-docs`` rule).
 
-Docs rot in three ways, and this tool catches all of them over
+Docs rot in four ways, and this tool catches all of them over
 ``docs/*.md`` plus ``README.md``:
 
 1. **Dead links.**  Every relative markdown link must resolve to a file
@@ -14,17 +14,23 @@ Docs rot in three ways, and this tool catches all of them over
    but at least the ``repro.<package>`` level must exist on disk).
 3. **Stale file references.**  Every backticked repo-relative path
    (``docs/…``, ``src/…``, ``tools/…``, …) must exist.
+4. **Drifted message tables.**  Each table in :data:`TABLES` appears in
+   its doc between ``<!-- table: NAME -->`` and ``<!-- /table -->``,
+   exactly as :func:`repro.net.schema.render` writes it.
 
 One coverage check rides along: ``docs/api.md`` must mention every
 top-level ``repro`` subpackage and each module in :data:`FLAGSHIPS`,
 so new subsystems cannot ship without an API-surface note.
 
 Exit status is non-zero when any finding is produced, so CI can gate
-on it.  No third-party dependencies; stdlib only.
+on it.  No third-party dependencies: stdlib plus the tables under
+``src/``.
 """
 
 from __future__ import annotations
 
+import difflib
+import importlib
 import pathlib
 import re
 import sys
@@ -40,7 +46,15 @@ FLAGSHIPS = (
     "repro.service.journal",
     "repro.service.storage",
     "repro.service.frontend",
+    "repro.net.schema",
 )
+
+#: message table -> the doc that shows it (a generated block)
+TABLES = {
+    "repro.service.server.REQUESTS": "docs/service.md",
+    "repro.cluster.replicate.STREAM": "docs/cluster.md",
+    "repro.cluster.node.CONTROL": "docs/cluster.md",
+}
 
 #: directories a backticked path may live under to be checked; paths
 #: outside these roots (generated artifacts such as ``telemetry/``)
@@ -155,6 +169,25 @@ def _check_api_coverage(findings: list[str]) -> None:
                             f"`{module}`")
 
 
+def _check_tables(findings: list[str]) -> None:
+    sys.path.insert(0, str(SRC))
+    from repro.net.schema import render
+
+    for name, doc in TABLES.items():
+        module, _, attr = name.rpartition(".")
+        expected = render(getattr(importlib.import_module(module), attr))
+        match = re.search(rf"<!-- table: {re.escape(name)} -->\n(.*?)<!-- /table -->",
+                          (ROOT / doc).read_text(encoding="utf-8"), re.DOTALL)
+        if match is None:
+            findings.append(f"{doc}: no generated block for `{name}`")
+        elif match.group(1) != expected:
+            diff = "".join(difflib.unified_diff(
+                match.group(1).splitlines(True), expected.splitlines(True),
+                f"{doc} ({name})", "repro.net.schema.render"))
+            findings.append(f"{doc}: the `{name}` block drifted from its "
+                            f"table; replace it with render's output:\n{diff}")
+
+
 def _rel(path: pathlib.Path) -> str:
     try:
         return str(path.resolve().relative_to(ROOT))
@@ -170,6 +203,7 @@ def main() -> int:
         _check_links(path, text, findings)
         _check_code_spans(path, text, findings)
     _check_api_coverage(findings)
+    _check_tables(findings)
     for finding in findings:
         print(f"check_docs: {finding}")
     if findings:

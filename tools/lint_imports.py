@@ -98,8 +98,13 @@ MODULE_ALLOWED: dict[str, set[str]] = {
     },
     "repro.service.storage": set(),
     # replication ships storage operations, not journal records: it
-    # knows frames and the storage seam, never a journal format
-    "repro.cluster.replicate": {"repro.net.wire", "repro.service.storage"},
+    # knows frames, their table and the storage seam, never a journal
+    # format
+    "repro.cluster.replicate": {"repro.net.wire", "repro.net.schema",
+                                "repro.service.storage"},
+    # the message tables' schema language is stdlib only: every surface
+    # declares a table with it, so it may depend on none of them
+    "repro.net.schema": set(),
 }
 
 #: modules that may not touch the filesystem themselves (check 4)
