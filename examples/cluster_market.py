@@ -6,8 +6,8 @@ space; one CL issuing key is shared, so any node's verdicts verify
 under the single bank public key.  A router hashes every request's
 account id onto the ring and speaks the ordinary single-node wire
 protocol to the owner.  Mid-trace we kill a node outright, have its
-designated peer adopt the slice from shipped checkpoint + journal
-records, and finish the trace — no request lost, none run twice,
+designated peer adopt the slice from its byte copy of the dead node's
+journal storage, and finish the trace — no request lost, none run twice,
 cluster-wide invariants clean.
 
 Usage::
@@ -71,7 +71,7 @@ def main() -> None:
                   f"exactly once, {total_rej} replays rejected, 0 lost")
 
         sweep = check_cluster_invariants(
-            params, keypair, cluster.map, cluster.dump_journals(),
+            params, keypair, cluster.map, cluster.dump_storage(),
             conservation=True,
         )
         print(f"cluster invariant sweep: "

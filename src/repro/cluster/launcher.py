@@ -27,7 +27,7 @@ The pieces:
 * :class:`ProcessCluster` — the parent-side orchestrator used by the
   smoke tests and ``make cluster-demo``: spawn N children, collect
   their reports, publish the map, and expose ``kill`` (SIGKILL) /
-  ``failover`` / ``dump_journals`` / ``telemetry`` over the nodes'
+  ``failover`` / ``dump_storage`` / ``telemetry`` over the nodes'
   control ports.
 
 All parent↔child coordination is plain files in the rundir (written
@@ -49,7 +49,7 @@ from typing import Any
 
 from repro.crypto.cl_sig import CLKeyPair, CLPublicKey
 from repro.crypto.hashing import sha256
-from repro.cluster.node import ClusterNode
+from repro.cluster.node import ClusterNode, open_dump
 from repro.cluster.replicate import control_call
 from repro.cluster.ring import ClusterMap, DEFAULT_VNODES
 from repro.ecash.params_io import export_params, import_params
@@ -288,16 +288,25 @@ class ProcessCluster:
                                     "map": self.map.to_state()})
         return adopter
 
-    def dump_journals(self) -> dict[str, list[dict]]:
-        """Per-slice journal record states from every live node."""
-        dumps: dict[str, list[dict]] = {}
+    def dump_storage(self) -> dict[str, dict]:
+        """Every served slice's storage, from each live node's ``dump`` frame."""
+        dumps: dict[str, dict] = {}
         for name in self.map.nodes:
             if name in self.dead:
                 continue
             reply = self.control(name, {"type": "dump"})
             if reply.get("ok"):
-                dumps.update(reply["journals"])
+                dumps.update(reply["slices"])
         return dumps
+
+    def dump_journals(self) -> dict[str, list[dict]]:
+        """Each slice's retained records, reopened from :meth:`dump_storage`.
+
+        Only ``benchmarks/e2e/harness.py`` reads this, and it changes only
+        with the benchmark; ROADMAP 10(a) moves it and deletes this view.
+        """
+        return {node: [record.to_state() for record in open_dump(dump).records()]
+                for node, dump in self.dump_storage().items()}
 
     def telemetry_snapshots(self) -> dict[str, dict]:
         """Per-node metrics snapshots (feed for ``tools/merge_telemetry``)."""

@@ -24,10 +24,10 @@ peer takes the dead node's replica — a byte copy of its journal
 storage — and reopens it exactly as a restarted server reopens its own
 (``Journal(storage)``, ``load_checkpoint()``,
 :meth:`MarketService.recover`, the machinery the single-node crash
-tests prove), then starts a second frontend serving the dead node's
-slice at a new address.  The cluster map then rebinds
-the dead node id to that address (version + 1); the ring, and with it
-every key's owner, never changes.
+tests prove), then serves the dead node's slice at a new address
+through the same journal → maintenance → frontend steps as its own.
+The cluster map then rebinds the dead node id to that address
+(version + 1); the ring, and with it every key's owner, never changes.
 
 :class:`LocalCluster` runs N nodes in one process (threads, ephemeral
 ports) — the fast harness the cluster test suite drives; the
@@ -37,7 +37,6 @@ subprocess form lives in :mod:`repro.cluster.launcher`.
 from __future__ import annotations
 
 import random
-import sys
 import threading
 
 import repro.obs as obs
@@ -48,9 +47,9 @@ from repro.service.frontend import ServiceFrontend
 from repro.service.journal import DEFAULT_SEGMENT_RECORDS, Journal, JournalMaintenance
 from repro.service.server import MarketService
 from repro.service.shard import ShardedBank
-from repro.service.storage import MemoryStorage
+from repro.service.storage import MemoryStorage, StorageWrapper
 
-__all__ = ["ClusterNode", "LocalCluster", "CONTROL"]
+__all__ = ["ClusterNode", "LocalCluster", "CONTROL", "open_dump"]
 
 
 class ClusterNode:
@@ -61,13 +60,13 @@ class ClusterNode:
                  port: int = 0, replica_port: int = 0, seed: int = 0,
                  checkpoint_every: int = 64,
                  segment_records: int = DEFAULT_SEGMENT_RECORDS,
-                 journal_retention: int | None = None,
                  telemetry: "obs.Telemetry | None" = None) -> None:
         self.id = node_id
         self.params = params
         self.keypair = keypair
         self.n_shards = n_shards
         self.host = host
+        self.checkpoint_every = checkpoint_every
         self.segment_records = segment_records
         self.telemetry = telemetry if telemetry is not None else obs.Telemetry.disabled()
         self.telemetry.registry.gauge(
@@ -82,28 +81,8 @@ class ClusterNode:
         # *peer's* copy of its storage (every operation shipped before
         # any reply), which is exactly what a SIGKILL leaves behind
         self.shipper = JournalShipper(node_id, MemoryStorage())
-        self.journal = Journal(self.shipper, segment_records=segment_records,
-                               telemetry=self.telemetry)
-        bank = ShardedBank(params, keypair, random.Random(seed),
-                           n_shards=n_shards, journal=self.journal,
-                           telemetry=self.telemetry)
-        self.service = MarketService(bank, journal=self.journal,
-                                     telemetry=self.telemetry)
-        # checkpoint cadence as on a single server; with the default
-        # journal_retention=None it collects superseded checkpoints but
-        # keeps every segment, so dump_journals stays the full stream
-        # the cluster sweep replays.  journal_retention=k keeps k
-        # covered segments and bounds both copies of the journal.
-        self.maintenance = JournalMaintenance(
-            self.journal, self.service.checkpoint,
-            checkpoint_every=checkpoint_every,
-            retain_segments=(sys.maxsize if journal_retention is None
-                             else journal_retention),
-        )
-        self.frontend = ServiceFrontend(self.service, host=host, port=port,
-                                        telemetry=self.telemetry)
-        self.maintenance.attach(self.frontend)
-        self.frontend.start()
+        self.journal, self.service, self.maintenance, self.frontend = \
+            self._serve(self.shipper, port=port, seed=seed)
         self.receiver = ReplicaReceiver(host=host, port=replica_port,
                                         control=self.control)
         self.map: ClusterMap | None = None
@@ -126,6 +105,33 @@ class ClusterNode:
         """Every slice this node currently answers for (own + adopted)."""
         with self._lock:
             return [self.id, *self.adopted]
+
+    def _serve(self, storage, *, port: int = 0, seed: int | None = None):
+        """Serve a slice over *storage*: journal, service, maintenance, frontend.
+
+        With *seed* the books start empty (the own slice); without, they
+        are recovered from *storage* as a restart recovers (an adopted
+        slice).  Both compact with :class:`JournalMaintenance`'s defaults.
+        """
+        journal = Journal(storage, segment_records=self.segment_records,
+                          telemetry=self.telemetry)
+        if seed is None:
+            service = MarketService.recover(
+                self.params, self.keypair, journal,
+                checkpoint=journal.load_checkpoint(), n_shards=self.n_shards,
+                telemetry=self.telemetry,
+            )
+        else:
+            bank = ShardedBank(self.params, self.keypair, random.Random(seed),
+                               n_shards=self.n_shards, journal=journal,
+                               telemetry=self.telemetry)
+            service = MarketService(bank, journal=journal, telemetry=self.telemetry)
+        maintenance = JournalMaintenance(journal, service.checkpoint,
+                                         checkpoint_every=self.checkpoint_every)
+        frontend = ServiceFrontend(service, host=self.host, port=port,
+                                   telemetry=self.telemetry)
+        maintenance.attach(frontend)
+        return journal, service, maintenance, frontend.start()
 
     # -- replication out ---------------------------------------------------
     def connect_shipper(self, peer: tuple[str, int]) -> None:
@@ -165,9 +171,10 @@ class ClusterNode:
         replica out of the receiver — later frames from *dead* are
         refused — and reopens it the way a restarted server reopens its
         store: checkpoint restore + rid-idempotent journal replay.  Then
-        opens a fresh frontend for the slice.  Idempotent: a second
-        adopt call answers with the already-serving address.  A failed
-        adoption puts the replica back, so it can be retried.
+        serves the slice from a fresh frontend, with its own journal
+        maintenance.  Idempotent: a second adopt call answers with the
+        already-serving address.  A failed adoption puts the replica
+        back, so it can be retried.
         """
         with self._lock:
             if dead in self.adopted:
@@ -181,14 +188,9 @@ class ClusterNode:
         except LookupError as exc:
             return {"ok": False, "error": f"cannot adopt: {exc}"}
         try:
-            journal = Journal(storage, segment_records=self.segment_records)
-            checkpoint = journal.load_checkpoint()
-            service = MarketService.recover(
-                self.params, self.keypair, journal, checkpoint=checkpoint,
-                n_shards=self.n_shards, telemetry=self.telemetry,
-            )
-            frontend = ServiceFrontend(service, host=self.host, port=0,
-                                       telemetry=self.telemetry).start()
+            # wrapped, so a dump can copy it between two operations
+            journal, service, maintenance, frontend = self._serve(
+                StorageWrapper(storage))
         except BaseException:
             self.receiver.slot(dead).storage = storage
             raise
@@ -197,17 +199,22 @@ class ClusterNode:
         self._m_adoptions.inc()
         return {"ok": True, "node": dead, "adopter": self.id,
                 "address": list(frontend.address),
-                "checkpoint_lsn": checkpoint.lsn if checkpoint else -1,
+                "checkpoint_lsn": maintenance.last_checkpoint_lsn,
                 "last_lsn": journal.last_lsn}
 
-    def dump_journals(self) -> dict[str, list[dict]]:
-        """Every served slice's journal, as record states (for the sweep)."""
-        dumps = {self.id: [r.to_state() for r in self.journal.records()]}
+    def dump_storage(self) -> dict[str, dict]:
+        """``{slice: {"segment_records", "storage"}}`` for every served slice.
+
+        Each storage is copied under its wrapper's lock (the own slice's
+        is the shipper), so it is a crash point :func:`open_dump` reopens.
+        """
         with self._lock:
-            adopted = dict(self.adopted)
-        for dead, (service, _front) in adopted.items():
-            dumps[dead] = [r.to_state() for r in service.journal.records()]
-        return dumps
+            journals = {self.id: self.journal}
+            journals.update((dead, service.journal)
+                            for dead, (service, _front) in self.adopted.items())
+        return {node: {"segment_records": self.segment_records,
+                       "storage": journal.storage.snapshot()}
+                for node, journal in journals.items()}
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -254,14 +261,28 @@ CONTROL = Table("control frame", key="type", messages={
     "adopt": Message({"node": Field(str, high=MAX_ID)},
                      lambda node, frame: node.adopt(frame["node"]),
                      answers="`node`, `adopter`, `address` of the adopted slice"),
-    "dump": Message({}, lambda node, _: {"journals": node.dump_journals()},
-                    answers="`journals`: record states per slice"),
+    "dump": Message({}, lambda node, _: {"slices": node.dump_storage()},
+                    answers="`slices`: per served slice, `storage` (name → "
+                            "bytes) and `segment_records`"),
     "telemetry": Message({}, lambda node, _: {
         "metrics": node.telemetry.registry.snapshot()},
         answers="`metrics`: the registry snapshot"),
     "shutdown": Message({}, ClusterNode._shutdown,
                         answers="nothing more; the node process exits"),
 })
+
+
+def open_dump(dump: dict) -> Journal:
+    """Reopen one slice of a ``dump``: its bytes in a fresh storage.
+
+    The journal loads them exactly as a restart or an adoption loads
+    its store; ``load_checkpoint()`` on the result gives the checkpoint
+    its retained tail continues.
+    """
+    storage = MemoryStorage()
+    for name, data in dump["storage"].items():
+        storage.write(name, data)
+    return Journal(storage, segment_records=dump["segment_records"])
 
 
 class LocalCluster:
@@ -278,7 +299,6 @@ class LocalCluster:
                  n_shards: int = 4, vnodes: int = DEFAULT_VNODES,
                  checkpoint_every: int = 64,
                  segment_records: int = DEFAULT_SEGMENT_RECORDS,
-                 journal_retention: int | None = None,
                  telemetry_factory=None) -> None:
         if n_nodes < 2:
             raise ValueError("a cluster needs at least two nodes")
@@ -292,7 +312,6 @@ class LocalCluster:
                 name, params, keypair, n_shards=n_shards, seed=i,
                 checkpoint_every=checkpoint_every,
                 segment_records=segment_records,
-                journal_retention=journal_retention,
                 telemetry=telemetry,
             )
         self.map = ClusterMap(
@@ -343,13 +362,12 @@ class LocalCluster:
                 node.control({"type": "set-map", "map": self.map.to_state()})
         return adopter
 
-    def dump_journals(self) -> dict[str, list[dict]]:
-        """Per-slice journal record states across every live node."""
-        dumps: dict[str, list[dict]] = {}
+    def dump_storage(self) -> dict[str, dict]:
+        """Every live node's :meth:`ClusterNode.dump_storage`, merged."""
+        dumps: dict[str, dict] = {}
         for name, node in self.nodes.items():
-            if name in self.dead:
-                continue
-            dumps.update(node.dump_journals())
+            if name not in self.dead:
+                dumps.update(node.dump_storage())
         return dumps
 
     def telemetry_snapshots(self) -> dict[str, dict]:

@@ -361,10 +361,10 @@ STREAM = Table("stream frame", key="type", messages={
 class JournalShipper(StorageWrapper):
     """A node's journal storage that copies every operation to its peer.
 
-    Wraps *inner*, the storage the node's journal writes to.  Under one
-    lock, a mutating call is applied to *inner*, becomes op frame *n*
-    and is ``sendall``-ed on the calling thread before the call
-    returns, so the peer sees the operations in the order they
+    Wraps *inner*, the storage the node's journal writes to.  Under the
+    wrapper's lock, a mutating call is applied to *inner*, becomes op
+    frame *n* and is ``sendall``-ed on the calling thread before the
+    call returns, so the peer sees the operations in the order they
     happened.  Until :meth:`connect` names the peer, and whenever the
     link is down, frames spool in order (``healthy`` is ``False``); a
     background thread reconnects, drops what the peer's cursor covers
@@ -383,7 +383,6 @@ class JournalShipper(StorageWrapper):
         self.timeout = timeout
         self._backoff = reconnect_backoff
         self._max_backoff = max_backoff
-        self._lock = threading.Lock()
         self._sock: socket.socket | None = None
         self._spool: list[dict] = []
         self._ops = 0  # operations applied to inner: n of the newest frame
@@ -410,7 +409,7 @@ class JournalShipper(StorageWrapper):
     # -- hot path (the journal's thread) -----------------------------------
     def mutate(self, op: str, args: tuple) -> None:
         with self._lock:
-            super().mutate(op, args)
+            getattr(self.inner, op)(*args)
             self._ops += 1
             frame = {"type": "op", "node": self.node, "n": self._ops,
                      "op": op, "args": list(args)}

@@ -301,30 +301,6 @@ class Journal:
         journal.directory = journal.storage.directory  # serve.py reads it
         return journal
 
-    @classmethod
-    def from_records(cls, states: Iterable[dict]) -> "Journal":
-        """A memory-backed journal holding dumped record *states* verbatim.
-
-        The stream is already LSN-ordered and codec-normalized (it was
-        appended once, on the node that dumped it), so the records are
-        installed under the LSNs they carry: no append is counted.  LSNs
-        must be dense.  A stream that starts past lsn 0 (the source
-        compacted) gives a journal with the matching :attr:`first_lsn`,
-        so recovery's compaction guard sees the truth.
-        """
-        journal = cls()
-        for state in states:
-            record = JournalRecord.from_state(state)
-            if not journal._records:
-                journal._base_lsn = record.lsn
-            elif record.lsn != journal.last_lsn + 1:
-                raise JournalError(
-                    f"record stream has a gap: lsn {journal.last_lsn} "
-                    f"is followed by lsn {record.lsn}"
-                )
-            journal._write(record)
-        return journal
-
     def close(self) -> None:
         """Release the storage's OS handles (the journal stays loadable)."""
         self.storage.close()
@@ -443,7 +419,9 @@ class Journal:
             base = header["base_lsn"]
             if expected_lsn is None:
                 # the oldest segment says where the retained log starts:
-                # at its first slot, or later in it (see from_records)
+                # at its first slot, or later in it (a store with no
+                # segment resumes right after its newest checkpoint,
+                # wherever that cut falls)
                 expected_lsn = self._base_lsn = base
             if base != expected_lsn or self.segment_of(base) != segment_id:
                 raise JournalError(

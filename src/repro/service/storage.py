@@ -21,6 +21,7 @@ operation *k*) and :class:`repro.cluster.replicate.JournalShipper`
 from __future__ import annotations
 
 import os
+import threading
 from typing import Protocol
 
 __all__ = ["Storage", "MemoryStorage", "DirectoryStorage", "StorageWrapper",
@@ -161,12 +162,16 @@ class StorageWrapper:
     """A :class:`Storage` that forwards every call to *inner*.
 
     Reads and ``close`` go straight through; each :data:`MUTATING` call
-    becomes ``mutate(op, args)``, which a subclass overrides to act
-    before or after passing the call on with ``super().mutate``.
+    becomes ``mutate(op, args)``, which holds one lock and which a
+    subclass overrides to act before or after passing the call on with
+    ``super().mutate``.  :meth:`snapshot` holds the same lock, so its
+    copy is what *inner* held between two operations: a crash point,
+    which every reopen already survives.
     """
 
     def __init__(self, inner: Storage) -> None:
         self.inner = inner
+        self._lock = threading.Lock()
 
     def __getattr__(self, op: str):
         call = getattr(self.inner, op)
@@ -175,4 +180,10 @@ class StorageWrapper:
         return lambda *args: self.mutate(op, args)
 
     def mutate(self, op: str, args: tuple) -> None:
-        getattr(self.inner, op)(*args)
+        with self._lock:
+            getattr(self.inner, op)(*args)
+
+    def snapshot(self) -> dict[str, bytes]:
+        """Every name's bytes, taken between two operations."""
+        with self._lock:
+            return {name: self.inner.read(name) for name in self.inner.names()}

@@ -296,7 +296,7 @@ def _open_market(config: CampaignConfig, params, keypair) -> _MarketLink:
         return _MarketLink(
             router,
             lambda: check_cluster_invariants(
-                params, keypair, cluster.map, cluster.dump_journals(),
+                params, keypair, cluster.map, cluster.dump_storage(),
                 n_shards=config.n_shards, cross_slice_value=True,
             ),
             (router.close, cluster.close),

@@ -13,7 +13,7 @@ This package makes those failure modes *reproducible*:
   recovery: balance conservation across shards, serial-number
   uniqueness, and exact ledger/journal agreement.
 * :mod:`repro.testing.cluster_invariants` — the multi-node sweep over
-  per-slice journal dumps: cross-node serial/rid uniqueness, ring
+  per-slice storage dumps: cross-node serial/rid uniqueness, ring
   placement, and cluster-wide balance conservation.
 * :mod:`repro.testing.scenario` — replays PPMSdec (sharded service)
   and PPMSpbs (unitary bank) market flows under a fault plan, crash-

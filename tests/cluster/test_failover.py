@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import time
 
 from repro.cluster import StaleClusterMapError
+from repro.cluster.node import open_dump
 from repro.service.loadgen import WireIssuer, mint_deposit_traffic, run_trace
 from repro.testing import check_cluster_invariants
 
@@ -70,7 +72,7 @@ def test_cluster_survives_sigkill_mid_trace(local_cluster, dec_params_toy,
     # one): serials unique, rids on one node, placement + conservation
     report = check_cluster_invariants(
         dec_params_toy, cluster_keypair, local_cluster.map,
-        local_cluster.dump_journals(), n_shards=4, conservation=True,
+        local_cluster.dump_storage(), n_shards=4, conservation=True,
     )
     assert report.clean, report.findings
 
@@ -139,17 +141,32 @@ def test_router_with_no_feed_reports_staleness_after_kill(local_cluster):
             router.request("balance", {"aid": "sp0"}, sender="sp0")
 
 
+def _settle(router, cmap, node: str) -> None:
+    """Return once *node*'s slice has finished its after-batch maintenance.
+
+    The cut runs after each batch, behind its reply; a read (never
+    journaled) is a batch of its own, answered only after the one before
+    it finished.
+    """
+    router.request("balance", {"aid": _aid_owned_by(cmap, node)}, sender="probe")
+
+
+def _sweep(params, keypair, cluster):
+    return check_cluster_invariants(params, keypair, cluster.map,
+                                    cluster.dump_storage(), n_shards=4)
+
+
 def test_retention_bounds_node_journals_and_failover_still_works(
         dec_params_toy, cluster_keypair):
-    """``journal_retention`` compacts each node's in-memory journal
-    against its newest checkpoint, and adoption still recovers exactly:
-    the replica is a copy of the compacted store, checkpoint included."""
+    """A default node compacts its journal against its newest checkpoint
+    like a single server, adoption still recovers exactly (the replica
+    is a copy of the compacted store, checkpoint included), and the
+    sweep audits the compacted slices — adopted one included — clean."""
     from repro.cluster import LocalCluster
 
     rng = random.Random(77)
     with LocalCluster(dec_params_toy, cluster_keypair, n_nodes=3,
-                      checkpoint_every=4, segment_records=4,
-                      journal_retention=0) as cluster:
+                      checkpoint_every=4, segment_records=4) as cluster:
         with cluster.router(attempts=2, backoff=0.01,
                             refresh_backoff=0.01) as router:
             deposits = mint_deposit_traffic(
@@ -183,19 +200,120 @@ def test_retention_bounds_node_journals_and_failover_still_works(
                                    sender="probe", rid="ret-rid")
             assert again == before
             assert victim in cluster.nodes[adopter].serving()
+            for node in cluster.map.nodes:
+                _settle(router, cluster.map, node)
+        sweep = _sweep(dec_params_toy, cluster_keypair, cluster)
+    assert sweep.clean, sweep.findings
+
+
+def test_an_adopted_slice_compacts_like_every_other_stack(
+        dec_params_toy, cluster_keypair):
+    """Adoption serves the slice with its own journal maintenance, so
+    traffic after a failover checkpoints and compacts it too."""
+    from repro.cluster import LocalCluster
+
+    with LocalCluster(dec_params_toy, cluster_keypair, n_nodes=3,
+                      checkpoint_every=4, segment_records=4) as cluster:
+        victim = "n0"
+        with cluster.router(attempts=2, backoff=0.01,
+                            refresh_backoff=0.01) as router:
+            # a slice that never journaled leaves its peer nothing to adopt
+            assert router.request(
+                "open-account", {"aid": _aid_owned_by(cluster.map, victim),
+                                 "balance": 1}, sender="probe")["status"] == "OK"
+            cluster.kill(victim)
+            adopter = cluster.failover(victim)
+            service, _front = cluster.nodes[adopter].adopted[victim]
+            adopted_at = service.journal.first_lsn
+            for i in range(6):  # three records each: past two segments
+                aid = _aid_owned_by(cluster.map, victim, prefix=f"a{i}-")
+                assert router.request("open-account", {"aid": aid, "balance": 1},
+                                      sender="probe")["status"] == "OK"
+            _settle(router, cluster.map, victim)
+        assert service.journal.first_lsn > adopted_at
+        assert service.journal.load_checkpoint().lsn >= service.journal.first_lsn - 1
+
+
+def test_the_sweep_finds_a_cross_node_double_deposit_after_compaction(
+        dec_params_toy, cluster_keypair):
+    """One coin deposited under two accounts that live on different
+    slices is admitted by both nodes; the sweep must still name it once
+    both slices have compacted the deposits' records away — the serials
+    are in the checkpointed books."""
+    from repro.cluster import LocalCluster
+    from repro.service.loadgen import Request
+
+    rng = random.Random(79)
+    with LocalCluster(dec_params_toy, cluster_keypair, n_nodes=3,
+                      checkpoint_every=4, segment_records=4) as cluster:
+        with cluster.router(attempts=2, backoff=0.01,
+                            refresh_backoff=0.01) as router:
+            deposits = mint_deposit_traffic(
+                WireIssuer(router, dec_params_toy, cluster_keypair.public), rng,
+                n_accounts=4, n_deposits=4, replay_fraction=0.0,
+            )
+            first = deposits[0].payload
+            owners = {cluster.map.owner_of(f"sp{i}"): f"sp{i}" for i in range(4)}
+            here = cluster.map.owner_of(first["aid"])
+            there = next(node for node in owners if node != here)
+            twice = {here: Request(first["aid"], "deposit", first, rid="twice-a"),
+                     there: Request(owners[there], "deposit",
+                                    {**first, "aid": owners[there]}, rid="twice-b")}
+            assert run_trace(router, list(twice.values())).ok == 2
+
+            for node, request in twice.items():
+                _compact_past(router, cluster, node, request.rid)
+        sweep = _sweep(dec_params_toy, cluster_keypair, cluster)
+    doubles = [f for f in sweep.findings if f.endswith("(cross-node double deposit)")]
+    assert doubles and len(doubles) == len(sweep.findings), sweep.findings
+
+
+def test_the_sweep_finds_a_rid_applied_on_two_compacted_slices(
+        dec_params_toy, cluster_keypair):
+    """One rid applied on two slices is found from the checkpoints'
+    settled rids once compaction took both ``apply`` records."""
+    from repro.cluster import LocalCluster
+
+    with LocalCluster(dec_params_toy, cluster_keypair, n_nodes=3,
+                      checkpoint_every=4, segment_records=4) as cluster:
+        with cluster.router(attempts=2, backoff=0.01,
+                            refresh_backoff=0.01) as router:
+            for node in ("n0", "n1"):
+                aid = _aid_owned_by(cluster.map, node, prefix="dup")
+                assert router.request("open-account", {"aid": aid, "balance": 1},
+                                      sender="probe", rid="dup")["status"] == "OK"
+                _compact_past(router, cluster, node, "dup")
+        sweep = _sweep(dec_params_toy, cluster_keypair, cluster)
+    assert sweep.findings == (
+        "n1: rid 'dup' also applied on slice n0 (request ran on two nodes)",)
+
+
+def _compact_past(router, cluster, node: str, rid: str) -> None:
+    """Open accounts on *node* until compaction took *rid*'s apply record."""
+    journal = cluster.nodes[node].journal
+    lsn = next(r.lsn for r in journal.records()
+               if r.kind == "apply" and r.rid == rid)
+    for i in range(12):
+        if journal.first_lsn > lsn:
+            return
+        aid = _aid_owned_by(cluster.map, node, prefix=f"{node}-{i}-")
+        router.request("open-account", {"aid": aid, "balance": 1}, sender="probe")
+        _settle(router, cluster.map, node)
+    assert journal.first_lsn > lsn
 
 
 def test_sweep_names_a_compacted_dump_instead_of_half_replaying_it(
         dec_params_toy, cluster_keypair):
-    """A node built with ``journal_retention`` dumps only what it still
-    holds.  The sweep must say so — replaying the suffix as if it were
-    the whole slice reports books that "disagree" with nothing."""
+    """A compacted slice whose covering checkpoint is missing from the
+    dump cannot be rebuilt: the sweep says it does not replay, and
+    reports nothing else of it — replaying the retained tail as if it
+    were the whole slice would report books that "disagree" with
+    nothing."""
     from repro.cluster import LocalCluster
 
     rng = random.Random(78)
     with LocalCluster(dec_params_toy, cluster_keypair, n_nodes=3,
-                      checkpoint_every=4, segment_records=4,
-                      journal_retention=0) as cluster:
+                      checkpoint_every=4, segment_records=4) as cluster:
         with cluster.router(attempts=2, backoff=0.01,
                             refresh_backoff=0.01) as router:
             deposits = mint_deposit_traffic(
@@ -203,23 +321,66 @@ def test_sweep_names_a_compacted_dump_instead_of_half_replaying_it(
                 n_accounts=4, n_deposits=10, replay_fraction=0.0,
             )
             assert run_trace(router, deposits).errors == 0
-        # one snapshot for both sides of the comparison: a node's last
-        # after-batch compaction may still be running behind its reply.
-        # Ten deposits leave two slices with a record count that is not a
-        # multiple of the segment size, so whenever the dump is taken
-        # they hold a compacted, non-empty journal (a dump compaction
-        # emptied altogether carries no lsn to go by)
-        dumps = cluster.dump_journals()
-        compacted = {node: states[0]["lsn"] for node, states in dumps.items()
-                     if states and states[0]["lsn"] > 0}
-        assert len(compacted) >= 2
-        sweep = check_cluster_invariants(
-            dec_params_toy, cluster_keypair, cluster.map, dumps, n_shards=4)
-    for node, first in compacted.items():
-        assert (f"{node}: dump starts at lsn {first} (compacted) — "
-                "the sweep needs the full stream") in sweep.findings
-    assert not [f for f in sweep.findings
-                if f.split(": ")[0] in compacted and "dump starts" not in f]
+        dumps = cluster.dump_storage()
+    compacted = [node for node, dump in dumps.items()
+                 if open_dump(dump).first_lsn > 0]
+    assert compacted
+    for node in compacted:
+        dumps[node]["storage"] = {name: data for name, data
+                                  in dumps[node]["storage"].items()
+                                  if not name.startswith("ckpt-")}
+    sweep = check_cluster_invariants(
+        dec_params_toy, cluster_keypair, cluster.map, dumps, n_shards=4)
+    for node in compacted:
+        mine = [f for f in sweep.findings if f.startswith(f"{node}: ")]
+        assert len(mine) == 1 and mine[0].startswith(
+            f"{node}: journal does not replay: journal compacted to lsn"), mine
+
+
+def test_node_and_replica_storage_stay_bounded(dec_params_toy, cluster_keypair):
+    """A default node compacts as a single server does: from 10 to 40
+    deposits its storage, its peer's byte copy and its retained records
+    stay within a constant (a node that kept every segment grew by
+    18-39 KB and 21-45 records here)."""
+    from repro.cluster import LocalCluster
+
+    rng = random.Random(80)
+    with LocalCluster(dec_params_toy, cluster_keypair, n_nodes=3,
+                      checkpoint_every=4, segment_records=4) as cluster:
+        with cluster.router(attempts=2, backoff=0.01,
+                            refresh_backoff=0.01) as router:
+            deposits = mint_deposit_traffic(
+                WireIssuer(router, dec_params_toy, cluster_keypair.public), rng,
+                n_accounts=4, n_deposits=40, replay_fraction=0.0,
+            )
+
+            def footprint() -> dict[str, tuple[int, int]]:
+                sizes = {}
+                for name, node in cluster.nodes.items():
+                    _settle(router, cluster.map, name)
+                    slot = cluster.nodes[cluster.map.replica_peer(name)] \
+                        .receiver.slot(name)
+                    _wait_for(lambda: slot.applied == node.shipper._ops)
+                    own = node.shipper.snapshot()
+                    assert {n: slot.storage.read(n)
+                            for n in slot.storage.names()} == own
+                    sizes[name] = (sum(map(len, own.values())), len(node.journal))
+                return sizes
+
+            assert run_trace(router, deposits[:10]).ok == 10
+            early = footprint()
+            assert run_trace(router, deposits[10:]).ok == 30
+            late = footprint()
+    for name, (size, records) in late.items():
+        assert size <= early[name][0] + 8192, (name, early[name], size)
+        assert records <= early[name][1] + 2 * 4 + 4, (name, early[name], records)
+
+
+def _wait_for(predicate, *, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
 
 
 def _segments(storage) -> list[str]:
@@ -235,10 +396,10 @@ def test_failover_of_a_node_compaction_emptied_reuses_no_lsn(
     from repro.cluster import LocalCluster
 
     with LocalCluster(dec_params_toy, cluster_keypair, n_nodes=3,
-                      checkpoint_every=4, segment_records=4,
-                      journal_retention=0) as cluster:
+                      checkpoint_every=4, segment_records=4) as cluster:
         victim = "n0"
         node = cluster.nodes[victim]
+        node.maintenance.retain_segments = 0  # compaction keeps no slack
         with cluster.router(attempts=2, backoff=0.01,
                             refresh_backoff=0.01) as router:
             # open accounts on the victim until a compaction has emptied

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.cluster.node import open_dump
 from repro.cluster.replicate import (
     JournalShipper,
     ReplicaReceiver,
@@ -166,13 +167,22 @@ def test_wait_drained_waits_for_stream_eof():
         assert drained.applied == 4  # sent bytes survived the close
 
 
+def _dump(journal: Journal) -> dict:
+    """*journal*'s storage as one slice of a ``dump`` control frame."""
+    return {"segment_records": journal.segment_records,
+            "storage": _contents(journal.storage)}
+
+
 def test_journal_from_records_preserves_the_stream_verbatim():
-    source = Journal()
+    """A storage copy reopens to exactly the live journal's records —
+    what the benchmark's record view (``ProcessCluster.dump_journals``)
+    sizes, so its byte count cannot drift from the appended stream."""
+    source = Journal(segment_records=2)
     _records(source, 3)
-    states = [r.to_state() for r in source.records()]
-    rebuilt = Journal.from_records(states)
-    assert [r.to_state() for r in rebuilt.records()] == states
-    assert rebuilt.last_lsn == 2
+    reopened = open_dump(_dump(source))
+    assert [r.to_state() for r in reopened.records()] \
+        == [r.to_state() for r in source.records()]
+    assert reopened.last_lsn == 2
 
 
 def test_control_frames_ride_the_replication_listener():
@@ -448,35 +458,44 @@ def test_a_resyncing_replica_refuses_adoption_until_the_snapshot_is_whole():
         assert sorted(receiver.take("src").names()) == ["a", "b", "c"]
 
 
+def _compacted(n: int, cut: int, *, segment_records: int = 2) -> Journal:
+    """*n* records, a checkpoint at lsn *cut*, compacted with no slack."""
+    source = Journal(segment_records=segment_records)
+    _records(source, n)
+    source.write_checkpoint(Checkpoint(lsn=cut, blobs=(b"snap",)))
+    source.compact(retain_segments=0)
+    return source
+
+
 def test_journal_from_records_keeps_a_nonzero_base_lsn():
-    source = Journal()
-    _records(source, 6)
-    states = [r.to_state() for r in source.records(after=3)]
-    rebuilt = Journal.from_records(states)
-    assert rebuilt.first_lsn == 4 and rebuilt.last_lsn == 5
-    assert [r.lsn for r in rebuilt.records()] == [4, 5]
+    source = _compacted(7, 5)  # the three segments of lsns 0-5 go
+    reopened = open_dump(_dump(source))
+    assert reopened.first_lsn == source.first_lsn == 6
+    assert [r.lsn for r in reopened.records()] == [6]
+    assert reopened.load_checkpoint().lsn == 5
 
 
 def test_a_journal_from_records_is_a_store_that_reopens():
-    """Installed records are framed like appended ones — also when the
-    stream starts mid-segment, and also for what is appended on top."""
-    source = Journal()
-    _records(source, 11)
-    states = [r.to_state() for r in source.records(after=5)]
-    rebuilt = Journal.from_records(states)
-    _records(rebuilt, 2, start=11)
-    assert [r.lsn for r in rebuilt.records()][-2:] == [11, 12]
-    reopened = Journal(rebuilt.storage)
-    assert (reopened.first_lsn, reopened.last_lsn) == (6, 12)
+    """A copy compaction emptied of segments reopens right after its
+    checkpoint's cut and keeps numbering from there, also across a
+    second reopen of what was appended on top."""
+    source = _compacted(8, 7)
+    assert not [name for name in source.storage.names()
+                if name.startswith("seg-")]
+    copy = open_dump(_dump(source))
+    assert (copy.first_lsn, copy.last_lsn) == (8, 7)
+    _records(copy, 3, start=8)
+    reopened = Journal(copy.storage, segment_records=2)
+    assert (reopened.first_lsn, reopened.last_lsn) == (8, 10)
     assert [r.to_state() for r in reopened.records()] == [
-        r.to_state() for r in rebuilt.records()]
+        r.to_state() for r in copy.records()]
     assert not reopened.torn_tail
 
 
 def test_journal_from_records_rejects_gapped_streams():
-    source = Journal()
-    _records(source, 4)
-    states = [r.to_state() for r in source.records()]
-    del states[1]
-    with pytest.raises(JournalError, match="gap"):
-        Journal.from_records(states)
+    source = Journal(segment_records=2)
+    _records(source, 6)
+    dump = _dump(source)
+    del dump["storage"]["seg-00000001.wal"]
+    with pytest.raises(JournalError, match="segment gap"):
+        open_dump(dump)

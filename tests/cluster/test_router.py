@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.cluster import ClusterProxy, ClusterRouter, RouteError, StaleClusterMapError
+from repro.cluster.node import open_dump
 from repro.cluster.ring import ClusterMap
 from repro.service.frontend import ServiceClient
 
@@ -26,14 +27,15 @@ def test_requests_route_by_account_id(local_cluster):
                                    sender=aid)
             assert reply["status"] == "OK"
         # the owner's journal — and only the owner's — carries the account
-        dumps = local_cluster.dump_journals()
+        journals = {node: list(open_dump(dump).records())
+                    for node, dump in local_cluster.dump_storage().items()}
         for i in range(5):
             aid = f"sp{i}"
             owner = local_cluster.map.owner_of(aid)
-            for node, records in dumps.items():
+            for node, records in journals.items():
                 opened_here = any(
-                    r["kind"] == "apply" and r["op"] == "open-account"
-                    and r["payload"]["aid"] == aid
+                    r.kind == "apply" and r.op == "open-account"
+                    and r.payload["aid"] == aid
                     for r in records
                 )
                 assert opened_here == (node == owner)

@@ -11,6 +11,8 @@
   not remove;
 * **the crasher is a storage** — it records every mutating call, dies
   *before* the scheduled one, and passes everything else through;
+* **a wrapper's snapshot is a crash point** — copied under the lock
+  every mutating call holds, it reopens while a writer compacts;
 * **golden digest** — a fixed three-segment, two-checkpoint workload
   produces byte-for-byte the files the parent of the one-journal
   refactor produced (digest computed on a checkout of that parent).
@@ -19,6 +21,8 @@
 from __future__ import annotations
 
 import hashlib
+import threading
+import time
 
 import pytest
 
@@ -30,6 +34,7 @@ from repro.service import (
     MemoryStorage,
 )
 from repro.service.journal import Run, Runs
+from repro.service.storage import StorageWrapper
 from repro.testing.faults import CrashPoint, StorageCrasher
 
 
@@ -114,6 +119,44 @@ def test_crasher_records_mutations_and_dies_before_the_scheduled_one():
     assert inner.names() == ["x.tmp"]  # written, never renamed
     crasher.append("y", b"later")  # the schedule fires once
     assert inner.read("y") == b"later"
+
+
+class _SlowReads(MemoryStorage):
+    """Yields to other threads on every read, so a copy spans many writes."""
+
+    def read(self, name: str) -> bytes:
+        time.sleep(1e-4)
+        return super().read(name)
+
+
+def test_a_snapshot_is_taken_between_two_operations():
+    """A writer appends, checkpoints and compacts through a wrapper while
+    another thread copies it: every copy reopens, and its log starts no
+    later than its newest checkpoint covers.  A copy taken across
+    operations reads names that compaction deletes under it."""
+    journal = Journal(StorageWrapper(_SlowReads()), segment_records=1)
+    stop = threading.Event()
+
+    def write() -> None:  # one segment, one cut, one unlink per record
+        while not stop.is_set():
+            lsn = journal.append("apply", "", "open-account", {}).lsn
+            journal.write_checkpoint(Checkpoint(lsn=lsn, blobs=(b"s",)))
+            journal.compact(retain_segments=8)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        for _ in range(50):
+            copy = MemoryStorage()
+            for name, data in journal.storage.snapshot().items():
+                copy.write(name, data)
+            reopened = Journal(copy, segment_records=1)
+            checkpoint = reopened.load_checkpoint()
+            assert reopened.first_lsn <= (checkpoint.lsn + 1 if checkpoint else 0)
+    finally:
+        stop.set()
+        writer.join(timeout=10.0)
+    assert not writer.is_alive()
 
 
 #: sha256 over the sorted (name, bytes) of the workload below, computed

@@ -215,9 +215,11 @@ def _assert_verdicts_survive(service, full_records, context):
 
 def _shadow_books(kit, full_records):
     """Replay the complete uncompacted stream into a fresh bank."""
+    journal = Journal()
+    for state in full_records:
+        journal.append(state["kind"], state["rid"], state["op"], state["payload"])
     shadow = ShardedBank.recover(kit.params, kit.keypair, random.Random(0),
-                                 Journal.from_records(full_records),
-                                 n_shards=3)
+                                 journal, n_shards=3)
     return _books(shadow)
 
 

@@ -12,7 +12,7 @@ The CI-facing end-to-end check for ``repro.cluster``:
    designated peer adopt the slice, and finish the trace;
 4. assert nothing was lost or double-applied (fresh deposits all OK,
    deliberate replays all REJECTED) and run the cluster-wide invariant
-   sweep over every surviving slice's journal dump.
+   sweep over every surviving slice's storage dump.
 
 Exit status 0 only if every check holds.  Usage::
 
@@ -85,7 +85,7 @@ def run(rundir: str, seed: int) -> int:
                 failures.append("router never re-routed across the failover")
 
         sweep = check_cluster_invariants(
-            params, keypair, cluster.map, cluster.dump_journals(),
+            params, keypair, cluster.map, cluster.dump_storage(),
             conservation=True,
         )
         if not sweep.clean:
