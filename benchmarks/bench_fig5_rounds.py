@@ -23,8 +23,8 @@ import random
 
 import pytest
 
-from repro.core.ppms_dec import PPMSdecSession
-from repro.core.ppms_pbs import PPMSpbsSession
+from repro.core.dec_machine import PPMSdecSession
+from repro.core.pbs_machine import PPMSpbsSession
 from repro.ecash.dec import setup
 
 ROUNDS = [5, 10, 20, 30]

@@ -20,8 +20,8 @@ import random
 
 import pytest
 
-from repro.core.ppms_dec import PPMSdecSession
-from repro.core.ppms_pbs import PPMSpbsSession
+from repro.core.dec_machine import PPMSdecSession
+from repro.core.pbs_machine import PPMSpbsSession
 from repro.metrics.opcount import OpCounter, format_table
 
 from benchmarks.conftest import BENCH_RSA_BITS

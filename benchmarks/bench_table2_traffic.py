@@ -11,6 +11,10 @@ transport, print the measured table next to the paper's, and assert
 the reproduced *shape*: PPMSdec's total traffic dominates PPMSpbs's by
 a clear factor (the paper's ratio is ≈ 5.3×), and within PPMSdec the
 payment path (JO output / SP input) carries the bulk.
+
+Each session drives the engine's machines, so the messages metered are
+the machines' own envelopes; the router charges each one to its
+parties' roles (JO, SP, MA), never to a resident's name.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import random
 
 import pytest
 
-from repro.core.ppms_dec import PPMSdecSession
-from repro.core.ppms_pbs import PPMSpbsSession
+from repro.core.dec_machine import PPMSdecSession
+from repro.core.pbs_machine import PPMSpbsSession
 from repro.metrics.traffic import TrafficMeter, format_traffic_table
 
 from benchmarks.conftest import BENCH_RSA_BITS

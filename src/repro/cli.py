@@ -29,8 +29,8 @@ import time
 
 from repro.attacks.linkage import denomination_experiment
 from repro.attacks.timing import timing_experiment
-from repro.core.ppms_dec import PPMSdecSession
-from repro.core.ppms_pbs import PPMSpbsSession
+from repro.core.dec_machine import PPMSdecSession
+from repro.core.pbs_machine import PPMSpbsSession
 from repro.crypto.cunningham import find_chain_with_stats
 from repro.ecash.dec import setup
 from repro.metrics import format_table, format_traffic_table

@@ -1,9 +1,12 @@
 """The paper's primary contribution: the two market mechanisms.
 
-* :mod:`~repro.core.ppms_dec` — PPMSdec, arbitrary payments, divisible
-  e-cash + cash break (Section IV / Algorithm 1).
-* :mod:`~repro.core.ppms_pbs` — PPMSpbs, unitary payments, partially
-  blind signatures (Section V / Algorithm 4).
+* :mod:`~repro.core.ppms_dec` — PPMSdec's actors, arbitrary payments,
+  divisible e-cash + cash break (Section IV / Algorithm 1);
+  :mod:`~repro.core.dec_machine` — its step order as engine machines,
+  and the session that drives them.
+* :mod:`~repro.core.ppms_pbs` — PPMSpbs's actors, unitary payments,
+  partially blind signatures (Section V / Algorithm 4);
+  :mod:`~repro.core.pbs_machine` — its machines and session.
 * :mod:`~repro.core.cashbreak` — unitary / PCBA / EPCBA break
   algorithms (Algorithms 2–3).
 * :mod:`~repro.core.market` — shared substrate (bulletin board, job
@@ -19,12 +22,7 @@ from repro.core.cashbreak import (
     unitary_break,
     validate_break,
 )
-from repro.core.dec_machine import (
-    JODecMachine,
-    MADecMachine,
-    SPDecMachine,
-    run_dec_machine_market,
-)
+from repro.core.dec_machine import JODecMachine, MADecMachine, PPMSdecSession, SPDecMachine
 from repro.core.engine import Outbound, Party, ProtocolError, Router
 from repro.core.ledger import AuditReport, audit_bank, restore_bank, snapshot_bank
 from repro.core.pbs_ledger import (
@@ -35,20 +33,18 @@ from repro.core.pbs_ledger import (
 )
 from repro.core.market import BulletinBoard, DataReport, JobProfile, MarketDesk
 from repro.core.optimal_break import improvement_over_epcba, optimal_break
-from repro.core.pbs_machine import JOMachine, MAMachine, SPMachine, run_machine_market
+from repro.core.pbs_machine import JOMachine, MAMachine, PPMSpbsSession, SPMachine
 from repro.core.trading import RedemptionDesk, RedemptionVoucher, trade_sensing_service
 from repro.core.ppms_dec import (
     JobOwnerDec,
     MarketAdministratorDec,
     PaymentBundle,
-    PPMSdecSession,
     SensingParticipantDec,
 )
 from repro.core.ppms_pbs import (
     CoinReceipt,
     JobOwnerPbs,
     MarketAdministratorPbs,
-    PPMSpbsSession,
     SensingParticipantPbs,
     VirtualBankPbs,
 )
@@ -76,11 +72,9 @@ __all__ = [
     "MAMachine",
     "JOMachine",
     "SPMachine",
-    "run_machine_market",
     "MADecMachine",
     "JODecMachine",
     "SPDecMachine",
-    "run_dec_machine_market",
     "snapshot_bank",
     "restore_bank",
     "audit_bank",

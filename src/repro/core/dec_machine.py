@@ -1,19 +1,21 @@
-"""PPMSdec as message-driven state machines (Algorithm 1 on the engine).
+"""PPMSdec as message-driven state machines (Algorithm 1 on the engine),
+and :class:`PPMSdecSession`, which runs them synchronously.
 
-The heavyweight mechanism in production shape: parties that react only
-to envelopes, with the full step order of Algorithm 1 —
+The order of Algorithm 1's steps is written here, in the handlers, and
+nowhere else:
 
-    1. JO -> MA   job-registration {jd, w, rpk}
-    2. JO -> MA   withdraw-request {request}         (blind)
+    1. JO -> MA   job-registration {jd, w, rpk_fingerprint}
+       MA -> JO   job-published {job}
+    2. JO -> MA   withdraw-request {request}         (blind; again on demand)
        MA -> JO   withdraw-response {signature}
     3. SP -> MA   labor-registration {job, rpk}
+       SP -> MA   data-submission {pseudonym, job, data}
        MA -> JO   labor-forward {job, rpk}
     4. JO -> MA   payment-submission {pseudonym, ciphertext}
-    5. SP -> MA   data-submission {pseudonym, job, data}
-       MA -> SP   payment-delivery {ciphertext}
-    6. SP -> MA   payment-confirm {pseudonym}
+       MA -> SP   payment-delivery {ciphertext}      (data and payment held)
+    5. SP -> MA   payment-confirm {pseudonym}
        MA -> JO   data-delivery {job, data}
-    7. SP -> MA   deposit {aid, coin}                (per coin)
+    6. SP -> MA   deposit {aid, coin, at}            (per coin, spaced apart)
 
 Every party is its :mod:`~repro.core.ppms_dec` actor plus
 :class:`~repro.core.engine.Party`: the actor owns each protocol step
@@ -21,6 +23,11 @@ Every party is its :mod:`~repro.core.ppms_dec` actor plus
 order and :class:`~repro.core.engine.ProtocolError` on anything forged
 or out of order — an SP rejects a payment before it registered, the MA
 refuses deposits of malformed coins or into someone else's account.
+
+A resident answers to two names that nothing joins: its account id,
+under which it withdraws and deposits, and the name of its current
+pseudonym (:func:`~repro.core.market.pseudonym_name`), under which it
+does everything else.  The MA's only account table is its bank's.
 """
 
 from __future__ import annotations
@@ -29,23 +36,24 @@ import random
 from enum import Enum, auto
 from typing import Any
 
-from repro.core.engine import Outbound, Party, ProtocolError, Router
-from repro.core.market import DataReport
-from repro.core.ppms_dec import JobOwnerDec, MarketAdministratorDec, SensingParticipantDec
+from repro.core.engine import Outbound, Party, ProtocolError, Router, drive
+from repro.core.market import DataReport, JobProfile, pseudonym_name
+from repro.core.ppms_dec import (
+    JobOwnerDec,
+    MarketAdministratorDec,
+    PaymentBundle,
+    SensingParticipantDec,
+)
 from repro.crypto.rsa import RSAPublicKey
 from repro.ecash.dec import DoubleSpendError
 from repro.ecash.spend import DECParams, SpendToken
 from repro.ecash.wallet import InsufficientFunds
 from repro.metrics.opcount import OpCounter
+from repro.net.transport import Transport
 
-__all__ = ["MADecMachine", "JODecMachine", "SPDecMachine", "run_dec_machine_market"]
+__all__ = ["MADecMachine", "JODecMachine", "SPDecMachine", "PPMSdecSession"]
 
-MA = "MA"
-_SP_PREFIX = "dsp:"
-
-
-def sp_party_name(pseudonym: bytes) -> str:
-    return _SP_PREFIX + pseudonym.hex()
+JO, SP, MA = "JO", "SP", "MA"
 
 
 class SPDecState(Enum):
@@ -57,30 +65,23 @@ class SPDecState(Enum):
 class MADecMachine(MarketAdministratorDec, Party):
     """MA for the message-driven PPMSdec market."""
 
-    def __init__(self, params: DECParams, rng: random.Random) -> None:
-        MarketAdministratorDec.__init__(self, params, rng, OpCounter())
-        Party.__init__(self, MA)
-        self.jo_for_job: dict[str, str] = {}
-        self.account_of: dict[str, str] = {}  # party name -> bank account id
+    role = MA
 
-    def register_resident(self, party_name: str, aid: str, funds: int) -> None:
-        """Authenticated account opening (driver-level, like enrolment)."""
-        self.bank.open_account(aid, funds)
-        self.account_of[party_name] = aid
+    def __init__(self, params: DECParams, rng: random.Random, counter: OpCounter) -> None:
+        MarketAdministratorDec.__init__(self, params, rng, counter)
+        Party.__init__(self, MA)
+        self.jo_for_job: dict[str, str] = {}  # job id -> its owner's pseudonym name
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
         if kind == "job-registration":
-            profile = self.publish_job(
-                payload["jd"], payload["w"], bytes(payload["rpk_fingerprint"])
-            )
+            profile = self.publish_job(payload["jd"], payload["w"], payload["rpk_fingerprint"])
             self.jo_for_job[profile.job_id] = sender
             return [Outbound(sender, "job-published", {"job": profile.job_id})]
         if kind == "withdraw-request":
-            aid = self.account_of.get(sender)
-            if aid is None:
+            if sender not in self.bank.accounts:
                 raise ProtocolError("withdrawal from unenrolled resident")
             try:
-                signature = self.handle_withdrawal(aid, payload["request"])
+                signature = self.handle_withdrawal(sender, payload["request"])
             except ValueError as exc:
                 raise ProtocolError(str(exc)) from exc
             return [Outbound(sender, "withdraw-response", {"signature": signature})]
@@ -88,20 +89,20 @@ class MADecMachine(MarketAdministratorDec, Party):
             jo = self.jo_for_job.get(payload["job"])
             if jo is None:
                 raise ProtocolError(f"labor registration for unknown job {payload['job']!r}")
+            self.register_labor(sender, RSAPublicKey(*payload["rpk"]).fingerprint())
             return [Outbound(jo, "labor-forward",
                              {"job": payload["job"], "rpk": payload["rpk"]})]
         if kind == "payment-submission":
-            pseud = bytes(payload["pseudonym"])
-            self.accept_payment(pseud, payload["ciphertext"])
-            return self._maybe_deliver(pseud)
+            self.accept_payment(payload["pseudonym"], payload["ciphertext"])
+            return self._maybe_deliver(payload["pseudonym"])
         if kind == "data-submission":
-            pseud = bytes(payload["pseudonym"])
-            self.accept_data(DataReport(job_id=payload["job"], submitter_pseudonym=pseud,
+            self.accept_data(DataReport(job_id=payload["job"],
+                                        submitter_pseudonym=payload["pseudonym"],
                                         payload=payload["data"]))
-            return self._maybe_deliver(pseud)
+            return self._maybe_deliver(payload["pseudonym"])
         if kind == "payment-confirm":
             try:
-                report = self.release_data(bytes(payload["pseudonym"]))
+                report = self.release_data(payload["pseudonym"])
             except KeyError:
                 raise ProtocolError("confirmation without a held report") from None
             jo = self.jo_for_job.get(report.job_id)
@@ -110,14 +111,15 @@ class MADecMachine(MarketAdministratorDec, Party):
             return [Outbound(jo, "data-delivery",
                              {"job": report.job_id, "data": report.payload})]
         if kind == "deposit":
-            aid = self.account_of.get(sender)
-            if aid is None or aid != payload["aid"]:
+            if sender not in self.bank.accounts or payload["aid"] != sender:
                 raise ProtocolError("deposit with mismatched account identity")
             token = payload["coin"]
             if not isinstance(token, SpendToken):
                 raise ProtocolError("malformed coin in deposit")
+            if not isinstance(payload["at"], float):
+                raise ProtocolError("malformed deposit time")
             try:
-                self.handle_deposit(aid, token, self.clock + 1.0)
+                self.handle_deposit(sender, token, payload["at"])
             except DoubleSpendError as exc:
                 raise ProtocolError(f"double spend: {exc}") from exc
             except ValueError as exc:
@@ -129,43 +131,52 @@ class MADecMachine(MarketAdministratorDec, Party):
         ciphertext = self.payment_for(pseud)
         if ciphertext is None:
             return []
-        return [Outbound(sp_party_name(pseud), "payment-delivery", {"ciphertext": ciphertext})]
+        return [Outbound(self.worker_name(pseud), "payment-delivery",
+                         {"ciphertext": ciphertext})]
 
 
 class JODecMachine(JobOwnerDec, Party):
-    """A job owner for the message-driven market."""
+    """A job owner: withdraws as its account, runs each job as that
+    job's pseudonym."""
+
+    role = JO
 
     def __init__(
         self,
-        name: str,
+        aid: str,
         params: DECParams,
         rng: random.Random,
+        counter: OpCounter,
         *,
-        description: str,
-        payment: int,
-        rsa_bits: int = 512,
-        break_algorithm: str = "pcba",
+        rsa_bits: int = 1024,
+        break_algorithm: str = "epcba",
     ) -> None:
-        JobOwnerDec.__init__(self, name, params, rng, rsa_bits=rsa_bits,
+        JobOwnerDec.__init__(self, aid, params, rng, rsa_bits=rsa_bits,
                              break_algorithm=break_algorithm)
-        Party.__init__(self, name)
-        self.counter = OpCounter()
-        self.payment = payment
-        self.description = description
-        self.make_job_identity(self.counter)
+        Party.__init__(self, aid)
+        self.counter = counter
+        self.description = ""
+        self.payment = 0
         self.job_id: str | None = None
         self.received_reports: list[dict] = []
         self._deferred_labor: list[RSAPublicKey] = []
 
-    def attach_bank_key(self, bank_pk) -> None:
-        self._bank_pk = bank_pk
+    @property
+    def nym(self) -> str:
+        return pseudonym_name(self.job_key.public.fingerprint())
+
+    def begin_job(self, description: str, payment: int, bank_pk) -> None:
+        """Bind to a new job: a fresh job pseudonym for it."""
+        self.make_job_identity(self.counter)
+        self.description, self.payment, self._bank_pk = description, payment, bank_pk
+        self.job_id = None
 
     def start(self) -> list[Outbound]:
         return [
             Outbound(MA, "job-registration", {
                 "jd": self.description, "w": self.payment,
                 "rpk_fingerprint": self.job_key.public.fingerprint(),
-            }),
+            }, sender=self.nym),
             self._new_withdrawal(),
         ]
 
@@ -201,51 +212,63 @@ class JODecMachine(JobOwnerDec, Party):
             self._deferred_labor.append(sp_pub)
             return [self._new_withdrawal()]
         return [Outbound(MA, "payment-submission",
-                         {"pseudonym": sp_pub.fingerprint(), "ciphertext": ciphertext})]
+                         {"pseudonym": sp_pub.fingerprint(), "ciphertext": ciphertext},
+                         sender=self.nym)]
 
 
 class SPDecMachine(SensingParticipantDec, Party):
-    """A sensing participant for the message-driven market."""
+    """A sensing participant: works each job as a fresh labor
+    pseudonym, deposits as its account."""
+
+    role = SP
 
     def __init__(
         self,
+        aid: str,
         params: DECParams,
         rng: random.Random,
+        counter: OpCounter,
         *,
-        aid: str,
-        job_id: str,
-        jo_pseudonym_key: RSAPublicKey,
-        expected_payment: int,
-        bank_pk,
-        data_payload: bytes = b"sensed",
-        rsa_bits: int = 512,
+        rsa_bits: int = 1024,
     ) -> None:
         SensingParticipantDec.__init__(self, aid, params, rng, rsa_bits=rsa_bits)
-        self.counter = OpCounter()
-        self.job_id = job_id
-        self.jo_pseudonym_key = jo_pseudonym_key
-        self.expected_payment = expected_payment
-        self.bank_pk = bank_pk
-        self.data_payload = data_payload
-        self.make_labor_identity(self.counter)
-        Party.__init__(self, sp_party_name(self.pseudonym))
+        Party.__init__(self, aid)
+        self.counter = counter
         self.state = SPDecState.INIT
-        self.received_value = 0
+        self.bundle: PaymentBundle | None = None
 
     @property
     def pseudonym(self) -> bytes:
         return self.labor_key.public.fingerprint()
 
+    @property
+    def nym(self) -> str:
+        return pseudonym_name(self.pseudonym)
+
+    def bind(self, job: JobProfile, jo_pseudonym_key: RSAPublicKey, bank_pk,
+             data_payload: bytes, deposit_from: float | None) -> None:
+        """Take *job* from the board under a fresh labor pseudonym.
+
+        *deposit_from* is the market time the deposit waits start from,
+        or ``None`` to keep the verified coins in :attr:`collected`.
+        """
+        self.make_labor_identity(self.counter)
+        self.job, self.jo_pseudonym_key, self.bank_pk = job, jo_pseudonym_key, bank_pk
+        self.data_payload, self.deposit_from = data_payload, deposit_from
+        self.state = SPDecState.INIT
+        self.bundle = None
+
     def start(self) -> list[Outbound]:
         self.state = SPDecState.DATA_SENT
         return [
             Outbound(MA, "labor-registration", {
-                "job": self.job_id,
+                "job": self.job.job_id,
                 "rpk": (self.labor_key.public.n, self.labor_key.public.e),
-            }),
+            }, sender=self.nym),
             Outbound(MA, "data-submission", {
-                "pseudonym": self.pseudonym, "job": self.job_id, "data": self.data_payload,
-            }),
+                "pseudonym": self.pseudonym, "job": self.job.job_id,
+                "data": self.data_payload,
+            }, sender=self.nym),
         ]
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
@@ -260,61 +283,78 @@ class SPDecMachine(SensingParticipantDec, Party):
             if not bundle.signature_valid:
                 raise ProtocolError("JO signature on payment invalid")
             value = bundle.total_value(self.params.tree_level)
-            if value != self.expected_payment:
-                raise ProtocolError(
-                    f"payment value {value} != advertised {self.expected_payment}"
-                )
-            self.received_value = value
+            if value != self.job.payment:
+                raise ProtocolError(f"payment value {value} != advertised {self.job.payment}")
+            self.bundle = bundle
             self.state = SPDecState.PAID
-            out = [Outbound(MA, "payment-confirm", {"pseudonym": self.pseudonym})]
-            out += [
-                Outbound(MA, "deposit", {"aid": self.aid, "coin": token})
-                for token in bundle.tokens
-            ]
+            out = [Outbound(MA, "payment-confirm", {"pseudonym": self.pseudonym}, sender=self.nym)]
+            if self.deposit_from is not None:
+                out += [
+                    Outbound(MA, "deposit", {"aid": self.aid, "coin": token, "at": at})
+                    for at, token in self.deposit_schedule(self.deposit_from)
+                ]
+                self.collected.clear()
             return out
         raise ProtocolError(f"SP cannot handle message kind {kind!r}")
 
 
-def run_dec_machine_market(
-    params: DECParams,
-    rng: random.Random,
-    *,
-    n_workers: int,
-    payment: int,
-    jo_funds: int | None = None,
-    rsa_bits: int = 512,
-    break_algorithm: str = "pcba",
-) -> tuple[Router, MADecMachine, JODecMachine, list[SPDecMachine]]:
-    """Wire and run one message-driven PPMSdec market to quiescence."""
-    router = Router()
-    ma = MADecMachine(params, rng)
-    router.add(ma)
+class PPMSdecSession:
+    """Algorithm 1 for one market: residents enrol at the MA's bank,
+    and :meth:`run_job` drives one job's machines to quiescence.
 
-    coin_value = 1 << params.tree_level
-    jo = JODecMachine("JO", params, rng, description="machine-market sensing job",
-                      payment=payment, rsa_bits=rsa_bits,
-                      break_algorithm=break_algorithm)
-    jo.attach_bank_key(ma.bank.public_key)
-    router.add(jo)
-    ma.register_resident("JO", "jo-acct", jo_funds or coin_value * max(1, n_workers))
+    All traffic is metered per role on the shared :attr:`transport`
+    (Table II) and every operation tallied on :attr:`counter` (Table I).
+    """
 
-    # the JO registers its job and withdraws before workers arrive
-    router.activate("JO")
-    router.run()
-    assert jo.job_id is not None
+    def __init__(
+        self,
+        params: DECParams,
+        rng: random.Random,
+        *,
+        rsa_bits: int = 1024,
+        break_algorithm: str = "epcba",
+    ) -> None:
+        self.params = params
+        self.rng = rng
+        self.rsa_bits = rsa_bits
+        self.break_algorithm = break_algorithm
+        self.transport = Transport()
+        self.counter = OpCounter()
+        self.ma = MADecMachine(params, rng, self.counter)
+        #: the router the latest job ran on; its parties stay addressed
+        self.router: Router | None = None
 
-    sps = []
-    for i in range(n_workers):
-        sp = SPDecMachine(
-            params, rng, aid=f"sp-acct-{i}", job_id=jo.job_id,
-            jo_pseudonym_key=jo.job_key.public, expected_payment=payment,
-            bank_pk=ma.bank.public_key, rsa_bits=rsa_bits,
-        )
-        router.add(sp)
-        ma.register_resident(sp.name, sp.aid, 0)
-        sps.append(sp)
+    def new_job_owner(self, aid: str, funds: int) -> JODecMachine:
+        self.ma.bank.open_account(aid, funds)
+        return JODecMachine(aid, self.params, self.rng, self.counter,
+                            rsa_bits=self.rsa_bits, break_algorithm=self.break_algorithm)
 
-    for sp in sps:
-        router.activate(sp.name)
-    router.run()
-    return router, ma, jo, sps
+    def new_participant(self, aid: str) -> SPDecMachine:
+        self.ma.bank.open_account(aid, 0)
+        return SPDecMachine(aid, self.params, self.rng, self.counter, rsa_bits=self.rsa_bits)
+
+    def run_job(
+        self,
+        jo: JODecMachine,
+        sps: list[SPDecMachine],
+        *,
+        description: str = "sensing job",
+        payment: int = 1,
+        data_payload: bytes = b"sensing-data",
+        deposit: bool = True,
+    ) -> list[PaymentBundle]:
+        """Execute Algorithm 1 once for *jo* and each SP in *sps*, one SP
+        at a time; returns each SP's verified payment bundle."""
+        router = self.router = Router(self.transport)
+        router.add(self.ma)
+        bank_pk = self.ma.bank.public_key
+        jo.begin_job(description, payment, bank_pk)
+        drive(router, jo, jo.nym)
+        job = self.ma.board.lookup(jo.job_id)
+        bundles = []
+        for sp in sps:
+            sp.bind(job, jo.job_key.public, bank_pk, data_payload,
+                    self.ma.clock if deposit else None)
+            drive(router, sp, sp.nym)
+            bundles.append(sp.bundle)
+        return bundles

@@ -1,16 +1,24 @@
 """Message-driven protocol engine.
 
-The ``PPMS*Session`` classes orchestrate the paper's algorithms
-imperatively — convenient for tests and benches, but not how deployed
-parties run.  This engine provides the production shape: every party is
-a :class:`Party` that *only* reacts to delivered messages, and a
-:class:`Router` moves envelopes between parties through the accounted
-:class:`~repro.net.transport.Transport` until the system is quiescent.
+Every party is a :class:`Party` that *only* reacts to delivered
+messages, and a :class:`Router` moves envelopes between parties through
+the accounted :class:`~repro.net.transport.Transport` until the system
+is quiescent.  :mod:`repro.core.dec_machine` and
+:mod:`repro.core.pbs_machine` put PPMSdec and PPMSpbs on this engine:
+each party there is its actor class (the protocol steps, written once)
+plus :class:`Party` (addressing, message order, rejection), and each
+mechanism's session drives its machines through one router per job.
 
 Rules the router enforces:
 
 * parties never touch each other's objects — everything crosses the
   codec (so any state smuggling fails loudly);
+* a party may answer to several names (a resident to its account and
+  to its current pseudonym), sends only under a name it was added
+  under, and says which in :attr:`Outbound.sender`;
+* the transport meters each message under its parties' *roles*, not
+  their names, so Table II stays per role and the envelope log names no
+  resident;
 * delivery order is FIFO per router (deterministic);
 * a handler raising :class:`ProtocolError` poisons only that delivery;
   the error is recorded and the rest of the system keeps running —
@@ -19,11 +27,6 @@ Rules the router enforces:
   a mapping, a value of the wrong type) is such a message: a
   ``KeyError`` / ``TypeError`` / ``ValueError`` escaping a handler is
   recorded the same way, its error starting ``"malformed"``.
-
-:mod:`repro.core.dec_machine` and :mod:`repro.core.pbs_machine` put
-PPMSdec and PPMSpbs on this engine: each party there is its actor class
-(the protocol steps, written once) plus :class:`Party` (addressing,
-message order, rejection).
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ from typing import Any
 
 from repro.net.transport import Transport
 
-__all__ = ["Outbound", "Party", "ProtocolError", "Router", "DeliveryFailure"]
+__all__ = ["Outbound", "Party", "ProtocolError", "Router", "DeliveryFailure", "drive"]
 
 
-class ProtocolError(Exception):
+class ProtocolError(ValueError):
     """A party rejected a message (malformed, out of order, forged)."""
 
 
@@ -50,6 +53,8 @@ class Outbound:
     receiver: str
     kind: str
     payload: Any
+    #: the sending party's name this goes out under (``None``: its own)
+    sender: str | None = None
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,9 @@ class DeliveryFailure:
 
 class Party(ABC):
     """A protocol participant addressed by ``name``."""
+
+    #: what the transport meters this party's traffic as (``None``: its name)
+    role: str | None = None
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -97,15 +105,17 @@ class Router:
         self._queue: deque[tuple[str, Outbound]] = deque()
         self._shuffle_rng = shuffle_rng
 
-    def add(self, party: Party) -> None:
-        if party.name in self.parties:
-            raise ValueError(f"party {party.name!r} already registered")
-        self.parties[party.name] = party
+    def add(self, party: Party, *aliases: str) -> None:
+        """Address *party* by its name and by each of *aliases* (a name
+        it already has is kept; another party's is refused)."""
+        for name in (party.name, *aliases):
+            if self.parties.setdefault(name, party) is not party:
+                raise ValueError(f"party {name!r} already registered")
 
     def activate(self, name: str) -> None:
         """Run a party's :meth:`Party.start` and enqueue its messages."""
-        for out in self.parties[name].start():
-            self._queue.append((name, out))
+        party = self.parties[name]
+        self._enqueue(party, party.start())
 
     def post(self, sender: str, out: Outbound) -> None:
         """Inject a message from outside (e.g. a driver or an attacker)."""
@@ -119,24 +129,51 @@ class Router:
                 raise RuntimeError(f"delivery budget exhausted ({max_deliveries})")
             if self._shuffle_rng is not None and len(self._queue) > 1:
                 self._queue.rotate(-self._shuffle_rng.randrange(len(self._queue)))
-            sender, out = self._queue.popleft()
-            receiver = self.parties.get(out.receiver)
-            if receiver is None:
-                raise KeyError(f"message for unknown party {out.receiver!r}")
-            payload = self.transport.send(sender, out.receiver, out.kind, out.payload)
-            replies, error = [], None
-            try:
-                replies = receiver.handle(sender, out.kind, payload)
-            except ProtocolError as exc:
-                error = str(exc)
-            except (KeyError, TypeError, ValueError) as exc:
-                error = f"malformed {out.kind} message: {exc!r}"
-            if error is not None:
-                self.failures.append(
-                    DeliveryFailure(sender=sender, receiver=out.receiver,
-                                    kind=out.kind, error=error)
-                )
-            for reply in replies:
-                self._queue.append((out.receiver, reply))
+            self._deliver(*self._queue.popleft())
             delivered += 1
         return delivered
+
+    def _deliver(self, sender: str, out: Outbound) -> None:
+        receiver = self.parties.get(out.receiver)
+        if receiver is None:
+            raise KeyError(f"message for unknown party {out.receiver!r}")
+        payload = self.transport.send(
+            self._role(sender), self._role(out.receiver), out.kind, out.payload)
+        try:
+            replies = receiver.handle(sender, out.kind, payload)
+        except ProtocolError as exc:
+            error = str(exc)
+        except (KeyError, TypeError, ValueError) as exc:
+            error = f"malformed {out.kind} message: {exc!r}"
+        else:
+            self._enqueue(receiver, replies)
+            return
+        self.failures.append(DeliveryFailure(sender=sender, receiver=out.receiver,
+                                             kind=out.kind, error=error))
+
+    def _enqueue(self, party: Party, outs: list[Outbound]) -> None:
+        for out in outs:
+            name = party.name if out.sender is None else out.sender
+            if self.parties.get(name) is not party:
+                raise ValueError(f"party {party.name!r} cannot send as {name!r}")
+            self._queue.append((name, out))
+
+    def _role(self, name: str) -> str:
+        party = self.parties.get(name)
+        return name if party is None or party.role is None else party.role
+
+
+def drive(router: Router, party: Party, *aliases: str) -> None:
+    """One step of a synchronous session: add *party* (under *aliases*
+    too), activate it and run the router to quiescence.
+
+    A session runs honest parties, so a rejected delivery means the run
+    failed: the first one is raised as a :class:`ProtocolError`.
+    """
+    router.add(party, *aliases)
+    router.activate(party.name)
+    router.run()
+    if router.failures:
+        failure = router.failures[0]
+        raise ProtocolError(
+            f"{failure.kind} from {failure.sender!r} rejected: {failure.error}")

@@ -5,9 +5,9 @@ jobs in one place.  The MA publishes registered jobs on a bulletin
 board all residents can read; SPs pick jobs, submit sensing data, and
 get paid.  This module holds the mechanism-independent pieces —
 including :class:`MarketDesk`, the MA's board and payment-for-data
-escrow, written once; the two mechanisms
-(:mod:`~repro.core.ppms_dec`, :mod:`~repro.core.ppms_pbs`) build their
-message flows on top.
+escrow and its labor registry, written once; the two mechanisms
+(:mod:`~repro.core.dec_machine`, :mod:`~repro.core.pbs_machine`) build
+their message flows on top.
 """
 
 from __future__ import annotations
@@ -15,7 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["JobProfile", "BulletinBoard", "DataReport", "MarketDesk", "new_job_id"]
+from repro.core.engine import ProtocolError
+
+__all__ = [
+    "JobProfile", "BulletinBoard", "DataReport", "MarketDesk", "new_job_id", "pseudonym_name",
+]
 
 _job_counter = 0
 
@@ -25,6 +29,15 @@ def new_job_id() -> str:
     global _job_counter
     _job_counter += 1
     return f"job-{_job_counter:06d}"
+
+
+def pseudonym_name(fingerprint: bytes) -> str:
+    """The name a resident sends job traffic under: its pseudonym.
+
+    Account traffic goes under the account's own name; the two are
+    never joined, so nothing the MA routes by links a job to an account.
+    """
+    return "nym:" + fingerprint.hex()
 
 
 @dataclass(frozen=True)
@@ -91,7 +104,9 @@ class DataReport:
 class MarketDesk:
     """The MA's desk: the bulletin board plus the two-sided escrow of
     paper Section III-A — a payment is held until the SP's data is
-    held, and the data until the SP confirms the payment.
+    held, and the data until the SP confirms the payment — and the
+    relay's one rule: it forwards only to a pseudonym that registered
+    labor, from that pseudonym's own name.
 
     A payment is whatever the mechanism relays (PPMSdec: a ciphertext,
     PPMSpbs: a ``(pbs, ctr)`` pair); the desk never looks inside.
@@ -103,6 +118,8 @@ class MarketDesk:
         self._pending_payments: dict[bytes, Any] = {}
         # SP pseudonym fingerprint -> report held until the SP confirms
         self._held_reports: dict[bytes, DataReport] = {}
+        # SP pseudonym fingerprints that registered labor
+        self._workers: set[bytes] = set()
 
     def publish_job(self, description: str, payment: int, owner_pseudonym: bytes) -> JobProfile:
         profile = JobProfile(
@@ -113,6 +130,18 @@ class MarketDesk:
         )
         self.board.publish(profile)
         return profile
+
+    def register_labor(self, sender: str, sp_pseudonym: Any) -> None:
+        """Record a labor registration sent under *sp_pseudonym*'s name."""
+        if not isinstance(sp_pseudonym, bytes) or sender != pseudonym_name(sp_pseudonym):
+            raise ProtocolError("labor registered under another name than its pseudonym")
+        self._workers.add(sp_pseudonym)
+
+    def worker_name(self, sp_pseudonym: Any) -> str:
+        """Where to relay for *sp_pseudonym*: only a pseudonym with labor."""
+        if sp_pseudonym not in self._workers:
+            raise ProtocolError(f"no labor registered under pseudonym {sp_pseudonym!r}")
+        return pseudonym_name(sp_pseudonym)
 
     def accept_payment(self, sp_pseudonym: bytes, payment: Any) -> None:
         self._pending_payments[sp_pseudonym] = payment

@@ -13,9 +13,11 @@ Party roles:
   RSA pseudonym, submits data, receives/verifies the encrypted payment,
   and deposits the coins one by one after random delays.
 
-Every message goes through the shared :class:`~repro.net.Transport`
-(bytes metered for Table II) and every cryptographic operation is
-tallied in an :class:`~repro.metrics.OpCounter` (Table I).  The
+These actors own every protocol step and tally each cryptographic
+operation in an :class:`~repro.metrics.OpCounter` (Table I); the order
+of the steps lives in :mod:`repro.core.dec_machine`, whose machines are
+these actors plus :class:`~repro.core.engine.Party` and whose
+:class:`~repro.core.dec_machine.PPMSdecSession` drives them.  The
 ``clock`` is logical time used only for the randomized deposit delays
 the paper prescribes ("SP waits for a random period of time between two
 consecutive deposits").
@@ -27,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from repro.core.cashbreak import BREAK_FN_BY_NAME
-from repro.core.market import DataReport, MarketDesk
+from repro.core.market import MarketDesk
 from repro.crypto import rsa
 from repro.ecash.dec import Coin, DECBank, begin_withdrawal, finish_withdrawal
 from repro.ecash.fake import pad_payment
@@ -44,7 +46,6 @@ __all__ = [
     "MarketAdministratorDec",
     "JobOwnerDec",
     "SensingParticipantDec",
-    "PPMSdecSession",
 ]
 
 BREAK_ALGORITHMS = BREAK_FN_BY_NAME
@@ -269,15 +270,6 @@ class SensingParticipantDec:
         counter.record(SP, "H")  # pseudonym fingerprint derivation
         return self.labor_key.public
 
-    # -- data -----------------------------------------------------------------
-    def make_report(self, job_id: str, payload: bytes) -> DataReport:
-        assert self.labor_key is not None, "register labor first"
-        return DataReport(
-            job_id=job_id,
-            submitter_pseudonym=self.labor_key.public.fingerprint(),
-            payload=payload,
-        )
-
     # -- step 8: money deposit (verification half) ---------------------------------
     def open_payment(
         self,
@@ -322,109 +314,3 @@ class SensingParticipantDec:
             plan.append((t, token))
             t += self.rng.uniform(0.5, 5.0)
         return plan
-
-
-class PPMSdecSession:
-    """End-to-end Algorithm 1 orchestration for one job and its SPs.
-
-    Construct once per market instance; :meth:`run_job` executes the
-    full message flow for one JO and any number of SPs and returns the
-    per-SP payment bundles.  All traffic/ops are metered on the shared
-    transport/counter.
-    """
-
-    def __init__(
-        self,
-        params: DECParams,
-        rng: random.Random,
-        *,
-        rsa_bits: int = 1024,
-        break_algorithm: str = "epcba",
-    ) -> None:
-        self.params = params
-        self.rng = rng
-        self.rsa_bits = rsa_bits
-        self.break_algorithm = break_algorithm
-        self.transport = Transport()
-        self.counter = OpCounter()
-        self.ma = MarketAdministratorDec(params, rng, self.counter)
-
-    def new_job_owner(self, aid: str, funds: int) -> JobOwnerDec:
-        self.ma.bank.open_account(aid, funds)
-        return JobOwnerDec(
-            aid, self.params, self.rng, rsa_bits=self.rsa_bits, break_algorithm=self.break_algorithm
-        )
-
-    def new_participant(self, aid: str) -> SensingParticipantDec:
-        self.ma.bank.open_account(aid, 0)
-        return SensingParticipantDec(aid, self.params, self.rng, rsa_bits=self.rsa_bits)
-
-    def run_job(
-        self,
-        jo: JobOwnerDec,
-        sps: list[SensingParticipantDec],
-        *,
-        description: str = "sensing job",
-        payment: int = 1,
-        data_payload: bytes = b"sensing-data",
-        deposit: bool = True,
-    ) -> list[PaymentBundle]:
-        """Execute Algorithm 1 once for *jo* and each SP in *sps*."""
-        transport, counter, ma = self.transport, self.counter, self.ma
-
-        # 1. job registration: JO -> MA -> bulletin board
-        rpk_jo = jo.make_job_identity(counter)
-        job_msg = transport.send(JO, MA, "job-registration",
-                                 {"jd": description, "w": payment, "rpk": (rpk_jo.n, rpk_jo.e)})
-        profile = ma.publish_job(job_msg["jd"], job_msg["w"], rpk_jo.fingerprint())
-
-        # 2. money withdrawal (blind): JO <-> MA
-        jo.withdraw(ma, transport, counter)
-
-        bundles: list[PaymentBundle] = []
-        for sp in sps:
-            # 3. labor registration: SP -> MA -> JO
-            rpk_sp = sp.make_labor_identity(counter)
-            transport.send(SP, MA, "labor-registration", (rpk_sp.n, rpk_sp.e))
-            transport.send(MA, JO, "labor-forward", (rpk_sp.n, rpk_sp.e))
-
-            # 4+6. payment submission: JO -> MA (encrypted, designated receiver)
-            # withdraw additional coins on demand until the payment fits
-            while True:
-                try:
-                    ciphertext = jo.build_payment(rpk_sp, payment, counter)
-                    break
-                except InsufficientFunds:
-                    jo.withdraw(ma, transport, counter)
-            transport.send(JO, MA, "payment-submission",
-                           {"ciphertext": ciphertext, "rpk": (rpk_sp.n, rpk_sp.e)})
-            ma.accept_payment(rpk_sp.fingerprint(), ciphertext)
-
-            # 7. data submission: SP -> MA
-            report = sp.make_report(profile.job_id, data_payload)
-            transport.send(SP, MA, "data-submission",
-                           {"job": report.job_id, "data": report.payload,
-                            "pseudonym": report.submitter_pseudonym})
-            ma.accept_data(report)
-
-            # payment delivery: MA -> SP
-            delivered = ma.payment_for(rpk_sp.fingerprint())
-            assert delivered is not None
-            delivered = transport.send(MA, SP, "payment-delivery", delivered)
-
-            # 8. money deposit, part 1: open + verify, confirm, data release
-            bundle = sp.open_payment(delivered, rpk_jo, ma.bank.public_key, counter)
-            bundles.append(bundle)
-            if bundle.signature_valid and bundle.total_value(self.params.tree_level) == payment:
-                transport.send(SP, MA, "payment-confirm", True)
-                released = ma.release_data(rpk_sp.fingerprint())
-                transport.send(MA, JO, "data-delivery",
-                               {"job": released.job_id, "data": released.payload})
-
-            # 8. money deposit, part 2: coins one by one with random delays
-            if deposit:
-                for at_time, token in sp.deposit_schedule(ma.clock):
-                    token = transport.send(SP, MA, "deposit", {"aid": sp.aid, "coin": token})["coin"]
-                    ma.handle_deposit(sp.aid, token, at_time)
-                sp.collected.clear()
-        return bundles

@@ -27,6 +27,11 @@ Message flow (Algorithm 4), all via the MA:
 6.  SP → MA:  ``(sig, rpk_SP, rpk_JO, serial)`` — deposit; the MA
     verifies, checks serial freshness, and moves one credit from the
     JO's to the SP's account.
+
+The actors here own every step and its Table I tally; the order of the
+steps lives in :mod:`repro.core.pbs_machine`, whose machines are these
+actors plus :class:`~repro.core.engine.Party` and whose
+:class:`~repro.core.pbs_machine.PPMSpbsSession` drives them.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.core.market import DataReport, JobProfile, MarketDesk
+from repro.core.market import MarketDesk
 from repro.crypto import rsa
 from repro.crypto.partial_blind import (
     PartialBlindRequester,
@@ -44,7 +49,6 @@ from repro.crypto.partial_blind import (
 )
 from repro.metrics.opcount import OpCounter
 from repro.net.codec import decode, encode
-from repro.net.transport import Transport
 
 __all__ = [
     "DoubleDepositError",
@@ -52,7 +56,6 @@ __all__ = [
     "MarketAdministratorPbs",
     "JobOwnerPbs",
     "SensingParticipantPbs",
-    "PPMSpbsSession",
     "CoinReceipt",
 ]
 
@@ -146,12 +149,6 @@ class MarketAdministratorPbs(MarketDesk):
         super().__init__()
         self.counter = counter
         self.bank = VirtualBankPbs()
-
-    def publish_job(self, description: str, owner_pseudonym: bytes) -> JobProfile:
-        return super().publish_job(description, 1, owner_pseudonym)  # unitary market
-
-    def accept_payment(self, sp_pseudonym: bytes, blinded_sig: int, counter_value: int) -> None:
-        super().accept_payment(sp_pseudonym, (blinded_sig, counter_value))
 
     def handle_deposit(
         self,
@@ -277,14 +274,6 @@ class SensingParticipantPbs:
         counter.record(SP, "H")  # the blinded representative hash
         return self._requester.blind(self.account_pub.fingerprint(), self.serial)
 
-    def make_report(self, job_id: str, payload: bytes) -> DataReport:
-        assert self.labor_key is not None
-        return DataReport(
-            job_id=job_id,
-            submitter_pseudonym=self.labor_key.public.fingerprint(),
-            payload=payload,
-        )
-
     def finalize_coin(self, blinded_sig: int, counter_value: int, op_counter: OpCounter) -> CoinReceipt:
         """Unblind and verify the coin (raises on signer misbehaviour)."""
         assert self._requester is not None and self._jo_account is not None
@@ -295,96 +284,3 @@ class SensingParticipantPbs:
         )
         self.receipts.append(receipt)
         return receipt
-
-
-class PPMSpbsSession:
-    """End-to-end Algorithm 4 orchestration."""
-
-    def __init__(self, rng: random.Random, *, rsa_bits: int = 1024) -> None:
-        self.rng = rng
-        self.rsa_bits = rsa_bits
-        self.transport = Transport()
-        self.counter = OpCounter()
-        self.ma = MarketAdministratorPbs(self.counter)
-
-    def new_job_owner(self, funds: int) -> JobOwnerPbs:
-        jo = JobOwnerPbs(self.rng, rsa_bits=self.rsa_bits)
-        self.ma.bank.open_account(jo.account_pub, funds)
-        return jo
-
-    def new_participant(self) -> SensingParticipantPbs:
-        sp = SensingParticipantPbs(self.rng, rsa_bits=self.rsa_bits)
-        self.ma.bank.open_account(sp.account_pub, 0)
-        return sp
-
-    def run_job(
-        self,
-        jo: JobOwnerPbs,
-        sps: list[SensingParticipantPbs],
-        *,
-        description: str = "unitary sensing job",
-        data_payload: bytes = b"sensing-data",
-        deposit: bool = True,
-    ) -> list[CoinReceipt]:
-        """Execute Algorithm 4 once for *jo* and each SP in *sps*."""
-        transport, counter, ma = self.transport, self.counter, self.ma
-
-        # 1. job registration under an ephemeral pseudonym
-        rpk_jo = jo.make_job_identity(counter)
-        transport.send(JO, MA, "job-registration",
-                       {"jd": description, "rpk": (rpk_jo.n, rpk_jo.e)})
-        profile = ma.publish_job(description, rpk_jo.fingerprint())
-
-        receipts: list[CoinReceipt] = []
-        for sp in sps:
-            # 2. labor registration: SP -> MA -> JO (encrypted to rpk_jo)
-            c1 = sp.make_labor_request(rpk_jo, counter)
-            c1 = transport.send(SP, MA, "labor-registration", c1)
-            c1 = transport.send(MA, JO, "labor-forward", c1)
-
-            # 3. JO answers with its real account key, signed
-            c2 = jo.answer_labor_registration(c1, counter)
-            c2 = transport.send(JO, MA, "labor-answer", c2)
-            c2 = transport.send(MA, SP, "labor-answer-forward", c2)
-            if not sp.open_labor_answer(c2, rpk_jo, counter):
-                raise RuntimeError("SP aborts: JO signature failed (Section V step 3)")
-
-            # 4. payment submission: SP blinds, JO signs, MA holds
-            blinded = sp.make_blinded_payment_request(counter)
-            blinded = transport.send(SP, MA, "blinded-payment", blinded)
-            blinded = transport.send(MA, JO, "blinded-payment-forward", blinded)
-            blind_sig, ctr = jo.sign_payment(blinded, sp.serial, counter)
-            msg = transport.send(JO, MA, "payment-submission",
-                                 {"pbs": blind_sig, "ctr": ctr,
-                                  "rpk": (sp.labor_key.public.n, sp.labor_key.public.e)})
-            ma.accept_payment(sp.labor_key.public.fingerprint(), msg["pbs"], msg["ctr"])
-
-            # 5. data submission and payment delivery
-            report = sp.make_report(profile.job_id, data_payload)
-            transport.send(SP, MA, "data-submission",
-                           {"job": report.job_id, "data": report.payload,
-                            "pseudonym": report.submitter_pseudonym})
-            ma.accept_data(report)
-            pending = ma.payment_for(sp.labor_key.public.fingerprint())
-            assert pending is not None
-            pending = transport.send(MA, SP, "payment-delivery",
-                                     {"pbs": pending[0], "ctr": pending[1]})
-
-            receipt = sp.finalize_coin(pending["pbs"], pending["ctr"], counter)
-            receipts.append(receipt)
-
-            # SP confirms; MA forwards the data to the JO
-            transport.send(SP, MA, "payment-confirm", True)
-            released = ma.release_data(sp.labor_key.public.fingerprint())
-            transport.send(MA, JO, "data-delivery",
-                           {"job": released.job_id, "data": released.payload})
-
-            # 6. money deposit (after a random wait, simulated logically)
-            if deposit:
-                dep = transport.send(SP, MA, "deposit", {
-                    "sig": receipt.signature,
-                    "sp_key": (sp.account_pub.n, sp.account_pub.e),
-                    "jo_key": list(receipt.jo_account_key),
-                })
-                ma.handle_deposit(dep["sig"], tuple(dep["sp_key"]), tuple(dep["jo_key"]))
-        return receipts

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.core.ppms_dec import JobOwnerDec, PPMSdecSession, SensingParticipantDec
+from repro.core.dec_machine import JODecMachine, PPMSdecSession, SPDecMachine
 from repro.crypto.hashing import sha256
 
 __all__ = ["RedemptionVoucher", "RedemptionDesk", "trade_sensing_service"]
@@ -76,12 +76,12 @@ class RedemptionDesk:
 def trade_sensing_service(
     session: PPMSdecSession,
     buyer_aid: str,
-    seller: SensingParticipantDec,
+    seller: SPDecMachine,
     *,
     payment: int,
     description: str = "peer sensing service",
     data_payload: bytes = b"peer-sensing-data",
-) -> JobOwnerDec:
+) -> JODecMachine:
     """An earned-credits holder buys sensing work from another SP.
 
     The buyer's account must already exist at the session's bank (it
@@ -100,10 +100,11 @@ def trade_sensing_service(
             f"buyer needs at least one whole coin ({coin_value}) on account "
             f"to withdraw; change is re-deposited after the trade"
         )
-    buyer = JobOwnerDec(
+    buyer = JODecMachine(
         buyer_aid,
         session.params,
         session.rng,
+        session.counter,
         rsa_bits=session.rsa_bits,
         break_algorithm=session.break_algorithm,
     )

@@ -19,8 +19,8 @@ import time
 
 from repro.attacks.linkage import denomination_experiment
 from repro.attacks.timing import timing_experiment
-from repro.core.ppms_dec import PPMSdecSession
-from repro.core.ppms_pbs import PPMSpbsSession
+from repro.core.dec_machine import PPMSdecSession
+from repro.core.pbs_machine import PPMSpbsSession
 from repro.crypto.cl_sig import cl_blind_issue, cl_keygen
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal, setup
 from repro.ecash.spend import create_spend, verify_spend

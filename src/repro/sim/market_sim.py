@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.attacks.timing import DeliveryEvent, TimedDeposit, TimingAdversary
-from repro.core.ppms_dec import PPMSdecSession
+from repro.core.dec_machine import PPMSdecSession
 from repro.sim.events import EventQueue
 
 __all__ = [

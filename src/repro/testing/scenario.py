@@ -37,12 +37,8 @@ from dataclasses import dataclass, field
 
 import repro.obs as obs
 from repro.core.pbs_ledger import audit_pbs_bank, restore_pbs_bank, snapshot_pbs_bank
-from repro.core.ppms_pbs import (
-    CoinReceipt,
-    DoubleDepositError,
-    PPMSpbsSession,
-    VirtualBankPbs,
-)
+from repro.core.pbs_machine import PPMSpbsSession
+from repro.core.ppms_pbs import CoinReceipt, DoubleDepositError, VirtualBankPbs
 from repro.crypto import rsa
 from repro.crypto.cl_sig import CLKeyPair, cl_keygen
 from repro.ecash.dec import setup
@@ -134,7 +130,31 @@ class ScenarioResult:
         return "\n".join(lines)
 
 
-def _count_verdicts(result: ScenarioResult) -> None:
+def _check_replies(
+    result: ScenarioResult,
+    requests: tuple["_KitRequest", ...],
+    schedule: list,
+    reply_for,
+    findings: list[str],
+    coin: str,
+) -> dict[int, list[str]]:
+    """The checks both runners end with: a delivered request is
+    answered and a dropped one is not, and no *coin* is deposited ``OK``
+    twice.  Fills ``result``'s verdicts and counts; returns the ``OK``
+    rids per token index."""
+    delivered_rids = {requests[d.original].rid for d in schedule}
+    for request in requests:
+        reply = reply_for(request.rid)
+        if request.rid not in delivered_rids:
+            if reply is not None:
+                findings.append(
+                    f"rid {request.rid!r} was dropped by the network yet answered"
+                )
+            continue
+        if reply is None:
+            findings.append(f"rid {request.rid!r} delivered but never answered")
+            continue
+        result.verdicts[request.rid] = reply[0]
     for status in result.verdicts.values():
         if status == "OK":
             result.ok += 1
@@ -142,6 +162,18 @@ def _count_verdicts(result: ScenarioResult) -> None:
             result.rejected += 1
         elif status == "ERROR":
             result.errors += 1
+
+    ok_by_token: dict[int, list[str]] = {}
+    for request in requests:
+        if result.verdicts.get(request.rid) == "OK":
+            ok_by_token.setdefault(request.token_index, []).append(request.rid)
+    for token_index, rids in sorted(ok_by_token.items()):
+        if len(rids) > 1:
+            findings.append(
+                f"{coin} {token_index} deposited OK under {len(rids)} rids "
+                f"{rids} — a double deposit was admitted"
+            )
+    return ok_by_token
 
 
 # ---------------------------------------------------------------------------
@@ -369,31 +401,8 @@ def run_deposit_scenario(
     findings.extend(f"final: {f}" for f in sweep.findings)
 
     # scenario-level checks -------------------------------------------------
-    delivered_rids = {kit.requests[d.original].rid for d in schedule}
-    for request in kit.requests:
-        reply = service.reply_for(request.rid)
-        if request.rid not in delivered_rids:
-            if reply is not None:
-                findings.append(
-                    f"rid {request.rid!r} was dropped by the network yet answered"
-                )
-            continue
-        if reply is None:
-            findings.append(f"rid {request.rid!r} delivered but never answered")
-            continue
-        result.verdicts[request.rid] = reply[0]
-    _count_verdicts(result)
-
-    ok_by_token: dict[int, list[str]] = {}
-    for request in kit.requests:
-        if result.verdicts.get(request.rid) == "OK":
-            ok_by_token.setdefault(request.token_index, []).append(request.rid)
-    for token_index, rids in sorted(ok_by_token.items()):
-        if len(rids) > 1:
-            findings.append(
-                f"token {token_index} deposited OK under {len(rids)} rids "
-                f"{rids} — a double deposit was admitted"
-            )
+    ok_by_token = _check_replies(result, kit.requests, schedule, service.reply_for,
+                                 findings, "token")
 
     expected = {aid: balance - coins * (1 << kit.params.tree_level)
                 for aid, balance, coins in kit.funding}
@@ -685,31 +694,8 @@ def run_pbs_scenario(
     result.crashes = len(clock.fired)
     findings.extend(f"final: {f}" for f in _pbs_findings(service, kit))
 
-    delivered_rids = {kit.requests[d.original].rid for d in schedule}
-    for request in kit.requests:
-        reply = service.reply_for(request.rid)
-        if request.rid not in delivered_rids:
-            if reply is not None:
-                findings.append(
-                    f"rid {request.rid!r} was dropped by the network yet answered"
-                )
-            continue
-        if reply is None:
-            findings.append(f"rid {request.rid!r} delivered but never answered")
-            continue
-        result.verdicts[request.rid] = reply[0]
-    _count_verdicts(result)
-
-    ok_by_receipt: dict[int, list[str]] = {}
-    for request in kit.requests:
-        if result.verdicts.get(request.rid) == "OK":
-            ok_by_receipt.setdefault(request.token_index, []).append(request.rid)
-    for receipt_index, rids in sorted(ok_by_receipt.items()):
-        if len(rids) > 1:
-            findings.append(
-                f"coin {receipt_index} deposited OK under {len(rids)} rids "
-                f"{rids} — a double deposit was admitted"
-            )
+    ok_by_receipt = _check_replies(result, kit.requests, schedule, service.reply_for,
+                                   findings, "coin")
 
     expected = {aid: balance for aid, _key, balance in kit.accounts}
     for receipt_index in ok_by_receipt:

@@ -11,7 +11,7 @@ from repro.attacks.malicious import (
     ma_peeks_payment,
     sp_replays_token,
 )
-from repro.core.ppms_dec import PPMSdecSession
+from repro.core.dec_machine import PPMSdecSession
 
 
 @pytest.fixture()
@@ -60,7 +60,7 @@ class TestCuriousMA:
 class TestMaliciousPbs:
     @pytest.fixture()
     def pbs_session(self, rng):
-        from repro.core.ppms_pbs import PPMSpbsSession
+        from repro.core.pbs_machine import PPMSpbsSession
 
         return PPMSpbsSession(rng, rsa_bits=512)
 

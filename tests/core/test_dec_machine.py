@@ -1,4 +1,5 @@
-"""Tests for the message-driven PPMSdec state machines."""
+"""Tests for the message-driven PPMSdec state machines, driven by the
+session the way every caller drives them."""
 
 from __future__ import annotations
 
@@ -6,13 +7,35 @@ import random
 
 import pytest
 
-from repro.core.dec_machine import run_dec_machine_market
+from repro.core.dec_machine import PPMSdecSession
 from repro.core.engine import Outbound
+
+
+def _market(dec_params, rng, *, n_workers=2, payment=3, jo_funds=None,
+            break_algorithm="pcba"):
+    """One job run by the session; returns its router and parties."""
+    session = PPMSdecSession(dec_params, rng, rsa_bits=512, break_algorithm=break_algorithm)
+    coin_value = 1 << dec_params.tree_level
+    jo = session.new_job_owner("jo-acct", jo_funds or coin_value * max(1, n_workers))
+    sps = [session.new_participant(f"sp-acct-{i}") for i in range(n_workers)]
+    session.run_job(jo, sps, payment=payment, description="machine-market sensing job")
+    return session, jo, sps
+
+
+def _late_worker(session, jo, aid):
+    """One more honest SP queued on the router the last job ran on."""
+    sp = session.new_participant(aid)
+    sp.bind(session.ma.board.lookup(jo.job_id), jo.job_key.public,
+            session.ma.bank.public_key, b"late", session.ma.clock)
+    session.router.add(sp, sp.nym)
+    session.router.activate(sp.name)
+    return sp
 
 
 @pytest.fixture()
 def market(dec_params, rng):
-    return run_dec_machine_market(dec_params, rng, n_workers=2, payment=3)
+    session, jo, sps = _market(dec_params, rng)
+    return session.router, session.ma, jo, sps
 
 
 class TestHappyPath:
@@ -20,7 +43,7 @@ class TestHappyPath:
         router, ma, jo, sps = market
         assert not router.failures, router.failures
         for sp in sps:
-            assert sp.received_value == 3
+            assert sp.bundle.total_value(ma.params.tree_level) == 3
             assert ma.bank.balance(sp.aid) == 3
 
     def test_job_published(self, market):
@@ -38,35 +61,25 @@ class TestHappyPath:
         in_wallets = sum(w.balance for (_, w) in jo.coins)
         total = sum(ma.bank.accounts.values()) + in_wallets
         coin_value = 1 << dec_params.tree_level
-        assert total == coin_value * 2  # the driver's default funding
+        assert total == coin_value * 2  # the fixture's funding
 
     def test_matches_session_outcome(self, dec_params, rng):
-        """Differential: state machines and imperative session agree."""
-        router, ma, jo, sps = run_dec_machine_market(
-            dec_params, rng, n_workers=1, payment=5
-        )
-        from repro.core.ppms_dec import PPMSdecSession
-
-        session = PPMSdecSession(dec_params, random.Random(99), rsa_bits=512,
-                                 break_algorithm="pcba")
-        jo_s = session.new_job_owner("jo", funds=1 << dec_params.tree_level)
-        sp_s = session.new_participant("sp")
-        session.run_job(jo_s, [sp_s], payment=5)
-        assert ma.bank.balance(sps[0].aid) == session.ma.bank.balance("sp")
+        """Pinned from the imperative session the machines replaced."""
+        session, jo, (sp,) = _market(dec_params, rng, n_workers=1, payment=5, jo_funds=64)
+        assert session.ma.bank.balance(sp.aid) == 5
+        assert sorted(session.ma.bank.accounts.values()) == [5, 56]
 
 
 class TestMultiCoinWithdrawal:
     def test_jo_withdraws_on_demand(self, dec_params, rng):
         """Two payments of 5 exceed one 2^3 coin — the machine JO must
         request a second withdrawal mid-protocol."""
-        router, ma, jo, sps = run_dec_machine_market(
-            dec_params, rng, n_workers=2, payment=5,
-            jo_funds=4 * (1 << dec_params.tree_level),
-        )
-        assert not router.failures, router.failures
+        session, jo, sps = _market(dec_params, rng, payment=5,
+                                   jo_funds=4 * (1 << dec_params.tree_level))
+        assert not session.router.failures, session.router.failures
         assert len(jo.coins) >= 2
         for sp in sps:
-            assert ma.bank.balance(sp.aid) == 5
+            assert session.ma.bank.balance(sp.aid) == 5
 
 
 class TestAdversarialMessages:
@@ -85,9 +98,7 @@ class TestAdversarialMessages:
         router, ma, jo, sps = market
         sp0, sp1 = sps
         # craft: sp0 sends a deposit claiming sp1's aid
-        from repro.ecash.dec import begin_withdrawal, finish_withdrawal
         from repro.ecash.spend import create_spend
-        from repro.ecash.tree import NodeId
 
         rng2 = random.Random(17)
         coin, wallet = jo.coins[0]
@@ -95,7 +106,7 @@ class TestAdversarialMessages:
         token = create_spend(ma.params, ma.bank.public_key, coin.secret,
                              coin.signature, node, rng2)
         router.post(sp0.name, Outbound("MA", "deposit",
-                                       {"aid": sp1.aid, "coin": token}))
+                                       {"aid": sp1.aid, "coin": token, "at": 1.0}))
         router.run()
         assert any("mismatched account" in f.error for f in router.failures)
 
@@ -104,7 +115,7 @@ class TestAdversarialMessages:
         sp = sps[0]
         # replay one of sp's already-deposited coins
         deposits = [e for e in router.transport.log
-                    if e.kind == "deposit" and e.sender == sp.name]
+                    if e.kind == "deposit" and e.payload["aid"] == sp.aid]
         assert deposits
         router.post(sp.name, Outbound("MA", "deposit", deposits[0].payload))
         router.run()
@@ -128,10 +139,30 @@ class TestAdversarialMessages:
     def test_out_of_order_payment_rejected(self, market, dec_params, rng):
         router, ma, jo, sps = market
         sp = sps[0]  # already in PAID state
-        router.post("MA", Outbound(sp.name, "payment-delivery",
+        router.post("MA", Outbound(sp.nym, "payment-delivery",
                                    {"ciphertext": b"\x00" * 100}))
         router.run()
         assert any("out of order" in f.error for f in router.failures)
+
+
+class TestRelayToUnknownPseudonym:
+    def test_payment_for_a_pseudonym_without_labor_is_one_failure(self, dec_params, rng):
+        """Data and a payment for a pseudonym no party registered labor
+        under: the MA refuses to relay instead of the router aborting,
+        and an honest worker queued behind is still paid."""
+        session, jo, sps = _market(dec_params, rng, n_workers=1, jo_funds=32)
+        router = session.router
+        ghost = b"z" * 16
+        router.post("mallory", Outbound("MA", "data-submission",
+                                        {"pseudonym": ghost, "job": jo.job_id, "data": b"d"}))
+        router.post("mallory", Outbound("MA", "payment-submission",
+                                        {"pseudonym": ghost, "ciphertext": b"c"}))
+        late = _late_worker(session, jo, "sp-late")
+        router.run()
+        (failure,) = router.failures
+        assert failure.kind == "payment-submission"
+        assert failure.error.startswith("no labor registered under pseudonym")
+        assert session.ma.bank.balance(late.aid) == 3
 
 
 class TestHonestJoNeverDoubleSpends:
@@ -140,12 +171,10 @@ class TestHonestJoNeverDoubleSpends:
 
     @pytest.mark.parametrize("n_workers, algo", [(4, "pcba"), (6, "epcba")])
     def test_every_worker_is_credited_in_full(self, dec_params, n_workers, algo):
-        router, ma, jo, sps = run_dec_machine_market(
-            dec_params, random.Random(2), n_workers=n_workers, payment=7,
-            jo_funds=128, break_algorithm=algo,
-        )
-        assert router.failures == []
-        assert [ma.bank.balance(sp.aid) for sp in sps] == [7] * n_workers
+        session, jo, sps = _market(dec_params, random.Random(2), n_workers=n_workers,
+                                   payment=7, jo_funds=128, break_algorithm=algo)
+        assert session.router.failures == []
+        assert [session.ma.bank.balance(sp.aid) for sp in sps] == [7] * n_workers
 
 
 class TestMalformedMessages:
@@ -163,8 +192,8 @@ class TestMalformedMessages:
         before = len(router.failures)
         router.post(sps[0].name, Outbound("MA", kind, payload))
         # an honest message queued behind it is still delivered
-        router.post("JO", Outbound("MA", "job-registration",
-                                   {"jd": "next job", "w": 1, "rpk_fingerprint": b"p"}))
+        router.post(jo.nym, Outbound("MA", "job-registration",
+                                     {"jd": "next job", "w": 1, "rpk_fingerprint": b"p"}))
         router.run()
         (failure,) = router.failures[before:]
         assert failure.error.startswith("malformed") and failure.kind == kind
@@ -177,7 +206,7 @@ class TestWithdrawalOrder:
     def test_unexpected_withdrawal_response_rejected(self, market):
         router, ma, jo, sps = market
         coins = len(jo.coins)
-        router.post("MA", Outbound("JO", "withdraw-response",
+        router.post("MA", Outbound(jo.name, "withdraw-response",
                                    {"signature": jo.coins[0][0].signature}))
         router.run()
         assert router.failures[-1].error == "unexpected withdrawal response"
@@ -186,26 +215,24 @@ class TestWithdrawalOrder:
 
 class TestTableOneParity:
     """The machines tally through the actors' own ``counter.record``
-    sites, so a machine-driven market reproduces the session's Table I
-    row for row — not merely the same final balance."""
+    sites, so a market reproduces, row for row, the Table I counts the
+    imperative session recorded before the machines replaced it."""
+
+    ROWS = {
+        (1, 5): {"JO": {"ZKP": 9, "Enc": 2, "Dec": 1, "H": 2},
+                 "SP": {"ZKP": 0, "Enc": 0, "Dec": 4, "H": 1},
+                 "MA": {"ZKP": 0, "Enc": 1, "Dec": 9, "H": 2}},
+        (2, 5): {"JO": {"ZKP": 18, "Enc": 4, "Dec": 2, "H": 3},
+                 "SP": {"ZKP": 0, "Enc": 0, "Dec": 8, "H": 2},
+                 "MA": {"ZKP": 0, "Enc": 2, "Dec": 18, "H": 4}},
+        (3, 3): {"JO": {"ZKP": 29, "Enc": 6, "Dec": 2, "H": 4},
+                 "SP": {"ZKP": 0, "Enc": 0, "Dec": 12, "H": 3},
+                 "MA": {"ZKP": 0, "Enc": 2, "Dec": 29, "H": 6}},
+    }
 
     @pytest.mark.parametrize("n_workers, payment", [(1, 5), (2, 5), (3, 3)])
     def test_rows_equal_the_sessions(self, dec_params, rng, n_workers, payment):
-        from functools import reduce
-
-        from repro.core.ppms_dec import PPMSdecSession
-        from repro.metrics.opcount import OpCounter
-
-        router, ma, jo, sps = run_dec_machine_market(
-            dec_params, rng, n_workers=n_workers, payment=payment)
-        assert not router.failures, router.failures
-        machines = reduce(OpCounter.merged, (p.counter for p in (ma, jo, *sps)))
-
-        session = PPMSdecSession(dec_params, random.Random(99), rsa_bits=512,
-                                 break_algorithm="pcba")
-        jo_s = session.new_job_owner("jo", funds=64)
-        session.run_job(jo_s, [session.new_participant(f"sp{i}") for i in range(n_workers)],
-                        payment=payment)
+        session, jo, sps = _market(dec_params, rng, n_workers=n_workers,
+                                   payment=payment, jo_funds=64)
         for party in ("JO", "SP", "MA"):
-            assert machines.party_row(party) == session.counter.party_row(party), party
-            assert any(machines.party_row(party).values())
+            assert session.counter.party_row(party) == self.ROWS[n_workers, payment][party]

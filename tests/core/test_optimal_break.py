@@ -65,7 +65,7 @@ class TestEndToEndWithOptimal:
     def test_protocol_run(self, dec_params, rng):
         """The optimal strategy must work inside the real mechanism."""
         import repro.core.optimal_break  # noqa: F401 — registers "optimal"
-        from repro.core.ppms_dec import PPMSdecSession
+        from repro.core.dec_machine import PPMSdecSession
 
         session = PPMSdecSession(dec_params, rng, rsa_bits=512,
                                  break_algorithm="optimal")

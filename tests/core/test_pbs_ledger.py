@@ -10,7 +10,8 @@ from repro.core.pbs_ledger import (
     restore_pbs_bank,
     snapshot_pbs_bank,
 )
-from repro.core.ppms_pbs import PPMSpbsSession, VirtualBankPbs
+from repro.core.pbs_machine import PPMSpbsSession
+from repro.core.ppms_pbs import VirtualBankPbs
 
 
 @pytest.fixture()
@@ -37,15 +38,15 @@ class TestSnapshotRestore:
         """The serial store must survive the restart."""
         session, jo, sps = populated
         # capture a deposited coin's parameters before restart
-        deposits = [e for e in session.transport.log if e.kind == "deposit"]
-        assert deposits
-        dep = deposits[0].payload
+        sp = sps[0]
+        (receipt,) = sp.receipts
         fresh = VirtualBankPbs()
         restore_pbs_bank(fresh, snapshot_pbs_bank(session.ma.bank))
         session.ma.bank = fresh
         with pytest.raises(ValueError, match="double deposit|serial"):
             session.ma.handle_deposit(
-                dep["sig"], tuple(dep["sp_key"]), tuple(dep["jo_key"])
+                receipt.signature, (sp.account_pub.n, sp.account_pub.e),
+                receipt.jo_account_key,
             )
 
     def test_bad_magic(self, populated):

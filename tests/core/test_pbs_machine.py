@@ -6,8 +6,10 @@ import random
 
 import pytest
 
-from repro.core.engine import Outbound, Party, ProtocolError, Router
-from repro.core.pbs_machine import run_machine_market, sender_sp
+from repro.core.engine import Outbound, Party, ProtocolError, Router, drive
+from repro.core.market import pseudonym_name
+from repro.core.pbs_machine import JOMachine, MAMachine, PPMSpbsSession, SPMachine
+from repro.metrics.opcount import OpCounter
 
 
 class Echo(Party):
@@ -87,63 +89,76 @@ class TestRouter:
         assert router.transport.meter.total_bytes() > 0
 
 
+def _market(rng, *, n_workers, jo_funds, data_payload=b"sensed"):
+    """One job run by the session; returns its router and parties."""
+    session = PPMSpbsSession(rng, rsa_bits=512)
+    jo = session.new_job_owner(funds=jo_funds)
+    sps = [session.new_participant() for _ in range(n_workers)]
+    session.run_job(jo, sps, description="machine-market job", data_payload=data_payload)
+    return session, jo, sps
+
+
+def _balance(session, party) -> int:
+    return session.ma.bank.balance(party.account_pub.fingerprint())
+
+
+def _late_worker(session, jo):
+    """One more honest SP queued on the router the last job ran on."""
+    sp = session.new_participant()
+    sp.bind(session.ma.board.lookup(jo.job_id), jo.job_key.public, b"late", True)
+    session.router.add(sp, sp.nym)
+    session.router.activate(sp.name)
+    return sp
+
+
+def _deposit(sp, **changes) -> dict:
+    """The deposit an SP sends for its latest coin."""
+    receipt = sp.receipts[-1]
+    return {"sig": receipt.signature.value, "ctr": receipt.signature.counter,
+            "serial": receipt.signature.common_info,
+            "sp_key": (sp.account_pub.n, sp.account_pub.e),
+            "jo_key": list(receipt.jo_account_key), **changes}
+
+
 class TestMachineMarket:
     def test_full_market_runs_to_quiescence(self, rng):
-        router, ma, jo, sps = run_machine_market(rng, n_workers=3, jo_funds=5)
-        assert not router.failures, router.failures
-        bank = ma.bank
-        assert bank.balance(jo.account_pub.fingerprint()) == 2
+        session, jo, sps = _market(rng, n_workers=3, jo_funds=5)
+        assert not session.router.failures, session.router.failures
+        assert _balance(session, jo) == 2
         for sp in sps:
-            assert bank.balance(sp.account_pub.fingerprint()) == 1
-            assert sp.coin is not None
+            assert _balance(session, sp) == 1
+            assert len(sp.receipts) == 1
 
     def test_data_reaches_jo_only_after_confirmation(self, rng):
-        router, ma, jo, sps = run_machine_market(
-            rng, n_workers=2, jo_funds=4, data_payload=b"noise-62dB"
-        )
+        session, jo, sps = _market(rng, n_workers=2, jo_funds=4, data_payload=b"noise-62dB")
         assert len(jo.received_reports) == 2
         assert all(r["data"] == b"noise-62dB" for r in jo.received_reports)
 
     def test_matches_session_implementation(self, rng):
-        """Differential check: the state-machine market must produce the
-        same bank outcome as the imperative session."""
-        from repro.core.ppms_pbs import PPMSpbsSession
-
-        router, ma, jo, sps = run_machine_market(rng, n_workers=2, jo_funds=4)
-        machine_balances = sorted(ma.bank.accounts.values())
-
-        session = PPMSpbsSession(random.Random(7), rsa_bits=512)
-        jo_s = session.new_job_owner(funds=4)
-        sps_s = [session.new_participant() for _ in range(2)]
-        session.run_job(jo_s, sps_s)
-        session_balances = sorted(session.ma.bank.accounts.values())
-        assert machine_balances == session_balances
+        """Pinned from the imperative session the machines replaced."""
+        session, jo, sps = _market(rng, n_workers=2, jo_funds=4)
+        assert sorted(session.ma.bank.accounts.values()) == [1, 1, 2]
 
     def test_replayed_deposit_rejected(self, rng):
-        router, ma, jo, sps = run_machine_market(rng, n_workers=1, jo_funds=2)
-        sp = sps[0]
-        router.post(sp.name, Outbound("MA", "deposit", {
-            "sig": sp.coin.value,
-            "ctr": sp.coin.counter,
-            "serial": sp.coin.common_info,
-            "sp_key": (sp.account_pub.n, sp.account_pub.e),
-            "jo_key": list(sp._jo_account),
-        }))
+        session, jo, (sp,) = _market(rng, n_workers=1, jo_funds=2)
+        router = session.router
+        router.post(sp.name, Outbound("MA", "deposit", _deposit(sp)))
         router.run()
         assert any("double deposit" in f.error for f in router.failures)
-        assert ma.bank.balance(sp.account_pub.fingerprint()) == 1  # unchanged
+        assert _balance(session, sp) == 1  # unchanged
 
     def test_out_of_order_payment_rejected(self, rng):
         """A payment delivered before data submission must be refused by
         the SP's state machine."""
-        router, ma, jo, sps = run_machine_market(rng, n_workers=1, jo_funds=2)
-        sp = sps[0]
-        router.post("MA", Outbound(sp.name, "payment-delivery", {"pbs": 1, "ctr": 0}))
+        session, jo, (sp,) = _market(rng, n_workers=1, jo_funds=2)
+        router = session.router
+        router.post("MA", Outbound(sp.nym, "payment-delivery", {"pbs": 1, "ctr": 0}))
         router.run()
         assert any("out of order" in f.error for f in router.failures)
 
     def test_forged_labor_registration_rejected(self, rng):
-        router, ma, jo, sps = run_machine_market(rng, n_workers=1, jo_funds=2)
+        session, jo, sps = _market(rng, n_workers=1, jo_funds=2)
+        router = session.router
         router.post("mallory", Outbound("MA", "labor-registration", {
             "job": "job-does-not-exist", "pseudonym": b"m" * 16, "blob": b"junk",
         }))
@@ -151,41 +166,67 @@ class TestMachineMarket:
         assert any("unknown job" in f.error for f in router.failures)
 
     def test_garbage_blob_poisons_only_that_worker(self, rng):
-        router, ma, jo, sps = run_machine_market(rng, n_workers=1, jo_funds=2)
-        profile = ma.board.jobs()[0]
-        router.post("mallory", Outbound("MA", "labor-registration", {
-            "job": profile.job_id, "pseudonym": b"m" * 16, "blob": b"\x00" * 64,
+        session, jo, sps = _market(rng, n_workers=1, jo_funds=2)
+        router = session.router
+        # registered from the pseudonym's own name, so the MA relays it
+        router.post(pseudonym_name(b"m" * 16), Outbound("MA", "labor-registration", {
+            "job": jo.job_id, "pseudonym": b"m" * 16, "blob": b"\x00" * 64,
         }))
         router.run()
         assert any("undecryptable" in f.error for f in router.failures)
         # the honest worker's outcome is untouched
-        assert ma.bank.balance(sps[0].account_pub.fingerprint()) == 1
+        assert _balance(session, sps[0]) == 1
+
+
+class TestRelayToUnknownPseudonym:
+    """The MA relays only to a pseudonym some party registered labor
+    under: anything else is one rejected delivery, not an aborted
+    router, and an honest worker queued behind it is still paid."""
+
+    @pytest.mark.parametrize("pseudonym", [b"m" * 16, "mm"], ids=["bytes", "str"])
+    def test_labor_answer_for_an_unknown_pseudonym(self, rng, pseudonym):
+        session, jo, (sp,) = _market(rng, n_workers=1, jo_funds=3)
+        router = session.router
+        router.post("mallory", Outbound("MA", "labor-answer",
+                                        {"pseudonym": pseudonym, "blob": b"x"}))
+        late = _late_worker(session, jo)
+        router.run()
+        (failure,) = router.failures
+        assert failure.kind == "labor-answer"
+        assert failure.error.startswith("no labor registered under pseudonym")
+        assert _balance(session, late) == 1
+
+    def test_labor_registered_under_another_name_is_refused(self, rng):
+        session, jo, sps = _market(rng, n_workers=1, jo_funds=3)
+        router = session.router
+        router.post("mallory", Outbound("MA", "labor-registration", {
+            "job": jo.job_id, "pseudonym": b"m" * 16, "blob": b"x"}))
+        router.post("mallory", Outbound("MA", "labor-answer",
+                                        {"pseudonym": b"m" * 16, "blob": b"x"}))
+        router.run()
+        assert [f.kind for f in router.failures] == ["labor-registration", "labor-answer"]
 
 
 class TestAsyncDeliveryOrder:
     def test_pbs_market_converges_under_reordering(self):
         """Random delivery order must not change the bank outcome."""
-        import random as _random
-
-        from repro.core.engine import Router
-        from repro.core.pbs_machine import JOMachine, SPMachine, MAMachine, sender_sp
-
         for seed in (1, 2, 3):
-            rng = _random.Random(100)
-            router = Router(shuffle_rng=_random.Random(seed))
-            ma = MAMachine(rng)
+            rng = random.Random(100)
+            counter = OpCounter()
+            router = Router(shuffle_rng=random.Random(seed))
+            ma = MAMachine(counter)
             router.add(ma)
-            jo = JOMachine("JO", rng, rsa_bits=512)
-            router.add(jo)
-            ma.open_account(jo.account_pub, 3)
-            profile = ma.publish_job("async job", jo.name, jo.job_pub.fingerprint())
+            jo = JOMachine(rng, counter, rsa_bits=512)
+            ma.bank.open_account(jo.account_pub, 3)
+            jo.begin_job("async job")
+            drive(router, jo, jo.nym)
+            job = ma.board.lookup(jo.job_id)
             sps = []
             for _ in range(2):
-                sp = SPMachine("pending", rng, job=profile, jo_pseudonym_key=jo.job_pub,
-                               rsa_bits=512)
-                sp.name = sender_sp(sp.pseudonym)
-                router.add(sp)
-                ma.open_account(sp.account_pub, 0)
+                sp = SPMachine(rng, counter, rsa_bits=512)
+                ma.bank.open_account(sp.account_pub, 0)
+                sp.bind(job, jo.job_key.public, b"sensed", True)
+                router.add(sp, sp.nym)
                 sps.append(sp)
             for sp in sps:
                 router.activate(sp.name)
@@ -195,18 +236,6 @@ class TestAsyncDeliveryOrder:
                 assert ma.bank.balance(sp.account_pub.fingerprint()) == 1
 
 
-def _late_worker(router, ma, jo, rng):
-    """One more honest SP joining a market that already ran."""
-    from repro.core.pbs_machine import SPMachine
-
-    sp = SPMachine("pending", rng, job=ma.board.jobs()[0], jo_pseudonym_key=jo.job_pub,
-                   rsa_bits=512)
-    sp.name = sender_sp(sp.pseudonym)
-    router.add(sp)
-    ma.open_account(sp.account_pub, 0)
-    return sp
-
-
 class TestMalformedMessages:
     """A message of the wrong shape poisons only its own delivery."""
 
@@ -214,25 +243,22 @@ class TestMalformedMessages:
         ("labor-registration", lambda sp: {}),
         ("labor-registration", lambda sp: None),
         ("labor-registration", lambda sp: b"x"),
-        ("deposit", lambda sp: {
-            "sig": sp.coin.value, "ctr": sp.coin.counter, "serial": sp.coin.common_info,
-            "sp_key": (sp.account_pub.n, sp.account_pub.e), "jo_key": None}),
+        ("deposit", lambda sp: _deposit(sp, jo_key=None)),
     ], ids=["empty", "none", "bytes", "deposit-jo-key-none"])
     def test_recorded_as_one_failure_and_the_engine_keeps_running(
             self, rng, kind, make_payload):
-        router, ma, jo, sps = run_machine_market(rng, n_workers=1, jo_funds=3)
-        sp = sps[0]
+        session, jo, (sp,) = _market(rng, n_workers=1, jo_funds=3)
+        router = session.router
         payload = make_payload(sp)
         before = len(router.failures)
         router.post("mallory", Outbound("MA", kind, payload))
         # an honest worker arriving behind it is still served in full
-        late = _late_worker(router, ma, jo, rng)
-        router.activate(late.name)
+        late = _late_worker(session, jo)
         router.run()
         (failure,) = router.failures[before:]
         assert failure.error.startswith("malformed") and failure.kind == kind
-        assert ma.bank.balance(sp.account_pub.fingerprint()) == 1
-        assert ma.bank.balance(late.account_pub.fingerprint()) == 1
+        assert _balance(session, sp) == 1
+        assert _balance(session, late) == 1
 
 
 class TestJoSignsUnderItsOwnSerial:
@@ -240,14 +266,14 @@ class TestJoSignsUnderItsOwnSerial:
         """The JO signs a coin only under the serial it decrypted itself,
         looked up by the fingerprint of the key *inside* the encrypted
         registration — never by the pseudonym an envelope claims."""
-        from repro.core.pbs_machine import JOMachine
         from repro.crypto import rsa
         from repro.net.codec import encode
 
-        jo = JOMachine("JO", rng, rsa_bits=512)
+        jo = JOMachine(rng, OpCounter(), rsa_bits=512)
+        jo.begin_job("job")
         worker = rsa.generate_keypair(512, rng).public
-        blob = rsa.encrypt(jo.job_pub, encode({"rpk": (worker.n, worker.e),
-                                               "serial": b"s" * 16}), rng)
+        blob = rsa.encrypt(jo.job_key.public, encode({"rpk": (worker.n, worker.e),
+                                                      "serial": b"s" * 16}), rng)
         claimed = b"x" * 16  # the envelope's pseudonym; not the key's fingerprint
         jo.handle("MA", "labor-forward", {"pseudonym": claimed, "blob": blob})
         with pytest.raises(ProtocolError, match="blinded payment before labor registration"):
@@ -259,23 +285,20 @@ class TestJoSignsUnderItsOwnSerial:
 
 class TestTableOneParity:
     """The machines tally through the actors' own ``counter.record``
-    sites, so a machine-driven market reproduces the session's Table I
-    row for row — not merely the same final balances."""
+    sites, so a market reproduces, row for row, the Table I counts the
+    imperative session recorded before the machines replaced it."""
+
+    ROWS = {
+        1: {"JO": {"ZKP": 0, "Enc": 3, "Dec": 1, "H": 2},
+            "SP": {"ZKP": 0, "Enc": 1, "Dec": 3, "H": 3},
+            "MA": {"ZKP": 0, "Enc": 0, "Dec": 1, "H": 2}},
+        3: {"JO": {"ZKP": 0, "Enc": 9, "Dec": 3, "H": 4},
+            "SP": {"ZKP": 0, "Enc": 3, "Dec": 9, "H": 9},
+            "MA": {"ZKP": 0, "Enc": 0, "Dec": 3, "H": 6}},
+    }
 
     @pytest.mark.parametrize("n_workers", [1, 3])
     def test_rows_equal_the_sessions(self, rng, n_workers):
-        from functools import reduce
-
-        from repro.core.ppms_pbs import PPMSpbsSession
-        from repro.metrics.opcount import OpCounter
-
-        router, ma, jo, sps = run_machine_market(rng, n_workers=n_workers, jo_funds=4)
-        assert not router.failures, router.failures
-        machines = reduce(OpCounter.merged, (p.counter for p in (ma, jo, *sps)))
-
-        session = PPMSpbsSession(random.Random(7), rsa_bits=512)
-        jo_s = session.new_job_owner(funds=4)
-        session.run_job(jo_s, [session.new_participant() for _ in range(n_workers)])
+        session, jo, sps = _market(rng, n_workers=n_workers, jo_funds=4)
         for party in ("JO", "SP", "MA"):
-            assert machines.party_row(party) == session.counter.party_row(party), party
-            assert any(machines.party_row(party).values())
+            assert session.counter.party_row(party) == self.ROWS[n_workers][party]

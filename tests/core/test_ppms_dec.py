@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.ppms_dec import BREAK_ALGORITHMS, JobOwnerDec, PPMSdecSession
+from repro.core.dec_machine import PPMSdecSession
+from repro.core.ppms_dec import BREAK_ALGORITHMS, JobOwnerDec
 from repro.ecash.tree import CoinTree
 from repro.ecash.wallet import InsufficientFunds, Wallet
 
@@ -154,7 +155,7 @@ class TestPrivacyProperties:
         deposit_msgs = [e for e in session.transport.log if e.kind == "deposit"]
         assert withdrawal_msgs and deposit_msgs
         backend = session.params.backend
-        commitment = backend.element_encode(withdrawal_msgs[0].payload.commitment)
+        commitment = backend.element_encode(withdrawal_msgs[0].payload["request"].commitment)
         for env in deposit_msgs:
             token = env.payload["coin"]
             assert backend.element_encode(token.sig_a) != commitment

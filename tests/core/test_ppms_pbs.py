@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.ppms_pbs import PPMSpbsSession
+from repro.core.pbs_machine import PPMSpbsSession
 from repro.crypto.partial_blind import verify_partial_blind
 from repro.crypto.rsa import RSAPublicKey
 
@@ -135,7 +135,8 @@ class TestPrivacyProperties:
         jo = session.new_job_owner(funds=5)
         sps = [session.new_participant() for _ in range(3)]
         session.run_job(jo, sps, deposit=False)
-        blinded = [e.payload for e in session.transport.log if e.kind == "blinded-payment"]
+        blinded = [e.payload["blinded"] for e in session.transport.log
+                   if e.kind == "blinded-payment"]
         assert len(blinded) == 3 and len(set(blinded)) == 3
 
     def test_ma_sees_transaction_at_deposit_by_design(self, session):
@@ -170,7 +171,7 @@ class TestLightweightShape:
         session.run_job(jo, [sp])
         pbs_total = session.transport.meter.total_bytes()
 
-        from repro.core.ppms_dec import PPMSdecSession
+        from repro.core.dec_machine import PPMSdecSession
 
         dec_session = PPMSdecSession(dec_params, rng, rsa_bits=RSA_BITS)
         jo_d = dec_session.new_job_owner("jo", funds=16)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.ppms_dec import PPMSdecSession
+from repro.core.dec_machine import PPMSdecSession
 from repro.core.trading import RedemptionDesk, trade_sensing_service
 
 

@@ -121,7 +121,7 @@ class TestDepositPolicy:
 
 class TestMarketSimulation:
     def test_jobs_complete_and_books_balance(self, dec_params_toy, rng):
-        from repro.core.ppms_dec import PPMSdecSession
+        from repro.core.dec_machine import PPMSdecSession
 
         session = PPMSdecSession(dec_params_toy, rng, rsa_bits=512)
         sim = MarketSimulation(session, rng, deposit_policy=DepositPolicy.immediate())
@@ -134,7 +134,7 @@ class TestMarketSimulation:
             assert session.ma.bank.balance(f"sim-sp-{i}") == 2 + i
 
     def test_deposit_times_follow_deliveries(self, dec_params_toy, rng):
-        from repro.core.ppms_dec import PPMSdecSession
+        from repro.core.dec_machine import PPMSdecSession
 
         session = PPMSdecSession(dec_params_toy, rng, rsa_bits=512)
         sim = MarketSimulation(session, rng, deposit_policy=DepositPolicy.randomized(2.0))

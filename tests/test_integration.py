@@ -13,8 +13,8 @@ import pytest
 
 from repro.attacks.adversary import CuriousMAView
 from repro.attacks.denomination import run_denomination_attack
-from repro.core.ppms_dec import PPMSdecSession
-from repro.core.ppms_pbs import PPMSpbsSession
+from repro.core.dec_machine import PPMSdecSession
+from repro.core.pbs_machine import PPMSpbsSession
 from repro.workloads.population import generate_market
 from repro.workloads.sensing import noise_map_reading
 

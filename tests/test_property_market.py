@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.ledger import audit_bank
-from repro.core.ppms_dec import PPMSdecSession
+from repro.core.dec_machine import PPMSdecSession
 from repro.core.trading import RedemptionDesk, trade_sensing_service
 from repro.ecash.dec import setup
 

@@ -80,14 +80,16 @@ MODULE_ALLOWED: dict[str, set[str]] = {
     # protocol step, the escrow and the bank come from the actor module;
     # beyond it they import only the types of values they construct or
     # check (keys, signatures, tokens, two exception types, the tally)
+    # and the metered fabric their session drives them over
     "repro.core.dec_machine": {
         "repro.core.engine", "repro.core.market", "repro.core.ppms_dec",
         "repro.crypto.rsa", "repro.ecash.dec", "repro.ecash.spend",
-        "repro.ecash.wallet", "repro.metrics.opcount",
+        "repro.ecash.wallet", "repro.metrics.opcount", "repro.net.transport",
     },
     "repro.core.pbs_machine": {
         "repro.core.engine", "repro.core.market", "repro.core.ppms_pbs",
         "repro.crypto.partial_blind", "repro.crypto.rsa", "repro.metrics.opcount",
+        "repro.net.transport",
     },
     # the journal frames, segments, checkpoints and compacts; bytes
     # reach a disk only through the storage seam, which knows nothing
