@@ -15,10 +15,10 @@ repetition into speed with three primitives:
 * :class:`GenericFixedBaseTable` — the same comb over any group given
   as an ``(identity, op)`` pair; used for fixed curve points, where
   every group operation is a Python-level affine addition.
-* :func:`multi_exp` / :func:`multi_exp_generic` — Straus/Shamir
-  simultaneous exponentiation for the ``g^s · y^e``-shaped products of
-  sigma-protocol verification: one shared doubling chain across all
-  bases instead of one per base.
+* :func:`multi_exp` — Straus/Shamir simultaneous exponentiation for
+  the ``g^s · y^e``-shaped products of sigma-protocol verification (one
+  shared doubling chain across all bases instead of one per base), and
+  the bucket method for the batch verifier's wide folds.
 
 Tables are cached in :class:`PromotionCache` instances — bounded LRU
 maps that only *build* a table after a base has been seen
@@ -54,7 +54,6 @@ __all__ = [
     "GenericFixedBaseTable",
     "PromotionCache",
     "multi_exp",
-    "multi_exp_generic",
     "exp_fixed",
     "warm_fixed_base",
     "configure",
@@ -394,6 +393,11 @@ class GenericFixedBaseTable:
 # simultaneous multi-exponentiation (Straus/Shamir)
 # ---------------------------------------------------------------------------
 
+#: distinct bases (terms with a nonzero exponent) from which
+#: :func:`multi_exp` takes the bucket method instead of Straus
+_BUCKET_MIN_BASES = 64
+
+
 def multi_exp(
     bases: Sequence[int],
     exponents: Sequence[int],
@@ -404,12 +408,16 @@ def multi_exp(
     """``Π bases[i]^exponents[i] mod modulus`` with one shared chain.
 
     All bases share a single doubling chain (``max_bits`` squarings
-    total instead of per base), each paying only a small per-window
-    table lookup-multiply — the Straus/Shamir trick for the ubiquitous
-    ``g^s · y^e`` verification products.  Zero exponents are skipped;
-    the empty product is ``1``.  Exponents are taken over the integers
-    (reduce modulo the group order first when that is sound), must be
-    non-negative, and ``bases``/``exponents`` must have equal length.
+    total instead of per base).  Up to 63 terms each base pays a small
+    per-window table lookup-multiply — the Straus/Shamir trick for the
+    ubiquitous ``g^s · y^e`` verification products, with *window* its
+    window width.  From 64 terms on — the batch verifier's folds — the
+    bucket method (:func:`_bucket_product`) replaces the per-base
+    tables with one bucket per window digit.  Zero exponents are
+    skipped; the empty product is ``1``.  Exponents are taken over the
+    integers (reduce modulo the group order first when that is sound),
+    must be non-negative, and ``bases``/``exponents`` must have equal
+    length.
     """
     if len(bases) != len(exponents):
         raise ValueError("bases and exponents must have the same length")
@@ -423,7 +431,14 @@ def multi_exp(
     pairs = [(b % modulus, e) for b, e in zip(bases, exponents) if e > 0]
     if not pairs:
         return 1 % modulus
-    m = modulus
+    if len(pairs) >= _BUCKET_MIN_BASES:
+        return _bucket_product(pairs, modulus)
+    return _straus_product(pairs, modulus, window)
+
+
+def _straus_product(pairs: list[tuple[int, int]], m: int, window: int) -> int:
+    """Straus over ``(base, exponent > 0)`` pairs: a ``2^window`` table
+    per base, one multiply per base and window."""
     table_size = 1 << window
     tables = []
     for b, _ in pairs:
@@ -449,51 +464,32 @@ def multi_exp(
     return acc
 
 
-def multi_exp_generic(
-    identity: Any,
-    op: Callable[[Any, Any], Any],
-    elements: Sequence[Any],
-    scalars: Sequence[int],
-    *,
-    window: int = 4,
-) -> Any:
-    """Straus multi-exponentiation over an ``(identity, op)`` group.
+def _bucket_product(pairs: list[tuple[int, int]], m: int) -> int:
+    """Pippenger's bucket method over ``(base, exponent > 0)`` pairs.
 
-    Same contract as :func:`multi_exp` (strict lengths, non-negative
-    scalars, zeros skipped) for element types that are not plain ints —
-    the drop-in fallback the batch verifier uses when a backend has no
-    fused ``multi_exp`` of its own.
+    Per *c*-bit window every base is multiplied into the bucket of its
+    digit (one multiply per base, no per-base table), and the running
+    product ``Π_d bucket_d^d`` costs ``2·2^c`` multiplies.  With
+    ``c ≈ log2(n) − 1`` for *n* bases that is about ``(bits/c)·n + bits``
+    multiplies against Straus's ``14·n + (bits/4)·n + bits``.
     """
-    if len(elements) != len(scalars):
-        raise ValueError("elements and scalars must have the same length")
-    if window < 1:
-        raise ValueError("window must be positive")
-    for s in scalars:
-        if s < 0:
-            raise ValueError("scalars must be non-negative")
-    pairs = [(el, s) for el, s in zip(elements, scalars) if s > 0]
-    if not pairs:
-        return identity
-    table_size = 1 << window
-    tables = []
-    for el, _ in pairs:
-        table = [identity, el]
-        for _ in range(table_size - 2):
-            table.append(op(table[-1], el))
-        tables.append(table)
-    max_bits = max(s.bit_length() for _, s in pairs)
-    n_windows = (max_bits + window - 1) // window
-    mask = table_size - 1
-    acc = identity
-    for w in range(n_windows - 1, -1, -1):
-        if w != n_windows - 1:
-            for _ in range(window):
-                acc = op(acc, acc)
-        shift = w * window
-        for (_, s), table in zip(pairs, tables):
-            digit = (s >> shift) & mask
+    c = max(2, len(pairs).bit_length() - 2)
+    mask = (1 << c) - 1
+    max_bits = max(e.bit_length() for _, e in pairs)
+    acc = 1
+    for w in range((max_bits + c - 1) // c - 1, -1, -1):
+        for _ in range(c):
+            acc = acc * acc % m
+        shift = w * c
+        buckets = [1] * (mask + 1)
+        for b, e in pairs:
+            digit = (e >> shift) & mask
             if digit:
-                acc = op(acc, table[digit])
+                buckets[digit] = buckets[digit] * b % m
+        running = 1
+        for digit in range(mask, 0, -1):
+            running = running * buckets[digit] % m
+            acc = acc * running % m
     return acc
 
 

@@ -27,7 +27,7 @@ from repro._util import rand_range
 from repro.crypto import fastexp
 from repro.crypto.cunningham import CunninghamChain, find_chain, known_chain
 from repro.crypto.hashing import hash_to_int
-from repro.crypto.ntheory import is_probable_prime, random_safe_prime
+from repro.crypto.ntheory import is_probable_prime, jacobi, random_safe_prime
 
 __all__ = [
     "SchnorrGroup",
@@ -97,8 +97,17 @@ class SchnorrGroup:
         return pow(a, self.p - 2, self.p)
 
     def contains(self, a: int) -> bool:
-        """Membership test: a nonzero element of order dividing *q*."""
-        return 0 < a < self.p and pow(a, self.q, self.p) == 1
+        """Membership test: a nonzero element of order dividing *q*.
+
+        For a safe prime ``p = 2q + 1`` Euler's criterion ``a^q ≡ (a/p)``
+        lets the Legendre symbol decide it; other moduli (the tower's
+        top storey) keep the exponentiation.
+        """
+        if not 0 < a < self.p:
+            return False
+        if self.p == 2 * self.q + 1:
+            return jacobi(a, self.p) == 1
+        return pow(a, self.q, self.p) == 1
 
     # -- sampling ----------------------------------------------------------
     def random_exponent(self, rng: random.Random) -> int:

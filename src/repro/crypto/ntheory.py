@@ -202,20 +202,24 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
 
 
 def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol ``(a/n)`` for odd positive *n*."""
+    """Jacobi symbol ``(a/n)`` for odd positive *n*.
+
+    For a prime *n* it is Euler's criterion ``a^((n-1)/2) mod n``
+    without the exponentiation.  Each round shifts out every factor of
+    two of *a* at once, then swaps by quadratic reciprocity.
+    """
     if n <= 0 or n % 2 == 0:
         raise ValueError("n must be a positive odd integer")
     a %= n
     result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
             result = -result
-        a %= n
+        if a & n & 3 == 3:
+            result = -result
+        a, n = n % a, a
     return result if n == 1 else 0
 
 

@@ -10,12 +10,16 @@ Because ψ(Q) is linearly independent of P, the map is non-degenerate
 even at ``Q = P`` — giving a *symmetric* pairing ``G × G → G_T`` as the
 Camenisch–Lysyanskaya signature scheme assumes.
 
-The Miller loop keeps both line and vertical-line denominators: with
-``p ≡ 3 (mod 4)`` none of them can vanish at ψ(Q) (the x-coordinate of
-ψ(Q) is ``-x_Q ∈ F_p`` and no F_p-rational point shares it because
-``-1`` is a non-residue; the evaluated line has a nonzero imaginary
-part whenever ``y_Q ≠ 0``, guaranteed for odd *r*).  See the module
-tests for the bilinearity/non-degeneracy checks.
+The Miller loop drops every denominator.  At ``ψ(Q) = (−x_Q, i·y_Q)``
+a vertical line ``x − x_T`` evaluates into F_p^*, which the final
+exponentiation ``(p − 1)·(p + 1)/r`` sends to 1, so verticals are
+skipped; the chord or tangent with slope λ through ``T`` evaluates to
+``(λ·x_Q + k) + i·y_Q`` with ``k = λ·x_T − y_T`` (never 0: ``y_Q ≠ 0``
+at odd order).  A step is one squaring and one line multiply on
+``(a, b)`` int pairs, with no inversion.  Raw Miller values differ
+from the textbook ``f_{r,P}(ψ(Q))`` by an F_p^* factor; pairing values
+do not.  Arguments are read as F_p-rational points (see
+:meth:`TatePairing.pairable`).
 """
 
 from __future__ import annotations
@@ -35,54 +39,102 @@ __all__ = [
     "clear_shared_tables",
 ]
 
+_ONE = (1, 0)
 
-def _line_eval(t: Point, u: Point, s: Point) -> Fp2:
-    """Evaluate at *s* the line through *t* and *u* (chord/tangent/vertical).
 
-    Returns the value ``l_{T,U}(S)`` used by Miller's algorithm.  When
-    the line is vertical the value is ``x_S - x_T``.
+def _fp2_mul_op(p: int):
+    """The F_{p²} product on ``(a, b)`` int pairs, as a group op."""
+
+    def mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        return ((x[0] * y[0] - x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+    return mul
+
+
+def _fp2_pow(a: int, b: int, e: int, p: int) -> tuple[int, int]:
+    """``(a + b·i)^e`` for ``e ≥ 0`` by square-and-multiply on ints.
+
+    A squaring is ``((a + b)(a − b), 2ab)``: two multiplies, not four.
     """
-    p = t.p
-    if t.is_infinity or u.is_infinity:
-        # line through infinity and V is the vertical at V
-        v = u if t.is_infinity else t
-        return s.x - v.x
-    if t.x == u.x:
-        if t.y == -u.y:
-            # vertical line x = x_T
-            return s.x - t.x
-        # tangent: λ = (3x² + 1) / 2y
-        num = (t.x * t.x).scalar_mul(3) + Fp2.one(p)
-        lam = num / t.y.scalar_mul(2)
+    if not e:
+        return _ONE
+    ra, rb = a % p, b % p
+    for bit in bin(e)[3:]:
+        ra, rb = (ra + rb) * (ra - rb) % p, 2 * ra * rb % p
+        if bit == "1":
+            ra, rb = (ra * a - rb * b) % p, (ra * b + rb * a) % p
+    return ra, rb
+
+
+def _add(t, u, p: int):
+    """``(λ, k, t + u)`` for affine F_p points given as int pairs.
+
+    ``None`` is the point at infinity.  λ and ``k = λ·x_t − y_t`` describe
+    the chord (tangent when ``t == u``) through *t* and *u*; both are
+    ``None`` when that line is vertical.  The branches are
+    :meth:`Point.__add__`'s, so the walk lands on the same points.
+    """
+    if t is None or u is None:
+        return None, None, (u if t is None else t)
+    (xt, yt), (xu, yu) = t, u
+    if xt == xu:
+        if (yt + yu) % p == 0:
+            return None, None, None
+        lam = (3 * xt * xt + 1) * pow(2 * yt, -1, p) % p
     else:
-        lam = (u.y - t.y) / (u.x - t.x)
-    # l(S) = y_S - y_T - λ (x_S - x_T)
-    return s.y - t.y - lam * (s.x - t.x)
+        lam = (yu - yt) * pow(xu - xt, -1, p) % p
+    x3 = (lam * lam - xt - xu) % p
+    return lam, (lam * xt - yt) % p, (x3, (lam * (xt - x3) - yt) % p)
 
 
-def miller_loop(P: Point, S: Point, r: int) -> Fp2:
-    """Compute ``f_{r,P}(S)`` with the standard double-and-add Miller loop."""
-    if P.is_infinity or S.is_infinity:
+def _line_walk(P: Point, r: int) -> list[tuple]:
+    """The double-and-add walk of ``f_{r,P}`` as replayable line steps.
+
+    One ``(is_double, λ, k)`` per chord/tangent.  A vertical on an
+    addition step is left out (it contributes an F_p^* factor and
+    nothing else); a vertical on a doubling step keeps its squaring as
+    ``(True, None, None)``.
+    """
+    if P.is_infinity:
         raise ValueError("Miller loop inputs must be finite points")
     p = P.p
-    f = Fp2.one(p)
-    T = P
-    # iterate over bits of r from the second-most-significant down
+    start = (P.x.a, P.y.a)
+    T = start
+    steps: list[tuple] = []
     for bit in bin(r)[3:]:
-        two_t = T + T
-        num = _line_eval(T, T, S)
-        den = _line_eval(two_t, -two_t, S)  # vertical at 2T
-        f = f * f * num / den
-        T = two_t
+        lam, k, T = _add(T, T, p)
+        steps.append((True, lam, k))
         if bit == "1":
-            t_plus_p = T + P
-            num = _line_eval(T, P, S)
-            den = _line_eval(t_plus_p, -t_plus_p, S)  # vertical at T+P
-            f = f * num / den
-            T = t_plus_p
-    if not T.is_infinity and T != P.multiply(r):  # pragma: no cover - invariant
-        raise AssertionError("Miller loop did not land on rP")
-    return f
+            lam, k, T = _add(T, start, p)
+            if lam is not None:
+                steps.append((False, lam, k))
+    return steps
+
+
+def _replay(steps: list[tuple], Q: Point, p: int) -> tuple[int, int]:
+    """Evaluate a line walk at ψ(Q): the raw Miller value as an int pair."""
+    xq, yq = Q.x.a, Q.y.a
+    fa, fb = 1, 0
+    for is_double, lam, k in steps:
+        if is_double:
+            fa, fb = (fa + fb) * (fa - fb) % p, 2 * fa * fb % p
+            if lam is None:
+                continue
+        la = lam * xq + k
+        fa, fb = (fa * la - fb * yq) % p, (fa * yq + fb * la) % p
+    return fa, fb
+
+
+def miller_loop(P: Point, Q: Point, r: int) -> Fp2:
+    """The denominator-free Miller value ``f_{r,P}(ψ(Q))``.
+
+    Equal to the textbook value up to an F_p^* factor, which
+    :func:`final_exponentiation` removes.  *Q* is the undistorted
+    point; the loop evaluates at ``ψ(Q)`` itself.
+    """
+    if Q.is_infinity:
+        raise ValueError("Miller loop inputs must be finite points")
+    return Fp2(*_replay(_line_walk(P, r), Q, P.p), P.p)
 
 
 def multi_operate(identity, op, elements, scalars, *, window: int = 4):
@@ -95,9 +147,16 @@ def multi_operate(identity, op, elements, scalars, *, window: int = 4):
     pays 14 table operations plus one lookup-multiply per window —
     roughly a third of the group operations of independent
     square-and-multiply for the 32–64-bit scalars the batch verifier
-    uses.  Scalars must be non-negative (reduce mod the group order
-    first); zero scalars are skipped.
+    uses.  ``elements`` and ``scalars`` must have equal length and the
+    scalars must be non-negative (reduce mod the group order first);
+    zero scalars are skipped and the empty product is *identity*.
     """
+    if len(elements) != len(scalars):
+        raise ValueError("elements and scalars must have the same length")
+    if window < 1:
+        raise ValueError("window must be positive")
+    if any(s < 0 for s in scalars):
+        raise ValueError("scalars must be non-negative")
     pairs = [(el, s) for el, s in zip(elements, scalars) if s > 0]
     if not pairs:
         return identity
@@ -130,195 +189,90 @@ def final_exponentiation(params: CurveParams, f: Fp2) -> Fp2:
     This is a *multiplicative homomorphism* ``F_{p²}* → μ_r`` — the
     fact the batched pairing check rests on: a product of raw Miller
     values needs only ONE final exponentiation, and
-    ``finalexp(Π raw_i^{k_i}) = Π ê_i^{k_i}``.
+    ``finalexp(Π raw_i^{k_i}) = Π ê_i^{k_i}``.  It also commutes with
+    conjugation, and ``conj(ê) = ê^p = ê^{-1}`` on μ_r, so
+    ``finalexp(raw_1 · conj(raw_2)) = ê_1 / ê_2``.
     """
-    f = f.conjugate() / f  # x^(p-1) = conj(x)/x (Frobenius is conjugation)
-    return f.pow((params.p + 1) // params.r)
+    p = params.p
+    fa, fb = f.a, f.b
+    norm = (fa * fa + fb * fb) % p
+    if not norm:
+        raise ZeroDivisionError("final exponentiation of zero")
+    # x^(p-1) = conj(x)/x = conj(x)^2 / N(x)  (Frobenius is conjugation)
+    inv = pow(norm, -1, p)
+    ga = (fa + fb) * (fa - fb) * inv % p
+    gb = -2 * fa * fb * inv % p
+    return Fp2(*_fp2_pow(ga, gb, (p + 1) // params.r, p), p)
 
 
-def _line_desc(t: Point, u: Point):
-    """The line through *t* and *u* as an evaluable descriptor.
-
-    Mirrors the branch structure of :func:`_line_eval` exactly:
-    ``("v", x0)`` is the vertical ``x = x0`` (evaluating to
-    ``s.x - x0``), ``("l", lam, tx, ty)`` the chord/tangent through
-    ``(tx, ty)`` with slope ``lam`` (evaluating to
-    ``s.y - ty - lam*(s.x - tx)``).  Field arithmetic is exact, so
-    evaluating a descriptor reproduces :func:`_line_eval` bit for bit.
-    """
-    p = t.p
-    if t.is_infinity or u.is_infinity:
-        v = u if t.is_infinity else t
-        return ("v", v.x)
-    if t.x == u.x:
-        if t.y == -u.y:
-            return ("v", t.x)
-        num = (t.x * t.x).scalar_mul(3) + Fp2.one(p)
-        lam = num / t.y.scalar_mul(2)
-    else:
-        lam = (u.y - t.y) / (u.x - t.x)
-    return ("l", lam, t.x, t.y)
-
-
-def _flat_desc(desc: tuple) -> tuple[int, ...]:
-    """A descriptor as a flat int 7-tuple for the inline evaluation loop.
-
-    ``(1, x0a, x0b, 0, 0, 0, 0)`` is the vertical ``x = x0``;
-    ``(0, la, lb, txa, txb, tya, tyb)`` the chord/tangent.  Plain ints
-    keep the hot loop free of :class:`Fp2` allocations (one object and
-    three method calls per field multiply otherwise) and make the
-    tables picklable as pure data for the shared-memory transport.
-    """
-    if desc[0] == "v":
-        x0 = desc[1]
-        return (1, x0.a, x0.b, 0, 0, 0, 0)
-    _, lam, tx, ty = desc
-    return (0, lam.a, lam.b, tx.a, tx.b, ty.a, ty.b)
-
-
-def _desc_from_flat(flat: tuple[int, ...], p: int):
-    """Inverse of :func:`_flat_desc` (exact roundtrip)."""
-    if flat[0]:
-        return ("v", Fp2(flat[1], flat[2], p))
-    return (
-        "l",
-        Fp2(flat[1], flat[2], p),
-        Fp2(flat[3], flat[4], p),
-        Fp2(flat[5], flat[6], p),
-    )
+def _field_int(value, p: int) -> bool:
+    return type(value) is int and 0 <= value < p
 
 
 class MillerTable:
     """Precomputed Miller loop for a *fixed* first pairing argument.
 
     The double-and-add walk of ``f_{r,P}`` depends only on ``P`` and
-    ``r``: every chord/tangent slope and every vertical can be computed
-    once and stored as line descriptors.  :meth:`pair` then evaluates
-    ``ê(P, Q)`` for any ``Q`` with two field multiplies per stored line
-    and a *single* inversion at the end (numerator and denominator are
-    accumulated separately), instead of re-deriving each line — with
-    its own inversion — per pairing.  Results are bit-identical to
-    :func:`tate_pairing`; the build costs about one pairing.
+    ``r``, so its line steps ``(is_double, λ, k)`` are derived once
+    (:func:`_line_walk`, the walk :func:`miller_loop` runs too).
+    :meth:`raw` replays them against any ``Q``: per step one squaring
+    on doubling steps and one ``(λ·x_Q + k) + i·y_Q`` multiply, with no
+    vertical lines and no inversion.  Results after the final
+    exponentiation are bit-identical to :func:`tate_pairing`; the build
+    costs about one pairing.
     """
 
-    __slots__ = ("params", "point", "_steps", "_flat", "_final_exp")
+    __slots__ = ("params", "point", "_steps")
 
     def __init__(self, params: CurveParams, P: Point) -> None:
         if P.is_infinity:
             raise ValueError("cannot precompute the Miller loop at infinity")
         self.params = params
         self.point = P
-        r = params.r
-        steps: list[tuple[bool, tuple, tuple]] = []
-        T = P
-        for bit in bin(r)[3:]:
-            two_t = T + T
-            steps.append((True, _line_desc(T, T), _line_desc(two_t, -two_t)))
-            T = two_t
-            if bit == "1":
-                t_plus_p = T + P
-                steps.append((False, _line_desc(T, P), _line_desc(t_plus_p, -t_plus_p)))
-                T = t_plus_p
-        self._steps = steps
-        self._flat = [
-            (is_double, _flat_desc(nd), _flat_desc(dd))
-            for is_double, nd, dd in steps
-        ]
-        self._final_exp = (params.p + 1) // r
+        self._steps = _line_walk(P, params.r)
 
-    @property
-    def n_steps(self) -> int:
-        return len(self._steps)
-
-    @staticmethod
-    def _eval(desc: tuple, s: Point) -> Fp2:
-        if desc[0] == "v":
-            return s.x - desc[1]
-        _, lam, tx, ty = desc
-        return s.y - ty - lam * (s.x - tx)
-
-    def raw(self, Q: Point) -> Fp2:
-        """The *pre-final-exponentiation* Miller value ``f_{r,point}(ψ(Q))``.
-
-        The loop runs on flat int coefficient pairs with the F_{p²}
-        multiplication written out — ``(a,b)·(c,d) = (ac − bd, ad + bc)``
-        mod p, exactly :meth:`Fp2.__mul__` — so the result is
-        bit-identical to accumulating :class:`Fp2` objects while paying
-        none of their allocation cost.  Numerator and denominator are
-        tracked separately; the single inversion happens here, once.
-        """
-        p = self.params.p
+    def raw(self, Q: Point) -> tuple[int, int]:
+        """The denominator-free Miller value ``f_{r,point}(ψ(Q))`` as an
+        ``(a, b)`` int pair (before the final exponentiation)."""
         if Q.is_infinity:
-            return Fp2.one(p)
-        s = Q.distort()
-        sxa, sxb = s.x.a, s.x.b
-        sya, syb = s.y.a, s.y.b
-        fna, fnb = 1, 0
-        fda, fdb = 1, 0
-        for is_double, nd, dd in self._flat:
-            if is_double:
-                fna, fnb = (fna * fna - fnb * fnb) % p, (2 * fna * fnb) % p
-                fda, fdb = (fda * fda - fdb * fdb) % p, (2 * fda * fdb) % p
-            if nd[0]:
-                va = sxa - nd[1]
-                vb = sxb - nd[2]
-            else:
-                dxa = sxa - nd[3]
-                dxb = sxb - nd[4]
-                va = sya - nd[5] - (nd[1] * dxa - nd[2] * dxb)
-                vb = syb - nd[6] - (nd[1] * dxb + nd[2] * dxa)
-            fna, fnb = (fna * va - fnb * vb) % p, (fna * vb + fnb * va) % p
-            if dd[0]:
-                va = sxa - dd[1]
-                vb = sxb - dd[2]
-            else:
-                dxa = sxa - dd[3]
-                dxb = sxb - dd[4]
-                va = sya - dd[5] - (dd[1] * dxa - dd[2] * dxb)
-                vb = syb - dd[6] - (dd[1] * dxb + dd[2] * dxa)
-            fda, fdb = (fda * va - fdb * vb) % p, (fda * vb + fdb * va) % p
-        return Fp2(fna, fnb, p) / Fp2(fda, fdb, p)
+            return _ONE
+        return _replay(self._steps, Q, self.params.p)
 
     def pair(self, Q: Point) -> Fp2:
         """``ê(point, Q)`` — bit-identical to :func:`tate_pairing`."""
+        p = self.params.p
         if Q.is_infinity:
-            return Fp2.one(self.params.p)
-        f = self.raw(Q)
-        f = f.conjugate() / f
-        return f.pow(self._final_exp)
+            return Fp2.one(p)
+        return final_exponentiation(self.params, Fp2(*self.raw(Q), p))
 
     # -- serialization (shared-memory table transport) --------------------
     def to_state(self) -> dict:
-        """Plain-int snapshot (the flat steps ARE the payload)."""
-        return {
-            "point": self.point.encode(),
-            "steps": [
-                (1 if is_double else 0, nd, dd)
-                for is_double, nd, dd in self._flat
-            ],
-        }
+        """Plain-int snapshot (the line steps ARE the payload)."""
+        return {"point": self.point.encode(), "steps": list(self._steps)}
 
     @classmethod
     def from_state(cls, params: CurveParams, state: dict) -> "MillerTable":
-        table = cls.__new__(cls)
-        table.params = params
+        """Rebuild from :meth:`to_state`; every int must lie in ``[0, p)``."""
         p = params.p
         xa, xb, ya, yb, inf = state["point"]
         if inf:
             raise ValueError("Miller table state at infinity")
-        table.point = Point(Fp2(xa, xb, p), Fp2(ya, yb, p), p)
-        flat: list[tuple] = []
+        if not all(_field_int(v, p) for v in (xa, xb, ya, yb)):
+            raise ValueError("Miller table point out of range")
         steps: list[tuple] = []
-        for is_double, nd, dd in state["steps"]:
-            nd = tuple(int(x) for x in nd)
-            dd = tuple(int(x) for x in dd)
-            if len(nd) != 7 or len(dd) != 7:
+        for is_double, lam, k in state["steps"]:
+            if type(is_double) is not bool:
                 raise ValueError("malformed Miller step")
-            flat.append((bool(is_double), nd, dd))
-            steps.append((bool(is_double), _desc_from_flat(nd, p), _desc_from_flat(dd, p)))
-        table._flat = flat
+            if lam is None and k is None and is_double:
+                steps.append((True, None, None))
+            elif _field_int(lam, p) and _field_int(k, p):
+                steps.append((is_double, lam, k))
+            else:
+                raise ValueError("malformed Miller step")
+        table = cls.__new__(cls)
+        table.params = params
+        table.point = Point(Fp2(xa, xb, p), Fp2(ya, yb, p), p)
         table._steps = steps
-        table._final_exp = (params.p + 1) // params.r
         return table
 
 
@@ -329,14 +283,9 @@ def tate_pairing(params: CurveParams, P: Point, Q: Point) -> Fp2:
     result is in the order-*r* subgroup of ``F_{p²}*`` (``1`` exactly
     when either input is the identity).
     """
-    p, r = params.p, params.r
     if P.is_infinity or Q.is_infinity:
-        return Fp2.one(p)
-    f = miller_loop(P, Q.distort(), r)
-    # final exponentiation: (p^2 - 1) / r = (p - 1) * (p + 1) / r
-    # x^(p-1) = conj(x) / x  (Frobenius is conjugation in F_p[i])
-    f = f.conjugate() / f
-    return f.pow((p + 1) // r)
+        return Fp2.one(params.p)
+    return final_exponentiation(params, miller_loop(P, Q, params.r))
 
 
 class PairingBatch:
@@ -370,7 +319,7 @@ class PairingBatch:
         # ê(F,Q)^a · ê(F,Q)^b = ê(F,Q)^{a+b}), so a batch over recycled
         # tokens pays one Miller evaluation per *distinct* point.
         self._slots: dict[tuple, int] = {}
-        self._gt: list[Fp2] = []
+        self._gt: list[tuple[int, int]] = []
         self._gt_scalars: list[int] = []
 
     def add_pair(self, fixed: Point, moving: Point, exponent: int = 1) -> None:
@@ -397,14 +346,15 @@ class PairingBatch:
         """Multiply ``element^exponent`` (a G_T value) into the product."""
         k = exponent % self._backend.order
         if k:
-            self._gt.append(element)
+            self._gt.append((element.a, element.b))
             self._gt_scalars.append(k)
 
     def check(self) -> bool:
         """Whether the accumulated product is the G_T identity."""
         backend = self._backend
         p = backend.params.p
-        raw_product: Fp2 | None = None
+        mul = _fp2_mul_op(p)
+        raw_product: tuple[int, int] | None = None
         for fixed, moving, scalars in self._pairs.values():
             table = (
                 backend._pair_tables.get(fixed.encode(), fixed)
@@ -419,28 +369,20 @@ class PairingBatch:
                 # a homomorphism, so finalexp(Π raw_i^{k_i}) equals
                 # finalexp(raw of the source-folded point) — the verdict
                 # is identical either way.
-                raw = multi_operate(
-                    Fp2.one(p),
-                    lambda a, b: a * b,
-                    [table.raw(Q) for Q in moving],
-                    scalars,
-                )
+                raw = multi_operate(_ONE, mul, [table.raw(Q) for Q in moving], scalars)
             else:
                 acc = backend.multi_exp(moving, scalars)
                 if acc.is_infinity:
                     continue
                 raw = backend._raw_pair(fixed, acc)
-            raw_product = raw if raw_product is None else raw_product * raw
-        value = (
-            Fp2.one(p)
-            if raw_product is None
-            else final_exponentiation(backend.params, raw_product)
-        )
+            raw_product = raw if raw_product is None else mul(raw_product, raw)
+        value = _ONE
+        if raw_product is not None:
+            folded = final_exponentiation(backend.params, Fp2(*raw_product, p))
+            value = (folded.a, folded.b)
         if self._gt:
-            value = value * multi_operate(
-                Fp2.one(p), lambda a, b: a * b, self._gt, self._gt_scalars
-            )
-        return value == Fp2.one(p)
+            value = mul(value, multi_operate(_ONE, mul, self._gt, self._gt_scalars))
+        return value == _ONE
 
 
 #: curve identity -> exported table state; consulted by
@@ -570,6 +512,11 @@ class TatePairing:
     def element_encode(self, a: Point) -> tuple:
         return a.encode()
 
+    def pairable(self, a: Point) -> bool:
+        """Whether *a* has F_p coordinates: the Miller loop reads only
+        their real parts, so the pairing is defined on nothing else."""
+        return a.is_base_field()
+
     # -- pairing / target group ----------------------------------------------
     def pair(self, a: Point, b: Point) -> Fp2:
         """``ê(a, b)``, served from a Miller table once either argument
@@ -582,17 +529,25 @@ class TatePairing:
         in this distorted construction (``ê(a,b) = ê(b,a)``, see the
         backend tests), so a table for *either* argument suffices.
         """
-        if not fastexp.enabled():
-            return tate_pairing(self.params, a, b)
+        p = self.params.p
         if a.is_infinity or b.is_infinity:
-            return Fp2.one(self.params.p)
-        table = self._pair_tables.get(a.encode(), a)
-        if table is not None:
-            return table.pair(b)
-        table = self._pair_tables.get(b.encode(), b)
-        if table is not None:
-            return table.pair(a)
-        return tate_pairing(self.params, a, b)
+            return Fp2.one(p)
+        return final_exponentiation(self.params, Fp2(*self._raw_pair(a, b), p))
+
+    def pair_ratio(self, a: Point, b: Point, c: Point, d: Point) -> Fp2:
+        """``ê(a, b) · ê(c, d)^{-1}`` with one final exponentiation.
+
+        ``finalexp(raw(a, b) · conj(raw(c, d)))``: the final
+        exponentiation commutes with conjugation, and ``conj(ê) = ê^{-1}``
+        on μ_r — so the value is the quotient of the two pairings
+        exactly, at the price of one.
+        """
+        p = self.params.p
+        na, nb = self._raw_pair(a, b)
+        da, db = self._raw_pair(c, d)
+        return final_exponentiation(
+            self.params, Fp2(na * da + nb * db, nb * da - na * db, p)
+        )
 
     def warm_pair(self, *points: Point) -> None:
         """Eagerly build Miller tables for known-fixed pairing arguments."""
@@ -602,18 +557,25 @@ class TatePairing:
             if not point.is_infinity:
                 self._pair_tables.force(point.encode(), point)
 
-    def _raw_pair(self, a: Point, b: Point) -> Fp2:
-        """Pre-final-exponentiation Miller value ``f_{r,a}(ψ(b))``.
+    def _raw_pair(self, a: Point, b: Point) -> tuple[int, int]:
+        """A pre-final-exponentiation Miller value whose final
+        exponentiation is ``ê(a, b)``, as an ``(a, b)`` int pair.
 
+        Replayed from the table of *a*, else of *b* (``f_{r,b}(ψ(a))``
+        finalexps to ``ê(b, a) = ê(a, b)``), else a fresh Miller loop.
         Only meaningful inside a product that is final-exponentiated as
-        a whole (:class:`PairingBatch`) — the raw value is NOT the
-        pairing and is not symmetric in its arguments.
+        a whole — the raw value is NOT the pairing.
         """
+        if a.is_infinity or b.is_infinity:
+            return _ONE
         if fastexp.enabled():
             table = self._pair_tables.get(a.encode(), a)
             if table is not None:
                 return table.raw(b)
-        return miller_loop(a, b.distort(), self.params.r)
+            table = self._pair_tables.get(b.encode(), b)
+            if table is not None:
+                return table.raw(a)
+        return _replay(_line_walk(a, self.params.r), b, self.params.p)
 
     def pairing_batch(self) -> PairingBatch:
         """A fresh accumulator for one amortized product-of-pairings check."""
@@ -669,7 +631,8 @@ class TatePairing:
         return a * b
 
     def gt_exp(self, a: Fp2, scalar: int) -> Fp2:
-        return a.pow(scalar % self.order)
+        p = self.params.p
+        return Fp2(*_fp2_pow(a.a, a.b, scalar % self.order, p), p)
 
     def gt_eq(self, a: Fp2, b: Fp2) -> bool:
         return a == b
@@ -682,19 +645,27 @@ class TatePairing:
         F_{p²}^* carries a cofactor ``(p²-1)/r`` component, and a
         small-order offset would survive the combined check with
         non-negligible probability (an order-2 factor escapes whenever
-        its coefficient is even — probability 1/2).  Uses a raw field
-        exponentiation: :meth:`gt_exp` reduces exponents mod *r*, which
-        would make ``a^r`` vacuously the identity.
+        its coefficient is even — probability 1/2).  μ_r lies in the
+        norm-1 group μ_(p+1), and ``gcd(r, p − 1) = 1`` makes norm 1 a
+        consequence of ``a^r = 1``; so the norm ``a² + b²`` is checked
+        first (it also rejects 0), then ``a^r`` as a raw field power —
+        :meth:`gt_exp` reduces exponents mod *r*, which would make
+        ``a^r`` vacuously the identity.
         """
-        return not a.is_zero() and a.pow(self.order) == Fp2.one(self.params.p)
+        p = self.params.p
+        if (a.a * a.a + a.b * a.b) % p != 1:
+            return False
+        return _fp2_pow(a.a, a.b, self.order, p) == _ONE
 
     def gt_one(self) -> Fp2:
         return Fp2.one(self.params.p)
 
     def gt_multi_exp(self, bases, scalars) -> Fp2:
         """``Π bases[i]^{scalars[i]}`` in G_T via the shared Straus chain."""
+        p = self.params.p
         reduced = [s % self.order for s in scalars]
-        return multi_operate(self.gt_one(), lambda a, b: a * b, bases, reduced)
+        acc = multi_operate(_ONE, _fp2_mul_op(p), [(x.a, x.b) for x in bases], reduced)
+        return Fp2(*acc, p)
 
     def gt_generator(self) -> Fp2:
         """ê(g, g) — cached; non-degeneracy makes it a G_T generator."""

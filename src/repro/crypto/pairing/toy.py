@@ -108,6 +108,9 @@ class ToyPairing:
     def element_encode(self, a: int) -> tuple:
         return (a,)
 
+    def pairable(self, a: int) -> bool:
+        return True
+
     def warm_exp_fixed(self, *bases: int) -> None:
         # API parity with the Tate backend; no tables to build here
         return None
@@ -117,6 +120,10 @@ class ToyPairing:
         # g_T is fixed for the backend's lifetime — the comb cache turns
         # every pairing into table lookups once the modulus clears the gate
         return self.target.power_fixed((a * b) % self.order)
+
+    def pair_ratio(self, a: int, b: int, c: int, d: int) -> int:
+        """``e(a, b) · e(c, d)^{-1} = g_T^(ab − cd)`` — one exponentiation."""
+        return self.target.power_fixed((a * b - c * d) % self.order)
 
     def warm_pair(self, *points: int) -> None:
         """Warm the target-group generator table (the only fixed base)."""

@@ -17,9 +17,10 @@ a versioned header carrying a SHA-256 digest — a torn write, a stale
 segment from a previous incarnation, or a size mismatch fails
 :func:`unpack` loudly, and the worker falls back to a local build
 rather than installing corrupt tables.  The digest proves integrity,
-not origin, and the payload is ultimately unpickled — so the file
-fallback is created ``0600`` with ``O_EXCL`` and re-verified on read
-(regular file, owned by this uid) before any byte is trusted.
+not origin, and the payload becomes the verifier's tables (it is
+decoded by the project codec, never unpickled) — so the file fallback
+is created ``0600`` with ``O_EXCL`` and re-verified on read (regular
+file, owned by this uid) before any byte is trusted.
 
 Crash discipline: the window between *creating* a segment and
 *publishing* its reference is exactly where an operator-visible crash
@@ -175,7 +176,7 @@ class TableStore:
             tempfile.gettempdir(), f"repro-tables-{secrets.token_hex(8)}.bin"
         )
         # O_EXCL: never adopt a pre-existing path (the temp dir is
-        # shared, and the blob is unpickled on the reading side); 0600:
+        # shared, and the reading side installs the blob's tables); 0600:
         # only this uid may replace the contents afterwards.
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
         try:
@@ -239,11 +240,12 @@ def load(ref: TableRef) -> bytes:
         return unpack(data)
     if kind == "file":
         # the digest in the frame proves integrity, not origin: the blob
-        # is unpickled after validation, so a file an attacker could
-        # plant or rewrite under the shared temp dir would be code
-        # execution.  publish() creates it 0600/O_EXCL; refuse anything
-        # that is not a regular file owned by this uid (symlink swaps
-        # are cut off by O_NOFOLLOW where the platform has it).
+        # is installed as verification tables after validation, so a
+        # file an attacker could plant or rewrite under the shared temp
+        # dir would decide verdicts.  publish() creates it 0600/O_EXCL;
+        # refuse anything that is not a regular file owned by this uid
+        # (symlink swaps are cut off by O_NOFOLLOW where the platform
+        # has it).
         fd = os.open(name, os.O_RDONLY | getattr(os, "O_NOFOLLOW", 0))
         try:
             info = os.fstat(fd)

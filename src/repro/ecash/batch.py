@@ -19,10 +19,10 @@ the bank's hot loop.  Two standard techniques cut its cost:
   equality proof's ``e(X, b~)^z == R_B * V^e``) use the fixed points
   ``g``, ``X`` and ``Y`` and are linear in G_T, so under random
   coefficients all of them collapse into one pairing product: Miller
-  loops grouped per fixed point, one final exponentiation.  The two
-  *statement* pairings per token remain: the Fiat–Shamir transcript
-  absorbs the encoded statement ``V``, so every verifier must
-  materialize it.
+  loops grouped per fixed point, one final exponentiation.  The
+  *statement* ``V`` per token remains: the Fiat–Shamir transcript
+  absorbs its encoding, so every verifier must materialize it (one
+  final exponentiation for its two Miller replays).
 
 :func:`batch_verify_spends` composes these: eager structural checks
 per token, one RLC pass over all sigma equations, then both pairing
@@ -45,6 +45,7 @@ from repro.ecash.spend import (
     CollectedSpend,
     DECParams,
     SpendToken,
+    signature_well_formed,
     verify_spend_collect,
 )
 
@@ -92,12 +93,9 @@ def _batched_cl_verdicts(
         path, indices = stack.pop()
         if len(indices) == 1:
             item = collected[indices[0]]
-            token = item.token
-            ok = backend.gt_eq(
-                backend.pair(token.sig_a, bank_pk.Y),
-                backend.pair(backend.g, token.sig_b),
+            verdicts[indices[0]] = signature_well_formed(
+                backend, bank_pk, item.token
             ) and item.deferred.check(params, bank_pk)
-            verdicts[indices[0]] = ok
             continue
         batch = backend.pairing_batch()
         for i in indices:

@@ -26,7 +26,6 @@ Table I cost of ``(8 + i)`` ZKPs for a depth-*i* node.
 
 from __future__ import annotations
 
-import pickle
 import random
 from dataclasses import dataclass
 
@@ -69,6 +68,7 @@ __all__ = [
     "verify_spend",
     "verify_spend_deferred",
     "verify_spend_collect",
+    "signature_well_formed",
     "warm_verification_tables",
     "export_verification_tables",
     "adopt_verification_tables",
@@ -213,10 +213,7 @@ def create_spend(
     # 3. equality proof: the CL-certified scalar equals the committed s.
     #    V = e(g, c~) * e(X, a~)^-1  must equal  e(X, b~)^s
     base_gt = backend.pair(bank_pk.X, sig_b)
-    statement_gt = backend.gt_mul(
-        backend.pair(backend.g, sig_c),
-        backend.gt_exp(backend.pair(bank_pk.X, sig_a), backend.order - 1),
-    )
+    statement_gt = backend.pair_ratio(backend.g, sig_c, bank_pk.X, sig_a)
     equality = prove_equality(
         grp0, g0, h0, commitment_s,
         exp_b=lambda k: backend.gt_exp(base_gt, k),
@@ -321,6 +318,18 @@ class DeferredGTCheck:
         return backend.gt_eq(lhs, rhs)
 
 
+def signature_well_formed(backend, bank_pk: CLPublicKey, token: SpendToken) -> bool:
+    """The CL equation on the randomized triple: ``e(a~, Y) == e(g, b~)``.
+
+    Checked as one quotient ``e(Y, a~) · e(g, b~)^{-1} == 1``, which the
+    pairing backend settles with a single final exponentiation.
+    """
+    return backend.gt_eq(
+        backend.pair_ratio(bank_pk.Y, token.sig_a, backend.g, token.sig_b),
+        backend.gt_one(),
+    )
+
+
 def verify_spend(
     params: DECParams,
     bank_pk: CLPublicKey,
@@ -345,9 +354,9 @@ def verify_spend_deferred(
     Returns ``None`` when any performed check fails, otherwise the
     :class:`DeferredGTCheck` the caller must still discharge (directly
     via :meth:`DeferredGTCheck.check`, or batched across tokens).  The
-    two statement pairings it computes are unavoidable: the Fiat–Shamir
-    transcript absorbs the encoded statement ``V``, so the verifier
-    must materialize it per token to recompute the challenge.
+    statement ``V`` it computes is unavoidable: the Fiat–Shamir
+    transcript absorbs its encoding, so the verifier must materialize
+    it per token to recompute the challenge.
     """
     backend = params.backend
     node = token.node
@@ -358,11 +367,9 @@ def verify_spend_deferred(
 
     # CL signature well-formedness on the randomized triple:
     # e(a~, Y) == e(g, b~); a~ must not be the identity
-    if backend.element_encode(token.sig_a) == backend.element_encode(backend.identity()):
+    if not _signature_screen(backend, token):
         return None
-    if not backend.gt_eq(
-        backend.pair(token.sig_a, bank_pk.Y), backend.pair(backend.g, token.sig_b)
-    ):
+    if not signature_well_formed(backend, bank_pk, token):
         return None
 
     transcript = _base_transcript(params, bank_pk, node, token.node_key, token.sig_a,
@@ -371,10 +378,7 @@ def verify_spend_deferred(
 
     grp0 = params.tower.group(0)
     g0, h0 = params.commit_bases(0)
-    statement_gt = backend.gt_mul(
-        backend.pair(backend.g, token.sig_c),
-        backend.gt_exp(backend.pair(bank_pk.X, token.sig_a), backend.order - 1),
-    )
+    statement_gt = backend.pair_ratio(backend.g, token.sig_c, bank_pk.X, token.sig_a)
     challenge = verify_equality_deferred(
         grp0, g0, h0, token.commitment_s,
         encode_b=lambda el: _gt_encode(backend, el),
@@ -475,7 +479,7 @@ def verify_spend_collect(
     sigma-protocol equation is returned as a
     :class:`~repro.crypto.batchverify.LinearCheck` rather than checked.
     The CL pairing equation ``e(a~, Y) == e(g, b~)`` is **never**
-    evaluated here (only the non-identity screen on ``a~`` runs); the
+    evaluated here (only the screen of the signature points runs); the
     caller owes it, batched or alone, alongside ``deferred``.
 
     Returns ``None`` when any eager check fails — such a token is
@@ -487,7 +491,7 @@ def verify_spend_collect(
         return None
     if len(token.key_commitments) != node.level:
         return None
-    if backend.element_encode(token.sig_a) == backend.element_encode(backend.identity()):
+    if not _signature_screen(backend, token):
         return None
 
     transcript = _base_transcript(params, bank_pk, node, token.node_key, token.sig_a,
@@ -496,10 +500,7 @@ def verify_spend_collect(
 
     grp0 = params.tower.group(0)
     g0, h0 = params.commit_bases(0)
-    statement_gt = backend.gt_mul(
-        backend.pair(backend.g, token.sig_c),
-        backend.gt_exp(backend.pair(bank_pk.X, token.sig_a), backend.order - 1),
-    )
+    statement_gt = backend.pair_ratio(backend.g, token.sig_c, bank_pk.X, token.sig_a)
     collected_eq = collect_equality(
         grp0, g0, h0, token.commitment_s,
         encode_b=lambda el: _gt_encode(backend, el),
@@ -618,34 +619,42 @@ def export_verification_tables(
 
     Warms the tables first (:func:`warm_verification_tables`), then
     packs the global integer comb cache plus the pairing backend's
-    Miller/fixed-base tables (when the backend supports export) into a
-    picklable payload.  A pooled worker — or a recovering service —
-    adopts the blob with :func:`adopt_verification_tables` instead of
-    re-deriving every table from scratch, which is the dominant cost of
-    a cold worker spawn.  Transport (shared memory, mmap files, digest
+    Miller/fixed-base tables (when the backend supports export) into one
+    payload in the project codec (:mod:`repro.net.codec`: ints, lists
+    and dicts — nothing the reader executes).  A pooled worker — or a
+    recovering service — adopts the blob with
+    :func:`adopt_verification_tables` instead of re-deriving every
+    table from scratch, which is the dominant cost of a cold worker
+    spawn.  Transport (shared memory, mmap files, digest
     checking) is :mod:`repro.crypto.tablestore`'s job; this layer only
     defines the payload.
     """
+    # imported here: repro.net's codec registry imports this module
+    from repro.net.codec import encode
+
     warm_verification_tables(params, bank_pk)
     backend = params.backend
-    state: dict = {"version": 1, "int": fastexp.export_int_tables(), "backend": None}
+    state: dict = {"version": 2, "int": fastexp.export_int_tables(), "backend": None}
     export = getattr(backend, "export_tables", None)
     if export is not None:
         state["backend"] = export()
-    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    return encode(state)
 
 
 def adopt_verification_tables(params: DECParams, payload: bytes) -> int:
     """Install a blob from :func:`export_verification_tables`; returns the
     number of tables adopted (0 while fast-exp is globally disabled).
 
-    Raises ``ValueError`` on an unrecognized payload version — callers
-    (pooled workers) catch and fall back to a local
-    :func:`warm_verification_tables` build, so a corrupt or stale blob
-    degrades to the cold path rather than failing verification.
+    Raises ``ValueError`` on bytes that do not decode or on an
+    unrecognized payload version — callers (pooled workers) catch and
+    fall back to a local :func:`warm_verification_tables` build, so a
+    corrupt or stale blob degrades to the cold path rather than failing
+    verification.
     """
-    state = pickle.loads(payload)
-    if not isinstance(state, dict) or state.get("version") != 1:
+    from repro.net.codec import decode  # see export_verification_tables
+
+    state = decode(payload)
+    if not isinstance(state, dict) or state.get("version") != 2:
         raise ValueError("unrecognized verification-table payload")
     count = fastexp.install_int_tables(state.get("int") or [])
     backend_state = state.get("backend")
@@ -658,6 +667,15 @@ def adopt_verification_tables(params: DECParams, payload: bytes) -> int:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+def _signature_screen(backend, token: SpendToken) -> bool:
+    """``a~`` is not the identity, and every signature point is one the
+    backend can pair (a hostile Tate point with imaginary parts is
+    refused here rather than paired by its real parts)."""
+    if backend.element_encode(token.sig_a) == backend.element_encode(backend.identity()):
+        return False
+    return all(backend.pairable(pt) for pt in (token.sig_a, token.sig_b, token.sig_c))
+
 
 def _gt_encode(backend, element) -> tuple:
     """Encode a target-group element as an int tuple for transcripts."""
@@ -674,18 +692,6 @@ def _gt_decode(backend, encoded: tuple):
 
         return Fp2(encoded[0], encoded[1], one.p)
     return encoded[0]
-
-
-def _gt_contains(backend, element) -> bool:
-    """Membership of *element* in the prime-order G_T subgroup."""
-    native = getattr(backend, "gt_contains", None)
-    if native is not None:
-        return bool(native(element))
-    # generic fallback: backends may reduce gt_exp exponents mod the
-    # group order (making element^order vacuous), so probe with
-    # order-1 and multiply the element back in — 0 fails (0·0 ≠ 1).
-    probe = backend.gt_mul(backend.gt_exp(element, backend.order - 1), element)
-    return backend.gt_eq(probe, backend.gt_one())
 
 
 def _decode_gt_commitment(backend, encoded):
@@ -710,7 +716,7 @@ def _decode_gt_commitment(backend, encoded):
     if not all(isinstance(v, int) for v in encoded):
         return None
     element = _gt_decode(backend, encoded)
-    if not _gt_contains(backend, element):
+    if not backend.gt_contains(element):
         return None
     return element
 

@@ -166,20 +166,20 @@ class TestMultiExp:
 
 
 class TestMultiExpGeneric:
+    """:func:`multi_operate`, the one Straus over an ``(identity, op)``
+    group, keeps the contract of :func:`fastexp.multi_exp`."""
+
     def test_matches_pairing_multi_operate(self, session_rng):
-        """The generic Straus here and the one in tate.py must agree."""
+        """Straus over curve points equals the naive sum of multiples."""
         params = generate_curve(32, session_rng)
         backend = TatePairing(params)
         points = [backend.random_element(session_rng) for _ in range(5)]
         scalars = [session_rng.randrange(backend.order) for _ in range(5)]
-        via_fastexp = fastexp.multi_exp_generic(
-            backend.identity(), lambda a, b: a + b, points, scalars
-        )
         via_tate = multi_operate(backend.identity(), lambda a, b: a + b, points, scalars)
         naive = backend.identity()
         for pt, s in zip(points, scalars):
             naive = naive + pt.multiply(s)
-        assert via_fastexp == via_tate == naive
+        assert via_tate == naive == backend.multi_exp(points, scalars)
 
     def test_gt_multi_exp_parity(self, tate_backend, session_rng):
         gt = [tate_backend.gt_generator().pow(session_rng.randrange(1, tate_backend.order))
@@ -189,18 +189,21 @@ class TestMultiExpGeneric:
         for el, s in zip(gt, scalars):
             naive = naive * el.pow(s)
         assert tate_backend.gt_multi_exp(gt, scalars) == naive
-        assert fastexp.multi_exp_generic(
+        assert multi_operate(
             tate_backend.gt_one(), lambda a, b: a * b, gt, scalars
         ) == naive
 
     def test_edge_cases(self):
         op = lambda a, b: a + b
-        assert fastexp.multi_exp_generic(0, op, [], []) == 0
-        assert fastexp.multi_exp_generic(0, op, [5, 9], [0, 0]) == 0
+        assert multi_operate(0, op, [], []) == 0
+        assert multi_operate(0, op, [5, 9], [0, 0]) == 0
+        assert multi_operate(0, op, [5, 9], [0, 3]) == 27
         with pytest.raises(ValueError):
-            fastexp.multi_exp_generic(0, op, [5], [1, 2])
+            multi_operate(0, op, [5], [1, 2])
         with pytest.raises(ValueError):
-            fastexp.multi_exp_generic(0, op, [5], [-3])
+            multi_operate(0, op, [5, 9], [1])
+        with pytest.raises(ValueError):
+            multi_operate(0, op, [5], [-3])
 
 
 # ---------------------------------------------------------------------------

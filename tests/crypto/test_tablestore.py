@@ -113,9 +113,10 @@ class TestPublishLoad:
 
 
 class TestFileFallbackHardening:
-    """The file fallback crosses a shared temp dir and the blob is
-    unpickled after validation — the digest proves integrity, not
-    origin, so creation and read-back must pin the file to this uid."""
+    """The file fallback crosses a shared temp dir and the blob becomes
+    the verifier's tables after validation — the digest proves
+    integrity, not origin, so creation and read-back must pin the file
+    to this uid."""
 
     def test_created_private_and_exclusive(self):
         store = TableStore()

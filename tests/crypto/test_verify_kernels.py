@@ -1,0 +1,300 @@
+"""Parity of the deposit-verification kernels with their reference formulas.
+
+Each kernel the verifier leans on is pinned against the plain
+computation it replaces, so a decision can never depend on which one
+ran:
+
+* the bucket and Straus multi-exponentiations against a product of
+  ``pow`` calls;
+* the Legendre-symbol subgroup test against ``pow(a, q, p) == 1``;
+* the denominator-free Miller replay against the textbook Miller loop
+  (verticals and denominators kept, :class:`Fp2` objects throughout);
+* the int-pair ``μ_r`` membership test against the subgroup it names;
+* the one-final-exponentiation statement ``V`` against
+  ``ê(g, c~) · ê(X, a~)^(r−1)``;
+
+and a token whose curve point is not F_p-rational — the one input the
+real-parts-only Miller loop would read differently — is refused.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+
+from repro.crypto import fastexp
+from repro.crypto.cl_sig import cl_blind_issue, cl_keygen
+from repro.crypto.groups import SchnorrGroup, build_tower
+from repro.crypto.pairing import TatePairing, ToyPairing, generate_curve
+from repro.crypto.pairing.curve import Point
+from repro.crypto.pairing.field import Fp2
+from repro.crypto.pairing.tate import MillerTable, tate_pairing
+from repro.ecash.batch import batch_verify_spends
+from repro.ecash.dec import begin_withdrawal, finish_withdrawal
+from repro.ecash.spend import create_spend, verify_spend, verify_spend_collect
+from repro.ecash.tree import NodeId
+
+# RFC 2409 Oakley Group 2: a 1024-bit safe prime
+P1024 = int(
+    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
+    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
+    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
+    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF",
+    16,
+)
+
+
+@pytest.fixture(autouse=True)
+def _isolated_fastexp():
+    previous = fastexp.configure()
+    fastexp.reset()
+    yield
+    fastexp.configure(**previous)
+    fastexp.reset()
+
+
+@pytest.fixture(scope="module")
+def curve():
+    params = generate_curve(40, random.Random(0x5EED))
+    return params, TatePairing(params)
+
+
+def _pow_product(bases, exps, m):
+    acc = 1 % m
+    for b, e in zip(bases, exps):
+        acc = acc * pow(b, e, m) % m
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# multi-exponentiation: bucket vs Straus vs pow
+# ---------------------------------------------------------------------------
+
+class TestMultiExpKernels:
+    @pytest.mark.parametrize("size", [1, 63, 64, 1000])
+    def test_bucket_straus_and_pow_agree(self, size):
+        rng = random.Random(size)
+        bases = [rng.randrange(1, P1024) for _ in range(size)]
+        exps = [rng.getrandbits(72) for _ in range(size)]
+        exps[0] = 0  # zero exponents are skipped on every path
+        want = _pow_product(bases, exps, P1024)
+        pairs = [(b, e) for b, e in zip(bases, exps) if e]
+        assert fastexp.multi_exp(bases, exps, P1024) == want
+        if pairs:
+            assert fastexp._straus_product(pairs, P1024, 4) == want
+            assert fastexp._bucket_product(pairs, P1024) == want
+        else:
+            assert want == 1
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 1000])
+    def test_modulus_one(self, size):
+        bases = list(range(2, size + 2))
+        exps = [3] * size
+        assert fastexp.multi_exp(bases, exps, 1) == 0
+        pairs = [(b % 1, e) for b, e in zip(bases, exps)]
+        assert fastexp._straus_product(pairs, 1, 4) == 0
+        assert fastexp._bucket_product(pairs, 1) == 0
+
+    def test_all_zero_exponents(self):
+        assert fastexp.multi_exp([5] * 100, [0] * 100, P1024) == 1
+        assert fastexp.multi_exp([5] * 100, [0] * 100, 1) == 0
+
+    def test_exponents_of_unequal_width(self):
+        rng = random.Random(7)
+        bases = [rng.randrange(1, P1024) for _ in range(80)]
+        exps = [rng.getrandbits(rng.randrange(1, 200)) for _ in range(80)]
+        assert fastexp.multi_exp(bases, exps, P1024) == _pow_product(bases, exps, P1024)
+
+
+# ---------------------------------------------------------------------------
+# Legendre membership vs pow
+# ---------------------------------------------------------------------------
+
+def _by_pow(group: SchnorrGroup, a: int) -> bool:
+    return 0 < a < group.p and pow(a, group.q, group.p) == 1
+
+
+class TestLegendreMembership:
+    @pytest.fixture(scope="class")
+    def tower(self):
+        return build_tower(3, random.Random(11))
+
+    def test_every_storey_decides_like_pow(self, tower):
+        rng = random.Random(12)
+        for group in tower.levels:
+            p = group.p
+            cases = [0, 1, 2, p - 1, p, p + 1, -1, group.g]
+            cases += [rng.randrange(1, p) for _ in range(200)]
+            cases += [group.power(rng.randrange(1, group.q)) for _ in range(50)]
+            for a in cases:
+                assert group.contains(a) == _by_pow(group, a), (p, a)
+
+    def test_random_non_residues_rejected(self, tower):
+        rng = random.Random(13)
+        safe = [g for g in tower.levels if g.p == 2 * g.q + 1]
+        assert safe
+        for group in safe:
+            seen = 0
+            while seen < 50:
+                a = rng.randrange(2, group.p)
+                if pow(a, group.q, group.p) == group.p - 1:
+                    assert not group.contains(a)
+                    seen += 1
+
+    def test_non_safe_storey_keeps_pow(self, tower):
+        top = tower.levels[-1]
+        assert top.p != 2 * top.q + 1  # the tower's top storey has cofactor > 2
+        rng = random.Random(14)
+        for _ in range(200):
+            a = rng.randrange(0, top.p + 2)
+            assert top.contains(a) == _by_pow(top, a)
+
+
+# ---------------------------------------------------------------------------
+# Miller replay vs the textbook loop
+# ---------------------------------------------------------------------------
+
+def _textbook_tate(params, P, Q) -> Fp2:
+    """``ê(P, Q)`` by the Miller loop with every vertical and denominator
+    kept, on :class:`Fp2` objects, then ``(conj(f)/f)^((p+1)/r)``."""
+    p, r = params.p, params.r
+    S = Q.distort()
+
+    def line(t, u):
+        if t.is_infinity or u.is_infinity:
+            return S.x - (u if t.is_infinity else t).x
+        if t.x == u.x:
+            if t.y == -u.y:
+                return S.x - t.x
+            lam = ((t.x * t.x).scalar_mul(3) + Fp2.one(p)) / t.y.scalar_mul(2)
+        else:
+            lam = (u.y - t.y) / (u.x - t.x)
+        return S.y - t.y - lam * (S.x - t.x)
+
+    f, T = Fp2.one(p), P
+    for bit in bin(r)[3:]:
+        two_t = T + T
+        f = f * f * line(T, T) / line(two_t, -two_t)
+        T = two_t
+        if bit == "1":
+            t_plus_p = T + P
+            f = f * line(T, P) / line(t_plus_p, -t_plus_p)
+            T = t_plus_p
+    return (f.conjugate() / f).pow((p + 1) // r)
+
+
+class TestMillerReplay:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_table_pair_equals_tate_pairing(self, curve, enabled):
+        params, _ = curve
+        fastexp.configure(enabled=enabled)
+        backend = TatePairing(params)
+        rng = random.Random(21)
+        for _ in range(3):
+            P = backend.random_element(rng)
+            table = MillerTable(params, P)
+            backend.warm_pair(P)
+            for _ in range(3):
+                Q = backend.random_element(rng)
+                want = _textbook_tate(params, P, Q)
+                assert table.pair(Q) == want
+                assert tate_pairing(params, P, Q) == want
+                assert backend.pair(P, Q) == want
+                assert backend.pair(Q, P) == want
+
+    def test_state_roundtrip_and_range_checks(self, curve):
+        params, backend = curve
+        table = MillerTable(params, backend.g)
+        state = table.to_state()
+        clone = MillerTable.from_state(params, state)
+        Q = backend.random_element(random.Random(22))
+        assert clone.raw(Q) == table.raw(Q)
+        lam, k = state["steps"][0][1:]
+        for bad in ((True, params.p, k), (True, lam, -1), (1, lam, k),
+                    (False, None, None), (True, lam, None)):
+            broken = dict(state, steps=[bad] + state["steps"][1:])
+            with pytest.raises(ValueError):
+                MillerTable.from_state(params, broken)
+        xa, xb, ya, yb, inf = state["point"]
+        with pytest.raises(ValueError):
+            MillerTable.from_state(params, dict(state, point=(xa + params.p, xb, ya, yb, inf)))
+
+
+# ---------------------------------------------------------------------------
+# μ_r membership
+# ---------------------------------------------------------------------------
+
+class TestGtContains:
+    def test_rejects_outside_mu_r(self, curve):
+        params, backend = curve
+        p, r = params.p, params.r
+        x = backend.gt_generator()
+        assert backend.gt_contains(x)
+        assert backend.gt_contains(backend.gt_one())
+        assert not backend.gt_contains(Fp2.zero(p))
+        assert not backend.gt_contains(-x)          # norm 1, order 2r
+        assert not backend.gt_contains(Fp2(2, 0, p))  # norm ≠ 1
+        # an element of μ_(p+1) outside μ_r: z^((p-1)·r) ≠ 1 has order
+        # dividing the cofactor (p+1)/r
+        rng = random.Random(31)
+        while True:
+            z = Fp2(rng.randrange(1, p), rng.randrange(1, p), p)
+            w = (z.conjugate() / z).pow(r)
+            if not w.is_one():
+                break
+        assert w.norm() == 1
+        assert not backend.gt_contains(w)
+        assert not backend.gt_contains(w * x)
+
+
+# ---------------------------------------------------------------------------
+# the transcript statement with one final exponentiation
+# ---------------------------------------------------------------------------
+
+class TestStatement:
+    def _check(self, backend, rng):
+        keypair = cl_keygen(backend, rng)
+        X = keypair.public.X
+        for _ in range(3):
+            sig_a, sig_c = backend.random_element(rng), backend.random_element(rng)
+            old = backend.gt_mul(
+                backend.pair(backend.g, sig_c),
+                backend.gt_exp(backend.pair(X, sig_a), backend.order - 1),
+            )
+            assert backend.pair_ratio(backend.g, sig_c, X, sig_a) == old
+
+    def test_tate(self, curve):
+        _, backend = curve
+        self._check(backend, random.Random(41))
+
+    def test_tate_without_tables(self, curve):
+        params, _ = curve
+        fastexp.configure(enabled=False)
+        self._check(TatePairing(params), random.Random(42))
+
+    def test_toy(self):
+        rng = random.Random(43)
+        self._check(ToyPairing.generate(64, rng), rng)
+
+
+class TestPairableScreen:
+    def test_non_rational_signature_point_is_refused(self, dec_params, rng):
+        """The Miller loop reads only real parts, so a token whose curve
+        point carries an imaginary part is refused before any pairing."""
+        backend = dec_params.backend
+        bank_kp = cl_keygen(backend, rng)
+        secret, request = begin_withdrawal(dec_params, rng)
+        signature = cl_blind_issue(backend, bank_kp, request, rng)
+        coin = finish_withdrawal(dec_params, bank_kp.public, secret, signature)
+        tokens = [create_spend(dec_params, bank_kp.public, coin.secret, coin.signature,
+                               NodeId(1, i), rng) for i in range(2)]
+        c = tokens[1].sig_c
+        p = backend.params.p
+        bent = Point(Fp2(c.x.a, 1, p), c.y, p)
+        assert backend.pairable(c) and not backend.pairable(bent)
+        tokens[1] = dataclasses.replace(tokens[1], sig_c=bent)
+        assert verify_spend_collect(dec_params, bank_kp.public, tokens[1]) is None
+        assert [verify_spend(dec_params, bank_kp.public, t) for t in tokens] == [True, False]
+        assert batch_verify_spends(dec_params, bank_kp.public, tokens, rng) == [True, False]

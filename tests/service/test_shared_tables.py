@@ -25,6 +25,7 @@ from repro.ecash.spend import (
     verify_spend,
 )
 from repro.ecash.tree import NodeId
+from repro.net.codec import encode
 from repro.service import Journal, MarketService, VerificationBatcher
 from repro.service.workers import PooledBackend
 
@@ -79,12 +80,21 @@ class TestExportAdopt:
     def test_garbage_rejected(self, dec_params, forced_fastexp):
         with pytest.raises(Exception):
             adopt_verification_tables(dec_params, b"not a pickle")
+        # a version-1 (pickled) blob is never unpickled: it fails to decode
         with pytest.raises(ValueError):
             adopt_verification_tables(
-                dec_params, pickle.dumps({"version": 99, "int": []})
+                dec_params, pickle.dumps({"version": 1, "int": []})
             )
         with pytest.raises(ValueError):
-            adopt_verification_tables(dec_params, pickle.dumps([1, 2, 3]))
+            adopt_verification_tables(dec_params, encode({"version": 99, "int": []}))
+        with pytest.raises(ValueError):
+            adopt_verification_tables(dec_params, encode([1, 2, 3]))
+        # a Miller step whose slope is not a field element
+        state = {"point": dec_params.backend.g.encode(),
+                 "steps": [(True, dec_params.backend.params.p, 0)]}
+        with pytest.raises(ValueError):
+            adopt_verification_tables(dec_params, encode(
+                {"version": 2, "int": [], "backend": {"pair": [state]}}))
 
     def test_disabled_adopt_is_a_noop(self, dec_params, rng):
         bank_kp = cl_keygen(dec_params.backend, rng)
