@@ -126,8 +126,9 @@ def test_worker_warmup_with_shared_tables(benchmark, deposit_stack):
     """Acceptance: adopting published tables beats rebuilding them.
 
     The pool initializer either attaches to the parent's blob
-    (`adopt_verification_tables`) or re-derives every fixed-base comb
-    and Miller table (`warm_verification_tables`) — this is the
+    (`adopt_verification_tables`, which still builds the integer window
+    tables) or re-derives every window and Miller table
+    (`warm_verification_tables`) — this is the
     per-worker warm-up the shared transport exists to cut.  Both paths
     are timed from a cold cache, exactly as a freshly spawned worker
     sees them; end-to-end 2-worker pool spawn walls are recorded

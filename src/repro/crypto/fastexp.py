@@ -6,13 +6,12 @@ the tower generators ``g, h, γ`` of each storey, the bank's CL public
 key, and the pairing-group generator.  This module turns that
 repetition into speed with three primitives:
 
-* :class:`FixedBaseTable` — a Lim–Lee *comb* over ``Z_p``: the exponent
-  bits are read in ``teeth`` interleaved streams so one exponentiation
-  costs ``ceil(bits/teeth/splits) - 1`` squarings plus roughly
-  ``ceil(bits/teeth)`` table multiplies, against ``~1.5 * bits``
-  multiplies for square-and-multiply.  At paper parameters (1024-bit
-  modulus, 160-bit exponents) this is a 5–6× win once the table exists.
-* :class:`GenericFixedBaseTable` — the same comb over any group given
+* :class:`FixedBaseTable` — a fixed-window table over ``Z_p``: row *i*
+  holds ``base^(d·2^(w·i))`` for every *w*-bit digit *d*, so one
+  exponentiation is one table multiply per non-zero digit, with no
+  squarings, against ``~1.2 * bits`` multiplies for ``pow``'s sliding
+  window.  At a 70-bit storey modulus that is ~4× faster than ``pow``.
+* :class:`GenericFixedBaseTable` — the same table over any group given
   as an ``(identity, op)`` pair; used for fixed curve points, where
   every group operation is a Python-level affine addition.
 * :func:`multi_exp` — Straus/Shamir simultaneous exponentiation for
@@ -27,13 +26,11 @@ build cost.  All caches register themselves in a module registry;
 :func:`stats` aggregates their hit/miss/build/eviction counters (also
 surfaced through :func:`repro.metrics.opcount.fastexp_stats`).
 
-Two global gates keep the fallback path exactly as fast as before:
+One global gate keeps the fallback path exactly as it was:
 :func:`configure` ``(enabled=False)`` (or environment
-``REPRO_FASTEXP=0``) disables every table path, and
-``min_modulus_bits`` keeps the *integer* comb away from small moduli
-where CPython's C-level ``pow`` beats any Python-level loop.  With
-tables on or off, results are bit-identical — the comb computes the
-same group element ``pow`` does.
+``REPRO_FASTEXP=0``) disables every table path.  With tables on or
+off, results are bit-identical — a table computes the same group
+element ``pow`` does.
 
 This module must stay dependency-free: it imports nothing from
 ``repro`` (enforced by ``tools/lint_imports.py``) so every layer —
@@ -60,8 +57,6 @@ __all__ = [
     "enabled",
     "stats",
     "reset",
-    "export_int_tables",
-    "install_int_tables",
 ]
 
 
@@ -77,11 +72,11 @@ class CacheStats:
     calls that fell back to the naive path because no table existed
     yet; ``builds`` — tables constructed (by promotion or warming);
     ``evictions`` — tables dropped by the LRU bound; ``bypasses`` —
-    calls that skipped the cache entirely (disabled, or modulus below
-    the integer gate); ``attached`` — tables adopted ready-built from
-    a shared-memory blob (:meth:`PromotionCache.install`) rather than
-    constructed locally.  ``builds`` counts only local constructions,
-    so ``attached`` is exactly the work the sharing path saved.
+    calls that skipped the cache entirely (tables disabled);
+    ``attached`` — tables adopted ready-built from a shared-memory blob
+    (:meth:`PromotionCache.install`) rather than constructed locally.
+    ``builds`` counts only local constructions, so ``attached`` is
+    exactly the work the sharing path saved.
     """
 
     hits: int = 0
@@ -109,27 +104,57 @@ class CacheStats:
 
 
 # ---------------------------------------------------------------------------
-# fixed-base comb tables
+# fixed-base window tables
 # ---------------------------------------------------------------------------
 
-class FixedBaseTable:
-    """Lim–Lee comb precomputation for ``base^e mod modulus``.
+#: most elements one integer table may hold: ~35 KB per base at a
+#: 70-bit modulus, 128 KB at 1024 bits
+_INT_ENTRIES = 1024
+#: the point-table window: a curve addition costs an inversion, so a
+#: point table's build is what a warm-up pays (300 additions at the
+#: 80-bit ``r``), and every worker chunk re-adopts the table
+_POINT_WINDOW = 4
 
-    The ``bits``-bit exponent is split into ``teeth`` blocks of
-    ``a = ceil(bits/teeth)`` bits; bit *t* of every block forms one comb
-    *column*, selecting the precomputed product
-    ``Π_{i : column bit i set} base^(2^(a·i))``.  Each block is further
-    cut into ``splits`` sub-blocks with their own (pre-shifted) table,
-    which divides the squaring count by ``splits`` at the price of
-    ``splits × 2^teeth`` stored elements.
+
+def _window(bits: int) -> int:
+    """The widest window ``w ≤ bits`` whose ``ceil(bits/w)`` rows of
+    ``2^w`` elements fit in ``_INT_ENTRIES`` (``1`` when none does)."""
+    w = 1
+    while w < bits and -(-bits // (w + 1)) << (w + 1) <= _INT_ENTRIES:
+        w += 1
+    return w
+
+
+def _window_rows(identity: Any, op: Callable[[Any, Any], Any], base: Any,
+                 bits: int, window: int) -> list[list[Any]]:
+    """Row *i* holds ``base^(d·2^(window·i))`` at index ``d < 2^window``."""
+    rows: list[list[Any]] = []
+    x = base
+    for i in range(-(-bits // window)):
+        if i:
+            x = op(rows[-1][-1], x)  # x^(2^w - 1) · x = x^(2^w)
+        row = [identity, x]
+        for _ in range((1 << window) - 2):
+            row.append(op(row[-1], x))
+        rows.append(row)
+    return rows
+
+
+class FixedBaseTable:
+    """Fixed-window precomputation for ``base^e mod modulus``.
+
+    Row *i* holds ``base^(d·2^(w·i))`` for every digit ``d < 2^w``, so an
+    exponentiation is one multiply per non-zero *w*-bit digit of the
+    exponent — no squarings.  *w* is the widest window that keeps the
+    table within ``_INT_ENTRIES`` elements (6 at a 70-bit exponent, 5 at
+    160 bits); *window* overrides it (the parity tests sweep it).
 
     Exponents are reduced modulo *order* when given (sound for any
-    element of the order-*order* subgroup); otherwise exponents that do
-    not fit in ``bits`` fall back to :func:`pow`.
+    element of the order-*order* subgroup); exponents outside
+    ``[0, 2^bits)`` fall back to :func:`pow`.
     """
 
-    __slots__ = ("base", "modulus", "order", "bits", "teeth", "splits",
-                 "_block", "_sub", "_tables")
+    __slots__ = ("base", "modulus", "order", "bits", "window", "_rows")
 
     def __init__(
         self,
@@ -138,62 +163,32 @@ class FixedBaseTable:
         *,
         bits: int | None = None,
         order: int | None = None,
-        teeth: int = 8,
-        splits: int = 4,
+        window: int | None = None,
     ) -> None:
         if modulus < 3:
             raise ValueError("modulus too small")
-        if teeth < 1 or splits < 1:
-            raise ValueError("teeth and splits must be positive")
         if bits is None:
             if order is None:
                 raise ValueError("need an exponent bit bound: pass bits or order")
             bits = order.bit_length()
         if bits < 1:
             raise ValueError("bits must be positive")
+        if window is None:
+            window = _window(bits)
+        if window < 1:
+            raise ValueError("window must be positive")
         self.base = base % modulus
         self.modulus = modulus
         self.order = order
         self.bits = bits
-        self.teeth = teeth
-        self.splits = splits
-        a = -(-bits // teeth)          # comb block size
-        b = -(-a // splits)            # sub-block size (squarings per exp)
-        self._block = a
-        self._sub = b
-
-        # base powers g_i = base^(2^(a*i)) spanning the comb teeth
-        m = modulus
-        gi = []
-        acc = self.base
-        for i in range(teeth):
-            gi.append(acc)
-            if i < teeth - 1:
-                for _ in range(a):
-                    acc = acc * acc % m
-        # T[0][k] = Π_{i in k} g_i  via the lowest-set-bit recurrence;
-        # T[j] = T[j-1] shifted up by the sub-block width.
-        size = 1 << teeth
-        first = [1] * size
-        for k in range(1, size):
-            lsb = k & -k
-            first[k] = first[k ^ lsb] * gi[lsb.bit_length() - 1] % m
-        tables = [first]
-        for _ in range(1, splits):
-            prev = tables[-1]
-            cur = [1] * size
-            for k in range(1, size):
-                x = prev[k]
-                for _ in range(b):
-                    x = x * x % m
-                cur[k] = x
-            tables.append(cur)
-        self._tables = tables
+        self.window = window
+        self._rows = _window_rows(1, lambda a, b: a * b % modulus, self.base,
+                                  bits, window)
 
     @property
     def table_size(self) -> int:
         """Number of stored group elements."""
-        return self.splits * (1 << self.teeth)
+        return len(self._rows) << self.window
 
     def exp(self, exponent: int) -> int:
         """``base^exponent mod modulus`` — identical to ``pow``."""
@@ -204,75 +199,30 @@ class FixedBaseTable:
             # out of the precomputed range: exact fallback
             return pow(self.base, e, self.modulus)
         m = self.modulus
-        tables = self._tables
-        a = self._block
-        b = self._sub
-        teeth = self.teeth
+        w = self.window
+        mask = (1 << w) - 1
         acc = 1
-        for t in range(b - 1, -1, -1):
-            acc = acc * acc % m
-            for j in range(self.splits - 1, -1, -1):
-                pos = j * b + t
-                if pos >= a:
-                    # splits*sub overshoots the block; those columns are empty
-                    continue
-                k = 0
-                bitpos = pos
-                for i in range(teeth):
-                    if (e >> bitpos) & 1:
-                        k |= 1 << i
-                    bitpos += a
-                if k:
-                    acc = acc * tables[j][k] % m
+        for row in self._rows:
+            if not e:
+                break
+            digit = e & mask
+            if digit:
+                acc = acc * row[digit] % m
+            e >>= w
         return acc
-
-    # -- serialization (shared-memory table transport) --------------------
-    def to_state(self) -> dict[str, Any]:
-        """Plain-data snapshot; :meth:`from_state` rebuilds without any
-        exponentiation work (the point of shipping tables to workers)."""
-        return {
-            "base": self.base,
-            "modulus": self.modulus,
-            "order": self.order,
-            "bits": self.bits,
-            "teeth": self.teeth,
-            "splits": self.splits,
-            "tables": [list(t) for t in self._tables],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "FixedBaseTable":
-        table = cls.__new__(cls)
-        table.base = int(state["base"])
-        table.modulus = int(state["modulus"])
-        order = state["order"]
-        table.order = None if order is None else int(order)
-        table.bits = int(state["bits"])
-        table.teeth = int(state["teeth"])
-        table.splits = int(state["splits"])
-        if table.modulus < 3 or table.bits < 1 or table.teeth < 1 or table.splits < 1:
-            raise ValueError("malformed fixed-base table state")
-        table._block = -(-table.bits // table.teeth)
-        table._sub = -(-table._block // table.splits)
-        rows = [list(map(int, t)) for t in state["tables"]]
-        size = 1 << table.teeth
-        if len(rows) != table.splits or any(len(t) != size for t in rows):
-            raise ValueError("fixed-base table state has wrong dimensions")
-        table._tables = rows
-        return table
 
 
 class GenericFixedBaseTable:
-    """The same comb over an arbitrary group given as ``(identity, op)``.
+    """The same window table over a group given as ``(identity, op)``.
 
-    Used for groups whose operation is itself Python-level work (curve
-    points, extension-field elements) — there the comb's op-count
-    reduction pays off at *any* size.  Exponents must already be
-    reduced into ``[0, 2^bits)``.
+    Used for curve points, where every group operation is a
+    Python-level affine addition: an exponentiation costs at most one
+    operation per row after the first (19 at the 80-bit ``r``, with
+    ``_POINT_WINDOW`` = 4).  Exponents must already be reduced into
+    ``[0, 2^bits)``.
     """
 
-    __slots__ = ("identity", "op", "base", "bits", "teeth", "splits",
-                 "_block", "_sub", "_tables")
+    __slots__ = ("identity", "op", "base", "bits", "window", "_rows")
 
     def __init__(
         self,
@@ -281,85 +231,48 @@ class GenericFixedBaseTable:
         base: Any,
         bits: int,
         *,
-        teeth: int = 6,
-        splits: int = 2,
+        window: int = _POINT_WINDOW,
     ) -> None:
         if bits < 1:
             raise ValueError("bits must be positive")
-        if teeth < 1 or splits < 1:
-            raise ValueError("teeth and splits must be positive")
+        if window < 1:
+            raise ValueError("window must be positive")
         self.identity = identity
         self.op = op
         self.base = base
         self.bits = bits
-        self.teeth = teeth
-        self.splits = splits
-        a = -(-bits // teeth)
-        b = -(-a // splits)
-        self._block = a
-        self._sub = b
-
-        gi = []
-        acc = base
-        for i in range(teeth):
-            gi.append(acc)
-            if i < teeth - 1:
-                for _ in range(a):
-                    acc = op(acc, acc)
-        size = 1 << teeth
-        first: list[Any] = [identity] * size
-        for k in range(1, size):
-            lsb = k & -k
-            first[k] = op(first[k ^ lsb], gi[lsb.bit_length() - 1])
-        tables = [first]
-        for _ in range(1, splits):
-            prev = tables[-1]
-            cur: list[Any] = [identity] * size
-            for k in range(1, size):
-                x = prev[k]
-                for _ in range(b):
-                    x = op(x, x)
-                cur[k] = x
-            tables.append(cur)
-        self._tables = tables
+        self.window = window
+        self._rows = _window_rows(identity, op, base, bits, window)
 
     @property
     def table_size(self) -> int:
-        return self.splits * (1 << self.teeth)
+        return len(self._rows) << self.window
 
     def exp(self, exponent: int) -> Any:
         if exponent < 0 or exponent.bit_length() > self.bits:
             raise ValueError("exponent outside the precomputed range")
         op = self.op
-        tables = self._tables
-        a = self._block
-        b = self._sub
-        acc = self.identity
-        for t in range(b - 1, -1, -1):
-            acc = op(acc, acc)
-            for j in range(self.splits - 1, -1, -1):
-                pos = j * b + t
-                if pos >= a:
-                    continue
-                k = 0
-                bitpos = pos
-                for i in range(self.teeth):
-                    if (exponent >> bitpos) & 1:
-                        k |= 1 << i
-                    bitpos += a
-                if k:
-                    acc = op(acc, tables[j][k])
-        return acc
+        w = self.window
+        mask = (1 << w) - 1
+        acc = None
+        for row in self._rows:
+            if not exponent:
+                break
+            digit = exponent & mask
+            if digit:
+                acc = row[digit] if acc is None else op(acc, row[digit])
+            exponent >>= w
+        return self.identity if acc is None else acc
 
     # -- serialization (shared-memory table transport) --------------------
     def to_state(self, encode: Callable[[Any], Any]) -> dict[str, Any]:
-        """Snapshot with elements mapped through *encode* (plain data)."""
+        """Snapshot with elements mapped through *encode* (plain data);
+        each row's identity slot is left out."""
         return {
             "base": encode(self.base),
             "bits": self.bits,
-            "teeth": self.teeth,
-            "splits": self.splits,
-            "tables": [[encode(x) for x in t] for t in self._tables],
+            "window": self.window,
+            "rows": [[encode(x) for x in row[1:]] for row in self._rows],
         }
 
     @classmethod
@@ -375,17 +288,16 @@ class GenericFixedBaseTable:
         table.op = op
         table.base = decode(state["base"])
         table.bits = int(state["bits"])
-        table.teeth = int(state["teeth"])
-        table.splits = int(state["splits"])
-        if table.bits < 1 or table.teeth < 1 or table.splits < 1:
+        table.window = int(state["window"])
+        if table.bits < 1 or table.window < 1:
             raise ValueError("malformed generic table state")
-        table._block = -(-table.bits // table.teeth)
-        table._sub = -(-table._block // table.splits)
-        rows = [[decode(x) for x in t] for t in state["tables"]]
-        size = 1 << table.teeth
-        if len(rows) != table.splits or any(len(t) != size for t in rows):
+        rows = [[identity] + [decode(x) for x in row] for row in state["rows"]]
+        width = 1 << table.window
+        if len(rows) != -(-table.bits // table.window) or any(
+            len(row) != width for row in rows
+        ):
             raise ValueError("generic table state has wrong dimensions")
-        table._tables = rows
+        table._rows = rows
         return table
 
 
@@ -610,22 +522,11 @@ _CONFIG: dict[str, Any] = {
     not in {"0", "off", "false", "no"},
     "promote_after": 4,
     "max_tables": 64,
-    "teeth": 8,
-    "splits": 4,
-    # below this modulus size C-level pow beats a Python-level comb
-    "min_modulus_bits": 192,
 }
 
 
 def _build_int_table(base: int, modulus: int, bits: int, order: int | None) -> FixedBaseTable:
-    return FixedBaseTable(
-        base,
-        modulus,
-        bits=bits,
-        order=order,
-        teeth=_CONFIG["teeth"],
-        splits=_CONFIG["splits"],
-    )
+    return FixedBaseTable(base, modulus, bits=bits, order=order)
 
 
 _INT_TABLES = PromotionCache(
@@ -651,9 +552,6 @@ def configure(
     enabled: bool | None = None,
     promote_after: int | None = None,
     max_tables: int | None = None,
-    teeth: int | None = None,
-    splits: int | None = None,
-    min_modulus_bits: int | None = None,
 ) -> dict[str, Any]:
     """Update the global fast-exp policy; returns the *previous* config.
 
@@ -665,9 +563,6 @@ def configure(
         "enabled": enabled,
         "promote_after": promote_after,
         "max_tables": max_tables,
-        "teeth": teeth,
-        "splits": splits,
-        "min_modulus_bits": min_modulus_bits,
     }
     for key, value in updates.items():
         if value is not None:
@@ -692,13 +587,13 @@ def exp_fixed(
     Semantics are identical to ``pow`` (with *order* given, the
     exponent is first reduced modulo it — sound for any element of
     that subgroup, and what :class:`~repro.crypto.groups.SchnorrGroup`
-    does anyway).  The table path is taken only when globally enabled,
-    the modulus clears ``min_modulus_bits``, and this base has been
-    seen often enough to have been promoted.
+    does anyway).  The table path is taken when tables are globally
+    enabled and this base has been seen often enough to have been
+    promoted — at any modulus size.
     """
     if order is not None:
         exponent %= order
-    if not _CONFIG["enabled"] or modulus.bit_length() < _CONFIG["min_modulus_bits"]:
+    if not _CONFIG["enabled"]:
         _INT_TABLES.stats.bypasses += 1
         return pow(base, exponent, modulus)
     if bits is None:
@@ -718,11 +613,10 @@ def warm_fixed_base(
 ) -> bool:
     """Eagerly build the table for a known-hot base.
 
-    Returns ``True`` when a table is (now) resident; honors the same
-    global gates as :func:`exp_fixed`, so warming a base the cache
-    would never use is a counted no-op.
+    Returns ``True`` when a table is (now) resident; with tables
+    globally disabled the warm is a counted no-op.
     """
-    if not _CONFIG["enabled"] or modulus.bit_length() < _CONFIG["min_modulus_bits"]:
+    if not _CONFIG["enabled"]:
         _INT_TABLES.stats.bypasses += 1
         return False
     if bits is None:
@@ -731,35 +625,6 @@ def warm_fixed_base(
         bits = order.bit_length()
     _INT_TABLES.force((modulus, base), base, modulus, bits, order)
     return True
-
-
-def export_int_tables() -> list[dict[str, Any]]:
-    """Snapshot every resident integer comb as plain state dicts.
-
-    The export is what :func:`repro.ecash.spend.export_verification_tables`
-    packs into the shared-memory blob; order is LRU (coldest first) so
-    a size-bounded importer keeps the hottest tables.
-    """
-    return [table.to_state() for _, table in _INT_TABLES.snapshot()]
-
-
-def install_int_tables(states: Sequence[dict[str, Any]]) -> int:
-    """Adopt exported integer combs into the shared cache.
-
-    Returns the number installed.  Honors the global gates the build
-    path honors — with tables disabled the states are ignored, so an
-    attach can never resurrect a configuration the operator turned off.
-    """
-    if not _CONFIG["enabled"]:
-        return 0
-    installed = 0
-    for state in states:
-        table = FixedBaseTable.from_state(state)
-        if table.modulus.bit_length() < _CONFIG["min_modulus_bits"]:
-            continue
-        _INT_TABLES.install((table.modulus, table.base), table)
-        installed += 1
-    return installed
 
 
 def stats() -> dict[str, dict[str, int]]:

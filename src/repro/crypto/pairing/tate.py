@@ -87,6 +87,43 @@ def _add(t, u, p: int):
     return lam, (lam * xt - yt) % p, (x3, (lam * (xt - x3) - yt) % p)
 
 
+def _jdouble(X: int, Y: int, Z: int, p: int) -> tuple[int, int, int]:
+    """Double a Jacobian point ``(X/Z², Y/Z³)`` on ``y² = x³ + x``;
+    ``Z = 0`` is infinity, and ``Y = 0`` (order 2) doubles to it."""
+    YY = Y * Y % p
+    S = 4 * X * YY % p
+    ZZ = Z * Z % p
+    M = (3 * X * X + ZZ * ZZ) % p
+    X3 = (M * M - 2 * S) % p
+    return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+
+
+def _kills(x: int, y: int, k: int, p: int) -> bool:
+    """Whether ``[k]·(x, y) = O`` for ``k ≥ 1`` and an affine point on
+    ``y² = x³ + x``: double-and-add in Jacobian coordinates, with no
+    inversion."""
+    X, Y, Z = x, y, 1
+    for bit in bin(k)[3:]:
+        X, Y, Z = _jdouble(X, Y, Z, p)
+        if bit == "1":
+            if not Z:
+                X, Y, Z = x, y, 1
+                continue
+            ZZ = Z * Z % p
+            H = (x * ZZ - X) % p
+            R = (y * Z * ZZ - Y) % p
+            if not H:
+                # the running point is ±(x, y): doubled or cancelled
+                X, Y, Z = _jdouble(X, Y, Z, p) if not R else (1, 1, 0)
+                continue
+            HH = H * H % p
+            HHH = H * HH % p
+            V = X * HH % p
+            X3 = (R * R - HHH - 2 * V) % p
+            X, Y, Z = X3, (R * (V - X3) - Y * HHH) % p, Z * H % p
+    return Z == 0
+
+
 def _line_walk(P: Point, r: int) -> list[tuple]:
     """The double-and-add walk of ``f_{r,P}`` as replayable line steps.
 
@@ -426,19 +463,19 @@ class TatePairing:
             max_entries=8,
             promote_after=2,
         )
+        # fixed points as affine int pairs (None is infinity): a tenth
+        # of a Point's memory, and _add is ~3× cheaper than Point.__add__
         self._point_tables = fastexp.PromotionCache(
             "tate.exp",
-            lambda point: fastexp.GenericFixedBaseTable(
-                self.identity(),
-                lambda a, b: a + b,
-                point,
-                self.order.bit_length(),
-                teeth=6,
-                splits=2,
+            lambda xy: fastexp.GenericFixedBaseTable(
+                None, self._add_xy, xy, self.order.bit_length()
             ),
             max_entries=8,
             promote_after=3,
         )
+
+    def _add_xy(self, t, u):
+        return _add(t, u, self.params.p)[2]
 
     # table caches hold closures and are rebuilt cheaply — keep them out
     # of pickles (DECParams ships this backend to worker processes)
@@ -465,27 +502,34 @@ class TatePairing:
         return base.multiply(scalar % self.order)
 
     def exp_fixed(self, base: Point, scalar: int) -> Point:
-        """:meth:`exp` through a per-base comb table (same result).
+        """:meth:`exp` through a per-base window table (same result).
 
-        Curve additions are Python-level (one inversion each), so the
-        comb's op-count reduction pays at any curve size — no modulus
-        gate here, only the promotion threshold.
+        Curve additions are Python-level (one inversion each); a table
+        exponentiation is one addition per non-zero window digit, 19 at
+        most on an 80-bit ``r`` against ~120 for double-and-add.  Only
+        the promotion threshold gates it.
         """
         s = scalar % self.order
-        if not fastexp.enabled() or base.is_infinity:
+        if not fastexp.enabled() or base.is_infinity or not base.is_base_field():
             return base.multiply(s)
-        table = self._point_tables.get(base.encode(), base)
+        xy = (base.x.a, base.y.a)
+        table = self._point_tables.get(xy, xy)
         if table is None:
             return base.multiply(s)
-        return table.exp(s)
+        xy = table.exp(s)
+        if xy is None:
+            return self.identity()
+        p = self.params.p
+        return Point(Fp2(xy[0], 0, p), Fp2(xy[1], 0, p), p)
 
     def warm_exp_fixed(self, *bases: Point) -> None:
-        """Eagerly build comb tables for known-hot *bases*."""
+        """Eagerly build window tables for known-hot *bases*."""
         if not fastexp.enabled():
             return
         for base in bases:
-            if not base.is_infinity:
-                self._point_tables.force(base.encode(), base)
+            if not base.is_infinity and base.is_base_field():
+                xy = (base.x.a, base.y.a)
+                self._point_tables.force(xy, xy)
 
     def mul(self, a: Point, b: Point) -> Point:
         return a + b
@@ -513,9 +557,29 @@ class TatePairing:
         return a.encode()
 
     def pairable(self, a: Point) -> bool:
-        """Whether *a* has F_p coordinates: the Miller loop reads only
-        their real parts, so the pairing is defined on nothing else."""
-        return a.is_base_field()
+        """Whether *a* is a point whose pairings carry information.
+
+        Refused: infinity; a point (or coordinate) under another
+        modulus; imaginary coordinates (the Miller loop reads only real
+        parts); a point off ``y² = x³ + x``; and a point with
+        ``[h]·a = O`` for the cofactor *h*.  Every verification pairing
+        walks its fixed argument (``g``, ``X``, ``Y``) and evaluates at
+        the token's point, where the reduced pairing ignores any part
+        of order prime to *r*; ``gcd(h, r) = 1``, so the last check
+        leaves exactly the points with a non-trivial order-*r* part.
+        Without it a 2-torsion "signature" pairs to 1 everywhere and
+        passes verification (``docs/threatmodel.md``).  ``[h]·a`` runs
+        on ints in Jacobian coordinates: ~20 µs at an 8-bit cofactor.
+        """
+        p = self.params.p
+        if a.is_infinity or not a.is_base_field():
+            return False
+        if a.p != p or a.x.p != p or a.y.p != p:
+            return False
+        x, y = a.x.a, a.y.a
+        if (y * y - x * x * x - x) % p:
+            return False
+        return not _kills(x, y, self.params.cofactor, p)
 
     # -- pairing / target group ----------------------------------------------
     def pair(self, a: Point, b: Point) -> Fp2:
@@ -582,21 +646,17 @@ class TatePairing:
         return PairingBatch(self)
 
     # -- table sharing -------------------------------------------------------
-    def _decode_point(self, encoded) -> Point:
-        xa, xb, ya, yb, inf = encoded
-        p = self.params.p
-        if inf:
-            return Point.infinity(p)
-        return Point(Fp2(xa, xb, p), Fp2(ya, yb, p), p)
+    def _decode_xy(self, encoded) -> tuple[int, int]:
+        x, y = encoded
+        if not (_field_int(x, self.params.p) and _field_int(y, self.params.p)):
+            raise ValueError("point table entry out of range")
+        return x, y
 
     def export_tables(self) -> dict:
-        """Resident Miller + point-comb tables as plain picklable state."""
+        """Resident Miller + point-window tables as plain picklable state."""
         return {
             "pair": [table.to_state() for _, table in self._pair_tables.snapshot()],
-            "exp": [
-                table.to_state(lambda pt: pt.encode())
-                for _, table in self._point_tables.snapshot()
-            ],
+            "exp": [table.to_state(list) for _, table in self._point_tables.snapshot()],
         }
 
     def install_tables(self, state: dict, *, register: bool = True) -> int:
@@ -615,9 +675,9 @@ class TatePairing:
             installed += 1
         for table_state in state.get("exp", ()):
             table = fastexp.GenericFixedBaseTable.from_state(
-                self.identity(), lambda a, b: a + b, self._decode_point, table_state
+                None, self._add_xy, self._decode_xy, table_state
             )
-            self._point_tables.install(table.base.encode(), table)
+            self._point_tables.install(table.base, table)
             installed += 1
         if register:
             _SHARED_TABLES[_table_key(self.params)] = state

@@ -117,8 +117,8 @@ class ToyPairing:
 
     # -- pairing / target group ----------------------------------------------
     def pair(self, a: int, b: int) -> int:
-        # g_T is fixed for the backend's lifetime — the comb cache turns
-        # every pairing into table lookups once the modulus clears the gate
+        # g_T is fixed for the backend's lifetime — the window-table
+        # cache turns every pairing into table lookups once it promotes
         return self.target.power_fixed((a * b) % self.order)
 
     def pair_ratio(self, a: int, b: int, c: int, d: int) -> int:

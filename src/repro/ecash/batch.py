@@ -71,7 +71,7 @@ def _batched_cl_verdicts(
 
     With per-equation coefficients ``c`` they combine into one pairing
     product that must equal 1; the backend's batch shares Miller loops
-    per fixed point (``Y``, ``g``, ``X`` — all comb-promoted) and pays
+    per fixed point (``Y``, ``g``, ``X`` — all table-promoted) and pays
     one final exponentiation for the whole sub-batch.  A failed product
     bisects with fresh path-salted coefficients; singletons evaluate
     the two equations exactly, so per-token decisions match
@@ -103,7 +103,7 @@ def _batched_cl_verdicts(
             token = item.token
             d = item.deferred
             # e(Y, a~)^c · e(g, b~)^-c == 1   (pairing symmetry puts the
-            # comb-promoted fixed point first)
+            # table-promoted fixed point first)
             c1 = source.coefficient(order, i, 0, path)
             batch.add_pair(bank_pk.Y, token.sig_a, c1)
             batch.add_pair(backend.g, token.sig_b, -c1)

@@ -192,7 +192,7 @@ def create_spend(
     sig_c = backend.exp(signature.c, rho)
 
     # 2. Pedersen commitments: C_s in storey 0, C_t for hidden keys κ_t
-    #    (commit bases are tower-fixed → comb-cached exponentiations)
+    #    (commit bases are tower-fixed → table-cached exponentiations)
     grp0 = params.tower.group(0)
     g0, h0 = params.commit_bases(0)
     r_s = grp0.random_exponent(rng)
@@ -609,41 +609,39 @@ def warm_verification_tables(params: DECParams, bank_pk: CLPublicKey | None = No
         grp = tower.group(storey)
         g, h = params.commit_bases(storey)
         gens = tower.extra_generators[storey]
-        grp.warm_fixed(grp.g, g, h, gens[GEN_LEFT], gens[GEN_RIGHT])
+        grp.warm_fixed(g, h, gens[GEN_LEFT], gens[GEN_RIGHT])
 
 
 def export_verification_tables(
     params: DECParams, bank_pk: CLPublicKey | None = None
 ) -> bytes:
-    """Serialize every verification precomputation into one blob.
+    """Serialize the pairing backend's verification tables into one blob.
 
     Warms the tables first (:func:`warm_verification_tables`), then
-    packs the global integer comb cache plus the pairing backend's
-    Miller/fixed-base tables (when the backend supports export) into one
-    payload in the project codec (:mod:`repro.net.codec`: ints, lists
-    and dicts — nothing the reader executes).  A pooled worker — or a
-    recovering service — adopts the blob with
-    :func:`adopt_verification_tables` instead of re-deriving every
-    table from scratch, which is the dominant cost of a cold worker
-    spawn.  Transport (shared memory, mmap files, digest
-    checking) is :mod:`repro.crypto.tablestore`'s job; this layer only
-    defines the payload.
+    packs the backend's Miller and fixed-point tables (when the backend
+    supports export) into one payload in the project codec
+    (:mod:`repro.net.codec`: ints, lists and dicts — nothing the reader
+    executes).  The integer window tables stay out: rebuilding one
+    costs what validating it would, one multiply per entry.  A pooled
+    worker — or a recovering service — adopts the blob with
+    :func:`adopt_verification_tables` instead of re-deriving the
+    pairing tables, which are the dominant cost of a cold worker spawn.
+    Transport (shared memory, mmap files, digest checking) is
+    :mod:`repro.crypto.tablestore`'s job; this layer only defines the
+    payload.
     """
     # imported here: repro.net's codec registry imports this module
     from repro.net.codec import encode
 
     warm_verification_tables(params, bank_pk)
-    backend = params.backend
-    state: dict = {"version": 2, "int": fastexp.export_int_tables(), "backend": None}
-    export = getattr(backend, "export_tables", None)
-    if export is not None:
-        state["backend"] = export()
-    return encode(state)
+    export = getattr(params.backend, "export_tables", None)
+    return encode({"version": 3, "backend": export() if export is not None else None})
 
 
 def adopt_verification_tables(params: DECParams, payload: bytes) -> int:
-    """Install a blob from :func:`export_verification_tables`; returns the
-    number of tables adopted (0 while fast-exp is globally disabled).
+    """Install a blob from :func:`export_verification_tables` and build
+    the integer tables locally; returns the number of tables adopted
+    from the blob (0 while fast-exp is globally disabled).
 
     Raises ``ValueError`` on bytes that do not decode or on an
     unrecognized payload version — callers (pooled workers) catch and
@@ -654,13 +652,18 @@ def adopt_verification_tables(params: DECParams, payload: bytes) -> int:
     from repro.net.codec import decode  # see export_verification_tables
 
     state = decode(payload)
-    if not isinstance(state, dict) or state.get("version") != 2:
+    if not isinstance(state, dict) or state.get("version") != 3:
         raise ValueError("unrecognized verification-table payload")
-    count = fastexp.install_int_tables(state.get("int") or [])
+    if not fastexp.enabled():
+        return 0
+    count = 0
     backend_state = state.get("backend")
     install = getattr(params.backend, "install_tables", None)
     if backend_state is not None and install is not None:
-        count += install(backend_state)
+        count = install(backend_state)
+    # the adopted pairing tables are resident, so this builds only the
+    # storey (and toy target-group) integer tables
+    warm_verification_tables(params)
     return count
 
 

@@ -170,7 +170,7 @@ def derive_key_chain(tower: GroupTower, secret: int, node: NodeId) -> list[int]:
     grp0 = tower.group(0)
     if not 0 < secret < grp0.q:
         raise ValueError("coin secret out of the storey-0 exponent range")
-    # edge generators are tower-fixed → comb-cached exponentiations
+    # edge generators are tower-fixed → table-cached exponentiations
     keys = [grp0.exp_fixed(_edge_generator(tower, 0, 0), secret)]
     for t, bit in enumerate(node.path_bits(), start=1):
         grp = tower.group(t)

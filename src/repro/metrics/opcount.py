@@ -79,8 +79,8 @@ def fastexp_stats() -> dict[str, dict[str, int]]:
     A thin re-export of :func:`repro.crypto.fastexp.stats` so perf
     dashboards and benchmarks pull every counter — op tallies *and*
     cache hit rates — from one metrics module.  Rows are e.g.
-    ``fastexp.int`` (Schnorr-group comb tables), ``tate.pair``
-    (precomputed Miller loops) and ``tate.exp`` (curve-point combs),
+    ``fastexp.int`` (Schnorr-group window tables), ``tate.pair``
+    (precomputed Miller loops) and ``tate.exp`` (curve-point window tables),
     each with ``hits``/``misses``/``builds``/``evictions``/
     ``bypasses``/``attached``/``tables`` (``attached`` counts tables
     adopted from a shared blob rather than built locally).

@@ -28,7 +28,7 @@ from repro.crypto.hashing import Transcript
 from repro.crypto.zkp.schnorr import collect_dlog, prove_dlog, verify_dlog
 
 _FASTEXP_MODES = (
-    {"enabled": True, "promote_after": 0, "min_modulus_bits": 1},
+    {"enabled": True, "promote_after": 0},
     {"enabled": False},
 )
 

@@ -1,4 +1,4 @@
-"""Fixed-base comb tables and simultaneous multi-exponentiation.
+"""Fixed-base window tables and simultaneous multi-exponentiation.
 
 Parity suites pin every fast path against the naive loop it replaces
 (``pow`` / per-element square-and-multiply / :func:`tate_pairing`),
@@ -46,14 +46,59 @@ def _isolated_fastexp():
 # FixedBaseTable
 # ---------------------------------------------------------------------------
 
+def _edge_exponents(bits, order=None):
+    """0, 1, ``2^bits − 1``, ``2^bits`` and negatives; with *order* also
+    ``order − 1``, ``order`` and a multiple above it."""
+    edges = [0, 1, 2, (1 << bits) - 1, 1 << bits, -1, -(1 << bits) - 3]
+    if order is not None:
+        edges += [order - 1, order, order + 1, 5 * order + 7, -order - 1]
+    return edges
+
+
+@pytest.fixture(scope="module")
+def storey_groups():
+    """The four storeys of a ``setup(3)`` tower: 68–74-bit moduli, the
+    top one with cofactor ``(p − 1)/q = 18``."""
+    from repro.ecash.dec import setup
+
+    params = setup(3, random.Random(3), security_bits=80, real_pairing=False,
+                   edge_rounds=6)
+    return [params.tower.group(s) for s in range(4)]
+
+
 class TestFixedBaseTable:
-    @pytest.mark.parametrize("teeth,splits", [(8, 4), (6, 4), (10, 2), (1, 1), (3, 5)])
-    def test_parity_with_pow(self, teeth, splits):
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 6])
+    def test_parity_with_pow(self, window):
         rng = random.Random(0xFA57)
-        table = fastexp.FixedBaseTable(G1024, P1024, bits=160, teeth=teeth, splits=splits)
-        for _ in range(16):
-            e = rng.getrandbits(160)
+        table = fastexp.FixedBaseTable(G1024, P1024, bits=160, window=window)
+        assert table.window == window
+        exps = [rng.getrandbits(160) for _ in range(16)] + _edge_exponents(160)
+        for e in exps:
             assert table.exp(e) == pow(G1024, e, P1024)
+        ordered = fastexp.FixedBaseTable(G1024, P1024, bits=160, order=Q1024,
+                                         window=window)
+        for e in exps + _edge_exponents(160, Q1024):
+            assert ordered.exp(e) == pow(G1024, e, P1024)
+
+    def test_storey_moduli_parity(self, storey_groups):
+        rng = random.Random(0x5708)
+        assert 18 in {(grp.p - 1) // grp.q for grp in storey_groups}
+        for grp in storey_groups:
+            for base in (grp.g, grp.derive_generator(b"h")):
+                for order in (grp.q, None):
+                    table = fastexp.FixedBaseTable(base, grp.p, bits=grp.q.bit_length(),
+                                                   order=order)
+                    exps = [rng.randrange(grp.q) for _ in range(24)]
+                    for e in exps + _edge_exponents(grp.q.bit_length(), grp.q):
+                        assert table.exp(e) == pow(base, e, grp.p)
+
+    def test_window_is_picked_from_bits(self):
+        """Widest window within ~1,024 entries: 6 at a storey's 70 bits,
+        5 at 160 bits, 1 at a 1023-bit order."""
+        for bits, window in ((70, 6), (74, 6), (160, 5), (1023, 1)):
+            table = fastexp.FixedBaseTable(G1024, P1024, bits=bits)
+            assert table.window == window
+            assert table.table_size <= max(1024, 2 * bits)
 
     def test_boundary_exponents(self):
         table = fastexp.FixedBaseTable(G1024, P1024, bits=160)
@@ -77,13 +122,13 @@ class TestFixedBaseTable:
         with pytest.raises(ValueError):
             fastexp.FixedBaseTable(G1024, P1024, bits=0)
         with pytest.raises(ValueError):
-            fastexp.FixedBaseTable(G1024, P1024, bits=64, teeth=0)
+            fastexp.FixedBaseTable(G1024, P1024, bits=64, window=0)
         with pytest.raises(ValueError):
             fastexp.FixedBaseTable(G1024, 2, bits=64)
 
     def test_table_size_accounting(self):
-        table = fastexp.FixedBaseTable(G1024, P1024, bits=160, teeth=8, splits=4)
-        assert table.table_size == 4 * 256
+        table = fastexp.FixedBaseTable(G1024, P1024, bits=160, window=4)
+        assert table.table_size == 40 * 16
 
 
 class TestGenericFixedBaseTable:
@@ -91,13 +136,48 @@ class TestGenericFixedBaseTable:
         params = generate_curve(32, session_rng)
         backend = TatePairing(params)
         base = backend.random_element(session_rng)
-        table = fastexp.GenericFixedBaseTable(
-            backend.identity(), lambda a, b: a + b, base,
-            backend.order.bit_length(), teeth=4, splits=2,
-        )
-        for _ in range(8):
-            s = session_rng.randrange(backend.order)
-            assert table.exp(s) == base.multiply(s)
+        bits = backend.order.bit_length()
+        scalars = [session_rng.randrange(backend.order) for _ in range(6)]
+        scalars += [0, 1, backend.order - 1, (1 << bits) - 1]
+        for window in (1, 4, 6):
+            table = fastexp.GenericFixedBaseTable(
+                backend.identity(), lambda a, b: a + b, base, bits, window=window,
+            )
+            for s in scalars:
+                assert table.exp(s) == base.multiply(s)
+
+    def test_backend_exp_fixed_parity(self, session_rng):
+        """``TatePairing.exp_fixed`` through its int-pair table, and
+        through a table adopted from an export, equals ``exp``."""
+        backend = TatePairing(generate_curve(32, session_rng))
+        base = backend.random_element(session_rng)
+        backend.warm_exp_fixed(base)
+        clone = TatePairing(backend.params)
+        assert clone.install_tables(backend.export_tables(), register=False) == 1
+        r = backend.order
+        scalars = [session_rng.randrange(r) for _ in range(6)] + [0, 1, r - 1, r, -1, 3 * r + 5]
+        for s in scalars:
+            want = backend.exp(base, s)
+            assert backend.exp_fixed(base, s) == want == clone.exp_fixed(base, s)
+        assert backend._point_tables.stats.hits == len(scalars)
+        assert clone._point_tables.stats.hits == len(scalars)
+
+    def test_operations_per_exponentiation(self):
+        """At most one group operation per row after the first: 19 for
+        the 20 rows of an 80-bit ``r`` at the point window of 4."""
+        calls = []
+
+        def op(a, b):
+            calls.append(None)
+            return (a + b) % (1 << 90)
+
+        table = fastexp.GenericFixedBaseTable(0, op, 1, 80)
+        rng = random.Random(80)
+        for _ in range(32):
+            s = rng.getrandbits(80)
+            calls.clear()
+            assert table.exp(s) == s
+            assert len(calls) <= 19
 
     def test_rejects_out_of_range(self):
         table = fastexp.GenericFixedBaseTable(1, lambda a, b: a * b % P1024, G1024, bits=16)
@@ -248,12 +328,13 @@ class TestPromotionCache:
 
 class TestExpFixed:
     def test_small_modulus_bypasses(self, schnorr_group):
-        # 64-bit group < min_modulus_bits: always the plain pow path
+        # a 64-bit group is tabled like any other once the base promotes
         grp = schnorr_group
-        e = 123456789
-        assert grp.exp_fixed(grp.g, e) == grp.exp(grp.g, e)
+        for e in range(123456789, 123456789 + 6):
+            assert grp.exp_fixed(grp.g, e) == grp.exp(grp.g, e)
         stats = fastexp.stats()["fastexp.int"]
-        assert stats["bypasses"] >= 1 and stats["builds"] == 0
+        assert stats["bypasses"] == 0 and stats["builds"] == 1
+        assert stats["hits"] == 1  # the 5th use builds, the 6th hits
 
     def test_large_modulus_promotes_and_hits(self):
         fastexp.configure(promote_after=2)
@@ -282,8 +363,15 @@ class TestExpFixed:
         assert fastexp.stats()["fastexp.int"]["hits"] == 1
 
     def test_warm_is_gated_too(self, schnorr_group):
-        assert not fastexp.warm_fixed_base(schnorr_group.g, schnorr_group.p,
-                                           order=schnorr_group.q)
+        # small moduli are tabled; only the global toggle gates a warm
+        grp = schnorr_group
+        assert fastexp.warm_fixed_base(grp.g, grp.p, order=grp.q)
+        assert fastexp.stats()["fastexp.int"]["builds"] == 1
+        fastexp.reset()
+        fastexp.configure(enabled=False)
+        assert not fastexp.warm_fixed_base(grp.g, grp.p, order=grp.q)
+        stats = fastexp.stats()["fastexp.int"]
+        assert stats["builds"] == 0 and stats["bypasses"] == 1
 
     def test_env_override_disables(self, monkeypatch):
         # the env knob is read at import; emulate by reloading config

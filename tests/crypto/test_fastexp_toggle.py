@@ -3,9 +3,8 @@
 The acceptance criterion for the fast-exp work: every ZKP verifier and
 CL verification produces *bit-identical* accept/reject decisions (and
 provers bit-identical proof objects) whether the fixed-base tables are
-enabled — here forced on with ``promote_after=0`` and no modulus gate,
-so even the small test groups take the table path — or globally
-disabled.  Each scenario runs twice from identical RNG seeds under the
+enabled — here forced on with ``promote_after=0``, so every base takes
+the table path from its first use — or globally disabled.  Each scenario runs twice from identical RNG seeds under the
 two configurations and compares full object equality.
 """
 
@@ -34,7 +33,7 @@ from repro.ecash.tree import NodeId
 
 def _run_both(scenario):
     """Run *scenario* with tables forced on, then off; return both results."""
-    forced_on = fastexp.configure(enabled=True, promote_after=0, min_modulus_bits=1)
+    forced_on = fastexp.configure(enabled=True, promote_after=0)
     fastexp.reset()
     try:
         with_tables = scenario()

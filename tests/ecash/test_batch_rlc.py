@@ -28,9 +28,7 @@ _FASTEXP_MODES = ("fastexp-on", "fastexp-off")
 @pytest.fixture(params=_FASTEXP_MODES)
 def fastexp_mode(request):
     if request.param == "fastexp-on":
-        previous = fastexp.configure(
-            enabled=True, promote_after=0, min_modulus_bits=1
-        )
+        previous = fastexp.configure(enabled=True, promote_after=0)
     else:
         previous = fastexp.configure(enabled=False)
     fastexp.reset()

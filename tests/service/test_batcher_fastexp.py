@@ -20,7 +20,7 @@ from tests.service.conftest import mint_tokens
 @pytest.fixture()
 def forced_tables():
     """Force the table path for the small test groups; restore after."""
-    previous = fastexp.configure(enabled=True, promote_after=0, min_modulus_bits=1)
+    previous = fastexp.configure(enabled=True, promote_after=0)
     fastexp.reset()
     yield
     fastexp.configure(**previous)

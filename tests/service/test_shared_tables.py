@@ -1,12 +1,13 @@
 """Shared precomputation tables: export → publish → attach → parity.
 
-The pool parent serializes its warm verification tables
+The pool parent serializes its warm pairing tables
 (`export_verification_tables`), publishes them through
 `crypto.tablestore`, and workers adopt instead of rebuilding.  These
 tests pin the adoption paths: the fast-exp stats must record
-*attaches* (not builds), corrupt payloads must be rejected loudly, and
-the batcher/service recovery shortcuts must accept a table blob and
-still verify identically.
+*attaches* (not builds) for the pairing tables — the integer window
+tables are never shipped and are built locally — corrupt payloads
+must be rejected loudly, and the batcher/service recovery shortcuts
+must accept a table blob and still verify identically.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from repro.service.workers import PooledBackend
 
 @pytest.fixture()
 def forced_fastexp():
-    """Tables on, promotion-gated off, small moduli admitted — the test
-    groups are far below the production `min_modulus_bits`."""
-    previous = fastexp.configure(enabled=True, promote_after=0, min_modulus_bits=1)
+    """Tables on and promotion-gated off: every base is tabled on first
+    use."""
+    previous = fastexp.configure(enabled=True, promote_after=0)
     fastexp.reset()
     yield
     fastexp.configure(**previous)
@@ -45,8 +46,10 @@ def _attached_total() -> int:
     return sum(row.get("attached", 0) for row in fastexp.stats().values())
 
 
-def _builds_total() -> int:
-    return sum(row.get("builds", 0) for row in fastexp.stats().values())
+def _pairing_builds() -> int:
+    """Builds outside the integer cache, whose tables adoption builds."""
+    return sum(row.get("builds", 0) for name, row in fastexp.stats().items()
+               if name != "fastexp.int")
 
 
 class TestExportAdopt:
@@ -60,8 +63,10 @@ class TestExportAdopt:
         installed = adopt_verification_tables(dec_params, blob)
         assert installed > 0
         assert _attached_total() >= installed
-        # adoption must not have *built* anything
-        assert _builds_total() == 0
+        # adoption must not have *built* any pairing table, and has
+        # built the integer ones
+        assert _pairing_builds() == 0
+        assert fastexp.stats()["fastexp.int"]["tables"] > 0
 
     def test_adopted_tables_verify_identically(self, dec_params, forced_fastexp,
                                                rng):
@@ -94,12 +99,11 @@ class TestExportAdopt:
                  "steps": [(True, dec_params.backend.params.p, 0)]}
         with pytest.raises(ValueError):
             adopt_verification_tables(dec_params, encode(
-                {"version": 2, "int": [], "backend": {"pair": [state]}}))
+                {"version": 3, "backend": {"pair": [state]}}))
 
     def test_disabled_adopt_is_a_noop(self, dec_params, rng):
         bank_kp = cl_keygen(dec_params.backend, rng)
-        previous = fastexp.configure(enabled=True, promote_after=0,
-                                     min_modulus_bits=1)
+        previous = fastexp.configure(enabled=True, promote_after=0)
         fastexp.reset()
         try:
             blob = export_verification_tables(dec_params, bank_kp.public)
@@ -123,7 +127,10 @@ class TestPublishedRef:
             assert backend.table_ref is not None
             blob = tablestore.load(backend.table_ref)
             fastexp.reset()
-            assert adopt_verification_tables(dec_params_toy, blob) > 0
+            # the toy backend ships no tables; its integer ones are
+            # built on adoption
+            assert adopt_verification_tables(dec_params_toy, blob) == 0
+            assert fastexp.stats()["fastexp.int"]["tables"] > 0
         finally:
             backend.close()
         # the published segment dies with the backend
@@ -168,7 +175,7 @@ class TestRecoveryShortcut:
         fastexp.reset()
         batcher = VerificationBatcher(dec_params, keypair, tables=blob)
         assert _attached_total() > 0
-        assert _builds_total() == 0
+        assert _pairing_builds() == 0
         assert batcher is not None
 
     def test_recover_accepts_table_blob(self, dec_params, forced_fastexp, rng):
@@ -180,5 +187,5 @@ class TestRecoveryShortcut:
             dec_params, keypair, Journal(), n_shards=2, tables=blob
         )
         assert _attached_total() > 0
-        assert _builds_total() == 0
+        assert _pairing_builds() == 0
         assert isinstance(recovered, MarketService)

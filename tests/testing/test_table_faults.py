@@ -28,9 +28,9 @@ from repro.testing.faults import CrashPoint
 
 @pytest.fixture(autouse=True)
 def _forced_fastexp():
-    """Sharing only engages with tables on; small test moduli need the
-    gates opened."""
-    previous = fastexp.configure(enabled=True, promote_after=0, min_modulus_bits=1)
+    """Sharing only engages with tables on; promotion is skipped so
+    every base is tabled on first use."""
+    previous = fastexp.configure(enabled=True, promote_after=0)
     fastexp.reset()
     yield
     tablestore.set_crash_hook(None)
