@@ -92,9 +92,11 @@ cluster-smoke:
 	$(PYTHON) tools/cluster_smoke.py
 
 # One seeded mixed adversarial campaign against the live service
-# (~100 parties, seconds).  See docs/simulation.md.
+# (~100 parties, seconds) over BACKEND = inprocess | socket | cluster.
+# See docs/simulation.md.
+BACKEND ?= inprocess
 campaign:
-	PYTHONPATH=src $(PYTHON) tools/run_campaign.py mixed --seed 2015
+	PYTHONPATH=src $(PYTHON) tools/run_campaign.py mixed --seed 2015 --backend $(BACKEND)
 
 # The full campaign matrix the CI smoke job and the nightly cron run:
 # every default campaign test plus the thousand-party mixed economy

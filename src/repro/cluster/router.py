@@ -146,7 +146,10 @@ class ClusterRouter:
 
     # -- the routed request ------------------------------------------------
     def key_of(self, kind: str, payload: Any) -> str:
-        """The partition key of one request (account id for all kinds)."""
+        """The partition key of one request: the account id, or one fixed
+        key for every ``pbs-*`` kind (the PPMSpbs book is unsharded)."""
+        if kind.startswith("pbs-"):
+            return "pbs"
         if isinstance(payload, dict) and isinstance(payload.get("aid"), str):
             return payload["aid"]
         raise RouteError(

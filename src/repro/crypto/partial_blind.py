@@ -172,8 +172,12 @@ class PartialBlindRequester:
 
 
 def verify_partial_blind(pk: RSAPublicKey, message: bytes, sig: PartialBlindSignature) -> bool:
-    """Check ``sig^[e_a] == H(message || info) mod n``."""
-    if not 0 < sig.value < pk.n:
+    """Check ``sig^[e_a] == H(message || info) mod n``.
+
+    A counter outside the 4-byte field :func:`derive_exponent` hashes is
+    refused here, not raised: the signer never publishes one.
+    """
+    if not 0 < sig.value < pk.n or not 0 <= sig.counter < 1 << 32:
         return False
     e_a = derive_exponent(sig.common_info, sig.counter)
     return pow(sig.value, e_a, pk.n) == _representative(message, sig.common_info, pk.n)

@@ -13,7 +13,9 @@ the table into the docs (``tools/check_docs.py`` fails on drift).
 Types match exactly, so ``bool`` never counts as ``int``; unknown
 fields are rejected.  Bounds are inclusive, on a number's value (NaN
 and the infinities are outside any bound) or on a ``str``/``bytes``/
-``list``/``dict``'s length.  Stdlib only: the module that declares a
+``list``/``tuple``/``dict``'s length.  A field's ``parts`` check what is
+inside a value the same way: a dataclass's attributes, a sequence's
+items.  Stdlib only: the module that declares a
 table hands in its value types.
 """
 
@@ -28,7 +30,7 @@ __all__ = ["MAX_ID", "Field", "Message", "Table", "render"]
 #: longest id (account, sender, request, node) a message may carry
 MAX_ID = 256
 
-_SIZED = (str, bytes, list, dict)
+_SIZED = (str, bytes, list, tuple, dict)
 _MISSING = object()
 
 
@@ -39,17 +41,25 @@ def _show(value: Any) -> str:
 
 
 def _num(bound: float) -> str:
-    return f"{bound:g}" if isinstance(bound, float) else str(bound)
+    if isinstance(bound, float):
+        return f"{bound:g}"
+    if bound > 1 << 20 and not bound & (bound + 1):  # a wide 2^k − 1
+        return f"2^{bound.bit_length()} − 1"
+    return str(bound)
 
 
 class Field:
     """One field: its exact types, whether it may be absent, its bounds."""
 
     def __init__(self, *types: type, optional: bool = False,
-                 low: float = -math.inf, high: float = math.inf) -> None:
+                 low: float = -math.inf, high: float = math.inf,
+                 parts: "dict[str | int, Field] | None" = None) -> None:
         self.types, self.optional, self.low, self.high = types, optional, low, high
         self.bounded = low > -math.inf or high < math.inf
         self.sized = types[0] in _SIZED  # bounds limit the length
+        #: fields inside the value: a dataclass's attributes by name, a
+        #: sequence's items by index (its length bounds must cover them)
+        self.parts = parts or {}
 
     def problem(self, value: Any) -> str | None:
         """Why *value* does not fit this field, or ``None``."""
@@ -60,12 +70,19 @@ class Field:
             if not self.low <= size <= self.high:
                 return (f"{'length' if self.sized else 'value'} must be "
                         f"{self._bounds()}, got {_show(size)}")
+        for key, spec in self.parts.items():
+            part = value[key] if type(key) is int else getattr(value, key)
+            problem = spec.problem(part)
+            if problem is not None:
+                return f"[{key}] {problem}" if type(key) is int else f".{key} {problem}"
         return None
 
     def _types(self) -> str:
         return " or ".join(t.__name__ for t in self.types)
 
     def _bounds(self) -> str:
+        if self.low == self.high:
+            return _num(self.low)
         if self.high == math.inf:
             return f"≥ {_num(self.low)}"
         if self.low == -math.inf:
@@ -73,10 +90,14 @@ class Field:
         return f"{_num(self.low)} … {_num(self.high)}"
 
     def __str__(self) -> str:
-        if not self.bounded:
-            return self._types()
-        noun = "length " if self.sized else ""
-        return f"{self._types()}, {noun}{self._bounds()}"
+        text = self._types()
+        if self.bounded:
+            text += f", {'length ' if self.sized else ''}{self._bounds()}"
+        if self.parts:
+            text += " (" + "; ".join(
+                f"[{key}]: {spec}" if type(key) is int else f"`.{key}`: {spec}"
+                for key, spec in self.parts.items()) + ")"
+        return text
 
 
 @dataclass(frozen=True)
@@ -91,6 +112,9 @@ class Message:
     crypto: Callable[..., Any] | None = None
     rebuilds: str | None = None  # the reply field recovery rebuilds
     answers: str = ""  # what a well-formed message gets back (docs)
+    #: refuses, before anything is journaled, a message the surface's
+    #: state cannot take: ``screen(surface, body)`` → problem or ``None``
+    screen: Callable[..., str | None] | None = None
 
 
 class Table:
@@ -153,7 +177,8 @@ def render(table: Table) -> str:
               "|---|---|---|---|"]
     for kind, entry in table.messages.items():
         flags = [name for name, on in (("mutating", entry.mutating),
-                                       ("crypto", entry.crypto)) if on]
+                                       ("crypto", entry.crypto),
+                                       ("screened", entry.screen)) if on]
         flags += [f"recovery rebuilds `{entry.rebuilds}`"] if entry.rebuilds else []
         lines.append(f"| `{kind}` | {_fields(entry.fields)} | "
                      f"{', '.join(flags) or '—'} | {entry.answers} |")

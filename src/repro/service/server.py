@@ -24,11 +24,14 @@ deliver-one-message-at-a-time inner loop is replaced by a pipelined one:
 
 The request kinds, their payload fields with types and bounds, their
 handlers and flags are declared once, in :data:`REQUESTS` (rendered in
-``docs/service.md``).  Reply statuses: ``OK``, ``BUSY`` (shed by
-admission), ``ERROR`` (malformed — refused by :meth:`~MarketService
-.submit` before anything is journaled — unknown account, underfunded,
-invalid token), ``REJECTED`` (double spend — carries the evidence
-triple).
+``docs/service.md``).  Both schemes are served: the
+``pbs-*`` kinds are Algorithm 4's unitary bank, over the PPMSpbs book
+the :class:`~repro.service.shard.ShardedBank` holds beside its shards.
+Reply statuses: ``OK``, ``BUSY`` (shed by
+admission), ``ERROR`` (malformed or screened — refused by
+:meth:`~MarketService.submit` before anything is journaled — unknown
+account, underfunded, invalid token or coin), ``REJECTED`` (double
+spend — a PPMSdec one carries the evidence triple).
 
 Replies are *delivered*, exactly once each, to the observers of
 :meth:`MarketService.add_reply_observer` (the front door, the
@@ -45,7 +48,10 @@ from typing import Any, Callable
 
 import repro.obs as obs
 from repro.core.engine import ProtocolError
+from repro.core.ppms_pbs import DoubleDepositError
+from repro.crypto import rsa
 from repro.crypto.cl_sig import BlindIssuanceRequest
+from repro.crypto.partial_blind import PartialBlindSignature
 from repro.ecash.dec import DoubleSpendError
 from repro.ecash.spend import SpendToken
 from repro.crypto.hashing import sha256
@@ -67,7 +73,8 @@ __all__ = ["MarketService", "Completion", "RequestFailure", "REQUESTS"]
 #: balance, context and arrival time the suites, campaigns, fault
 #: scenarios and benchmark send sits far inside them
 MAX_BALANCE = (1 << 63) - 1
-MAX_CONTEXT = 1024  # bytes of a deposit's spend context
+MAX_CONTEXT = 1024  # bytes of a deposit's spend context (or a coin's serial)
+MAX_MODULUS = (1 << 4096) - 1  # an RSA key's n, or a coin's signature value
 MAX_NOW = 1e12  # |now|, seconds on the caller's arrival clock
 
 #: default reply-cache bound; ``None`` disables eviction entirely
@@ -431,6 +438,10 @@ class MarketService:
                 self._m_dedup.inc()
                 span.set(dedup=True)
                 return seq
+            error = entry.screen(self, payload) if entry.screen else None
+            if error is not None:
+                self._refuse(sender, seq, kind, error)
+                return seq
             if entry.crypto is not None:
                 depth = self.queue_depth
                 self._m_queue_depth.set(depth)
@@ -529,6 +540,9 @@ class MarketService:
                 status, body = pending.entry.handler(self, pending)
             except ProtocolError as exc:
                 self._fail(pending, "ERROR", str(exc))
+                return
+            except DoubleDepositError:
+                self._fail(pending, "REJECTED", "double deposit")
                 return
             except DoubleSpendError as exc:
                 evidence = exc.evidence
@@ -807,8 +821,48 @@ class MarketService:
         )
         return "OK", {"amount": amount}
 
+    def _pbs_open_account(self, pending: _Pending) -> tuple[str, dict]:
+        key, balance = pending.payload["key"], pending.payload["balance"]
+        try:
+            self.bank.pbs_open_account(key, balance, rid=pending.rid)
+        except ValueError as exc:  # an account already holds this key
+            raise ProtocolError(str(exc)) from exc
+        return "OK", {"balance": balance}
+
+    def _pbs_balance(self, pending: _Pending) -> tuple[str, dict]:
+        aid = _pbs_account(pending.payload["key"])
+        if aid not in self.bank.pbs.accounts:
+            raise ProtocolError("unknown PPMSpbs account")
+        return "OK", {"balance": self.bank.pbs.balance(aid)}
+
+    def _pbs_known(self, payload: dict) -> str | None:
+        for role in ("jo_key", "sp_key"):
+            if _pbs_account(payload[role]) not in self.bank.pbs.accounts:
+                return f"unknown PPMSpbs account for {role}"
+        return None
+
+    def _pbs_deposit(self, pending: _Pending) -> tuple[str, dict]:
+        payload = pending.payload
+        try:
+            serial = self.bank.pbs_deposit(payload["sig"], payload["sp_key"],
+                                           payload["jo_key"], rid=pending.rid)
+        except DoubleDepositError:
+            raise
+        except ValueError as exc:  # a bad coin, or books that cannot move it
+            raise ProtocolError(str(exc)) from exc
+        return "OK", {"serial": serial}
+
+
+def _pbs_account(key) -> bytes:
+    """The PPMSpbs account id of RSA key ``(n, e)``: its fingerprint."""
+    return rsa.RSAPublicKey(*key).fingerprint()
+
 
 _AID = Field(str, high=MAX_ID)
+#: an RSA public key ``(n, e)``; the exponent bound only caps its size
+_RSA_KEY = Field(tuple, list, low=2, high=2,
+                 parts={0: Field(int, low=3, high=MAX_MODULUS),
+                        1: Field(int, low=1, high=(1 << 32) - 1)})
 
 #: Every request the service accepts: kind → payload schema, handler,
 #: flags and the reply field recovery rebuilds.  :meth:`MarketService
@@ -839,5 +893,20 @@ REQUESTS = Table(
             answers="`OK {amount}`"),
         "audit": Message({}, MarketService._audit,
                          answers="`OK {clean, findings}`"),
+        "pbs-open-account": Message(
+            {"key": _RSA_KEY, "balance": Field(int, low=0, high=MAX_BALANCE)},
+            MarketService._pbs_open_account, mutating=True, rebuilds="balance",
+            answers="`OK {balance}`"),
+        "pbs-balance": Message({"key": _RSA_KEY}, MarketService._pbs_balance,
+                               answers="`OK {balance}`"),
+        "pbs-deposit": Message(
+            {"sig": Field(PartialBlindSignature, parts={
+                "value": Field(int, low=1, high=MAX_MODULUS),
+                "counter": Field(int, low=0, high=(1 << 32) - 1),
+                "common_info": Field(bytes, high=MAX_CONTEXT)}),
+             "sp_key": _RSA_KEY, "jo_key": _RSA_KEY},
+            MarketService._pbs_deposit, mutating=True, rebuilds="serial",
+            screen=MarketService._pbs_known,
+            answers="`OK {serial}`; a spent serial `REJECTED`"),
     },
 )

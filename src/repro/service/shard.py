@@ -28,6 +28,12 @@ Hashing is :func:`repro.crypto.hashing.sha256`-based, never Python's
 salted ``hash()``, so placement is stable across processes and
 restarts — a snapshot taken by one service instance restores into
 another with the same shard count.
+
+Beside the shards sits the PPMSpbs book — one unsharded
+:class:`~repro.core.ppms_pbs.VirtualBankPbs` (:attr:`ShardedBank.pbs`)
+that is journaled, checkpointed (one
+:func:`~repro.core.pbs_ledger.snapshot_pbs_bank` blob after the shard
+blobs), replayed and audited with them.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ from typing import Iterable, Sequence
 
 import repro.obs as obs
 from repro.core.ledger import AuditReport, audit_bank, restore_bank, snapshot_bank
+from repro.core.pbs_ledger import audit_pbs_bank, restore_pbs_bank, snapshot_pbs_bank
+from repro.core.ppms_pbs import VirtualBankPbs
+from repro.crypto import rsa
 from repro.crypto.cl_sig import CLKeyPair, CLPublicKey
 from repro.crypto.hashing import sha256
 from repro.ecash.dec import DECBank, DoubleSpendError, DoubleSpendEvidence
@@ -98,6 +107,10 @@ class ShardedBank:
         # last snapshot() call, plus the blobs of the clean ones
         self._dirty: set[int] = set(range(n_shards))
         self._blob_cache: dict[int, bytes] = {}
+        #: the PPMSpbs book, unsharded; its checkpoint blob is cached
+        #: while it is clean (``None``: re-serialize at the next cut)
+        self.pbs = VirtualBankPbs()
+        self._pbs_blob: bytes | None = None
         self._bind_obs(telemetry)
 
     def _bind_obs(self, telemetry: "obs.Telemetry | None") -> None:
@@ -258,6 +271,34 @@ class ShardedBank:
         self._touch(account_shard(aid, self.n_shards))
         self.account_home(aid).accounts[aid] += amount
 
+    # -- the PPMSpbs book ----------------------------------------------------
+    def pbs_open_account(self, key, balance: int, *, rid: str = "") -> None:
+        """Open the unitary account bound to RSA *key* ``(n, e)``."""
+        pub = rsa.RSAPublicKey(*key)
+        if pub.fingerprint() in self.pbs.accounts:
+            raise ValueError("account already exists for this key")
+        with self.obs.tracer.span("shard_apply", kind="pbs-open-account"):
+            self._journal_apply(rid, "pbs-open-account",
+                                {"key": key, "balance": balance})
+            self._pbs_blob = None
+            self.pbs.open_account(pub, balance)
+
+    def pbs_deposit(self, signature, sp_key, jo_key, *, rid: str = "") -> bytes:
+        """Check, journal and apply one unitary coin; returns its serial.
+
+        Raises :class:`~repro.core.ppms_pbs.DoubleDepositError` on a
+        spent serial and :class:`ValueError` on a bad coin or books that
+        cannot move the unit — nothing is then journaled.
+        """
+        payer, payee = self.pbs.check_deposit(signature, sp_key, jo_key)
+        serial = signature.common_info
+        with self.obs.tracer.span("shard_apply", kind="pbs-deposit"):
+            self._journal_apply(rid, "pbs-deposit",
+                                {"payer": payer, "payee": payee, "serial": serial})
+            self._pbs_blob = None
+            self.pbs.apply_deposit(payer, payee, serial)
+        return serial
+
     # -- persistence (composed from core.ledger) ---------------------------
     def snapshot(self) -> list[bytes]:
         """One :func:`snapshot_bank` blob per shard, in shard order.
@@ -306,9 +347,12 @@ class ShardedBank:
 
     # -- crash recovery (checkpoint + journal replay) ----------------------
     def checkpoint(self) -> Checkpoint:
-        """Snapshot every shard, stamped with the current journal position."""
+        """Snapshot every shard, then the PPMSpbs book, stamped with the
+        current journal position."""
         lsn = self.journal.last_lsn if self.journal is not None else -1
-        return Checkpoint(lsn=lsn, blobs=tuple(self.snapshot()))
+        if self._pbs_blob is None:
+            self._pbs_blob = snapshot_pbs_bank(self.pbs)
+        return Checkpoint(lsn=lsn, blobs=(*self.snapshot(), self._pbs_blob))
 
     @classmethod
     def recover(
@@ -336,7 +380,11 @@ class ShardedBank:
                    telemetry=telemetry)
         start = -1
         if checkpoint is not None:
-            bank.restore(checkpoint.blobs)
+            blobs = checkpoint.blobs
+            if len(blobs) == n_shards + 1:  # a cut older than the book has none
+                *blobs, pbs_blob = blobs
+                restore_pbs_bank(bank.pbs, pbs_blob)
+            bank.restore(blobs)
             start = checkpoint.lsn
         if journal.first_lsn > start + 1:
             # compaction deleted records the given checkpoint does not
@@ -414,6 +462,19 @@ class ShardedBank:
                 aid, payload["level"], payload["index"],
                 payload["serials"], payload["amount"],
             )
+        elif record.op in ("pbs-open-account", "pbs-deposit"):
+            self._pbs_blob = None
+            try:
+                if record.op == "pbs-open-account":
+                    self.pbs.open_account(rsa.RSAPublicKey(*payload["key"]),
+                                          payload["balance"])
+                elif (payload["payer"], payload["serial"]) not in self.pbs.spent_serials:
+                    # (a spent serial is this deposit, already on the books)
+                    self.pbs.apply_deposit(payload["payer"], payload["payee"],
+                                           payload["serial"])
+            except ValueError as exc:
+                raise JournalError(
+                    f"journal replay (lsn {record.lsn}): {exc}") from exc
         else:
             raise JournalError(
                 f"journal replay (lsn {record.lsn}): unknown op {record.op!r}"
@@ -439,9 +500,11 @@ class ShardedBank:
 
         Composes :func:`repro.core.ledger.audit_bank` over the merged
         view (so every single-bank invariant — balances, conservation,
-        serial-record consistency — is checked globally) and adds the
-        findings only a sharded store can violate: entries living on
-        the wrong shard or duplicated across shards.
+        serial-record consistency — is checked globally), adds the
+        findings only a sharded store can violate (entries living on
+        the wrong shard or duplicated across shards) and those of
+        :func:`~repro.core.pbs_ledger.audit_pbs_bank` on the PPMSpbs
+        book.
         """
         findings: list[str] = []
         seen_accounts: dict[str, int] = {}
@@ -479,4 +542,6 @@ class ShardedBank:
                 seen_serials[serial] = index
         merged_report = audit_bank(self.merged(), outstanding_float=outstanding_float,
                                    allow_foreign_value=allow_foreign_value)
-        return AuditReport(findings=tuple(findings) + merged_report.findings)
+        findings.extend(merged_report.findings)
+        findings.extend(f"pbs: {f}" for f in audit_pbs_bank(self.pbs).findings)
+        return AuditReport(findings=tuple(findings))

@@ -51,9 +51,8 @@ from repro.attacks.rings import (
     evidence_prior_account,
     finish_ring_withdrawal,
 )
-from repro.core.pbs_ledger import audit_pbs_bank
 from repro.core.ppms_dec import JobOwnerDec, SensingParticipantDec
-from repro.core.ppms_pbs import JobOwnerPbs, SensingParticipantPbs, VirtualBankPbs
+from repro.core.ppms_pbs import JobOwnerPbs, SensingParticipantPbs
 from repro.service.batcher import VerificationBatcher
 from repro.service.frontend import ServiceFrontend
 from repro.service.gateway import InProcessGateway, SocketGateway
@@ -78,9 +77,9 @@ from repro.sim.party import (
     SensingParty,
 )
 from repro.sim.report import CampaignReport
-from repro.testing.faults import FaultPlan
+from repro.testing.faults import FaultPlan, FaultyTransport
 from repro.testing.invariants import check_recovery_invariants
-from repro.testing.scenario import PbsDepositService, Transport, toy_market_params
+from repro.testing.scenario import toy_market_params
 
 __all__ = [
     "CampaignConfig",
@@ -267,10 +266,11 @@ class _MarketLink:
             )
         return resolved
 
-    def balance_of(self, aid: str) -> int:
-        status, body = self._request(aid, "balance", {"aid": aid}, f"{aid}:bal")
+    def balance_of(self, sender: str, kind: str, payload: dict) -> int:
+        """A balance read (``balance`` or ``pbs-balance``), not tallied."""
+        status, body = self._request(sender, kind, payload, f"{sender}:bal")
         if status != "OK":
-            raise RuntimeError(f"balance query for {aid!r} failed: {body}")
+            raise RuntimeError(f"{kind} for {sender!r} failed: {body}")
         return body["balance"]
 
     def sweep(self) -> list[str]:
@@ -376,49 +376,6 @@ class _ServiceMAAdapter:
 
 
 # ---------------------------------------------------------------------------
-# PPMSpbs endpoint (unitary bank + journaled deposit service)
-# ---------------------------------------------------------------------------
-
-class _PbsEndpoint:
-    """The unitary-coin half of the market: its own bank and journal."""
-
-    def __init__(self) -> None:
-        self.journal = Journal()
-        self.bank = VirtualBankPbs()
-        self.service = PbsDepositService(self.bank, self.journal, Transport())
-        self.funded = 0
-        self.log: list[tuple[str, str, str]] = []  # (party, rid, status)
-
-    def open_account(self, pubkey, balance: int) -> None:
-        self.bank.open_account(pubkey, balance)
-        self.funded += balance
-
-    def deposit(self, party: str, rid: str, receipt, sp_pub) -> str:
-        status = self.service.submit(
-            rid, receipt.signature, (sp_pub.n, sp_pub.e), receipt.jo_account_key
-        )
-        self.log.append((party, rid, status))
-        return status
-
-    def findings(self) -> list[str]:
-        findings = [f"pbs: {f}" for f in audit_pbs_bank(self.bank).findings]
-        applied: dict[str, int] = {}
-        for record in self.journal.records():
-            if record.kind == "apply":
-                applied[record.rid] = applied.get(record.rid, 0) + 1
-        for rid, n in sorted(applied.items()):
-            if n > 1:
-                findings.append(f"pbs: rid {rid!r} applied {n} times")
-        final = sum(self.bank.accounts.values())
-        if final != self.funded:
-            findings.append(
-                f"pbs: unitary transfers must conserve: funded {self.funded} "
-                f"!= final {final}"
-            )
-        return findings
-
-
-# ---------------------------------------------------------------------------
 # the campaign engine
 # ---------------------------------------------------------------------------
 
@@ -439,14 +396,16 @@ class Campaign(PartyContext):
         self.counter = SimOpCounter()
         self.queue = EventQueue()
         self.market = _open_market(config, params, keypair)
-        self.pbs = _PbsEndpoint()
         self.ma_adapter = _ServiceMAAdapter(self)
-        self.wire = Transport()  # actor-side envelope metering + codec
+        # actor-side envelope metering + codec (no crash points scripted)
+        self.wire = FaultyTransport()
         self.parties: dict[str, Party] = {}
         self.truth: dict[str, str] = {}  # sp account -> true job id
         self.rings: list[tuple[RingLeader, tuple[str, ...]]] = []
         self.funded = 0
         self.issued = 0
+        self.pbs_funded = 0
+        self.pbs_keys: dict[str, tuple[int, int]] = {}  # party -> account key
         self.trace: list[tuple[float, str, str]] = []
         self._rngs: dict[str, random.Random] = {}
         self._net_rng = random.Random(f"{config.seed}:#net")
@@ -533,10 +492,21 @@ class Campaign(PartyContext):
         return SensingParticipantPbs(party.rng, rsa_bits=self.config.rsa_bits)
 
     def pbs_open_account(self, party: Party, pubkey, balance: int) -> None:
-        self.pbs.open_account(pubkey, balance)
+        key = (pubkey.n, pubkey.e)
+        status, body = self.market.call(
+            party.name, "pbs-open-account", {"key": key, "balance": balance},
+            rid=f"{party.name}:open",
+        )
+        if status != "OK":
+            raise RuntimeError(f"pbs-open-account for {party.name!r} failed: {body}")
+        self.pbs_keys[party.name] = key
+        self.pbs_funded += balance
 
     def pbs_deposit(self, party: Party, rid: str, receipt) -> str:
-        return self.pbs.deposit(party.name, rid, receipt, party.actor.account_pub)
+        status, _body = self.market.call(party.name, "pbs-deposit", {
+            "sig": receipt.signature, "sp_key": self.pbs_keys[party.name],
+            "jo_key": receipt.jo_account_key}, rid=rid)
+        return status
 
     # -- delivery ----------------------------------------------------------
     def _deliver(self, to: str, event: PartyEvent) -> None:
@@ -750,18 +720,20 @@ class Campaign(PartyContext):
             name for name, p in self.parties.items()
             if not isinstance(p, (MAParty, PbsJobOwnerParty, PbsSensingParty))
         )
-        final = sum(self.market.balance_of(aid) for aid in accounts)
+        final = sum(self.market.balance_of(aid, "balance", {"aid": aid})
+                    for aid in accounts)
         outstanding = self.issued - deposited
-        pbs_final = sum(self.pbs.bank.accounts.values())
+        pbs_final = sum(self.market.balance_of(name, "pbs-balance", {"key": key})
+                        for name, key in sorted(self.pbs_keys.items()))
         dec_ok = final == self.funded - self.issued + deposited
-        pbs_ok = pbs_final == self.pbs.funded
+        pbs_ok = pbs_final == self.pbs_funded
         return {
             "funded": self.funded,
             "issued": self.issued,
             "deposited": deposited,
             "final": final,
             "outstanding": outstanding,
-            "pbs_funded": self.pbs.funded,
+            "pbs_funded": self.pbs_funded,
             "pbs_final": pbs_final,
             "conserved": dec_ok and pbs_ok,
         }
@@ -786,8 +758,6 @@ class Campaign(PartyContext):
             self._feed_ma(deposits, ma)
 
             verdicts = dict(sorted(self.market.verdicts.items()))
-            for _, _, status in self.pbs.log:
-                verdicts[status] = verdicts.get(status, 0) + 1
 
             conservation = self._conservation(deposits)
             findings = self.market.sweep()
@@ -802,8 +772,6 @@ class Campaign(PartyContext):
             ds = detections.get("double_spend")
             if ds is not None and ds["cross_node_explained"]:
                 findings = [f for f in findings if not f.endswith(_XNODE)]
-            if cfg.n_pbs_jobs > 0:
-                findings.extend(self.pbs.findings())
             stuck = sorted(
                 name for name, p in self.parties.items() if not p.terminal
             )

@@ -15,9 +15,9 @@ This package makes those failure modes *reproducible*:
 * :mod:`repro.testing.cluster_invariants` — the multi-node sweep over
   per-slice storage dumps: cross-node serial/rid uniqueness, ring
   placement, and cluster-wide balance conservation.
-* :mod:`repro.testing.scenario` — replays PPMSdec (sharded service)
-  and PPMSpbs (unitary bank) market flows under a fault plan, crash-
-  recovering the service from its write-ahead journal, and reports
+* :mod:`repro.testing.scenario` — one replay loop runs PPMSdec and
+  PPMSpbs deposit kits against the journaled service under a fault
+  plan, crash-recovering it from its write-ahead journal, and reports
   everything needed to replay a failure from its seed.
 * :mod:`repro.testing.properties` — a tiny seed-driven property-test
   runner (``REPRO_TEST_SEED`` aware, no third-party dependency).

@@ -18,6 +18,9 @@ per-node check can see:
 * an **account on the wrong node** — every account in a slice's books
   must hash to that slice under the cluster map's ring, or routing and
   state have diverged;
+* **one PPMSpbs book** — the router sends every ``pbs-*`` request to
+  one slice, so PPMSpbs accounts on two slices mean routing and state
+  have diverged;
 * **value conservation** — each node only sees its own slice of the
   flow, so "deposited never exceeds issued" must be summed globally.
   It holds for wire-driven traffic (minted through a
@@ -51,9 +54,10 @@ from repro.testing.invariants import InvariantReport, _check_lifecycle
 __all__ = ["check_cluster_invariants"]
 
 
-#: apply op -> (payload field, sign) in a slice's balance identity
+#: apply op -> (payload field, sign) in a slice's balance identity; a
+#: PPMSpbs deposit moves a unit inside the PPMSpbs book and nets out
 _FLOW = {"open-account": ("balance", 1), "withdraw": ("value", -1),
-         "deposit": ("amount", 1)}
+         "deposit": ("amount", 1), "pbs-open-account": ("balance", 1)}
 
 
 def check_cluster_invariants(
@@ -85,6 +89,7 @@ def check_cluster_invariants(
             findings.append(f"{node}: no storage dump for this slice")
 
     books = {}  # node -> the slice's recovered books, merged across shards
+    pbs_books = {}  # node -> the slice's recovered PPMSpbs book
     applied: dict[str, set[str]] = {}
     full: dict[str, Journal] = {}  # the slices that still hold lsn 0
     for node, dump in sorted(dumps.items()):
@@ -99,6 +104,7 @@ def check_cluster_invariants(
             findings.append(f"{node}: journal does not replay: {exc}")
             continue
         books[node] = shadow.merged()
+        pbs_books[node] = shadow.pbs
         applied[node] = {r.rid for r in journal.records()
                          if r.kind == "apply" and r.rid}
         if checkpoint is not None:
@@ -138,6 +144,11 @@ def check_cluster_invariants(
             else:
                 applied_on[rid] = node
 
+    pbs_slices = [node for node, pbs in sorted(pbs_books.items()) if pbs.accounts]
+    if len(pbs_slices) > 1:
+        findings.append(f"cluster: PPMSpbs accounts on slices {pbs_slices} "
+                        "(the PPMSpbs book lives on one slice)")
+
     # ring placement: every account lives on the slice that owns it
     for node, bank in sorted(books.items()):
         for aid in sorted(bank.accounts):
@@ -151,8 +162,10 @@ def check_cluster_invariants(
     if conservation:
         for node, journal in sorted(full.items()):
             net = sum(_FLOW[r.op][1] * r.payload[_FLOW[r.op][0]]
-                      for r in journal.records() if r.kind == "apply")
-            final = sum(books[node].accounts.values())
+                      for r in journal.records()
+                      if r.kind == "apply" and r.op in _FLOW)
+            final = (sum(books[node].accounts.values())
+                     + sum(pbs_books[node].accounts.values()))
             if net != final:
                 findings.append(
                     f"{node}: balance conservation broken: opened - withdrawn "

@@ -11,9 +11,11 @@ means clean):
 2. **Ledger/journal agreement** — the write-ahead journal is replayed
    from scratch into a shadow bank, and every book (balances, the
    withdrawal ledger, the deposited-serial store, the deposit
-   sequence) must match the live bank exactly.  This is the strongest
-   statement the harness makes: the journal alone reconstructs the
-   books bit-for-bit, so *any* crash-recovery lands on the same state.
+   sequence, and the PPMSpbs book's accounts, bound keys, spent
+   serials and transaction log) must match the live bank exactly.
+   This is the strongest statement the harness makes: the journal
+   alone reconstructs the books bit-for-bit, so *any* crash-recovery
+   lands on the same state.
 3. **Request-lifecycle discipline** — scanned from the journal: a
    request id may carry at most one ``apply`` record (a double-applied
    deposit is exactly a rid with two), and every ``apply`` must be
@@ -29,7 +31,7 @@ accepted (their accept records may live in deleted segments).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.service.journal import Checkpoint, Journal
 from repro.service.shard import ShardedBank
@@ -74,6 +76,9 @@ def _compare_books(live: ShardedBank, shadow: ShardedBank) -> list[str]:
             f"journal disagreement on deposit sequence: live "
             f"{live.deposit_seq} != replayed {shadow.deposit_seq}"
         )
+    for book in fields(live.pbs):
+        if getattr(live.pbs, book.name) != getattr(shadow.pbs, book.name):
+            findings.append(f"journal disagreement on the PPMSpbs {book.name}")
     return findings
 
 

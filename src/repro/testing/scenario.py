@@ -1,29 +1,33 @@
 """Scenario replay: market flows under faults, with crash recovery.
 
-Two runners, one per market mechanism:
+One replay loop, two kits.  A kit is pre-minted protocol material, bound to
+a fixed cryptographic identity rather than to any bank, plus a script
+of deposit requests (each under a stable request id, including the
+intentional double deposits the service must keep refusing):
 
-* :func:`run_deposit_scenario` — PPMSdec.  Spend tokens are minted
-  once (:func:`build_deposit_kit`) against a fixed CL keypair, then a
-  fresh journaled :class:`~repro.service.server.MarketService` replays
-  the deposit traffic under a :class:`~repro.testing.faults.FaultPlan`:
-  requests dropped, duplicated and reordered, the service killed at
-  scripted envelopes and recovered from its write-ahead journal plus
-  the latest checkpoint.
-* :func:`run_pbs_scenario` — PPMSpbs.  Unitary coins are minted by a
-  full Algorithm-4 run (:func:`build_pbs_kit`, ``deposit=False``), and
-  a minimal journaled deposit endpoint over
-  :class:`~repro.core.ppms_pbs.VirtualBankPbs` replays the deposits
-  under the same fault machinery.
+* :func:`build_deposit_kit` — PPMSdec spend tokens, minted once against
+  a fixed CL keypair; replayed by :func:`run_deposit_scenario`;
+* :func:`build_pbs_kit` — PPMSpbs unitary coins from one full
+  Algorithm-4 run with the deposits held back; replayed by
+  :func:`run_pbs_scenario`.
 
-Both runners model the client side of an at-least-once network: a
+Either way a fresh journaled
+:class:`~repro.service.server.MarketService` replays the kit's traffic
+under a :class:`~repro.testing.faults.FaultPlan`: requests dropped,
+duplicated and reordered, the service killed at scripted envelopes and
+recovered from its write-ahead journal plus the latest checkpoint.  A
+kit contributes only its rid-less funding mutations, each request's
+payload and its balance reconciliation.
+
+The replay loop models the client side of an at-least-once network: a
 delivery that dies in a :class:`~repro.testing.faults.CrashPoint` is
 *retried under the same request id* after recovery, which is exactly
 what makes the exactly-once layer (rid dedupe + journaled replies)
 observable.  After every recovery — and once more at the end — the
 global invariants run: balance conservation, serial-number uniqueness,
-ledger/journal agreement, and the scenario-level checks (every
-delivered request answered, at most one ``OK`` per coin, per-account
-balances reconciling against the verdicts).
+ledger/journal agreement (both schemes' books), and the scenario-level
+checks (every delivered request answered, at most one ``OK`` per coin,
+per-account balances reconciling against the verdicts).
 
 Everything is deterministic in the plan's seed; a failing
 :class:`ScenarioResult` prints the seed, the full fault schedule, and
@@ -36,16 +40,14 @@ import random
 from dataclasses import dataclass, field
 
 import repro.obs as obs
-from repro.core.pbs_ledger import audit_pbs_bank, restore_pbs_bank, snapshot_pbs_bank
 from repro.core.pbs_machine import PPMSpbsSession
-from repro.core.ppms_pbs import CoinReceipt, DoubleDepositError, VirtualBankPbs
+from repro.core.ppms_pbs import CoinReceipt
 from repro.crypto import rsa
 from repro.crypto.cl_sig import CLKeyPair, cl_keygen
 from repro.ecash.dec import setup
 from repro.ecash.spend import DECParams, SpendToken
-from repro.net.transport import Transport
 from repro.service.batcher import VerificationBatcher
-from repro.service.journal import Checkpoint, Journal
+from repro.service.journal import Journal
 from repro.service.loadgen import OfflineIssuer, mint_deposit_traffic
 from repro.service.server import MarketService
 from repro.service.shard import ShardedBank
@@ -55,7 +57,6 @@ from repro.testing.invariants import check_recovery_invariants
 
 __all__ = [
     "DepositKit",
-    "PbsDepositService",
     "PbsKit",
     "ScenarioResult",
     "build_deposit_kit",
@@ -177,17 +178,37 @@ def _check_replies(
 
 
 # ---------------------------------------------------------------------------
-# PPMSdec: deposit kit + scenario
+# the kits: pre-minted material, funding, payloads, reconciliation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _KitRequest:
-    """One scripted deposit: a stable rid over a minted token."""
+    """One scripted deposit: a stable rid over a minted coin."""
 
     rid: str
-    aid: str
+    aid: str  # the depositing account's name (the request's sender)
     token_index: int
-    double_spend: bool  # True when this rid re-deposits an earlier token
+    double_spend: bool  # True when this rid re-deposits an earlier coin
+
+
+def _script(rng: random.Random, requests: list[_KitRequest], prefix: str,
+            double_spends: int) -> tuple[_KitRequest, ...]:
+    """Insert *double_spends* re-deposits of earlier coins.
+
+    Each fraud is scripted strictly after its victim, so in a
+    fault-free run the fresh deposit wins and the re-deposit is the one
+    rejected (faults may still reorder them — the scenario checks "at
+    most one OK per coin" either way).
+    """
+    for extra in range(double_spends):
+        victim_pos = rng.randrange(len(requests))
+        victim = requests[victim_pos]
+        requests.insert(
+            rng.randrange(victim_pos + 1, len(requests) + 1),
+            _KitRequest(rid=f"{prefix}:ds{extra}", aid=victim.aid,
+                        token_index=victim.token_index, double_spend=True),
+        )
+    return tuple(requests)
 
 
 @dataclass(frozen=True)
@@ -206,6 +227,36 @@ class DepositKit:
     tokens: tuple[SpendToken, ...]
     amounts: tuple[int, ...]  # denomination of each token
     requests: tuple[_KitRequest, ...]
+
+    name = "ppms-dec"
+    coin = "token"
+
+    def fund(self, bank: ShardedBank) -> None:
+        """Open each account and book the withdrawals the coins came from."""
+        for aid, balance, coins in self.funding:
+            bank.open_account(aid, balance)
+            for _ in range(coins):
+                bank.apply_withdrawal(aid)
+
+    def payload(self, request: _KitRequest) -> tuple[str, dict]:
+        return "deposit", {"aid": request.aid,
+                           "token": self.tokens[request.token_index]}
+
+    def reconcile(self, bank: ShardedBank, ok: dict[int, list[str]]) -> list[str]:
+        expected = {aid: balance - coins * (1 << self.params.tree_level)
+                    for aid, balance, coins in self.funding}
+        owner = {r.token_index: r.aid for r in self.requests}
+        for token_index in ok:
+            # all rids of one token share an owner; credit the token once
+            expected[owner[token_index]] += self.amounts[token_index]
+        return _disagreements({aid: (bank.balance(aid), want)
+                               for aid, want in expected.items()})
+
+
+def _disagreements(books: dict) -> list[str]:
+    return [f"account {aid} balance {have} != reconciled {want} "
+            "(verdicts and books disagree)"
+            for aid, (have, want) in books.items() if have != want]
 
 
 def build_deposit_kit(
@@ -254,22 +305,6 @@ def build_deposit_kit(
         if j < n_deposits:
             requests.append(_KitRequest(rid=f"dep:{j}", aid=request.sender,
                                         token_index=k, double_spend=False))
-    for extra in range(double_spends):
-        # the fraud is scripted strictly after its victim, so in a
-        # fault-free run the fresh deposit wins and the re-deposit is
-        # the one rejected (faults may still reorder them — the
-        # scenario checks "at most one OK per token" either way)
-        victim_pos = rng.randrange(len(requests))
-        victim = requests[victim_pos]
-        requests.insert(
-            rng.randrange(victim_pos + 1, len(requests) + 1),
-            _KitRequest(
-                rid=f"dep:ds{extra}",
-                aid=victim.aid,
-                token_index=victim.token_index,
-                double_spend=True,
-            ),
-        )
     return DepositKit(
         params=params,
         keypair=keypair,
@@ -279,20 +314,101 @@ def build_deposit_kit(
         ),
         tokens=tuple(tokens),
         amounts=tuple(t.denomination(level) for t in tokens),
-        requests=tuple(requests),
+        requests=_script(rng, requests, "dep", double_spends),
     )
 
 
-def run_deposit_scenario(
-    plan: FaultPlan | int,
+@dataclass(frozen=True)
+class PbsKit:
+    """Pre-minted PPMSpbs material: accounts, verified coins, script.
+
+    Built by one full fault-free Algorithm-4 run with the deposits held
+    back (``deposit=False``), so the scenario replays *only* the
+    deposit step — the part the MA's books depend on — under faults.
+    *params*/*keypair* are the service's PPMSdec half, which a PPMSpbs
+    replay leaves idle.
+    """
+
+    params: DECParams
+    keypair: CLKeyPair
+    accounts: tuple[tuple[bytes, tuple[int, int], int], ...]  # (aid, key, balance)
+    receipts: tuple[CoinReceipt, ...]
+    sp_keys: tuple[tuple[int, int], ...]  # per receipt, the SP's account key
+    requests: tuple[_KitRequest, ...]
+
+    name = "ppms-pbs"
+    coin = "coin"
+
+    def fund(self, bank: ShardedBank) -> None:
+        for _aid, key, balance in self.accounts:
+            bank.pbs_open_account(key, balance)
+
+    def payload(self, request: _KitRequest) -> tuple[str, dict]:
+        receipt = self.receipts[request.token_index]
+        return "pbs-deposit", {"sig": receipt.signature,
+                               "sp_key": self.sp_keys[request.token_index],
+                               "jo_key": receipt.jo_account_key}
+
+    def reconcile(self, bank: ShardedBank, ok: dict[int, list[str]]) -> list[str]:
+        expected = {aid: balance for aid, _key, balance in self.accounts}
+        for index in ok:
+            expected[_account(self.receipts[index].jo_account_key)] -= 1
+            expected[_account(self.sp_keys[index])] += 1
+        return _disagreements({aid.hex(): (bank.pbs.accounts.get(aid), want)
+                               for aid, want in expected.items()})
+
+
+def _account(key: tuple[int, int]) -> bytes:
+    return rsa.RSAPublicKey(*key).fingerprint()
+
+
+def build_pbs_kit(
+    rng: random.Random,
     *,
-    kit: DepositKit | None = None,
-    n_shards: int = 3,
-    max_batch: int = 4,
-    checkpoint_every: int = 5,
-    telemetry: "obs.Telemetry | None" = None,
+    n_sps: int = 3,
+    rsa_bits: int = 512,
+    extra_funds: int = 1,
+    double_spends: int = 1,
+) -> PbsKit:
+    """Run Algorithm 4 once (no deposits); script the deposit replay."""
+    if n_sps < 1:
+        raise ValueError("need at least one sensing participant")
+    session = PPMSpbsSession(rng, rsa_bits=rsa_bits)
+    jo = session.new_job_owner(funds=n_sps + extra_funds)
+    sps = [session.new_participant() for _ in range(n_sps)]
+    receipts = session.run_job(jo, sps, deposit=False)
+    requests = [
+        _KitRequest(rid=f"pbs:{i}", aid=sp.account_pub.fingerprint().hex(),
+                    token_index=i, double_spend=False)
+        for i, sp in enumerate(sps)
+    ]
+    script = _script(rng, requests, "pbs", double_spends)
+    return PbsKit(
+        *toy_market_params(rng),
+        accounts=tuple(
+            (aid, session.ma.bank.bound_keys[aid], balance)
+            for aid, balance in session.ma.bank.accounts.items()
+        ),
+        receipts=tuple(receipts),
+        sp_keys=tuple((sp.account_pub.n, sp.account_pub.e) for sp in sps),
+        requests=script,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the replay loop
+# ---------------------------------------------------------------------------
+
+def _replay(
+    kit: DepositKit | PbsKit,
+    plan: FaultPlan,
+    *,
+    n_shards: int,
+    max_batch: int,
+    checkpoint_every: int,
+    telemetry: "obs.Telemetry | None",
 ) -> ScenarioResult:
-    """Replay the kit's deposit traffic under *plan*; verify everything.
+    """Replay *kit*'s requests against a journaled service under *plan*.
 
     What survives a :class:`CrashPoint` is the journal's *storage* and
     nothing else: the service, bank, batcher and journal objects are
@@ -307,11 +423,7 @@ def run_deposit_scenario(
     incarnation, so one trace shows a request crossing a crash: its
     retry keeps the rid, hence the same trace id.
     """
-    if isinstance(plan, int):
-        plan = FaultPlan.from_seed(plan)
-    if kit is None:
-        kit = build_deposit_kit(random.Random(f"deposit-kit:{plan.seed}"))
-    result = ScenarioResult(name="ppms-dec", plan=plan)
+    result = ScenarioResult(name=kit.name, plan=plan)
     storage = MemoryStorage()  # all that survives a crash
     clock = FaultClock(plan.crash_points)
     # the network under fault wraps the service boundary: each request
@@ -330,18 +442,14 @@ def run_deposit_scenario(
             warm_tables=False, telemetry=telemetry,
         )
 
-    # first incarnation: fund the accounts and book the withdrawals the
-    # kit's coins correspond to.  Journaled but rid-less — these are
+    # first incarnation: the kit's funding, journaled but rid-less —
     # out-of-band setup mutations (same as loadgen minting), not
     # requests with a client lifecycle; each record replays exactly once
     bank = ShardedBank(
         kit.params, kit.keypair, random.Random(1), n_shards=n_shards,
         journal=Journal(storage, telemetry=telemetry), telemetry=telemetry,
     )
-    for aid, balance, coins in kit.funding:
-        bank.open_account(aid, balance)
-        for _ in range(coins):
-            bank.apply_withdrawal(aid)
+    kit.fund(bank)
     service = on_network(MarketService(
         bank,
         batcher=fresh_batcher(),
@@ -371,15 +479,13 @@ def run_deposit_scenario(
     result.dropped = dropped
     for delivery in schedule:
         request = kit.requests[delivery.original]
+        kind, payload = kit.payload(request)
         if delivery.duplicate:
             result.duplicates += 1
         while True:  # the client retries through crashes, same rid
             try:
-                payload = net.send(
-                    request.aid, "MA", "deposit",
-                    {"aid": request.aid, "token": kit.tokens[request.token_index]},
-                )
-                service.submit(request.aid, "deposit", payload, rid=request.rid)
+                delivered = net.send(request.aid, "MA", kind, payload)
+                service.submit(request.aid, kind, delivered, rid=request.rid)
                 service.step()
                 break
             except CrashPoint:
@@ -402,237 +508,28 @@ def run_deposit_scenario(
 
     # scenario-level checks -------------------------------------------------
     ok_by_token = _check_replies(result, kit.requests, schedule, service.reply_for,
-                                 findings, "token")
-
-    expected = {aid: balance - coins * (1 << kit.params.tree_level)
-                for aid, balance, coins in kit.funding}
-    token_owner = {r.token_index: r.aid for r in kit.requests}
-    for token_index in ok_by_token:
-        # all rids of one token share an owner; credit the token once
-        expected[token_owner[token_index]] += kit.amounts[token_index]
-    for aid, want in expected.items():
-        have = service.bank.balance(aid)
-        if have != want:
-            findings.append(
-                f"account {aid!r} balance {have} != reconciled {want} "
-                "(verdicts and books disagree)"
-            )
+                                 findings, kit.coin)
+    findings.extend(kit.reconcile(service.bank, ok_by_token))
     result.findings = tuple(findings)
     return result
 
 
-# ---------------------------------------------------------------------------
-# PPMSpbs: kit + journaled deposit endpoint + scenario
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PbsKit:
-    """Pre-minted PPMSpbs material: accounts, verified coins, script.
-
-    Built by one full fault-free Algorithm-4 run with the deposits held
-    back (``deposit=False``), so the scenario replays *only* the
-    deposit step — the part the MA's books depend on — under faults.
-    """
-
-    accounts: tuple[tuple[bytes, tuple[int, int], int], ...]  # (aid, key, balance)
-    receipts: tuple[CoinReceipt, ...]
-    sp_keys: tuple[tuple[int, int], ...]  # per receipt, the SP's account key
-    requests: tuple[_KitRequest, ...]  # aid field unused (keys identify parties)
-
-
-def build_pbs_kit(
-    rng: random.Random,
+def run_deposit_scenario(
+    plan: FaultPlan | int,
     *,
-    n_sps: int = 3,
-    rsa_bits: int = 512,
-    extra_funds: int = 1,
-    double_spends: int = 1,
-) -> PbsKit:
-    """Run Algorithm 4 once (no deposits); script the deposit replay."""
-    if n_sps < 1:
-        raise ValueError("need at least one sensing participant")
-    session = PPMSpbsSession(rng, rsa_bits=rsa_bits)
-    jo = session.new_job_owner(funds=n_sps + extra_funds)
-    sps = [session.new_participant() for _ in range(n_sps)]
-    receipts = session.run_job(jo, sps, deposit=False)
-    accounts = tuple(
-        (aid, session.ma.bank.bound_keys[aid], balance)
-        for aid, balance in session.ma.bank.accounts.items()
-    )
-    requests = [
-        _KitRequest(rid=f"pbs:{i}", aid="", token_index=i, double_spend=False)
-        for i in range(len(receipts))
-    ]
-    for extra in range(double_spends):
-        victim_pos = rng.randrange(len(requests))
-        victim = requests[victim_pos]
-        requests.insert(
-            rng.randrange(victim_pos + 1, len(requests) + 1),
-            _KitRequest(
-                rid=f"pbs:ds{extra}",
-                aid="",
-                token_index=victim.token_index,
-                double_spend=True,
-            ),
-        )
-    return PbsKit(
-        accounts=accounts,
-        receipts=tuple(receipts),
-        sp_keys=tuple((sp.account_pub.n, sp.account_pub.e) for sp in sps),
-        requests=tuple(requests),
-    )
-
-
-class PbsDepositService:
-    """Minimal journaled deposit endpoint over :class:`VirtualBankPbs`.
-
-    The same write-ahead discipline as :class:`MarketService`, scaled
-    to the unitary bank: verify (pure) → journal the ``apply`` (which is
-    the ``OK`` verdict) → mutate → send; a refusal journals a ``reply``
-    record instead.  Request-id dedupe gives retries
-    their cached verdicts, so at-least-once delivery stays exactly-once
-    on the books.
-
-    Public because the campaign engine (:mod:`repro.sim.campaign`)
-    drives PPMSpbs lifecycles against it; the fault scenarios here keep
-    using it through the same interface.
-    """
-
-    def __init__(self, bank: VirtualBankPbs, journal: Journal,
-                 transport: Transport | None = None) -> None:
-        self.bank = bank
-        self.journal = journal
-        # the journal carries the scenario's telemetry stack; sharing it
-        # keeps pbs submit spans and journal_append spans on one tracer
-        self.obs = journal.obs
-        self.transport = transport if transport is not None else Transport()
-        self._replies: dict[str, tuple[str, dict]] = {}
-
-    @staticmethod
-    def _fresh_bank(kit: PbsKit) -> VirtualBankPbs:
-        bank = VirtualBankPbs()
-        for aid, key, balance in kit.accounts:
-            bank.accounts[aid] = balance
-            bank.bound_keys[aid] = tuple(key)
-        return bank
-
-    @classmethod
-    def recover(cls, kit: PbsKit, journal: Journal,
-                transport: Transport) -> "PbsDepositService":
-        """Rebuild from the journal's newest checkpoint plus its tail."""
-        bank = cls._fresh_bank(kit)
-        checkpoint = journal.load_checkpoint()
-        start = -1
-        if checkpoint is not None:
-            restore_pbs_bank(bank, checkpoint.blobs[0])
-            start = checkpoint.lsn
-        cls._replay_into(bank, journal, start)
-        service = cls(bank, journal, transport)
-        for record in journal.records():
-            # an OK verdict is its apply record, any other a reply record
-            service._replies.setdefault(record.rid, (
-                (record.payload["status"], record.payload["body"])
-                if record.kind == "reply" else ("OK", {})))
-        return service
-
-    @staticmethod
-    def _replay_into(bank: VirtualBankPbs, journal: Journal, start: int) -> None:
-        applied: set[str] = set()
-        for record in journal.records():
-            if record.kind != "apply":
-                continue
-            if record.lsn <= start:
-                applied.add(record.rid)
-                continue
-            if record.rid in applied:
-                continue
-            applied.add(record.rid)
-            payload = record.payload
-            if (payload["payer"], payload["serial"]) in bank.spent_serials:
-                continue  # folded into the checkpoint already
-            bank.apply_deposit(payload["payer"], payload["payee"], payload["serial"])
-
-    def checkpoint(self) -> Checkpoint:
-        return Checkpoint(
-            lsn=self.journal.last_lsn, blobs=(snapshot_pbs_bank(self.bank),)
-        )
-
-    def reply_for(self, rid: str) -> tuple[str, dict] | None:
-        return self._replies.get(rid)
-
-    def submit(self, rid: str, signature, sp_key: tuple[int, int],
-               jo_key: tuple[int, int]) -> str:
-        """One deposit attempt; returns the verdict status."""
-        tracer = self.obs.tracer
-        with tracer.span("submit",
-                         trace=obs.trace_id(rid) if tracer.enabled else None,
-                         kind="pbs-deposit"):
-            return self._submit(rid, signature, sp_key, jo_key)
-
-    def _submit(self, rid: str, signature, sp_key: tuple[int, int],
-                jo_key: tuple[int, int]) -> str:
-        delivered = self.transport.send(
-            "SP", "MA-pbs", "deposit",
-            {"sig": signature, "sp_key": list(sp_key), "jo_key": list(jo_key)},
-        )
-        if rid in self._replies:
-            status, body = self._replies[rid]
-            self.transport.send("MA-pbs", "SP", "reply", {"status": status, **body})
-            return status
-        sig = delivered["sig"]
-        try:
-            payer, payee = self.bank.check_deposit(
-                sig, delivered["sp_key"], delivered["jo_key"]
-            )
-        except DoubleDepositError:
-            return self._finish(rid, "REJECTED", {"error": "double deposit"})
-        except ValueError as exc:
-            return self._finish(rid, "ERROR", {"error": str(exc)})
-        self.journal.append(
-            "apply", rid, "pbs-deposit",
-            {"payer": payer, "payee": payee, "serial": sig.common_info},
-        )
-        self.bank.apply_deposit(payer, payee, sig.common_info)
-        return self._finish(rid, "OK", {})
-
-    def _finish(self, rid: str, status: str, body: dict) -> str:
-        with self.obs.tracer.span("reply", status=status):
-            if status != "OK":  # an OK verdict is its apply record
-                self.journal.append("reply", rid, "pbs-deposit",
-                                    {"status": status, "body": body})
-            self._replies[rid] = (status, body)
-            self.transport.send("MA-pbs", "SP", "reply",
-                                {"status": status, **body})
-        return status
-
-
-def _pbs_findings(service: PbsDepositService, kit: PbsKit) -> list[str]:
-    """PBS analogue of the recovery invariants: audit + journal agreement."""
-    findings = list(audit_pbs_bank(service.bank).findings)
-    journal = service.journal
-    shadow = PbsDepositService._fresh_bank(kit)
-    PbsDepositService._replay_into(shadow, journal, -1)
-    live = service.bank
-    if live.accounts != shadow.accounts:
-        findings.append(
-            f"journal disagreement on accounts: live {live.accounts} "
-            f"!= replayed {shadow.accounts}"
-        )
-    if live.spent_serials != shadow.spent_serials:
-        findings.append(
-            "journal disagreement on spent serials: "
-            f"{len(live.spent_serials ^ shadow.spent_serials)} differ"
-        )
-    if live.transaction_log != shadow.transaction_log:
-        findings.append("journal disagreement on the transaction log")
-    applied: dict[str, int] = {}
-    for record in journal.records():
-        if record.kind == "apply":
-            applied[record.rid] = applied.get(record.rid, 0) + 1
-    for rid, count in applied.items():
-        if count > 1:
-            findings.append(f"rid {rid!r} has {count} apply records (double-applied)")
-    return findings
+    kit: DepositKit | None = None,
+    n_shards: int = 3,
+    max_batch: int = 4,
+    checkpoint_every: int = 5,
+    telemetry: "obs.Telemetry | None" = None,
+) -> ScenarioResult:
+    """Replay a PPMSdec kit's deposits under *plan*; verify everything."""
+    if isinstance(plan, int):
+        plan = FaultPlan.from_seed(plan)
+    if kit is None:
+        kit = build_deposit_kit(random.Random(f"deposit-kit:{plan.seed}"))
+    return _replay(kit, plan, n_shards=n_shards, max_batch=max_batch,
+                   checkpoint_every=checkpoint_every, telemetry=telemetry)
 
 
 def run_pbs_scenario(
@@ -642,71 +539,10 @@ def run_pbs_scenario(
     checkpoint_every: int = 3,
     telemetry: "obs.Telemetry | None" = None,
 ) -> ScenarioResult:
-    """Replay the kit's unitary deposits under *plan*; verify everything."""
+    """Replay a PPMSpbs kit's unitary deposits under *plan*; verify everything."""
     if isinstance(plan, int):
         plan = FaultPlan.from_seed(plan)
     if kit is None:
         kit = build_pbs_kit(random.Random(f"pbs-kit:{plan.seed}"))
-    result = ScenarioResult(name="ppms-pbs", plan=plan)
-    storage = MemoryStorage()  # all that survives a crash
-    clock = FaultClock(plan.crash_points)
-    findings: list[str] = []
-    # the first incarnation starts as every later one: from the store
-    service = PbsDepositService.recover(
-        kit, Journal(storage, telemetry=telemetry), FaultyTransport(clock))
-
-    def recover() -> PbsDepositService:
-        result.recoveries += 1
-        recovered = PbsDepositService.recover(
-            kit, Journal(storage, telemetry=telemetry), FaultyTransport(clock)
-        )
-        findings.extend(
-            f"after recovery {result.recoveries}: {f}"
-            for f in _pbs_findings(recovered, kit)
-        )
-        return recovered
-
-    schedule, dropped = plan.perturb(len(kit.requests))
-    result.dropped = dropped
-    for delivery in schedule:
-        request = kit.requests[delivery.original]
-        receipt = kit.receipts[request.token_index]
-        if delivery.duplicate:
-            result.duplicates += 1
-        while True:
-            try:
-                service.submit(
-                    request.rid,
-                    receipt.signature,
-                    kit.sp_keys[request.token_index],
-                    receipt.jo_account_key,
-                )
-                break
-            except CrashPoint:
-                service = recover()
-        result.delivered += 1
-        if checkpoint_every and result.delivered % checkpoint_every == 0:
-            service.journal.write_checkpoint(service.checkpoint())
-            result.checkpoints += 1
-    result.crashes = len(clock.fired)
-    findings.extend(f"final: {f}" for f in _pbs_findings(service, kit))
-
-    ok_by_receipt = _check_replies(result, kit.requests, schedule, service.reply_for,
-                                   findings, "coin")
-
-    expected = {aid: balance for aid, _key, balance in kit.accounts}
-    for receipt_index in ok_by_receipt:
-        receipt = kit.receipts[receipt_index]
-        payer = rsa.RSAPublicKey(*receipt.jo_account_key).fingerprint()
-        payee = rsa.RSAPublicKey(*kit.sp_keys[receipt_index]).fingerprint()
-        expected[payer] -= 1
-        expected[payee] += 1
-    for aid, want in expected.items():
-        have = service.bank.accounts.get(aid)
-        if have != want:
-            findings.append(
-                f"account {aid.hex()} balance {have} != reconciled {want} "
-                "(verdicts and books disagree)"
-            )
-    result.findings = tuple(findings)
-    return result
+    return _replay(kit, plan, n_shards=3, max_batch=4,
+                   checkpoint_every=checkpoint_every, telemetry=telemetry)

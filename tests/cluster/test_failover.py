@@ -437,3 +437,53 @@ def test_failover_of_a_node_compaction_emptied_reuses_no_lsn(
                                   sender="probe")["status"] == "OK"
             assert [r.lsn for r in service.journal.records()][0] == cut + 1
             assert router.audit()["clean"]
+
+
+def test_the_pbs_book_survives_failover_of_its_owner_slice(
+        local_cluster, dec_params_toy, cluster_keypair):
+    """Every ``pbs-*`` request routes to one slice; killing its owner
+    hands the PPMSpbs book, its spent serials and its reply cache to
+    the adopter like any other slice."""
+    from repro.testing import build_pbs_kit
+
+    kit = build_pbs_kit(random.Random("cluster:pbs"), n_sps=2)
+    with local_cluster.router(attempts=2, backoff=0.01,
+                              refresh_backoff=0.01) as router:
+        for i, (_aid, key, balance) in enumerate(kit.accounts):
+            reply = router.request("pbs-open-account",
+                                   {"key": key, "balance": balance},
+                                   sender="ops", rid=f"pbs-open:{i}")
+            assert reply["status"] == "OK"
+
+        def coin(index: int) -> dict:
+            receipt = kit.receipts[index]
+            return {"sig": receipt.signature, "sp_key": kit.sp_keys[index],
+                    "jo_key": receipt.jo_account_key}
+
+        before = router.request("pbs-deposit", coin(0), sender="sp0",
+                                rid="pbs-dep:0")
+        assert before["status"] == "OK"
+
+        victim = local_cluster.map.owner_of(router.key_of("pbs-deposit", {}))
+        local_cluster.kill(victim)
+        adopter = local_cluster.failover(victim)
+        assert victim in local_cluster.nodes[adopter].serving()
+
+        # the retried rid is answered from the adopted reply cache, and
+        # the adopted book still knows the serial is spent
+        again = router.request("pbs-deposit", coin(0), sender="sp0",
+                               rid="pbs-dep:0")
+        assert again == before
+        replay = router.request("pbs-deposit", coin(0), sender="sp0",
+                                rid="pbs-dep:replay")
+        assert replay == {"status": "REJECTED", "error": "double deposit"}
+        assert router.request("pbs-deposit", coin(1), sender="sp1",
+                              rid="pbs-dep:1")["status"] == "OK"
+        for index in (0, 1):
+            reply = router.request("pbs-balance", {"key": kit.sp_keys[index]},
+                                   sender="sp")
+            assert reply == {"status": "OK", "balance": 1}
+        for node in local_cluster.map.nodes:
+            _settle(router, local_cluster.map, node)
+    sweep = _sweep(dec_params_toy, cluster_keypair, local_cluster)
+    assert sweep.clean, sweep.findings

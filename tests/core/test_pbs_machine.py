@@ -147,6 +147,17 @@ class TestMachineMarket:
         assert any("double deposit" in f.error for f in router.failures)
         assert _balance(session, sp) == 1  # unchanged
 
+    @pytest.mark.parametrize("counter", [-1, 2**32])
+    def test_out_of_range_counter_is_one_refused_deposit(self, rng, counter):
+        session, jo, (sp,) = _market(rng, n_workers=1, jo_funds=2)
+        router = session.router
+        before = len(router.failures)
+        router.post(sp.name, Outbound("MA", "deposit", _deposit(sp, ctr=counter)))
+        router.run()
+        (failure,) = router.failures[before:]
+        assert "invalid partially blind signature" in failure.error
+        assert _balance(session, sp) == 1  # its honest deposit, once
+
     def test_out_of_order_payment_rejected(self, rng):
         """A payment delivered before data submission must be refused by
         the SP's state machine."""

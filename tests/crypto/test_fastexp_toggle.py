@@ -22,7 +22,6 @@ from repro.crypto.zkp.committed_double_log import (
     verify_revealed_edge,
 )
 from repro.crypto.zkp.or_proof import prove_or, verify_or
-from repro.crypto.zkp.range_proof import commit_value, prove_range, verify_range
 from repro.crypto.zkp.representation import prove_representation, verify_representation
 from repro.crypto.zkp.schnorr import prove_dlog, verify_dlog
 from repro.ecash.batch import batch_verify_spends
@@ -105,26 +104,6 @@ def test_or_proof_identical(schnorr_group):
     on, off = _run_both(scenario)
     assert on == off
     assert on[1] is True and on[2] is False
-
-
-def test_range_proof_identical(schnorr_group):
-    grp = schnorr_group
-    g = grp.derive_generator(b"range-g")
-    h = grp.derive_generator(b"range-h")
-
-    def scenario():
-        rng = random.Random(104)
-        value = 11
-        commitment, r = commit_value(grp, g, h, value, rng)
-        proof = prove_range(grp, g, h, commitment, value, r, bits=5,
-                            rng=rng, transcript=Transcript(b"t"))
-        ok = verify_range(grp, g, h, commitment, proof, Transcript(b"t"))
-        bad = verify_range(grp, g, h, grp.mul(commitment, g), proof, Transcript(b"t"))
-        return commitment, proof, ok, bad
-
-    on, off = _run_both(scenario)
-    assert on == off
-    assert on[2] is True and on[3] is False
 
 
 def test_committed_double_log_identical(tower3):

@@ -94,6 +94,13 @@ class TestProtocol:
         bad = PartialBlindSignature(value=0, counter=0, common_info=b"s")
         assert not verify_partial_blind(signer.public_key, b"m", bad)
 
+    @pytest.mark.parametrize("counter", [-1, 2**32])
+    def test_out_of_range_counter_is_refused_not_raised(self, signer, counter):
+        """``derive_exponent`` hashes the counter as 4 bytes; outside
+        them it used to raise OverflowError, which is no ValueError."""
+        bad = PartialBlindSignature(value=5, counter=counter, common_info=b"x")
+        assert verify_partial_blind(signer.public_key, b"m", bad) is False
+
     def test_encoded_size(self, signer):
         sig = PartialBlindSignature(value=123, counter=0, common_info=b"serial-1")
         assert sig.encoded_size(signer.public_key) == signer.public_key.modulus_bytes + 4 + 8

@@ -5,12 +5,17 @@ The strategies below are read off :data:`repro.service.server.REQUESTS`
 by hand per kind: a field added to the table is fuzzed without touching
 this file.  Each example is one well-formed wire frame (valid codec,
 valid framing) whose *values* may be hostile: a wrong type, ``True``
-where an int belongs, a number or a string past its bound, a non-string
-``rid`` or ``sender``, a non-finite ``now``, an unknown field or kind.
+where an int belongs, a number or a string past its bound (an RSA
+modulus past 4096 bits, a coin counter outside 4 bytes), a hostile
+value inside a key or a coin, a non-string ``rid`` or ``sender``, a
+non-finite ``now``, an unknown field or kind.  Well-formed frames draw
+keys of opened and of unknown accounts, so a kind's screen (the
+PPMSpbs deposit's unknown payer or payee) is probed too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -27,6 +32,7 @@ from repro.service import (
     VerificationBatcher,
 )
 from repro.service.server import REQUESTS
+from repro.testing import build_pbs_kit
 
 from tests.service.conftest import mint_tokens
 
@@ -69,9 +75,21 @@ def _valid(spec: Field, samples: dict) -> st.SearchStrategy:
     return st.one_of(options)
 
 
-def _hostile(spec: Field) -> st.SearchStrategy:
-    """Values *spec* refuses: the wrong type, or past a bound."""
+def _with(value, key, part):
+    """*value* with its part *key* (attribute or index) replaced."""
+    if type(key) is int:
+        return type(value)(part if i == key else v for i, v in enumerate(value))
+    return dataclasses.replace(value, **{key: part})
+
+
+def _hostile(spec: Field, samples: dict) -> st.SearchStrategy:
+    """Values *spec* refuses: the wrong type, past a bound, or holding
+    one hostile part."""
     options = [st.sampled_from([v for v in _ODD if type(v) not in spec.types])]
+    bases = [v for kind in spec.types for v in samples.get(kind, ())]
+    for key, part in spec.parts.items():
+        options.append(st.tuples(st.sampled_from(bases), _hostile(part, samples))
+                       .map(lambda pair, key=key: _with(pair[0], key, pair[1])))
     kind = spec.types[0]
     if kind in (str, bytes):
         if spec.high < math.inf:
@@ -102,12 +120,12 @@ def _frames(draw, samples: dict):
     required = [name for name, spec in fields.items() if not spec.optional]
     if fault == "field" and payload:
         name = draw(st.sampled_from(sorted(payload)))
-        payload[name] = draw(_hostile(fields[name]))
+        payload[name] = draw(_hostile(fields[name], samples))
     elif fault == "envelope":
         name = draw(st.sampled_from(sorted(REQUESTS.envelope)))
         # the door stands a falsy sender's connection name in, and an
         # omitted (None) rid is a fresh one: neither is malformed
-        envelope[name] = draw(_hostile(REQUESTS.envelope[name]).filter(
+        envelope[name] = draw(_hostile(REQUESTS.envelope[name], samples).filter(
             lambda v: v is not None and (name != "sender" or bool(v))))
     elif fault == "missing" and required:
         del payload[draw(st.sampled_from(required))]
@@ -128,10 +146,18 @@ def test_hostile_values_are_refused_and_leave_no_trace(dec_params_toy,
     deposits = mint_tokens(service, rng, 4)
     tokens = [r.payload["token"] for r in deposits]
     requests = [begin_withdrawal(service.bank.params, rng)[1] for _ in range(2)]
+    pbs = build_pbs_kit(random.Random("request-table:pbs"), n_sps=2)
+    for _aid, key, balance in pbs.accounts:
+        service.bank.pbs_open_account(key, balance)
+    stranger = (pbs.sp_keys[0][0] + 2, 65537)  # no account holds this key
+    keys = [key for _aid, key, _balance in pbs.accounts] + [stranger]
     # real accounts beside random text, so well-formed frames reach the
     # handlers' own checks (and sometimes succeed)
     samples = {type(tokens[0]): tokens, type(requests[0]): requests,
-               str: sorted({r.sender for r in deposits})}
+               str: sorted({r.sender for r in deposits}),
+               type(pbs.receipts[0].signature):
+                   [receipt.signature for receipt in pbs.receipts],
+               tuple: keys, list: [list(key) for key in keys]}
     with ServiceFrontend(service) as front, \
             ServiceClient(front.address, timeout=30.0) as client:
 
@@ -139,13 +165,18 @@ def test_hostile_values_are_refused_and_leave_no_trace(dec_params_toy,
         @given(_frames(samples))
         def probe(case):
             frame, malformed = case
+            entry = REQUESTS.messages.get(frame["kind"])
+            # the dispatcher is idle between two probes: reading the
+            # books from here races nothing
+            screened = (not malformed and entry.screen is not None
+                        and entry.screen(service, frame["payload"]) is not None)
             before = _journal_bytes(journal)
             cid = client.send(frame["kind"], frame["payload"],
                               sender=frame["sender"], rid=frame["rid"],
                               now=frame["now"])
             reply = client.recv()
             assert reply["cid"] == cid  # exactly one reply, and it is ours
-            if malformed:
+            if malformed or screened:
                 assert reply["status"] == "ERROR", (frame, reply)
                 assert _journal_bytes(journal) == before
 

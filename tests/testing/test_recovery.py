@@ -19,7 +19,6 @@ import os
 import random
 
 from repro.ecash.dec import begin_withdrawal
-from repro.net.transport import Transport
 from repro.service import (
     Journal,
     MarketService,
@@ -29,11 +28,7 @@ from repro.service import (
 from repro.service.storage import MemoryStorage
 from repro.testing import FaultPlan, check_recovery_invariants, env_seed
 from repro.testing.properties import DEFAULT_SEED
-from repro.testing.scenario import (
-    PbsDepositService,
-    run_deposit_scenario,
-    run_pbs_scenario,
-)
+from repro.testing.scenario import run_deposit_scenario, run_pbs_scenario
 
 SMOKE = bool(os.environ.get("REPRO_FAULT_SMOKE"))
 #: scenario counts: CI smoke sweeps wide, tier-1 stays fast
@@ -54,10 +49,7 @@ def _fresh_service(kit, journal=None) -> MarketService:
     bank = ShardedBank(
         kit.params, kit.keypair, random.Random(1), n_shards=3, journal=journal
     )
-    for aid, balance, coins in kit.funding:
-        bank.open_account(aid, balance)
-        for _ in range(coins):
-            bank.apply_withdrawal(aid)
+    kit.fund(bank)
     batcher = VerificationBatcher(
         kit.params, kit.keypair, max_batch=4, seed=7, warm_tables=False
     )
@@ -276,22 +268,33 @@ class TestOneRecordPerVerdict:
 
     def test_a_pbs_deposit_verdict_is_written_once(self, pbs_kit):
         storage = MemoryStorage()
-        service = PbsDepositService.recover(pbs_kit, Journal(storage),
-                                            Transport())
+        service = _fresh_service(pbs_kit, Journal(storage))
         for request in pbs_kit.requests:
-            receipt = pbs_kit.receipts[request.token_index]
-            service.submit(request.rid, receipt.signature,
-                           pbs_kit.sp_keys[request.token_index],
-                           receipt.jo_account_key)
+            kind, payload = pbs_kit.payload(request)
+            service.submit(request.aid, kind, payload, rid=request.rid)
+        service.drain()
         verdicts = {r.rid: service.reply_for(r.rid) for r in pbs_kit.requests}
         assert {status for status, _body in verdicts.values()} \
             == {"OK", "REJECTED"}
         journal = Journal(storage)
         for rid, (status, _body) in verdicts.items():
             assert _kinds(journal, rid) == (
-                ["apply"] if status == "OK" else ["reply"])
-        recovered = PbsDepositService.recover(pbs_kit, journal, Transport())
+                ["accept", "apply"] if status == "OK" else ["accept", "reply"])
+        recovered = _recovered(pbs_kit, journal)
         assert {rid: recovered.reply_for(rid) for rid in verdicts} == verdicts
+
+
+    def test_the_sweep_finds_a_planted_pbs_book_disagreement(self, pbs_kit):
+        journal = Journal()
+        service = _fresh_service(pbs_kit, journal)
+        kind, payload = pbs_kit.payload(pbs_kit.requests[0])
+        service.submit(pbs_kit.requests[0].aid, kind, payload, rid="dep")
+        service.drain()
+        assert check_recovery_invariants(service.bank, journal).clean
+        payee = next(iter(service.bank.pbs.accounts))
+        service.bank.pbs.accounts[payee] += 1  # a credit no record explains
+        findings = check_recovery_invariants(service.bank, journal).findings
+        assert findings == ("journal disagreement on the PPMSpbs accounts",)
 
 
 class TestCrashSweep:
