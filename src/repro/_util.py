@@ -1,7 +1,7 @@
 """Small shared helpers used across the ``repro`` package.
 
 Everything here is dependency-free and deliberately boring: byte/int
-conversions, deterministic random sources, and tiny validation helpers.
+conversions and random integers from a passed ``random.Random``.
 Keeping them in one private module avoids circular imports between the
 crypto substrates.
 """
@@ -9,17 +9,12 @@ crypto substrates.
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 __all__ = [
     "int_to_bytes",
     "bytes_to_int",
-    "bit_length_bytes",
-    "make_rng",
     "rand_int_bits",
-    "rand_below",
     "rand_range",
-    "chunked",
 ]
 
 
@@ -41,24 +36,6 @@ def bytes_to_int(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
-def bit_length_bytes(bits: int) -> int:
-    """Number of bytes needed to hold *bits* bits."""
-    if bits < 0:
-        raise ValueError("bit count must be non-negative")
-    return (bits + 7) // 8
-
-
-def make_rng(seed: int | None = None) -> random.Random:
-    """Return a :class:`random.Random` for protocol simulation.
-
-    All randomness in the library flows through explicitly passed
-    ``random.Random`` instances so experiments are reproducible.  This is
-    a *simulation* library: we deliberately use a seedable PRNG instead of
-    ``secrets`` so that test suites and benchmarks are deterministic.
-    """
-    return random.Random(seed)
-
-
 def rand_int_bits(rng: random.Random, bits: int) -> int:
     """Uniform random integer with exactly *bits* bits (MSB set)."""
     if bits <= 0:
@@ -68,23 +45,8 @@ def rand_int_bits(rng: random.Random, bits: int) -> int:
     return (1 << (bits - 1)) | rng.getrandbits(bits - 1)
 
 
-def rand_below(rng: random.Random, upper: int) -> int:
-    """Uniform random integer in ``[0, upper)``."""
-    if upper <= 0:
-        raise ValueError("upper bound must be positive")
-    return rng.randrange(upper)
-
-
 def rand_range(rng: random.Random, lower: int, upper: int) -> int:
     """Uniform random integer in ``[lower, upper)``."""
     if upper <= lower:
         raise ValueError("empty range")
     return rng.randrange(lower, upper)
-
-
-def chunked(data: bytes, size: int) -> Iterator[bytes]:
-    """Yield consecutive *size*-byte chunks of *data* (last may be short)."""
-    if size <= 0:
-        raise ValueError("chunk size must be positive")
-    for start in range(0, len(data), size):
-        yield data[start : start + size]

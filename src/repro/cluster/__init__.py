@@ -11,9 +11,8 @@ slice.  The layers:
   :class:`~repro.cluster.ring.ClusterMap` (failover rebinds addresses,
   never ownership);
 * :mod:`repro.cluster.router` — client-side
-  :class:`~repro.cluster.router.ClusterRouter` (and the thin
-  :class:`~repro.cluster.router.ClusterProxy` front door) producing
-  replies byte-identical to a single node's;
+  :class:`~repro.cluster.router.ClusterRouter` producing replies
+  byte-identical to a single node's;
 * :mod:`repro.cluster.replicate` — synchronous journal shipping +
   periodic checkpoints between peers;
 * :mod:`repro.cluster.node` — one node's wiring, plus the in-process
@@ -31,7 +30,6 @@ from repro.cluster.replicate import (
 )
 from repro.cluster.ring import DEFAULT_VNODES, ClusterMap, HashRing
 from repro.cluster.router import (
-    ClusterProxy,
     ClusterRouter,
     RouteError,
     StaleClusterMapError,
@@ -42,7 +40,6 @@ __all__ = [
     "ClusterMap",
     "DEFAULT_VNODES",
     "ClusterRouter",
-    "ClusterProxy",
     "RouteError",
     "StaleClusterMapError",
     "ReplicaReceiver",

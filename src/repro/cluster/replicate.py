@@ -64,7 +64,6 @@ from repro.net.wire import FrameDecoder, encode_frame, read_frame, write_frame, 
 from repro.service.storage import MUTATING, MemoryStorage, Storage, StorageWrapper
 
 __all__ = [
-    "FrameListener",
     "ReplicaSlot",
     "ReplicaReceiver",
     "JournalShipper",
@@ -83,81 +82,6 @@ def control_call(address: tuple[str, int], frame: dict, *,
     if reply is None:
         raise WireError(f"replication peer {address} closed during a control call")
     return reply
-
-
-class FrameListener:
-    """A TCP listener, one thread per connection, that ``close()`` stops.
-
-    The accept/teardown half of :class:`ReplicaReceiver` and
-    :class:`~repro.cluster.router.ClusterProxy`; subclasses supply
-    ``_serve(sock)``, which runs on the connection's own thread and
-    returns when ``recv`` does (EOF, error, or :meth:`close` shutting
-    the socket down under it).  After :meth:`close` returns the port is
-    unbound and no accept or connection thread is left running.
-    """
-
-    def __init__(self, host: str, port: int, *, name: str) -> None:
-        self._listener = socket.create_server((host, port))
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._name = name
-        self._running = True
-        self._conn_lock = threading.Lock()
-        self._conns: list[tuple[threading.Thread, socket.socket]] = []
-        self._accept = threading.Thread(target=self._accept_loop,
-                                        name=f"{name}-accept", daemon=True)
-        self._accept.start()
-
-    def _serve(self, sock: socket.socket) -> None:
-        raise NotImplementedError
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _peer = self._listener.accept()
-            except OSError:
-                return
-            with self._conn_lock:
-                if not self._running:
-                    sock.close()  # close()'s wake-up connection
-                    return
-                thread = threading.Thread(target=self._serve, args=(sock,),
-                                          name=f"{self._name}-conn", daemon=True)
-                # finished connections leave the join list here, so it
-                # does not grow without bound on a long-lived listener
-                self._conns = [c for c in self._conns if c[0].is_alive()]
-                self._conns.append((thread, sock))
-                thread.start()
-
-    def close(self) -> None:
-        with self._conn_lock:
-            if not self._running:
-                return
-            self._running = False
-        # a thread parked in accept() keeps the listening socket alive
-        # (and the port answering) after the fd is closed under it; dial
-        # one throwaway connection to kick it out first
-        try:
-            socket.create_connection(self.address, timeout=1.0).close()
-        except OSError:
-            pass
-        self._accept.join(timeout=5.0)
-        self._listener.close()
-        with self._conn_lock:
-            conns, self._conns = self._conns, []
-        for _thread, sock in conns:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)  # wakes a parked recv()
-            except OSError:
-                pass
-        for thread, _sock in conns:
-            if thread is not threading.current_thread():
-                thread.join(timeout=5.0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 @dataclass
@@ -199,7 +123,7 @@ class ReplicaSlot:
         self.applied = n
 
 
-class ReplicaReceiver(FrameListener):
+class ReplicaReceiver:
     """TCP listener accepting replica streams and control frames.
 
     Stream frames are the rows of :data:`STREAM`: fire-and-forget from
@@ -217,6 +141,9 @@ class ReplicaReceiver(FrameListener):
     the reply (exceptions become ``{ok: false, error}``).  The control
     plane — :data:`repro.cluster.node.CONTROL` — therefore rides the
     same listener, one port per node.
+
+    One thread per connection; after :meth:`close` returns the port is
+    unbound and no accept or connection thread is left running.
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
@@ -224,7 +151,14 @@ class ReplicaReceiver(FrameListener):
         self.control = control
         self._slots: dict[str, ReplicaSlot] = {}
         self._lock = threading.Lock()
-        super().__init__(host, port, name="replica")
+        self._listener = socket.create_server((host, port))
+        self.address: tuple[str, int] = self._listener.getsockname()[:2]
+        self._running = True
+        self._conn_lock = threading.Lock()
+        self._conns: list[tuple[threading.Thread, socket.socket]] = []
+        self._accept = threading.Thread(target=self._accept_loop,
+                                        name="replica-accept", daemon=True)
+        self._accept.start()
 
     # -- store -------------------------------------------------------------
     def slot(self, node: str) -> ReplicaSlot:
@@ -274,6 +208,56 @@ class ReplicaReceiver(FrameListener):
                 raise LookupError(f"nothing shipped from {node!r}")
             storage, slot.storage = slot.storage, None
         return storage
+
+    # -- listener ------------------------------------------------------------
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, _peer = self._listener.accept()
+            except OSError:
+                return
+            with self._conn_lock:
+                if not self._running:
+                    sock.close()  # close()'s wake-up connection
+                    return
+                thread = threading.Thread(target=self._serve, args=(sock,),
+                                          name="replica-conn", daemon=True)
+                # finished connections leave the join list here, so it
+                # does not grow without bound on a long-lived listener
+                self._conns = [c for c in self._conns if c[0].is_alive()]
+                self._conns.append((thread, sock))
+                thread.start()
+
+    def close(self) -> None:
+        with self._conn_lock:
+            if not self._running:
+                return
+            self._running = False
+        # a thread parked in accept() keeps the listening socket alive
+        # (and the port answering) after the fd is closed under it; dial
+        # one throwaway connection to kick it out first
+        try:
+            socket.create_connection(self.address, timeout=1.0).close()
+        except OSError:
+            pass
+        self._accept.join(timeout=5.0)
+        self._listener.close()
+        with self._conn_lock:
+            conns, self._conns = self._conns, []
+        for _thread, sock in conns:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # wakes a parked recv()
+            except OSError:
+                pass
+        for thread, _sock in conns:
+            if thread is not threading.current_thread():
+                thread.join(timeout=5.0)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- wire side ---------------------------------------------------------
     def _serve(self, sock: socket.socket) -> None:

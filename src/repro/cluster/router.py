@@ -1,4 +1,4 @@
-"""Client-side request routing over the cluster map, plus a thin proxy.
+"""Client-side request routing over the cluster map.
 
 :class:`ClusterRouter` is how a client speaks to the sharded cluster
 as if it were one market administrator.  Every account-scoped request
@@ -26,28 +26,20 @@ Failure handling is two nested loops:
   budget, :class:`StaleClusterMapError` tells the caller the router's
   view of the world is the problem — the runbook entry for "router
   sees stale cluster map" keys off this exception.
-
-:class:`ClusterProxy` is the thin server-side form of the same logic:
-a TCP front-end speaking the ordinary single-node wire protocol whose
-handler is a router call, so unmodified clients (``run_trace`` over a
-``SocketGateway``, the examples) can drive the whole cluster through
-one address.
 """
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from typing import Any
 
-from repro.cluster.replicate import FrameListener
 from repro.cluster.ring import ClusterMap
-from repro.net.wire import FrameDecoder, WireError, encode_frame
+from repro.net.wire import WireError
 from repro.service.frontend import ServiceClient
 from repro.service.gateway import strip_envelope
 
-__all__ = ["ClusterRouter", "ClusterProxy", "StaleClusterMapError", "RouteError"]
+__all__ = ["ClusterRouter", "StaleClusterMapError", "RouteError"]
 
 
 class RouteError(ValueError):
@@ -71,12 +63,11 @@ class ClusterRouter:
     launcher's map; remote clients pass something that asks any live
     node's control port.
 
-    Thread safety: one router may be shared across threads (the proxy
-    does); each node's client is guarded by a per-node lock, so two
-    threads talking to *different* nodes proceed in parallel while two
-    talking to the same node serialize — the single connection per
-    node is deliberate (it preserves per-sender FIFO through the
-    node's dispatcher).
+    Thread safety: one router may be shared across threads; each
+    node's client is guarded by a per-node lock, so two threads talking
+    to *different* nodes proceed in parallel while two talking to the
+    same node serialize — the single connection per node is deliberate
+    (it preserves per-sender FIFO through the node's dispatcher).
     """
 
     def __init__(self, cmap: ClusterMap, *, refresh=None,
@@ -229,67 +220,3 @@ class ClusterRouter:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class ClusterProxy(FrameListener):
-    """A single-address TCP front door whose backend is the router.
-
-    Speaks the exact single-node wire protocol — request frames with
-    ``cid``/``kind``/``payload``/``sender``/``rid``/``now`` — so any
-    existing client or load generator can point at the proxy and drive
-    the whole cluster.  One thread per connection, requests answered in
-    order per connection (the thin mode: no cross-connection batching —
-    the per-node dispatchers behind it still batch across everything
-    the proxy forwards).
-    """
-
-    def __init__(self, router: ClusterRouter, *, host: str = "127.0.0.1",
-                 port: int = 0) -> None:
-        self.router = router
-        #: requests *handled*, not necessarily *delivered*: incremented
-        #: once _answer returns, before the reply is written to the
-        #: socket (so a client holding a reply always observes the
-        #: count).  A send that then fails still counts — the OSError
-        #: tears the connection down, not the tally.
-        self.served = 0
-        super().__init__(host, port, name="proxy")
-
-    def _serve(self, sock: socket.socket) -> None:
-        decoder = FrameDecoder()
-        try:
-            while self._running:
-                data = sock.recv(65536)
-                if not data:
-                    return
-                decoder.feed(data)
-                for request in decoder.frames():
-                    reply = self._answer(request)
-                    # count before sending: a client that has the reply
-                    # in hand must observe the request as served
-                    self.served += 1
-                    sock.sendall(encode_frame(reply))
-        except (OSError, WireError):
-            return
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _answer(self, request: Any) -> dict:
-        if not isinstance(request, dict) or not isinstance(request.get("kind"), str):
-            return {"cid": request.get("cid") if isinstance(request, dict) else None,
-                    "status": "ERROR", "error": "request must be a dict with a 'kind'"}
-        cid = request.get("cid")
-        try:
-            if request["kind"] == "audit":
-                verdict = self.router.audit()
-            else:
-                verdict = self.router.request(
-                    request["kind"], request.get("payload"),
-                    sender=request.get("sender"), rid=request.get("rid"),
-                    now=request.get("now", 0.0),  # the node checks it
-                )
-        except (RouteError, StaleClusterMapError, WireError, OSError) as exc:
-            return {"cid": cid, "status": "ERROR", "error": str(exc)}
-        return {"cid": cid, **verdict}

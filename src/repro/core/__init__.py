@@ -32,7 +32,7 @@ from repro.core.pbs_ledger import (
     snapshot_pbs_bank,
 )
 from repro.core.market import BulletinBoard, DataReport, JobProfile, MarketDesk
-from repro.core.optimal_break import improvement_over_epcba, optimal_break
+from repro.core.optimal_break import optimal_break
 from repro.core.pbs_machine import JOMachine, MAMachine, PPMSpbsSession, SPMachine
 from repro.core.trading import RedemptionDesk, RedemptionVoucher, trade_sensing_service
 from repro.core.ppms_dec import (
@@ -87,7 +87,6 @@ __all__ = [
     "RedemptionVoucher",
     "trade_sensing_service",
     "optimal_break",
-    "improvement_over_epcba",
     "BREAK_FN_BY_NAME",
     "unitary_break",
     "pcba",

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.core.cashbreak import BREAK_FN_BY_NAME, coverage, epcba
+from repro.core.cashbreak import BREAK_FN_BY_NAME, coverage
 
-__all__ = ["optimal_break", "optimal_coverage", "improvement_over_epcba"]
+__all__ = ["optimal_break"]
 
 
 def _partitions(w: int, max_part: int, max_coins: int):
@@ -75,23 +75,6 @@ def optimal_break(w: int, level: int) -> list[int]:
     parts = _best_partition(w, max_coins)
     slots = list(parts) + [0] * (level + 2 - len(parts))
     return slots
-
-
-def optimal_coverage(w: int, level: int) -> int:
-    """Coverage size achieved by the optimal break."""
-    return len(coverage(optimal_break(w, level)))
-
-
-def improvement_over_epcba(level: int) -> dict[int, tuple[int, int]]:
-    """Per-payment (EPCBA coverage, optimal coverage) across all values.
-
-    The ablation behind the module docstring's claim; used by tests and
-    the bench suite.
-    """
-    out = {}
-    for w in range(1, (1 << level) + 1):
-        out[w] = (len(coverage(epcba(w, level))), optimal_coverage(w, level))
-    return out
 
 
 # register alongside the paper's strategies so experiments can sweep it

@@ -89,7 +89,14 @@ def cl_sign(backend, keypair: CLKeyPair, message: int, rng: random.Random) -> CL
 
 
 def cl_verify(backend, pk: CLPublicKey, message: int, sig: CLSignature) -> bool:
-    """Verify via the two pairing equations of Scheme A."""
+    """Verify via the two pairing equations of Scheme A.
+
+    A signature point the backend cannot pair is refused first: every
+    pairing against a point with no order-*r* part is 1, so ``(T, T, T)``
+    for such a point would satisfy both equations for any message.
+    """
+    if not all(backend.pairable(pt) for pt in (sig.a, sig.b, sig.c)):
+        return False
     m = message % backend.order
     # e(a, Y) == e(g, b)
     if not backend.gt_eq(backend.pair(sig.a, pk.Y), backend.pair(backend.g, sig.b)):

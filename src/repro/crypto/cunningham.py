@@ -34,7 +34,6 @@ from repro.crypto.ntheory import is_probable_prime
 __all__ = [
     "CunninghamChain",
     "is_first_kind_chain",
-    "extend_chain",
     "find_chain",
     "find_chain_with_stats",
     "known_chain",
@@ -83,19 +82,6 @@ def is_first_kind_chain(start: int, length: int) -> bool:
             return False
         p = 2 * p + 1
     return True
-
-
-def extend_chain(start: int) -> int:
-    """Length of the maximal first-kind chain beginning at *start*.
-
-    Returns 0 when *start* itself is composite.
-    """
-    length = 0
-    p = start
-    while is_probable_prime(p):
-        length += 1
-        p = 2 * p + 1
-    return length
 
 
 def find_chain(length: int, bits: int, rng: random.Random) -> CunninghamChain:

@@ -24,7 +24,7 @@ maps that only *build* a table after a base has been seen
 ``promote_after`` times, so one-shot exponentiations never pay the
 build cost.  All caches register themselves in a module registry;
 :func:`stats` aggregates their hit/miss/build/eviction counters (also
-surfaced through :func:`repro.metrics.opcount.fastexp_stats`).
+published as gauges by :func:`repro.metrics.opcount.publish_fastexp`).
 
 One global gate keeps the fallback path exactly as it was:
 :func:`configure` ``(enabled=False)`` (or environment

@@ -4,14 +4,13 @@ Everything the higher layers need is implemented here from scratch:
 
 * Miller–Rabin probabilistic primality testing (with a deterministic
   small-base fast path for 64-bit inputs),
-* random prime / safe-prime / Sophie-Germain-prime generation,
-* modular inverse, CRT recombination, Jacobi symbol, Tonelli–Shanks
-  square roots,
+* random prime / safe-prime generation,
+* modular inverse, Jacobi symbol, Tonelli–Shanks square roots,
 * small utilities (``is_probable_prime``, trial division tables).
 
 The module is pure Python on arbitrary-precision ints.  Functions accept
 an explicit ``random.Random`` where randomness is needed so callers stay
-reproducible (see :func:`repro._util.make_rng`).
+reproducible.
 """
 
 from __future__ import annotations
@@ -25,16 +24,12 @@ __all__ = [
     "SMALL_PRIMES",
     "is_probable_prime",
     "miller_rabin",
-    "next_prime",
     "random_prime",
     "random_safe_prime",
-    "random_sophie_germain_prime",
     "modinv",
-    "crt",
     "jacobi",
     "sqrt_mod_prime",
     "is_quadratic_residue",
-    "primes_up_to",
 ]
 
 
@@ -57,11 +52,6 @@ SMALL_PRIMES: tuple[int, ...] = tuple(_sieve(2000))
 
 # Deterministic Miller-Rabin witness sets (Jaeschke / Sorenson-Webster).
 _DETERMINISTIC_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def primes_up_to(limit: int) -> list[int]:
-    """All primes ``<= limit`` (fresh list; sieve recomputed each call)."""
-    return _sieve(limit)
 
 
 def miller_rabin(n: int, bases: Sequence[int]) -> bool:
@@ -116,16 +106,6 @@ def is_probable_prime(n: int, rounds: int = 24, rng: random.Random | None = None
     return miller_rabin(n, bases)
 
 
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than *n*."""
-    candidate = max(n + 1, 2)
-    if candidate > 2 and candidate % 2 == 0:
-        candidate += 1
-    while not is_probable_prime(candidate):
-        candidate += 1 if candidate == 2 else 2
-    return candidate
-
-
 def random_prime(bits: int, rng: random.Random, *, congruence: tuple[int, int] | None = None) -> int:
     """Random prime with exactly *bits* bits.
 
@@ -162,14 +142,6 @@ def random_safe_prime(bits: int, rng: random.Random) -> int:
             return p
 
 
-def random_sophie_germain_prime(bits: int, rng: random.Random) -> int:
-    """Random Sophie Germain prime *q* (i.e. ``2q + 1`` is also prime)."""
-    while True:
-        q = random_prime(bits, rng)
-        if is_probable_prime(2 * q + 1, rng=rng):
-            return q
-
-
 def modinv(a: int, m: int) -> int:
     """Modular inverse of *a* modulo *m*.
 
@@ -180,25 +152,6 @@ def modinv(a: int, m: int) -> int:
         return pow(a, -1, m)
     except ValueError as exc:  # non-invertible
         raise ValueError(f"{a} is not invertible modulo {m}") from exc
-
-
-def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """Chinese-remainder recombination for pairwise-coprime *moduli*.
-
-    Returns the unique ``x`` in ``[0, prod(moduli))`` with
-    ``x % moduli[i] == residues[i]`` for all *i*.
-    """
-    if len(residues) != len(moduli):
-        raise ValueError("residues and moduli must have equal length")
-    if not moduli:
-        raise ValueError("need at least one congruence")
-    x, m = residues[0] % moduli[0], moduli[0]
-    for r, n in zip(residues[1:], moduli[1:]):
-        # solve x + m*t ≡ r (mod n)
-        t = ((r - x) * modinv(m, n)) % n
-        x += m * t
-        m *= n
-    return x % m
 
 
 def jacobi(a: int, n: int) -> int:

@@ -36,7 +36,6 @@ __all__ = [
     "MillerTable",
     "PairingBatch",
     "TatePairing",
-    "clear_shared_tables",
 ]
 
 _ONE = (1, 0)
@@ -431,11 +430,6 @@ _SHARED_TABLES: dict[tuple, dict] = {}
 
 def _table_key(params: CurveParams) -> tuple:
     return (params.p, params.r, params.generator.encode())
-
-
-def clear_shared_tables() -> None:
-    """Drop the process-level table registry (test isolation)."""
-    _SHARED_TABLES.clear()
 
 
 class TatePairing:

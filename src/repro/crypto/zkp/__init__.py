@@ -1,22 +1,19 @@
 """Zero-knowledge proof toolbox (all Fiat–Shamir non-interactive).
 
-* :mod:`~repro.crypto.zkp.schnorr` — PoK of a discrete logarithm,
-* :mod:`~repro.crypto.zkp.representation` — PoK of a representation,
+* :mod:`~repro.crypto.zkp.schnorr` — PoK of a discrete logarithm (the
+  CL blind-issuance proof),
 * :mod:`~repro.crypto.zkp.double_log` — Stadler double-discrete-log
-  (cut-and-choose),
-* :mod:`~repro.crypto.zkp.or_proof` — CDS OR-composition.
+  (cut-and-choose), the ablation baseline of the spend's edge proofs,
+* :mod:`~repro.crypto.zkp.committed_double_log` — the spend-path edge
+  proofs over committed values,
+* :mod:`~repro.crypto.zkp.equality` — one witness across two groups of
+  different order (the CL↔tower bridge of the spend).
 
-These are precisely the four proof types Section VI-C of the paper
-lists, combined as needed by the divisible e-cash spend protocol.
+Section VI-C of the paper also lists representation and OR proofs;
+neither Algorithm 1 nor Algorithm 4 uses them, so they are not here.
 """
 
 from repro.crypto.zkp.double_log import DoubleLogProof, prove_double_log, verify_double_log
-from repro.crypto.zkp.or_proof import OrProof, prove_or, verify_or
-from repro.crypto.zkp.representation import (
-    RepresentationProof,
-    prove_representation,
-    verify_representation,
-)
 from repro.crypto.zkp.schnorr import (
     SchnorrProof,
     prove_dlog,
@@ -31,13 +28,7 @@ __all__ = [
     "verify_dlog",
     "prove_dlog_generic",
     "verify_dlog_generic",
-    "RepresentationProof",
-    "prove_representation",
-    "verify_representation",
     "DoubleLogProof",
     "prove_double_log",
     "verify_double_log",
-    "OrProof",
-    "prove_or",
-    "verify_or",
 ]

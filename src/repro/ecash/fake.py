@@ -16,12 +16,7 @@ from __future__ import annotations
 
 import random
 
-from repro.net.codec import encode
-
-__all__ = ["make_fake_blob", "pad_payment", "FAKE_MARKER_LEN"]
-
-#: fakes carry no marker — this constant documents that deliberately.
-FAKE_MARKER_LEN = 0
+__all__ = ["make_fake_blob", "pad_payment"]
 
 
 def make_fake_blob(length: int, rng: random.Random) -> bytes:
@@ -53,8 +48,3 @@ def pad_payment(
     padded += [make_fake_blob(reference_length, rng) for _ in range(slots - len(real_blobs))]
     rng.shuffle(padded)
     return padded
-
-
-def payment_wire_size(blobs: list[bytes]) -> int:
-    """Encoded size of a padded payment (for the Table II accounting)."""
-    return len(encode(blobs))

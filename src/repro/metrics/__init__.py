@@ -16,7 +16,7 @@ from repro.metrics.latency import (
 from repro.metrics.opcount import OPS, OpCounter, format_table
 from repro.metrics.parallel import SweepPoint, default_processes, sweep
 from repro.metrics.series import FigureData, Series, render_ascii_plot, render_table
-from repro.metrics.timing import Stopwatch, TimingResult, time_operation
+from repro.metrics.timing import TimingResult, time_operation
 from repro.metrics.traffic import TrafficMeter, format_traffic_table
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "format_traffic_table",
     "TimingResult",
     "time_operation",
-    "Stopwatch",
     "sweep",
     "SweepPoint",
     "default_processes",

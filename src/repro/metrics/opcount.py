@@ -24,8 +24,6 @@ __all__ = [
     "OpCounter",
     "OPS",
     "format_table",
-    "fastexp_stats",
-    "format_fastexp_stats",
     "publish_fastexp",
 ]
 
@@ -73,21 +71,6 @@ class OpCounter:
         return "+".join(parts) if parts else "0"
 
 
-def fastexp_stats() -> dict[str, dict[str, int]]:
-    """Aggregated fixed-base table-cache counters, keyed by cache name.
-
-    A thin re-export of :func:`repro.crypto.fastexp.stats` so perf
-    dashboards and benchmarks pull every counter — op tallies *and*
-    cache hit rates — from one metrics module.  Rows are e.g.
-    ``fastexp.int`` (Schnorr-group window tables), ``tate.pair``
-    (precomputed Miller loops) and ``tate.exp`` (curve-point window tables),
-    each with ``hits``/``misses``/``builds``/``evictions``/
-    ``bypasses``/``attached``/``tables`` (``attached`` counts tables
-    adopted from a shared blob rather than built locally).
-    """
-    return fastexp.stats()
-
-
 def publish_fastexp(registry=None) -> None:
     """Mirror the fastexp cache counters into a metrics registry.
 
@@ -108,26 +91,6 @@ def publish_fastexp(registry=None) -> None:
                 f"fastexp table-cache {counter} (monotonic total)",
                 cache=cache,
             ).set(value)
-
-
-def format_fastexp_stats(stats: dict[str, dict[str, int]] | None = None) -> str:
-    """Render the cache counters as an ASCII table (current when None)."""
-    if stats is None:
-        stats = fastexp_stats()
-    cols = ("hits", "misses", "builds", "evictions", "bypasses", "attached",
-            "tables")
-    header = f"{'cache':<14}" + "".join(f"{c:>11}" for c in cols) + f"{'hit_rate':>10}"
-    lines = [header, "-" * len(header)]
-    for name in sorted(stats):
-        row = stats[name]
-        looked = row["hits"] + row["misses"]
-        rate = row["hits"] / looked if looked else 0.0
-        lines.append(
-            f"{name:<14}"
-            + "".join(f"{row[c]:>11}" for c in cols)
-            + f"{rate:>10.2%}"
-        )
-    return "\n".join(lines)
 
 
 def format_table(counter: OpCounter, parties: list[str], title: str = "") -> str:

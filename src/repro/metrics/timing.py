@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["TimingResult", "time_operation", "Stopwatch"]
+__all__ = ["TimingResult", "time_operation"]
 
 
 @dataclass(frozen=True)
@@ -60,28 +60,3 @@ def time_operation(
         maximum=max(durations),
         repeats=repeats,
     )
-
-
-class Stopwatch:
-    """Accumulating stopwatch for phase breakdowns inside protocols."""
-
-    def __init__(self) -> None:
-        self.phases: dict[str, float] = {}
-        self._start: float | None = None
-        self._phase: str | None = None
-
-    def start(self, phase: str) -> None:
-        self.stop()
-        self._phase = phase
-        self._start = time.perf_counter()
-
-    def stop(self) -> None:
-        if self._phase is not None and self._start is not None:
-            self.phases[self._phase] = self.phases.get(self._phase, 0.0) + (
-                time.perf_counter() - self._start
-            )
-        self._phase = None
-        self._start = None
-
-    def total(self) -> float:
-        return sum(self.phases.values())

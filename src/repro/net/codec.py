@@ -16,8 +16,8 @@ its fields in declaration order).  Encoding is canonical: equal values
 produce identical bytes, so encodings are safe to hash into
 transcripts.
 
-Use :func:`register` (or the :func:`codec_dataclass` decorator) once
-per dataclass; :func:`encode` / :func:`decode` round-trip any value
+Use :func:`register` (it also works as a decorator) once per
+dataclass; :func:`encode` / :func:`decode` round-trip any value
 built from the universe.
 """
 
@@ -27,7 +27,7 @@ import dataclasses
 import struct
 from typing import Any
 
-__all__ = ["encode", "decode", "register", "codec_dataclass", "encoded_size"]
+__all__ = ["encode", "decode", "register", "encoded_size"]
 
 _TAG_NONE = b"\x00"
 _TAG_FALSE = b"\x01"
@@ -57,11 +57,6 @@ def register(cls: type, name: str | None = None) -> type:
     _registry_by_name[tag] = cls
     _registry_by_type[cls] = tag
     return cls
-
-
-def codec_dataclass(cls: type) -> type:
-    """Decorator form of :func:`register`."""
-    return register(cls)
 
 
 def _write_len(out: bytearray, n: int) -> None:

@@ -15,8 +15,6 @@ from repro.crypto.partial_blind import PartialBlindSignature
 from repro.crypto.zkp.committed_double_log import CommittedEdgeProof, RevealedEdgeProof
 from repro.crypto.zkp.double_log import DoubleLogProof
 from repro.crypto.zkp.equality import EqualityProof
-from repro.crypto.zkp.or_proof import OrProof
-from repro.crypto.zkp.representation import RepresentationProof
 from repro.crypto.zkp.schnorr import SchnorrProof
 from repro.ecash.spend import SpendToken
 from repro.ecash.tree import NodeId
@@ -29,9 +27,7 @@ _WIRE_TYPES = (
     BlindIssuanceRequest,
     PartialBlindSignature,
     SchnorrProof,
-    RepresentationProof,
     DoubleLogProof,
-    OrProof,
     EqualityProof,
     CommittedEdgeProof,
     RevealedEdgeProof,

@@ -53,6 +53,7 @@ from repro.attacks.rings import (
 )
 from repro.core.ppms_dec import JobOwnerDec, SensingParticipantDec
 from repro.core.ppms_pbs import JobOwnerPbs, SensingParticipantPbs
+from repro.metrics.opcount import OpCounter
 from repro.service.batcher import VerificationBatcher
 from repro.service.frontend import ServiceFrontend
 from repro.service.gateway import InProcessGateway, SocketGateway
@@ -168,23 +169,6 @@ class CampaignConfig:
             replay_sps=self.replay_sps * factor,
             omission_sps=self.omission_sps * factor,
         )
-
-
-class SimOpCounter:
-    """OpCounter-shaped tally the actor layer records crypto ops into."""
-
-    def __init__(self) -> None:
-        self.tallies: dict[str, dict[str, int]] = {}
-
-    def record(self, party: str, op: str, count: int = 1) -> None:
-        ops = self.tallies.setdefault(str(party), {})
-        ops[op] = ops.get(op, 0) + count
-
-    def as_dict(self) -> dict[str, dict[str, int]]:
-        return {
-            party: {op: n for op, n in sorted(ops.items())}
-            for party, ops in sorted(self.tallies.items())
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +377,7 @@ class Campaign(PartyContext):
         self.params = params
         self.keypair = keypair
         self.tree_level = params.tree_level
-        self.counter = SimOpCounter()
+        self.counter = OpCounter()
         self.queue = EventQueue()
         self.market = _open_market(config, params, keypair)
         self.ma_adapter = _ServiceMAAdapter(self)
@@ -796,7 +780,8 @@ class Campaign(PartyContext):
                 detections=detections,
                 conservation=conservation,
                 invariants=tuple(findings),
-                opcounts=self.counter.as_dict(),
+                opcounts={party: dict(sorted(ops.items()))
+                          for party, ops in sorted(self.counter.counts.items())},
             )
         finally:
             self.market.close()

@@ -44,6 +44,7 @@ from repro.attacks.denomination import DenominationAttackResult, run_denominatio
 from repro.attacks.rings import InsufficientFunds
 from repro.core.ppms_dec import JobOwnerDec, SensingParticipantDec
 from repro.core.ppms_pbs import JobOwnerPbs, SensingParticipantPbs
+from repro.metrics.opcount import OpCounter
 
 __all__ = [
     "PartyEvent",
@@ -971,11 +972,6 @@ class _StubPbsActor:
         return "stub-receipt"
 
 
-class _NullCounter:
-    def record(self, party: str, op: str, count: int = 1) -> None:
-        pass
-
-
 class RecordingContext(PartyContext):
     """Inert context: records every effect, conserves integer value.
 
@@ -989,7 +985,7 @@ class RecordingContext(PartyContext):
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.counter = _NullCounter()
+        self.counter = OpCounter()
         self.sent: list[tuple[str, str, Any, float]] = []
         self.accounts: dict[str, int] = {}
         self.deposits: list[tuple[str, str, Any]] = []

@@ -1,6 +1,6 @@
 """Synthetic workloads: sensing payloads and market populations."""
 
-from repro.workloads.arrivals import bursty_arrivals, diurnal_arrivals, poisson_arrivals
+from repro.workloads.arrivals import bursty_arrivals, poisson_arrivals
 from repro.workloads.population import JobSpec, MarketSpec, generate_market
 from repro.workloads.sensing import (
     GENERATORS,
@@ -19,5 +19,4 @@ __all__ = [
     "transit_trace",
     "poisson_arrivals",
     "bursty_arrivals",
-    "diurnal_arrivals",
 ]

@@ -2,24 +2,21 @@
 
 Real sensing markets are not steady streams: participation follows the
 day (commute bursts for transit jobs, evenings for health telemetry).
-These generators produce arrival time sequences with three shapes the
+These generators produce arrival time sequences with two shapes the
 timing experiments care about, because the *density* of concurrent
 deliveries is exactly what determines how well the random-wait defence
 hides a depositor:
 
 * :func:`poisson_arrivals` — memoryless baseline;
 * :func:`bursty_arrivals` — Markov-modulated on/off bursts (worst case
-  for the attacker inside a burst, best case between bursts);
-* :func:`diurnal_arrivals` — thinned inhomogeneous process with a
-  sinusoidal day profile.
+  for the attacker inside a burst, best case between bursts).
 """
 
 from __future__ import annotations
 
-import math
 import random
 
-__all__ = ["poisson_arrivals", "bursty_arrivals", "diurnal_arrivals"]
+__all__ = ["poisson_arrivals", "bursty_arrivals"]
 
 
 def poisson_arrivals(rng: random.Random, *, rate: float, horizon: float) -> list[float]:
@@ -68,32 +65,4 @@ def bursty_arrivals(
                 s += rng.expovariate(rate)
         t = phase_end
         on = not on
-    return out
-
-
-def diurnal_arrivals(
-    rng: random.Random,
-    *,
-    base_rate: float,
-    peak_factor: float,
-    day_length: float,
-    horizon: float,
-) -> list[float]:
-    """Inhomogeneous Poisson arrivals with a sinusoidal daily profile.
-
-    Instantaneous rate: ``base_rate * (1 + peak_factor * sin²(π t / day))``
-    — generated by thinning against the max rate.
-    """
-    if base_rate <= 0 or day_length <= 0 or horizon <= 0:
-        raise ValueError("rates and spans must be positive")
-    if peak_factor < 0:
-        raise ValueError("peak_factor must be non-negative")
-    max_rate = base_rate * (1.0 + peak_factor)
-    out = []
-    t = rng.expovariate(max_rate)
-    while t < horizon:
-        instantaneous = base_rate * (1.0 + peak_factor * math.sin(math.pi * t / day_length) ** 2)
-        if rng.random() < instantaneous / max_rate:
-            out.append(t)
-        t += rng.expovariate(max_rate)
     return out

@@ -1,16 +1,14 @@
-"""Router behavior: keyed routing, re-routing, the proxy front door."""
+"""Router behavior: keyed routing, re-routing, keyless fan-out."""
 
 from __future__ import annotations
 
 import socket
-import threading
 
 import pytest
 
-from repro.cluster import ClusterProxy, ClusterRouter, RouteError, StaleClusterMapError
+from repro.cluster import ClusterRouter, RouteError, StaleClusterMapError
 from repro.cluster.node import open_dump
 from repro.cluster.ring import ClusterMap
-from repro.service.frontend import ServiceClient
 
 
 def _dead_address() -> tuple[str, int]:
@@ -94,26 +92,3 @@ def test_version_bump_reroutes_deterministically(local_cluster):
         assert router.map.owner_of("sp0") == victim  # ownership never moves
         assert tuple(router.map.address_of(victim)) == \
             local_cluster.nodes[adopter].adopted[victim][1].address
-
-
-def test_proxy_serves_single_node_wire_protocol(local_cluster):
-    with local_cluster.router() as router:
-        with ClusterProxy(router) as proxy:
-            with ServiceClient(proxy.address, sender="sp7") as client:
-                reply = client.request("open-account",
-                                       {"aid": "sp7", "balance": 32})
-                assert reply["status"] == "OK" and reply["cid"] == 0
-                reply = client.request("balance", {"aid": "sp7"})
-                assert reply["balance"] == 32
-                # keyless audit fans out through the proxy too
-                reply = client.request("audit", {})
-                assert reply["clean"] is True
-            assert proxy.served == 3
-            idle = socket.create_connection(proxy.address, timeout=5.0)
-        # closed means closed: the port refuses a dial and the accept
-        # and connection threads are gone, idle client or not
-        with pytest.raises(OSError):
-            socket.create_connection(proxy.address, timeout=1.0)
-        assert not [t for t in threading.enumerate()
-                    if t.name.startswith("proxy-") and t.is_alive()]
-        idle.close()

@@ -9,11 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cashbreak import BREAK_FN_BY_NAME, coverage, epcba, validate_break
-from repro.core.optimal_break import (
-    improvement_over_epcba,
-    optimal_break,
-    optimal_coverage,
-)
+from repro.core.optimal_break import optimal_break
 
 LEVEL = 6
 amounts = st.integers(min_value=1, max_value=1 << LEVEL)
@@ -31,12 +27,12 @@ class TestOptimalBreak:
     @settings(max_examples=40, deadline=None)
     def test_dominates_epcba(self, w):
         """The optimum never covers fewer values than the heuristic."""
-        assert optimal_coverage(w, LEVEL) >= len(coverage(epcba(w, LEVEL)))
+        assert len(coverage(optimal_break(w, LEVEL))) >= len(coverage(epcba(w, LEVEL)))
 
     def test_strictly_better_somewhere(self):
         """EPCBA is a heuristic: the optimum must beat it for some w."""
-        table = improvement_over_epcba(5)
-        assert any(opt > heur for (heur, opt) in table.values())
+        assert any(len(coverage(optimal_break(w, 5))) > len(coverage(epcba(w, 5)))
+                   for w in range(1, (1 << 5) + 1))
 
     def test_known_small_cases(self):
         # w=1: only {1}

@@ -9,7 +9,6 @@ import pytest
 from repro.crypto.cunningham import (
     KNOWN_CHAINS,
     CunninghamChain,
-    extend_chain,
     find_chain,
     find_chain_with_stats,
     is_first_kind_chain,
@@ -42,11 +41,6 @@ class TestPredicates:
         assert is_first_kind_chain(1122659, 7)
         assert not is_first_kind_chain(4, 1)
         assert not is_first_kind_chain(13, 2)  # 27 composite
-
-    def test_extend_chain(self):
-        assert extend_chain(89) == 6
-        assert extend_chain(4) == 0
-        assert extend_chain(13) == 1
 
 
 class TestSearch:

@@ -21,8 +21,6 @@ from repro.crypto.zkp.committed_double_log import (
     verify_edge,
     verify_revealed_edge,
 )
-from repro.crypto.zkp.or_proof import prove_or, verify_or
-from repro.crypto.zkp.representation import prove_representation, verify_representation
 from repro.crypto.zkp.schnorr import prove_dlog, verify_dlog
 from repro.ecash.batch import batch_verify_spends
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal
@@ -58,47 +56,6 @@ def test_schnorr_dlog_identical(schnorr_group):
         proof = prove_dlog(grp, grp.g, y, x, rng, Transcript(b"t"))
         ok = verify_dlog(grp, grp.g, y, proof, Transcript(b"t"))
         bad = verify_dlog(grp, grp.g, grp.mul(y, grp.g), proof, Transcript(b"t"))
-        return proof, ok, bad
-
-    on, off = _run_both(scenario)
-    assert on == off
-    assert on[1] is True and on[2] is False
-
-
-def test_representation_identical(schnorr_group):
-    grp = schnorr_group
-    bases = [grp.g, grp.derive_generator(b"h1"), grp.derive_generator(b"h2")]
-
-    def scenario():
-        rng = random.Random(102)
-        witnesses = [grp.random_exponent(rng) for _ in bases]
-        statement = 1
-        for b, w in zip(bases, witnesses):
-            statement = grp.mul(statement, grp.exp(b, w))
-        proof = prove_representation(grp, bases, statement, witnesses, rng, Transcript(b"t"))
-        ok = verify_representation(grp, bases, statement, proof, Transcript(b"t"))
-        bad = verify_representation(
-            grp, bases, grp.mul(statement, grp.g), proof, Transcript(b"t")
-        )
-        return proof, ok, bad
-
-    on, off = _run_both(scenario)
-    assert on == off
-    assert on[1] is True and on[2] is False
-
-
-def test_or_proof_identical(schnorr_group):
-    grp = schnorr_group
-    h = grp.derive_generator(b"or-base")
-
-    def scenario():
-        rng = random.Random(103)
-        w = grp.random_exponent(rng)
-        statements = [grp.exp(h, w), grp.random_element(rng), grp.random_element(rng)]
-        proof = prove_or(grp, h, statements, known_index=0, witness=w,
-                         rng=rng, transcript=Transcript(b"t"))
-        ok = verify_or(grp, h, statements, proof, Transcript(b"t"))
-        bad = verify_or(grp, h, list(reversed(statements)), proof, Transcript(b"t"))
         return proof, ok, bad
 
     on, off = _run_both(scenario)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -10,23 +11,25 @@ from hypothesis import strategies as st
 
 from repro.crypto.ntheory import (
     SMALL_PRIMES,
-    crt,
     is_probable_prime,
     is_quadratic_residue,
     jacobi,
     miller_rabin,
     modinv,
-    next_prime,
-    primes_up_to,
     random_prime,
     random_safe_prime,
-    random_sophie_germain_prime,
     sqrt_mod_prime,
 )
 
 KNOWN_PRIMES = [2, 3, 5, 7, 11, 101, 7919, 104729, (1 << 61) - 1]
 KNOWN_COMPOSITES = [1, 0, -7, 4, 9, 91, 561, 6601, 41041, (1 << 61) - 2]
 # 561, 6601, 41041 are Carmichael numbers — Fermat liars, Miller-Rabin must catch them
+
+
+def _primes_up_to(limit):
+    """The primes ``<= limit`` by trial division: an oracle independent of the module."""
+    return [n for n in range(2, limit + 1)
+            if all(n % d for d in range(2, math.isqrt(n) + 1))]
 
 
 class TestPrimality:
@@ -39,7 +42,7 @@ class TestPrimality:
         assert not is_probable_prime(n)
 
     def test_matches_sieve_below_10000(self):
-        sieved = set(primes_up_to(10_000))
+        sieved = set(_primes_up_to(10_000))
         for n in range(10_000):
             assert is_probable_prime(n) == (n in sieved), n
 
@@ -55,19 +58,6 @@ class TestPrimality:
         # 2^127 - 1 is a Mersenne prime
         assert is_probable_prime((1 << 127) - 1)
         assert not is_probable_prime((1 << 127) + 1)
-
-
-class TestNextPrime:
-    @pytest.mark.parametrize(
-        "n,expected", [(0, 2), (2, 3), (3, 5), (10, 11), (7918, 7919), (100, 101)]
-    )
-    def test_values(self, n, expected):
-        assert next_prime(n) == expected
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_result_is_prime_and_greater(self, n):
-        p = next_prime(n)
-        assert p > n and is_probable_prime(p)
 
 
 class TestRandomPrimes:
@@ -89,11 +79,6 @@ class TestRandomPrimes:
         assert is_probable_prime(p) and is_probable_prime((p - 1) // 2)
         assert p.bit_length() == 32
 
-    def test_sophie_germain(self):
-        rng = random.Random(4)
-        q = random_sophie_germain_prime(24, rng)
-        assert is_probable_prime(q) and is_probable_prime(2 * q + 1)
-
     def test_rejects_tiny(self):
         rng = random.Random(5)
         with pytest.raises(ValueError):
@@ -112,26 +97,6 @@ class TestModular:
     def test_modinv_noninvertible(self):
         with pytest.raises(ValueError):
             modinv(6, 9)
-
-    def test_crt_basic(self):
-        # x ≡ 2 (mod 3), x ≡ 3 (mod 5), x ≡ 2 (mod 7) -> 23
-        assert crt([2, 3, 2], [3, 5, 7]) == 23
-
-    @given(
-        st.integers(min_value=0, max_value=10**6),
-    )
-    def test_crt_reconstructs(self, x):
-        moduli = [101, 103, 107, 109]
-        residues = [x % m for m in moduli]
-        prod = 101 * 103 * 107 * 109
-        assert crt(residues, moduli) == x % prod
-
-    def test_crt_validation(self):
-        with pytest.raises(ValueError):
-            crt([1], [3, 5])
-        with pytest.raises(ValueError):
-            crt([], [])
-
 
 class TestJacobiAndSqrt:
     def test_jacobi_against_euler(self):

@@ -2,7 +2,7 @@
 
 Runs on the in-repo :mod:`repro.testing.properties` runner — seeded
 from ``REPRO_TEST_SEED``, no third-party dependency — so the algebraic
-laws every upper layer leans on (inverses, CRT, square roots,
+laws every upper layer leans on (inverses, square roots,
 primality) are checked over hundreds of random cases on any machine.
 """
 
@@ -12,18 +12,21 @@ import math
 
 from repro.crypto.ntheory import (
     SMALL_PRIMES,
-    crt,
     is_probable_prime,
     is_quadratic_residue,
     jacobi,
     miller_rabin,
     modinv,
-    next_prime,
-    primes_up_to,
     random_prime,
     sqrt_mod_prime,
 )
 from repro.testing.properties import property_test
+
+
+def _primes_up_to(limit):
+    """The primes ``<= limit`` by trial division: an oracle independent of the module."""
+    return [n for n in range(2, limit + 1)
+            if all(n % d for d in range(2, math.isqrt(n) + 1))]
 
 
 def _random_odd(rng, lo=3, hi=1 << 20):
@@ -51,34 +54,6 @@ def test_modinv_rejects_noninvertible(rng):
     except ValueError:
         return
     raise AssertionError(f"modinv({a}, {m}) succeeded despite gcd >= {g}")
-
-
-@property_test(cases=96)
-def test_crt_reconstruction(rng):
-    """x mod m_i == r_i for pairwise-coprime moduli, and x is canonical."""
-    moduli = []
-    product = 1
-    pool = primes_up_to(4000)[5:]
-    while len(moduli) < rng.randrange(2, 6):
-        p = pool[rng.randrange(len(pool))]
-        if p not in moduli:
-            e = rng.randrange(1, 3)
-            moduli.append(p**e)
-            product *= p**e
-    residues = [rng.randrange(m) for m in moduli]
-    x = crt(residues, moduli)
-    assert 0 <= x < product
-    for r, m in zip(residues, moduli):
-        assert x % m == r
-
-
-@property_test(cases=96)
-def test_crt_roundtrip_from_a_known_value(rng):
-    """Splitting a value into residues and recombining returns it."""
-    m1 = next_prime(rng.randrange(1 << 16, 1 << 20))
-    m2 = next_prime(m1)
-    value = rng.randrange(m1 * m2)
-    assert crt([value % m1, value % m2], [m1, m2]) == value
 
 
 @property_test(cases=96)
@@ -127,7 +102,7 @@ def test_jacobi_matches_euler_for_primes(rng):
 def test_miller_rabin_agrees_with_the_sieve(rng):
     """Below the sieve limit, Miller–Rabin must match trial division."""
     limit = 3000
-    sieve = set(primes_up_to(limit))
+    sieve = set(_primes_up_to(limit))
     lo = rng.randrange(2, limit - 200)
     for n in range(lo, lo + 200):
         assert is_probable_prime(n) == (n in sieve), n
@@ -154,4 +129,4 @@ def test_random_prime_is_prime_with_exact_bits(rng):
 @property_test(cases=24)
 def test_small_primes_table_is_exactly_the_sieve(rng):
     limit = rng.randrange(10, 1999)
-    assert primes_up_to(limit) == [p for p in SMALL_PRIMES if p <= limit]
+    assert _primes_up_to(limit) == [p for p in SMALL_PRIMES if p <= limit]

@@ -1,4 +1,4 @@
-"""Tests for Schnorr, representation and OR proofs (sigma protocols)."""
+"""Tests for the Schnorr proof of a discrete logarithm (a sigma protocol)."""
 
 from __future__ import annotations
 
@@ -10,12 +10,8 @@ from repro.crypto.hashing import Transcript
 from repro.crypto.zkp import (
     prove_dlog,
     prove_dlog_generic,
-    prove_or,
-    prove_representation,
     verify_dlog,
     verify_dlog_generic,
-    verify_or,
-    verify_representation,
 )
 
 
@@ -94,112 +90,3 @@ class TestSchnorrGeneric:
         proof = prove_dlog_generic(backend, backend.g, y, x, rng, t())
         y_bad = backend.exp(backend.g, x + 1)
         assert not verify_dlog_generic(backend, backend.g, y_bad, proof, t())
-
-
-class TestRepresentation:
-    def test_accepts_valid(self, schnorr_group, rng):
-        g = schnorr_group
-        h = g.derive_generator(b"h")
-        x1, x2 = g.random_exponent(rng), g.random_exponent(rng)
-        c = g.mul(g.power(x1), g.exp(h, x2))
-        proof = prove_representation(g, [g.g, h], c, [x1, x2], rng, t())
-        assert verify_representation(g, [g.g, h], c, proof, t())
-
-    def test_three_bases(self, schnorr_group, rng):
-        g = schnorr_group
-        bases = [g.g, g.derive_generator(b"1"), g.derive_generator(b"2")]
-        xs = [g.random_exponent(rng) for _ in bases]
-        c = 1
-        for b, x in zip(bases, xs):
-            c = g.mul(c, g.exp(b, x))
-        proof = prove_representation(g, bases, c, xs, rng, t())
-        assert verify_representation(g, bases, c, proof, t())
-
-    def test_single_base_degenerates_to_schnorr(self, schnorr_group, rng):
-        g = schnorr_group
-        x = g.random_exponent(rng)
-        proof = prove_representation(g, [g.g], g.power(x), [x], rng, t())
-        assert verify_representation(g, [g.g], g.power(x), proof, t())
-
-    def test_rejects_wrong_statement(self, schnorr_group, rng):
-        g = schnorr_group
-        h = g.derive_generator(b"h")
-        x1, x2 = 5, 9
-        c = g.mul(g.power(x1), g.exp(h, x2))
-        proof = prove_representation(g, [g.g, h], c, [x1, x2], rng, t())
-        assert not verify_representation(g, [g.g, h], g.mul(c, g.g), proof, t())
-
-    def test_rejects_response_count_mismatch(self, schnorr_group, rng):
-        g = schnorr_group
-        x = g.random_exponent(rng)
-        proof = prove_representation(g, [g.g], g.power(x), [x], rng, t())
-        h = g.derive_generator(b"h")
-        assert not verify_representation(g, [g.g, h], g.power(x), proof, t())
-
-    def test_prover_validates_inputs(self, schnorr_group, rng):
-        g = schnorr_group
-        with pytest.raises(ValueError):
-            prove_representation(g, [g.g], g.power(3), [4], rng, t())
-        with pytest.raises(ValueError):
-            prove_representation(g, [], 1, [], rng, t())
-        with pytest.raises(ValueError):
-            prove_representation(g, [g.g], g.power(1), [1, 2], rng, t())
-
-
-class TestOrProof:
-    def test_accepts_every_known_branch(self, schnorr_group, rng):
-        g = schnorr_group
-        witnesses = [g.random_exponent(rng) for _ in range(4)]
-        statements = [g.power(w) for w in witnesses]
-        for idx in range(4):
-            proof = prove_or(g, g.g, statements, idx, witnesses[idx], rng, t())
-            assert verify_or(g, g.g, statements, proof, t())
-
-    def test_witness_indistinguishable_shape(self, schnorr_group, rng):
-        """The proof structure must not reveal the real branch."""
-        g = schnorr_group
-        witnesses = [g.random_exponent(rng) for _ in range(3)]
-        statements = [g.power(w) for w in witnesses]
-        p0 = prove_or(g, g.g, statements, 0, witnesses[0], rng, t())
-        p2 = prove_or(g, g.g, statements, 2, witnesses[2], rng, t())
-        assert len(p0.commitments) == len(p2.commitments)
-        assert len(p0.challenges) == len(p2.challenges)
-
-    def test_rejects_wrong_statements(self, schnorr_group, rng):
-        g = schnorr_group
-        w = g.random_exponent(rng)
-        statements = [g.power(w), g.power(w + 1)]
-        proof = prove_or(g, g.g, statements, 0, w, rng, t())
-        tampered = [g.power(w + 5), statements[1]]
-        assert not verify_or(g, g.g, tampered, proof, t())
-
-    def test_rejects_challenge_sum_violation(self, schnorr_group, rng):
-        g = schnorr_group
-        w = g.random_exponent(rng)
-        statements = [g.power(w), g.power(w + 1)]
-        proof = prove_or(g, g.g, statements, 0, w, rng, t())
-        bad = dataclasses.replace(
-            proof, challenges=(proof.challenges[0], (proof.challenges[1] + 1) % g.q)
-        )
-        assert not verify_or(g, g.g, statements, bad, t())
-
-    def test_rejects_branch_count_mismatch(self, schnorr_group, rng):
-        g = schnorr_group
-        w = g.random_exponent(rng)
-        statements = [g.power(w), g.power(w + 1)]
-        proof = prove_or(g, g.g, statements, 0, w, rng, t())
-        assert not verify_or(g, g.g, statements + [g.power(3)], proof, t())
-
-    def test_prover_validates(self, schnorr_group, rng):
-        g = schnorr_group
-        statements = [g.power(3), g.power(4)]
-        with pytest.raises(IndexError):
-            prove_or(g, g.g, statements, 5, 3, rng, t())
-        with pytest.raises(ValueError):
-            prove_or(g, g.g, statements, 0, 4, rng, t())
-
-    def test_single_branch(self, schnorr_group, rng):
-        g = schnorr_group
-        w = g.random_exponent(rng)
-        proof = prove_or(g, g.g, [g.power(w)], 0, w, rng, t())
-        assert verify_or(g, g.g, [g.power(w)], proof, t())

@@ -12,7 +12,9 @@ tried:
 
 Each must be refused by ``verify_spend``, by ``batch_verify_spends``
 beside honest tokens, and as a deposit the service refuses without
-crediting anything.
+crediting anything.  As a withdrawn "signature" ``(T, T, T)`` it must
+fail ``cl_verify`` for every message, so ``finish_withdrawal`` mints
+no coin on it (else an MA could debit a JO for a worthless coin).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import random
 
 import pytest
 
-from repro.crypto.cl_sig import CLSignature, cl_blind_issue
+from repro.crypto.cl_sig import CLSignature, cl_blind_issue, cl_verify
 from repro.crypto.pairing.curve import Point
 from repro.crypto.pairing.field import Fp2
 from repro.ecash.batch import batch_verify_spends
@@ -125,6 +127,25 @@ def test_service_refuses_and_credits_nothing(dec_params, market, kind):
     assert replies[2]["error"] == "invalid spend token"
     assert bank.balance("forger") == 0
     assert bank.balance("honest") == honest[0].denomination(dec_params.tree_level)
+
+
+@pytest.mark.parametrize("kind", sorted(POINTS))
+def test_cl_verify_refuses(dec_params, market, kind):
+    keypair, _, _ = market
+    point = POINTS[kind](dec_params.backend.params.p)
+    signature = CLSignature(a=point, b=point, c=point)
+    for message in (0, 1, 0xC0FFEE):
+        assert cl_verify(dec_params.backend, keypair.public, message, signature) is False
+
+
+@pytest.mark.parametrize("kind", sorted(POINTS))
+def test_finish_withdrawal_mints_no_coin(dec_params, market, kind):
+    keypair, _, _ = market
+    point = POINTS[kind](dec_params.backend.params.p)
+    secret, _ = begin_withdrawal(dec_params, random.Random(6))
+    with pytest.raises(ValueError):
+        finish_withdrawal(dec_params, keypair.public, secret,
+                          CLSignature(a=point, b=point, c=point))
 
 
 def test_pairable_keeps_exactly_the_points_with_an_order_r_part(dec_params):

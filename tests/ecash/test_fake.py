@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.ecash.fake import make_fake_blob, pad_payment, payment_wire_size
+from repro.ecash.fake import make_fake_blob, pad_payment
+from repro.net.codec import encode
 
 
 class TestFakeBlob:
@@ -61,7 +62,7 @@ class TestLengthIndistinguishability:
         for n_real in (0, 1, 3, 5):
             blobs = [bytes(rng.getrandbits(8) for _ in range(ref)) for _ in range(n_real)]
             padded = pad_payment(blobs, slots=5, rng=rng, reference_length=ref)
-            sizes.add(payment_wire_size(padded))
+            sizes.add(len(encode(padded)))
         assert len(sizes) == 1
 
     def test_shuffled_positions(self):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.metrics.opcount import OPS, OpCounter, format_table
-from repro.metrics.timing import Stopwatch, time_operation
+from repro.metrics.timing import time_operation
 from repro.metrics.traffic import TrafficMeter, format_traffic_table
 
 
@@ -119,20 +119,3 @@ class TestTiming:
     def test_str_mentions_ms(self):
         result = time_operation(lambda: None, repeats=2, warmup=0)
         assert "ms" in str(result)
-
-    def test_stopwatch_phases(self):
-        sw = Stopwatch()
-        sw.start("a")
-        time.sleep(0.001)
-        sw.start("b")
-        time.sleep(0.001)
-        sw.stop()
-        assert set(sw.phases) == {"a", "b"}
-        assert sw.total() == pytest.approx(sum(sw.phases.values()))
-
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        for _ in range(2):
-            sw.start("x")
-            sw.stop()
-        assert sw.phases["x"] >= 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import repro.net  # noqa: F401 — registers wire types
 from repro.ecash.tree import NodeId
-from repro.net.codec import codec_dataclass, decode, encode, encoded_size, register
+from repro.net.codec import decode, encode, encoded_size, register
 
 # recursive strategy over the codec's type universe
 scalars = (
@@ -110,7 +110,7 @@ class TestDataclassSupport:
         register(NodeId)
 
     def test_register_name_collision_rejected(self):
-        @codec_dataclass
+        @register
         @dataclasses.dataclass
         class Collider:
             x: int

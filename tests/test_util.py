@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import (
-    bit_length_bytes,
     bytes_to_int,
-    chunked,
     int_to_bytes,
-    make_rng,
-    rand_below,
     rand_int_bits,
     rand_range,
 )
@@ -38,53 +36,19 @@ class TestIntBytes:
             int_to_bytes(256, 1)
 
 
-class TestBitLengthBytes:
-    @pytest.mark.parametrize("bits,expected", [(0, 0), (1, 1), (8, 1), (9, 2), (64, 8)])
-    def test_values(self, bits, expected):
-        assert bit_length_bytes(bits) == expected
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bit_length_bytes(-1)
-
-
 class TestRng:
-    def test_seeded_rng_deterministic(self):
-        assert make_rng(5).random() == make_rng(5).random()
-
     def test_rand_int_bits_exact(self):
-        rng = make_rng(1)
+        rng = random.Random(1)
         for bits in (1, 2, 8, 64):
             for _ in range(20):
                 assert rand_int_bits(rng, bits).bit_length() == bits
 
     def test_rand_int_bits_rejects_zero(self):
         with pytest.raises(ValueError):
-            rand_int_bits(make_rng(1), 0)
-
-    def test_rand_below_range(self):
-        rng = make_rng(2)
-        assert all(0 <= rand_below(rng, 7) < 7 for _ in range(50))
-        with pytest.raises(ValueError):
-            rand_below(rng, 0)
+            rand_int_bits(random.Random(1), 0)
 
     def test_rand_range(self):
-        rng = make_rng(3)
+        rng = random.Random(3)
         assert all(3 <= rand_range(rng, 3, 9) < 9 for _ in range(50))
         with pytest.raises(ValueError):
             rand_range(rng, 5, 5)
-
-
-class TestChunked:
-    def test_even_split(self):
-        assert list(chunked(b"abcdef", 2)) == [b"ab", b"cd", b"ef"]
-
-    def test_ragged_tail(self):
-        assert list(chunked(b"abcde", 2)) == [b"ab", b"cd", b"e"]
-
-    def test_empty(self):
-        assert list(chunked(b"", 4)) == []
-
-    def test_bad_size(self):
-        with pytest.raises(ValueError):
-            list(chunked(b"ab", 0))

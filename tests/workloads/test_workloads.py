@@ -128,22 +128,3 @@ class TestArrivalProcesses:
         with pytest.raises(ValueError):
             bursty_arrivals(random.Random(1), rate_on=1, rate_off=-1,
                             mean_on=1, mean_off=1, horizon=1)
-
-    def test_diurnal_peaks_midday(self):
-        from repro.workloads.arrivals import diurnal_arrivals
-
-        rng = random.Random(3)
-        day = 24.0
-        arrivals = diurnal_arrivals(rng, base_rate=5.0, peak_factor=4.0,
-                                    day_length=day, horizon=day)
-        assert arrivals == sorted(arrivals)
-        midday = sum(1 for t in arrivals if day / 4 <= t <= 3 * day / 4)
-        edges = len(arrivals) - midday
-        assert midday > edges  # sin² peaks in the middle of the day
-
-    def test_diurnal_validation(self):
-        from repro.workloads.arrivals import diurnal_arrivals
-
-        with pytest.raises(ValueError):
-            diurnal_arrivals(random.Random(1), base_rate=1, peak_factor=-1,
-                             day_length=1, horizon=1)

@@ -3,8 +3,8 @@
 
 Three checks over *top-level* imports only (imports inside function
 bodies are deliberately lazy and exempt — that is the sanctioned way to
-break a genuine layering knot, e.g. the codec registry), and a fourth
-over whole module bodies:
+break a genuine layering knot, e.g. the codec registry), a fourth over
+whole module bodies, and a fifth over the names the package defines:
 
 1. **No module-level import cycles.**  Tarjan SCC over the module
    graph; any strongly connected component larger than one module is a
@@ -22,6 +22,16 @@ over whole module bodies:
    :data:`NO_FILESYSTEM` may not import ``os`` (or anything under it)
    nor call the builtin ``open`` anywhere, function bodies included:
    the journal reaches bytes only through ``repro.service.storage``.
+
+5. **Only what a path runs.**  Every public top-level name of a
+   ``src/repro`` module must be used: referenced (as a name, an
+   attribute or an import) by another non-``__init__`` module of
+   ``src/repro``, by a file under ``benchmarks/``, ``examples/`` or
+   ``tools/``, or by its own module outside its definition and
+   ``__all__``.  A package ``__init__`` re-export is no use, and tests
+   are no root.  What only tests reach is deleted or listed in
+   :data:`ROOTS` with its reason; a module none of whose names is used
+   and that no root imports fails too.
 
 Exit status is non-zero when any finding is produced, so CI can gate
 on it.  No third-party dependencies; stdlib ``ast`` only.
@@ -49,9 +59,10 @@ ALLOWED: dict[str, set[str]] = {
     "attacks": {"core", "crypto", "ecash", "net"},
     "workloads": {"net"},
     # the campaign engine drives the real service and the invariant
-    # sweeps; crypto/ecash stay reachable only through those layers
+    # sweeps and tallies Table I's operations in the protocols' own
+    # OpCounter; crypto/ecash stay reachable only through those layers
     # (the cluster backend is a sanctioned lazy import)
-    "sim": {"attacks", "core", "service", "testing"},
+    "sim": {"attacks", "core", "metrics", "service", "testing"},
     "service": {"core", "crypto", "ecash", "metrics", "net", "obs"},
     # the multi-node layer composes services over the wire; it sits
     # above service and below testing (which sweeps clusters too)
@@ -123,8 +134,8 @@ FORBIDDEN: dict[str, set[str]] = {
 }
 
 
-def _module_name(path: pathlib.Path) -> str:
-    parts = list(path.relative_to(SRC).with_suffix("").parts)
+def _module_name(path: pathlib.Path, src: pathlib.Path) -> str:
+    parts = list(path.relative_to(src).with_suffix("").parts)
     if parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
@@ -146,8 +157,12 @@ def _package_of(module: str) -> str:
     return parts[1] if len(parts) > 1 else "(root)"
 
 
-def build_graph() -> tuple[dict[str, pathlib.Path], dict[str, set[str]]]:
-    modules = {_module_name(p): p for p in (SRC / "repro").rglob("*.py")}
+def _modules(src: pathlib.Path) -> dict[str, pathlib.Path]:
+    return {_module_name(p, src): p for p in sorted((src / "repro").rglob("*.py"))}
+
+
+def build_graph(src: pathlib.Path = SRC) -> tuple[dict[str, pathlib.Path], dict[str, set[str]]]:
+    modules = _modules(src)
     imports = {
         module: list(_top_level_imports(
             ast.parse(path.read_text(), filename=str(path))))
@@ -264,7 +279,7 @@ def find_forbidden_edges(graph: dict[str, set[str]]) -> list[str]:
 
 def find_filesystem_access(modules: dict[str, pathlib.Path]) -> list[str]:
     findings = []
-    for module in sorted(NO_FILESYSTEM):
+    for module in sorted(NO_FILESYSTEM & modules.keys()):
         path = modules[module]
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -284,20 +299,158 @@ def find_filesystem_access(modules: dict[str, pathlib.Path]) -> list[str]:
     return findings
 
 
-def main() -> int:
-    modules, graph = build_graph()
+#: directories beside ``src`` whose every ``.py`` file is a root of check 5
+ROOT_DIRS = ("benchmarks", "examples", "tools")
+
+#: names (``module.name``) or whole modules/packages that check 5 keeps
+#: although no root uses them -- only evidence the experiment docs cite,
+#: reference implementations the tests compare against, and test seams
+ROOTS: dict[str, str] = {
+    # evidence EXPERIMENTS.md or docs/threatmodel.md cites
+    "repro.attacks.linkage.withdrawal_unlinkability_experiment":
+        "evidence: EXPERIMENTS.md 'Withdrawal unlinkability' (Section IV-B2)",
+    "repro.attacks.linkage.denomination_experiment_grid":
+        "evidence: the denomination-attack sweep of EXPERIMENTS.md, over a pool",
+    "repro.attacks.adversary.NetworkEavesdropperView":
+        "evidence: docs/threatmodel.md's network-observer row",
+    "repro.attacks.adversary.CuriousJOView":
+        "evidence: docs/threatmodel.md's JO row (what a curious JO sees)",
+    "repro.attacks.longitudinal.longitudinal_experiment":
+        "evidence: EXPERIMENTS.md 'Longitudinal analysis' (Section IV-B1)",
+    "repro.sim.market_sim.run_timing_attack":
+        "evidence: EXPERIMENTS.md and docs/threatmodel.md, timing (Section IV-A8)",
+    "repro.attacks.malicious":
+        "evidence: the misbehaviour matrix of EXPERIMENTS.md and docs/threatmodel.md",
+    # reference implementations the tests compare the fast paths against
+    "repro.crypto.pairing.tate.tate_pairing":
+        "reference: the plain Tate pairing the table-backed kernels must equal",
+    "repro.crypto.batchverify.verify_each":
+        "reference: sequential verification the RLC batch must agree with",
+    "repro.core.cashbreak.validate_break":
+        "reference: the break validity predicate every strategy is checked by",
+    "repro.crypto.zkp.equality.verify_equality":
+        "reference: the sequential equality verifier the deferred check must equal",
+    "repro.crypto.zkp.schnorr.prove_dlog":
+        "reference: the non-generic Schnorr prover the RLC suites drive",
+    "repro.crypto.zkp.schnorr.verify_dlog":
+        "reference: the non-generic Schnorr verifier the RLC suites compare",
+    "repro.crypto.zkp.schnorr.collect_dlog":
+        "reference: the non-generic deferred Schnorr check of the RLC suites",
+    "repro.ecash.wallet_io.restore_coins":
+        "reference: reads the golden wallet fixture back",
+    # test seams
+    "repro.testing": "test seam: the fault, scenario and property harness",
+    "repro.crypto.tablestore.set_crash_hook":
+        "test seam: kills a table export between two steps",
+    "repro.sim.party.RecordingContext":
+        "test seam: drives one party machine without a campaign",
+}
+
+
+def _defined_names(tree: ast.Module):
+    """(name, defining statement) for each public top-level name."""
+    body = list(tree.body)
+    for node in body:
+        if isinstance(node, (ast.If, ast.Try)):
+            body.extend(node.body + node.orelse + getattr(node, "finalbody", []))
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if not name.startswith("_"):
+                yield name, node
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Every name read, attribute read and imported name under *node*."""
+    found: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.update((sub.asname or sub.name).split("."))
+            found.update(sub.name.split("."))
+    return found
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Dotted names a file imports (``from a import b`` also yields ``a.b``)."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def _rooted(qualname: str, roots: dict[str, str]) -> bool:
+    parts = qualname.split(".")
+    return any(".".join(parts[:i]) in roots for i in range(1, len(parts) + 1))
+
+
+def _is_all(node: ast.stmt) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def find_unused_names(src: pathlib.Path = SRC,
+                      roots: dict[str, str] = ROOTS) -> list[str]:
+    """Public top-level names in ``src/repro`` that no root uses (check 5)."""
+    modules = _modules(src)
+    trees = {m: ast.parse(p.read_text(), filename=str(p)) for m, p in modules.items()}
+    files = {m: tree for m, tree in trees.items() if modules[m].name != "__init__.py"}
+    for directory in ROOT_DIRS:
+        for path in sorted((src.parent / directory).rglob("*.py")):
+            files[str(path)] = ast.parse(path.read_text(), filename=str(path))
+    users: dict[str, set[str]] = {}  # name -> the files that reference it
+    imported: set[str] = set()       # dotted names some file imports
+    for file, tree in files.items():
+        for name in _references(tree):
+            users.setdefault(name, set()).add(file)
+        imported |= _imported_modules(tree) - {file}
+    findings = []
+    for module, tree in sorted(trees.items()):
+        names = list(_defined_names(tree))
+        if not names and not _rooted(module, roots) and not any(
+                name == module or name.startswith(module + ".") for name in imported):
+            findings.append(f"{module}: no root imports it and it defines no public name")
+        for name, definition in names:
+            if users.get(name, set()) - {module} or _rooted(f"{module}.{name}", roots):
+                continue
+            own = set().union(*(_references(node) for node in tree.body
+                                if node is not definition and not _is_all(node)))
+            if name not in own:
+                findings.append(f"{module}.{name}: used by no root "
+                                "(only tests reach it; delete it or add it to ROOTS)")
+    return findings
+
+
+def main(src: pathlib.Path = SRC) -> int:
+    modules, graph = build_graph(src)
     findings: list[str] = []
     for cycle in find_cycles(graph):
         findings.append("import cycle: " + " -> ".join(cycle))
     findings.extend(find_layering_violations(graph))
     findings.extend(find_forbidden_edges(graph))
     findings.extend(find_filesystem_access(modules))
+    findings.extend(find_unused_names(src))
     if findings:
         print(f"lint-imports: {len(findings)} finding(s)")
         for finding in findings:
             print(f"  {finding}")
         return 1
-    print(f"lint-imports: OK ({len(modules)} modules, no cycles, layering clean)")
+    print(f"lint-imports: OK ({len(modules)} modules, no cycles, layering clean, "
+          "every public name used)")
     return 0
 
 
