@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install dev test bench bench-json service-bench fastexp-bench batchverify-bench bench-e2e report examples lint-imports loc check-docs test-faults coverage obs-demo cluster-demo cluster-smoke campaign campaign-smoke clean
+.PHONY: install dev test bench bench-json service-bench fastexp-bench batchverify-bench bench-e2e report examples kernel lint-imports loc check-docs test-faults coverage obs-demo cluster-demo cluster-smoke campaign campaign-smoke clean
 
 # Coverage floor enforced by `make coverage` and the CI coverage job.
 # Measured line coverage of src/repro under the full suite is ~96%;
@@ -47,12 +47,19 @@ batchverify-bench:
 bench-e2e:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e run --seed 7 --out e2e.json
 
+# Compile the verification kernel (src/repro/crypto/_kernel.c over
+# libgmp) into its cache, failing loudly: importing repro.crypto.fastexp
+# builds it too, but falls back to the Python loops with one warning.
+kernel:
+	PYTHONPATH=src $(PYTHON) -c 'from repro.crypto import fastexp; print(fastexp.build_kernel())'
+
 lint-imports:
 	$(PYTHON) tools/lint_imports.py
 
-# The deletion round's number (ROADMAP aim 2): lines of src/repro.
+# Lines of src/repro: the .py count, and beside it the C count.
 loc:
 	@find src/repro -name '*.py' | xargs cat | wc -l
+	@echo "C: $$(find src/repro -name '*.c' | xargs cat | wc -l)"
 
 # Dead links, stale module/file refs, and api.md coverage over docs/
 # and README.md.  See tools/check_docs.py.
@@ -113,3 +120,4 @@ examples:
 clean:
 	rm -rf .pytest_cache .hypothesis bench_results.json experiment_report.md telemetry
 	find . -name __pycache__ -type d -exec rm -rf {} +
+	rm -rf src/repro/crypto/__kernel_cache__

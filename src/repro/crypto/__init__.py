@@ -14,5 +14,6 @@ Subpackages and modules:
 * :mod:`~repro.crypto.zkp` — Schnorr / representation / double-log / OR proofs
 
 The only off-the-shelf primitive in the whole stack is SHA-256 from the
-standard library's :mod:`hashlib`.
+standard library's :mod:`hashlib`; four verification loops have a C
+copy over libgmp's integers (``_kernel.c``, see :mod:`~repro.crypto.fastexp`).
 """

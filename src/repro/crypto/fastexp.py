@@ -32,6 +32,17 @@ One global gate keeps the fallback path exactly as it was:
 off, results are bit-identical — a table computes the same group
 element ``pow`` does.
 
+The hot loops of verification — a table exponentiation here, the
+Miller replay and the F_{p²} powers of :mod:`repro.crypto.pairing.tate`
+and the Legendre membership test of
+:class:`~repro.crypto.groups.SchnorrGroup` — also run in a compiled
+kernel, ``_kernel.c`` beside this file, over libgmp.  This module loads
+it (:data:`KERNEL`), building it on first import into a cache beside
+the source (:func:`build_kernel`); without ``gcc``, ``gmp.h`` or a
+writable cache the Python loops run, and they stay the oracle the
+kernel is tested against.  :func:`stats` reports which path served how
+many calls in its ``kernel`` row.
+
 This module must stay dependency-free: it imports nothing from
 ``repro`` (enforced by ``tools/lint_imports.py``) so every layer —
 crypto, e-cash, service — can use it without cycles.
@@ -39,6 +50,10 @@ crypto, e-cash, service — can use it without cycles.
 
 from __future__ import annotations
 
+import hashlib
+import importlib.machinery
+import importlib.util
+import logging
 import os
 import weakref
 from collections import OrderedDict
@@ -46,6 +61,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 __all__ = [
+    "KERNEL",
+    "KERNEL_CALLS",
+    "KernelBuildError",
+    "build_kernel",
     "CacheStats",
     "FixedBaseTable",
     "GenericFixedBaseTable",
@@ -104,6 +123,103 @@ class CacheStats:
 
 
 # ---------------------------------------------------------------------------
+# the compiled verification kernel
+# ---------------------------------------------------------------------------
+
+_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+#: where built kernels live, one file per source hash and interpreter
+#: (gitignored; ``make clean`` empties it)
+KERNEL_CACHE = os.path.join(os.path.dirname(_KERNEL_SOURCE), "__kernel_cache__")
+
+
+class KernelBuildError(RuntimeError):
+    """The kernel could not be built; the message names why."""
+
+
+def build_kernel(cache: str = KERNEL_CACHE) -> str:
+    """Compile ``_kernel.c`` into *cache* unless it is there; its path.
+
+    The file name carries the source's hash and the interpreter's
+    extension suffix, so an edited source or another interpreter builds
+    afresh.  ``gcc`` writes a temporary file that :func:`os.replace`
+    moves into place, so processes that build at once all end with the
+    same complete file.  Raises :class:`KernelBuildError` naming a
+    missing ``gcc``, a missing ``gmp.h`` or an unwritable cache.
+    """
+    with open(_KERNEL_SOURCE, "rb") as source:
+        digest = hashlib.sha256(source.read()).hexdigest()[:16]
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = os.path.join(cache, f"_kernel-{digest}{suffix}")
+    if os.path.exists(path):
+        return path
+    import shutil
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise KernelBuildError("no gcc on PATH")
+    try:
+        os.makedirs(cache, exist_ok=True)
+        fd, scratch = tempfile.mkstemp(suffix=suffix, dir=cache)
+    except OSError as exc:
+        raise KernelBuildError(f"cache {cache} is not writable: {exc}") from exc
+    os.close(fd)
+    try:
+        try:
+            done = subprocess.run(
+                [gcc, "-O2", "-shared", "-fPIC", "-I", sysconfig.get_paths()["include"],
+                 _KERNEL_SOURCE, "-o", scratch, "-lgmp"],
+                capture_output=True, text=True, check=False, timeout=300,
+            )
+        except subprocess.TimeoutExpired as exc:
+            raise KernelBuildError("gcc timed out") from exc
+        if done.returncode:
+            reason = "no gmp.h" if "gmp.h" in done.stderr else "gcc failed"
+            raise KernelBuildError(f"{reason}: {done.stderr.strip()[-400:]}")
+        os.replace(scratch, path)
+    finally:
+        if os.path.exists(scratch):
+            os.unlink(scratch)
+    return path
+
+
+def _load_kernel(cache: str = KERNEL_CACHE):
+    """The kernel module, building it first if need be; ``None``, after
+    one logged warning naming the reason, when it cannot be had."""
+    try:
+        path = build_kernel(cache)
+        spec = importlib.util.spec_from_file_location("repro.crypto._kernel", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (KernelBuildError, OSError, ImportError) as exc:
+        logging.getLogger(__name__).warning(
+            "verification kernel unavailable, the Python loops run: %s", exc)
+        return None
+    return module
+
+
+#: the loaded kernel module, or ``None``: the Python loops then run
+#: (tests set it to ``None`` to drive the Python path)
+KERNEL = _load_kernel()
+
+#: operations each path served since the last :func:`reset`, by entry
+#: point: ``<op>_c`` on the kernel, ``<op>_py`` on the Python loop.
+#: ``replay`` counts Miller replays, ``exp`` table exponentiations,
+#: ``legendre`` Legendre symbols and ``fp2_pow`` F_{p²} powers.
+KERNEL_CALLS: dict[str, int] = {
+    f"{op}_{path}": 0
+    for op in ("replay", "exp", "legendre", "fp2_pow") for path in ("c", "py")
+}
+
+
+def kernel_limbs(kernel, modulus: int) -> int:
+    """Limbs per packed value for residues modulo *modulus*."""
+    return -(-modulus.bit_length() // kernel.LIMB_BITS)
+
+
+# ---------------------------------------------------------------------------
 # fixed-base window tables
 # ---------------------------------------------------------------------------
 
@@ -151,10 +267,12 @@ class FixedBaseTable:
 
     Exponents are reduced modulo *order* when given (sound for any
     element of the order-*order* subgroup); exponents outside
-    ``[0, 2^bits)`` fall back to :func:`pow`.
+    ``[0, 2^bits)`` fall back to :func:`pow`.  With the kernel loaded, an
+    int exponent runs the kernel's loop over the rows packed into one
+    buffer, which the first such call builds.
     """
 
-    __slots__ = ("base", "modulus", "order", "bits", "window", "_rows")
+    __slots__ = ("base", "modulus", "order", "bits", "window", "_rows", "_packed")
 
     def __init__(
         self,
@@ -184,6 +302,7 @@ class FixedBaseTable:
         self.window = window
         self._rows = _window_rows(1, lambda a, b: a * b % modulus, self.base,
                                   bits, window)
+        self._packed: tuple[bytes, int] | None = None
 
     @property
     def table_size(self) -> int:
@@ -198,6 +317,16 @@ class FixedBaseTable:
         if e < 0 or e.bit_length() > self.bits:
             # out of the precomputed range: exact fallback
             return pow(self.base, e, self.modulus)
+        kernel = KERNEL
+        if kernel is not None and type(e) is int:
+            KERNEL_CALLS["exp_c"] += 1
+            if self._packed is None:
+                limbs = kernel_limbs(kernel, self.modulus)
+                rows = [x for row in self._rows for x in row]
+                self._packed = (kernel.pack(rows, limbs), limbs)
+            buf, limbs = self._packed
+            return kernel.table_exp(buf, limbs, self.window, e, self.modulus)
+        KERNEL_CALLS["exp_py"] += 1
         m = self.modulus
         w = self.window
         mask = (1 << w) - 1
@@ -627,11 +756,16 @@ def warm_fixed_base(
     return True
 
 
+_CACHE_COLUMNS = ("hits", "misses", "builds", "evictions", "bypasses", "attached", "tables")
+
+
 def stats() -> dict[str, dict[str, int]]:
     """Aggregate counters of every live cache, keyed by cache name.
 
     Caches sharing a name (e.g. one ``tate.pair`` cache per backend
-    instance) are summed into one row.
+    instance) are summed into one row.  The ``kernel`` row says whether
+    the compiled kernel loaded and counts :data:`KERNEL_CALLS`; its
+    cache columns are zero, so a sum over rows stays a table count.
     """
     out: dict[str, dict[str, int]] = {}
     live: list[weakref.ref] = []
@@ -640,20 +774,19 @@ def stats() -> dict[str, dict[str, int]]:
         if cache is None:
             continue
         live.append(ref)
-        row = out.setdefault(
-            cache.name,
-            {"hits": 0, "misses": 0, "builds": 0, "evictions": 0,
-             "bypasses": 0, "attached": 0, "tables": 0},
-        )
+        row = out.setdefault(cache.name, dict.fromkeys(_CACHE_COLUMNS, 0))
         for field_name, value in cache.stats.as_dict().items():
             row[field_name] += value
         row["tables"] += len(cache)
     _REGISTRY[:] = live
+    out["kernel"] = {**dict.fromkeys(_CACHE_COLUMNS, 0), "loaded": int(KERNEL is not None),
+                     **KERNEL_CALLS}
     return out
 
 
 def reset() -> None:
     """Clear every live cache and zero all counters (test isolation)."""
+    KERNEL_CALLS.update(dict.fromkeys(KERNEL_CALLS, 0))
     live: list[weakref.ref] = []
     for ref in _REGISTRY:
         cache = ref()

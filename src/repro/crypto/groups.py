@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro._util import rand_range
 from repro.crypto import fastexp
 from repro.crypto.cunningham import CunninghamChain, find_chain, known_chain
 from repro.crypto.hashing import hash_to_int
-from repro.crypto.ntheory import is_probable_prime, jacobi, random_safe_prime
+from repro.crypto.ntheory import is_probable_prime, legendre_all, random_safe_prime
 
 __all__ = [
     "SchnorrGroup",
@@ -97,17 +98,24 @@ class SchnorrGroup:
         return pow(a, self.p - 2, self.p)
 
     def contains(self, a: int) -> bool:
-        """Membership test: a nonzero element of order dividing *q*.
+        """Membership test: a nonzero element of order dividing *q*."""
+        return self.contains_all((a,))
+
+    def contains_all(self, elements: Sequence[int]) -> bool:
+        """Whether every element of *elements* passes :meth:`contains`.
 
         For a safe prime ``p = 2q + 1`` Euler's criterion ``a^q ≡ (a/p)``
-        lets the Legendre symbol decide it; other moduli (the tower's
-        top storey) keep the exponentiation.
+        lets the Legendre symbol decide it, one batch per call
+        (:func:`~repro.crypto.ntheory.legendre_all`); other moduli (the
+        tower's top storey) keep the exponentiation.  The range check
+        runs first, in Python, for every element.
         """
-        if not 0 < a < self.p:
+        p = self.p
+        if not all(0 < a < p for a in elements):
             return False
-        if self.p == 2 * self.q + 1:
-            return jacobi(a, self.p) == 1
-        return pow(a, self.q, self.p) == 1
+        if p == 2 * self.q + 1:
+            return legendre_all(elements, p)
+        return all(pow(a, self.q, p) == 1 for a in elements)
 
     # -- sampling ----------------------------------------------------------
     def random_exponent(self, rng: random.Random) -> int:

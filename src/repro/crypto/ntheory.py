@@ -5,7 +5,9 @@ Everything the higher layers need is implemented here from scratch:
 * Miller–Rabin probabilistic primality testing (with a deterministic
   small-base fast path for 64-bit inputs),
 * random prime / safe-prime generation,
-* modular inverse, Jacobi symbol, Tonelli–Shanks square roots,
+* modular inverse, Jacobi symbol (batched through the compiled kernel
+  of :mod:`repro.crypto.fastexp` when it is loaded), Tonelli–Shanks
+  square roots,
 * small utilities (``is_probable_prime``, trial division tables).
 
 The module is pure Python on arbitrary-precision ints.  Functions accept
@@ -18,6 +20,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+import repro.crypto.fastexp as fastexp
 from repro._util import rand_int_bits
 
 __all__ = [
@@ -28,6 +31,7 @@ __all__ = [
     "random_safe_prime",
     "modinv",
     "jacobi",
+    "legendre_all",
     "sqrt_mod_prime",
     "is_quadratic_residue",
 ]
@@ -174,6 +178,21 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a, n = n % a, a
     return result if n == 1 else 0
+
+
+def legendre_all(elements: Sequence[int], p: int) -> bool:
+    """Whether ``jacobi(a, p) == 1`` for every *a* in *elements*.
+
+    With the kernel loaded, a sequence of ints takes one kernel call
+    (libgmp's ``mpz_jacobi``) for the whole batch; *p* must be an odd
+    prime there, as every caller's is.
+    """
+    kernel = fastexp.KERNEL
+    if kernel is not None and all(type(a) is int for a in elements):
+        fastexp.KERNEL_CALLS["legendre_c"] += len(elements)
+        return kernel.legendre_all(elements, p)
+    fastexp.KERNEL_CALLS["legendre_py"] += len(elements)
+    return all(jacobi(a, p) == 1 for a in elements)
 
 
 def is_quadratic_residue(a: int, p: int) -> bool:

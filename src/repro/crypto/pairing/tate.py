@@ -54,9 +54,16 @@ def _fp2_pow(a: int, b: int, e: int, p: int) -> tuple[int, int]:
     """``(a + b·i)^e`` for ``e ≥ 0`` by square-and-multiply on ints.
 
     A squaring is ``((a + b)(a − b), 2ab)``: two multiplies, not four.
+    With the kernel loaded, int operands with ``e, p > 0`` take its
+    copy of this loop.
     """
     if not e:
         return _ONE
+    kernel = fastexp.KERNEL
+    if kernel is not None and type(a) is type(b) is type(e) is type(p) is int and e > 0 and p > 0:
+        fastexp.KERNEL_CALLS["fp2_pow_c"] += 1
+        return kernel.fp2_pow(a, b, e, p)
+    fastexp.KERNEL_CALLS["fp2_pow_py"] += 1
     ra, rb = a % p, b % p
     for bit in bin(e)[3:]:
         ra, rb = (ra + rb) * (ra - rb) % p, 2 * ra * rb % p
@@ -149,6 +156,7 @@ def _line_walk(P: Point, r: int) -> list[tuple]:
 
 def _replay(steps: list[tuple], Q: Point, p: int) -> tuple[int, int]:
     """Evaluate a line walk at ψ(Q): the raw Miller value as an int pair."""
+    fastexp.KERNEL_CALLS["replay_py"] += 1
     xq, yq = Q.x.a, Q.y.a
     fa, fb = 1, 0
     for is_double, lam, k in steps:
@@ -245,6 +253,22 @@ def _field_int(value, p: int) -> bool:
     return type(value) is int and 0 <= value < p
 
 
+#: step flags of a packed line walk (the kernel's ``STEP_*``)
+_STEP_DOUBLE, _STEP_VERTICAL = 1, 2
+
+
+def _pack_steps(kernel, steps: list[tuple], p: int) -> tuple[bytes, int]:
+    """A line walk as the kernel's buffer of ``(flag, λ, k)`` triples."""
+    flat: list[int] = []
+    for is_double, lam, k in steps:
+        if lam is None:
+            flat += (_STEP_DOUBLE | _STEP_VERTICAL, 0, 0)
+        else:
+            flat += (_STEP_DOUBLE if is_double else 0, lam, k)
+    limbs = fastexp.kernel_limbs(kernel, p)
+    return kernel.pack(flat, limbs), limbs
+
+
 class MillerTable:
     """Precomputed Miller loop for a *fixed* first pairing argument.
 
@@ -255,10 +279,13 @@ class MillerTable:
     on doubling steps and one ``(λ·x_Q + k) + i·y_Q`` multiply, with no
     vertical lines and no inversion.  Results after the final
     exponentiation are bit-identical to :func:`tate_pairing`; the build
-    costs about one pairing.
+    costs about one pairing.  With the kernel loaded, replays run its
+    copy of :func:`_replay` over the steps packed into one buffer, which
+    the first such replay builds (never pickled or exported: a table
+    rebuilt from :meth:`to_state` packs its own).
     """
 
-    __slots__ = ("params", "point", "_steps")
+    __slots__ = ("params", "point", "_steps", "_packed")
 
     def __init__(self, params: CurveParams, P: Point) -> None:
         if P.is_infinity:
@@ -266,13 +293,23 @@ class MillerTable:
         self.params = params
         self.point = P
         self._steps = _line_walk(P, params.r)
+        self._packed: tuple[bytes, int] | None = None
 
     def raw(self, Q: Point) -> tuple[int, int]:
         """The denominator-free Miller value ``f_{r,point}(ψ(Q))`` as an
         ``(a, b)`` int pair (before the final exponentiation)."""
         if Q.is_infinity:
             return _ONE
-        return _replay(self._steps, Q, self.params.p)
+        p = self.params.p
+        kernel = fastexp.KERNEL
+        xq, yq = Q.x.a, Q.y.a
+        if kernel is not None and type(xq) is type(yq) is int:
+            fastexp.KERNEL_CALLS["replay_c"] += 1
+            if self._packed is None:
+                self._packed = _pack_steps(kernel, self._steps, p)
+            buf, limbs = self._packed
+            return kernel.replay(buf, limbs, xq, yq, p)
+        return _replay(self._steps, Q, p)
 
     def pair(self, Q: Point) -> Fp2:
         """``ê(point, Q)`` — bit-identical to :func:`tate_pairing`."""
@@ -309,6 +346,7 @@ class MillerTable:
         table.params = params
         table.point = Point(Fp2(xa, xb, p), Fp2(ya, yb, p), p)
         table._steps = steps
+        table._packed = None
         return table
 
 

@@ -182,9 +182,9 @@ def verify_edge(
     n = proof.rounds
     if n < 1 or len(proof.commitments_t) != n or len(proof.responses) != n:
         return False
-    if not all(parent_grp.contains(u) for u in proof.commitments_u):
+    if not parent_grp.contains_all(proof.commitments_u):
         return False
-    if not all(child_grp.contains(t) for t in proof.commitments_t):
+    if not child_grp.contains_all(proof.commitments_t):
         return False
     # both statement commitments are bases of the batched round
     # equations — membership required for RLC soundness (honest ones are)
@@ -251,9 +251,9 @@ def collect_edge(
     n = proof.rounds
     if n < 1 or len(proof.commitments_t) != n or len(proof.responses) != n:
         return None
-    if not all(parent_grp.contains(u) for u in proof.commitments_u):
+    if not parent_grp.contains_all(proof.commitments_u):
         return None
-    if not all(child_grp.contains(t) for t in proof.commitments_t):
+    if not child_grp.contains_all(proof.commitments_t):
         return None
     if not parent_grp.contains(c_parent % parent_grp.p):
         return None

@@ -98,7 +98,7 @@ def verify_double_log(
         return False
     if not proof.commitments:
         return False
-    if not all(outer.contains(t) for t in proof.commitments):
+    if not outer.contains_all(proof.commitments):
         return False
     if not outer.contains(statement % outer.p):
         return False

@@ -15,14 +15,23 @@ ran:
 
 and a token whose curve point is not F_p-rational — the one input the
 real-parts-only Miller loop would read differently — is refused.
+
+Every class runs twice: as written, on the compiled kernel when it is
+loaded, and as its ``…OnPython`` twin with the loader's handle
+(``fastexp.KERNEL``) set to ``None``, the Python loops the kernel is
+held to.  The hostile-input suite at the end feeds each kernel entry
+point 0, 1, p−1, p, negative, oversized, ``bool`` and non-int values on
+both paths and requires the same value or the same exception class.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto import fastexp
 from repro.crypto.cl_sig import cl_blind_issue, cl_keygen
@@ -30,7 +39,7 @@ from repro.crypto.groups import SchnorrGroup, build_tower
 from repro.crypto.pairing import TatePairing, ToyPairing, generate_curve
 from repro.crypto.pairing.curve import Point
 from repro.crypto.pairing.field import Fp2
-from repro.crypto.pairing.tate import MillerTable, tate_pairing
+from repro.crypto.pairing.tate import MillerTable, _fp2_pow, tate_pairing
 from repro.ecash.batch import batch_verify_spends
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal
 from repro.ecash.spend import create_spend, verify_spend, verify_spend_collect
@@ -53,6 +62,13 @@ def _isolated_fastexp():
     yield
     fastexp.configure(**previous)
     fastexp.reset()
+
+
+@pytest.fixture(autouse=True)
+def _path(request, monkeypatch):
+    """The ``…OnPython`` twins run with the kernel handle patched out."""
+    if getattr(request.cls, "on_python", False):
+        monkeypatch.setattr(fastexp, "KERNEL", None)
 
 
 @pytest.fixture(scope="module")
@@ -298,3 +314,225 @@ class TestPairableScreen:
         assert verify_spend_collect(dec_params, bank_kp.public, tokens[1]) is None
         assert [verify_spend(dec_params, bank_kp.public, t) for t in tokens] == [True, False]
         assert batch_verify_spends(dec_params, bank_kp.public, tokens, rng) == [True, False]
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the Python loops, on hostile input
+# ---------------------------------------------------------------------------
+
+needs_kernel = pytest.mark.skipif(fastexp.KERNEL is None,
+                                  reason="the verification kernel is not built")
+
+
+def _outcome(fn, *args):
+    """What *fn* returns, or the class of what it raises."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the class is the outcome compared
+        return "raises", type(exc)
+
+
+def _both_paths(fn, *args):
+    """``(kernel outcome, Python outcome)`` of one call."""
+    kernel = fastexp.KERNEL
+    on_kernel = _outcome(fn, *args)
+    fastexp.KERNEL = None
+    try:
+        on_python = _outcome(fn, *args)
+    finally:
+        fastexp.KERNEL = kernel
+    return on_kernel, on_python
+
+
+def _hostile(p: int, bits: int):
+    """The values every entry point is fed, for modulus *p*."""
+    edges = [0, 1, 2, p - 1, p, p + 1, -1, -p, 1 << bits, (1 << bits) - 1,
+             True, False, 2.0, "7", None, 3 + 0j]
+    return st.one_of(
+        st.sampled_from(edges),
+        st.integers(min_value=-(1 << (bits + 8)), max_value=1 << (bits + 8)),
+        st.integers(min_value=1 << 2048, max_value=1 << 2100),
+        st.integers(max_value=-1),
+    )
+
+
+@pytest.fixture(scope="module")
+def p1024_group():
+    return SchnorrGroup(p=P1024, q=(P1024 - 1) // 2, g=4)
+
+
+@pytest.fixture(scope="module")
+def storeys():
+    return build_tower(3, random.Random(11)).levels
+
+
+@needs_kernel
+class TestHostileInput:
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_table_exp(self, data, storeys, p1024_group):
+        for group in (*storeys, p1024_group):
+            for table in (fastexp.FixedBaseTable(group.g, group.p, order=group.q),
+                          fastexp.FixedBaseTable(group.g, group.p, bits=group.q.bit_length())):
+                e = data.draw(_hostile(group.q, group.q.bit_length()))
+                on_kernel, on_python = _both_paths(table.exp, e)
+                assert on_kernel == on_python, (group.p, e)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_membership(self, data, storeys, p1024_group):
+        for group in (*storeys, p1024_group):
+            batch = data.draw(st.lists(_hostile(group.p, group.p.bit_length()), max_size=4))
+            batch += [group.power(data.draw(st.integers(1, group.q - 1)))]
+            for elements in (batch, batch[::-1], [batch[0]]):
+                on_kernel, on_python = _both_paths(group.contains_all, elements)
+                assert on_kernel == on_python, (group.p, elements)
+            on_kernel, on_python = _both_paths(group.contains, batch[0])
+            assert on_kernel == on_python, (group.p, batch[0])
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_miller_replay(self, data, curve):
+        params, backend = curve
+        table = MillerTable(params, backend.g)
+        p = params.p
+        xq = data.draw(_hostile(p, p.bit_length()))
+        yq = data.draw(_hostile(p, p.bit_length()))
+        point = SimpleNamespace(is_infinity=False, x=SimpleNamespace(a=xq),
+                                y=SimpleNamespace(a=yq))
+        on_kernel, on_python = _both_paths(table.raw, point)
+        assert on_kernel == on_python, (xq, yq)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_fp2_pow(self, data, curve):
+        params, _ = curve
+        for p in (params.p, P1024):
+            a, b = (data.draw(_hostile(p, p.bit_length())) for _ in range(2))
+            e = data.draw(st.one_of(_hostile(params.r, params.r.bit_length()),
+                                    st.sampled_from([params.r, (p + 1) // params.r])))
+            modulus = data.draw(st.sampled_from([p, p, 1, 2, 0, -p, True]))
+            on_kernel, on_python = _both_paths(_fp2_pow, a, b, e, modulus)
+            assert on_kernel == on_python, (a, b, e, modulus)
+
+    def test_malformed_kernel_calls_raise(self):
+        kernel = fastexp.KERNEL
+        steps = kernel.pack([1, 2, 3], 1)
+        for call, error in [
+            (lambda: kernel.pack([-1], 1), ValueError),
+            (lambda: kernel.pack([1 << 64], 1), ValueError),
+            (lambda: kernel.pack(["1"], 1), TypeError),
+            (lambda: kernel.pack([1], 0), ValueError),
+            (lambda: kernel.replay(steps + b"x", 1, 1, 1, 7), ValueError),
+            (lambda: kernel.replay(bytearray(steps), 1, 1, 1, 7), TypeError),
+            (lambda: kernel.replay(steps, 1, 1, 1, 0), ValueError),
+            (lambda: kernel.replay(steps, 1, 1.0, 1, 7), TypeError),
+            (lambda: kernel.table_exp(kernel.pack(range(4), 1), 1, 2, 1 << 2, 7), ValueError),
+            (lambda: kernel.table_exp(kernel.pack(range(4), 1), 1, 2, -1, 7), ValueError),
+            (lambda: kernel.table_exp(kernel.pack(range(4), 1), 1, 0, 1, 7), ValueError),
+            (lambda: kernel.legendre_all([1], 8), ValueError),
+            (lambda: kernel.legendre_all(5, 7), TypeError),
+            (lambda: kernel.fp2_pow(1, 1, 0, 7), ValueError),
+            (lambda: kernel.fp2_pow(1, 1), TypeError),
+        ]:
+            with pytest.raises(error):
+                call()
+
+
+@needs_kernel
+class TestRebuiltTables:
+    def test_a_miller_table_from_state_packs_its_own_buffer(self, curve):
+        params, backend = curve
+        rng = random.Random(51)
+        table = MillerTable(params, backend.random_element(rng))
+        points = [backend.random_element(rng) for _ in range(3)]
+        want = [table.raw(Q) for Q in points]
+        assert table._packed is not None
+        clone = MillerTable.from_state(params, table.to_state())
+        assert clone._packed is None
+        assert [clone.raw(Q) for Q in points] == want
+        assert clone._packed == table._packed
+        fastexp.KERNEL, kernel = None, fastexp.KERNEL
+        try:
+            assert [clone.raw(Q) for Q in points] == want
+        finally:
+            fastexp.KERNEL = kernel
+
+    def test_installed_tables_pair_like_the_exporter(self, curve):
+        params, backend = curve
+        rng = random.Random(52)
+        source = TatePairing(params)
+        fixed = source.random_element(rng)
+        source.warm_pair(fixed)
+        source.warm_exp_fixed(fixed)
+        points = [source.random_element(rng) for _ in range(3)]
+        want = [source.pair(fixed, Q) for Q in points]
+        adopter = TatePairing(params)
+        assert adopter.install_tables(source.export_tables(), register=False) == 2
+        calls = fastexp.KERNEL_CALLS["replay_c"]
+        assert [adopter.pair(fixed, Q) for Q in points] == want
+        assert fastexp.KERNEL_CALLS["replay_c"] == calls + len(points)
+
+    def test_window_table_packs_on_first_use_and_agrees(self, p1024_group):
+        group = p1024_group
+        table = fastexp.FixedBaseTable(group.g, group.p, order=group.q)
+        assert table._packed is None
+        rng = random.Random(53)
+        exps = [rng.randrange(group.q) for _ in range(5)]
+        assert [table.exp(e) for e in exps] == [pow(group.g, e, group.p) for e in exps]
+        buf, limbs = table._packed
+        assert limbs == 1024 // fastexp.KERNEL.LIMB_BITS
+        assert len(buf) == table.table_size * limbs * fastexp.KERNEL.LIMB_BITS // 8
+
+
+def test_stats_report_the_kernel_row(storeys):
+    group = storeys[0]
+    group.contains_all([group.g, group.g])
+    row = fastexp.stats()["kernel"]
+    assert row["loaded"] == int(fastexp.KERNEL is not None)
+    path = "c" if fastexp.KERNEL is not None else "py"
+    assert row[f"legendre_{path}"] == 2
+    assert all(row[column] == 0 for column in ("hits", "misses", "builds", "tables"))
+    fastexp.reset()
+    assert all(value == 0 for key, value in fastexp.stats()["kernel"].items() if key != "loaded")
+
+
+def test_a_failed_build_warns_once_and_leaves_the_python_path(tmp_path, monkeypatch, caplog):
+    import shutil
+
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    with caplog.at_level("WARNING", logger="repro.crypto.fastexp"):
+        assert fastexp._load_kernel(str(tmp_path / "cache")) is None
+    assert [r.getMessage() for r in caplog.records if "kernel" in r.getMessage()] == [
+        "verification kernel unavailable, the Python loops run: no gcc on PATH"]
+    with pytest.raises(fastexp.KernelBuildError, match="no gcc"):
+        fastexp.build_kernel(str(tmp_path / "cache"))
+
+
+def test_an_unwritable_cache_is_named(tmp_path, monkeypatch):
+    import shutil
+
+    monkeypatch.setattr(shutil, "which", lambda name: "/usr/bin/" + name)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    with pytest.raises(fastexp.KernelBuildError, match="not writable"):
+        fastexp.build_kernel(str(blocker / "cache"))
+
+
+def test_a_missing_gmp_header_is_named(tmp_path, monkeypatch):
+    import shutil
+    import subprocess
+
+    monkeypatch.setattr(shutil, "which", lambda name: "/usr/bin/" + name)
+    monkeypatch.setattr(subprocess, "run", lambda *a, **k: SimpleNamespace(
+        returncode=1, stderr="_kernel.c:23:10: fatal error: gmp.h: No such file or directory"))
+    with pytest.raises(fastexp.KernelBuildError, match="^no gmp.h"):
+        fastexp.build_kernel(str(tmp_path / "cache"))
+    assert list((tmp_path / "cache").iterdir()) == []  # the temporary file is gone
+
+
+# every class above once more on the forced Python path
+for _cls in (TestMultiExpKernels, TestLegendreMembership, TestMillerReplay,
+             TestGtContains, TestStatement, TestPairableScreen):
+    globals()[_cls.__name__ + "OnPython"] = type(
+        _cls.__name__ + "OnPython", (_cls,), {"on_python": True})

@@ -13,6 +13,10 @@ three-argument ``pow`` calls left are:
   cofactor-18 top storey (the safe-prime storeys use a Legendre symbol).
 
 Counts are deterministic for a given token, unlike a wall-clock race.
+The compiled kernel does the same operations as the Python loops, only
+cheaper: per level, the Miller replays, table exponentiations, Legendre
+checks, F_p² powers and three-argument ``pow`` calls are identical on
+both paths.
 """
 
 from __future__ import annotations
@@ -114,3 +118,41 @@ def test_sequential_verify_is_served_from_tables(market, warm, level, monkeypatc
     assert not [a for a in pows if (a[0], a[2]) in fixed]
     assert len(pows) == FIXED_POWS[level] + len(per_proof)
     assert EQUALITY_EXPS <= len(per_proof) <= EQUALITY_EXPS + level * params.edge_rounds
+
+
+def _operation_counts(params, bank_pk, token, monkeypatch) -> dict[str, int]:
+    """One warm ``verify_spend``'s operations, whichever path served them."""
+    real_pow = builtins.pow
+    pows = []
+
+    def counting_pow(*args):
+        if len(args) == 3:
+            pows.append(None)
+        return real_pow(*args)
+
+    fastexp.KERNEL_CALLS.update(dict.fromkeys(fastexp.KERNEL_CALLS, 0))
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "pow", counting_pow)
+        assert verify_spend(params, bank_pk, token)
+    calls = fastexp.KERNEL_CALLS
+    counts = {op: calls[f"{op}_c"] + calls[f"{op}_py"]
+              for op in ("replay", "exp", "legendre", "fp2_pow")}
+    counts["pow"] = len(pows)
+    counts["served_by_kernel"] = sum(calls[f"{op}_c"] for op in ("replay", "exp", "legendre", "fp2_pow"))
+    return counts
+
+
+@pytest.mark.skipif(fastexp.KERNEL is None, reason="the verification kernel is not built")
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_kernel_and_python_paths_do_the_same_operations(market, warm, level, monkeypatch):
+    params, bank_pk, tokens = market
+    on_kernel = _operation_counts(params, bank_pk, tokens[level], monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(fastexp, "KERNEL", None)
+        on_python = _operation_counts(params, bank_pk, tokens[level], monkeypatch)
+    assert on_python.pop("served_by_kernel") == 0
+    served = on_kernel.pop("served_by_kernel")
+    assert on_kernel == on_python
+    assert min(on_kernel.values()) > 0
+    # the kernel served every operation it has an entry point for
+    assert served == sum(on_kernel[op] for op in ("replay", "exp", "legendre", "fp2_pow"))

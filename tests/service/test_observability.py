@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro import obs
+from repro.crypto import fastexp
 from repro.service import (
     AdmissionController,
     Journal,
@@ -150,6 +151,12 @@ def test_dump_telemetry_writes_all_three_exports(traced_service, rng, tmp_path):
     # fastexp cache counters are published on dump
     assert any(e["name"].startswith("repro_fastexp_")
                for e in metrics["gauges"])
+    # ... and so is which verification path ran: the kernel row
+    kernel = {e["name"]: e["value"] for e in metrics["gauges"]
+              if e["labels"] == {"cache": "kernel"}}
+    assert kernel["repro_fastexp_loaded"] == int(fastexp.KERNEL is not None)
+    path = "c" if fastexp.KERNEL is not None else "py"
+    assert kernel[f"repro_fastexp_legendre_{path}"] > 0
     prom = open(paths["prometheus"]).read()
     assert "# TYPE repro_service_requests_total counter" in prom
 

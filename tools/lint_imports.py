@@ -80,8 +80,12 @@ ALLOWED: dict[str, set[str]] = {
 #: on: they must stay dependency-free so no import cycle can form.
 MODULE_ALLOWED: dict[str, set[str]] = {
     # the fixed-base table cache is pure arithmetic — no repro imports
-    # at all, so crypto/ecash/service can all use it without cycles
+    # at all, so crypto/ecash/service can all use it without cycles; it
+    # also loads (and on first import builds) the compiled verification
+    # kernel, with the stdlib alone
     "repro.crypto.fastexp": set(),
+    # number theory batches its Legendre symbols through that kernel
+    "repro.crypto.ntheory": {"repro._util", "repro.crypto.fastexp"},
     # the RLC batch verifier is pure arithmetic over LinearChecks; it
     # must never grow a service- or ecash-layer dependency
     "repro.crypto.batchverify": {"repro.crypto.fastexp", "repro.crypto.hashing"},
