@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install dev test bench bench-json service-bench fastexp-bench batchverify-bench bench-e2e report examples kernel lint-imports loc check-docs test-faults coverage obs-demo cluster-demo cluster-smoke campaign campaign-smoke clean
+.PHONY: install dev test bench bench-json service-bench fastexp-bench codec-bench batchverify-bench bench-e2e report examples kernel lint-imports loc check-docs test-faults coverage obs-demo cluster-demo cluster-smoke campaign campaign-smoke clean
 
 # Coverage floor enforced by `make coverage` and the CI coverage job.
 # Measured line coverage of src/repro under the full suite is ~96%;
@@ -32,6 +32,10 @@ service-bench:
 
 fastexp-bench:
 	$(PYTHON) -m pytest benchmarks/bench_fastexp.py --benchmark-only --benchmark-json=BENCH_fastexp.json
+
+# The codec's µs per call on a deposit's inputs (docs/performance.md).
+codec-bench:
+	$(PYTHON) -m pytest benchmarks/bench_codec.py --benchmark-only --benchmark-disable-gc -q
 
 # Batch-size -> throughput curve for RLC batch verification plus the
 # shared-table worker spawn comparison; writes BENCH_batchverify.json

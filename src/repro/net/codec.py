@@ -19,31 +19,96 @@ transcripts.
 Use :func:`register` (it also works as a decorator) once per
 dataclass; :func:`encode` / :func:`decode` round-trip any value
 built from the universe.
+
+**The decode contract.**  :func:`decode` accepts exactly the image of
+:func:`encode`: for every byte string ``b`` it accepts,
+``encode(decode(b)) == b``.  Anything else raises ``ValueError``:
+
+* a truncated value, or bytes trailing the value;
+* an int with a leading zero byte, an empty int, or negative zero;
+* an overlong length (a varint ending in a zero continuation byte);
+* dict keys that are not ``str`` or not strictly ascending — so a
+  duplicate key is refused instead of the last value silently winning;
+* an unknown tag byte, a tag name no class is registered under *now*,
+  or a field count that does not match the class;
+* a registered object whose constructor raises, or changes a decoded
+  field (an ``Fp2`` with ``a >= p``, which would come back reduced).
+
+That contract is what lets a decoded value's bytes be reused instead of
+re-encoded: :func:`decode_with_span` also returns the input slice one
+entry of a top-level dict was decoded from, and :class:`Encoded` writes
+such a slice back verbatim (the service's ``accept`` record splices a
+request's payload this way).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 import struct
-from typing import Any
+from typing import Any, Callable
 
-__all__ = ["encode", "decode", "register", "encoded_size"]
+__all__ = ["encode", "decode", "decode_with_span", "register", "encoded_size",
+           "Encoded"]
 
-_TAG_NONE = b"\x00"
-_TAG_FALSE = b"\x01"
-_TAG_TRUE = b"\x02"
-_TAG_INT_POS = b"\x03"
-_TAG_INT_NEG = b"\x04"
-_TAG_BYTES = b"\x05"
-_TAG_STR = b"\x06"
-_TAG_LIST = b"\x07"
-_TAG_TUPLE = b"\x08"
-_TAG_DICT = b"\x09"
-_TAG_OBJ = b"\x0a"
-_TAG_FLOAT = b"\x0b"
+(_NONE, _FALSE, _TRUE, _INT_POS, _INT_NEG, _BYTES, _STR, _LIST, _TUPLE,
+ _DICT, _OBJ, _FLOAT) = range(12)
+
+#: ``_HEAD[tag][n]``: a tag byte and its single-byte length ``n < 128``
+_HEAD = tuple(tuple(bytes((tag, n)) for n in range(128)) for tag in range(12))
+_POS_HEAD = _HEAD[_INT_POS]
+#: non-negative ints below this have a single-byte length (< 128 bytes)
+_SHORT_INT = 1 << (127 * 8)
+_DOUBLE = struct.Struct(">d")
+#: field types a constructor may rebuild as an equal, same-typed object
+#: without changing the encoding (``x % p`` returns a new int when x < p)
+_EQUAL_IS_SAME = (int, str, bytes)
+
+
+class Encoded:
+    """Bytes that already are one value's canonical encoding.
+
+    :func:`encode` copies :attr:`data` in verbatim where the value would
+    go.  Only bytes this codec produced qualify — a
+    :func:`decode_with_span` slice, for one; anything else makes the
+    output non-canonical.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+
+class _Spec:
+    """A registered dataclass: its tag, header bytes and field names."""
+
+    __slots__ = ("cls", "name", "tag", "names", "head", "fields")
+
+    def __init__(self, cls: type, name: str) -> None:
+        self.cls = cls
+        self.name = name
+        self.tag = name.encode("utf-8")
+        self.names = tuple(f.name for f in dataclasses.fields(cls))
+        head = bytearray((_OBJ,))
+        _put_len(head, len(self.tag))
+        head += self.tag
+        _put_len(head, len(self.names))
+        self.head = bytes(head)
+        # every field value in one C call, always as a tuple
+        self.fields: Callable[[Any], tuple]
+        if len(self.names) > 1:
+            self.fields = operator.attrgetter(*self.names)
+        elif self.names:
+            only = self.names[0]
+            self.fields = lambda obj: (getattr(obj, only),)
+        else:
+            self.fields = lambda obj: ()
+
 
 _registry_by_name: dict[str, type] = {}
-_registry_by_type: dict[type, str] = {}
+_by_type: dict[type, _Spec] = {}
+_by_tag: dict[bytes, _Spec] = {}  # only each class's current tag decodes
 
 
 def register(cls: type, name: str | None = None) -> type:
@@ -55,94 +120,104 @@ def register(cls: type, name: str | None = None) -> type:
     if existing is not None and existing is not cls:
         raise ValueError(f"codec tag {tag!r} already registered for {existing!r}")
     _registry_by_name[tag] = cls
-    _registry_by_type[cls] = tag
+    old = _by_type.get(cls)
+    if old is not None:
+        del _by_tag[old.tag]
+    spec = _by_type[cls] = _Spec(cls, tag)
+    _by_tag[spec.tag] = spec
     return cls
 
 
-def _write_len(out: bytearray, n: int) -> None:
+# -- encode -------------------------------------------------------------------
+def _put_len(out: bytearray, n: int) -> None:
     # varint-style: 7 bits per byte, MSB = continuation
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    while True:
-        byte = n & 0x7F
+    while n > 0x7F:
+        out.append((n & 0x7F) | 0x80)
         n >>= 7
-        if n:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(n)
 
 
-def _read_len(data: bytes, pos: int) -> tuple[int, int]:
-    n = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise ValueError("truncated length")
-        byte = data[pos]
-        pos += 1
-        n |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return n, pos
-        shift += 7
-
-
-def _encode_into(out: bytearray, value: Any) -> None:
-    if value is None:
-        out += _TAG_NONE
-    elif value is True:
-        out += _TAG_TRUE
-    elif value is False:
-        out += _TAG_FALSE
-    elif isinstance(value, int):
-        mag = value if value >= 0 else -value
-        raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "big")
-        out += _TAG_INT_POS if value >= 0 else _TAG_INT_NEG
-        _write_len(out, len(raw))
-        out += raw
-    elif isinstance(value, float):
-        out += _TAG_FLOAT
-        out += struct.pack(">d", value)
-    elif isinstance(value, bytes):
-        out += _TAG_BYTES
-        _write_len(out, len(value))
-        out += value
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += _TAG_STR
-        _write_len(out, len(raw))
-        out += raw
-    elif isinstance(value, (list, tuple)):
-        out += _TAG_LIST if isinstance(value, list) else _TAG_TUPLE
-        _write_len(out, len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif isinstance(value, dict):
-        out += _TAG_DICT
-        keys = sorted(value)  # canonical ordering
-        _write_len(out, len(keys))
-        for key in keys:
-            if not isinstance(key, str):
-                raise TypeError("codec dicts must have str keys")
-            _encode_into(out, key)
-            _encode_into(out, value[key])
-    elif type(value) in _registry_by_type:
-        tag = _registry_by_type[type(value)].encode("utf-8")
-        out += _TAG_OBJ
-        _write_len(out, len(tag))
-        out += tag
-        fields = dataclasses.fields(value)
-        _write_len(out, len(fields))
-        for f in fields:
-            _encode_into(out, getattr(value, f.name))
+def _put_head(out: bytearray, tag: int, n: int) -> None:
+    if n < 128:
+        out += _HEAD[tag][n]
     else:
-        raise TypeError(f"cannot encode value of type {type(value)!r}")
+        out.append(tag)
+        _put_len(out, n)
+
+
+def _put(out: bytearray, value: Any) -> None:
+    t = type(value)
+    if t is tuple or t is list:
+        _put_head(out, _TUPLE if t is tuple else _LIST, len(value))
+        items = value
+    elif (spec := _by_type.get(t)) is not None:
+        out += spec.head
+        items = spec.fields(value)
+    else:
+        if t is int:
+            tag, mag = (_INT_POS, value) if value >= 0 else (_INT_NEG, -value)
+            raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "big")
+            _put_head(out, tag, len(raw))
+            out += raw
+        elif t is bytes:
+            _put_head(out, _BYTES, len(value))
+            out += value
+        elif t is str:
+            raw = value.encode("utf-8")
+            _put_head(out, _STR, len(raw))
+            out += raw
+        elif value is None:
+            out.append(_NONE)
+        elif t is bool:
+            out.append(_TRUE if value else _FALSE)
+        elif t is dict:
+            keys = sorted(value)  # canonical ordering
+            _put_head(out, _DICT, len(keys))
+            for key in keys:
+                if not isinstance(key, str):
+                    raise TypeError("codec dicts must have str keys")
+                _put(out, key)
+                _put(out, value[key])
+        elif t is float:
+            out.append(_FLOAT)
+            out += _DOUBLE.pack(value)
+        elif t is Encoded:
+            out += value.data
+        else:
+            _put(out, _builtin(value))
+        return
+    for item in items:
+        if type(item) is int and 0 <= item < _SHORT_INT:
+            raw = item.to_bytes((item.bit_length() + 7) // 8 or 1, "big")
+            out += _POS_HEAD[len(raw)]
+            out += raw
+        else:
+            _put(out, item)
+
+
+def _builtin(value: Any) -> Any:
+    """A subclass instance (an ``IntEnum``, a namedtuple) as its builtin base."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, float):
+        return float(value)
+    if isinstance(value, bytes):
+        return bytes(value)
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, list):
+        return list(value)
+    if isinstance(value, tuple):
+        return tuple(value)
+    if isinstance(value, dict):
+        return dict(value)
+    raise TypeError(f"cannot encode value of type {type(value)!r}")
 
 
 def encode(value: Any) -> bytes:
     """Canonically serialize *value* to bytes."""
     out = bytearray()
-    _encode_into(out, value)
+    _put(out, value)
     return bytes(out)
 
 
@@ -151,84 +226,167 @@ def encoded_size(value: Any) -> int:
     return len(encode(value))
 
 
-def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
-    if pos >= len(data):
-        raise ValueError("truncated value")
-    tag = data[pos : pos + 1]
-    pos += 1
-    if tag == _TAG_NONE:
-        return None, pos
-    if tag == _TAG_TRUE:
-        return True, pos
-    if tag == _TAG_FALSE:
-        return False, pos
-    if tag in (_TAG_INT_POS, _TAG_INT_NEG):
-        n, pos = _read_len(data, pos)
-        raw = data[pos : pos + n]
-        if len(raw) != n:
-            raise ValueError("truncated int")
-        value = int.from_bytes(raw, "big")
-        return (value if tag == _TAG_INT_POS else -value), pos + n
-    if tag == _TAG_FLOAT:
-        if pos + 8 > len(data):
-            raise ValueError("truncated float")
-        return struct.unpack(">d", data[pos : pos + 8])[0], pos + 8
-    if tag == _TAG_BYTES:
-        n, pos = _read_len(data, pos)
-        raw = data[pos : pos + n]
-        if len(raw) != n:
-            raise ValueError("truncated bytes")
-        return bytes(raw), pos + n
-    if tag == _TAG_STR:
-        n, pos = _read_len(data, pos)
-        raw = data[pos : pos + n]
-        if len(raw) != n:
-            raise ValueError("truncated str")
-        return raw.decode("utf-8"), pos + n
-    if tag in (_TAG_LIST, _TAG_TUPLE):
-        n, pos = _read_len(data, pos)
+# -- decode -------------------------------------------------------------------
+def _take_len(data: bytes, pos: int) -> tuple[int, int]:
+    """A multi-byte length at *pos*; refuses an overlong one."""
+    n = shift = 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        n |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            if not byte and shift:
+                raise ValueError("overlong length")
+            return n, pos
+        shift += 7
+
+
+def _take(data: bytes, pos: int) -> tuple[Any, int]:
+    """The value at *pos* and the offset after it (``IndexError`` past
+    the end: :func:`_decode` reports it as truncation)."""
+    size = len(data)
+    tag = data[pos]
+    if tag == _TUPLE or tag == _LIST or tag == _OBJ:
+        n = data[pos + 1]
+        pos += 2
+        if n > 0x7F:
+            n, pos = _take_len(data, pos - 1)
+        spec = None
+        if tag == _OBJ:
+            end = pos + n
+            spec = _by_tag.get(data[pos:end])
+            if spec is None:
+                if end > size:
+                    raise ValueError("truncated codec tag")
+                raise ValueError(f"unknown codec tag {data[pos:end].decode('utf-8')!r}")
+            n = data[end]
+            pos = end + 1
+            if n > 0x7F:
+                n, pos = _take_len(data, end)
+            if n != len(spec.names):
+                raise ValueError(f"field count mismatch for {spec.name!r}")
+        elif n > size - pos:
+            raise ValueError("truncated sequence")
         items = []
+        append = items.append
         for _ in range(n):
-            item, pos = _decode_from(data, pos)
-            items.append(item)
-        return (items if tag == _TAG_LIST else tuple(items)), pos
-    if tag == _TAG_DICT:
-        n, pos = _read_len(data, pos)
-        result: dict[str, Any] = {}
-        for _ in range(n):
-            key, pos = _decode_from(data, pos)
-            if not isinstance(key, str):
-                raise ValueError("codec dict key must decode to str")
-            val, pos = _decode_from(data, pos)
-            result[key] = val
-        return result, pos
-    if tag == _TAG_OBJ:
-        n, pos = _read_len(data, pos)
-        name = data[pos : pos + n].decode("utf-8")
-        pos += n
-        cls = _registry_by_name.get(name)
-        if cls is None:
-            raise ValueError(f"unknown codec tag {name!r}")
-        nfields, pos = _read_len(data, pos)
-        fields = dataclasses.fields(cls)
-        if nfields != len(fields):
-            raise ValueError(f"field count mismatch for {name!r}")
-        kwargs = {}
-        for f in fields:
-            val, pos = _decode_from(data, pos)
-            kwargs[f.name] = val
+            if data[pos] == _INT_POS and (m := data[pos + 1]) < 0x80:
+                start = pos + 2
+                pos = start + m
+                if pos > size:
+                    raise ValueError("truncated int")
+                if m != 1 and (not m or not data[start]):
+                    raise ValueError("non-canonical int")
+                append(int.from_bytes(data[start:pos], "big"))
+            else:
+                item, pos = _take(data, pos)
+                append(item)
+        if spec is None:
+            return (tuple(items) if tag == _TUPLE else items), pos
         try:
-            return cls(**kwargs), pos
+            obj = spec.cls(**dict(zip(spec.names, items)))
         except ValueError:
             raise
         except Exception as exc:  # constructor validation on hostile input
-            raise ValueError(f"invalid field values for {name!r}: {exc}") from exc
-    raise ValueError(f"unknown tag byte {tag!r}")
+            raise ValueError(f"invalid field values for {spec.name!r}: {exc}") from exc
+        for got, item in zip(spec.fields(obj), items):
+            if got is not item and not (type(got) is type(item)
+                                        and type(item) in _EQUAL_IS_SAME
+                                        and got == item):
+                raise ValueError(f"{spec.name!r} changed a decoded field")
+        return obj, pos
+    pos += 1
+    if tag == _INT_POS or tag == _INT_NEG:
+        n = data[pos]
+        pos += 1
+        if n > 0x7F:
+            n, pos = _take_len(data, pos - 1)
+        end = pos + n
+        if end > size:
+            raise ValueError("truncated int")
+        if not n or (not data[pos] and (tag == _INT_NEG or n != 1)):
+            raise ValueError("non-canonical int")
+        value = int.from_bytes(data[pos:end], "big")
+        return (value if tag == _INT_POS else -value), end
+    if tag == _BYTES or tag == _STR:
+        n = data[pos]
+        pos += 1
+        if n > 0x7F:
+            n, pos = _take_len(data, pos - 1)
+        end = pos + n
+        if end > size:
+            raise ValueError("truncated bytes" if tag == _BYTES else "truncated str")
+        raw = data[pos:end]
+        return (raw if tag == _BYTES else str(raw, "utf-8")), end
+    if tag == _DICT:
+        value, pos, _span = _take_dict(data, pos, None)
+        return value, pos
+    if tag == _NONE:
+        return None, pos
+    if tag == _TRUE:
+        return True, pos
+    if tag == _FALSE:
+        return False, pos
+    if tag == _FLOAT:
+        if pos + 8 > size:
+            raise ValueError("truncated float")
+        return _DOUBLE.unpack_from(data, pos)[0], pos + 8
+    raise ValueError(f"unknown tag byte {bytes((tag,))!r}")
+
+
+def _take_dict(data: bytes, pos: int,
+               span_key: str | None) -> tuple[dict, int, tuple[int, int] | None]:
+    """The dict whose length is at *pos*, the offset after it, and the
+    byte span of *span_key*'s value (``None`` when absent)."""
+    n = data[pos]
+    pos += 1
+    if n > 0x7F:
+        n, pos = _take_len(data, pos - 1)
+    if n > (len(data) - pos) // 2:
+        raise ValueError("truncated dict")
+    result: dict[str, Any] = {}
+    prev = span = None
+    for _ in range(n):
+        key, pos = _take(data, pos)
+        if type(key) is not str:
+            raise ValueError("codec dict key must decode to str")
+        if prev is not None and key <= prev:
+            raise ValueError("codec dict keys must be strictly ascending")
+        start = pos
+        result[key], pos = _take(data, pos)
+        if key == span_key:
+            span = (start, pos)
+        prev = key
+    return result, pos, span
+
+
+def _decode(data: bytes, span_key: str | None) -> tuple[Any, bytes | None]:
+    if type(data) is not bytes:
+        data = bytes(data)
+    try:
+        if span_key is not None and data and data[0] == _DICT:
+            value, pos, span = _take_dict(data, 1, span_key)
+        else:
+            (value, pos), span = _take(data, 0), None
+    except IndexError:
+        raise ValueError("truncated value") from None
+    except RecursionError:
+        raise ValueError("value nested too deeply") from None
+    if pos != len(data):
+        raise ValueError("trailing bytes after value")
+    return value, (None if span is None else data[span[0]:span[1]])
 
 
 def decode(data: bytes) -> Any:
-    """Invert :func:`encode`; rejects trailing garbage."""
-    value, pos = _decode_from(data, 0)
-    if pos != len(data):
-        raise ValueError("trailing bytes after value")
-    return value
+    """Invert :func:`encode`; accepts nothing but its image."""
+    return _decode(data, None)[0]
+
+
+def decode_with_span(data: bytes, key: str) -> tuple[Any, bytes | None]:
+    """:func:`decode`, plus the bytes *key*'s value was decoded from.
+
+    The second item is ``None`` unless *data* is a dict holding *key*.
+    By the decode contract it equals ``encode(value[key])``, so wrapping
+    it in :class:`Encoded` writes the same bytes a fresh encode would.
+    """
+    return _decode(data, key)

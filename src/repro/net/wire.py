@@ -43,7 +43,7 @@ import struct
 import zlib
 from typing import Any, Iterator
 
-from repro.net.codec import decode, encode
+from repro.net.codec import decode, decode_with_span, encode
 
 __all__ = [
     "WireError",
@@ -54,6 +54,7 @@ __all__ = [
     "decode_frame",
     "parse_header",
     "decode_payload",
+    "decode_request",
     "FrameDecoder",
     "read_frame",
     "write_frame",
@@ -99,10 +100,26 @@ def parse_header(header: bytes) -> tuple[int, int]:
 
 
 def decode_payload(payload: bytes, crc: int) -> Any:
+    """The value a frame's *payload* carries, once its *crc* checks."""
+    return _checked(decode, payload, crc)
+
+
+def decode_request(payload: bytes, crc: int) -> tuple[Any, bytes | None]:
+    """:func:`decode_payload` for a request frame, plus the bytes its
+    ``payload`` entry was decoded from (``None`` without one).
+
+    The codec accepts only canonical bytes, so that slice *is* the
+    entry's encoding: the service journals it instead of encoding the
+    decoded value again.
+    """
+    return _checked(decode_with_span, payload, crc, "payload")
+
+
+def _checked(decoder, payload: bytes, crc: int, *args: Any) -> Any:
     if zlib.crc32(payload) != crc:
         raise WireError("frame checksum mismatch")
     try:
-        return decode(payload)
+        return decoder(payload, *args)
     except WireError:
         raise
     except ValueError as exc:
@@ -162,7 +179,8 @@ class FrameDecoder:
         the pre-parse admission hook: an overloaded front door consumes
         the frame (staying synchronized on the stream) and sheds it for
         the cost of a 12-byte header parse.  Callers that do want the
-        value pass the tuple to :func:`decode_payload`.
+        value pass the tuple to :func:`decode_payload` (the front door:
+        :func:`decode_request`).
         """
         if self._poisoned is not None:
             raise self._poisoned

@@ -90,7 +90,7 @@ import repro.obs as obs
 from repro.net.wire import (
     FrameDecoder,
     WireError,
-    decode_payload,
+    decode_request,
     encode_frame,
     read_frame,
     write_frame,
@@ -131,6 +131,11 @@ class DispatchCore:
         self._work: queue.Queue = queue.Queue()
         self._route: dict[int, tuple[Any, Any]] = {}  # seq -> (conn, cid)
         self._reply_box: list[dict] = []
+        # id(request) -> the frame's bytes for request["payload"], put
+        # by the door before it enqueues the request and taken when the
+        # request is submitted: the slice rides beside the request, never
+        # inside it, to the service's ``accept`` record
+        self.encoded: dict[int, bytes] = {}
         self._thread: threading.Thread | None = None
         self.served = 0
         # run on the dispatcher thread after each dispatched batch,
@@ -222,6 +227,7 @@ class DispatchCore:
             hook()
 
     def _submit_one(self, conn: Any, request: Any) -> None:
+        encoded = self.encoded.pop(id(request), None)
         if not isinstance(request, dict):
             conn.send({"cid": None, "status": "ERROR",
                        "error": "request must be a dict with a 'kind'"})
@@ -232,7 +238,7 @@ class DispatchCore:
         seq = self.service.submit(
             request.get("sender") or conn.name, request.get("kind"),
             request.get("payload"), now=request.get("now", 0.0),
-            rid=request.get("rid"),
+            rid=request.get("rid"), encoded=encoded,
         )
         self._route[seq] = (conn, request.get("cid"))
 
@@ -296,7 +302,7 @@ class _Conn(asyncio.Protocol):
                     fe._m_busy.inc()
                     self._send_local({"status": "BUSY", "reason": "overload"})
                     continue
-                self._admit(decode_payload(payload, crc))
+                self._admit(*decode_request(payload, crc))
         except WireError as exc:
             # a torn/corrupt frame poisons only this connection
             self._errored = True
@@ -316,14 +322,20 @@ class _Conn(asyncio.Protocol):
         self.frontend._unregister(self)
 
     # -- window / backpressure (event loop thread) ------------------------
-    def _admit(self, request: Any) -> None:
+    def _admit(self, request: Any, encoded: bytes | None) -> None:
         fe = self.frontend
         if self.inflight < fe.window:
             self.inflight += 1
-            fe.core.enqueue(self, request)
+            self._enqueue(request, encoded)
         else:
-            self.backlog.append(request)
+            self.backlog.append((request, encoded))
             self._pause()
+
+    def _enqueue(self, request: Any, encoded: bytes | None) -> None:
+        core = self.frontend.core
+        if encoded is not None:
+            core.encoded[id(request)] = encoded
+        core.enqueue(self, request)
 
     def _pause(self) -> None:
         if self.paused or not self.open:
@@ -573,7 +585,7 @@ class ServiceFrontend:
                 continue
             if conn.backlog and conn.inflight < self.window:
                 conn.inflight += 1
-                self.core.enqueue(conn, conn.backlog.popleft())
+                conn._enqueue(*conn.backlog.popleft())
             if conn.backlog or conn.inflight >= self.window:
                 paused.append(conn)  # still throttled
             else:

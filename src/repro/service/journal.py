@@ -454,7 +454,13 @@ class Journal:
 
     # -- append ------------------------------------------------------------
     def append(self, kind: str, rid: str, op: str, payload: Any) -> int:
-        """Durably record one event; returns its LSN."""
+        """Durably record one event; returns its LSN.
+
+        An :class:`~repro.net.codec.Encoded` inside *payload* is copied
+        into the record verbatim: an ``accept`` record splices the
+        request payload bytes the front door decoded, instead of
+        encoding the decoded value again.
+        """
         if kind not in RECORD_KINDS:
             raise JournalError(f"unknown journal record kind {kind!r}")
         lsn = self._next_lsn

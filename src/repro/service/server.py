@@ -55,6 +55,7 @@ from repro.crypto.partial_blind import PartialBlindSignature
 from repro.ecash.dec import DoubleSpendError
 from repro.ecash.spend import SpendToken
 from repro.crypto.hashing import sha256
+from repro.net.codec import Encoded
 from repro.net.schema import MAX_ID, Field, Message, Table
 from repro.service.admission import AdmissionController
 from repro.service.batcher import (
@@ -372,7 +373,7 @@ class MarketService:
 
     # -- accept ------------------------------------------------------------
     def submit(self, sender: str, kind: str, payload: Any, *, now: float = 0.0,
-               rid: str | None = None) -> int:
+               rid: str | None = None, encoded: bytes | None = None) -> int:
         """Accept one request; returns its sequence number.
 
         The envelope (*sender*, *rid*, *now*) and *payload* are checked
@@ -382,10 +383,14 @@ class MarketService:
         ``reply`` record and no reply-cache entry.
 
         *payload* is taken as given — never copied or normalised; from
-        the front door it is the decoded wire copy, and the journal
-        encodes its own durable copy, so a recovered request never
-        aliases a caller's object.  Admission runs only for crypto kinds
-        — cheap queries never starve behind a full bucket.
+        the front door it is the decoded wire copy.  The ``accept``
+        record holds its own durable bytes, so a recovered request
+        never aliases a caller's object: *encoded*, when the caller has
+        it, is ``encode(payload)`` already — the front door passes the
+        frame's slice, which the canonical codec guarantees — and the
+        journal copies it in verbatim; otherwise the journal encodes
+        *payload*.  Admission runs only for crypto kinds — cheap
+        queries never starve behind a full bucket.
 
         *rid* is the client's stable request id, the key of the
         exactly-once layer over at-least-once delivery: a duplicate of
@@ -458,7 +463,9 @@ class MarketService:
                 state = {"sender": sender, "kind": kind, "seq": seq,
                          "payload": payload}
                 if self.journal is not None:
-                    self.journal.append("accept", rid, kind, state)
+                    durable = state if encoded is None else {
+                        **state, "payload": Encoded(encoded)}
+                    self.journal.append("accept", rid, kind, durable)
                 self._accepted[rid] = state
             self._enqueue(_Pending(seq=seq, sender=sender, kind=kind,
                                    payload=payload, submitted_at=self._clock(),
