@@ -22,7 +22,8 @@ Every party is its :mod:`~repro.core.ppms_dec` actor plus
 (and tallies it for Table I), the machine adds addressing, message
 order and :class:`~repro.core.engine.ProtocolError` on anything forged
 or out of order — an SP rejects a payment before it registered, the MA
-refuses deposits of malformed coins or into someone else's account.
+refuses deposits of malformed coins or into someone else's account, and
+a JO or SP hears only the MA.
 
 A resident answers to two names that nothing joins: its account id,
 under which it withdraws and deposits, and the name of its current
@@ -78,12 +79,7 @@ class MADecMachine(MarketAdministratorDec, Party):
             self.jo_for_job[profile.job_id] = sender
             return [Outbound(sender, "job-published", {"job": profile.job_id})]
         if kind == "withdraw-request":
-            if sender not in self.bank.accounts:
-                raise ProtocolError("withdrawal from unenrolled resident")
-            try:
-                signature = self.handle_withdrawal(sender, payload["request"])
-            except ValueError as exc:
-                raise ProtocolError(str(exc)) from exc
+            signature = self.withdraw(sender, payload["request"])
             return [Outbound(sender, "withdraw-response", {"signature": signature})]
         if kind == "labor-registration":
             jo = self.jo_for_job.get(payload["job"])
@@ -111,21 +107,36 @@ class MADecMachine(MarketAdministratorDec, Party):
             return [Outbound(jo, "data-delivery",
                              {"job": report.job_id, "data": report.payload})]
         if kind == "deposit":
-            if sender not in self.bank.accounts or payload["aid"] != sender:
+            if payload["aid"] != sender:
                 raise ProtocolError("deposit with mismatched account identity")
-            token = payload["coin"]
-            if not isinstance(token, SpendToken):
+            if not isinstance(payload["coin"], SpendToken):
                 raise ProtocolError("malformed coin in deposit")
             if not isinstance(payload["at"], float):
                 raise ProtocolError("malformed deposit time")
-            try:
-                self.handle_deposit(sender, token, payload["at"])
-            except DoubleSpendError as exc:
-                raise ProtocolError(f"double spend: {exc}") from exc
-            except ValueError as exc:
-                raise ProtocolError(f"invalid coin: {exc}") from exc
+            self.deposit(sender, payload)
             return []
         raise ProtocolError(f"MA cannot handle message kind {kind!r}")
+
+    # -- the bank's half (a subclass may put the bank elsewhere) --------------
+    def withdraw(self, aid: str, request: Any) -> Any:
+        """Blind-sign *aid*'s withdrawal request; returns the signature."""
+        if aid not in self.bank.accounts:
+            raise ProtocolError("withdrawal from unenrolled resident")
+        try:
+            return self.handle_withdrawal(aid, request)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
+
+    def deposit(self, aid: str, payload: dict) -> None:
+        """Verify and credit one well-formed ``deposit`` message."""
+        if aid not in self.bank.accounts:
+            raise ProtocolError("deposit into an unenrolled account")
+        try:
+            self.handle_deposit(aid, payload["coin"], payload["at"])
+        except DoubleSpendError as exc:
+            raise ProtocolError(f"double spend: {exc}") from exc
+        except ValueError as exc:
+            raise ProtocolError(f"invalid coin: {exc}") from exc
 
     def _maybe_deliver(self, pseud: bytes) -> list[Outbound]:
         ciphertext = self.payment_for(pseud)
@@ -184,6 +195,8 @@ class JODecMachine(JobOwnerDec, Party):
         return Outbound(MA, "withdraw-request", {"request": self.begin_withdraw(self.counter)})
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
+        if sender != MA:
+            raise ProtocolError(f"JO hears only the MA, not {sender!r}")
         if kind == "job-published":
             self.job_id = payload["job"]
             return []
@@ -205,7 +218,11 @@ class JODecMachine(JobOwnerDec, Party):
         raise ProtocolError(f"JO cannot handle message kind {kind!r}")
 
     def _serve_labor(self, sp_pub: RSAPublicKey) -> list[Outbound]:
-        """Pay the registered worker, withdrawing another coin if needed."""
+        """Pay the registered worker, withdrawing another coin if needed
+        (or waiting for the one already on its way)."""
+        if self._pending_secrets:
+            self._deferred_labor.append(sp_pub)
+            return []
         try:
             ciphertext = self.build_payment(sp_pub, self.payment, self.counter)
         except InsufficientFunds:
@@ -272,6 +289,8 @@ class SPDecMachine(SensingParticipantDec, Party):
         ]
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
+        if sender != MA:
+            raise ProtocolError(f"SP hears only the MA, not {sender!r}")
         if kind == "payment-delivery":
             if self.state is not SPDecState.DATA_SENT:
                 raise ProtocolError("payment delivered out of order")
@@ -289,13 +308,16 @@ class SPDecMachine(SensingParticipantDec, Party):
             self.state = SPDecState.PAID
             out = [Outbound(MA, "payment-confirm", {"pseudonym": self.pseudonym}, sender=self.nym)]
             if self.deposit_from is not None:
-                out += [
-                    Outbound(MA, "deposit", {"aid": self.aid, "coin": token, "at": at})
-                    for at, token in self.deposit_schedule(self.deposit_from)
-                ]
-                self.collected.clear()
+                out += self.deposits()
             return out
         raise ProtocolError(f"SP cannot handle message kind {kind!r}")
+
+    def deposits(self) -> list[Outbound]:
+        """The verified coins' deposits, one at a time, spaced apart."""
+        out = [Outbound(MA, "deposit", {"aid": self.aid, "coin": token, "at": at})
+               for at, token in self.deposit_schedule(self.deposit_from)]
+        self.collected.clear()
+        return out
 
 
 class PPMSdecSession:

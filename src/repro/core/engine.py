@@ -118,7 +118,9 @@ class Router:
         self._enqueue(party, party.start())
 
     def post(self, sender: str, out: Outbound) -> None:
-        """Inject a message from outside (e.g. a driver or an attacker)."""
+        """Queue a message for delivery: a party's own, or one injected
+        from outside (e.g. a driver or an attacker).  Every message
+        passes here, so a router on another clock overrides this."""
         self._queue.append((sender, out))
 
     def run(self, *, max_deliveries: int = 100_000) -> int:
@@ -156,7 +158,7 @@ class Router:
             name = party.name if out.sender is None else out.sender
             if self.parties.get(name) is not party:
                 raise ValueError(f"party {party.name!r} cannot send as {name!r}")
-            self._queue.append((name, out))
+            self.post(name, out)
 
     def _role(self, name: str) -> str:
         party = self.parties.get(name)

@@ -7,8 +7,8 @@ Each party from Section V is its :mod:`~repro.core.ppms_pbs` actor plus
 reactions to envelopes — the shape a deployed client/daemon has.
 Per-SP conversations are keyed by the SP's ephemeral pseudonym
 fingerprint, and every handler validates the session state before
-acting, rejecting out-of-order or replayed messages with
-:class:`~repro.core.engine.ProtocolError`.
+acting, rejecting out-of-order or replayed messages — and a JO or SP
+anything not from the MA — with :class:`~repro.core.engine.ProtocolError`.
 
 The order of Algorithm 4's steps is written here, in the handlers, and
 nowhere else (all via the MA, as the system model requires):
@@ -117,12 +117,16 @@ class MAMachine(MarketAdministratorPbs, Party):
                 value=payload["sig"], counter=payload["ctr"],
                 common_info=payload["serial"],
             )
-            try:
-                self.handle_deposit(signature, payload["sp_key"], payload["jo_key"])
-            except ValueError as exc:
-                raise ProtocolError(str(exc)) from exc
+            self.deposit(sender, signature, payload)
             return []
         raise ProtocolError(f"MA cannot handle message kind {kind!r}")
+
+    def deposit(self, sender: str, signature: PartialBlindSignature, payload: dict) -> None:
+        """The bank's half of a deposit: move the coin's unit."""
+        try:
+            self.handle_deposit(signature, payload["sp_key"], payload["jo_key"])
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
 
     def _maybe_deliver(self, pseud: bytes) -> list[Outbound]:
         payment = self.payment_for(pseud)
@@ -162,6 +166,8 @@ class JOMachine(JobOwnerPbs, Party):
         }, sender=self.nym)]
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
+        if sender != MA:
+            raise ProtocolError(f"JO hears only the MA, not {sender!r}")
         if kind == "job-published":
             self.job_id = payload["job"]
             return []
@@ -223,6 +229,8 @@ class SPMachine(SensingParticipantPbs, Party):
                           "blob": self._labor_request}, sender=self.nym)]
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
+        if sender != MA:
+            raise ProtocolError(f"SP hears only the MA, not {sender!r}")
         if kind == "labor-answer-fwd":
             if self.state is not SPState.REGISTERED:
                 raise ProtocolError("labor answer out of order")

@@ -83,9 +83,13 @@ class MarketAdministratorDec(MarketDesk):
         super().__init__()
         self.params = params
         self.counter = counter
-        self.bank = DECBank.create(params, rng)
+        self.bank = self.make_bank(rng)
         self.deposit_events: list[DepositEvent] = []
         self.clock = 0.0
+
+    def make_bank(self, rng: random.Random) -> DECBank:
+        """The bank behind the desk (a subclass may keep it elsewhere)."""
+        return DECBank.create(self.params, rng)
 
     # -- bank relay -----------------------------------------------------------
     def handle_withdrawal(self, aid: str, request) -> object:
@@ -148,10 +152,12 @@ class JobOwnerDec:
         return request
 
     def finish_withdraw(self, signature: object, bank_pk: object, counter: OpCounter) -> None:
-        """Turn the answer to the oldest pending request into a coin."""
+        """Turn the answer to the oldest pending request into a coin (an
+        answer that fails verification leaves the request pending)."""
         counter.record(JO, "Dec")  # verify the blindly issued signature
         self._bank_pk = bank_pk
-        coin = finish_withdrawal(self.params, bank_pk, self._pending_secrets.pop(0), signature)
+        coin = finish_withdrawal(self.params, bank_pk, self._pending_secrets[0], signature)
+        self._pending_secrets.pop(0)
         self.coins.append((coin, coin.wallet()))
 
     def withdraw(self, ma: MarketAdministratorDec, transport: Transport, counter: OpCounter) -> None:
@@ -169,13 +175,24 @@ class JobOwnerDec:
     ) -> int:
         """Return unspent coin value to the JO's own account.
 
-        Greedily allocates the largest still-available node of every
-        withdrawn coin and deposits it like any other spend.  Change
-        deposits are exactly as unlinkable as worker deposits, so doing
-        this leaks nothing beyond the account's balance change.
-        Returns the total value deposited.
+        Deposits :meth:`change_tokens` like any other spend and returns
+        the total value deposited.
         """
         total = 0
+        for token in self.change_tokens(counter):
+            sent = transport.send(JO, MA, "deposit", {"aid": self.aid, "coin": token})
+            total += ma.handle_deposit(self.aid, sent["coin"], ma.clock + 1.0)
+        return total
+
+    def change_tokens(self, counter: OpCounter) -> list[SpendToken]:
+        """Spend tokens for everything the withdrawn coins still hold.
+
+        Greedily allocates the largest still-available node of every
+        withdrawn coin.  Change deposits are exactly as unlinkable as
+        worker deposits, so depositing them leaks nothing beyond the
+        account's balance change.
+        """
+        tokens = []
         for coin, wallet in self.coins:
             while wallet.balance > 0:
                 denom = 1 << (wallet.balance.bit_length() - 1)
@@ -192,9 +209,8 @@ class JobOwnerDec:
                     self.params, self._bank_pk, coin.secret, coin.signature, node, self.rng
                 )
                 counter.record(JO, "ZKP", 1 + len(token.edges) + 1)
-                sent = transport.send(JO, MA, "deposit", {"aid": self.aid, "coin": token})
-                total += ma.handle_deposit(self.aid, sent["coin"], ma.clock + 1.0)
-        return total
+                tokens.append(token)
+        return tokens
 
     def _allocate(self, denominations: list[int]) -> list[tuple[Coin, "object"]]:
         """Reserve nodes for a break plan, possibly spanning coins.

@@ -148,7 +148,11 @@ class MarketAdministratorPbs(MarketDesk):
     def __init__(self, counter: OpCounter) -> None:
         super().__init__()
         self.counter = counter
-        self.bank = VirtualBankPbs()
+        self.bank = self.make_bank()
+
+    def make_bank(self) -> VirtualBankPbs:
+        """The bank behind the desk (a subclass may keep it elsewhere)."""
+        return VirtualBankPbs()
 
     def handle_deposit(
         self,

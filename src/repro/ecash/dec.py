@@ -132,6 +132,8 @@ def finish_withdrawal(
     params: DECParams, bank_pk: CLPublicKey, secret: int, signature: CLSignature
 ) -> Coin:
     """Client move 2: verify the blindly issued signature, mint the coin."""
+    if not isinstance(signature, CLSignature):
+        raise ValueError(f"not a CL signature: {type(signature).__name__}")
     cl_blind_unwrap(params.backend, bank_pk, secret, signature)
     return Coin(secret=secret, signature=signature, level=params.tree_level)
 

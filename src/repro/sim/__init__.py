@@ -1,5 +1,6 @@
-"""Discrete-event market simulation: events engine, party state
-machines, and the seeded campaign engine over the live service."""
+"""Discrete-event market simulation: events engine, the timing-attack
+simulation, and the seeded campaign engine that runs the protocol
+machines over the live service."""
 
 from repro.sim.campaign import (
     CAMPAIGNS,
@@ -18,24 +19,6 @@ from repro.sim.market_sim import (
     SimulationTrace,
     run_timing_attack,
 )
-from repro.sim.party import (
-    IllegalTransition,
-    JobOwnerParty,
-    MaliciousMAParty,
-    MAParty,
-    OmissionSP,
-    Party,
-    PartyContext,
-    PartyEvent,
-    PbsJobOwnerParty,
-    PbsSensingParty,
-    RecordingContext,
-    ReplaySP,
-    RingLeader,
-    RingMember,
-    SensingParty,
-    TERMINAL_STATES,
-)
 from repro.sim.report import CampaignReport, canonical_json
 
 __all__ = [
@@ -45,23 +28,6 @@ __all__ = [
     "MarketSimulation",
     "SimulationTrace",
     "run_timing_attack",
-    # party machines
-    "Party",
-    "PartyContext",
-    "PartyEvent",
-    "IllegalTransition",
-    "RecordingContext",
-    "TERMINAL_STATES",
-    "JobOwnerParty",
-    "SensingParty",
-    "OmissionSP",
-    "ReplaySP",
-    "RingLeader",
-    "RingMember",
-    "MAParty",
-    "MaliciousMAParty",
-    "PbsJobOwnerParty",
-    "PbsSensingParty",
     # campaigns
     "Campaign",
     "CampaignConfig",

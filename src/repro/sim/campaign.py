@@ -1,14 +1,18 @@
 """Seeded, replayable market-economy campaigns against the live service.
 
-A campaign is thousands of :mod:`repro.sim.party` state machines —
+A campaign runs the engine machines of Algorithms 1 and 4
+(:mod:`repro.core.dec_machine`, :mod:`repro.core.pbs_machine`) —
 job owners, sensing participants, double-spend rings, a (possibly
-malicious) market administrator — running full PPMSdec and PPMSpbs
-lifecycles over the :class:`~repro.sim.events.EventQueue`, with every
-protocol effect executed against the **real**
+malicious) market administrator — through full PPMSdec and PPMSpbs
+lifecycles.  Every job message is relayed by the MA under one-job
+pseudonyms, and each message is one event on the campaign's
+:class:`~repro.sim.events.EventQueue`, a seeded network latency after
+it was sent.  The MAs' bank half runs on the **real**
 :class:`~repro.service.server.MarketService` through one of the shared
 gateways (:mod:`repro.service.gateway`: in process by default, or over
 :class:`~repro.service.frontend.ServiceFrontend` sockets, or routed
 into a :class:`~repro.cluster.node.LocalCluster`).
+:mod:`repro.sim.party` holds what a campaign overrides.
 
 Everything is derived from one seed: party RNGs, arrival times,
 network latency, deposit waits, fault schedules, RSA keys, ZK
@@ -21,10 +25,10 @@ Adversaries compose :mod:`repro.attacks`:
 
 * a malicious MA runs the denomination attack
   (:func:`~repro.attacks.denomination.run_denomination_attack`) over
-  the deposit stream the bank admitted, sweeping the configured
-  coin-break algorithm (unitary / PCBA / EPCBA);
-* double-spend rings fence conflicting spends of one wallet node
-  (:mod:`repro.attacks.rings`) to accomplice accounts — the campaign
+  its own PPMSdec board and the deposit stream the bank admitted,
+  sweeping the configured coin-break algorithm (unitary / PCBA / EPCBA);
+* double-spend rings deposit conflicting spends of one wallet node
+  (:mod:`repro.attacks.rings`) under several accounts — the campaign
   asserts at most one admission per ring and that every rejection's
   evidence names the account that deposited first;
 * replay SPs re-deposit spent tokens under fresh request ids;
@@ -33,26 +37,21 @@ Adversaries compose :mod:`repro.attacks`:
 * drop/duplicate/reorder faults from :mod:`repro.testing.faults`
   perturb honest deposit streams.
 
-After the run the engine feeds the admitted deposit stream to the MA,
-computes detection metrics and economy-wide value conservation, and
-sweeps the substrate with the recovery / cluster invariant checkers.
+After the run the engine resolves the deposit stream, lets the MA
+conclude, computes detection metrics and economy-wide value
+conservation, and sweeps the substrate with the recovery / cluster
+invariant checkers.  Every delivery a machine rejected is a finding.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
-from repro.attacks.rings import (
-    begin_ring_withdrawal,
-    conflicting_spends,
-    evidence_prior_account,
-    finish_ring_withdrawal,
-)
-from repro.core.ppms_dec import JobOwnerDec, SensingParticipantDec
-from repro.core.ppms_pbs import JobOwnerPbs, SensingParticipantPbs
+from repro.attacks.rings import evidence_prior_account
+from repro.core.engine import Outbound, Router
 from repro.metrics.opcount import OpCounter
 from repro.service.batcher import VerificationBatcher
 from repro.service.frontend import ServiceFrontend
@@ -63,22 +62,19 @@ from repro.service.shard import ShardedBank
 from repro.sim.events import EventQueue
 from repro.sim.market_sim import DepositPolicy
 from repro.sim.party import (
-    JobOwnerParty,
-    MaliciousMAParty,
-    MAParty,
+    DecDesk,
+    DecJO,
+    DecSP,
+    MaliciousMA,
     OmissionSP,
-    Party,
-    PartyContext,
-    PartyEvent,
-    PbsJobOwnerParty,
-    PbsSensingParty,
+    PbsDesk,
+    PbsJO,
+    PbsSP,
     ReplaySP,
-    RingLeader,
-    RingMember,
-    SensingParty,
+    Ring,
 )
 from repro.sim.report import CampaignReport
-from repro.testing.faults import FaultPlan, FaultyTransport
+from repro.testing.faults import FaultPlan
 from repro.testing.invariants import check_recovery_invariants
 from repro.testing.scenario import toy_market_params
 
@@ -180,9 +176,9 @@ class _MarketLink:
 
     The gateway (:mod:`repro.service.gateway`, or the cluster router) is
     how requests reach the market; this class keeps what only a campaign
-    needs.  ``call`` is synchronous (open-account, withdraw, balance
-    queries); ``deposit`` joins the deposit stream whose verdicts are
-    resolved after the queue drains.  Duplicate request ids
+    needs.  ``call`` is synchronous (account opening, withdrawal,
+    PPMSpbs deposit); ``deposit`` joins the PPMSdec deposit stream whose
+    verdicts are resolved after the queue drains.  Duplicate request ids
     (fault-injected re-sends) resolve to one verdict — the exactly-once
     layer is part of what the campaign exercises.
     """
@@ -213,20 +209,21 @@ class _MarketLink:
         self._tally(status)
         return status, body
 
-    def deposit(self, sender: str, rid: str, payload: Any, *,
-                wait: bool = False) -> tuple[str, dict] | None:
-        """Join the deposit stream the MA observes; tallied at resolution.
+    def open(self, sender: str, kind: str, payload: Any) -> None:
+        """Open an account (``open-account`` or ``pbs-open-account``)."""
+        status, body = self.call(sender, kind, payload, rid=f"{sender}:open")
+        if status != "OK":
+            raise RuntimeError(f"{kind} for {sender!r} failed: {body}")
 
-        With *wait* (change deposits) the verdict is returned; otherwise
-        it may stay pending until :meth:`resolve_deposits`.
-        """
+    def deposit(self, sender: str, rid: str, payload: Any) -> None:
+        """Join the deposit stream the MA observes; tallied at resolution
+        (until :meth:`resolve_deposits` the verdict may stay pending)."""
         self._deposit_order.append((sender, rid))
-        if self._service is not None and not wait:
+        if self._service is not None:
             self._service.submit(sender, "deposit", payload, now=0.0, rid=rid)
             self._service.step()
-            return None
+            return
         self._answered[rid] = self._request(sender, "deposit", payload, rid)
-        return self._answered[rid]
 
     def resolve_deposits(self) -> list[dict[str, Any]]:
         """Deposit verdicts in submission order, deduped by rid."""
@@ -314,196 +311,75 @@ def _open_market(config: CampaignConfig, params, keypair) -> _MarketLink:
 
 
 # ---------------------------------------------------------------------------
-# MA adapter: the actor layer's MA interface over a gateway
+# the network: engine routers on the campaign clock
 # ---------------------------------------------------------------------------
 
-class _BankFacade:
-    def __init__(self, public_key) -> None:
-        self.public_key = public_key
+class _Network(Router):
+    """An engine router whose every message is one event on the
+    campaign's queue, delivered a seeded network latency after it was
+    sent — a deposit after its ``at`` too, its sender's wait."""
 
+    def __init__(self, queue: EventQueue, latency, trace: list) -> None:
+        super().__init__()
+        self.queue, self._latency, self.trace = queue, latency, trace
 
-class _ServiceMAAdapter:
-    """Duck-types ``MarketAdministratorDec`` for the actor classes.
+    def post(self, sender: str, out: Outbound) -> None:
+        at = self.queue.now
+        if out.kind == "deposit":
+            at = max(at, out.payload["at"])
+        self.queue.schedule(at + self._latency(), lambda: self._deliver(sender, out))
 
-    :class:`~repro.core.ppms_dec.JobOwnerDec` calls
-    ``ma.handle_withdrawal`` / ``ma.handle_deposit`` and reads
-    ``ma.bank.public_key`` and ``ma.clock``; this adapter forwards
-    those to the campaign's market link, so the actor-layer protocol code
-    runs unmodified against the real service.
-    """
-
-    clock = 0.0
-
-    def __init__(self, campaign: "Campaign") -> None:
-        self._campaign = campaign
-        self.bank = _BankFacade(campaign.keypair.public)
-        self._wd: dict[str, int] = {}
-        self._chg: dict[str, int] = {}
-
-    def handle_withdrawal(self, aid: str, request) -> object:
-        n = self._wd[aid] = self._wd.get(aid, 0) + 1
-        status, body = self._campaign.market.call(
-            aid, "withdraw", {"aid": aid, "request": request}, rid=f"{aid}:wd:{n}"
-        )
-        if status != "OK":
-            raise RuntimeError(f"withdrawal for {aid!r} refused: {body}")
-        self._campaign.issued += self._campaign.coin_value
-        return body["signature"]
-
-    def handle_deposit(self, aid: str, token, at_time: float) -> int:
-        n = self._chg[aid] = self._chg.get(aid, 0) + 1
-        # change deposits join the deposit stream the MA observes
-        status, body = self._campaign.market.deposit(
-            aid, f"{aid}:chg:{n}", {"aid": aid, "token": token}, wait=True
-        )
-        return body.get("amount", 0) if status == "OK" else 0
+    def _deliver(self, sender: str, out: Outbound) -> None:
+        self.trace.append((self.queue.now, out.receiver, out.kind))
+        super()._deliver(sender, out)
 
 
 # ---------------------------------------------------------------------------
 # the campaign engine
 # ---------------------------------------------------------------------------
 
-class Campaign(PartyContext):
-    """One seeded run of a party roster against the live market.
+class Campaign:
+    """One seeded run of a roster of engine machines against the live market.
 
-    Implements :class:`~repro.sim.party.PartyContext`: the parties call
-    back into the campaign for every protocol effect, and the campaign
-    routes those through the market link, meters them, and keeps the
-    economy-wide ledgers the report is built from.
+    Each scheme has its MA (:attr:`dec`, :attr:`pbs`) on its own
+    network (:attr:`dec_net`, :attr:`pbs_net`); :attr:`residents` maps
+    each campaign name to its machine (a ring answers to every ring
+    account's name).
     """
 
     def __init__(self, config: CampaignConfig, params, keypair) -> None:
         self.config = config
         self.params = params
         self.keypair = keypair
-        self.tree_level = params.tree_level
+        self.coin_value = 1 << params.tree_level
         self.counter = OpCounter()
         self.queue = EventQueue()
         self.market = _open_market(config, params, keypair)
-        self.ma_adapter = _ServiceMAAdapter(self)
-        # actor-side envelope metering + codec (no crash points scripted)
-        self.wire = FaultyTransport()
-        self.parties: dict[str, Party] = {}
-        self.truth: dict[str, str] = {}  # sp account -> true job id
-        self.rings: list[tuple[RingLeader, tuple[str, ...]]] = []
-        self.funded = 0
-        self.issued = 0
-        self.pbs_funded = 0
-        self.pbs_keys: dict[str, tuple[int, int]] = {}  # party -> account key
+        desk = MaliciousMA if config.malicious_ma else DecDesk
+        self.dec = desk(self.market, params, self.counter)
+        self.pbs = PbsDesk(self.market, self.counter)
         self.trace: list[tuple[float, str, str]] = []
+        self.dec_net = _Network(self.queue, self._latency, self.trace)
+        self.pbs_net = _Network(self.queue, self._latency, self.trace)
+        self.dec_net.add(self.dec)
+        self.pbs_net.add(self.pbs)
+        self.residents: dict[str, Any] = {}
+        self.truth: dict[str, str] = {}  # sp account -> its job on the board
+        self.rings: list[Ring] = []
+        #: the resolved deposit stream, in submission order (after :meth:`run`)
+        self.deposits: list[dict[str, Any]] = []
+        self._workers: dict[str, list] = {}  # job owner -> SPs not yet recruited
         self._rngs: dict[str, random.Random] = {}
         self._net_rng = random.Random(f"{config.seed}:#net")
-        self._current: str | None = None
 
-    # -- PartyContext ------------------------------------------------------
     def rng_for(self, name: str) -> random.Random:
         if name not in self._rngs:
             self._rngs[name] = random.Random(f"{self.config.seed}:{name}")
         return self._rngs[name]
 
-    def send(self, to: str, kind: str, payload: Any = None, *,
-             delay: float = 0.0) -> None:
-        latency = 0.0
-        if to != self._current and self.config.delivery_latency_mean > 0:
-            latency = self._net_rng.expovariate(
-                1.0 / self.config.delivery_latency_mean
-            )
-        event = PartyEvent(kind, payload)
-        self.queue.schedule_in(delay + latency, lambda: self._deliver(to, event))
-
-    def open_account(self, party: Party, balance: int) -> None:
-        status, body = self.market.call(
-            party.name, "open-account",
-            {"aid": party.name, "balance": balance}, rid=f"{party.name}:open",
-        )
-        if status != "OK":
-            raise RuntimeError(f"open-account for {party.name!r} failed: {body}")
-        self.funded += balance
-
-    def new_dec_jo(self, party: Party) -> JobOwnerDec:
-        return JobOwnerDec(
-            party.name, self.params, party.rng,
-            rsa_bits=self.config.rsa_bits,
-            break_algorithm=self.config.break_algorithm,
-        )
-
-    def new_dec_sp(self, party: Party) -> SensingParticipantDec:
-        return SensingParticipantDec(
-            party.name, self.params, party.rng, rsa_bits=self.config.rsa_bits
-        )
-
-    def dec_withdraw(self, party: Party, actor: JobOwnerDec) -> None:
-        actor.withdraw(self.ma_adapter, self.wire, self.counter)
-
-    def dec_build_payment(self, party: Party, actor: JobOwnerDec,
-                          sp_pubkey, payment: int):
-        return actor.build_payment(sp_pubkey, payment, self.counter)
-
-    def dec_open_payment(self, party: Party, actor: SensingParticipantDec,
-                         ciphertext, jo_pubkey):
-        return actor.open_payment(
-            ciphertext, jo_pubkey, self.keypair.public, self.counter
-        )
-
-    def dec_deposit_change(self, party: Party, actor: JobOwnerDec) -> int:
-        return actor.deposit_change(self.ma_adapter, self.wire, self.counter)
-
-    def deposit_async(self, party: Party, rid: str, token) -> None:
-        self.market.deposit(party.name, rid, {"aid": party.name, "token": token})
-
-    def ring_withdraw_tokens(self, party: Party, *, denomination: int,
-                             count: int) -> list:
-        secret, request = begin_ring_withdrawal(self.params, party.rng)
-        status, body = self.market.call(
-            party.name, "withdraw",
-            {"aid": party.name, "request": request}, rid=f"{party.name}:wd",
-        )
-        if status != "OK":
-            raise RuntimeError(f"ring withdrawal for {party.name!r} refused: {body}")
-        self.issued += self.coin_value
-        coin = finish_ring_withdrawal(
-            self.params, self.keypair.public, secret, body["signature"]
-        )
-        return conflicting_spends(
-            self.params, self.keypair.public, coin,
-            denomination=denomination, count=count, rng=party.rng,
-        )
-
-    def new_pbs_jo(self, party: Party) -> JobOwnerPbs:
-        return JobOwnerPbs(party.rng, rsa_bits=self.config.rsa_bits)
-
-    def new_pbs_sp(self, party: Party) -> SensingParticipantPbs:
-        return SensingParticipantPbs(party.rng, rsa_bits=self.config.rsa_bits)
-
-    def pbs_open_account(self, party: Party, pubkey, balance: int) -> None:
-        key = (pubkey.n, pubkey.e)
-        status, body = self.market.call(
-            party.name, "pbs-open-account", {"key": key, "balance": balance},
-            rid=f"{party.name}:open",
-        )
-        if status != "OK":
-            raise RuntimeError(f"pbs-open-account for {party.name!r} failed: {body}")
-        self.pbs_keys[party.name] = key
-        self.pbs_funded += balance
-
-    def pbs_deposit(self, party: Party, rid: str, receipt) -> str:
-        status, _body = self.market.call(party.name, "pbs-deposit", {
-            "sig": receipt.signature, "sp_key": self.pbs_keys[party.name],
-            "jo_key": receipt.jo_account_key}, rid=rid)
-        return status
-
-    # -- delivery ----------------------------------------------------------
-    def _deliver(self, to: str, event: PartyEvent) -> None:
-        party = self.parties.get(to)
-        if party is None:
-            return  # late delivery to a party that was never rostered
-        self.trace.append((self.queue.now, to, event.kind))
-        prev = self._current
-        self._current = to
-        try:
-            party.handle(event)
-        finally:
-            self._current = prev
+    def _latency(self) -> float:
+        mean = self.config.delivery_latency_mean
+        return self._net_rng.expovariate(1.0 / mean) if mean > 0 else 0.0
 
     def _trace_digest(self) -> str:
         lines = "\n".join(
@@ -512,8 +388,8 @@ class Campaign(PartyContext):
         return hashlib.sha256(lines.encode()).hexdigest()
 
     # -- roster ------------------------------------------------------------
-    def _build_roster(self) -> list[Party]:
-        """Create every party; returns the ones that need a ``start``."""
+    def _build_roster(self) -> list:
+        """Create every resident; returns the arrival actions, in order."""
         cfg = self.config
         roster_rng = self.rng_for("#roster")
         policy = (
@@ -521,91 +397,122 @@ class Campaign(PartyContext):
             if cfg.deposit_wait_mean > 0 else DepositPolicy.immediate()
         )
         faulty = cfg.drop_rate > 0 or cfg.duplicate_rate > 0 or cfg.reorder_rate > 0
-        ma = (MaliciousMAParty if cfg.malicious_ma else MAParty)("ma", self)
-        self.parties[ma.name] = ma
-        starters: list[Party] = [ma]
+        arrivals = []
 
         replay_quota = cfg.replay_sps
         omission_quota = cfg.omission_sps
         fault_seq = 0
         for i in range(cfg.n_dec_jobs):
-            job_id = f"job-{i}"
             n_sps = roster_rng.randint(cfg.min_sps, cfg.max_sps)
             payment = roster_rng.choice(cfg.payment_choices)
-            sp_names = []
+            sps = []
             for j in range(n_sps):
                 name = f"sp-{i}-{j}"
+                cls, plan = DecSP, None
                 if replay_quota > 0:
                     replay_quota -= 1
-                    sp = ReplaySP(name, self, policy=policy, ma_name=ma.name)
+                    cls = ReplaySP
                 elif omission_quota > 0:
                     omission_quota -= 1
-                    sp = OmissionSP(name, self, policy=policy, ma_name=ma.name)
-                else:
-                    plan = None
-                    if faulty:
-                        fault_seq += 1
-                        plan = FaultPlan(
-                            seed=cfg.seed * 100_003 + fault_seq,
-                            drop=cfg.drop_rate,
-                            duplicate=cfg.duplicate_rate,
-                            reorder=cfg.reorder_rate,
-                            max_slip=cfg.max_slip,
-                        )
-                    sp = SensingParty(
-                        name, self, policy=policy, fault_plan=plan, ma_name=ma.name
+                    cls = OmissionSP
+                elif faulty:
+                    fault_seq += 1
+                    plan = FaultPlan(
+                        seed=cfg.seed * 100_003 + fault_seq,
+                        drop=cfg.drop_rate,
+                        duplicate=cfg.duplicate_rate,
+                        reorder=cfg.reorder_rate,
+                        max_slip=cfg.max_slip,
                     )
-                self.parties[name] = sp
-                self.truth[name] = job_id
-                sp_names.append(name)
-            jo = JobOwnerParty(
-                f"jo-{i}", self, job_id=job_id, payment=payment,
-                sp_names=tuple(sp_names),
-                funds=(n_sps + 1) * self.coin_value, ma_name=ma.name,
-            )
-            self.parties[jo.name] = jo
-            starters.append(jo)
+                sps.append(self._resident(name, cls(
+                    name, self.params, self.rng_for(name), self.counter,
+                    rsa_bits=cfg.rsa_bits, clock=self.queue, policy=policy, plan=plan)))
+            name = f"jo-{i}"
+            jo = self._resident(name, DecJO(
+                name, self.params, self.rng_for(name), self.counter,
+                rsa_bits=cfg.rsa_bits, break_algorithm=cfg.break_algorithm,
+                clock=self.queue, recruit=self._recruit_dec, workers=n_sps))
+            self._workers[jo.name] = sps
+            arrivals.append(lambda jo=jo, payment=payment, funds=(n_sps + 1) * self.coin_value:
+                            self._post_dec_job(jo, payment, funds))
 
         for r in range(cfg.double_spend_rings):
-            members = tuple(
-                f"ring{r}-m{j}" for j in range(cfg.ring_size - 1)
-            )
-            for name in members:
-                member = RingMember(name, self)
-                self.parties[name] = member
-                starters.append(member)
-            leader = RingLeader(f"ring{r}-leader", self, members=members)
-            self.parties[leader.name] = leader
-            starters.append(leader)
-            self.rings.append((leader, members))
+            name = f"ring{r}-leader"
+            members = tuple(f"ring{r}-m{j}" for j in range(cfg.ring_size - 1))
+            ring = Ring(name, members, self.params, self.keypair.public,
+                        self.rng_for(name), self.queue)
+            self.rings.append(ring)
+            self.residents.update(dict.fromkeys(ring.accounts, ring))
+            arrivals.append(lambda ring=ring: self._arm_ring(ring))
 
         for i in range(cfg.n_pbs_jobs):
             n_sps = roster_rng.randint(cfg.min_sps, cfg.max_sps)
-            sp_names = []
+            sps = []
             for j in range(n_sps):
                 name = f"pbs-sp-{i}-{j}"
-                self.parties[name] = PbsSensingParty(name, self, policy=policy)
-                sp_names.append(name)
-            jo = PbsJobOwnerParty(
-                f"pbs-jo-{i}", self, job_id=f"pbs-job-{i}",
-                sp_names=tuple(sp_names), funds=n_sps + 1, ma_name=ma.name,
-            )
-            self.parties[jo.name] = jo
-            starters.append(jo)
-        return starters
+                sps.append(self._resident(name, PbsSP(
+                    self.rng_for(name), self.counter, rsa_bits=cfg.rsa_bits,
+                    clock=self.queue, policy=policy)))
+            name = f"pbs-jo-{i}"
+            jo = self._resident(name, PbsJO(
+                self.rng_for(name), self.counter, rsa_bits=cfg.rsa_bits,
+                recruit=self._recruit_pbs, workers=n_sps))
+            self._workers[jo.name] = sps
+            arrivals.append(lambda jo=jo, funds=n_sps + 1: self._post_pbs_job(jo, funds))
+        return arrivals
+
+    def _resident(self, name: str, party):
+        self.residents[name] = party
+        return party
+
+    @staticmethod
+    def _join(net: _Network, party, *aliases: str) -> None:
+        net.add(party, *aliases)
+        net.activate(party.name)
+
+    # -- arrivals: each resident opens its account when it shows up ----------
+    def _post_dec_job(self, jo: DecJO, payment: int, funds: int) -> None:
+        self.dec.open_account(jo.aid, funds)
+        jo.begin_job("sensing job", payment, self.keypair.public)
+        self._join(self.dec_net, jo, jo.nym)
+
+    def _recruit_dec(self, jo: DecJO) -> None:
+        """The job is on the board: its workers take it (once; a second
+        ``job-published`` recruits nobody)."""
+        sps = self._workers.pop(jo.name, ())
+        if not sps:
+            return
+        job = self.dec.board.lookup(jo.job_id)
+        for sp in sps:
+            self.dec.open_account(sp.aid, 0)
+            sp.bind(job, jo.job_key.public, self.keypair.public, b"sensing-data",
+                    self.queue.now)
+            self.truth[sp.aid] = job.job_id
+            self._join(self.dec_net, sp, sp.nym)
+
+    def _arm_ring(self, ring: Ring) -> None:
+        self.dec.open_account(ring.name, self.coin_value)
+        for member in ring.accounts[1:]:
+            self.dec.open_account(member, 0)
+        self._join(self.dec_net, ring, *ring.accounts[1:])
+
+    def _post_pbs_job(self, jo: PbsJO, funds: int) -> None:
+        self.pbs.open_account(jo.account_pub, funds)
+        jo.begin_job("unitary sensing job")
+        self._join(self.pbs_net, jo, jo.nym)
+
+    def _recruit_pbs(self, jo: PbsJO) -> None:
+        sps = self._workers.pop(jo.name, ())
+        if not sps:
+            return
+        job = self.pbs.board.lookup(jo.job_id)
+        for sp in sps:
+            self.pbs.open_account(sp.account_pub, 0)
+            sp.bind(job, jo.job_key.public, b"sensing-data", True)
+            self._join(self.pbs_net, sp, sp.nym)
 
     # -- analysis ----------------------------------------------------------
-    def _feed_ma(self, deposits: list[dict[str, Any]], ma: MAParty) -> None:
-        """The MA sees the admission stream the bank saw, in order."""
-        for entry in deposits:
-            if entry["status"] != "OK":
-                continue
-            ma.handle(PartyEvent("observe-deposit", {
-                "aid": entry["party"], "amount": entry["body"].get("amount", 0),
-            }))
-        ma.handle(PartyEvent("conclude", {"truth": dict(self.truth)}))
-
-    def _detections(self, deposits: list[dict[str, Any]], ma: MAParty, *,
+    def _detections(self, deposits: list[dict[str, Any]], *,
                     cross_node_flags: int = 0) -> dict[str, dict[str, Any]]:
         by_rid = {e["rid"]: e for e in deposits}
         detections: dict[str, dict[str, Any]] = {}
@@ -613,20 +520,18 @@ class Campaign(PartyContext):
         if self.rings:
             total = admitted = rejected = extras = 0
             revealed = True
-            for leader, members in self.rings:
-                accounts = {leader.name, *members}
-                rids = [leader.deposit_rid] + [f"{m}:fence" for m in members]
+            for ring in self.rings:
                 ring_admitted = 0
-                for rid in rids:
-                    entry = by_rid.get(rid)
+                for aid in ring.accounts:
+                    entry = by_rid.get(f"{aid}:fence")
                     if entry is None:
-                        continue  # a fence that never landed (faulted away)
+                        continue  # a spend that never landed
                     total += 1
                     if entry["status"] == "OK":
                         ring_admitted += 1
                     elif entry["status"] == "REJECTED":
                         rejected += 1
-                        if evidence_prior_account(entry["body"]) not in accounts:
+                        if evidence_prior_account(entry["body"]) not in ring.accounts:
                             revealed = False
                 admitted += ring_admitted
                 extras += max(0, ring_admitted - 1)
@@ -650,13 +555,13 @@ class Campaign(PartyContext):
             }
 
         replayers = [
-            p for p in self.parties.values() if isinstance(p, ReplaySP)
+            p for p in self.residents.values() if isinstance(p, ReplaySP)
         ]
         if replayers:
             attempts = rejected = 0
             for sp in replayers:
-                for rid in sp.replay_rids:
-                    entry = by_rid.get(rid)
+                for rid in sp.sent:
+                    entry = by_rid.get(rid) if ":replay:" in rid else None
                     if entry is None:
                         continue
                     attempts += 1
@@ -669,9 +574,9 @@ class Campaign(PartyContext):
                 "detection_rate": (rejected / attempts) if attempts else 0.0,
             }
 
-        if isinstance(ma, MaliciousMAParty) and ma.results:
-            aids = sorted(ma.results)
-            results = [ma.results[aid] for aid in aids]
+        if self.dec.results:
+            aids = sorted(self.dec.results)
+            results = [self.dec.results[aid] for aid in aids]
             sizes = [r.anonymity_set_size for r in results]
             unique = sum(1 for r in results if r.uniquely_identified)
             # The attack's completeness guarantee — the true job always
@@ -680,8 +585,7 @@ class Campaign(PartyContext):
             # tokens at the source, so score coverage over the
             # fully-observed accounts and report the lossy rest.
             complete = [
-                r for aid, r in zip(aids, results)
-                if getattr(self.parties.get(aid), "dropped_deposits", 0) == 0
+                r for aid, r in zip(aids, results) if self.residents[aid].dropped == 0
             ]
             detections["denomination"] = {
                 "algorithm": self.config.break_algorithm,
@@ -700,47 +604,38 @@ class Campaign(PartyContext):
         deposited = sum(
             e["body"].get("amount", 0) for e in deposits if e["status"] == "OK"
         )
-        accounts = sorted(
-            name for name, p in self.parties.items()
-            if not isinstance(p, (MAParty, PbsJobOwnerParty, PbsSensingParty))
-        )
+        funded = sum(self.dec.funded.values())
         final = sum(self.market.balance_of(aid, "balance", {"aid": aid})
-                    for aid in accounts)
-        outstanding = self.issued - deposited
+                    for aid in sorted(self.dec.funded))
+        pbs_funded = sum(self.pbs.funded.values())
         pbs_final = sum(self.market.balance_of(name, "pbs-balance", {"key": key})
-                        for name, key in sorted(self.pbs_keys.items()))
-        dec_ok = final == self.funded - self.issued + deposited
-        pbs_ok = pbs_final == self.pbs_funded
+                        for name, key in sorted(self.pbs.keys.items()))
         return {
-            "funded": self.funded,
-            "issued": self.issued,
+            "funded": funded,
+            "issued": self.dec.issued,
             "deposited": deposited,
             "final": final,
-            "outstanding": outstanding,
-            "pbs_funded": self.pbs_funded,
+            "outstanding": self.dec.issued - deposited,
+            "pbs_funded": pbs_funded,
             "pbs_final": pbs_final,
-            "conserved": dec_ok and pbs_ok,
+            "conserved": (final == funded - self.dec.issued + deposited
+                          and pbs_final == pbs_funded),
         }
 
     # -- run ---------------------------------------------------------------
     def run(self) -> CampaignReport:
         cfg = self.config
         try:
-            starters = self._build_roster()
             arrivals = self.rng_for("#arrivals")
-            ma = self.parties["ma"]
             t = 0.0
-            for party in starters:
-                event = PartyEvent("start")
-                name = party.name
-                self.queue.schedule(t, lambda n=name, e=event: self._deliver(n, e))
+            for action in self._build_roster():
+                self.queue.schedule(t, action)
                 if cfg.arrival_gap > 0:
                     t += arrivals.expovariate(1.0 / cfg.arrival_gap)
             self.queue.run(max_events=cfg.max_events)
 
-            deposits = self.market.resolve_deposits()
-            self._feed_ma(deposits, ma)
-
+            deposits = self.deposits = self.market.resolve_deposits()
+            self.dec.conclude(deposits, self.truth)
             verdicts = dict(sorted(self.market.verdicts.items()))
 
             conservation = self._conservation(deposits)
@@ -751,31 +646,39 @@ class Campaign(PartyContext):
             _XNODE = "(cross-node double deposit)"
             cross_node = [f for f in findings if f.endswith(_XNODE)]
             detections = self._detections(
-                deposits, ma, cross_node_flags=len(cross_node)
+                deposits, cross_node_flags=len(cross_node)
             )
             ds = detections.get("double_spend")
             if ds is not None and ds["cross_node_explained"]:
                 findings = [f for f in findings if not f.endswith(_XNODE)]
-            stuck = sorted(
-                name for name, p in self.parties.items() if not p.terminal
-            )
+            # a machine that rejected a delivery is a finding, honest or not
             findings.extend(
-                f"party {name!r} finished non-terminal "
-                f"(state {self.parties[name].state!r})" for name in stuck
+                f"{f.kind} from {f.sender!r} to {f.receiver!r} rejected: {f.error}"
+                for net in (self.dec_net, self.pbs_net) for f in net.failures
             )
+            parties = {name: self.residents[name].ledger()
+                       for name in sorted(self.residents)}
+            findings.extend(
+                f"party {name!r} did not finish its lifecycle"
+                for name, ledger in parties.items() if not ledger["done"]
+            )
+            parties["ma"] = {
+                "role": "ma-malicious" if cfg.malicious_ma else "ma",
+                "dec_jobs": len(self.dec.board.entries),
+                "pbs_jobs": len(self.pbs.board.entries),
+                "attacked": len(self.dec.results),
+                "done": True,
+            }
 
             return CampaignReport(
                 name=cfg.name,
                 seed=cfg.seed,
                 config=cfg.to_dict(),
                 backend=cfg.backend,
-                n_parties=len(self.parties),
+                n_parties=len(parties),
                 n_events=len(self.trace),
                 trace_digest=self._trace_digest(),
-                parties={
-                    name: self.parties[name].ledger()
-                    for name in sorted(self.parties)
-                },
+                parties=dict(sorted(parties.items())),
                 verdicts=verdicts,
                 detections=detections,
                 conservation=conservation,

@@ -212,6 +212,34 @@ class TestWithdrawalOrder:
         assert router.failures[-1].error == "unexpected withdrawal response"
         assert len(jo.coins) == coins
 
+    @pytest.mark.parametrize("signature", [1, None, "sig"])
+    def test_malformed_answer_leaves_the_request_pending(self, market, signature):
+        """A non-signature answer is one recorded failure, and the real
+        answer still finishes the withdrawal afterwards."""
+        router, ma, jo, sps = market
+        coins, before = len(jo.coins), len(router.failures)
+        request = jo.begin_withdraw(jo.counter)
+        router.post("MA", Outbound(jo.name, "withdraw-response", {"signature": signature}))
+        router.run()
+        (failure,) = router.failures[before:]
+        assert failure.error.startswith("malformed withdraw-response")
+        router.post("MA", Outbound(jo.name, "withdraw-response",
+                                   {"signature": ma.withdraw(jo.name, request)}))
+        router.run()
+        assert len(router.failures) == before + 1 and len(jo.coins) == coins + 1
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("job-published", {"job": "forged"}),
+        ("data-delivery", {"job": "forged", "data": b"d"}),
+    ])
+    def test_a_resident_hears_only_the_ma(self, market, kind, payload):
+        router, ma, jo, sps = market
+        job_id, reports = jo.job_id, list(jo.received_reports)
+        router.post(sps[0].nym, Outbound(jo.nym, kind, payload))
+        router.run()
+        assert router.failures[-1].error == f"JO hears only the MA, not {sps[0].nym!r}"
+        assert (jo.job_id, jo.received_reports) == (job_id, reports)
+
 
 class TestTableOneParity:
     """The machines tally through the actors' own ``counter.record``

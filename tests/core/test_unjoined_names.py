@@ -4,7 +4,8 @@ A resident answers to two names: its account, under which it withdraws
 and deposits, and its current pseudonym, under which it does everything
 about a job.  What an operator learns includes its own routing tables
 (Alqahtani & Mustafa, 2404.15886), so one DEC and one PBS session, two
-workers each, are checked for three joins:
+workers each, and a seeded honest campaign running both schemes on the
+same machines are checked for three joins:
 
 * an MA table mapping a pseudonym to an account (or back);
 * a message routed under a pseudonym that carries an account id — a
@@ -25,6 +26,9 @@ from repro._util import int_to_bytes
 from repro.core import PPMSdecSession, PPMSpbsSession, dec_machine, pbs_machine
 from repro.core.engine import Router
 from repro.net.codec import encode
+from repro.sim import campaign as campaign_module
+from repro.sim.campaign import Campaign, honest_campaign
+from repro.sim.party import DecJO, DecSP, PbsJO, PbsSP
 
 ACCOUNT_KINDS = {"withdraw-request", "withdraw-response", "deposit"}
 
@@ -64,10 +68,10 @@ def joins(tables, routed, pseudonyms, accounts, account_ids) -> list[str]:
     return found
 
 
-def ma_tables(ma) -> dict:
-    """Every mapping the MA and its bank hold."""
-    return {f"{owner}.{attr}": value
-            for owner, obj in (("ma", ma), ("bank", ma.bank))
+def ma_tables(ma, prefix: str = "") -> dict:
+    """Every mapping the MA and its bank (if it holds one) hold."""
+    owners = [("ma", ma)] + ([("bank", ma.bank)] if ma.bank is not None else [])
+    return {f"{prefix}{owner}.{attr}": value for owner, obj in owners
             for attr, value in vars(obj).items() if isinstance(value, dict)}
 
 
@@ -81,8 +85,14 @@ def routed(monkeypatch) -> list:
             log.append((sender, out.receiver, out.kind, out.payload))
             super()._deliver(sender, out)
 
+    class CampaignTap(campaign_module._Network):
+        def _deliver(self, sender, out):
+            log.append((sender, out.receiver, out.kind, out.payload))
+            super()._deliver(sender, out)
+
     monkeypatch.setattr(dec_machine, "Router", Tap)
     monkeypatch.setattr(pbs_machine, "Router", Tap)
+    monkeypatch.setattr(campaign_module, "_Network", CampaignTap)
     return log
 
 
@@ -114,3 +124,27 @@ def test_a_pbs_session_joins_no_pseudonym_to_an_account(routed):
     account_ids |= {int_to_bytes(party.account_pub.n) for party in residents}
     assert any(kind == "deposit" for _, _, kind, _ in routed)
     assert joins(ma_tables(session.ma), routed, pseudonyms, accounts, account_ids) == []
+
+
+def test_a_campaign_joins_no_pseudonym_to_an_account(campaign_substrate, routed):
+    params, keypair = campaign_substrate
+    campaign = Campaign(honest_campaign(5), params, keypair)
+    report = campaign.run()
+    assert report.clean, report.summary()
+    residents = list(campaign.residents.values())
+    pseudonyms, accounts, account_ids = set(), set(), set()
+    for party in residents:
+        key = party.job_key if isinstance(party, (DecJO, PbsJO)) else party.labor_key
+        pseudonyms |= {party.nym, key.public.fingerprint()}
+        accounts.add(party.name)
+        if isinstance(party, (DecJO, DecSP)):
+            account_ids.add(party.aid.encode())
+        else:
+            assert isinstance(party, (PbsJO, PbsSP))
+            accounts.add(party.account_pub.fingerprint())
+            account_ids |= {party.account_pub.fingerprint(),
+                            int_to_bytes(party.account_pub.n)}
+    kinds = {kind for _, _, kind, _ in routed}
+    assert {"withdraw-request", "deposit", "labor-forward", "payment-delivery"} <= kinds
+    tables = {**ma_tables(campaign.dec, "dec."), **ma_tables(campaign.pbs, "pbs.")}
+    assert joins(tables, routed, pseudonyms, accounts, account_ids) == []

@@ -17,9 +17,9 @@ from repro.sim.campaign import mixed_campaign, run_campaign
 
 #: backend -> report digest of ``mixed --seed 2015``
 REFERENCE = {
-    "inprocess": "79a9d657070f4a58073110f7bb78488c220a4a7e2813e142c5dbfbf3e0138b53",
-    "socket": "168f2c85f33364b6409d1821ab144230678bce27307654d22cd77053ca071e7e",
-    "cluster": "5da799e63748926f72795c24ae640f525824d81c3f845a26d4bc5bc1f79e5af1",
+    "inprocess": "bc800e607af999a49d040632eb5f0eeef255ecdc11f9f78b9b126768635f54ee",
+    "socket": "d85c36c42b564fff0ac2a29ca4742b27b1e11e25149f4824c84722ca9a2310b2",
+    "cluster": "006c17ac60e6b898357267d1c949bf7bf349cc8cf8abab000991b4dac92272ab",
 }
 
 

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.sim.campaign import (
+    Campaign,
     CampaignConfig,
     denomination_campaign,
     double_spend_campaign,
@@ -42,9 +43,10 @@ def test_honest_campaign_is_clean_with_zero_detections(campaign_substrate):
     assert report.detections == {}
     assert set(report.verdicts) == {"OK"}  # nothing rejected, nothing shed
     assert report.conservation["outstanding"] == 0
-    # every honest party must have completed its lifecycle
+    # every honest party must have completed its lifecycle, and no
+    # machine rejected a delivery (each rejection would be a finding)
     assert all(
-        ledger["state"] == "done" for ledger in report.parties.values()
+        ledger["done"] for ledger in report.parties.values()
     ), report.summary()
 
 
@@ -75,6 +77,19 @@ def test_denomination_attack_runs_at_paper_points(algorithm, campaign_substrate)
     # job is always in the anonymity set (the paper's completeness)
     assert metrics["truth_covered"]
     assert metrics["min_anonymity"] >= 1
+
+
+def test_the_attack_scores_only_ppmsdec_jobs(campaign_substrate):
+    """PPMSpbs jobs are unitary and live on the other MA's board: no
+    scored account may count one among its candidate jobs."""
+    params, keypair = campaign_substrate
+    campaign = Campaign(mixed_campaign(2015), params, keypair)
+    campaign.run()
+    dec_jobs = {job.job_id for job in campaign.dec.board.jobs()}
+    assert campaign.pbs.board.jobs()  # the mixed economy runs both schemes
+    assert campaign.dec.results
+    for aid, result in campaign.dec.results.items():
+        assert result.candidates <= dec_jobs, (aid, result.candidates - dec_jobs)
 
 
 def test_structured_breaks_leak_more_than_unitary(campaign_substrate):

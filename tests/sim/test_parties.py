@@ -1,64 +1,101 @@
-"""Property tests for the campaign party state machines.
+"""Tests for the machines a campaign runs: the engine machines of
+Algorithms 1 and 4 with the campaign's overrides (:mod:`repro.sim.party`).
 
-The machines must be total: ANY interleaving of deliveries, timeouts,
-crashes, and garbage payloads leaves a party in a declared-legal state
-without raising — Byzantine peers get to send anything.  The
-:class:`~repro.sim.party.RecordingContext` stubs conserve integer
-value, so a completed honest lifecycle is also checkable for exact
-wallet conservation without touching any cryptography.
+One small seeded campaign with every party shape — honest, omitting and
+replaying SPs, a double-spend ring, a malicious MA, a PPMSpbs job — runs
+in process on the shared toy substrate; the tests read its machines,
+the market's books and the resolved deposit stream.  A second copy of
+it takes hostile traffic: whatever arrives, in whatever order, ends as
+recorded delivery failures, never as an escaping exception — and only
+the MA's word moves value.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+import itertools
+from collections import Counter
 
-from repro.sim.party import (
-    JobOwnerParty,
-    MaliciousMAParty,
-    MAParty,
-    OmissionSP,
-    PartyEvent,
-    PbsJobOwnerParty,
-    PbsSensingParty,
-    RecordingContext,
-    ReplaySP,
-    RingLeader,
-    RingMember,
-    SensingParty,
-    TERMINAL_STATES,
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from repro.core.dec_machine import MA
+from repro.core.engine import Outbound, Router
+from repro.sim.campaign import Campaign, CampaignConfig
+from repro.sim.party import DecJO, DecSP, OmissionSP, PbsSP, ReplaySP, Ring
+
+#: every party shape a campaign builds, in one economy
+CONFIG = CampaignConfig(
+    name="parties", seed=3, n_dec_jobs=2, n_pbs_jobs=1, min_sps=2, max_sps=2,
+    payment_choices=(3, 5), replay_sps=1, omission_sps=1,
+    double_spend_rings=1, ring_size=3, malicious_ma=True,
 )
 
 
+def _run(config, campaign_substrate) -> Campaign:
+    params, keypair = campaign_substrate
+    campaign = Campaign(config, params, keypair)
+    campaign.report = campaign.run()
+    return campaign
+
+
+@pytest.fixture(scope="module")
+def campaign(campaign_substrate) -> Campaign:
+    return _run(CONFIG, campaign_substrate)
+
+
+@pytest.fixture(scope="module")
+def hostile(campaign_substrate) -> tuple[Campaign, list[Router]]:
+    """A run campaign and its parties, one plain router per scheme."""
+    ran = _run(CONFIG, campaign_substrate)
+    routers = []
+    for net in (ran.dec_net, ran.pbs_net):
+        router = Router()
+        for name, party in net.parties.items():
+            router.add(party, name)
+        routers.append(router)
+    return ran, routers
+
+
+_reads = itertools.count()
+
+
+def _read(campaign: Campaign, sender: str, kind: str, payload: dict) -> int:
+    """A fresh balance read (a repeated request id is answered from the
+    service's reply cache)."""
+    body = campaign.market.gateway.request(kind, payload, sender=sender,
+                                           rid=f"{sender}:read:{next(_reads)}")
+    assert body["status"] == "OK", body
+    return body["balance"]
+
+
+def _balance(campaign: Campaign, aid: str) -> int:
+    return _read(campaign, aid, "balance", {"aid": aid})
+
+
+def _books(campaign: Campaign) -> tuple:
+    """What each market issued, funded and holds, account by account."""
+    dec, pbs = campaign.dec, campaign.pbs
+    return (dec.issued, dict(dec.funded), dict(pbs.funded),
+            [_balance(campaign, aid) for aid in sorted(dec.funded)],
+            [_read(campaign, name, "pbs-balance", {"key": key})
+             for name, key in sorted(pbs.keys.items())])
+
+
+def _of(campaign: Campaign, cls) -> list:
+    return [p for p in campaign.residents.values() if type(p) is cls]
+
+
 # ---------------------------------------------------------------------------
-# roster factories: every party shape the campaign can build
+# hostile traffic
 # ---------------------------------------------------------------------------
 
-def _factories():
-    return [
-        ("jo", lambda ctx: JobOwnerParty(
-            "jo", ctx, job_id="job-0", payment=3,
-            sp_names=("sp0", "sp1"), funds=3 * ctx.coin_value)),
-        ("sp", lambda ctx: SensingParty("sp", ctx)),
-        ("sp-omission", lambda ctx: OmissionSP("sp", ctx)),
-        ("sp-replay", lambda ctx: ReplaySP("sp", ctx)),
-        ("ring-leader", lambda ctx: RingLeader(
-            "leader", ctx, members=("m0", "m1"))),
-        ("ring-member", lambda ctx: RingMember("m0", ctx)),
-        ("ma", lambda ctx: MAParty("ma", ctx)),
-        ("ma-malicious", lambda ctx: MaliciousMAParty("ma", ctx)),
-        ("pbs-jo", lambda ctx: PbsJobOwnerParty(
-            "pjo", ctx, job_id="pjob-0", sp_names=("psp0",), funds=2)),
-        ("pbs-sp", lambda ctx: PbsSensingParty("psp", ctx)),
-    ]
-
-
-FACTORIES = _factories()
-
-#: every event kind any machine handles, plus protocol noise
-ALL_KINDS = sorted(
-    {k for _, f in FACTORIES for k in f(RecordingContext()).HANDLERS}
-    | {"timeout", "crash", "no-such-kind"}
-)
+#: every message kind the machines handle, plus protocol noise
+ALL_KINDS = sorted({
+    "job-registration", "job-published", "withdraw-request", "withdraw-response",
+    "labor-registration", "labor-forward", "labor-answer", "labor-answer-fwd",
+    "blinded-payment", "blinded-forward", "data-submission", "payment-submission",
+    "payment-delivery", "payment-confirm", "data-delivery", "deposit", "no-such-kind",
+})
 
 #: payloads from well-formed through subtly wrong to pure garbage
 PAYLOADS = st.one_of(
@@ -67,190 +104,178 @@ PAYLOADS = st.one_of(
     st.just({}),
     st.just({"sp": "x", "sp_pubkey": "k"}),
     st.just({"jo": "jo", "job": "j", "payment": 2, "jo_pubkey": "k"}),
-    st.just({"jo": "jo", "job": "j", "payment": "lots", "jo_pubkey": "k"}),
     st.just({"ciphertext": "junk", "jo_pubkey": "k"}),
+    st.just({"ciphertext": b"junk"}),
     st.just({"rid": "r", "token_index": 0}),
-    st.just({"rid": "r", "token_index": 99}),
-    st.just({"rid": "r", "token_index": "zero"}),
     st.just({"token": 1}),
     st.just({"job": "j", "payment": 2}),
-    st.just({"job": "j", "payment": -5}),
-    st.just({"aid": "a", "amount": 3}),
-    st.just({"aid": "a", "amount": "three"}),
-    st.just({"truth": {}}),
-    st.just({"truth": 41}),
-    st.just({"sp": "x", "ciphertext": "c"}),
-    st.just({"sp": "x", "blinded": 1, "serial": b"s"}),
+    st.just({"job": "j"}),
+    st.just({"jd": "j", "w": 0, "rpk_fingerprint": b""}),
+    st.just({"jd": "j", "w": 3, "rpk_fingerprint": b"f"}),
+    st.just({"signature": 1}),
+    st.just({"request": 5}),
+    st.just({"job": "j", "rpk": (3, 5)}),
+    st.just({"rpk": ("k", "k")}),
+    st.just({"pseudonym": b"p", "ciphertext": b"c"}),
+    st.just({"pseudonym": b"p", "job": "j", "data": b"d"}),
+    st.just({"pseudonym": b"p"}),
+    st.just({"aid": "a", "coin": 1, "at": 1.0, "rid": "r"}),
+    st.just({"blob": b"x", "pseudonym": b"p"}),
+    st.just({"job": "j", "pseudonym": b"p", "blob": b"x"}),
+    st.just({"pseudonym": b"p", "blinded": 1}),
+    st.just({"pseudonym": b"p", "pbs": 1, "ctr": 0}),
     st.just({"pbs": "sig", "ctr": 0}),
-    st.just({"rid": "r"}),
+    st.just({"sig": 1, "ctr": 0, "serial": b"s", "sp_key": (3, 5), "jo_key": (3, 5),
+             "rid": "r"}),
     st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
 )
 
-EVENTS = st.lists(
-    st.tuples(st.sampled_from(ALL_KINDS), PAYLOADS), min_size=0, max_size=14
-)
+#: every field any handler reads, each of a plausible type but forged
+FORGED = {
+    "jd": "j", "w": 3, "rpk_fingerprint": b"f", "job": "j", "request": 5, "signature": 1,
+    "rpk": (3, 5), "pseudonym": b"p", "ciphertext": b"c", "data": b"d", "blob": b"x",
+    "blinded": 1, "pbs": 1, "ctr": 0, "sig": 1, "serial": b"s", "sp_key": (3, 5),
+    "jo_key": (3, 5), "aid": "a", "coin": 1, "at": 1.0, "rid": "r",
+}
+
+#: half the messages carry every field (``one_of`` would make it 1 in 29)
+PAYLOAD = st.booleans().flatmap(lambda every: st.just(FORGED) if every else PAYLOADS)
+
+EVENTS = st.lists(st.tuples(st.sampled_from(ALL_KINDS), PAYLOAD), min_size=1, max_size=14)
 
 
-@settings(max_examples=60)
-@given(idx=st.integers(0, len(FACTORIES) - 1), events=EVENTS,
-       seed=st.integers(0, 2**16))
-def test_any_interleaving_leaves_a_legal_state(idx, events, seed):
-    """Deliver anything in any order: no exception, state stays declared."""
-    role, factory = FACTORIES[idx]
-    ctx = RecordingContext(seed)
-    party = factory(ctx)
-    legal = party.legal_states()
-    crashed = False
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scheme=st.integers(0, 1), events=EVENTS, data=st.data())
+def test_any_interleaving_leaves_a_legal_state(hostile, scheme, events, data):
+    """Any message, in any order, from any name to every machine a
+    campaign runs: the router records each rejection and keeps going —
+    no exception escapes.  A JO or SP hears only the MA, so from any
+    other sender each of its messages is one failure; and no sender but
+    the MA moves value."""
+    ran, routers = hostile
+    router = routers[scheme]
+    names = sorted(router.parties)
+    sender = data.draw(st.sampled_from(names), label="sender")
+    before, books = len(router.failures), _books(ran)
     for kind, payload in events:
-        was_terminal = party.terminal
-        state_before = party.state
-        party.handle(PartyEvent(kind, payload))
-        assert party.state in legal, (role, kind, party.state)
-        if kind == "crash":
-            crashed = True
-        if crashed:
-            assert party.state == "crashed"
-        if was_terminal and kind != "crash":
-            assert party.state == state_before  # terminal states absorb
-    assert party.handled == len(events)
+        for target in names:
+            router.post(sender, Outbound(target, kind, payload))
+    router.run()
+    if sender != MA:
+        rejected = Counter(f.receiver for f in router.failures[before:] if f.sender == sender)
+        assert {name: rejected[name] for name in names if name != MA} \
+            == {name: len(events) for name in names if name != MA}
+        assert _books(ran) == books
 
 
-@settings(max_examples=25)
-@given(idx=st.integers(0, len(FACTORIES) - 1), events=EVENTS)
-def test_crash_dominates_from_any_state(idx, events):
-    _, factory = FACTORIES[idx]
-    party = factory(RecordingContext())
-    for kind, payload in events:
-        party.handle(PartyEvent(kind, payload))
-    party.handle(PartyEvent("crash"))
-    assert party.state == "crashed"
-    party.handle(PartyEvent("start"))
-    assert party.state == "crashed"
-
-
-def test_timeout_is_ignored_before_start_and_aborts_mid_protocol():
-    ctx = RecordingContext()
-    sp = SensingParty("sp", ctx)
-    sp.handle(PartyEvent("timeout"))
-    assert sp.state == "idle"  # nothing owed yet: silence is fine
-    sp.handle(PartyEvent("recruit", {
-        "jo": "jo", "job": "j", "payment": 2, "jo_pubkey": "k"}))
-    assert sp.state == "registered"
-    sp.handle(PartyEvent("timeout"))
-    assert sp.state == "aborted"
+@pytest.mark.parametrize("scheme", [0, 1], ids=["dec", "pbs"])
+def test_forged_traffic_from_residents_moves_no_value(hostile, scheme):
+    """Every kind with every field forged, from each resident name to
+    every machine: each message to a JO or SP is one failure, and the
+    market's books do not move."""
+    ran, routers = hostile
+    router = routers[scheme]
+    names = sorted(router.parties)
+    senders = [name for name in names if name != MA]
+    before, books = len(router.failures), _books(ran)
+    for sender in senders:
+        for kind in ALL_KINDS:
+            for target in names:
+                router.post(sender, Outbound(target, kind, FORGED))
+    router.run()
+    rejected = Counter((f.sender, f.receiver) for f in router.failures[before:])
+    assert {(s, t): rejected[s, t] for s in senders for t in senders} \
+        == {(s, t): len(ALL_KINDS) for s in senders for t in senders}
+    assert _books(ran) == books
 
 
 # ---------------------------------------------------------------------------
-# honest lifecycle over the value-conserving stubs
+# lifecycles
 # ---------------------------------------------------------------------------
 
-def _pump(ctx: RecordingContext, parties: dict) -> int:
-    """Deliver every recorded send, FIFO, until the roster quiesces."""
-    cursor = 0
-    while cursor < len(ctx.sent):
-        to, kind, payload, _delay = ctx.sent[cursor]
-        cursor += 1
-        assert cursor < 10_000, "roster never quiesced"
-        party = parties.get(to)
-        if party is not None:
-            party.handle(PartyEvent(kind, payload))
-    return cursor
-
-
-@settings(max_examples=30)
-@given(n_sps=st.integers(1, 4), payment=st.integers(1, 8),
-       seed=st.integers(0, 2**16))
-def test_honest_dec_lifecycle_conserves_wallet_value(n_sps, payment, seed):
-    """Complete JO+SPs run: every unit funded is on some account after."""
-    ctx = RecordingContext(seed)
-    sp_names = tuple(f"sp{j}" for j in range(n_sps))
-    funds = (n_sps + 1) * ctx.coin_value
-    jo = JobOwnerParty("jo", ctx, job_id="job-0", payment=payment,
-                       sp_names=sp_names, funds=funds)
-    parties = {"jo": jo}
-    for name in sp_names:
-        parties[name] = SensingParty(name, ctx)
-    jo.handle(PartyEvent("start"))
-    _pump(ctx, parties)
-
-    assert jo.state == "done"
-    assert all(parties[n].state == "done" for n in sp_names)
-    assert jo.paid_sps == n_sps
-    assert jo.paid_value == payment * n_sps
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_sps=st.integers(1, 4), payment=st.integers(1, 8), seed=st.integers(0, 2**16))
+# the coin-break edges on the toy tree, whose coin is worth 8: a whole
+# coin per worker (each one a fresh withdrawal), and one power-of-two
+# node (two workers a coin, the third waits for a second withdrawal)
+@example(n_sps=4, payment=8, seed=0)
+@example(n_sps=3, payment=4, seed=1)
+def test_honest_dec_lifecycle_conserves_wallet_value(campaign_substrate, n_sps,
+                                                      payment, seed):
+    """A complete JO + SPs run: every unit funded is on some account after."""
+    config = CampaignConfig(name="one-job", seed=seed, n_dec_jobs=1, n_pbs_jobs=0,
+                            min_sps=n_sps, max_sps=n_sps, payment_choices=(payment,))
+    campaign = _run(config, campaign_substrate)
+    assert campaign.report.clean, campaign.report.summary()
+    (jo,) = _of(campaign, DecJO)
+    sps = _of(campaign, DecSP)
+    coin_value = campaign.coin_value
+    ledger = campaign.report.parties[jo.aid]
+    assert ledger["done"] and ledger["data_received"] == n_sps
     # the withdrawn coins split exactly into payments plus change
-    assert jo.paid_value + jo.change_value == jo.withdrawn * ctx.coin_value
+    assert payment * n_sps + ledger["change_value"] == len(jo.coins) * coin_value
+    assert _balance(campaign, jo.aid) == (n_sps + 1 - len(jo.coins)) * coin_value \
+        + ledger["change_value"]
+    for sp in sps:
+        assert _balance(campaign, sp.aid) == payment
     # economy-wide: nothing minted, nothing burned
-    assert sum(ctx.accounts.values()) == funds
-    for name in sp_names:
-        assert ctx.accounts[name] == payment
+    funded = sum(campaign.dec.funded.values())
+    assert sum(_balance(campaign, aid) for aid in campaign.dec.funded) == funded
 
 
-@settings(max_examples=15)
-@given(seed=st.integers(0, 2**16))
-def test_omission_sp_leaves_value_outstanding(seed):
-    ctx = RecordingContext(seed)
-    jo = JobOwnerParty("jo", ctx, job_id="job-0", payment=4,
-                       sp_names=("sp0",), funds=2 * ctx.coin_value)
-    sp = OmissionSP("sp0", ctx)
-    jo.handle(PartyEvent("start"))
-    _pump(ctx, {"jo": jo, "sp0": sp})
-    assert sp.state == "silent"
-    assert not ctx.deposits  # the payment value never reached the bank
-    assert sum(ctx.accounts.values()) == 2 * ctx.coin_value - 4
+def test_omission_sp_leaves_value_outstanding(campaign):
+    (sp,) = _of(campaign, OmissionSP)
+    ledger = campaign.report.parties[sp.aid]
+    assert ledger["done"] and ledger["received_value"] > 0
+    assert ledger["deposits"] == 0
+    assert _balance(campaign, sp.aid) == 0
+    assert all(entry["party"] != sp.aid for entry in campaign.deposits)
+    conservation = campaign.report.conservation
+    assert conservation["outstanding"] >= ledger["received_value"]
+    assert conservation["conserved"]
 
 
-def test_replay_sp_deposits_every_token_twice():
-    ctx = RecordingContext(3)
-    jo = JobOwnerParty("jo", ctx, job_id="job-0", payment=3,
-                       sp_names=("sp0",), funds=2 * ctx.coin_value)
-    sp = ReplaySP("sp0", ctx)
-    jo.handle(PartyEvent("start"))
-    _pump(ctx, {"jo": jo, "sp0": sp})
-    assert sp.state == "done"
-    honest = [rid for _, rid, _ in ctx.deposits if ":dep:" in rid]
-    replays = [rid for _, rid, _ in ctx.deposits if ":replay:" in rid]
-    assert len(honest) == len(replays) == 3
-    assert sp.replay_rids == replays
+def test_replay_sp_deposits_every_token_twice(campaign):
+    (sp,) = _of(campaign, ReplaySP)
+    honest = [rid for rid in sp.sent if ":dep:" in rid]
+    replays = [rid for rid in sp.sent if ":replay:" in rid]
+    assert len(honest) == len(replays) == len(sp.tokens) > 0
+    verdicts = {e["rid"]: e["status"] for e in campaign.deposits}
+    assert all(verdicts[rid] == "OK" for rid in honest)
+    assert all(verdicts[rid] == "REJECTED" for rid in replays)
+    assert _balance(campaign, sp.aid) == campaign.report.parties[sp.aid]["received_value"]
 
 
-def test_ring_fences_conflicting_tokens_to_every_member():
-    ctx = RecordingContext(5)
-    members = ("m0", "m1")
-    leader = RingLeader("leader", ctx, members=members, denomination=1)
-    parties = {"leader": leader}
-    for name in members:
-        parties[name] = RingMember(name, ctx)
-        parties[name].handle(PartyEvent("start"))
-    leader.handle(PartyEvent("start"))
-    _pump(ctx, parties)
-    assert leader.state == "done"
-    assert all(parties[m].state == "done" for m in members)
-    deposited = [token for _, _, token in ctx.deposits]
-    assert len(deposited) == 3  # one per ring account, all the same node
-    assert len({t[2] for t in deposited}) == 1  # identical denomination
+def test_ring_fences_conflicting_tokens_to_every_member(campaign):
+    (ring,) = campaign.rings
+    assert len(ring.accounts) == CONFIG.ring_size and ring.fenced == CONFIG.ring_size
+    fences = [e for e in campaign.deposits if e["rid"].endswith(":fence")]
+    assert sorted(e["party"] for e in fences) == sorted(ring.accounts)
+    assert [e["status"] for e in fences].count("OK") == 1  # one node, one admission
+    ds = campaign.report.detections["double_spend"]
+    assert ds["caught"] and ds["identity_revealed"]
+    assert all(campaign.residents[aid] is ring and isinstance(ring, Ring)
+               for aid in ring.accounts)
 
 
-def test_pbs_lifecycle_reaches_deposit():
-    ctx = RecordingContext(9)
-    jo = PbsJobOwnerParty("pjo", ctx, job_id="pjob", sp_names=("psp",), funds=2)
-    sp = PbsSensingParty("psp", ctx)
-    jo.handle(PartyEvent("start"))
-    _pump(ctx, {"pjo": jo, "psp": sp})
-    assert jo.state == "done" and jo.signed == 1
-    assert sp.state == "done" and sp.deposit_status == "OK"
-    assert [rid for _, rid, _ in ctx.pbs_deposits] == ["psp:pbs"]
+def test_pbs_lifecycle_reaches_deposit(campaign):
+    sps = _of(campaign, PbsSP)
+    labels = [name for name, party in campaign.residents.items() if party in sps]
+    assert labels and all(campaign.report.parties[name]["done"] for name in labels)
+    for sp in sps:
+        key = (sp.account_pub.n, sp.account_pub.e)
+        assert _read(campaign, sp.name, "pbs-balance", {"key": key}) == 1
+    assert campaign.report.conservation["pbs_final"] == campaign.report.conservation["pbs_funded"]
+    assert len(campaign.pbs.board.jobs()) == CONFIG.n_pbs_jobs
 
 
-def test_malicious_ma_scores_only_accounts_with_ground_truth():
-    ctx = RecordingContext(1)
-    ma = MaliciousMAParty("ma", ctx)
-    ma.handle(PartyEvent("start"))
-    ma.handle(PartyEvent("observe-job", {"job": "j0", "payment": 3}))
-    ma.handle(PartyEvent("observe-job", {"job": "j1", "payment": 5}))
-    for aid, amounts in (("sp0", [2, 1]), ("ring0", [1]), ("sp1", [4, 1])):
-        for amount in amounts:
-            ma.handle(PartyEvent("observe-deposit", {"aid": aid, "amount": amount}))
-    ma.handle(PartyEvent("conclude", {"truth": {"sp0": "j0", "sp1": "j1"}}))
-    assert ma.state == "done"
-    assert set(ma.results) == {"sp0", "sp1"}  # ring0 has no job to link
-    assert all(r.true_job_covered for r in ma.results.values())
+def test_malicious_ma_scores_only_accounts_with_ground_truth(campaign):
+    results = campaign.dec.results
+    assert results and set(results) <= set(campaign.truth)
+    admitted = {e["party"] for e in campaign.deposits if e["status"] == "OK"}
+    # ring accounts and job owners' change deposits have no job to link
+    assert admitted - set(campaign.truth)
+    dropped = {aid for aid in results if campaign.residents[aid].dropped}
+    assert all(r.true_job_covered for aid, r in results.items() if aid not in dropped)

@@ -58,10 +58,11 @@ ALLOWED: dict[str, set[str]] = {
     "core": {"crypto", "ecash", "metrics", "net"},
     "attacks": {"core", "crypto", "ecash", "net"},
     "workloads": {"net"},
-    # the campaign engine drives the real service and the invariant
-    # sweeps and tallies Table I's operations in the protocols' own
-    # OpCounter; crypto/ecash stay reachable only through those layers
-    # (the cluster backend is a sanctioned lazy import)
+    # the campaign engine runs the core protocol machines with the real
+    # service as the MA's bank, drives the invariant sweeps and tallies
+    # Table I's operations in the protocols' own OpCounter; crypto/ecash
+    # stay reachable only through those layers (the cluster backend is
+    # a sanctioned lazy import)
     "sim": {"attacks", "core", "metrics", "service", "testing"},
     "service": {"core", "crypto", "ecash", "metrics", "net", "obs"},
     # the multi-node layer composes services over the wire; it sits
@@ -346,8 +347,6 @@ ROOTS: dict[str, str] = {
     "repro.testing": "test seam: the fault, scenario and property harness",
     "repro.crypto.tablestore.set_crash_hook":
         "test seam: kills a table export between two steps",
-    "repro.sim.party.RecordingContext":
-        "test seam: drives one party machine without a campaign",
 }
 
 
