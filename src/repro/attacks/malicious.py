@@ -73,7 +73,7 @@ def jo_underpays(session, advertised: int, shipped: int) -> MisbehaviourOutcome:
     coin = _withdraw(session, "cheat-jo")
     wallet = coin.wallet()
     sp = session.new_participant("victim-sp")
-    rpk_sp = sp.make_labor_identity(session.counter)
+    rpk_sp = sp.make_labor_identity()
     jo_key = rsa.generate_keypair(512, session.rng)
 
     blobs = []
@@ -90,8 +90,7 @@ def jo_underpays(session, advertised: int, shipped: int) -> MisbehaviourOutcome:
     sig = rsa.sign(jo_key, rpk_sp.fingerprint())
     ciphertext = rsa.encrypt(rpk_sp, encode({"coins": padded, "sig": sig}), session.rng)
 
-    bundle = sp.open_payment(ciphertext, jo_key.public, session.ma.bank.public_key,
-                             session.counter)
+    bundle = sp.open_payment(ciphertext, jo_key.public, session.ma.bank.public_key)
     received = bundle.total_value(params.tree_level)
     return MisbehaviourOutcome(
         attack="jo_underpays",
@@ -135,13 +134,12 @@ def jo_reuses_node(session) -> MisbehaviourOutcome:
 def jo_ships_garbage(session, slots: int = 6) -> MisbehaviourOutcome:
     """JO sends a payment made entirely of fake coins."""
     sp = session.new_participant("garbage-victim")
-    rpk_sp = sp.make_labor_identity(session.counter)
+    rpk_sp = sp.make_labor_identity()
     jo_key = rsa.generate_keypair(512, session.rng)
     padded = pad_payment([], slots=slots, rng=session.rng, reference_length=256)
     sig = rsa.sign(jo_key, rpk_sp.fingerprint())
     ciphertext = rsa.encrypt(rpk_sp, encode({"coins": padded, "sig": sig}), session.rng)
-    bundle = sp.open_payment(ciphertext, jo_key.public, session.ma.bank.public_key,
-                             session.counter)
+    bundle = sp.open_payment(ciphertext, jo_key.public, session.ma.bank.public_key)
     return MisbehaviourOutcome(
         attack="jo_ships_garbage",
         succeeded=bool(bundle.tokens),

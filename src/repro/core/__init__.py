@@ -1,12 +1,11 @@
 """The paper's primary contribution: the two market mechanisms.
 
-* :mod:`~repro.core.ppms_dec` — PPMSdec's actors, arbitrary payments,
-  divisible e-cash + cash break (Section IV / Algorithm 1);
-  :mod:`~repro.core.dec_machine` — its step order as engine machines,
-  and the session that drives them.
-* :mod:`~repro.core.ppms_pbs` — PPMSpbs's actors, unitary payments,
-  partially blind signatures (Section V / Algorithm 4);
-  :mod:`~repro.core.pbs_machine` — its machines and session.
+* :mod:`~repro.core.dec_machine` — PPMSdec, arbitrary payments,
+  divisible e-cash + cash break (Section IV / Algorithm 1): one engine
+  machine per party, and the session that drives them.
+* :mod:`~repro.core.pbs_machine` — PPMSpbs, unitary payments,
+  partially blind signatures (Section V / Algorithm 4): its machines
+  and session; :mod:`~repro.core.pbs_ledger` — its bank.
 * :mod:`~repro.core.cashbreak` — unitary / PCBA / EPCBA break
   algorithms (Algorithms 2–3).
 * :mod:`~repro.core.market` — shared substrate (bulletin board, job
@@ -22,43 +21,31 @@ from repro.core.cashbreak import (
     unitary_break,
     validate_break,
 )
-from repro.core.dec_machine import JODecMachine, MADecMachine, PPMSdecSession, SPDecMachine
+from repro.core.dec_machine import (
+    JODecMachine,
+    MADecMachine,
+    PaymentBundle,
+    PPMSdecSession,
+    SPDecMachine,
+)
 from repro.core.engine import Outbound, Party, ProtocolError, Router
 from repro.core.ledger import AuditReport, audit_bank, restore_bank, snapshot_bank
 from repro.core.pbs_ledger import (
     PbsAuditReport,
+    VirtualBankPbs,
     audit_pbs_bank,
     restore_pbs_bank,
     snapshot_pbs_bank,
 )
 from repro.core.market import BulletinBoard, DataReport, JobProfile, MarketDesk
 from repro.core.optimal_break import optimal_break
-from repro.core.pbs_machine import JOMachine, MAMachine, PPMSpbsSession, SPMachine
+from repro.core.pbs_machine import CoinReceipt, JOMachine, MAMachine, PPMSpbsSession, SPMachine
 from repro.core.trading import RedemptionDesk, RedemptionVoucher, trade_sensing_service
-from repro.core.ppms_dec import (
-    JobOwnerDec,
-    MarketAdministratorDec,
-    PaymentBundle,
-    SensingParticipantDec,
-)
-from repro.core.ppms_pbs import (
-    CoinReceipt,
-    JobOwnerPbs,
-    MarketAdministratorPbs,
-    SensingParticipantPbs,
-    VirtualBankPbs,
-)
 
 __all__ = [
     "PPMSdecSession",
-    "JobOwnerDec",
-    "SensingParticipantDec",
-    "MarketAdministratorDec",
     "PaymentBundle",
     "PPMSpbsSession",
-    "JobOwnerPbs",
-    "SensingParticipantPbs",
-    "MarketAdministratorPbs",
     "VirtualBankPbs",
     "CoinReceipt",
     "BulletinBoard",

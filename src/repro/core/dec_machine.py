@@ -1,5 +1,19 @@
-"""PPMSdec as message-driven state machines (Algorithm 1 on the engine),
-and :class:`PPMSdecSession`, which runs them synchronously.
+"""PPMSdec — the privacy-preserving market mechanism for arbitrary
+payments (paper Section IV, Algorithm 1) — as message-driven state
+machines, and :class:`PPMSdecSession`, which runs them synchronously.
+
+Party roles, one class each:
+
+* :class:`MADecMachine` — the MA: bulletin board, message relay and
+  escrow (the :class:`~repro.core.market.MarketDesk`), and the virtual
+  bank (a :class:`~repro.ecash.dec.DECBank`).
+* :class:`JODecMachine` — registers jobs under an ephemeral RSA
+  pseudonym, withdraws a divisible coin of value ``2^L`` blindly,
+  breaks the payment (unitary / PCBA / EPCBA), and pays SPs with
+  encrypted bundles of spend tokens padded by fake coins.
+* :class:`SPDecMachine` — registers labor under an ephemeral RSA
+  pseudonym, submits data, receives/verifies the encrypted payment,
+  and deposits the coins one by one after random delays.
 
 The order of Algorithm 1's steps is written here, in the handlers, and
 nowhere else:
@@ -17,13 +31,14 @@ nowhere else:
        MA -> JO   data-delivery {job, data}
     6. SP -> MA   deposit {aid, coin, at}            (per coin, spaced apart)
 
-Every party is its :mod:`~repro.core.ppms_dec` actor plus
-:class:`~repro.core.engine.Party`: the actor owns each protocol step
-(and tallies it for Table I), the machine adds addressing, message
-order and :class:`~repro.core.engine.ProtocolError` on anything forged
-or out of order — an SP rejects a payment before it registered, the MA
-refuses deposits of malformed coins or into someone else's account, and
-a JO or SP hears only the MA.
+Each party tallies every cryptographic operation of its steps on its
+:class:`~repro.metrics.OpCounter` (Table I), and rejects anything forged
+or out of order with :class:`~repro.core.engine.ProtocolError` — an SP
+a payment before it registered, the MA deposits of malformed coins or
+into someone else's account, a JO or SP anything not from the MA.  The
+MA's ``clock`` is logical time, the latest deposit's; a job's deposit
+delays start from it, the randomized waits the paper prescribes ("SP
+waits for a random period of time between two consecutive deposits").
 
 A resident answers to two names that nothing joins: its account id,
 under which it withdraws and deposits, and the name of its current
@@ -34,27 +49,53 @@ does everything else.  The MA's only account table is its bank's.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Any
 
-from repro.core.engine import Outbound, Party, ProtocolError, Router, drive
-from repro.core.market import DataReport, JobProfile, pseudonym_name
-from repro.core.ppms_dec import (
-    JobOwnerDec,
-    MarketAdministratorDec,
-    PaymentBundle,
-    SensingParticipantDec,
-)
-from repro.crypto.rsa import RSAPublicKey
-from repro.ecash.dec import DoubleSpendError
-from repro.ecash.spend import DECParams, SpendToken
-from repro.ecash.wallet import InsufficientFunds
+import repro.crypto.rsa as rsa
+from repro.core.cashbreak import BREAK_FN_BY_NAME
+from repro.core.engine import Outbound, Party, ProtocolError, Router, drive, settle
+from repro.core.market import DataReport, JobProfile, MarketDesk, pseudonym_name
+from repro.ecash.dec import Coin, DECBank, DoubleSpendError, begin_withdrawal, finish_withdrawal
+from repro.ecash.fake import pad_payment
+from repro.ecash.spend import DECParams, SpendToken, create_spend, verify_spend
+from repro.ecash.wallet import InsufficientFunds, Wallet
 from repro.metrics.opcount import OpCounter
+from repro.net.codec import decode, encode
 from repro.net.transport import Transport
 
-__all__ = ["MADecMachine", "JODecMachine", "SPDecMachine", "PPMSdecSession"]
+__all__ = [
+    "BREAK_ALGORITHMS", "DepositEvent", "PaymentBundle",
+    "MADecMachine", "JODecMachine", "SPDecMachine", "PPMSdecSession",
+]
 
+BREAK_ALGORITHMS = BREAK_FN_BY_NAME
+
+# party labels used for op counting and traffic metering
 JO, SP, MA = "JO", "SP", "MA"
+
+
+@dataclass(frozen=True)
+class DepositEvent:
+    """One e-coin deposit as the bank's ledger records it."""
+
+    time: float
+    aid: str
+    amount: int
+    node_level: int
+
+
+@dataclass
+class PaymentBundle:
+    """SP-side result of decrypting and checking a payment."""
+
+    tokens: list[SpendToken]
+    fake_count: int
+    signature_valid: bool
+
+    def total_value(self, tree_level: int) -> int:
+        return sum(t.denomination(tree_level) for t in self.tokens)
 
 
 class SPDecState(Enum):
@@ -63,49 +104,46 @@ class SPDecState(Enum):
     PAID = auto()
 
 
-class MADecMachine(MarketAdministratorDec, Party):
-    """MA for the message-driven PPMSdec market."""
+class MADecMachine(MarketDesk, Party):
+    """The MA: bulletin board + relay (the desk) + virtual bank."""
 
     role = MA
 
     def __init__(self, params: DECParams, rng: random.Random, counter: OpCounter) -> None:
-        MarketAdministratorDec.__init__(self, params, rng, counter)
+        MarketDesk.__init__(self)
         Party.__init__(self, MA)
-        self.jo_for_job: dict[str, str] = {}  # job id -> its owner's pseudonym name
+        self.params = params
+        self.counter = counter
+        self.bank = self.make_bank(rng)
+        self.deposit_events: list[DepositEvent] = []
+        self.clock = 0.0
+
+    def make_bank(self, rng: random.Random) -> DECBank:
+        """The bank behind the desk (a subclass may keep it elsewhere)."""
+        return DECBank.create(self.params, rng)
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
         if kind == "job-registration":
-            profile = self.publish_job(payload["jd"], payload["w"], payload["rpk_fingerprint"])
-            self.jo_for_job[profile.job_id] = sender
+            profile = self.publish_job(sender, payload["jd"], payload["w"],
+                                       payload["rpk_fingerprint"])
             return [Outbound(sender, "job-published", {"job": profile.job_id})]
         if kind == "withdraw-request":
             signature = self.withdraw(sender, payload["request"])
             return [Outbound(sender, "withdraw-response", {"signature": signature})]
         if kind == "labor-registration":
-            jo = self.jo_for_job.get(payload["job"])
-            if jo is None:
-                raise ProtocolError(f"labor registration for unknown job {payload['job']!r}")
-            self.register_labor(sender, RSAPublicKey(*payload["rpk"]).fingerprint())
+            jo = self.register_labor(sender, rsa.RSAPublicKey(*payload["rpk"]).fingerprint(),
+                                     payload["job"])
             return [Outbound(jo, "labor-forward",
                              {"job": payload["job"], "rpk": payload["rpk"]})]
         if kind == "payment-submission":
-            self.accept_payment(payload["pseudonym"], payload["ciphertext"])
-            return self._maybe_deliver(payload["pseudonym"])
+            return self.accept_payment(sender, payload["pseudonym"],
+                                       {"ciphertext": payload["ciphertext"]})
         if kind == "data-submission":
-            self.accept_data(DataReport(job_id=payload["job"],
-                                        submitter_pseudonym=payload["pseudonym"],
-                                        payload=payload["data"]))
-            return self._maybe_deliver(payload["pseudonym"])
+            return self.accept_data(sender, DataReport(job_id=payload["job"],
+                                                       submitter_pseudonym=payload["pseudonym"],
+                                                       payload=payload["data"]))
         if kind == "payment-confirm":
-            try:
-                report = self.release_data(payload["pseudonym"])
-            except KeyError:
-                raise ProtocolError("confirmation without a held report") from None
-            jo = self.jo_for_job.get(report.job_id)
-            if jo is None:  # pragma: no cover - board and report kept in sync
-                raise ProtocolError("report for unknown job")
-            return [Outbound(jo, "data-delivery",
-                             {"job": report.job_id, "data": report.payload})]
+            return [self.release_data(sender, payload["pseudonym"])]
         if kind == "deposit":
             if payload["aid"] != sender:
                 raise ProtocolError("deposit with mismatched account identity")
@@ -119,13 +157,17 @@ class MADecMachine(MarketAdministratorDec, Party):
 
     # -- the bank's half (a subclass may put the bank elsewhere) --------------
     def withdraw(self, aid: str, request: Any) -> Any:
-        """Blind-sign *aid*'s withdrawal request; returns the signature."""
+        """Blind-sign *aid*'s withdrawal request; returns the signature
+        (1 PoK verify = 1 Dec, 1 blind CL signature = 1 Enc)."""
         if aid not in self.bank.accounts:
             raise ProtocolError("withdrawal from unenrolled resident")
+        self.counter.record(MA, "Dec")  # verify the request's PoK
         try:
-            return self.handle_withdrawal(aid, request)
+            signature = self.bank.issue(aid, request)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
+        self.counter.record(MA, "Enc")  # the blind CL signature itself
+        return signature
 
     def deposit(self, aid: str, payload: dict) -> None:
         """Verify and credit one well-formed ``deposit`` message."""
@@ -138,15 +180,19 @@ class MADecMachine(MarketAdministratorDec, Party):
         except ValueError as exc:
             raise ProtocolError(f"invalid coin: {exc}") from exc
 
-    def _maybe_deliver(self, pseud: bytes) -> list[Outbound]:
-        ciphertext = self.payment_for(pseud)
-        if ciphertext is None:
-            return []
-        return [Outbound(self.worker_name(pseud), "payment-delivery",
-                         {"ciphertext": ciphertext})]
+    def handle_deposit(self, aid: str, token: SpendToken, at_time: float) -> int:
+        """Verify + credit a deposit (verification tallied as Dec ops)."""
+        self.counter.record(MA, "Dec", 1 + len(token.edges) + 1)  # equality + edges + final
+        self.counter.record(MA, "H", 1)  # serial expansion bookkeeping
+        amount = self.bank.deposit(aid, token)
+        self.clock = max(self.clock, at_time)
+        self.deposit_events.append(
+            DepositEvent(time=at_time, aid=aid, amount=amount, node_level=token.node.level)
+        )
+        return amount
 
 
-class JODecMachine(JobOwnerDec, Party):
+class JODecMachine(Party):
     """A job owner: withdraws as its account, runs each job as that
     job's pseudonym."""
 
@@ -162,23 +208,33 @@ class JODecMachine(JobOwnerDec, Party):
         rsa_bits: int = 1024,
         break_algorithm: str = "epcba",
     ) -> None:
-        JobOwnerDec.__init__(self, aid, params, rng, rsa_bits=rsa_bits,
-                             break_algorithm=break_algorithm)
+        if break_algorithm not in BREAK_ALGORITHMS:
+            raise ValueError(f"unknown break algorithm {break_algorithm!r}")
         Party.__init__(self, aid)
+        self.aid = aid
+        self.params = params
+        self.rng = rng
         self.counter = counter
+        self.rsa_bits = rsa_bits
+        self.break_algorithm = break_algorithm
+        self.job_key: rsa.RSAPrivateKey | None = None
+        self.coins: list[tuple[Coin, Wallet]] = []
+        self._pending_secrets: list[int] = []  # begun withdrawals, answered FIFO
+        self._bank_pk = None
         self.description = ""
         self.payment = 0
         self.job_id: str | None = None
         self.received_reports: list[dict] = []
-        self._deferred_labor: list[RSAPublicKey] = []
+        self._deferred_labor: list[rsa.RSAPublicKey] = []
 
     @property
     def nym(self) -> str:
         return pseudonym_name(self.job_key.public.fingerprint())
 
     def begin_job(self, description: str, payment: int, bank_pk) -> None:
-        """Bind to a new job: a fresh job pseudonym for it."""
-        self.make_job_identity(self.counter)
+        """Bind to a new job: a fresh ephemeral RSA pseudonym ``rpk_jo``."""
+        self.job_key = rsa.generate_keypair(self.rsa_bits, self.rng)
+        self.counter.record(JO, "H")  # pseudonym fingerprint derivation
         self.description, self.payment, self._bank_pk = description, payment, bank_pk
         self.job_id = None
 
@@ -192,7 +248,7 @@ class JODecMachine(JobOwnerDec, Party):
         ]
 
     def _new_withdrawal(self) -> Outbound:
-        return Outbound(MA, "withdraw-request", {"request": self.begin_withdraw(self.counter)})
+        return Outbound(MA, "withdraw-request", {"request": self.begin_withdraw()})
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
         if sender != MA:
@@ -203,7 +259,7 @@ class JODecMachine(JobOwnerDec, Party):
         if kind == "withdraw-response":
             if not self._pending_secrets:
                 raise ProtocolError("unexpected withdrawal response")
-            self.finish_withdraw(payload["signature"], self._bank_pk, self.counter)
+            self.finish_withdraw(payload["signature"])
             # serve any labor registrations that waited for funds
             out = []
             deferred, self._deferred_labor = self._deferred_labor, []
@@ -211,20 +267,20 @@ class JODecMachine(JobOwnerDec, Party):
                 out.extend(self._serve_labor(sp_pub))
             return out
         if kind == "labor-forward":
-            return self._serve_labor(RSAPublicKey(*payload["rpk"]))
+            return self._serve_labor(rsa.RSAPublicKey(*payload["rpk"]))
         if kind == "data-delivery":
             self.received_reports.append(payload)
             return []
         raise ProtocolError(f"JO cannot handle message kind {kind!r}")
 
-    def _serve_labor(self, sp_pub: RSAPublicKey) -> list[Outbound]:
+    def _serve_labor(self, sp_pub: rsa.RSAPublicKey) -> list[Outbound]:
         """Pay the registered worker, withdrawing another coin if needed
         (or waiting for the one already on its way)."""
         if self._pending_secrets:
             self._deferred_labor.append(sp_pub)
             return []
         try:
-            ciphertext = self.build_payment(sp_pub, self.payment, self.counter)
+            ciphertext = self.build_payment(sp_pub, self.payment)
         except InsufficientFunds:
             self._deferred_labor.append(sp_pub)
             return [self._new_withdrawal()]
@@ -232,8 +288,108 @@ class JODecMachine(JobOwnerDec, Party):
                          {"pseudonym": sp_pub.fingerprint(), "ciphertext": ciphertext},
                          sender=self.nym)]
 
+    # -- money withdrawal ------------------------------------------------------
+    def begin_withdraw(self) -> object:
+        """The blind withdrawal request; its secret waits for the answer."""
+        secret, request = begin_withdrawal(self.params, self.rng)
+        self.counter.record(JO, "ZKP")  # PoK inside the blind request
+        self._pending_secrets.append(secret)
+        return request
 
-class SPDecMachine(SensingParticipantDec, Party):
+    def finish_withdraw(self, signature: object) -> None:
+        """Turn the answer to the oldest pending request into a coin (an
+        answer that fails verification leaves the request pending)."""
+        self.counter.record(JO, "Dec")  # verify the blindly issued signature
+        coin = finish_withdrawal(self.params, self._bank_pk, self._pending_secrets[0], signature)
+        self._pending_secrets.pop(0)
+        self.coins.append((coin, coin.wallet()))
+
+    def spendable_balance(self) -> int:
+        """Total value still allocatable across all withdrawn coins."""
+        return sum(wallet.balance for (_, wallet) in self.coins)
+
+    def change_tokens(self) -> list[SpendToken]:
+        """Spend tokens for everything the withdrawn coins still hold.
+
+        Greedily allocates the largest still-available node of every
+        withdrawn coin.  Change deposits are exactly as unlinkable as
+        worker deposits, so depositing them leaks nothing beyond the
+        account's balance change.
+        """
+        tokens = []
+        for coin, wallet in self.coins:
+            while wallet.balance > 0:
+                denom = 1 << (wallet.balance.bit_length() - 1)
+                node = None
+                while denom >= 1:
+                    try:
+                        node = wallet.allocate(denom)
+                        break
+                    except InsufficientFunds:
+                        denom //= 2
+                if node is None:  # pragma: no cover - some node always fits
+                    break
+                token = create_spend(
+                    self.params, self._bank_pk, coin.secret, coin.signature, node, self.rng
+                )
+                self.counter.record(JO, "ZKP", 1 + len(token.edges) + 1)
+                tokens.append(token)
+        return tokens
+
+    def _allocate(self, denominations: list[int]) -> list[tuple[Coin, "object"]]:
+        """Reserve nodes for a break plan, possibly spanning coins.
+
+        Atomic: on failure every reservation is rolled back and
+        :class:`~repro.ecash.wallet.InsufficientFunds` propagates.
+        """
+        reserved: list[tuple[Wallet, object]] = []
+        picked: list[tuple[Coin, object]] = []
+        try:
+            for denom in denominations:
+                if denom == 0:
+                    continue
+                for coin, wallet in self.coins:
+                    try:
+                        node = wallet.allocate(denom)
+                    except InsufficientFunds:
+                        continue
+                    reserved.append((wallet, node))
+                    picked.append((coin, node))
+                    break
+                else:
+                    raise InsufficientFunds(f"no coin can serve denomination {denom}")
+        except InsufficientFunds:
+            for wallet, node in reserved:
+                wallet.release(node)
+            raise
+        return picked
+
+    # -- cash break and payment submission ---------------------------------------
+    def build_payment(self, sp_pubkey: rsa.RSAPublicKey, payment: int) -> bytes:
+        """Break the payment, mint spend tokens, pad, sign, encrypt."""
+        level = self.params.tree_level
+        denominations = BREAK_ALGORITHMS[self.break_algorithm](payment, level)
+        allocations = self._allocate(denominations)
+        blobs: list[bytes] = []
+        for coin, node in allocations:
+            token = create_spend(
+                self.params, self._bank_pk, coin.secret, coin.signature, node, self.rng
+            )
+            self.counter.record(JO, "ZKP", 1 + len(token.edges) + 1)  # equality + edges + final
+            blobs.append(encode(token))
+
+        sig = rsa.sign(self.job_key, sp_pubkey.fingerprint())
+        self.counter.record(JO, "Enc")  # RSA signature on the payee pseudonym
+        self.counter.record(JO, "H")
+
+        padded = pad_payment(blobs, slots=len(denominations), rng=self.rng)
+        payload = encode({"coins": padded, "sig": sig})
+        ciphertext = rsa.encrypt(sp_pubkey, payload, self.rng)
+        self.counter.record(JO, "Enc")  # RSA_ENC of the designated-receiver payment
+        return ciphertext
+
+
+class SPDecMachine(Party):
     """A sensing participant: works each job as a fresh labor
     pseudonym, deposits as its account."""
 
@@ -248,9 +404,14 @@ class SPDecMachine(SensingParticipantDec, Party):
         *,
         rsa_bits: int = 1024,
     ) -> None:
-        SensingParticipantDec.__init__(self, aid, params, rng, rsa_bits=rsa_bits)
         Party.__init__(self, aid)
+        self.aid = aid
+        self.params = params
+        self.rng = rng
         self.counter = counter
+        self.rsa_bits = rsa_bits
+        self.labor_key: rsa.RSAPrivateKey | None = None
+        self.collected: list[SpendToken] = []
         self.state = SPDecState.INIT
         self.bundle: PaymentBundle | None = None
 
@@ -262,14 +423,20 @@ class SPDecMachine(SensingParticipantDec, Party):
     def nym(self) -> str:
         return pseudonym_name(self.pseudonym)
 
-    def bind(self, job: JobProfile, jo_pseudonym_key: RSAPublicKey, bank_pk,
+    def make_labor_identity(self) -> rsa.RSAPublicKey:
+        """A fresh ephemeral RSA labor pseudonym."""
+        self.labor_key = rsa.generate_keypair(self.rsa_bits, self.rng)
+        self.counter.record(SP, "H")  # pseudonym fingerprint derivation
+        return self.labor_key.public
+
+    def bind(self, job: JobProfile, jo_pseudonym_key: rsa.RSAPublicKey, bank_pk,
              data_payload: bytes, deposit_from: float | None) -> None:
         """Take *job* from the board under a fresh labor pseudonym.
 
         *deposit_from* is the market time the deposit waits start from,
         or ``None`` to keep the verified coins in :attr:`collected`.
         """
-        self.make_labor_identity(self.counter)
+        self.make_labor_identity()
         self.job, self.jo_pseudonym_key, self.bank_pk = job, jo_pseudonym_key, bank_pk
         self.data_payload, self.deposit_from = data_payload, deposit_from
         self.state = SPDecState.INIT
@@ -296,7 +463,7 @@ class SPDecMachine(SensingParticipantDec, Party):
                 raise ProtocolError("payment delivered out of order")
             try:
                 bundle = self.open_payment(payload["ciphertext"], self.jo_pseudonym_key,
-                                           self.bank_pk, self.counter)
+                                           self.bank_pk)
             except ValueError as exc:
                 raise ProtocolError(f"payment undecryptable: {exc}") from exc
             if not bundle.signature_valid:
@@ -311,6 +478,44 @@ class SPDecMachine(SensingParticipantDec, Party):
                 out += self.deposits()
             return out
         raise ProtocolError(f"SP cannot handle message kind {kind!r}")
+
+    def open_payment(self, ciphertext: bytes, jo_pubkey: rsa.RSAPublicKey,
+                     bank_pk) -> PaymentBundle:
+        """Decrypt, weed out fakes, verify coins and the JO signature."""
+        plaintext = rsa.decrypt(self.labor_key, ciphertext)
+        self.counter.record(SP, "Dec")
+        payload = decode(plaintext)
+        sig_ok = rsa.verify(jo_pubkey, self.labor_key.public.fingerprint(), payload["sig"])
+        self.counter.record(SP, "Dec")  # signature verification
+        tokens: list[SpendToken] = []
+        fakes = 0
+        for blob in payload["coins"]:
+            try:
+                candidate = decode(blob)
+            except (ValueError, TypeError):
+                fakes += 1
+                continue
+            if not isinstance(candidate, SpendToken):
+                fakes += 1
+                continue
+            self.counter.record(SP, "Dec")  # coin (ZK bundle) verification
+            if verify_spend(self.params, bank_pk, candidate):
+                tokens.append(candidate)
+            else:
+                fakes += 1
+        bundle = PaymentBundle(tokens=tokens, fake_count=fakes, signature_valid=sig_ok)
+        if sig_ok:
+            self.collected.extend(tokens)
+        return bundle
+
+    def deposit_schedule(self, start_time: float) -> list[tuple[float, SpendToken]]:
+        """Random-delay deposit times: one coin at a time, spaced apart."""
+        t = start_time + self.rng.uniform(0.5, 5.0)
+        plan = []
+        for token in self.collected:
+            plan.append((t, token))
+            t += self.rng.uniform(0.5, 5.0)
+        return plan
 
     def deposits(self) -> list[Outbound]:
         """The verified coins' deposits, one at a time, spaced apart."""
@@ -380,3 +585,16 @@ class PPMSdecSession:
             drive(router, sp, sp.nym)
             bundles.append(sp.bundle)
         return bundles
+
+    def deposit_change(self, jo: JODecMachine) -> int:
+        """Deposit what *jo*'s coins still hold into its own account, a
+        second apart after the latest deposit, on the router the latest
+        job ran on (*jo*'s, as :func:`trade_sensing_service` runs it);
+        returns the value deposited."""
+        tokens, at = jo.change_tokens(), self.ma.clock
+        for token in tokens:
+            at += 1.0
+            self.router.post(jo.aid, Outbound(MA, "deposit",
+                                              {"aid": jo.aid, "coin": token, "at": at}))
+        settle(self.router)
+        return sum(token.denomination(self.params.tree_level) for token in tokens)

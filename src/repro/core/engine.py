@@ -5,9 +5,9 @@ messages, and a :class:`Router` moves envelopes between parties through
 the accounted :class:`~repro.net.transport.Transport` until the system
 is quiescent.  :mod:`repro.core.dec_machine` and
 :mod:`repro.core.pbs_machine` put PPMSdec and PPMSpbs on this engine:
-each party there is its actor class (the protocol steps, written once)
-plus :class:`Party` (addressing, message order, rejection), and each
-mechanism's session drives its machines through one router per job.
+each party there is one :class:`Party` subclass (its protocol steps,
+their addressing, message order and rejection), and each mechanism's
+session drives its machines through one router per job.
 
 Rules the router enforces:
 
@@ -39,7 +39,7 @@ from typing import Any
 
 from repro.net.transport import Transport
 
-__all__ = ["Outbound", "Party", "ProtocolError", "Router", "DeliveryFailure", "drive"]
+__all__ = ["Outbound", "Party", "ProtocolError", "Router", "DeliveryFailure", "drive", "settle"]
 
 
 class ProtocolError(ValueError):
@@ -174,6 +174,12 @@ def drive(router: Router, party: Party, *aliases: str) -> None:
     """
     router.add(party, *aliases)
     router.activate(party.name)
+    settle(router)
+
+
+def settle(router: Router) -> None:
+    """Run *router* to quiescence, raising its first rejected delivery
+    as a :class:`ProtocolError` (see :func:`drive`)."""
     router.run()
     if router.failures:
         failure = router.failures[0]

@@ -1,22 +1,25 @@
-"""Persistence and audit for the PPMSpbs bank.
+"""The PPMSpbs bank, its persistence and its audit.
 
-The unitary-market bank (:class:`~repro.core.ppms_pbs.VirtualBankPbs`)
-carries different books than the DEC bank: balances keyed by real-key
-fingerprints, the spent-serial set (per-JO freshness), and the
-transaction log the mechanism deliberately exposes.  Same persistence
-contract as :mod:`repro.core.ledger`: codec body + integrity digest,
-books-only restore, and a findings-style audit.
+The unitary-market bank (:class:`VirtualBankPbs`) carries different
+books than the DEC bank: balances keyed by real-key fingerprints, the
+spent-serial set (per-JO freshness), and the transaction log the
+mechanism deliberately exposes.  Same persistence contract as
+:mod:`repro.core.ledger`: codec body + integrity digest, books-only
+restore, and a findings-style audit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.core.ppms_pbs import VirtualBankPbs
+from repro.crypto import rsa
 from repro.crypto.hashing import sha256
+from repro.crypto.partial_blind import PartialBlindSignature, verify_partial_blind
 from repro.net.codec import decode, encode
 
 __all__ = [
+    "DoubleDepositError",
+    "VirtualBankPbs",
     "PbsSnapshotError",
     "snapshot_pbs_bank",
     "restore_pbs_bank",
@@ -25,6 +28,77 @@ __all__ = [
 ]
 
 _MAGIC = b"repro-pbs-bank-snapshot-v1"
+
+
+class DoubleDepositError(ValueError):
+    """The coin's serial was already deposited."""
+
+
+@dataclass
+class VirtualBankPbs:
+    """Account ledger keyed by the residents' *real* RSA public keys.
+
+    The bank knows real identities (accounts require authentic identity
+    information, Section III-A); the fingerprint of the bound RSA key
+    doubles as the account id.
+    """
+
+    accounts: dict[bytes, int] = field(default_factory=dict)
+    bound_keys: dict[bytes, tuple[int, int]] = field(default_factory=dict)
+    spent_serials: set[tuple[bytes, bytes]] = field(default_factory=set)
+    transaction_log: list[tuple[bytes, bytes]] = field(default_factory=list)
+
+    def open_account(self, pubkey: rsa.RSAPublicKey, initial_balance: int = 0) -> bytes:
+        aid = pubkey.fingerprint()
+        if aid in self.accounts:
+            raise ValueError("account already exists for this key")
+        self.accounts[aid] = initial_balance
+        self.bound_keys[aid] = (pubkey.n, pubkey.e)
+        return aid
+
+    def balance(self, aid: bytes) -> int:
+        return self.accounts[aid]
+
+    def _check_transfer(self, payer: bytes, payee: bytes) -> None:
+        if self.accounts.get(payer, 0) < 1:
+            raise ValueError("payer cannot cover a unitary payment")
+        if payee not in self.accounts:
+            raise ValueError("unknown payee account")
+
+    def transfer_unit(self, payer: bytes, payee: bytes) -> None:
+        self._check_transfer(payer, payee)
+        self.accounts[payer] -= 1
+        self.accounts[payee] += 1
+        self.transaction_log.append((payer, payee))
+
+    def check_deposit(
+        self,
+        signature: PartialBlindSignature,
+        sp_key: tuple[int, int],
+        jo_key: tuple[int, int],
+    ) -> tuple[bytes, bytes]:
+        """The pure half of a deposit: verify the coin, check its serial
+        is fresh and that the unit can move.
+
+        Returns the ``(payer, payee)`` account ids for
+        :meth:`apply_deposit`.  Raises :class:`ValueError` on a bad
+        signature or books that cannot move the unit, and
+        :class:`DoubleDepositError` on a replayed serial.  Nothing is
+        mutated, so a journaled endpoint can check → journal → apply.
+        """
+        jo_pub = rsa.RSAPublicKey(*jo_key)
+        payer, payee = jo_pub.fingerprint(), rsa.RSAPublicKey(*sp_key).fingerprint()
+        if not verify_partial_blind(jo_pub, payee, signature):
+            raise ValueError("invalid partially blind signature at deposit")
+        if (payer, signature.common_info) in self.spent_serials:
+            raise DoubleDepositError("serial already deposited (double deposit)")
+        self._check_transfer(payer, payee)
+        return payer, payee
+
+    def apply_deposit(self, payer: bytes, payee: bytes, serial: bytes) -> None:
+        """Move the unit and burn the serial of a checked deposit."""
+        self.transfer_unit(payer, payee)
+        self.spent_serials.add((payer, serial))
 
 
 class PbsSnapshotError(Exception):

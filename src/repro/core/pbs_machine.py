@@ -1,32 +1,50 @@
-"""PPMSpbs as message-driven state machines (Algorithm 4 on the engine),
-and :class:`PPMSpbsSession`, which runs them synchronously.
+"""PPMSpbs — the light-weight mechanism for unitary-payment markets
+(paper Section V, Algorithm 4) — as message-driven state machines, and
+:class:`PPMSpbsSession`, which runs them synchronously.
 
-Each party from Section V is its :mod:`~repro.core.ppms_pbs` actor plus
-:class:`~repro.core.engine.Party`: the actor owns every protocol step
-(and tallies it for Table I), the machine's behaviour is *entirely*
-reactions to envelopes — the shape a deployed client/daemon has.
-Per-SP conversations are keyed by the SP's ephemeral pseudonym
-fingerprint, and every handler validates the session state before
-acting, rejecting out-of-order or replayed messages — and a JO or SP
-anything not from the MA — with :class:`~repro.core.engine.ProtocolError`.
+The digital coin is a single RSA *partially blind signature* by the
+job owner: blind in the SP's real public key (so the JO never learns
+whom it paid — transaction-linkage privacy against the JO), with the
+job serial number as the embedded common information (so the MA can
+check freshness at deposit time and block double deposits).
+
+By design the MA *does* learn which JO and SP transacted at deposit
+time — the paper deliberately trades this away ("removing the
+transaction privacy against the bank is actually required in many
+practical systems to thwart money laundering").  Job-linkage privacy
+survives because the job was published under an ephemeral pseudonym
+and all payments are unitary, so a deposit cannot be matched to a job.
+
+Each party from Section V is one class whose behaviour is *entirely*
+reactions to envelopes — the shape a deployed client/daemon has — and
+which tallies every step for Table I.  Per-SP conversations are keyed
+by the SP's ephemeral pseudonym fingerprint, and every handler
+validates the session state before acting, rejecting out-of-order or
+replayed messages — and a JO or SP anything not from the MA — with
+:class:`~repro.core.engine.ProtocolError`.
 
 The order of Algorithm 4's steps is written here, in the handlers, and
 nowhere else (all via the MA, as the system model requires):
 
     JO  -> MA: job-registration   {jd, rpk_fingerprint}
     MA  -> JO: job-published      {job}
-    SP  -> MA: labor-registration {job, pseudonym, blob}
+    SP  -> MA: labor-registration {job, pseudonym, blob}     RSA_ENC_rpkjo(rpk_sp, serial)
     MA  -> JO: labor-forward      {pseudonym, blob}
-    JO  -> MA: labor-answer       {pseudonym, blob}
+    JO  -> MA: labor-answer       {pseudonym, blob}          RSA_ENC_rpksp(rpk_JO, sig)
     MA  -> SP: labor-answer-fwd   {blob}
-    SP  -> MA: blinded-payment    {job, pseudonym, blinded}
+    SP  -> MA: blinded-payment    {job, pseudonym, blinded}  blinded (rpk_SP, serial)
     SP  -> MA: data-submission    {pseudonym, job, data}
     MA  -> JO: blinded-forward    {pseudonym, blinded}
-    JO  -> MA: payment-submission {pseudonym, pbs, ctr}
-    MA  -> SP: payment-delivery   {pbs, ctr}
+    JO  -> MA: payment-submission {pseudonym, pbs, ctr}      signed blindly
+    MA  -> SP: payment-delivery   {pbs, ctr}                 (data and payment held)
     SP  -> MA: payment-confirm    {pseudonym}
     MA  -> JO: data-delivery      {job, data}
     SP  -> MA: deposit            {sig, ctr, serial, sp_key, jo_key}
+
+In the labor answer the JO discloses its *real* bank key to the SP,
+signed under the job pseudonym; at the deposit the MA verifies the
+coin, checks serial freshness, and moves one credit from the JO's to
+the SP's account.
 
 A resident answers to two names that nothing joins: its account (the
 hex fingerprint of its real key), under which it deposits, and the name
@@ -36,25 +54,35 @@ of its current pseudonym, under which it does everything else.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Any
 
+import repro.crypto.rsa as rsa
 from repro.core.engine import Outbound, Party, ProtocolError, Router, drive
-from repro.core.market import DataReport, JobProfile, pseudonym_name
-from repro.core.ppms_pbs import (
-    CoinReceipt,
-    JobOwnerPbs,
-    MarketAdministratorPbs,
-    SensingParticipantPbs,
+from repro.core.market import DataReport, JobProfile, MarketDesk, pseudonym_name
+from repro.core.pbs_ledger import VirtualBankPbs
+from repro.crypto.partial_blind import (
+    PartialBlindRequester,
+    PartialBlindSignature,
+    PartialBlindSigner,
 )
-from repro.crypto.partial_blind import PartialBlindSignature
-from repro.crypto.rsa import RSAPublicKey
 from repro.metrics.opcount import OpCounter
+from repro.net.codec import decode, encode
 from repro.net.transport import Transport
 
-__all__ = ["MAMachine", "JOMachine", "SPMachine", "PPMSpbsSession"]
+__all__ = ["CoinReceipt", "MAMachine", "JOMachine", "SPMachine", "PPMSpbsSession"]
 
 JO, SP, MA = "JO", "SP", "MA"
+
+
+@dataclass(frozen=True)
+class CoinReceipt:
+    """SP-side record of a verified unitary coin, ready to deposit."""
+
+    signature: PartialBlindSignature
+    jo_account_key: tuple[int, int]  # (n, e) of the JO's real key
+    serial: bytes
 
 
 class SPState(Enum):
@@ -64,54 +92,46 @@ class SPState(Enum):
     PAID = auto()
 
 
-class MAMachine(MarketAdministratorPbs, Party):
-    """The market administrator: relay + bulletin board + bank."""
+class MAMachine(MarketDesk, Party):
+    """The market administrator: relay + bulletin board (the desk) + bank."""
 
     role = MA
 
     def __init__(self, counter: OpCounter) -> None:
-        MarketAdministratorPbs.__init__(self, counter)
+        MarketDesk.__init__(self)
         Party.__init__(self, MA)
-        self.jo_for_job: dict[str, str] = {}  # job id -> its owner's pseudonym name
+        self.counter = counter
+        self.bank = self.make_bank()
+
+    def make_bank(self) -> VirtualBankPbs:
+        """The bank behind the desk (a subclass may keep it elsewhere)."""
+        return VirtualBankPbs()
 
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
         if kind == "job-registration":
             # a unitary market: every job pays 1
-            profile = self.publish_job(payload["jd"], 1, payload["rpk_fingerprint"])
-            self.jo_for_job[profile.job_id] = sender
+            profile = self.publish_job(sender, payload["jd"], 1, payload["rpk_fingerprint"])
             return [Outbound(sender, "job-published", {"job": profile.job_id})]
         if kind == "labor-registration":
-            jo = self.jo_for_job.get(payload["job"])
-            if jo is None:
-                raise ProtocolError(f"labor registration for unknown job {payload['job']!r}")
-            self.register_labor(sender, payload["pseudonym"])
+            jo = self.register_labor(sender, payload["pseudonym"], payload["job"])
             return [Outbound(jo, "labor-forward",
                              {"pseudonym": payload["pseudonym"], "blob": payload["blob"]})]
         if kind == "labor-answer":
             return [Outbound(self.worker_name(payload["pseudonym"]), "labor-answer-fwd",
                              {"blob": payload["blob"]})]
         if kind == "blinded-payment":
-            jo = self.jo_for_job.get(payload["job"])
-            if jo is None:
-                raise ProtocolError("blinded payment for unknown job")
-            return [Outbound(jo, "blinded-forward",
+            return [Outbound(self.owner_of(payload["job"]), "blinded-forward",
                              {"pseudonym": payload["pseudonym"],
                               "blinded": payload["blinded"]})]
         if kind == "payment-submission":
-            self.accept_payment(payload["pseudonym"], (payload["pbs"], payload["ctr"]))
-            return self._maybe_deliver(payload["pseudonym"])
+            return self.accept_payment(sender, payload["pseudonym"],
+                                       {"pbs": payload["pbs"], "ctr": payload["ctr"]})
         if kind == "data-submission":
-            self.accept_data(DataReport(job_id=payload["job"],
-                                        submitter_pseudonym=payload["pseudonym"],
-                                        payload=payload["data"]))
-            return self._maybe_deliver(payload["pseudonym"])
+            return self.accept_data(sender, DataReport(job_id=payload["job"],
+                                                       submitter_pseudonym=payload["pseudonym"],
+                                                       payload=payload["data"]))
         if kind == "payment-confirm":
-            try:
-                report = self.release_data(payload["pseudonym"])
-            except KeyError:
-                raise ProtocolError("confirmation without a held report") from None
-            return [Outbound(self.jo_for_job[report.job_id], "data-delivery",
-                             {"job": report.job_id, "data": report.payload})]
+            return [self.release_data(sender, payload["pseudonym"])]
         if kind == "deposit":
             signature = PartialBlindSignature(
                 value=payload["sig"], counter=payload["ctr"],
@@ -128,27 +148,51 @@ class MAMachine(MarketAdministratorPbs, Party):
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
 
-    def _maybe_deliver(self, pseud: bytes) -> list[Outbound]:
-        payment = self.payment_for(pseud)
-        if payment is None:
-            return []
-        pbs, ctr = payment
-        return [Outbound(self.worker_name(pseud), "payment-delivery", {"pbs": pbs, "ctr": ctr})]
+    def handle_deposit(
+        self,
+        signature: PartialBlindSignature,
+        sp_key: tuple[int, int],
+        jo_key: tuple[int, int],
+    ) -> None:
+        """Verify the coin, check serial freshness, move one credit.
+
+        Raises :class:`ValueError` on a bad signature or a replayed
+        serial (double deposit).
+        """
+        self.counter.record(MA, "H")  # recompute the signed representative
+        payer, payee = self.bank.check_deposit(signature, sp_key, jo_key)
+        self.counter.record(MA, "Dec")  # the verification itself
+        self.counter.record(MA, "H")  # serial freshness lookup
+        self.bank.apply_deposit(payer, payee, signature.common_info)
 
 
-class JOMachine(JobOwnerPbs, Party):
+class JOMachine(Party):
     """A job owner: answers labor registrations and blind-signs coins,
-    each job as that job's pseudonym."""
+    each job as that job's pseudonym.
+
+    Holds a *real* account RSA key (bound at the bank) and a fresh
+    ephemeral job key per published job.
+    """
 
     role = JO
 
     def __init__(self, rng: random.Random, counter: OpCounter, *, rsa_bits: int = 1024) -> None:
-        JobOwnerPbs.__init__(self, rng, rsa_bits=rsa_bits)
-        Party.__init__(self, self.account_pub.fingerprint().hex())
+        self.rng = rng
         self.counter = counter
+        self.rsa_bits = rsa_bits
+        self.account_key = rsa.generate_keypair(rsa_bits, rng)
+        Party.__init__(self, self.account_pub.fingerprint().hex())
+        self.job_key: rsa.RSAPrivateKey | None = None
+        self._signer = PartialBlindSigner(self.account_key)
+        # SP pseudonym fingerprint -> the serial decrypted from its registration
+        self._serial_for: dict[bytes, bytes] = {}
         self.description = ""
         self.job_id: str | None = None
         self.received_reports: list[dict] = []
+
+    @property
+    def account_pub(self) -> rsa.RSAPublicKey:
+        return self.account_key.public
 
     @property
     def nym(self) -> str:
@@ -156,7 +200,8 @@ class JOMachine(JobOwnerPbs, Party):
 
     def begin_job(self, description: str) -> None:
         """Bind to a new job: a fresh job pseudonym for it."""
-        self.make_job_identity(self.counter)
+        self.job_key = rsa.generate_keypair(self.rsa_bits, self.rng)
+        self.counter.record(JO, "H")
         self.description = description
         self.job_id = None
 
@@ -173,7 +218,7 @@ class JOMachine(JobOwnerPbs, Party):
             return []
         if kind == "labor-forward":
             try:
-                answer = self.answer_labor_registration(payload["blob"], self.counter)
+                answer = self.answer_labor_registration(payload["blob"])
             except ValueError as exc:
                 raise ProtocolError(f"undecryptable labor registration: {exc}") from exc
             return [Outbound(MA, "labor-answer",
@@ -183,7 +228,8 @@ class JOMachine(JobOwnerPbs, Party):
             serial = self._serial_for.get(payload["pseudonym"])
             if serial is None:
                 raise ProtocolError("blinded payment before labor registration")
-            pbs, ctr = self.sign_payment(payload["blinded"], serial, self.counter)
+            pbs, ctr = self._signer.sign_blinded(payload["blinded"], serial)
+            self.counter.record(JO, "Enc")  # the partially blind signature
             return [Outbound(MA, "payment-submission",
                              {"pseudonym": payload["pseudonym"], "pbs": pbs, "ctr": ctr},
                              sender=self.nym)]
@@ -192,18 +238,47 @@ class JOMachine(JobOwnerPbs, Party):
             return []
         raise ProtocolError(f"JO cannot handle message kind {kind!r}")
 
+    def answer_labor_registration(self, ciphertext: bytes) -> bytes:
+        """Decrypt the SP's (pseudonym, serial), sign them, reply encrypted."""
+        plaintext = rsa.decrypt(self.job_key, ciphertext)
+        self.counter.record(JO, "Dec")
+        payload = decode(plaintext)
+        sp_pse = rsa.RSAPublicKey(*payload["rpk"])
+        serial = payload["serial"]
+        self._serial_for[sp_pse.fingerprint()] = serial
+        sig = rsa.sign(self.job_key, encode({"rpk": payload["rpk"], "serial": serial}))
+        self.counter.record(JO, "Enc")  # the RSA signature
+        self.counter.record(JO, "H")
+        answer = encode(
+            {"jo_account": (self.account_pub.n, self.account_pub.e), "sig": sig}
+        )
+        reply = rsa.encrypt(sp_pse, answer, self.rng)
+        self.counter.record(JO, "Enc")  # RSA_ENC of the answer
+        return reply
 
-class SPMachine(SensingParticipantPbs, Party):
+
+class SPMachine(Party):
     """A sensing participant: works each job as a fresh labor
     pseudonym, deposits as its account."""
 
     role = SP
 
     def __init__(self, rng: random.Random, counter: OpCounter, *, rsa_bits: int = 1024) -> None:
-        SensingParticipantPbs.__init__(self, rng, rsa_bits=rsa_bits)
-        Party.__init__(self, self.account_pub.fingerprint().hex())
+        self.rng = rng
         self.counter = counter
+        self.rsa_bits = rsa_bits
+        self.account_key = rsa.generate_keypair(rsa_bits, rng)
+        Party.__init__(self, self.account_pub.fingerprint().hex())
+        self.labor_key: rsa.RSAPrivateKey | None = None
+        self.serial: bytes | None = None
+        self._jo_account: tuple[int, int] | None = None
+        self._requester: PartialBlindRequester | None = None
+        self.receipts: list[CoinReceipt] = []
         self.state = SPState.INIT
+
+    @property
+    def account_pub(self) -> rsa.RSAPublicKey:
+        return self.account_key.public
 
     @property
     def pseudonym(self) -> bytes:
@@ -213,14 +288,24 @@ class SPMachine(SensingParticipantPbs, Party):
     def nym(self) -> str:
         return pseudonym_name(self.pseudonym)
 
-    def bind(self, job: JobProfile, jo_pseudonym_key: RSAPublicKey,
+    def bind(self, job: JobProfile, jo_pseudonym_key: rsa.RSAPublicKey,
              data_payload: bytes, deposit: bool) -> None:
-        """Take *job* from the board under a fresh labor pseudonym (the
-        registration request is made now: it carries the pseudonym)."""
+        """Take *job* from the board under a fresh labor pseudonym and
+        serial; the registration request, encrypted to the job
+        pseudonym key, is made now (it carries the pseudonym)."""
         self.job, self.jo_pseudonym_key = job, jo_pseudonym_key
         self.data_payload, self.deposit = data_payload, deposit
-        self._labor_request = self.make_labor_request(jo_pseudonym_key, self.counter)
+        self.labor_key = rsa.generate_keypair(self.rsa_bits, self.rng)
+        self.serial = bytes(self.rng.getrandbits(8) for _ in range(16))
+        self.counter.record(SP, "H")  # serial/pseudonym derivation
+        self._labor_request = rsa.encrypt(jo_pseudonym_key, self._labor_message(), self.rng)
+        self.counter.record(SP, "Enc")
         self.state = SPState.INIT
+
+    def _labor_message(self) -> bytes:
+        return encode(
+            {"rpk": (self.labor_key.public.n, self.labor_key.public.e), "serial": self.serial}
+        )
 
     def start(self) -> list[Outbound]:
         self.state = SPState.REGISTERED
@@ -234,9 +319,13 @@ class SPMachine(SensingParticipantPbs, Party):
         if kind == "labor-answer-fwd":
             if self.state is not SPState.REGISTERED:
                 raise ProtocolError("labor answer out of order")
-            if not self.open_labor_answer(payload["blob"], self.jo_pseudonym_key, self.counter):
+            if not self.open_labor_answer(payload["blob"]):
                 raise ProtocolError("JO signature on labor answer failed — aborting")
-            blinded = self.make_blinded_payment_request(self.counter)
+            # blind the *real* account key under the agreed serial
+            self._requester = PartialBlindRequester(rsa.RSAPublicKey(*self._jo_account),
+                                                    self.rng)
+            self.counter.record(SP, "H")  # the blinded representative hash
+            blinded = self._requester.blind(self.account_pub.fingerprint(), self.serial)
             self.state = SPState.DATA_SENT
             # submit the data alongside; the MA holds the payment until both exist
             return [
@@ -251,20 +340,38 @@ class SPMachine(SensingParticipantPbs, Party):
             if self.state is not SPState.DATA_SENT:
                 raise ProtocolError("payment delivered out of order")
             try:
-                receipt = self.finalize_coin(payload["pbs"], payload["ctr"], self.counter)
+                # unblind and verify the coin (raises on signer misbehaviour)
+                signature = self._requester.unblind(payload["pbs"], payload["ctr"])
             except ValueError as exc:
                 raise ProtocolError(f"coin failed verification: {exc}") from exc
+            self.counter.record(SP, "Dec")  # verification inside unblind()
+            receipt = CoinReceipt(signature=signature, jo_account_key=self._jo_account,
+                                  serial=self.serial)
+            self.receipts.append(receipt)
             self.state = SPState.PAID
             out = [Outbound(MA, "payment-confirm", {"pseudonym": self.pseudonym}, sender=self.nym)]
             if self.deposit:
-                coin = receipt.signature
                 out.append(Outbound(MA, "deposit", {
-                    "sig": coin.value, "ctr": coin.counter, "serial": coin.common_info,
+                    "sig": signature.value, "ctr": signature.counter,
+                    "serial": signature.common_info,
                     "sp_key": (self.account_pub.n, self.account_pub.e),
                     "jo_key": list(receipt.jo_account_key),
                 }))
             return out
         raise ProtocolError(f"SP cannot handle message kind {kind!r}")
+
+    def open_labor_answer(self, ciphertext: bytes) -> bool:
+        """Decrypt the JO's answer, verify its signature, learn rpk_JO."""
+        plaintext = rsa.decrypt(self.labor_key, ciphertext)
+        self.counter.record(SP, "Dec")
+        payload = decode(plaintext)
+        message = self._labor_message()
+        self.counter.record(SP, "H")
+        if not rsa.verify(self.jo_pseudonym_key, message, payload["sig"]):
+            return False
+        self.counter.record(SP, "Dec")  # signature verification
+        self._jo_account = tuple(payload["jo_account"])
+        return True
 
 
 class PPMSpbsSession:

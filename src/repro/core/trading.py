@@ -86,7 +86,7 @@ def trade_sensing_service(
 
     The buyer's account must already exist at the session's bank (it
     typically earned its balance as a worker).  A fresh
-    :class:`~repro.core.ppms_dec.JobOwnerDec` persona is created over
+    :class:`~repro.core.dec_machine.JODecMachine` persona is created over
     that account and a complete Algorithm-1 round runs against
     *seller*.  Returns the buyer persona (whose wallets may retain
     change from the withdrawal).
@@ -117,5 +117,5 @@ def trade_sensing_service(
     )
     # return the unspent part of the withdrawal, so the net account
     # movement is exactly the service price
-    buyer.deposit_change(session.ma, session.transport, session.counter)
+    session.deposit_change(buyer)
     return buyer

@@ -48,7 +48,7 @@ from typing import Any, Callable
 
 import repro.obs as obs
 from repro.core.engine import ProtocolError
-from repro.core.ppms_pbs import DoubleDepositError
+from repro.core.pbs_ledger import DoubleDepositError
 from repro.crypto import rsa
 from repro.crypto.cl_sig import BlindIssuanceRequest
 from repro.crypto.partial_blind import PartialBlindSignature

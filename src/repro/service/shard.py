@@ -30,7 +30,7 @@ restarts — a snapshot taken by one service instance restores into
 another with the same shard count.
 
 Beside the shards sits the PPMSpbs book — one unsharded
-:class:`~repro.core.ppms_pbs.VirtualBankPbs` (:attr:`ShardedBank.pbs`)
+:class:`~repro.core.pbs_ledger.VirtualBankPbs` (:attr:`ShardedBank.pbs`)
 that is journaled, checkpointed (one
 :func:`~repro.core.pbs_ledger.snapshot_pbs_bank` blob after the shard
 blobs), replayed and audited with them.
@@ -43,8 +43,12 @@ from typing import Iterable, Sequence
 
 import repro.obs as obs
 from repro.core.ledger import AuditReport, audit_bank, restore_bank, snapshot_bank
-from repro.core.pbs_ledger import audit_pbs_bank, restore_pbs_bank, snapshot_pbs_bank
-from repro.core.ppms_pbs import VirtualBankPbs
+from repro.core.pbs_ledger import (
+    VirtualBankPbs,
+    audit_pbs_bank,
+    restore_pbs_bank,
+    snapshot_pbs_bank,
+)
 from repro.crypto import rsa
 from repro.crypto.cl_sig import CLKeyPair, CLPublicKey
 from repro.crypto.hashing import sha256
@@ -286,7 +290,7 @@ class ShardedBank:
     def pbs_deposit(self, signature, sp_key, jo_key, *, rid: str = "") -> bytes:
         """Check, journal and apply one unitary coin; returns its serial.
 
-        Raises :class:`~repro.core.ppms_pbs.DoubleDepositError` on a
+        Raises :class:`~repro.core.pbs_ledger.DoubleDepositError` on a
         spent serial and :class:`ValueError` on a bad coin or books that
         cannot move the unit — nothing is then journaled.
         """

@@ -107,7 +107,7 @@ class DecJO(JODecMachine):
         if kind == "job-published":
             self.recruit(self)
         elif kind == "data-delivery" and len(self.received_reports) == self.workers:
-            self.change = self.change_tokens(self.counter)
+            self.change = self.change_tokens()
             out += [Outbound(MA, "deposit", {"aid": self.aid, "coin": token, "at": self.clock.now,
                                              "rid": f"{self.aid}:chg:{n}"})
                     for n, token in enumerate(self.change, 1)]

@@ -40,8 +40,7 @@ import random
 from dataclasses import dataclass, field
 
 import repro.obs as obs
-from repro.core.pbs_machine import PPMSpbsSession
-from repro.core.ppms_pbs import CoinReceipt
+from repro.core.pbs_machine import CoinReceipt, PPMSpbsSession
 from repro.crypto import rsa
 from repro.crypto.cl_sig import CLKeyPair, cl_keygen
 from repro.ecash.dec import setup

@@ -8,7 +8,8 @@ import random
 import pytest
 
 from repro.core.dec_machine import PPMSdecSession
-from repro.core.engine import Outbound
+from repro.core.engine import Outbound, drive
+from repro.core.market import pseudonym_name
 
 
 def _market(dec_params, rng, *, n_workers=2, payment=3, jo_funds=None,
@@ -153,7 +154,7 @@ class TestRelayToUnknownPseudonym:
         session, jo, sps = _market(dec_params, rng, n_workers=1, jo_funds=32)
         router = session.router
         ghost = b"z" * 16
-        router.post("mallory", Outbound("MA", "data-submission",
+        router.post(pseudonym_name(ghost), Outbound("MA", "data-submission",
                                         {"pseudonym": ghost, "job": jo.job_id, "data": b"d"}))
         router.post("mallory", Outbound("MA", "payment-submission",
                                         {"pseudonym": ghost, "ciphertext": b"c"}))
@@ -165,8 +166,78 @@ class TestRelayToUnknownPseudonym:
         assert session.ma.bank.balance(late.aid) == 3
 
 
+#: forged escrow traffic: (sender, message) for the late worker of a job
+#: while another job (``other``) is on the same router
+ESCROW_FORGERIES = {
+    "forged-confirmation": lambda jo, other, sps, late: (
+        jo.nym, Outbound("MA", "payment-confirm", {"pseudonym": late.pseudonym})),
+    "data-under-another-pseudonym": lambda jo, other, sps, late: (
+        sps[0].nym, Outbound("MA", "data-submission",
+                             {"pseudonym": late.pseudonym, "job": jo.job_id, "data": b"x"})),
+    "data-for-another-job": lambda jo, other, sps, late: (
+        late.nym, Outbound("MA", "data-submission",
+                           {"pseudonym": late.pseudonym, "job": other.job_id, "data": b"x"})),
+    "payment-from-another-jobs-owner": lambda jo, other, sps, late: (
+        other.nym, Outbound("MA", "payment-submission",
+                            {"pseudonym": late.pseudonym, "ciphertext": b"garbage"})),
+}
+
+
+class TestEscrowAnswersOnlyTheConcernedParty:
+    """The MA takes data and a confirmation only from the pseudonym they
+    concern, data only for the job it registered labor for, and a
+    payment only from that job's owner.  Each forgery arrives while a
+    worker's data is held and before its JO pays: one refused delivery,
+    the escrow as it was, no data released, and the worker completes."""
+
+    @pytest.mark.parametrize("forgery", sorted(ESCROW_FORGERIES))
+    def test_forgery_is_one_failure_and_changes_nothing(
+            self, dec_params, rng, forge_while_held, forgery):
+        session, jo, sps = _market(dec_params, rng, n_workers=1, jo_funds=32)
+        other = session.new_job_owner("other-acct", 1 << dec_params.tree_level)
+        other.begin_job("another job", 1, session.ma.bank.public_key)
+        drive(session.router, other, other.nym)
+        late = _late_worker(session, jo, "sp-late")
+        sender, out = ESCROW_FORGERIES[forgery](jo, other, sps, late)
+        reports = len(jo.received_reports)
+
+        assert forge_while_held(session, late, sender, out)
+        (failure,) = session.router.failures
+        assert (failure.sender, failure.receiver, failure.kind) == (sender, "MA", out.kind)
+        assert jo.received_reports[reports:] == [{"job": jo.job_id, "data": b"late"}]
+        assert other.received_reports == []
+        assert session.ma.bank.balance(late.aid) == 3
+
+
+class TestJoSendsOnlyFakes:
+    def test_the_escrow_keeps_the_data(self, dec_params, rng, monkeypatch):
+        """A JO whose payment is all fake coins, under its valid
+        signature: the SP counts zero coins and never confirms, so the
+        MA never releases the data."""
+        from repro.crypto import rsa
+        from repro.ecash.fake import pad_payment
+        from repro.net.codec import encode
+
+        session, jo, _ = _market(dec_params, rng, n_workers=0)
+
+        def fakes_only(sp_pub, payment):
+            padded = pad_payment([], slots=6, rng=rng, reference_length=256)
+            sig = rsa.sign(jo.job_key, sp_pub.fingerprint())
+            return rsa.encrypt(sp_pub, encode({"coins": padded, "sig": sig}), rng)
+
+        monkeypatch.setattr(jo, "build_payment", fakes_only)
+        late = _late_worker(session, jo, "sp-late")
+        session.router.run()
+        (failure,) = session.router.failures
+        assert (failure.receiver, failure.kind) == (late.nym, "payment-delivery")
+        assert failure.error == "payment value 0 != advertised 3"
+        assert jo.received_reports == []
+        assert session.ma._held_reports[late.pseudonym].payload == b"late"
+        assert session.ma.bank.balance(late.aid) == 0
+
+
 class TestHonestJoNeverDoubleSpends:
-    """The machines pay through the actor's allocator, so several
+    """The JO pays through its one allocator, so several
     payments out of several coins never hand one node out twice."""
 
     @pytest.mark.parametrize("n_workers, algo", [(4, "pcba"), (6, "epcba")])
@@ -218,7 +289,7 @@ class TestWithdrawalOrder:
         answer still finishes the withdrawal afterwards."""
         router, ma, jo, sps = market
         coins, before = len(jo.coins), len(router.failures)
-        request = jo.begin_withdraw(jo.counter)
+        request = jo.begin_withdraw()
         router.post("MA", Outbound(jo.name, "withdraw-response", {"signature": signature}))
         router.run()
         (failure,) = router.failures[before:]
@@ -242,7 +313,7 @@ class TestWithdrawalOrder:
 
 
 class TestTableOneParity:
-    """The machines tally through the actors' own ``counter.record``
+    """The machines tally through their own ``counter.record``
     sites, so a market reproduces, row for row, the Table I counts the
     imperative session recorded before the machines replaced it."""
 

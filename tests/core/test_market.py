@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.market import BulletinBoard, DataReport, JobProfile, MarketDesk, new_job_id
+from repro.core.engine import Outbound, ProtocolError
+from repro.core.market import (
+    BulletinBoard,
+    DataReport,
+    JobProfile,
+    MarketDesk,
+    new_job_id,
+    pseudonym_name,
+)
 
 
 class TestJobProfile:
@@ -66,52 +74,60 @@ class TestJobIds:
         assert len(ids) == 100
 
 
-@pytest.mark.parametrize("payment", [b"ciphertext", (12345, 7)],
+@pytest.mark.parametrize("payment", [{"ciphertext": b"c"}, {"pbs": 12345, "ctr": 7}],
                          ids=["ciphertext", "pbs-ctr"])
 class TestMarketDesk:
     """The escrow of paper Section III-A, for either mechanism's payment."""
 
     PSEUD = b"sp-pseudonym"
+    SP = pseudonym_name(PSEUD)
+    JO = "nym:jo"
+
+    def _desk(self):
+        """A desk with one job and labor registered for it under PSEUD."""
+        desk = MarketDesk()
+        self.job = desk.publish_job(self.JO, "noise map", 3, b"jo-pseudonym").job_id
+        assert desk.register_labor(self.SP, self.PSEUD, self.job) == self.JO
+        return desk
 
     def _report(self, payload=b"data"):
-        return DataReport(job_id="j", submitter_pseudonym=self.PSEUD, payload=payload)
+        return DataReport(job_id=self.job, submitter_pseudonym=self.PSEUD, payload=payload)
+
+    def _delivery(self, payment):
+        return [Outbound(self.SP, "payment-delivery", payment)]
 
     def test_publish_job_lands_on_the_board(self, payment):
         desk = MarketDesk()
-        profile = desk.publish_job("noise map", 3, b"jo-pseudonym")
+        profile = desk.publish_job(self.JO, "noise map", 3, b"jo-pseudonym")
         assert desk.board.lookup(profile.job_id) == profile
         assert (profile.description, profile.payment) == ("noise map", 3)
+        assert desk.owner_of(profile.job_id) == self.JO
 
     def test_payment_is_held_until_the_data_is_held(self, payment):
-        desk = MarketDesk()
-        desk.accept_payment(self.PSEUD, payment)
-        assert desk.payment_for(self.PSEUD) is None
-        desk.accept_data(self._report())
-        assert desk.payment_for(self.PSEUD) == payment
+        desk = self._desk()
+        assert desk.accept_payment(self.JO, self.PSEUD, payment) == []
+        assert desk.accept_data(self.SP, self._report()) == self._delivery(payment)
 
     def test_data_first_then_payment(self, payment):
-        desk = MarketDesk()
-        desk.accept_data(self._report())
-        assert desk.payment_for(self.PSEUD) is None
-        desk.accept_payment(self.PSEUD, payment)
-        assert desk.payment_for(self.PSEUD) == payment
+        desk = self._desk()
+        assert desk.accept_data(self.SP, self._report()) == []
+        assert desk.accept_payment(self.JO, self.PSEUD, payment) == self._delivery(payment)
 
     def test_payment_is_handed_over_exactly_once(self, payment):
-        desk = MarketDesk()
-        desk.accept_payment(self.PSEUD, payment)
-        desk.accept_data(self._report())
-        assert desk.payment_for(self.PSEUD) == payment
-        assert desk.payment_for(self.PSEUD) is None
-        desk.accept_data(self._report(b"replayed"))  # a replayed data-submission
-        assert desk.payment_for(self.PSEUD) is None
+        desk = self._desk()
+        desk.accept_payment(self.JO, self.PSEUD, payment)
+        assert desk.accept_data(self.SP, self._report()) == self._delivery(payment)
+        # a replayed data-submission
+        assert desk.accept_data(self.SP, self._report(b"replayed")) == []
 
     def test_release_data_hands_the_report_over_once(self, payment):
-        desk = MarketDesk()
-        desk.accept_data(self._report())
-        assert desk.release_data(self.PSEUD).payload == b"data"
-        with pytest.raises(KeyError):
-            desk.release_data(self.PSEUD)
+        desk = self._desk()
+        desk.accept_data(self.SP, self._report())
+        assert desk.release_data(self.SP, self.PSEUD) == Outbound(
+            self.JO, "data-delivery", {"job": self.job, "data": b"data"})
+        with pytest.raises(ProtocolError, match="without a held report"):
+            desk.release_data(self.SP, self.PSEUD)
 
     def test_release_data_of_unknown_pseudonym(self, payment):
-        with pytest.raises(KeyError):
-            MarketDesk().release_data(b"nobody")
+        with pytest.raises(ProtocolError, match="without a held report"):
+            MarketDesk().release_data(pseudonym_name(b"nobody"), b"nobody")

@@ -6,12 +6,12 @@ import pytest
 
 from repro.core.pbs_ledger import (
     PbsSnapshotError,
+    VirtualBankPbs,
     audit_pbs_bank,
     restore_pbs_bank,
     snapshot_pbs_bank,
 )
 from repro.core.pbs_machine import PPMSpbsSession
-from repro.core.ppms_pbs import VirtualBankPbs
 
 
 @pytest.fixture()

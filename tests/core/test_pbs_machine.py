@@ -218,6 +218,48 @@ class TestRelayToUnknownPseudonym:
         assert [f.kind for f in router.failures] == ["labor-registration", "labor-answer"]
 
 
+#: forged escrow traffic: (sender, message) for the late worker of a job
+#: while another job (``other``) is on the same router
+ESCROW_FORGERIES = {
+    "forged-confirmation": lambda jo, other, sps, late: (
+        jo.nym, Outbound("MA", "payment-confirm", {"pseudonym": late.pseudonym})),
+    "data-under-another-pseudonym": lambda jo, other, sps, late: (
+        sps[0].nym, Outbound("MA", "data-submission",
+                             {"pseudonym": late.pseudonym, "job": jo.job_id, "data": b"x"})),
+    "data-for-another-job": lambda jo, other, sps, late: (
+        late.nym, Outbound("MA", "data-submission",
+                           {"pseudonym": late.pseudonym, "job": other.job_id, "data": b"x"})),
+    "payment-from-another-jobs-owner": lambda jo, other, sps, late: (
+        other.nym, Outbound("MA", "payment-submission",
+                            {"pseudonym": late.pseudonym, "pbs": 1, "ctr": 0})),
+}
+
+
+class TestEscrowAnswersOnlyTheConcernedParty:
+    """The MA takes data and a confirmation only from the pseudonym they
+    concern, data only for the job it registered labor for, and a
+    payment only from that job's owner.  Each forgery arrives while a
+    worker's data is held and before its JO pays: one refused delivery,
+    the escrow as it was, no data released, and the worker completes."""
+
+    @pytest.mark.parametrize("forgery", sorted(ESCROW_FORGERIES))
+    def test_forgery_is_one_failure_and_changes_nothing(self, rng, forge_while_held, forgery):
+        session, jo, sps = _market(rng, n_workers=1, jo_funds=3)
+        other = session.new_job_owner(funds=1)
+        other.begin_job("another job")
+        drive(session.router, other, other.nym)
+        late = _late_worker(session, jo)
+        sender, out = ESCROW_FORGERIES[forgery](jo, other, sps, late)
+        reports = len(jo.received_reports)
+
+        assert forge_while_held(session, late, sender, out)
+        (failure,) = session.router.failures
+        assert (failure.sender, failure.receiver, failure.kind) == (sender, "MA", out.kind)
+        assert jo.received_reports[reports:] == [{"job": jo.job_id, "data": b"late"}]
+        assert other.received_reports == []
+        assert _balance(session, late) == 1
+
+
 class TestAsyncDeliveryOrder:
     def test_pbs_market_converges_under_reordering(self):
         """Random delivery order must not change the bank outcome."""
@@ -295,7 +337,7 @@ class TestJoSignsUnderItsOwnSerial:
 
 
 class TestTableOneParity:
-    """The machines tally through the actors' own ``counter.record``
+    """The machines tally through their own ``counter.record``
     sites, so a market reproduces, row for row, the Table I counts the
     imperative session recorded before the machines replaced it."""
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.dec_machine import PPMSdecSession
-from repro.core.ppms_dec import BREAK_ALGORITHMS, JobOwnerDec
+from repro.core.dec_machine import BREAK_ALGORITHMS, JODecMachine, PPMSdecSession
 from repro.ecash.tree import CoinTree
 from repro.ecash.wallet import InsufficientFunds, Wallet
 
@@ -210,7 +209,7 @@ class TestDoubleSpendAcrossSessions:
 
 
 class TestAllocateAcrossCoins:
-    """``JobOwnerDec._allocate`` is the one allocator behind every
+    """``JODecMachine._allocate`` is the one allocator behind every
     payment, on the session and on the engine alike: whatever it hands
     out of one coin must never conflict, or an honest JO double-spends
     (and a double spend is what reveals the spender)."""
@@ -219,7 +218,7 @@ class TestAllocateAcrossCoins:
     @pytest.mark.parametrize("algo", sorted(BREAK_ALGORITHMS))
     def test_no_coin_ever_hands_out_conflicting_nodes(self, level, algo):
         for payment in range(1, (1 << level) + 1):
-            jo = JobOwnerDec("jo", None, None, break_algorithm=algo)
+            jo = JODecMachine("jo", None, None, None, break_algorithm=algo)
             handed: dict[int, list] = {}  # coin number -> nodes handed out
             for _ in range(12):
                 denominations = BREAK_ALGORITHMS[algo](payment, level)
@@ -250,14 +249,15 @@ class TestSplitWithdrawal:
         counter = OpCounter()
         dec_bank.open_account("jo", 2 << dec_params.tree_level)
         dec_bank.open_account("sp", 0)
-        jo = JobOwnerDec("jo", dec_params, rng)
-        requests = [jo.begin_withdraw(counter), jo.begin_withdraw(counter)]
+        jo = JODecMachine("jo", dec_params, rng, counter, rsa_bits=512)
+        jo.begin_job("split", 1, dec_bank.public_key)  # tallies the pseudonym's H
+        requests = [jo.begin_withdraw(), jo.begin_withdraw()]
         secrets = list(jo._pending_secrets)
         for request in requests:
-            jo.finish_withdraw(dec_bank.issue("jo", request), dec_bank.public_key, counter)
+            jo.finish_withdraw(dec_bank.issue("jo", request))
         assert [coin.secret for coin, _ in jo.coins] == secrets
         assert jo._pending_secrets == []
-        assert counter.party_row("JO") == {"ZKP": 2, "Enc": 0, "Dec": 2, "H": 0}
+        assert counter.party_row("JO") == {"ZKP": 2, "Enc": 0, "Dec": 2, "H": 1}
         for coin, wallet in jo.coins:
             token = create_spend(dec_params, dec_bank.public_key, coin.secret,
                                  coin.signature, wallet.allocate(1), rng)

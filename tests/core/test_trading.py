@@ -109,29 +109,24 @@ class TestServiceTrading:
 
 class TestDepositChange:
     def test_change_returns_exact_remainder(self, session, dec_params):
-        session.ma.bank.open_account("jo-c", 1 << dec_params.tree_level)
-        from repro.core.ppms_dec import JobOwnerDec
-
-        jo = JobOwnerDec("jo-c", dec_params, session.rng, rsa_bits=512)
-        jo.withdraw(session.ma, session.transport, session.counter)
+        jo = session.new_job_owner("jo-c", 1 << dec_params.tree_level)
+        session.run_job(jo, [])  # registers a job and withdraws one coin
         # spend nothing; everything comes back
-        returned = jo.deposit_change(session.ma, session.transport, session.counter)
+        returned = session.deposit_change(jo)
         assert returned == 1 << dec_params.tree_level
         assert session.ma.bank.balance("jo-c") == 1 << dec_params.tree_level
         assert jo.spendable_balance() == 0
 
     def test_change_after_partial_spend(self, session, dec_params):
-        session.ma.bank.open_account("jo-d", 1 << dec_params.tree_level)
-        session.ma.bank.open_account("sink", 0)
-        from repro.core.ppms_dec import JobOwnerDec
         from repro.ecash.spend import create_spend
 
-        jo = JobOwnerDec("jo-d", dec_params, session.rng, rsa_bits=512)
-        jo.withdraw(session.ma, session.transport, session.counter)
+        jo = session.new_job_owner("jo-d", 1 << dec_params.tree_level)
+        session.ma.bank.open_account("sink", 0)
+        session.run_job(jo, [])
         coin, wallet = jo.coins[0]
         node = wallet.allocate(3 if False else 2)
         token = create_spend(dec_params, session.ma.bank.public_key, coin.secret,
                              coin.signature, node, session.rng)
         session.ma.bank.deposit("sink", token)
-        returned = jo.deposit_change(session.ma, session.transport, session.counter)
+        returned = session.deposit_change(jo)
         assert returned == (1 << dec_params.tree_level) - 2
