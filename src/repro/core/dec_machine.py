@@ -31,11 +31,13 @@ nowhere else:
        MA -> JO   data-delivery {job, data}
     6. SP -> MA   deposit {aid, coin, at}            (per coin, spaced apart)
 
-Each party tallies every cryptographic operation of its steps on its
+Each party reads its messages from its ``table`` (a row per kind: the
+payload's fields, their bounds, the handler), tallies every
+cryptographic operation of its steps on its
 :class:`~repro.metrics.OpCounter` (Table I), and rejects anything forged
 or out of order with :class:`~repro.core.engine.ProtocolError` — an SP
-a payment before it registered, the MA deposits of malformed coins or
-into someone else's account, a JO or SP anything not from the MA.  The
+a payment before it registered, the MA a deposit into someone else's
+account, a JO or SP anything not from the MA.  The
 MA's ``clock`` is logical time, the latest deposit's; a job's deposit
 delays start from it, the randomized waits the paper prescribes ("SP
 waits for a random period of time between two consecutive deposits").
@@ -55,14 +57,21 @@ from typing import Any
 
 import repro.crypto.rsa as rsa
 from repro.core.cashbreak import BREAK_FN_BY_NAME
-from repro.core.engine import Outbound, Party, ProtocolError, Router, drive, settle
-from repro.core.market import DataReport, JobProfile, MarketDesk, pseudonym_name
-from repro.ecash.dec import Coin, DECBank, DoubleSpendError, begin_withdrawal, finish_withdrawal
+from repro.core.engine import Outbound, Party, ProtocolError, Router, drive, settle, unseal
+from repro.core.market import (
+    DESK, HELD, JOB, KEY, OWNER, PSEUDONYM, TIME, JobOwner, JobProfile, MarketDesk,
+    pseudonym_name,
+)
+from repro.ecash.dec import (
+    BlindIssuanceRequest, CLSignature, Coin, DECBank, DoubleSpendError, begin_withdrawal,
+    finish_withdrawal,
+)
 from repro.ecash.fake import pad_payment
 from repro.ecash.spend import DECParams, SpendToken, create_spend, verify_spend
 from repro.ecash.wallet import InsufficientFunds, Wallet
 from repro.metrics.opcount import OpCounter
 from repro.net.codec import decode, encode
+from repro.net.schema import MAX_ID, Field, Message, Table
 from repro.net.transport import Transport
 
 __all__ = [
@@ -122,38 +131,42 @@ class MADecMachine(MarketDesk, Party):
         """The bank behind the desk (a subclass may keep it elsewhere)."""
         return DECBank.create(self.params, rng)
 
-    def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
-        if kind == "job-registration":
-            profile = self.publish_job(sender, payload["jd"], payload["w"],
-                                       payload["rpk_fingerprint"])
-            return [Outbound(sender, "job-published", {"job": profile.job_id})]
-        if kind == "withdraw-request":
-            signature = self.withdraw(sender, payload["request"])
-            return [Outbound(sender, "withdraw-response", {"signature": signature})]
-        if kind == "labor-registration":
-            jo = self.register_labor(sender, rsa.RSAPublicKey(*payload["rpk"]).fingerprint(),
-                                     payload["job"])
-            return [Outbound(jo, "labor-forward",
-                             {"job": payload["job"], "rpk": payload["rpk"]})]
-        if kind == "payment-submission":
-            return self.accept_payment(sender, payload["pseudonym"],
-                                       {"ciphertext": payload["ciphertext"]})
-        if kind == "data-submission":
-            return self.accept_data(sender, DataReport(job_id=payload["job"],
-                                                       submitter_pseudonym=payload["pseudonym"],
-                                                       payload=payload["data"]))
-        if kind == "payment-confirm":
-            return [self.release_data(sender, payload["pseudonym"])]
-        if kind == "deposit":
-            if payload["aid"] != sender:
-                raise ProtocolError("deposit with mismatched account identity")
-            if not isinstance(payload["coin"], SpendToken):
-                raise ProtocolError("malformed coin in deposit")
-            if not isinstance(payload["at"], float):
-                raise ProtocolError("malformed deposit time")
-            self.deposit(sender, payload)
-            return []
-        raise ProtocolError(f"MA cannot handle message kind {kind!r}")
+    # -- the steps: one handler per row of :attr:`table` ---------------
+    def on_withdraw_request(self, sender: str, payload: dict) -> list[Outbound]:
+        signature = self.withdraw(sender, payload["request"])
+        return [Outbound(sender, "withdraw-response", {"signature": signature})]
+
+    def on_labor_registration(self, sender: str, payload: dict) -> list[Outbound]:
+        jo = self.register_labor(sender, rsa.RSAPublicKey(*payload["rpk"]).fingerprint(),
+                                 payload["job"])
+        return [Outbound(jo, "labor-forward", {"job": payload["job"], "rpk": payload["rpk"]})]
+
+    def on_payment_submission(self, sender: str, payload: dict) -> list[Outbound]:
+        return self.accept_payment(sender, payload["pseudonym"],
+                                   {"ciphertext": payload["ciphertext"]})
+
+    def on_deposit(self, sender: str, payload: dict) -> list[Outbound]:
+        if payload["aid"] != sender:
+            raise ProtocolError("deposit with mismatched account identity")
+        self.deposit(sender, payload)
+        return []
+
+    table = Table("PPMSdec MA message", {
+        "job-registration": Message(
+            {"jd": Field(str, high=1024), "w": Field(int, low=1, high=(1 << 63) - 1),
+             "rpk_fingerprint": Field(bytes, low=1, high=16)},
+            MarketDesk.on_job_registration, answers="`job-published`"),
+        "withdraw-request": Message({"request": Field(BlindIssuanceRequest)},
+                                    on_withdraw_request, answers="`withdraw-response`"),
+        "labor-registration": Message({"job": JOB, "rpk": KEY}, on_labor_registration,
+                                      answers="`labor-forward` to the job's owner"),
+        "payment-submission": Message({"pseudonym": PSEUDONYM, "ciphertext": Field(bytes)},
+                                      on_payment_submission, answers=HELD),
+        **DESK,
+        "deposit": Message({"aid": Field(str, high=MAX_ID), "coin": Field(SpendToken),
+                            "at": TIME, "rid": Field(str, optional=True, low=1, high=MAX_ID)},
+                           on_deposit, answers="nothing; the coin's value credited"),
+    })
 
     # -- the bank's half (a subclass may put the bank elsewhere) --------------
     def withdraw(self, aid: str, request: Any) -> Any:
@@ -192,11 +205,9 @@ class MADecMachine(MarketDesk, Party):
         return amount
 
 
-class JODecMachine(Party):
+class JODecMachine(JobOwner):
     """A job owner: withdraws as its account, runs each job as that
     job's pseudonym."""
-
-    role = JO
 
     def __init__(
         self,
@@ -210,33 +221,20 @@ class JODecMachine(Party):
     ) -> None:
         if break_algorithm not in BREAK_ALGORITHMS:
             raise ValueError(f"unknown break algorithm {break_algorithm!r}")
-        Party.__init__(self, aid)
+        JobOwner.__init__(self, aid, rng, counter, rsa_bits)
         self.aid = aid
         self.params = params
-        self.rng = rng
-        self.counter = counter
-        self.rsa_bits = rsa_bits
         self.break_algorithm = break_algorithm
-        self.job_key: rsa.RSAPrivateKey | None = None
         self.coins: list[tuple[Coin, Wallet]] = []
         self._pending_secrets: list[int] = []  # begun withdrawals, answered FIFO
         self._bank_pk = None
-        self.description = ""
         self.payment = 0
-        self.job_id: str | None = None
-        self.received_reports: list[dict] = []
         self._deferred_labor: list[rsa.RSAPublicKey] = []
 
-    @property
-    def nym(self) -> str:
-        return pseudonym_name(self.job_key.public.fingerprint())
-
     def begin_job(self, description: str, payment: int, bank_pk) -> None:
-        """Bind to a new job: a fresh ephemeral RSA pseudonym ``rpk_jo``."""
-        self.job_key = rsa.generate_keypair(self.rsa_bits, self.rng)
-        self.counter.record(JO, "H")  # pseudonym fingerprint derivation
-        self.description, self.payment, self._bank_pk = description, payment, bank_pk
-        self.job_id = None
+        """Bind to a new job under a fresh pseudonym, paying *payment* each worker."""
+        super().begin_job(description)
+        self.payment, self._bank_pk = payment, bank_pk
 
     def start(self) -> list[Outbound]:
         return [
@@ -250,28 +248,29 @@ class JODecMachine(Party):
     def _new_withdrawal(self) -> Outbound:
         return Outbound(MA, "withdraw-request", {"request": self.begin_withdraw()})
 
-    def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
-        if sender != MA:
-            raise ProtocolError(f"JO hears only the MA, not {sender!r}")
-        if kind == "job-published":
-            self.job_id = payload["job"]
-            return []
-        if kind == "withdraw-response":
-            if not self._pending_secrets:
-                raise ProtocolError("unexpected withdrawal response")
-            self.finish_withdraw(payload["signature"])
-            # serve any labor registrations that waited for funds
-            out = []
-            deferred, self._deferred_labor = self._deferred_labor, []
-            for sp_pub in deferred:
-                out.extend(self._serve_labor(sp_pub))
-            return out
-        if kind == "labor-forward":
-            return self._serve_labor(rsa.RSAPublicKey(*payload["rpk"]))
-        if kind == "data-delivery":
-            self.received_reports.append(payload)
-            return []
-        raise ProtocolError(f"JO cannot handle message kind {kind!r}")
+    def on_withdraw_response(self, sender: str, payload: dict) -> list[Outbound]:
+        if not self._pending_secrets:
+            raise ProtocolError("unexpected withdrawal response")
+        self.finish_withdraw(payload["signature"])
+        # serve any labor registrations that waited for funds
+        out = []
+        deferred, self._deferred_labor = self._deferred_labor, []
+        for sp_pub in deferred:
+            out.extend(self._serve_labor(sp_pub))
+        return out
+
+    def on_labor_forward(self, sender: str, payload: dict) -> list[Outbound]:
+        if payload["job"] != self.job_id:
+            raise ProtocolError(f"labor for another job than {self.job_id!r}")
+        return self._serve_labor(rsa.RSAPublicKey(*payload["rpk"]))
+
+    table = Table("PPMSdec JO message", {
+        **OWNER,
+        "withdraw-response": Message({"signature": Field(CLSignature)}, on_withdraw_response,
+                                     answers="`payment-submission` to each waiting worker"),
+        "labor-forward": Message({"job": JOB, "rpk": KEY}, on_labor_forward,
+                                 answers="`payment-submission`, or `withdraw-request` first"),
+    })
 
     def _serve_labor(self, sp_pub: rsa.RSAPublicKey) -> list[Outbound]:
         """Pay the registered worker, withdrawing another coin if needed
@@ -300,7 +299,11 @@ class JODecMachine(Party):
         """Turn the answer to the oldest pending request into a coin (an
         answer that fails verification leaves the request pending)."""
         self.counter.record(JO, "Dec")  # verify the blindly issued signature
-        coin = finish_withdrawal(self.params, self._bank_pk, self._pending_secrets[0], signature)
+        try:
+            coin = finish_withdrawal(self.params, self._bank_pk, self._pending_secrets[0],
+                                     signature)
+        except ValueError as exc:
+            raise ProtocolError(f"invalid withdrawal signature: {exc}") from exc
         self._pending_secrets.pop(0)
         self.coins.append((coin, coin.wallet()))
 
@@ -342,7 +345,6 @@ class JODecMachine(Party):
         Atomic: on failure every reservation is rolled back and
         :class:`~repro.ecash.wallet.InsufficientFunds` propagates.
         """
-        reserved: list[tuple[Wallet, object]] = []
         picked: list[tuple[Coin, object]] = []
         try:
             for denom in denominations:
@@ -350,41 +352,48 @@ class JODecMachine(Party):
                     continue
                 for coin, wallet in self.coins:
                     try:
-                        node = wallet.allocate(denom)
+                        picked.append((coin, wallet.allocate(denom)))
+                        break
                     except InsufficientFunds:
                         continue
-                    reserved.append((wallet, node))
-                    picked.append((coin, node))
-                    break
                 else:
                     raise InsufficientFunds(f"no coin can serve denomination {denom}")
         except InsufficientFunds:
-            for wallet, node in reserved:
-                wallet.release(node)
+            self._release(picked)
             raise
         return picked
 
+    def _release(self, picked: list[tuple[Coin, object]]) -> None:
+        wallets = {id(coin): wallet for coin, wallet in self.coins}
+        for coin, node in picked:
+            wallets[id(coin)].release(node)
+
     # -- cash break and payment submission ---------------------------------------
     def build_payment(self, sp_pubkey: rsa.RSAPublicKey, payment: int) -> bytes:
-        """Break the payment, mint spend tokens, pad, sign, encrypt."""
-        level = self.params.tree_level
-        denominations = BREAK_ALGORITHMS[self.break_algorithm](payment, level)
+        """Break the payment, mint spend tokens, pad, sign, encrypt; a
+        step that raises leaves the wallets as they were."""
+        denominations = BREAK_ALGORITHMS[self.break_algorithm](payment, self.params.tree_level)
         allocations = self._allocate(denominations)
-        blobs: list[bytes] = []
-        for coin, node in allocations:
-            token = create_spend(
-                self.params, self._bank_pk, coin.secret, coin.signature, node, self.rng
-            )
-            self.counter.record(JO, "ZKP", 1 + len(token.edges) + 1)  # equality + edges + final
-            blobs.append(encode(token))
+        try:
+            blobs: list[bytes] = []
+            for coin, node in allocations:
+                token = create_spend(
+                    self.params, self._bank_pk, coin.secret, coin.signature, node, self.rng
+                )
+                # equality + edges + final
+                self.counter.record(JO, "ZKP", 1 + len(token.edges) + 1)
+                blobs.append(encode(token))
 
-        sig = rsa.sign(self.job_key, sp_pubkey.fingerprint())
-        self.counter.record(JO, "Enc")  # RSA signature on the payee pseudonym
-        self.counter.record(JO, "H")
+            sig = rsa.sign(self.job_key, sp_pubkey.fingerprint())
+            self.counter.record(JO, "Enc")  # RSA signature on the payee pseudonym
+            self.counter.record(JO, "H")
 
-        padded = pad_payment(blobs, slots=len(denominations), rng=self.rng)
-        payload = encode({"coins": padded, "sig": sig})
-        ciphertext = rsa.encrypt(sp_pubkey, payload, self.rng)
+            padded = pad_payment(blobs, slots=len(denominations), rng=self.rng)
+            payload = encode({"coins": padded, "sig": sig})
+            ciphertext = rsa.encrypt(sp_pubkey, payload, self.rng)
+        except Exception:
+            self._release(allocations)
+            raise
         self.counter.record(JO, "Enc")  # RSA_ENC of the designated-receiver payment
         return ciphertext
 
@@ -393,7 +402,7 @@ class SPDecMachine(Party):
     """A sensing participant: works each job as a fresh labor
     pseudonym, deposits as its account."""
 
-    role = SP
+    role, hears = SP, MA
 
     def __init__(
         self,
@@ -455,36 +464,36 @@ class SPDecMachine(Party):
             }, sender=self.nym),
         ]
 
-    def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
-        if sender != MA:
-            raise ProtocolError(f"SP hears only the MA, not {sender!r}")
-        if kind == "payment-delivery":
-            if self.state is not SPDecState.DATA_SENT:
-                raise ProtocolError("payment delivered out of order")
-            try:
-                bundle = self.open_payment(payload["ciphertext"], self.jo_pseudonym_key,
-                                           self.bank_pk)
-            except ValueError as exc:
-                raise ProtocolError(f"payment undecryptable: {exc}") from exc
-            if not bundle.signature_valid:
-                raise ProtocolError("JO signature on payment invalid")
-            value = bundle.total_value(self.params.tree_level)
-            if value != self.job.payment:
-                raise ProtocolError(f"payment value {value} != advertised {self.job.payment}")
-            self.bundle = bundle
-            self.state = SPDecState.PAID
-            out = [Outbound(MA, "payment-confirm", {"pseudonym": self.pseudonym}, sender=self.nym)]
-            if self.deposit_from is not None:
-                out += self.deposits()
-            return out
-        raise ProtocolError(f"SP cannot handle message kind {kind!r}")
+    def on_payment_delivery(self, sender: str, payload: dict) -> list[Outbound]:
+        if self.state is not SPDecState.DATA_SENT:
+            raise ProtocolError("payment delivered out of order")
+        bundle = self.open_payment(payload["ciphertext"], self.jo_pseudonym_key, self.bank_pk)
+        if not bundle.signature_valid:
+            raise ProtocolError("JO signature on payment invalid")
+        value = bundle.total_value(self.params.tree_level)
+        if value != self.job.payment:
+            raise ProtocolError(f"payment value {value} != advertised {self.job.payment}")
+        self.bundle = bundle
+        self.state = SPDecState.PAID
+        out = [Outbound(MA, "payment-confirm", {"pseudonym": self.pseudonym}, sender=self.nym)]
+        if self.deposit_from is not None:
+            out += self.deposits()
+        return out
+
+    table = Table("PPMSdec SP message", {
+        "payment-delivery": Message({"ciphertext": Field(bytes)}, on_payment_delivery,
+                                    answers="`payment-confirm`, then a `deposit` per coin"),
+    })
 
     def open_payment(self, ciphertext: bytes, jo_pubkey: rsa.RSAPublicKey,
                      bank_pk) -> PaymentBundle:
         """Decrypt, weed out fakes, verify coins and the JO signature."""
-        plaintext = rsa.decrypt(self.labor_key, ciphertext)
+        try:
+            plaintext = rsa.decrypt(self.labor_key, ciphertext)
+        except ValueError as exc:
+            raise ProtocolError(f"payment undecryptable: {exc}") from exc
         self.counter.record(SP, "Dec")
-        payload = decode(plaintext)
+        payload = unseal(SEALED, "sealed-payment", plaintext)
         sig_ok = rsa.verify(jo_pubkey, self.labor_key.public.fingerprint(), payload["sig"])
         self.counter.record(SP, "Dec")  # signature verification
         tokens: list[SpendToken] = []
@@ -523,6 +532,14 @@ class SPDecMachine(Party):
                for at, token in self.deposit_schedule(self.deposit_from)]
         self.collected.clear()
         return out
+
+
+#: what a payment's ciphertext holds, checked once the SP decrypted it
+SEALED = Table("sealed PPMSdec payload", {
+    "sealed-payment": Message({"coins": Field(list), "sig": Field(int, low=0)},
+                              SPDecMachine.open_payment,
+                              answers="each coin blob a spend token or a fake"),
+})
 
 
 class PPMSdecSession:

@@ -20,26 +20,31 @@ Rules the router enforces:
   their names, so Table II stays per role and the envelope log names no
   resident;
 * delivery order is FIFO per router (deterministic);
-* a handler raising :class:`ProtocolError` poisons only that delivery;
-  the error is recorded and the rest of the system keeps running —
-  exactly how a real MA must treat a malformed client message;
-* a message of the wrong shape (a missing field, a payload that is not
-  a mapping, a value of the wrong type) is such a message: a
-  ``KeyError`` / ``TypeError`` / ``ValueError`` escaping a handler is
-  recorded the same way, its error starting ``"malformed"``.
+* a party reads its messages from one table (:attr:`Party.table`,
+  a :class:`~repro.net.schema.Table` beside its handlers): a message
+  of an unknown kind or of the wrong shape (a missing or surplus field,
+  a value of the wrong type or past its bound, a payload that is not a
+  mapping) is refused before any handler runs, as ``"malformed <kind>
+  message: <problem>"``; a JO, SP or ring hears only the MA;
+* a :class:`ProtocolError` poisons only its own delivery: the router
+  records it and the rest of the system keeps running — exactly how a
+  real MA must treat a hostile client message.  Any other exception is
+  a bug and escapes.
 """
 
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
+from repro.net.codec import decode
+from repro.net.schema import Message, Table
 from repro.net.transport import Transport
 
-__all__ = ["Outbound", "Party", "ProtocolError", "Router", "DeliveryFailure", "drive", "settle"]
+__all__ = ["Outbound", "Party", "ProtocolError", "Router", "DeliveryFailure", "drive",
+           "settle", "unseal"]
 
 
 class ProtocolError(ValueError):
@@ -67,11 +72,15 @@ class DeliveryFailure:
     error: str
 
 
-class Party(ABC):
+class Party:
     """A protocol participant addressed by ``name``."""
 
     #: what the transport meters this party's traffic as (``None``: its name)
     role: str | None = None
+    #: the one sender this party takes messages from (``None``: anyone)
+    hears: str | None = None
+    #: every kind this party takes: its payload's fields and its handler
+    table: Table
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -80,9 +89,39 @@ class Party(ABC):
         """Messages to emit when the party is activated (default: none)."""
         return []
 
-    @abstractmethod
     def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
-        """React to a delivered message; return follow-up messages."""
+        """React to a delivered message; return follow-up messages.
+
+        The only dispatch: the one-sender rule, then the kind's row of
+        :attr:`table`, then the handler the row names — looked up by
+        name, so a subclass overrides a step by redefining its handler.
+        """
+        if self.hears is not None and sender != self.hears:
+            raise ProtocolError(f"{self.role or self.name} hears only the {self.hears}, "
+                                f"not {sender!r}")
+        entry = _checked(self.table, kind, payload)
+        return getattr(self, entry.handler.__name__)(sender, payload)
+
+
+def _checked(table: Table, kind: Any, body: Any) -> Message:
+    """*kind*'s row of *table*, once *body* fits it."""
+    entry, problem = table.check(kind, body)
+    if entry is None:
+        raise ProtocolError(problem)
+    if problem is not None:
+        raise ProtocolError(f"malformed {kind} message: {problem.removeprefix(f'{kind}: ')}")
+    return entry
+
+
+def unseal(table: Table, kind: str, plaintext: bytes) -> dict:
+    """Decode the decrypted *plaintext* of a sealed *kind* and check it
+    against its row of *table*, as :meth:`Party.handle` checks a message."""
+    try:
+        body = decode(plaintext)
+    except ValueError as exc:
+        raise ProtocolError(f"malformed {kind} message: {exc}") from exc
+    _checked(table, kind, body)
+    return body
 
 
 class Router:
@@ -144,14 +183,10 @@ class Router:
         try:
             replies = receiver.handle(sender, out.kind, payload)
         except ProtocolError as exc:
-            error = str(exc)
-        except (KeyError, TypeError, ValueError) as exc:
-            error = f"malformed {out.kind} message: {exc!r}"
+            self.failures.append(DeliveryFailure(sender=sender, receiver=out.receiver,
+                                                 kind=out.kind, error=str(exc)))
         else:
             self._enqueue(receiver, replies)
-            return
-        self.failures.append(DeliveryFailure(sender=sender, receiver=out.receiver,
-                                             kind=out.kind, error=error))
 
     def _enqueue(self, party: Party, outs: list[Outbound]) -> None:
         for out in outs:

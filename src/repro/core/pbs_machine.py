@@ -17,7 +17,8 @@ and all payments are unitary, so a deposit cannot be matched to a job.
 
 Each party from Section V is one class whose behaviour is *entirely*
 reactions to envelopes — the shape a deployed client/daemon has — and
-which tallies every step for Table I.  Per-SP conversations are keyed
+which tallies every step for Table I; it reads its messages from its
+``table``.  Per-SP conversations are keyed
 by the SP's ephemeral pseudonym fingerprint, and every handler
 validates the session state before acting, rejecting out-of-order or
 replayed messages — and a JO or SP anything not from the MA — with
@@ -56,11 +57,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Any
 
 import repro.crypto.rsa as rsa
-from repro.core.engine import Outbound, Party, ProtocolError, Router, drive
-from repro.core.market import DataReport, JobProfile, MarketDesk, pseudonym_name
+from repro.core.engine import Outbound, Party, ProtocolError, Router, drive, unseal
+from repro.core.market import (
+    DESK, HELD, JOB, KEY, OWNER, PSEUDONYM, TIME, JobOwner, JobProfile, MarketDesk,
+    pseudonym_name,
+)
 from repro.core.pbs_ledger import VirtualBankPbs
 from repro.crypto.partial_blind import (
     PartialBlindRequester,
@@ -68,12 +71,16 @@ from repro.crypto.partial_blind import (
     PartialBlindSigner,
 )
 from repro.metrics.opcount import OpCounter
-from repro.net.codec import decode, encode
+from repro.net.codec import encode
+from repro.net.schema import MAX_ID, Field, Message, Table
 from repro.net.transport import Transport
 
 __all__ = ["CoinReceipt", "MAMachine", "JOMachine", "SPMachine", "PPMSpbsSession"]
 
 JO, SP, MA = "JO", "SP", "MA"
+
+#: a job serial, the coin's common information
+SERIAL = Field(bytes, low=16, high=16)
 
 
 @dataclass(frozen=True)
@@ -107,39 +114,57 @@ class MAMachine(MarketDesk, Party):
         """The bank behind the desk (a subclass may keep it elsewhere)."""
         return VirtualBankPbs()
 
-    def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
-        if kind == "job-registration":
-            # a unitary market: every job pays 1
-            profile = self.publish_job(sender, payload["jd"], 1, payload["rpk_fingerprint"])
-            return [Outbound(sender, "job-published", {"job": profile.job_id})]
-        if kind == "labor-registration":
-            jo = self.register_labor(sender, payload["pseudonym"], payload["job"])
-            return [Outbound(jo, "labor-forward",
-                             {"pseudonym": payload["pseudonym"], "blob": payload["blob"]})]
-        if kind == "labor-answer":
-            return [Outbound(self.worker_name(payload["pseudonym"]), "labor-answer-fwd",
-                             {"blob": payload["blob"]})]
-        if kind == "blinded-payment":
-            return [Outbound(self.owner_of(payload["job"]), "blinded-forward",
-                             {"pseudonym": payload["pseudonym"],
-                              "blinded": payload["blinded"]})]
-        if kind == "payment-submission":
-            return self.accept_payment(sender, payload["pseudonym"],
-                                       {"pbs": payload["pbs"], "ctr": payload["ctr"]})
-        if kind == "data-submission":
-            return self.accept_data(sender, DataReport(job_id=payload["job"],
-                                                       submitter_pseudonym=payload["pseudonym"],
-                                                       payload=payload["data"]))
-        if kind == "payment-confirm":
-            return [self.release_data(sender, payload["pseudonym"])]
-        if kind == "deposit":
-            signature = PartialBlindSignature(
-                value=payload["sig"], counter=payload["ctr"],
-                common_info=payload["serial"],
-            )
-            self.deposit(sender, signature, payload)
-            return []
-        raise ProtocolError(f"MA cannot handle message kind {kind!r}")
+    # -- the steps: one handler per row of :attr:`table` ---------------
+    def on_labor_registration(self, sender: str, payload: dict) -> list[Outbound]:
+        jo = self.register_labor(sender, payload["pseudonym"], payload["job"])
+        return [Outbound(jo, "labor-forward",
+                         {"pseudonym": payload["pseudonym"], "blob": payload["blob"]})]
+
+    def on_labor_answer(self, sender: str, payload: dict) -> list[Outbound]:
+        return [Outbound(self.worker_name(payload["pseudonym"]), "labor-answer-fwd",
+                         {"blob": payload["blob"]})]
+
+    def on_blinded_payment(self, sender: str, payload: dict) -> list[Outbound]:
+        pseudonym = payload["pseudonym"]
+        if sender != pseudonym_name(pseudonym) or self._workers.get(pseudonym) != payload["job"]:
+            raise ProtocolError("blinded payment from another party than the job's worker")
+        return [Outbound(self.owner_of(payload["job"]), "blinded-forward",
+                         {"pseudonym": payload["pseudonym"], "blinded": payload["blinded"]})]
+
+    def on_payment_submission(self, sender: str, payload: dict) -> list[Outbound]:
+        return self.accept_payment(sender, payload["pseudonym"],
+                                   {"pbs": payload["pbs"], "ctr": payload["ctr"]})
+
+    def on_deposit(self, sender: str, payload: dict) -> list[Outbound]:
+        signature = PartialBlindSignature(
+            value=payload["sig"], counter=payload["ctr"], common_info=payload["serial"])
+        self.deposit(sender, signature, payload)
+        return []
+
+    table = Table("PPMSpbs MA message", {
+        "job-registration": Message(
+            {"jd": Field(str, high=1024), "rpk_fingerprint": Field(bytes, low=1, high=16)},
+            MarketDesk.on_job_registration, answers="`job-published`"),
+        "labor-registration": Message(
+            {"job": JOB, "pseudonym": PSEUDONYM, "blob": Field(bytes)}, on_labor_registration,
+            answers="`labor-forward` to the job's owner"),
+        "labor-answer": Message({"pseudonym": PSEUDONYM, "blob": Field(bytes)}, on_labor_answer,
+                                answers="`labor-answer-fwd` to the worker"),
+        "blinded-payment": Message(
+            {"job": JOB, "pseudonym": PSEUDONYM, "blinded": Field(int, low=1)},
+            on_blinded_payment, answers="`blinded-forward` to the job's owner"),
+        "payment-submission": Message(
+            {"pseudonym": PSEUDONYM, "pbs": Field(int, low=0), "ctr": Field(int, low=0)},
+            on_payment_submission, answers=HELD),
+        **DESK,
+        # an out-of-range counter is the bank's to refuse, as a bad signature
+        "deposit": Message(
+            {"sig": Field(int, low=1), "ctr": Field(int), "serial": SERIAL,
+             "sp_key": KEY, "jo_key": KEY,
+             "rid": Field(str, optional=True, low=1, high=MAX_ID),
+             "at": Field(float, optional=True, low=TIME.low, high=TIME.high)},
+            on_deposit, answers="nothing; one unit moved from the JO to the SP"),
+    })
 
     def deposit(self, sender: str, signature: PartialBlindSignature, payload: dict) -> None:
         """The bank's half of a deposit: move the coin's unit."""
@@ -166,7 +191,7 @@ class MAMachine(MarketDesk, Party):
         self.bank.apply_deposit(payer, payee, signature.common_info)
 
 
-class JOMachine(Party):
+class JOMachine(JobOwner):
     """A job owner: answers labor registrations and blind-signs coins,
     each job as that job's pseudonym.
 
@@ -174,75 +199,57 @@ class JOMachine(Party):
     ephemeral job key per published job.
     """
 
-    role = JO
-
     def __init__(self, rng: random.Random, counter: OpCounter, *, rsa_bits: int = 1024) -> None:
-        self.rng = rng
-        self.counter = counter
-        self.rsa_bits = rsa_bits
         self.account_key = rsa.generate_keypair(rsa_bits, rng)
-        Party.__init__(self, self.account_pub.fingerprint().hex())
-        self.job_key: rsa.RSAPrivateKey | None = None
+        JobOwner.__init__(self, self.account_pub.fingerprint().hex(), rng, counter, rsa_bits)
         self._signer = PartialBlindSigner(self.account_key)
         # SP pseudonym fingerprint -> the serial decrypted from its registration
         self._serial_for: dict[bytes, bytes] = {}
-        self.description = ""
-        self.job_id: str | None = None
-        self.received_reports: list[dict] = []
 
     @property
     def account_pub(self) -> rsa.RSAPublicKey:
         return self.account_key.public
-
-    @property
-    def nym(self) -> str:
-        return pseudonym_name(self.job_key.public.fingerprint())
-
-    def begin_job(self, description: str) -> None:
-        """Bind to a new job: a fresh job pseudonym for it."""
-        self.job_key = rsa.generate_keypair(self.rsa_bits, self.rng)
-        self.counter.record(JO, "H")
-        self.description = description
-        self.job_id = None
 
     def start(self) -> list[Outbound]:
         return [Outbound(MA, "job-registration", {
             "jd": self.description, "rpk_fingerprint": self.job_key.public.fingerprint(),
         }, sender=self.nym)]
 
-    def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
-        if sender != MA:
-            raise ProtocolError(f"JO hears only the MA, not {sender!r}")
-        if kind == "job-published":
-            self.job_id = payload["job"]
-            return []
-        if kind == "labor-forward":
-            try:
-                answer = self.answer_labor_registration(payload["blob"])
-            except ValueError as exc:
-                raise ProtocolError(f"undecryptable labor registration: {exc}") from exc
-            return [Outbound(MA, "labor-answer",
-                             {"pseudonym": payload["pseudonym"], "blob": answer}, sender=self.nym)]
-        if kind == "blinded-forward":
-            # the serial this JO itself decrypted for that pseudonym's key
-            serial = self._serial_for.get(payload["pseudonym"])
-            if serial is None:
-                raise ProtocolError("blinded payment before labor registration")
+    def on_labor_forward(self, sender: str, payload: dict) -> list[Outbound]:
+        answer = self.answer_labor_registration(payload["blob"])
+        return [Outbound(MA, "labor-answer", {"pseudonym": payload["pseudonym"], "blob": answer},
+                         sender=self.nym)]
+
+    def on_blinded_forward(self, sender: str, payload: dict) -> list[Outbound]:
+        # the serial this JO itself decrypted for that pseudonym's key
+        serial = self._serial_for.get(payload["pseudonym"])
+        if serial is None:
+            raise ProtocolError("blinded payment before labor registration")
+        try:
             pbs, ctr = self._signer.sign_blinded(payload["blinded"], serial)
-            self.counter.record(JO, "Enc")  # the partially blind signature
-            return [Outbound(MA, "payment-submission",
-                             {"pseudonym": payload["pseudonym"], "pbs": pbs, "ctr": ctr},
-                             sender=self.nym)]
-        if kind == "data-delivery":
-            self.received_reports.append(payload)
-            return []
-        raise ProtocolError(f"JO cannot handle message kind {kind!r}")
+        except ValueError as exc:
+            raise ProtocolError(f"unsignable blinded payment: {exc}") from exc
+        self.counter.record(JO, "Enc")  # the partially blind signature
+        return [Outbound(MA, "payment-submission",
+                         {"pseudonym": payload["pseudonym"], "pbs": pbs, "ctr": ctr},
+                         sender=self.nym)]
+
+    table = Table("PPMSpbs JO message", {
+        **OWNER,
+        "labor-forward": Message({"pseudonym": PSEUDONYM, "blob": Field(bytes)}, on_labor_forward,
+                                 answers="`labor-answer`"),
+        "blinded-forward": Message({"pseudonym": PSEUDONYM, "blinded": Field(int, low=1)},
+                                   on_blinded_forward, answers="`payment-submission`"),
+    })
 
     def answer_labor_registration(self, ciphertext: bytes) -> bytes:
         """Decrypt the SP's (pseudonym, serial), sign them, reply encrypted."""
-        plaintext = rsa.decrypt(self.job_key, ciphertext)
+        try:
+            plaintext = rsa.decrypt(self.job_key, ciphertext)
+        except ValueError as exc:
+            raise ProtocolError(f"undecryptable labor registration: {exc}") from exc
         self.counter.record(JO, "Dec")
-        payload = decode(plaintext)
+        payload = unseal(SEALED, "sealed-labor-request", plaintext)
         sp_pse = rsa.RSAPublicKey(*payload["rpk"])
         serial = payload["serial"]
         self._serial_for[sp_pse.fingerprint()] = serial
@@ -261,7 +268,7 @@ class SPMachine(Party):
     """A sensing participant: works each job as a fresh labor
     pseudonym, deposits as its account."""
 
-    role = SP
+    role, hears = SP, MA
 
     def __init__(self, rng: random.Random, counter: OpCounter, *, rsa_bits: int = 1024) -> None:
         self.rng = rng
@@ -313,58 +320,69 @@ class SPMachine(Party):
                          {"job": self.job.job_id, "pseudonym": self.pseudonym,
                           "blob": self._labor_request}, sender=self.nym)]
 
-    def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
-        if sender != MA:
-            raise ProtocolError(f"SP hears only the MA, not {sender!r}")
-        if kind == "labor-answer-fwd":
-            if self.state is not SPState.REGISTERED:
-                raise ProtocolError("labor answer out of order")
-            if not self.open_labor_answer(payload["blob"]):
-                raise ProtocolError("JO signature on labor answer failed — aborting")
-            # blind the *real* account key under the agreed serial
-            self._requester = PartialBlindRequester(rsa.RSAPublicKey(*self._jo_account),
-                                                    self.rng)
-            self.counter.record(SP, "H")  # the blinded representative hash
-            blinded = self._requester.blind(self.account_pub.fingerprint(), self.serial)
-            self.state = SPState.DATA_SENT
-            # submit the data alongside; the MA holds the payment until both exist
-            return [
-                Outbound(MA, "blinded-payment",
-                         {"job": self.job.job_id, "pseudonym": self.pseudonym,
-                          "blinded": blinded}, sender=self.nym),
-                Outbound(MA, "data-submission",
-                         {"pseudonym": self.pseudonym, "job": self.job.job_id,
-                          "data": self.data_payload}, sender=self.nym),
-            ]
-        if kind == "payment-delivery":
-            if self.state is not SPState.DATA_SENT:
-                raise ProtocolError("payment delivered out of order")
-            try:
-                # unblind and verify the coin (raises on signer misbehaviour)
-                signature = self._requester.unblind(payload["pbs"], payload["ctr"])
-            except ValueError as exc:
-                raise ProtocolError(f"coin failed verification: {exc}") from exc
-            self.counter.record(SP, "Dec")  # verification inside unblind()
-            receipt = CoinReceipt(signature=signature, jo_account_key=self._jo_account,
-                                  serial=self.serial)
-            self.receipts.append(receipt)
-            self.state = SPState.PAID
-            out = [Outbound(MA, "payment-confirm", {"pseudonym": self.pseudonym}, sender=self.nym)]
-            if self.deposit:
-                out.append(Outbound(MA, "deposit", {
-                    "sig": signature.value, "ctr": signature.counter,
-                    "serial": signature.common_info,
-                    "sp_key": (self.account_pub.n, self.account_pub.e),
-                    "jo_key": list(receipt.jo_account_key),
-                }))
-            return out
-        raise ProtocolError(f"SP cannot handle message kind {kind!r}")
+    def on_labor_answer_fwd(self, sender: str, payload: dict) -> list[Outbound]:
+        if self.state is not SPState.REGISTERED:
+            raise ProtocolError("labor answer out of order")
+        if not self.open_labor_answer(payload["blob"]):
+            raise ProtocolError("JO signature on labor answer failed — aborting")
+        # blind the *real* account key under the agreed serial
+        self._requester = PartialBlindRequester(rsa.RSAPublicKey(*self._jo_account), self.rng)
+        self.counter.record(SP, "H")  # the blinded representative hash
+        blinded = self._requester.blind(self.account_pub.fingerprint(), self.serial)
+        self.state = SPState.DATA_SENT
+        # submit the data alongside; the MA holds the payment until both exist
+        return [
+            Outbound(MA, "blinded-payment",
+                     {"job": self.job.job_id, "pseudonym": self.pseudonym,
+                      "blinded": blinded}, sender=self.nym),
+            Outbound(MA, "data-submission",
+                     {"pseudonym": self.pseudonym, "job": self.job.job_id,
+                      "data": self.data_payload}, sender=self.nym),
+        ]
+
+    def on_payment_delivery(self, sender: str, payload: dict) -> list[Outbound]:
+        if self.state is not SPState.DATA_SENT:
+            raise ProtocolError("payment delivered out of order")
+        try:
+            # unblind and verify the coin (raises on signer misbehaviour)
+            signature = self._requester.unblind(payload["pbs"], payload["ctr"])
+        except ValueError as exc:
+            raise ProtocolError(f"coin failed verification: {exc}") from exc
+        self.counter.record(SP, "Dec")  # verification inside unblind()
+        receipt = CoinReceipt(signature=signature, jo_account_key=self._jo_account,
+                              serial=self.serial)
+        self.receipts.append(receipt)
+        self.state = SPState.PAID
+        out = [Outbound(MA, "payment-confirm", {"pseudonym": self.pseudonym}, sender=self.nym)]
+        if self.deposit:
+            out.append(self.deposit_of(receipt))
+        return out
+
+    def deposit_of(self, receipt: CoinReceipt) -> Outbound:
+        """The ``deposit`` message for *receipt*'s coin."""
+        signature = receipt.signature
+        return Outbound(MA, "deposit", {
+            "sig": signature.value, "ctr": signature.counter, "serial": signature.common_info,
+            "sp_key": (self.account_pub.n, self.account_pub.e),
+            "jo_key": list(receipt.jo_account_key),
+        })
+
+    table = Table("PPMSpbs SP message", {
+        "labor-answer-fwd": Message({"blob": Field(bytes)}, on_labor_answer_fwd,
+                                    answers="`blinded-payment` and `data-submission`"),
+        "payment-delivery": Message({"pbs": Field(int, low=0), "ctr": Field(int, low=0)},
+                                    on_payment_delivery,
+                                    answers="`payment-confirm`, then a `deposit`"),
+    })
 
     def open_labor_answer(self, ciphertext: bytes) -> bool:
         """Decrypt the JO's answer, verify its signature, learn rpk_JO."""
-        plaintext = rsa.decrypt(self.labor_key, ciphertext)
+        try:
+            plaintext = rsa.decrypt(self.labor_key, ciphertext)
+        except ValueError as exc:
+            raise ProtocolError(f"undecryptable labor answer: {exc}") from exc
         self.counter.record(SP, "Dec")
-        payload = decode(plaintext)
+        payload = unseal(SEALED, "sealed-labor-answer", plaintext)
         message = self._labor_message()
         self.counter.record(SP, "H")
         if not rsa.verify(self.jo_pseudonym_key, message, payload["sig"]):
@@ -372,6 +390,17 @@ class SPMachine(Party):
         self.counter.record(SP, "Dec")  # signature verification
         self._jo_account = tuple(payload["jo_account"])
         return True
+
+
+#: what the two labor ciphertexts hold, checked once their receiver decrypted them
+SEALED = Table("sealed PPMSpbs payload", {
+    "sealed-labor-request": Message({"rpk": KEY, "serial": SERIAL},
+                                    JOMachine.answer_labor_registration,
+                                    answers="the JO keeps the serial for the key's fingerprint"),
+    "sealed-labor-answer": Message({"jo_account": KEY, "sig": Field(int, low=0)},
+                                   SPMachine.open_labor_answer,
+                                   answers="the SP learns the account key that pays"),
+})
 
 
 class PPMSpbsSession:

@@ -159,7 +159,6 @@ class PartialBlindRequester:
         if self._state is None:
             raise RuntimeError("blind() must be called before unblind()")
         r, message, common_info = self._state
-        self._state = None
         n = self._pk.n
         sig = PartialBlindSignature(
             value=(blinded_signature * modinv(r, n)) % n,
@@ -168,6 +167,7 @@ class PartialBlindRequester:
         )
         if not verify_partial_blind(self._pk, message, sig):
             raise ValueError("partially blind signature failed to verify after unblinding")
+        self._state = None  # a forged answer leaves the real one welcome
         return sig
 
 

@@ -28,6 +28,7 @@ from repro.crypto.hashing import hash_to_range, sha256
 from repro.crypto.ntheory import modinv, random_prime
 
 __all__ = [
+    "HYBRID_MIN_BITS",
     "RSAPublicKey",
     "RSAPrivateKey",
     "generate_keypair",
@@ -40,6 +41,9 @@ __all__ = [
 ]
 
 _F4 = 65537
+
+#: the smallest modulus :func:`encrypt` takes: its seed block needs the room
+HYBRID_MIN_BITS = 320
 
 
 @dataclass(frozen=True)
@@ -155,9 +159,10 @@ def encrypt(pk: RSAPublicKey, plaintext: bytes, rng: random.Random) -> bytes:
     seed and payload, giving integrity against in-transit corruption
     (the MA forwards these blobs verbatim).
     """
+    if pk.n.bit_length() < HYBRID_MIN_BITS:
+        raise ValueError(f"modulus too small for hybrid encryption "
+                         f"(need >= {HYBRID_MIN_BITS} bits)")
     k = pk.modulus_bytes
-    if k < 40:
-        raise ValueError("modulus too small for hybrid encryption (need >= 320 bits)")
     # random seed encoded as an integer strictly below n
     seed = bytes(rng.getrandbits(8) for _ in range(k - 8))
     m = bytes_to_int(seed) % pk.n

@@ -45,6 +45,8 @@ def _num(bound: float) -> str:
         return f"{bound:g}"
     if bound > 1 << 20 and not bound & (bound + 1):  # a wide 2^k − 1
         return f"2^{bound.bit_length()} − 1"
+    if bound > 1 << 20 and not bound & (bound - 1):  # a wide 2^k
+        return f"2^{bound.bit_length() - 1}"
     return str(bound)
 
 

@@ -94,10 +94,11 @@ class DepositOutcome:
 
 @dataclass(frozen=True)
 class WithdrawOutcome:
-    """The blindly issued signature for a withdrawal job."""
+    """The blindly issued signature for a withdrawal job (``None``: the
+    request's proof of knowledge failed)."""
 
     seq: int
-    signature: CLSignature
+    signature: CLSignature | None
 
 
 def _batch_worker(point: SweepPoint) -> list:
@@ -135,11 +136,15 @@ def _batch_worker(point: SweepPoint) -> list:
         return out
     if tag == "withdraw":
         _, params, keypair, requests = point.params
-        return [
-            cl_blind_issue(params.backend, keypair, request, rng)
-            for request in requests
-        ]
+        return [_issue(params.backend, keypair, request, rng) for request in requests]
     raise ValueError(f"unknown batch chunk tag {tag!r}")
+
+
+def _issue(backend, keypair: CLKeyPair, request, rng) -> CLSignature | None:
+    try:
+        return cl_blind_issue(backend, keypair, request, rng)
+    except ValueError:  # the request's proof failed: one refused withdrawal
+        return None
 
 
 class VerificationBatcher:

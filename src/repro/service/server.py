@@ -805,6 +805,8 @@ class MarketService:
 
     def _withdraw(self, pending: _Pending) -> tuple[str, dict]:
         signature = pending.outcome.signature
+        if signature is None:
+            raise ProtocolError("blind issuance request proof failed")
         # balance re-checked at apply time: an earlier withdrawal in
         # the same batch may have drained the account since accept
         self.bank.apply_withdrawal(pending.payload["aid"], rid=pending.rid,

@@ -6,14 +6,13 @@ waits; and the adversaries.  Each resident reports its ``ledger()`` row.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable
 
 from repro.attacks.denomination import DenominationAttackResult, run_denomination_attack
 from repro.attacks.rings import begin_ring_withdrawal, conflicting_spends, finish_ring_withdrawal
 from repro.core.dec_machine import MA, JODecMachine, MADecMachine, SPDecMachine, SPDecState
-from repro.core.engine import Outbound, Party, ProtocolError
-from repro.core.pbs_machine import JOMachine, MAMachine, SPMachine, SPState
+from repro.core.engine import Outbound, Party, ProtocolError, Table
+from repro.core.pbs_machine import CoinReceipt, JOMachine, MAMachine, SPMachine, SPState
 
 __all__ = ["DecDesk", "MaliciousMA", "PbsDesk", "DecJO", "PbsJO",
            "DecSP", "OmissionSP", "ReplaySP", "PbsSP", "Ring"]
@@ -48,7 +47,7 @@ class DecDesk(MADecMachine):
 
     def deposit(self, aid: str, payload: dict) -> None:
         rid = payload.get("rid")
-        if not isinstance(rid, str) or not rid:
+        if rid is None:
             raise ProtocolError("deposit without a request id")
         self.market.deposit(aid, rid, {"aid": aid, "token": payload["coin"]})
 
@@ -86,9 +85,12 @@ class PbsDesk(MAMachine):
         self.funded[name], self.keys[name] = balance, key
 
     def deposit(self, sender: str, signature: Any, payload: dict) -> None:
+        rid = payload.get("rid")
+        if rid is None:
+            raise ProtocolError("deposit without a request id")
         status, body = self.market.call(sender, "pbs-deposit", {
             "sig": signature, "sp_key": payload["sp_key"], "jo_key": payload["jo_key"],
-        }, rid=payload["rid"])
+        }, rid=rid)
         if status != "OK":
             raise ProtocolError(f"pbs-deposit refused: {body}")
 
@@ -102,11 +104,14 @@ class DecJO(JODecMachine):
         self.clock, self.recruit, self.workers = clock, recruit, workers
         self.change: list | None = None
 
-    def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
-        out = super().handle(sender, kind, payload)
-        if kind == "job-published":
-            self.recruit(self)
-        elif kind == "data-delivery" and len(self.received_reports) == self.workers:
+    def on_job_published(self, sender: str, payload: dict) -> list[Outbound]:
+        out = super().on_job_published(sender, payload)
+        self.recruit(self)
+        return out
+
+    def on_data_delivery(self, sender: str, payload: dict) -> list[Outbound]:
+        out = super().on_data_delivery(sender, payload)
+        if len(self.received_reports) == self.workers:
             self.change = self.change_tokens()
             out += [Outbound(MA, "deposit", {"aid": self.aid, "coin": token, "at": self.clock.now,
                                              "rid": f"{self.aid}:chg:{n}"})
@@ -128,10 +133,9 @@ class PbsJO(JOMachine):
         super().__init__(*args, **kwargs)
         self.recruit, self.workers = recruit, workers
 
-    def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
-        out = super().handle(sender, kind, payload)
-        if kind == "job-published":
-            self.recruit(self)
+    def on_job_published(self, sender: str, payload: dict) -> list[Outbound]:
+        out = super().on_job_published(sender, payload)
+        self.recruit(self)
         return out
 
     def ledger(self) -> dict:
@@ -205,11 +209,11 @@ class PbsSP(SPMachine):
         super().__init__(*args, **kwargs)
         self.clock, self.policy = clock, policy
 
-    def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
-        return [replace(out, payload={**out.payload, "rid": f"{self.name}:pbs",
-                                      "at": self.clock.now + self.policy.initial_wait(self.rng)})
-                if out.kind == "deposit" else out
-                for out in super().handle(sender, kind, payload)]
+    def deposit_of(self, receipt: CoinReceipt) -> Outbound:
+        out = super().deposit_of(receipt)
+        return Outbound(out.receiver, out.kind, {
+            **out.payload, "rid": f"{self.name}:pbs",
+            "at": self.clock.now + self.policy.initial_wait(self.rng)})
 
     def ledger(self) -> dict:
         return {"role": "pbs-sp", "done": self.state is SPState.PAID}
@@ -219,6 +223,8 @@ class Ring(Party):
     """A double-spend ring under one hand: its leader's account withdraws
     one coin honestly, then a conflicting spend of one node of it is
     deposited under every ring account (the leader answers to all)."""
+
+    hears = MA
 
     def __init__(self, leader: str, members: tuple, params, bank_pk, rng, clock) -> None:
         super().__init__(leader)
@@ -230,11 +236,14 @@ class Ring(Party):
         self._secret, request = begin_ring_withdrawal(self.params, self.rng)
         return [Outbound(MA, "withdraw-request", {"request": request})]
 
-    def handle(self, sender: str, kind: str, payload: Any) -> list[Outbound]:
-        if sender != MA or kind != "withdraw-response" or self._secret is None:
-            raise ProtocolError(f"ring cannot handle {kind!r} from {sender!r} now")
-        coin = finish_ring_withdrawal(self.params, self.bank_pk, self._secret,
-                                      payload["signature"])
+    def on_withdraw_response(self, sender: str, payload: dict) -> list[Outbound]:
+        if self._secret is None:
+            raise ProtocolError("ring withdrawal response out of order")
+        try:
+            coin = finish_ring_withdrawal(self.params, self.bank_pk, self._secret,
+                                          payload["signature"])
+        except ValueError as exc:
+            raise ProtocolError(f"invalid withdrawal signature: {exc}") from exc
         self._secret = None
         tokens = conflicting_spends(self.params, self.bank_pk, coin, denomination=1,
                                     count=len(self.accounts), rng=self.rng)
@@ -242,6 +251,10 @@ class Ring(Party):
         return [Outbound(MA, "deposit", {"aid": aid, "coin": token, "at": self.clock.now,
                                          "rid": f"{aid}:fence"}, sender=aid)
                 for aid, token in zip(self.accounts, tokens)]
+
+    # the ring withdraws as a job owner does, and takes nothing else
+    table = Table("ring message",
+                  {"withdraw-response": JODecMachine.table.messages["withdraw-response"]})
 
     def ledger(self) -> dict:
         return {"role": "ring", "accounts": len(self.accounts),

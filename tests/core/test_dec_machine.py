@@ -126,14 +126,16 @@ class TestAdversarialMessages:
         router, ma, jo, sps = market
         sp = sps[0]
         router.post(sp.name, Outbound("MA", "deposit",
-                                      {"aid": sp.aid, "coin": b"not-a-coin"}))
+                                      {"aid": sp.aid, "coin": b"not-a-coin", "at": 1.0}))
         router.run()
-        assert any("malformed coin" in f.error for f in router.failures)
+        assert router.failures[-1].error == \
+            "malformed deposit message: 'coin' must be SpendToken, not bytes"
 
     def test_labor_for_unknown_job_rejected(self, market):
         router, ma, jo, sps = market
+        key = sps[0].labor_key.public  # a well-formed key: the job is what is wrong
         router.post("mallory", Outbound("MA", "labor-registration",
-                                        {"job": "nope", "rpk": (3, 5)}))
+                                        {"job": "nope", "rpk": (key.n, key.e)}))
         router.run()
         assert any("unknown job" in f.error for f in router.failures)
 
@@ -263,6 +265,8 @@ class TestMalformedMessages:
         before = len(router.failures)
         router.post(sps[0].name, Outbound("MA", kind, payload))
         # an honest message queued behind it is still delivered
+        jo.begin_job("next job", 1, ma.bank.public_key)
+        router.add(jo, jo.nym)
         router.post(jo.nym, Outbound("MA", "job-registration",
                                      {"jd": "next job", "w": 1, "rpk_fingerprint": b"p"}))
         router.run()

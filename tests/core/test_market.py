@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.dec_machine import MADecMachine
 from repro.core.engine import Outbound, ProtocolError
 from repro.core.market import (
+    DESK,
     BulletinBoard,
     DataReport,
     JobProfile,
@@ -13,6 +15,7 @@ from repro.core.market import (
     new_job_id,
     pseudonym_name,
 )
+from repro.core.pbs_machine import MAMachine
 
 
 class TestJobProfile:
@@ -20,13 +23,17 @@ class TestJobProfile:
         p = JobProfile(job_id="j1", description="d", payment=3, owner_pseudonym=b"xx")
         assert p.payment == 3
 
+    # a profile is built only from a job-registration its MA's row took
     def test_rejects_zero_payment(self):
-        with pytest.raises(ValueError):
-            JobProfile(job_id="j", description="d", payment=0, owner_pseudonym=b"x")
+        _, problem = MADecMachine.table.check(
+            "job-registration", {"jd": "d", "w": 0, "rpk_fingerprint": b"x"})
+        assert problem == "job-registration: 'w' value must be 1 … 2^63 − 1, got 0"
 
     def test_rejects_missing_pseudonym(self):
-        with pytest.raises(ValueError):
-            JobProfile(job_id="j", description="d", payment=1, owner_pseudonym=b"")
+        for machine, payload in ((MADecMachine, {"jd": "d", "w": 1, "rpk_fingerprint": b""}),
+                                 (MAMachine, {"jd": "d", "rpk_fingerprint": b""})):
+            _, problem = machine.table.check("job-registration", payload)
+            assert problem == "job-registration: 'rpk_fingerprint' length must be 1 … 16, got 0"
 
 
 class TestBulletinBoard:
@@ -63,9 +70,13 @@ class TestDataReport:
         r = DataReport(job_id="j", submitter_pseudonym=b"p", payload=b"data")
         assert r.payload == b"data"
 
+    # a report is built only from a data-submission the desk's row took
     def test_rejects_empty_payload(self):
-        with pytest.raises(ValueError):
-            DataReport(job_id="j", submitter_pseudonym=b"p", payload=b"")
+        entry = DESK["data-submission"]
+        _, problem = MADecMachine.table.check(
+            "data-submission", {"pseudonym": b"p" * 16, "job": "j", "data": b""})
+        assert MAMachine.table.messages["data-submission"] is entry
+        assert problem == "data-submission: 'data' length must be ≥ 1, got 0"
 
 
 class TestJobIds:

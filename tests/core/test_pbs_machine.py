@@ -194,8 +194,11 @@ class TestRelayToUnknownPseudonym:
     under: anything else is one rejected delivery, not an aborted
     router, and an honest worker queued behind it is still paid."""
 
-    @pytest.mark.parametrize("pseudonym", [b"m" * 16, "mm"], ids=["bytes", "str"])
-    def test_labor_answer_for_an_unknown_pseudonym(self, rng, pseudonym):
+    @pytest.mark.parametrize("pseudonym, error", [
+        (b"m" * 16, "no labor registered under pseudonym"),
+        ("mm", "malformed labor-answer message: 'pseudonym' must be bytes"),
+    ], ids=["bytes", "str"])
+    def test_labor_answer_for_an_unknown_pseudonym(self, rng, pseudonym, error):
         session, jo, (sp,) = _market(rng, n_workers=1, jo_funds=3)
         router = session.router
         router.post("mallory", Outbound("MA", "labor-answer",
@@ -204,7 +207,7 @@ class TestRelayToUnknownPseudonym:
         router.run()
         (failure,) = router.failures
         assert failure.kind == "labor-answer"
-        assert failure.error.startswith("no labor registered under pseudonym")
+        assert failure.error.startswith(error)
         assert _balance(session, late) == 1
 
     def test_labor_registered_under_another_name_is_refused(self, rng):
@@ -232,6 +235,9 @@ ESCROW_FORGERIES = {
     "payment-from-another-jobs-owner": lambda jo, other, sps, late: (
         other.nym, Outbound("MA", "payment-submission",
                             {"pseudonym": late.pseudonym, "pbs": 1, "ctr": 0})),
+    "blinding-under-another-pseudonym": lambda jo, other, sps, late: (
+        sps[0].nym, Outbound("MA", "blinded-payment",
+                             {"job": jo.job_id, "pseudonym": late.pseudonym, "blinded": 5})),
 }
 
 

@@ -203,3 +203,23 @@ def test_a_flood_of_malformed_deposits_writes_no_journal_byte(
                 assert client.recv()["status"] == "ERROR"
         assert _journal_bytes(journal) == before
         assert client.request("audit", {})["clean"] is True
+
+
+def test_a_withdrawal_whose_proof_fails_is_refused_and_the_loop_keeps_running(
+        dec_params_toy, service_backend, rng):
+    """A well-typed request whose proof of knowledge fails (its proof
+    taken from another request) is one ``ERROR``, not an exception out
+    of the batch flush; the honest withdrawal in the same batch is
+    signed and charged."""
+    service, _ = _stack(dec_params_toy, service_backend)
+    service.submit("a", "open-account", {"aid": "a", "balance": 1 << 10}, rid="open")
+    service.drain()
+    honest, other = (begin_withdrawal(service.bank.params, rng)[1] for _ in range(2))
+    forged = dataclasses.replace(honest, proof=other.proof)
+    service.submit("a", "withdraw", {"aid": "a", "request": forged}, rid="forged")
+    service.submit("a", "withdraw", {"aid": "a", "request": honest}, rid="honest")
+    service.drain()
+    assert service.reply_for("forged") == (
+        "ERROR", {"error": "blind issuance request proof failed"})
+    assert service.reply_for("honest")[0] == "OK"
+    assert service.bank.balance("a") == (1 << 10) - (1 << service.bank.params.tree_level)

@@ -5,21 +5,31 @@ One small seeded campaign with every party shape — honest, omitting and
 replaying SPs, a double-spend ring, a malicious MA, a PPMSpbs job — runs
 in process on the shared toy substrate; the tests read its machines,
 the market's books and the resolved deposit stream.  A second copy of
-it takes hostile traffic: whatever arrives, in whatever order, ends as
-recorded delivery failures, never as an escaping exception — and only
-the MA's word moves value.
+it takes hostile traffic generated from the machines' message tables:
+whatever arrives, in whatever order and from whichever name, ends as
+recorded delivery failures, never as an escaping exception, and moves
+no value.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.core.dec_machine import MA
+from repro.core.dec_machine import MA, JODecMachine, MADecMachine, SPDecMachine
 from repro.core.engine import Outbound, Router
+from repro.core.market import JOB, KEY, PSEUDONYM
+from repro.core.pbs_machine import JOMachine, MAMachine, SPMachine
+from repro.crypto.cl_sig import BlindIssuanceRequest, CLSignature
+from repro.ecash.dec import begin_withdrawal
+from repro.ecash.spend import SpendToken
+from repro.net.schema import Field
 from repro.sim.campaign import Campaign, CampaignConfig
 from repro.sim.party import DecJO, DecSP, OmissionSP, PbsSP, ReplaySP, Ring
 
@@ -86,107 +96,146 @@ def _of(campaign: Campaign, cls) -> list:
 
 
 # ---------------------------------------------------------------------------
-# hostile traffic
+# hostile traffic, generated from the machines' tables
 # ---------------------------------------------------------------------------
 
-#: every message kind the machines handle, plus protocol noise
-ALL_KINDS = sorted({
-    "job-registration", "job-published", "withdraw-request", "withdraw-response",
-    "labor-registration", "labor-forward", "labor-answer", "labor-answer-fwd",
-    "blinded-payment", "blinded-forward", "data-submission", "payment-submission",
-    "payment-delivery", "payment-confirm", "data-delivery", "deposit", "no-such-kind",
-})
+#: every row a campaign's machines read (the desk's rows and the ring's
+#: are shared, so each distinct row once)
+ROWS = list({id(entry): (kind, entry)
+             for machine in (MADecMachine, JODecMachine, SPDecMachine, Ring,
+                             MAMachine, JOMachine, SPMachine)
+             for kind, entry in machine.table.messages.items()}.values())
 
-#: payloads from well-formed through subtly wrong to pure garbage
-PAYLOADS = st.one_of(
-    st.none(),
-    st.integers(),
-    st.just({}),
-    st.just({"sp": "x", "sp_pubkey": "k"}),
-    st.just({"jo": "jo", "job": "j", "payment": 2, "jo_pubkey": "k"}),
-    st.just({"ciphertext": "junk", "jo_pubkey": "k"}),
-    st.just({"ciphertext": b"junk"}),
-    st.just({"rid": "r", "token_index": 0}),
-    st.just({"token": 1}),
-    st.just({"job": "j", "payment": 2}),
-    st.just({"job": "j"}),
-    st.just({"jd": "j", "w": 0, "rpk_fingerprint": b""}),
-    st.just({"jd": "j", "w": 3, "rpk_fingerprint": b"f"}),
-    st.just({"signature": 1}),
-    st.just({"request": 5}),
-    st.just({"job": "j", "rpk": (3, 5)}),
-    st.just({"rpk": ("k", "k")}),
-    st.just({"pseudonym": b"p", "ciphertext": b"c"}),
-    st.just({"pseudonym": b"p", "job": "j", "data": b"d"}),
-    st.just({"pseudonym": b"p"}),
-    st.just({"aid": "a", "coin": 1, "at": 1.0, "rid": "r"}),
-    st.just({"blob": b"x", "pseudonym": b"p"}),
-    st.just({"job": "j", "pseudonym": b"p", "blob": b"x"}),
-    st.just({"pseudonym": b"p", "blinded": 1}),
-    st.just({"pseudonym": b"p", "pbs": 1, "ctr": 0}),
-    st.just({"pbs": "sig", "ctr": 0}),
-    st.just({"sig": 1, "ctr": 0, "serial": b"s", "sp_key": (3, 5), "jo_key": (3, 5),
-             "rid": "r"}),
-    st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
-)
+#: the hostile value of a shared field the market's state, not its
+#: bounds, must refuse: a job not on any board, a pseudonym no party has
+FOREIGN = {JOB: ["job-none"], PSEUDONYM: [b"\xee" * 16]}
 
-#: every field any handler reads, each of a plausible type but forged
-FORGED = {
-    "jd": "j", "w": 3, "rpk_fingerprint": b"f", "job": "j", "request": 5, "signature": 1,
-    "rpk": (3, 5), "pseudonym": b"p", "ciphertext": b"c", "data": b"d", "blob": b"x",
-    "blinded": 1, "pbs": 1, "ctr": 0, "sig": 1, "serial": b"s", "sp_key": (3, 5),
-    "jo_key": (3, 5), "aid": "a", "coin": 1, "at": 1.0, "rid": "r",
-}
 
-#: half the messages carry every field (``one_of`` would make it 1 in 29)
-PAYLOAD = st.booleans().flatmap(lambda every: st.just(FORGED) if every else PAYLOADS)
+def _sized(kind: type, size: int):
+    return kind("x" * size) if kind is str else b"x" * size
 
-EVENTS = st.lists(st.tuples(st.sampled_from(ALL_KINDS), PAYLOAD), min_size=1, max_size=14)
+
+def _valid(spec: Field, samples: dict) -> list:
+    """Values *spec* accepts: the campaign's own for shared fields and
+    crypto types, else one plain value inside the bounds."""
+    kind = spec.types[0]
+    if spec in samples or kind in samples:
+        return samples.get(spec) or samples[kind]
+    if kind in (str, bytes):
+        return [_sized(kind, int(max(spec.low, 1)))]
+    if kind in (int, float):
+        return [kind(max(spec.low, 1))]
+    return [kind()]
+
+
+def _swapped(samples: list) -> list:
+    """Well-typed, wrong values: one attribute of a sample taken from another."""
+    out = []
+    for a, b in itertools.permutations(samples[:3], 2):
+        for name in (f.name for f in dataclasses.fields(a)):
+            if getattr(a, name) != getattr(b, name):
+                try:
+                    out.append(dataclasses.replace(a, **{name: getattr(b, name)}))
+                except (TypeError, ValueError):
+                    continue
+    return out[:6]
+
+
+def _hostile(spec: Field, samples: dict) -> list:
+    """Well-typed values *spec*'s row, or the state behind it, refuses:
+    a bound edge just outside, a tiny or oversized key, a foreign
+    pseudonym, an unknown job, a swapped crypto value."""
+    kind = spec.types[0]
+    out = list(FOREIGN.get(spec, ()))
+    if spec.parts:
+        base = _valid(spec, samples)[0]
+        for key, part in spec.parts.items():
+            out += [type(base)(v if i == key else x for i, x in enumerate(base))
+                    for v in _hostile(part, samples)]
+    elif dataclasses.is_dataclass(kind):
+        out += _swapped(samples[kind])
+    elif kind in (str, bytes):
+        out += [_sized(kind, n) for n in (spec.low - 1, spec.high + 1) if 0 <= n <= 1 << 12]
+    elif kind in (int, float):
+        out += [kind(v) for v in (spec.low - 1, spec.high + 1) if abs(v) != math.inf]
+        out += [math.nan, math.inf] if kind is float else []
+    return out
+
+
+def _payloads(kind: str, fields: dict, samples: dict, draw=lambda values: values[0]) -> list:
+    """One payload per hostile value of each field, every other field
+    valid; a row with no field to spoil gets its valid payload."""
+    valid = {name: draw(_valid(spec, samples)) for name, spec in fields.items()
+             if not spec.optional}
+    spoiled = [{**valid, name: value} for name, spec in fields.items()
+               for value in _hostile(spec, samples)]
+    return [(kind, payload) for payload in spoiled or [valid]]
+
+
+@pytest.fixture(scope="module")
+def samples(hostile) -> dict:
+    """Real values from the run campaign, for the fields that need them."""
+    ran, _ = hostile
+    workers = [p for p in ran.residents.values() if isinstance(p, (DecSP, PbsSP))]
+    owners = [p for p in ran.residents.values() if type(p) is DecJO]
+    keys = [(sp.labor_key.public.n, sp.labor_key.public.e) for sp in workers]
+    return {
+        JOB: [job.job_id for ma in (ran.dec, ran.pbs) for job in ma.board.jobs()],
+        PSEUDONYM: [sp.pseudonym for sp in workers],
+        KEY: keys, tuple: keys, list: [list(key) for key in keys],
+        str: sorted(ran.dec.funded),
+        # deposited coins only: a coin still outstanding could be credited
+        SpendToken: [t for sp in _of(ran, DecSP) for t in sp.tokens],
+        CLSignature: [coin.signature for jo in owners for coin, _ in jo.coins],
+        BlindIssuanceRequest: [begin_withdrawal(ran.params, random.Random(i))[1]
+                               for i in range(2)],
+    }
+
+
+def _flood(router: Router, senders: list, messages: list) -> Counter:
+    """Every message from every sender to every name; the failures each
+    (sender, receiver) pair recorded."""
+    before = len(router.failures)
+    for sender in senders:
+        for kind, payload in messages:
+            for target in sorted(router.parties):
+                router.post(sender, Outbound(target, kind, payload))
+    router.run()
+    return Counter((f.sender, f.receiver) for f in router.failures[before:])
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(scheme=st.integers(0, 1), events=EVENTS, data=st.data())
-def test_any_interleaving_leaves_a_legal_state(hostile, scheme, events, data):
-    """Any message, in any order, from any name to every machine a
-    campaign runs: the router records each rejection and keeps going —
-    no exception escapes.  A JO or SP hears only the MA, so from any
-    other sender each of its messages is one failure; and no sender but
-    the MA moves value."""
+@given(scheme=st.integers(0, 1), data=st.data())
+def test_any_interleaving_leaves_a_legal_state(hostile, samples, scheme, data):
+    """Generated traffic, each payload well typed with one hostile value,
+    in any order from every name — the MA's included — to every machine
+    a campaign runs: each message is one recorded refusal, no exception
+    escapes, and the market's books do not move."""
     ran, routers = hostile
     router = routers[scheme]
-    names = sorted(router.parties)
-    sender = data.draw(st.sampled_from(names), label="sender")
-    before, books = len(router.failures), _books(ran)
-    for kind, payload in events:
-        for target in names:
-            router.post(sender, Outbound(target, kind, payload))
-    router.run()
-    if sender != MA:
-        rejected = Counter(f.receiver for f in router.failures[before:] if f.sender == sender)
-        assert {name: rejected[name] for name in names if name != MA} \
-            == {name: len(events) for name in names if name != MA}
-        assert _books(ran) == books
+    messages = data.draw(st.lists(
+        st.sampled_from(ROWS).flatmap(lambda row: st.sampled_from(
+            _payloads(row[0], row[1].fields, samples))), min_size=1, max_size=8))
+    names, books = sorted(router.parties), _books(ran)
+    rejected = _flood(router, names, messages)
+    assert rejected == {(s, t): len(messages) for s in names for t in names}
+    assert _books(ran) == books
 
 
 @pytest.mark.parametrize("scheme", [0, 1], ids=["dec", "pbs"])
-def test_forged_traffic_from_residents_moves_no_value(hostile, scheme):
-    """Every kind with every field forged, from each resident name to
+def test_forged_traffic_from_residents_moves_no_value(hostile, samples, scheme):
+    """Every hostile payload of every row, from each resident name to
     every machine: each message to a JO or SP is one failure, and the
     market's books do not move."""
     ran, routers = hostile
     router = routers[scheme]
-    names = sorted(router.parties)
-    senders = [name for name in names if name != MA]
-    before, books = len(router.failures), _books(ran)
-    for sender in senders:
-        for kind in ALL_KINDS:
-            for target in names:
-                router.post(sender, Outbound(target, kind, FORGED))
-    router.run()
-    rejected = Counter((f.sender, f.receiver) for f in router.failures[before:])
+    messages = [m for kind, entry in ROWS for m in _payloads(kind, entry.fields, samples)]
+    senders = [name for name in sorted(router.parties) if name != MA]
+    books = _books(ran)
+    rejected = _flood(router, senders, messages)
     assert {(s, t): rejected[s, t] for s in senders for t in senders} \
-        == {(s, t): len(ALL_KINDS) for s in senders for t in senders}
+        == {(s, t): len(messages) for s in senders for t in senders}
     assert _books(ran) == books
 
 

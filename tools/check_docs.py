@@ -54,6 +54,11 @@ TABLES = {
     "repro.service.server.REQUESTS": "docs/service.md",
     "repro.cluster.replicate.STREAM": "docs/cluster.md",
     "repro.cluster.node.CONTROL": "docs/cluster.md",
+    **{f"repro.core.{name}.table": "docs/protocols.md" for name in (
+        "dec_machine.MADecMachine", "dec_machine.JODecMachine", "dec_machine.SPDecMachine",
+        "pbs_machine.MAMachine", "pbs_machine.JOMachine", "pbs_machine.SPMachine")},
+    "repro.core.dec_machine.SEALED": "docs/protocols.md",
+    "repro.core.pbs_machine.SEALED": "docs/protocols.md",
 }
 
 #: directories a backticked path may live under to be checked; paths
@@ -169,13 +174,21 @@ def _check_api_coverage(findings: list[str]) -> None:
                             f"`{module}`")
 
 
+def _resolve(name: str):
+    """The object a dotted *name* names: a module's attribute, or a class's."""
+    module, _, attr = name.rpartition(".")
+    try:
+        return getattr(importlib.import_module(module), attr)
+    except ModuleNotFoundError:
+        return getattr(_resolve(module), attr)
+
+
 def _check_tables(findings: list[str]) -> None:
     sys.path.insert(0, str(SRC))
     from repro.net.schema import render
 
     for name, doc in TABLES.items():
-        module, _, attr = name.rpartition(".")
-        expected = render(getattr(importlib.import_module(module), attr))
+        expected = render(_resolve(name))
         match = re.search(rf"<!-- table: {re.escape(name)} -->\n(.*?)<!-- /table -->",
                           (ROOT / doc).read_text(encoding="utf-8"), re.DOTALL)
         if match is None:

@@ -92,22 +92,27 @@ MODULE_ALLOWED: dict[str, set[str]] = {
     "repro.crypto.batchverify": {"repro.crypto.fastexp", "repro.crypto.hashing"},
     # the shared-memory table transport is stdlib-only by design
     "repro.crypto.tablestore": set(),
+    # the engine is the machines' only dispatch: each party's message
+    # table (the schema language), the codec that opens a sealed payload
+    # for its row, and the metered fabric the router delivers over
+    "repro.core.engine": {"repro.net.codec", "repro.net.schema", "repro.net.transport"},
     # an engine machine is one party's whole protocol: its steps over
     # the scheme's primitives (PPMSdec: the cash break, the divisible
     # coin, spends, fake padding; PPMSpbs: partially blind signatures
     # and, for its MA, the bank in pbs_ledger), the escrow desk, RSA
-    # pseudonyms, the codec for the encrypted payloads, the tally and
-    # the metered fabric their session drives them over
+    # pseudonyms, the codec for the encrypted payloads, the schema their
+    # message tables are written in, the tally and the metered fabric
+    # their session drives them over
     "repro.core.dec_machine": {
         "repro.core.cashbreak", "repro.core.engine", "repro.core.market",
         "repro.crypto.rsa", "repro.ecash.dec", "repro.ecash.fake", "repro.ecash.spend",
         "repro.ecash.wallet", "repro.metrics.opcount", "repro.net.codec",
-        "repro.net.transport",
+        "repro.net.schema", "repro.net.transport",
     },
     "repro.core.pbs_machine": {
         "repro.core.engine", "repro.core.market", "repro.core.pbs_ledger",
         "repro.crypto.partial_blind", "repro.crypto.rsa", "repro.metrics.opcount",
-        "repro.net.codec", "repro.net.transport",
+        "repro.net.codec", "repro.net.schema", "repro.net.transport",
     },
     # the journal frames, segments, checkpoints and compacts; bytes
     # reach a disk only through the storage seam, which knows nothing
