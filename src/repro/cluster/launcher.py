@@ -23,7 +23,8 @@ The pieces:
   serves until a ``shutdown`` control frame.
 * **``init`` CLI** — generates a bootstrap blob + fixed-address
   ``cluster.json`` for static deployments (``docker-compose.cluster.yml``
-  drives this).
+  drives this): ``setup()``'s Tate parameters, issuing secrets from the
+  OS CSPRNG.  A node refuses a bootstrap on any other pairing backend.
 * :class:`ProcessCluster` — the parent-side orchestrator used by the
   smoke tests and ``make cluster-demo``: spawn N children, collect
   their reports, publish the map, and expose ``kill`` (SIGKILL) /
@@ -47,8 +48,9 @@ import sys
 import time
 from typing import Any
 
-from repro.crypto.cl_sig import CLKeyPair, CLPublicKey
+from repro.crypto.cl_sig import CLKeyPair
 from repro.crypto.hashing import sha256
+from repro.crypto.pairing import TatePairing
 from repro.cluster.node import ClusterNode, open_dump
 from repro.cluster.replicate import control_call
 from repro.cluster.ring import ClusterMap, DEFAULT_VNODES
@@ -96,12 +98,7 @@ def read_bootstrap(path: str) -> dict:
     if sha256(_BOOT_MAGIC, body) != digest:
         raise ValueError(f"{path}: bootstrap integrity digest mismatch")
     state = decode(body)
-    params, public = import_params(state["params"])
-    if public is None:
-        backend = params.backend
-        exp = getattr(backend, "exp_fixed", backend.exp)
-        public = CLPublicKey(X=exp(backend.g, state["x"]),
-                             Y=exp(backend.g, state["y"]))
+    params, public = import_params(state["params"])  # always carries the key
     return {
         "params": params,
         "keypair": CLKeyPair(x=state["x"], y=state["y"], public=public),
@@ -121,12 +118,14 @@ def _write_atomic(path: str, data: Any, *, binary: bool = False) -> None:
     os.replace(tmp, path)
 
 
-def _wait_for_file(path: str, *, timeout: float) -> str:
+def _wait_for_file(path: str, *, timeout: float, proc=None) -> str:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
                 return fh.read()
+        if proc is not None and proc.poll() is not None:
+            break
         time.sleep(0.02)
     raise TimeoutError(f"gave up waiting for {path}")
 
@@ -143,6 +142,10 @@ def node_main(rundir: str, node_id: str, *, bind_host: str | None = None,
     the docker-compose path, where addresses are known up front.
     """
     bootstrap = read_bootstrap(os.path.join(rundir, "bootstrap.blob"))
+    if not isinstance(backend := bootstrap["params"].backend, TatePairing):
+        raise SystemExit(f"node {node_id}: refusing a {type(backend).__name__} "
+                         "bootstrap, which has no security; write a new one "
+                         "with `python -m repro.cluster.launcher init`")
     cluster_path = os.path.join(rundir, "cluster.json")
 
     port = replica_port = 0
@@ -238,16 +241,18 @@ class ProcessCluster:
         self.dead: set[str] = set()
 
     def _await(self, filename: str, timeout: float, name: str) -> str:
+        """*filename* once *name* writes it; a child that exits first
+        (a refused bootstrap, say) fails at once, quoting its log."""
         try:
             return _wait_for_file(os.path.join(self.rundir, filename),
-                                  timeout=timeout)
+                                  timeout=timeout, proc=self.procs[name])
         except TimeoutError:
-            proc = self.procs.get(name)
-            status = proc.poll() if proc is not None else None
+            log = os.path.join(self.rundir, f"{name}.log")
+            with open(log, encoding="utf-8", errors="replace") as fh:
+                last = (fh.read().strip().splitlines() or [""])[-1]
             raise RuntimeError(
-                f"node {name!r} never produced {filename} "
-                f"(exit status {status}; see {self.rundir}/{name}.log)"
-            ) from None
+                f"node {name!r} never produced {filename} (exit status "
+                f"{self.procs[name].poll()}; see {log}): {last}") from None
 
     # -- commanding the fleet ---------------------------------------------
     def control(self, name: str, frame: dict, *, timeout: float = 30.0) -> dict:
@@ -364,9 +369,8 @@ def _cmd_init(args: argparse.Namespace) -> int:
         entries.append((parts[0], parts[1], int(parts[2]), int(parts[3])))
 
     os.makedirs(args.rundir, exist_ok=True)
-    rng = random.Random(args.seed)
-    params = setup(args.tree_level, rng, security_bits=args.security_bits,
-                   real_pairing=False, edge_rounds=args.edge_rounds)
+    rng = random.SystemRandom()  # a seeded init would publish the MA's key
+    params = setup(args.tree_level, rng)
     keypair = cl_keygen(params.backend, rng)
     names = [e[0] for e in entries]
     write_bootstrap(os.path.join(args.rundir, "bootstrap.blob"),
@@ -405,10 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     init.add_argument("--rundir", required=True)
     init.add_argument("--nodes", nargs="+", required=True,
                       metavar="NAME:HOST:PORT:RPORT")
-    init.add_argument("--seed", type=int, default=7)
     init.add_argument("--tree-level", type=int, default=4)
-    init.add_argument("--security-bits", type=int, default=80)
-    init.add_argument("--edge-rounds", type=int, default=6)
     init.add_argument("--vnodes", type=int, default=DEFAULT_VNODES)
     init.add_argument("--n-shards", type=int, default=4)
     init.add_argument("--checkpoint-every", type=int, default=64)

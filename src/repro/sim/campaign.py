@@ -76,7 +76,7 @@ from repro.sim.party import (
 from repro.sim.report import CampaignReport
 from repro.testing.faults import FaultPlan
 from repro.testing.invariants import check_recovery_invariants
-from repro.testing.scenario import toy_market_params
+from repro.testing.scenario import market_params
 
 __all__ = [
     "CampaignConfig",
@@ -751,13 +751,14 @@ def run_campaign(config: CampaignConfig, *, params=None,
                  keypair=None) -> CampaignReport:
     """Run one campaign to completion and return its report.
 
-    The toy crypto substrate is derived from the config seed unless an
-    explicit (*params*, *keypair*) pair is supplied (tests share one
-    substrate across runs to keep the suite fast; byte-identical replay
-    holds either way because the derivation is seed-deterministic).
+    Unless an explicit (*params*, *keypair*) pair is supplied, both are
+    :func:`~repro.testing.scenario.market_params` of the config seed
+    (tests share one substrate across runs to keep the suite fast;
+    byte-identical replay holds either way because the derivation is
+    seed-deterministic).
     """
     if params is None or keypair is None:
-        params, keypair = toy_market_params(
+        params, keypair = market_params(
             random.Random(f"campaign-substrate:{config.seed}")
         )
     return Campaign(config, params, keypair).run()

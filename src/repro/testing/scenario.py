@@ -60,23 +60,16 @@ __all__ = [
     "ScenarioResult",
     "build_deposit_kit",
     "build_pbs_kit",
+    "market_params",
     "run_deposit_scenario",
     "run_pbs_scenario",
-    "toy_market_params",
 ]
 
 
-def toy_market_params(
-    rng: random.Random, *, level: int = 3
-) -> tuple[DECParams, CLKeyPair]:
-    """The toy PPMSdec substrate every fast harness shares.
-
-    One recipe — :func:`build_deposit_kit`'s defaults, the campaign
-    engine's substrate, the conftest fixtures — so a seed means the
-    same parameters everywhere.  Toy sizes only: 64-bit security, fake
-    pairing, 4 edge rounds.
-    """
-    params = setup(level, rng, security_bits=64, real_pairing=False, edge_rounds=4)
+def market_params(rng: random.Random) -> tuple[DECParams, CLKeyPair]:
+    """``setup(3, rng)``'s defaults (Tate pairing, 24 edge rounds) and an
+    issuing keypair: the kits' and the campaign's default parameters."""
+    params = setup(3, rng)
     return params, cl_keygen(params.backend, rng)
 
 
@@ -276,12 +269,13 @@ def build_deposit_kit(
     so the scenario's bank opens each account, debits the coins, and
     conservation still closes.  *double_spends* extra requests
     re-deposit earlier tokens under fresh request ids — the intentional
-    frauds the service must keep rejecting across crashes.
+    frauds the service must keep rejecting across crashes.  Without
+    *params* the kit runs on :func:`market_params`.
     """
     if n_accounts < 1 or n_deposits < 1:
         raise ValueError("need at least one account and one deposit")
     if params is None:
-        params, generated = toy_market_params(rng)
+        params, generated = market_params(rng)
         if keypair is None:
             keypair = generated
     if keypair is None:
@@ -383,7 +377,7 @@ def build_pbs_kit(
     ]
     script = _script(rng, requests, "pbs", double_spends)
     return PbsKit(
-        *toy_market_params(rng),
+        *market_params(rng),
         accounts=tuple(
             (aid, session.ma.bank.bound_keys[aid], balance)
             for aid, balance in session.ma.bank.accounts.items()

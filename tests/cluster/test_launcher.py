@@ -1,4 +1,5 @@
-"""Bootstrap blob round-trip and the real-SIGKILL subprocess smoke."""
+"""Bootstrap blob round-trip, what ``init`` writes and what a node
+refuses, and the real-SIGKILL subprocess smoke."""
 
 from __future__ import annotations
 
@@ -9,9 +10,12 @@ import pytest
 from repro.cluster.launcher import (
     ProcessCluster,
     main,
+    node_main,
     read_bootstrap,
     write_bootstrap,
 )
+from repro.crypto.cl_sig import cl_keygen
+from repro.crypto.pairing import TatePairing
 
 
 def test_bootstrap_blob_round_trips(tmp_path, dec_params_toy, cluster_keypair):
@@ -46,25 +50,55 @@ def test_bootstrap_blob_rejects_tampering(tmp_path, dec_params_toy,
         read_bootstrap(path)
 
 
-def test_init_cli_writes_compose_artifacts(tmp_path):
-    rundir = str(tmp_path / "run")
+def _init(rundir: str) -> dict:
     rc = main([
         "init", "--rundir", rundir,
         "--nodes", "n0:127.0.0.1:8000:8001", "n1:127.0.0.1:8010:8011",
-        "--tree-level", "3", "--security-bits", "64", "--edge-rounds", "4",
+        "--tree-level", "3",
     ])
     assert rc == 0
-    assert os.path.exists(os.path.join(rundir, "bootstrap.blob"))
+    return read_bootstrap(os.path.join(rundir, "bootstrap.blob"))
+
+
+def test_init_cli_writes_compose_artifacts(tmp_path):
+    rundir = str(tmp_path / "run")
+    loaded = _init(rundir)
     assert os.path.exists(os.path.join(rundir, "cluster.json"))
-    loaded = read_bootstrap(os.path.join(rundir, "bootstrap.blob"))
     assert loaded["nodes"] == ["n0", "n1"]
     assert loaded["params"].tree_level == 3
 
 
-def test_subprocess_cluster_survives_a_real_sigkill(tmp_path, dec_params_toy,
-                                                    cluster_keypair):
+def test_init_writes_setup_defaults_and_a_fresh_key(tmp_path):
+    """``init`` writes ``setup()``'s recipe, and its issuing key comes
+    from the OS CSPRNG: no two runs share it."""
+    first = _init(str(tmp_path / "a"))
+    second = _init(str(tmp_path / "b"))
+    for loaded in (first, second):
+        assert isinstance(loaded["params"].backend, TatePairing)
+        assert loaded["params"].edge_rounds == 24
+    assert ((first["keypair"].x, first["keypair"].y)
+            != (second["keypair"].x, second["keypair"].y))
+    assert first["keypair"].public != second["keypair"].public
+
+
+def test_node_refuses_a_toy_bootstrap(tmp_path, dec_params_toy,
+                                      cluster_keypair):
     rundir = str(tmp_path / "run")
-    with ProcessCluster(dec_params_toy, cluster_keypair, rundir,
+    os.makedirs(rundir)
+    write_bootstrap(os.path.join(rundir, "bootstrap.blob"), dec_params_toy,
+                    cluster_keypair, nodes=["n0", "n1"])
+    with pytest.raises(SystemExit, match="ToyPairing"):
+        node_main(rundir, "n0")
+    with pytest.raises(RuntimeError, match="ToyPairing"):
+        ProcessCluster(dec_params_toy, cluster_keypair,
+                       str(tmp_path / "spawned"), n_nodes=2)
+
+
+def test_subprocess_cluster_survives_a_real_sigkill(tmp_path, dec_params,
+                                                    session_rng):
+    rundir = str(tmp_path / "run")
+    keypair = cl_keygen(dec_params.backend, session_rng)
+    with ProcessCluster(dec_params, keypair, rundir,
                         n_nodes=3, checkpoint_every=8) as cluster:
         with cluster.router(attempts=2, backoff=0.01,
                             refresh_backoff=0.01) as router:

@@ -125,15 +125,16 @@ def dec_params_toy(session_rng) -> DECParams:
 
 @pytest.fixture(scope="session")
 def campaign_substrate(session_rng):
-    """Shared toy ``(params, keypair)`` for the campaign-engine tests.
+    """Shared ``(params, keypair)`` for the campaign-engine tests.
 
-    Derived from the session seed so every campaign test (and the
-    byte-for-byte replay regression) runs over one deterministic
-    substrate instead of regrowing group towers per test.
+    ``run_campaign``'s own recipe, derived from the session seed so
+    every campaign test (and the byte-for-byte replay regression) runs
+    over one deterministic substrate instead of regrowing group towers
+    per test.
     """
-    from repro.testing.scenario import toy_market_params
+    from repro.testing.scenario import market_params
 
-    return toy_market_params(random.Random(f"campaign:{SESSION_SEED!r}"))
+    return market_params(random.Random(f"campaign:{SESSION_SEED!r}"))
 
 
 @pytest.fixture()

@@ -4,18 +4,22 @@ Everything the in-process server suite guarantees — per-sender FIFO,
 exactly-once by rid, BUSY shedding, batched verification — must
 survive the wire.  These tests drive a live :class:`ServiceFrontend`
 through real loopback sockets via :class:`ServiceClient` and the raw
-wire helpers.
+wire helpers, at the default in-flight window and at a window of one.
+Window mechanics under load (pausing, pre-parse ``BUSY``, torn frames)
+are ``test_frontend_window.py``'s.
 """
 
 from __future__ import annotations
 
 import random
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.ecash.dec import begin_withdrawal
+from repro.net.wire import read_frame, write_frame
 from repro.service import (
     AdmissionController,
     MarketService,
@@ -116,6 +120,67 @@ class TestRequestKinds:
         assert reply["status"] == "ERROR"
 
 
+class TestWindowOfOne:
+    """Same frames, same replies when the in-flight window is one."""
+
+    @pytest.fixture()
+    def frontend(self, service):
+        """The tightest window: every pipelined request past the first
+        parks in the connection's backlog and pauses its reads."""
+        front = ServiceFrontend(service, window=1).start()
+        yield front
+        front.close()
+        _assert_no_stray_threads()
+
+    def test_open_account_and_balance(self, frontend):
+        with ServiceClient(frontend.address, sender="alice") as c:
+            assert c.request("open-account",
+                             {"aid": "alice", "balance": 40})["status"] == "OK"
+            reply = c.request("balance", {"aid": "alice"})
+            assert (reply["status"], reply["balance"]) == ("OK", 40)
+
+    def test_deposit_and_double_spend(self, frontend):
+        deposit = _funded_deposits(frontend.service, 1)[0]
+        with ServiceClient(frontend.address) as c:
+            first = c.request(deposit.kind, deposit.payload,
+                              sender=deposit.sender)
+            replay = c.request(deposit.kind, dict(deposit.payload),
+                               sender="mallory")
+        assert first["status"] == "OK"
+        assert replay["status"] == "REJECTED"
+
+    def test_rid_dedup(self, frontend):
+        deposit = _funded_deposits(frontend.service, 1)[0]
+        with ServiceClient(frontend.address) as c:
+            first = c.request(deposit.kind, deposit.payload,
+                              sender=deposit.sender, rid="aio:dedup:1")
+            again = c.request(deposit.kind, deposit.payload,
+                              sender=deposit.sender, rid="aio:dedup:1")
+        strip = lambda reply: {k: v for k, v in reply.items()
+                               if k not in ("cid", "req")}
+        assert strip(again) == strip(first)
+        assert frontend.service.dedup_hits == 1
+
+    def test_malformed_request_gets_error_frame(self, frontend):
+        with socket.create_connection(frontend.address,
+                                      timeout=10) as sock:
+            write_frame(sock, ["not", "a", "dict"])
+            reply = read_frame(sock)
+            assert reply["status"] == "ERROR"
+            # the connection survives a malformed request
+            write_frame(sock, {"cid": 7, "kind": "audit", "payload": {}})
+            reply = read_frame(sock)
+            assert reply["cid"] == 7 and reply["status"] == "OK"
+
+    def test_async_loadgen_round_trip(self, frontend):
+        requests = _funded_deposits(frontend.service, 6)
+        gateway = SocketGateway(frontend.address, connections=3,
+                                pipeline_depth=2)
+        report = run_trace(gateway, requests)
+        assert report.ok == len(requests)
+        assert report.errors == 0 and report.shed == 0
+
+
 class TestExactlyOnce:
     def test_rid_dedup_over_socket(self, frontend, client):
         """The same rid twice gets the cached verdict, applied once."""
@@ -145,9 +210,6 @@ class TestExactlyOnce:
 
 class TestFrontendRejections:
     def test_malformed_request_gets_error_frame(self, frontend):
-        from repro.net.wire import read_frame, write_frame
-        import socket
-
         with socket.create_connection(frontend.address, timeout=10) as sock:
             write_frame(sock, ["not", "a", "dict"])
             reply = read_frame(sock)
@@ -335,8 +397,17 @@ class TestLifecycle:
         with ServiceFrontend(service, telemetry=telemetry) as front:
             with ServiceClient(front.address) as c:
                 c.request("audit", {})
-        counters = {m["name"]: m["value"]
-                    for m in telemetry.registry.snapshot()["counters"]
+        snapshot = telemetry.registry.snapshot()
+        counters = {m["name"]: m["value"] for m in snapshot["counters"]
                     if not m["labels"]}
+        gauges = {m["name"]: m["value"] for m in snapshot["gauges"]
+                  if not m["labels"]}
         assert counters["repro_frontend_frames_total"] >= 1
         assert counters["repro_frontend_conn_errors_total"] == 0
+        assert counters["repro_frontend_preparse_busy_total"] == 0
+        assert gauges["repro_frontend_connections"] == 0  # closed
+        assert gauges["repro_frontend_paused_connections"] == 0
+
+    def test_window_must_be_positive(self, service):
+        with pytest.raises(ValueError, match="window"):
+            ServiceFrontend(service, window=0)

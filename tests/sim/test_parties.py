@@ -3,7 +3,7 @@ Algorithms 1 and 4 with the campaign's overrides (:mod:`repro.sim.party`).
 
 One small seeded campaign with every party shape — honest, omitting and
 replaying SPs, a double-spend ring, a malicious MA, a PPMSpbs job — runs
-in process on the shared toy substrate; the tests read its machines,
+in process on the shared campaign substrate; the tests read its machines,
 the market's books and the resolved deposit stream.  A second copy of
 it takes hostile traffic generated from the machines' message tables:
 whatever arrives, in whatever order and from whichever name, ends as
@@ -246,7 +246,7 @@ def test_forged_traffic_from_residents_moves_no_value(hostile, samples, scheme):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n_sps=st.integers(1, 4), payment=st.integers(1, 8), seed=st.integers(0, 2**16))
-# the coin-break edges on the toy tree, whose coin is worth 8: a whole
+# the coin-break edges on the level-3 tree, whose coin is worth 8: a whole
 # coin per worker (each one a fresh withdrawal), and one power-of-two
 # node (two workers a coin, the third waits for a second withdrawal)
 @example(n_sps=4, payment=8, seed=0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import random
+from dataclasses import replace
 
 from repro.ecash.dec import begin_withdrawal
 from repro.service import (
@@ -316,6 +317,40 @@ class TestCrashSweep:
             assert result.clean, message
             assert result.crashes == 1, message
             assert result.recoveries == 1, message
+            assert result.verdicts == baseline.verdicts, message
+
+    def test_a_two_torsion_forgery_is_refused_at_every_crash_point(
+            self, deposit_kit):
+        """A token on the "signature" ``(T, T, T)``, ``T`` of order 2,
+        pairs to 1 everywhere and needs no bank key: only the
+        ``pairable`` screen refuses it.  Appended to the kit, it is
+        answered ``ERROR`` and credits nothing whichever envelope the
+        service dies at (the kit's reconciliation would see a credit
+        its verdict does not explain)."""
+        from tests.ecash.test_cofactor_forgery import _forge, _torsion
+
+        kit = deposit_kit
+        token = _forge(kit.params, kit.keypair.public,
+                       _torsion(kit.params.backend.params.p),
+                       random.Random(0xF06E))
+        forged = replace(
+            kit,
+            tokens=kit.tokens + (token,),
+            amounts=kit.amounts + (token.denomination(kit.params.tree_level),),
+            requests=kit.requests + (replace(
+                kit.requests[0], rid="forge", token_index=len(kit.tokens),
+                double_spend=False),),
+        )
+        baseline = run_deposit_scenario(FaultPlan(seed=0), kit=kit)
+        clean = run_deposit_scenario(FaultPlan(seed=0), kit=forged)
+        assert clean.clean, clean.report()
+        for point in range(1, 2 * clean.delivered):
+            plan = FaultPlan(seed=0, crash_points=(point,))
+            result = run_deposit_scenario(plan, kit=forged, checkpoint_every=3)
+            message = f"crash at envelope {point}:\n{result.report()}"
+            assert result.clean, message
+            assert result.recoveries == 1, message
+            assert result.verdicts.pop("forge") == "ERROR", message
             assert result.verdicts == baseline.verdicts, message
 
     def test_multi_crash_schedules(self, deposit_kit):

@@ -2,8 +2,19 @@
 
 from __future__ import annotations
 
+from repro.crypto.pairing import TatePairing
 from repro.testing import FaultPlan
 from repro.testing.scenario import run_deposit_scenario, run_pbs_scenario
+
+
+def test_kits_default_to_setup_parameters(deposit_kit, pbs_kit):
+    """Both kits run on ``setup(3)``'s defaults: the Tate pairing and
+    24 edge rounds, the parameters a deployment runs."""
+    for kit in (deposit_kit, pbs_kit):
+        assert isinstance(kit.params.backend, TatePairing)
+        assert kit.params.edge_rounds == 24
+        assert kit.keypair.public.X == kit.params.backend.exp(
+            kit.params.backend.g, kit.keypair.x)
 
 
 class TestDepositScenario:

@@ -5,7 +5,8 @@ The CI-facing end-to-end check for ``repro.cluster``:
 
 1. boot a three-node :class:`~repro.cluster.launcher.ProcessCluster`
    (each node its own Python process, ephemeral ports, one shared
-   issuing key from a seeded setup);
+   issuing key from a seeded ``setup()``: the Tate pairing and 24 edge
+   rounds, what ``launcher init`` writes);
 2. drive a seeded deposit trace through the router — accounts funded
    and coins withdrawn over the wire, so the books conserve;
 3. SIGKILL the node that owns the next request's account, have its
@@ -42,7 +43,7 @@ from repro.testing import check_cluster_invariants  # noqa: E402
 
 def run(rundir: str, seed: int) -> int:
     rng = random.Random(seed)
-    params = setup(4, rng, security_bits=80, real_pairing=False, edge_rounds=6)
+    params = setup(4, rng)
     keypair = cl_keygen(params.backend, rng)
     failures: list[str] = []
 
