@@ -270,7 +270,7 @@ def test_overload_sheds_busy_and_admits_no_double_deposit(benchmark, service_wor
 
         # phase 2: replay every token in one burst — all double spends
         statuses: list[str] = []
-        service.add_completion_observer(lambda c: statuses.append(c.status))
+        service.add_reply_observer(lambda _sender, reply: statuses.append(reply["status"]))
         for request in requests:
             service.submit(request.sender, request.kind, request.payload)
         service.drain()

@@ -25,7 +25,8 @@ import pytest
 
 from repro.core.dec_machine import PPMSdecSession
 from repro.core.pbs_machine import PPMSpbsSession
-from repro.metrics.traffic import TrafficMeter, format_traffic_table
+from repro.metrics.opcount import format_traffic_table
+from repro.net.transport import Transport
 
 from benchmarks.conftest import BENCH_RSA_BITS
 
@@ -35,33 +36,33 @@ PAPER_TABLE2 = {
 }
 
 
-def _run_dec(params, seed: int) -> TrafficMeter:
+def _run_dec(params, seed: int) -> Transport:
     rng = random.Random(seed)
     session = PPMSdecSession(params, rng, rsa_bits=BENCH_RSA_BITS, break_algorithm="pcba")
     jo = session.new_job_owner("jo", funds=1 << params.tree_level)
     sp = session.new_participant("sp")
     session.run_job(jo, [sp], payment=1 << params.tree_level)  # minimal node index
-    return session.transport.meter
+    return session.transport
 
 
-def _run_pbs(seed: int) -> TrafficMeter:
+def _run_pbs(seed: int) -> Transport:
     rng = random.Random(seed)
     session = PPMSpbsSession(rng, rsa_bits=BENCH_RSA_BITS)
     jo = session.new_job_owner(funds=1)
     sp = session.new_participant()
     session.run_job(jo, [sp])
-    return session.transport.meter
+    return session.transport
 
 
 def test_table2_report(benchmark, params_by_level, capsys):
     """Regenerate Table II and assert the traffic ordering."""
     params = params_by_level(2)
-    meter_dec = _run_dec(params, seed=1)
-    meter_pbs = _run_pbs(seed=2)
+    dec = _run_dec(params, seed=1)
+    pbs = _run_pbs(seed=2)
 
     lines = ["", "=== Table II: communication traffic (measured) ==="]
-    for name, meter in (("PPMSdec", meter_dec), ("PPMSpbs", meter_pbs)):
-        lines.append(format_traffic_table(meter, ["JO", "SP", "MA"], title=f"[{name}]"))
+    for name, transport in (("PPMSdec", dec), ("PPMSpbs", pbs)):
+        lines.append(format_traffic_table(transport, ["JO", "SP", "MA"], title=f"[{name}]"))
         claim = PAPER_TABLE2[name]
         lines.append(
             f"paper claims: JO in/out {claim['JO']}, SP in/out {claim['SP']}, "
@@ -73,13 +74,13 @@ def test_table2_report(benchmark, params_by_level, capsys):
     benchmark.pedantic(lambda: _run_pbs(seed=3), rounds=1, iterations=1)
 
     # reproduced shape: DEC total clearly dominates PBS total
-    ratio = meter_dec.total_bytes() / meter_pbs.total_bytes()
+    ratio = dec.total_bytes() / pbs.total_bytes()
     assert ratio > 2.0, f"expected PPMSdec ≫ PPMSpbs, measured ratio {ratio:.2f}"
 
     # within PPMSdec the encrypted payment dominates: JO output > JO input
-    assert meter_dec.output_bytes("JO") > meter_dec.input_bytes("JO")
+    assert dec.output_bytes("JO") > dec.input_bytes("JO")
     # the SP receives (payment) more than it sends before deposits
-    assert meter_dec.input_bytes("SP") > 0
+    assert dec.input_bytes("SP") > 0
 
 
 def test_dec_traffic_grows_with_node_depth(benchmark, params_by_level):
@@ -99,7 +100,7 @@ def _run_dec_payment(params, payment: int, seed: int) -> int:
     jo = session.new_job_owner("jo", funds=1 << params.tree_level)
     sp = session.new_participant("sp")
     session.run_job(jo, [sp], payment=payment)
-    return session.transport.meter.total_bytes()
+    return session.transport.total_bytes()
 
 
 def test_pbs_traffic_flat_across_rounds(benchmark):
@@ -112,7 +113,7 @@ def test_pbs_traffic_flat_across_rounds(benchmark):
     for _ in range(4):
         sp = session.new_participant()
         session.run_job(jo, [sp])
-        now = session.transport.meter.total_bytes()
+        now = session.transport.total_bytes()
         totals.append(now - prev)
         prev = now
     spread = max(totals) - min(totals)

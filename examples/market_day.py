@@ -106,7 +106,7 @@ def main() -> None:
     print(format_table(dec.counter, ["JO", "SP", "MA"],
                        title="PPMSdec day-total operation counts:"))
     print()
-    print(format_traffic_table(dec.transport.meter, ["JO", "SP", "MA"],
+    print(format_traffic_table(dec.transport, ["JO", "SP", "MA"],
                                title="PPMSdec day-total traffic:"))
 
     # conservation: all credits that entered accounts are accounted for

@@ -71,7 +71,7 @@ def main() -> None:
     print(format_table(market.counter, ["JO", "SP", "MA"],
                        title="Operation counts — note: zero ZKPs (Table I):"))
     print()
-    print(format_traffic_table(market.transport.meter, ["JO", "SP", "MA"],
+    print(format_traffic_table(market.transport, ["JO", "SP", "MA"],
                                title="Traffic for 8 rounds (Table II scale):"))
 
 

@@ -5,7 +5,7 @@ Runs the full Algorithm-1 flow — job registration, blind withdrawal,
 cash break, encrypted payment, data submission, delivery, verification
 and deposits — for a single job owner and sensing participant, then
 prints the bank's view, the operation counts (Table I's units) and the
-traffic meter (Table II's units).
+transport's traffic (Table II's units).
 
 Usage::
 
@@ -58,7 +58,7 @@ def main() -> None:
 
     print("\n" + format_table(market.counter, ["JO", "SP", "MA"],
                               title="Operation counts (cf. paper Table I):"))
-    print("\n" + format_traffic_table(market.transport.meter, ["JO", "SP", "MA"],
+    print("\n" + format_traffic_table(market.transport, ["JO", "SP", "MA"],
                                       title="Traffic (cf. paper Table II):"))
 
 

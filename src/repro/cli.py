@@ -102,7 +102,7 @@ def _cmd_demo(args, rng: random.Random) -> int:
         session.run_job(jo, sps, payment=args.payment)
         for i in range(args.participants):
             print(f"sp-{i} balance: {session.ma.bank.balance(f'sp-{i}')}")
-        counter, meter = session.counter, session.transport.meter
+        counter, transport = session.counter, session.transport
     else:
         session = PPMSpbsSession(rng, rsa_bits=args.rsa_bits)
         jo = session.new_job_owner(funds=args.participants)
@@ -111,11 +111,11 @@ def _cmd_demo(args, rng: random.Random) -> int:
         for i, sp in enumerate(sps):
             print(f"sp-{i} balance: "
                   f"{session.ma.bank.balance(sp.account_pub.fingerprint())}")
-        counter, meter = session.counter, session.transport.meter
+        counter, transport = session.counter, session.transport
     print()
     print(format_table(counter, ["JO", "SP", "MA"], title="Operation counts:"))
     print()
-    print(format_traffic_table(meter, ["JO", "SP", "MA"], title="Traffic:"))
+    print(format_traffic_table(transport, ["JO", "SP", "MA"], title="Traffic:"))
     return 0
 
 

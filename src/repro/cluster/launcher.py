@@ -49,13 +49,12 @@ import time
 from typing import Any
 
 from repro.crypto.cl_sig import CLKeyPair
-from repro.crypto.hashing import sha256
 from repro.crypto.pairing import TatePairing
 from repro.cluster.node import ClusterNode, open_dump
 from repro.cluster.replicate import control_call
 from repro.cluster.ring import ClusterMap, DEFAULT_VNODES
 from repro.ecash.params_io import export_params, import_params
-from repro.net.codec import decode, encode
+from repro.net.codec import seal, unseal
 
 __all__ = [
     "write_bootstrap",
@@ -82,22 +81,15 @@ def write_bootstrap(path: str, params, keypair, *, nodes: list[str],
         "n_shards": n_shards,
         "checkpoint_every": checkpoint_every,
     }
-    body = encode(state)
-    _write_atomic(path, _BOOT_MAGIC + sha256(_BOOT_MAGIC, body) + body,
-                  binary=True)
+    _write_atomic(path, seal(_BOOT_MAGIC, state), binary=True)
 
 
 def read_bootstrap(path: str) -> dict:
     """Load a bootstrap blob; returns params/keypair/layout in one dict."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if not blob.startswith(_BOOT_MAGIC):
-        raise ValueError(f"{path}: not a cluster bootstrap blob (bad magic)")
-    digest = blob[len(_BOOT_MAGIC):len(_BOOT_MAGIC) + 32]
-    body = blob[len(_BOOT_MAGIC) + 32:]
-    if sha256(_BOOT_MAGIC, body) != digest:
-        raise ValueError(f"{path}: bootstrap integrity digest mismatch")
-    state = decode(body)
+    state = unseal(_BOOT_MAGIC, blob, "cluster bootstrap blob",
+                   lambda message: ValueError(f"{path}: {message}"))
     params, public = import_params(state["params"])  # always carries the key
     return {
         "params": params,

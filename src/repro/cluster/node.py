@@ -68,7 +68,7 @@ class ClusterNode:
         self.host = host
         self.checkpoint_every = checkpoint_every
         self.segment_records = segment_records
-        self.telemetry = telemetry if telemetry is not None else obs.Telemetry.disabled()
+        self.telemetry = telemetry if telemetry is not None else obs.Telemetry()
         self.telemetry.registry.gauge(
             "repro_cluster_node_info", "cluster node identity", node=node_id,
         ).set(1)
@@ -298,8 +298,7 @@ class LocalCluster:
     def __init__(self, params, keypair, *, n_nodes: int = 3,
                  n_shards: int = 4, vnodes: int = DEFAULT_VNODES,
                  checkpoint_every: int = 64,
-                 segment_records: int = DEFAULT_SEGMENT_RECORDS,
-                 telemetry_factory=None) -> None:
+                 segment_records: int = DEFAULT_SEGMENT_RECORDS) -> None:
         if n_nodes < 2:
             raise ValueError("a cluster needs at least two nodes")
         self.params = params
@@ -307,12 +306,10 @@ class LocalCluster:
         names = tuple(f"n{i}" for i in range(n_nodes))
         self.nodes: dict[str, ClusterNode] = {}
         for i, name in enumerate(names):
-            telemetry = telemetry_factory() if telemetry_factory else None
             self.nodes[name] = ClusterNode(
                 name, params, keypair, n_shards=n_shards, seed=i,
                 checkpoint_every=checkpoint_every,
                 segment_records=segment_records,
-                telemetry=telemetry,
             )
         self.map = ClusterMap(
             version=0, nodes=names,

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.hashing import sha256
 from repro.ecash.dec import DECBank
-from repro.net.codec import decode, encode
+from repro.net.codec import seal, unseal
 
 __all__ = ["SnapshotError", "snapshot_bank", "restore_bank", "audit_bank", "AuditReport"]
 
@@ -44,8 +43,7 @@ def snapshot_bank(bank: DECBank) -> bytes:
         "deposit_seq": bank.deposit_seq,
         "tree_level": bank.params.tree_level,
     }
-    body = encode(state)
-    return _MAGIC + sha256(_MAGIC, body) + body
+    return seal(_MAGIC, state)
 
 
 def restore_bank(bank: DECBank, blob: bytes) -> None:
@@ -56,15 +54,7 @@ def restore_bank(bank: DECBank, blob: bytes) -> None:
     key would silently orphan all outstanding coins, so callers manage
     keys separately and this function only restores the books.
     """
-    if not blob.startswith(_MAGIC):
-        raise SnapshotError("not a bank snapshot (bad magic)")
-    digest, body = blob[len(_MAGIC) : len(_MAGIC) + 32], blob[len(_MAGIC) + 32 :]
-    if sha256(_MAGIC, body) != digest:
-        raise SnapshotError("snapshot integrity digest mismatch")
-    try:
-        state = decode(body)
-    except ValueError as exc:
-        raise SnapshotError(f"snapshot body undecodable: {exc}") from exc
+    state = unseal(_MAGIC, blob, "bank snapshot", SnapshotError)
     if state.get("tree_level") != bank.params.tree_level:
         raise SnapshotError(
             f"snapshot tree level {state.get('tree_level')} does not match "

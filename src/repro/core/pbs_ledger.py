@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto import rsa
-from repro.crypto.hashing import sha256
 from repro.crypto.partial_blind import PartialBlindSignature, verify_partial_blind
-from repro.net.codec import decode, encode
+from repro.net.codec import seal, unseal
 
 __all__ = [
     "DoubleDepositError",
@@ -115,21 +114,12 @@ def snapshot_pbs_bank(bank: VirtualBankPbs) -> bytes:
         ),
         "transactions": [[payer.hex(), payee.hex()] for payer, payee in bank.transaction_log],
     }
-    body = encode(state)
-    return _MAGIC + sha256(_MAGIC, body) + body
+    return seal(_MAGIC, state)
 
 
 def restore_pbs_bank(bank: VirtualBankPbs, blob: bytes) -> None:
     """Load a snapshot into *bank*, replacing its books."""
-    if not blob.startswith(_MAGIC):
-        raise PbsSnapshotError("not a PBS bank snapshot (bad magic)")
-    digest, body = blob[len(_MAGIC) : len(_MAGIC) + 32], blob[len(_MAGIC) + 32 :]
-    if sha256(_MAGIC, body) != digest:
-        raise PbsSnapshotError("snapshot integrity digest mismatch")
-    try:
-        state = decode(body)
-    except ValueError as exc:
-        raise PbsSnapshotError(f"snapshot body undecodable: {exc}") from exc
+    state = unseal(_MAGIC, blob, "PBS bank snapshot", PbsSnapshotError)
     bank.accounts.clear()
     bank.accounts.update({bytes.fromhex(a): b for a, b in state["accounts"].items()})
     bank.bound_keys.clear()

@@ -24,7 +24,7 @@ maps that only *build* a table after a base has been seen
 ``promote_after`` times, so one-shot exponentiations never pay the
 build cost.  All caches register themselves in a module registry;
 :func:`stats` aggregates their hit/miss/build/eviction counters (also
-published as gauges by :func:`repro.metrics.opcount.publish_fastexp`).
+published as gauges by :meth:`repro.service.MarketService.dump_telemetry`).
 
 One global gate keeps the fallback path exactly as it was:
 :func:`configure` ``(enabled=False)`` (or environment

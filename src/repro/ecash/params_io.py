@@ -18,11 +18,10 @@ from __future__ import annotations
 from repro.crypto.cl_sig import CLPublicKey
 from repro.crypto.cunningham import CunninghamChain
 from repro.crypto.groups import GroupTower, SchnorrGroup
-from repro.crypto.hashing import sha256
 from repro.crypto.pairing import CurveParams, Point, TatePairing, ToyPairing
 from repro.ecash.spend import DECParams
 
-from repro.net.codec import decode, encode
+from repro.net.codec import seal, unseal
 
 __all__ = ["ParamsError", "export_params", "import_params"]
 
@@ -84,8 +83,7 @@ def export_params(params: DECParams, bank_pk: CLPublicKey | None = None) -> byte
                   list(map(int, backend.element_encode(bank_pk.Y)))]
         ),
     }
-    body = encode(state)
-    return _MAGIC + sha256(_MAGIC, body) + body
+    return seal(_MAGIC, state)
 
 
 def import_params(blob: bytes) -> tuple[DECParams, CLPublicKey | None]:
@@ -95,15 +93,7 @@ def import_params(blob: bytes) -> tuple[DECParams, CLPublicKey | None]:
     ship a tower whose storeys do not chain, a generator of the wrong
     order, or a pairing subgroup too small for the coin secrets.
     """
-    if not blob.startswith(_MAGIC):
-        raise ParamsError("not a parameter blob (bad magic)")
-    digest, body = blob[len(_MAGIC) : len(_MAGIC) + 32], blob[len(_MAGIC) + 32 :]
-    if sha256(_MAGIC, body) != digest:
-        raise ParamsError("parameter blob integrity digest mismatch")
-    try:
-        state = decode(body)
-    except ValueError as exc:
-        raise ParamsError(f"parameter blob undecodable: {exc}") from exc
+    state = unseal(_MAGIC, blob, "parameter blob", ParamsError)
 
     try:
         levels = tuple(

@@ -15,11 +15,10 @@ theft).
 
 from __future__ import annotations
 
-from repro.crypto.hashing import sha256
 from repro.ecash.dec import Coin
 from repro.ecash.tree import CoinTree, NodeId
 from repro.ecash.wallet import Wallet
-from repro.net.codec import decode, encode
+from repro.net.codec import seal, unseal
 
 __all__ = ["WalletSnapshotError", "snapshot_coins", "restore_coins"]
 
@@ -43,21 +42,12 @@ def snapshot_coins(coins: list[tuple[Coin, Wallet]]) -> bytes:
             for coin, wallet in coins
         ],
     }
-    body = encode(state)
-    return _MAGIC + sha256(_MAGIC, body) + body
+    return seal(_MAGIC, state)
 
 
 def restore_coins(blob: bytes) -> list[tuple[Coin, Wallet]]:
     """Reconstruct coins + wallets from a snapshot blob."""
-    if not blob.startswith(_MAGIC):
-        raise WalletSnapshotError("not a wallet snapshot (bad magic)")
-    digest, body = blob[len(_MAGIC) : len(_MAGIC) + 32], blob[len(_MAGIC) + 32 :]
-    if sha256(_MAGIC, body) != digest:
-        raise WalletSnapshotError("wallet snapshot integrity digest mismatch")
-    try:
-        state = decode(body)
-    except ValueError as exc:
-        raise WalletSnapshotError(f"wallet snapshot undecodable: {exc}") from exc
+    state = unseal(_MAGIC, blob, "wallet snapshot", WalletSnapshotError)
     out: list[tuple[Coin, Wallet]] = []
     for entry in state["coins"]:
         coin = Coin(secret=entry["secret"], signature=entry["signature"],

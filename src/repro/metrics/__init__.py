@@ -1,8 +1,9 @@
-"""Instrumentation: operation counters, traffic meters, timing harness.
+"""Instrumentation: operation counters, table rendering, timing harness.
 
-Three modules back the paper's evaluation artifacts: Table I
-(:mod:`~repro.metrics.opcount`), Table II (:mod:`~repro.metrics.traffic`)
-and the timing methodology of Figs. 2–5 (:mod:`~repro.metrics.timing`).
+Two modules back the paper's evaluation artifacts: Tables I and II
+(:mod:`~repro.metrics.opcount`; Table II's bytes are the transport's
+envelope log, :class:`repro.net.transport.Transport`) and the timing
+methodology of Figs. 2–5 (:mod:`~repro.metrics.timing`).
 :mod:`~repro.metrics.latency` serves the layer the paper doesn't have:
 per-request latency quantiles and SLO checks for :mod:`repro.service`.
 """
@@ -13,11 +14,10 @@ from repro.metrics.latency import (
     SLOTarget,
     format_latency_report,
 )
-from repro.metrics.opcount import OPS, OpCounter, format_table
+from repro.metrics.opcount import OPS, OpCounter, format_table, format_traffic_table
 from repro.metrics.parallel import SweepPoint, default_processes, sweep
 from repro.metrics.series import FigureData, Series, render_ascii_plot, render_table
 from repro.metrics.timing import TimingResult, time_operation
-from repro.metrics.traffic import TrafficMeter, format_traffic_table
 
 __all__ = [
     "LatencyRecorder",
@@ -27,7 +27,6 @@ __all__ = [
     "OpCounter",
     "OPS",
     "format_table",
-    "TrafficMeter",
     "format_traffic_table",
     "TimingResult",
     "time_operation",

@@ -1,4 +1,4 @@
-"""Core-operation counters (Table I of the paper).
+"""Core-operation counters (Table I of the paper), and both tables' renderers.
 
 The paper tallies, per party and mechanism, four operation classes:
 
@@ -11,6 +11,9 @@ The paper tallies, per party and mechanism, four operation classes:
 The protocol implementations call :meth:`OpCounter.record` at every
 operation site, so the measured table can be printed next to the
 paper's claimed rows (see ``benchmarks/bench_table1_opcounts.py``).
+Table II needs no counter of its own: it is the transport's envelope
+log summed (:class:`repro.net.transport.Transport`), rendered by
+:func:`format_traffic_table`.
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.crypto import fastexp
-
 __all__ = [
     "OpCounter",
     "OPS",
     "format_table",
-    "publish_fastexp",
+    "format_traffic_table",
 ]
 
 OPS = ("ZKP", "Enc", "Dec", "H")
@@ -71,28 +72,6 @@ class OpCounter:
         return "+".join(parts) if parts else "0"
 
 
-def publish_fastexp(registry=None) -> None:
-    """Mirror the fastexp cache counters into a metrics registry.
-
-    The caches keep their own monotonic tallies (they predate the
-    registry and must stay import-light), so export is pull-style:
-    each call overwrites gauges ``repro_fastexp_<counter>{cache=...}``
-    with the current totals.  With *registry* ``None`` the process
-    default from :func:`repro.obs.get_default` is used.
-    """
-    from repro import obs
-
-    if registry is None:
-        registry = obs.get_default().registry
-    for cache, row in fastexp.stats().items():
-        for counter, value in row.items():
-            registry.gauge(
-                f"repro_fastexp_{counter}",
-                f"fastexp table-cache {counter} (monotonic total)",
-                cache=cache,
-            ).set(value)
-
-
 def format_table(counter: OpCounter, parties: list[str], title: str = "") -> str:
     """Render an ASCII table of per-party operation counts."""
     lines = []
@@ -104,4 +83,21 @@ def format_table(counter: OpCounter, parties: list[str], title: str = "") -> str
     for party in parties:
         row = counter.party_row(party)
         lines.append(f"{party:<8}" + "".join(f"{row[op]:>8}" for op in OPS))
+    return "\n".join(lines)
+
+
+def format_traffic_table(transport, parties: list[str], title: str = "") -> str:
+    """Render a Table-II-style ASCII table (input/output bytes, total kB)."""
+    lines = []
+    if title:
+        lines.append(title)
+    header = f"{'party':<8}{'input (B)':>12}{'output (B)':>12}"
+    lines.append(header)
+    lines.append("-" * len(header))
+    for party in parties:
+        lines.append(
+            f"{party:<8}{transport.input_bytes(party):>12}"
+            f"{transport.output_bytes(party):>12}"
+        )
+    lines.append(f"{'total':<8}{transport.total_bytes() / 1024.0:>23.2f} kB")
     return "\n".join(lines)

@@ -118,10 +118,10 @@ def _fig5_tables(rng: random.Random, out: list[str], *, rounds: int) -> None:
 
     out.append("## Table II — traffic (measured, whole run)\n")
     out.append("```")
-    for name, meter in (("PPMSdec", dec.transport.meter), ("PPMSpbs", pbs.transport.meter)):
-        per_round = meter.total_bytes() / rounds / 1024
-        out.append(f"[{name}]  total {meter.total_kb():.2f} kB "
-                   f"({per_round:.2f} kB/round)")
+    for name, transport in (("PPMSdec", dec.transport), ("PPMSpbs", pbs.transport)):
+        total = transport.total_bytes()
+        out.append(f"[{name}]  total {total / 1024:.2f} kB "
+                   f"({total / rounds / 1024:.2f} kB/round)")
     out.append("```")
     out.append("Paper (one round): PPMSdec 11.27 kB, PPMSpbs 2.14 kB.\n")
 

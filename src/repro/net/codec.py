@@ -39,6 +39,11 @@ re-encoded: :func:`decode_with_span` also returns the input slice one
 entry of a top-level dict was decoded from, and :class:`Encoded` writes
 such a slice back verbatim (the service's ``accept`` record splices a
 request's payload this way).
+
+**Sealed blobs.**  Every state blob the stack writes — bank and wallet
+snapshots, parameter exports, the cluster bootstrap, journal manifests
+— is :func:`seal`'s ``magic ‖ sha256(magic, body) ‖ body``, opened by
+:func:`unseal`.
 """
 
 from __future__ import annotations
@@ -48,8 +53,10 @@ import operator
 import struct
 from typing import Any, Callable
 
+from repro.crypto.hashing import sha256
+
 __all__ = ["encode", "decode", "decode_with_span", "register", "encoded_size",
-           "Encoded"]
+           "Encoded", "seal", "unseal"]
 
 (_NONE, _FALSE, _TRUE, _INT_POS, _INT_NEG, _BYTES, _STR, _LIST, _TUPLE,
  _DICT, _OBJ, _FLOAT) = range(12)
@@ -390,3 +397,27 @@ def decode_with_span(data: bytes, key: str) -> tuple[Any, bytes | None]:
     it in :class:`Encoded` writes the same bytes a fresh encode would.
     """
     return _decode(data, key)
+
+
+def seal(magic: bytes, value: Any) -> bytes:
+    """``magic ‖ sha256(magic, body) ‖ body``, where body is ``encode(value)``."""
+    body = encode(value)
+    return magic + sha256(magic, body) + body
+
+
+def unseal(magic: bytes, blob: bytes, what: str,
+           error: Callable[[str], Exception]) -> Any:
+    """The value of a :func:`seal`-ed *blob*.
+
+    Anything else raises ``error(message)``: "not a <what> (bad magic)",
+    "<what> integrity digest mismatch" or "<what> body undecodable".
+    """
+    if not blob.startswith(magic):
+        raise error(f"not a {what} (bad magic)")
+    body = blob[len(magic) + 32 :]
+    if sha256(magic, body) != blob[len(magic) : len(magic) + 32]:
+        raise error(f"{what} integrity digest mismatch")
+    try:
+        return decode(body)
+    except ValueError as exc:
+        raise error(f"{what} body undecodable: {exc}") from exc

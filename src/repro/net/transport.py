@@ -1,11 +1,12 @@
 """Simulated point-to-point transport with byte accounting.
 
 All market traffic flows resident ↔ MA (paper Section III-A).  The
-transport serializes every payload with the canonical codec, charges
-the byte count to the :class:`~repro.metrics.traffic.TrafficMeter`, and
-delivers the *decoded copy* — so protocols cannot accidentally share
-mutable state through "the network", and anything unencodable fails
-loudly at the send site.
+transport serializes every payload with the canonical codec, logs one
+:class:`Envelope` per message (roles, kind, wire bytes) and delivers
+the *decoded copy* — so protocols cannot accidentally share mutable
+state through "the network", and anything unencodable fails loudly at
+the send site.  Table II is that log summed: :meth:`Transport.input_bytes`,
+:meth:`~Transport.output_bytes` and :meth:`~Transport.total_bytes`.
 
 An optional observer callback sees every envelope (sender, receiver,
 kind, wire bytes); the attack simulations use it to model a network
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.metrics.traffic import TrafficMeter
 from repro.net.codec import decode, encode
 
 __all__ = ["Envelope", "Transport"]
@@ -41,15 +41,13 @@ class Transport:
 
     Attributes
     ----------
-    meter:
-        Byte accounting per party (Table II source of truth).
     log:
-        Every envelope ever delivered, in order.
+        Every envelope ever delivered, in order (Table II's source of
+        truth).
     observers:
         Callbacks invoked on each delivery (eavesdroppers, debuggers).
     """
 
-    meter: TrafficMeter = field(default_factory=TrafficMeter)
     log: list[Envelope] = field(default_factory=list)
     observers: list[Callable[[Envelope], None]] = field(default_factory=list)
     _seq: int = 0
@@ -57,7 +55,6 @@ class Transport:
     def send(self, sender: str, receiver: str, kind: str, payload: Any) -> Any:
         """Deliver *payload* and return the received (decoded) copy."""
         wire = encode(payload)
-        self.meter.record(sender, receiver, len(wire))
         delivered = decode(wire)
         envelope = Envelope(
             sender=sender,
@@ -76,6 +73,18 @@ class Transport:
     def add_observer(self, observer: Callable[[Envelope], None]) -> None:
         self.observers.append(observer)
 
+    def output_bytes(self, party: str) -> int:
+        """Table II's "Output" column: bytes *party* sent."""
+        return sum(e.wire_bytes for e in self.log if e.sender == party)
+
+    def input_bytes(self, party: str) -> int:
+        """Table II's "Input" column: bytes *party* received."""
+        return sum(e.wire_bytes for e in self.log if e.receiver == party)
+
+    def total_bytes(self) -> int:
+        """Total unidirectional traffic (each message counted once)."""
+        return sum(e.wire_bytes for e in self.log)
+
     def messages_between(self, a: str, b: str) -> list[Envelope]:
         """All envelopes exchanged (either direction) between two parties."""
         return [
@@ -85,6 +94,5 @@ class Transport:
         ]
 
     def reset(self) -> None:
-        self.meter.reset()
         self.log.clear()
         self._seq = 0

@@ -16,13 +16,13 @@ layer threads a single ``Telemetry`` through service → bank → batcher
 → admission → journal so one trace id follows a request end to end
 and all counters land in one scrape.
 
-**Toggles.**  The module-default telemetry starts from the
-environment: ``REPRO_TRACE=1`` enables tracing, ``REPRO_METRICS=1``
-enables metrics (both default **off**; the disabled paths cost one
-attribute check per event — the same guard discipline as
-``REPRO_FASTEXP``).  :func:`configure` flips the defaults at runtime;
-tests build private ``Telemetry.enabled()`` stacks instead of touching
-the global one.
+**Toggles.**  Metrics always count.  Tracing is the one switch: the
+module-default tracer starts from ``REPRO_TRACE=1`` (default **off**;
+the disabled path costs one attribute check per span and hands out the
+shared no-op span — the same guard discipline as ``REPRO_FASTEXP``),
+and :func:`configure` flips it at runtime.  ``Telemetry()`` is a
+private stack with tracing off; tests build private
+``Telemetry.enabled()`` stacks instead of touching the global one.
 
 Layering: this package imports nothing from the rest of ``repro``
 (enforced by ``tools/lint_imports.py``) — in particular it may not
@@ -35,7 +35,7 @@ See ``docs/observability.md`` for the span/metric inventory and
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.obs.redact import (
     DEFAULT_POLICY,
@@ -86,16 +86,12 @@ def _env_flag(name: str) -> bool:
 class Telemetry:
     """One tracer + one registry: the unit the service stack shares."""
 
-    tracer: Tracer
-    registry: MetricsRegistry
+    tracer: Tracer = field(default_factory=lambda: Tracer(enabled=False))
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property
     def tracing(self) -> bool:
         return self.tracer.enabled
-
-    @property
-    def metrics(self) -> bool:
-        return self.registry.enabled
 
     @classmethod
     def enabled(cls, *, capacity: int = 4096,
@@ -109,14 +105,8 @@ class Telemetry:
             kwargs["clock"] = clock
         return cls(
             tracer=Tracer(**kwargs),
-            registry=MetricsRegistry(enabled=True, policy=policy),
+            registry=MetricsRegistry(policy=policy),
         )
-
-    @classmethod
-    def disabled(cls) -> "Telemetry":
-        """A fully-off private stack (isolates a test from the default)."""
-        return cls(tracer=Tracer(enabled=False),
-                   registry=MetricsRegistry(enabled=False))
 
     def export(self) -> dict:
         """All exports in one dict: trace JSONL, metrics JSON + text."""
@@ -146,13 +136,10 @@ class Telemetry:
         return paths
 
 
-#: The process-default telemetry; off unless the environment says
-#: otherwise, so an uninstrumented run pays one attribute check per
-#: would-be event and allocates nothing.
-_DEFAULT = Telemetry(
-    tracer=Tracer(enabled=_env_flag("REPRO_TRACE")),
-    registry=MetricsRegistry(enabled=_env_flag("REPRO_METRICS")),
-)
+#: The process-default telemetry; its tracer is off unless the
+#: environment says otherwise, so an untraced run pays one attribute
+#: check per would-be span and allocates nothing for it.
+_DEFAULT = Telemetry(tracer=Tracer(enabled=_env_flag("REPRO_TRACE")))
 
 
 def get_default() -> Telemetry:
@@ -160,17 +147,13 @@ def get_default() -> Telemetry:
     return _DEFAULT
 
 
-def configure(*, trace: bool | None = None,
-              metrics: bool | None = None) -> dict[str, bool]:
-    """Flip the default telemetry's toggles; returns the prior state.
+def configure(*, trace: bool | None = None) -> dict[str, bool]:
+    """Flip the default tracer; returns the prior state.
 
-    Both flags are read per event, so flipping affects components that
-    were already built against the default stack.
+    The flag is read per span, so flipping affects components that were
+    already built against the default stack.
     """
-    previous = {"trace": _DEFAULT.tracer.enabled,
-                "metrics": _DEFAULT.registry.enabled}
+    previous = {"trace": _DEFAULT.tracer.enabled}
     if trace is not None:
         _DEFAULT.tracer.enabled = trace
-    if metrics is not None:
-        _DEFAULT.registry.enabled = metrics
     return previous

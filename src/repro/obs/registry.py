@@ -16,9 +16,8 @@ more:
 Instruments are get-or-create by ``(name, labels)``; label values pass
 the :class:`~repro.obs.redact.RedactionPolicy` gate at creation, so a
 label can never smuggle an account id into a scrape.  Recording is
-guarded by the registry's ``enabled`` flag — one attribute check per
-``inc``/``set``/``observe``, no allocation — mirroring the
-``REPRO_FASTEXP`` toggle discipline.
+always on: an ``inc``/``set``/``observe`` is one addition, no
+allocation, so there is no switch to forget on a deployed node.
 
 Cross-process aggregation goes through :meth:`MetricsRegistry.snapshot`
 (a codec-friendly plain dict) and :meth:`MetricsRegistry.merge`:
@@ -55,20 +54,14 @@ SIZE_BUCKETS: tuple[float, ...] = tuple(float(2 ** e) for e in range(0, 17))
 class _Instrument:
     """Common identity: name, scrubbed labels, help text."""
 
-    __slots__ = ("name", "labels", "help", "_registry")
+    __slots__ = ("name", "labels", "help")
 
     kind = "untyped"
 
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 labels: dict, help: str) -> None:
-        self._registry = registry
+    def __init__(self, name: str, labels: dict, help: str) -> None:
         self.name = name
         self.labels = labels
         self.help = help
-
-    @property
-    def enabled(self) -> bool:
-        return self._registry.enabled
 
 
 class Counter(_Instrument):
@@ -78,13 +71,11 @@ class Counter(_Instrument):
 
     kind = "counter"
 
-    def __init__(self, registry, name, labels, help) -> None:
-        super().__init__(registry, name, labels, help)
+    def __init__(self, name, labels, help) -> None:
+        super().__init__(name, labels, help)
         self.value = 0
 
     def inc(self, n: int | float = 1) -> None:
-        if not self._registry.enabled:
-            return
         if n < 0:
             raise ValueError("counters only go up")
         self.value += n
@@ -97,18 +88,14 @@ class Gauge(_Instrument):
 
     kind = "gauge"
 
-    def __init__(self, registry, name, labels, help) -> None:
-        super().__init__(registry, name, labels, help)
+    def __init__(self, name, labels, help) -> None:
+        super().__init__(name, labels, help)
         self.value = 0
 
     def set(self, value: int | float) -> None:
-        if not self._registry.enabled:
-            return
         self.value = value
 
     def inc(self, n: int | float = 1) -> None:
-        if not self._registry.enabled:
-            return
         self.value += n
 
     def dec(self, n: int | float = 1) -> None:
@@ -122,9 +109,8 @@ class Histogram(_Instrument):
 
     kind = "histogram"
 
-    def __init__(self, registry, name, labels, help,
-                 buckets: Iterable[float]) -> None:
-        super().__init__(registry, name, labels, help)
+    def __init__(self, name, labels, help, buckets: Iterable[float]) -> None:
+        super().__init__(name, labels, help)
         bounds = tuple(float(b) for b in buckets)
         if not bounds or list(bounds) != sorted(bounds):
             raise ValueError("bucket bounds must be non-empty and ascending")
@@ -134,8 +120,6 @@ class Histogram(_Instrument):
         self.count = 0
 
     def observe(self, value: int | float) -> None:
-        if not self._registry.enabled:
-            return
         # linear scan beats bisect here: the ladder is short and hot
         # observations (latencies, batch sizes) land in the low buckets
         index = len(self.buckets)
@@ -189,9 +173,7 @@ def _escape(value: str) -> str:
 class MetricsRegistry:
     """Get-or-create instrument store with merge and export."""
 
-    def __init__(self, *, enabled: bool = True,
-                 policy: RedactionPolicy | None = None) -> None:
-        self.enabled = enabled
+    def __init__(self, *, policy: RedactionPolicy | None = None) -> None:
         self.policy = policy if policy is not None else DEFAULT_POLICY
         self._instruments: dict[tuple[str, tuple], _Instrument] = {}
 
@@ -206,7 +188,7 @@ class MetricsRegistry:
         key = (name, _label_key(scrubbed))
         instrument = self._instruments.get(key)
         if instrument is None:
-            instrument = cls(self, name, scrubbed, help, **extra)
+            instrument = cls(name, scrubbed, help, **extra)
             self._instruments[key] = instrument
         elif not isinstance(instrument, cls):
             raise ValueError(
@@ -264,30 +246,25 @@ class MetricsRegistry:
         value.  Histogram ladders must match exactly — mergeability is
         the reason the ladders are fixed.
         """
-        was_enabled = self.enabled
-        self.enabled = True  # merging is an offline aggregation step
-        try:
-            for entry in snapshot.get("counters", ()):
-                self.counter(entry["name"], entry.get("help", ""),
-                             **entry["labels"]).value += entry["value"]
-            for entry in snapshot.get("gauges", ()):
-                self.gauge(entry["name"], entry.get("help", ""),
-                           **entry["labels"]).value = entry["value"]
-            for entry in snapshot.get("histograms", ()):
-                hist = self.histogram(
-                    entry["name"], entry.get("help", ""),
-                    buckets=entry["buckets"], **entry["labels"],
+        for entry in snapshot.get("counters", ()):
+            self.counter(entry["name"], entry.get("help", ""),
+                         **entry["labels"]).value += entry["value"]
+        for entry in snapshot.get("gauges", ()):
+            self.gauge(entry["name"], entry.get("help", ""),
+                       **entry["labels"]).value = entry["value"]
+        for entry in snapshot.get("histograms", ()):
+            hist = self.histogram(
+                entry["name"], entry.get("help", ""),
+                buckets=entry["buckets"], **entry["labels"],
+            )
+            if list(hist.buckets) != list(entry["buckets"]):
+                raise ValueError(
+                    f"histogram {entry['name']!r}: bucket ladders differ"
                 )
-                if list(hist.buckets) != list(entry["buckets"]):
-                    raise ValueError(
-                        f"histogram {entry['name']!r}: bucket ladders differ"
-                    )
-                for i, n in enumerate(entry["counts"]):
-                    hist.counts[i] += n
-                hist.sum += entry["sum"]
-                hist.count += entry["count"]
-        finally:
-            self.enabled = was_enabled
+            for i, n in enumerate(entry["counts"]):
+                hist.counts[i] += n
+            hist.sum += entry["sum"]
+            hist.count += entry["count"]
 
     # -- export ------------------------------------------------------------
     def to_json(self) -> str:

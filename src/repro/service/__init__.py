@@ -48,7 +48,7 @@ from repro.service.loadgen import (
     mint_deposit_traffic,
     run_trace,
 )
-from repro.service.server import Completion, MarketService, RequestFailure
+from repro.service.server import MarketService, RequestFailure
 from repro.service.shard import ShardedBank, account_shard, serial_shard
 from repro.service.workers import (
     InlineBackend,
@@ -79,7 +79,6 @@ __all__ = [
     "account_shard",
     "serial_shard",
     "MarketService",
-    "Completion",
     "RequestFailure",
     "LoadReport",
     "Request",

@@ -58,7 +58,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 import repro.obs as obs
 from repro.crypto.hashing import sha256
-from repro.net.codec import decode, encode
+from repro.net.codec import decode, encode, seal, unseal
 from repro.service.storage import DirectoryStorage, MemoryStorage, Storage
 
 __all__ = [
@@ -144,24 +144,6 @@ def _numbered(names: Iterable[str], prefix: str, suffix: str) -> list[int]:
 def _blob_name(data: bytes) -> str:
     """Content digest a blob file is named by (``blob-<this>.bin``)."""
     return sha256(data).hex()[:_BLOB_NAME_HEX]
-
-
-def _seal(magic: bytes, body: bytes) -> bytes:
-    """``magic || sha256(magic, body) || body`` — how a manifest is stored."""
-    return magic + sha256(magic, body) + body
-
-
-def _unseal(magic: bytes, blob: bytes, what: str) -> Any:
-    """The decoded body of a :func:`_seal`-ed *blob*, or ``JournalError``."""
-    body = blob[len(magic) + 32 :]
-    if not blob.startswith(magic):
-        raise JournalError(f"not a {what} (bad magic)")
-    if sha256(magic, body) != blob[len(magic) : len(magic) + 32]:
-        raise JournalError(f"{what} integrity digest mismatch")
-    try:
-        return decode(body)
-    except ValueError as exc:
-        raise JournalError(f"{what} body undecodable: {exc}") from exc
 
 
 def _frame(state: dict) -> bytes:
@@ -560,7 +542,7 @@ class Journal:
             tail[name] = list(runs.tail)
         state["tail"] = (self._put_blob(encode(tail), present)
                          if any(tail.values()) else "")
-        manifest = _seal(_MANIFEST_MAGIC, encode(state))
+        manifest = seal(_MANIFEST_MAGIC, state)
         name = _manifest_name(checkpoint.lsn)
         self.storage.write(name + ".tmp", manifest)
         self.storage.replace(name + ".tmp", name)
@@ -570,8 +552,8 @@ class Journal:
     def _read_manifest(self, lsn: int) -> dict | None:
         """Decode one manifest, or ``None`` when it fails validation."""
         try:
-            return _unseal(_MANIFEST_MAGIC, self.storage.read(_manifest_name(lsn)),
-                           "checkpoint manifest")
+            return unseal(_MANIFEST_MAGIC, self.storage.read(_manifest_name(lsn)),
+                          "checkpoint manifest", JournalError)
         except (OSError, JournalError):
             return None
 

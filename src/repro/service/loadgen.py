@@ -34,7 +34,7 @@ from repro.ecash.spend import create_spend
 from repro.metrics.latency import LatencyRecorder, LatencyReport, SLOTarget
 from repro.net.wire import WireError, read_frame_async, write_frame_async
 from repro.service.gateway import SocketGateway
-from repro.service.server import Completion, MarketService
+from repro.service.server import MarketService
 
 __all__ = [
     "Request",
@@ -238,7 +238,8 @@ def run_trace(
 
     * A :class:`MarketService` is submitted to directly and stepped after
       every submission (batches flush as soon as they fill), then
-      drained; latency is the service's own accept-to-reply clock.
+      drained; latency is submit call to reply, seen through
+      :meth:`~MarketService.add_reply_observer`.
     * A :class:`SocketGateway` gets the trace over its ``connections``
       sockets, ``pipeline_depth`` outstanding on each, multiplexed on
       one client-side event loop; latency is frame-send to frame-receive.
@@ -284,18 +285,25 @@ def run_trace(
 
 
 def _replay_in_process(service: MarketService, trace: _Trace, tally: _Tally) -> None:
-    def observe(completion: Completion) -> None:
-        tally(completion.status, completion.latency)
+    sent_at: dict[int, float] = {}  # seq -> when its submit call began
+    answers: list[tuple[int, str, float]] = []  # (seq, status, when answered)
 
-    service.add_completion_observer(observe)
+    def observe(sender: str, reply: dict) -> None:
+        answers.append((reply["req"], reply["status"], time.perf_counter()))
+
+    service.add_reply_observer(observe)
     try:
         for request, at in trace:
-            service.submit(request.sender, request.kind, request.payload, now=at,
-                           rid=request.rid)
+            start = time.perf_counter()
+            sent_at[service.submit(request.sender, request.kind, request.payload,
+                                   now=at, rid=request.rid)] = start
             service.step()
         service.drain()
     finally:
-        service.remove_completion_observer(observe)
+        service.remove_reply_observer(observe)
+    for seq, status, answered in answers:
+        if seq in sent_at:  # not a straggler submitted before this replay
+            tally(status, answered - sent_at[seq])
 
 
 async def _replay_over_sockets(gateway: SocketGateway, trace: _Trace,

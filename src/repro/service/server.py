@@ -49,7 +49,7 @@ from typing import Any, Callable
 import repro.obs as obs
 from repro.core.engine import ProtocolError
 from repro.core.pbs_ledger import DoubleDepositError
-from repro.crypto import rsa
+from repro.crypto import fastexp, rsa
 from repro.crypto.cl_sig import BlindIssuanceRequest
 from repro.crypto.partial_blind import PartialBlindSignature
 from repro.ecash.dec import DoubleSpendError
@@ -68,7 +68,7 @@ from repro.service.batcher import (
 from repro.service.journal import Checkpoint, Journal, JournalRecord, RunLog
 from repro.service.shard import ShardedBank
 
-__all__ = ["MarketService", "Completion", "RequestFailure", "REQUESTS"]
+__all__ = ["MarketService", "RequestFailure", "REQUESTS"]
 
 #: request bounds beside ``MAX_ID`` (constants, not options): every
 #: balance, context and arrival time the suites, campaigns, fault
@@ -88,17 +88,6 @@ _TOMBSTONES_PER_REPLY = 4
 #: bound of :attr:`MarketService.failures` (most recent kept): a client
 #: replaying bad tokens must not own the server's memory
 _FAILURES_KEPT = 1024
-
-
-@dataclass(frozen=True)
-class Completion:
-    """One finished request, as seen by completion observers."""
-
-    sender: str
-    seq: int
-    kind: str
-    status: str
-    latency: float  # seconds, submit → reply (0 for shed requests)
 
 
 @dataclass(frozen=True)
@@ -193,7 +182,6 @@ class MarketService:
         self.dedup_hits = 0
         self.reply_evictions = 0
         self.tombstone_hits = 0
-        self._observers: list[Callable[[Completion], None]] = []
         self._reply_observers: list[Callable[[str, dict], None]] = []
 
     # -- instrumentation ---------------------------------------------------
@@ -258,31 +246,27 @@ class MarketService:
     def dump_telemetry(self, directory=None):
         """Export the service's telemetry (trace + metrics) in one call.
 
-        Refreshes the pull-style values first — fastexp cache counters
-        (via :func:`repro.metrics.opcount.publish_fastexp`) and the
-        live queue depth — then returns
-        :meth:`repro.obs.Telemetry.export`'s dict, or, given a
+        Refreshes the pull-style values first — the fastexp cache
+        counters (the caches keep their own monotonic tallies, so each
+        call overwrites gauges ``repro_fastexp_<counter>{cache=...}``
+        with the current totals) and the live queue depth — then
+        returns :meth:`repro.obs.Telemetry.export`'s dict, or, given a
         *directory*, writes ``trace.json`` / ``metrics.json`` /
         ``metrics.prom`` there and returns their paths.
         """
-        from repro.metrics.opcount import publish_fastexp
-
-        publish_fastexp(self.obs.registry)
+        registry = self.obs.registry
+        for cache, row in fastexp.stats().items():
+            for counter, value in row.items():
+                registry.gauge(
+                    f"repro_fastexp_{counter}",
+                    f"fastexp table-cache {counter} (monotonic total)",
+                    cache=cache,
+                ).set(value)
         self._m_queue_depth.set(self.queue_depth)
         self.batcher._m_occupancy.set(len(self.batcher))
         if directory is not None:
             return self.obs.dump(directory)
         return self.obs.export()
-
-    def add_completion_observer(self, fn: Callable[[Completion], None]) -> None:
-        self._observers.append(fn)
-
-    def remove_completion_observer(self, fn: Callable[[Completion], None]) -> None:
-        self._observers.remove(fn)
-
-    def _notify(self, completion: Completion) -> None:
-        for fn in self._observers:
-            fn(completion)
 
     def add_reply_observer(self, fn: Callable[[str, dict], None]) -> None:
         """Register ``fn(sender, reply)`` to receive every answer.
@@ -296,6 +280,9 @@ class MarketService:
         the delivery, never the verdict.
         """
         self._reply_observers.append(fn)
+
+    def remove_reply_observer(self, fn: Callable[[str, dict], None]) -> None:
+        self._reply_observers.remove(fn)
 
     def _deliver(self, sender: str, reply: dict) -> None:
         for fn in self._reply_observers:
@@ -590,7 +577,7 @@ class MarketService:
     def _reply(self, sender: str, seq: int, kind: str, status: str, body: dict,
                *, submitted_at: float | None, rid: str = "") -> None:
         """Deliver one answer; with *rid*, journal and cache it first."""
-        latency = 0.0 if submitted_at is None else self._clock() - submitted_at
+        latency = None if submitted_at is None else self._clock() - submitted_at
         with self.obs.tracer.span("reply", status=status, kind=kind, seq=seq):
             if rid:
                 # journal before delivering: a crash during delivery leaves
@@ -606,11 +593,9 @@ class MarketService:
         counter = self._m_replies.get(status)
         if counter is not None:
             counter.inc()
-        if submitted_at is not None:
+        if latency is not None:
             self._m_latency.observe(latency)
         self.completions += 1
-        self._notify(Completion(sender=sender, seq=seq, kind=kind,
-                                status=status, latency=latency))
 
     # -- crash recovery ----------------------------------------------------
     def checkpoint(self) -> Checkpoint:

@@ -23,7 +23,7 @@ def tool():
 
 
 def _node_snapshot(frames: int, lsn: int) -> dict:
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     registry.counter("repro_frontend_frames_total", "request frames").inc(frames)
     registry.gauge("repro_journal_lsn", "newest lsn").set(lsn)
     return registry.snapshot()

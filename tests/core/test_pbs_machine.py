@@ -86,7 +86,7 @@ class TestRouter:
         router.add(Echo("b"))
         router.activate("a")
         router.run()
-        assert router.transport.meter.total_bytes() > 0
+        assert router.transport.total_bytes() > 0
 
 
 def _market(rng, *, n_workers, jo_funds, data_payload=b"sensed"):

@@ -177,7 +177,7 @@ class TestOpAndTrafficAccounting:
         jo = session.new_job_owner("jo-1", funds=16)
         sp = session.new_participant("sp-1")
         session.run_job(jo, [sp], payment=2)
-        meter = session.transport.meter
+        meter = session.transport
         for party in ("JO", "SP", "MA"):
             assert meter.output_bytes(party) > 0
             assert meter.input_bytes(party) > 0

@@ -169,7 +169,7 @@ class TestLightweightShape:
         jo = session.new_job_owner(funds=3)
         sp = session.new_participant()
         session.run_job(jo, [sp])
-        pbs_total = session.transport.meter.total_bytes()
+        pbs_total = session.transport.total_bytes()
 
         from repro.core.dec_machine import PPMSdecSession
 
@@ -177,5 +177,5 @@ class TestLightweightShape:
         jo_d = dec_session.new_job_owner("jo", funds=16)
         sp_d = dec_session.new_participant("sp")
         dec_session.run_job(jo_d, [sp_d], payment=1)
-        dec_total = dec_session.transport.meter.total_bytes()
+        dec_total = dec_session.transport.total_bytes()
         assert dec_total > 3 * pbs_total

@@ -74,9 +74,10 @@ TRAFFIC = {
 
 def _traffic(session) -> dict:
     """Per role: input bytes, output bytes and messages sent so far."""
-    meter, log = session.transport.meter, session.transport.log
-    return {role: (meter.input_bytes(role), meter.output_bytes(role),
-                   sum(e.sender == role for e in log)) for role in ("JO", "SP", "MA")}
+    transport = session.transport
+    return {role: (transport.input_bytes(role), transport.output_bytes(role),
+                   sum(e.sender == role for e in transport.log))
+            for role in ("JO", "SP", "MA")}
 
 
 def _rows(session) -> dict:

@@ -6,9 +6,10 @@ import time
 
 import pytest
 
-from repro.metrics.opcount import OPS, OpCounter, format_table
+from repro.metrics.opcount import OPS, OpCounter, format_table, format_traffic_table
 from repro.metrics.timing import time_operation
-from repro.metrics.traffic import TrafficMeter, format_traffic_table
+from repro.net.codec import encode
+from repro.net.transport import Transport
 
 
 class TestOpCounter:
@@ -67,36 +68,44 @@ class TestOpCounter:
 
 
 class TestTrafficMeter:
+    """Table II is the transport's envelope log summed."""
+
     def test_record(self):
-        m = TrafficMeter()
-        m.record("JO", "MA", 100)
-        assert m.output_bytes("JO") == 100
-        assert m.input_bytes("MA") == 100
-        assert m.total_bytes() == 100
+        t = Transport()
+        t.send("JO", "MA", "k", b"x" * 90)
+        n = len(encode(b"x" * 90))
+        assert t.output_bytes("JO") == n
+        assert t.input_bytes("MA") == n
+        assert t.total_bytes() == n
 
     def test_total_counts_each_message_once(self):
-        m = TrafficMeter()
-        m.record("A", "B", 50)
-        m.record("B", "A", 70)
-        assert m.total_bytes() == 120
-        assert m.total_kb() == pytest.approx(120 / 1024)
+        t = Transport()
+        t.send("A", "B", "k", b"x" * 50)
+        t.send("B", "A", "k", b"y" * 70)
+        assert t.total_bytes() == sum(e.wire_bytes for e in t.log)
+        assert t.total_bytes() == t.output_bytes("A") + t.output_bytes("B")
+        assert t.total_bytes() == t.input_bytes("A") + t.input_bytes("B")
 
     def test_rejects_negative(self):
-        m = TrafficMeter()
-        with pytest.raises(ValueError):
-            m.record("A", "B", -1)
+        # sizes come from the encoding, never from the caller: a party
+        # with no traffic reads zero both ways
+        t = Transport()
+        t.send("A", "B", "k", b"")
+        assert t.output_bytes("C") == t.input_bytes("C") == 0
+        assert t.output_bytes("A") == len(encode(b"")) > 0
 
     def test_reset(self):
-        m = TrafficMeter()
-        m.record("A", "B", 10)
-        m.reset()
-        assert m.total_bytes() == 0 and m.messages == 0
+        t = Transport()
+        t.send("A", "B", "k", 10)
+        t.reset()
+        assert t.total_bytes() == 0 and not t.log
 
     def test_format_table(self):
-        m = TrafficMeter()
-        m.record("JO", "MA", 664)
-        text = format_traffic_table(m, ["JO", "MA"], title="Table II")
-        assert "Table II" in text and "664" in text and "total" in text
+        t = Transport()
+        t.send("JO", "MA", "k", b"x" * 660)
+        text = format_traffic_table(t, ["JO", "MA"], title="Table II")
+        assert "Table II" in text and str(t.output_bytes("JO")) in text
+        assert "total" in text
 
 
 class TestTiming:

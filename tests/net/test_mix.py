@@ -41,7 +41,7 @@ class TestBatching:
         mix = make_mix()
         mix.enqueue("sp-0", "MA", "report", b"x" * 100)
         mix.flush()
-        assert mix.transport.meter.output_bytes("sp-0") > 100
+        assert mix.transport.output_bytes("sp-0") > 100
 
 
 class TestObserverView:

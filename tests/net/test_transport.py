@@ -34,22 +34,25 @@ class TestAccounting:
         t = Transport()
         payload = b"hello" * 100
         t.send("A", "B", "k", payload)
-        assert t.meter.output_bytes("A") == len(encode(payload))
-        assert t.meter.input_bytes("B") == len(encode(payload))
+        assert t.output_bytes("A") == len(encode(payload))
+        assert t.input_bytes("B") == len(encode(payload))
+        assert t.log[0].wire_bytes == len(encode(payload))
 
     def test_accumulates(self):
         t = Transport()
         t.send("A", "B", "k", 1)
         t.send("A", "B", "k", 2)
-        assert t.meter.messages == 2
-        assert t.meter.total_bytes() == t.meter.output_bytes("A")
+        assert len(t.log) == 2
+        assert t.total_bytes() == t.output_bytes("A")
 
     def test_multiple_parties(self):
         t = Transport()
         t.send("A", "B", "k", b"x" * 10)
         t.send("B", "C", "k", b"y" * 20)
-        assert t.meter.output_bytes("B") > 0
-        assert t.meter.input_bytes("C") == t.meter.output_bytes("B")
+        assert t.output_bytes("B") > 0
+        assert t.input_bytes("C") == t.output_bytes("B")
+        assert t.input_bytes("B") == t.output_bytes("A")
+        assert t.total_bytes() == t.output_bytes("A") + t.output_bytes("B")
 
 
 class TestLog:
@@ -79,6 +82,6 @@ class TestLog:
         t = Transport()
         t.send("A", "B", "k", 1)
         t.reset()
-        assert not t.log and t.meter.total_bytes() == 0
+        assert not t.log and t.total_bytes() == 0
         t.send("A", "B", "k", 1)
         assert t.log[0].seq == 0

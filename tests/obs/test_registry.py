@@ -69,15 +69,15 @@ def test_invalid_metric_name_rejected():
 
 
 def test_disabled_registry_records_nothing_but_still_builds():
-    registry = MetricsRegistry(enabled=False)
+    # there is no disabled registry any more: every registry counts
+    registry = MetricsRegistry()
+    assert not hasattr(registry, "enabled")
     c = registry.counter("repro_requests_total")
     h = registry.histogram("repro_latency")
     c.inc(10)
     h.observe(0.5)
-    assert c.value == 0 and h.count == 0
-    registry.enabled = True  # live-flippable, same instruments
-    c.inc()
-    assert c.value == 1
+    assert c.value == 10 and h.count == 1
+    assert registry.counter("repro_requests_total") is c  # same instrument
 
 
 def test_label_values_pass_the_redaction_gate():
@@ -116,12 +116,14 @@ def test_merge_rejects_mismatched_ladders():
 
 
 def test_merge_works_on_a_disabled_aggregator():
+    # an aggregator that never recorded anything itself still folds
     source = MetricsRegistry()
     source.counter("repro_requests_total").inc(7)
-    sink = MetricsRegistry(enabled=False)
+    source.histogram("repro_latency").observe(0.5)
+    sink = MetricsRegistry()
     sink.merge(source.snapshot())
     assert sink.counter("repro_requests_total").value == 7
-    assert sink.enabled is False  # flag restored after the fold
+    assert sink.histogram("repro_latency").count == 1
 
 
 def test_to_json_round_trips_the_snapshot():

@@ -94,13 +94,13 @@ def test_bank_and_offline_issuers_mint_equal_deposits(dec_params_toy, keypair):
 
 
 def test_back_to_back_runs_detach_their_observer(service, rng):
-    """Regression: ``run_trace`` left its completion observer attached,
-    so a reused service fed every later completion to dead recorders."""
+    """Regression: ``run_trace`` left its reply observer attached, so a
+    reused service fed every later reply to dead recorders."""
     requests = mint_deposit_traffic(BankIssuer(service.bank), rng,
                                     n_accounts=2, n_deposits=6)
-    observers_before = len(service._observers)
+    observers_before = len(service._reply_observers)
     first = run_trace(service, requests[:4])
     second = run_trace(service, requests[4:])
-    assert len(service._observers) == observers_before
+    assert len(service._reply_observers) == observers_before
     assert (first.ok, second.ok) == (4, 2)
     assert first.latency.count == 4 and second.latency.count == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,8 +21,10 @@ from tests.service.conftest import mint_tokens
 
 
 def _completions(service):
+    """Every reply the service delivers, as ``(sender, seq, status)``."""
     seen = []
-    service.add_completion_observer(seen.append)
+    service.add_reply_observer(lambda sender, reply: seen.append(
+        SimpleNamespace(sender=sender, seq=reply["req"], status=reply["status"])))
     return seen
 
 

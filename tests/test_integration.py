@@ -125,8 +125,8 @@ class TestMechanismComparison:
 
         assert pbs_time < dec_time
         assert (
-            pbs_session.transport.meter.total_bytes()
-            < dec_session.transport.meter.total_bytes()
+            pbs_session.transport.total_bytes()
+            < dec_session.transport.total_bytes()
         )
         dec_zkp = sum(dec_session.counter.get(p, "ZKP") for p in ("JO", "SP", "MA"))
         pbs_zkp = sum(pbs_session.counter.get(p, "ZKP") for p in ("JO", "SP", "MA"))

@@ -12,8 +12,11 @@ The CI-facing end-to-end check for ``repro.cluster``:
 3. SIGKILL the node that owns the next request's account, have its
    designated peer adopt the slice, and finish the trace;
 4. assert nothing was lost or double-applied (fresh deposits all OK,
-   deliberate replays all REJECTED) and run the cluster-wide invariant
-   sweep over every surviving slice's storage dump.
+   deliberate replays all REJECTED), that the surviving nodes' own
+   metrics — merged fleet-wide as ``tools/merge_telemetry.py
+   --aggregate`` does — count at least phase 2's ``OK`` replies, and
+   run the cluster-wide invariant sweep over every surviving slice's
+   storage dump.
 
 Exit status 0 only if every check holds.  Usage::
 
@@ -39,6 +42,8 @@ from repro.service.loadgen import (  # noqa: E402
     run_trace,
 )
 from repro.testing import check_cluster_invariants  # noqa: E402
+
+from merge_telemetry import merge_snapshots  # noqa: E402  (tools/, the script's dir)
 
 
 def run(rundir: str, seed: int) -> int:
@@ -84,6 +89,15 @@ def run(rundir: str, seed: int) -> int:
                 failures.append(f"{errors} request(s) errored")
             if router.reroutes < 1:
                 failures.append("router never re-routed across the failover")
+
+        fleet = merge_snapshots(list(cluster.telemetry_snapshots().items()),
+                                aggregate=True)
+        counted = fleet.counter("repro_service_replies_total",
+                                status="OK").value
+        print(f"fleet telemetry: {counted} OK replies counted")
+        if counted < report2.ok:
+            failures.append(f"nodes counted {counted} OK replies, "
+                            f"fewer than phase 2's {report2.ok}")
 
         sweep = check_cluster_invariants(
             params, keypair, cluster.map, cluster.dump_storage(),

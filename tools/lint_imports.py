@@ -53,8 +53,8 @@ ALLOWED: dict[str, set[str]] = {
     "obs": set(),
     "crypto": {"_util"},
     "ecash": {"crypto", "net"},
-    "net": {"crypto", "ecash", "metrics"},
-    "metrics": {"attacks", "core", "crypto", "ecash", "obs"},
+    "net": {"crypto", "ecash"},
+    "metrics": {"attacks", "core", "crypto", "ecash"},
     "core": {"crypto", "ecash", "metrics", "net"},
     "attacks": {"core", "crypto", "ecash", "net"},
     "workloads": {"net"},
@@ -138,7 +138,7 @@ NO_FILESYSTEM = {"repro.service.journal"}
 
 #: package -> modules it may not import, the package table notwithstanding
 FORBIDDEN: dict[str, set[str]] = {
-    # the simulated fabric (codec pass + byte meter + envelope log)
+    # the simulated fabric (codec pass + envelope log)
     # stays on the simulation side — core, sim, testing, attacks; the
     # real server and the cluster deliver replies, they keep no network
     "service": {"repro.net.transport"},

@@ -65,7 +65,7 @@ def merge_snapshots(sources: list[tuple[str, dict]], *,
     With *aggregate* the node label is omitted and same-name series
     sum across nodes — the fleet-wide totals view.
     """
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     for node, snapshot in sources:
         registry.merge(snapshot if aggregate else _tag(snapshot, node))
     return registry
