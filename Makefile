@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install dev test bench bench-json service-bench fastexp-bench codec-bench batchverify-bench bench-e2e report examples kernel lint-imports loc check-docs test-faults coverage obs-demo cluster-demo cluster-smoke campaign campaign-smoke clean
+.PHONY: install dev test bench bench-json service-bench fastexp-bench codec-bench g1-bench batchverify-bench bench-e2e report examples kernel lint-imports loc check-docs test-faults coverage obs-demo cluster-demo cluster-smoke campaign campaign-smoke clean
 
 # Coverage floor enforced by `make coverage` and the CI coverage job.
 # Measured line coverage of src/repro under the full suite is ~96%;
@@ -36,6 +36,11 @@ fastexp-bench:
 # The codec's µs per call on a deposit's inputs (docs/performance.md).
 codec-bench:
 	$(PYTHON) -m pytest benchmarks/bench_codec.py --benchmark-only --benchmark-disable-gc -q
+
+# G1 µs per call: the MA's cl_blind_issue and the SP's create_spend
+# at levels 0-3 (docs/performance.md).
+g1-bench:
+	$(PYTHON) -m pytest benchmarks/bench_g1.py --benchmark-only --benchmark-disable-gc -q
 
 # Batch-size -> throughput curve for RLC batch verification plus the
 # shared-table worker spawn comparison; writes BENCH_batchverify.json

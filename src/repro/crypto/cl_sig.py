@@ -11,7 +11,10 @@ On top of the plain scheme we provide the *blind issuance* protocol from
 the same paper: the requester submits a Pedersen-style commitment
 ``M = g^m`` (with a Schnorr proof of knowledge of *m*); the signer picks
 ``α`` and returns ``(a = g^α, b = a^y, c = a^x · M^{α·x·y})`` — a valid
-signature on *m* that the signer never saw.  PPMSdec withdraws divisible
+signature on *m* that the signer never saw.  Since ``a^y = Y^α`` and
+``a^x = X^α``, the signer draws all three from fixed-base tables on
+``g`` and its own public key, leaving one variable-base exponentiation
+(``M^{α·x·y}``).  PPMSdec withdraws divisible
 e-cash this way: the coin secret stays with the JO, the bank's CL
 signature certifies it.
 """
@@ -141,21 +144,32 @@ def cl_blind_issue(
 ) -> CLSignature:
     """Signer side: issue a signature on the *committed* message.
 
-    Verifies the PoK first (a malformed commitment would let a cheating
-    requester extract a signature on a message it cannot open), then
-    computes ``(a, b, c)`` without ever learning *m*.
+    Refuses (``ValueError``) a proof that is not a
+    :class:`~repro.crypto.zkp.schnorr.SchnorrProof` with an int
+    response, and a commitment or proof commitment that is not a
+    non-identity element of the backend's group — with ``M = R =
+    O`` and response 0 the proof holds and ``(a, a^y, a^x)`` would be a
+    signature on 0 — then verifies the PoK (a malformed commitment would
+    let a cheating requester extract a signature on a message it cannot
+    open), then computes ``(a, b, c)`` without ever learning *m*.
     """
+    proof = request.proof
+    if type(proof) is not SchnorrProof or type(proof.response) is not int:
+        raise ValueError("blind issuance request proof is malformed")
+    if not all(backend.member(el) for el in (request.commitment, proof.commitment)):
+        raise ValueError("blind issuance request holds a point outside the group")
     transcript = Transcript(b"cl-blind-issuance")
     transcript.absorb_ints(*_encode(backend, backend.g))
     transcript.absorb_ints(*_encode(backend, request.commitment))
-    if not verify_dlog_generic(backend, backend.g, request.commitment, request.proof, transcript):
+    if not verify_dlog_generic(backend, backend.g, request.commitment, proof, transcript):
         raise ValueError("blind issuance request proof failed")
     alpha = backend.random_scalar(rng)
+    pk = keypair.public
     a = _exp_fixed(backend, backend.g, alpha)
-    b = backend.exp(a, keypair.y)
-    # c = a^x * M^(α x y)  =  a^(x + x y m)
+    b = _exp_fixed(backend, pk.Y, alpha)  # a^y = Y^α
+    # c = a^x * M^(α x y)  =  X^α * M^(α x y)  =  a^(x + x y m)
     c = backend.mul(
-        backend.exp(a, keypair.x),
+        _exp_fixed(backend, pk.X, alpha),
         backend.exp(request.commitment, (alpha * keypair.x * keypair.y) % backend.order),
     )
     return CLSignature(a=a, b=b, c=c)

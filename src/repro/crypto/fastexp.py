@@ -4,16 +4,13 @@ Every spend/deposit verification in the market is dominated by modular
 exponentiations whose bases are *fixed for the lifetime of the market*:
 the tower generators ``g, h, γ`` of each storey, the bank's CL public
 key, and the pairing-group generator.  This module turns that
-repetition into speed with three primitives:
+repetition into speed with two primitives:
 
 * :class:`FixedBaseTable` — a fixed-window table over ``Z_p``: row *i*
   holds ``base^(d·2^(w·i))`` for every *w*-bit digit *d*, so one
   exponentiation is one table multiply per non-zero digit, with no
   squarings, against ``~1.2 * bits`` multiplies for ``pow``'s sliding
   window.  At a 70-bit storey modulus that is ~4× faster than ``pow``.
-* :class:`GenericFixedBaseTable` — the same table over any group given
-  as an ``(identity, op)`` pair; used for fixed curve points, where
-  every group operation is a Python-level affine addition.
 * :func:`multi_exp` — Straus/Shamir simultaneous exponentiation for
   the ``g^s · y^e``-shaped products of sigma-protocol verification (one
   shared doubling chain across all bases instead of one per base), and
@@ -67,7 +64,6 @@ __all__ = [
     "build_kernel",
     "CacheStats",
     "FixedBaseTable",
-    "GenericFixedBaseTable",
     "PromotionCache",
     "multi_exp",
     "exp_fixed",
@@ -226,10 +222,6 @@ def kernel_limbs(kernel, modulus: int) -> int:
 #: most elements one integer table may hold: ~35 KB per base at a
 #: 70-bit modulus, 128 KB at 1024 bits
 _INT_ENTRIES = 1024
-#: the point-table window: a curve addition costs an inversion, so a
-#: point table's build is what a warm-up pays (300 additions at the
-#: 80-bit ``r``), and every worker chunk re-adopts the table
-_POINT_WINDOW = 4
 
 
 def _window(bits: int) -> int:
@@ -339,95 +331,6 @@ class FixedBaseTable:
                 acc = acc * row[digit] % m
             e >>= w
         return acc
-
-
-class GenericFixedBaseTable:
-    """The same window table over a group given as ``(identity, op)``.
-
-    Used for curve points, where every group operation is a
-    Python-level affine addition: an exponentiation costs at most one
-    operation per row after the first (19 at the 80-bit ``r``, with
-    ``_POINT_WINDOW`` = 4).  Exponents must already be reduced into
-    ``[0, 2^bits)``.
-    """
-
-    __slots__ = ("identity", "op", "base", "bits", "window", "_rows")
-
-    def __init__(
-        self,
-        identity: Any,
-        op: Callable[[Any, Any], Any],
-        base: Any,
-        bits: int,
-        *,
-        window: int = _POINT_WINDOW,
-    ) -> None:
-        if bits < 1:
-            raise ValueError("bits must be positive")
-        if window < 1:
-            raise ValueError("window must be positive")
-        self.identity = identity
-        self.op = op
-        self.base = base
-        self.bits = bits
-        self.window = window
-        self._rows = _window_rows(identity, op, base, bits, window)
-
-    @property
-    def table_size(self) -> int:
-        return len(self._rows) << self.window
-
-    def exp(self, exponent: int) -> Any:
-        if exponent < 0 or exponent.bit_length() > self.bits:
-            raise ValueError("exponent outside the precomputed range")
-        op = self.op
-        w = self.window
-        mask = (1 << w) - 1
-        acc = None
-        for row in self._rows:
-            if not exponent:
-                break
-            digit = exponent & mask
-            if digit:
-                acc = row[digit] if acc is None else op(acc, row[digit])
-            exponent >>= w
-        return self.identity if acc is None else acc
-
-    # -- serialization (shared-memory table transport) --------------------
-    def to_state(self, encode: Callable[[Any], Any]) -> dict[str, Any]:
-        """Snapshot with elements mapped through *encode* (plain data);
-        each row's identity slot is left out."""
-        return {
-            "base": encode(self.base),
-            "bits": self.bits,
-            "window": self.window,
-            "rows": [[encode(x) for x in row[1:]] for row in self._rows],
-        }
-
-    @classmethod
-    def from_state(
-        cls,
-        identity: Any,
-        op: Callable[[Any, Any], Any],
-        decode: Callable[[Any], Any],
-        state: dict[str, Any],
-    ) -> "GenericFixedBaseTable":
-        table = cls.__new__(cls)
-        table.identity = identity
-        table.op = op
-        table.base = decode(state["base"])
-        table.bits = int(state["bits"])
-        table.window = int(state["window"])
-        if table.bits < 1 or table.window < 1:
-            raise ValueError("malformed generic table state")
-        rows = [[identity] + [decode(x) for x in row] for row in state["rows"]]
-        width = 1 << table.window
-        if len(rows) != -(-table.bits // table.window) or any(
-            len(row) != width for row in rows
-        ):
-            raise ValueError("generic table state has wrong dimensions")
-        table._rows = rows
-        return table
 
 
 # ---------------------------------------------------------------------------

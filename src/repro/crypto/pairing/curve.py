@@ -7,10 +7,16 @@ of them — which is what makes the symmetric Tate pairing
 ``ê(P, Q) = e(P, ψ(Q))`` non-degenerate (see
 :mod:`repro.crypto.pairing.tate`).
 
-Points carry their coordinates as :class:`~repro.crypto.pairing.field.Fp2`
-elements even when F_p-rational, so the group law is written once.  The
-point at infinity is the singleton :data:`Point.INFINITY` sentinel per
-curve (``is_infinity`` flag).
+:class:`Point` carries its coordinates as
+:class:`~repro.crypto.pairing.field.Fp2` elements; the point at
+infinity is :meth:`Point.infinity` (``is_infinity`` flag).  Arithmetic
+on F_p-rational points — all of G1 — runs on plain ints in Jacobian
+coordinates: ``(X, Y, Z)`` is the affine ``(X/Z², Y/Z³)`` and ``Z = 0``
+is infinity, so additions and doublings need no inversion, and a
+result is normalised to affine once (one inversion; one Montgomery
+batch inversion for a whole :class:`PointTable`).  The affine ``Fp2``
+law, one F_{p²} inversion per addition, is left only for points off
+F_p, which the distortion map makes.
 """
 
 from __future__ import annotations
@@ -18,10 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.crypto import fastexp
 from repro.crypto.ntheory import is_probable_prime, random_prime, sqrt_mod_prime
 from repro.crypto.pairing.field import Fp2
 
-__all__ = ["CurveParams", "Point", "generate_curve"]
+__all__ = ["CurveParams", "Point", "PointTable", "generate_curve"]
 
 
 @dataclass(frozen=True)
@@ -100,26 +107,22 @@ class Point:
             return other
         if other.is_infinity:
             return self
-        if self.x == other.x:
-            if self.y == -other.y:
-                return Point.infinity(self.p)
-            # doubling: λ = (3x^2 + 1) / 2y   (curve a-coefficient is 1)
-            num = self.x * self.x
-            num = num.scalar_mul(3) + Fp2.one(self.p)
-            lam = num / self.y.scalar_mul(2)
-        else:
-            lam = (other.y - self.y) / (other.x - self.x)
-        x3 = lam * lam - self.x - other.x
-        y3 = lam * (self.x - x3) - self.y
-        return Point(x3, y3, self.p)
+        if not (self.is_base_field() and other.is_base_field()):
+            return _fp2_add(self, other)
+        p = self.p
+        return _point(_affine(_jadd(_jacobian(self), _jacobian(other), p), p), p)
 
     def __sub__(self, other: "Point") -> "Point":
         return self + (-other)
 
     def multiply(self, k: int) -> "Point":
-        """Scalar multiplication by square-and-add (k may be negative)."""
+        """Scalar multiplication by double-and-add (k may be negative)."""
         if k < 0:
             return (-self).multiply(-k)
+        if self.is_infinity:
+            return self
+        if self.is_base_field():
+            return _point(_affine(_jmul(_jacobian(self), k, self.p), self.p), self.p)
         result = Point.infinity(self.p)
         addend = self
         while k:
@@ -148,6 +151,203 @@ class Point:
         if self.is_infinity:
             return "Point(infinity)"
         return f"Point({self.x!r}, {self.y!r})"
+
+
+def _fp2_add(P: Point, Q: Point) -> Point:
+    """The affine chord-and-tangent law on ``Fp2`` coordinates, for
+    finite points off F_p (one F_{p²} inversion)."""
+    if P.x == Q.x:
+        if P.y == -Q.y:
+            return Point.infinity(P.p)
+        # doubling: λ = (3x^2 + 1) / 2y   (curve a-coefficient is 1)
+        num = P.x * P.x
+        num = num.scalar_mul(3) + Fp2.one(P.p)
+        lam = num / P.y.scalar_mul(2)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam * lam - P.x - Q.x
+    y3 = lam * (P.x - x3) - P.y
+    return Point(x3, y3, P.p)
+
+
+# -- G1 on ints: Jacobian (X, Y, Z) = affine (X/Z², Y/Z³); Z = 0 is O --------
+
+_O = (1, 1, 0)
+
+
+def _jacobian(P: Point) -> tuple[int, int, int]:
+    """An F_p-rational point as a Jacobian triple (``Z = 1``, or ``_O``)."""
+    if P.is_infinity:
+        return _O
+    if not P.is_base_field():
+        raise ValueError("not an F_p-rational point")
+    return P.x.a, P.y.a, 1
+
+
+def _point(xy: tuple[int, int] | None, p: int) -> Point:
+    """The :class:`Point` of an affine int pair (``None`` is infinity)."""
+    if xy is None:
+        return Point.infinity(p)
+    return Point(Fp2(xy[0], 0, p), Fp2(xy[1], 0, p), p)
+
+
+def _jdouble(P: tuple[int, int, int], p: int) -> tuple[int, int, int]:
+    """``2·P``; ``Y = 0`` (order 2) and ``Z = 0`` double to ``Z = 0``."""
+    X, Y, Z = P
+    YY = Y * Y % p
+    S = 4 * X * YY % p
+    ZZ = Z * Z % p
+    M = (3 * X * X + ZZ * ZZ) % p
+    X3 = (M * M - 2 * S) % p
+    return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+
+
+def _jadd(P: tuple[int, int, int], Q: tuple[int, int, int], p: int) -> tuple[int, int, int]:
+    """``P + Q``, doubling when they are equal; a ``Z = 1`` operand
+    (an affine table entry) skips its own squarings."""
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    if not Z1:
+        return Q
+    if not Z2:
+        return P
+    ZZ1 = Z1 * Z1 % p
+    if Z2 == 1:
+        U1, S1 = X1, Y1
+    else:
+        ZZ2 = Z2 * Z2 % p
+        U1, S1 = X1 * ZZ2 % p, Y1 * Z2 * ZZ2 % p
+    H = (X2 * ZZ1 - U1) % p
+    R = (Y2 * Z1 * ZZ1 - S1) % p
+    if not H:
+        # ±P: doubled or cancelled
+        return _jdouble(P, p) if not R else _O
+    HH = H * H % p
+    HHH = H * HH % p
+    V = U1 * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    return X3, (R * (V - X3) - S1 * HHH) % p, Z1 * Z2 * H % p
+
+
+def _jmul(P: tuple[int, int, int], k: int, p: int) -> tuple[int, int, int]:
+    """``[k]·P`` for ``k ≥ 0``: left-to-right double-and-add, no inversion."""
+    if not k:
+        return _O
+    acc = P
+    for bit in bin(k)[3:]:
+        acc = _jdouble(acc, p)
+        if bit == "1":
+            acc = _jadd(acc, P, p)
+    return acc
+
+
+def _affine(P: tuple[int, int, int], p: int) -> tuple[int, int] | None:
+    """Normalise a Jacobian triple with one inversion (``None`` is O)."""
+    X, Y, Z = P
+    if not Z:
+        return None
+    zi = pow(Z, -1, p)
+    zz = zi * zi % p
+    return X * zz % p, Y * zz * zi % p
+
+
+def _batch_normalise(points: list[tuple[int, int, int]], p: int) -> list[tuple[int, int, int]]:
+    """Every point rescaled to ``Z = 1`` (``_O`` stays) with one inversion:
+    Montgomery's trick, invert the product of the ``Z``s, then peel it back."""
+    prefix = []
+    acc = 1
+    for _, _, Z in points:
+        if Z:
+            acc = acc * Z % p
+        prefix.append(acc)
+    inv = pow(acc, -1, p)
+    out = [_O] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        X, Y, Z = points[i]
+        if not Z:
+            continue
+        zi = inv * (prefix[i - 1] if i else 1) % p
+        inv = inv * Z % p
+        zz = zi * zi % p
+        out[i] = (X * zz % p, Y * zz * zi % p, 1)
+    return out
+
+
+class PointTable:
+    """Fixed-window table for a fixed F_p-rational point *base*.
+
+    Row *i* holds ``d·2^(w·i)·base`` for every digit ``d < 2^w``, as an
+    affine triple ``(x, y, 1)`` (``_O`` for the identity), so
+    :meth:`exp` is one mixed Jacobian addition per non-zero *w*-bit
+    digit of the scalar, no doubling, and one inversion at the end.
+    The build runs in Jacobian coordinates and normalises every entry
+    with one batch inversion.  :meth:`to_state` is plain data: ``[x,
+    y]`` pairs, ``None`` for the identity, each row's zero slot left out.
+    """
+
+    __slots__ = ("base", "p", "bits", "window", "_rows")
+
+    def __init__(self, base: tuple[int, int], p: int, bits: int, *, window: int = 4) -> None:
+        if bits < 1 or window < 1:
+            raise ValueError("bits and window must be positive")
+        self.base, self.p, self.bits, self.window = base, p, bits, window
+        rows = fastexp._window_rows(_O, lambda a, b: _jadd(a, b, p), (*base, 1), bits, window)
+        flat = _batch_normalise([pt for row in rows for pt in row[1:]], p)
+        width = (1 << window) - 1
+        self._rows = [[_O] + flat[i:i + width] for i in range(0, len(flat), width)]
+
+    def exp(self, k: int) -> tuple[int, int] | None:
+        """``[k]·base`` as an affine int pair (``None`` is infinity)."""
+        if k < 0 or k.bit_length() > self.bits:
+            raise ValueError("scalar outside the precomputed range")
+        p = self.p
+        w = self.window
+        mask = (1 << w) - 1
+        acc = _O
+        for row in self._rows:
+            if not k:
+                break
+            digit = k & mask
+            if digit:
+                acc = _jadd(acc, row[digit], p)
+            k >>= w
+        return _affine(acc, p)
+
+    # -- serialization (shared-memory table transport) --------------------
+    def to_state(self) -> dict:
+        return {
+            "base": list(self.base),
+            "bits": self.bits,
+            "window": self.window,
+            "rows": [[[x, y] if z else None for x, y, z in row[1:]] for row in self._rows],
+        }
+
+    @classmethod
+    def from_state(cls, p: int, state: dict) -> "PointTable":
+        """Rebuild from :meth:`to_state`; every coordinate must lie in
+        ``[0, p)`` and the rows must have the table's dimensions."""
+        table = cls.__new__(cls)
+        table.p = p
+        table.base = _decode_xy(state["base"], p)
+        table.bits, table.window = int(state["bits"]), int(state["window"])
+        if table.bits < 1 or table.window < 1:
+            raise ValueError("malformed point table state")
+        rows = state["rows"]
+        if len(rows) != -(-table.bits // table.window) or any(
+            len(row) != (1 << table.window) - 1 for row in rows
+        ):
+            raise ValueError("point table state has wrong dimensions")
+        table._rows = [
+            [_O] + [_O if xy is None else (*_decode_xy(xy, p), 1) for xy in row] for row in rows
+        ]
+        return table
+
+
+def _decode_xy(encoded, p: int) -> tuple[int, int]:
+    x, y = encoded
+    if not all(type(v) is int and 0 <= v < p for v in (x, y)):
+        raise ValueError("point table entry out of range")
+    return x, y
 
 
 def _random_base_point(p: int, rng: random.Random) -> Point:

@@ -25,7 +25,18 @@ do not.  Arguments are read as F_p-rational points (see
 from __future__ import annotations
 
 from repro.crypto import fastexp
-from repro.crypto.pairing.curve import CurveParams, Point
+from repro.crypto.pairing.curve import (
+    _O,
+    CurveParams,
+    Point,
+    PointTable,
+    _affine,
+    _jacobian,
+    _jadd,
+    _jdouble,
+    _jmul,
+    _point,
+)
 from repro.crypto.pairing.field import Fp2
 
 __all__ = [
@@ -77,8 +88,9 @@ def _add(t, u, p: int):
 
     ``None`` is the point at infinity.  λ and ``k = λ·x_t − y_t`` describe
     the chord (tangent when ``t == u``) through *t* and *u*; both are
-    ``None`` when that line is vertical.  The branches are
-    :meth:`Point.__add__`'s, so the walk lands on the same points.
+    ``None`` when that line is vertical.  Affine, because the line
+    needs λ: this is the Miller walk's step, not the group law (that is
+    :mod:`~repro.crypto.pairing.curve`'s Jacobian one).
     """
     if t is None or u is None:
         return None, None, (u if t is None else t)
@@ -91,43 +103,6 @@ def _add(t, u, p: int):
         lam = (yu - yt) * pow(xu - xt, -1, p) % p
     x3 = (lam * lam - xt - xu) % p
     return lam, (lam * xt - yt) % p, (x3, (lam * (xt - x3) - yt) % p)
-
-
-def _jdouble(X: int, Y: int, Z: int, p: int) -> tuple[int, int, int]:
-    """Double a Jacobian point ``(X/Z², Y/Z³)`` on ``y² = x³ + x``;
-    ``Z = 0`` is infinity, and ``Y = 0`` (order 2) doubles to it."""
-    YY = Y * Y % p
-    S = 4 * X * YY % p
-    ZZ = Z * Z % p
-    M = (3 * X * X + ZZ * ZZ) % p
-    X3 = (M * M - 2 * S) % p
-    return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
-
-
-def _kills(x: int, y: int, k: int, p: int) -> bool:
-    """Whether ``[k]·(x, y) = O`` for ``k ≥ 1`` and an affine point on
-    ``y² = x³ + x``: double-and-add in Jacobian coordinates, with no
-    inversion."""
-    X, Y, Z = x, y, 1
-    for bit in bin(k)[3:]:
-        X, Y, Z = _jdouble(X, Y, Z, p)
-        if bit == "1":
-            if not Z:
-                X, Y, Z = x, y, 1
-                continue
-            ZZ = Z * Z % p
-            H = (x * ZZ - X) % p
-            R = (y * Z * ZZ - Y) % p
-            if not H:
-                # the running point is ±(x, y): doubled or cancelled
-                X, Y, Z = _jdouble(X, Y, Z, p) if not R else (1, 1, 0)
-                continue
-            HH = H * H % p
-            HHH = H * HH % p
-            V = X * HH % p
-            X3 = (R * R - HHH - 2 * V) % p
-            X, Y, Z = X3, (R * (V - X3) - Y * HHH) % p, Z * H % p
-    return Z == 0
 
 
 def _line_walk(P: Point, r: int) -> list[tuple]:
@@ -439,7 +414,7 @@ class PairingBatch:
                 # a promoted Miller table makes per-point raw replays
                 # cheap, and folding the scalars over the raw values in
                 # F_{p²} (multiplications) beats folding them over the
-                # curve (one inversion per point addition).  finalexp is
+                # curve (a Jacobian operation costs several).  finalexp is
                 # a homomorphism, so finalexp(Π raw_i^{k_i}) equals
                 # finalexp(raw of the source-folded point) — the verdict
                 # is identical either way.
@@ -459,11 +434,13 @@ class PairingBatch:
         return value == _ONE
 
 
-#: curve identity -> exported table state; consulted by
-#: ``TatePairing.__setstate__`` so the backends unpickled per worker
-#: *chunk* inherit the tables the worker adopted (or warmed) at spawn
-#: instead of rebuilding from nothing every chunk.
-_SHARED_TABLES: dict[tuple, dict] = {}
+#: curve identity -> the Miller and point tables a worker adopted (or
+#: warmed) at spawn, decoded once; ``TatePairing.__setstate__`` attaches
+#: them to the backend unpickled with every worker *chunk*, which would
+#: otherwise start cold.  The tables are read-only once built (a Miller
+#: table's lazily packed kernel buffer is the same either way), so
+#: every backend of the process can hold the same objects.
+_SHARED_TABLES: dict[tuple, tuple[list, list]] = {}
 
 
 def _table_key(params: CurveParams) -> tuple:
@@ -495,19 +472,13 @@ class TatePairing:
             max_entries=8,
             promote_after=2,
         )
-        # fixed points as affine int pairs (None is infinity): a tenth
-        # of a Point's memory, and _add is ~3× cheaper than Point.__add__
+        # keyed by the fixed point's affine int pair
         self._point_tables = fastexp.PromotionCache(
             "tate.exp",
-            lambda xy: fastexp.GenericFixedBaseTable(
-                None, self._add_xy, xy, self.order.bit_length()
-            ),
+            lambda xy: PointTable(xy, self.params.p, self.order.bit_length()),
             max_entries=8,
             promote_after=3,
         )
-
-    def _add_xy(self, t, u):
-        return _add(t, u, self.params.p)[2]
 
     # table caches hold closures and are rebuilt cheaply — keep them out
     # of pickles (DECParams ships this backend to worker processes)
@@ -522,12 +493,7 @@ class TatePairing:
         self._init_caches()
         shared = _SHARED_TABLES.get(_table_key(self.params))
         if shared is not None and fastexp.enabled():
-            try:
-                self.install_tables(shared, register=False)
-            except Exception:
-                # a stale or corrupt registry entry must never break
-                # unpickling — the caches just start cold, as before
-                pass
+            self._attach(*shared)
 
     # -- source group -------------------------------------------------------
     def exp(self, base: Point, scalar: int) -> Point:
@@ -536,10 +502,10 @@ class TatePairing:
     def exp_fixed(self, base: Point, scalar: int) -> Point:
         """:meth:`exp` through a per-base window table (same result).
 
-        Curve additions are Python-level (one inversion each); a table
-        exponentiation is one addition per non-zero window digit, 19 at
-        most on an 80-bit ``r`` against ~120 for double-and-add.  Only
-        the promotion threshold gates it.
+        A table exponentiation is one mixed Jacobian addition per
+        non-zero window digit (20 at most on an 80-bit ``r``, against
+        ~80 doublings and ~40 additions for double-and-add) and one
+        inversion.  Only the promotion threshold gates it.
         """
         s = scalar % self.order
         if not fastexp.enabled() or base.is_infinity or not base.is_base_field():
@@ -548,11 +514,7 @@ class TatePairing:
         table = self._point_tables.get(xy, xy)
         if table is None:
             return base.multiply(s)
-        xy = table.exp(s)
-        if xy is None:
-            return self.identity()
-        p = self.params.p
-        return Point(Fp2(xy[0], 0, p), Fp2(xy[1], 0, p), p)
+        return _point(table.exp(s), self.params.p)
 
     def warm_exp_fixed(self, *bases: Point) -> None:
         """Eagerly build window tables for known-hot *bases*."""
@@ -570,14 +532,15 @@ class TatePairing:
         return Point.infinity(self.params.p)
 
     def multi_exp(self, bases, scalars) -> Point:
-        """``Π bases[i]^{scalars[i]}`` via a shared-window Straus chain.
-
-        Point additions here cost a modular inversion each, so cutting
-        the group-operation count directly cuts the batch verifier's
-        per-token overhead (see :mod:`repro.ecash.batch`).
-        """
+        """``Π bases[i]^{scalars[i]}`` via a shared-window Straus chain
+        in Jacobian coordinates: one inversion for the whole product."""
+        p = self.params.p
         reduced = [s % self.order for s in scalars]
-        return multi_operate(self.identity(), lambda a, b: a + b, bases, reduced)
+
+        def op(a, b):
+            return _jdouble(a, p) if a is b else _jadd(a, b, p)
+
+        return _point(_affine(multi_operate(_O, op, [_jacobian(b) for b in bases], reduced), p), p)
 
     def random_scalar(self, rng) -> int:
         return rng.randrange(1, self.order)
@@ -603,15 +566,34 @@ class TatePairing:
         passes verification (``docs/threatmodel.md``).  ``[h]·a`` runs
         on ints in Jacobian coordinates: ~20 µs at an 8-bit cofactor.
         """
+        P = self._on_curve(a)
+        return P is not None and _jmul(P, self.params.cofactor, self.params.p)[2] != 0
+
+    def member(self, a) -> bool:
+        """Whether *a* is a point of the order-*r* group other than O.
+
+        :meth:`pairable`'s checks, but ``[r]·a = O`` in place of the
+        cofactor test: for the points an issuer multiplies by its
+        secrets (a commitment, a proof's commitment), where a point with
+        a part outside ``<g>`` would come back in a signature.
+        """
+        P = self._on_curve(a)
+        return P is not None and _jmul(P, self.order, self.params.p)[2] == 0
+
+    def _on_curve(self, a) -> tuple[int, int, int] | None:
+        """*a* as a Jacobian triple when it is a finite F_p-rational
+        point under this backend's *p* on ``y² = x³ + x``; else ``None``."""
         p = self.params.p
-        if a.is_infinity or not a.is_base_field():
-            return False
-        if a.p != p or a.x.p != p or a.y.p != p:
-            return False
+        if type(a) is not Point or a.is_infinity or a.p != p:
+            return None
+        if type(a.x) is not Fp2 or type(a.y) is not Fp2 or a.x.p != p or a.y.p != p:
+            return None
+        if a.x.b or a.y.b:
+            return None
         x, y = a.x.a, a.y.a
-        if (y * y - x * x * x - x) % p:
-            return False
-        return not _kills(x, y, self.params.cofactor, p)
+        if type(x) is not int or type(y) is not int or (y * y - x * x * x - x) % p:
+            return None
+        return x, y, 1
 
     # -- pairing / target group ----------------------------------------------
     def pair(self, a: Point, b: Point) -> Fp2:
@@ -678,46 +660,41 @@ class TatePairing:
         return PairingBatch(self)
 
     # -- table sharing -------------------------------------------------------
-    def _decode_xy(self, encoded) -> tuple[int, int]:
-        x, y = encoded
-        if not (_field_int(x, self.params.p) and _field_int(y, self.params.p)):
-            raise ValueError("point table entry out of range")
-        return x, y
-
     def export_tables(self) -> dict:
         """Resident Miller + point-window tables as plain picklable state."""
         return {
             "pair": [table.to_state() for _, table in self._pair_tables.snapshot()],
-            "exp": [table.to_state(list) for _, table in self._point_tables.snapshot()],
+            "exp": [table.to_state() for _, table in self._point_tables.snapshot()],
         }
 
     def install_tables(self, state: dict, *, register: bool = True) -> int:
         """Adopt exported tables; returns the count installed.
 
-        With *register* (the default) the state is also parked in the
-        process-level registry so backends unpickled later for the same
-        curve (one per worker chunk) attach automatically.
+        With *register* (the default) the decoded tables are also parked
+        in the process-level registry so backends unpickled later for the
+        same curve (one per worker chunk) attach them automatically.
         """
         if not fastexp.enabled():
             return 0
-        installed = 0
-        for table_state in state.get("pair", ()):
-            table = MillerTable.from_state(self.params, table_state)
-            self._pair_tables.install(table.point.encode(), table)
-            installed += 1
-        for table_state in state.get("exp", ()):
-            table = fastexp.GenericFixedBaseTable.from_state(
-                None, self._add_xy, self._decode_xy, table_state
-            )
-            self._point_tables.install(table.base, table)
-            installed += 1
+        pair = [MillerTable.from_state(self.params, s) for s in state.get("pair", ())]
+        exp = [PointTable.from_state(self.params.p, s) for s in state.get("exp", ())]
+        self._attach(pair, exp)
         if register:
-            _SHARED_TABLES[_table_key(self.params)] = state
-        return installed
+            _SHARED_TABLES[_table_key(self.params)] = (pair, exp)
+        return len(pair) + len(exp)
 
     def register_shared(self) -> None:
         """Park this backend's resident tables for same-curve unpickles."""
-        _SHARED_TABLES[_table_key(self.params)] = self.export_tables()
+        _SHARED_TABLES[_table_key(self.params)] = (
+            [table for _, table in self._pair_tables.snapshot()],
+            [table for _, table in self._point_tables.snapshot()],
+        )
+
+    def _attach(self, pair: list[MillerTable], exp: list[PointTable]) -> None:
+        for table in pair:
+            self._pair_tables.install(table.point.encode(), table)
+        for table in exp:
+            self._point_tables.install(table.base, table)
 
     def gt_mul(self, a: Fp2, b: Fp2) -> Fp2:
         return a * b

@@ -111,6 +111,10 @@ class ToyPairing:
     def pairable(self, a: int) -> bool:
         return True
 
+    def member(self, a: int) -> bool:
+        """Whether *a* is a source-group element other than the identity."""
+        return type(a) is int and 0 < a < self.order
+
     def warm_exp_fixed(self, *bases: int) -> None:
         # API parity with the Tate backend; no tables to build here
         return None

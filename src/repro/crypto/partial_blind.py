@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto.hashing import hash_to_int, hash_to_range
-from repro.crypto.ntheory import miller_rabin, modinv
+from repro.crypto.ntheory import SMALL_PRIMES, miller_rabin, modinv
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 
 #: fixed Miller–Rabin bases so both parties derive the same exponent
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _EXPONENT_BITS = 128
+#: a candidate sharing a factor with this is composite: one gcd skips
+#: the Miller–Rabin round that would reject it
+_SMALL_PRODUCT = math.prod(SMALL_PRIMES)
 
 
 def derive_exponent(common_info: bytes, counter: int) -> int:
@@ -54,10 +57,11 @@ def derive_exponent(common_info: bytes, counter: int) -> int:
 
     The primality walk uses *fixed* Miller–Rabin bases so that signer
     and requester, running independently, derive the identical exponent.
+    Candidates with a factor below 2000 are skipped by one gcd first.
     """
     raw = hash_to_int(b"pbs-exponent", common_info, counter.to_bytes(4, "big"))
     candidate = (raw % (1 << _EXPONENT_BITS)) | (1 << (_EXPONENT_BITS - 1)) | 1
-    while not miller_rabin(candidate, _DERIVE_BASES):
+    while math.gcd(candidate, _SMALL_PRODUCT) != 1 or not miller_rabin(candidate, _DERIVE_BASES):
         candidate += 2
     return candidate
 

@@ -588,22 +588,24 @@ def warm_verification_tables(params: DECParams, bank_pk: CLPublicKey | None = No
     Covers the pairing slots of :func:`verify_spend_deferred` and
     :func:`~repro.crypto.cl_sig.cl_verify` (``g``, and with *bank_pk*
     also ``X`` and ``Y`` — together one side of every pairing the
-    deposit path computes), plus the tower commit/edge generators the
-    sigma-protocol verifiers exponentiate.  Idempotent and cheap
+    deposit path computes), the window tables of the same points (an
+    issuer exponentiates ``g``, ``X`` and ``Y``), plus the tower
+    commit/edge generators the sigma-protocol verifiers exponentiate.
+    Idempotent and cheap
     relative to one deposit; a long-lived verifier (the bank service)
     calls this once at startup so steady-state flushes never pay
     table-build cost.  No-op while fast-exp is globally disabled.
     """
     backend = params.backend
+    fixed_points = [backend.g]
+    if bank_pk is not None:
+        fixed_points += [bank_pk.X, bank_pk.Y]
     warm_pair = getattr(backend, "warm_pair", None)
     if warm_pair is not None:
-        fixed_points = [backend.g]
-        if bank_pk is not None:
-            fixed_points += [bank_pk.X, bank_pk.Y]
         warm_pair(*fixed_points)
     warm_exp = getattr(backend, "warm_exp_fixed", None)
     if warm_exp is not None:
-        warm_exp(backend.g)
+        warm_exp(*fixed_points)
     tower = params.tower
     for storey in range(params.tree_level + 1):
         grp = tower.group(storey)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
 from repro.crypto.cl_sig import (
+    BlindIssuanceRequest,
     cl_blind_issue,
     cl_blind_request,
     cl_blind_unwrap,
@@ -14,6 +16,10 @@ from repro.crypto.cl_sig import (
     cl_sign,
     cl_verify,
 )
+from repro.crypto.hashing import Transcript
+from repro.crypto.pairing.curve import Point, generate_curve
+from repro.crypto.pairing.field import Fp2
+from repro.crypto.zkp.schnorr import SchnorrProof, verify_dlog_generic
 
 
 @pytest.fixture(params=["toy", "tate"])
@@ -108,6 +114,63 @@ class TestBlindIssuance:
         r1, _ = cl_blind_request(backend, rng.randrange(1, backend.order), rng)
         r2, _ = cl_blind_request(backend, rng.randrange(1, backend.order), rng)
         assert backend.element_encode(r1.commitment) != backend.element_encode(r2.commitment)
+
+
+class TestIssuanceMembership:
+    """The issuer multiplies the request's points by its secrets, so it
+    refuses any that is not a non-identity element of the group."""
+
+    def test_an_all_identity_request_is_refused(self, backend, keypair):
+        identity = backend.identity()
+        forged = BlindIssuanceRequest(
+            commitment=identity, proof=SchnorrProof(commitment=identity, response=0))
+        # the proof alone holds: g^0 = O = O · O^e
+        transcript = Transcript(b"cl-blind-issuance")
+        for element in (backend.g, identity):
+            transcript.absorb_ints(*backend.element_encode(element))
+        assert verify_dlog_generic(backend, backend.g, identity, forged.proof, transcript)
+        with pytest.raises(ValueError, match="outside the group"):
+            cl_blind_issue(backend, keypair, forged, random.Random(1))
+
+    @pytest.mark.parametrize("slot", ["commitment", "proof commitment"])
+    @pytest.mark.parametrize(
+        "hostile", ["identity", "(0, 0)", "off the curve", "imaginary", "foreign p", "g + T"])
+    def test_a_point_outside_the_group_is_refused(self, tate_backend, slot, hostile, rng):
+        backend = tate_backend
+        keypair = cl_keygen(backend, rng)
+        p, g = backend.params.p, backend.g
+        order_two = Point.from_base(0, 0, p)
+        point = {
+            "identity": backend.identity(),
+            "(0, 0)": order_two,
+            "off the curve": Point(Fp2(1, 0, p), Fp2(1, 0, p), p),
+            "imaginary": g.distort(),
+            "foreign p": generate_curve(20, random.Random(5)).generator,
+            "g + T": g + order_two,
+        }[hostile]
+        assert not backend.member(point)
+        request, _ = cl_blind_request(backend, 99, rng)
+        if slot == "commitment":
+            request = dataclasses.replace(request, commitment=point)
+        else:
+            request = dataclasses.replace(
+                request, proof=dataclasses.replace(request.proof, commitment=point))
+        with pytest.raises(ValueError, match="outside the group"):
+            cl_blind_issue(backend, keypair, request, rng)
+
+    @pytest.mark.parametrize("response", ["7", 7.0, True, None])
+    def test_a_proof_response_that_is_not_an_int_is_refused(self, backend, keypair, rng,
+                                                           response):
+        request, _ = cl_blind_request(backend, 99, rng)
+        forged = dataclasses.replace(
+            request, proof=dataclasses.replace(request.proof, response=response))
+        with pytest.raises(ValueError, match="malformed"):
+            cl_blind_issue(backend, keypair, forged, rng)
+
+    def test_honest_points_are_members(self, backend, keypair, rng):
+        request, _ = cl_blind_request(backend, 31, rng)
+        for point in (backend.g, keypair.public.X, request.commitment, request.proof.commitment):
+            assert backend.member(point)
 
 
 class TestKeygen:

@@ -9,6 +9,7 @@ mismatched lengths (which must raise).
 
 from __future__ import annotations
 
+import builtins
 import pickle
 import random
 
@@ -16,7 +17,8 @@ import pytest
 
 from repro.crypto import fastexp
 from repro.crypto.pairing import TatePairing, generate_curve
-from repro.crypto.pairing.curve import Point
+from repro.crypto.pairing import curve
+from repro.crypto.pairing.curve import Point, PointTable, _point
 from repro.crypto.pairing.tate import MillerTable, multi_operate, tate_pairing
 
 # RFC 2409 Oakley Group 2: a well-known 1024-bit safe prime (generating
@@ -132,6 +134,9 @@ class TestFixedBaseTable:
 
 
 class TestGenericFixedBaseTable:
+    """The fixed-point window table (``curve.PointTable``, which took
+    over the group-generic table's one use: fixed curve points)."""
+
     def test_point_parity(self, session_rng):
         params = generate_curve(32, session_rng)
         backend = TatePairing(params)
@@ -140,11 +145,9 @@ class TestGenericFixedBaseTable:
         scalars = [session_rng.randrange(backend.order) for _ in range(6)]
         scalars += [0, 1, backend.order - 1, (1 << bits) - 1]
         for window in (1, 4, 6):
-            table = fastexp.GenericFixedBaseTable(
-                backend.identity(), lambda a, b: a + b, base, bits, window=window,
-            )
+            table = PointTable((base.x.a, base.y.a), params.p, bits, window=window)
             for s in scalars:
-                assert table.exp(s) == base.multiply(s)
+                assert _point(table.exp(s), params.p) == base.multiply(s)
 
     def test_backend_exp_fixed_parity(self, session_rng):
         """``TatePairing.exp_fixed`` through its int-pair table, and
@@ -162,25 +165,43 @@ class TestGenericFixedBaseTable:
         assert backend._point_tables.stats.hits == len(scalars)
         assert clone._point_tables.stats.hits == len(scalars)
 
-    def test_operations_per_exponentiation(self):
-        """At most one group operation per row after the first: 19 for
-        the 20 rows of an 80-bit ``r`` at the point window of 4."""
-        calls = []
+    def test_operations_per_exponentiation(self, monkeypatch):
+        """At most one point addition per row after the first: 19 for
+        the 20 rows of an 80-bit ``r`` at the point window of 4, and
+        one inversion."""
+        params = generate_curve(80, random.Random(80))
+        g = params.generator
+        table = PointTable((g.x.a, g.y.a), params.p, 80)
+        real_jadd, real_pow = curve._jadd, pow
+        adds, inversions = [], []
 
-        def op(a, b):
-            calls.append(None)
-            return (a + b) % (1 << 90)
+        def counting_jadd(P, Q, p):
+            if P[2] and Q[2]:
+                adds.append(None)
+            return real_jadd(P, Q, p)
 
-        table = fastexp.GenericFixedBaseTable(0, op, 1, 80)
+        def counting_pow(*args):
+            if args[1:2] == (-1,):
+                inversions.append(None)
+            return real_pow(*args)
+
         rng = random.Random(80)
-        for _ in range(32):
-            s = rng.getrandbits(80)
-            calls.clear()
-            assert table.exp(s) == s
-            assert len(calls) <= 19
+        scalars = [rng.randrange(params.r) for _ in range(32)]
+        results = []
+        with monkeypatch.context() as patch:
+            patch.setattr(curve, "_jadd", counting_jadd)
+            patch.setattr(builtins, "pow", counting_pow)
+            for s in scalars:
+                adds.clear()
+                inversions.clear()
+                results.append(table.exp(s))
+                assert len(adds) <= 19 and len(inversions) == 1
+        assert [_point(xy, params.p) for xy in results] == [g.multiply(s) for s in scalars]
 
     def test_rejects_out_of_range(self):
-        table = fastexp.GenericFixedBaseTable(1, lambda a, b: a * b % P1024, G1024, bits=16)
+        params = generate_curve(16, random.Random(16))
+        g = params.generator
+        table = PointTable((g.x.a, g.y.a), params.p, bits=16)
         with pytest.raises(ValueError):
             table.exp(1 << 20)
         with pytest.raises(ValueError):

@@ -21,6 +21,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.cl_sig import BlindIssuanceRequest
+from repro.crypto.zkp.schnorr import SchnorrProof
 from repro.ecash.dec import begin_withdrawal
 from repro.net.schema import Field
 from repro.service import (
@@ -223,3 +225,21 @@ def test_a_withdrawal_whose_proof_fails_is_refused_and_the_loop_keeps_running(
         "ERROR", {"error": "blind issuance request proof failed"})
     assert service.reply_for("honest")[0] == "OK"
     assert service.bank.balance("a") == (1 << 10) - (1 << service.bank.params.tree_level)
+
+
+def test_an_all_identity_withdrawal_is_refused_and_debits_nothing(
+        dec_params_toy, service_backend):
+    """``M = R = O`` with response 0 passes the proof of knowledge
+    (``g^0 = O = O · O^e``); the issuer's membership check refuses it
+    before it signs, so the reply is ``ERROR`` and the account keeps
+    its balance."""
+    service, _ = _stack(dec_params_toy, service_backend)
+    service.submit("a", "open-account", {"aid": "a", "balance": 1 << 10}, rid="open")
+    service.drain()
+    identity = service.bank.params.backend.identity()
+    forged = BlindIssuanceRequest(
+        commitment=identity, proof=SchnorrProof(commitment=identity, response=0))
+    service.submit("a", "withdraw", {"aid": "a", "request": forged}, rid="forged")
+    service.drain()
+    assert service.reply_for("forged")[0] == "ERROR"
+    assert service.bank.balance("a") == 1 << 10
