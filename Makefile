@@ -37,8 +37,9 @@ fastexp-bench:
 codec-bench:
 	$(PYTHON) -m pytest benchmarks/bench_codec.py --benchmark-only --benchmark-disable-gc -q
 
-# G1 µs per call: the MA's cl_blind_issue and the SP's create_spend
-# at levels 0-3 (docs/performance.md).
+# µs per call: the MA's cl_blind_issue (withdraw) and verify_spend
+# (deposit), and the SP's create_spend, at levels 0-3
+# (docs/performance.md).
 g1-bench:
 	$(PYTHON) -m pytest benchmarks/bench_g1.py --benchmark-only --benchmark-disable-gc -q
 

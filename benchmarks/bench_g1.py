@@ -1,6 +1,7 @@
-"""G1 arithmetic on the MA's and the SP's hot calls, in µs per call.
+"""The MA's and the SP's hot crypto calls, in µs per call.
 
-One command gives the G1 figures ``docs/performance.md`` quotes::
+One command gives the withdraw, spend and deposit figures
+``docs/performance.md`` quotes::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_g1.py --benchmark-only
 
@@ -10,11 +11,14 @@ server.  Measured:
 
 * ``cl_blind_issue`` — the MA's work per ``withdraw``: membership
   checks, the proof of knowledge, the signature from fixed-base tables;
-* ``create_spend`` at node levels 0-3 — the SP's work per token.
+* ``create_spend`` at node levels 0-3 — the SP's work per token;
+* ``verify_spend`` at node levels 0-3 — the MA's work per ``deposit``,
+  the check the service's batch worker runs on every token.
 
 Each figure lands in ``benchmark.extra_info`` as ``us_per_call``.
 ``REPRO_BENCH_SMOKE=1`` runs fewer rounds; nothing here is gated (the
-operation counts are: ``tests/crypto/test_g1_counts.py``).
+operation counts are: ``tests/crypto/test_g1_counts.py`` and
+``tests/ecash/test_verify_counts.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import pytest
 
 from repro.crypto.cl_sig import cl_blind_issue, cl_keygen
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal, setup
-from repro.ecash.spend import create_spend, warm_verification_tables
+from repro.ecash.spend import create_spend, verify_spend, warm_verification_tables
 from repro.ecash.tree import NodeId
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -67,3 +71,12 @@ def test_create_spend(benchmark, market, level):
     node = NodeId(level, 0)
     _run(benchmark, lambda: create_spend(params, keypair.public, coin.secret,
                                          coin.signature, node, rng), level=level)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_verify_spend(benchmark, market, level):
+    params, keypair, _, coin = market
+    token = create_spend(params, keypair.public, coin.secret, coin.signature,
+                         NodeId(level, 0), random.Random(level))
+    assert verify_spend(params, keypair.public, token)
+    _run(benchmark, lambda: verify_spend(params, keypair.public, token), level=level)

@@ -1,22 +1,26 @@
 /*
- * The verification kernel: the four loops that lead a deposit's
+ * The verification kernel: the loops that lead a deposit's
  * verification profile, on libgmp's mpz.
  *
  *   replay(buf, nlimbs, xq, yq, p)        Miller replay of a MillerTable
  *   table_exp(buf, nlimbs, window, e, m)  one FixedBaseTable exponentiation
  *   legendre_all(elements, p)             every Legendre symbol (a/p) == 1
  *   fp2_pow(a, b, e, p)                   (a + b·i)^e in F_{p²}
+ *   powm(b, e, m)                         b^e mod m, a variable base
  *
  * plus pack(values, nlimbs), which lays a table's Python rows or steps
  * out as one buffer of fixed-width native limbs (LIMB_BITS bits each).  Each function is the
  * Python loop it replaces (crypto/fastexp.py, crypto/pairing/tate.py,
- * crypto/ntheory.py), step for step, and returns the same ints.  The
+ * crypto/ntheory.py), step for step, or the built-in pow (powm), and
+ * returns the same ints.  The
  * callers keep every range, type and membership check in Python and
  * call in only with exact ints the Python loop accepts; what is checked
  * here only keeps a malformed call from reading outside its buffer.
  *
- * Every value is public (tokens, proofs, public keys), so nothing here
- * is constant-time.  Built and loaded by repro.crypto.fastexp.
+ * Nothing here is constant-time.  At the MA every value is public
+ * (tokens, proofs, public keys); a spender's own window-table
+ * exponentiations also run table_exp on its device, and powm is called
+ * by verifiers only.  Built and loaded by repro.crypto.fastexp.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -377,6 +381,26 @@ k_fp2_pow(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return pair_from_mpz(ra, rb);
 }
 
+/* -- variable-base powers --------------------------------------------------- */
+
+/* powm(b, e, m) -> int: pow(b, e, m) for e >= 0 and m >= 1, on
+ * mpz_powm (sliding window, Montgomery for odd m). */
+static PyObject *
+k_powm(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_args(nargs, 3, "powm") < 0)
+        return NULL;
+    mpz_ptr b = T[0], e = T[1], m = T[2], r = T[3];
+    if (to_mpz(b, args[0]) < 0 || to_mpz(e, args[1]) < 0 || to_modulus(m, args[2]) < 0)
+        return NULL;
+    if (mpz_sgn(e) < 0) {
+        PyErr_SetString(PyExc_ValueError, "powm() needs e >= 0");
+        return NULL;
+    }
+    mpz_powm(r, b, e, m);
+    return from_mpz(r);
+}
+
 /* -- module ----------------------------------------------------------------- */
 
 static PyMethodDef kernel_methods[] = {
@@ -390,6 +414,8 @@ static PyMethodDef kernel_methods[] = {
      "legendre_all(elements, p) -> bool: every Legendre symbol is 1"},
     {"fp2_pow", (PyCFunction)(void (*)(void))k_fp2_pow, METH_FASTCALL,
      "fp2_pow(a, b, e, p) -> (a', b'): (a + b·i)^e in F_{p^2}"},
+    {"powm", (PyCFunction)(void (*)(void))k_powm, METH_FASTCALL,
+     "powm(b, e, m) -> int: b^e mod m for e >= 0, m >= 1"},
     {NULL, NULL, 0, NULL},
 };
 

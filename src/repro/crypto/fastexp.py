@@ -30,9 +30,10 @@ off, results are bit-identical — a table computes the same group
 element ``pow`` does.
 
 The hot loops of verification — a table exponentiation here, the
-Miller replay and the F_{p²} powers of :mod:`repro.crypto.pairing.tate`
-and the Legendre membership test of
-:class:`~repro.crypto.groups.SchnorrGroup` — also run in a compiled
+Miller replay and the F_{p²} powers of :mod:`repro.crypto.pairing.tate`,
+the Legendre membership test of
+:class:`~repro.crypto.groups.SchnorrGroup` and the verifiers'
+variable-base powers (:func:`powm`) — also run in a compiled
 kernel, ``_kernel.c`` beside this file, over libgmp.  This module loads
 it (:data:`KERNEL`), building it on first import into a cache beside
 the source (:func:`build_kernel`); without ``gcc``, ``gmp.h`` or a
@@ -67,7 +68,9 @@ __all__ = [
     "PromotionCache",
     "multi_exp",
     "exp_fixed",
+    "fixed_base",
     "warm_fixed_base",
+    "powm",
     "configure",
     "enabled",
     "stats",
@@ -203,11 +206,29 @@ KERNEL = _load_kernel()
 #: operations each path served since the last :func:`reset`, by entry
 #: point: ``<op>_c`` on the kernel, ``<op>_py`` on the Python loop.
 #: ``replay`` counts Miller replays, ``exp`` table exponentiations,
-#: ``legendre`` Legendre symbols and ``fp2_pow`` F_{p²} powers.
+#: ``legendre`` Legendre symbols, ``fp2_pow`` F_{p²} powers and
+#: ``powm`` variable-base powers.
 KERNEL_CALLS: dict[str, int] = {
     f"{op}_{path}": 0
-    for op in ("replay", "exp", "legendre", "fp2_pow") for path in ("c", "py")
+    for op in ("replay", "exp", "legendre", "fp2_pow", "powm") for path in ("c", "py")
 }
+
+
+def powm(base: int, exponent: int, modulus: int) -> int:
+    """``pow(base, exponent, modulus)`` for ``exponent >= 0`` and
+    ``modulus >= 1``, on the kernel when it is loaded.
+
+    For public values only: the verifiers' per-proof bases and the
+    membership checks.  Nothing in the kernel is constant time, so a
+    prover's or issuer's secret exponent stays on ``pow``
+    (:meth:`~repro.crypto.groups.SchnorrGroup.exp`).
+    """
+    kernel = KERNEL
+    if kernel is not None:
+        KERNEL_CALLS["powm_c"] += 1
+        return kernel.powm(base, exponent, modulus)
+    KERNEL_CALLS["powm_py"] += 1
+    return pow(base, exponent, modulus)
 
 
 def kernel_limbs(kernel, modulus: int) -> int:
@@ -503,6 +524,15 @@ class PromotionCache:
             return None
         return self.force(key, *build_args)
 
+    def peek(self, key: Any) -> Any | None:
+        """The resident table for *key* (a counted hit), or ``None``
+        without counting a use towards promotion."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+        return entry
+
     def force(self, key: Any, *build_args: Any) -> Any:
         """Build (or fetch) the table for *key* unconditionally."""
         self._pending.pop(key, None)
@@ -634,6 +664,23 @@ def exp_fixed(
     if table is None:
         return pow(base, exponent, modulus)
     return table.exp(exponent)
+
+
+def fixed_base(base: int, modulus: int, *, order: int) -> Callable[[int], int]:
+    """``e ↦ base^e mod modulus`` (*e* reduced modulo *order*), with the
+    table looked up once.
+
+    A verifier takes one of these per fixed base per proof and calls it
+    every round: on a resident table it is the table's own
+    :meth:`FixedBaseTable.exp` (one counted hit for the whole proof); on
+    a cold base, or with tables disabled, every call goes through
+    :func:`exp_fixed`, so promotion and the counters see each use.
+    """
+    if _CONFIG["enabled"]:
+        table = _INT_TABLES.peek((modulus, base))
+        if table is not None and table.order == order:
+            return table.exp
+    return lambda exponent: exp_fixed(base, modulus, exponent, order=order)
 
 
 def warm_fixed_base(

@@ -107,15 +107,17 @@ class SchnorrGroup:
         For a safe prime ``p = 2q + 1`` Euler's criterion ``a^q ≡ (a/p)``
         lets the Legendre symbol decide it, one batch per call
         (:func:`~repro.crypto.ntheory.legendre_all`); other moduli (the
-        tower's top storey) keep the exponentiation.  The range check
-        runs first, in Python, for every element.
+        tower's top storey) keep the exponentiation, on the kernel
+        (:func:`~repro.crypto.fastexp.powm`: elements are public).  The
+        range check runs first, in Python, for every element.
         """
-        p = self.p
+        p, q = self.p, self.q
         if not all(0 < a < p for a in elements):
             return False
-        if p == 2 * self.q + 1:
+        if p == 2 * q + 1:
             return legendre_all(elements, p)
-        return all(pow(a, self.q, p) == 1 for a in elements)
+        powm = fastexp.powm
+        return all(powm(a, q, p) == 1 for a in elements)
 
     # -- sampling ----------------------------------------------------------
     def random_exponent(self, rng: random.Random) -> int:

@@ -17,6 +17,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -53,6 +54,9 @@ def _sieve(limit: int) -> list[int]:
 
 #: Primes below 2000, used for trial division before Miller-Rabin.
 SMALL_PRIMES: tuple[int, ...] = tuple(_sieve(2000))
+_SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+#: their product: one gcd against it is the whole trial division
+_SMALL_PRIMORIAL = math.prod(SMALL_PRIMES)
 
 # Deterministic Miller-Rabin witness sets (Jaeschke / Sorenson-Webster).
 _DETERMINISTIC_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -91,18 +95,18 @@ def miller_rabin(n: int, bases: Sequence[int]) -> bool:
 def is_probable_prime(n: int, rounds: int = 24, rng: random.Random | None = None) -> bool:
     """Probabilistic primality test.
 
-    Trial-divides by :data:`SMALL_PRIMES`, then runs Miller–Rabin.  For
+    Trial-divides by :data:`SMALL_PRIMES` (one gcd with their
+    product), then runs Miller–Rabin.  For
     ``n < 2**64`` the deterministic witness set is used, making the
     answer exact; above that, *rounds* random bases give an error
     probability ``<= 4**-rounds``.
     """
     if n < 2:
         return False
-    for p in SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if n in _SMALL_PRIME_SET:
+        return True
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return False
     if n < (1 << 64):
         return miller_rabin(n, _DETERMINISTIC_BASES_64)
     rng = rng or random

@@ -38,6 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.crypto import fastexp
 from repro.crypto.batchverify import LinearCheck, linear_check
 from repro.crypto.groups import SchnorrGroup
 from repro.crypto.hashing import Transcript
@@ -198,25 +199,29 @@ def verify_edge(
     )
     bits = transcript.challenge(1 << n)
 
-    # per-round equations over the tower-fixed bases g, h, γ, g2, h2
+    # per-round equations over the tower-fixed bases g, h, γ, g2, h2,
+    # their tables looked up once for the proof; C_ch^(γ^δ) has a
+    # per-proof base, a public one, so it runs on powm
+    pp, pq, cp, cq = parent_grp.p, parent_grp.q, child_grp.p, child_grp.q
+    g_exp, h_exp, gamma_exp = (fastexp.fixed_base(b, pp, order=pq) for b in (g, h, gamma))
+    g2_exp, h2_exp = (fastexp.fixed_base(b, cp, order=cq) for b in (g2, h2))
+    powm = fastexp.powm
     for j in range(n):
         u, t = proof.commitments_u[j], proof.commitments_t[j]
         a, b, c = proof.responses[j]
         if (bits >> j) & 1:
             delta, eta, eps = a, b, c
-            gamma_delta = parent_grp.exp_fixed(gamma, delta)
-            if parent_grp.mul(c_parent, parent_grp.mul(parent_grp.exp_fixed(g, delta), parent_grp.exp_fixed(h, eta))) != u:
+            # γ^δ < p_t = q_{t+1}: already reduced for the child storey
+            gamma_delta = gamma_exp(delta)
+            if c_parent * (g_exp(delta) * h_exp(eta) % pp) % pp != u:
                 return False
-            if child_grp.mul(child_grp.exp(c_child, gamma_delta), child_grp.exp_fixed(h2, eps)) != t:
+            if powm(c_child, gamma_delta, cp) * h2_exp(eps) % cp != t:
                 return False
         else:
             w, v, sigma = a, b, c
-            if parent_grp.mul(parent_grp.exp_fixed(g, w), parent_grp.exp_fixed(h, v)) != u:
+            if g_exp(w) * h_exp(v) % pp != u:
                 return False
-            expected = child_grp.mul(
-                child_grp.exp_fixed(g2, parent_grp.exp_fixed(gamma, w)), child_grp.exp_fixed(h2, sigma)
-            )
-            if expected != t:
+            if g2_exp(gamma_exp(w)) * h2_exp(sigma) % cp != t:
                 return False
     return True
 
@@ -349,14 +354,15 @@ def verify_revealed_edge(
         g, h, c_parent, gamma, child_public, proof.commitment_k, proof.commitment_c
     )
     e = transcript.challenge(parent_grp.q)
-    # γ^z1 == commitment_k * child^e   (γ, g, h tower-fixed → comb cache)
+    # γ^z1 == commitment_k * child^e   (γ, g, h tower-fixed → comb cache;
+    # child and C are per-proof public bases → powm; e < q)
     if parent_grp.exp_fixed(gamma, proof.z1) != parent_grp.mul(
-        proof.commitment_k, parent_grp.exp(child_public, e)
+        proof.commitment_k, fastexp.powm(child_public, e, parent_grp.p)
     ):
         return False
     # g^z1 h^z2 == commitment_c * C^e
     lhs = parent_grp.mul(parent_grp.exp_fixed(g, proof.z1), parent_grp.exp_fixed(h, proof.z2))
-    rhs = parent_grp.mul(proof.commitment_c, parent_grp.exp(c_parent, e))
+    rhs = parent_grp.mul(proof.commitment_c, fastexp.powm(c_parent, e, parent_grp.p))
     return lhs == rhs
 
 

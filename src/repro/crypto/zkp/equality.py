@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.crypto import fastexp
 from repro.crypto.batchverify import LinearCheck, linear_check
 from repro.crypto.groups import SchnorrGroup
 from repro.crypto.hashing import Transcript
@@ -158,9 +159,11 @@ def verify_equality_deferred(
     e = transcript.challenge(1 << _CHALLENGE_BITS)
 
     # group A: g^z h^{z_t} == R_A * D^e  (g, h are market-fixed bases;
-    # reducing the integer response mod q is sound inside the subgroup)
+    # reducing the integer response mod q is sound inside the subgroup;
+    # D is a per-proof public base → powm)
     lhs_a = group_a.mul(group_a.exp_fixed(g, proof.z), group_a.exp_fixed(h, proof.z_t))
-    rhs_a = group_a.mul(proof.commitment_a, group_a.exp(commitment, e))
+    rhs_a = group_a.mul(proof.commitment_a,
+                        fastexp.powm(commitment, e % group_a.q, group_a.p))
     if lhs_a != rhs_a:
         return None
     return e

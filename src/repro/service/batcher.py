@@ -6,10 +6,11 @@ releases the GIL nor shares state between requests.  The batcher
 exploits both properties:
 
 * **Coalescing** — pending jobs accumulate until a batch is full (or
-  the server forces a flush), then every deposit in the batch goes
-  through :func:`repro.ecash.batch.batch_verify_spends`, which folds
-  the sigma equations of *n* tokens into one multi-exp per group and
-  their pairing equations into one shared pairing product.
+  the server forces a flush), and the whole batch is verified and
+  issued at one instant.  Each deposit token is checked on its own by
+  :func:`~repro.ecash.spend.verify_spend` against the warm tables, so a
+  verdict is exact: there is no random linear combination across
+  tokens and no probability of a forged token riding a batch.
 * **Process-pool dispatch** — batches are split into per-worker chunks
   and handed to a :class:`~repro.service.workers.VerificationBackend`:
   inline for one worker (the test-suite/profiling path), the
@@ -35,7 +36,6 @@ from typing import Sequence
 
 import repro.obs as obs
 from repro.crypto.cl_sig import CLKeyPair, CLPublicKey, CLSignature, cl_blind_issue
-from repro.ecash.batch import batch_verify_spends
 from repro.ecash.dec import BlindIssuanceRequest
 from repro.ecash.spend import (
     DECParams,
@@ -104,31 +104,20 @@ class WithdrawOutcome:
 def _batch_worker(point: SweepPoint) -> list:
     """Process one chunk (module-level for picklability).
 
-    ``point.params`` is a tagged tuple; the point's deterministic seed
-    drives both the small-exponent batching randomness and the blind-
-    issuance randomness, so a flush's outcome is independent of how
-    chunks land on workers.
+    ``point.params`` is a tagged tuple.  A deposit chunk verifies its
+    tokens one by one and draws nothing; the point's deterministic seed
+    drives the blind-issuance randomness of a withdrawal chunk, so a
+    flush's outcome is independent of how chunks land on workers.
     """
-    rng = random.Random(point.seed)
     tag = point.params[0]
     if tag == "deposit":
         _, params, bank_pk, tokens, context = point.params
-        if len(tokens) > 1:
-            verdicts = batch_verify_spends(params, bank_pk, tokens, rng,
-                                           context=context)
-        else:
-            verdicts = [
-                verify_spend(params, bank_pk, token, context=context)
-                for token in tokens
-            ]
         out = []
-        for token, valid in zip(tokens, verdicts):
+        for token in tokens:
+            valid = verify_spend(params, bank_pk, token, context=context)
             serials = (
-                tuple(
-                    leaf_serials(
-                        params.tower, token.node, token.node_key, params.tree_level
-                    )
-                )
+                tuple(leaf_serials(params.tower, token.node, token.node_key,
+                                   params.tree_level))
                 if valid
                 else None
             )
@@ -136,6 +125,7 @@ def _batch_worker(point: SweepPoint) -> list:
         return out
     if tag == "withdraw":
         _, params, keypair, requests = point.params
+        rng = random.Random(point.seed)
         return [_issue(params.backend, keypair, request, rng) for request in requests]
     raise ValueError(f"unknown batch chunk tag {tag!r}")
 
@@ -148,7 +138,13 @@ def _issue(backend, keypair: CLKeyPair, request, rng) -> CLSignature | None:
 
 
 class VerificationBatcher:
-    """Accumulates crypto jobs and flushes them through a process pool."""
+    """Accumulates crypto jobs and flushes them through a process pool.
+
+    A flush verifies every deposit token by token with
+    :func:`~repro.ecash.spend.verify_spend`, so each verdict is exact
+    (no batch-wide random linear combination), and the caller applies
+    the whole batch's outcomes at one instant.
+    """
 
     def __init__(
         self,
@@ -247,7 +243,7 @@ class VerificationBatcher:
         """Run up to ``max_batch`` pending jobs; outcomes in job order.
 
         Deposits sharing a verification context are batched together
-        (the shared-pairing test needs one context per chunk);
+        (a chunk carries one context);
         withdrawals chunk freely.  Chunks from one flush run in
         parallel across the pool.
         """
@@ -267,7 +263,7 @@ class VerificationBatcher:
         grid: list[tuple] = []
         chunk_jobs: list[list[DepositJob | WithdrawJob]] = []
         # spread each group across the pool, but never below ~4 jobs per
-        # chunk — tiny chunks waste the shared-pairing amortization
+        # chunk — a tiny chunk pays a dispatch for little work
         for context, group in deposit_groups.items():
             n_chunks = max(1, min(self.processes, len(group) // 4 or 1))
             for chunk in self._chunk(group, n_chunks):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._util import int_to_bytes
 from repro.crypto.hashing import Transcript, hash_to_int, hash_to_range, sha256
 
 
@@ -100,3 +101,76 @@ class TestTranscript:
         for v in (1, 2, 3):
             t2.absorb_int(v)
         assert t1.challenge(997) == t2.challenge(997)
+
+
+class _FromScratch:
+    """The transcript as a list of parts, every output hashed over the
+    whole list again: the reference the running hash state must equal."""
+
+    def __init__(self, domain: bytes, parts: list[bytes] | None = None) -> None:
+        self.parts = parts if parts is not None else [b"repro.transcript", domain]
+        self.challenges = 0
+
+    def absorb(self, data: bytes) -> None:
+        self.parts.append(data)
+
+    def absorb_int(self, value: int) -> None:
+        self.parts.append(int_to_bytes(value))
+
+    def challenge(self, upper: int) -> int:
+        self.challenges += 1
+        return hash_to_range(upper, *self.parts, b"challenge", self.challenges.to_bytes(4, "big"))
+
+    def challenge_bytes(self, length: int) -> bytes:
+        self.challenges += 1
+        out, counter = b"", 0
+        while len(out) < length:
+            out += sha256(*self.parts, b"challenge-bytes", self.challenges.to_bytes(4, "big"),
+                          counter.to_bytes(4, "big"))
+            counter += 1
+        return out[:length]
+
+    def fork(self, domain: bytes) -> "_FromScratch":
+        return _FromScratch(domain, self.parts + [b"fork", domain])
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("absorb"), st.binary(max_size=80)),
+        st.tuples(st.just("absorb_int"), st.integers(min_value=0, max_value=1 << 700)),
+        st.tuples(st.just("absorb_ints"),
+                  st.lists(st.integers(min_value=0, max_value=1 << 90), max_size=6)),
+        st.tuples(st.just("challenge"), st.integers(min_value=1, max_value=1 << 1100)),
+        st.tuples(st.just("challenge_bytes"), st.integers(min_value=0, max_value=100)),
+        st.tuples(st.just("fork"), st.binary(max_size=12)),
+    ),
+    max_size=30,
+)
+
+
+class TestTranscriptFromScratch:
+    @settings(max_examples=200, deadline=None)
+    @given(domain=st.binary(max_size=16), steps=_STEPS)
+    def test_every_output_equals_the_from_scratch_hash(self, domain, steps):
+        live, ref = [Transcript(domain)], [_FromScratch(domain)]
+        for op, arg in steps:
+            t, r = live[-1], ref[-1]
+            if op == "absorb":
+                t.absorb(arg)
+                r.absorb(arg)
+            elif op == "absorb_int":
+                t.absorb_int(arg)
+                r.absorb_int(arg)
+            elif op == "absorb_ints":
+                t.absorb_ints(*arg)
+                for v in arg:
+                    r.absorb_int(v)
+            elif op == "challenge":
+                assert t.challenge(arg) == r.challenge(arg)
+            elif op == "challenge_bytes":
+                assert t.challenge_bytes(arg) == r.challenge_bytes(arg)
+            else:
+                # work on the fork from here; the parent must be untouched
+                live.append(t.fork(arg))
+                ref.append(r.fork(arg))
+                assert t.challenge(1 << 64) == r.challenge(1 << 64)

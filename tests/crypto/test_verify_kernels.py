@@ -21,7 +21,9 @@ loaded, and as its ``…OnPython`` twin with the loader's handle
 (``fastexp.KERNEL``) set to ``None``, the Python loops the kernel is
 held to.  The hostile-input suite at the end feeds each kernel entry
 point 0, 1, p−1, p, negative, oversized, ``bool`` and non-int values on
-both paths and requires the same value or the same exception class.
+both paths and requires the same value or the same exception class;
+``powm``, whose Python twin is ``pow`` itself, must equal ``pow`` or
+raise, and only the verifiers and the membership check may call it.
 """
 
 from __future__ import annotations
@@ -434,9 +436,93 @@ class TestHostileInput:
             (lambda: kernel.legendre_all(5, 7), TypeError),
             (lambda: kernel.fp2_pow(1, 1, 0, 7), ValueError),
             (lambda: kernel.fp2_pow(1, 1), TypeError),
+            (lambda: kernel.powm(2, -1, 7), ValueError),
+            (lambda: kernel.powm(2, 3, 0), ValueError),
+            (lambda: kernel.powm(2, 3, -7), ValueError),
+            (lambda: kernel.powm(2.0, 3, 7), TypeError),
+            (lambda: kernel.powm(2, 3), TypeError),
         ]:
             with pytest.raises(error):
                 call()
+
+
+def _powm_operands(*, modulus: bool = False):
+    """Hostile ``powm`` operands: signs, zero, even and odd, 600-bit, and
+    values that are not ints (never ``None`` as the modulus: ``pow(b, e,
+    None)`` is ``b ** e``, unbounded for a 600-bit ``e``)."""
+    big = 1 << 600
+    edges = [0, 1, 2, 3, 4, -1, -2, -7, big - 1, big, big + 1, -big - 1,
+             True, False, 2.0, "7", 3 + 0j] + ([] if modulus else [None])
+    return st.one_of(
+        st.sampled_from(edges),
+        st.integers(min_value=-(1 << 70), max_value=1 << 70),
+        st.integers(min_value=-big, max_value=big),
+    )
+
+
+@needs_kernel
+class TestPowm:
+    @settings(max_examples=500)
+    @given(b=_powm_operands(), e=_powm_operands(), m=_powm_operands(modulus=True))
+    def test_raises_or_equals_pow(self, b, e, m):
+        """A value from the kernel is ``pow``'s value; the kernel raises
+        wherever ``pow`` does, and besides only on a negative exponent
+        or a modulus below 1, which no caller passes."""
+        want = _outcome(pow, b, e, m)
+        got = _outcome(fastexp.KERNEL.powm, b, e, m)
+        if got[0] == "value":
+            assert got == want, (b, e, m)
+            return
+        assert got[1] in (TypeError, ValueError), (b, e, m)
+        if want[0] == "value":
+            assert e < 0 or m < 1, (b, e, m)
+
+    def test_storey_sized_operands(self, storeys, p1024_group):
+        rng = random.Random(54)
+        for group in (*storeys, p1024_group):
+            for _ in range(20):
+                b = rng.randrange(-group.p, 2 * group.p)
+                e = rng.randrange(1 << 600)
+                assert fastexp.KERNEL.powm(b, e, group.p) == pow(b, e, group.p)
+                assert fastexp.KERNEL.powm(b, e % group.q, group.p) == group.exp(b, e)
+
+    def test_the_helper_counts_its_path(self):
+        assert fastexp.powm(3, 5, 7) == pow(3, 5, 7)
+        fastexp.KERNEL, kernel = None, fastexp.KERNEL
+        try:
+            assert fastexp.powm(3, 5, 7) == pow(3, 5, 7)
+        finally:
+            fastexp.KERNEL = kernel
+        row = fastexp.stats()["kernel"]
+        assert (row["powm_c"], row["powm_py"]) == (1, 1)
+
+
+def test_powm_is_reached_only_from_verifiers_and_membership_checks():
+    """``powm`` is for public values: no prover, issuer or key
+    generation reaches it, only the functions named here."""
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    callers = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                named = (isinstance(node, ast.Attribute) and node.attr == "powm") or (
+                    isinstance(node, ast.Name) and node.id == "powm")
+                if named and fn.name != "powm":
+                    callers.add(f"{path.relative_to(root).as_posix()}::{fn.name}")
+    assert callers == {
+        "crypto/groups.py::contains_all",
+        "crypto/zkp/committed_double_log.py::verify_edge",
+        "crypto/zkp/committed_double_log.py::verify_revealed_edge",
+        "crypto/zkp/equality.py::verify_equality_deferred",
+    }
 
 
 @needs_kernel

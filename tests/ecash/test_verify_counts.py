@@ -2,21 +2,25 @@
 
 After :func:`warm_verification_tables`, one sequential ``verify_spend``
 at ``setup(3)`` (80-bit Tate pairing, 68–74-bit storeys) must serve
-every fixed-base exponentiation from a window table, so the only
-three-argument ``pow`` calls left are:
+every fixed-base exponentiation from a window table looked up once per
+proof, and every variable-base exponentiation from
+:func:`~repro.crypto.fastexp.powm`.  The ``powm`` calls are:
 
-* ``SchnorrGroup.exp`` on per-proof bases — three in the equality
-  proof, plus one per committed-double-log round whose challenge bit
-  is 1 (the ``c_child^(γ^δ)`` term), at most ``edge_rounds`` per edge;
-* the three inversions of the pairing checks' final exponentiations;
+* three per-proof bases every token pays — the equality proof's
+  commitment and the revealed edge's child and commitment;
+* one per committed-double-log round whose challenge bit is 1 (the
+  ``c_child^(γ^δ)`` term);
 * at level 3, the 29 Euler-criterion membership checks of the
   cofactor-18 top storey (the safe-prime storeys use a Legendre symbol).
 
-Counts are deterministic for a given token, unlike a wall-clock race.
-The compiled kernel does the same operations as the Python loops, only
-cheaper: per level, the Miller replays, table exponentiations, Legendre
-checks, F_p² powers and three-argument ``pow`` calls are identical on
-both paths.
+The only three-argument ``pow`` calls left are the three inversions of
+the pairing checks' final exponentiations.  Counts are deterministic for
+a given token, unlike a wall-clock race.  The compiled kernel does the
+same operations as the Python loops, only cheaper: per level, the Miller
+replays, table exponentiations, Legendre checks, F_p² powers, ``powm``
+calls and the remaining ``pow`` calls are identical on both paths.  The
+service's batch worker verifies a deposit chunk token by token: a chunk
+of k tokens costs exactly its k one-token chunks.
 """
 
 from __future__ import annotations
@@ -28,16 +32,22 @@ import pytest
 
 from repro.crypto import fastexp
 from repro.crypto.cl_sig import cl_blind_issue, cl_keygen
-from repro.crypto.groups import SchnorrGroup
+from repro.crypto.hashing import Transcript
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal, setup
 from repro.ecash.spend import create_spend, verify_spend, warm_verification_tables
 from repro.ecash.tree import GEN_LEFT, GEN_RIGHT, NodeId
+from repro.metrics.parallel import SweepPoint
+from repro.service.batcher import _batch_worker
 
-#: three-argument pows per level that no challenge bit decides: the
-#: final-exponentiation inversions, and the top storey's memberships
-FIXED_POWS = {0: 3, 1: 3, 2: 3, 3: 3 + 29}
-#: per-proof exponentiations every token pays: the equality proof's
-EQUALITY_EXPS = 3
+#: three-argument ``pow`` calls per token: the final exponentiations'
+#: inversions
+FINAL_EXP_INVERSIONS = 3
+#: ``powm`` calls per level that no challenge bit decides: the equality
+#: proof's and the revealed edge's per-proof bases, and the top storey's
+#: Euler checks
+FIXED_POWMS = {0: 3, 1: 3, 2: 3, 3: 3 + 29}
+#: every kernel entry point, each counted on both paths
+OPS = ("replay", "exp", "legendre", "fp2_pow", "powm")
 
 
 @pytest.fixture(scope="module")
@@ -78,50 +88,78 @@ def _fixed_bases(params) -> set[tuple[int, int]]:
     return bases
 
 
+def _edge_bits(monkeypatch, rounds: int) -> list[int]:
+    """Records the challenge of every cut-and-choose edge proof."""
+    bits: list[int] = []
+    real = Transcript.challenge
+
+    def recording(self, upper):
+        value = real(self, upper)
+        if upper == 1 << rounds:
+            bits.append(value)
+        return value
+
+    monkeypatch.setattr(Transcript, "challenge", recording)
+    return bits
+
+
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_sequential_verify_is_served_from_tables(market, warm, level, monkeypatch):
     params, bank_pk, tokens = market
     fixed = _fixed_bases(params)
-    real_pow, real_exp_fixed, real_exp = builtins.pow, fastexp.exp_fixed, SchnorrGroup.exp
+    real_pow, real_powm = builtins.pow, fastexp.powm
+    real_fixed, real_exp_fixed = fastexp.fixed_base, fastexp.exp_fixed
     pows: list[tuple] = []
-    exp_fixed_calls = []
-    per_proof = []
+    powms: list[tuple] = []
+    lookups = []
 
     def counting_pow(*args):
         if len(args) == 3:
             pows.append(args)
         return real_pow(*args)
 
+    def counting_powm(*args):
+        powms.append(args)
+        return real_powm(*args)
+
+    def counting_fixed(*args, **kwargs):
+        lookups.append(None)
+        return real_fixed(*args, **kwargs)
+
     def counting_exp_fixed(*args, **kwargs):
-        exp_fixed_calls.append(None)
+        lookups.append(None)
         return real_exp_fixed(*args, **kwargs)
 
-    def counting_exp(self, base, exponent):
-        per_proof.append(None)
-        return real_exp(self, base, exponent)
-
     before = fastexp.stats()["fastexp.int"]
+    powm_py = fastexp.KERNEL_CALLS["powm_py"]
+    edge_bits = _edge_bits(monkeypatch, params.edge_rounds)
     monkeypatch.setattr(builtins, "pow", counting_pow)
+    monkeypatch.setattr(fastexp, "powm", counting_powm)
+    monkeypatch.setattr(fastexp, "fixed_base", counting_fixed)
     monkeypatch.setattr(fastexp, "exp_fixed", counting_exp_fixed)
-    monkeypatch.setattr(SchnorrGroup, "exp", counting_exp)
     try:
         assert verify_spend(params, bank_pk, tokens[level])
     finally:
         monkeypatch.undo()
     after = fastexp.stats()["fastexp.int"]
 
-    # every exp_fixed is a table hit: nothing bypassed, missed or built
-    assert after["hits"] - before["hits"] == len(exp_fixed_calls) > 0
+    # every table lookup (one per fixed base per edge proof, one per
+    # use elsewhere) is a hit: nothing bypassed, missed or built
+    assert after["hits"] - before["hits"] == len(lookups) > 0
     for counter in ("bypasses", "misses", "builds"):
         assert after[counter] == before[counter], counter
-    # no fixed base reaches pow, and every pow is accounted for
-    assert not [a for a in pows if (a[0], a[2]) in fixed]
-    assert len(pows) == FIXED_POWS[level] + len(per_proof)
-    assert EQUALITY_EXPS <= len(per_proof) <= EQUALITY_EXPS + level * params.edge_rounds
+    # no fixed base reaches pow or powm
+    assert not [a for a in pows + powms if (a[0], a[2]) in fixed]
+    # powm: the fixed per-level calls plus one per challenge-bit-1 round
+    assert len(edge_bits) == level
+    ones = sum(bin(bits).count("1") for bits in edge_bits)
+    assert len(powms) == FIXED_POWMS[level] + ones
+    # pow: the inversions, plus every powm the Python path served
+    assert len(pows) == FINAL_EXP_INVERSIONS + fastexp.KERNEL_CALLS["powm_py"] - powm_py
 
 
-def _operation_counts(params, bank_pk, token, monkeypatch) -> dict[str, int]:
-    """One warm ``verify_spend``'s operations, whichever path served them."""
+def _operation_counts(run, monkeypatch) -> dict[str, int]:
+    """What ``run()`` costs, whichever path served it."""
     real_pow = builtins.pow
     pows = []
 
@@ -133,26 +171,54 @@ def _operation_counts(params, bank_pk, token, monkeypatch) -> dict[str, int]:
     fastexp.KERNEL_CALLS.update(dict.fromkeys(fastexp.KERNEL_CALLS, 0))
     with monkeypatch.context() as patch:
         patch.setattr(builtins, "pow", counting_pow)
-        assert verify_spend(params, bank_pk, token)
+        run()
     calls = fastexp.KERNEL_CALLS
-    counts = {op: calls[f"{op}_c"] + calls[f"{op}_py"]
-              for op in ("replay", "exp", "legendre", "fp2_pow")}
-    counts["pow"] = len(pows)
-    counts["served_by_kernel"] = sum(calls[f"{op}_c"] for op in ("replay", "exp", "legendre", "fp2_pow"))
+    counts = {op: calls[f"{op}_c"] + calls[f"{op}_py"] for op in OPS}
+    # a powm on the Python path is a pow call too: count it once
+    counts["pow"] = len(pows) - calls["powm_py"]
+    counts["served_by_kernel"] = sum(calls[f"{op}_c"] for op in OPS)
     return counts
+
+
+def _verify(params, bank_pk, token):
+    def run():
+        assert verify_spend(params, bank_pk, token)
+    return run
 
 
 @pytest.mark.skipif(fastexp.KERNEL is None, reason="the verification kernel is not built")
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_kernel_and_python_paths_do_the_same_operations(market, warm, level, monkeypatch):
     params, bank_pk, tokens = market
-    on_kernel = _operation_counts(params, bank_pk, tokens[level], monkeypatch)
+    run = _verify(params, bank_pk, tokens[level])
+    on_kernel = _operation_counts(run, monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(fastexp, "KERNEL", None)
-        on_python = _operation_counts(params, bank_pk, tokens[level], monkeypatch)
+        on_python = _operation_counts(run, monkeypatch)
     assert on_python.pop("served_by_kernel") == 0
     served = on_kernel.pop("served_by_kernel")
     assert on_kernel == on_python
     assert min(on_kernel.values()) > 0
+    assert on_kernel["pow"] == FINAL_EXP_INVERSIONS
     # the kernel served every operation it has an entry point for
-    assert served == sum(on_kernel[op] for op in ("replay", "exp", "legendre", "fp2_pow"))
+    assert served == sum(on_kernel[op] for op in OPS)
+
+
+def test_a_deposit_chunk_costs_its_tokens_one_by_one(market, warm, monkeypatch):
+    """No fold across tokens: the service's batch worker pays, for a
+    chunk of k deposits, exactly the k one-token chunks' operations."""
+    params, bank_pk, tokens = market
+
+    def chunk(batch, seed):
+        point = SweepPoint(index=0, seed=seed,
+                           params=("deposit", params, bank_pk, tuple(batch), b""))
+
+        def run():
+            assert all(valid for valid, _ in _batch_worker(point))
+        return run
+
+    singles = [_operation_counts(chunk([token], seed), monkeypatch)
+               for seed, token in enumerate(tokens)]
+    together = _operation_counts(chunk(tokens, 99), monkeypatch)
+    assert len(tokens) == 4
+    assert together == {op: sum(single[op] for single in singles) for op in together}
