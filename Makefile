@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install dev test bench bench-json service-bench fastexp-bench codec-bench g1-bench batchverify-bench bench-e2e report examples kernel lint-imports loc check-docs test-faults coverage obs-demo cluster-demo cluster-smoke campaign campaign-smoke clean
+.PHONY: install dev test bench bench-json service-bench fastexp-bench codec-bench g1-bench bench-e2e report examples kernel lint-imports loc check-docs test-faults coverage obs-demo cluster-demo cluster-smoke campaign campaign-smoke clean
 
 # Coverage floor enforced by `make coverage` and the CI coverage job.
 # Measured line coverage of src/repro under the full suite is ~96%;
@@ -42,12 +42,6 @@ codec-bench:
 # (docs/performance.md).
 g1-bench:
 	$(PYTHON) -m pytest benchmarks/bench_g1.py --benchmark-only --benchmark-disable-gc -q
-
-# Batch-size -> throughput curve for RLC batch verification plus the
-# shared-table worker spawn comparison; writes BENCH_batchverify.json
-# (untracked; BENCH_fastexp.json is not touched).
-batchverify-bench:
-	$(PYTHON) -m pytest benchmarks/bench_batchverify.py --benchmark-only --benchmark-json=BENCH_batchverify.json
 
 # The repo's benchmark (BENCHMARK.json): every workload of the default
 # stack over real sockets, every end-to-end metric by name and unit,

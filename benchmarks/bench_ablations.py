@@ -6,9 +6,9 @@ Not paper figures — these quantify the choices a re-implementer makes:
   "multiplicative→additive" trivial map (Section VI-B).  The toy map is
   orders of magnitude faster, which is presumably why the authors
   mention it; the Tate numbers are what a secure deployment pays.
-* **Batch deposit verification** — the random-linear-combination
-  screening of :mod:`repro.ecash.batch` vs per-token verification, on
-  the bank's unitary-deposit hot path.
+* **Deposit verification** — per-token ``verify_spend`` over a batch
+  of unitary deposits, the bank's hot path (the RLC fold it was once
+  compared against is gone: it was the slower of the two).
 * **Edge-proof rounds** — the cut-and-choose soundness knob: spend cost
   vs ``2^-rounds`` soundness error per path edge.
 * **Stadler double-log rounds** — same knob for the standalone proof.
@@ -25,7 +25,6 @@ from repro.crypto.groups import build_tower
 from repro.crypto.hashing import Transcript
 from repro.crypto.pairing import ToyPairing, TatePairing, generate_curve
 from repro.crypto.zkp.double_log import prove_double_log, verify_double_log
-from repro.ecash.batch import batch_verify_spends
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal, setup
 from repro.ecash.spend import DECParams, create_spend, verify_spend
 from repro.ecash.tree import NodeId
@@ -61,7 +60,7 @@ def test_cl_verify_backend(benchmark, backends, backend_name):
 
 
 # ---------------------------------------------------------------------------
-# batch verification ablation
+# deposit verification
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -84,15 +83,6 @@ def test_deposit_verify_individual(benchmark, deposit_batch):
     params, bank_kp, tokens = deposit_batch
     result = benchmark(
         lambda: [verify_spend(params, bank_kp.public, t) for t in tokens]
-    )
-    assert all(result)
-
-
-def test_deposit_verify_batched(benchmark, deposit_batch):
-    params, bank_kp, tokens = deposit_batch
-    rng = random.Random(4)
-    result = benchmark(
-        lambda: batch_verify_spends(params, bank_kp.public, tokens, rng)
     )
     assert all(result)
 

@@ -1,4 +1,4 @@
-"""Fixed-base tables and multi-exponentiation: micro + end-to-end effect.
+"""Fixed-base tables: micro + end-to-end effect.
 
 The acceptance experiments for :mod:`repro.crypto.fastexp`:
 
@@ -7,8 +7,6 @@ The acceptance experiments for :mod:`repro.crypto.fastexp`:
   parameters (1024-bit modulus, 160-bit exponents) and at a
   ``setup(3)`` storey (74-bit modulus), where C-level ``pow`` is
   hardest to beat;
-* **multi-exp micro** — Straus interleaving over several bases must
-  beat the product-of-``pow`` loop it replaces;
 * **service end-to-end** — the sharded+batched deposit replay of
   :mod:`benchmarks.bench_service_throughput` must gain at least **15%**
   throughput with the tables enabled (the PR 1 code path is exactly
@@ -141,47 +139,6 @@ def test_fixed_base_table_at_storey_size(benchmark, bench_rng):
     grp = build_tower(3, bench_rng).group(3)
     exps = [bench_rng.randrange(grp.q) for _ in range(4 * N_EXPONENTS)]
     _table_over_pow(benchmark, grp.g, grp.p, grp.q, exps, grp.q.bit_length())
-
-
-def test_multi_exp_over_pow_loop(benchmark, bench_rng):
-    """Straus interleaving vs the product-of-pow loop it replaces."""
-    n_bases = 4 if SMOKE else 8
-    rounds_per_call = 4
-    bases = [pow(G1024, bench_rng.randrange(1, Q1024), P1024)
-             for _ in range(n_bases)]
-    streams = [_exponents(bench_rng, n_bases) for _ in range(rounds_per_call)]
-
-    def naive():
-        out = []
-        for exps in streams:
-            acc = 1
-            for b, e in zip(bases, exps):
-                acc = acc * pow(b, e, P1024) % P1024
-            out.append(acc)
-        return out
-
-    def straus():
-        return [fastexp.multi_exp(bases, exps, P1024) for exps in streams]
-
-    assert naive() == straus()
-    naive_wall = _best_of(naive)
-    benchmark.pedantic(straus, rounds=3, iterations=1)
-    straus_wall = benchmark.stats.stats.min
-    speedup = naive_wall / straus_wall
-    benchmark.extra_info.update(
-        modulus_bits=P1024.bit_length(),
-        exponent_bits=EXP_BITS,
-        bases=n_bases,
-        products_per_call=rounds_per_call,
-        naive_ms_per_product=round(naive_wall / rounds_per_call * 1e3, 3),
-        straus_ms_per_product=round(straus_wall / rounds_per_call * 1e3, 3),
-        speedup=round(speedup, 3),
-        smoke=SMOKE,
-    )
-    if not SMOKE:
-        assert speedup > 1.0, (
-            f"multi-exp slower than the pow loop ({speedup:.2f}x)"
-        )
 
 
 @pytest.fixture(scope="module")

@@ -1,20 +1,15 @@
-"""Fixed-base precomputation tables and simultaneous multi-exponentiation.
+"""Fixed-base precomputation tables and the verification kernel.
 
 Every spend/deposit verification in the market is dominated by modular
 exponentiations whose bases are *fixed for the lifetime of the market*:
 the tower generators ``g, h, γ`` of each storey, the bank's CL public
 key, and the pairing-group generator.  This module turns that
-repetition into speed with two primitives:
-
-* :class:`FixedBaseTable` — a fixed-window table over ``Z_p``: row *i*
-  holds ``base^(d·2^(w·i))`` for every *w*-bit digit *d*, so one
-  exponentiation is one table multiply per non-zero digit, with no
-  squarings, against ``~1.2 * bits`` multiplies for ``pow``'s sliding
-  window.  At a 70-bit storey modulus that is ~4× faster than ``pow``.
-* :func:`multi_exp` — Straus/Shamir simultaneous exponentiation for
-  the ``g^s · y^e``-shaped products of sigma-protocol verification (one
-  shared doubling chain across all bases instead of one per base), and
-  the bucket method for the batch verifier's wide folds.
+repetition into speed with :class:`FixedBaseTable`, a fixed-window
+table over ``Z_p``: row *i* holds ``base^(d·2^(w·i))`` for every
+*w*-bit digit *d*, so one exponentiation is one table multiply per
+non-zero digit, with no squarings, against ``~1.2 * bits`` multiplies
+for ``pow``'s sliding window.  At a 70-bit storey modulus that is ~4×
+faster than ``pow``.
 
 Tables are cached in :class:`PromotionCache` instances — bounded LRU
 maps that only *build* a table after a base has been seen
@@ -56,7 +51,7 @@ import os
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 __all__ = [
     "KERNEL",
@@ -66,7 +61,6 @@ __all__ = [
     "CacheStats",
     "FixedBaseTable",
     "PromotionCache",
-    "multi_exp",
     "exp_fixed",
     "fixed_base",
     "warm_fixed_base",
@@ -352,110 +346,6 @@ class FixedBaseTable:
                 acc = acc * row[digit] % m
             e >>= w
         return acc
-
-
-# ---------------------------------------------------------------------------
-# simultaneous multi-exponentiation (Straus/Shamir)
-# ---------------------------------------------------------------------------
-
-#: distinct bases (terms with a nonzero exponent) from which
-#: :func:`multi_exp` takes the bucket method instead of Straus
-_BUCKET_MIN_BASES = 64
-
-
-def multi_exp(
-    bases: Sequence[int],
-    exponents: Sequence[int],
-    modulus: int,
-    *,
-    window: int = 4,
-) -> int:
-    """``Π bases[i]^exponents[i] mod modulus`` with one shared chain.
-
-    All bases share a single doubling chain (``max_bits`` squarings
-    total instead of per base).  Up to 63 terms each base pays a small
-    per-window table lookup-multiply — the Straus/Shamir trick for the
-    ubiquitous ``g^s · y^e`` verification products, with *window* its
-    window width.  From 64 terms on — the batch verifier's folds — the
-    bucket method (:func:`_bucket_product`) replaces the per-base
-    tables with one bucket per window digit.  Zero exponents are
-    skipped; the empty product is ``1``.  Exponents are taken over the
-    integers (reduce modulo the group order first when that is sound),
-    must be non-negative, and ``bases``/``exponents`` must have equal
-    length.
-    """
-    if len(bases) != len(exponents):
-        raise ValueError("bases and exponents must have the same length")
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    if window < 1:
-        raise ValueError("window must be positive")
-    for e in exponents:
-        if e < 0:
-            raise ValueError("exponents must be non-negative")
-    pairs = [(b % modulus, e) for b, e in zip(bases, exponents) if e > 0]
-    if not pairs:
-        return 1 % modulus
-    if len(pairs) >= _BUCKET_MIN_BASES:
-        return _bucket_product(pairs, modulus)
-    return _straus_product(pairs, modulus, window)
-
-
-def _straus_product(pairs: list[tuple[int, int]], m: int, window: int) -> int:
-    """Straus over ``(base, exponent > 0)`` pairs: a ``2^window`` table
-    per base, one multiply per base and window."""
-    table_size = 1 << window
-    tables = []
-    for b, _ in pairs:
-        table = [1, b]
-        x = b
-        for _ in range(table_size - 2):
-            x = x * b % m
-            table.append(x)
-        tables.append(table)
-    max_bits = max(e.bit_length() for _, e in pairs)
-    n_windows = (max_bits + window - 1) // window
-    mask = table_size - 1
-    acc = 1
-    for w in range(n_windows - 1, -1, -1):
-        if w != n_windows - 1:
-            for _ in range(window):
-                acc = acc * acc % m
-        shift = w * window
-        for (_, e), table in zip(pairs, tables):
-            digit = (e >> shift) & mask
-            if digit:
-                acc = acc * table[digit] % m
-    return acc
-
-
-def _bucket_product(pairs: list[tuple[int, int]], m: int) -> int:
-    """Pippenger's bucket method over ``(base, exponent > 0)`` pairs.
-
-    Per *c*-bit window every base is multiplied into the bucket of its
-    digit (one multiply per base, no per-base table), and the running
-    product ``Π_d bucket_d^d`` costs ``2·2^c`` multiplies.  With
-    ``c ≈ log2(n) − 1`` for *n* bases that is about ``(bits/c)·n + bits``
-    multiplies against Straus's ``14·n + (bits/4)·n + bits``.
-    """
-    c = max(2, len(pairs).bit_length() - 2)
-    mask = (1 << c) - 1
-    max_bits = max(e.bit_length() for _, e in pairs)
-    acc = 1
-    for w in range((max_bits + c - 1) // c - 1, -1, -1):
-        for _ in range(c):
-            acc = acc * acc % m
-        shift = w * c
-        buckets = [1] * (mask + 1)
-        for b, e in pairs:
-            digit = (e >> shift) & mask
-            if digit:
-                buckets[digit] = buckets[digit] * b % m
-        running = 1
-        for digit in range(mask, 0, -1):
-            running = running * buckets[digit] % m
-            acc = acc * running % m
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -81,11 +81,6 @@ class SchnorrGroup:
         """:meth:`power` through the fixed-base window-table cache."""
         return fastexp.exp_fixed(self.g, self.p, exponent, order=self.q)
 
-    def multi_exp(self, bases, exponents) -> int:
-        """``Π bases[i]^exponents[i]`` via one shared Straus chain."""
-        reduced = [e % self.q for e in exponents]
-        return fastexp.multi_exp(bases, reduced, self.p)
-
     def warm_fixed(self, *bases: int) -> None:
         """Eagerly build window tables for known-hot *bases*."""
         for base in bases:

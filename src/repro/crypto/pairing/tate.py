@@ -25,40 +25,18 @@ do not.  Arguments are read as F_p-rational points (see
 from __future__ import annotations
 
 from repro.crypto import fastexp
-from repro.crypto.pairing.curve import (
-    _O,
-    CurveParams,
-    Point,
-    PointTable,
-    _affine,
-    _jacobian,
-    _jadd,
-    _jdouble,
-    _jmul,
-    _point,
-)
+from repro.crypto.pairing.curve import CurveParams, Point, PointTable, _jmul, _point
 from repro.crypto.pairing.field import Fp2
 
 __all__ = [
     "miller_loop",
-    "multi_operate",
     "tate_pairing",
     "final_exponentiation",
     "MillerTable",
-    "PairingBatch",
     "TatePairing",
 ]
 
 _ONE = (1, 0)
-
-
-def _fp2_mul_op(p: int):
-    """The F_{p²} product on ``(a, b)`` int pairs, as a group op."""
-
-    def mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        return ((x[0] * y[0] - x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
-
-    return mul
 
 
 def _fp2_pow(a: int, b: int, e: int, p: int) -> tuple[int, int]:
@@ -156,61 +134,14 @@ def miller_loop(P: Point, Q: Point, r: int) -> Fp2:
     return Fp2(*_replay(_line_walk(P, r), Q, P.p), P.p)
 
 
-def multi_operate(identity, op, elements, scalars, *, window: int = 4):
-    """Interleaved windowed multi-exponentiation (Straus's trick).
-
-    Computes ``Π elements[i] ^ scalars[i]`` for any group given as an
-    ``(identity, op)`` pair, sharing one doubling chain across all
-    elements: ``max_bits`` doublings total instead of ``max_bits`` per
-    element.  With the default 4-bit window each element additionally
-    pays 14 table operations plus one lookup-multiply per window —
-    roughly a third of the group operations of independent
-    square-and-multiply for the 32–64-bit scalars the batch verifier
-    uses.  ``elements`` and ``scalars`` must have equal length and the
-    scalars must be non-negative (reduce mod the group order first);
-    zero scalars are skipped and the empty product is *identity*.
-    """
-    if len(elements) != len(scalars):
-        raise ValueError("elements and scalars must have the same length")
-    if window < 1:
-        raise ValueError("window must be positive")
-    if any(s < 0 for s in scalars):
-        raise ValueError("scalars must be non-negative")
-    pairs = [(el, s) for el, s in zip(elements, scalars) if s > 0]
-    if not pairs:
-        return identity
-    table_size = 1 << window
-    tables = []
-    for el, _ in pairs:
-        table = [identity, el]
-        for _ in range(table_size - 2):
-            table.append(op(table[-1], el))
-        tables.append(table)
-    max_bits = max(s.bit_length() for _, s in pairs)
-    n_windows = (max_bits + window - 1) // window
-    mask = table_size - 1
-    acc = identity
-    for w in range(n_windows - 1, -1, -1):
-        if w != n_windows - 1:
-            for _ in range(window):
-                acc = op(acc, acc)
-        shift = w * window
-        for (_, s), table in zip(pairs, tables):
-            digit = (s >> shift) & mask
-            if digit:
-                acc = op(acc, table[digit])
-    return acc
-
-
 def final_exponentiation(params: CurveParams, f: Fp2) -> Fp2:
     """Map a raw Miller value into μ_r: ``f ^ ((p² - 1) / r)``.
 
-    This is a *multiplicative homomorphism* ``F_{p²}* → μ_r`` — the
-    fact the batched pairing check rests on: a product of raw Miller
-    values needs only ONE final exponentiation, and
-    ``finalexp(Π raw_i^{k_i}) = Π ê_i^{k_i}``.  It also commutes with
-    conjugation, and ``conj(ê) = ê^p = ê^{-1}`` on μ_r, so
-    ``finalexp(raw_1 · conj(raw_2)) = ê_1 / ê_2``.
+    This is a *multiplicative homomorphism* ``F_{p²}* → μ_r``, so a
+    product of raw Miller values needs only ONE final exponentiation.
+    It also commutes with conjugation, and ``conj(ê) = ê^p = ê^{-1}`` on
+    μ_r, so ``finalexp(raw_1 · conj(raw_2)) = ê_1 / ê_2`` — the quotient
+    :meth:`TatePairing.pair_ratio` computes.
     """
     p = params.p
     fa, fb = f.a, f.b
@@ -337,103 +268,6 @@ def tate_pairing(params: CurveParams, P: Point, Q: Point) -> Fp2:
     return final_exponentiation(params, miller_loop(P, Q, params.r))
 
 
-class PairingBatch:
-    """Amortized check of ``Π ê(P_i, Q_i)^{k_i} · Π t_j^{m_j} == 1``.
-
-    Three amortizations stack (see ``docs/performance.md``):
-
-    * exponents fold into the *source* group first — by bilinearity
-      ``Π ê(F, Q_i)^{k_i} = ê(F, Σ k_i·Q_i)``, so terms sharing a fixed
-      first argument ``F`` (the generator, the bank's ``X``/``Y``)
-      collapse to one point multi-exp plus ONE Miller loop;
-    * Miller loops produce *raw* (pre-final-exponentiation) values that
-      are multiplied in F_{p²} and pushed through a single shared
-      :func:`final_exponentiation` — the dominant ``pow`` of a pairing
-      is paid once per flush instead of once per pairing;
-    * loose G_T factors (deferred commitments, statement powers) join
-      via one Straus chain.
-
-    Exponents are reduced mod *r* on entry (sound: both ``ê`` and the
-    G_T elements live in order-*r* groups); zero-reduced terms drop
-    out, which is why the batch coefficients upstream are drawn from
-    ``[1, min(2^128, r))`` — never 0 mod r.
-    """
-
-    def __init__(self, backend: "TatePairing") -> None:
-        self._backend = backend
-        # fixed-argument key -> (fixed point, moving points, scalars)
-        self._pairs: dict[tuple, tuple[Point, list[Point], list[int]]] = {}
-        # (fixed key, moving key) -> slot in the entry's parallel lists;
-        # repeated pairs merge by summing scalars (exact:
-        # ê(F,Q)^a · ê(F,Q)^b = ê(F,Q)^{a+b}), so a batch over recycled
-        # tokens pays one Miller evaluation per *distinct* point.
-        self._slots: dict[tuple, int] = {}
-        self._gt: list[tuple[int, int]] = []
-        self._gt_scalars: list[int] = []
-
-    def add_pair(self, fixed: Point, moving: Point, exponent: int = 1) -> None:
-        """Multiply ``ê(fixed, moving)^exponent`` into the product."""
-        order = self._backend.order
-        k = exponent % order
-        if k == 0 or fixed.is_infinity or moving.is_infinity:
-            return  # ê(·, ∞) = 1 contributes nothing
-        fixed_key = fixed.encode()
-        entry = self._pairs.get(fixed_key)
-        if entry is None:
-            entry = (fixed, [], [])
-            self._pairs[fixed_key] = entry
-        slot_key = (fixed_key, moving.encode())
-        slot = self._slots.get(slot_key)
-        if slot is None:
-            self._slots[slot_key] = len(entry[1])
-            entry[1].append(moving)
-            entry[2].append(k)
-        else:
-            entry[2][slot] = (entry[2][slot] + k) % order
-
-    def add_gt(self, element: Fp2, exponent: int = 1) -> None:
-        """Multiply ``element^exponent`` (a G_T value) into the product."""
-        k = exponent % self._backend.order
-        if k:
-            self._gt.append((element.a, element.b))
-            self._gt_scalars.append(k)
-
-    def check(self) -> bool:
-        """Whether the accumulated product is the G_T identity."""
-        backend = self._backend
-        p = backend.params.p
-        mul = _fp2_mul_op(p)
-        raw_product: tuple[int, int] | None = None
-        for fixed, moving, scalars in self._pairs.values():
-            table = (
-                backend._pair_tables.get(fixed.encode(), fixed)
-                if fastexp.enabled()
-                else None
-            )
-            if table is not None:
-                # a promoted Miller table makes per-point raw replays
-                # cheap, and folding the scalars over the raw values in
-                # F_{p²} (multiplications) beats folding them over the
-                # curve (a Jacobian operation costs several).  finalexp is
-                # a homomorphism, so finalexp(Π raw_i^{k_i}) equals
-                # finalexp(raw of the source-folded point) — the verdict
-                # is identical either way.
-                raw = multi_operate(_ONE, mul, [table.raw(Q) for Q in moving], scalars)
-            else:
-                acc = backend.multi_exp(moving, scalars)
-                if acc.is_infinity:
-                    continue
-                raw = backend._raw_pair(fixed, acc)
-            raw_product = raw if raw_product is None else mul(raw_product, raw)
-        value = _ONE
-        if raw_product is not None:
-            folded = final_exponentiation(backend.params, Fp2(*raw_product, p))
-            value = (folded.a, folded.b)
-        if self._gt:
-            value = mul(value, multi_operate(_ONE, mul, self._gt, self._gt_scalars))
-        return value == _ONE
-
-
 #: curve identity -> the Miller and point tables a worker adopted (or
 #: warmed) at spawn, decoded once; ``TatePairing.__setstate__`` attaches
 #: them to the backend unpickled with every worker *chunk*, which would
@@ -530,17 +364,6 @@ class TatePairing:
 
     def identity(self) -> Point:
         return Point.infinity(self.params.p)
-
-    def multi_exp(self, bases, scalars) -> Point:
-        """``Π bases[i]^{scalars[i]}`` via a shared-window Straus chain
-        in Jacobian coordinates: one inversion for the whole product."""
-        p = self.params.p
-        reduced = [s % self.order for s in scalars]
-
-        def op(a, b):
-            return _jdouble(a, p) if a is b else _jadd(a, b, p)
-
-        return _point(_affine(multi_operate(_O, op, [_jacobian(b) for b in bases], reduced), p), p)
 
     def random_scalar(self, rng) -> int:
         return rng.randrange(1, self.order)
@@ -655,10 +478,6 @@ class TatePairing:
                 return table.raw(a)
         return _replay(_line_walk(a, self.params.r), b, self.params.p)
 
-    def pairing_batch(self) -> PairingBatch:
-        """A fresh accumulator for one amortized product-of-pairings check."""
-        return PairingBatch(self)
-
     # -- table sharing -------------------------------------------------------
     def export_tables(self) -> dict:
         """Resident Miller + point-window tables as plain picklable state."""
@@ -709,13 +528,11 @@ class TatePairing:
     def gt_contains(self, a: Fp2) -> bool:
         """Membership in ``μ_r``, the order-*r* pairing subgroup of F_{p²}^*.
 
-        Adversarial G_T inputs (a proof's ``R_B``) must pass this gate
-        before entering any random-linear-combination product:
-        F_{p²}^* carries a cofactor ``(p²-1)/r`` component, and a
-        small-order offset would survive the combined check with
-        non-negligible probability (an order-2 factor escapes whenever
-        its coefficient is even — probability 1/2).  μ_r lies in the
-        norm-1 group μ_(p+1), and ``gcd(r, p − 1) = 1`` makes norm 1 a
+        An attacker-supplied G_T value (a proof's ``R_B``) must pass
+        this gate before any G_T multiplication or exponentiation: F_{p²}^*
+        carries a cofactor ``(p²-1)/r`` component, and a value with a
+        part there is no pairing value at all.  μ_r lies in the norm-1
+        group μ_(p+1), and ``gcd(r, p − 1) = 1`` makes norm 1 a
         consequence of ``a^r = 1``; so the norm ``a² + b²`` is checked
         first (it also rejects 0), then ``a^r`` as a raw field power —
         :meth:`gt_exp` reduces exponents mod *r*, which would make
@@ -728,13 +545,6 @@ class TatePairing:
 
     def gt_one(self) -> Fp2:
         return Fp2.one(self.params.p)
-
-    def gt_multi_exp(self, bases, scalars) -> Fp2:
-        """``Π bases[i]^{scalars[i]}`` in G_T via the shared Straus chain."""
-        p = self.params.p
-        reduced = [s % self.order for s in scalars]
-        acc = multi_operate(_ONE, _fp2_mul_op(p), [(x.a, x.b) for x in bases], reduced)
-        return Fp2(*acc, p)
 
     def gt_generator(self) -> Fp2:
         """ê(g, g) — cached; non-degeneracy makes it a G_T generator."""

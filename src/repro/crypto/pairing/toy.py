@@ -24,40 +24,7 @@ import random
 
 from repro.crypto.groups import SchnorrGroup
 
-__all__ = ["ToyPairing", "ToyPairingBatch"]
-
-
-class ToyPairingBatch:
-    """Amortized ``Π e(a_i, b_i)^{k_i} · Π t_j^{m_j} == 1`` for the toy map.
-
-    ``e(a, b)^k = g_T^{a·b·k}``, so the whole product-of-pairings side
-    collapses to ONE scalar accumulation mod *r* and a single
-    fixed-base exponentiation — the toy-backend analogue of the Tate
-    backend's shared final exponentiation (same :class:`PairingBatch`
-    interface, consumed blindly by :mod:`repro.ecash.batch`).
-    """
-
-    def __init__(self, backend: "ToyPairing") -> None:
-        self._backend = backend
-        self._scalar = 0
-        self._gt: list[int] = []
-        self._gt_scalars: list[int] = []
-
-    def add_pair(self, fixed: int, moving: int, exponent: int = 1) -> None:
-        self._scalar = (self._scalar + fixed * moving * exponent) % self._backend.order
-
-    def add_gt(self, element: int, exponent: int = 1) -> None:
-        k = exponent % self._backend.order
-        if k:
-            self._gt.append(element)
-            self._gt_scalars.append(k)
-
-    def check(self) -> bool:
-        target = self._backend.target
-        value = target.power_fixed(self._scalar)
-        if self._gt:
-            value = target.mul(value, target.multi_exp(self._gt, self._gt_scalars))
-        return value == 1 % target.p
+__all__ = ["ToyPairing"]
 
 
 class ToyPairing:
@@ -93,12 +60,6 @@ class ToyPairing:
     def identity(self) -> int:
         return 0
 
-    def multi_exp(self, bases, scalars) -> int:
-        acc = 0
-        for base, scalar in zip(bases, scalars):
-            acc = (acc + base * scalar) % self.order
-        return acc
-
     def random_scalar(self, rng: random.Random) -> int:
         return rng.randrange(1, self.order)
 
@@ -133,10 +94,6 @@ class ToyPairing:
         """Warm the target-group generator table (the only fixed base)."""
         self.target.warm_fixed(self.target.g)
 
-    def pairing_batch(self) -> ToyPairingBatch:
-        """A fresh accumulator for one amortized product-of-pairings check."""
-        return ToyPairingBatch(self)
-
     def gt_mul(self, a: int, b: int) -> int:
         return self.target.mul(a, b)
 
@@ -149,21 +106,16 @@ class ToyPairing:
     def gt_contains(self, a: int) -> bool:
         """Membership in the order-*q* target subgroup of Z_p^*.
 
-        Same contract as the Tate backend's ``μ_r`` test: adversarial
-        G_T values must land in the prime-order subgroup before they may
-        join a random-linear-combination product (Z_p^* has a cofactor
-        component whose small-order elements would escape the combined
-        check).  Congruent-but-unreduced ints are accepted — every other
-        target-group operation reduces mod p, so they behave identically
-        to their reduced form in both sequential and batched checks.
+        Same contract as the Tate backend's ``μ_r`` test: an
+        attacker-supplied G_T value is refused outside the prime-order
+        subgroup before any G_T arithmetic.  Congruent-but-unreduced
+        ints are accepted — every other target-group operation reduces
+        mod p, so they behave identically to their reduced form.
         """
         return isinstance(a, int) and self.target.contains(a % self.target.p)
 
     def gt_one(self) -> int:
         return 1
-
-    def gt_multi_exp(self, bases, scalars) -> int:
-        return self.target.multi_exp(bases, scalars)
 
     def gt_generator(self) -> int:
         return self.target.power(1)

@@ -39,7 +39,6 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto import fastexp
-from repro.crypto.batchverify import LinearCheck, linear_check
 from repro.crypto.groups import SchnorrGroup
 from repro.crypto.hashing import Transcript
 
@@ -48,10 +47,8 @@ __all__ = [
     "RevealedEdgeProof",
     "prove_edge",
     "verify_edge",
-    "collect_edge",
     "prove_revealed_edge",
     "verify_revealed_edge",
-    "collect_revealed_edge",
     "DEFAULT_ROUNDS",
 ]
 
@@ -187,8 +184,9 @@ def verify_edge(
         return False
     if not child_grp.contains_all(proof.commitments_t):
         return False
-    # both statement commitments are bases of the batched round
-    # equations — membership required for RLC soundness (honest ones are)
+    # the statement commitments are attacker-supplied too: refused
+    # outside their storey's subgroup before any round exponentiates
+    # them (honest ones pass)
     if not parent_grp.contains(c_parent % parent_grp.p):
         return False
     if not child_grp.contains(c_child % child_grp.p):
@@ -224,79 +222,6 @@ def verify_edge(
             if g2_exp(gamma_exp(w)) * h2_exp(sigma) % cp != t:
                 return False
     return True
-
-
-def collect_edge(
-    parent_grp: SchnorrGroup,
-    g: int,
-    h: int,
-    c_parent: int,
-    gamma: int,
-    child_grp: SchnorrGroup,
-    g2: int,
-    h2: int,
-    c_child: int,
-    proof: CommittedEdgeProof,
-    transcript: Transcript,
-) -> list[LinearCheck] | None:
-    """:func:`verify_edge` with the per-round equations deferred.
-
-    Eager: the tower-link and structural checks, every membership
-    check, the transcript traffic and the challenge bits — plus the
-    *inner* exponent ``γ^δ`` (resp. ``γ^w``) of each round, which is an
-    exponent of the next storey and cannot be deferred.  Each round
-    then contributes two :class:`LinearCheck`\\ s, one per storey (they
-    live in different groups, so the batch verifier keeps them in
-    separate multi-exps automatically).  This also collapses the ~5
-    sequential exponentiations per round into batched terms over the
-    tower-fixed bases ``g, h, γ, g2, h2`` — the single biggest
-    amortization of the deposit path.
-    """
-    _check_tower_link(parent_grp, child_grp)
-    n = proof.rounds
-    if n < 1 or len(proof.commitments_t) != n or len(proof.responses) != n:
-        return None
-    if not parent_grp.contains_all(proof.commitments_u):
-        return None
-    if not child_grp.contains_all(proof.commitments_t):
-        return None
-    if not parent_grp.contains(c_parent % parent_grp.p):
-        return None
-    if not child_grp.contains(c_child % child_grp.p):
-        return None
-
-    transcript.absorb_ints(
-        g, h, c_parent, gamma, g2, h2, c_child, *proof.commitments_u, *proof.commitments_t
-    )
-    bits = transcript.challenge(1 << n)
-
-    checks: list[LinearCheck] = []
-    pp, pq = parent_grp.p, parent_grp.q
-    cp, cq = child_grp.p, child_grp.q
-    for j in range(n):
-        u, t = proof.commitments_u[j], proof.commitments_t[j]
-        a, b, c = proof.responses[j]
-        if (bits >> j) & 1:
-            delta, eta, eps = a, b, c
-            gamma_delta = parent_grp.exp_fixed(gamma, delta)
-            # C_par · g^δ · h^η == u
-            checks.append(linear_check(
-                pp, pq, [(c_parent, 1), (g, delta), (h, eta), (u, -1)]
-            ))
-            # C_ch^(γ^δ) · h2^ε == τ
-            checks.append(linear_check(
-                cp, cq, [(c_child, gamma_delta), (h2, eps), (t, -1)]
-            ))
-        else:
-            w, v, sigma = a, b, c
-            gamma_w = parent_grp.exp_fixed(gamma, w)
-            # g^w · h^v == u
-            checks.append(linear_check(pp, pq, [(g, w), (h, v), (u, -1)]))
-            # g2^(γ^w) · h2^σ == τ
-            checks.append(linear_check(
-                cp, cq, [(g2, gamma_w), (h2, sigma), (t, -1)]
-            ))
-    return checks
 
 
 def prove_revealed_edge(
@@ -344,8 +269,8 @@ def verify_revealed_edge(
     """Verify a revealed-child edge proof."""
     if not (parent_grp.contains(proof.commitment_k) and parent_grp.contains(proof.commitment_c)):
         return False
-    # statement-side bases of the batched equations — membership
-    # required for RLC soundness (honest ones are)
+    # the statement side is attacker-supplied too: refused outside the
+    # subgroup before either value is exponentiated (honest ones pass)
     if not parent_grp.contains(c_parent % parent_grp.p):
         return False
     if not parent_grp.contains(child_public % parent_grp.p):
@@ -364,35 +289,3 @@ def verify_revealed_edge(
     lhs = parent_grp.mul(parent_grp.exp_fixed(g, proof.z1), parent_grp.exp_fixed(h, proof.z2))
     rhs = parent_grp.mul(proof.commitment_c, fastexp.powm(c_parent, e, parent_grp.p))
     return lhs == rhs
-
-
-def collect_revealed_edge(
-    parent_grp: SchnorrGroup,
-    g: int,
-    h: int,
-    c_parent: int,
-    gamma: int,
-    child_public: int,
-    proof: RevealedEdgeProof,
-    transcript: Transcript,
-) -> list[LinearCheck] | None:
-    """:func:`verify_revealed_edge` with both equations deferred."""
-    if not (parent_grp.contains(proof.commitment_k) and parent_grp.contains(proof.commitment_c)):
-        return None
-    if not parent_grp.contains(c_parent % parent_grp.p):
-        return None
-    if not parent_grp.contains(child_public % parent_grp.p):
-        return None
-    transcript.absorb_ints(
-        g, h, c_parent, gamma, child_public, proof.commitment_k, proof.commitment_c
-    )
-    e = transcript.challenge(parent_grp.q)
-    p, q = parent_grp.p, parent_grp.q
-    return [
-        # γ^z1 · commitment_k^{-1} · child^{-e} == 1
-        linear_check(p, q, [(gamma, proof.z1), (proof.commitment_k, -1), (child_public, -e)]),
-        # g^z1 · h^z2 · commitment_c^{-1} · C^{-e} == 1
-        linear_check(p, q, [
-            (g, proof.z1), (h, proof.z2), (proof.commitment_c, -1), (c_parent, -e),
-        ]),
-    ]

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.crypto import fastexp
-from repro.crypto.batchverify import LinearCheck, linear_check
 from repro.crypto.groups import SchnorrGroup
 from repro.crypto.hashing import Transcript
 
@@ -36,7 +35,6 @@ __all__ = [
     "prove_equality",
     "verify_equality",
     "verify_equality_deferred",
-    "collect_equality",
 ]
 
 #: statistical blinding slack in bits
@@ -129,27 +127,19 @@ def verify_equality_deferred(
     Performs the response range check, the group-A Schnorr equation and
     the Fiat–Shamir challenge derivation (absorbing exactly what
     :func:`verify_equality` absorbs).  The group-B equation
-    ``B^z == R_B * V^e`` is *not* checked — the caller must either
-    check it directly or hand it to a batch verifier (see
-    :func:`repro.ecash.batch.batch_verify_spends`).  Returns ``None``
-    when any of the performed checks fails.
-
-    This module has no group-B operations, so it cannot validate
-    ``proof.commitment_b`` itself: a caller that *batches* the group-B
-    equation must first membership-check the decoded ``R_B`` against
-    the prime-order subgroup (a cofactor-order offset survives a
-    random linear combination with probability up to 1/2 while the
-    direct check rejects it) — the e-cash layer does this in
-    ``_decode_gt_commitment`` before any deferral.
+    ``B^z == R_B * V^e`` is *not* checked: this module has no group-B
+    operations, so the caller checks it (:func:`verify_equality`, or
+    :func:`repro.ecash.spend.verify_spend` on G_T, which also decodes
+    and membership-checks ``proof.commitment_b`` first).  Returns
+    ``None`` when any of the performed checks fails.
     """
     bound = 1 << (proof.witness_bits + 2 * _CHALLENGE_BITS + _STAT_BITS)
     if not 0 <= proof.z < bound:
         return None
+    # R_A and D are attacker-supplied: refused outside the subgroup
+    # before either is multiplied or exponentiated (honest ones pass)
     if not group_a.contains(proof.commitment_a):
         return None
-    # the commitment D appears as a base of the deferred/batched form of
-    # the group-A equation, so it too must be a subgroup member for the
-    # RLC soundness argument (honest commitments always are)
     if not group_a.contains(commitment % group_a.p):
         return None
 
@@ -167,50 +157,6 @@ def verify_equality_deferred(
     if lhs_a != rhs_a:
         return None
     return e
-
-
-def collect_equality(
-    group_a: SchnorrGroup,
-    g: int,
-    h: int,
-    commitment: int,
-    encode_b: Callable[[object], tuple],
-    statement_b: object,
-    proof: EqualityProof,
-    transcript: Transcript,
-) -> tuple[int, LinearCheck] | None:
-    """:func:`verify_equality_deferred` with the group-A equation deferred.
-
-    Same eager checks and transcript traffic; returns ``(challenge,
-    check)`` where the check is ``g^z · h^{z_t} · R_A^{-1} · D^{-e} == 1``
-    (the integer response reduces mod q inside the subgroup — the same
-    reduction ``group_a.exp`` performs).  The group-B equation remains
-    the caller's, exactly as with the deferred verifier.
-    """
-    bound = 1 << (proof.witness_bits + 2 * _CHALLENGE_BITS + _STAT_BITS)
-    if not 0 <= proof.z < bound:
-        return None
-    if not group_a.contains(proof.commitment_a):
-        return None
-    if not group_a.contains(commitment % group_a.p):
-        return None
-
-    transcript.absorb_ints(g, h, commitment, proof.commitment_a)
-    transcript.absorb_ints(*(int(v) for v in encode_b(statement_b)))
-    transcript.absorb_ints(*proof.commitment_b)
-    e = transcript.challenge(1 << _CHALLENGE_BITS)
-
-    check = linear_check(
-        group_a.p,
-        group_a.q,
-        [
-            (g, proof.z),
-            (h, proof.z_t),
-            (proof.commitment_a, -1),
-            (commitment, -e),
-        ],
-    )
-    return e, check
 
 
 def verify_equality(

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.crypto.batchverify import LinearCheck, linear_check
 from repro.crypto.groups import SchnorrGroup
 from repro.crypto.hashing import Transcript
 
@@ -28,7 +27,6 @@ __all__ = [
     "SchnorrProof",
     "prove_dlog",
     "verify_dlog",
-    "collect_dlog",
     "prove_dlog_generic",
     "verify_dlog_generic",
 ]
@@ -94,41 +92,6 @@ def verify_dlog(
     lhs = group.exp_fixed(base, proof.response)
     rhs = group.mul(commitment, group.exp(statement, e))
     return lhs == rhs
-
-
-def collect_dlog(
-    group: SchnorrGroup,
-    base: int,
-    statement: int,
-    proof: SchnorrProof,
-    transcript: Transcript,
-) -> list[LinearCheck] | None:
-    """:func:`verify_dlog` with the final equation *deferred*.
-
-    Runs the structural and membership checks and the Fiat–Shamir
-    derivation eagerly (absorbing exactly what :func:`verify_dlog`
-    absorbs); the Schnorr equation comes back as a
-    :class:`~repro.crypto.batchverify.LinearCheck` —
-    ``base^s · R^{-1} · Y^{-e} == 1`` — for random-linear-combination
-    batching.  ``None`` means an eager check already failed.  Because
-    every base of the deferred equation is membership-checked (here or
-    by construction), the RLC soundness argument applies, and
-    ``all(c.holds())`` over the result equals the sequential verdict.
-    """
-    commitment = proof.commitment
-    if not isinstance(commitment, int) or not group.contains(commitment):
-        return None
-    if not group.contains(statement % group.p):
-        return None
-    transcript.absorb_ints(base, statement, commitment)
-    e = transcript.challenge(group.q)
-    return [
-        linear_check(
-            group.p,
-            group.q,
-            [(base, proof.response), (commitment, -1), (statement, -e)],
-        )
-    ]
 
 
 # ---------------------------------------------------------------------------

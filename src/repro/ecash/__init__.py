@@ -8,6 +8,9 @@ Modules:
 * :mod:`~repro.ecash.dec` — scheme facade: setup / withdraw / deposit
 * :mod:`~repro.ecash.fake` — fake-coin padding against the
   denomination attack
+* :mod:`~repro.ecash.batch` — ``batch_verify_spends``, per-token
+  verification of a token list, kept only for
+  ``benchmarks/e2e/layers.py`` (not re-exported here)
 """
 
 from repro.ecash.dec import (
@@ -19,7 +22,6 @@ from repro.ecash.dec import (
     finish_withdrawal,
     setup,
 )
-from repro.ecash.batch import batch_verify_spends
 from repro.ecash.params_io import ParamsError, export_params, import_params
 from repro.ecash.wallet_io import WalletSnapshotError, restore_coins, snapshot_coins
 from repro.ecash.spend import DECParams, SpendToken, create_spend, verify_spend
@@ -44,7 +46,6 @@ __all__ = [
     "SpendToken",
     "create_spend",
     "verify_spend",
-    "batch_verify_spends",
     "CoinTree",
     "NodeId",
     "derive_key_chain",

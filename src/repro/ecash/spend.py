@@ -30,15 +30,12 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto import fastexp
-from repro.crypto.batchverify import LinearCheck
 from repro.crypto.cl_sig import CLPublicKey, CLSignature
 from repro.crypto.groups import GroupTower
 from repro.crypto.hashing import Transcript
 from repro.crypto.zkp.committed_double_log import (
     CommittedEdgeProof,
     RevealedEdgeProof,
-    collect_edge,
-    collect_revealed_edge,
     prove_edge,
     prove_revealed_edge,
     verify_edge,
@@ -46,7 +43,6 @@ from repro.crypto.zkp.committed_double_log import (
 )
 from repro.crypto.zkp.equality import (
     EqualityProof,
-    collect_equality,
     prove_equality,
     verify_equality_deferred,
 )
@@ -62,13 +58,8 @@ from repro.ecash.tree import (
 __all__ = [
     "DECParams",
     "SpendToken",
-    "DeferredGTCheck",
-    "CollectedSpend",
     "create_spend",
     "verify_spend",
-    "verify_spend_deferred",
-    "verify_spend_collect",
-    "signature_well_formed",
     "warm_verification_tables",
     "export_verification_tables",
     "adopt_verification_tables",
@@ -288,48 +279,6 @@ def create_spend(
     )
 
 
-@dataclass(frozen=True)
-class DeferredGTCheck:
-    """The one target-group equation of a token left unchecked.
-
-    :func:`verify_spend_deferred` validates everything about a token
-    *except* the equality proof's group-B equation
-    ``e(X, b~)^z == R_B * V^e`` — the only per-token check whose cost is
-    a pairing but whose structure is linear, so *n* of them join one
-    shared pairing product
-    (:func:`repro.ecash.batch.batch_verify_spends`).  ``check``
-    closes the deferral individually, making ``verify_spend_deferred``
-    + ``check`` exactly equivalent to :func:`verify_spend`.
-    """
-
-    sig_b: object  # the pairing point of the base B = e(X, b~)
-    statement_gt: object  # V, already computed for the transcript
-    commitment_b: object  # R_B, decoded; subgroup membership checked at build
-    challenge: int  # e, recomputed from the transcript
-    response: int  # z, the integer response
-
-    def check(self, params: DECParams, bank_pk: CLPublicKey) -> bool:
-        """The deferred equation, checked alone: ``B^z == R_B * V^e``."""
-        backend = params.backend
-        lhs = backend.gt_exp(backend.pair(bank_pk.X, self.sig_b), self.response)
-        rhs = backend.gt_mul(
-            self.commitment_b, backend.gt_exp(self.statement_gt, self.challenge)
-        )
-        return backend.gt_eq(lhs, rhs)
-
-
-def signature_well_formed(backend, bank_pk: CLPublicKey, token: SpendToken) -> bool:
-    """The CL equation on the randomized triple: ``e(a~, Y) == e(g, b~)``.
-
-    Checked as one quotient ``e(Y, a~) · e(g, b~)^{-1} == 1``, which the
-    pairing backend settles with a single final exponentiation.
-    """
-    return backend.gt_eq(
-        backend.pair_ratio(bank_pk.Y, token.sig_a, backend.g, token.sig_b),
-        backend.gt_one(),
-    )
-
-
 def verify_spend(
     params: DECParams,
     bank_pk: CLPublicKey,
@@ -337,40 +286,29 @@ def verify_spend(
     *,
     context: bytes = b"",
 ) -> bool:
-    """Verify every component of a spend token."""
-    deferred = verify_spend_deferred(params, bank_pk, token, context=context)
-    return deferred is not None and deferred.check(params, bank_pk)
+    """Verify every component of a spend token.
 
-
-def verify_spend_deferred(
-    params: DECParams,
-    bank_pk: CLPublicKey,
-    token: SpendToken,
-    *,
-    context: bytes = b"",
-) -> DeferredGTCheck | None:
-    """Verify a token except its one batchable target-group equation.
-
-    Returns ``None`` when any performed check fails, otherwise the
-    :class:`DeferredGTCheck` the caller must still discharge (directly
-    via :meth:`DeferredGTCheck.check`, or batched across tokens).  The
-    statement ``V`` it computes is unavoidable: the Fiat–Shamir
-    transcript absorbs its encoding, so the verifier must materialize
-    it per token to recompute the challenge.
+    The statement ``V`` is computed per token even though only the
+    equality proof's last equation uses it as a base: the Fiat–Shamir
+    transcript absorbs its encoding, so the challenge needs it first.
     """
     backend = params.backend
     node = token.node
     if node.level > params.tree_level:
-        return None
+        return False
     if len(token.key_commitments) != node.level:
-        return None
+        return False
 
-    # CL signature well-formedness on the randomized triple:
-    # e(a~, Y) == e(g, b~); a~ must not be the identity
+    # CL signature well-formedness on the randomized triple,
+    # e(a~, Y) == e(g, b~), as one quotient with a single final
+    # exponentiation; a~ must not be the identity
     if not _signature_screen(backend, token):
-        return None
-    if not signature_well_formed(backend, bank_pk, token):
-        return None
+        return False
+    if not backend.gt_eq(
+        backend.pair_ratio(bank_pk.Y, token.sig_a, backend.g, token.sig_b),
+        backend.gt_one(),
+    ):
+        return False
 
     transcript = _base_transcript(params, bank_pk, node, token.node_key, token.sig_a,
                                   token.sig_b, token.sig_c, token.commitment_s,
@@ -387,18 +325,18 @@ def verify_spend_deferred(
         transcript=transcript,
     )
     if challenge is None:
-        return None
-    # R_B is adversarial and will join a batched G_T product; subgroup
-    # membership is required for RLC soundness (see _decode_gt_commitment)
+        return False
+    # R_B is attacker-supplied: refused outside the order-r subgroup
+    # before it is multiplied into the G_T equation below
     commitment_b = _decode_gt_commitment(backend, token.equality.commitment_b)
     if commitment_b is None:
-        return None
+        return False
 
     bits = node.path_bits()
     depth = node.level
     if depth >= 1:
         if len(token.edges) != depth:
-            return None
+            return False
         g1, h1 = params.commit_bases(1)
         if not verify_edge(
             grp0, g0, h0, token.commitment_s,
@@ -406,7 +344,7 @@ def verify_spend_deferred(
             params.tower.group(1), g1, h1, token.key_commitments[0],
             token.edges[0], transcript,
         ):
-            return None
+            return False
         for t in range(1, depth):
             pg = params.tower.group(t)
             pgg, pgh = params.commit_bases(t)
@@ -418,7 +356,7 @@ def verify_spend_deferred(
                 cg, cgg, cgh, token.key_commitments[t],
                 token.edges[t], transcript,
             ):
-                return None
+                return False
         pg = params.tower.group(depth)
         pgg, pgh = params.commit_bases(depth)
         if not verify_revealed_edge(
@@ -426,166 +364,27 @@ def verify_spend_deferred(
             params.edge_generator(depth, bits[depth - 1]),
             token.node_key, token.final_edge, transcript,
         ):
-            return None
+            return False
     else:
         if token.edges:
-            return None
+            return False
         if not verify_revealed_edge(
             grp0, g0, h0, token.commitment_s,
             params.edge_generator(0, 0),
             token.node_key, token.final_edge, transcript,
         ):
-            return None
-    return DeferredGTCheck(
-        sig_b=token.sig_b,
-        statement_gt=statement_gt,
-        commitment_b=commitment_b,
-        challenge=challenge,
-        response=token.equality.z,
-    )
+            return False
 
-
-@dataclass(frozen=True)
-class CollectedSpend:
-    """A token's verification, reduced to data instead of decisions.
-
-    Produced by :func:`verify_spend_collect`: every eager (structural,
-    membership, challenge) check already passed; what remains is the
-    list of deferred sigma equations (``checks``) plus the two pairing
-    equations — the CL well-formedness check, **not** performed here,
-    and the equality proof's target-group equation (``deferred``).  A
-    batch verifier combines many tokens' remainders into a handful of
-    multi-exponentiations and one shared pairing product
-    (:func:`repro.ecash.batch.batch_verify_spends`).
-    """
-
-    token: SpendToken
-    checks: tuple[LinearCheck, ...]
-    deferred: DeferredGTCheck
-
-
-def verify_spend_collect(
-    params: DECParams,
-    bank_pk: CLPublicKey,
-    token: SpendToken,
-    *,
-    context: bytes = b"",
-) -> CollectedSpend | None:
-    """Collect a token's verification equations instead of evaluating them.
-
-    Mirrors :func:`verify_spend_deferred` — same transcript traffic,
-    same eager structural/membership checks, so the Fiat–Shamir
-    challenges (and therefore the equations) are identical — but every
-    sigma-protocol equation is returned as a
-    :class:`~repro.crypto.batchverify.LinearCheck` rather than checked.
-    The CL pairing equation ``e(a~, Y) == e(g, b~)`` is **never**
-    evaluated here (only the screen of the signature points runs); the
-    caller owes it, batched or alone, alongside ``deferred``.
-
-    Returns ``None`` when any eager check fails — such a token is
-    rejected exactly as the sequential verifier rejects it.
-    """
-    backend = params.backend
-    node = token.node
-    if node.level > params.tree_level:
-        return None
-    if len(token.key_commitments) != node.level:
-        return None
-    if not _signature_screen(backend, token):
-        return None
-
-    transcript = _base_transcript(params, bank_pk, node, token.node_key, token.sig_a,
-                                  token.sig_b, token.sig_c, token.commitment_s,
-                                  list(token.key_commitments), context)
-
-    grp0 = params.tower.group(0)
-    g0, h0 = params.commit_bases(0)
-    statement_gt = backend.pair_ratio(backend.g, token.sig_c, bank_pk.X, token.sig_a)
-    collected_eq = collect_equality(
-        grp0, g0, h0, token.commitment_s,
-        encode_b=lambda el: _gt_encode(backend, el),
-        statement_b=statement_gt,
-        proof=token.equality,
-        transcript=transcript,
-    )
-    if collected_eq is None:
-        return None
-    challenge, equality_check = collected_eq
-    # same subgroup gate as verify_spend_deferred: R_B enters the
-    # batched pairing product, so membership is a soundness precondition
-    commitment_b = _decode_gt_commitment(backend, token.equality.commitment_b)
-    if commitment_b is None:
-        return None
-    checks: list[LinearCheck] = [equality_check]
-
-    bits = node.path_bits()
-    depth = node.level
-    if depth >= 1:
-        if len(token.edges) != depth:
-            return None
-        g1, h1 = params.commit_bases(1)
-        edge_checks = collect_edge(
-            grp0, g0, h0, token.commitment_s,
-            params.edge_generator(0, 0),
-            params.tower.group(1), g1, h1, token.key_commitments[0],
-            token.edges[0], transcript,
-        )
-        if edge_checks is None:
-            return None
-        checks.extend(edge_checks)
-        for t in range(1, depth):
-            pg = params.tower.group(t)
-            pgg, pgh = params.commit_bases(t)
-            cg = params.tower.group(t + 1)
-            cgg, cgh = params.commit_bases(t + 1)
-            edge_checks = collect_edge(
-                pg, pgg, pgh, token.key_commitments[t - 1],
-                params.edge_generator(t, bits[t - 1]),
-                cg, cgg, cgh, token.key_commitments[t],
-                token.edges[t], transcript,
-            )
-            if edge_checks is None:
-                return None
-            checks.extend(edge_checks)
-        pg = params.tower.group(depth)
-        pgg, pgh = params.commit_bases(depth)
-        final_checks = collect_revealed_edge(
-            pg, pgg, pgh, token.key_commitments[depth - 1],
-            params.edge_generator(depth, bits[depth - 1]),
-            token.node_key, token.final_edge, transcript,
-        )
-        if final_checks is None:
-            return None
-        checks.extend(final_checks)
-    else:
-        if token.edges:
-            return None
-        final_checks = collect_revealed_edge(
-            grp0, g0, h0, token.commitment_s,
-            params.edge_generator(0, 0),
-            token.node_key, token.final_edge, transcript,
-        )
-        if final_checks is None:
-            return None
-        checks.extend(final_checks)
-
-    return CollectedSpend(
-        token=token,
-        checks=tuple(checks),
-        deferred=DeferredGTCheck(
-            sig_b=token.sig_b,
-            statement_gt=statement_gt,
-            commitment_b=commitment_b,
-            challenge=challenge,
-            response=token.equality.z,
-        ),
-    )
+    # the equality proof's group-B equation: e(X, b~)^z == R_B * V^e
+    lhs = backend.gt_exp(backend.pair(bank_pk.X, token.sig_b), token.equality.z)
+    rhs = backend.gt_mul(commitment_b, backend.gt_exp(statement_gt, challenge))
+    return backend.gt_eq(lhs, rhs)
 
 
 def warm_verification_tables(params: DECParams, bank_pk: CLPublicKey | None = None) -> None:
     """Pre-build every fixed-base table the spend/verify hot path hits.
 
-    Covers the pairing slots of :func:`verify_spend_deferred` and
+    Covers the pairing slots of :func:`verify_spend` and
     :func:`~repro.crypto.cl_sig.cl_verify` (``g``, and with *bank_pk*
     also ``X`` and ``Y`` — together one side of every pairing the
     deposit path computes), the window tables of the same points (an
@@ -703,16 +502,11 @@ def _decode_gt_commitment(backend, encoded):
     """Decode a proof's target-group commitment ``R_B``; ``None`` when it
     is malformed or lies outside the prime-order subgroup.
 
-    ``R_B`` is the one *adversarial* G_T value the batched deposit paths
-    feed into a random-linear-combination product
-    (:mod:`repro.ecash.batch`); RLC soundness needs every base inside
-    the order-*r* subgroup — F_{p²}^* (and Z_p^*) carry cofactor
-    components whose small-order elements would escape the combined
-    check with probability up to 1/2 per small prime factor.  The
-    sequential equation rejects such values unconditionally (``B^z``
-    stays in the subgroup, the right side would not), so gating here
-    changes no verdict while restoring the batched paths' documented
-    soundness bound.
+    ``R_B`` is attacker-supplied, so it is refused before any G_T
+    multiplication or exponentiation touches it.  The equation would
+    reject a value outside the order-*r* subgroup anyway (``B^z`` stays
+    in the subgroup, the right side would not); the gate keeps such a
+    value out of the arithmetic, and changes no verdict.
     """
     if not isinstance(encoded, tuple):
         return None

@@ -1,10 +1,8 @@
-"""Fixed-base window tables and simultaneous multi-exponentiation.
+"""Fixed-base window tables, the promotion cache and Miller tables.
 
 Parity suites pin every fast path against the naive loop it replaces
-(``pow`` / per-element square-and-multiply / :func:`tate_pairing`),
-including the edge cases the batch verifiers rely on: empty inputs,
-zero scalars, scalars far above the group order, single elements, and
-mismatched lengths (which must raise).
+(``pow`` / double-and-add / :func:`tate_pairing`), including the edge
+exponents: zero, negatives, values at and far above the group order.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from repro.crypto import fastexp
 from repro.crypto.pairing import TatePairing, generate_curve
 from repro.crypto.pairing import curve
 from repro.crypto.pairing.curve import Point, PointTable, _point
-from repro.crypto.pairing.tate import MillerTable, multi_operate, tate_pairing
+from repro.crypto.pairing.tate import MillerTable, tate_pairing
 
 # RFC 2409 Oakley Group 2: a well-known 1024-bit safe prime (generating
 # one takes minutes on the bench VM; hardcoding keeps tests fast)
@@ -206,105 +204,6 @@ class TestGenericFixedBaseTable:
             table.exp(1 << 20)
         with pytest.raises(ValueError):
             table.exp(-1)
-
-
-# ---------------------------------------------------------------------------
-# multi_exp — parity and edge cases
-# ---------------------------------------------------------------------------
-
-def _naive_product(bases, exps, p):
-    acc = 1
-    for b, e in zip(bases, exps):
-        acc = acc * pow(b, e, p) % p
-    return acc
-
-
-class TestMultiExp:
-    def test_parity_with_naive_loop(self):
-        rng = random.Random(0x5A5A)
-        bases = [pow(G1024, rng.getrandbits(64), P1024) for _ in range(6)]
-        exps = [rng.getrandbits(160) for _ in range(6)]
-        assert fastexp.multi_exp(bases, exps, P1024) == _naive_product(bases, exps, P1024)
-
-    def test_empty_input(self):
-        assert fastexp.multi_exp([], [], P1024) == 1
-
-    def test_all_zero_scalars(self):
-        assert fastexp.multi_exp([G1024, 7], [0, 0], P1024) == 1
-
-    def test_some_zero_scalars_skipped(self):
-        rng = random.Random(2)
-        bases = [G1024, 7, 11]
-        exps = [rng.getrandbits(80), 0, rng.getrandbits(80)]
-        assert fastexp.multi_exp(bases, exps, P1024) == _naive_product(bases, exps, P1024)
-
-    def test_single_element(self):
-        e = random.Random(3).getrandbits(160)
-        assert fastexp.multi_exp([G1024], [e], P1024) == pow(G1024, e, P1024)
-
-    def test_scalar_far_above_group_order(self):
-        # multi_exp works over the integers: no implicit reduction
-        e = Q1024 * 5 + 12345
-        assert fastexp.multi_exp([G1024], [e], P1024) == pow(G1024, e, P1024)
-
-    def test_mismatched_lengths_raise(self):
-        with pytest.raises(ValueError):
-            fastexp.multi_exp([G1024, 7], [1], P1024)
-        with pytest.raises(ValueError):
-            fastexp.multi_exp([G1024], [1, 2], P1024)
-
-    def test_negative_scalar_raises(self):
-        with pytest.raises(ValueError):
-            fastexp.multi_exp([G1024], [-1], P1024)
-
-    def test_window_sizes(self):
-        rng = random.Random(4)
-        bases = [pow(G1024, rng.getrandbits(32), P1024) for _ in range(4)]
-        exps = [rng.getrandbits(96) for _ in range(4)]
-        want = _naive_product(bases, exps, P1024)
-        for window in (1, 2, 4, 6):
-            assert fastexp.multi_exp(bases, exps, P1024, window=window) == want
-
-
-class TestMultiExpGeneric:
-    """:func:`multi_operate`, the one Straus over an ``(identity, op)``
-    group, keeps the contract of :func:`fastexp.multi_exp`."""
-
-    def test_matches_pairing_multi_operate(self, session_rng):
-        """Straus over curve points equals the naive sum of multiples."""
-        params = generate_curve(32, session_rng)
-        backend = TatePairing(params)
-        points = [backend.random_element(session_rng) for _ in range(5)]
-        scalars = [session_rng.randrange(backend.order) for _ in range(5)]
-        via_tate = multi_operate(backend.identity(), lambda a, b: a + b, points, scalars)
-        naive = backend.identity()
-        for pt, s in zip(points, scalars):
-            naive = naive + pt.multiply(s)
-        assert via_tate == naive == backend.multi_exp(points, scalars)
-
-    def test_gt_multi_exp_parity(self, tate_backend, session_rng):
-        gt = [tate_backend.gt_generator().pow(session_rng.randrange(1, tate_backend.order))
-              for _ in range(4)]
-        scalars = [session_rng.randrange(tate_backend.order) for _ in range(4)]
-        naive = tate_backend.gt_one()
-        for el, s in zip(gt, scalars):
-            naive = naive * el.pow(s)
-        assert tate_backend.gt_multi_exp(gt, scalars) == naive
-        assert multi_operate(
-            tate_backend.gt_one(), lambda a, b: a * b, gt, scalars
-        ) == naive
-
-    def test_edge_cases(self):
-        op = lambda a, b: a + b
-        assert multi_operate(0, op, [], []) == 0
-        assert multi_operate(0, op, [5, 9], [0, 0]) == 0
-        assert multi_operate(0, op, [5, 9], [0, 3]) == 27
-        with pytest.raises(ValueError):
-            multi_operate(0, op, [5], [1, 2])
-        with pytest.raises(ValueError):
-            multi_operate(0, op, [5, 9], [1])
-        with pytest.raises(ValueError):
-            multi_operate(0, op, [5], [-3])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Every F_p-rational operation — ``Point`` addition and scalar
 multiplication, the backend's ``exp``, ``exp_fixed`` (window table,
-built locally or adopted from an export), ``multi_exp`` and ``mul`` —
+built locally or adopted from an export) and ``mul`` —
 runs in Jacobian coordinates on ints.  The reference here is the affine
 chord-and-tangent law on ``Fp2`` coordinates (``curve._fp2_add``, one
 F_{p²} inversion per addition), driven by plain double-and-add.  Points
@@ -92,17 +92,6 @@ def test_exp_and_exp_fixed_match_the_fp2_law(A, k):
         table = PointTable((A.x.a, A.y.a), P, R.bit_length())
         adopted = PointTable.from_state(P, table.to_state())
         assert curve._point(adopted.exp(k % R), P) == want
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(points, scalars), max_size=4))
-@example([(G, 0), (ORDER_TWO, 1), (COFACTOR_ORDER, -1)])
-@example([(G, R - 1), (G, 1)])
-def test_multi_exp_matches_the_fp2_law(terms):
-    want = INFINITY
-    for A, k in terms:
-        want = _ref_add(want, _ref_mul(A, k % R))
-    assert BACKEND.multi_exp([A for A, _ in terms], [k for _, k in terms]) == want
 
 
 @settings(max_examples=80, deadline=None)

@@ -136,54 +136,3 @@ class TestStandaloneFunction:
     def test_tate_pairing_function_matches_backend(self, bp):
         direct = tate_pairing(bp.params, bp.g, bp.g)
         assert bp.gt_eq(direct, bp.gt_generator())
-
-
-class TestMultiExp:
-    """Shared-window multi-exponentiation vs naive accumulation."""
-
-    def test_matches_naive_source_group(self, bp):
-        rng = random.Random(3)
-        bases = [bp.exp(bp.g, bp.random_scalar(rng)) for _ in range(5)]
-        scalars = [rng.randrange(0, bp.order) for _ in range(5)]
-        naive = bp.identity()
-        for base, s in zip(bases, scalars):
-            naive = bp.mul(naive, bp.exp(base, s))
-        assert bp.multi_exp(bases, scalars) == naive
-
-    def test_matches_naive_target_group(self, bp):
-        rng = random.Random(4)
-        gt = bp.gt_generator()
-        bases = [bp.gt_exp(gt, rng.randrange(1, bp.order)) for _ in range(5)]
-        scalars = [rng.randrange(0, bp.order) for _ in range(5)]
-        naive = bp.gt_one()
-        for base, s in zip(bases, scalars):
-            naive = bp.gt_mul(naive, bp.gt_exp(base, s))
-        assert bp.gt_eq(bp.gt_multi_exp(bases, scalars), naive)
-
-    def test_zero_scalars_skipped(self, bp):
-        bases = [bp.g, bp.exp(bp.g, 2)]
-        assert bp.multi_exp(bases, [0, 0]) == bp.identity()
-        assert bp.multi_exp(bases, [0, 3]) == bp.exp(bp.g, 6)
-
-    def test_empty(self, bp):
-        assert bp.multi_exp([], []) == bp.identity()
-        assert bp.gt_eq(bp.gt_multi_exp([], []), bp.gt_one())
-
-    def test_scalars_reduced_mod_order(self, bp):
-        big = bp.order * 7 + 5
-        assert bp.multi_exp([bp.g], [big]) == bp.exp(bp.g, 5)
-
-    def test_toy_backend_agrees_with_naive(self, toy_backend):
-        rng = random.Random(5)
-        t = toy_backend
-        bases = [t.random_element(rng) for _ in range(4)]
-        scalars = [rng.randrange(0, t.order) for _ in range(4)]
-        naive = t.identity()
-        for base, s in zip(bases, scalars):
-            naive = t.mul(naive, t.exp(base, s))
-        assert t.multi_exp(bases, scalars) == naive
-        gt_bases = [t.gt_exp(t.gt_generator(), s) for s in scalars]
-        naive_gt = t.gt_one()
-        for base, s in zip(gt_bases, scalars):
-            naive_gt = t.gt_mul(naive_gt, t.gt_exp(base, s))
-        assert t.gt_eq(t.gt_multi_exp(gt_bases, scalars), naive_gt)

@@ -7,7 +7,6 @@ import dataclasses
 import pytest
 
 from repro.crypto.cl_sig import cl_blind_issue, cl_keygen
-from repro.crypto.pairing import tate
 from repro.ecash.batch import batch_verify_spends
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal
 from repro.ecash.spend import create_spend, verify_spend
@@ -49,32 +48,3 @@ class TestBatchVerify:
     def test_empty(self, dec_params, stack, rng):
         bank_kp, _ = stack
         assert batch_verify_spends(dec_params, bank_kp.public, [], rng) == []
-
-    def test_batch_is_faster_on_honest_batches(self, dec_params, stack, rng,
-                                               monkeypatch):
-        """Counted, not timed: an honest batch of *n* pays one shared final
-        exponentiation for every pairing equation of every token, where
-        per-token verification pays one per equation.
-
-        Both paths pay one per token for the statement ``V`` (the
-        transcript absorbs it); the batch adds ONE for the whole
-        ``PairingBatch.check``, sequential verification two per token
-        (the CL quotient and the deferred equation).
-        """
-        bank_kp, tokens = stack
-        calls = []
-        real = tate.final_exponentiation
-
-        def counted(params, f):
-            calls.append(f)
-            return real(params, f)
-
-        monkeypatch.setattr(tate, "final_exponentiation", counted)
-        n = len(tokens)
-        assert all(verify_spend(dec_params, bank_kp.public, t) for t in tokens)
-        sequential = len(calls)
-        calls.clear()
-        assert all(batch_verify_spends(dec_params, bank_kp.public, tokens, rng))
-        batched = len(calls)
-        assert sequential == 3 * n
-        assert batched == n + 1

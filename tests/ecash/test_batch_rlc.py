@@ -1,9 +1,8 @@
-"""Decision parity for the sigma-equation RLC deposit path.
+"""Decision parity for `batch_verify_spends`, the per-token list helper.
 
 `batch_verify_spends` must return exactly the verdict list of
 per-token `verify_spend`, at every batch size the batcher grid produces, on both pairing backends, with the fast-exp
-tables on and off — including which planted forgery the bisection
-fingers.
+tables on and off — including which planted forgery is refused.
 """
 
 from __future__ import annotations
@@ -152,9 +151,7 @@ def _forge_cofactor_token(params, bank_pk, coin, node, rng, monkeypatch):
     commitment is negated *before* the transcript absorbs it: the
     Fiat–Shamir challenge, the group-A equation and every edge proof
     are consistent with the negated encoding, so nothing but the
-    deferred G_T equation (and the subgroup gate) can reject it.
-    Without the μ_r membership check this forgery survives the batched
-    pairing product whenever its random coefficient is even.
+    G_T equation (and the subgroup gate ahead of it) can reject it.
     """
     import repro.ecash.spend as spend_mod
 
@@ -182,18 +179,12 @@ def _forge_cofactor_token(params, bank_pk, coin, node, rng, monkeypatch):
 @pytest.mark.parametrize("backend_name", ["tate", "toy"])
 def test_cofactor_offset_commitment_rejected(backend_name, fastexp_mode,
                                              request, rng, monkeypatch):
-    """An R_B outside the prime-order G_T subgroup must be rejected
-    eagerly — and identically — by every path.
-
-    F_{p²}^* (and Z_p^*) have cofactor order: an order-2 offset on the
-    equality commitment cancels out of the RLC pairing product with
-    probability 1/2 over the coefficient's parity, so without the
-    membership gate the batched verdict diverges from sequential
-    verification on about half the seeds.
+    """An R_B outside the prime-order G_T subgroup is refused at the
+    membership gate, before the G_T equation is evaluated, by
+    ``verify_spend`` and by every position of a token list.
     """
     from repro.crypto.cl_sig import cl_blind_issue, cl_keygen
     from repro.ecash.dec import begin_withdrawal, finish_withdrawal
-    from repro.ecash.spend import verify_spend_collect, verify_spend_deferred
 
     params, (bank_kp, tokens) = _stack_for(backend_name, request)
     bank_pk = bank_kp.public
@@ -203,15 +194,21 @@ def test_cofactor_offset_commitment_rejected(backend_name, fastexp_mode,
     forged = _forge_cofactor_token(params, bank_pk, coin, NodeId(3, 1), rng,
                                    monkeypatch)
 
-    # the subgroup gate rejects at collection, before any batching
-    assert verify_spend(params, bank_pk, forged) is False
-    assert verify_spend_deferred(params, bank_pk, forged) is None
-    assert verify_spend_collect(params, bank_pk, forged) is None
+    # the G_T equation is verify_spend's only gt_exp: the gate refuses
+    # R_B before any G_T arithmetic touches it
+    backend = params.backend
+    powers = []
+    real_gt_exp = backend.gt_exp
+    with monkeypatch.context() as patch:
+        patch.setattr(backend, "gt_exp",
+                      lambda *args: powers.append(1) or real_gt_exp(*args))
+        assert verify_spend(params, bank_pk, forged) is False
+    assert powers == []
 
     batch = _cycle(tokens, 5)
     batch[2] = forged
     expected = [True, True, False, True, True]
-    for seed in range(8):  # pre-gate, each seed escaped with prob ~1/2
+    for seed in range(8):
         assert batch_verify_spends(params, bank_pk, batch,
                                    random.Random(seed)) == expected
 

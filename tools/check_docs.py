@@ -42,7 +42,6 @@ DOCS = ROOT / "docs"
 #: modules docs/api.md must mention even though they are not top-level
 #: subpackages (the "flagship" subsystems users ask about by name)
 FLAGSHIPS = (
-    "repro.crypto.batchverify",
     "repro.service.journal",
     "repro.service.storage",
     "repro.service.frontend",

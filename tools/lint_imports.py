@@ -87,9 +87,6 @@ MODULE_ALLOWED: dict[str, set[str]] = {
     "repro.crypto.fastexp": set(),
     # number theory batches its Legendre symbols through that kernel
     "repro.crypto.ntheory": {"repro._util", "repro.crypto.fastexp"},
-    # the RLC batch verifier is pure arithmetic over LinearChecks; it
-    # must never grow a service- or ecash-layer dependency
-    "repro.crypto.batchverify": {"repro.crypto.fastexp", "repro.crypto.hashing"},
     # the shared-memory table transport is stdlib-only by design
     "repro.crypto.tablestore": set(),
     # the engine is the machines' only dispatch: each party's message
@@ -336,18 +333,14 @@ ROOTS: dict[str, str] = {
     # reference implementations the tests compare the fast paths against
     "repro.crypto.pairing.tate.tate_pairing":
         "reference: the plain Tate pairing the table-backed kernels must equal",
-    "repro.crypto.batchverify.verify_each":
-        "reference: sequential verification the RLC batch must agree with",
     "repro.core.cashbreak.validate_break":
         "reference: the break validity predicate every strategy is checked by",
     "repro.crypto.zkp.equality.verify_equality":
-        "reference: the sequential equality verifier the deferred check must equal",
+        "reference: both groups' equations, the G_T half verify_spend checks inline",
     "repro.crypto.zkp.schnorr.prove_dlog":
-        "reference: the non-generic Schnorr prover the RLC suites drive",
+        "reference: the int-group Schnorr prover test_fastexp_toggle runs tables on and off",
     "repro.crypto.zkp.schnorr.verify_dlog":
-        "reference: the non-generic Schnorr verifier the RLC suites compare",
-    "repro.crypto.zkp.schnorr.collect_dlog":
-        "reference: the non-generic deferred Schnorr check of the RLC suites",
+        "reference: the int-group Schnorr verifier test_fastexp_toggle runs tables on and off",
     "repro.ecash.wallet_io.restore_coins":
         "reference: reads the golden wallet fixture back",
     # test seams
