@@ -8,8 +8,9 @@ Inputs are what a ``deposit`` carries on the end-to-end server:
 ``setup(3)`` parameters (80-bit, real Tate pairing) and one spend token
 per node level 0-3 (≈0.8-5.2 KB encoded).  Measured:
 
-* token **decode** and **encode** at each level (the front door decodes
-  a token once per deposit);
+* token **decode** at each level on both paths — the kernel's integer
+  runs and the Python loop alone (the front door decodes a token once
+  per deposit) — and token **encode**;
 * one ``accept`` record's encode, with the request payload spliced in
   as the frame's bytes (what the service journals) and encoded afresh
   (what it journaled before the splice) — the two must be equal bytes;
@@ -26,6 +27,7 @@ import random
 
 import pytest
 
+from repro.crypto import fastexp
 from repro.crypto.cl_sig import cl_blind_issue, cl_keygen
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal, setup
 from repro.ecash.spend import create_spend
@@ -58,10 +60,16 @@ def _run(benchmark, fn, **info) -> None:
         smoke=SMOKE, **info)
 
 
+@pytest.mark.parametrize("path", ["kernel", "python"])
 @pytest.mark.parametrize("level", LEVELS)
-def test_token_decode(benchmark, tokens, level):
+def test_token_decode(benchmark, tokens, level, path, monkeypatch):
+    """The kernel's integer runs, and the Python loop alone."""
+    if path == "kernel" and fastexp.KERNEL is None:
+        pytest.skip("the verification kernel is not built")
+    if path == "python":
+        monkeypatch.setattr(fastexp, "KERNEL", None)
     blob = encode(tokens[level])
-    _run(benchmark, lambda: decode(blob), level=level, bytes=len(blob))
+    _run(benchmark, lambda: decode(blob), level=level, path=path, bytes=len(blob))
 
 
 @pytest.mark.parametrize("level", LEVELS)

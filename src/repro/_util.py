@@ -1,7 +1,8 @@
 """Small shared helpers used across the ``repro`` package.
 
 Everything here is dependency-free and deliberately boring: byte/int
-conversions and random integers from a passed ``random.Random``.
+conversions, the verifiers' int type screens and random integers from
+a passed ``random.Random``.
 Keeping them in one private module avoids circular imports between the
 crypto substrates.
 """
@@ -11,11 +12,24 @@ from __future__ import annotations
 import random
 
 __all__ = [
+    "naturals",
+    "int_seq",
     "int_to_bytes",
     "bytes_to_int",
     "rand_int_bits",
     "rand_range",
 ]
+
+
+def naturals(*values: object) -> bool:
+    """Whether every value is an ``int >= 0`` (a ``bool`` is not one):
+    what a transcript may absorb and a shift may take."""
+    return all(type(v) is int and v >= 0 for v in values)
+
+
+def int_seq(values: object) -> bool:
+    """Whether *values* is a tuple or list of ints (no ``bool``)."""
+    return type(values) in (tuple, list) and {*map(type, values)} <= {int}
 
 
 def int_to_bytes(value: int, length: int | None = None) -> bytes:

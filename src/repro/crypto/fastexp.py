@@ -27,14 +27,15 @@ element ``pow`` does.
 The hot loops of verification — a table exponentiation here, the
 Miller replay and the F_{p²} powers of :mod:`repro.crypto.pairing.tate`,
 the Legendre membership test of
-:class:`~repro.crypto.groups.SchnorrGroup` and the verifiers'
-variable-base powers (:func:`powm`) — also run in a compiled
-kernel, ``_kernel.c`` beside this file, over libgmp.  This module loads
-it (:data:`KERNEL`), building it on first import into a cache beside
-the source (:func:`build_kernel`); without ``gcc``, ``gmp.h`` or a
-writable cache the Python loops run, and they stay the oracle the
-kernel is tested against.  :func:`stats` reports which path served how
-many calls in its ``kernel`` row.
+:class:`~repro.crypto.groups.SchnorrGroup`, the verifiers'
+variable-base powers (:func:`powm`) and the rounds of an edge proof —
+and the codec's runs of small ints (:mod:`repro.net.codec`) also run
+in a compiled kernel, ``_kernel.c`` beside this file, over libgmp.
+This module loads it (:data:`KERNEL`), building it on first import
+into a cache beside the source (:func:`build_kernel`); without ``gcc``,
+``gmp.h`` or a writable cache the Python loops run, and they stay the
+oracle the kernel is tested against.  :func:`stats` reports which path
+served how many verification calls in its ``kernel`` row.
 
 This module must stay dependency-free: it imports nothing from
 ``repro`` (enforced by ``tools/lint_imports.py``) so every layer —
@@ -201,7 +202,9 @@ KERNEL = _load_kernel()
 #: point: ``<op>_c`` on the kernel, ``<op>_py`` on the Python loop.
 #: ``replay`` counts Miller replays, ``exp`` table exponentiations,
 #: ``legendre`` Legendre symbols, ``fp2_pow`` F_{p²} powers and
-#: ``powm`` variable-base powers.
+#: ``powm`` variable-base powers.  The kernel's ``edge_rounds`` is
+#: credited with the table exponentiations and powers its Python loop
+#: makes (:func:`~repro.crypto.zkp.committed_double_log.verify_edge`).
 KERNEL_CALLS: dict[str, int] = {
     f"{op}_{path}": 0
     for op in ("replay", "exp", "legendre", "fp2_pow", "powm") for path in ("c", "py")
@@ -327,12 +330,8 @@ class FixedBaseTable:
         kernel = KERNEL
         if kernel is not None and type(e) is int:
             KERNEL_CALLS["exp_c"] += 1
-            if self._packed is None:
-                limbs = kernel_limbs(kernel, self.modulus)
-                rows = [x for row in self._rows for x in row]
-                self._packed = (kernel.pack(rows, limbs), limbs)
-            buf, limbs = self._packed
-            return kernel.table_exp(buf, limbs, self.window, e, self.modulus)
+            buf, limbs, window = self.kernel_rows()
+            return kernel.table_exp(buf, limbs, window, e, self.modulus)
         KERNEL_CALLS["exp_py"] += 1
         m = self.modulus
         w = self.window
@@ -346,6 +345,18 @@ class FixedBaseTable:
                 acc = acc * row[digit] % m
             e >>= w
         return acc
+
+    #: a table is its own exponentiation: :func:`fixed_base` hands it out
+    __call__ = exp
+
+    def kernel_rows(self) -> tuple[bytes, int, int]:
+        """The rows as the kernel reads them, ``(buffer, limbs, window)``,
+        packed on the first call (needs :data:`KERNEL`)."""
+        if self._packed is None:
+            limbs = kernel_limbs(KERNEL, self.modulus)
+            rows = [x for row in self._rows for x in row]
+            self._packed = (KERNEL.pack(rows, limbs), limbs)
+        return (*self._packed, self.window)
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +572,16 @@ def fixed_base(base: int, modulus: int, *, order: int) -> Callable[[int], int]:
     table looked up once.
 
     A verifier takes one of these per fixed base per proof and calls it
-    every round: on a resident table it is the table's own
-    :meth:`FixedBaseTable.exp` (one counted hit for the whole proof); on
+    every round: on a resident table it is the :class:`FixedBaseTable`
+    itself (one counted hit for the whole proof; its
+    :meth:`~FixedBaseTable.kernel_rows` can go to the kernel whole); on
     a cold base, or with tables disabled, every call goes through
     :func:`exp_fixed`, so promotion and the counters see each use.
     """
     if _CONFIG["enabled"]:
         table = _INT_TABLES.peek((modulus, base))
         if table is not None and table.order == order:
-            return table.exp
+            return table
     return lambda exponent: exp_fixed(base, modulus, exponent, order=order)
 
 

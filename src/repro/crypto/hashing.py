@@ -100,8 +100,20 @@ class Transcript:
         self._state.update(_framed(int_to_bytes(value)))
 
     def absorb_ints(self, *values: int) -> None:
-        """Append each integer in turn, as :meth:`absorb_int` does."""
-        self._state.update(b"".join(_framed(int_to_bytes(v)) for v in values))
+        """Append each integer in turn, as :meth:`absorb_int` does, framed
+        in one loop; refuses what :func:`int_to_bytes` refuses."""
+        parts: list[bytes] = []
+        append = parts.append
+        try:
+            for v in values:
+                raw = v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
+                append(len(raw).to_bytes(8, "big"))
+                append(raw)
+        except (OverflowError, AttributeError):
+            for v in values:
+                int_to_bytes(v)  # raises int_to_bytes's own error
+            raise
+        self._state.update(b"".join(parts))
 
     def _digest(self, *suffix: bytes) -> bytes:
         h = self._state.copy()

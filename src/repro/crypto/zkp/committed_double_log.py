@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
+from repro._util import int_seq, naturals
 from repro.crypto import fastexp
 from repro.crypto.groups import SchnorrGroup
 from repro.crypto.hashing import Transcript
@@ -175,10 +177,23 @@ def verify_edge(
     proof: CommittedEdgeProof,
     transcript: Transcript,
 ) -> bool:
-    """Verify a hidden-child edge proof."""
+    """Verify a hidden-child edge proof.
+
+    With the kernel loaded and the five storey tables resident, the
+    rounds run in one ``edge_rounds`` call; otherwise the loop below
+    runs them, and it is the kernel's oracle.
+    """
     _check_tower_link(parent_grp, child_grp)
+    responses = proof.responses
+    # every value is attacker-supplied: refused unless it is the ints
+    # the rounds take, before anything is absorbed or exponentiated
+    if not (naturals(c_parent, c_child) and int_seq(proof.commitments_u)
+            and int_seq(proof.commitments_t) and type(responses) in (tuple, list)
+            and {*map(type, responses)} <= {tuple} and {*map(len, responses)} <= {3}
+            and int_seq([*chain.from_iterable(responses)])):
+        return False
     n = proof.rounds
-    if n < 1 or len(proof.commitments_t) != n or len(proof.responses) != n:
+    if n < 1 or len(proof.commitments_t) != n or len(responses) != n:
         return False
     if not parent_grp.contains_all(proof.commitments_u):
         return False
@@ -201,12 +216,20 @@ def verify_edge(
     # their tables looked up once for the proof; C_ch^(γ^δ) has a
     # per-proof base, a public one, so it runs on powm
     pp, pq, cp, cq = parent_grp.p, parent_grp.q, child_grp.p, child_grp.q
-    g_exp, h_exp, gamma_exp = (fastexp.fixed_base(b, pp, order=pq) for b in (g, h, gamma))
-    g2_exp, h2_exp = (fastexp.fixed_base(b, cp, order=cq) for b in (g2, h2))
+    tables = (*(fastexp.fixed_base(b, pp, order=pq) for b in (g, h, gamma)),
+              *(fastexp.fixed_base(b, cp, order=cq) for b in (g2, h2)))
+    kernel = fastexp.KERNEL
+    if kernel is not None and all(isinstance(t, fastexp.FixedBaseTable) for t in tables):
+        j, equation = kernel.edge_rounds(
+            [t.kernel_rows() for t in tables], c_parent, c_child, bits,
+            proof.commitments_u, proof.commitments_t, responses, pp, pq, cp, cq)
+        _credit_rounds(bits, j, equation)
+        return not equation
+    g_exp, h_exp, gamma_exp, g2_exp, h2_exp = tables
     powm = fastexp.powm
     for j in range(n):
         u, t = proof.commitments_u[j], proof.commitments_t[j]
-        a, b, c = proof.responses[j]
+        a, b, c = responses[j]
         if (bits >> j) & 1:
             delta, eta, eps = a, b, c
             # γ^δ < p_t = q_{t+1}: already reduced for the child storey
@@ -222,6 +245,27 @@ def verify_edge(
             if g2_exp(gamma_exp(w)) * h2_exp(sigma) % cp != t:
                 return False
     return True
+
+
+#: (table exponentiations, powm calls) of the loop above in one round,
+#: by (challenge bit, equation it stops at; 0 = passes)
+_ROUND_COST = {(1, 0): (4, 1), (1, 1): (3, 0), (1, 2): (4, 1),
+               (0, 0): (5, 0), (0, 1): (2, 0), (0, 2): (5, 0)}
+
+
+def _credit_rounds(bits: int, j: int, equation: int) -> None:
+    """Count in :data:`~repro.crypto.fastexp.KERNEL_CALLS` what the loop
+    of :func:`verify_edge` calls on the kernel when it passes rounds
+    ``0 .. j-1`` and stops in round *j* at *equation* (0: no stop)."""
+    ones = (bits & ((1 << j) - 1)).bit_count()
+    exps = ones * _ROUND_COST[1, 0][0] + (j - ones) * _ROUND_COST[0, 0][0]
+    powms = ones
+    if equation:
+        stop = _ROUND_COST[(bits >> j) & 1, equation]
+        exps += stop[0]
+        powms += stop[1]
+    fastexp.KERNEL_CALLS["exp_c"] += exps
+    fastexp.KERNEL_CALLS["powm_c"] += powms
 
 
 def prove_revealed_edge(
@@ -267,6 +311,11 @@ def verify_revealed_edge(
     transcript: Transcript,
 ) -> bool:
     """Verify a revealed-child edge proof."""
+    # attacker-supplied: the values absorbed must be ints >= 0, the
+    # responses ints, before anything is absorbed or exponentiated
+    if not (naturals(c_parent, child_public, proof.commitment_k, proof.commitment_c)
+            and type(proof.z1) is int and type(proof.z2) is int):
+        return False
     if not (parent_grp.contains(proof.commitment_k) and parent_grp.contains(proof.commitment_c)):
         return False
     # the statement side is attacker-supplied too: refused outside the

@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+from repro._util import naturals
 from repro.crypto import fastexp
 from repro.crypto.groups import SchnorrGroup
 from repro.crypto.hashing import Transcript
@@ -121,11 +122,15 @@ def verify_equality_deferred(
     statement_b: object,
     proof: EqualityProof,
     transcript: Transcript,
+    *,
+    witness_bits: int,
 ) -> int | None:
     """Everything except the group-B equation; returns the challenge.
 
-    Performs the response range check, the group-A Schnorr equation and
-    the Fiat–Shamir challenge derivation (absorbing exactly what
+    *witness_bits* is the verifier's public bound on the witness; a
+    proof declaring any other bound is refused.  Performs the type and
+    response range checks, the group-A Schnorr equation and the
+    Fiat–Shamir challenge derivation (absorbing exactly what
     :func:`verify_equality` absorbs).  The group-B equation
     ``B^z == R_B * V^e`` is *not* checked: this module has no group-B
     operations, so the caller checks it (:func:`verify_equality`, or
@@ -133,7 +138,15 @@ def verify_equality_deferred(
     and membership-checks ``proof.commitment_b`` first).  Returns
     ``None`` when any of the performed checks fails.
     """
-    bound = 1 << (proof.witness_bits + 2 * _CHALLENGE_BITS + _STAT_BITS)
+    # attacker-supplied: the bound is the verifier's, and every value is
+    # an int (those absorbed >= 0) before any is absorbed or shifted
+    if type(proof.witness_bits) is not int or proof.witness_bits != witness_bits:
+        return None
+    if not (naturals(commitment, proof.commitment_a) and type(proof.z) is int
+            and type(proof.z_t) is int and type(proof.commitment_b) is tuple
+            and naturals(*proof.commitment_b)):
+        return None
+    bound = 1 << (witness_bits + 2 * _CHALLENGE_BITS + _STAT_BITS)
     if not 0 <= proof.z < bound:
         return None
     # R_A and D are attacker-supplied: refused outside the subgroup
@@ -172,15 +185,19 @@ def verify_equality(
     statement_b: object,
     proof: EqualityProof,
     transcript: Transcript,
+    *,
+    witness_bits: int,
 ) -> bool:
-    """Verify an :class:`EqualityProof`.
+    """Verify an :class:`EqualityProof` for a witness below
+    ``2^witness_bits``.
 
     The second group is driven through callables: fixed-base exponent
     (``exp_b``), element multiply (``mul_b``), element exponent
     (``exp_el_b``) and the encoder/decoder pair.
     """
     e = verify_equality_deferred(
-        group_a, g, h, commitment, encode_b, statement_b, proof, transcript
+        group_a, g, h, commitment, encode_b, statement_b, proof, transcript,
+        witness_bits=witness_bits,
     )
     if e is None:
         return False

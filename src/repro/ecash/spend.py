@@ -294,6 +294,15 @@ def verify_spend(
     """
     backend = params.backend
     node = token.node
+    # the token is attacker-supplied: its ints must be ints >= 0 before
+    # the transcript absorbs them, and its parts the proof classes
+    if not (type(node) is NodeId and type(token.key_commitments) is tuple
+            and all(type(v) is int and v >= 0
+                    for v in (token.node_key, token.commitment_s, *token.key_commitments))
+            and type(token.equality) is EqualityProof and type(token.edges) is tuple
+            and all(type(edge) is CommittedEdgeProof for edge in token.edges)
+            and type(token.final_edge) is RevealedEdgeProof):
+        return False
     if node.level > params.tree_level:
         return False
     if len(token.key_commitments) != node.level:
@@ -323,6 +332,7 @@ def verify_spend(
         statement_b=statement_gt,
         proof=token.equality,
         transcript=transcript,
+        witness_bits=params.secret_bound().bit_length(),
     )
     if challenge is None:
         return False

@@ -59,7 +59,9 @@ class NodeId:
     def __post_init__(self) -> None:
         if self.level < 0:
             raise ValueError("level must be >= 0")
-        if not 0 <= self.index < (1 << self.level):
+        # index < 2^level without building 2^level: a hostile level of
+        # 2^40 must not allocate
+        if self.index < 0 or self.index.bit_length() > self.level:
             raise ValueError(f"index {self.index} out of range for level {self.level}")
 
     # -- structure ----------------------------------------------------------

@@ -34,6 +34,11 @@ built from the universe.
 * a registered object whose constructor raises, or changes a decoded
   field (an ``Fp2`` with ``a >= p``, which would come back reduced).
 
+With the verification kernel loaded (``repro.crypto.fastexp.KERNEL``),
+a sequence body's runs of short non-negative ints, and of tuples or
+lists of them, decode in C (``int_run``) under the same checks; the
+Python loop decodes the rest, and all of it without the kernel.
+
 That contract is what lets a decoded value's bytes be reused instead of
 re-encoded: :func:`decode_with_span` also returns the input slice one
 entry of a top-level dict was decoded from, and :class:`Encoded` writes
@@ -53,6 +58,7 @@ import operator
 import struct
 from typing import Any, Callable
 
+from repro.crypto import fastexp
 from repro.crypto.hashing import sha256
 
 __all__ = ["encode", "decode", "decode_with_span", "register", "encoded_size",
@@ -276,18 +282,29 @@ def _take(data: bytes, pos: int) -> tuple[Any, int]:
             raise ValueError("truncated sequence")
         items = []
         append = items.append
-        for _ in range(n):
-            if data[pos] == _INT_POS and (m := data[pos + 1]) < 0x80:
-                start = pos + 2
-                pos = start + m
-                if pos > size:
-                    raise ValueError("truncated int")
-                if m != 1 and (not m or not data[start]):
-                    raise ValueError("non-canonical int")
-                append(int.from_bytes(data[start:pos], "big"))
-            else:
+        kernel = fastexp.KERNEL
+        if kernel is not None:
+            # the kernel takes each run of short ints (and of int tuples
+            # or lists), this loop every item between runs
+            while True:
+                pos = kernel.int_run(data, pos, n - len(items), items)
+                if len(items) == n:
+                    break
                 item, pos = _take(data, pos)
                 append(item)
+        else:
+            for _ in range(n):
+                if data[pos] == _INT_POS and (m := data[pos + 1]) < 0x80:
+                    start = pos + 2
+                    pos = start + m
+                    if pos > size:
+                        raise ValueError("truncated int")
+                    if m != 1 and (not m or not data[start]):
+                        raise ValueError("non-canonical int")
+                    append(int.from_bytes(data[start:pos], "big"))
+                else:
+                    item, pos = _take(data, pos)
+                    append(item)
         if spec is None:
             return (tuple(items) if tag == _TUPLE else items), pos
         try:

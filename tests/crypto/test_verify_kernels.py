@@ -19,7 +19,9 @@ loaded, and as its ``…OnPython`` twin with the loader's handle
 (``fastexp.KERNEL``) set to ``None``, the Python loops the kernel is
 held to.  The hostile-input suite at the end feeds each kernel entry
 point 0, 1, p−1, p, negative, oversized, ``bool`` and non-int values on
-both paths and requires the same value or the same exception class;
+both paths and requires the same value or the same exception class
+(``edge_rounds`` through ``verify_edge``, in any slot of a proof or its
+statement; ``int_run``'s parity is ``tests/net/test_codec_kernel.py``'s);
 ``powm``, whose Python twin is ``pow`` itself, must equal ``pow`` or
 raise, and only the verifiers and the membership check may call it.
 """
@@ -36,12 +38,14 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import fastexp
 from repro.crypto.cl_sig import cl_blind_issue, cl_keygen
 from repro.crypto.groups import SchnorrGroup, build_tower
+from repro.crypto.hashing import Transcript
 from repro.crypto.pairing import TatePairing, ToyPairing, generate_curve, tate
 from repro.crypto.pairing.curve import Point
 from repro.crypto.pairing.field import Fp2
 from repro.crypto.pairing.tate import MillerTable, _fp2_pow, tate_pairing
 from repro.ecash.batch import batch_verify_spends
-from repro.ecash.dec import begin_withdrawal, finish_withdrawal
+from repro.crypto.zkp.committed_double_log import CommittedEdgeProof, prove_edge, verify_edge
+from repro.ecash.dec import begin_withdrawal, finish_withdrawal, setup
 from repro.ecash.spend import create_spend, verify_spend
 from repro.ecash.tree import NodeId
 
@@ -316,6 +320,23 @@ def _hostile(p: int, bits: int):
 
 
 @pytest.fixture(scope="module")
+def edge_statement():
+    """A hidden-child edge statement over ``setup(3)``'s storeys 1 and 2
+    (``verify_edge``'s arguments before the proof) and its proof."""
+    rng = random.Random(62)
+    params = setup(3, rng)
+    parent, child = params.tower.group(1), params.tower.group(2)
+    (g, h), (g2, h2) = params.commit_bases(1), params.commit_bases(2)
+    gamma = params.edge_generator(1, 1)
+    value, r1, r2 = (parent.random_exponent(rng) for _ in range(3))
+    c_parent = parent.mul(parent.exp(g, value), parent.exp(h, r1))
+    c_child = child.mul(child.exp(g2, parent.exp(gamma, value)), child.exp(h2, r2))
+    args = (parent, g, h, c_parent, gamma, child, g2, h2, c_child)
+    proof = prove_edge(*args, value, r1, r2, rng, Transcript(b"edge"))
+    return args, proof
+
+
+@pytest.fixture(scope="module")
 def p1024_group():
     return SchnorrGroup(p=P1024, q=(P1024 - 1) // 2, g=4)
 
@@ -374,9 +395,55 @@ class TestHostileInput:
             on_kernel, on_python = _both_paths(_fp2_pow, a, b, e, modulus)
             assert on_kernel == on_python, (a, b, e, modulus)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_edge_rounds(self, data, edge_statement):
+        """Hostile values in any slot of an edge proof or its statement:
+        ``verify_edge`` on ``edge_rounds`` decides as its Python loop."""
+        args, proof = edge_statement
+        parent, child = args[0], args[5]
+        for grp, bases in ((parent, args[1:3] + args[4:5]), (child, args[6:8])):
+            grp.warm_fixed(*bases)
+        u, t, responses = (list(proof.commitments_u), list(proof.commitments_t),
+                           [list(r) for r in proof.responses])
+        slot = data.draw(st.sampled_from(["c_parent", "c_child", "u", "t", "response"]))
+        j = data.draw(st.integers(0, proof.rounds - 1))
+        group = parent if slot in ("c_parent", "u", "response") else child
+        value = data.draw(_hostile(group.p, group.p.bit_length()))
+        statement = list(args)
+        if slot == "c_parent":
+            statement[3] = value
+        elif slot == "c_child":
+            statement[8] = value
+        elif slot == "u":
+            u[j] = value
+        elif slot == "t":
+            t[j] = value
+        else:
+            responses[j][data.draw(st.integers(0, 2))] = value
+        hostile = CommittedEdgeProof(tuple(u), tuple(t), tuple(map(tuple, responses)))
+
+        def verify():
+            return verify_edge(*statement, hostile, Transcript(b"edge"))
+
+        on_kernel, on_python = _both_paths(verify)
+        assert on_kernel == on_python, (slot, j, value)
+
     def test_malformed_kernel_calls_raise(self):
         kernel = fastexp.KERNEL
         steps = kernel.pack([1, 2, 3], 1)
+        table = (kernel.pack(range(4), 1), 1, 2)
+        rounds = [[table] * 5, 1, 1, 0, (1,), (1,), ((1, 1, 1),), 7, 3, 7, 3]
+
+        def edge_rounds(**changes):
+            args = list(rounds)
+            for index, value in changes.items():
+                args[int(index[1:])] = value
+            return lambda: kernel.edge_rounds(*args)
+
+        assert edge_rounds()() == (1, 0)
+        assert edge_rounds(a4=(2,))() == (0, 1)
+        assert edge_rounds(a5=(2,))() == (0, 2)
         for call, error in [
             (lambda: kernel.pack([-1], 1), ValueError),
             (lambda: kernel.pack([1 << 64], 1), ValueError),
@@ -398,6 +465,29 @@ class TestHostileInput:
             (lambda: kernel.powm(2, 3, -7), ValueError),
             (lambda: kernel.powm(2.0, 3, 7), TypeError),
             (lambda: kernel.powm(2, 3), TypeError),
+            (edge_rounds(a0=[table] * 4), ValueError),
+            (edge_rounds(a0=[table[:2]] * 5), ValueError),
+            (edge_rounds(a0=[(table[0], 1, 0)] * 5), ValueError),
+            (edge_rounds(a0=[(table[0] + b"x", 1, 2)] * 5), ValueError),
+            (edge_rounds(a0={table}), TypeError),
+            (edge_rounds(a5=(1, 2)), ValueError),
+            (edge_rounds(a6=((1, 1),)), ValueError),
+            (edge_rounds(a6=({1, 2, 3},)), TypeError),
+            (edge_rounds(a4=iter((1,))), TypeError),
+            (edge_rounds(a4=("1",)), TypeError),
+            (edge_rounds(a6=((1 << 9, 1, 1),), a8=1 << 10), ValueError),
+            (edge_rounds(a7=0), ValueError),
+            (edge_rounds(a10=-3), ValueError),
+            (edge_rounds(a1=1.0), TypeError),
+            (lambda: kernel.edge_rounds(*rounds[:10]), TypeError),
+            (lambda: kernel.int_run(b"\x03\x00", 0, 1, []), ValueError),
+            (lambda: kernel.int_run(b"\x03\x02\x00\x01", 0, 1, []), ValueError),
+            (lambda: kernel.int_run(b"\x03\x05\x01", 0, 1, []), ValueError),
+            (lambda: kernel.int_run(b"\x08\x05\x03\x01\x01", 0, 1, []), ValueError),
+            (lambda: kernel.int_run(b"", 1, 1, []), ValueError),
+            (lambda: kernel.int_run(b"", 0, -1, []), ValueError),
+            (lambda: kernel.int_run(bytearray(b"\x03\x01\x01"), 0, 1, []), TypeError),
+            (lambda: kernel.int_run(b"\x03\x01\x01", 0, 1, ()), TypeError),
         ]:
             with pytest.raises(error):
                 call()

@@ -71,7 +71,7 @@ def _prove(setting, rng, transcript=None):
 
 
 def _verify(setting, proof, transcript=None, statement=None, commitment=None):
-    g, h, commit0, statement0, *_rest, helpers = setting
+    g, h, commit0, statement0, _witness, _randomizer, bits, helpers = setting
     return verify_equality(
         g, g.g, h, commitment if commitment is not None else commit0,
         exp_b=helpers["exp_b"],
@@ -82,6 +82,7 @@ def _verify(setting, proof, transcript=None, statement=None, commitment=None):
         statement_b=statement if statement is not None else statement0,
         proof=proof,
         transcript=transcript or t(),
+        witness_bits=bits,
     )
 
 

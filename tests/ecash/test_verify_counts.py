@@ -26,6 +26,7 @@ of k tokens costs exactly its k one-token chunks.
 from __future__ import annotations
 
 import builtins
+import dataclasses
 import random
 
 import pytest
@@ -132,6 +133,7 @@ def test_sequential_verify_is_served_from_tables(market, warm, level, monkeypatc
 
     before = fastexp.stats()["fastexp.int"]
     powm_py = fastexp.KERNEL_CALLS["powm_py"]
+    powm_before = powm_py + fastexp.KERNEL_CALLS["powm_c"]
     edge_bits = _edge_bits(monkeypatch, params.edge_rounds)
     monkeypatch.setattr(builtins, "pow", counting_pow)
     monkeypatch.setattr(fastexp, "powm", counting_powm)
@@ -151,9 +153,13 @@ def test_sequential_verify_is_served_from_tables(market, warm, level, monkeypatc
     # no fixed base reaches pow or powm
     assert not [a for a in pows + powms if (a[0], a[2]) in fixed]
     # powm: the fixed per-level calls plus one per challenge-bit-1 round
+    # (the kernel's edge_rounds makes a round's power itself, and is
+    # credited with it in KERNEL_CALLS)
     assert len(edge_bits) == level
     ones = sum(bin(bits).count("1") for bits in edge_bits)
-    assert len(powms) == FIXED_POWMS[level] + ones
+    powm_ops = fastexp.KERNEL_CALLS["powm_py"] + fastexp.KERNEL_CALLS["powm_c"] - powm_before
+    assert powm_ops == FIXED_POWMS[level] + ones
+    assert len(powms) == powm_ops - (ones if fastexp.KERNEL is not None else 0)
     # pow: the inversions, plus every powm the Python path served
     assert len(pows) == FINAL_EXP_INVERSIONS + fastexp.KERNEL_CALLS["powm_py"] - powm_py
 
@@ -222,3 +228,38 @@ def test_a_deposit_chunk_costs_its_tokens_one_by_one(market, warm, monkeypatch):
     together = _operation_counts(chunk(tokens, 99), monkeypatch)
     assert len(tokens) == 4
     assert together == {op: sum(single[op] for single in singles) for op in together}
+
+
+@pytest.mark.skipif(fastexp.KERNEL is None, reason="the verification kernel is not built")
+@pytest.mark.parametrize("equation", [1, 2])
+def test_a_proof_failing_at_round_j_costs_the_same_on_both_paths(market, warm, equation,
+                                                                   monkeypatch):
+    """A level-2 token whose second edge proof fails at round j on the
+    given equation (η or v tampered: the first; ε or σ: the second) is
+    refused on both paths with equal counts: the kernel's
+    ``edge_rounds`` is credited with what its Python loop calls, up to
+    the round and equation it stops at."""
+    params, bank_pk, tokens = market
+    token = tokens[2]
+    edge = token.edges[1]
+    exps = []
+    for j in range(edge.rounds):
+        responses = list(edge.responses)
+        slot = equation  # response index 1 feeds equation 1 only, index 2 equation 2
+        responses[j] = tuple(v + (i == slot) for i, v in enumerate(responses[j]))
+        bad = dataclasses.replace(token, edges=(token.edges[0], dataclasses.replace(
+            edge, responses=tuple(responses))))
+
+        def run():
+            assert not verify_spend(params, bank_pk, bad)
+
+        on_kernel = _operation_counts(run, monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(fastexp, "KERNEL", None)
+            on_python = _operation_counts(run, monkeypatch)
+        assert on_python.pop("served_by_kernel") == 0
+        on_kernel.pop("served_by_kernel")
+        assert on_kernel == on_python, j
+        exps.append(on_kernel["exp"])
+    # a later stop costs more: each round passed is paid for
+    assert all(a < b for a, b in zip(exps, exps[1:]))
