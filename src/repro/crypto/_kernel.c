@@ -1,6 +1,6 @@
 /*
  * The verification kernel: the loops that lead a deposit's profile,
- * on libgmp's mpz.
+ * on libgmp's mpz, and the canonical codec's two walks.
  *
  *   replay(buf, nlimbs, xq, yq, p)        Miller replay of a MillerTable
  *   table_exp(buf, nlimbs, window, e, m)  one FixedBaseTable exponentiation
@@ -9,23 +9,34 @@
  *   legendre_all(elements, p)             every Legendre symbol (a/p) == 1
  *   fp2_pow(a, b, e, p)                   (a + b·i)^e in F_{p²}
  *   powm(b, e, m)                         b^e mod m, a variable base
- *   int_run(data, pos, count, items)      the codec's runs of short ints
+ *   codec_encode(value, by_type, encoded, builtin, max_depth)
+ *                                         net/codec.py's _put walk
+ *   codec_decode(data, key, by_tag, build, max_depth)
+ *                                         net/codec.py's _take walk
  *
  * plus pack(values, nlimbs), which lays a table's Python rows or steps
  * out as one buffer of fixed-width native limbs (LIMB_BITS bits each).
  * Each function is the Python loop it replaces (crypto/fastexp.py,
  * crypto/pairing/tate.py, crypto/ntheory.py,
  * crypto/zkp/committed_double_log.py, net/codec.py), step for step, or
- * the built-in pow (powm), and returns the same values.  The callers
- * keep every range, type and membership check in Python and call in
- * only with exact ints the Python loop accepts; what is checked here
- * only keeps a malformed call from reading outside its buffer.
+ * the built-in pow (powm), and returns the same values.  The arithmetic
+ * entries' callers keep every range, type and membership check in
+ * Python and call in only with exact ints the Python loop accepts; what
+ * is checked there only keeps a malformed call from reading outside its
+ * buffer.
  *
- * int_run is the one entry that reads attacker bytes itself: a frame's
- * body, straight off the socket.  It applies the codec's own checks
- * (truncation, empty int, leading zero byte) and raises ValueError
- * where the Python loop would; it builds only ints, tuples and lists,
- * and touches no shared temporary.
+ * The codec entries are the exception on both counts.  codec_decode
+ * reads attacker bytes itself (a frame's body, straight off the
+ * socket): it applies every check of the codec's decode contract in
+ * the Python walk's order and raises the same exception with the same
+ * message, and every length it reads is compared with the bytes left
+ * before it is used.  Both codec entries call back into Python (a
+ * registered class's fields getter, codec._build, codec._builtin, a
+ * key's comparison, a str subclass's methods), so they use none of the
+ * shared mpz temporaries below, hold no borrowed reference across a
+ * callback, and keep a half-decoded container's items in a C array, not
+ * in a Python object.  Both stop at max_depth containers deep, so
+ * neither recursion outgrows the C stack.
  *
  * Nothing here is constant-time.  At the MA every value is public
  * (tokens, proofs, public keys); a spender's own window-table
@@ -169,9 +180,10 @@ packed(PyObject *buf, PyObject *limbs, Py_ssize_t group, const mp_limb_t **data,
     return 0;
 }
 
-/* Temporaries shared by every call: a call runs no Python code and
- * never releases the GIL, so no two calls overlap, and the limbs
- * allocated by the first call are reused by the rest. */
+/* Temporaries shared by the arithmetic entries: such a call runs no
+ * Python code and never releases the GIL, so no two calls overlap, and
+ * the limbs allocated by the first call are reused by the rest.  The
+ * codec entries, which do run Python code, never touch them. */
 static mpz_t T[12];
 
 /* -- pack ------------------------------------------------------------------ */
@@ -564,124 +576,642 @@ k_powm(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return from_mpz(r);
 }
 
-/* -- the codec's integer runs ----------------------------------------------- */
+/* -- the canonical codec ----------------------------------------------------- */
 
 /* net/codec.py's tags */
-#define TAG_INT_POS 3
-#define TAG_LIST 7
-#define TAG_TUPLE 8
+enum { TAG_NONE, TAG_FALSE, TAG_TRUE, TAG_INT_POS, TAG_INT_NEG, TAG_BYTES, TAG_STR, TAG_LIST,
+       TAG_TUPLE, TAG_DICT, TAG_OBJ, TAG_FLOAT };
 
-/* Whether data[pos] starts a short int (tag, one length byte < 128):
- * 1, with *end after it; 0 when it does not, or its header is cut off
- * (the Python loop reports that); -1 on a truncated or non-canonical
- * one, as the Python loop raises. */
+/* attribute names read off a codec._Spec and an Encoded (set up once) */
+static PyObject *S_head, *S_fields, *S_names, *S_name, *S_data;
+
 static int
-short_int(const unsigned char *data, Py_ssize_t size, Py_ssize_t pos, Py_ssize_t *end)
+too_deep(void)
 {
-    if (pos + 1 >= size || data[pos] != TAG_INT_POS || data[pos + 1] >= 0x80)
-        return 0;
-    Py_ssize_t m = data[pos + 1], start = pos + 2;
-    if (m > size - start) {
-        PyErr_SetString(PyExc_ValueError, "truncated int");
-        return -1;
-    }
-    if (m != 1 && (m == 0 || data[start] == 0)) {
-        PyErr_SetString(PyExc_ValueError, "non-canonical int");
-        return -1;
-    }
-    *end = start + m;
-    return 1;
+    PyErr_SetString(PyExc_ValueError, "value nested too deeply");
+    return -1;
 }
 
-/* The short int whose header is at p (validated by short_int). */
-static PyObject *
-int_at(const unsigned char *p)
+/* The magnitude bytes of a non-negative int v, big-endian, into n bytes. */
+static int
+magnitude_bytes(PyObject *v, unsigned char *dst, size_t n)
 {
-    return _PyLong_FromByteArray(p + 2, p[1], 0, 0);
+#if PY_VERSION_HEX >= 0x030D0000
+    return PyLong_AsNativeBytes(v, dst, (Py_ssize_t)n,
+                                Py_ASNATIVEBYTES_BIG_ENDIAN | Py_ASNATIVEBYTES_UNSIGNED_BUFFER)
+           < 0 ? -1 : 0;
+#else
+    return _PyLong_AsByteArray((PyLongObject *)v, dst, n, 0, 0);
+#endif
 }
 
-/* Whether data[pos] starts a tuple or list (one length byte) of short
- * ints only: 1 with *out the new object and *end after it; 0 when it
- * does not (nothing consumed); -1 where the Python loop raises. */
-static int
-short_seq(const unsigned char *data, Py_ssize_t size, Py_ssize_t pos, Py_ssize_t *end,
-          PyObject **out)
+/* The encoder's output buffer and the codec state it reads: the live
+ * _by_type registry, the Encoded class, codec._builtin, MAX_DEPTH. */
+typedef struct {
+    unsigned char *buf;
+    Py_ssize_t len, cap;
+    PyObject *by_type, *encoded, *builtin;
+    long max_depth;
+    unsigned char stack[STACK_BYTES];
+} Enc;
+
+/* n more bytes at the end of the output (their address). */
+static unsigned char *
+reserve(Enc *en, Py_ssize_t n)
 {
-    if (pos + 1 >= size || (data[pos] != TAG_TUPLE && data[pos] != TAG_LIST)
-        || data[pos + 1] >= 0x80)
-        return 0;
-    Py_ssize_t n = data[pos + 1], first = pos + 2, at = first;
-    if (n > size - first) {
-        PyErr_SetString(PyExc_ValueError, "truncated sequence");
+    if (n > en->cap - en->len) {
+        if (n > PY_SSIZE_T_MAX / 4 - en->len) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        Py_ssize_t cap = 2 * (en->len + n);
+        unsigned char *buf = en->buf == en->stack ? PyMem_Malloc(cap) : PyMem_Realloc(en->buf, cap);
+        if (buf == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        if (en->buf == en->stack)
+            memcpy(buf, en->stack, en->len);
+        en->buf = buf;
+        en->cap = cap;
+    }
+    en->len += n;
+    return en->buf + en->len - n;
+}
+
+static int
+put_raw(Enc *en, const void *src, Py_ssize_t n)
+{
+    unsigned char *at = reserve(en, n);
+    if (at == NULL)
         return -1;
+    memcpy(at, src, n);
+    return 0;
+}
+
+/* _put_head: a tag and its length, 7 bits a byte, MSB = continuation. */
+static int
+put_head(Enc *en, int tag, Py_ssize_t n)
+{
+    unsigned char *at = reserve(en, 11), *p = at;
+    if (at == NULL)
+        return -1;
+    *p++ = (unsigned char)tag;
+    size_t u = (size_t)n;
+    for (; u > 0x7F; u >>= 7)
+        *p++ = (unsigned char)((u & 0x7F) | 0x80);
+    *p++ = (unsigned char)u;
+    en->len -= 11 - (p - at);
+    return 0;
+}
+
+static int
+put_int(Enc *en, PyObject *v)
+{
+    int overflow;
+    long long x = PyLong_AsLongLongAndOverflow(v, &overflow);
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    if (!overflow) {
+        unsigned long long mag = x < 0 ? 0ULL - (unsigned long long)x : (unsigned long long)x;
+        unsigned char raw[8];
+        int n = 0;
+        do {
+            raw[7 - n++] = (unsigned char)mag;
+            mag >>= 8;
+        } while (mag);
+        if (put_head(en, x < 0 ? TAG_INT_NEG : TAG_INT_POS, n) < 0)
+            return -1;
+        return put_raw(en, raw + 8 - n, n);
     }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int r = short_int(data, size, at, &at);
-        if (r <= 0)
-            return r;
+    PyObject *mag = overflow < 0 ? PyNumber_Negative(v) : Py_NewRef(v);
+    if (mag == NULL)
+        return -1;
+    size_t bits = _PyLong_NumBits(mag), n = bits / 8 + (bits % 8 != 0);
+    unsigned char *at;
+    int rc = (bits == (size_t)-1 && PyErr_Occurred())
+             || put_head(en, overflow < 0 ? TAG_INT_NEG : TAG_INT_POS, (Py_ssize_t)n) < 0
+             || (at = reserve(en, (Py_ssize_t)n)) == NULL || magnitude_bytes(mag, at, n) < 0;
+    Py_DECREF(mag);
+    return rc ? -1 : 0;
+}
+
+static int enc(Enc *en, PyObject *v, long depth);
+
+/* Each item of a tuple or list, reading a list's length afresh each
+ * round as its iterator does. */
+static int
+enc_items(Enc *en, PyObject *seq, long depth)
+{
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        PyObject *item = Py_NewRef(PySequence_Fast_GET_ITEM(seq, i));
+        int rc = enc(en, item, depth);
+        Py_DECREF(item);
+        if (rc < 0)
+            return -1;
     }
-    PyObject *seq = data[pos] == TAG_TUPLE ? PyTuple_New(n) : PyList_New(n);
+    return 0;
+}
+
+/* A dict: its keys sorted as sorted() sorts them, each a str. */
+static int
+enc_dict(Enc *en, PyObject *d, long depth)
+{
+    if (depth >= en->max_depth)
+        return too_deep();
+    PyObject *keys = PySequence_List(d);
+    if (keys == NULL)
+        return -1;
+    int rc = -1;
+    if (PyList_Sort(keys) < 0 || put_head(en, TAG_DICT, PyList_GET_SIZE(keys)) < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(keys); i++) {
+        PyObject *key = PyList_GET_ITEM(keys, i);
+        if (!PyUnicode_Check(key)) {
+            PyErr_SetString(PyExc_TypeError, "codec dicts must have str keys");
+            goto done;
+        }
+        if (enc(en, key, depth + 1) < 0)
+            goto done;
+        PyObject *value = PyDict_GetItemWithError(d, key);
+        if (value == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetObject(PyExc_KeyError, key);
+            goto done;
+        }
+        Py_INCREF(value);
+        int r = enc(en, value, depth + 1);
+        Py_DECREF(value);
+        if (r < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(keys);
+    return rc;
+}
+
+/* A registered dataclass: spec.head, then spec.fields(obj). */
+static int
+enc_obj(Enc *en, PyObject *spec, PyObject *v, long depth)
+{
+    if (depth >= en->max_depth)
+        return too_deep();
+    PyObject *head = PyObject_GetAttr(spec, S_head), *fields = NULL, *items = NULL;
+    char *raw;
+    Py_ssize_t n;
+    int rc = -1;
+    if (head == NULL || PyBytes_AsStringAndSize(head, &raw, &n) < 0 || put_raw(en, raw, n) < 0)
+        goto done;
+    fields = PyObject_GetAttr(spec, S_fields);
+    if (fields == NULL || (items = PyObject_CallOneArg(fields, v)) == NULL)
+        goto done;
+    PyObject *seq = PySequence_Fast(items, "codec fields must be a sequence");
     if (seq == NULL)
+        goto done;
+    rc = enc_items(en, seq, depth + 1);
+    Py_DECREF(seq);
+done:
+    Py_XDECREF(head);
+    Py_XDECREF(fields);
+    Py_XDECREF(items);
+    return rc;
+}
+
+/* Encoded: its data copied verbatim, as bytearray += data would. */
+static int
+enc_verbatim(Enc *en, PyObject *v)
+{
+    PyObject *data = PyObject_GetAttr(v, S_data);
+    if (data == NULL)
         return -1;
-    for (Py_ssize_t i = 0; i < n; i++, first += 2 + data[first + 1]) {
-        PyObject *item = int_at(data + first);
-        if (item == NULL) {
-            Py_DECREF(seq);
+    Py_buffer view;
+    int rc = PyObject_GetBuffer(data, &view, PyBUF_SIMPLE);
+    if (rc < 0) {
+        PyErr_Clear();
+        PyErr_Format(PyExc_TypeError, "can't concat %.100s to bytearray", Py_TYPE(data)->tp_name);
+    } else {
+        rc = put_raw(en, view.buf, view.len);
+        PyBuffer_Release(&view);
+    }
+    Py_DECREF(data);
+    return rc;
+}
+
+/* codec._put: the value v, depth containers deep. */
+static int
+enc(Enc *en, PyObject *v, long depth)
+{
+    PyTypeObject *t = Py_TYPE(v);
+    if (t == &PyTuple_Type || t == &PyList_Type) {
+        if (depth >= en->max_depth)
+            return too_deep();
+        if (put_head(en, t == &PyTuple_Type ? TAG_TUPLE : TAG_LIST, Py_SIZE(v)) < 0)
+            return -1;
+        return enc_items(en, v, depth + 1);
+    }
+    if (t == &PyLong_Type)
+        return put_int(en, v);
+    if (t == &PyUnicode_Type || t == &PyBytes_Type) {
+        Py_ssize_t n;
+        const char *raw;
+        if (t == &PyBytes_Type) {
+            raw = PyBytes_AS_STRING(v);
+            n = PyBytes_GET_SIZE(v);
+        } else if ((raw = PyUnicode_AsUTF8AndSize(v, &n)) == NULL) {
             return -1;
         }
-        if (data[pos] == TAG_TUPLE)
-            PyTuple_SET_ITEM(seq, i, item);
-        else
-            PyList_SET_ITEM(seq, i, item);
+        if (put_head(en, t == &PyBytes_Type ? TAG_BYTES : TAG_STR, n) < 0)
+            return -1;
+        return put_raw(en, raw, n);
     }
-    *out = seq;
-    *end = at;
-    return 1;
+    if (v == Py_None || t == &PyBool_Type) {
+        unsigned char tag = v == Py_None ? TAG_NONE : v == Py_True ? TAG_TRUE : TAG_FALSE;
+        return put_raw(en, &tag, 1);
+    }
+    if (t == &PyFloat_Type) {
+        unsigned char *at = reserve(en, 9);
+        if (at == NULL)
+            return -1;
+        at[0] = TAG_FLOAT;
+        return PyFloat_Pack8(PyFloat_AS_DOUBLE(v), (char *)at + 1, 0);
+    }
+    if (t == &PyDict_Type)
+        return enc_dict(en, v, depth);
+    /* exact builtins are never registered: only dataclasses are */
+    PyObject *spec = PyDict_GetItemWithError(en->by_type, (PyObject *)t);
+    if (spec != NULL) {
+        Py_INCREF(spec);
+        int rc = enc_obj(en, spec, v, depth);
+        Py_DECREF(spec);
+        return rc;
+    }
+    if (PyErr_Occurred())
+        return -1;
+    if ((PyObject *)t == en->encoded)
+        return enc_verbatim(en, v);
+    PyObject *base = PyObject_CallOneArg(en->builtin, v);
+    if (base == NULL)
+        return -1;
+    int rc = enc(en, base, depth);
+    Py_DECREF(base);
+    return rc;
 }
 
-/* int_run(data, pos, count, items) -> pos': the codec's sequence loop
- * over at most count items from data[pos], for as long as each is a
- * short non-negative int or a tuple or list (one length byte) of such
- * ints; appends them to the list items and returns the offset after
- * the last.  Stops, consuming nothing, at any other item: the Python
- * loop takes that one. */
+/* codec_encode(value, by_type, encoded, builtin, max_depth) -> bytes:
+ * codec._put's walk. */
 static PyObject *
-k_int_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+k_codec_encode(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_args(nargs, 4, "int_run") < 0)
+    if (check_args(nargs, 5, "codec_encode") < 0)
         return NULL;
-    if (!PyBytes_CheckExact(args[0]) || !PyList_CheckExact(args[3])) {
-        PyErr_SetString(PyExc_TypeError, "int_run() needs bytes and a list");
-        return NULL;
-    }
-    const unsigned char *data = (const unsigned char *)PyBytes_AS_STRING(args[0]);
-    Py_ssize_t size = PyBytes_GET_SIZE(args[0]);
-    Py_ssize_t pos = PyLong_AsSsize_t(args[1]), count = PyLong_AsSsize_t(args[2]);
-    if ((pos == -1 || count == -1) && PyErr_Occurred())
-        return NULL;
-    if (pos < 0 || pos > size || count < 0) {
-        PyErr_SetString(PyExc_ValueError, "int_run() position out of range");
+    if (!PyDict_CheckExact(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "codec_encode() needs the registry dict");
         return NULL;
     }
-    for (; count > 0; count--) {
-        Py_ssize_t end;
-        PyObject *item = NULL;
-        int r = short_int(data, size, pos, &end);
-        if (r > 0)
-            item = int_at(data + pos);
-        else if (r == 0)
-            r = short_seq(data, size, pos, &end, &item);
-        if (r < 0 || (r > 0 && item == NULL))
+    Enc en;
+    en.buf = en.stack;
+    en.len = 0;
+    en.cap = STACK_BYTES;
+    en.by_type = args[1];
+    en.encoded = args[2];
+    en.builtin = args[3];
+    en.max_depth = PyLong_AsLong(args[4]);
+    if (en.max_depth == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *out = enc(&en, args[0], 0) < 0 ? NULL
+                    : PyBytes_FromStringAndSize((const char *)en.buf, en.len);
+    if (en.buf != en.stack)
+        PyMem_Free(en.buf);
+    return out;
+}
+
+/* The decoder's input and the codec state it reads: the live _by_tag
+ * registry, codec._build, MAX_DEPTH. */
+typedef struct {
+    const unsigned char *data;
+    Py_ssize_t size;
+    PyObject *by_tag, *build;
+    long max_depth;
+} Dec;
+
+static void *
+refuse(const char *message)
+{
+    PyErr_SetString(PyExc_ValueError, message);
+    return NULL;
+}
+
+/* The length at *pos (codec._take_len, which the Python walk calls only
+ * past a first byte of 128 or more: one below ends the loop at once),
+ * saturated at PY_SSIZE_T_MAX (every caller compares it with a byte
+ * count, which a larger length exceeds just the same); refuses an
+ * overlong one. */
+static int
+take_len(const Dec *de, Py_ssize_t *pos, Py_ssize_t *n)
+{
+    size_t value = 0;
+    for (Py_ssize_t shift = 0;; shift += 7) {
+        if (*pos >= de->size) {
+            refuse("truncated value");
+            return -1;
+        }
+        unsigned char byte = de->data[(*pos)++];
+        size_t bits = byte & 0x7F;
+        if (bits && (shift >= 63 || bits > ((size_t)PY_SSIZE_T_MAX >> shift)))
+            value = PY_SSIZE_T_MAX;
+        else if (value != PY_SSIZE_T_MAX)
+            value |= bits << shift;
+        if (!(byte & 0x80)) {
+            if (!byte && shift) {
+                refuse("overlong length");
+                return -1;
+            }
+            *n = (Py_ssize_t)value;
+            return 0;
+        }
+    }
+}
+
+static PyObject *take(const Dec *de, Py_ssize_t *pos, long depth);
+
+/* The registered class whose tag, n bytes long, is at *pos (a new
+ * reference), with *pos after the field count and *fields that count;
+ * NULL where codec._take refuses it. */
+static PyObject *
+take_spec(const Dec *de, Py_ssize_t *pos, Py_ssize_t n, Py_ssize_t *fields)
+{
+    Py_ssize_t avail = de->size - *pos, count;
+    PyObject *name = PyBytes_FromStringAndSize((const char *)de->data + *pos, n < avail ? n : avail);
+    if (name == NULL)
+        return NULL;
+    PyObject *spec = PyDict_GetItemWithError(de->by_tag, name);
+    Py_DECREF(name);
+    if (spec == NULL) {
+        if (PyErr_Occurred())
             return NULL;
-        if (r == 0)
-            break;
-        r = PyList_Append(args[3], item);
-        Py_DECREF(item);
-        if (r < 0)
-            return NULL;
-        pos = end;
+        if (n > avail)
+            return refuse("truncated codec tag");
+        PyObject *text = PyUnicode_DecodeUTF8((const char *)de->data + *pos, n, NULL);
+        if (text != NULL) {
+            PyErr_Format(PyExc_ValueError, "unknown codec tag %R", text);
+            Py_DECREF(text);
+        }
+        return NULL;
     }
-    return PyLong_FromSsize_t(pos);
+    if (n > avail)
+        return refuse("truncated value");
+    *pos += n;
+    Py_INCREF(spec);
+    PyObject *names = PyObject_GetAttr(spec, S_names);
+    int failed = names == NULL || take_len(de, pos, &count) < 0
+                 || (*fields = PyObject_Length(names)) < 0;
+    Py_XDECREF(names);
+    if (!failed && count != *fields) {
+        PyObject *what = PyObject_GetAttr(spec, S_name);
+        if (what != NULL) {
+            PyErr_Format(PyExc_ValueError, "field count mismatch for %R", what);
+            Py_DECREF(what);
+        }
+        failed = 1;
+    }
+    if (failed)
+        Py_CLEAR(spec);
+    return spec;
+}
+
+/* A tuple, list or registered object, its tag at *pos.  The items go
+ * to a C array first, so that no half-filled Python object exists
+ * while an item's decode runs Python code (codec._build). */
+static PyObject *
+take_seq(const Dec *de, Py_ssize_t *pos, long depth)
+{
+    if (depth >= de->max_depth) {
+        too_deep();
+        return NULL;
+    }
+    unsigned char tag = de->data[(*pos)++];
+    Py_ssize_t n, got = 0, cap = 16;
+    PyObject *spec = NULL, *stack[16], **items = stack, *out = NULL;
+    if (take_len(de, pos, &n) < 0)
+        return NULL;
+    if (tag == TAG_OBJ) {
+        if ((spec = take_spec(de, pos, n, &n)) == NULL)
+            return NULL;
+    } else if (n > de->size - *pos) {
+        return refuse("truncated sequence");
+    }
+    for (; got < n; got++) {
+        if (got == cap) {
+            PyObject **grown = PyMem_Malloc(2 * cap * sizeof(PyObject *));
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            memcpy(grown, items, got * sizeof(PyObject *));
+            if (items != stack)
+                PyMem_Free(items);
+            items = grown;
+            cap *= 2;
+        }
+        if ((items[got] = take(de, pos, depth + 1)) == NULL)
+            goto done;
+    }
+    out = tag == TAG_LIST ? PyList_New(n) : PyTuple_New(n);
+    if (out == NULL)
+        goto done;
+    for (; got > 0; got--) { /* the new object takes each reference */
+        if (tag == TAG_LIST)
+            PyList_SET_ITEM(out, got - 1, items[got - 1]);
+        else
+            PyTuple_SET_ITEM(out, got - 1, items[got - 1]);
+    }
+    if (spec != NULL) {
+        PyObject *call[2] = {spec, out};
+        Py_SETREF(out, PyObject_Vectorcall(de->build, call, 2, NULL));
+    }
+done:
+    for (; got > 0; got--)
+        Py_DECREF(items[got - 1]);
+    if (items != stack)
+        PyMem_Free(items);
+    Py_XDECREF(spec);
+    return out;
+}
+
+/* codec._take_dict: the dict whose length is at *pos; when key is not
+ * NULL, span gets the byte span of its value. */
+static PyObject *
+take_dict(const Dec *de, Py_ssize_t *pos, long depth, PyObject *key, Py_ssize_t *span)
+{
+    if (depth >= de->max_depth) {
+        too_deep();
+        return NULL;
+    }
+    Py_ssize_t n;
+    if (take_len(de, pos, &n) < 0)
+        return NULL;
+    if (n > (de->size - *pos) / 2)
+        return refuse("truncated dict");
+    PyObject *out = PyDict_New(), *prev = NULL;
+    if (out == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *k = take(de, pos, depth + 1), *v;
+        if (k == NULL)
+            goto fail;
+        if (!PyUnicode_CheckExact(k)) {
+            Py_DECREF(k);
+            refuse("codec dict key must decode to str");
+            goto fail;
+        }
+        if (prev != NULL && PyUnicode_Compare(k, prev) <= 0) {
+            Py_DECREF(k);
+            refuse("codec dict keys must be strictly ascending");
+            goto fail;
+        }
+        Py_XSETREF(prev, k);
+        Py_ssize_t start = *pos;
+        if ((v = take(de, pos, depth + 1)) == NULL)
+            goto fail;
+        int rc = PyDict_SetItem(out, k, v);
+        Py_DECREF(v);
+        if (rc < 0)
+            goto fail;
+        if (key != NULL) {
+            if ((rc = PyObject_RichCompareBool(k, key, Py_EQ)) < 0)
+                goto fail;
+            if (rc) {
+                span[0] = start;
+                span[1] = *pos;
+            }
+        }
+    }
+    Py_XDECREF(prev);
+    return out;
+fail:
+    Py_XDECREF(prev);
+    Py_DECREF(out);
+    return NULL;
+}
+
+/* codec._take: the value at *pos, depth containers deep; *pos moves
+ * past it. */
+static PyObject *
+take(const Dec *de, Py_ssize_t *pos, long depth)
+{
+    if (*pos >= de->size)
+        return refuse("truncated value");
+    unsigned char tag = de->data[*pos];
+    if (tag == TAG_TUPLE || tag == TAG_LIST || tag == TAG_OBJ)
+        return take_seq(de, pos, depth);
+    (*pos)++;
+    Py_ssize_t n;
+    const unsigned char *at;
+    switch (tag) {
+    case TAG_INT_POS:
+    case TAG_INT_NEG: {
+        if (take_len(de, pos, &n) < 0)
+            return NULL;
+        if (n > de->size - *pos)
+            return refuse("truncated int");
+        at = de->data + *pos;
+        if (!n || (!at[0] && (tag == TAG_INT_NEG || n != 1)))
+            return refuse("non-canonical int");
+        *pos += n;
+        PyObject *value;
+        if (n <= 8) {
+            unsigned long long mag = 0;
+            for (Py_ssize_t i = 0; i < n; i++)
+                mag = mag << 8 | at[i];
+            value = PyLong_FromUnsignedLongLong(mag);
+        } else {
+            value = _PyLong_FromByteArray(at, n, 0, 0);
+        }
+        if (value == NULL || tag == TAG_INT_POS)
+            return value;
+        Py_SETREF(value, PyNumber_Negative(value));
+        return value;
+    }
+    case TAG_BYTES:
+    case TAG_STR:
+        if (take_len(de, pos, &n) < 0)
+            return NULL;
+        if (n > de->size - *pos)
+            return refuse(tag == TAG_BYTES ? "truncated bytes" : "truncated str");
+        at = de->data + *pos;
+        *pos += n;
+        if (tag == TAG_BYTES)
+            return PyBytes_FromStringAndSize((const char *)at, n);
+        return PyUnicode_DecodeUTF8((const char *)at, n, NULL);
+    case TAG_DICT:
+        return take_dict(de, pos, depth, NULL, NULL);
+    case TAG_NONE:
+        Py_RETURN_NONE;
+    case TAG_TRUE:
+        Py_RETURN_TRUE;
+    case TAG_FALSE:
+        Py_RETURN_FALSE;
+    case TAG_FLOAT: {
+        if (*pos + 8 > de->size)
+            return refuse("truncated float");
+        double x = PyFloat_Unpack8((const char *)de->data + *pos, 0);
+        if (x == -1.0 && PyErr_Occurred())
+            return NULL;
+        *pos += 8;
+        return PyFloat_FromDouble(x);
+    }
+    default: {
+        PyObject *raw = PyBytes_FromStringAndSize((const char *)&tag, 1);
+        if (raw != NULL) {
+            PyErr_Format(PyExc_ValueError, "unknown tag byte %R", raw);
+            Py_DECREF(raw);
+        }
+        return NULL;
+    }
+    }
+}
+
+/* codec_decode(data, key, by_tag, build, max_depth) -> (value, span):
+ * codec._decode's walk over the bytes data.  span is None, or, when
+ * key is a str and data a dict holding it, the bytes of key's value. */
+static PyObject *
+k_codec_decode(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_args(nargs, 5, "codec_decode") < 0)
+        return NULL;
+    if (!PyBytes_CheckExact(args[0]) || !PyDict_CheckExact(args[2])) {
+        PyErr_SetString(PyExc_TypeError, "codec_decode() needs bytes and the registry dict");
+        return NULL;
+    }
+    Dec de = {(const unsigned char *)PyBytes_AS_STRING(args[0]), PyBytes_GET_SIZE(args[0]),
+              args[2], args[3], PyLong_AsLong(args[4])};
+    if (de.max_depth == -1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t pos = 0, span[2] = {-1, -1};
+    PyObject *value, *key = args[1] == Py_None ? NULL : args[1];
+    if (key != NULL && de.size && de.data[0] == TAG_DICT) {
+        pos = 1;
+        value = take_dict(&de, &pos, 0, key, span);
+    } else {
+        value = take(&de, &pos, 0);
+    }
+    if (value == NULL)
+        return NULL;
+    if (pos != de.size) {
+        Py_DECREF(value);
+        return refuse("trailing bytes after value");
+    }
+    PyObject *slice = span[0] < 0 ? Py_NewRef(Py_None)
+                      : PyBytes_FromStringAndSize((const char *)de.data + span[0], span[1] - span[0]);
+    if (slice == NULL) {
+        Py_DECREF(value);
+        return NULL;
+    }
+    PyObject *out = PyTuple_Pack(2, value, slice);
+    Py_DECREF(value);
+    Py_DECREF(slice);
+    return out;
 }
 
 /* -- module ----------------------------------------------------------------- */
@@ -702,15 +1232,17 @@ static PyMethodDef kernel_methods[] = {
      "fp2_pow(a, b, e, p) -> (a', b'): (a + b·i)^e in F_{p^2}"},
     {"powm", (PyCFunction)(void (*)(void))k_powm, METH_FASTCALL,
      "powm(b, e, m) -> int: b^e mod m for e >= 0, m >= 1"},
-    {"int_run", (PyCFunction)(void (*)(void))k_int_run, METH_FASTCALL,
-     "int_run(data, pos, count, items) -> pos': the codec's runs of short ints"},
+    {"codec_encode", (PyCFunction)(void (*)(void))k_codec_encode, METH_FASTCALL,
+     "codec_encode(value, by_type, encoded, builtin, max_depth) -> bytes: codec._put's walk"},
+    {"codec_decode", (PyCFunction)(void (*)(void))k_codec_decode, METH_FASTCALL,
+     "codec_decode(data, key, by_tag, build, max_depth) -> (value, span): codec._take's walk"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "The verification kernel on libgmp.",
+    .m_doc = "The verification kernel on libgmp, and the codec's two walks.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };
@@ -721,6 +1253,12 @@ PyInit__kernel(void)
     static int ready;
     for (size_t i = 0; !ready && i < sizeof T / sizeof T[0]; i++)
         mpz_init(T[i]);
+    if (!ready && ((S_head = PyUnicode_InternFromString("head")) == NULL
+                   || (S_fields = PyUnicode_InternFromString("fields")) == NULL
+                   || (S_names = PyUnicode_InternFromString("names")) == NULL
+                   || (S_name = PyUnicode_InternFromString("name")) == NULL
+                   || (S_data = PyUnicode_InternFromString("data")) == NULL))
+        return NULL;
     ready = 1;
     PyObject *module = PyModule_Create(&kernel_module);
     if (module != NULL && PyModule_AddIntConstant(module, "LIMB_BITS", GMP_NUMB_BITS) < 0)

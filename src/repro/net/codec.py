@@ -32,12 +32,20 @@ built from the universe.
 * an unknown tag byte, a tag name no class is registered under *now*,
   or a field count that does not match the class;
 * a registered object whose constructor raises, or changes a decoded
-  field (an ``Fp2`` with ``a >= p``, which would come back reduced).
+  field (an ``Fp2`` with ``a >= p``, which would come back reduced);
+* a value nested more than :data:`MAX_DEPTH` containers deep (which
+  :func:`encode` refuses as well).
 
-With the verification kernel loaded (``repro.crypto.fastexp.KERNEL``),
-a sequence body's runs of short non-negative ints, and of tuples or
-lists of them, decode in C (``int_run``) under the same checks; the
-Python loop decodes the rest, and all of it without the kernel.
+**Two walks, one codec.**  With the verification kernel loaded
+(``repro.crypto.fastexp.KERNEL``, read on every call), :func:`encode`
+and :func:`decode` run in C (``codec_encode``, ``codec_decode``): the
+same walk as :func:`_put` and :func:`_take`, step for step, over the
+live registry, with the same bytes, values, exceptions and messages.
+The C walk calls back into this module for what it leaves to Python: a
+registered class's ``fields`` getter, :func:`_build` (its constructor
+and the changed-field check) and :func:`_builtin` (subclass values).
+:func:`_put` and :func:`_take` are the reference, and what runs without
+the kernel.
 
 That contract is what lets a decoded value's bytes be reused instead of
 re-encoded: :func:`decode_with_span` also returns the input slice one
@@ -56,7 +64,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 import struct
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.crypto import fastexp
 from repro.crypto.hashing import sha256
@@ -76,6 +84,11 @@ _DOUBLE = struct.Struct(">d")
 #: field types a constructor may rebuild as an equal, same-typed object
 #: without changing the encoding (``x % p`` returns a new int when x < p)
 _EQUAL_IS_SAME = (int, str, bytes)
+#: containers (sequences, dicts, registered objects) nest at most this
+#: deep; both walks refuse a deeper value with ``ValueError``, on encode
+#: and on decode (a deposit frame nests 7 deep)
+MAX_DEPTH = 100
+_TOO_DEEP = "value nested too deeply"
 
 
 class Encoded:
@@ -158,12 +171,17 @@ def _put_head(out: bytearray, tag: int, n: int) -> None:
         _put_len(out, n)
 
 
-def _put(out: bytearray, value: Any) -> None:
+def _put(out: bytearray, value: Any, depth: int) -> None:
+    """*value*, *depth* containers deep, onto *out*."""
     t = type(value)
     if t is tuple or t is list:
+        if depth >= MAX_DEPTH:
+            raise ValueError(_TOO_DEEP)
         _put_head(out, _TUPLE if t is tuple else _LIST, len(value))
         items = value
     elif (spec := _by_type.get(t)) is not None:
+        if depth >= MAX_DEPTH:
+            raise ValueError(_TOO_DEEP)
         out += spec.head
         items = spec.fields(value)
     else:
@@ -184,38 +202,46 @@ def _put(out: bytearray, value: Any) -> None:
         elif t is bool:
             out.append(_TRUE if value else _FALSE)
         elif t is dict:
+            if depth >= MAX_DEPTH:
+                raise ValueError(_TOO_DEEP)
             keys = sorted(value)  # canonical ordering
             _put_head(out, _DICT, len(keys))
             for key in keys:
                 if not isinstance(key, str):
                     raise TypeError("codec dicts must have str keys")
-                _put(out, key)
-                _put(out, value[key])
+                _put(out, key, depth + 1)
+                _put(out, value[key], depth + 1)
         elif t is float:
             out.append(_FLOAT)
             out += _DOUBLE.pack(value)
         elif t is Encoded:
             out += value.data
         else:
-            _put(out, _builtin(value))
+            _put(out, _builtin(value), depth)
         return
+    depth += 1
     for item in items:
         if type(item) is int and 0 <= item < _SHORT_INT:
             raw = item.to_bytes((item.bit_length() + 7) // 8 or 1, "big")
             out += _POS_HEAD[len(raw)]
             out += raw
         else:
-            _put(out, item)
+            _put(out, item, depth)
 
 
 def _builtin(value: Any) -> Any:
-    """A subclass instance (an ``IntEnum``, a namedtuple) as its builtin base."""
+    """A subclass instance (an ``IntEnum``, a namedtuple) as its builtin
+    base, always of the exact builtin type, so a walk converts a value
+    once (the C walk recurses on the result without a depth step)."""
     if isinstance(value, int):
         return int(value)
     if isinstance(value, float):
         return float(value)
     if isinstance(value, bytes):
-        return bytes(value)
+        base = bytes(value)
+        if type(base) is not bytes:  # a __bytes__ that returns a subclass
+            raise TypeError(f"cannot encode value of type {type(value)!r}")
+        return base
     if isinstance(value, str):
         return str.__str__(value)
     if isinstance(value, list):
@@ -229,8 +255,11 @@ def _builtin(value: Any) -> Any:
 
 def encode(value: Any) -> bytes:
     """Canonically serialize *value* to bytes."""
+    kernel = fastexp.KERNEL
+    if kernel is not None:
+        return kernel.codec_encode(value, _by_type, Encoded, _builtin, MAX_DEPTH)
     out = bytearray()
-    _put(out, value)
+    _put(out, value, 0)
     return bytes(out)
 
 
@@ -254,12 +283,15 @@ def _take_len(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _take(data: bytes, pos: int) -> tuple[Any, int]:
-    """The value at *pos* and the offset after it (``IndexError`` past
-    the end: :func:`_decode` reports it as truncation)."""
+def _take(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
+    """The value at *pos*, *depth* containers deep, and the offset after
+    it (``IndexError`` past the end: :func:`_decode` reports it as
+    truncation)."""
     size = len(data)
     tag = data[pos]
     if tag == _TUPLE or tag == _LIST or tag == _OBJ:
+        if depth >= MAX_DEPTH:
+            raise ValueError(_TOO_DEEP)
         n = data[pos + 1]
         pos += 2
         if n > 0x7F:
@@ -282,43 +314,22 @@ def _take(data: bytes, pos: int) -> tuple[Any, int]:
             raise ValueError("truncated sequence")
         items = []
         append = items.append
-        kernel = fastexp.KERNEL
-        if kernel is not None:
-            # the kernel takes each run of short ints (and of int tuples
-            # or lists), this loop every item between runs
-            while True:
-                pos = kernel.int_run(data, pos, n - len(items), items)
-                if len(items) == n:
-                    break
-                item, pos = _take(data, pos)
+        depth += 1
+        for _ in range(n):
+            if data[pos] == _INT_POS and (m := data[pos + 1]) < 0x80:
+                start = pos + 2
+                pos = start + m
+                if pos > size:
+                    raise ValueError("truncated int")
+                if m != 1 and (not m or not data[start]):
+                    raise ValueError("non-canonical int")
+                append(int.from_bytes(data[start:pos], "big"))
+            else:
+                item, pos = _take(data, pos, depth)
                 append(item)
-        else:
-            for _ in range(n):
-                if data[pos] == _INT_POS and (m := data[pos + 1]) < 0x80:
-                    start = pos + 2
-                    pos = start + m
-                    if pos > size:
-                        raise ValueError("truncated int")
-                    if m != 1 and (not m or not data[start]):
-                        raise ValueError("non-canonical int")
-                    append(int.from_bytes(data[start:pos], "big"))
-                else:
-                    item, pos = _take(data, pos)
-                    append(item)
         if spec is None:
             return (tuple(items) if tag == _TUPLE else items), pos
-        try:
-            obj = spec.cls(**dict(zip(spec.names, items)))
-        except ValueError:
-            raise
-        except Exception as exc:  # constructor validation on hostile input
-            raise ValueError(f"invalid field values for {spec.name!r}: {exc}") from exc
-        for got, item in zip(spec.fields(obj), items):
-            if got is not item and not (type(got) is type(item)
-                                        and type(item) in _EQUAL_IS_SAME
-                                        and got == item):
-                raise ValueError(f"{spec.name!r} changed a decoded field")
-        return obj, pos
+        return _build(spec, items), pos
     pos += 1
     if tag == _INT_POS or tag == _INT_NEG:
         n = data[pos]
@@ -343,7 +354,7 @@ def _take(data: bytes, pos: int) -> tuple[Any, int]:
         raw = data[pos:end]
         return (raw if tag == _BYTES else str(raw, "utf-8")), end
     if tag == _DICT:
-        value, pos, _span = _take_dict(data, pos, None)
+        value, pos, _span = _take_dict(data, pos, depth, None)
         return value, pos
     if tag == _NONE:
         return None, pos
@@ -358,10 +369,31 @@ def _take(data: bytes, pos: int) -> tuple[Any, int]:
     raise ValueError(f"unknown tag byte {bytes((tag,))!r}")
 
 
-def _take_dict(data: bytes, pos: int,
+def _build(spec: _Spec, items: Sequence[Any]) -> Any:
+    """The registered object whose decoded fields are *items*: both walks
+    call this, so a constructor and the changed-field check run here
+    alone."""
+    try:
+        obj = spec.cls(**dict(zip(spec.names, items)))
+    except ValueError:
+        raise
+    except Exception as exc:  # constructor validation on hostile input
+        raise ValueError(f"invalid field values for {spec.name!r}: {exc}") from exc
+    for got, item in zip(spec.fields(obj), items):
+        if got is not item and not (type(got) is type(item)
+                                    and type(item) in _EQUAL_IS_SAME
+                                    and got == item):
+            raise ValueError(f"{spec.name!r} changed a decoded field")
+    return obj
+
+
+def _take_dict(data: bytes, pos: int, depth: int,
                span_key: str | None) -> tuple[dict, int, tuple[int, int] | None]:
-    """The dict whose length is at *pos*, the offset after it, and the
-    byte span of *span_key*'s value (``None`` when absent)."""
+    """The dict whose length is at *pos*, *depth* containers deep, the
+    offset after it, and the byte span of *span_key*'s value (``None``
+    when absent)."""
+    if depth >= MAX_DEPTH:
+        raise ValueError(_TOO_DEEP)
     n = data[pos]
     pos += 1
     if n > 0x7F:
@@ -371,13 +403,13 @@ def _take_dict(data: bytes, pos: int,
     result: dict[str, Any] = {}
     prev = span = None
     for _ in range(n):
-        key, pos = _take(data, pos)
+        key, pos = _take(data, pos, depth + 1)
         if type(key) is not str:
             raise ValueError("codec dict key must decode to str")
         if prev is not None and key <= prev:
             raise ValueError("codec dict keys must be strictly ascending")
         start = pos
-        result[key], pos = _take(data, pos)
+        result[key], pos = _take(data, pos, depth + 1)
         if key == span_key:
             span = (start, pos)
         prev = key
@@ -387,15 +419,16 @@ def _take_dict(data: bytes, pos: int,
 def _decode(data: bytes, span_key: str | None) -> tuple[Any, bytes | None]:
     if type(data) is not bytes:
         data = bytes(data)
+    kernel = fastexp.KERNEL
+    if kernel is not None:
+        return kernel.codec_decode(data, span_key, _by_tag, _build, MAX_DEPTH)
     try:
         if span_key is not None and data and data[0] == _DICT:
-            value, pos, span = _take_dict(data, 1, span_key)
+            value, pos, span = _take_dict(data, 1, 0, span_key)
         else:
-            (value, pos), span = _take(data, 0), None
+            (value, pos), span = _take(data, 0, 0), None
     except IndexError:
         raise ValueError("truncated value") from None
-    except RecursionError:
-        raise ValueError("value nested too deeply") from None
     if pos != len(data):
         raise ValueError("trailing bytes after value")
     return value, (None if span is None else data[span[0]:span[1]])

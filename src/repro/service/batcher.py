@@ -28,8 +28,10 @@ verification safe without any locking.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
+import traceback
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,6 +49,8 @@ from repro.ecash.spend import (
 from repro.ecash.tree import leaf_serials
 from repro.metrics.parallel import SweepPoint
 from repro.service.workers import InlineBackend, VerificationBackend, make_backend
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "DepositJob",
@@ -95,7 +99,7 @@ class DepositOutcome:
 @dataclass(frozen=True)
 class WithdrawOutcome:
     """The blindly issued signature for a withdrawal job (``None``: the
-    request's proof of knowledge failed)."""
+    request's proof of knowledge failed, or issuance raised)."""
 
     seq: int
     signature: CLSignature | None
@@ -108,20 +112,28 @@ def _batch_worker(point: SweepPoint) -> list:
     tokens one by one and draws nothing; the point's deterministic seed
     drives the blind-issuance randomness of a withdrawal chunk, so a
     flush's outcome is independent of how chunks land on workers.
+
+    Each job's result ends with ``None``, or with the traceback of an
+    exception its crypto raised: that job alone is refused (a token
+    invalid, a withdrawal unsigned), and the flush counts and logs it.
     """
     tag = point.params[0]
     if tag == "deposit":
         _, params, bank_pk, tokens, context = point.params
         out = []
         for token in tokens:
-            valid = verify_spend(params, bank_pk, token, context=context)
-            serials = (
-                tuple(leaf_serials(params.tower, token.node, token.node_key,
-                                   params.tree_level))
-                if valid
-                else None
-            )
-            out.append((valid, serials))
+            try:
+                valid = verify_spend(params, bank_pk, token, context=context)
+                serials = (
+                    tuple(leaf_serials(params.tower, token.node, token.node_key,
+                                       params.tree_level))
+                    if valid
+                    else None
+                )
+            except Exception:  # a bug in one token's check: refuse it alone
+                out.append((False, None, traceback.format_exc()))
+            else:
+                out.append((valid, serials, None))
         return out
     if tag == "withdraw":
         _, params, keypair, requests = point.params
@@ -130,11 +142,14 @@ def _batch_worker(point: SweepPoint) -> list:
     raise ValueError(f"unknown batch chunk tag {tag!r}")
 
 
-def _issue(backend, keypair: CLKeyPair, request, rng) -> CLSignature | None:
+def _issue(backend, keypair: CLKeyPair, request,
+           rng) -> tuple[CLSignature | None, str | None]:
     try:
-        return cl_blind_issue(backend, keypair, request, rng)
+        return cl_blind_issue(backend, keypair, request, rng), None
     except ValueError:  # the request's proof failed: one refused withdrawal
-        return None
+        return None, None
+    except Exception:  # a bug in issuance: refuse this withdrawal alone
+        return None, traceback.format_exc()
 
 
 class VerificationBatcher:
@@ -214,6 +229,10 @@ class VerificationBatcher:
         )
         self._m_occupancy = registry.gauge(
             "repro_batcher_occupancy", "jobs waiting in the batcher"
+        )
+        self._m_job_errors = registry.counter(
+            "repro_batcher_job_errors_total",
+            "crypto jobs refused because their check or issuance raised",
         )
 
     def __len__(self) -> int:
@@ -313,12 +332,17 @@ class VerificationBatcher:
         for chunk, results in zip(chunk_jobs, chunk_results):
             for job, result in zip(chunk, results):
                 if isinstance(job, DepositJob):
-                    valid, serials = result
+                    valid, serials, error = result
                     by_seq[job.seq] = DepositOutcome(
                         seq=job.seq, valid=valid, serials=serials
                     )
                 else:
-                    by_seq[job.seq] = WithdrawOutcome(seq=job.seq, signature=result)
+                    signature, error = result
+                    by_seq[job.seq] = WithdrawOutcome(seq=job.seq, signature=signature)
+                if error is not None:
+                    self._m_job_errors.inc()
+                    _log.error("crypto job %d refused, its check raised:\n%s",
+                               job.seq, error)
         self.flushes += 1
         self.jobs_processed += take
         self._m_flushes.inc()

@@ -21,7 +21,7 @@ held to.  The hostile-input suite at the end feeds each kernel entry
 point 0, 1, p−1, p, negative, oversized, ``bool`` and non-int values on
 both paths and requires the same value or the same exception class
 (``edge_rounds`` through ``verify_edge``, in any slot of a proof or its
-statement; ``int_run``'s parity is ``tests/net/test_codec_kernel.py``'s);
+statement; the codec walks' parity is ``tests/net/test_codec_kernel.py``'s);
 ``powm``, whose Python twin is ``pow`` itself, must equal ``pow`` or
 raise, and only the verifiers and the membership check may call it.
 """
@@ -480,14 +480,17 @@ class TestHostileInput:
             (edge_rounds(a10=-3), ValueError),
             (edge_rounds(a1=1.0), TypeError),
             (lambda: kernel.edge_rounds(*rounds[:10]), TypeError),
-            (lambda: kernel.int_run(b"\x03\x00", 0, 1, []), ValueError),
-            (lambda: kernel.int_run(b"\x03\x02\x00\x01", 0, 1, []), ValueError),
-            (lambda: kernel.int_run(b"\x03\x05\x01", 0, 1, []), ValueError),
-            (lambda: kernel.int_run(b"\x08\x05\x03\x01\x01", 0, 1, []), ValueError),
-            (lambda: kernel.int_run(b"", 1, 1, []), ValueError),
-            (lambda: kernel.int_run(b"", 0, -1, []), ValueError),
-            (lambda: kernel.int_run(bytearray(b"\x03\x01\x01"), 0, 1, []), TypeError),
-            (lambda: kernel.int_run(b"\x03\x01\x01", 0, 1, ()), TypeError),
+            (lambda: kernel.codec_decode(bytearray(b"\x00"), None, {}, None, 9), TypeError),
+            (lambda: kernel.codec_decode(b"\x00", None, [], None, 9), TypeError),
+            (lambda: kernel.codec_decode(b"\x00", None, {}, None, "9"), TypeError),
+            (lambda: kernel.codec_decode(b"\x00", None, {}), TypeError),
+            (lambda: kernel.codec_decode(b"\x07\x01\x00", None, {}, None, 0), ValueError),
+            (lambda: kernel.codec_decode(b"\x0a\x01x\x00", None, {b"x": 1}, None, 9),
+             AttributeError),
+            (lambda: kernel.codec_encode(None, [], None, None, 9), TypeError),
+            (lambda: kernel.codec_encode([None], {}, None, None, 0), ValueError),
+            (lambda: kernel.codec_encode(None, {}, None, None), TypeError),
+            (lambda: kernel.codec_encode(object(), {}, None, None, 9), TypeError),
         ]:
             with pytest.raises(error):
                 call()

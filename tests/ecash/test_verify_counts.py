@@ -220,7 +220,8 @@ def test_a_deposit_chunk_costs_its_tokens_one_by_one(market, warm, monkeypatch):
                            params=("deposit", params, bank_pk, tuple(batch), b""))
 
         def run():
-            assert all(valid for valid, _ in _batch_worker(point))
+            assert all(valid and error is None
+                       for valid, _serials, error in _batch_worker(point))
         return run
 
     singles = [_operation_counts(chunk([token], seed), monkeypatch)

@@ -11,7 +11,7 @@ pin three things over real sockets:
 * a deposit whose bytes are not canonical is answered as a wire error
   and journals nothing;
 * the exact count: one decode of the token and no encode of it before
-  the ``accept`` record is appended.
+  the ``accept`` record is appended, on either codec walk.
 """
 
 from __future__ import annotations
@@ -111,26 +111,31 @@ class TestHonestTraffic:
     def test_one_deposit_decodes_its_token_once_and_never_encodes_it(
             self, stack, monkeypatch):
         """The exact codec count of one deposit through the door, taken
-        when the ``accept`` record is appended."""
+        when the ``accept`` record is appended.  Both codec walks (the
+        kernel's and the Python one) build a decoded token through
+        ``codec._build`` and read a token's fields through its spec's
+        ``fields``: once to encode it, and once in ``_build``'s
+        changed-field check."""
         service, storage, front = stack
         frame = encode_frame(_deposit_request(service, "count:1"))
-        counts = {"decoded": 0, "encoded": 0}
-        take, put = codec._take, codec._put
+        spec = codec._by_type[SpendToken]
+        counts = {"built": 0, "fields": 0}
+        build, fields = codec._build, spec.fields
 
-        def counting_take(data, pos):
-            value, end = take(data, pos)
-            counts["decoded"] += type(value) is SpendToken
-            return value, end
+        def counting_build(of, items):
+            counts["built"] += of is spec
+            return build(of, items)
 
-        def counting_put(out, value):
-            counts["encoded"] += type(value) is SpendToken
-            put(out, value)
+        def counting_fields(obj):
+            counts["fields"] += 1
+            return fields(obj)
 
         seen: list[dict] = []
         storage.appends.clear()
-        storage.on_append = lambda: seen.append(dict(counts))
-        monkeypatch.setattr(codec, "_take", counting_take)
-        monkeypatch.setattr(codec, "_put", counting_put)
+        storage.on_append = lambda: seen.append(
+            {"decoded": counts["built"], "encoded": counts["fields"] - counts["built"]})
+        monkeypatch.setattr(codec, "_build", counting_build)
+        monkeypatch.setattr(spec, "fields", counting_fields)
         reply = _exchange(front, frame)
         monkeypatch.undo()
         assert reply["status"] == "OK"

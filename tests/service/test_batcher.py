@@ -73,6 +73,34 @@ class TestFlush:
     def test_empty_flush(self, batcher):
         assert batcher.flush() == []
 
+    def test_an_issuance_that_raises_refuses_that_withdrawal_alone(
+            self, batcher, service, rng, dec_params_toy, monkeypatch):
+        """Any exception out of ``cl_blind_issue`` (a bug, not a failed
+        proof) refuses that withdrawal alone, and is counted."""
+        import repro.obs as obs
+        from repro.service import batcher as batcher_module
+
+        deposit = _deposit_jobs(service, rng, 1)[0]
+        _secret, broken = begin_withdrawal(dec_params_toy, rng)
+        _secret, honest = begin_withdrawal(dec_params_toy, rng)
+        issue = batcher_module.cl_blind_issue
+
+        def raising(backend, keypair, request, rng_):
+            if request is broken:
+                raise ArithmeticError("a bug in issuance")
+            return issue(backend, keypair, request, rng_)
+
+        monkeypatch.setattr(batcher_module, "cl_blind_issue", raising)
+        errors = obs.get_default().registry.counter("repro_batcher_job_errors_total")
+        before = errors.value
+        batcher.submit(WithdrawJob(seq=1, aid="alice", request=broken))
+        batcher.submit(deposit)
+        batcher.submit(WithdrawJob(seq=2, aid="bob", request=honest))
+        refused, valid, issued = batcher.flush()
+        assert refused == WithdrawOutcome(seq=1, signature=None)
+        assert valid.valid and issued.signature is not None
+        assert errors.value == before + 1
+
     def test_mixed_batch_deposit_and_withdraw(self, batcher, service, rng, dec_params_toy):
         deposit = _deposit_jobs(service, rng, 1)[0]
         secret, request = begin_withdrawal(dec_params_toy, rng)

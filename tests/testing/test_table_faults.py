@@ -126,6 +126,6 @@ def test_replies_identical_with_and_without_crash(dec_params_toy, rng):
     finally:
         backend.close()
     assert crashed == inline
-    verdicts = [valid for valid, _serials in crashed[0] + crashed[1]]
+    verdicts = [valid for valid, _serials, _error in crashed[0] + crashed[1]]
     assert verdicts[bad] is False
     assert all(v for i, v in enumerate(verdicts) if i != bad)
