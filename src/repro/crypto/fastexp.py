@@ -85,11 +85,7 @@ class CacheStats:
     calls that fell back to the naive path because no table existed
     yet; ``builds`` — tables constructed (by promotion or warming);
     ``evictions`` — tables dropped by the LRU bound; ``bypasses`` —
-    calls that skipped the cache entirely (tables disabled);
-    ``attached`` — tables adopted ready-built from a shared-memory blob
-    (:meth:`PromotionCache.install`) rather than constructed locally.
-    ``builds`` counts only local constructions, so ``attached`` is
-    exactly the work the sharing path saved.
+    calls that skipped the cache entirely (tables disabled).
     """
 
     hits: int = 0
@@ -97,7 +93,6 @@ class CacheStats:
     builds: int = 0
     evictions: int = 0
     bypasses: int = 0
-    attached: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -106,7 +101,6 @@ class CacheStats:
             "builds": self.builds,
             "evictions": self.evictions,
             "bypasses": self.bypasses,
-            "attached": self.attached,
         }
 
     @property
@@ -448,26 +442,6 @@ class PromotionCache:
         self._entries.move_to_end(key)
         return entry
 
-    def install(self, key: Any, entry: Any) -> None:
-        """Adopt an externally built table (the shared-memory attach path).
-
-        Counted under ``attached``, not ``builds`` — the whole point of
-        the counter split is that an operator can see whether workers
-        rebuilt their tables or inherited them.
-        """
-        self._pending.pop(key, None)
-        if key not in self._entries:
-            self.stats.attached += 1
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def snapshot(self) -> list[tuple[Any, Any]]:
-        """Resident ``(key, table)`` pairs in LRU order (export path)."""
-        return list(self._entries.items())
-
     def clear(self) -> None:
         """Drop every table and pending count; reset the counters."""
         self._entries.clear()
@@ -484,8 +458,10 @@ _CONFIG: dict[str, Any] = {
     "enabled": os.environ.get("REPRO_FASTEXP", "1").strip().lower()
     not in {"0", "off", "false", "no"},
     "promote_after": 4,
-    "max_tables": 64,
 }
+
+#: resident integer tables at most, LRU-evicted
+_MAX_INT_TABLES = 64
 
 
 def _build_int_table(base: int, modulus: int, bits: int, order: int | None) -> FixedBaseTable:
@@ -495,7 +471,7 @@ def _build_int_table(base: int, modulus: int, bits: int, order: int | None) -> F
 _INT_TABLES = PromotionCache(
     "fastexp.int",
     _build_int_table,
-    max_entries=_CONFIG["max_tables"],
+    max_entries=_MAX_INT_TABLES,
     promote_after=_CONFIG["promote_after"],
 )
 
@@ -514,7 +490,6 @@ def configure(
     *,
     enabled: bool | None = None,
     promote_after: int | None = None,
-    max_tables: int | None = None,
 ) -> dict[str, Any]:
     """Update the global fast-exp policy; returns the *previous* config.
 
@@ -525,15 +500,12 @@ def configure(
     updates = {
         "enabled": enabled,
         "promote_after": promote_after,
-        "max_tables": max_tables,
     }
     for key, value in updates.items():
         if value is not None:
             _CONFIG[key] = value
     if promote_after is not None:
         _INT_TABLES.promote_after = promote_after
-    if max_tables is not None:
-        _INT_TABLES.max_entries = max_tables
     return previous
 
 
@@ -608,7 +580,7 @@ def warm_fixed_base(
     return True
 
 
-_CACHE_COLUMNS = ("hits", "misses", "builds", "evictions", "bypasses", "attached", "tables")
+_CACHE_COLUMNS = ("hits", "misses", "builds", "evictions", "bypasses", "tables")
 
 
 def stats() -> dict[str, dict[str, int]]:

@@ -281,8 +281,7 @@ class PointTable:
     :meth:`exp` is one mixed Jacobian addition per non-zero *w*-bit
     digit of the scalar, no doubling, and one inversion at the end.
     The build runs in Jacobian coordinates and normalises every entry
-    with one batch inversion.  :meth:`to_state` is plain data: ``[x,
-    y]`` pairs, ``None`` for the identity, each row's zero slot left out.
+    with one batch inversion.
     """
 
     __slots__ = ("base", "p", "bits", "window", "_rows")
@@ -312,42 +311,6 @@ class PointTable:
                 acc = _jadd(acc, row[digit], p)
             k >>= w
         return _affine(acc, p)
-
-    # -- serialization (shared-memory table transport) --------------------
-    def to_state(self) -> dict:
-        return {
-            "base": list(self.base),
-            "bits": self.bits,
-            "window": self.window,
-            "rows": [[[x, y] if z else None for x, y, z in row[1:]] for row in self._rows],
-        }
-
-    @classmethod
-    def from_state(cls, p: int, state: dict) -> "PointTable":
-        """Rebuild from :meth:`to_state`; every coordinate must lie in
-        ``[0, p)`` and the rows must have the table's dimensions."""
-        table = cls.__new__(cls)
-        table.p = p
-        table.base = _decode_xy(state["base"], p)
-        table.bits, table.window = int(state["bits"]), int(state["window"])
-        if table.bits < 1 or table.window < 1:
-            raise ValueError("malformed point table state")
-        rows = state["rows"]
-        if len(rows) != -(-table.bits // table.window) or any(
-            len(row) != (1 << table.window) - 1 for row in rows
-        ):
-            raise ValueError("point table state has wrong dimensions")
-        table._rows = [
-            [_O] + [_O if xy is None else (*_decode_xy(xy, p), 1) for xy in row] for row in rows
-        ]
-        return table
-
-
-def _decode_xy(encoded, p: int) -> tuple[int, int]:
-    x, y = encoded
-    if not all(type(v) is int and 0 <= v < p for v in (x, y)):
-        raise ValueError("point table entry out of range")
-    return x, y
 
 
 def _random_base_point(p: int, rng: random.Random) -> Point:

@@ -155,10 +155,6 @@ def final_exponentiation(params: CurveParams, f: Fp2) -> Fp2:
     return Fp2(*_fp2_pow(ga, gb, (p + 1) // params.r, p), p)
 
 
-def _field_int(value, p: int) -> bool:
-    return type(value) is int and 0 <= value < p
-
-
 #: step flags of a packed line walk (the kernel's ``STEP_*``)
 _STEP_DOUBLE, _STEP_VERTICAL = 1, 2
 
@@ -187,8 +183,7 @@ class MillerTable:
     exponentiation are bit-identical to :func:`tate_pairing`; the build
     costs about one pairing.  With the kernel loaded, replays run its
     copy of :func:`_replay` over the steps packed into one buffer, which
-    the first such replay builds (never pickled or exported: a table
-    rebuilt from :meth:`to_state` packs its own).
+    the first such replay builds.
     """
 
     __slots__ = ("params", "point", "_steps", "_packed")
@@ -224,37 +219,6 @@ class MillerTable:
             return Fp2.one(p)
         return final_exponentiation(self.params, Fp2(*self.raw(Q), p))
 
-    # -- serialization (shared-memory table transport) --------------------
-    def to_state(self) -> dict:
-        """Plain-int snapshot (the line steps ARE the payload)."""
-        return {"point": self.point.encode(), "steps": list(self._steps)}
-
-    @classmethod
-    def from_state(cls, params: CurveParams, state: dict) -> "MillerTable":
-        """Rebuild from :meth:`to_state`; every int must lie in ``[0, p)``."""
-        p = params.p
-        xa, xb, ya, yb, inf = state["point"]
-        if inf:
-            raise ValueError("Miller table state at infinity")
-        if not all(_field_int(v, p) for v in (xa, xb, ya, yb)):
-            raise ValueError("Miller table point out of range")
-        steps: list[tuple] = []
-        for is_double, lam, k in state["steps"]:
-            if type(is_double) is not bool:
-                raise ValueError("malformed Miller step")
-            if lam is None and k is None and is_double:
-                steps.append((True, None, None))
-            elif _field_int(lam, p) and _field_int(k, p):
-                steps.append((is_double, lam, k))
-            else:
-                raise ValueError("malformed Miller step")
-        table = cls.__new__(cls)
-        table.params = params
-        table.point = Point(Fp2(xa, xb, p), Fp2(ya, yb, p), p)
-        table._steps = steps
-        table._packed = None
-        return table
-
 
 def tate_pairing(params: CurveParams, P: Point, Q: Point) -> Fp2:
     """The reduced modified Tate pairing ``ê(P, Q)``.
@@ -266,19 +230,6 @@ def tate_pairing(params: CurveParams, P: Point, Q: Point) -> Fp2:
     if P.is_infinity or Q.is_infinity:
         return Fp2.one(params.p)
     return final_exponentiation(params, miller_loop(P, Q, params.r))
-
-
-#: curve identity -> the Miller and point tables a worker adopted (or
-#: warmed) at spawn, decoded once; ``TatePairing.__setstate__`` attaches
-#: them to the backend unpickled with every worker *chunk*, which would
-#: otherwise start cold.  The tables are read-only once built (a Miller
-#: table's lazily packed kernel buffer is the same either way), so
-#: every backend of the process can hold the same objects.
-_SHARED_TABLES: dict[tuple, tuple[list, list]] = {}
-
-
-def _table_key(params: CurveParams) -> tuple:
-    return (params.p, params.r, params.generator.encode())
 
 
 class TatePairing:
@@ -314,8 +265,8 @@ class TatePairing:
             promote_after=3,
         )
 
-    # table caches hold closures and are rebuilt cheaply — keep them out
-    # of pickles (DECParams ships this backend to worker processes)
+    # table caches hold closures — keep them out of pickles (a worker
+    # spawned, not forked, gets this backend cold and warms it once)
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_pair_tables", None)
@@ -325,9 +276,6 @@ class TatePairing:
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._init_caches()
-        shared = _SHARED_TABLES.get(_table_key(self.params))
-        if shared is not None and fastexp.enabled():
-            self._attach(*shared)
 
     # -- source group -------------------------------------------------------
     def exp(self, base: Point, scalar: int) -> Point:
@@ -477,43 +425,6 @@ class TatePairing:
             if table is not None:
                 return table.raw(a)
         return _replay(_line_walk(a, self.params.r), b, self.params.p)
-
-    # -- table sharing -------------------------------------------------------
-    def export_tables(self) -> dict:
-        """Resident Miller + point-window tables as plain picklable state."""
-        return {
-            "pair": [table.to_state() for _, table in self._pair_tables.snapshot()],
-            "exp": [table.to_state() for _, table in self._point_tables.snapshot()],
-        }
-
-    def install_tables(self, state: dict, *, register: bool = True) -> int:
-        """Adopt exported tables; returns the count installed.
-
-        With *register* (the default) the decoded tables are also parked
-        in the process-level registry so backends unpickled later for the
-        same curve (one per worker chunk) attach them automatically.
-        """
-        if not fastexp.enabled():
-            return 0
-        pair = [MillerTable.from_state(self.params, s) for s in state.get("pair", ())]
-        exp = [PointTable.from_state(self.params.p, s) for s in state.get("exp", ())]
-        self._attach(pair, exp)
-        if register:
-            _SHARED_TABLES[_table_key(self.params)] = (pair, exp)
-        return len(pair) + len(exp)
-
-    def register_shared(self) -> None:
-        """Park this backend's resident tables for same-curve unpickles."""
-        _SHARED_TABLES[_table_key(self.params)] = (
-            [table for _, table in self._pair_tables.snapshot()],
-            [table for _, table in self._point_tables.snapshot()],
-        )
-
-    def _attach(self, pair: list[MillerTable], exp: list[PointTable]) -> None:
-        for table in pair:
-            self._pair_tables.install(table.point.encode(), table)
-        for table in exp:
-            self._point_tables.install(table.base, table)
 
     def gt_mul(self, a: Fp2, b: Fp2) -> Fp2:
         return a * b

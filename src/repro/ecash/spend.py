@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.crypto import fastexp
 from repro.crypto.cl_sig import CLPublicKey, CLSignature
 from repro.crypto.groups import GroupTower
 from repro.crypto.hashing import Transcript
@@ -61,8 +60,6 @@ __all__ = [
     "create_spend",
     "verify_spend",
     "warm_verification_tables",
-    "export_verification_tables",
-    "adopt_verification_tables",
 ]
 
 
@@ -421,61 +418,6 @@ def warm_verification_tables(params: DECParams, bank_pk: CLPublicKey | None = No
         g, h = params.commit_bases(storey)
         gens = tower.extra_generators[storey]
         grp.warm_fixed(g, h, gens[GEN_LEFT], gens[GEN_RIGHT])
-
-
-def export_verification_tables(
-    params: DECParams, bank_pk: CLPublicKey | None = None
-) -> bytes:
-    """Serialize the pairing backend's verification tables into one blob.
-
-    Warms the tables first (:func:`warm_verification_tables`), then
-    packs the backend's Miller and fixed-point tables (when the backend
-    supports export) into one payload in the project codec
-    (:mod:`repro.net.codec`: ints, lists and dicts — nothing the reader
-    executes).  The integer window tables stay out: rebuilding one
-    costs what validating it would, one multiply per entry.  A pooled
-    worker — or a recovering service — adopts the blob with
-    :func:`adopt_verification_tables` instead of re-deriving the
-    pairing tables, which are the dominant cost of a cold worker spawn.
-    Transport (shared memory, mmap files, digest checking) is
-    :mod:`repro.crypto.tablestore`'s job; this layer only defines the
-    payload.
-    """
-    # imported here: repro.net's codec registry imports this module
-    from repro.net.codec import encode
-
-    warm_verification_tables(params, bank_pk)
-    export = getattr(params.backend, "export_tables", None)
-    return encode({"version": 3, "backend": export() if export is not None else None})
-
-
-def adopt_verification_tables(params: DECParams, payload: bytes) -> int:
-    """Install a blob from :func:`export_verification_tables` and build
-    the integer tables locally; returns the number of tables adopted
-    from the blob (0 while fast-exp is globally disabled).
-
-    Raises ``ValueError`` on bytes that do not decode or on an
-    unrecognized payload version — callers (pooled workers) catch and
-    fall back to a local :func:`warm_verification_tables` build, so a
-    corrupt or stale blob degrades to the cold path rather than failing
-    verification.
-    """
-    from repro.net.codec import decode  # see export_verification_tables
-
-    state = decode(payload)
-    if not isinstance(state, dict) or state.get("version") != 3:
-        raise ValueError("unrecognized verification-table payload")
-    if not fastexp.enabled():
-        return 0
-    count = 0
-    backend_state = state.get("backend")
-    install = getattr(params.backend, "install_tables", None)
-    if backend_state is not None and install is not None:
-        count = install(backend_state)
-    # the adopted pairing tables are resident, so this builds only the
-    # storey (and toy target-group) integer tables
-    warm_verification_tables(params)
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,6 @@ SAFE_KEYS: frozenset[str] = frozenset(
         "worker",     # dense verify-pool worker index (never a pid)
         "workers",    # verify-pool size
         "fallback",   # pool dispatch degraded to inline
-        "attached",   # fastexp tables adopted from a shared blob
         "node",       # cluster node id (operator-chosen: n0, n1, ...)
 
     }

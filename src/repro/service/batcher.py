@@ -42,7 +42,6 @@ from repro.ecash.dec import BlindIssuanceRequest
 from repro.ecash.spend import (
     DECParams,
     SpendToken,
-    adopt_verification_tables,
     verify_spend,
     warm_verification_tables,
 )
@@ -170,7 +169,6 @@ class VerificationBatcher:
         processes: int = 1,
         seed: int = 0,
         warm_tables: bool = True,
-        tables: bytes | None = None,
         telemetry: "obs.Telemetry | None" = None,
         backend: VerificationBackend | None = None,
     ) -> None:
@@ -181,16 +179,6 @@ class VerificationBatcher:
         self.params = params
         self.keypair = keypair
         self._bind_obs(telemetry)
-        if tables is not None:
-            # a serialized table blob (from a previous incarnation or a
-            # cluster peer) replaces the local warm-up entirely when it
-            # installs cleanly; a stale/corrupt blob falls through to
-            # the ordinary build
-            try:
-                adopt_verification_tables(params, tables)
-                warm_tables = False
-            except Exception:
-                pass
         if warm_tables:
             # build the fixed-base/Miller tables for the bank key and the
             # tower generators up front: steady-state flushes (at least

@@ -638,7 +638,6 @@ class MarketService:
         clock: Callable[[], float] = time.perf_counter,
         reply_cache: int | None = DEFAULT_REPLY_CACHE,
         telemetry: "obs.Telemetry | None" = None,
-        tables: bytes | None = None,
     ) -> "MarketService":
         """Restart the service from a checkpoint plus the journal.
 
@@ -662,13 +661,6 @@ class MarketService:
            re-enqueued for verification: accepted deposits are never
            lost, merely re-verified.  A rid whose reply was *evicted*
            is never re-enqueued (its tombstone answers retries).
-
-        *tables* is an optional serialized verification-table blob
-        (:func:`repro.ecash.spend.export_verification_tables`), saved
-        by the previous incarnation or shipped by a cluster peer; the
-        recovering batcher adopts it instead of re-deriving every
-        fixed-base/Miller table, cutting warm-up off the recovery
-        critical path.  Ignored when an explicit *batcher* is passed.
         """
         tel = telemetry if telemetry is not None else obs.get_default()
         with tel.tracer.span("recover", shards=n_shards,
@@ -678,10 +670,6 @@ class MarketService:
                 journal, checkpoint=checkpoint, n_shards=n_shards,
                 telemetry=telemetry,
             )
-            if batcher is None and tables is not None:
-                batcher = VerificationBatcher(
-                    params, keypair, tables=tables, telemetry=telemetry
-                )
             service = cls(bank, batcher=batcher, admission=admission,
                           rng=rng, clock=clock, reply_cache=reply_cache,
                           telemetry=telemetry)

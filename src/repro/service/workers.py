@@ -8,13 +8,14 @@ supplies the *executors* for those chunks:
 * :class:`InlineBackend` — runs every chunk in the calling process
   (the test-suite/profiling path, and the ``REPRO_PROCESSES=1`` path);
 * :class:`PooledBackend` — a persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers warm
-  the :mod:`repro.crypto.fastexp` tables for the bank key **once at
-  start** (the per-flush pools of :func:`repro.metrics.parallel.sweep`
-  would pay table builds on every flush under spawn semantics), and
-  which **degrades to inline** — permanently, with a counter bumped —
-  the moment the pool breaks, so a crashed worker costs one retried
-  flush, never a lost verdict.
+  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers keep
+  the market (``params`` and bank key) they were started with, warm:
+  forked, a worker inherits the parent's tables; spawned, it builds
+  them **once at start**.  Each chunk names that market by reference
+  instead of shipping it, so every chunk runs on the resident tables.
+  The backend **degrades to inline** — permanently, with a counter
+  bumped — the moment the pool breaks, so a crashed worker costs one
+  retried flush, never a lost verdict.
 
 Both backends derive per-chunk seeds through
 :func:`repro.metrics.parallel.sweep_points`, which is what makes the
@@ -31,20 +32,17 @@ cannot be spawned at all.
 
 from __future__ import annotations
 
+import io
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 import repro.obs as obs
-from repro.crypto import fastexp, tablestore
+from repro.crypto import fastexp
 from repro.crypto.cl_sig import CLPublicKey
-from repro.ecash.spend import (
-    DECParams,
-    adopt_verification_tables,
-    export_verification_tables,
-    warm_verification_tables,
-)
+from repro.ecash.spend import DECParams, warm_verification_tables
 from repro.metrics.parallel import SweepPoint, env_processes, sweep_points
 
 __all__ = [
@@ -55,36 +53,53 @@ __all__ = [
 ]
 
 
+#: the market this worker process was started with, under the names a
+#: shipped chunk refers to it by (see :class:`_ChunkPickler`)
+_RESIDENT: dict[str, Any] = {}
+
+
 def _warm_worker(params: DECParams, bank_pk: CLPublicKey | None,
-                 fastexp_config: dict,
-                 table_ref: "tablestore.TableRef | None" = None) -> None:
+                 fastexp_config: dict) -> None:
     """Pool initializer: run once in every worker process at start.
 
     Mirrors the parent's fast-exp policy (the child may have been
-    spawned, not forked, in which case it read ``REPRO_FASTEXP`` fresh)
-    and readies the fixed-base/Miller tables for the bank key, so the
-    first chunk a worker sees already runs on warm tables.  With a
-    *table_ref* the worker *attaches* to the parent's published blob
-    (:mod:`repro.crypto.tablestore`) instead of re-deriving the tables
-    — any load/validation failure silently falls back to the local
-    build, whose tables (and therefore every reply) are identical.
+    spawned, not forked, in which case it read ``REPRO_FASTEXP`` fresh),
+    keeps *params* and *bank_pk* as the worker's resident market and
+    readies their fixed-base/Miller tables, so the first chunk a worker
+    sees already runs on warm tables.  A forked worker holds the
+    parent's own, already warm objects, and the warm-up finds every
+    table resident; a spawned one builds them here, once.
     """
     fastexp.configure(**fastexp_config)
-    if not fastexp.enabled():
-        return
-    if table_ref is not None:
-        try:
-            adopt_verification_tables(params, tablestore.load(table_ref))
-            return
-        except Exception:
-            pass
+    _RESIDENT.update(params=params, bank_pk=bank_pk)
     warm_verification_tables(params, bank_pk)
-    # chunks arrive with their own unpickled params/backend copies;
-    # parking the warm tables in the backend's shared registry lets
-    # those copies adopt on __setstate__ instead of rebuilding
-    register = getattr(params.backend, "register_shared", None)
-    if register is not None:
-        register()
+
+
+def _resident(ref: str) -> Any:
+    """The resident object a shipped chunk refers to as *ref*."""
+    return _RESIDENT[ref]
+
+
+class _ChunkPickler(pickle.Pickler):
+    """Pickles a chunk with the pool's own market as a short reference.
+
+    *refs* maps ``id()`` of the pool's ``params`` and bank key to the
+    names :data:`_RESIDENT` holds them under; each pickles as a call
+    of :func:`_resident`, and any other object pickles in full.  Both
+    are alive for the whole dump, so an ``id`` match is the object
+    itself.  The hook is ``reducer_override``, which the pickler calls
+    only for objects that are not ints, strings, bytes or containers:
+    ``persistent_id`` runs on every object and made a deposit chunk's
+    dump 2.7x slower than a plain ``pickle.dumps``.
+    """
+
+    def __init__(self, file, refs: dict[int, str]) -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self._refs = refs
+
+    def reducer_override(self, obj: Any) -> Any:
+        ref = self._refs.get(id(obj))
+        return NotImplemented if ref is None else (_resident, (ref,))
 
 
 def _pool_ping(_: int) -> int:
@@ -92,14 +107,15 @@ def _pool_ping(_: int) -> int:
     return os.getpid()
 
 
-def _run_point(job: tuple[Callable[[SweepPoint], Any], SweepPoint]) -> tuple[int, Any]:
-    """Evaluate one chunk in a worker; tag the result with the worker pid.
+def _run_point(chunk: bytes) -> tuple[int, Any]:
+    """Evaluate one shipped ``(worker, point)`` chunk in a worker; tag
+    the result with the worker pid.
 
     The pid tag feeds the per-worker dispatch gauges — it never leaves
     the process as telemetry (worker ids are exported as dense indices,
     not pids).
     """
-    worker, point = job
+    worker, point = pickle.loads(chunk)
     return os.getpid(), worker(point)
 
 
@@ -153,7 +169,6 @@ class PooledBackend(VerificationBackend):
         *,
         processes: int,
         telemetry: "obs.Telemetry | None" = None,
-        share_tables: bool = True,
     ) -> None:
         if processes < 2:
             raise ValueError("PooledBackend needs at least 2 workers; "
@@ -166,25 +181,13 @@ class PooledBackend(VerificationBackend):
         self.fallbacks = 0
         self._bind_obs(telemetry)
         self._worker_ids: dict[int, int] = {}  # pid -> dense worker index
-        # publish the parent's warm tables once; workers attach instead
-        # of rebuilding.  Publication failure is never fatal — workers
-        # fall back to identical local builds.
-        self._store: tablestore.TableStore | None = None
-        table_ref = None
-        if share_tables and fastexp.enabled():
-            store = tablestore.TableStore()
-            try:
-                table_ref = store.publish(
-                    export_verification_tables(params, bank_pk)
-                )
-                self._store = store
-            except Exception:
-                store.close()
-        self.table_ref = table_ref
+        self._refs = {id(params): "params"}
+        if bank_pk is not None:
+            self._refs[id(bank_pk)] = "bank_pk"
         self._pool = ProcessPoolExecutor(
             max_workers=processes,
             initializer=_warm_worker,
-            initargs=(params, bank_pk, fastexp.configure(), table_ref),
+            initargs=(params, bank_pk, fastexp.configure()),
         )
         # force the workers up (and warmed) now: a pool that cannot
         # spawn fails construction, not the first real flush
@@ -229,10 +232,9 @@ class PooledBackend(VerificationBackend):
             return [worker(point) for point in points]
         tracer = self.obs.tracer
         t0 = tracer.clock() if tracer.enabled else 0.0
+        chunks = [self._ship(worker, point) for point in points]
         try:
-            tagged = list(self._pool.map(
-                _run_point, [(worker, point) for point in points]
-            ))
+            tagged = list(self._pool.map(_run_point, chunks))
         except (BrokenProcessPool, OSError, RuntimeError) as exc:
             # the pool is gone (worker killed, executor shut down, fd
             # exhaustion); nothing was applied — chunk work is pure —
@@ -253,6 +255,12 @@ class PooledBackend(VerificationBackend):
         self._m_workers.set(len(self._worker_ids))
         return results
 
+    def _ship(self, worker: Callable[[SweepPoint], Any], point: SweepPoint) -> bytes:
+        """The chunk's bytes, the pool's market sent by reference."""
+        buf = io.BytesIO()
+        _ChunkPickler(buf, self._refs).dump((worker, point))
+        return buf.getvalue()
+
     def _degrade(self, exc: Exception) -> None:
         self.degraded = True
         self.fallbacks += 1
@@ -262,9 +270,6 @@ class PooledBackend(VerificationBackend):
 
     def close(self) -> None:
         self._pool.shutdown(wait=True, cancel_futures=True)
-        if self._store is not None:
-            self._store.close()
-            self._store = None
         self._m_workers.set(0)
 
 
@@ -274,7 +279,6 @@ def make_backend(
     *,
     processes: int | None = None,
     telemetry: "obs.Telemetry | None" = None,
-    share_tables: bool = True,
 ) -> VerificationBackend:
     """The right backend for *processes* workers, degrading gracefully.
 
@@ -288,8 +292,7 @@ def make_backend(
     if n <= 1:
         return InlineBackend()
     try:
-        return PooledBackend(params, bank_pk, processes=n, telemetry=telemetry,
-                             share_tables=share_tables)
+        return PooledBackend(params, bank_pk, processes=n, telemetry=telemetry)
     except Exception:
         # no multiprocessing on this host (sandbox, missing /dev/shm,
         # fork bombs disallowed...): serve inline rather than not at all

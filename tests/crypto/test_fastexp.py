@@ -148,20 +148,17 @@ class TestGenericFixedBaseTable:
                 assert _point(table.exp(s), params.p) == base.multiply(s)
 
     def test_backend_exp_fixed_parity(self, session_rng):
-        """``TatePairing.exp_fixed`` through its int-pair table, and
-        through a table adopted from an export, equals ``exp``."""
+        """``TatePairing.exp_fixed`` through its int-pair table equals
+        ``exp``."""
         backend = TatePairing(generate_curve(32, session_rng))
         base = backend.random_element(session_rng)
         backend.warm_exp_fixed(base)
-        clone = TatePairing(backend.params)
-        assert clone.install_tables(backend.export_tables(), register=False) == 1
         r = backend.order
         scalars = [session_rng.randrange(r) for _ in range(6)] + [0, 1, r - 1, r, -1, 3 * r + 5]
         for s in scalars:
             want = backend.exp(base, s)
-            assert backend.exp_fixed(base, s) == want == clone.exp_fixed(base, s)
+            assert backend.exp_fixed(base, s) == want
         assert backend._point_tables.stats.hits == len(scalars)
-        assert clone._point_tables.stats.hits == len(scalars)
 
     def test_operations_per_exponentiation(self, monkeypatch):
         """At most one point addition per row after the first: 19 for

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.crypto.cl_sig import CLSignature, cl_blind_issue, cl_blind_request, cl_keygen
 from repro.crypto.pairing import TatePairing
 from repro.crypto.pairing import curve
-from repro.crypto.pairing.curve import Point, PointTable, generate_curve
+from repro.crypto.pairing.curve import Point, generate_curve
 
 CURVE = generate_curve(24, random.Random(7))
 P, R = CURVE.p, CURVE.r
@@ -88,10 +88,6 @@ def test_exp_and_exp_fixed_match_the_fp2_law(A, k):
     assert BACKEND.exp(A, k) == want
     BACKEND.warm_exp_fixed(A)
     assert BACKEND.exp_fixed(A, k) == want
-    if not A.is_infinity:
-        table = PointTable((A.x.a, A.y.a), P, R.bit_length())
-        adopted = PointTable.from_state(P, table.to_state())
-        assert curve._point(adopted.exp(k % R), P) == want
 
 
 @settings(max_examples=80, deadline=None)

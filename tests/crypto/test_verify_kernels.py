@@ -177,23 +177,6 @@ class TestMillerReplay:
                 assert backend.pair(P, Q) == want
                 assert backend.pair(Q, P) == want
 
-    def test_state_roundtrip_and_range_checks(self, curve):
-        params, backend = curve
-        table = MillerTable(params, backend.g)
-        state = table.to_state()
-        clone = MillerTable.from_state(params, state)
-        Q = backend.random_element(random.Random(22))
-        assert clone.raw(Q) == table.raw(Q)
-        lam, k = state["steps"][0][1:]
-        for bad in ((True, params.p, k), (True, lam, -1), (1, lam, k),
-                    (False, None, None), (True, lam, None)):
-            broken = dict(state, steps=[bad] + state["steps"][1:])
-            with pytest.raises(ValueError):
-                MillerTable.from_state(params, broken)
-        xa, xb, ya, yb, inf = state["point"]
-        with pytest.raises(ValueError):
-            MillerTable.from_state(params, dict(state, point=(xa + params.p, xb, ya, yb, inf)))
-
 
 # ---------------------------------------------------------------------------
 # μ_r membership
@@ -577,38 +560,6 @@ def test_powm_is_reached_only_from_verifiers_and_membership_checks():
 
 @needs_kernel
 class TestRebuiltTables:
-    def test_a_miller_table_from_state_packs_its_own_buffer(self, curve):
-        params, backend = curve
-        rng = random.Random(51)
-        table = MillerTable(params, backend.random_element(rng))
-        points = [backend.random_element(rng) for _ in range(3)]
-        want = [table.raw(Q) for Q in points]
-        assert table._packed is not None
-        clone = MillerTable.from_state(params, table.to_state())
-        assert clone._packed is None
-        assert [clone.raw(Q) for Q in points] == want
-        assert clone._packed == table._packed
-        fastexp.KERNEL, kernel = None, fastexp.KERNEL
-        try:
-            assert [clone.raw(Q) for Q in points] == want
-        finally:
-            fastexp.KERNEL = kernel
-
-    def test_installed_tables_pair_like_the_exporter(self, curve):
-        params, backend = curve
-        rng = random.Random(52)
-        source = TatePairing(params)
-        fixed = source.random_element(rng)
-        source.warm_pair(fixed)
-        source.warm_exp_fixed(fixed)
-        points = [source.random_element(rng) for _ in range(3)]
-        want = [source.pair(fixed, Q) for Q in points]
-        adopter = TatePairing(params)
-        assert adopter.install_tables(source.export_tables(), register=False) == 2
-        calls = fastexp.KERNEL_CALLS["replay_c"]
-        assert [adopter.pair(fixed, Q) for Q in points] == want
-        assert fastexp.KERNEL_CALLS["replay_c"] == calls + len(points)
-
     def test_window_table_packs_on_first_use_and_agrees(self, p1024_group):
         group = p1024_group
         table = fastexp.FixedBaseTable(group.g, group.p, order=group.q)

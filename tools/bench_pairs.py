@@ -52,9 +52,12 @@ def _run_once(contract: dict, checkout: str, workload: str, seed: int,
 
 def _entry(contract: dict, rows: list[dict], args, seeds: list[int]) -> dict:
     workloads: dict = {}
+    wanted = set(seeds)
     for workload in args.workloads:
         table: dict = {}
-        mine = [row for row in rows if row["workload"] == workload]
+        # only this sweep's seeds: another sweep may share the raw file
+        mine = [row for row in rows
+                if row["workload"] == workload and row["seed"] in wanted]
         for metric in contract["end_to_end"]:
             name, lower = metric["name"], metric["better"] == "lower"
             sides = {

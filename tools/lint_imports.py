@@ -87,8 +87,6 @@ MODULE_ALLOWED: dict[str, set[str]] = {
     "repro.crypto.fastexp": set(),
     # number theory batches its Legendre symbols through that kernel
     "repro.crypto.ntheory": {"repro._util", "repro.crypto.fastexp"},
-    # the shared-memory table transport is stdlib-only by design
-    "repro.crypto.tablestore": set(),
     # the engine is the machines' only dispatch: each party's message
     # table (the schema language), the codec that opens a sealed payload
     # for its row, and the metered fabric the router delivers over
@@ -345,8 +343,6 @@ ROOTS: dict[str, str] = {
         "reference: reads the golden wallet fixture back",
     # test seams
     "repro.testing": "test seam: the fault, scenario and property harness",
-    "repro.crypto.tablestore.set_crash_hook":
-        "test seam: kills a table export between two steps",
 }
 
 
