@@ -18,19 +18,17 @@ build cost.  All caches register themselves in a module registry;
 :func:`stats` aggregates their hit/miss/build/eviction counters (also
 published as gauges by :meth:`repro.service.MarketService.dump_telemetry`).
 
-One global gate keeps the fallback path exactly as it was:
-:func:`configure` ``(enabled=False)`` (or environment
-``REPRO_FASTEXP=0``) disables every table path.  With tables on or
-off, results are bit-identical — a table computes the same group
-element ``pow`` does.
+A cold base takes the plain path, ``pow``, and a table computes the
+same group element ``pow`` does, so results are bit-identical either
+way; the parity tests hold the two paths against each other.
 
 The hot loops of verification — a table exponentiation here, the
 Miller replay and the F_{p²} powers of :mod:`repro.crypto.pairing.tate`,
 the Legendre membership test of
 :class:`~repro.crypto.groups.SchnorrGroup`, the verifiers'
 variable-base powers (:func:`powm`) and the rounds of an edge proof —
-and the codec's runs of small ints (:mod:`repro.net.codec`) also run
-in a compiled kernel, ``_kernel.c`` beside this file, over libgmp.
+and the codec's encode and decode walks (:mod:`repro.net.codec`) also
+run in a compiled kernel, ``_kernel.c`` beside this file, over libgmp.
 This module loads it (:data:`KERNEL`), building it on first import
 into a cache beside the source (:func:`build_kernel`); without ``gcc``,
 ``gmp.h`` or a writable cache the Python loops run, and they stay the
@@ -66,7 +64,6 @@ __all__ = [
     "fixed_base",
     "warm_fixed_base",
     "powm",
-    "configure",
     "enabled",
     "stats",
     "reset",
@@ -84,15 +81,13 @@ class CacheStats:
     ``hits`` — exponentiations served from a built table; ``misses`` —
     calls that fell back to the naive path because no table existed
     yet; ``builds`` — tables constructed (by promotion or warming);
-    ``evictions`` — tables dropped by the LRU bound; ``bypasses`` —
-    calls that skipped the cache entirely (tables disabled).
+    ``evictions`` — tables dropped by the LRU bound.
     """
 
     hits: int = 0
     misses: int = 0
     builds: int = 0
     evictions: int = 0
-    bypasses: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -100,14 +95,7 @@ class CacheStats:
             "misses": self.misses,
             "builds": self.builds,
             "evictions": self.evictions,
-            "bypasses": self.bypasses,
         }
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of non-bypassed lookups served from a table."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +346,8 @@ class FixedBaseTable:
 # ---------------------------------------------------------------------------
 
 #: registry of live caches, for aggregate stats (weak so throwaway
-#: backends in tests don't accumulate).  Survives ``importlib.reload``
-#: of this module — a reload (the env-knob tests do one) must not
-#: orphan caches held by live backends, or ``reset()``/``stats()``
-#: silently stop covering them.
-_REGISTRY: list[weakref.ref] = globals().get("_REGISTRY", [])
+#: backends in tests don't accumulate)
+_REGISTRY: list[weakref.ref] = []
 
 
 class PromotionCache:
@@ -374,7 +359,8 @@ class PromotionCache:
     (per-proof commitments, throwaway test groups) from ever paying a
     build, while steady-state bases (market generators, bank keys)
     promote within a handful of calls.  :meth:`force` builds
-    unconditionally — the warm-up path.
+    unconditionally — the warm-up path.  No switch turns a cache off: a
+    lookup that answers ``None`` is the only way onto the plain path.
     """
 
     def __init__(
@@ -450,15 +436,8 @@ class PromotionCache:
 
 
 # ---------------------------------------------------------------------------
-# module-level configuration and the shared integer cache
+# the shared integer cache
 # ---------------------------------------------------------------------------
-
-_CONFIG: dict[str, Any] = {
-    # REPRO_FASTEXP=0 force-disables every table path (A/B runs, CI)
-    "enabled": os.environ.get("REPRO_FASTEXP", "1").strip().lower()
-    not in {"0", "off", "false", "no"},
-    "promote_after": 4,
-}
 
 #: resident integer tables at most, LRU-evicted
 _MAX_INT_TABLES = 64
@@ -472,41 +451,14 @@ _INT_TABLES = PromotionCache(
     "fastexp.int",
     _build_int_table,
     max_entries=_MAX_INT_TABLES,
-    promote_after=_CONFIG["promote_after"],
+    promote_after=4,
 )
 
 
 def enabled() -> bool:
-    """Whether any table path may be taken (the global toggle)."""
-    return _CONFIG["enabled"]
-
-
-def promote_after() -> int:
-    """The configured promotion threshold (read by backend caches)."""
-    return _CONFIG["promote_after"]
-
-
-def configure(
-    *,
-    enabled: bool | None = None,
-    promote_after: int | None = None,
-) -> dict[str, Any]:
-    """Update the global fast-exp policy; returns the *previous* config.
-
-    The returned mapping can be passed back as ``configure(**prev)`` to
-    restore — the pattern the toggle tests use.
-    """
-    previous = dict(_CONFIG)
-    updates = {
-        "enabled": enabled,
-        "promote_after": promote_after,
-    }
-    for key, value in updates.items():
-        if value is not None:
-            _CONFIG[key] = value
-    if promote_after is not None:
-        _INT_TABLES.promote_after = promote_after
-    return previous
+    """Always ``True``: tables are a fixed property of the market.  Kept
+    for the e2e server's ready line, its one reader."""
+    return True
 
 
 def exp_fixed(
@@ -522,15 +474,11 @@ def exp_fixed(
     Semantics are identical to ``pow`` (with *order* given, the
     exponent is first reduced modulo it — sound for any element of
     that subgroup, and what :class:`~repro.crypto.groups.SchnorrGroup`
-    does anyway).  The table path is taken when tables are globally
-    enabled and this base has been seen often enough to have been
-    promoted — at any modulus size.
+    does anyway).  The table path is taken once this base has been seen
+    often enough to have been promoted — at any modulus size.
     """
     if order is not None:
         exponent %= order
-    if not _CONFIG["enabled"]:
-        _INT_TABLES.stats.bypasses += 1
-        return pow(base, exponent, modulus)
     if bits is None:
         bits = order.bit_length() if order is not None else max(exponent.bit_length(), 1)
     table = _INT_TABLES.get((modulus, base), base, modulus, bits, order)
@@ -547,13 +495,12 @@ def fixed_base(base: int, modulus: int, *, order: int) -> Callable[[int], int]:
     every round: on a resident table it is the :class:`FixedBaseTable`
     itself (one counted hit for the whole proof; its
     :meth:`~FixedBaseTable.kernel_rows` can go to the kernel whole); on
-    a cold base, or with tables disabled, every call goes through
-    :func:`exp_fixed`, so promotion and the counters see each use.
+    a cold base every call goes through :func:`exp_fixed`, so promotion
+    and the counters see each use.
     """
-    if _CONFIG["enabled"]:
-        table = _INT_TABLES.peek((modulus, base))
-        if table is not None and table.order == order:
-            return table
+    table = _INT_TABLES.peek((modulus, base))
+    if table is not None and table.order == order:
+        return table
     return lambda exponent: exp_fixed(base, modulus, exponent, order=order)
 
 
@@ -563,24 +510,16 @@ def warm_fixed_base(
     *,
     order: int | None = None,
     bits: int | None = None,
-) -> bool:
-    """Eagerly build the table for a known-hot base.
-
-    Returns ``True`` when a table is (now) resident; with tables
-    globally disabled the warm is a counted no-op.
-    """
-    if not _CONFIG["enabled"]:
-        _INT_TABLES.stats.bypasses += 1
-        return False
+) -> None:
+    """Eagerly build the table for a known-hot base."""
     if bits is None:
         if order is None:
             raise ValueError("need an exponent bit bound: pass bits or order")
         bits = order.bit_length()
     _INT_TABLES.force((modulus, base), base, modulus, bits, order)
-    return True
 
 
-_CACHE_COLUMNS = ("hits", "misses", "builds", "evictions", "bypasses", "tables")
+_CACHE_COLUMNS = ("hits", "misses", "builds", "evictions", "tables")
 
 
 def stats() -> dict[str, dict[str, int]]:

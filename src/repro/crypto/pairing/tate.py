@@ -290,7 +290,7 @@ class TatePairing:
         inversion.  Only the promotion threshold gates it.
         """
         s = scalar % self.order
-        if not fastexp.enabled() or base.is_infinity or not base.is_base_field():
+        if base.is_infinity or not base.is_base_field():
             return base.multiply(s)
         xy = (base.x.a, base.y.a)
         table = self._point_tables.get(xy, xy)
@@ -300,8 +300,6 @@ class TatePairing:
 
     def warm_exp_fixed(self, *bases: Point) -> None:
         """Eagerly build window tables for known-hot *bases*."""
-        if not fastexp.enabled():
-            return
         for base in bases:
             if not base.is_infinity and base.is_base_field():
                 xy = (base.x.a, base.y.a)
@@ -400,8 +398,6 @@ class TatePairing:
 
     def warm_pair(self, *points: Point) -> None:
         """Eagerly build Miller tables for known-fixed pairing arguments."""
-        if not fastexp.enabled():
-            return
         for point in points:
             if not point.is_infinity:
                 self._pair_tables.force(point.encode(), point)
@@ -417,13 +413,12 @@ class TatePairing:
         """
         if a.is_infinity or b.is_infinity:
             return _ONE
-        if fastexp.enabled():
-            table = self._pair_tables.get(a.encode(), a)
-            if table is not None:
-                return table.raw(b)
-            table = self._pair_tables.get(b.encode(), b)
-            if table is not None:
-                return table.raw(a)
+        table = self._pair_tables.get(a.encode(), a)
+        if table is not None:
+            return table.raw(b)
+        table = self._pair_tables.get(b.encode(), b)
+        if table is not None:
+            return table.raw(a)
         return _replay(_line_walk(a, self.params.r), b, self.params.p)
 
     def gt_mul(self, a: Fp2, b: Fp2) -> Fp2:

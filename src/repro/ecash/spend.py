@@ -400,7 +400,7 @@ def warm_verification_tables(params: DECParams, bank_pk: CLPublicKey | None = No
     Idempotent and cheap
     relative to one deposit; a long-lived verifier (the bank service)
     calls this once at startup so steady-state flushes never pay
-    table-build cost.  No-op while fast-exp is globally disabled.
+    table-build cost.
     """
     backend = params.backend
     fixed_points = [backend.g]

@@ -12,7 +12,7 @@ Two ergonomic guarantees keep results reproducible and picklable:
 * every grid point carries its own integer seed (derived from the
   sweep seed and the point index), so results are independent of
   worker scheduling;
-* ``processes=1`` bypasses multiprocessing entirely (exact same code
+* ``processes=1`` skips multiprocessing entirely (exact same code
   path in-process), which is what the test suite uses and what callers
   should use under profilers.
 """

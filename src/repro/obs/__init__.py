@@ -19,10 +19,9 @@ and all counters land in one scrape.
 **Toggles.**  Metrics always count.  Tracing is the one switch: the
 module-default tracer starts from ``REPRO_TRACE=1`` (default **off**;
 the disabled path costs one attribute check per span and hands out the
-shared no-op span — the same guard discipline as ``REPRO_FASTEXP``),
-and :func:`configure` flips it at runtime.  ``Telemetry()`` is a
-private stack with tracing off; tests build private
-``Telemetry.enabled()`` stacks instead of touching the global one.
+shared no-op span).  ``Telemetry()`` is a private stack with tracing
+off; tests build private ``Telemetry.enabled()`` stacks instead of
+touching the global one.
 
 Layering: this package imports nothing from the rest of ``repro``
 (enforced by ``tools/lint_imports.py``) — in particular it may not
@@ -74,7 +73,6 @@ __all__ = [
     "hash_value",
     "trace_id",
     "get_default",
-    "configure",
 ]
 
 
@@ -146,14 +144,3 @@ def get_default() -> Telemetry:
     """The telemetry components fall back to when given none."""
     return _DEFAULT
 
-
-def configure(*, trace: bool | None = None) -> dict[str, bool]:
-    """Flip the default tracer; returns the prior state.
-
-    The flag is read per span, so flipping affects components that were
-    already built against the default stack.
-    """
-    previous = {"trace": _DEFAULT.tracer.enabled}
-    if trace is not None:
-        _DEFAULT.tracer.enabled = trace
-    return previous

@@ -8,8 +8,7 @@ constraints, in order:
 * **near-zero cost when off.**  ``span()`` on a disabled tracer is one
   attribute check returning a shared no-op singleton — no allocation,
   no clock read, no string work.  The hot verify loop runs the same
-  bytecode it ran before this module existed, guarded the same way
-  ``REPRO_FASTEXP`` guards the comb tables.
+  bytecode it ran before this module existed.
 * **explicit clock.**  The tracer reads time only through the callable
   it was built with, so service code under the fault harness's
   simulated clocks traces identically to wall-clock runs, and tests

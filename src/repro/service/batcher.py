@@ -47,7 +47,7 @@ from repro.ecash.spend import (
 )
 from repro.ecash.tree import leaf_serials
 from repro.metrics.parallel import SweepPoint
-from repro.service.workers import InlineBackend, VerificationBackend, make_backend
+from repro.service.workers import VerificationBackend, make_backend
 
 _log = logging.getLogger(__name__)
 
@@ -168,7 +168,6 @@ class VerificationBatcher:
         max_batch: int = 32,
         processes: int = 1,
         seed: int = 0,
-        warm_tables: bool = True,
         telemetry: "obs.Telemetry | None" = None,
         backend: VerificationBackend | None = None,
     ) -> None:
@@ -179,22 +178,17 @@ class VerificationBatcher:
         self.params = params
         self.keypair = keypair
         self._bind_obs(telemetry)
-        if warm_tables:
-            # build the fixed-base/Miller tables for the bank key and the
-            # tower generators up front: steady-state flushes (at least
-            # the in-process ones) then never pay table-build cost
-            warm_verification_tables(params, keypair.public)
+        # build the fixed-base/Miller tables for the bank key and the
+        # tower generators up front: steady-state flushes (at least the
+        # in-process ones) then never pay table-build cost
+        warm_verification_tables(params, keypair.public)
         self.max_batch = max_batch
         # an explicit backend wins; otherwise processes>1 builds the
         # warm persistent pool (falling back to inline if the host
         # cannot spawn processes) and processes=1 stays in-process
         if backend is None:
-            backend = (
-                make_backend(params, keypair.public, processes=processes,
-                             telemetry=telemetry)
-                if processes > 1
-                else InlineBackend()
-            )
+            backend = make_backend(params, keypair.public, processes=processes,
+                                   telemetry=telemetry)
         self.backend = backend
         self.processes = backend.workers
         self._pending: deque[DepositJob | WithdrawJob] = deque()

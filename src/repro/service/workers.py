@@ -40,7 +40,6 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 import repro.obs as obs
-from repro.crypto import fastexp
 from repro.crypto.cl_sig import CLPublicKey
 from repro.ecash.spend import DECParams, warm_verification_tables
 from repro.metrics.parallel import SweepPoint, env_processes, sweep_points
@@ -58,19 +57,15 @@ __all__ = [
 _RESIDENT: dict[str, Any] = {}
 
 
-def _warm_worker(params: DECParams, bank_pk: CLPublicKey | None,
-                 fastexp_config: dict) -> None:
+def _warm_worker(params: DECParams, bank_pk: CLPublicKey | None) -> None:
     """Pool initializer: run once in every worker process at start.
 
-    Mirrors the parent's fast-exp policy (the child may have been
-    spawned, not forked, in which case it read ``REPRO_FASTEXP`` fresh),
-    keeps *params* and *bank_pk* as the worker's resident market and
+    Keeps *params* and *bank_pk* as the worker's resident market and
     readies their fixed-base/Miller tables, so the first chunk a worker
     sees already runs on warm tables.  A forked worker holds the
     parent's own, already warm objects, and the warm-up finds every
     table resident; a spawned one builds them here, once.
     """
-    fastexp.configure(**fastexp_config)
     _RESIDENT.update(params=params, bank_pk=bank_pk)
     warm_verification_tables(params, bank_pk)
 
@@ -187,7 +182,7 @@ class PooledBackend(VerificationBackend):
         self._pool = ProcessPoolExecutor(
             max_workers=processes,
             initializer=_warm_worker,
-            initargs=(params, bank_pk, fastexp.configure()),
+            initargs=(params, bank_pk),
         )
         # force the workers up (and warmed) now: a pool that cannot
         # spawn fails construction, not the first real flush

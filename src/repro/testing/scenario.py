@@ -432,7 +432,7 @@ def _replay(
     def fresh_batcher() -> VerificationBatcher:
         return VerificationBatcher(
             kit.params, kit.keypair, max_batch=max_batch, seed=7,
-            warm_tables=False, telemetry=telemetry,
+            telemetry=telemetry,
         )
 
     # first incarnation: the kit's funding, journaled but rid-less —

@@ -31,7 +31,7 @@ hypothesis_settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 hypothesis_settings.load_profile("repro")
-from repro.crypto import rsa
+from repro.crypto import fastexp, rsa
 from repro.crypto.groups import SchnorrGroup, build_tower
 from repro.crypto.pairing import TatePairing, ToyPairing, generate_curve
 from repro.ecash.dec import DECBank
@@ -135,6 +135,48 @@ def campaign_substrate(session_rng):
     from repro.testing.scenario import market_params
 
     return market_params(random.Random(f"campaign:{SESSION_SEED!r}"))
+
+
+def withhold_tables(patch: pytest.MonkeyPatch) -> None:
+    """Make every table lookup miss while *patch* is active.
+
+    ``PromotionCache.get`` and ``peek`` answer ``None`` and count a
+    miss, so every call takes the plain path — ``pow``,
+    ``Point.multiply``, a fresh Miller loop — whatever is resident.  A
+    warm still builds its tables; nothing reads them.
+    """
+    def withheld(self, key, *build_args):
+        self.stats.misses += 1
+        return None
+
+    patch.setattr(fastexp.PromotionCache, "get", withheld)
+    patch.setattr(fastexp.PromotionCache, "peek", withheld)
+
+
+def force_tables(patch: pytest.MonkeyPatch) -> None:
+    """Table every integer base from its first use while *patch* is
+    active (the Tate caches keep their own thresholds)."""
+    patch.setattr(fastexp._INT_TABLES, "promote_after", 0)
+
+
+@pytest.fixture()
+def tables_withheld(monkeypatch):
+    """The plain path for the whole test (:func:`withhold_tables`),
+    starting and ending with empty caches."""
+    fastexp.reset()
+    withhold_tables(monkeypatch)
+    yield
+    fastexp.reset()
+
+
+@pytest.fixture()
+def tables_forced(monkeypatch):
+    """Every integer base tabled from its first use for the whole test
+    (:func:`force_tables`), starting and ending with empty caches."""
+    fastexp.reset()
+    force_tables(monkeypatch)
+    yield
+    fastexp.reset()
 
 
 @pytest.fixture()

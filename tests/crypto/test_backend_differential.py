@@ -5,9 +5,9 @@ through a DEC instance on the *toy* symmetric pairing and one on the
 real (small) *Tate* pairing, and the resulting accept/reject decision
 vectors must be identical — valid tokens accepted, each tampering
 rejected, on both backends.  The whole matrix additionally runs with
-fixed-base exponentiation tables forced on and globally off (reusing
+fixed-base exponentiation tables forced and withheld (reusing
 :func:`tests.crypto.test_fastexp_toggle._run_both`), so backend choice
-and the fastexp toggle are shown to be jointly decision-invariant.
+and the table path are shown to be jointly decision-invariant.
 """
 
 from __future__ import annotations
@@ -86,10 +86,13 @@ class TestBackendParity:
         assert tate == toy
         assert tate == EXPECTED
 
-    def test_parity_holds_under_fastexp_toggle(self, dec_params, toy3_params):
-        """The full matrix: {toy, tate} x {tables on, tables off}."""
-        tate_on, tate_off = _run_both(lambda: _decision_vector(dec_params, seed=2002))
-        toy_on, toy_off = _run_both(lambda: _decision_vector(toy3_params, seed=2002))
+    def test_parity_holds_under_fastexp_toggle(self, dec_params, toy3_params,
+                                               monkeypatch):
+        """The full matrix: {toy, tate} x {tables forced, tables withheld}."""
+        tate_on, tate_off = _run_both(lambda: _decision_vector(dec_params, seed=2002),
+                                      monkeypatch)
+        toy_on, toy_off = _run_both(lambda: _decision_vector(toy3_params, seed=2002),
+                                    monkeypatch)
         assert tate_on == tate_off == toy_on == toy_off
         assert tate_on == EXPECTED
 

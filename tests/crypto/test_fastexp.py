@@ -34,11 +34,9 @@ G1024 = 4  # 2^2 — a quadratic residue, hence of order Q1024
 
 @pytest.fixture(autouse=True)
 def _isolated_fastexp():
-    """Each test starts with empty caches and default configuration."""
-    previous = fastexp.configure()
+    """Each test starts with empty caches."""
     fastexp.reset()
     yield
-    fastexp.configure(**previous)
     fastexp.reset()
 
 
@@ -250,11 +248,11 @@ class TestExpFixed:
         for e in range(123456789, 123456789 + 6):
             assert grp.exp_fixed(grp.g, e) == grp.exp(grp.g, e)
         stats = fastexp.stats()["fastexp.int"]
-        assert stats["bypasses"] == 0 and stats["builds"] == 1
+        assert stats["builds"] == 1
         assert stats["hits"] == 1  # the 5th use builds, the 6th hits
 
-    def test_large_modulus_promotes_and_hits(self):
-        fastexp.configure(promote_after=2)
+    def test_large_modulus_promotes_and_hits(self, monkeypatch):
+        monkeypatch.setattr(fastexp._INT_TABLES, "promote_after", 2)
         for i in range(6):
             got = fastexp.exp_fixed(G1024, P1024, 1000 + i, order=Q1024)
             assert got == pow(G1024, 1000 + i, P1024)
@@ -263,48 +261,14 @@ class TestExpFixed:
         assert stats["hits"] == 3  # uses 4..6 served from the table
         assert stats["tables"] == 1
 
-    def test_disabled_bypasses(self):
-        fastexp.configure(enabled=False)
-        assert not fastexp.enabled()
-        got = fastexp.exp_fixed(G1024, P1024, 777, order=Q1024)
-        assert got == pow(G1024, 777, P1024)
-        assert fastexp.stats()["fastexp.int"]["builds"] == 0
-
     def test_warm_builds_eagerly(self):
-        assert fastexp.warm_fixed_base(G1024, P1024, order=Q1024)
+        fastexp.warm_fixed_base(G1024, P1024, order=Q1024)
         stats = fastexp.stats()["fastexp.int"]
         assert stats["builds"] == 1
         assert fastexp.exp_fixed(G1024, P1024, 424242, order=Q1024) == pow(
             G1024, 424242, P1024
         )
         assert fastexp.stats()["fastexp.int"]["hits"] == 1
-
-    def test_warm_is_gated_too(self, schnorr_group):
-        # small moduli are tabled; only the global toggle gates a warm
-        grp = schnorr_group
-        assert fastexp.warm_fixed_base(grp.g, grp.p, order=grp.q)
-        assert fastexp.stats()["fastexp.int"]["builds"] == 1
-        fastexp.reset()
-        fastexp.configure(enabled=False)
-        assert not fastexp.warm_fixed_base(grp.g, grp.p, order=grp.q)
-        stats = fastexp.stats()["fastexp.int"]
-        assert stats["builds"] == 0 and stats["bypasses"] == 1
-
-    def test_env_override_disables(self, monkeypatch):
-        # the env knob is read at import; emulate by reloading config
-        monkeypatch.setenv("REPRO_FASTEXP", "0")
-        import importlib
-
-        import repro.crypto.fastexp as fe_mod
-        state = fe_mod.configure()
-        try:
-            importlib.reload(fe_mod)
-            assert not fe_mod.enabled()
-        finally:
-            importlib.reload(fe_mod)
-            monkeypatch.delenv("REPRO_FASTEXP")
-            importlib.reload(fe_mod)
-            fe_mod.configure(**{k: v for k, v in state.items()})
 
 
 # ---------------------------------------------------------------------------

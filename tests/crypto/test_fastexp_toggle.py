@@ -1,11 +1,12 @@
-"""Tables on vs off must not change a single bit of any decision.
+"""Tables served or withheld must not change a single bit of any decision.
 
 The acceptance criterion for the fast-exp work: every ZKP verifier and
 CL verification produces *bit-identical* accept/reject decisions (and
 provers bit-identical proof objects) whether the fixed-base tables are
-enabled — here forced on with ``promote_after=0``, so every base takes
-the table path from its first use — or globally disabled.  Each scenario runs twice from identical RNG seeds under the
-two configurations and compares full object equality.
+served — here forced with ``promote_after=0``, so every integer base
+takes the table path from its first use — or withheld, so every call
+takes the plain path.  Each scenario runs twice from identical RNG
+seeds under the two substitutions and compares full object equality.
 """
 
 from __future__ import annotations
@@ -27,26 +28,22 @@ from repro.ecash.dec import begin_withdrawal, finish_withdrawal
 from repro.ecash.spend import create_spend
 from repro.ecash.tree import NodeId
 
+from tests.conftest import force_tables, withhold_tables
 
-def _run_both(scenario):
-    """Run *scenario* with tables forced on, then off; return both results."""
-    forced_on = fastexp.configure(enabled=True, promote_after=0)
+
+def _run_both(scenario, monkeypatch):
+    """Run *scenario* with tables forced, then withheld; return both results."""
+    results = []
+    for substitute in (force_tables, withhold_tables):
+        with monkeypatch.context() as patch:
+            substitute(patch)
+            fastexp.reset()
+            results.append(scenario())
     fastexp.reset()
-    try:
-        with_tables = scenario()
-    finally:
-        fastexp.configure(**forced_on)
-    disabled = fastexp.configure(enabled=False)
-    fastexp.reset()
-    try:
-        without_tables = scenario()
-    finally:
-        fastexp.configure(**disabled)
-        fastexp.reset()
-    return with_tables, without_tables
+    return results
 
 
-def test_schnorr_dlog_identical(schnorr_group):
+def test_schnorr_dlog_identical(schnorr_group, monkeypatch):
     grp = schnorr_group
 
     def scenario():
@@ -58,12 +55,12 @@ def test_schnorr_dlog_identical(schnorr_group):
         bad = verify_dlog(grp, grp.g, grp.mul(y, grp.g), proof, Transcript(b"t"))
         return proof, ok, bad
 
-    on, off = _run_both(scenario)
+    on, off = _run_both(scenario, monkeypatch)
     assert on == off
     assert on[1] is True and on[2] is False
 
 
-def test_committed_double_log_identical(tower3):
+def test_committed_double_log_identical(tower3, monkeypatch):
     grp_p = tower3.group(0)
     grp_c = tower3.group(1)
     gens_p = tower3.extra_generators[0]
@@ -91,12 +88,12 @@ def test_committed_double_log_identical(tower3):
                                    grp_p.mul(child, gamma), rev, Transcript(b"r"))
         return proof, ok, rev, ok_rev, bad
 
-    on, off = _run_both(scenario)
+    on, off = _run_both(scenario, monkeypatch)
     assert on == off
     assert on[1] is True and on[3] is True and on[4] is False
 
 
-def test_cl_verify_identical(tate_backend):
+def test_cl_verify_identical(tate_backend, monkeypatch):
     backend = tate_backend
 
     def scenario():
@@ -113,12 +110,12 @@ def test_cl_verify_identical(tate_backend):
             bad,
         )
 
-    on, off = _run_both(scenario)
+    on, off = _run_both(scenario, monkeypatch)
     assert on == off
     assert on[3] is True and on[4] is False
 
 
-def test_spend_and_batch_verify_identical(dec_params):
+def test_spend_and_batch_verify_identical(dec_params, monkeypatch):
     """End to end: withdraw, spend, batch-verify — identical either way."""
     params = dec_params
 
@@ -136,6 +133,6 @@ def test_spend_and_batch_verify_identical(dec_params):
         verdicts = batch_verify_spends(params, bank_kp.public, tokens, rng)
         return [t.node_key for t in tokens], verdicts
 
-    on, off = _run_both(scenario)
+    on, off = _run_both(scenario, monkeypatch)
     assert on == off
     assert all(on[1])

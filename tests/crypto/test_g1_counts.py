@@ -60,11 +60,9 @@ def market():
 @pytest.fixture()
 def warm(market):
     params, keypair, _, _ = market
-    previous = fastexp.configure(enabled=True)
     fastexp.reset()
     warm_verification_tables(params, keypair.public)
     yield
-    fastexp.configure(**previous)
     fastexp.reset()
 
 

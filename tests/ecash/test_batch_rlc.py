@@ -2,7 +2,7 @@
 
 `batch_verify_spends` must return exactly the verdict list of
 per-token `verify_spend`, at every batch size the batcher grid produces, on both pairing backends, with the fast-exp
-tables on and off — including which planted forgery is refused.
+tables served and withheld — including which planted forgery is refused.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro.crypto import fastexp
 from repro.crypto.cl_sig import cl_blind_issue, cl_keygen
 from repro.ecash.batch import batch_verify_spends
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal
@@ -26,14 +25,9 @@ _FASTEXP_MODES = ("fastexp-on", "fastexp-off")
 
 @pytest.fixture(params=_FASTEXP_MODES)
 def fastexp_mode(request):
-    if request.param == "fastexp-on":
-        previous = fastexp.configure(enabled=True, promote_after=0)
-    else:
-        previous = fastexp.configure(enabled=False)
-    fastexp.reset()
-    yield request.param
-    fastexp.configure(**previous)
-    fastexp.reset()
+    forced = request.param == "fastexp-on"
+    request.getfixturevalue("tables_forced" if forced else "tables_withheld")
+    return request.param
 
 
 def _make_stack(params, rng, count=6):

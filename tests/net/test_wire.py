@@ -184,7 +184,7 @@ def wire_service(dec_params_toy):
 
     bank = svc.ShardedBank.create(dec_params_toy, random.Random(1), n_shards=2)
     batcher = svc.VerificationBatcher(
-        bank.params, bank.keypair, max_batch=4, seed=1, warm_tables=False
+        bank.params, bank.keypair, max_batch=4, seed=1
     )
     service = svc.MarketService(bank, batcher=batcher, rng=random.Random(5))
     frontend = svc.ServiceFrontend(service).start()

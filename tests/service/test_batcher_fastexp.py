@@ -1,29 +1,18 @@
 """Batcher flushes with warmed vs cold fixed-base table caches.
 
 Correctness must be cache-independent: the same job set flushed through
-a warmed batcher and a cold one (and with fast-exp disabled entirely)
-must produce identical outcomes.  With tables forced on, the opcount
-metrics surface must show the warm-up builds and the flush-time hits.
+a warmed batcher and a cold one (and with every table withheld) must
+produce identical outcomes.  With tables forced, the opcount metrics
+surface must show the warm-up builds and the flush-time hits.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.crypto import fastexp
 from repro.service import DepositJob, VerificationBatcher
 
+from tests.conftest import withhold_tables
 from tests.service.conftest import mint_tokens
-
-
-@pytest.fixture()
-def forced_tables():
-    """Force the table path for the small test groups; restore after."""
-    previous = fastexp.configure(enabled=True, promote_after=0)
-    fastexp.reset()
-    yield
-    fastexp.configure(**previous)
-    fastexp.reset()
 
 
 def _jobs(service, rng, n=6):
@@ -34,39 +23,43 @@ def _jobs(service, rng, n=6):
     ]
 
 
-def _flush(service, jobs, *, warm_tables):
+def _flush(service, jobs, *, cold=False):
+    """Flush *jobs* through a fresh batcher; *cold* drops the tables its
+    construction warmed."""
     batcher = VerificationBatcher(
         service.bank.params, service.bank.keypair,
-        max_batch=len(jobs), seed=7, warm_tables=warm_tables,
+        max_batch=len(jobs), seed=7,
     )
+    if cold:
+        fastexp.reset()
     for job in jobs:
         batcher.submit(job)
     return batcher.flush()
 
 
-def test_warm_and_cold_flush_identical(forced_tables, service, rng):
+def test_warm_and_cold_flush_identical(tables_forced, service, rng):
     jobs = _jobs(service, rng)
-    warm = _flush(service, jobs, warm_tables=True)
-    fastexp.reset()
-    cold = _flush(service, jobs, warm_tables=False)
+    warm = _flush(service, jobs)
+    cold = _flush(service, jobs, cold=True)
     assert warm == cold
     assert all(o.valid for o in warm)
 
 
-def test_disabled_tables_flush_identical(forced_tables, service, rng):
+def test_disabled_tables_flush_identical(tables_forced, service, rng, monkeypatch):
     jobs = _jobs(service, rng)
-    with_tables = _flush(service, jobs, warm_tables=True)
-    fastexp.configure(enabled=False)
-    fastexp.reset()
-    without_tables = _flush(service, jobs, warm_tables=False)
+    with_tables = _flush(service, jobs)
+    with monkeypatch.context() as patch:
+        withhold_tables(patch)
+        without_tables = _flush(service, jobs)
     assert with_tables == without_tables
 
 
-def test_warm_builds_and_flush_hits_visible_in_opcount(forced_tables, service, rng):
+def test_warm_builds_and_flush_hits_visible_in_opcount(tables_forced, service, rng):
     jobs = _jobs(service, rng)
+    fastexp.reset()  # discard tables built while minting the jobs
     batcher = VerificationBatcher(
         service.bank.params, service.bank.keypair,
-        max_batch=len(jobs), seed=7, warm_tables=True,
+        max_batch=len(jobs), seed=7,
     )
     after_warm = fastexp.stats()
     builds = sum(row["builds"] for row in after_warm.values())
@@ -83,11 +76,3 @@ def test_warm_builds_and_flush_hits_visible_in_opcount(forced_tables, service, r
     )
     # a warmed steady-state flush should not rebuild what was warmed
     assert after_flush["fastexp.int"]["hits"] > 0
-
-
-def test_warm_tables_flag_off_builds_nothing(forced_tables, service):
-    fastexp.reset()  # discard tables built while constructing the fixture
-    VerificationBatcher(
-        service.bank.params, service.bank.keypair, warm_tables=False
-    )
-    assert sum(row["builds"] for row in fastexp.stats().values()) == 0

@@ -129,8 +129,7 @@ def _run_stack(gateway_cls, kit, service_backend, schedule, dropped) -> RunArtif
         for _ in range(coins):
             bank.apply_withdrawal(aid)
     batcher = VerificationBatcher(kit.params, kit.keypair, max_batch=4,
-                                  seed=7, warm_tables=False,
-                                  backend=service_backend)
+                                  seed=7, backend=service_backend)
     service = MarketService(bank, batcher=batcher, rng=random.Random(2))
     artifacts = RunArtifacts()
     gateway = gateway_cls(service)

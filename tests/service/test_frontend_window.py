@@ -127,8 +127,7 @@ class TestBackpressure:
         decode work, dispatcher untouched."""
         bank = ShardedBank.create(dec_params_toy, random.Random(3), n_shards=2)
         batcher = VerificationBatcher(bank.params, bank.keypair, max_batch=4,
-                                      seed=1, backend=service_backend,
-                                      warm_tables=False)
+                                      seed=1, backend=service_backend)
         service = MarketService(
             bank, batcher=batcher, rng=random.Random(5),
             admission=AdmissionController(max_queue_depth=2),

@@ -33,7 +33,7 @@ def _stack(kit, journal=None) -> MarketService:
     bank = ShardedBank(kit.params, kit.keypair, random.Random(3), n_shards=2,
                        journal=journal if journal is not None else Journal())
     batcher = VerificationBatcher(kit.params, kit.keypair, max_batch=4,
-                                  seed=1, warm_tables=False)
+                                  seed=1)
     return MarketService(bank, batcher=batcher, rng=random.Random(5))
 
 

@@ -47,8 +47,7 @@ def _stack(dec_params_toy, service_backend):
     bank = ShardedBank.create(dec_params_toy, random.Random(3), n_shards=2,
                               journal=journal)
     batcher = VerificationBatcher(bank.params, bank.keypair, max_batch=8,
-                                  seed=1, backend=service_backend,
-                                  warm_tables=False)
+                                  seed=1, backend=service_backend)
     return MarketService(bank, batcher=batcher, rng=random.Random(5)), journal
 
 

@@ -9,8 +9,8 @@ produce
 * byte-identical write-ahead journal records, and
 * equal service/batcher metric counters,
 
-with the fast-exp tables both on and off (the pool warms per-process
-tables; warm vs cold may never change a verdict).  Any divergence here
+with the fast-exp tables both served and withheld (the pool warms
+per-process tables; warm vs cold may never change a verdict).  Any divergence here
 means worker scheduling leaked into results — the exact failure mode
 the shared :func:`repro.metrics.parallel.sweep_points` seed derivation
 exists to prevent.
@@ -38,6 +38,8 @@ from repro.service import (
     VerificationBatcher,
     mint_deposit_traffic,
 )
+
+from tests.conftest import withhold_tables
 
 #: enough deposits to span several batches and several pool chunks
 N_DEPOSITS = 12
@@ -76,9 +78,12 @@ def parity_workload(dec_params_toy):
 def _run(workload, backend_factory, *, fastexp_on: bool) -> dict:
     """The workload through one service; every comparable artefact."""
     params, keypair, book, requests = workload
-    previous = fastexp.configure(enabled=fastexp_on)
     fastexp.reset()
-    try:
+    # withheld before the pooled leg's backend forks its workers, so
+    # they inherit the substitution
+    with pytest.MonkeyPatch.context() as patch:
+        if not fastexp_on:
+            withhold_tables(patch)
         telemetry = obs.Telemetry.enabled()
         journal = Journal(telemetry=telemetry)
         bank = ShardedBank(params, keypair, random.Random(7), n_shards=4,
@@ -90,7 +95,7 @@ def _run(workload, backend_factory, *, fastexp_on: bool) -> dict:
         backend = backend_factory(params, keypair)
         batcher = VerificationBatcher(
             params, keypair, max_batch=MAX_BATCH, seed=11,
-            warm_tables=fastexp_on, backend=backend, telemetry=telemetry,
+            backend=backend, telemetry=telemetry,
         )
         service = MarketService(bank, batcher=batcher, rng=random.Random(13),
                                 journal=journal, telemetry=telemetry)
@@ -114,7 +119,7 @@ def _run(workload, backend_factory, *, fastexp_on: bool) -> dict:
             # are *about* the backend, not about verdicts
             if not m["name"].startswith("repro_pool_")
         }
-        return {
+        result = {
             "replies": reply_bytes,
             "journal": [encode(rec.to_state()) for rec in journal.records()],
             "counters": counters,
@@ -126,9 +131,8 @@ def _run(workload, backend_factory, *, fastexp_on: bool) -> dict:
                 "jobs": batcher.jobs_processed,
             },
         }
-    finally:
-        fastexp.configure(**previous)
-        fastexp.reset()
+    fastexp.reset()
+    return result
 
 
 def _inline(params, keypair):

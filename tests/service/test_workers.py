@@ -171,7 +171,7 @@ class TestBatcherIntegration:
         backend = InlineBackend()
         batcher = VerificationBatcher(
             sharded_bank.params, sharded_bank.keypair,
-            processes=7, warm_tables=False, backend=backend,
+            processes=7, backend=backend,
         )
         assert batcher.backend is backend
         assert batcher.processes == 1  # backend wins over the hint
@@ -180,7 +180,7 @@ class TestBatcherIntegration:
         from repro.service import VerificationBatcher
 
         batcher = VerificationBatcher(
-            sharded_bank.params, sharded_bank.keypair, warm_tables=False
+            sharded_bank.params, sharded_bank.keypair
         )
         assert isinstance(batcher.backend, InlineBackend)
         batcher.close()

@@ -52,7 +52,7 @@ def _fresh_service(kit, journal=None) -> MarketService:
     )
     kit.fund(bank)
     batcher = VerificationBatcher(
-        kit.params, kit.keypair, max_batch=4, seed=7, warm_tables=False
+        kit.params, kit.keypair, max_batch=4, seed=7
     )
     return MarketService(bank, batcher=batcher, rng=random.Random(2))
 
@@ -65,7 +65,7 @@ def _recovered(kit, journal, *, checkpoint=None) -> MarketService:
         checkpoint=checkpoint,
         n_shards=3,
         batcher=VerificationBatcher(
-            kit.params, kit.keypair, max_batch=4, seed=7, warm_tables=False
+            kit.params, kit.keypair, max_batch=4, seed=7
         ),
     )
 

@@ -139,7 +139,7 @@ def _run_workload(kit, storage, holder) -> tuple:
     service = MarketService(
         bank, journal=journal,
         batcher=VerificationBatcher(kit.params, kit.keypair, max_batch=4,
-                                    seed=7, warm_tables=False),
+                                    seed=7),
         rng=random.Random(2), reply_cache=REPLY_CACHE,
     )
     rids: dict[int, str] = {}
@@ -193,7 +193,7 @@ def _recover(kit, storage) -> tuple:
     service = MarketService.recover(
         kit.params, kit.keypair, journal, checkpoint=checkpoint, n_shards=3,
         batcher=VerificationBatcher(kit.params, kit.keypair, max_batch=4,
-                                    seed=7, warm_tables=False),
+                                    seed=7),
         reply_cache=REPLY_CACHE,
     )
     return journal, checkpoint, service

@@ -336,13 +336,15 @@ ROOTS: dict[str, str] = {
     "repro.crypto.zkp.equality.verify_equality":
         "reference: both groups' equations, the G_T half verify_spend checks inline",
     "repro.crypto.zkp.schnorr.prove_dlog":
-        "reference: the int-group Schnorr prover test_fastexp_toggle runs tables on and off",
+        "reference: the int-group Schnorr prover test_fastexp_toggle runs tables served and withheld",
     "repro.crypto.zkp.schnorr.verify_dlog":
-        "reference: the int-group Schnorr verifier test_fastexp_toggle runs tables on and off",
+        "reference: the int-group Schnorr verifier test_fastexp_toggle runs tables served and withheld",
     "repro.ecash.wallet_io.restore_coins":
         "reference: reads the golden wallet fixture back",
     # test seams
     "repro.testing": "test seam: the fault, scenario and property harness",
+    "repro.obs.redact.configure":
+        "test seam: pins the digest salt so a test's digests are reproducible",
 }
 
 
