@@ -23,6 +23,7 @@ import pytest
 from repro.crypto.cl_sig import cl_blind_issue, cl_keygen, cl_sign, cl_verify
 from repro.crypto.groups import build_tower
 from repro.crypto.hashing import Transcript
+from repro.crypto.ntheory import random_prime
 from repro.crypto.pairing import ToyPairing, TatePairing, generate_curve
 from repro.crypto.zkp.double_log import prove_double_log, verify_double_log
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal, setup
@@ -37,7 +38,7 @@ from repro.ecash.tree import NodeId
 @pytest.fixture(scope="module")
 def backends(bench_rng):
     return {
-        "tate": TatePairing(generate_curve(48, bench_rng)),
+        "tate": TatePairing(generate_curve(random_prime(48, bench_rng), bench_rng)),
         "toy": ToyPairing.generate(96, bench_rng),
     }
 
@@ -94,7 +95,7 @@ def test_deposit_verify_individual(benchmark, deposit_batch):
 @pytest.mark.parametrize("rounds", [8, 16, 32])
 def test_spend_cost_vs_edge_rounds(benchmark, bench_rng, rounds):
     """Spend cost scales linearly with the per-edge soundness rounds."""
-    params = setup(3, bench_rng, security_bits=48, edge_rounds=rounds)
+    params = setup(3, bench_rng, edge_rounds=rounds)
     rng = random.Random(rounds)
     bank_kp = cl_keygen(params.backend, rng)
     secret, request = begin_withdrawal(params, rng)

@@ -73,7 +73,6 @@ N_EXPONENTS = 16 if SMOKE else 64
 TABLE_REQUIRED_SPEEDUP = 2.0
 
 N_DEPOSITS = 16 if SMOKE else 64
-SECURITY_BITS = 64
 SERVICE_REQUIRED_GAIN = 1.15
 
 
@@ -162,7 +161,7 @@ def test_fixed_base_table_at_storey_size(benchmark, bench_rng):
 @pytest.fixture(scope="module")
 def service_workload(bench_rng):
     """Same minted deposit workload as bench_service_throughput."""
-    params = setup(3, bench_rng, security_bits=SECURITY_BITS, edge_rounds=6)
+    params = setup(3, bench_rng, edge_rounds=6)
     keypair = cl_keygen(params.backend, bench_rng)
     mint_bank = ShardedBank(params, keypair, random.Random(1), n_shards=1)
     requests = mint_deposit_traffic(
@@ -215,7 +214,6 @@ def test_service_throughput_gain_with_tables(benchmark, service_workload):
     gain = off_wall / on_wall
     benchmark.extra_info.update(
         deposits=N_DEPOSITS,
-        security_bits=SECURITY_BITS,
         tables_off_wall_s=round(off_wall, 4),
         tables_on_wall_s=round(on_wall, 4),
         tables_off_throughput_rps=round(N_DEPOSITS / off_wall, 2),

@@ -42,7 +42,7 @@ def test_setup_with_chain_search(benchmark, level):
     rng = random.Random(1000 + level)
     benchmark.pedantic(
         lambda: setup(level, rng, use_known_chain=False, chain_bits=SEARCH_BITS,
-                      security_bits=32, real_pairing=False),
+                      real_pairing=False),
         rounds=3 if level <= 3 else 1,
         iterations=1,
     )
@@ -53,8 +53,7 @@ def test_setup_precomputed_chain(benchmark, level):
     """Fig. 2 inset / offline mode: setup from the tabulated chain."""
     rng = random.Random(2000 + level)
     benchmark.pedantic(
-        lambda: setup(level, rng, use_known_chain=True, security_bits=32,
-                      real_pairing=False),
+        lambda: setup(level, rng, use_known_chain=True, real_pairing=False),
         rounds=3,
         iterations=1,
     )

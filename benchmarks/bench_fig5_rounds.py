@@ -30,12 +30,11 @@ from repro.ecash.dec import setup
 ROUNDS = [5, 10, 20, 30]
 DEC_LEVEL = 3
 RSA_BITS = 768
-SECURITY_BITS = 112
 
 
 @pytest.fixture(scope="module")
 def fig5_params(bench_rng):
-    return setup(DEC_LEVEL, bench_rng, security_bits=SECURITY_BITS, edge_rounds=8)
+    return setup(DEC_LEVEL, bench_rng, edge_rounds=8)
 
 
 def _dec_setup(params, n_rounds: int, seed: int):

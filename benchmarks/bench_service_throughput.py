@@ -43,9 +43,6 @@ from repro.service.loadgen import BankIssuer, mint_deposit_traffic, run_trace
 
 #: deposits per replay; also the batched configuration's batch size
 N_DEPOSITS = 64
-#: pairing subgroup size — large enough that pairing cost dominates
-#: the sigma-protocol bookkeeping
-SECURITY_BITS = 64
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +52,7 @@ def service_workload(bench_rng):
     Tokens bind to the bank keypair, so both configurations are built
     around the same keypair and the same pre-funded account book.
     """
-    params = setup(3, bench_rng, security_bits=SECURITY_BITS, edge_rounds=6)
+    params = setup(3, bench_rng, edge_rounds=6)
     keypair = cl_keygen(params.backend, bench_rng)
     mint_bank = ShardedBank(params, keypair, random.Random(1), n_shards=1)
     requests = mint_deposit_traffic(

@@ -44,7 +44,6 @@ def params_by_level(bench_rng):
             cache[key] = setup(
                 level,
                 bench_rng,
-                security_bits=48,
                 edge_rounds=edge_rounds,
                 real_pairing=True,
             )

@@ -49,8 +49,7 @@ REPLAY_FRACTION = 0.125  # 6 of 48 requests are double-spend replays
 
 def main() -> None:
     rng = random.Random(2026)
-    params = setup(level=3, rng=rng, security_bits=80,
-                   real_pairing=False, edge_rounds=6)
+    params = setup(level=3, rng=rng, real_pairing=False, edge_rounds=6)
     bank = ShardedBank.create(params, rng, n_shards=N_SHARDS)
     print(f"market administrator up: {N_SHARDS} shards, "
           f"coin value {1 << params.tree_level}, toy pairing backend")

@@ -28,7 +28,7 @@ from repro.testing import check_cluster_invariants
 
 def main() -> None:
     rng = random.Random(2015)
-    params = setup(level=4, rng=rng, security_bits=64, edge_rounds=6)
+    params = setup(level=4, rng=rng, edge_rounds=6)
     keypair = cl_keygen(params.backend, rng)
 
     with LocalCluster(params, keypair, n_nodes=3, checkpoint_every=8) as cluster:

@@ -35,7 +35,7 @@ from repro.workloads import health_telemetry
 def run_market(break_algorithm: str, seed: int = 7):
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
-    params = setup(level=5, rng=rng, security_bits=48)
+    params = setup(level=5, rng=rng)
     market = PPMSdecSession(params, rng, rsa_bits=1024, break_algorithm=break_algorithm)
 
     ma_view = CuriousMAView()

@@ -41,7 +41,7 @@ def main() -> None:
     np_rng = np.random.default_rng(11)
 
     print("=== Morning: PPMSdec market (arbitrary payments) ===")
-    params = setup(level=4, rng=rng, security_bits=48)
+    params = setup(level=4, rng=rng)
     dec = PPMSdecSession(params, rng, rsa_bits=1024, break_algorithm="epcba")
     spec = generate_market(rng, level=4, n_jobs=3, participants_per_job=(1, 2))
 

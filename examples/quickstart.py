@@ -28,7 +28,7 @@ def main() -> None:
     # Cunningham chain (the paper's offline setup mode); pass
     # use_known_chain=False to feel the Fig. 2 search cost instead.
     print("Setting up DEC parameters (level 4)...")
-    params = setup(level=4, rng=rng, security_bits=48)
+    params = setup(level=4, rng=rng)
 
     market = PPMSdecSession(params, rng, rsa_bits=1024, break_algorithm="epcba")
     hospital = market.new_job_owner("hospital-233", funds=64)

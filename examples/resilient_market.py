@@ -32,7 +32,7 @@ def main() -> None:
     rng = random.Random(77)
 
     print("=== PPMSdec on the message-driven engine ===")
-    params = setup(level=3, rng=rng, security_bits=48, edge_rounds=8)
+    params = setup(level=3, rng=rng, edge_rounds=8)
     market = PPMSdecSession(params, rng, rsa_bits=512, break_algorithm="pcba")
     jo = market.new_job_owner("jo-acct", 4 * (1 << params.tree_level))
     sps = [market.new_participant(f"sp-acct-{i}") for i in range(2)]

@@ -29,7 +29,7 @@ def main() -> int:
     rng = random.Random(7)
     telemetry = obs.Telemetry.enabled(capacity=8192)
 
-    params = setup(3, rng, security_bits=64, real_pairing=False, edge_rounds=4)
+    params = setup(3, rng, real_pairing=False, edge_rounds=4)
     bank = ShardedBank.create(params, rng, n_shards=2, journal=Journal())
     service = MarketService(
         bank,

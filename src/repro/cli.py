@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_demo(args, rng: random.Random) -> int:
     if args.mechanism == "dec":
-        params = setup(args.level, rng, security_bits=48)
+        params = setup(args.level, rng)
         session = PPMSdecSession(params, rng, rsa_bits=args.rsa_bits,
                                  break_algorithm=args.break_algorithm)
         jo = session.new_job_owner("jo", funds=(1 << args.level) * args.participants)
@@ -166,10 +166,10 @@ def _cmd_fig2(args, rng: random.Random) -> int:
     for level in range(args.max_level + 1):
         t0 = time.perf_counter()
         setup(level, rng, use_known_chain=False, chain_bits=args.chain_bits,
-              security_bits=32, real_pairing=False)
+              real_pairing=False)
         search.add(level, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        setup(level, rng, use_known_chain=True, security_bits=32, real_pairing=False)
+        setup(level, rng, use_known_chain=True, real_pairing=False)
         offline.add(level, time.perf_counter() - t0)
     print(render_table(fig, precision=4))
     print()
@@ -182,7 +182,7 @@ def _cmd_fig5(args, rng: random.Random) -> int:
                      xlabel="rounds", ylabel="seconds")
     dec_series = fig.new_series("PPMSdec")
     pbs_series = fig.new_series("PPMSpbs")
-    params = setup(3, rng, security_bits=48)
+    params = setup(3, rng)
     for n_rounds in range(args.step, args.max_rounds + 1, args.step):
         t0 = time.perf_counter()
         session = PPMSdecSession(params, rng, rsa_bits=512)

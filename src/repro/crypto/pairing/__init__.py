@@ -10,12 +10,11 @@ CL-signature layer consumes:
   multiplicative→additive map the paper itself suggests; fast and
   structurally correct but with no hardness.
 
-Use :func:`default_backend` unless a test or bench needs a specific one.
+:func:`repro.ecash.dec.setup` builds either on the prime order of the
+coin tower's storey 0.
 """
 
 from __future__ import annotations
-
-import random
 
 from repro.crypto.pairing.curve import CurveParams, Point, generate_curve
 from repro.crypto.pairing.field import Fp2
@@ -31,17 +30,5 @@ __all__ = [
     "miller_loop",
     "tate_pairing",
     "generate_curve",
-    "default_backend",
 ]
 
-
-def default_backend(rng: random.Random, *, security_bits: int = 64, real: bool = True):
-    """Construct a pairing backend.
-
-    *security_bits* sizes the subgroup order.  With ``real=True`` a Tate
-    backend is generated; otherwise the toy backend (the paper's own
-    shortcut) with a matching-order target group.
-    """
-    if real:
-        return TatePairing(generate_curve(security_bits, rng))
-    return ToyPairing.generate(max(security_bits * 2, 32), rng)

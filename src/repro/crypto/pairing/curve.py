@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto import fastexp
-from repro.crypto.ntheory import is_probable_prime, random_prime, sqrt_mod_prime
+from repro.crypto.ntheory import is_probable_prime, sqrt_mod_prime
 from repro.crypto.pairing.field import Fp2
 
 __all__ = ["CurveParams", "Point", "PointTable", "generate_curve"]
@@ -328,29 +328,26 @@ def _random_base_point(p: int, rng: random.Random) -> Point:
         return Point.from_base(x, y, p)
 
 
-def generate_curve(r_bits: int, rng: random.Random, *, max_cofactor: int = 1 << 24) -> CurveParams:
-    """Generate pairing parameters with an *r_bits*-bit subgroup order.
+#: bound of the cofactor search (the known chains' storey-0 primes need at most 196)
+_MAX_COFACTOR = 1 << 24
 
-    Picks a random odd prime *r* and searches even cofactors *c* until
-    ``p = c*r - 1`` is a prime ≡ 3 (mod 4); then clears the cofactor off
-    random points until one of exact order *r* appears.
+
+def generate_curve(r: int, rng: random.Random) -> CurveParams:
+    """Generate pairing parameters whose subgroup has prime order *r*.
+
+    Searches cofactors ``c ≡ 0 (mod 4)`` upward from 4 until
+    ``p = c*r - 1`` is prime (it is then ≡ 3 (mod 4)); then clears the
+    cofactor off random points until one of exact order *r* appears.
     """
-    if r_bits < 4:
-        raise ValueError("subgroup order too small")
-    while True:
-        r = random_prime(r_bits, rng)
-        if r == 2:
-            continue
-        c = 4
-        while c < max_cofactor:
-            p = c * r - 1
-            if p % 4 == 3 and is_probable_prime(p):
-                # find a point of exact order r
-                for _ in range(64):
-                    pt = _random_base_point(p, rng).multiply(c)
-                    if not pt.is_infinity:
-                        if not pt.multiply(r).is_infinity:
-                            raise AssertionError("cofactor clearing failed (order bug)")
-                        return CurveParams(p=p, r=r, cofactor=c, generator=pt)
-            c += 4  # keep p ≡ 3 (mod 4): c*r - 1 with c ≡ 0 (mod 4), r odd
-        # no cofactor worked for this r — resample r
+    if r % 2 == 0 or not is_probable_prime(r):
+        raise ValueError("subgroup order must be an odd prime")
+    for c in range(4, _MAX_COFACTOR, 4):
+        p = c * r - 1
+        if is_probable_prime(p):
+            for _ in range(64):
+                pt = _random_base_point(p, rng).multiply(c)
+                if not pt.is_infinity:
+                    if not pt.multiply(r).is_infinity:
+                        raise AssertionError("cofactor clearing failed (order bug)")
+                    return CurveParams(p=p, r=r, cofactor=c, generator=pt)
+    raise ValueError(f"no cofactor below {_MAX_COFACTOR} makes c*r - 1 prime")

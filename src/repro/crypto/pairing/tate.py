@@ -285,8 +285,8 @@ class TatePairing:
         """:meth:`exp` through a per-base window table (same result).
 
         A table exponentiation is one mixed Jacobian addition per
-        non-zero window digit (20 at most on an 80-bit ``r``, against
-        ~80 doublings and ~40 additions for double-and-add) and one
+        non-zero window digit (17 at most on a 67-bit ``r``, against
+        ~67 doublings and ~33 additions for double-and-add) and one
         inversion.  Only the promotion threshold gates it.
         """
         s = scalar % self.order

@@ -35,7 +35,7 @@ from repro.crypto.cl_sig import (
     cl_keygen,
 )
 from repro.crypto.groups import build_tower
-from repro.crypto.pairing import default_backend
+from repro.crypto.pairing import TatePairing, ToyPairing, generate_curve
 from repro.ecash.spend import DECParams, SpendToken, verify_spend
 from repro.ecash.tree import CoinTree, leaf_serials
 from repro.ecash.wallet import Wallet
@@ -84,7 +84,6 @@ def setup(
     *,
     use_known_chain: bool = True,
     chain_bits: int = 16,
-    security_bits: int = 80,
     real_pairing: bool = True,
     edge_rounds: int = 24,
 ) -> DECParams:
@@ -92,13 +91,15 @@ def setup(
 
     With ``use_known_chain=False`` the Cunningham chain is searched
     online at *chain_bits* bits — the expensive path whose cost explodes
-    with *level* (Fig. 2).  *security_bits* sizes the pairing subgroup;
-    it is automatically raised above the storey-0 order so coin secrets
-    are valid scalars in both groups.
+    with *level* (Fig. 2).  The pairing group is built on storey 0's
+    prime order ``q0``, so a coin secret is one exponent in both groups:
+    a Tate curve ``p = c·q0 − 1`` at the smallest cofactor, or the toy
+    map into storey 0's own group.
     """
     tower = build_tower(level, rng, use_known_chain=use_known_chain, chain_bits=chain_bits)
-    needed_bits = tower.group(0).q.bit_length() + 1
-    backend = default_backend(rng, security_bits=max(security_bits, needed_bits), real=real_pairing)
+    storey0 = tower.group(0)
+    backend = (TatePairing(generate_curve(storey0.q, rng)) if real_pairing
+               else ToyPairing(storey0))
     return DECParams(tower=tower, backend=backend, tree_level=level, edge_rounds=edge_rounds)
 
 
@@ -120,8 +121,8 @@ def begin_withdrawal(
 ) -> tuple[int, BlindIssuanceRequest]:
     """Client move 1: sample a coin secret and build the blind request.
 
-    The secret must be a valid exponent in both the pairing group and
-    tower storey 0 (enforced by the bound).
+    The secret is an exponent of storey 0 and of the pairing group,
+    which share the prime order ``q0``.
     """
     secret = rng.randrange(1, params.secret_bound())
     request, _ = cl_blind_request(params.backend, secret, rng)

@@ -8,9 +8,10 @@ pairing backend, sizes) plus the bank's CL public key into one signed-
 length blob through the canonical codec, and reconstructs a functional
 parameter set on the resident side.
 
-Both pairing backends round-trip: the Tate backend by its curve
-parameters (the generator point pins the exact subgroup), the toy
-backend by its target Schnorr group.
+Both pairing backends round-trip on storey 0's prime ``q0``, which the
+blob does not repeat: the Tate backend by its field prime and generator
+(``r = q0``, and the generator point pins the exact subgroup), the toy
+backend by its kind alone (its target is storey 0's own group).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from repro.crypto.cl_sig import CLPublicKey
 from repro.crypto.cunningham import CunninghamChain
 from repro.crypto.groups import GroupTower, SchnorrGroup
+from repro.crypto.ntheory import is_probable_prime
 from repro.crypto.pairing import CurveParams, Point, TatePairing, ToyPairing
 from repro.ecash.spend import DECParams
 
@@ -25,7 +27,7 @@ from repro.net.codec import seal, unseal
 
 __all__ = ["ParamsError", "export_params", "import_params"]
 
-_MAGIC = b"repro-dec-params-v1"
+_MAGIC = b"repro-dec-params-v2"
 
 
 class ParamsError(Exception):
@@ -35,31 +37,31 @@ class ParamsError(Exception):
 def _export_backend(backend) -> dict:
     if isinstance(backend, TatePairing):
         g = backend.params.generator
-        return {
-            "kind": "tate",
-            "p": backend.params.p,
-            "r": backend.params.r,
-            "cofactor": backend.params.cofactor,
-            "gx": g.x.a,
-            "gy": g.y.a,
-        }
+        return {"kind": "tate", "p": backend.params.p, "gx": g.x.a, "gy": g.y.a}
     if isinstance(backend, ToyPairing):
-        t = backend.target
-        return {"kind": "toy", "p": t.p, "q": t.q, "g": t.g}
+        return {"kind": "toy"}
     raise ParamsError(f"unknown backend type {type(backend)!r}")
 
 
-def _import_backend(data: dict):
+def _import_backend(data: dict, storey0: SchnorrGroup):
+    """Rebuild the pairing backend on storey 0's (verified) prime."""
+    r = storey0.q
     if data["kind"] == "tate":
-        generator = Point.from_base(data["gx"], data["gy"], data["p"])
-        params = CurveParams(
-            p=data["p"], r=data["r"], cofactor=data["cofactor"], generator=generator
-        )
-        if not generator.multiply(params.r).is_infinity:
+        p = data["p"]
+        if (p + 1) % r:
+            raise ParamsError("the curve order p + 1 is not a multiple of storey 0's prime")
+        if not is_probable_prime(p):
+            raise ParamsError("the curve's field order p is not prime")
+        try:
+            generator = Point.from_base(data["gx"], data["gy"], p)
+            params = CurveParams(p=p, r=r, cofactor=(p + 1) // r, generator=generator)
+        except ValueError as exc:
+            raise ParamsError(f"invalid curve: {exc}") from exc
+        if not generator.multiply(r).is_infinity:
             raise ParamsError("published generator does not have the claimed order")
         return TatePairing(params)
     if data["kind"] == "toy":
-        return ToyPairing(SchnorrGroup(p=data["p"], q=data["q"], g=data["g"]))
+        return ToyPairing(storey0)
     raise ParamsError(f"unknown backend kind {data['kind']!r}")
 
 
@@ -91,7 +93,7 @@ def import_params(blob: bytes) -> tuple[DECParams, CLPublicKey | None]:
 
     Every structural invariant is revalidated — a malicious MA cannot
     ship a tower whose storeys do not chain, a generator of the wrong
-    order, or a pairing subgroup too small for the coin secrets.
+    order, or a pairing group whose order is not storey 0's prime.
     """
     state = unseal(_MAGIC, blob, "parameter blob", ParamsError)
 
@@ -113,7 +115,7 @@ def import_params(blob: bytes) -> tuple[DECParams, CLPublicKey | None]:
         if not all(grp.contains(g) and g != 1 for g in gens):
             raise ParamsError(f"storey {storey} generator outside the subgroup")
 
-    backend = _import_backend(state["backend"])
+    backend = _import_backend(state["backend"], tower.group(0))
     try:
         params = DECParams(
             tower=tower,

@@ -88,10 +88,10 @@ class DECParams:
     def __post_init__(self) -> None:
         if self.tree_level > self.tower.depth:
             raise ValueError("tower too shallow for the requested tree level")
-        if self.tower.group(0).q >= self.backend.order:
+        if self.backend.order != self.tower.group(0).q:
             raise ValueError(
-                "pairing order must exceed the storey-0 order so the coin "
-                "secret is a valid scalar in both groups"
+                "the pairing order must be storey 0's prime: the coin secret "
+                "is one exponent in both groups"
             )
 
     def secret_bound(self) -> int:
@@ -209,7 +209,6 @@ def create_spend(
         statement_b=statement_gt,
         witness=secret,
         randomizer=r_s,
-        witness_bits=params.secret_bound().bit_length(),
         rng=rng,
         transcript=transcript,
     )
@@ -329,7 +328,6 @@ def verify_spend(
         statement_b=statement_gt,
         proof=token.equality,
         transcript=transcript,
-        witness_bits=params.secret_bound().bit_length(),
     )
     if challenge is None:
         return False

@@ -39,10 +39,10 @@ def _fig2(rng: random.Random, out: list[str], *, max_level: int, chain_bits: int
     for level in range(max_level + 1):
         t0 = time.perf_counter()
         setup(level, rng, use_known_chain=False, chain_bits=chain_bits,
-              security_bits=32, real_pairing=False)
+              real_pairing=False)
         search.add(level, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        setup(level, rng, use_known_chain=True, security_bits=32, real_pairing=False)
+        setup(level, rng, use_known_chain=True, real_pairing=False)
         offline.add(level, time.perf_counter() - t0)
     out.append("## Fig. 2\n\nPaper: setup explodes once the chain length "
                "grows; offline (precomputed chain) setup stays flat.\n")
@@ -50,7 +50,7 @@ def _fig2(rng: random.Random, out: list[str], *, max_level: int, chain_bits: int
 
 
 def _fig3_fig4(rng: random.Random, out: list[str], *, level: int) -> None:
-    params = setup(level, rng, security_bits=48, edge_rounds=8)
+    params = setup(level, rng, edge_rounds=8)
     bank_kp = cl_keygen(params.backend, rng)
     secret, request = begin_withdrawal(params, rng)
     signature = cl_blind_issue(params.backend, bank_kp, request, rng)
@@ -82,7 +82,7 @@ def _fig3_fig4(rng: random.Random, out: list[str], *, level: int) -> None:
 
 
 def _fig5_tables(rng: random.Random, out: list[str], *, rounds: int) -> None:
-    params = setup(3, rng, security_bits=64, edge_rounds=8)
+    params = setup(3, rng, edge_rounds=8)
 
     t0 = time.perf_counter()
     dec = PPMSdecSession(params, rng, rsa_bits=768)

@@ -33,7 +33,8 @@ hypothesis_settings.register_profile(
 hypothesis_settings.load_profile("repro")
 from repro.crypto import fastexp, rsa
 from repro.crypto.groups import SchnorrGroup, build_tower
-from repro.crypto.pairing import TatePairing, ToyPairing, generate_curve
+from repro.crypto.ntheory import random_prime
+from repro.crypto.pairing import CurveParams, TatePairing, ToyPairing, generate_curve
 from repro.ecash.dec import DECBank
 from repro.ecash.spend import DECParams
 from repro.testing.properties import env_seed
@@ -84,7 +85,7 @@ def tower3(session_rng):
 
 @pytest.fixture(scope="session")
 def tate_backend(session_rng) -> TatePairing:
-    return TatePairing(generate_curve(32, session_rng))
+    return TatePairing(random_curve(32, session_rng))
 
 
 @pytest.fixture(scope="session")
@@ -107,7 +108,7 @@ def dec_params(session_rng) -> DECParams:
     """Level-3 DEC instance with a real (small) Tate pairing."""
     from repro.ecash.dec import setup
 
-    return setup(3, session_rng, security_bits=40, edge_rounds=8)
+    return setup(3, session_rng, edge_rounds=8)
 
 
 @pytest.fixture()
@@ -120,7 +121,7 @@ def dec_params_toy(session_rng) -> DECParams:
     """Level-4 DEC instance on the toy backend (fast protocol tests)."""
     from repro.ecash.dec import setup
 
-    return setup(4, session_rng, security_bits=80, real_pairing=False, edge_rounds=6)
+    return setup(4, session_rng, real_pairing=False, edge_rounds=6)
 
 
 @pytest.fixture(scope="session")
@@ -135,6 +136,12 @@ def campaign_substrate(session_rng):
     from repro.testing.scenario import market_params
 
     return market_params(random.Random(f"campaign:{SESSION_SEED!r}"))
+
+
+def random_curve(bits: int, rng: random.Random) -> CurveParams:
+    """A Tate curve on a fresh *bits*-bit prime order, for tests that
+    want a curve apart from any tower."""
+    return generate_curve(random_prime(bits, rng), rng)
 
 
 def withhold_tables(patch: pytest.MonkeyPatch) -> None:

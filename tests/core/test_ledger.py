@@ -77,7 +77,7 @@ class TestSnapshotRestore:
         blob = snapshot_bank(bank)
         from repro.ecash.dec import setup
 
-        other_params = setup(2, rng, security_bits=80, real_pairing=False, edge_rounds=4)
+        other_params = setup(2, rng, real_pairing=False, edge_rounds=4)
         other = DECBank.create(other_params, rng)
         with pytest.raises(SnapshotError, match="tree level"):
             restore_bank(other, blob)

@@ -10,7 +10,10 @@ and message counts, measured when the job's run is over.
 
 Each run shares one seeded RNG between parameter setup, key generation,
 blinding and the deposit waits, so a step that moved one draw changes
-a digest.
+a digest.  The PPMSdec pins moved once when the pairing group was built
+on storey 0's prime: the toy target became storey 0's own group (it was
+a 160-bit group of its own here), ``setup`` stopped drawing a pairing order,
+and the equality proof lost its integer response.
 """
 
 from __future__ import annotations
@@ -29,15 +32,15 @@ SEEDS = (0, 1, 2)
 
 #: (mechanism, seed, break algorithm) -> sha256 prefix of the outcome
 REFERENCE = {
-    ("dec", 0, "pcba"): "db7856835a229266",
-    ("dec", 0, "epcba"): "b8ea17e3eb8e79b7",
-    ("dec", 0, "unitary"): "1065e7e5c537d499",
-    ("dec", 1, "pcba"): "5d075a63065cee8b",
-    ("dec", 1, "epcba"): "101f15dbc81fa1ed",
-    ("dec", 1, "unitary"): "e7b4182dca888221",
-    ("dec", 2, "pcba"): "3e350c547101b47d",
-    ("dec", 2, "epcba"): "88ad2059117760ec",
-    ("dec", 2, "unitary"): "a9f43dfd1b7f1ac7",
+    ("dec", 0, "pcba"): "fd180339f3dad5ab",
+    ("dec", 0, "epcba"): "37ccdedd2b010736",
+    ("dec", 0, "unitary"): "23865a2de281c404",
+    ("dec", 1, "pcba"): "6e1eed207bf69ed6",
+    ("dec", 1, "epcba"): "f6e7bb74f19c0c6a",
+    ("dec", 1, "unitary"): "1c139040022f8249",
+    ("dec", 2, "pcba"): "e131f8d39463f710",
+    ("dec", 2, "epcba"): "48dbec21fe741641",
+    ("dec", 2, "unitary"): "814b36ce54598eeb",
     ("pbs", 0, None): "af826b02055b60d7",
     ("pbs", 1, None): "8d0295cf51b7b44a",
     ("pbs", 2, None): "53d79d0eea20283b",
@@ -45,24 +48,24 @@ REFERENCE = {
 
 #: run -> Table II after run_job: role -> (input B, output B, messages sent)
 TRAFFIC = {
-    ("dec", 0, "pcba"): {"JO": (540, 19089, 5), "SP": (18800, 4318, 12),
-                         "MA": (23407, 19340, 11)},
-    ("dec", 0, "epcba"): {"JO": (540, 25465, 5), "SP": (25176, 10596, 15),
-                          "MA": (36061, 25716, 11)},
-    ("dec", 0, "unitary"): {"JO": (540, 40250, 5), "SP": (39961, 10600, 15),
-                            "MA": (50850, 40501, 11)},
-    ("dec", 1, "pcba"): {"JO": (651, 13014, 6), "SP": (12575, 3073, 12),
-                         "MA": (16087, 13226, 12)},
-    ("dec", 1, "epcba"): {"JO": (653, 24379, 6), "SP": (23941, 14345, 18),
-                          "MA": (38724, 24594, 12)},
-    ("dec", 1, "unitary"): {"JO": (653, 40402, 6), "SP": (39963, 20606, 21),
-                            "MA": (61008, 40616, 12)},
-    ("dec", 2, "pcba"): {"JO": (766, 18163, 7), "SP": (17576, 6809, 15),
-                         "MA": (24972, 18342, 13)},
-    ("dec", 2, "epcba"): {"JO": (766, 23258, 7), "SP": (22671, 13085, 18),
-                          "MA": (36343, 23437, 13)},
-    ("dec", 2, "unitary"): {"JO": (766, 40533, 7), "SP": (39946, 30613, 27),
-                            "MA": (71146, 40712, 13)},
+    ("dec", 0, "pcba"): {"JO": (507, 18036, 5), "SP": (17769, 4112, 12),
+                         "MA": (22148, 18276, 11)},
+    ("dec", 0, "epcba"): {"JO": (507, 24366, 5), "SP": (24099, 10165, 15),
+                          "MA": (34531, 24606, 11)},
+    ("dec", 0, "unitary"): {"JO": (507, 38481, 5), "SP": (38214, 10161, 15),
+                            "MA": (48642, 38721, 11)},
+    ("dec", 1, "pcba"): {"JO": (585, 11899, 6), "SP": (11505, 2859, 12),
+                         "MA": (14758, 12090, 12)},
+    ("dec", 1, "epcba"): {"JO": (585, 23221, 6), "SP": (22827, 13681, 18),
+                          "MA": (36902, 23412, 12)},
+    ("dec", 1, "unitary"): {"JO": (585, 38642, 6), "SP": (38248, 19747, 21),
+                            "MA": (58389, 38833, 12)},
+    ("dec", 2, "pcba"): {"JO": (667, 16974, 7), "SP": (16453, 6364, 15),
+                         "MA": (23338, 17120, 13)},
+    ("dec", 2, "epcba"): {"JO": (666, 22153, 7), "SP": (21631, 12457, 18),
+                          "MA": (34610, 22297, 13)},
+    ("dec", 2, "unitary"): {"JO": (667, 38799, 7), "SP": (38278, 29361, 27),
+                            "MA": (68160, 38945, 13)},
     ("pbs", 0, None): {"JO": (1180, 1265, 7), "SP": (1038, 2250, 15),
                        "MA": (3515, 2218, 16)},
     ("pbs", 1, None): {"JO": (1180, 1265, 7), "SP": (1038, 2250, 15),
@@ -92,7 +95,7 @@ def _board(ma) -> list:
 def dec_run(seed: int, algorithm: str) -> tuple[dict, dict]:
     """One PPMSdec reference run: its outcome and its job's traffic."""
     rng = random.Random(seed)
-    params = setup(3, rng, security_bits=80, real_pairing=False, edge_rounds=6)
+    params = setup(3, rng, real_pairing=False, edge_rounds=6)
     session = PPMSdecSession(params, rng, rsa_bits=512, break_algorithm=algorithm)
     jo = session.new_job_owner("jo", funds=32)
     sps = [session.new_participant(f"sp-{i}") for i in range(3)]

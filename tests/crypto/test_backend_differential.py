@@ -28,7 +28,7 @@ from tests.crypto.test_fastexp_toggle import _run_both
 @pytest.fixture(scope="module")
 def toy3_params(session_rng):
     """Toy-backend twin of the session ``dec_params`` (both level 3)."""
-    return setup(3, session_rng, security_bits=40, real_pairing=False, edge_rounds=8)
+    return setup(3, session_rng, real_pairing=False, edge_rounds=8)
 
 
 def _decision_vector(params, seed: int) -> tuple:

@@ -17,9 +17,10 @@ from repro.crypto.cl_sig import (
     cl_verify,
 )
 from repro.crypto.hashing import Transcript
-from repro.crypto.pairing.curve import Point, generate_curve
+from repro.crypto.pairing.curve import Point
 from repro.crypto.pairing.field import Fp2
 from repro.crypto.zkp.schnorr import SchnorrProof, verify_dlog_generic
+from tests.conftest import random_curve
 
 
 @pytest.fixture(params=["toy", "tate"])
@@ -145,7 +146,7 @@ class TestIssuanceMembership:
             "(0, 0)": order_two,
             "off the curve": Point(Fp2(1, 0, p), Fp2(1, 0, p), p),
             "imaginary": g.distort(),
-            "foreign p": generate_curve(20, random.Random(5)).generator,
+            "foreign p": random_curve(20, random.Random(5)).generator,
             "g + T": g + order_two,
         }[hostile]
         assert not backend.member(point)

@@ -14,10 +14,11 @@ import random
 import pytest
 
 from repro.crypto import fastexp
-from repro.crypto.pairing import TatePairing, generate_curve
+from repro.crypto.pairing import TatePairing
 from repro.crypto.pairing import curve
 from repro.crypto.pairing.curve import Point, PointTable, _point
 from repro.crypto.pairing.tate import MillerTable, tate_pairing
+from tests.conftest import random_curve
 
 # RFC 2409 Oakley Group 2: a well-known 1024-bit safe prime (generating
 # one takes minutes on the bench VM; hardcoding keeps tests fast)
@@ -59,8 +60,7 @@ def storey_groups():
     top one with cofactor ``(p − 1)/q = 18``."""
     from repro.ecash.dec import setup
 
-    params = setup(3, random.Random(3), security_bits=80, real_pairing=False,
-                   edge_rounds=6)
+    params = setup(3, random.Random(3), real_pairing=False, edge_rounds=6)
     return [params.tower.group(s) for s in range(4)]
 
 
@@ -134,7 +134,7 @@ class TestGenericFixedBaseTable:
     over the group-generic table's one use: fixed curve points)."""
 
     def test_point_parity(self, session_rng):
-        params = generate_curve(32, session_rng)
+        params = random_curve(32, session_rng)
         backend = TatePairing(params)
         base = backend.random_element(session_rng)
         bits = backend.order.bit_length()
@@ -148,7 +148,7 @@ class TestGenericFixedBaseTable:
     def test_backend_exp_fixed_parity(self, session_rng):
         """``TatePairing.exp_fixed`` through its int-pair table equals
         ``exp``."""
-        backend = TatePairing(generate_curve(32, session_rng))
+        backend = TatePairing(random_curve(32, session_rng))
         base = backend.random_element(session_rng)
         backend.warm_exp_fixed(base)
         r = backend.order
@@ -162,7 +162,7 @@ class TestGenericFixedBaseTable:
         """At most one point addition per row after the first: 19 for
         the 20 rows of an 80-bit ``r`` at the point window of 4, and
         one inversion."""
-        params = generate_curve(80, random.Random(80))
+        params = random_curve(80, random.Random(80))
         g = params.generator
         table = PointTable((g.x.a, g.y.a), params.p, 80)
         real_jadd, real_pow = curve._jadd, pow
@@ -192,7 +192,7 @@ class TestGenericFixedBaseTable:
         assert [_point(xy, params.p) for xy in results] == [g.multiply(s) for s in scalars]
 
     def test_rejects_out_of_range(self):
-        params = generate_curve(16, random.Random(16))
+        params = random_curve(16, random.Random(16))
         g = params.generator
         table = PointTable((g.x.a, g.y.a), params.p, bits=16)
         with pytest.raises(ValueError):
@@ -279,7 +279,7 @@ class TestMillerTable:
     @pytest.fixture(scope="class")
     def curve_backend(self):
         rng = random.Random(0x417)
-        params = generate_curve(40, rng)
+        params = random_curve(40, rng)
         return params, TatePairing(params), rng
 
     def test_pair_parity_over_random_points(self, curve_backend):

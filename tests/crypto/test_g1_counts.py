@@ -1,7 +1,8 @@
 """G1 cost, counted rather than timed.
 
 One warm ``cl_blind_issue`` (the MA's work per ``withdraw``) and one
-``create_spend`` per node level at ``setup(3)`` (80-bit Tate pairing),
+``create_spend`` per node level at ``setup(3)`` (Tate pairing of order
+``q0``, 67 bits, over a 72-bit ``p``),
 after :func:`warm_verification_tables` with the bank key.  Counted:
 
 * ``add`` — calls of the Jacobian addition ``curve._jadd``;
@@ -20,7 +21,10 @@ Before the int group law the same calls cost one affine ``Fp2``
 addition, and one F_{p²} inversion, per group operation (issuance:
 467 additions, 498 inversions; a spend: 342–378 and 341–377).  The
 counts are deterministic for the seeds below; a change to them is a
-change to the G1 cost and says so here.
+change to the G1 cost and says so here.  Building the pairing group on
+storey 0's prime (67 bits, was an independent 80-bit ``r``) shortened
+every scalar: issuance 238 → 223 additions and 313 → 262 doublings, a
+level-0 spend 114 → 93 and 225 → 186.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ from repro.ecash.dec import begin_withdrawal, finish_withdrawal, setup
 from repro.ecash.spend import create_spend, warm_verification_tables
 from repro.ecash.tree import NodeId
 
-ISSUE = {"add": 238, "double": 313, "inv": 8}
+ISSUE = {"add": 223, "double": 262, "inv": 8}
 SPEND = {
-    0: {"add": 114, "double": 225, "inv": 5},
-    1: {"add": 108, "double": 228, "inv": 5},
-    2: {"add": 132, "double": 228, "inv": 5},
-    3: {"add": 135, "double": 237, "inv": 5},
+    0: {"add": 93, "double": 186, "inv": 5},
+    1: {"add": 93, "double": 189, "inv": 5},
+    2: {"add": 108, "double": 177, "inv": 5},
+    3: {"add": 117, "double": 198, "inv": 5},
 }
 
 

@@ -20,9 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 from repro.crypto.cl_sig import CLSignature, cl_blind_issue, cl_blind_request, cl_keygen
 from repro.crypto.pairing import TatePairing
 from repro.crypto.pairing import curve
-from repro.crypto.pairing.curve import Point, generate_curve
+from repro.crypto.pairing.curve import Point
+from tests.conftest import random_curve
 
-CURVE = generate_curve(24, random.Random(7))
+CURVE = random_curve(24, random.Random(7))
 P, R = CURVE.p, CURVE.r
 BACKEND = TatePairing(CURVE)
 

@@ -6,13 +6,15 @@ import random
 
 import pytest
 
+from repro.crypto.ntheory import is_probable_prime, random_prime
 from repro.crypto.pairing.curve import CurveParams, Point, generate_curve
 from repro.crypto.pairing.field import Fp2
+from tests.conftest import random_curve
 
 
 @pytest.fixture(scope="module")
 def curve():
-    return generate_curve(24, random.Random(123))
+    return random_curve(24, random.Random(123))
 
 
 class TestParams:
@@ -74,7 +76,7 @@ class TestGroupLaw:
             assert g.multiply(k).multiply(curve.r).is_infinity
 
     def test_curve_mismatch_rejected(self, curve):
-        other = generate_curve(20, random.Random(5))
+        other = random_curve(20, random.Random(5))
         with pytest.raises(ValueError):
             curve.generator + other.generator
 
@@ -119,14 +121,19 @@ class TestDistortionMap:
 
 class TestGeneration:
     def test_distinct_seeds_distinct_curves(self):
-        c1 = generate_curve(20, random.Random(1))
-        c2 = generate_curve(20, random.Random(2))
+        c1 = random_curve(20, random.Random(1))
+        c2 = random_curve(20, random.Random(2))
         assert (c1.p, c1.r) != (c2.p, c2.r)
 
     def test_requested_subgroup_bits(self):
-        c = generate_curve(20, random.Random(3))
-        assert c.r.bit_length() == 20
+        """The order is the caller's prime, at the smallest cofactor."""
+        rng = random.Random(3)
+        r = random_prime(20, rng)
+        c = generate_curve(r, rng)
+        assert c.r == r and c.p == c.cofactor * r - 1
+        assert not any(is_probable_prime(k * r - 1) for k in range(4, c.cofactor, 4))
 
     def test_rejects_tiny_subgroup(self):
-        with pytest.raises(ValueError):
-            generate_curve(2, random.Random(4))
+        for order in (2, 9):
+            with pytest.raises(ValueError):
+                generate_curve(order, random.Random(4))

@@ -6,20 +6,16 @@ import random
 
 import pytest
 
-from repro.crypto.pairing import (
-    TatePairing,
-    ToyPairing,
-    default_backend,
-    generate_curve,
-    tate_pairing,
-)
+from repro.crypto.pairing import TatePairing, ToyPairing, tate_pairing
 from repro.crypto.pairing.curve import Point
 from repro.crypto.pairing.tate import miller_loop
+from repro.ecash.dec import setup
+from tests.conftest import random_curve
 
 
 @pytest.fixture(scope="module")
 def bp():
-    return TatePairing(generate_curve(28, random.Random(77)))
+    return TatePairing(random_curve(28, random.Random(77)))
 
 
 class TestTatePairing:
@@ -97,12 +93,15 @@ class TestBackendInterface:
         assert bp.element_encode(bp.g) == bp.element_encode(bp.g)
 
     def test_default_backend_real(self, rng):
-        backend = default_backend(rng, security_bits=20, real=True)
-        assert isinstance(backend, TatePairing)
+        params = setup(2, rng, real_pairing=True)
+        assert isinstance(params.backend, TatePairing)
+        assert params.backend.order == params.tower.group(0).q
 
     def test_default_backend_toy(self, rng):
-        backend = default_backend(rng, security_bits=20, real=False)
-        assert isinstance(backend, ToyPairing)
+        params = setup(2, rng, real_pairing=False)
+        assert isinstance(params.backend, ToyPairing)
+        assert params.backend.order == params.tower.group(0).q
+        assert params.backend.target is params.tower.group(0)
 
 
 class TestToyBackend:

@@ -39,7 +39,7 @@ from repro.crypto import fastexp
 from repro.crypto.cl_sig import cl_blind_issue, cl_keygen
 from repro.crypto.groups import SchnorrGroup, build_tower
 from repro.crypto.hashing import Transcript
-from repro.crypto.pairing import TatePairing, ToyPairing, generate_curve, tate
+from repro.crypto.pairing import TatePairing, ToyPairing, tate
 from repro.crypto.pairing.curve import Point
 from repro.crypto.pairing.field import Fp2
 from repro.crypto.pairing.tate import MillerTable, _fp2_pow, tate_pairing
@@ -48,6 +48,7 @@ from repro.crypto.zkp.committed_double_log import CommittedEdgeProof, prove_edge
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal, setup
 from repro.ecash.spend import create_spend, verify_spend
 from repro.ecash.tree import NodeId
+from tests.conftest import random_curve
 
 # RFC 2409 Oakley Group 2: a 1024-bit safe prime
 P1024 = int(
@@ -75,7 +76,7 @@ def _path(request, monkeypatch):
 
 @pytest.fixture(scope="module")
 def curve():
-    params = generate_curve(40, random.Random(0x5EED))
+    params = random_curve(40, random.Random(0x5EED))
     return params, TatePairing(params)
 
 

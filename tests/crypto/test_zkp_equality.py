@@ -1,4 +1,4 @@
-"""Tests for the cross-group equality proof (integer responses)."""
+"""Tests for the same-order equality proof (storey 0 and G_T share ``q0``)."""
 
 from __future__ import annotations
 
@@ -15,17 +15,22 @@ def t(domain=b"eq"):
 
 
 @pytest.fixture(params=["toy", "tate"])
-def backend(request, toy_backend, tate_backend):
-    return toy_backend if request.param == "toy" else tate_backend
+def params(request, dec_params_toy, dec_params):
+    """``setup``'s parameters: storey 0 and a backend of the same order."""
+    return dec_params_toy if request.param == "toy" else dec_params
 
 
 @pytest.fixture()
-def setting(schnorr_group, backend, rng):
-    """Pedersen commitment in the Schnorr group + B^s in the GT group."""
-    g = schnorr_group
-    h = g.derive_generator(b"pedersen-h")
-    bound_bits = min(g.q.bit_length(), backend.order.bit_length()) - 1
-    witness = rng.randrange(1, 1 << bound_bits)
+def backend(params):
+    return params.backend
+
+
+@pytest.fixture()
+def setting(params, backend, rng):
+    """Pedersen commitment in storey 0 + B^s in the GT group."""
+    g = params.tower.group(0)
+    h = params.commit_bases(0)[1]
+    witness = rng.randrange(1, g.q)
     randomizer = g.random_exponent(rng)
     commitment = g.mul(g.power(witness), g.exp(h, randomizer))
     base_gt = backend.pair(backend.g, backend.g)
@@ -37,7 +42,7 @@ def setting(schnorr_group, backend, rng):
         encode_b=lambda el: _enc(el),
         decode_b=lambda enc: _dec(backend, enc),
     )
-    return g, h, commitment, statement, witness, randomizer, bound_bits, helpers
+    return g, h, commitment, statement, witness, randomizer, helpers
 
 
 def _enc(el):
@@ -56,7 +61,7 @@ def _dec(backend, enc):
 
 
 def _prove(setting, rng, transcript=None):
-    g, h, commitment, statement, witness, randomizer, bits, helpers = setting
+    g, h, commitment, statement, witness, randomizer, helpers = setting
     return prove_equality(
         g, g.g, h, commitment,
         exp_b=helpers["exp_b"],
@@ -64,14 +69,13 @@ def _prove(setting, rng, transcript=None):
         statement_b=statement,
         witness=witness,
         randomizer=randomizer,
-        witness_bits=bits,
         rng=rng,
         transcript=transcript or t(),
     )
 
 
 def _verify(setting, proof, transcript=None, statement=None, commitment=None):
-    g, h, commit0, statement0, _witness, _randomizer, bits, helpers = setting
+    g, h, commit0, statement0, _witness, _randomizer, helpers = setting
     return verify_equality(
         g, g.g, h, commitment if commitment is not None else commit0,
         exp_b=helpers["exp_b"],
@@ -82,7 +86,6 @@ def _verify(setting, proof, transcript=None, statement=None, commitment=None):
         statement_b=statement if statement is not None else statement0,
         proof=proof,
         transcript=transcript or t(),
-        witness_bits=bits,
     )
 
 
@@ -108,7 +111,7 @@ class TestEqualityProof:
 
     def test_rejects_oversized_response(self, setting, rng):
         proof = _prove(setting, rng)
-        bad = dataclasses.replace(proof, z=1 << (proof.witness_bits + 500))
+        bad = dataclasses.replace(proof, z=setting[0].q)
         assert not _verify(setting, bad)
 
     def test_rejects_transcript_mismatch(self, setting, rng):
@@ -116,29 +119,21 @@ class TestEqualityProof:
         assert not _verify(setting, proof, transcript=t(b"two"))
 
     def test_prover_validates_bound(self, setting, rng):
-        g, h, commitment, statement, witness, randomizer, bits, helpers = setting
+        g, h, commitment, statement, witness, randomizer, helpers = setting
         with pytest.raises(ValueError):
             prove_equality(
                 g, g.g, h, commitment,
                 exp_b=helpers["exp_b"], encode_b=helpers["encode_b"],
-                statement_b=statement, witness=witness, randomizer=randomizer,
-                witness_bits=witness.bit_length() - 1,  # too tight
-                rng=rng, transcript=t(),
+                statement_b=statement, witness=witness + g.q,  # opens D, but not mod q
+                randomizer=randomizer, rng=rng, transcript=t(),
             )
 
     def test_prover_validates_opening(self, setting, rng):
-        g, h, commitment, statement, witness, randomizer, bits, helpers = setting
+        g, h, commitment, statement, witness, randomizer, helpers = setting
         with pytest.raises(ValueError):
             prove_equality(
                 g, g.g, h, g.mul(commitment, g.g),
                 exp_b=helpers["exp_b"], encode_b=helpers["encode_b"],
                 statement_b=statement, witness=witness, randomizer=randomizer,
-                witness_bits=bits, rng=rng, transcript=t(),
+                rng=rng, transcript=t(),
             )
-
-    def test_response_never_reduced(self, setting, rng):
-        """The integer response can exceed both group orders — that is
-        the whole point of the technique."""
-        proofs = [_prove(setting, rng) for _ in range(3)]
-        g = setting[0]
-        assert any(p.z > g.q for p in proofs)

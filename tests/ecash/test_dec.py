@@ -13,7 +13,8 @@ from repro.ecash.dec import (
     finish_withdrawal,
     setup,
 )
-from repro.ecash.spend import create_spend
+from repro.crypto.pairing import ToyPairing
+from repro.ecash.spend import DECParams, create_spend
 from repro.ecash.tree import NodeId
 
 
@@ -35,11 +36,18 @@ class TestSetup:
     def test_levels_and_backend(self, dec_params):
         assert dec_params.tree_level == 3
         assert dec_params.tower.depth >= 3
-        assert dec_params.backend.order > dec_params.tower.group(0).q
+        assert dec_params.backend.order == dec_params.tower.group(0).q
+
+    def test_a_backend_of_another_order_is_refused(self, dec_params):
+        """The coin secret is one exponent in both groups: a pairing
+        group of any order but storey 0's prime is refused."""
+        tower = dec_params.tower
+        with pytest.raises(ValueError, match="storey 0"):
+            DECParams(tower=tower, backend=ToyPairing(tower.group(1)), tree_level=3)
 
     def test_setup_online_chain_search(self):
         rng = random.Random(5)
-        params = setup(1, rng, use_known_chain=False, chain_bits=12, security_bits=24)
+        params = setup(1, rng, use_known_chain=False, chain_bits=12)
         assert params.tower.verify()
 
     def test_toy_backend_setup(self, dec_params_toy):

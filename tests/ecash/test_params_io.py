@@ -7,7 +7,13 @@ import random
 import pytest
 
 from repro.crypto.cl_sig import cl_keygen
+from repro.crypto.hashing import sha256
+from repro.crypto.ntheory import is_probable_prime
 from repro.ecash.params_io import ParamsError, export_params, import_params
+from repro.net.codec import decode, encode
+from tests.conftest import random_curve
+
+_MAGIC = b"repro-dec-params-v2"
 
 
 class TestRoundTrip:
@@ -69,41 +75,52 @@ class TestValidation:
 
     def test_malicious_tower_rejected(self, dec_params):
         """A tampered-but-redigested blob with a broken tower must fail."""
-        from repro.crypto.hashing import sha256
-        from repro.net.codec import decode, encode
+        levels = _state(dec_params)["levels"]
+        levels[0]["q"] = levels[0]["q"] - 2  # break chain link
+        with pytest.raises(ParamsError):
+            import_params(_reseal(dec_params, levels=levels))
 
-        magic = b"repro-dec-params-v1"
-        blob = export_params(dec_params)
-        state = decode(blob[len(magic) + 32 :])
-        state["levels"][0]["q"] = state["levels"][0]["q"] - 2  # break chain link
-        body = encode(state)
-        forged = magic + sha256(magic, body) + body
+    def test_wrong_order_generator_rejected(self, dec_params):
+        generators = _state(dec_params)["generators"]
+        generators[0][0] = 1  # identity is never a generator
+        with pytest.raises(ParamsError, match="generator"):
+            import_params(_reseal(dec_params, generators=generators))
+
+    def test_small_pairing_rejected(self, dec_params):
+        """A pairing group of another order than storey 0's prime is
+        refused: here a curve built on a smaller prime."""
+        curve = random_curve(24, random.Random(9))
+        g = curve.generator
+        forged = _reseal(dec_params, backend={"kind": "tate", "p": curve.p,
+                                              "gx": g.x.a, "gy": g.y.a})
         with pytest.raises(ParamsError):
             import_params(forged)
 
-    def test_wrong_order_generator_rejected(self, dec_params):
-        from repro.crypto.hashing import sha256
-        from repro.net.codec import decode, encode
+    def test_curve_order_off_storey_zero_rejected(self, dec_params):
+        """The order is storey 0's prime, not a published field: a field
+        prime whose ``p + 1`` it does not divide is refused."""
+        q0 = dec_params.tower.group(0).q
+        p = dec_params.backend.params.p + 4
+        while not is_probable_prime(p):
+            p += 4
+        assert (p + 1) % q0
+        backend = {**_state(dec_params)["backend"], "p": p}
+        with pytest.raises(ParamsError, match="multiple of storey 0"):
+            import_params(_reseal(dec_params, backend=backend))
 
-        magic = b"repro-dec-params-v1"
-        blob = export_params(dec_params)
-        state = decode(blob[len(magic) + 32 :])
-        state["generators"][0][0] = 1  # identity is never a generator
-        body = encode(state)
-        forged = magic + sha256(magic, body) + body
-        with pytest.raises(ParamsError, match="generator"):
-            import_params(forged)
+    def test_order_is_derived_from_the_tower(self, dec_params):
+        state = _state(dec_params)
+        assert set(state["backend"]) == {"kind", "p", "gx", "gy"}
+        loaded, _ = import_params(export_params(dec_params))
+        assert loaded.backend.params.r == loaded.tower.group(0).q
+        assert loaded.backend.params.cofactor == dec_params.backend.params.cofactor
 
-    def test_small_pairing_rejected(self, dec_params):
-        """A pairing subgroup smaller than storey 0 breaks coin secrets."""
-        from repro.crypto.hashing import sha256
-        from repro.net.codec import decode, encode
 
-        magic = b"repro-dec-params-v1"
-        blob = export_params(dec_params)
-        state = decode(blob[len(magic) + 32 :])
-        state["backend"] = {"kind": "toy", "p": 23, "q": 11, "g": 4}
-        body = encode(state)
-        forged = magic + sha256(magic, body) + body
-        with pytest.raises(ParamsError, match="inconsistent"):
-            import_params(forged)
+def _state(params) -> dict:
+    return decode(export_params(params)[len(_MAGIC) + 32 :])
+
+
+def _reseal(params, **changes) -> bytes:
+    """The exported state with *changes*, digested again (a malicious MA)."""
+    body = encode({**_state(params), **changes})
+    return _MAGIC + sha256(_MAGIC, body) + body

@@ -104,8 +104,7 @@ class BankSerialMachine(RuleBasedStateMachine):
         cls = type(self)
         if cls._params is None:
             cls._params = setup(
-                3, random.Random(0xABCD), security_bits=80,
-                real_pairing=False, edge_rounds=4,
+                3, random.Random(0xABCD), real_pairing=False, edge_rounds=4,
             )
         self.params = cls._params
         rng = random.Random(1000 + cls._bank_seed)

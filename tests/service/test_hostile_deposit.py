@@ -2,11 +2,11 @@
 
 A token value that made ``verify_spend`` raise used to kill the
 dispatcher thread: the deposit went unanswered and so did every later
-request, on any connection.  For each family of such values (a negative
-int the transcript absorbs, a ``str`` where a commitment goes, a
-``witness_bits`` to shift by), the door must answer the deposit with an
-error and then answer a fresh connection's ``balance`` and an honest
-deposit.  ``tests/ecash/test_hostile_tokens.py`` holds every value in
+request, on any connection.  For each family of hostile values (a
+negative int the transcript absorbs, a ``str`` where a commitment goes,
+an equality response outside ``[0, q0)``), the door must answer the
+deposit with an error and then answer a fresh connection's ``balance``
+and an honest deposit.  ``tests/ecash/test_hostile_tokens.py`` holds every value in
 process, on both kernel paths.
 
 Whatever else makes a token's check raise is refused at the batcher's
@@ -26,8 +26,7 @@ from repro.service import batcher as batcher_module
 from tests.ecash.test_hostile_tokens import HOSTILE
 from tests.service.conftest import mint_tokens
 
-FAMILIES = ["negative node_key", "str key commitment", "witness_bits 2^40",
-            "witness_bits -500"]
+FAMILIES = ["negative node_key", "str key commitment", "z at q0", "z negative"]
 
 
 @pytest.fixture()
@@ -40,7 +39,8 @@ def frontend(service):
 @pytest.mark.parametrize("name", FAMILIES)
 def test_a_hostile_deposit_gets_an_error_and_the_door_keeps_answering(frontend, name):
     hostile, honest = mint_tokens(frontend.service, random.Random(0xBAD), 2, node_level=1)
-    payload = {**hostile.payload, "token": HOSTILE[name](hostile.payload["token"])}
+    q0 = frontend.service.bank.params.tower.group(0).q
+    payload = {**hostile.payload, "token": HOSTILE[name](hostile.payload["token"], q0)}
     with ServiceClient(frontend.address, timeout=20.0) as client:
         reply = client.request(hostile.kind, payload, sender=hostile.sender)
     assert reply["status"] in ("ERROR", "REJECTED"), reply

@@ -11,7 +11,12 @@ admitted on two slices and flagged by the sweep).
 The campaign runs on ``setup(3)``'s Tate parameters.  Leaving the toy
 pairing moved two digests once: in-process ``bc800e60…5f54ee`` →
 ``111e747f…9482a4dd`` and socket ``d85c36c4…2310b2`` →
-``1f150945…e51c5ef``; the cluster's held.
+``1f150945…e51c5ef``; the cluster's held.  Building the pairing group
+on storey 0's prime moved two once more (a party's one RNG feeds its
+spend proofs and its behaviour, and the proofs now draw shorter
+scalars): in-process ``111e747f…9482a4dd`` → ``bc800e60…5f54ee``, with
+three more coin units deposited by the end, and cluster
+``006c17ac…2272ab`` → ``4372efb3…a9d476``; the socket's held.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from repro.sim.campaign import Campaign, mixed_campaign, run_campaign
 
 #: backend -> report digest of ``mixed --seed 2015``
 REFERENCE = {
-    "inprocess": "111e747f283c19b6199446d356dd137a71398cb672ae1c8bbf11999d9482a4dd",
+    "inprocess": "bc800e607af999a49d040632eb5f0eeef255ecdc11f9f78b9b126768635f54ee",
     "socket": "1f150945383c7f1dbdf9047f4416f2e24871179cbd1b9afd68c7c8c13e51c5ef",
-    "cluster": "006c17ac60e6b898357267d1c949bf7bf349cc8cf8abab000991b4dac92272ab",
+    "cluster": "4372efb364d69069f40fd34165b4512a718ee6450dddb3c6f9f03cf778a9d476",
 }
 
 

@@ -110,7 +110,11 @@ class TestMechanismComparison:
 
         The times compare protocol work: the RSA key generation each
         round runs (a prime search whose length is luck) is timed on its
-        own and taken out of the round it ran in."""
+        own and taken out of the round it ran in.  They are medians of
+        five rounds a side: a single first round carries one-time costs
+        and the luck of the PBS exponent's prime walk, and read either
+        way on a busy host."""
+        import statistics
         import time
 
         import repro.core.market as market
@@ -135,21 +139,24 @@ class TestMechanismComparison:
             run()
             return time.perf_counter() - t0 - (keygen_s[0] - keygen_before)
 
-        dec_session = PPMSdecSession(dec_params, rng, rsa_bits=512)
-        jo_d = dec_session.new_job_owner("jo", funds=16)
-        sp_d = dec_session.new_participant("sp")
-        dec_time = protocol_time(lambda: dec_session.run_job(jo_d, [sp_d], payment=1))
+        dec_times, pbs_times = [], []
+        for _ in range(5):
+            dec_session = PPMSdecSession(dec_params, rng, rsa_bits=512)
+            jo_d = dec_session.new_job_owner("jo", funds=16)
+            sp_d = dec_session.new_participant("sp")
+            dec_times.append(protocol_time(
+                lambda: dec_session.run_job(jo_d, [sp_d], payment=1)))
 
-        pbs_session = PPMSpbsSession(rng, rsa_bits=512)
-        jo_p = pbs_session.new_job_owner(funds=2)
-        sp_p = pbs_session.new_participant()
-        pbs_time = protocol_time(lambda: pbs_session.run_job(jo_p, [sp_p]))
+            pbs_session = PPMSpbsSession(rng, rsa_bits=512)
+            jo_p = pbs_session.new_job_owner(funds=2)
+            sp_p = pbs_session.new_participant()
+            pbs_times.append(protocol_time(lambda: pbs_session.run_job(jo_p, [sp_p])))
 
-        assert pbs_time < dec_time
-        assert (
-            pbs_session.transport.total_bytes()
-            < dec_session.transport.total_bytes()
-        )
-        dec_zkp = sum(dec_session.counter.get(p, "ZKP") for p in ("JO", "SP", "MA"))
-        pbs_zkp = sum(pbs_session.counter.get(p, "ZKP") for p in ("JO", "SP", "MA"))
-        assert dec_zkp > 0 and pbs_zkp == 0
+            assert (
+                pbs_session.transport.total_bytes()
+                < dec_session.transport.total_bytes()
+            )
+            dec_zkp = sum(dec_session.counter.get(p, "ZKP") for p in ("JO", "SP", "MA"))
+            pbs_zkp = sum(pbs_session.counter.get(p, "ZKP") for p in ("JO", "SP", "MA"))
+            assert dec_zkp > 0 and pbs_zkp == 0
+        assert statistics.median(pbs_times) < statistics.median(dec_times)

@@ -32,8 +32,7 @@ _PARAMS = None
 def _params():
     global _PARAMS
     if _PARAMS is None:
-        _PARAMS = setup(3, random.Random(0x5EED), security_bits=80,
-                        real_pairing=False, edge_rounds=4)
+        _PARAMS = setup(3, random.Random(0x5EED), real_pairing=False, edge_rounds=4)
     return _PARAMS
 
 

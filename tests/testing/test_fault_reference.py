@@ -28,10 +28,12 @@ pytestmark = pytest.mark.skipif(
 
 #: scenario -> (runner, crash points swept, digest).  PPMSdec moved
 #: f7e4e234…13f2943 → b4710ca1…52daad2b when the kits left the toy
-#: pairing for ``setup(3)``; PPMSpbs replays no DEC token and held.
+#: pairing for ``setup(3)``, and b4710ca1…52daad2b → 29838f06…ef8f2d83
+#: when the pairing group was built on storey 0's prime; PPMSpbs
+#: replays no DEC token and held both times.
 REFERENCE = {
     "ppms-dec": (run_deposit_scenario, 60,
-                 "b4710ca1e42cd3f0964b8bbd44187440cbf8039dbc1f60eb35b04edd52daad2b"),
+                 "29838f066b13d8fb935c9d17c90cf5a56579a41bf6c3074df3132cceef8f2d83"),
     "ppms-pbs": (run_pbs_scenario, 30,
                  "ade7a3403c802289e96ae899b0210efd21c2aa035daae4ac886d3a1811240655"),
 }

@@ -32,8 +32,7 @@ def build_fixtures() -> dict[str, bytes]:
     from repro.ecash.wallet_io import snapshot_coins
     from repro.ecash.tree import CoinTree, NodeId
 
-    params = setup(3, random.Random("golden:params"),
-                   security_bits=40, real_pairing=False, edge_rounds=4)
+    params = setup(3, random.Random("golden:params"), real_pairing=False, edge_rounds=4)
     bank = cl_keygen(params.backend, random.Random("golden:bank"))
 
     rng = random.Random("golden:coins")

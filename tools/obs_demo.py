@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     telemetry = obs.Telemetry.enabled(capacity=65536)
 
     print(f"building toy market (seed {args.seed}) ...")
-    params = setup(3, rng, security_bits=64, real_pairing=False, edge_rounds=4)
+    params = setup(3, rng, real_pairing=False, edge_rounds=4)
     bank = ShardedBank.create(params, rng, n_shards=4, journal=Journal())
     batcher = VerificationBatcher(params, bank.keypair, max_batch=8, seed=1)
     service = MarketService(
