@@ -14,7 +14,8 @@ what an end-to-end server reads and writes, on ``setup(3)`` parameters
 * an ``open-account`` request, and a reply;
 * the ``accept`` record a level-1 deposit journals (the request's
   payload spliced in as the frame's bytes) and an ``apply`` record;
-* a shard snapshot's body, a 1,000-account snapshot's body and a
+* a four-account bank snapshot's body (``shard snapshot``), a
+  1,000-account snapshot's body and a
   cluster bootstrap's body.
 
 A request is decoded as the front door decodes it
@@ -84,13 +85,13 @@ def frames(tmp_path_factory) -> dict[str, bytes]:
         "lsn": 42, "kind": "apply", "rid": "sp0:1", "op": "deposit",
         "payload": {"aid": "sp0", "amount": 4, "seq": 1,
                     "serials": [(1 << 79) + i for i in range(4)]}})
-    bank = ShardedBank(params, keypair, random.Random(1), n_shards=1)
+    bank = ShardedBank(params, keypair, random.Random(1))
     for i in range(4):
         bank.open_account(f"sp{i}", 100 + i)
-    out["shard snapshot"] = bank.snapshot()[0]
+    out["shard snapshot"] = bank.snapshot()
     for i in range(4, 1000):
         bank.open_account(f"sp{i}", 100 + i)
-    out["1,000-account snapshot"] = bank.snapshot()[0]
+    out["1,000-account snapshot"] = bank.snapshot()
     path = tmp_path_factory.mktemp("boot") / "bootstrap.bin"
     launcher.write_bootstrap(str(path), params, keypair, nodes=["n0", "n1", "n2"])
     out["cluster bootstrap"] = path.read_bytes()

@@ -7,7 +7,7 @@ The acceptance experiments for :mod:`repro.crypto.fastexp`:
   parameters (1024-bit modulus, 160-bit exponents) and at a
   ``setup(3)`` storey (74-bit modulus), where C-level ``pow`` is
   hardest to beat;
-* **service end-to-end** — the sharded+batched deposit replay of
+* **service end-to-end** — the batched deposit replay of
   :mod:`benchmarks.bench_service_throughput` must gain at least **15%**
   throughput with the tables served over the same replay with every
   table withheld (each call on the plain path);
@@ -163,7 +163,7 @@ def service_workload(bench_rng):
     """Same minted deposit workload as bench_service_throughput."""
     params = setup(3, bench_rng, edge_rounds=6)
     keypair = cl_keygen(params.backend, bench_rng)
-    mint_bank = ShardedBank(params, keypair, random.Random(1), n_shards=1)
+    mint_bank = ShardedBank(params, keypair, random.Random(1))
     requests = mint_deposit_traffic(
         BankIssuer(mint_bank),
         random.Random(2),
@@ -172,7 +172,7 @@ def service_workload(bench_rng):
         node_level=1,
     )
     arrivals = [0.002 * i for i in range(len(requests))]
-    return params, keypair, mint_bank.merged(), requests, arrivals
+    return params, keypair, mint_bank.book, requests, arrivals
 
 
 def _replay(workload) -> float:
@@ -180,11 +180,11 @@ def _replay(workload) -> float:
     config; building the service (its table warm-up included) is
     outside it."""
     params, keypair, book, requests, arrivals = workload
-    bank = ShardedBank(params, keypair, random.Random(3), n_shards=4)
+    bank = ShardedBank(params, keypair, random.Random(3))
     for aid, balance in book.accounts.items():
         bank.open_account(aid, balance)
     for aid in book.withdrawals:
-        bank.account_home(aid).withdrawals.append(aid)
+        bank.book.withdrawals.append(aid)
     batcher = VerificationBatcher(
         params, keypair, max_batch=N_DEPOSITS, processes=1, seed=5,
     )

@@ -1,6 +1,6 @@
 """Service-level deposit replays: worker scaling, tracing cost, overload.
 
-The same minted deposit workload is replayed through a four-shard
+The same minted deposit workload is replayed through the
 market service with ``max_batch=64`` — every token checked by
 :func:`~repro.ecash.spend.verify_spend` — in the configuration the MA
 ships: fixed-base and Miller tables warm.  Each replay builds its
@@ -14,7 +14,7 @@ region, which is ``run_trace`` alone.
 * **overload** (non-timed) — the service driven past its admission
   bound with guaranteed double-spend replays must shed with explicit
   ``BUSY`` replies, admit **zero** double-deposits and still pass the
-  cross-shard audit.
+  bank's audit.
 
 Walls, throughputs and ratios land in ``benchmark.extra_info`` (the
 ``--benchmark-json`` output).  The tables' own end-to-end effect is
@@ -54,7 +54,7 @@ def service_workload(bench_rng):
     """
     params = setup(3, bench_rng, edge_rounds=6)
     keypair = cl_keygen(params.backend, bench_rng)
-    mint_bank = ShardedBank(params, keypair, random.Random(1), n_shards=1)
+    mint_bank = ShardedBank(params, keypair, random.Random(1))
     requests = mint_deposit_traffic(
         BankIssuer(mint_bank),
         random.Random(2),
@@ -63,17 +63,17 @@ def service_workload(bench_rng):
         node_level=1,
     )
     arrivals = [0.002 * i for i in range(len(requests))]
-    return params, keypair, mint_bank.merged(), requests, arrivals
+    return params, keypair, mint_bank.book, requests, arrivals
 
 
-def _make_service(workload, *, n_shards, max_batch,
+def _make_service(workload, *, max_batch,
                   admission=None, telemetry=None, backend=None) -> MarketService:
     params, keypair, book, _, _ = workload
-    bank = ShardedBank(params, keypair, random.Random(3), n_shards=n_shards)
+    bank = ShardedBank(params, keypair, random.Random(3))
     for aid, balance in book.accounts.items():
         bank.open_account(aid, balance)
     for aid in book.withdrawals:
-        bank.account_home(aid).withdrawals.append(aid)
+        bank.book.withdrawals.append(aid)
     batcher = VerificationBatcher(
         params, keypair, max_batch=max_batch, processes=1,
         seed=5, backend=backend,
@@ -95,7 +95,7 @@ def _replay(workload, *, telemetry=None, **config) -> float:
     return report.wall_elapsed
 
 
-BATCHED = dict(n_shards=4, max_batch=N_DEPOSITS)
+BATCHED = dict(max_batch=N_DEPOSITS)
 
 
 #: worker counts for the scaling curve; the 4-vs-1 ratio is asserted
@@ -195,7 +195,7 @@ def test_tracing_overhead_under_three_percent(benchmark, service_workload):
 
 def test_overload_sheds_busy_and_admits_no_double_deposit(benchmark, service_workload):
     """Overload: replays past the admission bound shed as BUSY; every
-    admitted replay is REJECTED; the cross-shard audit stays clean."""
+    admitted replay is REJECTED; the bank's audit stays clean."""
     _, _, _, requests, _ = service_workload
 
     def overload_run():

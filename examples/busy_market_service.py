@@ -2,7 +2,7 @@
 """A busy day at the market administrator: bursty load, SLOs, overload.
 
 The paper's MA is one logical party; :mod:`repro.service` rebuilds it
-as a production service — a 4-shard bank behind a verification batcher
+as a production service — one journaled bank behind a verification batcher
 and admission control.  This example runs it through the shapes a real
 sensing market produces:
 
@@ -15,8 +15,8 @@ sensing market produces:
    controller's rate and queue bounds.  The service sheds the excess
    with explicit ``BUSY`` replies *before* spending crypto budget on
    it, and everything it did admit is still exactly-once.
-3. **The audit** — cross-shard placement invariants plus the merged
-   ledger books, clean after both phases.
+3. **The audit** — the ledger books' invariants (balances,
+   conservation, serial records), clean after both phases.
 
 Runs on the toy pairing backend so it finishes in seconds; the real
 Tate backend is measured in ``benchmarks/bench_service_throughput.py``.
@@ -41,7 +41,6 @@ from repro.service import (
 from repro.service.loadgen import BankIssuer, mint_deposit_traffic, run_trace
 from repro.workloads.arrivals import bursty_arrivals
 
-N_SHARDS = 4
 N_ACCOUNTS = 6
 N_DEPOSITS = 48
 REPLAY_FRACTION = 0.125  # 6 of 48 requests are double-spend replays
@@ -50,8 +49,8 @@ REPLAY_FRACTION = 0.125  # 6 of 48 requests are double-spend replays
 def main() -> None:
     rng = random.Random(2026)
     params = setup(level=3, rng=rng, real_pairing=False, edge_rounds=6)
-    bank = ShardedBank.create(params, rng, n_shards=N_SHARDS)
-    print(f"market administrator up: {N_SHARDS} shards, "
+    bank = ShardedBank.create(params, rng)
+    print(f"market administrator up: one bank, "
           f"coin value {1 << params.tree_level}, toy pairing backend")
 
     # ---- phase 1: a bursty morning under an SLO --------------------------
@@ -85,7 +84,7 @@ def main() -> None:
 
     # ---- phase 2: overload spike -----------------------------------------
     print("\n=== phase 2: overload spike ===")
-    spike_bank = ShardedBank.create(params, rng, n_shards=N_SHARDS)
+    spike_bank = ShardedBank.create(params, rng)
     spike = MarketService(
         spike_bank,
         batcher=VerificationBatcher(params, spike_bank.keypair, max_batch=8, seed=9),
@@ -109,11 +108,11 @@ def main() -> None:
 
     # ---- phase 3: the books ----------------------------------------------
     print()
-    for label, book in (("bursty-morning", bank), ("overload-spike", spike_bank)):
-        audit = book.audit()
-        print(f"cross-shard audit [{label}]: "
+    for label, books in (("bursty-morning", bank), ("overload-spike", spike_bank)):
+        audit = books.audit()
+        print(f"audit [{label}]: "
               f"{'CLEAN' if audit.clean else audit.findings} "
-              f"({book.deposit_seq} deposits applied)")
+              f"({books.book.deposit_seq} deposits applied)")
     print(f"double spends admitted: 0 "
           f"(all {report.rejected} replays rejected with evidence)")
 

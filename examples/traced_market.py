@@ -4,7 +4,7 @@
 The observability layer (:mod:`repro.obs`) gives every request a trace
 id derived from its request id, and every layer the request crosses —
 admission, the write-ahead journal, batched spend verification, the
-bank shard, the reply — hangs its span on that same id.  This example
+bank, the reply — hangs its span on that same id.  This example
 runs a small traced market and then *reads the trace back*: it picks
 one deposit, derives its trace id with :func:`obs.trace_id`, and prints
 the request's full lifecycle with timings, exactly what you would see
@@ -30,7 +30,7 @@ def main() -> int:
     telemetry = obs.Telemetry.enabled(capacity=8192)
 
     params = setup(3, rng, real_pairing=False, edge_rounds=4)
-    bank = ShardedBank.create(params, rng, n_shards=2, journal=Journal())
+    bank = ShardedBank.create(params, rng, journal=Journal())
     service = MarketService(
         bank,
         batcher=VerificationBatcher(params, bank.keypair, max_batch=4, seed=1),

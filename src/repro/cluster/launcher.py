@@ -69,7 +69,7 @@ _BOOT_MAGIC = b"repro-cluster-bootstrap-v1"
 
 # -- bootstrap blob --------------------------------------------------------
 def write_bootstrap(path: str, params, keypair, *, nodes: list[str],
-                    vnodes: int = DEFAULT_VNODES, n_shards: int = 4,
+                    vnodes: int = DEFAULT_VNODES,
                     checkpoint_every: int = 64) -> None:
     """Serialize everything a node process needs to become the MA."""
     state = {
@@ -78,7 +78,6 @@ def write_bootstrap(path: str, params, keypair, *, nodes: list[str],
         "y": keypair.y,
         "nodes": list(nodes),
         "vnodes": vnodes,
-        "n_shards": n_shards,
         "checkpoint_every": checkpoint_every,
     }
     _write_atomic(path, seal(_BOOT_MAGIC, state), binary=True)
@@ -96,7 +95,6 @@ def read_bootstrap(path: str) -> dict:
         "keypair": CLKeyPair(x=state["x"], y=state["y"], public=public),
         "nodes": list(state["nodes"]),
         "vnodes": int(state["vnodes"]),
-        "n_shards": int(state["n_shards"]),
         "checkpoint_every": int(state["checkpoint_every"]),
     }
 
@@ -150,7 +148,6 @@ def node_main(rundir: str, node_id: str, *, bind_host: str | None = None,
 
     node = ClusterNode(
         node_id, bootstrap["params"], bootstrap["keypair"],
-        n_shards=bootstrap["n_shards"],
         checkpoint_every=bootstrap["checkpoint_every"],
         host=host, port=port, replica_port=replica_port,
         seed=bootstrap["nodes"].index(node_id),
@@ -185,7 +182,7 @@ class ProcessCluster:
     """
 
     def __init__(self, params, keypair, rundir: str, *, n_nodes: int = 3,
-                 n_shards: int = 4, vnodes: int = DEFAULT_VNODES,
+                 vnodes: int = DEFAULT_VNODES,
                  checkpoint_every: int = 64, setup_timeout: float = 90.0,
                  python: str = sys.executable) -> None:
         if n_nodes < 2:
@@ -195,7 +192,7 @@ class ProcessCluster:
         names = [f"n{i}" for i in range(n_nodes)]
         write_bootstrap(os.path.join(rundir, "bootstrap.blob"),
                         params, keypair, nodes=names, vnodes=vnodes,
-                        n_shards=n_shards, checkpoint_every=checkpoint_every)
+                        checkpoint_every=checkpoint_every)
 
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -367,7 +364,6 @@ def _cmd_init(args: argparse.Namespace) -> int:
     names = [e[0] for e in entries]
     write_bootstrap(os.path.join(args.rundir, "bootstrap.blob"),
                     params, keypair, nodes=names, vnodes=args.vnodes,
-                    n_shards=args.n_shards,
                     checkpoint_every=args.checkpoint_every)
     cmap = ClusterMap(
         version=0, nodes=tuple(names),
@@ -403,7 +399,6 @@ def main(argv: list[str] | None = None) -> int:
                       metavar="NAME:HOST:PORT:RPORT")
     init.add_argument("--tree-level", type=int, default=4)
     init.add_argument("--vnodes", type=int, default=DEFAULT_VNODES)
-    init.add_argument("--n-shards", type=int, default=4)
     init.add_argument("--checkpoint-every", type=int, default=64)
 
     args = parser.parse_args(argv)

@@ -4,7 +4,7 @@ A :class:`ClusterNode` wires together, for one ring member:
 
 * a fresh :class:`~repro.service.server.MarketService` (its own
   :class:`~repro.service.shard.ShardedBank`, journal, reply cache) that
-  owns this node's slice of the account space — sharding partitions
+  owns this node's slice of the account space — slicing partitions
   *state*; every node holds the same DEC parameters and CL issuing key,
   so any node's verdicts verify under the one bank public key;
 * a :class:`~repro.service.frontend.ServiceFrontend` serving the slice
@@ -56,7 +56,7 @@ class ClusterNode:
     """One ring member: sliced service + frontend + replication endpoints."""
 
     def __init__(self, node_id: str, params, keypair, *,
-                 n_shards: int = 4, host: str = "127.0.0.1",
+                 host: str = "127.0.0.1",
                  port: int = 0, replica_port: int = 0, seed: int = 0,
                  checkpoint_every: int = 64,
                  segment_records: int = DEFAULT_SEGMENT_RECORDS,
@@ -64,7 +64,6 @@ class ClusterNode:
         self.id = node_id
         self.params = params
         self.keypair = keypair
-        self.n_shards = n_shards
         self.host = host
         self.checkpoint_every = checkpoint_every
         self.segment_records = segment_records
@@ -118,13 +117,12 @@ class ClusterNode:
         if seed is None:
             service = MarketService.recover(
                 self.params, self.keypair, journal,
-                checkpoint=journal.load_checkpoint(), n_shards=self.n_shards,
+                checkpoint=journal.load_checkpoint(),
                 telemetry=self.telemetry,
             )
         else:
             bank = ShardedBank(self.params, self.keypair, random.Random(seed),
-                               n_shards=self.n_shards, journal=journal,
-                               telemetry=self.telemetry)
+                               journal=journal, telemetry=self.telemetry)
             service = MarketService(bank, journal=journal, telemetry=self.telemetry)
         maintenance = JournalMaintenance(journal, service.checkpoint,
                                          checkpoint_every=self.checkpoint_every)
@@ -296,8 +294,7 @@ class LocalCluster:
     """
 
     def __init__(self, params, keypair, *, n_nodes: int = 3,
-                 n_shards: int = 4, vnodes: int = DEFAULT_VNODES,
-                 checkpoint_every: int = 64,
+                 vnodes: int = DEFAULT_VNODES, checkpoint_every: int = 64,
                  segment_records: int = DEFAULT_SEGMENT_RECORDS) -> None:
         if n_nodes < 2:
             raise ValueError("a cluster needs at least two nodes")
@@ -307,7 +304,7 @@ class LocalCluster:
         self.nodes: dict[str, ClusterNode] = {}
         for i, name in enumerate(names):
             self.nodes[name] = ClusterNode(
-                name, params, keypair, n_shards=n_shards, seed=i,
+                name, params, keypair, seed=i,
                 checkpoint_every=checkpoint_every,
                 segment_records=segment_records,
             )

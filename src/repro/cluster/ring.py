@@ -1,9 +1,9 @@
 """Consistent-hash ring and the versioned cluster map.
 
-The cluster partitions the market administrator's keyspace the same
-way :mod:`repro.service.shard` partitions it inside one process — by a
-stable :func:`repro.crypto.hashing.sha256` hash, never Python's salted
-``hash()`` — but across *nodes* instead of across in-process shards.
+The cluster partitions the market administrator's keyspace across
+*nodes*, one bank per node, by a stable
+:func:`repro.crypto.hashing.sha256` hash — never Python's salted
+``hash()``, so placement survives restarts and processes.
 Every routable request carries a partition key (the account id for all
 account-scoped operations), and :class:`HashRing` maps that key to
 exactly one node:

@@ -74,10 +74,6 @@ class PartialBlindSignature:
     counter: int
     common_info: bytes
 
-    def encoded_size(self, pk: RSAPublicKey) -> int:
-        """Wire size in bytes (signature block + counter + info)."""
-        return pk.modulus_bytes + 4 + len(self.common_info)
-
 
 def _representative(message: bytes, common_info: bytes, n: int) -> int:
     """FDH of the (message, info) pair into ``Z_n``."""

@@ -73,10 +73,6 @@ class RSAPublicKey:
         """Stable 16-byte identifier of the key (used as a pseudonym)."""
         return sha256(b"rsa-pk", int_to_bytes(self.n), int_to_bytes(self.e))[:16]
 
-    def encoded_size(self) -> int:
-        """Wire size of the key in bytes: modulus plus a 4-byte exponent."""
-        return self.modulus_bytes + 4
-
 
 @dataclass(frozen=True)
 class RSAPrivateKey:

@@ -74,10 +74,6 @@ class CommittedEdgeProof:
     def rounds(self) -> int:
         return len(self.commitments_u)
 
-    def encoded_size(self, element_bytes: int, scalar_bytes: int) -> int:
-        """Wire size estimate used by the Table II accounting."""
-        return self.rounds * (2 * element_bytes + 3 * scalar_bytes)
-
 
 @dataclass(frozen=True)
 class RevealedEdgeProof:
@@ -87,10 +83,6 @@ class RevealedEdgeProof:
     commitment_c: int  # g^a h^b in the parent commitment storey
     z1: int
     z2: int
-
-    def encoded_size(self, element_bytes: int, scalar_bytes: int) -> int:
-        """Wire size estimate used by the Table II accounting."""
-        return 2 * element_bytes + 2 * scalar_bytes
 
 
 def _check_tower_link(parent_grp: SchnorrGroup, child_grp: SchnorrGroup) -> None:

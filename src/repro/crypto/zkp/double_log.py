@@ -42,10 +42,6 @@ class DoubleLogProof:
     def rounds(self) -> int:
         return len(self.commitments)
 
-    def encoded_size(self, element_bytes: int, scalar_bytes: int) -> int:
-        """Wire size estimate used by the Table II accounting."""
-        return self.rounds * (element_bytes + scalar_bytes)
-
 
 def _inner_exp(outer: SchnorrGroup, h: int, e: int) -> int:
     """``h^e`` computed in ``Z*_{q_out}`` (the inner group's home)."""

@@ -53,10 +53,6 @@ class EqualityProof:
     z: int
     z_t: int
 
-    def encoded_size(self, element_bytes: int, scalar_bytes: int) -> int:
-        """Wire size estimate used by the Table II accounting."""
-        return 2 * element_bytes + 2 * scalar_bytes
-
 
 def prove_equality(
     group_a: SchnorrGroup,

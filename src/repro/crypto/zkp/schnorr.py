@@ -44,10 +44,6 @@ class SchnorrProof:
     commitment: object
     response: int
 
-    def encoded_size(self, element_bytes: int, scalar_bytes: int) -> int:
-        """Wire size estimate used by the Table II accounting."""
-        return element_bytes + scalar_bytes
-
 
 # ---------------------------------------------------------------------------
 # SchnorrGroup (int element) flavour

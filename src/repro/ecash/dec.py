@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.crypto.cl_sig import (
     BlindIssuanceRequest,
@@ -202,22 +203,44 @@ class DECBank:
         serials = leaf_serials(
             self.params.tower, token.node, token.node_key, self.params.tree_level
         )
+        error = self.conflict(serials, (aid, token.node.level, token.node.index))
+        if error is not None:
+            raise error
+        amount = token.denomination(self.params.tree_level)
+        self.commit(aid, token.node.level, token.node.index, serials, amount)
+        return amount
+
+    def conflict(
+        self, serials: Iterable[int], offending_node: tuple | None = None
+    ) -> DoubleSpendError | None:
+        """The double-spend rule: the error to raise, or ``None``.
+
+        A deposit conflicts with an earlier one (same node, ancestor or
+        descendant) exactly when they share a leaf serial, so one
+        membership walk over *serials* decides it.  The error's evidence
+        names the first colliding serial, the earlier deposit's
+        ``(aid, level, index)`` and *offending_node*.
+        """
+        seen = self._seen_serials
         for serial in serials:
-            if serial in self._seen_serials:
-                raise DoubleSpendError(
-                    f"leaf serial already deposited (prior: {self._seen_serials[serial]})",
+            prior = seen.get(serial)
+            if prior is not None:
+                return DoubleSpendError(
+                    f"leaf serial already deposited (prior: {prior[:3]})",
                     evidence=DoubleSpendEvidence(
-                        serial=serial,
-                        prior=self._seen_serials[serial][:3],
-                        offending_node=(aid, token.node.level, token.node.index),
+                        serial=serial, prior=prior[:3], offending_node=offending_node
                     ),
                 )
+        return None
+
+    def commit(
+        self, aid: str, level: int, index: int, serials: Iterable[int], amount: int
+    ) -> None:
+        """Record a deposit :meth:`conflict` admitted and credit *amount*."""
         # the sequence number disambiguates deposits of the same node
         # position from different coins (records must be unique per deposit)
-        record = (aid, token.node.level, token.node.index, self.deposit_seq)
+        record = (aid, level, index, self.deposit_seq)
         self.deposit_seq += 1
         for serial in serials:
             self._seen_serials[serial] = record
-        amount = token.denomination(self.params.tree_level)
         self.accounts[aid] += amount
-        return amount

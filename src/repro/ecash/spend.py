@@ -125,27 +125,6 @@ class SpendToken:
     def denomination(self, tree_level: int) -> int:
         return self.node.value(tree_level)
 
-    def encoded_size(self, params: DECParams) -> int:
-        """Wire-size estimate in bytes (Table II accounting).
-
-        Group elements are costed at their storey's modulus size;
-        pairing elements at the curve's field size.
-        """
-        tower = params.tower
-        elem = lambda storey: (tower.group(storey).p.bit_length() + 7) // 8
-        scal = lambda storey: (tower.group(storey).q.bit_length() + 7) // 8
-        pair_bytes = 2 * ((getattr(params.backend, "order").bit_length() + 7) // 8 + 2)
-        size = 8  # node id
-        size += elem(min(self.node.level, tower.depth))  # node key
-        size += 3 * pair_bytes  # randomized CL signature
-        size += elem(0)  # C_s
-        size += sum(elem(t + 1) for t in range(len(self.key_commitments)))
-        size += self.equality.encoded_size(elem(0), scal(0))
-        for t, edge in enumerate(self.edges):
-            size += edge.encoded_size(elem(t), scal(t))
-        size += self.final_edge.encoded_size(elem(self.node.level), scal(self.node.level))
-        return size
-
 
 def create_spend(
     params: DECParams,

@@ -67,8 +67,6 @@ SAFE_KEYS: frozenset[str] = frozenset(
         "lsn",        # journal log sequence number
         "seq",        # service sequence number (dense, service-local)
         "depth",      # queue depth
-        "shard",      # shard index
-        "shards",
         "level",      # tree level (public protocol parameter)
         "flushes",
         "redone",

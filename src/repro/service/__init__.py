@@ -2,7 +2,8 @@
 
 The paper's market administrator is one logical party; this package is
 the shape that party takes when it must serve heavy traffic —
-:class:`~repro.service.shard.ShardedBank` partitions the books,
+:class:`~repro.service.shard.ShardedBank` holds the books (one DEC book
+beside the PPMSpbs book),
 :class:`~repro.service.batcher.VerificationBatcher` coalesces and
 parallelizes the crypto, :class:`~repro.service.server.MarketService`
 runs the accept→admit→batch→apply loop with
@@ -49,7 +50,7 @@ from repro.service.loadgen import (
     run_trace,
 )
 from repro.service.server import MarketService, RequestFailure
-from repro.service.shard import ShardedBank, account_shard, serial_shard
+from repro.service.shard import ShardedBank
 from repro.service.workers import (
     InlineBackend,
     PooledBackend,
@@ -76,8 +77,6 @@ __all__ = [
     "DepositOutcome",
     "WithdrawOutcome",
     "ShardedBank",
-    "account_shard",
-    "serial_shard",
     "MarketService",
     "RequestFailure",
     "LoadReport",

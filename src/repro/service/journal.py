@@ -42,8 +42,8 @@ Record kinds (see :mod:`repro.service.server` for who writes what)::
 Each fact is written once: an ``OK`` verdict has no ``reply`` record,
 because the ``apply`` record already carries its body.
 
-A :class:`Checkpoint` pairs per-shard snapshot blobs with the journal
-position they reflect, plus the request-lifecycle state recovery can no
+A :class:`Checkpoint` pairs the bank's two snapshot blobs (the DEC book,
+the PPMSpbs book) with the journal position they reflect, plus the request-lifecycle state recovery can no
 longer scan out of a compacted log; recovery restores it and replays
 only the records after that position.
 """
@@ -519,7 +519,7 @@ class Journal:
         """Durably persist *checkpoint*; returns the manifest's name.
 
         Incremental and copy-on-write: blobs are content-addressed and
-        written only when absent, so an unchanged shard — and every
+        written only when absent, so an unchanged book — and every
         sealed reply/tombstone run an earlier checkpoint stored — is
         free.  What is not sealed yet (the two tails and ``pending``)
         goes into one tail blob, so the manifest names digests and
@@ -559,7 +559,7 @@ class Journal:
 
     @staticmethod
     def _referenced(state: dict) -> list[str]:
-        """Every blob digest a manifest body names: shards, runs, tail."""
+        """Every blob digest a manifest body names: books (key ``shards``), runs, tail."""
         digests = (state["shards"] + state["replies"]["runs"]
                    + state["evicted"]["runs"])
         return digests + ([state["tail"]] if state["tail"] else [])
@@ -595,7 +595,7 @@ class Journal:
         """The newest durable checkpoint that fully validates.
 
         A manifest is only usable when its own digest checks out *and*
-        every blob it names — shard, sealed run or tail — exists with
+        every blob it names — book, sealed run or tail — exists with
         matching content digest; otherwise the next-older manifest is
         tried (counted in :attr:`checkpoint_fallbacks`).  ``None`` when
         no checkpoint survives — recovery then replays the whole
@@ -703,11 +703,11 @@ class JournalMaintenance:
     it, and compacts the journal against it under the retention policy.
     The request-lifecycle half of the cut costs what changed: sealed
     reply/tombstone runs are stored once, the manifest names digests
-    only, and compaction reads one small manifest.  The shard half does
-    not yet: :meth:`~repro.service.shard.ShardedBank.snapshot` skips
-    clean shards but re-encodes every account of a dirty one, so a cut
-    after traffic that touched every shard still scales with the books
-    (sub-shard dirty tracking is open in the ROADMAP).  The dispatcher
+    only, and compaction reads one small manifest.  The books half does
+    not yet: :meth:`~repro.service.shard.ShardedBank.snapshot` reuses a
+    clean book's blob but re-encodes every account once the book has
+    changed, so a cut after any deposit still scales with the books
+    (write-once runs for the book are open in the ROADMAP).  The dispatcher
     is stalled for the whole of :meth:`run`;
     ``repro_journal_maintenance_seconds`` is that stall.
     """
@@ -845,7 +845,7 @@ class RunLog:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Shard snapshot blobs plus the journal position they reflect.
+    """The books' snapshot blobs plus the journal position they reflect.
 
     Every journal record with ``lsn <= lsn`` is already folded into the
     blobs; recovery restores the blobs and replays only what comes

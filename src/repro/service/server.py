@@ -1,6 +1,6 @@
 """The market-administrator bank service: accept → admit → batch → apply.
 
-:class:`MarketService` is the serving layer in front of the sharded
+:class:`MarketService` is the serving layer in front of the MA's one
 bank.  A bad request poisons only itself (recorded as a failure,
 explicit ``ERROR`` reply, the loop keeps running), as under
 :class:`repro.core.engine.Router`, but the router's
@@ -17,7 +17,7 @@ deliver-one-message-at-a-time inner loop is replaced by a pipelined one:
 3. **batch** — :meth:`step` flushes the batcher when a batch is full
    (or on ``force``), fanning the pure crypto across the process pool;
 4. **apply** — results are applied *serially, in submission order per
-   sender*: conflict checks against the sharded serial store, credits,
+   sender*: conflict checks against the deposited-serial store, credits,
    debits, replies.  Serial application is what turns "verified in
    parallel" into "admitted exactly once" — the double-spend check
    happens under no concurrency at all.
@@ -26,7 +26,7 @@ The request kinds, their payload fields with types and bounds, their
 handlers and flags are declared once, in :data:`REQUESTS` (rendered in
 ``docs/service.md``).  Both schemes are served: the
 ``pbs-*`` kinds are Algorithm 4's unitary bank, over the PPMSpbs book
-the :class:`~repro.service.shard.ShardedBank` holds beside its shards.
+the :class:`~repro.service.shard.ShardedBank` holds beside its DEC book.
 Reply statuses: ``OK``, ``BUSY`` (shed by
 admission), ``ERROR`` (malformed or screened — refused by
 :meth:`~MarketService.submit` before anything is journaled — unknown
@@ -118,7 +118,7 @@ class _Pending:
 
 
 class MarketService:
-    """Concurrent MA bank service over a sharded store."""
+    """Concurrent MA bank service over one journaled bank."""
 
     def __init__(
         self,
@@ -526,7 +526,7 @@ class MarketService:
 
     def _apply_one(self, pending: _Pending) -> None:
         # the span re-attaches to the request's trace (apply happens
-        # long after the submit span closed), so shard mutation and
+        # long after the submit span closed), so the bank mutation and
         # reply nest under the same id as admission and verification
         with self.obs.tracer.span("apply", trace=pending.trace or None,
                                   kind=pending.kind, seq=pending.seq):
@@ -601,8 +601,8 @@ class MarketService:
     def checkpoint(self) -> Checkpoint:
         """Snapshot the books *and* the request-lifecycle state.
 
-        The bank contributes the per-shard blobs (incremental — clean
-        shards reuse cached bytes); the service adds the reply cache
+        The bank contributes its two book blobs (each reused byte for
+        byte while its book is clean); the service adds the reply cache
         and the eviction tombstones (as sealed runs plus a short tail,
         so the cut does not grow with either), the in-flight accepts
         and the sequence watermark.  A checkpoint carrying these is
@@ -631,7 +631,6 @@ class MarketService:
         journal: Journal,
         *,
         checkpoint: Checkpoint | None = None,
-        n_shards: int = 4,
         rng: random.Random | None = None,
         batcher: VerificationBatcher | None = None,
         admission: AdmissionController | None = None,
@@ -663,11 +662,10 @@ class MarketService:
            is never re-enqueued (its tombstone answers retries).
         """
         tel = telemetry if telemetry is not None else obs.get_default()
-        with tel.tracer.span("recover", shards=n_shards,
-                             lsn=journal.last_lsn) as span:
+        with tel.tracer.span("recover", lsn=journal.last_lsn) as span:
             bank = ShardedBank.recover(
                 params, keypair, rng if rng is not None else random.Random(0),
-                journal, checkpoint=checkpoint, n_shards=n_shards,
+                journal, checkpoint=checkpoint,
                 telemetry=telemetry,
             )
             service = cls(bank, batcher=batcher, admission=admission,

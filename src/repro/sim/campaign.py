@@ -130,7 +130,6 @@ class CampaignConfig:
     # hybrid RSA encryption needs >= 320-bit moduli; 512 is the floor
     # that keeps pseudonym keygen cheap at toy security
     rsa_bits: int = 512
-    n_shards: int = 3
     n_nodes: int = 2
     max_batch: int = 4
     max_events: int = 2_000_000
@@ -270,21 +269,19 @@ def _open_market(config: CampaignConfig, params, keypair) -> _MarketLink:
         from repro.cluster.node import LocalCluster
         from repro.testing.cluster_invariants import check_cluster_invariants
 
-        cluster = LocalCluster(
-            params, keypair, n_nodes=max(2, config.n_nodes), n_shards=config.n_shards
-        )
+        cluster = LocalCluster(params, keypair, n_nodes=max(2, config.n_nodes))
         router = cluster.router()
         return _MarketLink(
             router,
             lambda: check_cluster_invariants(
                 params, keypair, cluster.map, cluster.dump_storage(),
-                n_shards=config.n_shards, cross_slice_value=True,
+                cross_slice_value=True,
             ),
             (router.close, cluster.close),
         )
     journal = Journal()
     service = MarketService(
-        ShardedBank(params, keypair, random.Random(11), n_shards=config.n_shards),
+        ShardedBank(params, keypair, random.Random(11)),
         batcher=VerificationBatcher(
             params, keypair, max_batch=config.max_batch, seed=7
         ),

@@ -10,8 +10,8 @@ This package makes those failure modes *reproducible*:
   points) from a single integer seed; :class:`FaultyTransport` raises
   :class:`CrashPoint` at the scripted envelopes.
 * :mod:`repro.testing.invariants` — global checks run after every
-  recovery: balance conservation across shards, serial-number
-  uniqueness, and exact ledger/journal agreement.
+  recovery: the bank's own audit (balances, value conservation,
+  serial records), and exact ledger/journal agreement.
 * :mod:`repro.testing.cluster_invariants` — the multi-node sweep over
   per-slice storage dumps: cross-node serial/rid uniqueness, ring
   placement, and cluster-wide balance conservation.

@@ -1,7 +1,7 @@
 """Cluster-wide invariants over per-slice storage dumps.
 
 The single-node sweep (:mod:`repro.testing.invariants`) certifies one
-bank against one journal.  A sharded cluster adds failure modes no
+bank against one journal.  A cluster of slices adds failure modes no
 per-node check can see:
 
 * a **serial deposited on two nodes** — deposits route by the
@@ -66,7 +66,6 @@ def check_cluster_invariants(
     cmap: "ClusterMap | dict",
     dumps: dict[str, dict],
     *,
-    n_shards: int = 4,
     conservation: bool = True,
     cross_slice_value: bool = False,
 ) -> InvariantReport:
@@ -88,7 +87,7 @@ def check_cluster_invariants(
         if node not in dumps:
             findings.append(f"{node}: no storage dump for this slice")
 
-    books = {}  # node -> the slice's recovered books, merged across shards
+    books = {}  # node -> the slice's recovered DEC book
     pbs_books = {}  # node -> the slice's recovered PPMSpbs book
     applied: dict[str, set[str]] = {}
     full: dict[str, Journal] = {}  # the slices that still hold lsn 0
@@ -98,12 +97,12 @@ def check_cluster_invariants(
             checkpoint = journal.load_checkpoint()
             shadow = ShardedBank.recover(
                 params, keypair, random.Random(0), journal,
-                checkpoint=checkpoint, n_shards=n_shards,
+                checkpoint=checkpoint,
             )
         except Exception as exc:
             findings.append(f"{node}: journal does not replay: {exc}")
             continue
-        books[node] = shadow.merged()
+        books[node] = shadow.book
         pbs_books[node] = shadow.pbs
         applied[node] = {r.rid for r in journal.records()
                          if r.kind == "apply" and r.rid}

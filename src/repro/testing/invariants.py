@@ -4,10 +4,10 @@ Three families of checks, composed into one findings-style report (the
 same shape as :func:`repro.core.ledger.audit_bank` — empty findings
 means clean):
 
-1. **Book audit** — the sharded bank's own cross-shard audit: no
-   negative balances, value conservation (deposited never exceeds
-   issued), serial-record consistency, placement invariants, and — the
-   double-deposit defense — no serial stored twice anywhere.
+1. **Book audit** — the bank's own audit: no negative balances, value
+   conservation (deposited never exceeds issued) and serial-record
+   consistency — each deposit record covers exactly its node's leaf
+   serials, the double-deposit defense's footprint.
 2. **Ledger/journal agreement** — the write-ahead journal is replayed
    from scratch into a shadow bank, and every book (balances, the
    withdrawal ledger, the deposited-serial store, the deposit
@@ -52,29 +52,29 @@ class InvariantReport:
 
 def _compare_books(live: ShardedBank, shadow: ShardedBank) -> list[str]:
     findings: list[str] = []
-    for index, (a, b) in enumerate(zip(live.shards, shadow.shards)):
-        if a.accounts != b.accounts:
-            findings.append(
-                f"journal disagreement on shard {index} accounts: "
-                f"live {a.accounts} != replayed {b.accounts}"
-            )
-        if list(a.withdrawals) != list(b.withdrawals):
-            findings.append(
-                f"journal disagreement on shard {index} withdrawal ledger: "
-                f"live {a.withdrawals} != replayed {b.withdrawals}"
-            )
-        if a._seen_serials != b._seen_serials:
-            live_only = set(a._seen_serials) - set(b._seen_serials)
-            replay_only = set(b._seen_serials) - set(a._seen_serials)
-            findings.append(
-                f"journal disagreement on shard {index} serial store: "
-                f"{len(live_only)} serial(s) only live, "
-                f"{len(replay_only)} only replayed, plus any record mismatches"
-            )
-    if live.deposit_seq != shadow.deposit_seq:
+    a, b = live.book, shadow.book
+    if a.accounts != b.accounts:
+        findings.append(
+            f"journal disagreement on accounts: "
+            f"live {a.accounts} != replayed {b.accounts}"
+        )
+    if list(a.withdrawals) != list(b.withdrawals):
+        findings.append(
+            f"journal disagreement on the withdrawal ledger: "
+            f"live {a.withdrawals} != replayed {b.withdrawals}"
+        )
+    if a._seen_serials != b._seen_serials:
+        live_only = set(a._seen_serials) - set(b._seen_serials)
+        replay_only = set(b._seen_serials) - set(a._seen_serials)
+        findings.append(
+            f"journal disagreement on the serial store: "
+            f"{len(live_only)} serial(s) only live, "
+            f"{len(replay_only)} only replayed, plus any record mismatches"
+        )
+    if a.deposit_seq != b.deposit_seq:
         findings.append(
             f"journal disagreement on deposit sequence: live "
-            f"{live.deposit_seq} != replayed {shadow.deposit_seq}"
+            f"{a.deposit_seq} != replayed {b.deposit_seq}"
         )
     for book in fields(live.pbs):
         if getattr(live.pbs, book.name) != getattr(shadow.pbs, book.name):
@@ -131,7 +131,6 @@ def check_recovery_invariants(
         bank.keypair,
         random.Random(0),
         journal,
-        n_shards=bank.n_shards,
         checkpoint=checkpoint,
     )
     findings.extend(_compare_books(bank, shadow))

@@ -396,7 +396,6 @@ def _replay(
     kit: DepositKit | PbsKit,
     plan: FaultPlan,
     *,
-    n_shards: int,
     max_batch: int,
     checkpoint_every: int,
     telemetry: "obs.Telemetry | None",
@@ -439,7 +438,7 @@ def _replay(
     # out-of-band setup mutations (same as loadgen minting), not
     # requests with a client lifecycle; each record replays exactly once
     bank = ShardedBank(
-        kit.params, kit.keypair, random.Random(1), n_shards=n_shards,
+        kit.params, kit.keypair, random.Random(1),
         journal=Journal(storage, telemetry=telemetry), telemetry=telemetry,
     )
     kit.fund(bank)
@@ -458,7 +457,6 @@ def _replay(
             kit.keypair,
             journal,
             checkpoint=journal.load_checkpoint(),
-            n_shards=n_shards,
             batcher=fresh_batcher(),
             telemetry=telemetry,
         ))
@@ -511,7 +509,6 @@ def run_deposit_scenario(
     plan: FaultPlan | int,
     *,
     kit: DepositKit | None = None,
-    n_shards: int = 3,
     max_batch: int = 4,
     checkpoint_every: int = 5,
     telemetry: "obs.Telemetry | None" = None,
@@ -521,7 +518,7 @@ def run_deposit_scenario(
         plan = FaultPlan.from_seed(plan)
     if kit is None:
         kit = build_deposit_kit(random.Random(f"deposit-kit:{plan.seed}"))
-    return _replay(kit, plan, n_shards=n_shards, max_batch=max_batch,
+    return _replay(kit, plan, max_batch=max_batch,
                    checkpoint_every=checkpoint_every, telemetry=telemetry)
 
 
@@ -537,5 +534,5 @@ def run_pbs_scenario(
         plan = FaultPlan.from_seed(plan)
     if kit is None:
         kit = build_pbs_kit(random.Random(f"pbs-kit:{plan.seed}"))
-    return _replay(kit, plan, n_shards=3, max_batch=4,
+    return _replay(kit, plan, max_batch=4,
                    checkpoint_every=checkpoint_every, telemetry=telemetry)

@@ -72,7 +72,7 @@ def test_cluster_survives_sigkill_mid_trace(local_cluster, dec_params_toy,
     # one): serials unique, rids on one node, placement + conservation
     report = check_cluster_invariants(
         dec_params_toy, cluster_keypair, local_cluster.map,
-        local_cluster.dump_storage(), n_shards=4, conservation=True,
+        local_cluster.dump_storage(), conservation=True,
     )
     assert report.clean, report.findings
 
@@ -153,7 +153,7 @@ def _settle(router, cmap, node: str) -> None:
 
 def _sweep(params, keypair, cluster):
     return check_cluster_invariants(params, keypair, cluster.map,
-                                    cluster.dump_storage(), n_shards=4)
+                                    cluster.dump_storage())
 
 
 def test_retention_bounds_node_journals_and_failover_still_works(
@@ -330,7 +330,7 @@ def test_sweep_names_a_compacted_dump_instead_of_half_replaying_it(
                                   in dumps[node]["storage"].items()
                                   if not name.startswith("ckpt-")}
     sweep = check_cluster_invariants(
-        dec_params_toy, cluster_keypair, cluster.map, dumps, n_shards=4)
+        dec_params_toy, cluster_keypair, cluster.map, dumps)
     for node in compacted:
         mine = [f for f in sweep.findings if f.startswith(f"{node}: ")]
         assert len(mine) == 1 and mine[0].startswith(

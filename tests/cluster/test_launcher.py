@@ -21,12 +21,11 @@ from repro.crypto.pairing import TatePairing
 def test_bootstrap_blob_round_trips(tmp_path, dec_params_toy, cluster_keypair):
     path = str(tmp_path / "bootstrap.blob")
     write_bootstrap(path, dec_params_toy, cluster_keypair,
-                    nodes=["n0", "n1"], vnodes=32, n_shards=2,
+                    nodes=["n0", "n1"], vnodes=32,
                     checkpoint_every=16)
     loaded = read_bootstrap(path)
     assert loaded["nodes"] == ["n0", "n1"]
     assert loaded["vnodes"] == 32
-    assert loaded["n_shards"] == 2
     assert loaded["checkpoint_every"] == 16
     assert loaded["params"].tree_level == dec_params_toy.tree_level
     kp = loaded["keypair"]

@@ -44,8 +44,7 @@ def test_cluster_replies_byte_identical_to_single_node(
     requests = opens + rest
 
     journal = Journal()
-    bank = ShardedBank(dec_params_toy, cluster_keypair, random.Random(0),
-                       n_shards=4, journal=journal)
+    bank = ShardedBank(dec_params_toy, cluster_keypair, random.Random(0), journal=journal)
     service = MarketService(bank, journal=journal)
     with ServiceFrontend(service) as frontend:
         with ServiceClient(frontend.address) as client:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.net.codec import encoded_size
 from repro.crypto.partial_blind import (
     PartialBlindRequester,
     PartialBlindSignature,
@@ -102,8 +103,10 @@ class TestProtocol:
         assert verify_partial_blind(signer.public_key, b"m", bad) is False
 
     def test_encoded_size(self, signer):
+        """The codec's bytes grow with the serial, byte for byte."""
+        bare = PartialBlindSignature(value=123, counter=0, common_info=b"")
         sig = PartialBlindSignature(value=123, counter=0, common_info=b"serial-1")
-        assert sig.encoded_size(signer.public_key) == signer.public_key.modulus_bytes + 4 + 8
+        assert encoded_size(sig) == encoded_size(bare) + 8
 
     def test_distinct_serials_give_distinct_coins(self, signer):
         """Serials are the double-deposit defence: signatures must bind them."""

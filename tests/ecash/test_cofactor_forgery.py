@@ -72,7 +72,7 @@ def _forge(params, bank_pk, point: Point, rng) -> object:
 @pytest.fixture(scope="module")
 def market(dec_params):
     rng = random.Random(0xF06E)
-    bank = ShardedBank.create(dec_params, rng, n_shards=2)
+    bank = ShardedBank.create(dec_params, rng)
     secret, request = begin_withdrawal(dec_params, rng)
     signature = cl_blind_issue(dec_params.backend, bank.keypair, request, rng)
     coin = finish_withdrawal(dec_params, bank.public_key, secret, signature)
@@ -106,7 +106,7 @@ def test_batch_refuses_beside_honest_tokens(dec_params, market, kind):
 @pytest.mark.parametrize("kind", sorted(POINTS))
 def test_service_refuses_and_credits_nothing(dec_params, market, kind):
     keypair, honest, forged = market
-    bank = ShardedBank(dec_params, keypair, random.Random(2), n_shards=2)
+    bank = ShardedBank(dec_params, keypair, random.Random(2))
     service = MarketService(
         bank, batcher=VerificationBatcher(dec_params, keypair, seed=3),
         rng=random.Random(4),

@@ -10,6 +10,7 @@ from repro.crypto.cl_sig import cl_keygen, cl_sign
 from repro.ecash.dec import begin_withdrawal, finish_withdrawal
 from repro.ecash.spend import DECParams, create_spend, verify_spend
 from repro.ecash.tree import NodeId, node_key
+from repro.net.codec import encoded_size
 
 
 @pytest.fixture()
@@ -66,7 +67,7 @@ class TestHonestSpends:
             token = create_spend(
                 dec_params, bank_kp.public, coin.secret, coin.signature, node, rng
             )
-            sizes.append(token.encoded_size(dec_params))
+            sizes.append(encoded_size(token))
         assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
 
 

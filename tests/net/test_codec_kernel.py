@@ -445,7 +445,7 @@ def server_frames(market, tmp_path_factory):
     """The bodies a server writes and reads, by name."""
     params, keypair, _coin, _rng = market
     storage = _Appends()
-    bank = ShardedBank(params, keypair, random.Random(3), n_shards=2,
+    bank = ShardedBank(params, keypair, random.Random(3),
                        journal=Journal(storage))
     service = MarketService(bank, batcher=VerificationBatcher(params, keypair, seed=1),
                             rng=random.Random(5))
@@ -470,7 +470,7 @@ def server_frames(market, tmp_path_factory):
         "accept record": records["accept:deposit"],
         "apply record": records["apply:deposit"],
         "open-account apply record": records["apply:open-account"],
-        "shard snapshot": bank.snapshot()[0][len(_SNAPSHOT_MAGIC) + 32:],
+        "shard snapshot": bank.snapshot()[len(_SNAPSHOT_MAGIC) + 32:],
         "cluster bootstrap": path.read_bytes()[skip:],
     }
 

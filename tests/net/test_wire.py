@@ -182,7 +182,7 @@ def wire_service(dec_params_toy):
     """A small live service behind the socket front-end."""
     import repro.service as svc
 
-    bank = svc.ShardedBank.create(dec_params_toy, random.Random(1), n_shards=2)
+    bank = svc.ShardedBank.create(dec_params_toy, random.Random(1))
     batcher = svc.VerificationBatcher(
         bank.params, bank.keypair, max_batch=4, seed=1
     )

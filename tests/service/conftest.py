@@ -2,7 +2,7 @@
 
 Protocol-level service tests run on the toy pairing backend (the
 crypto inside the batcher is exercised against the real Tate backend
-by ``tests/ecash``); everything here is about sharding, batching,
+by ``tests/ecash``); everything here is about the bank, batching,
 admission and the serving loop.
 """
 
@@ -38,7 +38,7 @@ def service_backend(dec_params_toy):
 
 @pytest.fixture()
 def sharded_bank(dec_params_toy, rng) -> ShardedBank:
-    return ShardedBank.create(dec_params_toy, rng, n_shards=4)
+    return ShardedBank.create(dec_params_toy, rng)
 
 
 @pytest.fixture()

@@ -61,7 +61,7 @@ class _Recorder(StorageWrapper):
 def stack(dec_params_toy):
     storage = _Recorder()
     journal = Journal(storage)
-    bank = ShardedBank.create(dec_params_toy, random.Random(3), n_shards=2,
+    bank = ShardedBank.create(dec_params_toy, random.Random(3),
                               journal=journal)
     batcher = VerificationBatcher(bank.params, bank.keypair, max_batch=4,
                                   seed=1)

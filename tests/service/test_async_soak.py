@@ -59,7 +59,7 @@ def _raise_fd_limit(need: int) -> None:
 
 
 def _make_service(dec_params_toy) -> MarketService:
-    bank = ShardedBank.create(dec_params_toy, random.Random(0xA10C), n_shards=2)
+    bank = ShardedBank.create(dec_params_toy, random.Random(0xA10C))
     batcher = VerificationBatcher(bank.params, bank.keypair, max_batch=16,
                                   seed=3)
     service = MarketService(bank, batcher=batcher, rng=random.Random(0xBEEF))

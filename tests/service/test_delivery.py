@@ -35,7 +35,7 @@ from tests.service.conftest import mint_tokens
 
 def _stack(dec_params_toy, service_backend, **service_kwargs):
     journal = Journal()
-    bank = ShardedBank.create(dec_params_toy, random.Random(3), n_shards=2,
+    bank = ShardedBank.create(dec_params_toy, random.Random(3),
                               journal=journal)
     batcher = VerificationBatcher(bank.params, bank.keypair, max_batch=8,
                                   seed=1, backend=service_backend)
@@ -118,7 +118,7 @@ class TestDeliveryContract:
         assert [r.kind for r in journal.records() if r.rid == "open"] \
             == ["accept", "apply"]
         recovered = MarketService.recover(
-            service.bank.params, service.bank.keypair, journal, n_shards=2)
+            service.bank.params, service.bank.keypair, journal)
         delivered: list[dict] = []
         recovered.add_reply_observer(
             lambda sender, reply: delivered.append(reply))

@@ -242,7 +242,7 @@ class TestFrontendRejections:
         """The pre-parse ``BUSY`` carries no cid; ``request()`` must hand
         it to its one outstanding caller, not wait out the socket
         timeout for a cid that will never come."""
-        bank = ShardedBank.create(dec_params_toy, random.Random(3), n_shards=2)
+        bank = ShardedBank.create(dec_params_toy, random.Random(3))
         batcher = VerificationBatcher(bank.params, bank.keypair, max_batch=4,
                                       seed=1, backend=service_backend)
         service = MarketService(

@@ -122,8 +122,7 @@ def _run_stack(gateway_cls, kit, service_backend, schedule, dropped) -> RunArtif
     exactly, so the two stacks differ in nothing but the door.
     """
     journal = Journal()
-    bank = ShardedBank(kit.params, kit.keypair, random.Random(1),
-                       n_shards=3, journal=journal)
+    bank = ShardedBank(kit.params, kit.keypair, random.Random(1), journal=journal)
     for aid, balance, coins in kit.funding:
         bank.open_account(aid, balance)
         for _ in range(coins):

@@ -125,7 +125,7 @@ class TestBackpressure:
         """With the dispatcher stalled and a tight queue bound, frames
         are shed BUSY from the header alone — cid-less replies, zero
         decode work, dispatcher untouched."""
-        bank = ShardedBank.create(dec_params_toy, random.Random(3), n_shards=2)
+        bank = ShardedBank.create(dec_params_toy, random.Random(3))
         batcher = VerificationBatcher(bank.params, bank.keypair, max_batch=4,
                                       seed=1, backend=service_backend)
         service = MarketService(

@@ -41,7 +41,7 @@ def seeded_trace(dec_params_toy, keypair):
 
 
 def _fresh_service(params, keypair) -> MarketService:
-    bank = ShardedBank(params, keypair, random.Random(1), n_shards=2)
+    bank = ShardedBank(params, keypair, random.Random(1))
     return MarketService(bank, rng=random.Random(2))
 
 
@@ -53,7 +53,7 @@ def _target(kind: str, params, keypair):
         with ServiceFrontend(_fresh_service(params, keypair)) as frontend:
             yield SocketGateway(frontend.address, connections=2, pipeline_depth=4)
     else:
-        with LocalCluster(params, keypair, n_nodes=3, n_shards=2) as cluster:
+        with LocalCluster(params, keypair, n_nodes=3) as cluster:
             with cluster.router() as router:
                 yield router
 
@@ -79,7 +79,7 @@ def test_bank_and_offline_issuers_mint_equal_deposits(dec_params_toy, keypair):
     """One seed, one request list: where the signature comes from must
     not leak into what is minted."""
     knobs = dict(n_accounts=2, n_deposits=6, node_level=1, replay_fraction=0.25)
-    bank = ShardedBank(dec_params_toy, keypair, random.Random(1), n_shards=2)
+    bank = ShardedBank(dec_params_toy, keypair, random.Random(1))
     on_bank = mint_deposit_traffic(BankIssuer(bank), random.Random(11), **knobs)
     offline = OfflineIssuer(dec_params_toy, keypair)
     off_bank = mint_deposit_traffic(offline, random.Random(11), **knobs)

@@ -175,14 +175,14 @@ def test_recovery_spans_and_counters(dec_params_toy):
     params = dec_params_toy
     telemetry = obs.Telemetry.enabled()
     journal = Journal()
-    bank = ShardedBank.create(params, rng, n_shards=2, journal=journal)
+    bank = ShardedBank.create(params, rng, journal=journal)
     service = MarketService(bank, rng=random.Random(4), telemetry=telemetry)
     service.submit("acct", "open-account", {"aid": "a0", "balance": 4},
                    rid="open:0")
     service.drain()
 
     recovered = MarketService.recover(
-        params, bank.keypair, journal, n_shards=2, telemetry=telemetry
+        params, bank.keypair, journal, telemetry=telemetry
     )
     assert recovered.bank.balance("a0") == 4
     names = {r.name for r in telemetry.tracer.records()}

@@ -30,7 +30,7 @@ def kit():
 
 
 def _stack(kit, journal=None) -> MarketService:
-    bank = ShardedBank(kit.params, kit.keypair, random.Random(3), n_shards=2,
+    bank = ShardedBank(kit.params, kit.keypair, random.Random(3),
                        journal=journal if journal is not None else Journal())
     batcher = VerificationBatcher(kit.params, kit.keypair, max_batch=4,
                                   seed=1)
@@ -133,7 +133,7 @@ def test_the_checkpoint_carries_the_pbs_book_and_recovery_restores_it(kit):
     service.submit("sp", "pbs-deposit", _deposit(kit, 0), rid="dep:0")
     service.drain()
     first = service.checkpoint()
-    assert len(first.blobs) == service.bank.n_shards + 1
+    assert len(first.blobs) == 2  # (DEC book, PPMSpbs book)
     # a clean book's blob is reused, not re-serialized
     assert service.checkpoint().blobs[-1] is first.blobs[-1]
     service.submit("sp", "pbs-deposit", _deposit(kit, 1), rid="dep:1")
@@ -141,7 +141,7 @@ def test_the_checkpoint_carries_the_pbs_book_and_recovery_restores_it(kit):
     assert service.checkpoint().blobs[-1] != first.blobs[-1]
 
     recovered = MarketService.recover(kit.params, kit.keypair, journal,
-                                      checkpoint=first, n_shards=2)
+                                      checkpoint=first)
     assert recovered.bank.pbs == service.bank.pbs
     for rid in ("open:0", "dep:0", "dep:1"):
         assert recovered.reply_for(rid) == service.reply_for(rid)

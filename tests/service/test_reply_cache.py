@@ -24,7 +24,7 @@ from repro.service import Journal, MarketService, ShardedBank
 
 def _service(dec_params_toy, *, reply_cache, journal=None):
     journal = journal if journal is not None else Journal()
-    bank = ShardedBank.create(dec_params_toy, random.Random(3), n_shards=3,
+    bank = ShardedBank.create(dec_params_toy, random.Random(3),
                               journal=journal)
     return _watched(MarketService(bank, journal=journal,
                                   reply_cache=reply_cache,
@@ -166,7 +166,7 @@ class TestRecovery:
         checkpoint = service.checkpoint()
         recovered = _watched(MarketService.recover(
             service.bank.params, service.bank.keypair, journal,
-            checkpoint=checkpoint, n_shards=3, reply_cache=2,
+            checkpoint=checkpoint, reply_cache=2,
         ))
         recovered.submit("alice", "open-account", {"aid": "a", "balance": 9},
                          rid="victim")
@@ -191,7 +191,7 @@ class TestRecovery:
         assert journal.first_lsn > 0  # victim's records really deleted
         recovered = _watched(MarketService.recover(
             service.bank.params, service.bank.keypair, journal,
-            checkpoint=checkpoint, n_shards=3, reply_cache=2,
+            checkpoint=checkpoint, reply_cache=2,
         ))
         recovered.submit("alice", "open-account", {"aid": "a", "balance": 9},
                          rid="victim")
@@ -208,7 +208,7 @@ class TestRecovery:
         checkpoint = service.checkpoint()
         recovered = MarketService.recover(
             service.bank.params, service.bank.keypair, journal,
-            checkpoint=checkpoint, n_shards=3, reply_cache=3,
+            checkpoint=checkpoint, reply_cache=3,
         )
         assert list(recovered._replies) == list(service._replies)
         # the next completion evicts the *oldest* pre-crash entry
@@ -240,7 +240,7 @@ class TestRecovery:
         assert shipped == checkpoint
         recovered = _watched(MarketService.recover(
             service.bank.params, service.bank.keypair, journal,
-            checkpoint=shipped, n_shards=3, reply_cache=6,
+            checkpoint=shipped, reply_cache=6,
         ))
         assert dict(recovered._replies) == dict(service._replies)
         assert list(recovered._replies) == list(service._replies)

@@ -44,7 +44,7 @@ _ODD = (True, False, None, 0, 7, -1, 1.5, "x", b"x", [1], {"k": 1})
 
 def _stack(dec_params_toy, service_backend):
     journal = Journal()
-    bank = ShardedBank.create(dec_params_toy, random.Random(3), n_shards=2,
+    bank = ShardedBank.create(dec_params_toy, random.Random(3),
                               journal=journal)
     batcher = VerificationBatcher(bank.params, bank.keypair, max_batch=8,
                                   seed=1, backend=service_backend)

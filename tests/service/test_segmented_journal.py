@@ -455,17 +455,14 @@ class TestCheckpointsInMemory(InMemory, TestCheckpoints):
 
 class TestMaintenanceAndRecovery:
     def _bank(self, dec_params_toy, journal):
-        return ShardedBank.create(dec_params_toy, random.Random(7),
-                                  n_shards=3, journal=journal)
+        return ShardedBank.create(dec_params_toy, random.Random(7), journal=journal)
 
     def test_maintenance_cuts_and_compacts_on_cadence(self, reopen,
                                                       dec_params_toy):
         journal = Journal(reopen(), segment_records=4)
         bank = self._bank(dec_params_toy, journal)
         maintenance = JournalMaintenance(
-            journal,
-            lambda: Checkpoint(lsn=journal.last_lsn,
-                               blobs=tuple(bank.snapshot())),
+            journal, bank.checkpoint,
             checkpoint_every=8, retain_segments=1,
         )
         for i in range(6):
@@ -501,40 +498,33 @@ class TestMaintenanceAndRecovery:
         bank = self._bank(dec_params_toy, journal)
         for i in range(10):
             bank.open_account(f"acct{i}", 100 + i)
-        journal.write_checkpoint(
-            Checkpoint(lsn=journal.last_lsn, blobs=tuple(bank.snapshot())))
+        journal.write_checkpoint(bank.checkpoint())
         journal.compact(retain_segments=0)
         assert journal.first_lsn == 8
         with pytest.raises(JournalError, match="compacted"):
             ShardedBank.recover(bank.params, bank.keypair, random.Random(0),
-                                journal, n_shards=3)
+                                journal)
         checkpoint = journal.load_checkpoint()
         recovered = ShardedBank.recover(
             bank.params, bank.keypair, random.Random(0), journal,
-            checkpoint=checkpoint, n_shards=3,
+            checkpoint=checkpoint,
         )
-        assert [dict(s.accounts) for s in recovered.shards] == [
-            dict(s.accounts) for s in bank.shards
-        ]
+        assert recovered.book.accounts == bank.book.accounts
         journal.close()
 
     def test_incremental_snapshot_only_reserializes_dirty_shards(
             self, dec_params_toy):
-        bank = ShardedBank.create(dec_params_toy, random.Random(7), n_shards=4)
+        bank = ShardedBank.create(dec_params_toy, random.Random(7))
         first = bank.snapshot()
         second = bank.snapshot()  # nothing touched in between
-        assert first == second
+        assert second is first  # the clean book's blob, not a re-encode
         bank.open_account("fresh", 5)
         third = bank.snapshot()
-        changed = sum(1 for a, b in zip(second, third) if a != b)
-        # one account landed on one shard; serial homes are untouched
-        assert changed == 1
-        # and restore of an incremental snapshot is still complete
-        clone = ShardedBank.create(dec_params_toy, random.Random(7), n_shards=4)
+        assert third != first
+        # and restore of the re-serialized blob is complete
+        clone = ShardedBank.create(dec_params_toy, random.Random(7))
         clone.restore(third)
-        assert [dict(s.accounts) for s in clone.shards] == [
-            dict(s.accounts) for s in bank.shards
-        ]
+        assert clone.book.accounts == bank.book.accounts
 
 
 class TestMaintenanceAndRecoveryInMemory(InMemory, TestMaintenanceAndRecovery):
@@ -548,8 +538,7 @@ class TestCheckpointCost:
 
     def _service(self, dec_params_toy, directory, telemetry=None):
         journal = Journal.open(directory, telemetry=telemetry)
-        bank = ShardedBank.create(dec_params_toy, random.Random(7),
-                                  n_shards=4, journal=journal)
+        bank = ShardedBank.create(dec_params_toy, random.Random(7), journal=journal)
         bank.open_account("taken", 1)
         service = MarketService(bank, journal=journal, rng=random.Random(8),
                                 telemetry=telemetry)

@@ -165,7 +165,7 @@ class TestWithdrawPath:
         service.drain()
         assert seen[0].status == "OK"
         assert service.bank.balance("alice") == 0
-        assert service.bank.account_home("alice").withdrawals == ["alice"]
+        assert service.bank.book.withdrawals == ["alice"]
 
     def test_underfunded_withdraw_is_error(self, service, rng, dec_params_toy):
         service.bank.open_account("alice", 1)

@@ -1,4 +1,4 @@
-"""Sharded bank: placement, deposits, snapshot/restore/audit."""
+"""The MA's bank: accounts, deposits, snapshot/restore/checkpoint/audit."""
 
 from __future__ import annotations
 
@@ -8,31 +8,9 @@ import pytest
 
 from repro.core.ledger import SnapshotError
 from repro.ecash.dec import DoubleSpendError
-from repro.service import MarketService, ShardedBank, account_shard, serial_shard
+from repro.service import Checkpoint, Journal, MarketService, ShardedBank
 
 from tests.service.conftest import mint_tokens
-
-
-class TestPlacement:
-    def test_account_shard_stable_and_in_range(self):
-        for aid in ("alice", "bob", "sp17", ""):
-            home = account_shard(aid, 4)
-            assert 0 <= home < 4
-            assert account_shard(aid, 4) == home  # no salted hashing
-
-    def test_serial_shard_stable_and_in_range(self):
-        for serial in (0, 1, 2**200 + 17, 31337):
-            home = serial_shard(serial, 4)
-            assert 0 <= home < 4
-            assert serial_shard(serial, 4) == home
-
-    def test_single_shard_maps_everything_home(self):
-        assert account_shard("anyone", 1) == 0
-        assert serial_shard(123456789, 1) == 0
-
-    def test_accounts_spread_across_shards(self):
-        homes = {account_shard(f"sp{i}", 4) for i in range(64)}
-        assert len(homes) > 1
 
 
 class TestAccounts:
@@ -47,7 +25,7 @@ class TestAccounts:
         sharded_bank.open_account("alice", value + 3)
         sharded_bank.apply_withdrawal("alice")
         assert sharded_bank.balance("alice") == 3
-        assert sharded_bank.account_home("alice").withdrawals == ["alice"]
+        assert sharded_bank.book.withdrawals == ["alice"]
 
     def test_underfunded_withdrawal_rejected(self, sharded_bank):
         sharded_bank.open_account("alice", 1)
@@ -55,9 +33,23 @@ class TestAccounts:
             sharded_bank.apply_withdrawal("alice")
         assert sharded_bank.balance("alice") == 1
 
-    def test_minimum_shard_count(self, dec_params_toy, rng):
-        with pytest.raises(ValueError):
-            ShardedBank.create(dec_params_toy, rng, n_shards=0)
+    def test_serve_py_call_still_deposits(self, dec_params_toy, rng):
+        """``benchmarks/e2e/serve.py`` builds its bank with this exact
+        call; the ignored ``n_shards`` keyword goes with that caller."""
+        from repro.crypto.cl_sig import cl_keygen
+
+        params = dec_params_toy
+        keypair = cl_keygen(params.backend, rng)
+        journal = Journal()
+        bank = ShardedBank(params, keypair, random.Random(3), n_shards=4,
+                           journal=journal)
+        service = MarketService(bank, rng=random.Random(5))
+        request = mint_tokens(service, rng, 1)[0]
+        token = request.payload["token"]
+        amount = bank.apply_deposit(request.sender, token,
+                                    bank.expand_serials(token), rid="d:0")
+        assert amount == token.denomination(params.tree_level)
+        assert journal.last_lsn >= 0 and bank.audit().clean
 
 
 class TestDeposits:
@@ -122,23 +114,19 @@ def _deposited_bank(service, rng, n=4):
 class TestSnapshotRoundTrip:
     def test_snapshot_restore_audit_round_trip(self, service, rng, dec_params_toy):
         bank, _ = _deposited_bank(service, rng)
-        blobs = bank.snapshot()
-        assert len(blobs) == bank.n_shards
+        blob = bank.snapshot()
+        assert isinstance(blob, bytes)
 
-        restored = ShardedBank(
-            dec_params_toy, bank.keypair, random.Random(9), n_shards=bank.n_shards
-        )
-        restored.restore(blobs)
+        restored = ShardedBank(dec_params_toy, bank.keypair, random.Random(9))
+        restored.restore(blob)
         assert restored.audit().clean
-        assert restored.merged().accounts == bank.merged().accounts
-        assert restored.merged()._seen_serials == bank.merged()._seen_serials
-        assert restored.deposit_seq == bank.deposit_seq
+        assert restored.book.accounts == bank.book.accounts
+        assert restored.book._seen_serials == bank.book._seen_serials
+        assert restored.book.deposit_seq == bank.book.deposit_seq
 
     def test_restored_bank_still_detects_double_spends(self, service, rng, dec_params_toy):
         bank, requests = _deposited_bank(service, rng)
-        restored = ShardedBank(
-            dec_params_toy, bank.keypair, random.Random(9), n_shards=bank.n_shards
-        )
+        restored = ShardedBank(dec_params_toy, bank.keypair, random.Random(9))
         restored.restore(bank.snapshot())
         token = requests[0].payload["token"]
         with pytest.raises(DoubleSpendError):
@@ -148,49 +136,51 @@ class TestSnapshotRoundTrip:
 
     @pytest.mark.parametrize("shard_index", [0, 1, 2, 3])
     def test_corrupt_shard_blob_identified(self, service, rng, dec_params_toy, shard_index):
+        """A flipped byte anywhere in the book blob — magic, digest or
+        body (the quarter points *shard_index*/4) — is refused."""
         bank, _ = _deposited_bank(service, rng)
-        blobs = bank.snapshot()
-        bad = bytearray(blobs[shard_index])
-        bad[-1] ^= 0xFF
-        blobs[shard_index] = bytes(bad)
-        restored = ShardedBank(
-            dec_params_toy, bank.keypair, random.Random(9), n_shards=bank.n_shards
-        )
-        with pytest.raises(SnapshotError, match=f"shard {shard_index}"):
-            restored.restore(blobs)
+        bad = bytearray(bank.snapshot())
+        bad[len(bad) * shard_index // 4] ^= 0xFF
+        restored = ShardedBank(dec_params_toy, bank.keypair, random.Random(9))
+        with pytest.raises(SnapshotError, match="bank snapshot"):
+            restored.restore(bytes(bad))
 
     def test_shard_count_mismatch_rejected(self, service, rng, dec_params_toy):
+        """A stored checkpoint cut by a four-shard bank (four shard blobs
+        and the PPMSpbs blob) is refused on recovery, by name."""
         bank, _ = _deposited_bank(service, rng)
-        restored = ShardedBank(
-            dec_params_toy, bank.keypair, random.Random(9), n_shards=2
-        )
-        with pytest.raises(ValueError, match="shards"):
-            restored.restore(bank.snapshot())
+        book, pbs = bank.checkpoint().blobs
+        journal = Journal()
+        journal.write_checkpoint(Checkpoint(lsn=journal.last_lsn,
+                                            blobs=(book, book, book, book, pbs)))
+        with pytest.raises(SnapshotError, match="5 blobs"):
+            MarketService.recover(dec_params_toy, bank.keypair, journal,
+                                  checkpoint=journal.load_checkpoint())
+
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    def test_checkpoint_with_other_blob_counts_refused(self, service, rng,
+                                                       dec_params_toy, count):
+        bank, _ = _deposited_bank(service, rng)
+        book, _pbs = bank.checkpoint().blobs
+        with pytest.raises(SnapshotError, match=f"{count} blobs, not"):
+            ShardedBank.recover(
+                dec_params_toy, bank.keypair, random.Random(0), Journal(),
+                checkpoint=Checkpoint(lsn=-1, blobs=(book,) * count),
+            )
+
+    def test_cut_after_reads_reuses_the_book_blob(self, service, rng):
+        bank, requests = _deposited_bank(service, rng)
+        first = bank.checkpoint()
+        for request in requests:
+            bank.balance(request.sender)
+            bank.has_account(request.sender)
+        bank.audit()
+        second = bank.checkpoint()
+        assert second.blobs[0] is first.blobs[0]  # byte for byte, not re-encoded
+        assert second.blobs == first.blobs
 
 
 class TestCrossShardAudit:
     def test_clean_after_traffic(self, service, rng):
         bank, _ = _deposited_bank(service, rng)
         assert bank.audit().clean
-
-    def test_misplaced_account_flagged(self, sharded_bank):
-        sharded_bank.open_account("alice", 4)
-        home = account_shard("alice", sharded_bank.n_shards)
-        wrong = (home + 1) % sharded_bank.n_shards
-        balance = sharded_bank.shards[home].accounts.pop("alice")
-        sharded_bank.shards[wrong].accounts["alice"] = balance
-        report = sharded_bank.audit()
-        assert any("wrong" in f or "home is" in f for f in report.findings)
-
-    def test_duplicated_serial_flagged(self, service, rng):
-        bank, _ = _deposited_bank(service, rng)
-        serial, record = next(iter(bank.serial_home(0)._seen_serials.items())) if \
-            bank.serial_home(0)._seen_serials else (None, None)
-        merged = bank.merged()
-        serial, record = next(iter(merged._seen_serials.items()))
-        home = serial_shard(serial, bank.n_shards)
-        other = (home + 1) % bank.n_shards
-        bank.shards[other]._seen_serials[serial] = record
-        report = bank.audit()
-        assert not report.clean
-        assert any("duplicated" in f for f in report.findings)

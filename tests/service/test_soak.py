@@ -54,7 +54,7 @@ WORKERS = 4
 
 @pytest.fixture(scope="module")
 def soak_stack(dec_params_toy):
-    bank = ShardedBank.create(dec_params_toy, random.Random(0x50AC), n_shards=4)
+    bank = ShardedBank.create(dec_params_toy, random.Random(0x50AC))
     backend = make_backend(dec_params_toy, bank.public_key, processes=WORKERS)
     batcher = VerificationBatcher(
         bank.params, bank.keypair, max_batch=16, seed=3, backend=backend
@@ -97,8 +97,7 @@ def test_socket_soak_holds_every_invariant(soak_stack):
     assert len(requests) >= N_REQUESTS
 
     balance_before = {
-        aid: service.bank.balance(aid)
-        for shard in service.bank.shards for aid in shard.accounts
+        aid: service.bank.balance(aid) for aid in service.bank.book.accounts
     }
 
     gateway = SocketGateway(frontend.address, connections=1,
@@ -123,17 +122,10 @@ def test_socket_soak_holds_every_invariant(soak_stack):
     audit = service.bank.audit()
     assert audit.clean, f"audit findings after soak: {audit.findings}"
 
-    # serial uniqueness, globally: no leaf serial on two shards, and
-    # exactly one record per serial in the merged view
-    seen: dict[int, int] = {}
-    for index, shard in enumerate(service.bank.shards):
-        for serial in shard._seen_serials:
-            assert serial not in seen, (
-                f"serial {serial} on shards {seen[serial]} and {index}"
-            )
-            seen[serial] = index
-    merged = service.bank.merged()
-    assert len(merged._seen_serials) == len(seen)
+    # serial uniqueness: every fresh deposit's leaf serials recorded
+    # once, under one deposit record each
+    book = service.bank.book
+    assert len(set(book._seen_serials.values())) == n_fresh
 
     # balance conservation: credits in == balance growth, account by
     # account (replays rejected ⇒ zero credit from them)

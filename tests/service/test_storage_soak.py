@@ -48,8 +48,7 @@ MAINTENANCE_EVERY = 50  # requests between maintenance opportunities
 def test_journal_disk_is_bounded_by_retention(tmp_path, dec_params_toy):
     store = tmp_path / "wal"
     journal = Journal.open(store, segment_records=SEGMENT_RECORDS)
-    bank = ShardedBank.create(dec_params_toy, random.Random(0xD15C),
-                              n_shards=4, journal=journal)
+    bank = ShardedBank.create(dec_params_toy, random.Random(0xD15C), journal=journal)
     service = MarketService(bank, journal=journal, rng=random.Random(1))
     maintenance = JournalMaintenance(
         journal, service.checkpoint,
@@ -97,11 +96,8 @@ def test_journal_disk_is_bounded_by_retention(tmp_path, dec_params_toy):
     assert checkpoint is not None
     recovered = MarketService.recover(
         bank.params, bank.keypair, journal, checkpoint=checkpoint,
-        n_shards=4,
     )
-    assert [dict(s.accounts) for s in recovered.bank.shards] == [
-        dict(s.accounts) for s in bank.shards
-    ]
+    assert recovered.bank.book.accounts == bank.book.accounts
 
     print(
         "\nstorage soak:"

@@ -52,7 +52,7 @@ def parity_workload(dec_params_toy):
     withdrawals, account opens and balance probes."""
     params = dec_params_toy
     keypair = cl_keygen(params.backend, random.Random(0xA11CE))
-    mint_bank = ShardedBank(params, keypair, random.Random(1), n_shards=1)
+    mint_bank = ShardedBank(params, keypair, random.Random(1))
     deposits = mint_deposit_traffic(
         BankIssuer(mint_bank),
         random.Random(2),
@@ -72,7 +72,7 @@ def parity_workload(dec_params_toy):
     requests.insert(7, Request(sender="fresh", kind="withdraw",
                                payload={"aid": "fresh", "request": issuance}))
     requests.append(Request(sender="sp1", kind="audit", payload={}))
-    return params, keypair, mint_bank.merged(), requests
+    return params, keypair, mint_bank.book, requests
 
 
 def _run(workload, backend_factory, *, fastexp_on: bool) -> dict:
@@ -86,12 +86,12 @@ def _run(workload, backend_factory, *, fastexp_on: bool) -> dict:
             withhold_tables(patch)
         telemetry = obs.Telemetry.enabled()
         journal = Journal(telemetry=telemetry)
-        bank = ShardedBank(params, keypair, random.Random(7), n_shards=4,
+        bank = ShardedBank(params, keypair, random.Random(7),
                            telemetry=telemetry)
         for aid, balance in book.accounts.items():
             bank.open_account(aid, balance)
         for aid in book.withdrawals:
-            bank.account_home(aid).withdrawals.append(aid)
+            bank.book.withdrawals.append(aid)
         backend = backend_factory(params, keypair)
         batcher = VerificationBatcher(
             params, keypair, max_batch=MAX_BATCH, seed=11,

@@ -17,6 +17,11 @@ spend proofs and its behaviour, and the proofs now draw shorter
 scalars): in-process ``111e747f…9482a4dd`` → ``bc800e60…5f54ee``, with
 three more coin units deposited by the end, and cluster
 ``006c17ac…2272ab`` → ``4372efb3…a9d476``; the socket's held.
+Deleting ``CampaignConfig``'s shard-count field moved all three, and
+only because the report's ``config`` lost that key (re-adding it at its
+old value, 3, gives the old digests back): in-process ``bc800e60…5f54ee`` →
+``1f0c71e1…e31444``, socket ``1f150945…e51c5ef`` →
+``c488bb29…ce9fd9``, cluster ``4372efb3…a9d476`` → ``42356aba…1b37e9``.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ from repro.sim.campaign import Campaign, mixed_campaign, run_campaign
 
 #: backend -> report digest of ``mixed --seed 2015``
 REFERENCE = {
-    "inprocess": "bc800e607af999a49d040632eb5f0eeef255ecdc11f9f78b9b126768635f54ee",
-    "socket": "1f150945383c7f1dbdf9047f4416f2e24871179cbd1b9afd68c7c8c13e51c5ef",
-    "cluster": "4372efb364d69069f40fd34165b4512a718ee6450dddb3c6f9f03cf778a9d476",
+    "inprocess": "1f0c71e16a077e3cd4c9eaf6ecf5d730343f83e1ec5de9f70c43a742afe31444",
+    "socket": "c488bb2957710543c2856926f9da7684710c1e568ad34e4dd67eb13003ce9fd9",
+    "cluster": "42356abab6f08ea7116d3c548d66ecb950b140bae542b021fe201b44be1b37e9",
 }
 
 

@@ -48,7 +48,7 @@ def _repro_hint(test: str) -> str:
 def _fresh_service(kit, journal=None) -> MarketService:
     journal = journal if journal is not None else Journal()
     bank = ShardedBank(
-        kit.params, kit.keypair, random.Random(1), n_shards=3, journal=journal
+        kit.params, kit.keypair, random.Random(1), journal=journal
     )
     kit.fund(bank)
     batcher = VerificationBatcher(
@@ -63,7 +63,6 @@ def _recovered(kit, journal, *, checkpoint=None) -> MarketService:
         kit.keypair,
         journal,
         checkpoint=checkpoint,
-        n_shards=3,
         batcher=VerificationBatcher(
             kit.params, kit.keypair, max_batch=4, seed=7
         ),
@@ -71,11 +70,12 @@ def _recovered(kit, journal, *, checkpoint=None) -> MarketService:
 
 
 def _books(bank: ShardedBank):
+    book = bank.book
     return (
-        [dict(s.accounts) for s in bank.shards],
-        [list(s.withdrawals) for s in bank.shards],
-        [dict(s._seen_serials) for s in bank.shards],
-        bank.deposit_seq,
+        dict(book.accounts),
+        list(book.withdrawals),
+        dict(book._seen_serials),
+        book.deposit_seq,
     )
 
 
@@ -109,7 +109,7 @@ class TestUnitRecovery:
         journal.append("apply", apply_record.rid, apply_record.op,
                        apply_record.payload)
         recovered = ShardedBank.recover(
-            kit.params, kit.keypair, random.Random(0), journal, n_shards=3
+            kit.params, kit.keypair, random.Random(0), journal
         )
         assert recovered.balance(request.aid) == service.bank.balance(request.aid)
 

@@ -130,7 +130,7 @@ def _run_workload(kit, storage, holder) -> tuple:
     twin = holder.setdefault("twin", MemoryStorage())
     journal = Journal(_Uncompacted(storage, twin),
                       segment_records=SEGMENT_RECORDS)
-    bank = ShardedBank(kit.params, kit.keypair, random.Random(1), n_shards=3,
+    bank = ShardedBank(kit.params, kit.keypair, random.Random(1),
                        journal=journal)
     for aid, balance, coins in kit.funding:
         bank.open_account(aid, balance)
@@ -178,11 +178,12 @@ def _run_workload(kit, storage, holder) -> tuple:
 
 
 def _books(bank: ShardedBank):
+    book = bank.book
     return (
-        [dict(s.accounts) for s in bank.shards],
-        [list(s.withdrawals) for s in bank.shards],
-        [dict(s._seen_serials) for s in bank.shards],
-        bank.deposit_seq,
+        dict(book.accounts),
+        list(book.withdrawals),
+        dict(book._seen_serials),
+        book.deposit_seq,
     )
 
 
@@ -191,7 +192,7 @@ def _recover(kit, storage) -> tuple:
     journal = Journal(storage, segment_records=SEGMENT_RECORDS)
     checkpoint = journal.load_checkpoint()
     service = MarketService.recover(
-        kit.params, kit.keypair, journal, checkpoint=checkpoint, n_shards=3,
+        kit.params, kit.keypair, journal, checkpoint=checkpoint,
         batcher=VerificationBatcher(kit.params, kit.keypair, max_batch=4,
                                     seed=7),
         reply_cache=REPLY_CACHE,
@@ -222,7 +223,7 @@ def _shadow_books(kit, full_records):
     for state in full_records:
         journal.append(state["kind"], state["rid"], state["op"], state["payload"])
     shadow = ShardedBank.recover(kit.params, kit.keypair, random.Random(0),
-                                 journal, n_shards=3)
+                                 journal)
     return _books(shadow)
 
 

@@ -56,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"building toy market (seed {args.seed}) ...")
     params = setup(3, rng, real_pairing=False, edge_rounds=4)
-    bank = ShardedBank.create(params, rng, n_shards=4, journal=Journal())
+    bank = ShardedBank.create(params, rng, journal=Journal())
     batcher = VerificationBatcher(params, bank.keypair, max_batch=8, seed=1)
     service = MarketService(
         bank,
